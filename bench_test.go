@@ -1,8 +1,9 @@
 package themecomm_test
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (Section 7), plus ablation benchmarks for the design choices
-// called out in DESIGN.md. Each benchmark regenerates the corresponding
+// evaluation (Section 7), plus ablation benchmarks for the mining design
+// choices (README.md, "Reproducing the paper's experiments"). Each benchmark
+// regenerates the corresponding
 // table/figure on a reduced-scale configuration; cmd/tcbench runs the same
 // harness with larger, paper-like settings and prints the rows.
 
@@ -10,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
 
@@ -197,8 +197,8 @@ func BenchmarkMinerTCFI(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationInduceFromFullGraph quantifies the ablation of DESIGN.md:
-// evaluating candidate patterns against the full network (TCFA's strategy)
+// BenchmarkAblationInduceFromFullGraph quantifies the central mining
+// ablation: evaluating candidate patterns against the full network (TCFA's strategy)
 // versus inside the parents' truss intersection (TCFI's strategy) on the
 // co-author analogue.
 func BenchmarkAblationInduceFromFullGraph(b *testing.B) {
@@ -446,25 +446,24 @@ func BenchmarkEngineBatch(b *testing.B) {
 
 // BenchmarkEngineColdStartFullVsLazy measures time-to-first-answer from a
 // cold process: reading the index from disk and answering one single-item
-// query. "full-load" reads the whole monolithic file before the first answer;
-// "lazy-load" opens only the sharded manifest and reads the one shard the
-// query touches, so its cold start is proportional to the hot set, not the
-// index size.
+// query. "full-load" materializes every shard into a heap tree before the
+// first answer; "lazy-load" opens only the manifest and maps the one shard
+// the query touches, so its cold start is proportional to the hot set, not
+// the index size.
 func BenchmarkEngineColdStartFullVsLazy(b *testing.B) {
 	benchShardSetup(b)
-	dir := b.TempDir()
-	monoPath := filepath.Join(dir, "bench.tctree")
-	if err := benchShardTree.WriteFile(monoPath); err != nil {
-		b.Fatal(err)
-	}
-	shardDir := filepath.Join(dir, "bench.index")
+	shardDir := filepath.Join(b.TempDir(), "bench.index")
 	if _, err := benchShardTree.WriteSharded(shardDir); err != nil {
 		b.Fatal(err)
 	}
 	q := themecomm.NewItemset(benchShardTree.Root().Children[0].Item)
 	b.Run("full-load", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tree, err := tctree.ReadFile(monoPath)
+			idx, err := tctree.OpenSharded(shardDir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tree, err := idx.LoadTree()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -492,86 +491,6 @@ func BenchmarkEngineColdStartFullVsLazy(b *testing.B) {
 			}
 		}
 	})
-}
-
-var (
-	benchSkewOnce sync.Once
-	benchSkewTree *tctree.Tree
-)
-
-// benchSkewSetup builds a synthetic multi-item network whose blocks have
-// decreasing edge density, so the per-shard α* bounds spread out and a
-// selective (high-α_q) query can skip the sparse shards from the manifest
-// alone — the workload BenchmarkPlannerSkip measures.
-func benchSkewSetup(b *testing.B) {
-	b.Helper()
-	benchSkewOnce.Do(func() {
-		rng := rand.New(rand.NewSource(17))
-		const blocks, blockSize = 8, 48
-		nw := dbnet.New(blocks * blockSize)
-		for blk := 0; blk < blocks; blk++ {
-			base := blk * blockSize
-			density := 0.9 - 0.8*float64(blk)/float64(blocks-1)
-			for u := 0; u < blockSize; u++ {
-				for v := u + 1; v < blockSize; v++ {
-					if rng.Float64() < density {
-						nw.MustAddEdge(themecomm.VertexID(base+u), themecomm.VertexID(base+v))
-					}
-				}
-				if err := nw.AddTransaction(themecomm.VertexID(base+u), themecomm.NewItemset(themecomm.Item(blk))); err != nil {
-					panic(err)
-				}
-			}
-		}
-		benchSkewTree = tctree.Build(nw, tctree.BuildOptions{})
-	})
-}
-
-// BenchmarkPlannerSkip measures the planner's data-skipping win on a lazy
-// engine: a selective query (α_q at the median per-shard α* bound) over a
-// sharded on-disk index, cold each iteration, with the planner on versus
-// off. Besides ns/op the benchmark reports shardloads/op — the number of
-// shard files read from disk per query — which the planner must keep
-// strictly below the planner-off engine's (it answers the skipped shards
-// from the manifest alone).
-func BenchmarkPlannerSkip(b *testing.B) {
-	benchSkewSetup(b)
-	dir := filepath.Join(b.TempDir(), "skew.index")
-	manifest, err := benchSkewTree.WriteSharded(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	alphas := make([]float64, 0, len(manifest.Shards))
-	for _, e := range manifest.Shards {
-		alphas = append(alphas, e.MaxAlpha)
-	}
-	sort.Float64s(alphas)
-	alphaQ := alphas[len(alphas)/2] // α* skew: roughly half the shards are skippable
-	q := fullPattern(b, benchSkewTree)
-	for _, planner := range []bool{true, false} {
-		name := "planner=on"
-		if !planner {
-			name = "planner=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			loads := uint64(0)
-			for i := 0; i < b.N; i++ {
-				idx, err := tctree.OpenSharded(dir)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eng, err := engine.NewLazy(idx, engine.Options{Workers: 4, DisablePlanner: !planner})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Query(q, alphaQ); err != nil {
-					b.Fatal(err)
-				}
-				loads += eng.Stats().LazyLoads
-			}
-			b.ReportMetric(float64(loads)/float64(b.N), "shardloads/op")
-		})
-	}
 }
 
 func benchName(prefix string, v float64) string {

@@ -4,9 +4,9 @@
 // through the serving engine's plan→execute path — the same code that
 // answers tcserver and tcquery traffic — rather than a raw tree traversal,
 // so the reported numbers reflect the served configuration (result cache
-// disabled so repetitions measure execution, not cache hits). See DESIGN.md
-// for the experiment index and EXPERIMENTS.md for a discussion of the
-// measured shapes.
+// disabled so repetitions measure execution, not cache hits). The
+// experiment index is the package comment of internal/experiments; README.md
+// ("Reproducing the paper's experiments") says how the harnesses relate.
 //
 // Usage:
 //

@@ -1,21 +1,16 @@
 // Command tcindex builds the TC-Tree index of a database network and writes
 // it to disk, reporting the Table 3 metrics (indexing time, memory, #nodes).
 //
-// The index is written in one (or both) of two layouts: a single monolithic
-// gob file (-out), or a sharded directory (-sharded) holding one file per
-// top-level item plus an index.manifest, which tcserver and tcquery can serve
-// lazily — loading only the shards a workload touches. Sharded shards are
-// encoded either as gob (the default; decoded whole into memory on load) or
-// as TCBIN (-format tcbin; a flat binary layout served zero-copy from a
-// memory-mapped file). An existing sharded index converts between the two
-// encodings in place with -migrate.
+// The index is a directory holding one TCBIN shard file per top-level item (a
+// flat binary layout served zero-copy from a memory map, docs/FORMAT.md)
+// plus an index.manifest, which tcserver and tcquery serve lazily — loading
+// only the shards a workload touches. It is the only persisted layout, and it
+// is derived data: rewriting -out from the .dbnet replaces whatever index was
+// there, including one written by a release with other layouts.
 //
 // Usage:
 //
-//	tcindex -in bk.dbnet -out bk.tctree
-//	tcindex -in bk.dbnet -sharded bk.index
-//	tcindex -in bk.dbnet -sharded bk.index -format tcbin
-//	tcindex -migrate bk.index -format tcbin
+//	tcindex -in bk.dbnet -out bk.index
 package main
 
 import (
@@ -24,6 +19,7 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"themecomm"
@@ -33,40 +29,19 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tcindex: ")
 
-	in := flag.String("in", "", "input database network file (required unless -migrate)")
-	out := flag.String("out", "", "output TC-Tree file (defaults to <in>.tctree when -sharded is not given)")
-	sharded := flag.String("sharded", "", "output directory for the sharded index format (per-shard files + manifest)")
-	format := flag.String("format", "", "shard encoding of the sharded format: gob or tcbin (default gob, or $TC_INDEX_FORMAT)")
-	migrate := flag.String("migrate", "", "re-encode an existing sharded index directory into -format in place, then exit")
+	in := flag.String("in", "", "input database network file (required)")
+	out := flag.String("out", "", "output index directory (defaults to <in> with .dbnet replaced by .index)")
 	workers := flag.Int("workers", 0, "parallelism of the first tree level (0 = GOMAXPROCS)")
 	maxDepth := flag.Int("maxdepth", 0, "maximum indexed pattern length (0 = unbounded)")
 	flag.Parse()
-
-	if *migrate != "" {
-		if *format == "" {
-			log.Fatal("-migrate needs -format (gob or tcbin)")
-		}
-		idx, err := themecomm.OpenShardedIndex(*migrate)
-		if err != nil {
-			log.Fatal(err)
-		}
-		from := idx.Format()
-		start := time.Now()
-		if err := themecomm.MigrateIndexFormat(idx, *format); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("migrated %s: %s -> %s (%d shards, %v)\n",
-			*migrate, from, idx.Format(), idx.NumShards(), time.Since(start))
-		return
-	}
 
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	path := *out
-	if path == "" && *sharded == "" {
-		path = *in + ".tctree"
+	dir := *out
+	if dir == "" {
+		dir = strings.TrimSuffix(*in, ".dbnet") + ".index"
 	}
 	nw, _, err := themecomm.ReadNetworkFile(*in)
 	if err != nil {
@@ -79,25 +54,11 @@ func main() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 
-	if path != "" {
-		if err := tree.WriteFile(path); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("indexed %s -> %s\n", *in, path)
+	manifest, err := themecomm.WriteShardedTree(tree, dir)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *sharded != "" {
-		var manifest *themecomm.IndexManifest
-		if *format != "" {
-			manifest, err = themecomm.WriteShardedTreeAs(tree, *sharded, *format)
-		} else {
-			manifest, err = themecomm.WriteShardedTree(tree, *sharded)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("indexed %s -> %s (sharded: %d %s shards + manifest)\n",
-			*in, *sharded, len(manifest.Shards), manifest.FormatName())
-	}
+	fmt.Printf("indexed %s -> %s (%d %s shards + manifest)\n", *in, dir, len(manifest.Shards), manifest.Format)
 	fmt.Printf("  indexing time: %v\n", elapsed)
 	fmt.Printf("  heap in use:   %.1f MB\n", float64(ms.HeapAlloc)/(1<<20))
 	fmt.Printf("  #nodes:        %d (depth %d, max α %.4g)\n", tree.NumNodes(), tree.Depth(), tree.MaxAlpha())

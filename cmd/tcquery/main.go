@@ -5,12 +5,12 @@
 // and -topk ranks the answer by cohesion. -contains flips the query to
 // containment semantics — retrieve the indexed patterns that contain the
 // query pattern — where the catalogue's per-shard bloom filters and α-depth
-// histograms skip shards that cannot hold a superset. All index layouts load
-// transparently (monolithic gob, sharded gob, sharded TCBIN); against a
-// sharded index directory (tcindex -sharded) only the shards the query
-// touches — and the planner cannot skip — are read from disk. -explain prints the per-shard plan (skip/resident/load decisions,
-// cost-ordered schedule) and the observed execution counters instead of the
-// communities; -noplanner disables the planner for comparison.
+// histograms skip shards that cannot hold a superset. Only the shards the
+// query touches — and the planner cannot skip — are read from the index
+// directory. -explain prints the per-shard plan (skip/resident/load
+// decisions, cost-ordered schedule) and the observed execution counters
+// instead of the communities; -noplanner disables the planner for
+// comparison.
 //
 // Against a networks directory (the layout tcserver -networks serves:
 // several indexes side by side), -network selects which indexed network to
@@ -26,9 +26,9 @@
 //
 // Usage:
 //
-//	tcquery -tree bk.dbnet.tctree -alpha 0.5
+//	tcquery -tree bk.index -alpha 0.5
 //	tcquery -tree bk.index -net bk.dbnet -pattern "hangout-c3-0,hangout-c3-1" -alpha 0.2
-//	tcquery -tree bk.dbnet.tctree -alpha 0.2 -topk 10 -workers 8
+//	tcquery -tree bk.index -alpha 0.2 -topk 10 -workers 8
 //	tcquery -tree bk.index -alpha 0.4 -explain
 //	tcquery -tree bk.index -pattern "hangout-c3-0" -alpha 0.2 -contains
 //	tcquery -tree warehouse/ -network bk -alpha 0.2
@@ -51,7 +51,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tcquery: ")
 
-	treePath := flag.String("tree", "", "TC-Tree file, sharded index directory, or networks directory (required)")
+	treePath := flag.String("tree", "", "index directory built by tcindex, or networks directory (required)")
 	network := flag.String("network", "", "network to query when -tree is a networks directory holding several indexes")
 	netPath := flag.String("net", "", "database network file; needed to resolve item names in -pattern")
 	alphaQ := flag.Float64("alpha", 0, "query cohesion threshold α_q")
@@ -166,8 +166,9 @@ func main() {
 	}
 }
 
-// resolveNetwork maps -tree/-network onto one index path. A .tctree file or
-// sharded index directory passes through untouched; a networks directory
+// resolveNetwork maps -tree/-network onto one index path. An index directory
+// (or anything that is not a directory: OpenEngine reports what is wrong
+// with it) passes through untouched; a networks directory
 // (several indexes side by side, as served by tcserver -networks) resolves
 // through -network — required unless the directory holds exactly one
 // network — and supplies the network's sibling .dbnet dictionary when -net

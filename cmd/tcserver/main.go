@@ -1,24 +1,22 @@
 // Command tcserver serves theme-community queries over HTTP from TC-Tree
-// indexes built by tcindex. Both index formats load transparently: a
-// monolithic .tctree file is read whole, while a sharded index directory
-// (tcindex -sharded) is served lazily — a shard's file is only read on the
-// first query that touches it, and -maxresident bounds how many shards stay
-// in memory. Queries go through the engine's cost-based planner: shards
+// index directories built by tcindex. An index is served lazily — a shard's
+// file is only mapped on the first query that touches it, and -maxresident
+// bounds how many shards stay in memory. Queries go through the engine's
+// cost-based planner: shards
 // whose α* bound proves an empty answer are skipped without a load,
 // expensive shards are scheduled first, and a bounded background prefetcher
 // (-prefetch) warms the schedule tail.
 //
 // With -networks the server fronts a whole federation of indexed networks:
-// every sharded index directory and .tctree file inside the given directory
-// becomes a named network (a sibling <name>.dbnet file provides its item
+// every index directory inside the given directory becomes a named network (a sibling <name>.dbnet file provides its item
 // dictionary), all sharing one result cache and one residency budget
 // (-maxresident then bounds resident shards across ALL networks), queryable
 // individually under /api/v1/{network}/... or together via /api/v1/queryall.
 //
 // Usage:
 //
-//	tcserver -tree bk.dbnet.tctree -net bk.dbnet -addr :8080 -workers 8 -cache 1024
-//	tcserver -tree bk.index -maxresident 16        # lazy, sharded index dir
+//	tcserver -tree bk.index -net bk.dbnet -addr :8080 -workers 8 -cache 1024
+//	tcserver -tree bk.index -maxresident 16        # bounded residency
 //	tcserver -networks warehouse/ -maxresident 64  # federation: every index in warehouse/
 //	tcserver -networks warehouse/ -default bk      # single-network routes serve "bk"
 //	tcserver -networks warehouse/ -journal wal/    # replication primary: journaled updates
@@ -88,16 +86,16 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tcserver: ")
 
-	treePath := flag.String("tree", "", "TC-Tree file or sharded index directory built by tcindex")
+	treePath := flag.String("tree", "", "index directory built by tcindex")
 	networksDir := flag.String("networks", "", "serve every indexed network found in this directory as a federation")
 	defaultNetwork := flag.String("default", "", "federation network behind the single-network routes (default: lexically first)")
 	netPath := flag.String("net", "", "database network file; enables item-name resolution (-tree only)")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "shard-traversal parallelism (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 1024, "result-cache entries, shared across networks with -networks (0 disables caching)")
-	maxResident := flag.Int("maxresident", 0, "sharded indexes only: max shards kept in memory, across all networks with -networks (0 = unlimited)")
-	maxResidentBytes := flag.Int64("maxresidentbytes", 0, "sharded indexes only: byte budget of resident shards, across all networks with -networks (0 = unlimited)")
-	prefetch := flag.Int("prefetch", 0, "sharded indexes only: background shard-prefetch workers (0 = default, negative disables)")
+	maxResident := flag.Int("maxresident", 0, "max shards kept in memory, across all networks with -networks (0 = unlimited)")
+	maxResidentBytes := flag.Int64("maxresidentbytes", 0, "byte budget of resident shards, across all networks with -networks (0 = unlimited)")
+	prefetch := flag.Int("prefetch", 0, "background shard-prefetch workers (0 = default, negative disables)")
 	noPlanner := flag.Bool("noplanner", false, "disable the cost-based planner (no α* shard skipping, no cost ordering, no prefetch)")
 	slowQuery := flag.Duration("slowquery", 0, "slow-query threshold: queries at least this slow are captured with their full plan into GET /api/v1/slowlog (0 disables)")
 	slowlogSize := flag.Int("slowlogsize", 128, "slow-query ring-buffer capacity")
@@ -162,25 +160,14 @@ func main() {
 				log.Fatal(err)
 			}
 			opts.Dictionary = dict
-			if eng.Lazy() {
-				// Holding the network enables POST /api/v1/update
-				// (incremental index maintenance); the updated network is
-				// written back so a restart reloads consistent state.
-				opts.Network = nw
-				opts.NetworkPath = *netPath
-			} else {
-				// A monolithic .tctree cannot be updated in place on disk;
-				// applying deltas in memory while writing the network back
-				// would desynchronize the two across a restart.
-				log.Printf("monolithic index: POST /api/v1/update disabled (use the sharded format, tcindex -sharded)")
-			}
+			// Holding the network enables POST /api/v1/update (incremental
+			// index maintenance); the updated network is written back so a
+			// restart reloads consistent state.
+			opts.Network = nw
+			opts.NetworkPath = *netPath
 		}
-		mode := "eager"
-		if eng.Lazy() {
-			mode = "lazy"
-		}
-		log.Printf("serving %d indexed maximal pattern trusses (%s, format %s, %d shards, %d workers, cache %d)",
-			eng.NumNodes(), mode, eng.Format(), eng.NumShards(), eng.Workers(), *cacheSize)
+		log.Printf("serving %d indexed maximal pattern trusses (format %s, %d shards, %d workers, cache %d)",
+			eng.NumNodes(), eng.Format(), eng.NumShards(), eng.Workers(), *cacheSize)
 	}
 	if opts.Federation != nil {
 		names := opts.Federation.Names()

@@ -50,7 +50,7 @@ func main() {
 	log.SetPrefix("tcupdate: ")
 
 	netPath := flag.String("net", "", "database network file the index was built from (required unless -server)")
-	indexPath := flag.String("index", "", "sharded index directory built by tcindex -sharded (required unless -server)")
+	indexPath := flag.String("index", "", "index directory built by tcindex (required unless -server)")
 	deltaPath := flag.String("delta", "", "delta file in the TCDELTA text format")
 	addVertices := flag.Int("addvertices", 0, "number of new vertices to add")
 	addEdges := flag.String("addedges", "", "edges to add, comma-separated u-v pairs (e.g. 3-17,4-17)")

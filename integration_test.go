@@ -18,7 +18,7 @@ import (
 func TestEndToEndPipeline(t *testing.T) {
 	dir := t.TempDir()
 	netPath := filepath.Join(dir, "bk.dbnet")
-	treePath := filepath.Join(dir, "bk.tctree")
+	indexPath := filepath.Join(dir, "bk.index")
 
 	// 1. Generate a dataset analogue and persist it.
 	d, err := themecomm.GenerateDataset("BK", 0.1)
@@ -42,22 +42,32 @@ func TestEndToEndPipeline(t *testing.T) {
 	const alpha = 0.2
 	mined := themecomm.MineTCFI(nw, themecomm.MiningOptions{Alpha: alpha, MaxPatternLength: 3})
 	tree := themecomm.BuildTree(nw, themecomm.TreeBuildOptions{MaxDepth: 3})
-	if err := tree.WriteFile(treePath); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	if answer := tree.MiningResult(alpha); !answer.Equal(mined) {
+		t.Fatalf("index answer (NP=%d) differs from mining (NP=%d)", answer.NumPatterns(), mined.NumPatterns())
+	}
+	if _, err := themecomm.WriteShardedTree(tree, indexPath); err != nil {
+		t.Fatalf("WriteShardedTree: %v", err)
 	}
 
-	// 4. Reload the index and answer the same query.
-	reloaded, err := themecomm.ReadTreeFile(treePath)
+	// 4. Reopen the index from disk and answer the same query.
+	reloaded, err := themecomm.OpenEngine(indexPath, themecomm.EngineOptions{})
 	if err != nil {
-		t.Fatalf("ReadTreeFile: %v", err)
+		t.Fatalf("OpenEngine: %v", err)
 	}
-	answer := reloaded.MiningResult(alpha)
-	if !answer.Equal(mined) {
-		t.Fatalf("index answer (NP=%d) differs from mining (NP=%d)", answer.NumPatterns(), mined.NumPatterns())
+	answer, err := reloaded.QueryByAlpha(alpha)
+	if err != nil {
+		t.Fatalf("QueryByAlpha: %v", err)
+	}
+	if answer.RetrievedNodes != mined.NumPatterns() {
+		t.Fatalf("reopened index retrieved %d trusses, miner found %d", answer.RetrievedNodes, mined.NumPatterns())
+	}
+	// What is not an index directory is refused with the rebuild command.
+	if _, err := themecomm.OpenEngine(netPath, themecomm.EngineOptions{}); err == nil || !strings.Contains(err.Error(), "tcindex -in") {
+		t.Fatalf("OpenEngine on a regular file returned %v, want a refusal naming tcindex", err)
 	}
 
 	// 5. Serve the index over HTTP and query it.
-	handler, err := themecomm.NewQueryServer(reloaded, themecomm.QueryServerOptions{Dictionary: dict})
+	handler, err := themecomm.NewQueryServer(nil, themecomm.QueryServerOptions{Engine: reloaded, Dictionary: dict})
 	if err != nil {
 		t.Fatalf("NewQueryServer: %v", err)
 	}

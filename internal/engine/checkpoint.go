@@ -2,8 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"themecomm/internal/dbnet"
@@ -24,8 +22,8 @@ import (
 //	  engine's dirty set.
 //	Checkpoint: background flush — stage the dirty subtrees, stamp the
 //	  journal seq into the manifest, commit once, and swap the dirty
-//	  resident shards back to lazy ones. Queries see identical content
-//	  before and after, so no epoch bump and no cache purge.
+//	  resident shards back to file-backed ones. Queries see identical
+//	  content before and after, so no epoch bump and no cache purge.
 //
 // Crash recovery replays journal records after the manifest's JournalSeq
 // through ApplyDeltaInMemory, converging on exactly the pre-crash state.
@@ -38,15 +36,16 @@ import (
 // append before this call); Checkpoint later folds the accumulated dirty
 // shards into the on-disk index in one commit.
 //
-// Dirty resident shards sit outside the lazy engine's residency budget until
-// the next Checkpoint — they cannot be evicted, because the index on disk
-// does not have their content yet.
+// Dirty resident shards sit outside the residency budget until the next
+// Checkpoint — they cannot be evicted, because the index on disk does not
+// have their content yet. An engine without an on-disk index (New) has
+// nothing to checkpoint, so for it this is simply ApplyDelta.
 func (e *Engine) ApplyDeltaInMemory(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, error) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
 	start := time.Now()
-	if depth := e.builtMaxDepth(); depth > 0 {
-		return nil, fmt.Errorf("engine: index was built with MaxDepth %d; incremental maintenance needs an unbounded index", depth)
+	if e.builtMaxDepth > 0 {
+		return nil, fmt.Errorf("engine: index was built with MaxDepth %d; incremental maintenance needs an unbounded index", e.builtMaxDepth)
 	}
 	affected := delta.AffectedItems(nw, d).Union(e.pendingAffected)
 	if err := delta.Apply(nw, d); err != nil {
@@ -57,18 +56,8 @@ func (e *Engine) ApplyDeltaInMemory(nw *dbnet.Network, d *delta.Delta) (*DeltaRe
 	subtrees := tctree.RebuildSubtrees(nw, affected)
 
 	e.updateMu.Lock()
-	var report *tctree.CommitReport
-	if e.idx != nil {
-		report = e.swapDirtyLocked(subtrees)
-		if e.dirty == nil {
-			e.dirty = make(map[itemset.Item]*tctree.Node, len(subtrees))
-		}
-		for it, sub := range subtrees {
-			e.dirty[it] = sub
-		}
-	} else {
-		report = e.swapEagerLocked(subtrees)
-	}
+	report := e.replaceShardsLocked(affected, rebuiltShard(subtrees))
+	e.markDirty(subtrees)
 	e.pendingAffected = nil
 	e.deltas.Add(1)
 	e.epoch.Add(1)
@@ -82,66 +71,18 @@ func (e *Engine) ApplyDeltaInMemory(nw *dbnet.Network, d *delta.Delta) (*DeltaRe
 	return &DeltaResult{Affected: affected, Report: report, Epoch: epoch, Duration: time.Since(start)}, nil
 }
 
-// swapDirtyLocked installs rebuilt subtrees into a lazy engine's table as
-// resident eager shards (load == nil): the on-disk index does not have this
-// content, so the shards must not be evictable or reloadable. Structs
-// leaving the table return their residency charge and are poisoned against
-// in-flight prefetch loads, exactly like swapLazyLocked. Callers hold
-// updateMu for writing.
-func (e *Engine) swapDirtyLocked(subtrees map[itemset.Item]*tctree.Node) *tctree.CommitReport {
-	report := &tctree.CommitReport{}
-	items := make([]itemset.Item, 0, len(subtrees))
-	for it := range subtrees {
-		items = append(items, it)
+// markDirty records subtrees as ahead of the on-disk index, for the next
+// Checkpoint to stage. Callers hold applyMu.
+func (e *Engine) markDirty(subtrees map[itemset.Item]*tctree.Node) {
+	if e.idx == nil {
+		return
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	t := e.table.Load()
-	replacement := make(map[itemset.Item]*shard, len(items))
-	for _, it := range items {
-		sub := subtrees[it]
-		_, exists := t.lookup(it)
-		switch {
-		case sub == nil && !exists:
-			continue
-		case sub == nil:
-			report.Removed = append(report.Removed, it)
-			replacement[it] = nil
-		case exists:
-			report.Replaced = append(report.Replaced, it)
-			replacement[it] = eagerShardOf(sub)
-		default:
-			report.Added = append(report.Added, it)
-			replacement[it] = eagerShardOf(sub)
-		}
+	if e.dirty == nil {
+		e.dirty = make(map[itemset.Item]*tctree.Node, len(subtrees))
 	}
-	shards := make([]*shard, 0, len(t.shards)+len(report.Added))
-	for _, s := range t.shards {
-		repl, touched := replacement[s.item]
-		if !touched {
-			shards = append(shards, s)
-			continue
-		}
-		if freed, ok := evictShard(s); ok {
-			e.res.resident.Add(-1)
-			e.res.bytes.Add(-freed)
-			e.evictions.Add(1)
-		}
-		s.mu.Lock()
-		s.err = errShardRemoved
-		s.once = new(sync.Once)
-		s.mu.Unlock()
-		if repl != nil {
-			shards = append(shards, repl)
-		}
-		delete(replacement, s.item)
+	for it, sub := range subtrees {
+		e.dirty[it] = sub
 	}
-	for _, it := range items { // the added shards, in stable order
-		if s, ok := replacement[it]; ok && s != nil {
-			shards = append(shards, s)
-		}
-	}
-	e.table.Store(newShardTable(shards))
-	return report
 }
 
 // DirtyShards returns how many in-memory shards have run ahead of the
@@ -154,8 +95,8 @@ func (e *Engine) DirtyShards() int {
 
 // IndexJournalSeq returns the journal sequence number stamped into the
 // on-disk index manifest — the checkpoint marker crash recovery replays
-// from. It is 0 for an eager engine, or for an index that has never been
-// checkpointed.
+// from. It is 0 for an engine without an on-disk index, or for an index
+// that has never been checkpointed.
 func (e *Engine) IndexJournalSeq() uint64 {
 	if e.idx == nil {
 		return 0
@@ -189,13 +130,8 @@ func (e *Engine) ResyncInMemory(nw *dbnet.Network) error {
 	subtrees := tctree.RebuildSubtrees(nw, affected)
 
 	e.updateMu.Lock()
-	e.swapDirtyLocked(subtrees)
-	if e.dirty == nil {
-		e.dirty = make(map[itemset.Item]*tctree.Node, len(subtrees))
-	}
-	for it, sub := range subtrees {
-		e.dirty[it] = sub
-	}
+	e.replaceShardsLocked(affected, rebuiltShard(subtrees))
+	e.markDirty(subtrees)
 	e.pendingAffected = nil
 	e.epoch.Add(1)
 	if e.cache != nil {
@@ -214,9 +150,9 @@ func (e *Engine) ResyncInMemory(nw *dbnet.Network) error {
 // files are discarded and the index is untouched.
 //
 // After the manifest commit the dirty resident shards are swapped back to
-// plain lazy shards under the residency budget. Their content is identical
-// to what was just committed, so the epoch is NOT bumped and no cache entry
-// is purged: queries cannot observe a checkpoint. Updates serialize behind
+// plain file-backed shards under the residency budget. Their content is
+// identical to what was just committed, so the epoch is NOT bumped and no
+// cache entry is purged: queries cannot observe a checkpoint. Updates serialize behind
 // it (applyMu), queries do not (updateMu is held only for the swap-back).
 //
 // Checkpoint with no dirty shards and journalSeq already stamped is a no-op
@@ -249,24 +185,9 @@ func (e *Engine) Checkpoint(journalSeq uint64, preCommit func() error) (*tctree.
 		e.updateMu.Unlock()
 		return nil, err
 	}
-	// Swap the dirty resident shards back to lazy ones: identical content,
-	// now loadable (and evictable) from the committed files.
-	t := e.table.Load()
-	changed := false
-	shards := make([]*shard, 0, len(t.shards))
-	for _, s := range t.shards {
-		if _, dirty := subtrees[s.item]; !dirty {
-			shards = append(shards, s)
-			continue
-		}
-		changed = true
-		if entry, ok := e.idx.Entry(s.item); ok {
-			shards = append(shards, e.lazyShard(entry))
-		}
-	}
-	if changed {
-		e.table.Store(newShardTable(shards))
-	}
+	// Swap the dirty resident shards back to file-backed ones: identical
+	// content, now loadable (and evictable) from the committed files.
+	e.replaceShardsLocked(report.Touched(), e.committedShard)
 	e.dirty = nil
 	e.updateMu.Unlock()
 	return report, nil

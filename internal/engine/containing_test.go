@@ -357,8 +357,8 @@ func TestLazyByteResidencyBudget(t *testing.T) {
 	}
 }
 
-// TestFormatStat pins Stats().Format: "memory" for eager engines, the
-// index's format for lazy ones.
+// TestFormatStat pins Stats().Format: "memory" for an engine over a tree
+// built in-process, "tcbin" for one over an on-disk index.
 func TestFormatStat(t *testing.T) {
 	tree := buildTestTree(t, 11)
 	eager, err := New(tree, Options{})
@@ -373,7 +373,7 @@ func TestFormatStat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLazy: %v", err)
 	}
-	if got := lazy.Stats().Format; got != idx.Format() {
-		t.Fatalf("lazy Format = %q, want %q", got, idx.Format())
+	if got := lazy.Stats().Format; got != tctree.FormatTCBIN {
+		t.Fatalf("lazy Format = %q, want %q", got, tctree.FormatTCBIN)
 	}
 }

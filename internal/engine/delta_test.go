@@ -370,50 +370,39 @@ func TestApplyDeltaConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestReloadShardCacheRace provokes the reload/query interleaving the epoch
-// gate closes: queries against one shard run full tilt while the shard is
-// swapped on disk and reloaded. After every reload, the next cached answer
-// must reflect the new shard — a query that computed against the old shard
-// must never park its stale result in the cache past the purge.
-func TestReloadShardCacheRace(t *testing.T) {
-	tree := buildTestTree(t, 13)
-	other := buildTestTree(t, 19)
-	var item itemset.Item
-	var replacement *tctree.Node
-	for _, c := range other.Root().Children {
-		if tree.Root().Descendant(c.Pattern) != nil {
-			item, replacement = c.Item, c
-			break
+// TestApplyDeltaCacheRace provokes the swap/query interleaving the epoch
+// gate closes: queries against one shard run full tilt while deltas flip that
+// shard between two states. After every delta, the next cached answer must
+// reflect the new shard — a query that computed against the old shard must
+// never park its stale result in the cache past the purge.
+func TestApplyDeltaCacheRace(t *testing.T) {
+	nw, without := testNetwork(13), testNetwork(13)
+	item := nw.Items()[0]
+	tri := triangleDelta(nw, item)
+	if err := delta.Apply(nw, tri); err != nil {
+		t.Fatal(err)
+	}
+	// The two states: the triangle whole, and broken by removing one edge of
+	// it (which takes all three edges out of the item's truss).
+	toggles := []*delta.Delta{{RemoveEdges: tri.AddEdges[:1]}, {AddEdges: tri.AddEdges[:1]}}
+	q := itemset.New(item)
+	edges := func(res *tctree.QueryResult) (n int) {
+		for _, tr := range res.Trusses {
+			n += tr.Edges.Len()
 		}
+		return n
 	}
-	if replacement == nil {
-		t.Fatalf("trees share no root item; pick other seeds")
+	tree := tctree.Build(nw, tctree.BuildOptions{})
+	wantEdges := []int{edges(tree.Query(q, 0)), edges(tctree.Build(without, tctree.BuildOptions{}).Query(q, 0))}
+	if wantEdges[0] != wantEdges[1]+3 {
+		t.Fatalf("states have %d and %d edges; the triangle should account for exactly 3", wantEdges[0], wantEdges[1])
 	}
-	orig := tree.Root().Descendant(itemset.New(item))
 
-	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		t.Fatal(err)
-	}
-	idx, err := tctree.OpenSharded(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idx, _ := writeShardedTestTree(t, tree)
 	eng, err := NewLazy(idx, Options{CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	q := itemset.New(item)
-	subtrees := []*tctree.Node{orig, replacement}
-	wantEdges := []int{
-		querySubtree(orig, q, 0).trusses[0].Edges.Len(),
-		querySubtree(replacement, q, 0).trusses[0].Edges.Len(),
-	}
-	if wantEdges[0] == wantEdges[1] {
-		t.Fatalf("old and new shard answers coincide; pick other seeds")
-	}
-
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -429,20 +418,16 @@ func TestReloadShardCacheRace(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 40; i++ {
-		next := subtrees[(i+1)%2]
-		if err := idx.ReplaceShard(next); err != nil {
-			t.Fatalf("ReplaceShard: %v", err)
-		}
-		if err := eng.ReloadShard(item); err != nil {
-			t.Fatalf("ReloadShard: %v", err)
+		if _, err := eng.ApplyDelta(nw, toggles[i%2]); err != nil {
+			t.Fatalf("ApplyDelta: %v", err)
 		}
 		// The very next answer — cached or executed — must be the new shard's.
 		res, err := eng.Query(q, 0)
 		if err != nil {
-			t.Fatalf("post-reload query: %v", err)
+			t.Fatalf("post-delta query: %v", err)
 		}
-		if got, want := res.Trusses[0].Edges.Len(), wantEdges[(i+1)%2]; got != want {
-			t.Fatalf("iteration %d: post-reload answer has %d edges, want %d (stale cache entry served)", i, got, want)
+		if got, want := edges(res), wantEdges[(i+1)%2]; got != want {
+			t.Fatalf("iteration %d: post-delta answer has %d edges, want %d (stale cache entry served)", i, got, want)
 		}
 	}
 	stop.Store(true)

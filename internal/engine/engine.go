@@ -10,12 +10,13 @@
 //     because each node's pattern starts with its shard's root item — and a
 //     bounded worker pool traverses the relevant shards in parallel, merging
 //     the per-shard answers in deterministic shard order;
-//   - lazy loading: NewLazy serves straight from a sharded on-disk index
-//     (tctree.ShardedIndex). A shard's file is read, checksum-verified and
-//     decoded on the first query that touches it; resident shards are
-//     evictable under a configurable budget and individually reloadable
-//     after an on-disk swap (ReloadShard), which also invalidates exactly
-//     the cached answers the swap could have changed;
+//   - lazy loading: NewLazy serves straight from an on-disk index
+//     (tctree.ShardedIndex). A shard's file is mapped and checksum-verified
+//     on the first query that touches it and evictable under a configurable
+//     budget; an applied delta replaces exactly the affected shards and
+//     invalidates exactly the cached answers they could have changed. New
+//     serves a tree built in-process through the same engine: its shards
+//     simply start, and stay, on the heap;
 //   - caching: a bounded, concurrency-safe LRU result cache keyed by the
 //     canonicalized query (q ∩ indexed items, α_q), with hit, miss and
 //     eviction counters;
@@ -51,30 +52,30 @@ type Options struct {
 	// CacheSize is the maximum number of query results kept in the LRU
 	// result cache. Zero or negative disables caching.
 	CacheSize int
-	// MaxResidentShards is the memory budget of a lazy engine: the number of
-	// lazily loaded shards kept in memory at once. When a load pushes the
-	// resident count past the budget, the least recently used resident
-	// shards are evicted (queries still holding an evicted subtree finish on
-	// their snapshot; the next touch reloads it from disk). Zero or negative
-	// means unlimited. Eager engines ignore it.
+	// MaxResidentShards is the memory budget for file-backed shards: the
+	// number of them kept open at once. When a load pushes the resident count
+	// past the budget, the least recently used ones are evicted (queries
+	// still holding an evicted view finish on their snapshot; the next touch
+	// reopens it from disk). Zero or negative means unlimited. Heap-resident
+	// shards (every shard of an engine built with New) have no file to come
+	// back from, so they are outside the budget.
 	MaxResidentShards int
-	// MaxResidentBytes is the byte-based residency budget of a lazy engine,
-	// enforced alongside MaxResidentShards (either bound triggers LRU
-	// eviction): the summed size of resident shards — mapped file size for
-	// TCBIN shards, serialized payload size for gob shards. Zero or negative
-	// means unlimited. Eager engines ignore it.
+	// MaxResidentBytes is the byte-based residency budget, enforced
+	// alongside MaxResidentShards (either bound triggers LRU eviction): the
+	// summed mapped file size of the open file-backed shards. Zero or
+	// negative means unlimited.
 	MaxResidentBytes int64
 	// DisablePlanner turns the cost-based planner off: every relevant shard
 	// is traversed in ascending root-item order with no α* skipping, no
 	// cost ordering and no prefetch — the behaviour of the pre-planner
 	// engine. Answers are byte-identical either way; only the work differs.
 	DisablePlanner bool
-	// PrefetchWorkers bounds the background shard prefetcher of a lazy
-	// planning engine: while a plan's early tasks run, up to this many
-	// goroutines warm the top-cost not-yet-resident shards of the schedule
-	// tail, so disk I/O overlaps with traversal instead of serializing
-	// behind the worker pool. Zero means a small default; negative disables
-	// prefetching. Eager engines have nothing to prefetch.
+	// PrefetchWorkers bounds the background shard prefetcher of a planning
+	// engine: while a plan's early tasks run, up to this many goroutines
+	// warm the top-cost not-yet-resident shards of the schedule tail, so
+	// disk I/O overlaps with traversal instead of serializing behind the
+	// worker pool. Zero means a small default; negative disables
+	// prefetching.
 	PrefetchWorkers int
 	// SharedCache, when non-nil, replaces the engine's private result cache
 	// with a cache shared between engines (a federation of networks): keys
@@ -86,11 +87,11 @@ type Options struct {
 	// uses the network name) — and the network label of every observation the
 	// Recorder receives. Without SharedCache it only labels observations.
 	CacheNamespace string
-	// SharedResidency, when non-nil, enrolls a lazy engine in a residency
-	// group shared between engines: the group's budget bounds the resident
-	// shards of every member together, and eviction is globally
-	// least-recently-used. MaxResidentShards is ignored. Eager engines
-	// ignore it.
+	// SharedResidency, when non-nil, enrolls the engine in a residency group
+	// shared between engines: the group's budget bounds the file-backed
+	// resident shards of every member together, and eviction is globally
+	// least-recently-used. MaxResidentShards and MaxResidentBytes are
+	// ignored.
 	SharedResidency *ResidencyGroup
 	// Recorder, when non-nil, receives one trace.QueryObservation per query —
 	// outcome, plan→execute→merge stage timings and a lazy plan-detail hook.
@@ -105,16 +106,16 @@ type Options struct {
 // PrefetchWorkers at zero.
 const defaultPrefetchWorkers = 2
 
-// errShardRemoved poisons a shard struct a delta removed from the table, so
-// stragglers holding the old pointer (in-flight prefetches) cannot load it
-// back into memory.
-var errShardRemoved = errors.New("engine: shard removed by an applied delta")
+// errShardRemoved poisons a shard struct that left the table, so stragglers
+// holding the old pointer (in-flight prefetches) cannot load it back into
+// memory.
+var errShardRemoved = errors.New("engine: shard replaced or removed by an index update")
 
 // shardTable is an immutable snapshot of the engine's shard set. The engine
 // publishes it through an atomic pointer so that readers (queries, stats, the
 // residency evictor) see a consistent table without locking, while index
-// updates (ApplyDelta) install a new table in one store — the in-memory
-// analogue of the sharded format's single manifest swap.
+// updates (replaceShardsLocked) install a new table in one store — the
+// in-memory analogue of the on-disk index's single manifest swap.
 type shardTable struct {
 	// shards are the per-top-level-item partitions, ordered by ascending
 	// root item.
@@ -139,19 +140,21 @@ func (t *shardTable) lookup(item itemset.Item) (*shard, bool) {
 
 // Engine answers theme-community queries from a sharded TC-Tree.
 type Engine struct {
-	// tree is the fully resident TC-Tree of an eager engine; nil in lazy
-	// mode, where idx is the on-disk index shards are loaded from instead.
-	tree *tctree.Tree
-	idx  *tctree.ShardedIndex
+	// idx is the on-disk index file-backed shards are opened from and
+	// updates are committed to; nil for an engine over a tree built
+	// in-process (New), whose shards all live on the heap.
+	idx *tctree.ShardedIndex
+	// builtMaxDepth is the MaxDepth bound the served index was built with
+	// (0 = unbounded); incremental maintenance refuses bounded indexes.
+	builtMaxDepth int
 	// table is the current shard set (copy-on-write; see shardTable).
 	table atomic.Pointer[shardTable]
 
 	// updateMu serializes index swaps against in-flight queries: every query
-	// holds the read side for its whole execution, and ReloadShard /
-	// ApplyDelta hold the write side across the disk commit, the in-memory
-	// swap and the cache invalidation — so a query's answer is always
-	// entirely pre-swap or entirely post-swap, never a mix of shards from
-	// both sides.
+	// holds the read side for its whole execution, and ApplyDelta holds the
+	// write side across the disk commit, the in-memory swap and the cache
+	// invalidation — so a query's answer is always entirely pre-swap or
+	// entirely post-swap, never a mix of shards from both sides.
 	updateMu sync.RWMutex
 	// applyMu serializes whole ApplyDelta invocations: the network mutation
 	// and the subtree rebuilds happen outside updateMu (queries keep
@@ -167,10 +170,10 @@ type Engine struct {
 	// yet checkpointed — to its rebuilt subtree (nil = shard removed). See
 	// Checkpoint.
 	dirty map[itemset.Item]*tctree.Node
-	// epoch counts index swaps (ReloadShard, ApplyDelta). Queries capture it
-	// before executing and the result cache refuses inserts whose epoch is
-	// stale, so an answer computed against a replaced shard can never be
-	// cached after the invalidation purge ran.
+	// epoch counts index swaps (applied deltas). Queries capture it before
+	// executing and the result cache refuses inserts whose epoch is stale,
+	// so an answer computed against a replaced shard can never be cached
+	// after the invalidation purge ran.
 	epoch atomic.Uint64
 
 	workers int
@@ -192,10 +195,10 @@ type Engine struct {
 	// planCfg is the planner configuration (zero value = planning off).
 	planCfg PlanConfig
 	// prefetchSem bounds concurrent background prefetch loads; nil when
-	// prefetching is disabled or the engine is eager. prefetchWG counts the
-	// in-flight prefetch goroutines so Release can drain them: they outlive
-	// the query that spawned them, so they are the one piece of query work a
-	// caller cannot serialize against a detach.
+	// prefetching is disabled. prefetchWG counts the in-flight prefetch
+	// goroutines so Release can drain them: they outlive the query that
+	// spawned them, so they are the one piece of query work a caller cannot
+	// serialize against a detach.
 	prefetchSem chan struct{}
 	prefetchWG  sync.WaitGroup
 
@@ -222,24 +225,42 @@ type Engine struct {
 	shortCircuited   atomic.Uint64
 }
 
-// New returns an eager Engine over a fully resident tree.
+// New returns an Engine over a tree built in-process: every first-level
+// subtree becomes a heap-resident shard. Nothing is persisted; ApplyDelta
+// replaces shards in memory only.
 func New(tree *tctree.Tree, opts Options) (*Engine, error) {
 	if tree == nil || tree.Root() == nil {
 		return nil, fmt.Errorf("engine: nil tree")
 	}
-	e := newEngine(opts)
-	e.tree = tree
+	shards := make([]*shard, 0, len(tree.Root().Children))
 	for _, c := range tree.Root().Children {
-		e.addShard(eagerShardOf(c))
+		shards = append(shards, residentShard(c))
 	}
-	return e, nil
+	return newEngine(nil, tree.BuiltMaxDepth(), shards, opts), nil
 }
 
-// eagerShardOf builds the shard of a resident first-level subtree, computing
-// its catalogue — statistics, bloom filter and α*-by-depth histogram — with
-// one walk, so an eager engine plans with exactly the catalogue a sharded
-// index would persist.
-func eagerShardOf(c *tctree.Node) *shard {
+// NewLazy returns an Engine serving straight from an on-disk index. No shard
+// data is read until a query touches the shard: the first touch maps and
+// checksum-verifies the shard file (concurrent first touches share one
+// load), and resident shards are evicted least recently used first whenever
+// the count exceeds opts.MaxResidentShards.
+func NewLazy(idx *tctree.ShardedIndex, opts Options) (*Engine, error) {
+	if idx == nil {
+		return nil, fmt.Errorf("engine: nil sharded index")
+	}
+	m := idx.Manifest()
+	shards := make([]*shard, 0, len(m.Shards))
+	for _, entry := range m.Shards {
+		shards = append(shards, fileShard(idx, entry))
+	}
+	return newEngine(idx, m.BuiltMaxDepth, shards, opts), nil
+}
+
+// residentShard builds the shard of a subtree on the heap (load == nil: it
+// is never evicted and never reloaded), computing its catalogue —
+// statistics, bloom filter and α*-by-depth histogram — with one walk, so
+// the planner sees exactly the catalogue the index would persist for it.
+func residentShard(c *tctree.Node) *shard {
 	st, bloomStr, alphaStr := tctree.ShardCatalogue(c)
 	bloom, _ := tctree.DecodeItemBloom(bloomStr)
 	depths, _ := tctree.DecodeAlphaDepths(alphaStr)
@@ -255,47 +276,11 @@ func eagerShardOf(c *tctree.Node) *shard {
 	}
 }
 
-// NewLazy returns a lazy Engine serving straight from a sharded on-disk
-// index. No shard data is read until a query touches the shard: the first
-// touch loads, checksum-verifies and decodes the shard file (concurrent
-// first touches share one load), and resident shards are evicted least
-// recently used first whenever the count exceeds opts.MaxResidentShards.
-func NewLazy(idx *tctree.ShardedIndex, opts Options) (*Engine, error) {
-	if idx == nil {
-		return nil, fmt.Errorf("engine: nil sharded index")
-	}
-	e := newEngine(opts)
-	e.idx = idx
-	if opts.SharedResidency != nil {
-		e.res = opts.SharedResidency
-		e.sharedRes = true
-	} else {
-		e.res = NewResidencyGroupBytes(opts.MaxResidentShards, opts.MaxResidentBytes)
-	}
-	if !opts.DisablePlanner && opts.PrefetchWorkers >= 0 {
-		workers := opts.PrefetchWorkers
-		if workers == 0 {
-			workers = defaultPrefetchWorkers
-		}
-		e.prefetchSem = make(chan struct{}, workers)
-	}
-	m := idx.Manifest()
-	for _, entry := range m.Shards {
-		e.addShard(e.lazyShard(entry))
-	}
-	// Enroll in the residency group only once the shard table is fully
-	// built: a shared group's evictor may scan members from other tenants'
-	// goroutines the moment the engine is added.
-	e.res.add(e)
-	return e, nil
-}
-
-// lazyShard builds a shard that opens its view from the engine's on-disk
-// index on first touch — in the index's native representation (decoded
-// pointer tree for gob, memory-mapped BinShard for TCBIN) — carrying the
-// manifest entry's catalogue, decoded once here rather than per plan.
-func (e *Engine) lazyShard(entry tctree.ShardEntry) *shard {
-	idx, item := e.idx, itemset.Item(entry.Item)
+// fileShard builds a shard that opens its view from the on-disk index on
+// first touch, carrying the manifest entry's catalogue, decoded once here
+// rather than per plan.
+func fileShard(idx *tctree.ShardedIndex, entry tctree.ShardEntry) *shard {
+	item := itemset.Item(entry.Item)
 	bloom, _ := entry.DecodeBloom()
 	depths, _ := entry.DecodeAlphaDepths()
 	return &shard{
@@ -310,24 +295,32 @@ func (e *Engine) lazyShard(entry tctree.ShardEntry) *shard {
 	}
 }
 
-func newEngine(opts Options) *Engine {
+// newEngine is the one construction behind New and NewLazy: an engine is a
+// table of shards, and the two differ only in where the shards' views come
+// from (the heap, or files of idx).
+func newEngine(idx *tctree.ShardedIndex, builtMaxDepth int, shards []*shard, opts Options) *Engine {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
-		workers:  workers,
-		sem:      make(chan struct{}, workers),
-		batchSem: make(chan struct{}, workers),
-		recorder: opts.Recorder,
-		// res is the private default; NewLazy swaps in a shared group when
-		// Options.SharedResidency is set. Eager engines never evict, so the
-		// zero budget is inert for them.
-		res: NewResidencyGroup(0),
+		idx:           idx,
+		builtMaxDepth: builtMaxDepth,
+		workers:       workers,
+		sem:           make(chan struct{}, workers),
+		batchSem:      make(chan struct{}, workers),
+		recorder:      opts.Recorder,
 	}
-	e.table.Store(&shardTable{index: make(map[itemset.Item]int)})
+	e.table.Store(newShardTable(shards))
 	if !opts.DisablePlanner {
 		e.planCfg = DefaultPlanConfig()
+		if opts.PrefetchWorkers >= 0 {
+			prefetch := opts.PrefetchWorkers
+			if prefetch == 0 {
+				prefetch = defaultPrefetchWorkers
+			}
+			e.prefetchSem = make(chan struct{}, prefetch)
+		}
 	}
 	// The namespace doubles as the tenant name on observations, so it is
 	// kept even without a shared cache; a private cache prefixes its keys
@@ -340,27 +333,25 @@ func newEngine(opts Options) *Engine {
 	case opts.CacheSize > 0:
 		e.cache = newLRUCache(opts.CacheSize)
 	}
+	if opts.SharedResidency != nil {
+		e.res = opts.SharedResidency
+		e.sharedRes = true
+	} else {
+		e.res = NewResidencyGroupBytes(opts.MaxResidentShards, opts.MaxResidentBytes)
+	}
+	// Enroll in the residency group only once the shard table is built: a
+	// shared group's evictor may scan members from other tenants' goroutines
+	// the moment the engine is added.
+	e.res.add(e)
 	return e
-}
-
-// addShard appends a shard during construction, before the engine is shared;
-// shards arrive in ascending root-item order. Later membership changes go
-// through ApplyDelta, which installs a whole new table instead.
-func (e *Engine) addShard(s *shard) {
-	t := e.table.Load()
-	t.index[s.item] = len(t.shards)
-	t.shards = append(t.shards, s)
-	t.items = append(t.items, s.item)
-	e.table.Store(t)
 }
 
 // NumShards returns the number of shards (indexed top-level items).
 func (e *Engine) NumShards() int { return len(e.table.Load().shards) }
 
-// IndexEpoch returns the number of index swaps (ReloadShard calls and
-// applied deltas) the engine has performed. Cache inserts are gated on it:
-// a query that executed against a since-swapped shard can never insert its
-// stale answer.
+// IndexEpoch returns the number of index swaps (applied deltas) the engine
+// has performed. Cache inserts are gated on it: a query that executed
+// against a since-swapped shard can never insert its stale answer.
 func (e *Engine) IndexEpoch() uint64 { return e.epoch.Load() }
 
 // Workers returns the shard-traversal parallelism.
@@ -369,12 +360,11 @@ func (e *Engine) Workers() int { return e.workers }
 // Lazy reports whether the engine loads shards from disk on demand.
 func (e *Engine) Lazy() bool { return e.idx != nil }
 
-// Format returns the shard encoding the engine serves from: the on-disk
-// index's format (tctree.FormatGob or tctree.FormatTCBIN) for lazy engines,
-// "memory" for eager engines built from a resident tree.
+// Format returns where the engine's shards come from: tctree.FormatTCBIN
+// for an on-disk index, "memory" for a tree built in-process.
 func (e *Engine) Format() string {
 	if e.idx != nil {
-		return e.idx.Format()
+		return tctree.FormatTCBIN
 	}
 	return "memory"
 }
@@ -383,23 +373,19 @@ func (e *Engine) Format() string {
 // ordering and background prefetch) is enabled.
 func (e *Engine) Planner() bool { return e.planCfg.AlphaSkip || e.planCfg.CostOrder }
 
-// Tree returns the underlying TC-Tree of an eager engine; it is nil for lazy
-// engines, which never hold the whole tree.
-func (e *Engine) Tree() *tctree.Tree { return e.tree }
-
 // acquire returns the shard's view, stamping its recency, and opening it
-// from disk first when the engine is lazy and the shard is not resident.
-// loaded reports whether this call performed the disk load — the executor
-// and the prefetcher use it to attribute loads. Concurrent first touches
-// share a single load through the shard's sync.Once; a load failure is
-// sticky until ReloadShard. The loop handles the race with eviction: if the
-// view vanishes between the load and the re-check, the fresh sync.Once
-// installed by the evictor triggers another load. The identity check on
-// s.once before installing the loaded view handles the race with
-// ReloadShard: a load that was in flight when the shard was reset would
-// otherwise re-install pre-swap data (or a pre-swap error) after the reset;
-// such stale results are discarded and the loop loads again from the
-// current file.
+// from disk first when the shard is file-backed and not resident. loaded
+// reports whether this call performed the disk load — the executor and the
+// prefetcher use it to attribute loads. Concurrent first touches share a
+// single load through the shard's sync.Once; a load failure is sticky for
+// the life of the struct (an update that replaces the shard installs a fresh
+// one). The loop handles the race with eviction: if the view vanishes
+// between the load and the re-check, the fresh sync.Once installed by the
+// evictor triggers another load. The identity check on s.once before
+// installing the loaded view handles the race with replaceShardsLocked: a
+// load that was in flight when the struct left the table would otherwise
+// install a view (and a residency charge) no evictor can ever see again;
+// such results are discarded and the loop ends on the struct's poison.
 func (e *Engine) acquire(s *shard) (view tctree.ShardView, loaded bool, err error) {
 	if s.load == nil {
 		return s.view, false, nil
@@ -423,8 +409,8 @@ func (e *Engine) acquire(s *shard) (view tctree.ShardView, loaded bool, err erro
 			view, err := s.load()
 			s.mu.Lock()
 			if s.once != once {
-				// ReloadShard reset the shard while this load was in
-				// flight; discard the stale result.
+				// The shard was evicted or left the table while this load
+				// was in flight; discard the stale result.
 				s.mu.Unlock()
 				return
 			}
@@ -445,36 +431,6 @@ func (e *Engine) acquire(s *shard) (view tctree.ShardView, loaded bool, err erro
 			}
 		})
 	}
-}
-
-// ReloadShard drops the resident copy (and any sticky load error) of the
-// shard for item and purges every cached answer whose canonicalized query
-// contains the item — answers of other queries provably never touched the
-// shard and stay valid. Call it after swapping the shard on disk with
-// tctree.ShardedIndex.ReplaceShard; the next query touching the shard loads
-// the new file. Only lazy engines can reload. The swap excludes in-flight
-// queries (updateMu) and bumps the index epoch, so a query that executed
-// against the old shard can neither be mid-merge during the swap nor insert
-// its stale answer into the cache afterwards.
-func (e *Engine) ReloadShard(item itemset.Item) error {
-	e.updateMu.Lock()
-	defer e.updateMu.Unlock()
-	s, ok := e.table.Load().lookup(item)
-	if !ok {
-		return fmt.Errorf("engine: no shard for item %d", item)
-	}
-	if s.load == nil {
-		return fmt.Errorf("engine: shard %d is not lazily loaded; rebuild the engine instead", item)
-	}
-	e.resetShard(s)
-	e.epoch.Add(1)
-	if e.cache != nil {
-		// Full-pattern entries (query by alpha) depend on every shard, so
-		// they always go. Only this engine's namespace is touched — in a
-		// shared cache, other tenants' answers provably never read the shard.
-		e.cache.invalidate(e.cacheNS, func(q itemset.Itemset, full bool) bool { return full || q.Contains(item) })
-	}
-	return nil
 }
 
 // Quiesce blocks until every background shard prefetch spawned by queries
@@ -662,9 +618,9 @@ func (e *Engine) queryLocked(ctx context.Context, q itemset.Itemset, alphaQ floa
 			}
 			return &res, nil
 		}
-		// Capture the invalidation generation before executing: if a
-		// ReloadShard invalidation runs while this query is in flight, the
-		// result may predate the swap and put will discard it.
+		// Capture the invalidation generation before executing: if an
+		// invalidation runs while this query is in flight, the result may
+		// predate the swap and put will discard it.
 		gen = e.cache.generation(e.cacheNS)
 	}
 	planStart := time.Now()
@@ -1005,8 +961,8 @@ func (e *Engine) ApplyDelta(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, er
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
 	start := time.Now()
-	if depth := e.builtMaxDepth(); depth > 0 {
-		return nil, fmt.Errorf("engine: index was built with MaxDepth %d; incremental maintenance needs an unbounded index", depth)
+	if e.builtMaxDepth > 0 {
+		return nil, fmt.Errorf("engine: index was built with MaxDepth %d; incremental maintenance needs an unbounded index", e.builtMaxDepth)
 	}
 	// Union in the affected set of any previously failed commit: its delta
 	// already mutated the network, so those shards still await their
@@ -1047,9 +1003,9 @@ func (e *Engine) ApplyDelta(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, er
 			e.pendingAffected = affected
 			return nil, err
 		}
-		e.swapLazyLocked(report)
+		e.replaceShardsLocked(report.Touched(), e.committedShard)
 	} else {
-		report = e.swapEagerLocked(subtrees)
+		report = e.replaceShardsLocked(affected, rebuiltShard(subtrees))
 	}
 	e.pendingAffected = nil
 	e.deltas.Add(1)
@@ -1067,98 +1023,44 @@ func (e *Engine) ApplyDelta(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, er
 	return &DeltaResult{Affected: affected, Report: report, Epoch: epoch, Duration: time.Since(start)}, nil
 }
 
-// swapLazyLocked brings the shard table of a lazy engine in line with a
-// committed on-disk delta: replaced shards are reset so the next touch loads
-// the new file, removed shards leave the table (returning their residency),
-// and added shards join it. Callers hold updateMu for writing.
-func (e *Engine) swapLazyLocked(report *tctree.CommitReport) {
+// replaceShardsLocked is the one routine that changes the shard table after
+// construction: for every item, mk supplies the struct that takes its place
+// — committedShard for a file-backed shard of the just-committed manifest
+// entry, rebuiltShard for a heap-resident rebuilt subtree — or nil to remove
+// the item. Untouched structs are carried over, so the work under the write
+// lock is proportional to the update, not the index. Every struct leaving
+// the table is retired. The returned report says what happened to each item
+// (items that are absent and stay absent are omitted). Epoch and cache
+// invalidation are the caller's: a checkpoint swaps identical content and
+// must not bump either. Callers hold updateMu for writing.
+func (e *Engine) replaceShardsLocked(items itemset.Itemset, mk func(itemset.Item) *shard) *tctree.CommitReport {
 	t := e.table.Load()
-	for _, it := range report.Replaced {
-		if s, ok := t.lookup(it); ok {
-			e.resetShard(s)
-		}
-	}
-	if len(report.Added) == 0 && len(report.Removed) == 0 {
-		return
-	}
-	removed := make(map[itemset.Item]bool, len(report.Removed))
-	for _, it := range report.Removed {
-		removed[it] = true
-	}
-	shards := make([]*shard, 0, len(t.shards)+len(report.Added))
-	for _, s := range t.shards {
-		if removed[s.item] {
-			if freed, ok := evictShard(s); ok {
-				e.res.resident.Add(-1)
-				e.res.bytes.Add(-freed)
-				e.evictions.Add(1)
-			}
-			// Poison the detached struct: a prefetch load still in flight
-			// would otherwise re-install a subtree (and a residency count)
-			// on a shard no evictor can ever see again. The fresh once makes
-			// the in-flight install discard itself; the sticky error stops
-			// acquire's retry loop from loading anew.
-			s.mu.Lock()
-			s.err = errShardRemoved
-			s.once = new(sync.Once)
-			s.mu.Unlock()
-			continue
-		}
-		shards = append(shards, s)
-	}
-	for _, it := range report.Added {
-		if entry, ok := e.idx.Entry(it); ok {
-			shards = append(shards, e.lazyShard(entry))
-		}
-	}
-	e.table.Store(newShardTable(shards))
-}
-
-// swapEagerLocked installs the rebuilt subtrees on an eager engine's
-// resident tree and updates the shard table, recomputing statistics only
-// for the touched shards — untouched shard structs are carried over, so the
-// work under the write lock is proportional to the delta, not the index.
-// Callers hold updateMu for writing.
-func (e *Engine) swapEagerLocked(subtrees map[itemset.Item]*tctree.Node) *tctree.CommitReport {
 	report := &tctree.CommitReport{}
-	items := make([]itemset.Item, 0, len(subtrees))
-	for it := range subtrees {
-		items = append(items, it)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	t := e.table.Load()
-	touched := make(map[itemset.Item]*shard, len(items))
+	retired := make(map[itemset.Item]bool, len(items))
+	shards := make([]*shard, 0, len(t.shards)+len(items))
 	for _, it := range items {
-		sub := subtrees[it]
-		_, exists := t.lookup(it)
+		old, exists := t.lookup(it)
+		s := mk(it)
 		switch {
-		case sub == nil && !exists:
+		case s == nil && !exists:
 			continue
-		case sub == nil:
+		case s == nil:
 			report.Removed = append(report.Removed, it)
-			touched[it] = nil
 		case exists:
 			report.Replaced = append(report.Replaced, it)
-			touched[it] = eagerShardOf(sub)
 		default:
 			report.Added = append(report.Added, it)
-			touched[it] = eagerShardOf(sub)
 		}
-		e.tree.SetSubtree(it, sub)
-	}
-	shards := make([]*shard, 0, len(t.shards)+len(report.Added))
-	for _, s := range t.shards {
-		if repl, ok := touched[s.item]; ok {
-			if repl != nil {
-				shards = append(shards, repl)
-			}
-			delete(touched, s.item)
-			continue
+		if exists {
+			retired[it] = true
+			e.retireShard(old)
 		}
-		shards = append(shards, s)
-	}
-	for _, s := range touched { // the added shards
 		if s != nil {
+			shards = append(shards, s)
+		}
+	}
+	for _, s := range t.shards {
+		if !retired[s.item] {
 			shards = append(shards, s)
 		}
 	}
@@ -1166,17 +1068,47 @@ func (e *Engine) swapEagerLocked(subtrees map[itemset.Item]*tctree.Node) *tctree
 	return report
 }
 
-// builtMaxDepth returns the MaxDepth bound the served index was built with
-// (0 = unbounded): from the manifest on lazy engines, from the tree on
-// eager ones.
-func (e *Engine) builtMaxDepth() int {
-	if e.idx != nil {
-		return e.idx.Manifest().BuiltMaxDepth
+// retireShard takes a struct that is leaving the table out of service: its
+// residency charge is returned and it is poisoned, in one critical section,
+// so a prefetch load still in flight can neither re-install a view (and a
+// residency count) on a shard no evictor can ever see again — the fresh once
+// makes the in-flight install discard itself — nor load anew — the sticky
+// error stops acquire's retry loop. A heap-resident struct keeps its view:
+// a stream opened before the update may still be reading its snapshot.
+func (e *Engine) retireShard(s *shard) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.load != nil && s.view != nil {
+		e.res.resident.Add(-1)
+		e.res.bytes.Add(-s.view.SizeBytes())
+		e.evictions.Add(1)
+		s.view = nil
 	}
-	if e.tree != nil {
-		return e.tree.BuiltMaxDepth()
+	s.err = errShardRemoved
+	s.once = new(sync.Once)
+}
+
+// committedShard is the replaceShardsLocked source for shards the on-disk
+// index holds: a file-backed shard from the item's current manifest entry,
+// nil when the manifest no longer has one.
+func (e *Engine) committedShard(it itemset.Item) *shard {
+	entry, ok := e.idx.Entry(it)
+	if !ok {
+		return nil
 	}
-	return 0
+	return fileShard(e.idx, entry)
+}
+
+// rebuiltShard is the replaceShardsLocked source for shards that exist only
+// in memory: a heap-resident shard from the item's rebuilt subtree, nil when
+// the item decomposed to nothing.
+func rebuiltShard(subtrees map[itemset.Item]*tctree.Node) func(itemset.Item) *shard {
+	return func(it itemset.Item) *shard {
+		if sub := subtrees[it]; sub != nil {
+			return residentShard(sub)
+		}
+		return nil
+	}
 }
 
 // newShardTable assembles a table from shards, sorting them by root item.
@@ -1188,26 +1120,6 @@ func newShardTable(shards []*shard) *shardTable {
 		t.items = append(t.items, s.item)
 	}
 	return t
-}
-
-// resetShard drops a lazy shard's resident view and sticky error and
-// refreshes its catalogue (statistics, bloom filter, α* histogram) from the
-// manifest, so the next touch loads the current file.
-func (e *Engine) resetShard(s *shard) {
-	entry, haveEntry := e.idx.Entry(s.item)
-	s.mu.Lock()
-	if s.view != nil {
-		e.res.resident.Add(-1)
-		e.res.bytes.Add(-s.view.SizeBytes())
-	}
-	s.view, s.err = nil, nil
-	s.once = new(sync.Once)
-	if haveEntry {
-		s.nodes, s.depth, s.maxAlpha = entry.Nodes, entry.Depth, entry.MaxAlpha
-		s.bloom, _ = entry.DecodeBloom()
-		s.alphaDepths, _ = entry.DecodeAlphaDepths()
-	}
-	s.mu.Unlock()
 }
 
 // Request is one query of a batch.

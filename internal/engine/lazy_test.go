@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"themecomm/internal/dbnet"
+	"themecomm/internal/delta"
+	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
 )
@@ -24,6 +27,33 @@ func writeShardedTestTree(t *testing.T, tree *tctree.Tree) (*tctree.ShardedIndex
 		t.Fatalf("OpenSharded: %v", err)
 	}
 	return idx, dir
+}
+
+// testNetwork regenerates the network buildTestTree(t, seed) indexes, for
+// tests that go on to update the index.
+func testNetwork(seed int64) *dbnet.Network {
+	return randomNetwork(rand.New(rand.NewSource(seed)), 16, 40, 5, 4)
+}
+
+// touchDelta is the smallest delta that replaces item's shard: one new
+// isolated vertex carrying only the item. Its affected set is exactly
+// {item}, and — an isolated vertex joins no truss — it changes no answer.
+func touchDelta(nw *dbnet.Network, item itemset.Item) *delta.Delta {
+	return &delta.Delta{AddVertices: 1, AddTransactions: []delta.VertexTransaction{
+		{Vertex: graph.VertexID(nw.NumVertices()), Tx: itemset.New(item)},
+	}}
+}
+
+// triangleDelta changes the answer of item's shard and no other: three new
+// vertices carrying only the item, pairwise connected, add one triangle to
+// the item's theme network. Its affected set is exactly {item}.
+func triangleDelta(nw *dbnet.Network, item itemset.Item) *delta.Delta {
+	n := graph.VertexID(nw.NumVertices())
+	d := &delta.Delta{AddVertices: 3, AddEdges: []graph.Edge{graph.EdgeOf(n, n+1), graph.EdgeOf(n+1, n+2), graph.EdgeOf(n, n+2)}}
+	for v := n; v < n+3; v++ {
+		d.AddTransactions = append(d.AddTransactions, delta.VertexTransaction{Vertex: v, Tx: itemset.New(item)})
+	}
+	return d
 }
 
 func TestNewLazyRejectsNilIndex(t *testing.T) {
@@ -172,9 +202,11 @@ func TestLazyEvictionBudget(t *testing.T) {
 
 // TestLazyLoadErrorIsStickyUntilReload corrupts a shard file: queries
 // touching it fail (repeatedly, without re-reading the file), other shards
-// keep answering, and restoring the file + ReloadShard recovers.
+// keep answering, and an update that replaces the shard — a fresh struct over
+// a freshly written file — recovers.
 func TestLazyLoadErrorIsStickyUntilReload(t *testing.T) {
 	tree := buildTestTree(t, 11)
+	nw := testNetwork(11)
 	idx, dir := writeShardedTestTree(t, tree)
 	children := tree.Root().Children
 	victim := children[0].Item
@@ -183,11 +215,10 @@ func TestLazyLoadErrorIsStickyUntilReload(t *testing.T) {
 		t.Fatalf("no manifest entry for %d", victim)
 	}
 	path := filepath.Join(dir, entry.File)
-	good, err := os.ReadFile(path)
+	bad, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	bad := append([]byte(nil), good...)
 	bad[len(bad)/2] ^= 0xff
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
@@ -213,89 +244,76 @@ func TestLazyLoadErrorIsStickyUntilReload(t *testing.T) {
 		assertSameAnswer(t, mustQuery(t, eng, other, 0), tree.Query(other, 0))
 	}
 
-	if err := os.WriteFile(path, good, 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	if err := eng.ReloadShard(victim); err != nil {
-		t.Fatalf("ReloadShard: %v", err)
+	if _, err := eng.ApplyDelta(nw, touchDelta(nw, victim)); err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
 	}
 	assertSameAnswer(t, mustQuery(t, eng, q, 0), tree.Query(q, 0))
+	assertSameAnswer(t, mustQueryByAlpha(t, eng, 0), tree.QueryByAlpha(0))
 }
 
-// TestReplaceShardAndReload is the single-shard replacement test: after
-// swapping one shard on disk, ReloadShard must invalidate exactly the cached
-// answers that depend on it, and subsequent queries must reflect the new
-// subtree while untouched shards keep their answers (and their cache
-// entries).
-func TestReplaceShardAndReload(t *testing.T) {
-	tree := buildTestTree(t, 11)
-	other := buildTestTree(t, 13)
-	idx, _ := writeShardedTestTree(t, tree)
+// TestApplyDeltaPurgesOnlyAffectedCacheEntries is the single-shard
+// replacement test: a delta that affects one item must invalidate exactly the
+// cached answers that depend on its shard, and subsequent queries must
+// reflect the rebuilt subtree while untouched shards keep their answers (and
+// their cache entries).
+func TestApplyDeltaPurgesOnlyAffectedCacheEntries(t *testing.T) {
+	for _, mode := range []string{"memory", "lazy"} {
+		t.Run(mode, func(t *testing.T) {
+			tree := buildTestTree(t, 11)
+			nw, twin := testNetwork(11), testNetwork(11)
+			item := tree.Root().Children[0].Item
+			var avoiding itemset.Itemset
+			for _, c := range tree.Root().Children[1:] {
+				avoiding = avoiding.Add(c.Item)
+			}
+			var eng *Engine
+			var err error
+			if mode == "memory" {
+				eng, err = New(tree, Options{CacheSize: 16})
+			} else {
+				idx, _ := writeShardedTestTree(t, tree)
+				eng, err = NewLazy(idx, Options{CacheSize: 16})
+			}
+			if err != nil {
+				t.Fatalf("engine: %v", err)
+			}
+			q := itemset.New(item)
+			assertSameAnswer(t, mustQuery(t, eng, q, 0), tree.Query(q, 0))
+			assertSameAnswer(t, mustQuery(t, eng, avoiding, 0), tree.Query(avoiding, 0))
+			if got := eng.Stats().Cache.Length; got != 2 {
+				t.Fatalf("cache holds %d entries, want 2", got)
+			}
 
-	var item itemset.Item
-	var replacement *tctree.Node
-	found := false
-	for _, c := range other.Root().Children {
-		if tree.Root().Descendant(c.Pattern) != nil {
-			item, replacement, found = c.Item, c, true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("trees share no root item; pick other seeds")
-	}
-	var avoiding itemset.Itemset
-	for _, c := range tree.Root().Children {
-		if c.Item != item {
-			avoiding = avoiding.Add(c.Item)
-		}
-	}
-
-	eng, err := NewLazy(idx, Options{CacheSize: 16})
-	if err != nil {
-		t.Fatalf("NewLazy: %v", err)
-	}
-	q := itemset.New(item)
-	assertSameAnswer(t, mustQuery(t, eng, q, 0), tree.Query(q, 0))
-	assertSameAnswer(t, mustQuery(t, eng, avoiding, 0), tree.Query(avoiding, 0))
-	if got := eng.Stats().Cache.Length; got != 2 {
-		t.Fatalf("cache holds %d entries, want 2", got)
-	}
-
-	if err := idx.ReplaceShard(replacement); err != nil {
-		t.Fatalf("ReplaceShard: %v", err)
-	}
-	// Until the engine reloads, the stale cached answer is still served —
-	// that is the contract: invalidation is explicit.
-	assertSameAnswer(t, mustQuery(t, eng, q, 0), tree.Query(q, 0))
-
-	if err := eng.ReloadShard(item); err != nil {
-		t.Fatalf("ReloadShard: %v", err)
-	}
-	stats := eng.Stats()
-	if stats.Cache.Length != 1 {
-		t.Fatalf("after ReloadShard the cache holds %d entries, want 1 (only the avoiding query)", stats.Cache.Length)
-	}
-	// The shard now answers from the replacement subtree...
-	assertSameAnswer(t, mustQuery(t, eng, q, 0), other.Query(q, 0))
-	// ...and the untouched query still matches the original tree, served
-	// from its surviving cache entry.
-	before := stats.Cache.Hits
-	assertSameAnswer(t, mustQuery(t, eng, avoiding, 0), tree.Query(avoiding, 0))
-	if got := eng.Stats().Cache.Hits; got != before+1 {
-		t.Fatalf("untouched query was not served from cache (hits %d -> %d)", before, got)
-	}
-
-	// ReloadShard is lazy-only and rejects unknown items.
-	if err := eng.ReloadShard(4096); err == nil {
-		t.Fatalf("ReloadShard of an unknown item should fail")
-	}
-	eager, err := New(tree, Options{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := eager.ReloadShard(tree.Root().Children[0].Item); err == nil {
-		t.Fatalf("ReloadShard on an eager engine should fail")
+			d := triangleDelta(nw, item)
+			res, err := eng.ApplyDelta(nw, d)
+			if err != nil {
+				t.Fatalf("ApplyDelta: %v", err)
+			}
+			if !res.Affected.Equal(q) || len(res.Report.Replaced) != 1 || res.Report.Replaced[0] != item {
+				t.Fatalf("delta affected %v and replaced %v, want exactly item %d", res.Affected, res.Report.Replaced, item)
+			}
+			stats := eng.Stats()
+			if stats.Cache.Length != 1 {
+				t.Fatalf("after the delta the cache holds %d entries, want 1 (only the avoiding query)", stats.Cache.Length)
+			}
+			// The shard now answers from the rebuilt subtree...
+			if err := delta.Apply(twin, d); err != nil {
+				t.Fatalf("Apply on twin: %v", err)
+			}
+			fresh := tctree.Build(twin, tctree.BuildOptions{})
+			got := mustQuery(t, eng, q, 0)
+			assertSameAnswer(t, got, fresh.Query(q, 0))
+			if got.Trusses[0].Edges.Len() != tree.Query(q, 0).Trusses[0].Edges.Len()+3 {
+				t.Fatalf("the delta's triangle is missing from the post-delta answer")
+			}
+			// ...and the untouched query still matches the original tree,
+			// served from its surviving cache entry.
+			before := stats.Cache.Hits
+			assertSameAnswer(t, mustQuery(t, eng, avoiding, 0), tree.Query(avoiding, 0))
+			if got := eng.Stats().Cache.Hits; got != before+1 {
+				t.Fatalf("untouched query was not served from cache (hits %d -> %d)", before, got)
+			}
+		})
 	}
 }
 

@@ -343,10 +343,11 @@ func (*mismatchError) Error() string { return "answer does not match the tree" }
 
 // TestQueryByAlphaCacheKey checks that the query-by-alpha workload is cached
 // under the empty-pattern sentinel: a nil query and an explicit pattern
-// covering every indexed item share one entry, and ReloadShard invalidates
-// it regardless of which shard was swapped.
+// covering every indexed item share one entry, and an applied delta
+// invalidates it regardless of which shard it replaced.
 func TestQueryByAlphaCacheKey(t *testing.T) {
 	tree := buildTestTree(t, 11)
+	nw := testNetwork(11)
 	idx, _ := writeShardedTestTree(t, tree)
 	eng, err := NewLazy(idx, Options{CacheSize: 8})
 	if err != nil {
@@ -370,17 +371,17 @@ func TestQueryByAlphaCacheKey(t *testing.T) {
 	// Swapping any shard invalidates the full-pattern entry (it depends on
 	// every shard) and the single-item entry only if it matches.
 	victim := full[len(full)-1]
-	if err := eng.ReloadShard(victim); err != nil {
-		t.Fatalf("ReloadShard: %v", err)
+	if _, err := eng.ApplyDelta(nw, touchDelta(nw, victim)); err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
 	}
 	if got := eng.Stats().Cache.Length; got != 1 {
-		t.Fatalf("after reloading shard %d the cache holds %d entries, want 1", victim, got)
+		t.Fatalf("after replacing shard %d the cache holds %d entries, want 1", victim, got)
 	}
-	if err := eng.ReloadShard(full[0]); err != nil {
-		t.Fatalf("ReloadShard: %v", err)
+	if _, err := eng.ApplyDelta(nw, touchDelta(nw, full[0])); err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
 	}
 	if got := eng.Stats().Cache.Length; got != 0 {
-		t.Fatalf("after reloading shard %d the cache holds %d entries, want 0", full[0], got)
+		t.Fatalf("after replacing shard %d the cache holds %d entries, want 0", full[0], got)
 	}
 }
 

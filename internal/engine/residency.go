@@ -16,8 +16,7 @@ import (
 type ResidencyGroup struct {
 	// max is the count budget: the number of lazily loaded shards the group's
 	// members may keep resident at once. maxBytes is the byte budget: the
-	// summed size of resident shard views — mapped file size for TCBIN
-	// shards, serialized payload size for gob shards. Either bound being
+	// summed mapped file size of resident shard views. Either bound being
 	// exceeded triggers eviction; zero or negative means unlimited.
 	max      int
 	maxBytes int64

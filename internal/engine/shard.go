@@ -12,35 +12,35 @@ import (
 // shard is one partition of the TC-Tree: the subtree rooted at a first-level
 // node. Every pattern indexed inside the shard contains the shard's root
 // item, so a query (q, α_q) with root item ∉ q can skip the whole shard
-// without visiting a single node — and, in lazy mode, without even reading
-// the shard file from disk.
+// without visiting a single node — and, when the shard is file-backed,
+// without even reading the shard file from disk. A struct is immutable apart
+// from its residency state (view, err, once): an index update never edits a
+// shard in place, it installs a new struct (Engine.replaceShardsLocked).
 type shard struct {
 	// item is the shard's root item.
 	item itemset.Item
 
-	// load opens the shard in its on-disk index's native representation —
-	// a decoded pointer tree for gob, a memory-mapped in-place view for
-	// TCBIN — nil for eager shards (whose view is fixed at engine
-	// construction and never evicted).
+	// load maps the shard's file from the on-disk index; nil for a
+	// heap-resident shard (a subtree built or rebuilt in-process), whose
+	// view is fixed at construction and never evicted.
 	load func() (tctree.ShardView, error)
 
-	// mu guards view, err, once and the catalogue statistics below. view is
-	// the resident query surface (nil while not loaded); err is the sticky
-	// load error, cleared by Engine.ReloadShard; once serializes the
-	// in-flight load and is replaced on every evict/reload so the shard can
-	// be loaded again later.
+	// mu guards view, err and once. view is the resident query surface (nil
+	// while not loaded); err is the sticky load error, or the poison of a
+	// struct that left the table; once serializes the in-flight load and is
+	// replaced on every eviction so the shard can be loaded again later.
 	mu   sync.Mutex
 	view tctree.ShardView
 	err  error
 	once *sync.Once
 
 	// nodes, depth and maxAlpha are the shard's catalogue statistics: node
-	// count, longest indexed pattern, and α* bound. Lazy shards take them
-	// from the manifest (so they are known without loading the shard); eager
-	// shards compute them at engine construction. bloom and alphaDepths are
-	// the skipping catalogue (decoded once from the manifest entry): the
-	// item filter and the best-α*-per-depth histogram the planner consults
-	// for containment queries.
+	// count, longest indexed pattern, and α* bound. File-backed shards take
+	// them from the manifest (so they are known without loading the shard);
+	// heap-resident shards compute them from the subtree. bloom and
+	// alphaDepths are the skipping catalogue: the item filter and the
+	// best-α*-per-depth histogram the planner consults for containment
+	// queries.
 	nodes       int
 	depth       int
 	maxAlpha    float64
@@ -66,8 +66,6 @@ func (s *shard) resident() bool {
 
 // meta returns the shard's catalogue statistics.
 func (s *shard) meta() (nodes, depth int, maxAlpha float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.nodes, s.depth, s.maxAlpha
 }
 
@@ -114,11 +112,4 @@ type shardResult struct {
 // answerResult converts a view's answer to the executor's per-shard record.
 func answerResult(a tctree.ShardAnswer) shardResult {
 	return shardResult{trusses: a.Trusses, visited: a.Visited}
-}
-
-// querySubtree runs Algorithm 5 restricted to the subtree rooted at root —
-// the pointer-tree spelling of tctree.ShardView.QuerySub, kept for call
-// sites and tests that hold a bare *Node.
-func querySubtree(root *tctree.Node, q itemset.Itemset, alphaQ float64) shardResult {
-	return answerResult(tctree.NewNodeView(root).QuerySub(q, alphaQ))
 }

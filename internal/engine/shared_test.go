@@ -8,8 +8,8 @@ import (
 
 // TestSharedCacheNamespacing runs two engines over different trees against
 // one shared cache: the same canonical query key must never cross tenants,
-// and a shard reload on one tenant must leave the other tenant's entries
-// intact.
+// and a shard replacement on one tenant must leave the other tenant's
+// entries intact.
 func TestSharedCacheNamespacing(t *testing.T) {
 	treeA := buildTestTree(t, 11)
 	treeB := buildTestTree(t, 13)
@@ -47,18 +47,18 @@ func TestSharedCacheNamespacing(t *testing.T) {
 		t.Fatalf("engine stats do not report the shared cache: %+v", engA.Stats().Cache)
 	}
 
-	// Reloading a shard of tenant A purges only tenant A's entries.
-	item := treeA.Root().Children[0].Item
-	if err := engA.ReloadShard(item); err != nil {
-		t.Fatalf("ReloadShard: %v", err)
+	// Replacing a shard of tenant A purges only tenant A's entries.
+	nwA := testNetwork(11)
+	if _, err := engA.ApplyDelta(nwA, touchDelta(nwA, treeA.Root().Children[0].Item)); err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
 	}
 	if cache.Len() != 1 {
-		t.Fatalf("after tenant-a reload the cache holds %d entries, want 1 (tenant b's)", cache.Len())
+		t.Fatalf("after tenant-a's delta the cache holds %d entries, want 1 (tenant b's)", cache.Len())
 	}
 	before, _, _ := cache.Counters()
 	assertSameAnswer(t, mustQueryByAlpha(t, engB, 0), treeB.QueryByAlpha(0))
 	if after, _, _ := cache.Counters(); after != before+1 {
-		t.Fatalf("tenant b lost its cache entry to tenant a's reload")
+		t.Fatalf("tenant b lost its cache entry to tenant a's delta")
 	}
 
 	// Release drops the tenant's remaining entries.

@@ -25,15 +25,17 @@ type ShardStat struct {
 	// Nodes and MaxAlpha are the shard's node count and α* bound.
 	Nodes    int     `json:"nodes"`
 	MaxAlpha float64 `json:"maxAlpha"`
-	// Resident reports whether the shard subtree is in memory. Eager
-	// engines keep every shard resident; lazy engines load on first touch
-	// and may evict under the residency budget.
+	// Resident reports whether the shard is in memory. Heap shards (a tree
+	// built in-process, subtrees rebuilt by a delta and not yet
+	// checkpointed) always are; file-backed shards load on first touch and
+	// may be evicted under the residency budget.
 	Resident bool `json:"resident"`
-	// Bytes is the resident view's memory charge — mapped file size for
-	// TCBIN shards, serialized payload size for gob shards — 0 when the
-	// shard is not resident or the size is unknown (eager shards).
+	// Bytes is the resident view's charge against the residency budget: the
+	// mapped file size, 0 when the shard is not resident or lives on the
+	// heap.
 	Bytes int64 `json:"bytes,omitempty"`
-	// Loads counts the shard's completed disk loads (lazy engines only).
+	// Loads counts the completed disk loads of the shard's current
+	// generation (an update that replaces the shard starts a new count).
 	Loads uint64 `json:"loads,omitempty"`
 }
 
@@ -45,17 +47,15 @@ type Stats struct {
 	Workers int `json:"workers"`
 	// Lazy reports whether shards are loaded from disk on demand.
 	Lazy bool `json:"lazy"`
-	// Format is the shard encoding the engine serves from: "gob" or "tcbin"
-	// for lazy engines (the on-disk index's format), "memory" for eager
-	// engines built from a resident tree.
+	// Format is where the engine's shards come from: "tcbin" for an on-disk
+	// index, "memory" for a tree built in-process.
 	Format string `json:"format"`
-	// ResidentShards is the number of shards currently in memory; for eager
-	// engines it always equals Shards. ResidentBytes sums the resident
-	// views' memory charges (mapped file size for TCBIN, payload size for
-	// gob; always 0 on eager engines, whose views report no size).
+	// ResidentShards is the number of shards currently in memory (every
+	// shard, for a tree built in-process). ResidentBytes sums the resident
+	// views' budget charges (mapped file size; heap shards charge nothing).
 	ResidentShards int   `json:"residentShards"`
 	ResidentBytes  int64 `json:"residentBytes,omitempty"`
-	// MaxResidentShards and MaxResidentBytes are the lazy residency budgets
+	// MaxResidentShards and MaxResidentBytes are the residency budgets
 	// (0 = unlimited); either bound being exceeded triggers LRU eviction.
 	// When SharedResidency is set the budgets are federation-wide bounds
 	// across every member engine's shards, and GroupResidentShards /
@@ -112,7 +112,7 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the engine counters. It is safe to call
-// concurrently with Query, ApplyDelta, ReloadShard and every other engine
+// concurrently with Query, ApplyDelta, Checkpoint and every other engine
 // method, and it never blocks them: the shard table is read through one
 // atomic pointer load and each counter through one atomic load.
 //

@@ -42,17 +42,15 @@ import (
 // Concurrency: a stream does NOT hold the engine's update lock between
 // pulls. It captures the shard table and index epoch at creation; every
 // shard open re-acquires the read lock and, on lazy engines, re-checks the
-// epoch — if an ApplyDelta or ReloadShard swapped the index mid-stream, the
-// open fails with ErrEpochChanged rather than mixing pre- and post-delta
-// shards. Eager engines keep serving the snapshot: their captured subtrees
-// are immutable, so an open stream completes entirely from the pre-delta
-// index.
+// epoch — if an ApplyDelta swapped the index mid-stream, the open fails
+// with ErrEpochChanged rather than mixing pre- and post-delta shards. Eager
+// engines keep serving the snapshot: their captured subtrees are immutable,
+// so an open stream completes entirely from the pre-delta index.
 
-// ErrEpochChanged reports that the index epoch moved (ApplyDelta,
-// ReloadShard) while a stream was open on a lazy engine: the remaining
-// shards would be read from post-swap files, so the stream fails cleanly
-// instead of mixing epochs. Callers re-issue the query; HTTP surfaces map it
-// to 410 Gone.
+// ErrEpochChanged reports that the index epoch moved (ApplyDelta) while a
+// stream was open on a lazy engine: the remaining shards would be read from
+// post-swap files, so the stream fails cleanly instead of mixing epochs.
+// Callers re-issue the query; HTTP surfaces map it to 410 Gone.
 var ErrEpochChanged = errors.New("engine: index epoch changed mid-stream; re-issue the query")
 
 // streamTask is one unopened shard of a stream, carrying the catalogue

@@ -14,7 +14,7 @@
 //
 // The absolute numbers differ from the paper (the datasets are synthetic
 // analogues and the hardware differs), but the harness preserves the shapes
-// the paper reports; see EXPERIMENTS.md.
+// the paper reports; see README.md ("Reproducing the paper's experiments").
 package experiments
 
 import (

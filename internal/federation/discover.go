@@ -14,27 +14,23 @@ import (
 // DiscoveredNetwork is one indexed network found inside a networks
 // directory.
 type DiscoveredNetwork struct {
-	// Name is the network name derived from the index file or directory
-	// name: "bk.index/" and "bk.tctree" both yield "bk".
+	// Name is the network name derived from the index directory name:
+	// "bk.index/" yields "bk".
 	Name string
-	// IndexPath is the index to serve: a sharded index directory (served
-	// lazily) or a monolithic .tctree file (served eagerly).
+	// IndexPath is the index directory to serve.
 	IndexPath string
 	// NetworkPath is the optional sibling "<name>.dbnet" database-network
 	// file; when present its dictionary resolves item names for the network.
 	// Empty when there is none.
 	NetworkPath string
-	// Sharded reports whether IndexPath is a sharded index directory.
-	Sharded bool
 }
 
-// DiscoverNetworks scans dir for indexed networks: every sharded index
-// directory (containing an index.manifest) and every *.tctree file directly
-// inside dir becomes one network, named after its base name with the
-// ".index" / ".tctree" suffix stripped. A sibling "<name>.dbnet" file, when
-// present, is recorded as the network's dictionary source. Networks are
-// returned in ascending name order; two entries resolving to the same name
-// (e.g. "bk.index/" next to "bk.tctree") is an error.
+// DiscoverNetworks scans dir for indexed networks: every index directory
+// (one containing an index.manifest) directly inside dir becomes one network,
+// named after its base name with the ".index" suffix stripped. A sibling
+// "<name>.dbnet" file, when present, is recorded as the network's dictionary
+// source. Networks are returned in ascending name order; two entries
+// resolving to the same name (e.g. "bk.index/" next to "bk/") is an error.
 func DiscoverNetworks(dir string) ([]DiscoveredNetwork, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -43,22 +39,10 @@ func DiscoverNetworks(dir string) ([]DiscoveredNetwork, error) {
 	byName := make(map[string]DiscoveredNetwork)
 	for _, entry := range entries {
 		path := filepath.Join(dir, entry.Name())
-		var d DiscoveredNetwork
-		switch {
-		case entry.IsDir() && tctree.IsSharded(path):
-			d = DiscoveredNetwork{
-				Name:      strings.TrimSuffix(entry.Name(), ".index"),
-				IndexPath: path,
-				Sharded:   true,
-			}
-		case !entry.IsDir() && strings.HasSuffix(entry.Name(), ".tctree"):
-			d = DiscoveredNetwork{
-				Name:      strings.TrimSuffix(entry.Name(), ".tctree"),
-				IndexPath: path,
-			}
-		default:
+		if !entry.IsDir() || !tctree.IsSharded(path) {
 			continue
 		}
+		d := DiscoveredNetwork{Name: strings.TrimSuffix(entry.Name(), ".index"), IndexPath: path}
 		if prev, dup := byName[d.Name]; dup {
 			return nil, fmt.Errorf("federation: %s and %s both resolve to network %q", prev.IndexPath, d.IndexPath, d.Name)
 		}
@@ -68,7 +52,7 @@ func DiscoverNetworks(dir string) ([]DiscoveredNetwork, error) {
 		byName[d.Name] = d
 	}
 	if len(byName) == 0 {
-		return nil, fmt.Errorf("federation: no indexed networks in %s (expected sharded index directories or .tctree files)", dir)
+		return nil, fmt.Errorf("federation: no indexed networks in %s (expected index directories written by tcindex -out)", dir)
 	}
 	out := make([]DiscoveredNetwork, 0, len(byName))
 	for _, d := range byName {
@@ -84,8 +68,8 @@ func fileExists(path string) bool {
 }
 
 // Discover builds a Federation from every network DiscoverNetworks finds in
-// dir: sharded indexes attach lazily, .tctree files eagerly, and each
-// network with a sibling .dbnet file gains its item dictionary.
+// dir, each attached lazily; a network with a sibling .dbnet file gains its
+// item dictionary and becomes updatable.
 func Discover(dir string, opts Options) (*Federation, error) {
 	discovered, err := DiscoverNetworks(dir)
 	if err != nil {
@@ -99,34 +83,18 @@ func Discover(dir string, opts Options) (*Federation, error) {
 			if err != nil {
 				return nil, fmt.Errorf("federation: network %q: %w", d.Name, err)
 			}
+			// Keep the parsed network: it is what incremental maintenance
+			// (ApplyDelta) rebuilds shards from, and NetworkPath is where the
+			// updated network is written back.
 			nopts.Dictionary = dict
-			if d.Sharded {
-				// Keep the parsed network: it is what incremental
-				// maintenance (ApplyDelta) rebuilds shards from, and
-				// NetworkPath is where the updated network is written back.
-				// Eager .tctree tenants stay read-only — their index file
-				// cannot be updated in place, so applying deltas in memory
-				// while rewriting the .dbnet would desynchronize the two
-				// across a restart.
-				nopts.Network = nw
-				nopts.NetworkPath = d.NetworkPath
-			}
+			nopts.Network = nw
+			nopts.NetworkPath = d.NetworkPath
 		}
-		if d.Sharded {
-			idx, err := tctree.OpenSharded(d.IndexPath)
-			if err != nil {
-				return nil, fmt.Errorf("federation: network %q: %w", d.Name, err)
-			}
-			if err := f.AttachIndex(d.Name, idx, nopts); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		tree, err := tctree.ReadFile(d.IndexPath)
+		idx, err := tctree.OpenSharded(d.IndexPath)
 		if err != nil {
 			return nil, fmt.Errorf("federation: network %q: %w", d.Name, err)
 		}
-		if err := f.AttachTree(d.Name, tree, nopts); err != nil {
+		if err := f.AttachIndex(d.Name, idx, nopts); err != nil {
 			return nil, err
 		}
 	}

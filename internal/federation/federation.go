@@ -18,8 +18,8 @@
 // Networks attach and detach at runtime; detaching releases the network's
 // share of both global resources (its cached answers are purged, its
 // resident shards evicted) without disturbing any other tenant — the
-// network-granularity analogue of the engine's targeted ReloadShard
-// invalidation.
+// network-granularity analogue of the engine's per-shard invalidation after
+// a delta.
 //
 // Cross-network batch queries (QueryAll, TopKAll) run one query against
 // every attached network, scheduling the networks most-expensive-first from
@@ -63,8 +63,7 @@ type Options struct {
 	MaxResidentShards int
 	// MaxResidentBytes is the shared byte-based residency budget, enforced
 	// alongside MaxResidentShards across every network: the summed size of
-	// resident lazy shards — mapped file size for TCBIN shards, serialized
-	// payload size for gob shards. Zero or negative means unlimited.
+	// resident lazy shards' mapped files. Zero or negative means unlimited.
 	MaxResidentBytes int64
 	// NetworkWorkers bounds how many networks a cross-network call
 	// (QueryAll, TopKAll) queries concurrently. Zero or negative means
@@ -317,7 +316,7 @@ func (f *Federation) AttachIndex(name string, idx *tctree.ShardedIndex, opts Net
 // its cached answers are purged from the shared cache and its resident
 // shards are evicted, returning their budget to the remaining tenants. Other
 // networks' cache entries and resident shards are untouched — detaching is
-// the network-granularity analogue of ReloadShard's targeted invalidation.
+// the network-granularity analogue of a delta's per-shard invalidation.
 func (f *Federation) Detach(name string) error {
 	f.mu.Lock()
 	n, ok := f.networks[name]

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -337,9 +338,10 @@ func TestDetachReleasesSharedResources(t *testing.T) {
 	}
 }
 
-// TestDiscover writes a networks directory holding two sharded indexes, one
-// monolithic tree and one sibling .dbnet dictionary file, and checks both
-// the discovery listing and the federation Discover builds from it.
+// TestDiscover writes a networks directory holding three indexes (one named
+// without the .index suffix), one sibling .dbnet dictionary file and a stray
+// regular file, and checks both the discovery listing and the federation
+// Discover builds from it.
 func TestDiscover(t *testing.T) {
 	dir := t.TempDir()
 	treeA, treeB, treeC := buildTestTree(t, 11), buildTestTree(t, 13), buildTestTree(t, 7)
@@ -349,7 +351,12 @@ func TestDiscover(t *testing.T) {
 	if _, err := treeB.WriteSharded(dir + "/beta.index"); err != nil {
 		t.Fatalf("WriteSharded: %v", err)
 	}
-	if err := treeC.WriteFile(dir + "/gamma.tctree"); err != nil {
+	if _, err := treeC.WriteSharded(dir + "/gamma"); err != nil {
+		t.Fatalf("WriteSharded: %v", err)
+	}
+	// Only index directories are networks: a leftover monolithic file of an
+	// earlier release is not picked up.
+	if err := os.WriteFile(dir+"/delta.tctree", []byte("gob"), 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 	// A dictionary for alpha: name every item of its universe.
@@ -374,9 +381,6 @@ func TestDiscover(t *testing.T) {
 			t.Fatalf("discovered[%d] = %q, want %q", i, d.Name, wantNames[i])
 		}
 	}
-	if !discovered[0].Sharded || discovered[2].Sharded {
-		t.Fatalf("sharded flags wrong: %+v", discovered)
-	}
 	if discovered[0].NetworkPath == "" || discovered[1].NetworkPath != "" {
 		t.Fatalf("dictionary paths wrong: %+v", discovered)
 	}
@@ -393,8 +397,8 @@ func TestDiscover(t *testing.T) {
 		t.Fatalf("alpha should be lazy with a dictionary")
 	}
 	gammaNet, _ := f.Network("gamma")
-	if gammaNet.Engine().Lazy() || gammaNet.Dictionary() != nil {
-		t.Fatalf("gamma should be eager without a dictionary")
+	if !gammaNet.Engine().Lazy() || gammaNet.Dictionary() != nil {
+		t.Fatalf("gamma should be lazy without a dictionary")
 	}
 	results, err := f.QueryAll(nil, 0)
 	if err != nil {

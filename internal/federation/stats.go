@@ -18,8 +18,7 @@ type Stats struct {
 	// MaxResidentShards and MaxResidentBytes are the shared residency
 	// budgets (0 = unlimited); ResidentShards is the number of lazily loaded
 	// shards resident across every network right now and ResidentBytes their
-	// summed memory charge (mapped file size for TCBIN shards, serialized
-	// payload size for gob shards).
+	// summed memory charge (mapped file size).
 	MaxResidentShards int   `json:"maxResidentShards,omitempty"`
 	MaxResidentBytes  int64 `json:"maxResidentBytes,omitempty"`
 	ResidentShards    int   `json:"residentShards"`

@@ -2,8 +2,9 @@
 // the benchmark harness. It provides the random-graph substrates the paper's
 // SYN dataset needs (Section 7), plus generators that emulate the structural
 // properties of the paper's real datasets: location-based check-in networks
-// (Brightkite, Gowalla) and a co-author network (AMINER). See DESIGN.md for
-// the substitution rationale.
+// (Brightkite, Gowalla) and a co-author network (AMINER) — stand-ins for
+// datasets that cannot be redistributed, so absolute numbers differ from the
+// paper while the shapes it reports are preserved.
 package gen
 
 import (

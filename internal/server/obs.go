@@ -104,12 +104,12 @@ type NetworkHealth struct {
 	// on first touch.
 	Ready bool `json:"ready"`
 	Lazy  bool `json:"lazy,omitempty"`
-	// Format is the shard encoding the network serves from: "gob" or
-	// "tcbin" for lazy networks, "memory" for eager ones.
+	// Format is where the network's shards come from: "tcbin" for an
+	// on-disk index, "memory" for a tree built in-process.
 	Format string `json:"format,omitempty"`
 	// Shards and ResidentShards report how much of the index is in memory;
 	// ResidentBytes is the resident shards' summed memory charge (mapped
-	// file size for TCBIN shards, serialized payload size for gob shards).
+	// file size).
 	Shards         int   `json:"shards"`
 	ResidentShards int   `json:"residentShards"`
 	ResidentBytes  int64 `json:"residentBytes,omitempty"`
@@ -230,7 +230,7 @@ func (s *Server) registerCollectors() {
 		"Shards currently resident in memory.",
 		func(st engine.Stats) float64 { return float64(st.ResidentShards) })
 	engineGauge("tc_engine_resident_bytes",
-		"Summed memory charge of resident shards (mapped bytes for TCBIN, payload bytes for gob).",
+		"Summed memory charge of resident shards (mapped file bytes).",
 		func(st engine.Stats) float64 { return float64(st.ResidentBytes) })
 	engineCounter("tc_engine_shards_skipped_catalogue_total",
 		"Containment shard tasks pruned by the per-shard catalogue (bloom filter or alpha histogram).",

@@ -159,8 +159,8 @@ func encodeShardBinary(root *Node) ([]byte, ShardEntry, error) {
 			binLE.PutUint32(buf[childOff+uint64(childNext)*4:], indexOf[c])
 			childNext++
 		}
-		// Frequencies are stored sorted by vertex: gob's map iteration
-		// order is nondeterministic, the flat table must not be.
+		// Frequencies are stored sorted by vertex: map iteration order is
+		// nondeterministic, the flat table must not be.
 		freqs := make([]vf, 0, len(n.Decomp.Freq))
 		for v, f := range n.Decomp.Freq {
 			freqs = append(freqs, vf{v, f})
@@ -576,15 +576,14 @@ func (b *BinShard) WalkPatterns(visit func(p itemset.Itemset)) {
 	dfs(0, itemset.New(b.item))
 }
 
-// Materialize rebuilds the pointer-tree form of the shard — the bridge
-// from TCBIN back to code that needs *Node (LoadTree, subtree rebuilds).
-// Each node runs through the same constructor and validation as a gob
-// decode.
+// Materialize rebuilds the pointer-tree form of the shard: the bridge from
+// TCBIN back to code that needs *Node, and the round-trip reference of the
+// format's tests. Every decomposition is re-validated on the way.
 func (b *BinShard) Materialize() (*Node, error) {
 	nodes := make([]*Node, b.nodeCount)
-	root, err := nodeOf(b.record(0), itemset.New())
+	root, err := b.nodeAt(0, itemset.New())
 	if err != nil {
-		return nil, fmt.Errorf("tctree: shard %d: node 0: %w", b.item, err)
+		return nil, err
 	}
 	nodes[0] = root
 	for i := uint32(0); i < b.nodeCount; i++ {
@@ -592,9 +591,9 @@ func (b *BinShard) Materialize() (*Node, error) {
 		cs, cc := b.nodeU32(i, binNodeChildStart), b.nodeU32(i, binNodeChildCount)
 		for c := cs; c < cs+cc; c++ {
 			ci := binLE.Uint32(b.child[c*4:])
-			n, err := nodeOf(b.record(ci), parent.Pattern)
+			n, err := b.nodeAt(ci, parent.Pattern)
 			if err != nil {
-				return nil, fmt.Errorf("tctree: shard %d: node %d: %w", b.item, ci, err)
+				return nil, err
 			}
 			parent.addChild(n)
 			nodes[ci] = n
@@ -603,27 +602,33 @@ func (b *BinShard) Materialize() (*Node, error) {
 	return root, nil
 }
 
-// record reconstructs the serialization-form node record of node i.
-func (b *BinShard) record(i uint32) nodeRecord {
-	rec := nodeRecord{Item: int32(b.itemOf(i))}
+// nodeAt rebuilds node i as a *Node, given the pattern of its parent. The
+// decomposition is validated and must be non-empty.
+func (b *BinShard) nodeAt(i uint32, parentPattern itemset.Itemset) (*Node, error) {
+	item := b.itemOf(i)
 	fs, fc := b.nodeU32(i, binNodeFreqStart), b.nodeU32(i, binNodeFreqCount)
-	rec.Freq = make([]vertexFreqRecord, 0, fc)
+	decomp := &truss.Decomposition{
+		Pattern: parentPattern.Add(item),
+		Freq:    make(map[graph.VertexID]float64, fc),
+	}
 	for f := fs; f < fs+fc; f++ {
 		o := uint64(f) * binFreqSize
-		rec.Freq = append(rec.Freq, vertexFreqRecord{
-			Vertex: int32(binLE.Uint32(b.freq[o:])),
-			Freq:   math.Float64frombits(binLE.Uint64(b.freq[o+4:])),
-		})
+		decomp.Freq[graph.VertexID(int32(binLE.Uint32(b.freq[o:])))] = math.Float64frombits(binLE.Uint64(b.freq[o+4:]))
 	}
 	ls, lc := b.nodeU32(i, binNodeLevelStart), b.nodeU32(i, binNodeLevelCount)
-	rec.Levels = make([]levelRecord, 0, lc)
 	for l := ls; l < ls+lc; l++ {
 		alpha, es, ec := b.levelAt(l)
-		lv := levelRecord{Alpha: alpha, Edges: make([]uint64, 0, ec)}
+		level := truss.Level{Alpha: alpha, Removed: make([]graph.Edge, 0, ec)}
 		for e := es; e < es+ec; e++ {
-			lv.Edges = append(lv.Edges, binLE.Uint64(b.edge[uint64(e)*binEdgeSize:]))
+			level.Removed = append(level.Removed, graph.EdgeFromKey(binLE.Uint64(b.edge[uint64(e)*binEdgeSize:])))
 		}
-		rec.Levels = append(rec.Levels, lv)
+		decomp.Levels = append(decomp.Levels, level)
 	}
-	return rec
+	if err := decomp.Validate(); err != nil {
+		return nil, fmt.Errorf("tctree: shard %d: node %d: %w", b.item, i, err)
+	}
+	if decomp.Empty() {
+		return nil, fmt.Errorf("tctree: shard %d: node %d: empty decomposition", b.item, i)
+	}
+	return &Node{Item: item, Pattern: decomp.Pattern, Decomp: decomp}, nil
 }

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -88,7 +86,7 @@ func shardQueryPatterns(root *Node) []itemset.Itemset {
 
 // TestBinShardRoundTrip checks encodeShardBinary → DecodeBinShard →
 // Materialize reproduces the source subtree exactly, and that the returned
-// manifest entry carries the same statistics and catalogue the gob encoder
+// manifest entry carries the statistics and catalogue ShardCatalogue
 // computes.
 func TestBinShardRoundTrip(t *testing.T) {
 	_, roots, bufs, entries := binShardFixtures(t, 19)
@@ -326,18 +324,19 @@ func TestDecodeBinShardRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestWriteShardedBinaryRoundTrip writes an index in TCBIN format and
-// requires byte-identical query answers from the reassembled tree, shards
-// opened zero-copy, and a manifest that records the format.
+// TestWriteShardedBinaryRoundTrip pins what WriteSharded puts on disk: a
+// manifest that records the TCBIN format and the tree's totals, .tcbin shard
+// files, and shards that open zero-copy as *BinShard. (Query identity of the
+// round trip is TestRoundTripAnswersQueriesIdentically.)
 func TestWriteShardedBinaryRoundTrip(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	dir := t.TempDir()
-	m, err := tree.WriteShardedBinary(dir)
+	m, err := tree.WriteShardedAs(dir, FormatTCBIN)
 	if err != nil {
-		t.Fatalf("WriteShardedBinary: %v", err)
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
-	if m.FormatName() != FormatTCBIN {
-		t.Fatalf("manifest format %q, want %q", m.FormatName(), FormatTCBIN)
+	if m.Format != FormatTCBIN {
+		t.Fatalf("manifest format %q, want %q", m.Format, FormatTCBIN)
 	}
 	if m.TotalNodes() != tree.NumNodes() || m.Depth() != tree.Depth() || !approx(m.MaxAlpha(), tree.MaxAlpha()) {
 		t.Fatalf("manifest totals (%d, %d, %v) disagree with tree (%d, %d, %v)",
@@ -348,140 +347,33 @@ func TestWriteShardedBinaryRoundTrip(t *testing.T) {
 			t.Fatalf("shard file %q does not use the .tcbin extension", e.File)
 		}
 	}
+	if _, err := tree.WriteShardedAs(t.TempDir(), "gob"); err == nil {
+		t.Fatalf("WriteShardedAs accepted a format other than %q", FormatTCBIN)
+	}
 
 	idx, err := OpenSharded(dir)
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
-	}
-	if idx.Format() != FormatTCBIN {
-		t.Fatalf("index format %q, want %q", idx.Format(), FormatTCBIN)
 	}
 	view, err := idx.LoadShardView(itemset.Item(m.Shards[0].Item))
 	if err != nil {
 		t.Fatalf("LoadShardView: %v", err)
 	}
 	if _, ok := view.(*BinShard); !ok {
-		t.Fatalf("LoadShardView on a TCBIN index returned %T, want *BinShard", view)
+		t.Fatalf("LoadShardView returned %T, want *BinShard", view)
 	}
 	if view.SizeBytes() <= 0 {
 		t.Fatalf("BinShard view reports %d bytes", view.SizeBytes())
 	}
-
-	reloaded, err := idx.LoadTree()
-	if err != nil {
-		t.Fatalf("LoadTree: %v", err)
-	}
-	if err := reloaded.Validate(); err != nil {
-		t.Fatalf("Validate after LoadTree: %v", err)
-	}
-	queries := tree.Patterns()
-	alphas := []float64{0, 0.1, tree.MaxAlpha() / 2, tree.MaxAlpha(), tree.MaxAlpha() + 1}
-	for _, q := range queries {
-		for _, alpha := range alphas {
-			assertIdenticalAnswer(t, reloaded.Query(q, alpha), tree.Query(q, alpha))
-		}
-	}
-	for _, alpha := range alphas {
-		assertIdenticalAnswer(t, reloaded.QueryByAlpha(alpha), tree.QueryByAlpha(alpha))
-	}
 }
 
-// TestLoadShardVerifiesChecksumTCBIN is the TCBIN twin of the gob corruption
-// test: a flipped byte must surface as a checksum mismatch on load.
+// TestLoadShardVerifiesChecksumTCBIN is TestLoadShardVerifiesChecksum on the
+// serving read path: a flipped byte must surface as a checksum mismatch from
+// LoadShardView, before any traversal can touch the bytes.
 func TestLoadShardVerifiesChecksumTCBIN(t *testing.T) {
-	tree := buildShardedTestTree(t, 19)
-	dir := t.TempDir()
-	m, err := tree.WriteShardedBinary(dir)
-	if err != nil {
-		t.Fatalf("WriteShardedBinary: %v", err)
-	}
-	entry := m.Shards[0]
-	path := filepath.Join(dir, entry.File)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	idx, err := OpenSharded(dir)
-	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
-	}
-	if _, err := idx.LoadShard(itemset.Item(entry.Item)); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("LoadShard on a corrupted TCBIN file returned %v, want checksum mismatch", err)
-	}
-}
-
-// TestMigrateFormat converts an index gob → TCBIN → gob in place, checking
-// after each hop that the manifest, file extensions and query answers match
-// the original and that files of the abandoned format are gone.
-func TestMigrateFormat(t *testing.T) {
-	tree := buildShardedTestTree(t, 19)
-	dir := t.TempDir()
-	if _, err := tree.WriteShardedAs(dir, FormatGob); err != nil {
-		t.Fatalf("WriteShardedAs(gob): %v", err)
-	}
-	idx, err := OpenSharded(dir)
-	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
-	}
-
-	check := func(format, ext, goneExt string) {
-		t.Helper()
-		if idx.Format() != format {
-			t.Fatalf("index format %q, want %q", idx.Format(), format)
-		}
-		m, err := ReadManifest(dir)
-		if err != nil {
-			t.Fatalf("ReadManifest: %v", err)
-		}
-		if m.FormatName() != format {
-			t.Fatalf("on-disk manifest format %q, want %q", m.FormatName(), format)
-		}
-		if m.TotalNodes() != tree.NumNodes() {
-			t.Fatalf("manifest TotalNodes = %d, want %d", m.TotalNodes(), tree.NumNodes())
-		}
-		files, err := filepath.Glob(filepath.Join(dir, "shard-*"))
-		if err != nil {
-			t.Fatalf("Glob: %v", err)
-		}
-		for _, f := range files {
-			if strings.HasSuffix(f, goneExt) {
-				t.Fatalf("file %s of the abandoned format survived the migration", f)
-			}
-			if !strings.HasSuffix(f, ext) {
-				t.Fatalf("unexpected shard file %s after migrating to %s", f, format)
-			}
-		}
-		reloaded, err := idx.LoadTree()
-		if err != nil {
-			t.Fatalf("LoadTree: %v", err)
-		}
-		for _, q := range tree.Patterns() {
-			assertIdenticalAnswer(t, reloaded.Query(q, 0.1), tree.Query(q, 0.1))
-		}
-	}
-
-	if err := idx.MigrateFormat(FormatTCBIN); err != nil {
-		t.Fatalf("MigrateFormat(tcbin): %v", err)
-	}
-	check(FormatTCBIN, ".tcbin", ".gob")
-
-	// Migrating to the format the index is already in is a no-op.
-	if err := idx.MigrateFormat(FormatTCBIN); err != nil {
-		t.Fatalf("MigrateFormat to the current format: %v", err)
-	}
-	check(FormatTCBIN, ".tcbin", ".gob")
-
-	if err := idx.MigrateFormat(FormatGob); err != nil {
-		t.Fatalf("MigrateFormat(gob): %v", err)
-	}
-	check(FormatGob, ".gob", ".tcbin")
-
-	if err := idx.MigrateFormat("tsv"); err == nil {
-		t.Fatalf("MigrateFormat to an unknown format should fail")
+	idx, m := corruptedFirstShard(t)
+	if _, err := idx.LoadShardView(itemset.Item(m.Shards[0].Item)); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("LoadShardView on a corrupted file returned %v, want checksum mismatch", err)
 	}
 }
 

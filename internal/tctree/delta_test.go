@@ -1,7 +1,6 @@
 package tctree
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -150,7 +149,7 @@ func TestOpenShardedSweepsOrphanTempFiles(t *testing.T) {
 	if _, err := tree.WriteSharded(dir); err != nil {
 		t.Fatalf("WriteSharded: %v", err)
 	}
-	for _, name := range []string{"shard-9999.gob.tmp", ManifestName + ".tmp"} {
+	for _, name := range []string{"shard-9999.tcbin.tmp", ManifestName + ".tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("garbage"), 0o644); err != nil {
 			t.Fatalf("plant %s: %v", name, err)
 		}
@@ -226,9 +225,65 @@ func TestCommitShardsAddRemove(t *testing.T) {
 		t.Fatalf("ReadDir: %v", err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), fmt.Sprintf("shard-%d-", victim)) || e.Name() == fmt.Sprintf("shard-%d.gob", victim) {
+		if strings.HasPrefix(e.Name(), fmt.Sprintf("shard-%d-", victim)) || e.Name() == binShardFileName(victim) {
 			t.Fatalf("removed shard's file %s survived", e.Name())
 		}
+	}
+}
+
+// TestWriteShardedRemovesStaleShardFiles rewrites a smaller tree over an
+// index that deltas have moved off its canonical file names (a replaced shard
+// under a checksum-versioned name, an added shard the new tree lacks): after
+// the rewrite the directory holds the manifest and exactly the files it
+// references — nothing of the previous index lingers.
+func TestWriteShardedRemovesStaleShardFiles(t *testing.T) {
+	tree := buildShardedTestTree(t, 19)
+	dir := t.TempDir()
+	if _, err := tree.WriteSharded(dir); err != nil {
+		t.Fatalf("WriteSharded: %v", err)
+	}
+	idx, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	first, last := tree.Root().Children[0], tree.Root().Children[len(tree.Root().Children)-1]
+	replacement := &Node{Item: first.Item, Pattern: first.Pattern, Decomp: first.Decomp} // same root, children dropped
+	graft := &Node{Item: 4096, Pattern: itemset.New(4096), Decomp: last.Decomp}
+	if _, err := idx.CommitShards(map[itemset.Item]*Node{first.Item: replacement, 4096: graft}); err != nil {
+		t.Fatalf("CommitShards: %v", err)
+	}
+
+	smaller := Build(randomNetwork(rand.New(rand.NewSource(19)), 16, 40, 3, 4), BuildOptions{})
+	if got, had := len(smaller.Root().Children), len(tree.Root().Children); got == 0 || got >= had {
+		t.Fatalf("smaller tree has %d shards, the original %d; pick other parameters", got, had)
+	}
+	m, err := smaller.WriteSharded(dir)
+	if err != nil {
+		t.Fatalf("WriteSharded over the updated index: %v", err)
+	}
+	want := map[string]bool{ManifestName: true}
+	for _, e := range m.Shards {
+		want[e.File] = true
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("ReadDir: %v", err)
+	}
+	for _, e := range entries {
+		if !want[e.Name()] {
+			t.Errorf("stale file %s survived the rewrite", e.Name())
+		}
+		delete(want, e.Name())
+	}
+	for name := range want {
+		t.Errorf("file %s is referenced by the new manifest but missing", name)
+	}
+	reopened, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatalf("OpenSharded after the rewrite: %v", err)
+	}
+	if _, err := reopened.LoadTree(); err != nil {
+		t.Fatalf("LoadTree after the rewrite: %v", err)
 	}
 }
 
@@ -297,25 +352,13 @@ func assertSameSubtree(t *testing.T, want, got *Node) {
 }
 
 // TestBuiltMaxDepthRoundTrips pins that the MaxDepth build bound survives
-// both on-disk formats — the ApplyDelta depth guard depends on it.
+// the on-disk round trip — the ApplyDelta depth guard depends on it.
 func TestBuiltMaxDepthRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	nw := randomNetwork(rng, 16, 40, 5, 4)
 	tree := Build(nw, BuildOptions{MaxDepth: 2})
 	if got := tree.BuiltMaxDepth(); got != 2 {
 		t.Fatalf("BuiltMaxDepth = %d, want 2", got)
-	}
-
-	var buf bytes.Buffer
-	if err := tree.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	mono, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	if got := mono.BuiltMaxDepth(); got != 2 {
-		t.Fatalf("monolithic round trip lost the bound: %d", got)
 	}
 
 	dir := t.TempDir()

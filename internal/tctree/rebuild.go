@@ -125,7 +125,7 @@ func RebuildSubtrees(nw *dbnet.Network, items itemset.Itemset) map[itemset.Item]
 // top-level item on an in-memory tree, keeping the node count consistent: a
 // nil root removes the item's subtree, a non-nil root (whose pattern must be
 // the single item) replaces it or is inserted in item order. It is the
-// eager-engine counterpart of ShardedIndex.CommitShards; callers must not
+// whole-tree counterpart of ShardedIndex.CommitShards; callers must not
 // mutate the tree while other goroutines read it.
 func (t *Tree) SetSubtree(item itemset.Item, root *Node) {
 	if t == nil || t.root == nil {

@@ -1,8 +1,6 @@
 package tctree
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -16,77 +14,41 @@ import (
 	"themecomm/internal/itemset"
 )
 
-// This file implements the sharded on-disk index format: instead of one file
-// holding the whole TC-Tree, the index is a directory containing one shard
-// file per first-level subtree plus a JSON manifest, index.manifest,
-// recording per-shard metadata. Because every pattern indexed inside a shard
-// contains the shard's root item, a server can answer a query (q, α_q) after
-// loading only the shards whose root item is in q — the storage layout is
-// partitioned along the same axis queries filter on. Shards are individually
-// verifiable (per-file CRC-32C checksum) and individually replaceable
-// (ReplaceShard swaps one shard file and its manifest entry without touching
-// the others).
+// This file implements the on-disk index: a directory containing one TCBIN
+// shard file (binformat.go, docs/FORMAT.md) per first-level subtree plus a
+// JSON manifest, index.manifest, recording per-shard metadata. Because every
+// pattern indexed inside a shard contains the shard's root item, a server can
+// answer a query (q, α_q) after opening only the shards whose root item is in
+// q — the storage layout is partitioned along the same axis queries filter
+// on. Shards are individually verifiable (CRC-32C) and individually
+// replaceable (CommitShards swaps any batch of shard files with one manifest
+// write, touching no other shard).
 //
-// Two shard payload encodings exist, recorded per index in the manifest's
-// format field: "gob" (the legacy pointer-tree encoding, decoded into *Node)
-// and "tcbin" (the flat binary layout of binformat.go, memory-mapped and
-// traversed in place). A whole index uses one format; MigrateFormat converts
-// in place with the usual single-manifest-write switch point.
+// This is the only persisted layout. An index is derived data: indexes
+// written by earlier releases (monolithic .tctree files, gob shards) are not
+// decoded but refused with an error naming the rebuild command.
 
 const (
-	// ManifestName is the name of the manifest file inside a sharded index
+	// ManifestName is the name of the manifest file inside an index
 	// directory.
 	ManifestName = "index.manifest"
 
-	manifestVersion  = 1
-	shardFileVersion = 1
+	manifestVersion = 1
 
-	// FormatGob identifies the legacy gob shard encoding. Manifests written
-	// before formats existed carry no format field and mean gob.
-	FormatGob = "gob"
-	// FormatTCBIN identifies the flat binary shard encoding opened via mmap.
+	// FormatTCBIN is the manifest's format value: the flat binary shard
+	// encoding opened via mmap.
 	FormatTCBIN = "tcbin"
-
-	// FormatEnvVar selects the format Tree.WriteSharded emits, so an entire
-	// test suite (or CI job) runs against either encoding without code
-	// changes. Unset or unrecognized values mean gob.
-	FormatEnvVar = "TC_INDEX_FORMAT"
 )
 
-// normalizeFormat maps a manifest or user-supplied format string to a
-// canonical constant. The empty string is the legacy spelling of gob.
-func normalizeFormat(s string) (string, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", FormatGob:
-		return FormatGob, nil
-	case FormatTCBIN:
-		return FormatTCBIN, nil
-	default:
-		return "", fmt.Errorf("tctree: unknown index format %q (want %q or %q)", s, FormatGob, FormatTCBIN)
-	}
-}
-
-// FormatFromEnv returns the shard format selected by TC_INDEX_FORMAT,
-// defaulting to gob.
-func FormatFromEnv() string {
-	f, err := normalizeFormat(os.Getenv(FormatEnvVar))
-	if err != nil {
-		return FormatGob
-	}
-	return f
+// errRebuild is the refusal of everything that is not a TCBIN index
+// directory: what says what path holds instead, out where to rebuild it.
+func errRebuild(path, what, out string) error {
+	return fmt.Errorf("tctree: %s is %s, not a %s index directory; an index is derived data — rebuild it with: tcindex -in <network>.dbnet -out %s",
+		path, what, FormatTCBIN, out)
 }
 
 // castagnoli is the CRC-32C polynomial table used for shard checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// shardFile is the gob payload of one shard file: the records of the shard's
-// subtree in breadth-first order. Record 0 is the shard root (Parent == -1);
-// every later record refers to its parent by index.
-type shardFile struct {
-	Version int
-	Item    int32
-	Nodes   []nodeRecord
-}
 
 // ShardEntry is the manifest metadata of one shard.
 type ShardEntry struct {
@@ -104,11 +66,10 @@ type ShardEntry struct {
 	// shard, so a serving layer may skip loading it entirely.
 	MaxAlpha float64 `json:"maxAlpha"`
 	// Checksum is "crc32c:" followed by eight lowercase hex digits of the
-	// shard's CRC-32C: for gob shards the CRC of the whole file, verified on
-	// every load; for TCBIN shards the body CRC the file's own footer embeds
-	// and verifies (a whole-file CRC would be the same constant residue for
-	// every TCBIN file). Distinct content yields distinct checksums either
-	// way, which staged-shard file names rely on.
+	// shard's body CRC-32C, the value the file's own footer embeds and every
+	// open verifies (a whole-file CRC would be the same constant residue for
+	// every TCBIN file). Distinct content yields distinct checksums, which
+	// staged-shard file names rely on.
 	Checksum string `json:"checksum"`
 	// Bloom is the encoded item bloom filter over the distinct items of the
 	// shard's patterns (catalogue.go), empty on indexes written before the
@@ -133,9 +94,8 @@ func (e ShardEntry) DecodeAlphaDepths() ([]float64, error) { return DecodeAlphaD
 // index directory, ordered by ascending root item.
 type Manifest struct {
 	Version int `json:"version"`
-	// Format names the shard payload encoding of every shard in the index:
-	// "tcbin" for the flat binary layout, "gob" or absent for the legacy gob
-	// encoding. Use FormatName to read it with the default applied.
+	// Format names the shard payload encoding; always FormatTCBIN. A manifest
+	// carrying anything else (or nothing: the gob era) is refused.
 	Format string `json:"format,omitempty"`
 	// BuiltMaxDepth records the BuildOptions.MaxDepth bound the index was
 	// built with (0 or absent = unbounded). Incremental maintenance refuses
@@ -157,15 +117,6 @@ type Manifest struct {
 	sumNodes      int
 	maxEntryDepth int
 	maxEntryAlpha float64
-}
-
-// FormatName returns the index's shard format with the legacy default
-// applied: manifests without a format field are gob.
-func (m *Manifest) FormatName() string {
-	if m.Format == "" {
-		return FormatGob
-	}
-	return m.Format
 }
 
 // seal computes the aggregate statistics once; callers that mutate Shards
@@ -239,120 +190,6 @@ func (m *Manifest) Items() itemset.Itemset {
 	return itemset.New(items...)
 }
 
-// shardFileName is the canonical file name for the shard of an item.
-func shardFileName(item itemset.Item) string {
-	return fmt.Sprintf("shard-%d.gob", item)
-}
-
-func checksumOf(data []byte) string {
-	return fmt.Sprintf("crc32c:%08x", crc32.Checksum(data, castagnoli))
-}
-
-// encodeShard flattens and gob-encodes the subtree rooted at root, returning
-// the file payload and its manifest entry (File set to the canonical name).
-func encodeShard(root *Node) ([]byte, ShardEntry, error) {
-	if root == nil || root.Decomp == nil {
-		return nil, ShardEntry{}, fmt.Errorf("tctree: cannot encode a nil shard")
-	}
-	if root.Pattern.Len() != 1 || root.Pattern[0] != root.Item {
-		return nil, ShardEntry{}, fmt.Errorf("tctree: shard root pattern %v is not the single item %d", root.Pattern, root.Item)
-	}
-	index := make(map[*Node]int)
-	recs := []nodeRecord{recordOf(root, -1)}
-	index[root] = 0
-	queue := []*Node{root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, c := range n.Children {
-			index[c] = len(recs)
-			recs = append(recs, recordOf(c, index[n]))
-			queue = append(queue, c)
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&shardFile{Version: shardFileVersion, Item: int32(root.Item), Nodes: recs}); err != nil {
-		return nil, ShardEntry{}, fmt.Errorf("tctree: encode shard %d: %w", root.Item, err)
-	}
-	stats, bloom, alphaDepths := shardCatalogue(root)
-	entry := ShardEntry{
-		Item:        int32(root.Item),
-		File:        shardFileName(root.Item),
-		Nodes:       len(recs),
-		Depth:       stats.Depth,
-		MaxAlpha:    stats.MaxAlpha,
-		Checksum:    checksumOf(buf.Bytes()),
-		Bloom:       bloom,
-		AlphaDepths: alphaDepths,
-	}
-	return buf.Bytes(), entry, nil
-}
-
-// encodeShardAs encodes the subtree in the given (normalized) format.
-func encodeShardAs(root *Node, format string) ([]byte, ShardEntry, error) {
-	if format == FormatTCBIN {
-		return encodeShardBinary(root)
-	}
-	return encodeShard(root)
-}
-
-// decodeShard rebuilds a shard subtree from a file payload, verifying it
-// against the manifest entry (checksum, version, root item, node count).
-func decodeShard(data []byte, entry ShardEntry) (*Node, error) {
-	if sum := checksumOf(data); sum != entry.Checksum {
-		return nil, fmt.Errorf("tctree: shard %s: checksum mismatch: file has %s, manifest records %s", entry.File, sum, entry.Checksum)
-	}
-	var file shardFile
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&file); err != nil {
-		return nil, fmt.Errorf("tctree: shard %s: decode: %w", entry.File, err)
-	}
-	if file.Version != shardFileVersion {
-		return nil, fmt.Errorf("tctree: shard %s: unsupported file version %d", entry.File, file.Version)
-	}
-	if file.Item != entry.Item {
-		return nil, fmt.Errorf("tctree: shard %s: stores item %d, manifest records item %d", entry.File, file.Item, entry.Item)
-	}
-	if len(file.Nodes) != entry.Nodes {
-		return nil, fmt.Errorf("tctree: shard %s: stores %d nodes, manifest records %d", entry.File, len(file.Nodes), entry.Nodes)
-	}
-	if len(file.Nodes) == 0 {
-		return nil, fmt.Errorf("tctree: shard %s: empty shard", entry.File)
-	}
-	nodes := make([]*Node, len(file.Nodes))
-	for i, rec := range file.Nodes {
-		var parent *Node
-		if i == 0 {
-			if rec.Parent != -1 {
-				return nil, fmt.Errorf("tctree: shard %s: record 0 is not the shard root", entry.File)
-			}
-		} else {
-			if rec.Parent < 0 || rec.Parent >= i {
-				return nil, fmt.Errorf("tctree: shard %s: node %d has invalid parent %d", entry.File, i, rec.Parent)
-			}
-			parent = nodes[rec.Parent]
-			if itemset.Item(rec.Item) <= parent.Item {
-				return nil, fmt.Errorf("tctree: shard %s: node %d breaks set-enumeration order", entry.File, i)
-			}
-		}
-		parentPattern := itemset.New()
-		if parent != nil {
-			parentPattern = parent.Pattern
-		}
-		n, err := nodeOf(rec, parentPattern)
-		if err != nil {
-			return nil, fmt.Errorf("tctree: shard %s: node %d: %w", entry.File, i, err)
-		}
-		if parent != nil {
-			parent.addChild(n)
-		}
-		nodes[i] = n
-	}
-	if nodes[0].Item != itemset.Item(entry.Item) {
-		return nil, fmt.Errorf("tctree: shard %s: root item %d does not match manifest item %d", entry.File, nodes[0].Item, entry.Item)
-	}
-	return nodes[0], nil
-}
-
 // testInjectWriteErr, when non-nil, simulates a crash inside writeFileAtomic:
 // the temp file has been written but the rename never happens. Tests use it
 // to prove that a failed commit leaves the index openable and that orphaned
@@ -403,56 +240,43 @@ func syncDir(dir string) {
 	}
 }
 
-// removeOrphanTempFiles deletes *.tmp files a crashed or failed write left in
-// the index directory. Temp files are invisible to the manifest, so removing
-// them can never lose committed data.
-func removeOrphanTempFiles(dir string) {
+// sweepDir deletes the regular files of dir whose name stale accepts. Both
+// callers sweep files no manifest references, so removing them can never
+// lose committed data, and a failed removal only leaves a harmless leftover.
+func sweepDir(dir string, stale func(name string) bool) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".tmp") {
+		if !e.IsDir() && stale(e.Name()) {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
 }
 
-// WriteSharded writes the tree in the sharded on-disk format: one shard file
+// removeOrphanTempFiles deletes *.tmp files a crashed or failed write left in
+// the index directory.
+func removeOrphanTempFiles(dir string) {
+	sweepDir(dir, func(name string) bool { return strings.HasSuffix(name, ".tmp") })
+}
+
+// WriteSharded writes the tree as an index directory: one TCBIN shard file
 // per first-level subtree plus index.manifest, all inside dir (created if
-// missing). The shard encoding is selected by TC_INDEX_FORMAT (gob when
-// unset); use WriteShardedAs or WriteShardedBinary to pick explicitly. It
-// returns the written manifest. A tree saved this way is read back with
-// OpenSharded — either eagerly via LoadTree or shard by shard via LoadShard.
+// missing), and returns the written manifest. Written over an existing index
+// it replaces it: once the new manifest is in place, every shard file it
+// does not reference is removed. A tree saved this way is opened with
+// OpenSharded.
 func (t *Tree) WriteSharded(dir string) (*Manifest, error) {
-	return t.WriteShardedAs(dir, FormatFromEnv())
-}
-
-// WriteShardedBinary writes the tree as a sharded index in the TCBIN flat
-// binary format, the zero-copy layout opened via mmap.
-func (t *Tree) WriteShardedBinary(dir string) (*Manifest, error) {
-	return t.WriteShardedAs(dir, FormatTCBIN)
-}
-
-// WriteShardedAs writes the tree as a sharded index in the given format
-// ("gob" or "tcbin").
-func (t *Tree) WriteShardedAs(dir, format string) (*Manifest, error) {
-	format, err := normalizeFormat(format)
-	if err != nil {
-		return nil, err
-	}
 	if t == nil || t.root == nil {
 		return nil, fmt.Errorf("tctree: cannot serialize a nil tree")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	m := &Manifest{Version: manifestVersion, BuiltMaxDepth: t.builtMaxDepth}
-	if format != FormatGob {
-		m.Format = format
-	}
+	m := &Manifest{Version: manifestVersion, Format: FormatTCBIN, BuiltMaxDepth: t.builtMaxDepth}
 	for _, c := range t.root.Children {
-		data, entry, err := encodeShardAs(c, format)
+		data, entry, err := encodeShardBinary(c)
 		if err != nil {
 			return nil, err
 		}
@@ -464,7 +288,28 @@ func (t *Tree) WriteShardedAs(dir, format string) (*Manifest, error) {
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
+	removeUnreferencedShardFiles(dir, m)
 	return m, nil
+}
+
+// WriteShardedAs is WriteSharded for callers that name the format; the only
+// format is FormatTCBIN.
+func (t *Tree) WriteShardedAs(dir, format string) (*Manifest, error) {
+	if format != FormatTCBIN {
+		return nil, fmt.Errorf("tctree: unknown index format %q (the only format is %q)", format, FormatTCBIN)
+	}
+	return t.WriteSharded(dir)
+}
+
+// removeUnreferencedShardFiles deletes the shard-* files of dir that m does
+// not reference: the previous index's files after a rewrite — superseded
+// staged generations, shards of items that no longer index anything.
+func removeUnreferencedShardFiles(dir string, m *Manifest) {
+	live := make(map[string]bool, len(m.Shards))
+	for _, e := range m.Shards {
+		live[e.File] = true
+	}
+	sweepDir(dir, func(name string) bool { return strings.HasPrefix(name, "shard-") && !live[name] })
 }
 
 // writeManifest durably replaces dir's manifest: write-to-temp, fsync,
@@ -485,10 +330,15 @@ func writeManifest(dir string, m *Manifest) error {
 }
 
 // ReadManifest reads and validates dir's index.manifest. Entries are returned
-// sorted by ascending root item.
+// sorted by ascending root item. A regular file (the monolithic layout of
+// earlier releases) or a manifest of any format but FormatTCBIN is refused
+// with the rebuild command; nothing of it is decoded.
 func ReadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
+		if st, serr := os.Stat(dir); serr == nil && st.Mode().IsRegular() {
+			return nil, errRebuild(dir, "a file", strings.TrimSuffix(dir, filepath.Ext(dir))+".index")
+		}
 		return nil, err
 	}
 	var m Manifest
@@ -498,12 +348,8 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("tctree: %s: unsupported manifest version %d", ManifestName, m.Version)
 	}
-	format, err := normalizeFormat(m.Format)
-	if err != nil {
-		return nil, fmt.Errorf("tctree: %s: %w", ManifestName, err)
-	}
-	if m.Format != "" {
-		m.Format = format
+	if m.Format != FormatTCBIN {
+		return nil, errRebuild(dir, fmt.Sprintf("an index of format %q", m.Format), dir)
 	}
 	seen := make(map[int32]bool, len(m.Shards))
 	for _, e := range m.Shards {
@@ -529,27 +375,26 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// IsSharded reports whether path is a sharded index directory (it contains an
+// IsSharded reports whether path is an index directory (it contains an
 // index.manifest file).
 func IsSharded(path string) bool {
 	st, err := os.Stat(filepath.Join(path, ManifestName))
 	return err == nil && st.Mode().IsRegular()
 }
 
-// ShardedIndex is a handle on a sharded index directory. It holds the
-// manifest in memory but no shard data: callers load shards on demand with
-// LoadShard (or all at once with LoadTree) and may swap a single shard with
-// ReplaceShard. It is safe for concurrent use.
+// ShardedIndex is a handle on an index directory. It holds the manifest in
+// memory but no shard data: callers open shards on demand with LoadShardView
+// and swap batches of them with StageShards + Commit. It is safe for
+// concurrent use.
 type ShardedIndex struct {
 	dir string
 
 	mu       sync.RWMutex
 	manifest *Manifest
 	byItem   map[itemset.Item]int
-	format   string
 }
 
-// OpenSharded opens a sharded index directory written by WriteSharded. Only
+// OpenSharded opens an index directory written by WriteSharded. Only
 // the manifest is read; shard files are opened on demand. Orphaned *.tmp
 // files left behind by a crashed or failed write are removed — they are
 // invisible to the manifest, so the cleanup can never lose committed data.
@@ -559,7 +404,7 @@ func OpenSharded(dir string) (*ShardedIndex, error) {
 		return nil, err
 	}
 	removeOrphanTempFiles(dir)
-	x := &ShardedIndex{dir: dir, manifest: m, byItem: make(map[itemset.Item]int, len(m.Shards)), format: m.FormatName()}
+	x := &ShardedIndex{dir: dir, manifest: m, byItem: make(map[itemset.Item]int, len(m.Shards))}
 	for i, e := range m.Shards {
 		x.byItem[itemset.Item(e.Item)] = i
 	}
@@ -568,13 +413,6 @@ func OpenSharded(dir string) (*ShardedIndex, error) {
 
 // Dir returns the index directory.
 func (x *ShardedIndex) Dir() string { return x.dir }
-
-// Format returns the index's shard encoding, FormatGob or FormatTCBIN.
-func (x *ShardedIndex) Format() string {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.format
-}
 
 // NumShards returns the number of shards in the manifest.
 func (x *ShardedIndex) NumShards() int {
@@ -625,60 +463,37 @@ func (x *ShardedIndex) Entry(item itemset.Item) (ShardEntry, bool) {
 	return x.manifest.Shards[i], true
 }
 
-// LoadShard reads, checksum-verifies and decodes the shard rooted at item,
-// returning its subtree. The returned subtree shares no state with the index
-// and is immutable as far as the index is concerned. TCBIN shards are
-// materialized into pointer form; callers that only query should prefer
-// LoadShardView, which keeps them zero-copy.
-func (x *ShardedIndex) LoadShard(item itemset.Item) (*Node, error) {
-	if x.Format() == FormatTCBIN {
-		entry, ok := x.Entry(item)
-		if !ok {
-			return nil, fmt.Errorf("tctree: no shard for item %d", item)
-		}
-		b, err := OpenBinShard(filepath.Join(x.dir, entry.File), entry)
-		if err != nil {
-			return nil, err
-		}
-		return b.Materialize()
-	}
-	entry, ok := x.Entry(item)
-	if !ok {
-		return nil, fmt.Errorf("tctree: no shard for item %d", item)
-	}
-	data, err := os.ReadFile(filepath.Join(x.dir, entry.File))
-	if err != nil {
-		return nil, fmt.Errorf("tctree: shard %d: %w", item, err)
-	}
-	return decodeShard(data, entry)
-}
-
-// LoadShardView opens the shard rooted at item as a query surface in its
-// native representation: a memory-mapped in-place BinShard for TCBIN
-// indexes, a decoded pointer tree for gob indexes. This is the read path
-// serving layers should use — for TCBIN it performs no payload decode and
-// no per-node allocation.
+// LoadShardView memory-maps and validates the shard rooted at item and
+// returns it as a query surface traversed in place: no payload decode, no
+// per-node allocation. This is the read path of serving layers.
 func (x *ShardedIndex) LoadShardView(item itemset.Item) (ShardView, error) {
-	entry, ok := x.Entry(item)
-	if !ok {
-		return nil, fmt.Errorf("tctree: no shard for item %d", item)
-	}
-	if x.Format() == FormatTCBIN {
-		return OpenBinShard(filepath.Join(x.dir, entry.File), entry)
-	}
-	data, err := os.ReadFile(filepath.Join(x.dir, entry.File))
-	if err != nil {
-		return nil, fmt.Errorf("tctree: shard %d: %w", item, err)
-	}
-	root, err := decodeShard(data, entry)
+	b, err := x.openShard(item)
 	if err != nil {
 		return nil, err
 	}
-	return NewNodeViewSized(root, int64(len(data))), nil
+	return b, nil
 }
 
-// LoadTree loads every shard and assembles the full in-memory tree, the eager
-// counterpart of per-shard lazy loading.
+func (x *ShardedIndex) openShard(item itemset.Item) (*BinShard, error) {
+	entry, ok := x.Entry(item)
+	if !ok {
+		return nil, fmt.Errorf("tctree: no shard for item %d", item)
+	}
+	return OpenBinShard(filepath.Join(x.dir, entry.File), entry)
+}
+
+// LoadShard opens the shard rooted at item and materializes it as a pointer
+// subtree sharing no state with the index. Serving layers query through
+// LoadShardView instead; this is for code that needs *Node.
+func (x *ShardedIndex) LoadShard(item itemset.Item) (*Node, error) {
+	b, err := x.openShard(item)
+	if err != nil {
+		return nil, err
+	}
+	return b.Materialize()
+}
+
+// LoadTree materializes every shard and assembles the full in-memory tree.
 func (x *ShardedIndex) LoadTree() (*Tree, error) {
 	m := x.Manifest()
 	tree := &Tree{root: &Node{Pattern: itemset.New()}, builtMaxDepth: m.BuiltMaxDepth}
@@ -691,28 +506,6 @@ func (x *ShardedIndex) LoadTree() (*Tree, error) {
 		tree.numNodes += e.Nodes
 	}
 	return tree, nil
-}
-
-// ReplaceShard atomically swaps the shard of subtree's root item: the new
-// payload is written under a checksum-versioned file name, and the manifest
-// swap is the single switch point — a crash at any moment leaves the index
-// consistent (either the old manifest pointing at the untouched old file, or
-// the new manifest pointing at the fully written new file). No other shard
-// is touched; the superseded file is removed best-effort afterwards. The
-// subtree must be rooted at a single-item pattern already present in the
-// manifest — typically a first-level node of a freshly rebuilt tree for the
-// same network. Serving layers holding the old shard in memory must be told
-// to reload it (e.g. engine.ReloadShard), which also invalidates their
-// cached answers for queries containing the item.
-func (x *ShardedIndex) ReplaceShard(subtree *Node) error {
-	if subtree == nil {
-		return fmt.Errorf("tctree: cannot encode a nil shard")
-	}
-	if _, ok := x.Entry(subtree.Item); !ok {
-		return fmt.Errorf("tctree: no shard for item %d: ReplaceShard only swaps existing shards", subtree.Item)
-	}
-	_, err := x.CommitShards(map[itemset.Item]*Node{subtree.Item: subtree})
-	return err
 }
 
 // CommitReport summarises one CommitShards (or ApplyDelta) transaction.
@@ -738,7 +531,7 @@ func (r *CommitReport) Touched() itemset.Itemset {
 // StagedShards is a batch of shard swaps whose payloads are already durably
 // on disk under checksum-versioned names the current manifest does not
 // reference: invisible to readers until Commit performs the single manifest
-// write. Staging is the expensive half (gob encoding, file writes, fsyncs)
+// write. Staging is the expensive half (encoding, file writes, fsyncs)
 // and takes no index lock, so a serving layer can stage while queries run
 // and hold its own update lock only across Commit.
 type StagedShards struct {
@@ -780,12 +573,12 @@ func (x *ShardedIndex) StageShards(subtrees map[itemset.Item]*Node) (*StagedShar
 			st.discard()
 			return nil, fmt.Errorf("tctree: subtree for item %d is rooted at item %d", it, sub.Item)
 		}
-		data, entry, err := encodeShardAs(sub, x.Format())
+		data, entry, err := encodeShardBinary(sub)
 		if err != nil {
 			st.discard()
 			return nil, err
 		}
-		entry.File = fmt.Sprintf("shard-%d-%s.%s", it, strings.TrimPrefix(entry.Checksum, "crc32c:"), x.Format())
+		entry.File = fmt.Sprintf("shard-%d-%s.%s", it, strings.TrimPrefix(entry.Checksum, "crc32c:"), FormatTCBIN)
 		if err := writeFileAtomic(x.dir, entry.File, data); err != nil {
 			st.discard()
 			return nil, fmt.Errorf("tctree: shard %d: %w", it, err)
@@ -930,86 +723,4 @@ func (x *ShardedIndex) ApplyDelta(nw *dbnet.Network, affected itemset.Itemset) (
 		return nil, fmt.Errorf("tctree: index was built with MaxDepth %d; incremental maintenance needs an unbounded index (rebuild with tcindex without -maxdepth)", d)
 	}
 	return x.CommitShards(RebuildSubtrees(nw, affected))
-}
-
-// MigrateFormat converts the index to the target shard encoding in place.
-// Shards are re-encoded one at a time (bounding memory by the largest
-// shard) and written under their canonical names — the two formats use
-// different file extensions, so nothing is overwritten — then one manifest
-// write switches the index over: a crash before it leaves the old index
-// fully live plus unreferenced new files, a crash after it leaves the new
-// index complete plus old files that are removed best-effort on the next
-// successful open... here, immediately. A same-format migration is a no-op.
-func (x *ShardedIndex) MigrateFormat(target string) error {
-	target, err := normalizeFormat(target)
-	if err != nil {
-		return err
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	if x.format == target {
-		return nil
-	}
-	oldShards := x.manifest.Shards
-	newShards := make([]ShardEntry, 0, len(oldShards))
-	var written []string
-	fail := func(err error) error {
-		for _, f := range written {
-			os.Remove(filepath.Join(x.dir, f))
-		}
-		return err
-	}
-	for _, e := range oldShards {
-		root, err := x.loadShardLocked(e)
-		if err != nil {
-			return fail(err)
-		}
-		data, entry, err := encodeShardAs(root, target)
-		if err != nil {
-			return fail(err)
-		}
-		if err := writeFileAtomic(x.dir, entry.File, data); err != nil {
-			return fail(fmt.Errorf("tctree: shard %d: %w", e.Item, err))
-		}
-		written = append(written, entry.File)
-		newShards = append(newShards, entry)
-	}
-	// Make the new shard files durable before the manifest can reference
-	// them, then swap with the single manifest write.
-	syncDir(x.dir)
-	m := &Manifest{Version: manifestVersion, BuiltMaxDepth: x.manifest.BuiltMaxDepth, Shards: newShards}
-	if target != FormatGob {
-		m.Format = target
-	}
-	if err := writeManifest(x.dir, m); err != nil {
-		return fail(err)
-	}
-	x.manifest = m
-	x.format = target
-	x.byItem = make(map[itemset.Item]int, len(newShards))
-	for i, e := range newShards {
-		x.byItem[itemset.Item(e.Item)] = i
-	}
-	for _, e := range oldShards {
-		// Best-effort cleanup; a leftover superseded file is harmless.
-		os.Remove(filepath.Join(x.dir, e.File))
-	}
-	return nil
-}
-
-// loadShardLocked decodes one shard into pointer form from an entry the
-// caller already holds, without taking the index lock.
-func (x *ShardedIndex) loadShardLocked(entry ShardEntry) (*Node, error) {
-	if x.format == FormatTCBIN {
-		b, err := OpenBinShard(filepath.Join(x.dir, entry.File), entry)
-		if err != nil {
-			return nil, err
-		}
-		return b.Materialize()
-	}
-	data, err := os.ReadFile(filepath.Join(x.dir, entry.File))
-	if err != nil {
-		return nil, fmt.Errorf("tctree: shard %d: %w", entry.Item, err)
-	}
-	return decodeShard(data, entry)
 }

@@ -22,10 +22,10 @@ func buildShardedTestTree(t *testing.T, seed int64) *Tree {
 	return tree
 }
 
-// TestShardedRoundTrip is the manifest + shards round-trip test: a tree
-// written with WriteSharded and reassembled with LoadTree must answer every
-// query exactly like the original, and the manifest totals must match the
-// tree's own statistics.
+// TestShardedRoundTrip is the manifest + shards round-trip test: the
+// manifest WriteSharded returns is the one read back, its totals match the
+// tree's own statistics, and LoadTree reassembles a valid tree of the same
+// size.
 func TestShardedRoundTrip(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	dir := t.TempDir()
@@ -78,7 +78,30 @@ func TestShardedRoundTrip(t *testing.T) {
 	if reloaded.NumNodes() != tree.NumNodes() {
 		t.Fatalf("reloaded tree has %d nodes, want %d", reloaded.NumNodes(), tree.NumNodes())
 	}
+}
 
+// TestRoundTripAnswersQueriesIdentically is the write → open → query test:
+// after a WriteSharded/LoadTree round trip, the reloaded tree must answer
+// every query pattern and threshold exactly like the original — same visit
+// counts, same retrieval order, and truss-for-truss identical edges and
+// vertex frequencies.
+func TestRoundTripAnswersQueriesIdentically(t *testing.T) {
+	tree := buildShardedTestTree(t, 19)
+	dir := t.TempDir()
+	if _, err := tree.WriteSharded(dir); err != nil {
+		t.Fatalf("WriteSharded: %v", err)
+	}
+	idx, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	reloaded, err := idx.LoadTree()
+	if err != nil {
+		t.Fatalf("LoadTree: %v", err)
+	}
+
+	// Query patterns: every indexed pattern, a few random supersets, an
+	// unindexed pattern, and the full-universe pattern.
 	queries := tree.Patterns()
 	var full itemset.Itemset
 	for _, c := range tree.Root().Children {
@@ -96,17 +119,47 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadShardVerifiesChecksum flips one byte of a shard file and expects
-// the next load to fail with a checksum mismatch instead of decoding garbage.
-func TestLoadShardVerifiesChecksum(t *testing.T) {
+// assertIdenticalAnswer requires got and want to agree on everything except
+// wall-clock duration.
+func assertIdenticalAnswer(t *testing.T, got, want *QueryResult) {
+	t.Helper()
+	if got.RetrievedNodes != want.RetrievedNodes || got.VisitedNodes != want.VisitedNodes {
+		t.Fatalf("reloaded tree retrieved/visited %d/%d nodes, original %d/%d",
+			got.RetrievedNodes, got.VisitedNodes, want.RetrievedNodes, want.VisitedNodes)
+	}
+	if len(got.Trusses) != len(want.Trusses) {
+		t.Fatalf("reloaded tree returned %d trusses, original %d", len(got.Trusses), len(want.Trusses))
+	}
+	for i := range want.Trusses {
+		g, w := got.Trusses[i], want.Trusses[i]
+		if !g.Pattern.Equal(w.Pattern) {
+			t.Fatalf("truss %d: pattern %v, want %v (retrieval order changed)", i, g.Pattern, w.Pattern)
+		}
+		if !g.Edges.Equal(w.Edges) {
+			t.Fatalf("truss %d (%v): edge sets differ after round trip", i, w.Pattern)
+		}
+		if len(g.Freq) != len(w.Freq) {
+			t.Fatalf("truss %d (%v): %d vertices, want %d", i, w.Pattern, len(g.Freq), len(w.Freq))
+		}
+		for v, f := range w.Freq {
+			if gf, ok := g.Freq[v]; !ok || !approx(gf, f) {
+				t.Fatalf("truss %d (%v): vertex %d frequency %v, want %v", i, w.Pattern, v, gf, f)
+			}
+		}
+	}
+}
+
+// corruptedFirstShard writes an index, flips one byte in the middle of its
+// first shard file, and opens it.
+func corruptedFirstShard(t *testing.T) (*ShardedIndex, *Manifest) {
+	t.Helper()
 	tree := buildShardedTestTree(t, 19)
 	dir := t.TempDir()
 	m, err := tree.WriteSharded(dir)
 	if err != nil {
 		t.Fatalf("WriteSharded: %v", err)
 	}
-	entry := m.Shards[0]
-	path := filepath.Join(dir, entry.File)
+	path := filepath.Join(dir, m.Shards[0].File)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
@@ -119,7 +172,14 @@ func TestLoadShardVerifiesChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}
-	if _, err := idx.LoadShard(itemset.Item(entry.Item)); err == nil || !strings.Contains(err.Error(), "checksum") {
+	return idx, m
+}
+
+// TestLoadShardVerifiesChecksum flips one byte of a shard file and expects
+// the next load to fail with a checksum mismatch instead of decoding garbage.
+func TestLoadShardVerifiesChecksum(t *testing.T) {
+	idx, m := corruptedFirstShard(t)
+	if _, err := idx.LoadShard(itemset.Item(m.Shards[0].Item)); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("LoadShard on a corrupted file returned %v, want checksum mismatch", err)
 	}
 	// The other shards stay loadable.
@@ -166,20 +226,70 @@ func TestLoadShardMissingFile(t *testing.T) {
 // manifest entry may only name a file directly inside the index directory.
 func TestReadManifestRejectsBadFileNames(t *testing.T) {
 	dir := t.TempDir()
-	manifest := `{"version":1,"shards":[{"item":1,"file":"../evil.gob","nodes":1,"depth":1,"maxAlpha":1,"checksum":"crc32c:00000000"}]}`
+	manifest := `{"version":1,"format":"tcbin","shards":[{"item":1,"file":"../evil.tcbin","nodes":1,"depth":1,"maxAlpha":1,"checksum":"crc32c:00000000"}]}`
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(manifest), 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	if _, err := ReadManifest(dir); err == nil {
-		t.Fatalf("manifest naming ../evil.gob should be rejected")
+	if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "invalid shard file name") {
+		t.Fatalf("manifest naming ../evil.tcbin returned %v, want an invalid-file-name error", err)
 	}
 }
 
-// TestReplaceShard swaps one shard for the same item taken from a tree built
-// on a different network, and checks that (a) only that shard's file and
-// manifest entry changed, and (b) the reassembled tree answers queries as if
-// the subtree had been spliced in memory.
-func TestReplaceShard(t *testing.T) {
+// TestOpenRefusesLegacyIndexes pins the fail-closed migration story: an index
+// written by a release that still had the gob layouts — a manifest with no
+// format field or format "gob", or a monolithic .tctree file — is refused,
+// undecoded, with an error naming the command that rebuilds it.
+func TestOpenRefusesLegacyIndexes(t *testing.T) {
+	tree := buildShardedTestTree(t, 19)
+	dir := t.TempDir()
+	if _, err := tree.WriteSharded(dir); err != nil {
+		t.Fatalf("WriteSharded: %v", err)
+	}
+	good, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	file := filepath.Join(t.TempDir(), "bk.tctree")
+	if err := os.WriteFile(file, []byte("gob bytes of a monolithic tree"), 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	cases := []struct {
+		name, path string
+		manifest   string // rewritten into dir's manifest when non-empty
+		rebuildTo  string // the -out the refusal must suggest
+	}{
+		{"format-absent", dir, strings.Replace(string(good), `"format": "tcbin",`, ``, 1), dir},
+		{"format-gob", dir, strings.Replace(string(good), `"format": "tcbin"`, `"format": "gob"`, 1), dir},
+		{"tctree-file", file, "", strings.TrimSuffix(file, ".tctree") + ".index"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.manifest != "" {
+				if tc.manifest == string(good) {
+					t.Fatalf("fixture manifest carries no format field to rewrite:\n%s", good)
+				}
+				if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(tc.manifest), 0o644); err != nil {
+					t.Fatalf("WriteFile: %v", err)
+				}
+			}
+			for _, open := range []func(string) error{
+				func(p string) error { _, err := ReadManifest(p); return err },
+				func(p string) error { _, err := OpenSharded(p); return err },
+			} {
+				err := open(tc.path)
+				if err == nil || !strings.Contains(err.Error(), "tcindex -in") || !strings.HasSuffix(err.Error(), "-out "+tc.rebuildTo) {
+					t.Fatalf("opening %s returned %v, want a refusal naming tcindex -in … -out %s", tc.name, err, tc.rebuildTo)
+				}
+			}
+		})
+	}
+}
+
+// TestCommitShardsReplaceOne swaps one shard for the same item taken from a
+// tree built on a different network, and checks that (a) only that shard's
+// file and manifest entry changed, and (b) the reassembled tree answers
+// queries as if the subtree had been spliced in memory.
+func TestCommitShardsReplaceOne(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	other := buildShardedTestTree(t, 31)
 
@@ -206,8 +316,12 @@ func TestReplaceShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}
-	if err := idx.ReplaceShard(replacement); err != nil {
-		t.Fatalf("ReplaceShard: %v", err)
+	report, err := idx.CommitShards(map[itemset.Item]*Node{item: replacement})
+	if err != nil {
+		t.Fatalf("CommitShards: %v", err)
+	}
+	if len(report.Replaced) != 1 || report.Replaced[0] != item || len(report.Added)+len(report.Removed) != 0 {
+		t.Fatalf("commit report %+v, want exactly item %d replaced", report, item)
 	}
 
 	// Only the replaced entry may differ, and the on-disk manifest must
@@ -237,10 +351,10 @@ func TestReplaceShard(t *testing.T) {
 	// queries avoiding it answer like the original.
 	spliced, err := idx.LoadTree()
 	if err != nil {
-		t.Fatalf("LoadTree after ReplaceShard: %v", err)
+		t.Fatalf("LoadTree after the commit: %v", err)
 	}
 	if err := spliced.Validate(); err != nil {
-		t.Fatalf("Validate after ReplaceShard: %v", err)
+		t.Fatalf("Validate after the commit: %v", err)
 	}
 	alphas := []float64{0, 0.2, tree.MaxAlpha()}
 	for _, alpha := range alphas {
@@ -254,11 +368,5 @@ func TestReplaceShard(t *testing.T) {
 	}
 	for _, alpha := range alphas {
 		assertIdenticalAnswer(t, spliced.Query(avoiding, alpha), tree.Query(avoiding, alpha))
-	}
-
-	// Replacement is swap-only: an unknown root item is rejected.
-	foreign := &Node{Item: 4096, Pattern: itemset.New(4096), Decomp: replacement.Decomp}
-	if err := idx.ReplaceShard(foreign); err == nil {
-		t.Fatalf("ReplaceShard with an unknown item should fail")
 	}
 }

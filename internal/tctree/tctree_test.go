@@ -1,10 +1,8 @@
 package tctree
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"themecomm/internal/core"
@@ -197,57 +195,6 @@ func TestNodeLookup(t *testing.T) {
 		if n == nil || !n.Pattern.Equal(p) {
 			t.Fatalf("Node(%v) lookup failed", p)
 		}
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	nw := randomNetwork(rng, 14, 32, 4, 4)
-	tree := Build(nw, BuildOptions{})
-
-	var buf bytes.Buffer
-	if err := tree.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	if got.NumNodes() != tree.NumNodes() {
-		t.Fatalf("round trip node count %d, want %d", got.NumNodes(), tree.NumNodes())
-	}
-	for _, alpha := range []float64{0, 0.3, 0.8} {
-		if !got.MiningResult(alpha).Equal(tree.MiningResult(alpha)) {
-			t.Fatalf("round trip answers differ at α=%v", alpha)
-		}
-	}
-}
-
-func TestSerializationFile(t *testing.T) {
-	nw := dbnet.PaperExample()
-	tree := Build(nw, BuildOptions{})
-	path := t.TempDir() + "/tree.tctree"
-	if err := tree.WriteFile(path); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	if got.NumNodes() != tree.NumNodes() {
-		t.Fatalf("file round trip node count mismatch")
-	}
-	if _, err := ReadFile(path + ".missing"); err == nil {
-		t.Fatalf("reading a missing file should fail")
-	}
-}
-
-func TestReadFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadFrom(strings.NewReader("this is not a tc-tree")); err == nil {
-		t.Fatalf("garbage input should be rejected")
-	}
-	if _, err := ReadFrom(bytes.NewReader(nil)); err == nil {
-		t.Fatalf("empty input should be rejected")
 	}
 }
 

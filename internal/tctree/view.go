@@ -6,11 +6,12 @@ import (
 )
 
 // ShardView is the engine-facing read surface of one loaded shard. Two
-// implementations exist: NodeView wraps a decoded pointer tree (eager
-// engines and the legacy gob format) and BinShard traverses the flat TCBIN
-// layout in place over a memory-mapped file. Both run the same traversals
-// in the same order, so query answers — including visited-node counters —
-// are byte-identical across formats.
+// implementations exist: BinShard traverses the TCBIN layout in place over a
+// memory-mapped file — every shard opened from disk — and NodeView wraps a
+// pointer subtree on the heap: trees built in-process, shards rebuilt by a
+// delta and not yet checkpointed, and the reference the TCBIN parity tests
+// compare against. Both run the same traversals in the same order, so query
+// answers — including visited-node counters — are byte-identical.
 type ShardView interface {
 	// RootItem returns the shard's root item.
 	RootItem() itemset.Item
@@ -34,9 +35,9 @@ type ShardView interface {
 	// WalkPatterns visits every indexed pattern of the shard in DFS
 	// pre-order (the shard root first, children in ascending item order).
 	WalkPatterns(visit func(p itemset.Itemset))
-	// SizeBytes is what the shard costs while resident: the mapped file
-	// size for TCBIN shards, the serialized payload size for lazily decoded
-	// gob shards, 0 when unknown (eager shards, which are never evicted).
+	// SizeBytes is what the shard charges a residency budget while open: the
+	// mapped file size for a BinShard, 0 for a NodeView (heap shards are
+	// never evicted, so they are outside every budget).
 	SizeBytes() int64
 }
 
@@ -48,26 +49,17 @@ type ShardAnswer struct {
 	Visited int
 }
 
-// NodeView adapts a decoded *Node subtree to the ShardView interface.
+// NodeView adapts a *Node subtree to the ShardView interface.
 type NodeView struct {
 	root *Node
-	size int64
 }
 
-// NewNodeView wraps a decoded shard subtree. Size is reported as 0; use
-// NewNodeViewSized when the serialized size is known.
+// NewNodeView wraps a shard subtree.
 func NewNodeView(root *Node) *NodeView { return &NodeView{root: root} }
-
-// NewNodeViewSized wraps a decoded shard subtree whose serialized payload
-// was size bytes — the residency charge for lazily decoded gob shards.
-func NewNodeViewSized(root *Node, size int64) *NodeView { return &NodeView{root: root, size: size} }
-
-// Node returns the wrapped subtree root.
-func (v *NodeView) Node() *Node { return v.root }
 
 func (v *NodeView) RootItem() itemset.Item { return v.root.Item }
 
-func (v *NodeView) SizeBytes() int64 { return v.size }
+func (v *NodeView) SizeBytes() int64 { return 0 }
 
 func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 	var res ShardAnswer

@@ -3,7 +3,9 @@
 # and docs/*.md (every markdown file in docs/, including ones added by new
 # PRs) resolves to an existing file, and that every intra-doc anchor —
 # "#section" within a file or "other.md#section" across files — names a real
-# heading in its target. Absolute http(s) URLs are skipped. Exits non-zero
+# heading in its target. Absolute http(s) URLs are skipped. It also checks
+# that every *.md file a Go comment names exists, so a deleted or renamed
+# document cannot leave "see DESIGN.md" behind in the code. Exits non-zero
 # listing the broken links.
 set -eu
 
@@ -84,6 +86,25 @@ for f in docs/*.md; do
 		echo "orphan: $f" >>"$tmp"
 	fi
 done
+
+# Go comments: a *.md a comment names must exist — as the path written
+# (from the repo root or the file's own directory) or, for a bare name,
+# anywhere in the repo. Only text after a // that no string literal precedes
+# counts; testdata fixtures are not ours to police.
+mdnames=$(find . -name '*.md' -not -path './.git/*' -not -path './.bench_build/*' | sed 's|.*/||' | sort -u)
+find . -name '*.go' -not -path './.git/*' -not -path './.bench_build/*' -not -path '*/testdata/*' |
+	while IFS= read -r gofile; do
+		sed -n 's|^[^"]*//\(.*\)$|\1|p' "$gofile" |
+			grep -oE '[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md' | sort -u |
+			while IFS= read -r name; do
+				case "$name" in
+				*/*) [ -e "$name" ] || [ -e "$(dirname "$gofile")/$name" ] && continue ;;
+				*) printf '%s\n' "$mdnames" | grep -qxF "$name" && continue ;;
+				esac
+				echo "$gofile: comment names $name, which does not exist" >&2
+				echo "$gofile: $name" >>"$tmp"
+			done
+	done
 
 if [ -s "$tmp" ]; then
 	echo "broken documentation links found" >&2

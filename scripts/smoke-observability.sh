@@ -31,7 +31,7 @@ go build -o "$workdir/tcquery" ./cmd/tcquery
 
 echo "== generating and indexing a dataset"
 "$workdir/tcgen" -dataset BK -scale 0.1 -out "$workdir/bk.dbnet"
-"$workdir/tcindex" -in "$workdir/bk.dbnet" -sharded "$workdir/bk.index"
+"$workdir/tcindex" -in "$workdir/bk.dbnet" -out "$workdir/bk.index"
 
 # Bind both listeners to :0 — the kernel picks free ports, so the smoke test
 # never collides with whatever else runs on the CI host. tcserver listens

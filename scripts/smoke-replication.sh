@@ -36,7 +36,7 @@ go build -o "$workdir/tcupdate" ./cmd/tcupdate
 echo "== generating and indexing the bk network"
 "$workdir/tcgen" -dataset BK -scale 0.1 -out "$workdir/bk.dbnet"
 mkdir -p "$workdir/primary"
-"$workdir/tcindex" -in "$workdir/bk.dbnet" -sharded "$workdir/primary/bk.index"
+"$workdir/tcindex" -in "$workdir/bk.dbnet" -out "$workdir/primary/bk.index"
 cp "$workdir/bk.dbnet" "$workdir/primary/bk.dbnet"
 
 # Replicas bootstrap from a file copy of the primary's networks directory:

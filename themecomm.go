@@ -17,8 +17,8 @@
 //     (Apriori pruning) and TCFI (graph-intersection pruning, the paper's
 //     fastest exact method);
 //   - the TC-Tree index with query answering by pattern and by cohesion
-//     threshold, persisted either as one file or as a sharded index (one
-//     file per top-level item plus a manifest) that can be served lazily;
+//     threshold, persisted as an index directory (one memory-mappable file
+//     per top-level item plus a manifest) that is served lazily;
 //   - the concurrent query-serving engine: a cost-based planner that skips
 //     shards from catalogue statistics alone (α* bounds) and schedules the
 //     expensive ones first, sharded parallel execution with background shard
@@ -164,8 +164,8 @@ type (
 func NewFederation(opts FederationOptions) *Federation { return federation.New(opts) }
 
 // OpenFederation builds a federation from every indexed network found in
-// dir: sharded index directories attach lazily, .tctree files eagerly, and a
-// sibling <name>.dbnet file provides a network's item dictionary.
+// dir: each index directory attaches lazily, and a sibling <name>.dbnet file
+// provides a network's item dictionary and makes it updatable.
 func OpenFederation(dir string, opts FederationOptions) (*Federation, error) {
 	return federation.Discover(dir, opts)
 }
@@ -176,75 +176,45 @@ func DiscoverNetworks(dir string) ([]DiscoveredNetwork, error) {
 	return federation.DiscoverNetworks(dir)
 }
 
-// Sharded index persistence types.
+// Index persistence types.
 type (
-	// ShardedIndex is a handle on a sharded on-disk index directory: one gob
-	// file per first-level subtree plus an index.manifest catalogue.
+	// ShardedIndex is a handle on an on-disk index directory: one TCBIN
+	// shard file per first-level subtree plus an index.manifest catalogue.
 	ShardedIndex = tctree.ShardedIndex
-	// IndexManifest is the content of a sharded index's manifest file.
+	// IndexManifest is the content of an index's manifest file.
 	IndexManifest = tctree.Manifest
 	// IndexShardEntry is the manifest metadata of one shard.
 	IndexShardEntry = tctree.ShardEntry
 )
 
-// Shard encodings of the sharded on-disk format. FormatGob is the legacy
-// per-shard gob encoding, decoded whole into memory on load; FormatTCBIN is
-// the flat binary layout served zero-copy from a memory-mapped file.
-const (
-	FormatGob   = tctree.FormatGob
-	FormatTCBIN = tctree.FormatTCBIN
-)
-
-// WriteShardedTree writes a built TC-Tree in the sharded on-disk format: one
-// shard file per top-level item plus an index.manifest, all inside dir. The
-// shard encoding defaults to gob and can be overridden with the
-// TC_INDEX_FORMAT environment variable; use WriteShardedTreeAs to pick it
-// explicitly.
+// WriteShardedTree writes a built TC-Tree as an index directory — the one
+// persisted layout: a memory-mappable TCBIN shard file per top-level item
+// plus an index.manifest, all inside dir.
 func WriteShardedTree(tree *Tree, dir string) (*IndexManifest, error) { return tree.WriteSharded(dir) }
 
-// WriteShardedTreeAs writes a sharded index in the given shard encoding
-// (FormatGob or FormatTCBIN).
-func WriteShardedTreeAs(tree *Tree, dir, format string) (*IndexManifest, error) {
-	return tree.WriteShardedAs(dir, format)
-}
-
-// MigrateIndexFormat re-encodes every shard of an opened index into the
-// target format (FormatGob or FormatTCBIN) in place: new shard files are
-// written and synced first, one manifest write commits the switch, and the
-// old format's files are removed afterwards. A crash mid-migration leaves
-// the index serving its original format.
-func MigrateIndexFormat(idx *ShardedIndex, target string) error { return idx.MigrateFormat(target) }
-
-// OpenShardedIndex opens a sharded index directory written by
-// WriteShardedTree (or tcindex -sharded). Only the manifest is read; shards
-// load on demand.
+// OpenShardedIndex opens an index directory written by WriteShardedTree (or
+// tcindex). Only the manifest is read; shards load on demand.
 func OpenShardedIndex(dir string) (*ShardedIndex, error) { return tctree.OpenSharded(dir) }
 
-// IsShardedIndex reports whether path is a sharded index directory.
+// IsShardedIndex reports whether path is an index directory.
 func IsShardedIndex(path string) bool { return tctree.IsSharded(path) }
 
-// NewLazyEngine returns a query-serving engine that loads shards from a
-// sharded index on first touch, keeping at most opts.MaxResidentShards of
-// them resident (0 = unlimited).
+// NewLazyEngine returns a query-serving engine that loads shards from an
+// index on first touch, keeping at most opts.MaxResidentShards of them
+// resident (0 = unlimited).
 func NewLazyEngine(idx *ShardedIndex, opts EngineOptions) (*Engine, error) {
 	return engine.NewLazy(idx, opts)
 }
 
-// OpenEngine opens either index format transparently: a sharded index
-// directory becomes a lazy engine, a monolithic tree file an eager one.
+// OpenEngine opens the index directory at path as a lazy engine. An index
+// written by a release that had other layouts (a .tctree file, gob shards)
+// is refused with the tcindex command that rebuilds it.
 func OpenEngine(path string, opts EngineOptions) (*Engine, error) {
-	if IsShardedIndex(path) {
-		idx, err := OpenShardedIndex(path)
-		if err != nil {
-			return nil, err
-		}
-		return NewLazyEngine(idx, opts)
-	}
-	tree, err := ReadTreeFile(path)
+	idx, err := OpenShardedIndex(path)
 	if err != nil {
 		return nil, err
 	}
-	return engine.New(tree, opts)
+	return NewLazyEngine(idx, opts)
 }
 
 // Incremental maintenance types: apply network deltas to a live index
@@ -367,9 +337,6 @@ func DecomposePattern(nw *Network, p Itemset) *Decomposition {
 // BuildTree builds the TC-Tree index of the network.
 func BuildTree(nw *Network, opts TreeBuildOptions) *Tree { return tctree.Build(nw, opts) }
 
-// ReadTree reads a TC-Tree previously written with (*Tree).Write.
-func ReadTree(r io.Reader) (*Tree, error) { return tctree.ReadFrom(r) }
-
 // VertexProfile summarises the theme-community memberships of one vertex.
 type VertexProfile = tctree.VertexProfile
 
@@ -381,9 +348,6 @@ type VertexProfile = tctree.VertexProfile
 func SearchCommunitiesByVertex(tree *Tree, v VertexID, q Itemset, alpha float64) []Community {
 	return tree.SearchVertex(v, q, alpha)
 }
-
-// ReadTreeFile reads a TC-Tree from a file.
-func ReadTreeFile(path string) (*Tree, error) { return tctree.ReadFile(path) }
 
 // GenerateDataset generates one of the paper's dataset analogues by name
 // ("BK", "GW", "AMINER" or "SYN") at the given scale factor (1.0 is the

@@ -121,17 +121,17 @@ func TestPublicAPIIndexAndQuery(t *testing.T) {
 		t.Fatalf("query should retrieve the camera circle")
 	}
 
-	// Serialization round trip through the public API.
-	var buf bytes.Buffer
-	if err := tree.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
+	// Persistence round trip through the public API.
+	dir := t.TempDir()
+	if _, err := themecomm.WriteShardedTree(tree, dir); err != nil {
+		t.Fatalf("WriteShardedTree: %v", err)
 	}
-	got, err := themecomm.ReadTree(&buf)
+	eng, err := themecomm.OpenEngine(dir, themecomm.EngineOptions{})
 	if err != nil {
-		t.Fatalf("ReadTree: %v", err)
+		t.Fatalf("OpenEngine: %v", err)
 	}
-	if got.NumNodes() != tree.NumNodes() {
-		t.Fatalf("tree round trip lost nodes")
+	if eng.NumNodes() != tree.NumNodes() {
+		t.Fatalf("index round trip lost nodes")
 	}
 }
 
