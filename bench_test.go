@@ -264,6 +264,7 @@ func BenchmarkMPTD(b *testing.B) {
 		b.Skip("no items")
 	}
 	tn := benchBK.ThemeNetwork(themecomm.NewItemset(items[0]))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		truss.Detect(tn, 0)
@@ -279,6 +280,7 @@ func BenchmarkDecomposition(b *testing.B) {
 		b.Skip("no items")
 	}
 	tn := benchBK.ThemeNetwork(themecomm.NewItemset(items[0]))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		truss.Decompose(tn)

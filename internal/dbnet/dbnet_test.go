@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"themecomm/internal/graph"
@@ -129,7 +131,7 @@ func TestThemeNetworkFullInduction(t *testing.T) {
 		t.Fatalf("theme network of {a}: |V|=%d |E|=%d", tn.NumVertices(), tn.NumEdges())
 	}
 	if !approx(tn.Frequency(0), 1) || !approx(tn.Frequency(1), 1) || !approx(tn.Frequency(2), 1) {
-		t.Fatalf("frequencies = %v", tn.Freq)
+		t.Fatalf("frequencies = %v", tn.Freqs)
 	}
 	if tn.Frequency(3) != 0 {
 		t.Fatalf("vertex 3 should not be in the theme network")
@@ -164,8 +166,8 @@ func TestThemeNetworkWithin(t *testing.T) {
 	within := graph.NewEdgeSet(graph.EdgeOf(0, 1), graph.EdgeOf(2, 3))
 	tn := nw.ThemeNetworkWithin(itemset.New(1), within)
 	// Of the restricted edges, only (0,1) has both endpoints containing a.
-	if tn.NumEdges() != 1 || !tn.Edges.Contains(graph.EdgeOf(0, 1)) {
-		t.Fatalf("restricted theme network edges = %v", tn.Edges.Edges())
+	if tn.NumEdges() != 1 || tn.Edges[0] != graph.EdgeOf(0, 1) {
+		t.Fatalf("restricted theme network edges = %v", tn.Edges)
 	}
 	// nil restriction falls back to full induction.
 	tn = nw.ThemeNetworkWithin(itemset.New(1), nil)
@@ -186,13 +188,13 @@ func TestThemeNetworkWithinConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	nw := randomNetwork(rng, 20, 40, 6)
 	full := nw.ThemeNetwork(itemset.New(0, 1))
-	all := nw.ThemeNetwork(itemset.New(0)).Edges
+	all := graph.NewEdgeSet(nw.ThemeNetwork(itemset.New(0)).Edges...)
 	restricted := nw.ThemeNetworkWithin(itemset.New(0, 1), all)
-	if !restricted.Edges.Equal(full.Edges.Intersect(all)) {
+	if !graph.NewEdgeSet(restricted.Edges...).Equal(graph.NewEdgeSet(full.Edges...).Intersect(all)) {
 		t.Fatalf("restricted induction disagrees with full induction")
 	}
-	for v, f := range restricted.Freq {
-		if !approx(f, nw.Frequency(v, itemset.New(0, 1))) {
+	for i, v := range restricted.Vertices {
+		if !approx(restricted.Freqs[i], nw.Frequency(v, itemset.New(0, 1))) {
 			t.Fatalf("frequency mismatch on vertex %d", v)
 		}
 	}
@@ -347,7 +349,7 @@ func TestPaperExampleFrequencies(t *testing.T) {
 	if tn.NumVertices() != 8 {
 		t.Fatalf("theme network of p has %d vertices, want 8", tn.NumVertices())
 	}
-	if _, ok := tn.Freq[5]; ok {
+	if tn.Frequency(5) != 0 {
 		t.Fatalf("v6 must not be part of the theme network of p")
 	}
 }
@@ -442,4 +444,138 @@ func TestRemoveTransactionAndClearVertex(t *testing.T) {
 	if err := nw.ClearVertex(99); err == nil {
 		t.Fatal("ClearVertex on a bad vertex did not fail")
 	}
+}
+
+// TestIncrementalIndexEqualsRebuilt drives random sequences of every mutator
+// over a network whose item index is built, and after each step compares the
+// patched index — item by item, entry by entry, frequencies with == — with
+// the index a copy of the network builds from scratch.
+func TestIncrementalIndexEqualsRebuilt(t *testing.T) {
+	rebuilt := func(nw *Network) *Network {
+		var buf bytes.Buffer
+		if err := Write(&buf, nw, nil); err != nil {
+			t.Fatal(err)
+		}
+		cp, _, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const items = 7
+		nw := randomNetwork(rng, 12, 20, items)
+		nw.Freeze() // builds the index the mutators must now keep current
+		for step := 0; step < 40; step++ {
+			v := graph.VertexID(rng.Intn(nw.NumVertices()))
+			var what string
+			switch op := rng.Intn(7); op {
+			case 0, 1:
+				what = "AddTransaction"
+				tx := itemset.New(itemset.Item(rng.Intn(items)), itemset.Item(rng.Intn(items+2)))
+				if err := nw.AddTransaction(v, tx); err != nil {
+					t.Fatal(err)
+				}
+			case 2, 3:
+				what = "RemoveTransaction"
+				tx := itemset.New(itemset.Item(rng.Intn(items))) // usually absent: a no-op
+				if txs := nw.Database(v).Transactions(); len(txs) > 0 && rng.Intn(4) > 0 {
+					tx = txs[rng.Intn(len(txs))].Clone()
+				}
+				if _, err := nw.RemoveTransaction(v, tx); err != nil {
+					t.Fatal(err)
+				}
+			case 4:
+				what = "ClearVertex"
+				if err := nw.ClearVertex(v); err != nil {
+					t.Fatal(err)
+				}
+			case 5:
+				what = "SetDatabase"
+				db := txdb.FromTransactions([]itemset.Item{itemset.Item(rng.Intn(items)), itemset.Item(items + 3)})
+				if err := nw.SetDatabase(v, db); err != nil {
+					t.Fatal(err)
+				}
+			case 6:
+				what = "AddVertices"
+				nw.AddVertices(1)
+			}
+			want := rebuilt(nw)
+			if got, w := nw.Items(), want.Items(); !got.Equal(w) {
+				t.Fatalf("seed %d step %d (%s): items %v, rebuilt %v", seed, step, what, got, w)
+			}
+			for _, it := range want.Items() {
+				if got, w := nw.ItemVertices(it), want.ItemVertices(it); !reflect.DeepEqual(got, w) {
+					t.Fatalf("seed %d step %d (%s): item %d indexed as %v, rebuilt %v", seed, step, what, it, got, w)
+				}
+			}
+			if got, w := nw.Stats(), want.Stats(); got != w {
+				t.Fatalf("seed %d step %d (%s): stats %+v, rebuilt %+v", seed, step, what, got, w)
+			}
+		}
+		// InvalidateCaches still means a full rebuild, for callers that
+		// mutate a Database behind the network's back.
+		nw.Database(0).Add(itemset.New(items + 5))
+		nw.InvalidateCaches()
+		if l := nw.ItemVertices(items + 5); len(l) != 1 || l[0].Vertex != 0 {
+			t.Fatalf("seed %d: after InvalidateCaches the direct Add is indexed as %v", seed, l)
+		}
+	}
+}
+
+// TestFrozenNetworkIsSafeForConcurrentReaders reads everything the mining
+// kernel reads — the item index, the adjacency lists, every vertex database's
+// vertical layout, including those of vertices a mutator just added or
+// emptied — from several goroutines after mutate-then-Freeze. It asserts
+// nothing itself: under -race a structure still built lazily on first read
+// is the failure.
+func TestFrozenNetworkIsSafeForConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const items = 6
+	nw := randomNetwork(rng, 14, 30, items)
+	nw.Freeze()
+	// One of every mutation, on an index that is already built.
+	nw.AddVertices(2)
+	nw.MustAddEdge(0, graph.VertexID(nw.NumVertices()-1))
+	if err := nw.AddTransaction(1, itemset.New(0, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nw.RemoveTransaction(2, nw.Database(2).Transactions()[0].Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.ClearVertex(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.SetDatabase(4, txdb.FromTransactions([]itemset.Item{1, 2}, []itemset.Item{2, 3})); err != nil {
+		t.Fatal(err)
+	}
+	nw.Freeze()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var tids []int32
+			for i := 0; i < items; i++ {
+				for j := i + 1; j < items; j++ {
+					p := itemset.New(itemset.Item(i), itemset.Item(j))
+					tn := nw.ThemeNetwork(p)
+					nw.ThemeNetworkWithin(p, graph.NewEdgeSet(tn.Edges...))
+					for v := 0; v < nw.NumVertices(); v++ {
+						db := nw.Database(graph.VertexID(v))
+						tids = db.TransactionsWith(tids[:0], p)
+						if len(tids) != db.Support(p) {
+							t.Errorf("vertex %d: %d transactions with %v, support %d", v, len(tids), p, db.Support(p))
+						}
+						db.ItemCounts(func(itemset.Item, int) {})
+					}
+				}
+			}
+			nw.Items()
+			nw.Stats()
+		}()
+	}
+	wg.Wait()
 }

@@ -4,8 +4,9 @@
 package dbnet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
@@ -21,7 +22,9 @@ type Network struct {
 
 	// itemVertices lazily maps each item to the sorted list of vertices whose
 	// database contains the item, together with the item's frequency on that
-	// vertex. It accelerates theme-network induction.
+	// vertex. It accelerates theme-network induction. Once built, the
+	// mutating methods keep it current by patching the touched vertex's
+	// entries (reindexVertex); InvalidateCaches drops it.
 	itemVertices map[itemset.Item][]VertexFrequency
 }
 
@@ -75,6 +78,7 @@ func (nw *Network) RemoveEdge(a, b graph.VertexID) bool {
 func (nw *Network) AddVertices(n int) int {
 	for i := 0; i < n; i++ {
 		nw.dbs = append(nw.dbs, txdb.New())
+		nw.reindexVertex(graph.VertexID(len(nw.dbs)-1), nil) // freezes the empty database
 	}
 	return nw.g.AddVertices(n)
 }
@@ -94,7 +98,7 @@ func (nw *Network) AddTransaction(v graph.VertexID, t txdb.Transaction) error {
 		return fmt.Errorf("dbnet: vertex %d out of range [0,%d)", v, len(nw.dbs))
 	}
 	db.Add(t)
-	nw.itemVertices = nil
+	nw.reindexVertex(v, nil)
 	return nil
 }
 
@@ -108,7 +112,7 @@ func (nw *Network) RemoveTransaction(v graph.VertexID, t txdb.Transaction) (bool
 	}
 	removed := db.Remove(t)
 	if removed {
-		nw.itemVertices = nil
+		nw.reindexVertex(v, t)
 	}
 	return removed, nil
 }
@@ -125,8 +129,7 @@ func (nw *Network) ClearVertex(v graph.VertexID) error {
 	for _, w := range append([]graph.VertexID(nil), nw.g.Neighbors(v)...) {
 		nw.g.RemoveEdge(v, w)
 	}
-	nw.dbs[v] = txdb.New()
-	nw.itemVertices = nil
+	nw.replaceDatabase(v, txdb.New())
 	return nil
 }
 
@@ -138,9 +141,18 @@ func (nw *Network) SetDatabase(v graph.VertexID, db *txdb.Database) error {
 	if db == nil {
 		db = txdb.New()
 	}
-	nw.dbs[v] = db
-	nw.itemVertices = nil
+	nw.replaceDatabase(v, db)
 	return nil
+}
+
+// replaceDatabase swaps in a new database for vertex v and re-indexes it.
+func (nw *Network) replaceDatabase(v graph.VertexID, db *txdb.Database) {
+	var stale itemset.Itemset
+	if nw.itemVertices != nil {
+		stale = nw.dbs[v].Items()
+	}
+	nw.dbs[v] = db
+	nw.reindexVertex(v, stale)
 }
 
 // Frequency returns f_v(p): the frequency of pattern p in the database of
@@ -161,7 +173,7 @@ func (nw *Network) Items() itemset.Itemset {
 	for it := range idx {
 		items = append(items, it)
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
+	slices.Sort(items)
 	return itemset.FromSorted(items)
 }
 
@@ -176,29 +188,70 @@ func (nw *Network) itemIndex() map[itemset.Item][]VertexFrequency {
 	if nw.itemVertices != nil {
 		return nw.itemVertices
 	}
+	// Vertices are visited in ascending order, so every list comes out
+	// sorted by vertex.
 	idx := make(map[itemset.Item][]VertexFrequency)
 	for v, db := range nw.dbs {
-		for it, f := range db.ItemFrequencies() {
-			idx[it] = append(idx[it], VertexFrequency{Vertex: graph.VertexID(v), Frequency: f})
-		}
-	}
-	for it := range idx {
-		l := idx[it]
-		sort.Slice(l, func(i, j int) bool { return l[i].Vertex < l[j].Vertex })
+		n := float64(db.Len())
+		db.ItemCounts(func(it itemset.Item, count int) {
+			idx[it] = append(idx[it], VertexFrequency{Vertex: graph.VertexID(v), Frequency: float64(count) / n})
+		})
 	}
 	nw.itemVertices = idx
 	return idx
 }
 
-// InvalidateCaches drops the lazily built item index. It is called
-// automatically by mutating methods; callers that mutate vertex databases
-// obtained via Database directly must call it themselves.
+// reindexVertex brings a built item index up to date with the database of
+// vertex v after a mutation, touching only the lists of the items v carries
+// (or carried): every item of the database gets v's current frequency,
+// inserted at v's sorted position when it is new, and every item of stale —
+// the items v may have lost — that the database no longer holds drops v.
+// The result equals the index rebuilt from scratch. When no index is built
+// there is nothing to patch: the next read builds it whole.
+func (nw *Network) reindexVertex(v graph.VertexID, stale itemset.Itemset) {
+	if nw.itemVertices == nil {
+		return
+	}
+	byVertex := func(vf VertexFrequency, v graph.VertexID) int { return cmp.Compare(vf.Vertex, v) }
+	db := nw.dbs[v]
+	n := float64(db.Len())
+	db.ItemCounts(func(it itemset.Item, count int) {
+		l := nw.itemVertices[it]
+		vf := VertexFrequency{Vertex: v, Frequency: float64(count) / n}
+		if i, found := slices.BinarySearchFunc(l, v, byVertex); found {
+			l[i] = vf
+		} else {
+			nw.itemVertices[it] = slices.Insert(l, i, vf)
+		}
+	})
+	for _, it := range stale {
+		if db.ContainsItem(it) {
+			continue
+		}
+		l := nw.itemVertices[it]
+		if i, found := slices.BinarySearchFunc(l, v, byVertex); found {
+			if len(l) == 1 {
+				delete(nw.itemVertices, it)
+			} else {
+				nw.itemVertices[it] = slices.Delete(l, i, i+1)
+			}
+		}
+	}
+}
+
+// InvalidateCaches drops the lazily built item index, so the next read
+// rebuilds it from every vertex database. The network's own mutating methods
+// keep the index current and never need it; callers that mutate vertex
+// databases obtained via Database directly must call it themselves.
 func (nw *Network) InvalidateCaches() { nw.itemVertices = nil }
 
 // Freeze finalizes every lazily built internal structure (sorted adjacency
-// lists, the per-item vertex index, per-database item counts) so that the
-// network can afterwards be read concurrently from multiple goroutines. It
-// must be called again after any mutation before resuming concurrent reads.
+// lists, the per-item vertex index, the vertical layout of every vertex
+// database) so that the network can afterwards be read concurrently from
+// multiple goroutines. It must be called again after any mutation before
+// resuming concurrent reads; after mutations made through the network's own
+// methods the item index and the touched databases are already current, so
+// that costs at most a re-sort of the adjacency lists (when edges were added).
 func (nw *Network) Freeze() {
 	nw.g.Sort()
 	nw.itemIndex()

@@ -1,6 +1,8 @@
 package dbnet
 
 import (
+	"slices"
+
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 )
@@ -9,99 +11,114 @@ import (
 // the subgraph of the database network on the vertices whose database has
 // f_i(p) > 0, together with the frequency of p on each such vertex. Vertex
 // identifiers are those of the originating database network.
+//
+// The layout is ordered, so everything computed from a theme network — edge
+// cohesions, peeling order, decomposition thresholds — is a function of its
+// content alone: Vertices ascends, Freqs runs parallel to it, and Edges
+// ascends by (U, V) with both endpoints in Vertices.
 type ThemeNetwork struct {
 	// Pattern is the theme p that induced the network.
 	Pattern itemset.Itemset
-	// Freq maps every vertex of the theme network to f_i(p) > 0.
-	Freq map[graph.VertexID]float64
+	// Vertices are the vertices of the theme network, ascending.
+	Vertices []graph.VertexID
+	// Freqs[i] is f_{Vertices[i]}(p) > 0.
+	Freqs []float64
 	// Edges are the edges of the database network whose endpoints both belong
-	// to the theme network.
-	Edges graph.EdgeSet
+	// to the theme network, ascending by (U, V).
+	Edges []graph.Edge
 }
 
 // NumVertices returns the number of vertices of the theme network.
-func (tn *ThemeNetwork) NumVertices() int { return len(tn.Freq) }
+func (tn *ThemeNetwork) NumVertices() int { return len(tn.Vertices) }
 
 // NumEdges returns the number of edges of the theme network.
-func (tn *ThemeNetwork) NumEdges() int { return tn.Edges.Len() }
+func (tn *ThemeNetwork) NumEdges() int { return len(tn.Edges) }
 
 // Frequency returns f_v(p) for a vertex of the theme network, or 0 for
 // vertices outside it.
-func (tn *ThemeNetwork) Frequency(v graph.VertexID) float64 { return tn.Freq[v] }
+func (tn *ThemeNetwork) Frequency(v graph.VertexID) float64 {
+	if i, ok := slices.BinarySearch(tn.Vertices, v); ok {
+		return tn.Freqs[i]
+	}
+	return 0
+}
 
 // ThemeNetwork induces G_p from the full database network: the subgraph on
 // the vertices with f_i(p) > 0. The empty pattern induces the whole network
 // with frequency 1 on every vertex whose database is non-empty.
 func (nw *Network) ThemeNetwork(p itemset.Itemset) *ThemeNetwork {
-	freq := nw.patternFrequencies(p, nil)
-	return nw.themeNetworkFromFreq(p, freq)
+	tn := &ThemeNetwork{Pattern: p.Clone()}
+	switch p.Len() {
+	case 0:
+		for v, db := range nw.dbs {
+			if !db.Empty() {
+				tn.Vertices = append(tn.Vertices, graph.VertexID(v))
+				tn.Freqs = append(tn.Freqs, 1)
+			}
+		}
+	case 1:
+		l := nw.ItemVertices(p[0])
+		tn.Vertices = make([]graph.VertexID, len(l))
+		tn.Freqs = make([]float64, len(l))
+		for i, vf := range l {
+			tn.Vertices[i], tn.Freqs[i] = vf.Vertex, vf.Frequency
+		}
+	default:
+		tn.addPositive(nw, nw.candidateVertices(p))
+	}
+	for i, v := range tn.Vertices {
+		above := tn.Vertices[i+1:]
+		for _, w := range nw.g.Neighbors(v) {
+			if w <= v {
+				continue
+			}
+			if _, ok := slices.BinarySearch(above, w); ok {
+				tn.Edges = append(tn.Edges, graph.Edge{U: v, V: w})
+			}
+		}
+	}
+	return tn
 }
 
 // ThemeNetworkWithin induces the theme network of p restricted to the given
 // edge set: only vertices incident to within and with f_i(p) > 0 are
 // considered, and only edges of within whose endpoints both qualify are kept.
-// This is the restricted induction used by TCFI (Section 5.3) and by the
-// TC-Tree build (Section 6.2), where within is the intersection of the
-// maximal pattern trusses of two sub-patterns.
+// This is the restricted induction used by TCFI (Section 5.3), where within
+// is the intersection of the maximal pattern trusses of two sub-patterns.
 func (nw *Network) ThemeNetworkWithin(p itemset.Itemset, within graph.EdgeSet) *ThemeNetwork {
 	if within == nil {
 		return nw.ThemeNetwork(p)
 	}
-	candidates := within.Vertices()
-	freq := nw.patternFrequencies(p, candidates)
-	tn := &ThemeNetwork{Pattern: p.Clone(), Freq: freq, Edges: make(graph.EdgeSet)}
-	for _, e := range within {
-		if _, ok := freq[e.U]; !ok {
-			continue
+	edges := within.Edges()
+	endpoints := make([]graph.VertexID, 0, 2*len(edges))
+	for _, e := range edges {
+		endpoints = append(endpoints, e.U, e.V)
+	}
+	slices.Sort(endpoints)
+	tn := &ThemeNetwork{Pattern: p.Clone()}
+	tn.addPositive(nw, slices.Compact(endpoints))
+	for _, e := range edges {
+		if tn.Frequency(e.U) > 0 && tn.Frequency(e.V) > 0 {
+			tn.Edges = append(tn.Edges, e)
 		}
-		if _, ok := freq[e.V]; !ok {
-			continue
-		}
-		tn.Edges.Add(e)
 	}
 	return tn
 }
 
-// patternFrequencies computes f_i(p) for the candidate vertices (or for all
-// plausible vertices when candidates is nil) and returns the map of vertices
-// with strictly positive frequency.
-func (nw *Network) patternFrequencies(p itemset.Itemset, candidates []graph.VertexID) map[graph.VertexID]float64 {
-	freq := make(map[graph.VertexID]float64)
-	switch {
-	case p.Len() == 0:
-		if candidates == nil {
-			for v := 0; v < nw.NumVertices(); v++ {
-				if !nw.dbs[v].Empty() {
-					freq[graph.VertexID(v)] = 1
-				}
-			}
-		} else {
-			for _, v := range candidates {
-				if !nw.dbs[v].Empty() {
-					freq[v] = 1
-				}
-			}
-		}
-	case p.Len() == 1 && candidates == nil:
-		for _, vf := range nw.ItemVertices(p[0]) {
-			freq[vf.Vertex] = vf.Frequency
-		}
-	default:
-		if candidates == nil {
-			candidates = nw.candidateVertices(p)
-		}
-		for _, v := range candidates {
-			if f := nw.dbs[v].Frequency(p); f > 0 {
-				freq[v] = f
-			}
+// addPositive appends the candidate vertices (ascending) on which the
+// pattern has positive frequency, with that frequency.
+func (tn *ThemeNetwork) addPositive(nw *Network, candidates []graph.VertexID) {
+	for _, v := range candidates {
+		if f := nw.dbs[v].Frequency(tn.Pattern); f > 0 {
+			tn.Vertices = append(tn.Vertices, v)
+			tn.Freqs = append(tn.Freqs, f)
 		}
 	}
-	return freq
 }
 
 // candidateVertices returns the vertices whose databases contain every item of
-// p (a necessary condition for f_i(p) > 0), computed by intersecting the
-// per-item vertex lists, rarest item first.
+// p (a necessary condition for f_i(p) > 0), ascending, computed by
+// intersecting the per-item vertex lists, rarest item first.
 func (nw *Network) candidateVertices(p itemset.Itemset) []graph.VertexID {
 	lists := make([][]VertexFrequency, 0, p.Len())
 	for _, it := range p {
@@ -111,46 +128,23 @@ func (nw *Network) candidateVertices(p itemset.Itemset) []graph.VertexID {
 		}
 		lists = append(lists, l)
 	}
-	// Start from the rarest item to keep intersections small.
-	minIdx := 0
-	for i, l := range lists {
-		if len(l) < len(lists[minIdx]) {
-			minIdx = i
-		}
-	}
-	current := make([]graph.VertexID, 0, len(lists[minIdx]))
-	for _, vf := range lists[minIdx] {
+	slices.SortStableFunc(lists, func(a, b []VertexFrequency) int { return len(a) - len(b) })
+	current := make([]graph.VertexID, 0, len(lists[0]))
+	for _, vf := range lists[0] {
 		current = append(current, vf.Vertex)
 	}
-	for i, l := range lists {
-		if i == minIdx {
-			continue
+	for _, l := range lists[1:] {
+		// Keep, in place, the members of current that also appear in l.
+		kept, j := current[:0], 0
+		for _, v := range current {
+			for j < len(l) && l[j].Vertex < v {
+				j++
+			}
+			if j < len(l) && l[j].Vertex == v {
+				kept = append(kept, v)
+			}
 		}
-		verts := make([]graph.VertexID, 0, len(l))
-		for _, vf := range l {
-			verts = append(verts, vf.Vertex)
-		}
-		current = graph.IntersectSorted(current, verts)
-		if len(current) == 0 {
-			return nil
-		}
+		current = kept
 	}
 	return current
-}
-
-// themeNetworkFromFreq assembles the theme network from the positive-frequency
-// vertex map by collecting the database-network edges between those vertices.
-func (nw *Network) themeNetworkFromFreq(p itemset.Itemset, freq map[graph.VertexID]float64) *ThemeNetwork {
-	tn := &ThemeNetwork{Pattern: p.Clone(), Freq: freq, Edges: make(graph.EdgeSet)}
-	for v := range freq {
-		for _, w := range nw.g.Neighbors(v) {
-			if w <= v {
-				continue
-			}
-			if _, ok := freq[w]; ok {
-				tn.Edges.Add(graph.EdgeOf(v, w))
-			}
-		}
-	}
-	return tn
 }

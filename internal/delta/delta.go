@@ -146,9 +146,11 @@ func (d *Delta) Validate(nw *dbnet.Network) error {
 // transactions deleted, removed vertices tombstoned, removed edges deleted,
 // added edges inserted, and transactions appended, in that order — removals
 // precede additions so a delta may tombstone a vertex and immediately
-// repopulate it. The network's lazily built read structures are invalidated
-// and re-frozen, so it is safe to read concurrently again once Apply returns.
-// Apply validates the delta first and changes nothing when validation fails.
+// repopulate it. The network's mutators keep its item index current by
+// patching the touched vertices' entries, and Apply re-freezes the network,
+// so it is safe to read concurrently again once Apply returns — at a cost
+// that follows the delta, not the size of the network. Apply validates the
+// delta first and changes nothing when validation fails.
 func Apply(nw *dbnet.Network, d *Delta) error {
 	if err := d.Validate(nw); err != nil {
 		return err
@@ -179,7 +181,6 @@ func Apply(nw *dbnet.Network, d *Delta) error {
 			return err
 		}
 	}
-	nw.InvalidateCaches()
 	nw.Freeze()
 	return nil
 }
@@ -237,9 +238,7 @@ func AffectedItems(nw *dbnet.Network, d *Delta) itemset.Itemset {
 		if db == nil {
 			continue // vertex introduced by this delta: no pre-delta items
 		}
-		for it := range db.ItemFrequencies() {
-			affected[it] = true
-		}
+		db.ItemCounts(func(it itemset.Item, _ int) { affected[it] = true })
 	}
 	items := make([]itemset.Item, 0, len(affected))
 	for it := range affected {

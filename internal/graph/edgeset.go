@@ -1,6 +1,18 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
+
+// CompareEdges orders canonical edges by (U, V): the order of Graph.Edges and
+// EdgeSet.Edges.
+func CompareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.U, b.U); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.V, b.V)
+}
 
 // EdgeSet is a set of canonical edges keyed by Edge.Key. It preserves global
 // vertex identifiers, which makes it the natural representation of pattern
@@ -37,12 +49,7 @@ func (s EdgeSet) Edges() []Edge {
 	for _, e := range s {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
+	slices.SortFunc(out, CompareEdges)
 	return out
 }
 

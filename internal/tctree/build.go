@@ -1,20 +1,19 @@
 package tctree
 
 import (
+	"math"
 	"runtime"
-	"sync"
 
 	"themecomm/internal/dbnet"
-	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
-	"themecomm/internal/truss"
 )
 
 // BuildOptions configures the TC-Tree construction.
 type BuildOptions struct {
-	// Parallelism is the number of workers used for the first level of the
-	// tree (single-item theme networks are independent, Lines 2-5 of
-	// Algorithm 4). Zero or negative means GOMAXPROCS.
+	// Parallelism is the number of workers the build runs on: every
+	// first-level subtree (a top-level item and all the patterns it roots) is
+	// mined independently of the others, one worker at a time. Zero or
+	// negative means GOMAXPROCS.
 	Parallelism int
 	// MaxDepth, when positive, bounds the length of indexed patterns. Zero
 	// means unbounded.
@@ -23,10 +22,15 @@ type BuildOptions struct {
 
 // Build constructs the TC-Tree of the database network following Algorithm 4:
 // the first level indexes every single item with a non-empty maximal pattern
-// truss at α = 0; deeper nodes are generated breadth-first by joining a node
-// with its right siblings, evaluating each candidate pattern inside the
-// intersection of the parents' trusses (Proposition 5.3), decomposing the
-// result (Theorem 6.1), and pruning empty subtrees (Proposition 5.2).
+// truss at α = 0; deeper nodes are generated by joining a node with its right
+// siblings, evaluating each candidate pattern inside the intersection of the
+// parents' trusses (Proposition 5.3), decomposing the result (Theorem 6.1),
+// and pruning empty subtrees (Proposition 5.2).
+//
+// The first-level subtrees do not depend on one another, so Build mines each
+// with expandSubtree — the routine RebuildSubtree runs for one item — on a
+// pool of opts.Parallelism workers. The tree is a function of the network
+// alone: two builds, at any parallelism, agree bit for bit.
 func Build(nw *dbnet.Network, opts BuildOptions) *Tree {
 	workers := opts.Parallelism
 	if workers <= 0 {
@@ -34,92 +38,17 @@ func Build(nw *dbnet.Network, opts BuildOptions) *Tree {
 	}
 	maxDepth := opts.MaxDepth
 	if maxDepth <= 0 {
-		maxDepth = int(^uint(0) >> 1)
+		maxDepth = math.MaxInt
 	}
 
 	tree := &Tree{root: &Node{Pattern: itemset.New()}}
 	if opts.MaxDepth > 0 {
 		tree.builtMaxDepth = opts.MaxDepth
 	}
-	// base holds, for every materialized node, the edge set of its maximal
-	// pattern truss at α = 0. It is only needed during the build.
-	base := make(map[*Node]graph.EdgeSet)
-
-	// The first level reads the network from several goroutines; freeze the
-	// lazily built structures first so those reads are safe.
-	nw.Freeze()
-
-	// Level 1: one independent job per item of S, executed by a worker pool.
-	items := nw.Items()
-	type level1Result struct {
-		item   itemset.Item
-		decomp *truss.Decomposition
-	}
-	results := make([]level1Result, len(items))
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				it := items[idx]
-				tn := nw.ThemeNetwork(itemset.New(it))
-				results[idx] = level1Result{item: it, decomp: truss.Decompose(tn)}
-			}
-		}()
-	}
-	for idx := range items {
-		jobs <- idx
-	}
-	close(jobs)
-	wg.Wait()
-
-	var queue []*Node
-	for _, r := range results {
-		if r.decomp.Empty() {
-			continue
-		}
-		n := &Node{Item: r.item, Pattern: itemset.New(r.item), Decomp: r.decomp}
-		tree.root.addChild(n)
-		base[n] = r.decomp.EdgesAt(0)
-		tree.numNodes++
-		queue = append(queue, n)
-	}
-
-	// Deeper levels: breadth-first join of each node with its right siblings
-	// (Lines 6-12 of Algorithm 4).
-	parent := make(map[*Node]*Node)
-	for _, c := range tree.root.Children {
-		parent[c] = tree.root
-	}
-	for len(queue) > 0 {
-		nf := queue[0]
-		queue = queue[1:]
-		if nf.Pattern.Len() >= maxDepth {
-			continue
-		}
-		siblings := parent[nf].Children
-		for _, nb := range siblings {
-			if nb.Item <= nf.Item {
-				continue
-			}
-			inter := base[nf].Intersect(base[nb])
-			if inter.Len() == 0 {
-				continue
-			}
-			pc := nf.Pattern.Add(nb.Item)
-			tn := nw.ThemeNetworkWithin(pc, inter)
-			decomp := truss.Decompose(tn)
-			if decomp.Empty() {
-				continue
-			}
-			nc := &Node{Item: nb.Item, Pattern: pc, Decomp: decomp}
-			nf.addChild(nc)
-			parent[nc] = nf
-			base[nc] = decomp.EdgesAt(0)
-			tree.numNodes++
-			queue = append(queue, nc)
+	for _, root := range expandSubtrees(nw, nw.Items(), maxDepth, workers) {
+		if root != nil {
+			tree.root.Children = append(tree.root.Children, root)
+			tree.numNodes += statsOf(root).Nodes
 		}
 	}
 	return tree

@@ -1,6 +1,7 @@
 package tctree
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"themecomm/internal/dbnet"
+	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 )
 
@@ -287,26 +290,91 @@ func TestWriteShardedRemovesStaleShardFiles(t *testing.T) {
 	}
 }
 
-// TestRebuildSubtreeMatchesBuild asserts that re-decomposing one top-level
-// item from the network reproduces the corresponding first-level subtree of
-// a from-scratch Build, query for query.
-func TestRebuildSubtreeMatchesBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	nw := randomNetwork(rng, 16, 40, 5, 4)
-	tree := Build(nw, BuildOptions{})
-	if len(tree.Root().Children) == 0 {
-		t.Fatalf("empty tree; pick another seed")
-	}
-	for _, c := range tree.Root().Children {
-		rebuilt := RebuildSubtree(nw, c.Item)
-		if rebuilt == nil {
-			t.Fatalf("RebuildSubtree(%d) = nil for an indexed item", c.Item)
+// mutateRandomly applies a few random changes through the network's own
+// mutators — the ones a delta is made of: edges added and removed,
+// transactions added (sometimes with a brand-new item) and removed, a vertex
+// tombstoned.
+func mutateRandomly(t *testing.T, rng *rand.Rand, nw *dbnet.Network, items int) {
+	t.Helper()
+	n := nw.NumVertices()
+	vertex := func() graph.VertexID { return graph.VertexID(rng.Intn(n)) }
+	for i, steps := 0, 1+rng.Intn(6); i < steps; i++ {
+		switch rng.Intn(5) {
+		case 0:
+			if a, b := vertex(), vertex(); a != b {
+				nw.MustAddEdge(a, b)
+			}
+		case 1:
+			if edges := nw.Graph().Edges(); len(edges) > 0 {
+				e := edges[rng.Intn(len(edges))]
+				nw.RemoveEdge(e.U, e.V)
+			}
+		case 2:
+			tx := itemset.New(itemset.Item(rng.Intn(items)), itemset.Item(rng.Intn(items+2)))
+			if err := nw.AddTransaction(vertex(), tx); err != nil {
+				t.Fatal(err)
+			}
+		case 3:
+			v := vertex()
+			if txs := nw.Database(v).Transactions(); len(txs) > 0 {
+				if _, err := nw.RemoveTransaction(v, txs[rng.Intn(len(txs))].Clone()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 4:
+			if err := nw.ClearVertex(vertex()); err != nil {
+				t.Fatal(err)
+			}
 		}
-		assertSameSubtree(t, c, rebuilt)
 	}
-	// An item absent from every transaction rebuilds to nothing.
-	if sub := RebuildSubtree(nw, 4096); sub != nil {
-		t.Fatalf("RebuildSubtree of an unknown item = %v, want nil", sub.Pattern)
+}
+
+// TestRebuildSubtreeMatchesBuild asserts, over many random networks, that
+// after random changes re-decomposing one top-level item from the live
+// network — whose indexes the mutators patched in place — reproduces the
+// corresponding first-level subtree of a from-scratch Build of a pristine
+// copy of that network: level for level, thresholds compared with ==.
+func TestRebuildSubtreeMatchesBuild(t *testing.T) {
+	compared := 0
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const items = 5
+		n := 10 + rng.Intn(8)
+		nw := randomNetwork(rng, n, n*(3+rng.Intn(3)), items, 6)
+		Build(nw, BuildOptions{}) // the index a serving process holds before the delta
+		mutateRandomly(t, rng, nw, items)
+
+		var buf bytes.Buffer
+		if err := dbnet.Write(&buf, nw, nil); err != nil {
+			t.Fatal(err)
+		}
+		pristine, _, err := dbnet.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := Build(pristine, BuildOptions{})
+		if err := tree.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		indexed := make(map[itemset.Item]*Node)
+		for _, c := range tree.Root().Children {
+			indexed[c.Item] = c
+		}
+		// Every item of the network, and one absent from every transaction.
+		for _, it := range append(nw.Items(), 4096) {
+			rebuilt := RebuildSubtree(nw, it)
+			want := indexed[it]
+			if (rebuilt == nil) != (want == nil) {
+				t.Fatalf("seed %d: RebuildSubtree(%d) = %v, Build indexes %v", seed, it, rebuilt, want)
+			}
+			if want != nil {
+				assertSameSubtree(t, want, rebuilt)
+				compared += statsOf(want).Nodes
+			}
+		}
+	}
+	if compared < 300 {
+		t.Fatalf("only %d nodes compared; the generator has drifted to trivial networks", compared)
 	}
 }
 

@@ -1,14 +1,20 @@
 package tctree
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"themecomm/internal/core"
 	"themecomm/internal/dbnet"
+	"themecomm/internal/gen"
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
+	"themecomm/internal/truss"
 )
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -168,16 +174,163 @@ func TestBuildRespectsMaxDepth(t *testing.T) {
 	}
 }
 
+// TestBuildSerialVsParallel asserts that the per-subtree fan-out changes
+// nothing: one worker and several produce the same tree, node for node and
+// threshold for threshold (under -race it is also the concurrent reader of
+// the frozen network's indexes).
 func TestBuildSerialVsParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	nw := randomNetwork(rng, 16, 36, 5, 4)
-	serial := Build(nw, BuildOptions{Parallelism: 1})
-	parallel := Build(nw, BuildOptions{Parallelism: 4})
-	if serial.NumNodes() != parallel.NumNodes() {
-		t.Fatalf("serial and parallel builds disagree: %d vs %d nodes", serial.NumNodes(), parallel.NumNodes())
+	for seed := int64(70); seed < 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nw := randomNetwork(rng, 16, 60, 5, 6)
+		serial := Build(nw, BuildOptions{Parallelism: 1})
+		parallel := Build(nw, BuildOptions{Parallelism: 4})
+		if serial.NumNodes() != parallel.NumNodes() {
+			t.Fatalf("seed %d: serial and parallel builds disagree: %d vs %d nodes", seed, serial.NumNodes(), parallel.NumNodes())
+		}
+		for i, c := range serial.Root().Children {
+			assertSameSubtree(t, c, parallel.Root().Children[i])
+		}
+		bounded := Build(nw, BuildOptions{Parallelism: 4, MaxDepth: 2})
+		if bounded.Depth() > 2 || !bounded.MiningResult(0).Equal(Build(nw, BuildOptions{Parallelism: 1, MaxDepth: 2}).MiningResult(0)) {
+			t.Fatalf("seed %d: depth-bounded parallel build differs from the serial one", seed)
+		}
 	}
-	if !serial.MiningResult(0).Equal(parallel.MiningResult(0)) {
-		t.Fatalf("serial and parallel builds index different trusses")
+}
+
+// shardBytes writes the tree as an index and returns item → shard file bytes
+// together with the manifest's per-shard checksums.
+func shardBytes(t *testing.T, tree *Tree) (map[int32][]byte, map[int32]string) {
+	t.Helper()
+	dir := t.TempDir()
+	m, err := tree.WriteSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, sums := make(map[int32][]byte), make(map[int32]string)
+	for _, e := range m.Shards {
+		data, err := os.ReadFile(filepath.Join(dir, e.File))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Item], sums[e.Item] = data, e.Checksum
+	}
+	return files, sums
+}
+
+// TestBuildIsAFunctionOfTheNetwork asserts that an index is determined by its
+// network alone: two builds, and builds under GOMAXPROCS 1 and 4, write
+// byte-identical shard files and manifest checksums. (Summing and peeling in
+// map-iteration order used to move thresholds by an ulp between builds, so a
+// primary, its replicas and a from-scratch tcindex could disagree.)
+func TestBuildIsAFunctionOfTheNetwork(t *testing.T) {
+	ds, err := gen.AMiner(0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFiles, wantSums := shardBytes(t, Build(ds.Network, BuildOptions{}))
+	if len(wantFiles) < 20 {
+		t.Fatalf("only %d shards; the dataset is too small to mean anything", len(wantFiles))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{0, 1, 4} {
+		if procs > 0 {
+			runtime.GOMAXPROCS(procs)
+		}
+		files, sums := shardBytes(t, Build(ds.Network, BuildOptions{}))
+		if len(files) != len(wantFiles) {
+			t.Fatalf("GOMAXPROCS %d: %d shards, first build %d", procs, len(files), len(wantFiles))
+		}
+		for item, want := range wantFiles {
+			if !bytes.Equal(files[item], want) || sums[item] != wantSums[item] {
+				t.Fatalf("GOMAXPROCS %d: shard of item %d differs from the first build (checksum %s vs %s)",
+					procs, item, sums[item], wantSums[item])
+			}
+		}
+	}
+}
+
+// TestTreeMatchesTCFIOnGeneratedDatasets is the end-to-end answer check of
+// the mining kernel: on every dataset analogue, what the tree answers for a
+// grid of (pattern, α) is what TCFI mines from the raw network at that α —
+// the same trusses, the same communities, the same frequencies — and every
+// node's thresholds are those of decomposing the pattern's theme network
+// induced from the whole network, within 1e-9.
+func TestTreeMatchesTCFIOnGeneratedDatasets(t *testing.T) {
+	for _, name := range []string{"BK", "GW", "AMINER", "SYN"} {
+		ds, err := gen.ByName(name, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw := ds.Network
+		// SYN's vertex databases are long; bound the pattern length there so
+		// TCFI stays a test, not a benchmark.
+		maxLen := 0
+		if name == "SYN" {
+			maxLen = 2
+		}
+		tree := Build(nw, BuildOptions{MaxDepth: maxLen})
+		if err := tree.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if tree.NumNodes() < 10 {
+			t.Fatalf("%s: only %d nodes indexed", name, tree.NumNodes())
+		}
+		universe := nw.Items()
+		rng := rand.New(rand.NewSource(9))
+		for _, alpha := range []float64{0, 0.05, 0.2, 0.5, 1.1} {
+			mined := core.TCFI(nw, core.Options{Alpha: alpha, MaxPatternLength: maxLen})
+			if got := tree.MiningResult(alpha); !got.Equal(mined) {
+				t.Fatalf("%s α=%v: the tree answers NP=%d NE=%d, TCFI mines NP=%d NE=%d",
+					name, alpha, got.NumPatterns(), got.NumEdges(), mined.NumPatterns(), mined.NumEdges())
+			}
+			// Query by pattern: a random q retrieves exactly the mined
+			// trusses of q's sub-patterns, with the same communities.
+			for trial := 0; trial < 8; trial++ {
+				var q itemset.Itemset
+				for _, it := range universe {
+					if rng.Intn(4) == 0 {
+						q = q.Add(it)
+					}
+				}
+				answered := 0
+				for _, tr := range tree.Query(q, alpha).Trusses {
+					want := mined.Truss(tr.Pattern)
+					if want == nil || !want.Edges.Equal(tr.Edges) || len(want.Communities()) != len(tr.Communities()) {
+						t.Fatalf("%s α=%v q=%v: truss of %v differs from the mined one", name, alpha, q, tr.Pattern)
+					}
+					for v, f := range tr.Freq {
+						if !approx(f, want.Freq[v]) {
+							t.Fatalf("%s α=%v: f_%d(%v) = %v, mined %v", name, alpha, v, tr.Pattern, f, want.Freq[v])
+						}
+					}
+					answered++
+				}
+				for _, p := range mined.Patterns() {
+					if p.SubsetOf(q) {
+						answered--
+					}
+				}
+				if answered != 0 {
+					t.Fatalf("%s α=%v q=%v: the tree and TCFI disagree on how many sub-patterns of q qualify", name, alpha, q)
+				}
+			}
+		}
+		checked := 0
+		tree.Walk(func(n *Node) {
+			if checked++; checked%7 != 0 {
+				return // a sample: the full induction is the slow path
+			}
+			want := truss.Decompose(nw.ThemeNetwork(n.Pattern)).Thresholds()
+			got := n.Decomp.Thresholds()
+			if len(got) != len(want) {
+				t.Fatalf("%s %v: %d levels, %d when decomposed from the whole network", name, n.Pattern, len(got), len(want))
+			}
+			for i := range want {
+				if !approx(got[i], want[i]) {
+					t.Fatalf("%s %v level %d: threshold %v, %v from the whole network", name, n.Pattern, i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 

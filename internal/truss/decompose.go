@@ -2,7 +2,7 @@ package truss
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/graph"
@@ -36,36 +36,29 @@ type Decomposition struct {
 // Decompose computes C*_p(0) of the theme network with MPTD and decomposes it
 // into removal levels following Theorem 6.1: starting from α_0 = 0, the next
 // threshold is the minimum surviving edge cohesion, and the edges removed by
-// peeling at that threshold form the next level.
+// peeling at that threshold form the next level. The peeler removes edges in
+// ascending cohesion order, so the levels are consecutive runs of one pass
+// over its removal order.
 func Decompose(tn *dbnet.ThemeNetwork) *Decomposition {
 	p := newPeeler(tn)
 	p.peel(0)
 
 	d := &Decomposition{Pattern: tn.Pattern.Clone(), Freq: make(map[graph.VertexID]float64)}
-	base := p.truss(0)
-	for v, f := range base.Freq {
-		d.Freq[v] = f
-	}
+	p.survivorFreq(d.Freq)
 
-	for {
-		beta, ok := p.minCohesion()
-		if !ok {
-			break
-		}
-		before := p.survivingEdges()
+	removed := make([]graph.Edge, 0, len(p.heap))
+	for len(p.heap) > 0 {
+		beta := p.cohesion[p.heap[0]]
+		done := len(p.order)
 		p.peel(beta)
-		afterKeys := make(map[uint64]bool, len(p.cohesion))
-		for key := range p.cohesion {
-			afterKeys[key] = true
+		// Local edge ids ascend with (U, V): sorting them sorts the level.
+		level := p.order[done:]
+		slices.Sort(level)
+		start := len(removed)
+		for _, e := range level {
+			removed = append(removed, tn.Edges[e])
 		}
-		removed := make([]graph.Edge, 0, len(before)-len(afterKeys))
-		for _, e := range before {
-			if !afterKeys[e.Key()] {
-				removed = append(removed, e)
-			}
-		}
-		sortEdges(removed)
-		d.Levels = append(d.Levels, Level{Alpha: beta, Removed: removed})
+		d.Levels = append(d.Levels, Level{Alpha: beta, Removed: removed[start:len(removed):len(removed)]})
 	}
 	return d
 }
@@ -176,15 +169,4 @@ func (d *Decomposition) Validate() error {
 		}
 	}
 	return nil
-}
-
-// sortEdges sorts an edge slice canonically; exposed to keep serialized
-// decompositions deterministic.
-func sortEdges(edges []graph.Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
 }

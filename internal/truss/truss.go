@@ -7,7 +7,7 @@ package truss
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/graph"
@@ -16,8 +16,9 @@ import (
 
 // cohesionTolerance absorbs floating-point drift when comparing edge cohesion
 // values against a threshold. Two cohesion values that are mathematically
-// equal but computed along different peeling orders may differ by a few ULPs;
-// the tolerance makes the "eco ≤ α" test of Algorithm 1 stable.
+// equal but reached through different sequences of additions and subtractions
+// may differ by a few ULPs; the tolerance makes the "eco ≤ α" test of
+// Algorithm 1 stable.
 const cohesionTolerance = 1e-9
 
 // LevelLive reports whether a decomposition level with threshold levelAlpha
@@ -92,7 +93,17 @@ func (t *Truss) String() string {
 func Detect(tn *dbnet.ThemeNetwork, alpha float64) *Truss {
 	p := newPeeler(tn)
 	p.peel(alpha)
-	return p.truss(alpha)
+	t := &Truss{
+		Pattern: tn.Pattern.Clone(),
+		Alpha:   alpha,
+		Edges:   make(graph.EdgeSet, len(p.heap)),
+		Freq:    make(map[graph.VertexID]float64),
+	}
+	for _, e := range p.heap {
+		t.Edges.Add(tn.Edges[e])
+	}
+	p.survivorFreq(t.Freq)
+	return t
 }
 
 // Cohesions computes the edge cohesion of every edge of the theme network in
@@ -101,176 +112,202 @@ func Detect(tn *dbnet.ThemeNetwork, alpha float64) *Truss {
 func Cohesions(tn *dbnet.ThemeNetwork) map[uint64]float64 {
 	p := newPeeler(tn)
 	out := make(map[uint64]float64, len(p.cohesion))
-	for k, v := range p.cohesion {
-		out[k] = v
+	for e, eco := range p.cohesion {
+		out[tn.Edges[e].Key()] = eco
 	}
 	return out
 }
 
-// peeler is the mutable working state of MPTD: the surviving adjacency
-// structure, the current cohesion of every surviving edge, and the vertex
-// frequencies of the theme network.
+// peeler is the mutable working state of MPTD over dense local identifiers:
+// local vertex i is tn.Vertices[i] and local edge e is tn.Edges[e], both in
+// ascending global order. Every sum and every removal runs in that order, so
+// the cohesions a peeler computes — and with them every decomposition
+// threshold — are a function of the theme network alone, never of map
+// iteration or scheduling.
 type peeler struct {
-	pattern  itemset.Itemset
-	freq     map[graph.VertexID]float64
-	adj      map[graph.VertexID]map[graph.VertexID]bool
-	cohesion map[uint64]float64
-	removed  map[uint64]bool
+	tn *dbnet.ThemeNetwork
+	// eu[e] < ev[e] are the local endpoints of edge e.
+	eu, ev []int32
+	// The adjacency lists in compressed-row form: the neighbours of vertex i
+	// are nbr[start[i]:start[i+1]], ascending, and via[k] is the edge that
+	// joins i to nbr[k]. Removed edges stay in the lists and are skipped.
+	start, nbr, via []int32
+	// cohesion[e] is the current cohesion of edge e in the surviving subgraph.
+	cohesion []float64
+	removed  []bool
+	// heap is a binary min-heap of the surviving edges ordered by
+	// (cohesion, edge id); pos[e] is the slot of edge e in it.
+	heap, pos []int32
+	// order lists the removed edges in the order they left.
+	order []int32
 }
 
+// newPeeler builds the working state and runs phase 1 of Algorithm 1: the
+// initial cohesion of every edge. It panics on a theme network that breaks
+// the ordered-layout invariants of dbnet.ThemeNetwork.
 func newPeeler(tn *dbnet.ThemeNetwork) *peeler {
+	n, m := len(tn.Vertices), len(tn.Edges)
+	if len(tn.Freqs) != n {
+		panic(fmt.Sprintf("truss: theme network %v has %d vertices but %d frequencies", tn.Pattern, n, len(tn.Freqs)))
+	}
+	ints := make([]int32, 9*m+2*n+1)
+	carve := func(k int) []int32 {
+		out := ints[:k:k]
+		ints = ints[k:]
+		return out
+	}
 	p := &peeler{
-		pattern:  tn.Pattern,
-		freq:     tn.Freq,
-		adj:      make(map[graph.VertexID]map[graph.VertexID]bool),
-		cohesion: make(map[uint64]float64, tn.Edges.Len()),
-		removed:  make(map[uint64]bool),
+		tn: tn,
+		eu: carve(m), ev: carve(m),
+		start: carve(n + 1), nbr: carve(2 * m), via: carve(2 * m),
+		heap: carve(m), pos: carve(m), order: carve(m)[:0],
+		cohesion: make([]float64, m),
+		removed:  make([]bool, m),
 	}
-	for _, e := range tn.Edges {
-		p.link(e.U, e.V)
+	u := 0 // edges ascend by U, so its local id only moves forward
+	for e, edge := range tn.Edges {
+		if e > 0 && graph.CompareEdges(tn.Edges[e-1], edge) >= 0 {
+			panic(fmt.Sprintf("truss: theme network %v edges not strictly ascending at %v", tn.Pattern, edge))
+		}
+		for u < n && tn.Vertices[u] < edge.U {
+			u++
+		}
+		v, ok := slices.BinarySearch(tn.Vertices[min(u+1, n):], edge.V)
+		if u == n || tn.Vertices[u] != edge.U || !ok {
+			panic(fmt.Sprintf("truss: theme network %v edge %v has an endpoint outside its vertices", tn.Pattern, edge))
+		}
+		v += u + 1
+		p.eu[e], p.ev[e] = int32(u), int32(v)
+		p.start[u+1]++
+		p.start[v+1]++
 	}
-	// Phase 1 of Algorithm 1: initial cohesion of every edge.
-	for _, e := range tn.Edges {
-		p.cohesion[e.Key()] = p.initialCohesion(e)
+	for i := 0; i < n; i++ {
+		p.start[i+1] += p.start[i]
+	}
+	// Edges ascend by (U, V): appending every edge to its upper endpoint's
+	// list first, then to its lower endpoint's, leaves each list ascending.
+	next := carve(n)
+	copy(next, p.start)
+	for e := range tn.Edges {
+		k := next[p.ev[e]]
+		p.nbr[k], p.via[k] = p.eu[e], int32(e)
+		next[p.ev[e]]++
+	}
+	for e := range tn.Edges {
+		k := next[p.eu[e]]
+		p.nbr[k], p.via[k] = p.ev[e], int32(e)
+		next[p.eu[e]]++
+	}
+	for e := range tn.Edges {
+		total := 0.0
+		p.triangles(int32(e), func(_, _ int32, weight float64) { total += weight })
+		p.cohesion[e] = total
+		p.heap[e], p.pos[e] = int32(e), int32(e)
+	}
+	for i := m/2 - 1; i >= 0; i-- {
+		p.siftDown(i)
 	}
 	return p
 }
 
-func (p *peeler) link(u, v graph.VertexID) {
-	if p.adj[u] == nil {
-		p.adj[u] = make(map[graph.VertexID]bool)
-	}
-	if p.adj[v] == nil {
-		p.adj[v] = make(map[graph.VertexID]bool)
-	}
-	p.adj[u][v] = true
-	p.adj[v][u] = true
-}
-
-func (p *peeler) unlink(u, v graph.VertexID) {
-	delete(p.adj[u], v)
-	delete(p.adj[v], u)
-}
-
-// commonNeighbors returns the surviving common neighbors of u and v.
-func (p *peeler) commonNeighbors(u, v graph.VertexID) []graph.VertexID {
-	a, b := p.adj[u], p.adj[v]
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var out []graph.VertexID
-	for w := range a {
-		if b[w] {
-			out = append(out, w)
+// triangles calls visit for every surviving triangle on edge e = (u, v), in
+// ascending order of the third vertex w, with the two other edges (u, w) and
+// (v, w) and the triangle's weight min(f_u, f_v, f_w) of Definition 3.1. The
+// common neighbours come from one merge of the two sorted adjacency lists.
+func (p *peeler) triangles(e int32, visit func(uw, vw int32, weight float64)) {
+	u, v := p.eu[e], p.ev[e]
+	fuv := min(p.tn.Freqs[u], p.tn.Freqs[v])
+	i, iEnd := p.start[u], p.start[u+1]
+	j, jEnd := p.start[v], p.start[v+1]
+	for i < iEnd && j < jEnd {
+		switch {
+		case p.nbr[i] < p.nbr[j]:
+			i++
+		case p.nbr[i] > p.nbr[j]:
+			j++
+		default:
+			if uw, vw := p.via[i], p.via[j]; !p.removed[uw] && !p.removed[vw] {
+				visit(uw, vw, min(fuv, p.tn.Freqs[p.nbr[i]]))
+			}
+			i++
+			j++
 		}
 	}
-	return out
-}
-
-func (p *peeler) initialCohesion(e graph.Edge) float64 {
-	fu, fv := p.freq[e.U], p.freq[e.V]
-	total := 0.0
-	for _, w := range p.commonNeighbors(e.U, e.V) {
-		total += min3(fu, fv, p.freq[w])
-	}
-	return total
 }
 
 // peel removes every edge whose cohesion is at most alpha, cascading the
 // cohesion updates of Algorithm 1 lines 9-18, until all surviving edges have
-// cohesion strictly greater than alpha.
+// cohesion strictly greater than alpha. Edges leave in ascending
+// (cohesion, edge id) order and are appended to order.
 func (p *peeler) peel(alpha float64) {
-	var queue []graph.Edge
-	queued := make(map[uint64]bool)
-	for key, eco := range p.cohesion {
-		if eco <= alpha+cohesionTolerance {
-			e := graph.EdgeFromKey(key)
-			queue = append(queue, e)
-			queued[key] = true
+	for len(p.heap) > 0 && p.cohesion[p.heap[0]] <= alpha+cohesionTolerance {
+		e := p.heap[0]
+		last := len(p.heap) - 1
+		p.heap[0] = p.heap[last]
+		p.heap = p.heap[:last]
+		if last > 0 {
+			p.siftDown(0)
 		}
-	}
-	for len(queue) > 0 {
-		e := queue[0]
-		queue = queue[1:]
-		key := e.Key()
-		if p.removed[key] {
-			continue
-		}
-		fu, fv := p.freq[e.U], p.freq[e.V]
-		for _, w := range p.commonNeighbors(e.U, e.V) {
-			m := min3(fu, fv, p.freq[w])
-			for _, other := range []graph.Edge{graph.EdgeOf(e.U, w), graph.EdgeOf(e.V, w)} {
-				ok := other.Key()
-				if p.removed[ok] {
-					continue
-				}
-				p.cohesion[ok] -= m
-				if p.cohesion[ok] <= alpha+cohesionTolerance && !queued[ok] {
-					queue = append(queue, other)
-					queued[ok] = true
-				}
-			}
-		}
-		p.removed[key] = true
-		delete(p.cohesion, key)
-		p.unlink(e.U, e.V)
+		p.removed[e] = true
+		p.order = append(p.order, e)
+		p.triangles(e, func(uw, vw int32, weight float64) {
+			p.cohesion[uw] -= weight
+			p.siftUp(int(p.pos[uw]))
+			p.cohesion[vw] -= weight
+			p.siftUp(int(p.pos[vw]))
+		})
 	}
 }
 
-// minCohesion returns the minimum cohesion among the surviving edges and
-// whether any edge survives.
-func (p *peeler) minCohesion() (float64, bool) {
-	first := true
-	minVal := 0.0
-	for _, eco := range p.cohesion {
-		if first || eco < minVal {
-			minVal = eco
-			first = false
+// before reports whether edge a leaves the heap before edge b.
+func (p *peeler) before(a, b int32) bool {
+	if p.cohesion[a] != p.cohesion[b] {
+		return p.cohesion[a] < p.cohesion[b]
+	}
+	return a < b
+}
+
+func (p *peeler) siftUp(i int) {
+	e := p.heap[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !p.before(e, p.heap[parent]) {
+			break
 		}
+		p.heap[i] = p.heap[parent]
+		p.pos[p.heap[i]] = int32(i)
+		i = parent
 	}
-	return minVal, !first
+	p.heap[i] = e
+	p.pos[e] = int32(i)
 }
 
-// truss snapshots the surviving edges into a Truss value.
-func (p *peeler) truss(alpha float64) *Truss {
-	t := &Truss{
-		Pattern: p.pattern.Clone(),
-		Alpha:   alpha,
-		Edges:   make(graph.EdgeSet, len(p.cohesion)),
-		Freq:    make(map[graph.VertexID]float64),
-	}
-	for key := range p.cohesion {
-		e := graph.EdgeFromKey(key)
-		t.Edges.Add(e)
-	}
-	for _, v := range t.Edges.Vertices() {
-		t.Freq[v] = p.freq[v]
-	}
-	return t
-}
-
-// survivingEdges returns the surviving edges sorted canonically.
-func (p *peeler) survivingEdges() []graph.Edge {
-	out := make([]graph.Edge, 0, len(p.cohesion))
-	for key := range p.cohesion {
-		out = append(out, graph.EdgeFromKey(key))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+func (p *peeler) siftDown(i int) {
+	e := p.heap[i]
+	for {
+		child := 2*i + 1
+		if child >= len(p.heap) {
+			break
 		}
-		return out[i].V < out[j].V
-	})
-	return out
+		if child+1 < len(p.heap) && p.before(p.heap[child+1], p.heap[child]) {
+			child++
+		}
+		if !p.before(p.heap[child], e) {
+			break
+		}
+		p.heap[i] = p.heap[child]
+		p.pos[p.heap[i]] = int32(i)
+		i = child
+	}
+	p.heap[i] = e
+	p.pos[e] = int32(i)
 }
 
-func min3(a, b, c float64) float64 {
-	m := a
-	if b < m {
-		m = b
+// survivorFreq records f_v(p) for every vertex incident to a surviving edge.
+func (p *peeler) survivorFreq(freq map[graph.VertexID]float64) {
+	for _, e := range p.heap {
+		u, v := p.eu[e], p.ev[e]
+		freq[p.tn.Vertices[u]] = p.tn.Freqs[u]
+		freq[p.tn.Vertices[v]] = p.tn.Freqs[v]
 	}
-	if c < m {
-		m = c
-	}
-	return m
 }

@@ -12,18 +12,21 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
+// themeNetworkOf builds the theme network of pattern {1} over the given graph
+// edges, in the ordered layout, with freq giving every vertex's frequency.
+func themeNetworkOf(edges []graph.Edge, freq func(graph.VertexID) float64) *dbnet.ThemeNetwork {
+	set := graph.NewEdgeSet(edges...)
+	tn := &dbnet.ThemeNetwork{Pattern: itemset.New(1), Vertices: set.Vertices(), Edges: set.Edges()}
+	for _, v := range tn.Vertices {
+		tn.Freqs = append(tn.Freqs, freq(v))
+	}
+	return tn
+}
+
 // uniformThemeNetwork builds a theme network over the given graph edges where
 // every vertex has the same frequency f for pattern {1}.
 func uniformThemeNetwork(edges []graph.Edge, f float64) *dbnet.ThemeNetwork {
-	tn := &dbnet.ThemeNetwork{
-		Pattern: itemset.New(1),
-		Freq:    make(map[graph.VertexID]float64),
-		Edges:   graph.NewEdgeSet(edges...),
-	}
-	for _, v := range tn.Edges.Vertices() {
-		tn.Freq[v] = f
-	}
-	return tn
+	return themeNetworkOf(edges, func(graph.VertexID) float64 { return f })
 }
 
 func cliqueEdges(n int) []graph.Edge {
@@ -107,7 +110,7 @@ func TestDetectEquivalenceWithKTruss(t *testing.T) {
 }
 
 func TestDetectEmptyThemeNetwork(t *testing.T) {
-	tn := &dbnet.ThemeNetwork{Pattern: itemset.New(9), Freq: map[graph.VertexID]float64{}, Edges: graph.NewEdgeSet()}
+	tn := &dbnet.ThemeNetwork{Pattern: itemset.New(9)}
 	tr := Detect(tn, 0)
 	if !tr.Empty() || tr.NumVertices() != 0 || tr.NumEdges() != 0 {
 		t.Fatalf("truss of empty theme network should be empty")
@@ -167,11 +170,8 @@ func TestMixedFrequenciesCohesion(t *testing.T) {
 	// Triangle with frequencies 0.2, 0.5, 0.9: every edge cohesion is
 	// min(0.2,0.5,0.9) = 0.2.
 	edges := []graph.Edge{graph.EdgeOf(0, 1), graph.EdgeOf(0, 2), graph.EdgeOf(1, 2)}
-	tn := &dbnet.ThemeNetwork{
-		Pattern: itemset.New(1),
-		Freq:    map[graph.VertexID]float64{0: 0.2, 1: 0.5, 2: 0.9},
-		Edges:   graph.NewEdgeSet(edges...),
-	}
+	freqs := []float64{0.2, 0.5, 0.9}
+	tn := themeNetworkOf(edges, func(v graph.VertexID) float64 { return freqs[v] })
 	for _, e := range edges {
 		if got := Cohesions(tn)[e.Key()]; !approx(got, 0.2) {
 			t.Fatalf("eco(%v) = %v, want 0.2", e, got)
@@ -341,13 +341,34 @@ func randomThemeNetwork(rng *rand.Rand, n, m int) *dbnet.ThemeNetwork {
 			g.MustAddEdge(a, b)
 		}
 	}
-	tn := &dbnet.ThemeNetwork{
-		Pattern: itemset.New(1),
-		Freq:    make(map[graph.VertexID]float64),
-		Edges:   graph.NewEdgeSet(g.Edges()...),
+	return themeNetworkOf(g.Edges(), func(graph.VertexID) float64 { return float64(1+rng.Intn(10)) / 10 })
+}
+
+// A hand-built theme network that breaks the ordered layout must be refused
+// loudly, not decomposed into garbage.
+func TestMalformedThemeNetworkPanics(t *testing.T) {
+	ok := uniformThemeNetwork(cliqueEdges(4), 1)
+	for name, breakIt := range map[string]func(tn *dbnet.ThemeNetwork){
+		"edges out of order":      func(tn *dbnet.ThemeNetwork) { tn.Edges[0], tn.Edges[1] = tn.Edges[1], tn.Edges[0] },
+		"duplicate edge":          func(tn *dbnet.ThemeNetwork) { tn.Edges[1] = tn.Edges[0] },
+		"endpoint not a vertex":   func(tn *dbnet.ThemeNetwork) { tn.Vertices = tn.Vertices[:3]; tn.Freqs = tn.Freqs[:3] },
+		"lower endpoint unknown":  func(tn *dbnet.ThemeNetwork) { tn.Vertices = tn.Vertices[1:]; tn.Freqs = tn.Freqs[1:] },
+		"frequencies not aligned": func(tn *dbnet.ThemeNetwork) { tn.Freqs = tn.Freqs[:2] },
+	} {
+		tn := &dbnet.ThemeNetwork{
+			Pattern:  ok.Pattern,
+			Vertices: append([]graph.VertexID(nil), ok.Vertices...),
+			Freqs:    append([]float64(nil), ok.Freqs...),
+			Edges:    append([]graph.Edge(nil), ok.Edges...),
+		}
+		breakIt(tn)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Decompose accepted the theme network", name)
+				}
+			}()
+			Decompose(tn)
+		}()
 	}
-	for _, v := range tn.Edges.Vertices() {
-		tn.Freq[v] = float64(1+rng.Intn(10)) / 10
-	}
-	return tn
 }

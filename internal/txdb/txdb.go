@@ -8,6 +8,7 @@ package txdb
 
 import (
 	"fmt"
+	"slices"
 
 	"themecomm/internal/itemset"
 )
@@ -19,9 +20,31 @@ type Transaction = itemset.Itemset
 // database network. The zero value is an empty database ready to use.
 type Database struct {
 	transactions []Transaction
-	// itemTxCount caches, per item, in how many transactions it appears.
-	// It is built lazily by singleItemCounts and invalidated on Add.
-	itemTxCount map[itemset.Item]int
+	// vert is the vertical layout of the database: for every distinct item,
+	// the ascending ids (indices into transactions) of the transactions that
+	// contain it. It is built lazily by vertical and dropped by Add and
+	// Remove; a database that is read from several goroutines must have it
+	// built first (dbnet.Network.Freeze does).
+	vert *verticalIndex
+}
+
+// verticalIndex stores the item → transaction-id lists of one database in
+// compressed-row form: items holds the distinct items in ascending order and
+// the ids of items[i] are tids[off[i]:off[i+1]], ascending.
+type verticalIndex struct {
+	items []itemset.Item
+	off   []int32
+	tids  []int32
+}
+
+// list returns the ascending ids of the transactions containing it, nil when
+// no transaction does.
+func (v *verticalIndex) list(it itemset.Item) []int32 {
+	i, ok := slices.BinarySearch(v.items, it)
+	if !ok {
+		return nil
+	}
+	return v.tids[v.off[i]:v.off[i+1]]
 }
 
 // New returns an empty database.
@@ -41,7 +64,7 @@ func FromTransactions(txs ...[]itemset.Item) *Database {
 // Add appends a transaction to the database.
 func (d *Database) Add(t Transaction) {
 	d.transactions = append(d.transactions, t)
-	d.itemTxCount = nil
+	d.vert = nil
 }
 
 // Remove deletes one occurrence of an exact transaction — the same canonical
@@ -52,7 +75,7 @@ func (d *Database) Remove(t Transaction) bool {
 	for i, tx := range d.transactions {
 		if tx.Equal(t) {
 			d.transactions = append(d.transactions[:i], d.transactions[i+1:]...)
-			d.itemTxCount = nil
+			d.vert = nil
 			return true
 		}
 	}
@@ -80,30 +103,86 @@ func (d *Database) TotalItems() int {
 	return n
 }
 
-// Items returns the set of distinct items appearing in the database.
+// Items returns the set of distinct items appearing in the database. The
+// result is a fresh itemset the caller may modify.
 func (d *Database) Items() itemset.Itemset {
-	var out itemset.Itemset
-	for _, t := range d.transactions {
-		out = out.Union(t)
-	}
-	return out
+	return slices.Clone(d.vertical().items)
 }
 
-// Support returns the number of transactions that contain pattern p.
+// Support returns the number of transactions that contain pattern p. For a
+// single item it is the length of the item's transaction-id list; for longer
+// patterns it is the size of the intersection of the items' lists.
 func (d *Database) Support(p itemset.Itemset) int {
-	if p.Len() == 0 {
+	switch p.Len() {
+	case 0:
 		return len(d.transactions)
+	case 1:
+		return len(d.vertical().list(p[0]))
 	}
-	if p.Len() == 1 {
-		return d.singleItemCounts()[p[0]]
+	n, _ := d.intersect(p, nil, false)
+	return n
+}
+
+// TransactionsWith appends to dst the ascending ids — indices into
+// Transactions() — of the transactions that contain pattern p, and returns
+// the extended slice. The empty pattern selects every transaction.
+func (d *Database) TransactionsWith(dst []int32, p itemset.Itemset) []int32 {
+	switch p.Len() {
+	case 0:
+		for i := range d.transactions {
+			dst = append(dst, int32(i))
+		}
+		return dst
+	case 1:
+		return append(dst, d.vertical().list(p[0])...)
 	}
-	n := 0
-	for _, t := range d.transactions {
-		if p.SubsetOf(t) {
-			n++
+	_, dst = d.intersect(p, dst, true)
+	return dst
+}
+
+// intersect walks the intersection of the transaction-id lists of the items
+// of p (|p| ≥ 2), counting its members and, when collect is set, appending
+// them to dst. It steps through the rarest item's list and advances a cursor
+// in every other list, so the cost is bounded by the total length of the
+// lists of p's items — not by the size of the database.
+func (d *Database) intersect(p itemset.Itemset, dst []int32, collect bool) (int, []int32) {
+	v := d.vertical()
+	var buf [8][]int32
+	lists := buf[:0]
+	rarest := 0
+	for i, it := range p {
+		l := v.list(it)
+		if len(l) == 0 {
+			return 0, dst
+		}
+		lists = append(lists, l)
+		if len(l) < len(lists[rarest]) {
+			rarest = i
 		}
 	}
-	return n
+	lists[0], lists[rarest] = lists[rarest], lists[0]
+	n := 0
+next:
+	for _, tid := range lists[0] {
+		for i := 1; i < len(lists); i++ {
+			l := lists[i]
+			for len(l) > 0 && l[0] < tid {
+				l = l[1:]
+			}
+			lists[i] = l
+			if len(l) == 0 {
+				break next
+			}
+			if l[0] != tid {
+				continue next
+			}
+		}
+		n++
+		if collect {
+			dst = append(dst, tid)
+		}
+	}
+	return n, dst
 }
 
 // Frequency returns f(p): the proportion of transactions containing p.
@@ -118,35 +197,57 @@ func (d *Database) Frequency(p itemset.Itemset) float64 {
 
 // ContainsItem reports whether the item appears in at least one transaction.
 func (d *Database) ContainsItem(it itemset.Item) bool {
-	return d.singleItemCounts()[it] > 0
+	return len(d.vertical().list(it)) > 0
 }
 
-// singleItemCounts lazily builds the per-item transaction counts.
-func (d *Database) singleItemCounts() map[itemset.Item]int {
-	if d.itemTxCount == nil {
-		m := make(map[itemset.Item]int)
-		for _, t := range d.transactions {
-			for _, it := range t {
-				m[it]++
-			}
-		}
-		d.itemTxCount = m
+// vertical lazily builds the vertical layout: every (item, transaction id)
+// occurrence packed into one word, sorted, then split into per-item runs.
+func (d *Database) vertical() *verticalIndex {
+	if d.vert != nil {
+		return d.vert
 	}
-	return d.itemTxCount
+	// Flipping the sign bit makes the unsigned order of the packed words the
+	// signed order of the items.
+	const signBit = 1 << 31
+	occ := make([]uint64, 0, d.TotalItems())
+	for tid, t := range d.transactions {
+		for _, it := range t {
+			occ = append(occ, uint64(uint32(it)^signBit)<<32|uint64(uint32(tid)))
+		}
+	}
+	slices.Sort(occ)
+	v := &verticalIndex{tids: make([]int32, len(occ))}
+	for i, o := range occ {
+		it := itemset.Item(uint32(o>>32) ^ signBit)
+		if i == 0 || it != v.items[len(v.items)-1] {
+			v.items = append(v.items, it)
+			v.off = append(v.off, int32(i))
+		}
+		v.tids[i] = int32(uint32(o))
+	}
+	v.off = append(v.off, int32(len(occ)))
+	d.vert = v
+	return v
+}
+
+// ItemCounts calls visit for every distinct item of the database, in
+// ascending item order, with the number of transactions containing it.
+func (d *Database) ItemCounts(visit func(it itemset.Item, count int)) {
+	v := d.vertical()
+	for i, it := range v.items {
+		visit(it, int(v.off[i+1]-v.off[i]))
+	}
 }
 
 // ItemFrequencies returns, for every distinct item in the database, the
 // proportion of transactions containing it. The result is a fresh map the
 // caller may modify.
 func (d *Database) ItemFrequencies() map[itemset.Item]float64 {
-	out := make(map[itemset.Item]float64, len(d.singleItemCounts()))
-	if len(d.transactions) == 0 {
-		return out
-	}
+	out := make(map[itemset.Item]float64, len(d.vertical().items))
 	n := float64(len(d.transactions))
-	for it, c := range d.singleItemCounts() {
-		out[it] = float64(c) / n
-	}
+	d.ItemCounts(func(it itemset.Item, count int) {
+		out[it] = float64(count) / n
+	})
 	return out
 }
 

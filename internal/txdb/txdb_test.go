@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -207,4 +208,74 @@ func randomPattern(rng *rand.Rand, maxItem, maxLen int) itemset.Itemset {
 		items[i] = itemset.Item(rng.Intn(maxItem))
 	}
 	return itemset.New(items...)
+}
+
+// scanSupport is the definition of support: one SubsetOf test per transaction.
+func scanSupport(d *Database, p itemset.Itemset) (int, []int32) {
+	n := 0
+	var tids []int32
+	for tid, t := range d.Transactions() {
+		if p.SubsetOf(t) {
+			n++
+			tids = append(tids, int32(tid))
+		}
+	}
+	return n, tids
+}
+
+// TestVerticalSupportMatchesScan checks the vertical layout against the scan
+// on random databases with duplicate transactions, negative items and long
+// patterns, before and after removals and additions rebuild the layout.
+func TestVerticalSupportMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	check := func(d *Database, what string) {
+		t.Helper()
+		for q := 0; q < 40; q++ {
+			p := randomPattern(rng, 8, 1+rng.Intn(10))
+			if q%5 == 0 {
+				p = p.Add(-3)
+			}
+			want, wantTids := scanSupport(d, p)
+			if got := d.Support(p); got != want {
+				t.Fatalf("%s: Support(%v) = %d, the scan finds %d", what, p, got, want)
+			}
+			got := d.TransactionsWith([]int32{-1}, p)
+			if got[0] != -1 || !reflect.DeepEqual(append([]int32(nil), got[1:]...), wantTids) {
+				t.Fatalf("%s: TransactionsWith(%v) = %v, the scan finds %v", what, p, got[1:], wantTids)
+			}
+		}
+		seen := 0
+		d.ItemCounts(func(it itemset.Item, count int) {
+			seen++
+			if want, _ := scanSupport(d, itemset.New(it)); count != want || count == 0 {
+				t.Fatalf("%s: ItemCounts reports %d for item %d, the scan finds %d", what, count, it, want)
+			}
+		})
+		if items := d.Items(); items.Len() != seen || !slices.IsSorted(items) {
+			t.Fatalf("%s: Items() = %v after ItemCounts visited %d items", what, items, seen)
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		d := New()
+		for i, n := 0, rng.Intn(30); i < n; i++ {
+			tx := randomPattern(rng, 8, 6)
+			if rng.Intn(4) == 0 {
+				tx = tx.Add(-3)
+			}
+			d.Add(tx)
+			if rng.Intn(3) == 0 {
+				d.Add(tx.Clone()) // a duplicate transaction stays its own entry
+			}
+		}
+		check(d, "fresh")
+		for i := 0; i < 5 && d.Len() > 0; i++ {
+			victim := d.Transactions()[rng.Intn(d.Len())].Clone()
+			if !d.Remove(victim) {
+				t.Fatalf("Remove(%v) found nothing", victim)
+			}
+			check(d, "after Remove")
+		}
+		d.Add(randomPattern(rng, 8, 6))
+		check(d, "after Add")
+	}
 }
