@@ -135,12 +135,12 @@ func main() {
 		fmt.Printf("top %d theme communities by cohesion\n", len(ranked))
 		for i, rc := range ranked {
 			fmt.Printf("  [%d] cohesion=%.4g theme={%s} vertices=%v\n",
-				i+1, rc.Cohesion, themeOf(rc.Community.Pattern), rc.Community.Vertices())
+				i+1, rc.Cohesion, themeOf(rc.Pattern), rc.Vertices)
 		}
 		return
 	}
 
-	var qr *themecomm.QueryResult
+	var qr *themecomm.EngineAnswer
 	if *contains {
 		qr, err = eng.QueryContaining(q, *alphaQ)
 	} else {
@@ -151,7 +151,7 @@ func main() {
 	}
 	fmt.Printf("query answered in %v: %d maximal pattern trusses (visited %d nodes)\n",
 		qr.Duration, qr.RetrievedNodes, qr.VisitedNodes)
-	comms := qr.Communities()
+	comms := qr.Communities
 	fmt.Printf("%d theme communities\n", len(comms))
 	limit := *top
 	if limit <= 0 || limit > len(comms) {
@@ -159,7 +159,7 @@ func main() {
 	}
 	for i := 0; i < limit; i++ {
 		c := comms[i]
-		fmt.Printf("  [%d] theme={%s} vertices=%v\n", i+1, themeOf(c.Pattern), c.Vertices())
+		fmt.Printf("  [%d] theme={%s} vertices=%v\n", i+1, themeOf(c.Pattern), c.Vertices)
 	}
 	if limit < len(comms) {
 		fmt.Printf("  ... %d more (raise -top to see them)\n", len(comms)-limit)

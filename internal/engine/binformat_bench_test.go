@@ -104,7 +104,7 @@ func benchSkewNetwork() *dbnet.Network {
 //     the planner prunes every shard whose bloom filter proves the item
 //     appears in none of its patterns.
 func BenchmarkPlannerSkip(b *testing.B) {
-	arms := func(idx *tctree.ShardedIndex, query func(*Engine) (*tctree.QueryResult, error)) func(*testing.B) {
+	arms := func(idx *tctree.ShardedIndex, query func(*Engine) (*Answer, error)) func(*testing.B) {
 		return func(b *testing.B) {
 			want := -1
 			for _, planner := range []bool{true, false} {
@@ -144,13 +144,13 @@ func BenchmarkPlannerSkip(b *testing.B) {
 	}
 	sort.Float64s(alphas)
 	alphaQ := alphas[len(alphas)/2]
-	b.Run("alpha-skip", arms(skewIdx, func(e *Engine) (*tctree.QueryResult, error) {
+	b.Run("alpha-skip", arms(skewIdx, func(e *Engine) (*Answer, error) {
 		return e.Query(nil, alphaQ)
 	}))
 
 	sparseIdx, sparse := benchIndex(b, randomNetwork(rand.New(rand.NewSource(23)), 64, 320, 24, 4))
 	last := itemset.New(itemset.Item(sparse.Shards[len(sparse.Shards)-1].Item))
-	b.Run("catalogue", arms(sparseIdx, func(e *Engine) (*tctree.QueryResult, error) {
+	b.Run("catalogue", arms(sparseIdx, func(e *Engine) (*Answer, error) {
 		return e.QueryContaining(last, 0)
 	}))
 }

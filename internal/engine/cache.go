@@ -5,13 +5,12 @@ import (
 	"sync"
 
 	"themecomm/internal/itemset"
-	"themecomm/internal/tctree"
 )
 
 // lruCache is a bounded, concurrency-safe LRU cache of query results.
-// Cached *tctree.QueryResult values are shared between callers and must be
-// treated as immutable; Engine.Query hands out shallow copies so that the
-// per-call Duration never races.
+// Cached *Answer values are shared between callers and must be treated as
+// immutable; Engine.Query hands out shallow copies so that the per-call
+// Duration never races.
 type lruCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -44,7 +43,7 @@ type cacheEntry struct {
 	// alpha), which depends on every shard.
 	pattern itemset.Itemset
 	full    bool
-	res     *tctree.QueryResult
+	res     *Answer
 }
 
 func newLRUCache(capacity int) *lruCache {
@@ -57,7 +56,7 @@ func newLRUCache(capacity int) *lruCache {
 }
 
 // get returns the cached result for key, marking it most recently used.
-func (c *lruCache) get(key string) (*tctree.QueryResult, bool) {
+func (c *lruCache) get(key string) (*Answer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -85,7 +84,7 @@ func (c *lruCache) generation(ns string) uint64 {
 // before the query executed: a stale generation means an invalidation of
 // this namespace ran while the query was in flight, so the result may have
 // been computed against a since-replaced shard and is discarded.
-func (c *lruCache) put(key, ns string, pattern itemset.Itemset, full bool, res *tctree.QueryResult, gen uint64) {
+func (c *lruCache) put(key, ns string, pattern itemset.Itemset, full bool, res *Answer, gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gen != c.gens[ns] {

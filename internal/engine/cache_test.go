@@ -6,10 +6,9 @@ import (
 	"testing"
 
 	"themecomm/internal/itemset"
-	"themecomm/internal/tctree"
 )
 
-func result(n int) *tctree.QueryResult { return &tctree.QueryResult{RetrievedNodes: n} }
+func result(n int) *Answer { return &Answer{RetrievedNodes: n} }
 
 func TestLRUEvictionOrder(t *testing.T) {
 	c := newLRUCache(2)

@@ -1,11 +1,11 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"themecomm/internal/delta"
-	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
 	"themecomm/internal/truss"
@@ -13,10 +13,11 @@ import (
 
 // bruteContaining computes the containment answer by exhaustive scan: every
 // indexed pattern p ⊇ q whose truss is non-empty at alpha, as a pattern →
-// edge-set map. This is the ground truth QueryContaining must reproduce.
-func bruteContaining(t *testing.T, tree *tctree.Tree, q itemset.Itemset, alpha float64) map[itemset.Key]graph.EdgeSet {
+// communities map derived the map-based way. This is the ground truth
+// QueryContaining must reproduce.
+func bruteContaining(t *testing.T, tree *tctree.Tree, q itemset.Itemset, alpha float64) map[itemset.Key][]flatCommunity {
 	t.Helper()
-	out := make(map[itemset.Key]graph.EdgeSet)
+	out := make(map[itemset.Key][]flatCommunity)
 	var walk func(n *tctree.Node)
 	walk = func(n *tctree.Node) {
 		superset := true
@@ -27,7 +28,10 @@ func bruteContaining(t *testing.T, tree *tctree.Tree, q itemset.Itemset, alpha f
 			}
 		}
 		if superset && truss.LevelLive(n.Decomp.MaxAlpha(), alpha) {
-			out[n.Pattern.Key()] = n.Decomp.TrussAt(alpha).Edges
+			for _, comp := range n.Decomp.TrussAt(alpha).Communities() {
+				out[n.Pattern.Key()] = append(out[n.Pattern.Key()],
+					flatCommunity{pattern: n.Pattern.String(), vertices: fmt.Sprint(comp.Vertices()), edges: comp.Len()})
+			}
 		}
 		for _, c := range n.Children {
 			walk(c)
@@ -62,23 +66,23 @@ func containmentQueries(tree *tctree.Tree) []itemset.Itemset {
 }
 
 // assertContainmentAnswer compares a QueryContaining result with the brute
-// force map: same distinct patterns, same edge sets. Visited counts are
-// plan-dependent in containment mode and deliberately not compared.
-func assertContainmentAnswer(t *testing.T, got *tctree.QueryResult, want map[itemset.Key]graph.EdgeSet) {
+// force map: same distinct patterns, the same communities of each. Visited
+// counts are plan-dependent in containment mode and deliberately not
+// compared.
+func assertContainmentAnswer(t *testing.T, got *Answer, want map[itemset.Key][]flatCommunity) {
 	t.Helper()
-	gotSet := trussSet(t, got.Trusses)
+	gotSet := make(map[itemset.Key][]truss.Community)
+	for _, c := range got.Communities {
+		gotSet[c.Pattern.Key()] = append(gotSet[c.Pattern.Key()], c)
+	}
 	if len(gotSet) != len(want) {
 		t.Fatalf("retrieved %d distinct patterns, want %d", len(gotSet), len(want))
 	}
-	for key, wantEdges := range want {
-		gotEdges, ok := gotSet[key]
-		if !ok {
+	for key, wantComms := range want {
+		if _, ok := gotSet[key]; !ok {
 			t.Fatalf("pattern %v missing from containment answer", key.Itemset())
 		}
-		if !gotEdges.Equal(wantEdges) {
-			t.Fatalf("pattern %v: containment truss has %d edges, brute force has %d",
-				key.Itemset(), gotEdges.Len(), wantEdges.Len())
-		}
+		assertCommunitiesAre(t, gotSet[key], wantComms)
 	}
 	if got.RetrievedNodes != len(want) {
 		t.Fatalf("RetrievedNodes = %d, want %d", got.RetrievedNodes, len(want))
@@ -124,7 +128,7 @@ func TestQueryContainingMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("QueryContaining(nil): %v", err)
 	}
-	assertSameAnswer(t, empty, byAlpha)
+	assertEqualAnswers(t, empty, byAlpha)
 }
 
 // TestQueryContainingCacheAndDelta checks the containment cache path: a
@@ -157,15 +161,12 @@ func TestQueryContainingCacheAndDelta(t *testing.T) {
 	if eng.Stats().Cache.Hits == 0 || eng.Stats().Cache.Misses != misses {
 		t.Fatalf("repeat containment query missed the cache: %+v", eng.Stats().Cache)
 	}
-	assertSameAnswer(t, again, first)
+	assertEqualAnswers(t, again, first)
 
 	// The cache key is namespaced by mode: the sub-pattern query of the same
 	// (q, α) must not be served the containment entry.
 	sub := mustQuery(t, eng, q, 0.1)
-	if want := tree.Query(q, 0.1); len(sub.Trusses) != len(want.Trusses) {
-		t.Fatalf("sub-pattern query after containment query returned %d trusses, want %d",
-			len(sub.Trusses), len(want.Trusses))
-	}
+	assertSameAnswer(t, sub, tree.Query(q, 0.1))
 
 	d := &delta.Delta{AddTransactions: []delta.VertexTransaction{
 		{Vertex: 0, Tx: itemset.New(0, 1)}, {Vertex: 1, Tx: itemset.New(0, 1)},
@@ -339,7 +340,7 @@ func TestLazyByteResidencyBudget(t *testing.T) {
 	if eng.Stats().MaxResidentBytes != total-1 {
 		t.Fatalf("MaxResidentBytes = %d, want %d", eng.Stats().MaxResidentBytes, total-1)
 	}
-	assertSameAnswer(t, mustQueryByAlpha(t, eng, 0), full)
+	assertEqualAnswers(t, mustQueryByAlpha(t, eng, 0), full)
 	stats := eng.Stats()
 	if stats.ShardEvictions == 0 {
 		t.Fatalf("no evictions under a byte budget smaller than the working set")
@@ -350,7 +351,7 @@ func TestLazyByteResidencyBudget(t *testing.T) {
 	// The budget only bounds residency; repeated queries still answer
 	// identically while reloading evicted shards.
 	for i := 0; i < 3; i++ {
-		assertSameAnswer(t, mustQueryByAlpha(t, eng, 0), full)
+		assertEqualAnswers(t, mustQueryByAlpha(t, eng, 0), full)
 	}
 	if eng.Stats().LazyLoads <= stats.LazyLoads {
 		t.Fatalf("evicted shards were not reloaded (loads %d → %d)", stats.LazyLoads, eng.Stats().LazyLoads)

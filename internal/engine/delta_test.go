@@ -12,6 +12,7 @@ import (
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
+	"themecomm/internal/truss"
 )
 
 // randomDeltaFor builds a random valid delta against nw: new edges, removed
@@ -137,7 +138,7 @@ func TestApplyDeltaParity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("fresh query: %v", err)
 					}
-					assertSameTrusses(t, got, want)
+					assertEqualCommunities(t, got.Communities, want.Communities)
 
 					gotK, err := eng.TopK(q.Pattern, q.Alpha, 5)
 					if err != nil {
@@ -259,7 +260,7 @@ func TestApplyDeltaConcurrentQueries(t *testing.T) {
 	queries := deltaTestQueries()
 	type refAnswer struct {
 		pre, post   map[itemset.Key]int // pattern -> edge count, an order-free fingerprint
-		preK, postK []RankedCommunity
+		preK, postK []truss.Community
 	}
 	refs := make([]refAnswer, len(queries))
 	fingerprint := func(e *Engine, q Request) map[itemset.Key]int {
@@ -267,9 +268,9 @@ func TestApplyDeltaConcurrentQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make(map[itemset.Key]int, len(res.Trusses))
-		for _, tr := range res.Trusses {
-			out[tr.Pattern.Key()] += tr.Edges.Len()
+		out := make(map[itemset.Key]int)
+		for _, c := range res.Communities {
+			out[c.Pattern.Key()] += c.Edges
 		}
 		return out
 	}
@@ -336,9 +337,9 @@ func TestApplyDeltaConcurrentQueries(t *testing.T) {
 							errs <- err
 							return
 						}
-						got := make(map[itemset.Key]int, len(res.Trusses))
-						for _, tr := range res.Trusses {
-							got[tr.Pattern.Key()] += tr.Edges.Len()
+						got := make(map[itemset.Key]int)
+						for _, c := range res.Communities {
+							got[c.Pattern.Key()] += c.Edges
 						}
 						if !reflect.DeepEqual(got, ref.pre) && !reflect.DeepEqual(got, ref.post) {
 							t.Errorf("query answer is neither pre- nor post-delta: %v", got)
@@ -386,14 +387,22 @@ func TestApplyDeltaCacheRace(t *testing.T) {
 	// it (which takes all three edges out of the item's truss).
 	toggles := []*delta.Delta{{RemoveEdges: tri.AddEdges[:1]}, {AddEdges: tri.AddEdges[:1]}}
 	q := itemset.New(item)
-	edges := func(res *tctree.QueryResult) (n int) {
+	// Communities partition the edges of their truss: the two sides count
+	// the same edges.
+	edges := func(res *Answer) (n int) {
+		for _, c := range res.Communities {
+			n += c.Edges
+		}
+		return n
+	}
+	refEdges := func(res *tctree.QueryResult) (n int) {
 		for _, tr := range res.Trusses {
 			n += tr.Edges.Len()
 		}
 		return n
 	}
 	tree := tctree.Build(nw, tctree.BuildOptions{})
-	wantEdges := []int{edges(tree.Query(q, 0)), edges(tctree.Build(without, tctree.BuildOptions{}).Query(q, 0))}
+	wantEdges := []int{refEdges(tree.Query(q, 0)), refEdges(tctree.Build(without, tctree.BuildOptions{}).Query(q, 0))}
 	if wantEdges[0] != wantEdges[1]+3 {
 		t.Fatalf("states have %d and %d edges; the triangle should account for exactly 3", wantEdges[0], wantEdges[1])
 	}
@@ -434,29 +443,6 @@ func TestApplyDeltaCacheRace(t *testing.T) {
 	wg.Wait()
 	if eng.IndexEpoch() != 40 {
 		t.Fatalf("IndexEpoch = %d, want 40", eng.IndexEpoch())
-	}
-}
-
-// assertSameTrusses compares two engine answers content-wise (the engines may
-// legitimately group shards identically, so order is compared too).
-func assertSameTrusses(t *testing.T, got, want *tctree.QueryResult) {
-	t.Helper()
-	if len(got.Trusses) != len(want.Trusses) {
-		t.Fatalf("%d trusses, want %d", len(got.Trusses), len(want.Trusses))
-	}
-	for i := range want.Trusses {
-		g, w := got.Trusses[i], want.Trusses[i]
-		if !g.Pattern.Equal(w.Pattern) {
-			t.Fatalf("truss %d pattern %v, want %v", i, g.Pattern, w.Pattern)
-		}
-		if g.Edges.Len() != w.Edges.Len() {
-			t.Fatalf("truss %v: %d edges, want %d", g.Pattern, g.Edges.Len(), w.Edges.Len())
-		}
-		for _, e := range w.Edges {
-			if !g.Edges.Contains(e) {
-				t.Fatalf("truss %v misses edge %v", g.Pattern, e)
-			}
-		}
 	}
 }
 

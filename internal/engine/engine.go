@@ -42,6 +42,7 @@ import (
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
 	"themecomm/internal/trace"
+	"themecomm/internal/truss"
 )
 
 // Options configures an Engine.
@@ -525,14 +526,37 @@ func (e *Engine) keyMode(mode QueryMode, q itemset.Itemset, full bool, alphaQ fl
 	return e.key(q, full, alphaQ)
 }
 
+// Answer is the engine's answer to a query (q, α_q): the theme communities
+// of every retrieved maximal pattern truss as flat records, with the query
+// statistics. It is what the engine merges, ranks and caches and what the
+// serving layers render; it holds a few bytes per vertex of a community and
+// nothing per edge. Cached answers are shared between callers: Communities
+// and everything it points to are immutable.
+type Answer struct {
+	// Communities are the theme communities: shards in ascending root-item
+	// order, each shard's retrieved nodes in breadth-first order, each
+	// node's communities by smallest vertex — the order of the communities
+	// of tctree.Query's answer within a shard.
+	Communities []truss.Community
+	// RetrievedNodes is the number of TC-Tree nodes whose truss was
+	// retrieved ("RN" in Figure 5 of the paper).
+	RetrievedNodes int
+	// VisitedNodes is the number of TC-Tree nodes inspected, including nodes
+	// whose truss was empty at α_q.
+	VisitedNodes int
+	// Duration is the wall-clock query time.
+	Duration time.Duration
+}
+
 // Query answers (q, α_q) like tctree.Query, but traverses only the shards
 // whose root item is in q, in parallel across the worker pool. A nil q means
-// "every item" (the query-by-alpha workload). The answer lists the retrieved
-// trusses grouped by shard in ascending root-item order, each shard in
-// breadth-first order; the set of trusses equals tctree.Query's. The error
-// is always nil on eager engines; on lazy engines it surfaces shard-load
-// failures (missing file, checksum mismatch, corrupt payload).
-func (e *Engine) Query(q itemset.Itemset, alphaQ float64) (*tctree.QueryResult, error) {
+// "every item" (the query-by-alpha workload). The answer lists the
+// communities of the retrieved trusses grouped by shard in ascending
+// root-item order, each shard in breadth-first order; the set of communities
+// equals that of tctree.Query's answer. The error is always nil on eager
+// engines; on lazy engines it surfaces shard-load failures (missing file,
+// checksum mismatch, corrupt payload).
+func (e *Engine) Query(q itemset.Itemset, alphaQ float64) (*Answer, error) {
 	return e.QueryContext(context.Background(), q, alphaQ)
 }
 
@@ -540,28 +564,28 @@ func (e *Engine) Query(q itemset.Itemset, alphaQ float64) (*tctree.QueryResult, 
 // signal — a started traversal always finishes — it carries the request
 // correlation ID (obs.WithRequestID) through to the injected Recorder, so a
 // slow query captured server-side names the HTTP request that caused it.
-func (e *Engine) QueryContext(ctx context.Context, q itemset.Itemset, alphaQ float64) (*tctree.QueryResult, error) {
+func (e *Engine) QueryContext(ctx context.Context, q itemset.Itemset, alphaQ float64) (*Answer, error) {
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
 	return e.queryLocked(ctx, q, alphaQ, ModeSub)
 }
 
-// QueryContaining answers the containment workload: the trusses of every
+// QueryContaining answers the containment workload: the communities of every
 // indexed pattern p ⊇ q at α_q, grouped by shard in ascending root-item
 // order. Only shards whose root item is at most min(q) are considered, and
 // the per-shard catalogue (item bloom filter, α*-by-depth histogram) rules
 // shards out without opening them. An empty or nil q degenerates to
 // QueryByAlpha — every indexed pattern contains the empty pattern. Unlike
 // sub-pattern queries, VisitedNodes depends on the planner configuration
-// (catalogue skips drop provably fruitless traversals); the truss set does
+// (catalogue skips drop provably fruitless traversals); the communities do
 // not.
-func (e *Engine) QueryContaining(q itemset.Itemset, alphaQ float64) (*tctree.QueryResult, error) {
+func (e *Engine) QueryContaining(q itemset.Itemset, alphaQ float64) (*Answer, error) {
 	return e.QueryContainingContext(context.Background(), q, alphaQ)
 }
 
 // QueryContainingContext is QueryContaining carrying a context; see
 // QueryContext.
-func (e *Engine) QueryContainingContext(ctx context.Context, q itemset.Itemset, alphaQ float64) (*tctree.QueryResult, error) {
+func (e *Engine) QueryContainingContext(ctx context.Context, q itemset.Itemset, alphaQ float64) (*Answer, error) {
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
 	return e.queryLocked(ctx, q, alphaQ, ModeContaining)
@@ -570,7 +594,7 @@ func (e *Engine) QueryContainingContext(ctx context.Context, q itemset.Itemset, 
 // queryLocked is the body of Query and QueryContaining; callers hold
 // updateMu for reading, so the shard table and the index epoch are stable
 // for the whole execution.
-func (e *Engine) queryLocked(ctx context.Context, q itemset.Itemset, alphaQ float64, mode QueryMode) (*tctree.QueryResult, error) {
+func (e *Engine) queryLocked(ctx context.Context, q itemset.Itemset, alphaQ float64, mode QueryMode) (*Answer, error) {
 	if mode == ModeContaining && q.Len() == 0 {
 		mode = ModeSub
 		q = nil
@@ -589,7 +613,7 @@ func (e *Engine) queryLocked(ctx context.Context, q itemset.Itemset, alphaQ floa
 				// Every item of every indexed pattern appears at level 1, so
 				// an item outside the level-1 set appears in no pattern at
 				// all: nothing can contain q.
-				return &tctree.QueryResult{Duration: time.Since(start)}, nil
+				return &Answer{Duration: time.Since(start)}, nil
 			}
 		}
 	} else {
@@ -695,12 +719,12 @@ func patternLabel(eff itemset.Itemset, full bool) string {
 // QueryByAlpha answers the query-by-alpha workload (q = every item). Its
 // answer is cached like any other query, under the empty-pattern sentinel
 // key shared with explicit patterns that cover every indexed item.
-func (e *Engine) QueryByAlpha(alphaQ float64) (*tctree.QueryResult, error) {
+func (e *Engine) QueryByAlpha(alphaQ float64) (*Answer, error) {
 	return e.Query(nil, alphaQ)
 }
 
 // QueryByAlphaContext is QueryByAlpha carrying a context; see QueryContext.
-func (e *Engine) QueryByAlphaContext(ctx context.Context, alphaQ float64) (*tctree.QueryResult, error) {
+func (e *Engine) QueryByAlphaContext(ctx context.Context, alphaQ float64) (*Answer, error) {
 	return e.QueryContext(ctx, nil, alphaQ)
 }
 
@@ -772,7 +796,7 @@ type planExec struct {
 // answer is byte-identical to a planner-off execution: an α*-skipped shard
 // contributes exactly the one root visit the traversal would have made
 // before finding the root truss empty.
-func (e *Engine) executePlan(t *shardTable, plan *QueryPlan) (*tctree.QueryResult, planExec, error) {
+func (e *Engine) executePlan(t *shardTable, plan *QueryPlan) (*Answer, planExec, error) {
 	execStart := time.Now()
 	pattern := plan.Pattern
 	if pattern == nil {
@@ -783,7 +807,7 @@ func (e *Engine) executePlan(t *shardTable, plan *QueryPlan) (*tctree.QueryResul
 	for i, task := range plan.Tasks {
 		switch task.Decision {
 		case DecisionSkipAlpha:
-			results[i] = shardResult{visited: 1}
+			results[i].Visited = 1
 			execs[i].visited = 1
 			e.skipped.Add(1)
 		case DecisionSkipBloom:
@@ -793,7 +817,7 @@ func (e *Engine) executePlan(t *shardTable, plan *QueryPlan) (*tctree.QueryResul
 		case DecisionSkipHist:
 			// The histogram proves emptiness the way the α* skip does; the
 			// containment walk always inspects the root, so synthesize it.
-			results[i] = shardResult{visited: 1}
+			results[i].Visited = 1
 			execs[i].visited = 1
 			e.skippedCatalogue.Add(1)
 		}
@@ -807,23 +831,20 @@ func (e *Engine) executePlan(t *shardTable, plan *QueryPlan) (*tctree.QueryResul
 		start := time.Now()
 		view, loaded, err := e.acquire(s)
 		if err != nil {
-			results[i] = shardResult{err: fmt.Errorf("engine: shard %d: %w", s.item, err)}
+			results[i].err = fmt.Errorf("engine: shard %d: %w", s.item, err)
 			execs[i] = taskExec{micros: time.Since(start).Microseconds()}
 			return
 		}
-		var a tctree.ShardAnswer
 		if plan.Mode == ModeContaining {
-			a = view.QueryContaining(pattern, plan.Alpha)
+			results[i].ShardAnswer = view.QueryContaining(pattern, plan.Alpha)
 		} else {
-			a = view.QuerySub(pattern, plan.Alpha)
+			results[i].ShardAnswer = view.QuerySub(pattern, plan.Alpha)
 		}
-		sr := answerResult(a)
-		results[i] = sr
 		execs[i] = taskExec{
 			micros:  time.Since(start).Microseconds(),
 			loaded:  loaded,
-			visited: sr.visited,
-			trusses: len(sr.trusses),
+			visited: results[i].Visited,
+			trusses: results[i].Retrieved,
 		}
 	}
 	if e.workers == 1 || len(plan.Order) == 1 {
@@ -844,15 +865,20 @@ func (e *Engine) executePlan(t *shardTable, plan *QueryPlan) (*tctree.QueryResul
 		wg.Wait()
 	}
 	mergeStart := time.Now()
-	res := &tctree.QueryResult{}
+	total := 0
+	for _, sr := range results {
+		total += len(sr.Communities)
+	}
+	res := &Answer{Communities: make([]truss.Community, 0, total)}
 	var errs []error
 	for _, sr := range results {
 		if sr.err != nil {
 			errs = append(errs, sr.err)
 			continue
 		}
-		res.Trusses = append(res.Trusses, sr.trusses...)
-		res.VisitedNodes += sr.visited
+		res.Communities = append(res.Communities, sr.Communities...)
+		res.RetrievedNodes += sr.Retrieved
+		res.VisitedNodes += sr.Visited
 	}
 	exec := planExec{
 		execs:      execs,
@@ -863,7 +889,6 @@ func (e *Engine) executePlan(t *shardTable, plan *QueryPlan) (*tctree.QueryResul
 	if len(errs) > 0 {
 		return nil, exec, errors.Join(errs...)
 	}
-	res.RetrievedNodes = len(res.Trusses)
 	return res, exec, nil
 }
 
@@ -1082,6 +1107,7 @@ func (e *Engine) retireShard(s *shard) {
 		e.res.resident.Add(-1)
 		e.res.bytes.Add(-s.view.SizeBytes())
 		e.evictions.Add(1)
+		s.view.Evicted()
 		s.view = nil
 	}
 	s.err = errShardRemoved
@@ -1136,16 +1162,16 @@ type Request struct {
 // execution completes (concurrent duplicates may each execute). A query that
 // fails (lazy shard-load error) leaves a nil slot in the answers; the error
 // joins every per-query failure, annotated with its request index.
-func (e *Engine) QueryBatch(reqs []Request) ([]*tctree.QueryResult, error) {
+func (e *Engine) QueryBatch(reqs []Request) ([]*Answer, error) {
 	return e.QueryBatchContext(context.Background(), reqs)
 }
 
 // QueryBatchContext is QueryBatch carrying a context; every query of the
 // batch reports to the Recorder under the batch's request ID. See
 // QueryContext.
-func (e *Engine) QueryBatchContext(ctx context.Context, reqs []Request) ([]*tctree.QueryResult, error) {
+func (e *Engine) QueryBatchContext(ctx context.Context, reqs []Request) ([]*Answer, error) {
 	e.batches.Add(1)
-	out := make([]*tctree.QueryResult, len(reqs))
+	out := make([]*Answer, len(reqs))
 	errs := make([]error, len(reqs))
 	var wg sync.WaitGroup
 	for i, r := range reqs {

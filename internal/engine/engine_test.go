@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"themecomm/internal/dbnet"
@@ -52,22 +54,36 @@ func buildTestTree(t *testing.T, seed int64) *tctree.Tree {
 	return tree
 }
 
-// trussSet renders a query answer as a map pattern → edge set, the
-// order-independent form the correctness tests compare.
-func trussSet(t *testing.T, trusses []*truss.Truss) map[itemset.Key]graph.EdgeSet {
-	t.Helper()
-	out := make(map[itemset.Key]graph.EdgeSet, len(trusses))
-	for _, tr := range trusses {
-		key := tr.Pattern.Key()
-		if _, dup := out[key]; dup {
-			t.Fatalf("pattern %v retrieved twice", tr.Pattern)
-		}
-		out[key] = tr.Edges
+// flatCommunity is one community in the comparable form the correctness tests
+// use on both sides: an engine record as is, a reference community flattened
+// the map-based way.
+type flatCommunity struct {
+	pattern  string
+	vertices string
+	edges    int
+}
+
+func flatten(c truss.Community) flatCommunity {
+	return flatCommunity{pattern: c.Pattern.String(), vertices: fmt.Sprint(c.Vertices), edges: c.Edges}
+}
+
+// referenceCommunities flattens the communities of a tctree.Query answer in
+// the engine's order: shards by ascending root item (a stable sort keeps each
+// shard's breadth-first order and each truss's smallest-vertex order).
+func referenceCommunities(want *tctree.QueryResult) []flatCommunity {
+	comms := want.Communities()
+	sort.SliceStable(comms, func(i, j int) bool { return comms[i].Pattern[0] < comms[j].Pattern[0] })
+	out := make([]flatCommunity, len(comms))
+	for i, c := range comms {
+		out[i] = flatCommunity{pattern: c.Pattern.String(), vertices: fmt.Sprint(c.Vertices()), edges: c.Edges.Len()}
 	}
 	return out
 }
 
-func assertSameAnswer(t *testing.T, got, want *tctree.QueryResult) {
+// assertSameAnswer requires an engine answer to be the reference answer of
+// the sequential tctree.Query: the same counters and the same communities —
+// theme, vertex list, edge count — in the engine's shard-major order.
+func assertSameAnswer(t *testing.T, got *Answer, want *tctree.QueryResult) {
 	t.Helper()
 	if got.RetrievedNodes != want.RetrievedNodes {
 		t.Fatalf("RetrievedNodes = %d, want %d", got.RetrievedNodes, want.RetrievedNodes)
@@ -75,18 +91,39 @@ func assertSameAnswer(t *testing.T, got, want *tctree.QueryResult) {
 	if got.VisitedNodes != want.VisitedNodes {
 		t.Fatalf("VisitedNodes = %d, want %d", got.VisitedNodes, want.VisitedNodes)
 	}
-	gotSet, wantSet := trussSet(t, got.Trusses), trussSet(t, want.Trusses)
-	if len(gotSet) != len(wantSet) {
-		t.Fatalf("retrieved %d distinct patterns, want %d", len(gotSet), len(wantSet))
+	assertCommunitiesAre(t, got.Communities, referenceCommunities(want))
+}
+
+func assertCommunitiesAre(t *testing.T, got []truss.Community, want []flatCommunity) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d communities, want %d", len(got), len(want))
 	}
-	for key, wantEdges := range wantSet {
-		gotEdges, ok := gotSet[key]
-		if !ok {
-			t.Fatalf("pattern %v missing from sharded answer", key.Itemset())
+	for i, w := range want {
+		if g := flatten(got[i]); g != w {
+			t.Fatalf("community %d = %+v, want %+v", i, g, w)
 		}
-		if !gotEdges.Equal(wantEdges) {
-			t.Fatalf("pattern %v: sharded truss has %d edges, sequential has %d",
-				key.Itemset(), gotEdges.Len(), wantEdges.Len())
+	}
+}
+
+// assertEqualAnswers requires two engine answers to agree record for record,
+// cohesions included, and on the counters.
+func assertEqualAnswers(t *testing.T, got, want *Answer) {
+	t.Helper()
+	if got.RetrievedNodes != want.RetrievedNodes || got.VisitedNodes != want.VisitedNodes {
+		t.Fatalf("retrieved %d and visited %d nodes, want %d and %d", got.RetrievedNodes, got.VisitedNodes, want.RetrievedNodes, want.VisitedNodes)
+	}
+	assertEqualCommunities(t, got.Communities, want.Communities)
+}
+
+func assertEqualCommunities(t *testing.T, got, want []truss.Community) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d communities, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if g := got[i]; flatten(g) != flatten(w) || g.Cohesion != w.Cohesion {
+			t.Fatalf("community %d = %+v, want %+v", i, g, w)
 		}
 	}
 }
@@ -99,7 +136,7 @@ func TestNewRejectsNilTree(t *testing.T) {
 
 // mustQuery runs a query that is not expected to fail (eager engines never
 // do; lazy engines only on shard-load errors).
-func mustQuery(t *testing.T, eng *Engine, q itemset.Itemset, alpha float64) *tctree.QueryResult {
+func mustQuery(t *testing.T, eng *Engine, q itemset.Itemset, alpha float64) *Answer {
 	t.Helper()
 	res, err := eng.Query(q, alpha)
 	if err != nil {
@@ -108,7 +145,7 @@ func mustQuery(t *testing.T, eng *Engine, q itemset.Itemset, alpha float64) *tct
 	return res
 }
 
-func mustQueryByAlpha(t *testing.T, eng *Engine, alpha float64) *tctree.QueryResult {
+func mustQueryByAlpha(t *testing.T, eng *Engine, alpha float64) *Answer {
 	t.Helper()
 	res, err := eng.QueryByAlpha(alpha)
 	if err != nil {
@@ -168,8 +205,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 }
 
 // TestDeterministicMerge checks that repeated executions (cache disabled, so
-// every run re-traverses the shards in parallel) produce the same truss
-// order, not just the same truss set.
+// every run re-traverses the shards in parallel) produce the same community
+// order, not just the same community set.
 func TestDeterministicMerge(t *testing.T) {
 	tree := buildTestTree(t, 5)
 	eng, err := New(tree, Options{Workers: 8})
@@ -178,16 +215,7 @@ func TestDeterministicMerge(t *testing.T) {
 	}
 	first := mustQueryByAlpha(t, eng, 0)
 	for rep := 0; rep < 10; rep++ {
-		again := mustQueryByAlpha(t, eng, 0)
-		if len(again.Trusses) != len(first.Trusses) {
-			t.Fatalf("run %d retrieved %d trusses, first run %d", rep, len(again.Trusses), len(first.Trusses))
-		}
-		for i := range again.Trusses {
-			if !again.Trusses[i].Pattern.Equal(first.Trusses[i].Pattern) {
-				t.Fatalf("run %d: truss %d is %v, first run had %v",
-					rep, i, again.Trusses[i].Pattern, first.Trusses[i].Pattern)
-			}
-		}
+		assertEqualAnswers(t, mustQueryByAlpha(t, eng, 0), first)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"themecomm/internal/itemset"
-	"themecomm/internal/tctree"
 )
 
 // TaskReport is one shard of an Explain answer: the planned task annotated
@@ -141,7 +140,7 @@ func (e *Engine) ExplainContaining(q itemset.Itemset, alphaQ float64) (*ExplainR
 // Recorder as the lazy Detail payload, so a slow query's log entry carries
 // the same per-shard breakdown an Explain of the query would have shown —
 // for the execution that actually was slow, not a rerun.
-func (e *Engine) planReport(plan *QueryPlan, exec planExec, eff itemset.Itemset, full bool, res *tctree.QueryResult) *ExplainReport {
+func (e *Engine) planReport(plan *QueryPlan, exec planExec, eff itemset.Itemset, full bool, res *Answer) *ExplainReport {
 	mode := plan.Mode
 	if mode == ModeSub {
 		mode = "" // the default; keep sub-pattern reports unchanged

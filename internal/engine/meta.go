@@ -1,10 +1,13 @@
 package engine
 
 import (
-	"themecomm/internal/core"
+	"cmp"
+	"context"
+	"slices"
+
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
-	"themecomm/internal/tctree"
+	"themecomm/internal/truss"
 )
 
 // This file gives the engine the index-metadata surface the HTTP server used
@@ -90,34 +93,29 @@ func (e *Engine) PatternsAtDepth(depth int) ([]itemset.Itemset, error) {
 // SearchVertex returns every theme community that contains the query vertex,
 // restricted to themes that are sub-patterns of q (nil or empty means every
 // indexed theme) and to the cohesion threshold alphaQ, like
-// tctree.SearchVertex but loading only the shards q touches.
-func (e *Engine) SearchVertex(v graph.VertexID, q itemset.Itemset, alphaQ float64) ([]core.Community, error) {
+// tctree.SearchVertex but loading only the shards q touches: the answer of
+// Query(q, alphaQ) — cached like any other, observed under ctx's request ID —
+// filtered by a binary search of each record's vertex list. Communities are
+// ordered by theme, shorter themes first.
+func (e *Engine) SearchVertex(ctx context.Context, v graph.VertexID, q itemset.Itemset, alphaQ float64) ([]truss.Community, error) {
 	if q.Len() == 0 {
 		q = nil
 	}
-	qr, err := e.Query(q, alphaQ)
+	res, err := e.QueryContext(ctx, q, alphaQ)
 	if err != nil {
 		return nil, err
 	}
-	return tctree.CommunitiesOfVertex(qr, v), nil
-}
-
-// removalAlphas resolves an indexed pattern's per-edge removal thresholds —
-// the α at which each edge of C*_p(0) leaves the truss — loading the
-// pattern's shard when necessary. ok is false when the pattern is not
-// indexed, which is not an error. Callers hold updateMu for reading.
-func (e *Engine) removalAlphas(t *shardTable, p itemset.Itemset) (map[uint64]float64, bool, error) {
-	if p.Len() == 0 {
-		return nil, false, nil
+	var out []truss.Community
+	for _, c := range res.Communities {
+		if _, ok := slices.BinarySearch(c.Vertices, v); ok {
+			out = append(out, c)
+		}
 	}
-	s, ok := t.lookup(p[0])
-	if !ok {
-		return nil, false, nil
-	}
-	view, _, err := e.acquire(s)
-	if err != nil {
-		return nil, false, err
-	}
-	ra, ok := view.RemovalAlphas(p)
-	return ra, ok, nil
+	slices.SortStableFunc(out, func(a, b truss.Community) int {
+		if c := cmp.Compare(a.Pattern.Len(), b.Pattern.Len()); c != 0 {
+			return c
+		}
+		return itemset.Compare(a.Pattern, b.Pattern)
+	})
+	return out, nil
 }

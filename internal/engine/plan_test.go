@@ -93,28 +93,6 @@ func TestPlanCostOrdering(t *testing.T) {
 	}
 }
 
-// assertIdenticalAnswer is the strict form of assertSameAnswer: the truss
-// sequence (order included), edge sets and counters must all match — the
-// "byte-identical" planner parity contract.
-func assertIdenticalAnswer(t *testing.T, got, want *tctree.QueryResult) {
-	t.Helper()
-	if got.RetrievedNodes != want.RetrievedNodes || got.VisitedNodes != want.VisitedNodes {
-		t.Fatalf("counters (%d retrieved, %d visited), want (%d, %d)",
-			got.RetrievedNodes, got.VisitedNodes, want.RetrievedNodes, want.VisitedNodes)
-	}
-	if len(got.Trusses) != len(want.Trusses) {
-		t.Fatalf("%d trusses, want %d", len(got.Trusses), len(want.Trusses))
-	}
-	for i := range want.Trusses {
-		if !got.Trusses[i].Pattern.Equal(want.Trusses[i].Pattern) {
-			t.Fatalf("truss %d is %v, want %v", i, got.Trusses[i].Pattern, want.Trusses[i].Pattern)
-		}
-		if !got.Trusses[i].Edges.Equal(want.Trusses[i].Edges) {
-			t.Fatalf("truss %d (%v): edge sets differ", i, got.Trusses[i].Pattern)
-		}
-	}
-}
-
 // TestPlannerParity is the planner on/off correctness matrix: for a corpus
 // of queries spanning all-items, single-shard, subset and unindexed-item
 // patterns across the full α range, the planning engine must produce
@@ -162,7 +140,7 @@ func TestPlannerParity(t *testing.T) {
 			for _, alpha := range alphas {
 				want := mustQuery(t, off, q, alpha)
 				got := mustQuery(t, on, q, alpha)
-				assertIdenticalAnswer(t, got, want)
+				assertEqualAnswers(t, got, want)
 				// Against the single-threaded tree walk only the truss
 				// set is comparable: the engine groups by shard, the
 				// tree interleaves levels across shards.
@@ -229,7 +207,7 @@ func TestPlannerSkipAvoidsLoads(t *testing.T) {
 		t.Fatalf("NewLazy: %v", err)
 	}
 	got := mustQueryByAlpha(t, on, alphaQ)
-	assertIdenticalAnswer(t, got, wantOff)
+	assertEqualAnswers(t, got, wantOff)
 	st := on.Stats()
 	if st.LazyLoads != uint64(len(stats)-skippable) {
 		t.Fatalf("planner-on loaded %d shards, want %d", st.LazyLoads, len(stats)-skippable)

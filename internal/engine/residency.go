@@ -156,6 +156,7 @@ func evictShard(s *shard) (freed int64, ok bool) {
 		return 0, false
 	}
 	freed = s.view.SizeBytes()
+	s.view.Evicted()
 	s.view = nil
 	s.once = new(sync.Once)
 	return freed, true

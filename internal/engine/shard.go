@@ -6,7 +6,6 @@ import (
 
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
-	"themecomm/internal/truss"
 )
 
 // shard is one partition of the TC-Tree: the subtree rooted at a first-level
@@ -98,18 +97,8 @@ func (s *shard) info() ShardInfo {
 
 // shardResult is the answer of one shard to one query.
 type shardResult struct {
-	// trusses are the non-empty reconstructed trusses in breadth-first
-	// order within the shard.
-	trusses []*truss.Truss
-	// visited counts the shard nodes inspected, including nodes whose truss
-	// was empty at α_q (the shard's share of QueryResult.VisitedNodes).
-	visited int
+	tctree.ShardAnswer
 	// err is the shard's lazy-load failure, if any; the traversal itself
 	// cannot fail.
 	err error
-}
-
-// answerResult converts a view's answer to the executor's per-shard record.
-func answerResult(a tctree.ShardAnswer) shardResult {
-	return shardResult{trusses: a.Trusses, visited: a.Visited}
 }

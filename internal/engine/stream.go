@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
-	"themecomm/internal/core"
 	"themecomm/internal/itemset"
-	"themecomm/internal/tctree"
 	"themecomm/internal/trace"
+	"themecomm/internal/truss"
 )
 
 // This file is the streaming half of the executor: instead of materializing
@@ -60,16 +60,15 @@ type streamTask struct {
 	maxAlpha float64
 }
 
-// shardCursor is one opened shard's contribution: ranked communities in
-// lessRanked order (ranked mode) or plain communities in traversal order.
+// shardCursor is one opened shard's contribution: its communities in
+// lessRanked order (ranked mode) or in traversal order (plain mode).
 type shardCursor struct {
-	item   itemset.Item
-	ranked []RankedCommunity
-	comms  []core.Community
-	pos    int
+	item  itemset.Item
+	comms []truss.Community
+	pos   int
 }
 
-func (c *shardCursor) head() *RankedCommunity { return &c.ranked[c.pos] }
+func (c *shardCursor) head() *truss.Community { return &c.comms[c.pos] }
 
 // StreamStats is a snapshot of a stream's execution counters. Counters grow
 // as the stream is pulled; ShardsShortCircuited is final only after Close.
@@ -78,7 +77,7 @@ type StreamStats struct {
 	Epoch uint64 `json:"epoch"`
 	// Emitted counts the communities the stream has yielded.
 	Emitted int `json:"emitted"`
-	// RetrievedNodes and VisitedNodes mirror QueryResult: trusses retrieved
+	// RetrievedNodes and VisitedNodes mirror Answer: trusses retrieved
 	// and nodes inspected across the opened shards (α*-skipped shards
 	// contribute their one synthesized root visit, like the materializing
 	// path).
@@ -204,17 +203,16 @@ func (e *Engine) newStream(ctx context.Context, q itemset.Itemset, alphaQ float6
 
 // Next returns the next community of the stream, or (nil, nil) when the
 // stream is exhausted (in ranked mode, also once k communities have been
-// emitted). In plain mode only the Community field of the yielded value is
-// set; ranked mode fills the ranking annotations exactly like TopK. An
-// error poisons the stream: every later Next returns it again.
-func (st *Stream) Next() (*RankedCommunity, error) {
+// emitted). The record belongs to the stream's answer and must not be
+// modified. An error poisons the stream: every later Next returns it again.
+func (st *Stream) Next() (*truss.Community, error) {
 	if st.err != nil {
 		return nil, st.err
 	}
 	if st.closed {
 		return nil, fmt.Errorf("engine: Next on a closed stream")
 	}
-	var rc *RankedCommunity
+	var rc *truss.Community
 	var err error
 	if st.ranked {
 		rc, err = st.nextRanked()
@@ -233,7 +231,7 @@ func (st *Stream) Next() (*RankedCommunity, error) {
 
 // nextRanked advances the cohesion-ordered merge: open pending shards while
 // their α* bound could still beat the current heap head, then emit the head.
-func (st *Stream) nextRanked() (*RankedCommunity, error) {
+func (st *Stream) nextRanked() (*truss.Community, error) {
 	if st.k > 0 && st.stats.Emitted >= st.k {
 		return nil, nil
 	}
@@ -259,24 +257,24 @@ func (st *Stream) nextRanked() (*RankedCommunity, error) {
 		top := st.heap[0]
 		rc := top.head()
 		top.pos++
-		if top.pos == len(top.ranked) {
+		if top.pos == len(top.comms) {
 			n := len(st.heap) - 1
 			st.heap[0] = st.heap[n]
 			st.heap = st.heap[:n]
 		}
-		st.siftDown(0)
+		siftDown(st.heap, 0, cursorLess)
 		return rc, nil
 	}
 }
 
 // nextPlain drains shards in ascending root-item order, opening each on
 // demand.
-func (st *Stream) nextPlain() (*RankedCommunity, error) {
+func (st *Stream) nextPlain() (*truss.Community, error) {
 	for {
 		if st.cur != nil && st.cur.pos < len(st.cur.comms) {
-			c := st.cur.comms[st.cur.pos]
+			c := st.cur.head()
 			st.cur.pos++
-			return &RankedCommunity{Community: c}, nil
+			return c, nil
 		}
 		st.cur = nil
 		if len(st.pending) == 0 {
@@ -289,11 +287,14 @@ func (st *Stream) nextPlain() (*RankedCommunity, error) {
 }
 
 // openNext opens the first pending shard: acquire (loading it on a lazy
-// engine), traverse, and — in ranked mode — rank its communities and push
-// the cursor onto the merge heap. The open holds the engine's update lock
-// for reading and re-checks the index epoch on lazy engines, so a stream
-// never mixes pre- and post-delta shards; it also takes a traversal slot,
-// so the engine-wide worker bound holds across streams and queries alike.
+// engine), traverse, and — in ranked mode — order its communities by
+// lessRanked and push the cursor onto the merge heap. Patterns of distinct
+// shards start with distinct root items, so merging per-shard sorted lists
+// under the same comparator reproduces TopK's global order record for
+// record. The open holds the engine's update lock for reading and re-checks
+// the index epoch on lazy engines, so a stream never mixes pre- and
+// post-delta shards; it also takes a traversal slot, so the engine-wide
+// worker bound holds across streams and queries alike.
 func (st *Stream) openNext() error {
 	task := st.pending[0]
 	st.pending = st.pending[1:]
@@ -314,66 +315,23 @@ func (st *Stream) openNext() error {
 	if err != nil {
 		return fmt.Errorf("engine: shard %d: %w", s.item, err)
 	}
-	sr := answerResult(view.QuerySub(st.pattern, st.alpha))
-	cur := &shardCursor{item: s.item}
-	if st.ranked {
-		cur.ranked = st.rankShard(view, sr)
-		if len(cur.ranked) > 0 {
-			st.heap = append(st.heap, cur)
-			st.siftUp(len(st.heap) - 1)
-		}
-	} else {
-		for _, tr := range sr.trusses {
-			for _, comp := range tr.Communities() {
-				cur.comms = append(cur.comms, core.Community{Pattern: tr.Pattern, Edges: comp})
-			}
-		}
+	sa := view.QuerySub(st.pattern, st.alpha)
+	cur := &shardCursor{item: s.item, comms: sa.Communities}
+	if !st.ranked {
 		st.cur = cur
+	} else if len(cur.comms) > 0 {
+		slices.SortFunc(cur.comms, compareRanked)
+		st.heap = append(st.heap, cur)
+		siftUp(st.heap, len(st.heap)-1, cursorLess)
 	}
 	st.stats.ShardsOpened++
 	if loaded {
 		st.stats.Loads++
 	}
-	st.stats.VisitedNodes += sr.visited
-	st.stats.RetrievedNodes += len(sr.trusses)
+	st.stats.VisitedNodes += sa.Visited
+	st.stats.RetrievedNodes += sa.Retrieved
 	st.execDur += time.Since(start)
 	return nil
-}
-
-// rankShard annotates and orders one shard's trusses exactly like
-// TopKWithResult does globally: each community's cohesion is the minimum
-// removal threshold over its edges in the pattern's decomposition, and the
-// shard's list is sorted by lessRanked. Patterns of distinct shards start
-// with distinct root items, so merging per-shard sorted lists under the same
-// comparator reproduces the global sorted order byte for byte.
-func (st *Stream) rankShard(view tctree.ShardView, sr shardResult) []RankedCommunity {
-	ranked := make([]RankedCommunity, 0, len(sr.trusses))
-	for _, tr := range sr.trusses {
-		removalAlpha, ok := view.RemovalAlphas(tr.Pattern)
-		if !ok {
-			// Cannot happen on a consistent tree; skip rather than panic,
-			// matching TopKWithResult.
-			continue
-		}
-		for _, comp := range tr.Communities() {
-			cohesion := 0.0
-			first := true
-			for key := range comp {
-				if a := removalAlpha[key]; first || a < cohesion {
-					cohesion = a
-					first = false
-				}
-			}
-			ranked = append(ranked, RankedCommunity{
-				Community: core.Community{Pattern: tr.Pattern, Edges: comp},
-				Cohesion:  cohesion,
-				Vertices:  len(comp.Vertices()),
-				Edges:     comp.Len(),
-			})
-		}
-	}
-	sort.Slice(ranked, func(i, j int) bool { return lessRanked(&ranked[i], &ranked[j]) })
-	return ranked
 }
 
 // cursorLess orders heap cursors by their head community; lessRanked is a
@@ -387,35 +345,6 @@ func cursorLess(a, b *shardCursor) bool {
 		return false
 	}
 	return a.item < b.item
-}
-
-func (st *Stream) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !cursorLess(st.heap[i], st.heap[parent]) {
-			return
-		}
-		st.heap[i], st.heap[parent] = st.heap[parent], st.heap[i]
-		i = parent
-	}
-}
-
-func (st *Stream) siftDown(i int) {
-	n := len(st.heap)
-	for {
-		best := i
-		if l := 2*i + 1; l < n && cursorLess(st.heap[l], st.heap[best]) {
-			best = l
-		}
-		if r := 2*i + 2; r < n && cursorLess(st.heap[r], st.heap[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		st.heap[i], st.heap[best] = st.heap[best], st.heap[i]
-		i = best
-	}
 }
 
 // Stats snapshots the stream's execution counters.

@@ -8,6 +8,7 @@ import (
 
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
+	"themecomm/internal/truss"
 )
 
 // This file proves the streaming executor against the materializing one.
@@ -20,9 +21,9 @@ import (
 // its pre-delta snapshot (eager) — never mixing epochs.
 
 // drainStream pulls the stream to exhaustion.
-func drainStream(t *testing.T, st *Stream) []RankedCommunity {
+func drainStream(t *testing.T, st *Stream) []truss.Community {
 	t.Helper()
-	var out []RankedCommunity
+	var out []truss.Community
 	for {
 		rc, err := st.Next()
 		if err != nil {
@@ -36,49 +37,14 @@ func drainStream(t *testing.T, st *Stream) []RankedCommunity {
 }
 
 // assertPlainParity compares a drained StreamQuery answer against the
-// materializing Query answer: same communities, same order, same traversal
+// materializing Query answer: same records, same order, same traversal
 // counters.
-func assertPlainParity(t *testing.T, got []RankedCommunity, stats StreamStats, want *tctree.QueryResult) {
+func assertPlainParity(t *testing.T, got []truss.Community, stats StreamStats, want *Answer) {
 	t.Helper()
-	wantComms := want.Communities()
-	if len(got) != len(wantComms) {
-		t.Fatalf("streamed %d communities, materialized %d", len(got), len(wantComms))
-	}
-	for i := range got {
-		if !got[i].Community.Pattern.Equal(wantComms[i].Pattern) {
-			t.Fatalf("community %d: streamed pattern %v, materialized %v",
-				i, got[i].Community.Pattern, wantComms[i].Pattern)
-		}
-		if !got[i].Community.Edges.Equal(wantComms[i].Edges) {
-			t.Fatalf("community %d (%v): edge sets differ", i, got[i].Community.Pattern)
-		}
-	}
+	assertEqualCommunities(t, got, want.Communities)
 	if stats.RetrievedNodes != want.RetrievedNodes || stats.VisitedNodes != want.VisitedNodes {
 		t.Fatalf("stream counters retrieved=%d visited=%d, materialized retrieved=%d visited=%d",
 			stats.RetrievedNodes, stats.VisitedNodes, want.RetrievedNodes, want.VisitedNodes)
-	}
-}
-
-// assertRankedParity compares a drained StreamTopK answer against the
-// materializing TopK answer position by position: pattern, edge set, and
-// every ranking annotation.
-func assertRankedParity(t *testing.T, got, want []RankedCommunity) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d ranked communities, materialized %d", len(got), len(want))
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		if !g.Community.Pattern.Equal(w.Community.Pattern) {
-			t.Fatalf("rank %d: streamed pattern %v, materialized %v", i, g.Community.Pattern, w.Community.Pattern)
-		}
-		if !g.Community.Edges.Equal(w.Community.Edges) {
-			t.Fatalf("rank %d (%v): edge sets differ", i, g.Community.Pattern)
-		}
-		if g.Cohesion != w.Cohesion || g.Vertices != w.Vertices || g.Edges != w.Edges {
-			t.Fatalf("rank %d: streamed (cohesion=%g v=%d e=%d), materialized (cohesion=%g v=%d e=%d)",
-				i, g.Cohesion, g.Vertices, g.Edges, w.Cohesion, w.Vertices, w.Edges)
-		}
 	}
 }
 
@@ -152,7 +118,7 @@ func TestStreamPropertyParity(t *testing.T) {
 						}
 						gotRanked := drainStream(t, rst)
 						rst.Close()
-						assertRankedParity(t, gotRanked, wantRanked)
+						assertEqualCommunities(t, gotRanked, wantRanked)
 						cases++
 					}
 				}
@@ -223,7 +189,7 @@ func TestStreamTopKShortCircuits(t *testing.T) {
 			t.Fatalf("TopK: %v", err)
 		}
 		if len(ranked) != 1 || ranked[0].Cohesion != got[0].Cohesion ||
-			!ranked[0].Community.Pattern.Equal(got[0].Community.Pattern) {
+			!ranked[0].Pattern.Equal(got[0].Pattern) {
 			t.Fatalf("short-circuited answer differs from materialized top-1")
 		}
 		return
@@ -320,7 +286,7 @@ func TestStreamMidDeltaEager(t *testing.T) {
 	}
 
 	rest := drainStream(t, st)
-	got := append([]RankedCommunity{*first}, rest...)
+	got := append([]truss.Community{*first}, rest...)
 	stats := st.Stats()
 	assertPlainParity(t, got, stats, preDelta)
 	if stats.Epoch == eng.IndexEpoch() {

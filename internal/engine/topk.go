@@ -2,35 +2,19 @@ package engine
 
 import (
 	"context"
-	"sort"
+	"slices"
 
-	"themecomm/internal/core"
-	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
-	"themecomm/internal/tctree"
+	"themecomm/internal/truss"
 )
 
-// RankedCommunity is one theme community of a top-k answer, annotated with
-// its ranking statistics.
-type RankedCommunity struct {
-	// Community is the theme community (pattern plus connected edge set).
-	Community core.Community
-	// Cohesion is the largest cohesion threshold at which the community
-	// survives intact: the minimum removal threshold over its edges in the
-	// pattern's decomposition L_p. Raising α_q past this value removes at
-	// least one of the community's edges.
-	Cohesion float64
-	// Vertices and Edges size the community.
-	Vertices int
-	Edges    int
-}
-
 // TopK answers (q, α_q) and returns the k best theme communities, ranked by
-// descending cohesion, then descending size (vertices, then edges), with a
-// deterministic pattern/vertex tiebreak. k <= 0 means every community.
-// Because TopK ranks the answer of Query, repeated top-k workloads benefit
-// from the result cache.
-func (e *Engine) TopK(q itemset.Itemset, alphaQ float64, k int) ([]RankedCommunity, error) {
+// descending cohesion — the largest threshold at which a community survives
+// intact, which every record of an answer carries — then descending size
+// (vertices, then edges), with a deterministic pattern/vertex tiebreak.
+// k <= 0 means every community. Because TopK ranks the answer of Query,
+// repeated top-k workloads benefit from the result cache.
+func (e *Engine) TopK(q itemset.Itemset, alphaQ float64, k int) ([]truss.Community, error) {
 	_, ranked, err := e.TopKWithResult(q, alphaQ, k)
 	return ranked, err
 }
@@ -38,58 +22,83 @@ func (e *Engine) TopK(q itemset.Itemset, alphaQ float64, k int) ([]RankedCommuni
 // TopKWithResult is TopK exposing the underlying query answer as well, so
 // callers (the HTTP server) can report retrieval statistics without running
 // the query twice.
-func (e *Engine) TopKWithResult(q itemset.Itemset, alphaQ float64, k int) (*tctree.QueryResult, []RankedCommunity, error) {
+func (e *Engine) TopKWithResult(q itemset.Itemset, alphaQ float64, k int) (*Answer, []truss.Community, error) {
 	return e.TopKWithResultContext(context.Background(), q, alphaQ, k)
 }
 
 // TopKWithResultContext is TopKWithResult carrying a context; see
 // QueryContext.
-func (e *Engine) TopKWithResultContext(ctx context.Context, q itemset.Itemset, alphaQ float64, k int) (*tctree.QueryResult, []RankedCommunity, error) {
+func (e *Engine) TopKWithResultContext(ctx context.Context, q itemset.Itemset, alphaQ float64, k int) (*Answer, []truss.Community, error) {
 	e.topKs.Add(1)
-	// Hold the update lock across both the query and the per-pattern node
-	// resolution, so the cohesion annotations always come from the same
-	// index state the trusses were retrieved from.
-	e.updateMu.RLock()
-	defer e.updateMu.RUnlock()
-	res, err := e.queryLocked(ctx, q, alphaQ, ModeSub)
+	res, err := e.QueryContext(ctx, q, alphaQ)
 	if err != nil {
 		return nil, nil, err
 	}
-	t := e.table.Load()
-	ranked := make([]RankedCommunity, 0, len(res.Trusses))
-	for _, tr := range res.Trusses {
-		// Map each edge of C*_p(0) to the threshold α_k at which it drops
-		// out of the maximal pattern truss (Section 6.1).
-		removalAlpha, ok, err := e.removalAlphas(t, tr.Pattern)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !ok {
-			// Cannot happen on a consistent tree; skip rather than panic.
-			continue
-		}
-		for _, comp := range tr.Communities() {
-			cohesion := 0.0
-			first := true
-			for key := range comp {
-				if a := removalAlpha[key]; first || a < cohesion {
-					cohesion = a
-					first = false
-				}
-			}
-			ranked = append(ranked, RankedCommunity{
-				Community: core.Community{Pattern: tr.Pattern, Edges: comp},
-				Cohesion:  cohesion,
-				Vertices:  len(comp.Vertices()),
-				Edges:     comp.Len(),
-			})
+	return res, bestK(res.Communities, k), nil
+}
+
+// bestK returns the k communities that order first under lessRanked, in that
+// order, leaving comms (a possibly cached answer) untouched. lessRanked is a
+// strict total order on the communities of one answer, so selecting is the
+// same as sorting everything and truncating; it keeps a heap of k records
+// with the worst of them on top and looks at every other record once.
+func bestK(comms []truss.Community, k int) []truss.Community {
+	if k <= 0 || k >= len(comms) {
+		out := slices.Clone(comms)
+		slices.SortFunc(out, compareRanked)
+		return out
+	}
+	worse := func(a, b *truss.Community) bool { return lessRanked(b, a) }
+	best := make([]*truss.Community, k)
+	for i := range best {
+		best[i] = &comms[i]
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(best, i, worse)
+	}
+	for i := k; i < len(comms); i++ {
+		if c := &comms[i]; lessRanked(c, best[0]) {
+			best[0] = c
+			siftDown(best, 0, worse)
 		}
 	}
-	sort.Slice(ranked, func(i, j int) bool { return lessRanked(&ranked[i], &ranked[j]) })
-	if k > 0 && k < len(ranked) {
-		ranked = ranked[:k]
+	out := make([]truss.Community, k)
+	for i, c := range best {
+		out[i] = *c
 	}
-	return res, ranked, nil
+	slices.SortFunc(out, compareRanked)
+	return out
+}
+
+// siftDown restores a binary heap after h[i] changed: it sinks until neither
+// child goes before it. siftUp is its counterpart for an element appended at
+// i. before(a, b) says a belongs nearer the top than b.
+func siftDown[T any](h []T, i int, before func(a, b T) bool) {
+	for {
+		top := i
+		if l := 2*i + 1; l < len(h) && before(h[l], h[top]) {
+			top = l
+		}
+		if r := 2*i + 2; r < len(h) && before(h[r], h[top]) {
+			top = r
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
+}
+
+func siftUp[T any](h []T, i int, before func(a, b T) bool) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(h[i], h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
 }
 
 // LessRanked reports whether a orders strictly before b in the top-k order:
@@ -97,34 +106,33 @@ func (e *Engine) TopKWithResultContext(ctx context.Context, q itemset.Itemset, a
 // deterministic pattern/vertex tiebreak. It is exported so that a federation
 // can merge per-network top-k answers into one globally ordered list with
 // exactly the ranking TopK used per network.
-func LessRanked(a, b *RankedCommunity) bool { return lessRanked(a, b) }
+func LessRanked(a, b *truss.Community) bool { return lessRanked(a, b) }
 
 // lessRanked orders communities best-first: cohesion desc, vertices desc,
 // edges desc, then pattern and smallest vertex ascending for determinism.
-func lessRanked(a, b *RankedCommunity) bool {
+func lessRanked(a, b *truss.Community) bool {
 	if a.Cohesion != b.Cohesion {
 		return a.Cohesion > b.Cohesion
 	}
-	if a.Vertices != b.Vertices {
-		return a.Vertices > b.Vertices
+	if len(a.Vertices) != len(b.Vertices) {
+		return len(a.Vertices) > len(b.Vertices)
 	}
 	if a.Edges != b.Edges {
 		return a.Edges > b.Edges
 	}
-	if c := itemset.Compare(a.Community.Pattern, b.Community.Pattern); c != 0 {
+	if c := itemset.Compare(a.Pattern, b.Pattern); c != 0 {
 		return c < 0
 	}
-	return minVertex(a.Community.Edges) < minVertex(b.Community.Edges)
+	return a.Vertices[0] < b.Vertices[0]
 }
 
-func minVertex(es graph.EdgeSet) graph.VertexID {
-	first := true
-	var m graph.VertexID
-	for _, e := range es {
-		if first || e.U < m {
-			m = e.U
-			first = false
-		}
+// compareRanked is lessRanked as a three-way comparison.
+func compareRanked(a, b truss.Community) int {
+	switch {
+	case lessRanked(&a, &b):
+		return -1
+	case lessRanked(&b, &a):
+		return 1
 	}
-	return m
+	return 0
 }

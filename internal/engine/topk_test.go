@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"themecomm/internal/dbnet"
+	"themecomm/internal/graph"
 	"themecomm/internal/tctree"
 )
 
@@ -33,25 +35,33 @@ func TestTopKRanking(t *testing.T) {
 		if rc.Cohesion <= alphaQ {
 			t.Fatalf("community %d has cohesion %g ≤ α_q = %g", i, rc.Cohesion, alphaQ)
 		}
-		if rc.Edges != rc.Community.Edges.Len() || rc.Vertices != len(rc.Community.Edges.Vertices()) {
-			t.Fatalf("community %d has inconsistent size fields", i)
+		node := tree.Node(rc.Pattern)
+		if node == nil {
+			t.Fatalf("community %d has unindexed pattern %v", i, rc.Pattern)
+		}
+		// The record names a component of the pattern's truss at α_q: the
+		// edges of that truss on its vertices are exactly its edges.
+		edges := make(graph.EdgeSet)
+		for _, e := range node.Decomp.EdgesAt(alphaQ) {
+			if _, ok := slices.BinarySearch(rc.Vertices, e.U); ok {
+				edges.Add(e)
+			}
+		}
+		if rc.Edges != edges.Len() || !slices.Equal(rc.Vertices, edges.Vertices()) {
+			t.Fatalf("community %d = %+v is not a component of its truss at α_q", i, rc)
 		}
 		// Raising the threshold to the reported cohesion must remove at
-		// least one of the community's edges from the pattern's truss.
-		node := tree.Node(rc.Community.Pattern)
-		if node == nil {
-			t.Fatalf("community %d has unindexed pattern %v", i, rc.Community.Pattern)
-		}
-		shrunk := node.Decomp.EdgesAt(rc.Cohesion)
-		if rc.Community.Edges.SubsetOf(shrunk) {
+		// least one of the community's edges from the pattern's truss, and
+		// no lower threshold may.
+		if edges.SubsetOf(node.Decomp.EdgesAt(rc.Cohesion)) {
 			t.Fatalf("community %d survives intact at its own cohesion %g", i, rc.Cohesion)
 		}
-		if !rc.Community.Edges.SubsetOf(node.Decomp.EdgesAt(alphaQ)) {
-			t.Fatalf("community %d is not part of the truss at α_q", i)
+		if !edges.SubsetOf(node.Decomp.EdgesAt(rc.Cohesion - 1e-6)) {
+			t.Fatalf("community %d loses an edge below its cohesion %g", i, rc.Cohesion)
 		}
 	}
 
-	for _, k := range []int{1, 2, len(all), len(all) + 5} {
+	for _, k := range []int{1, 2, 3, len(all) / 2, len(all) - 1, len(all), len(all) + 5} {
 		topK, err := eng.TopK(nil, alphaQ, k)
 		if err != nil {
 			t.Fatalf("TopK(k=%d): %v", k, err)
@@ -63,12 +73,8 @@ func TestTopKRanking(t *testing.T) {
 		if len(topK) != wantLen {
 			t.Fatalf("TopK(k=%d) returned %d communities, want %d", k, len(topK), wantLen)
 		}
-		for i := range topK {
-			if !topK[i].Community.Pattern.Equal(all[i].Community.Pattern) ||
-				!topK[i].Community.Edges.Equal(all[i].Community.Edges) {
-				t.Fatalf("TopK(k=%d) is not a prefix of the full ranking at %d", k, i)
-			}
-		}
+		// The bounded selection must be the prefix a full sort leaves.
+		assertEqualCommunities(t, topK, all[:wantLen])
 	}
 	if got := eng.Stats().TopKQueries; got == 0 {
 		t.Fatalf("TopKQueries counter not incremented")
@@ -90,7 +96,7 @@ func TestTopKPaperExample(t *testing.T) {
 	}
 	count := 0
 	for _, rc := range all {
-		if rc.Community.Pattern.Equal(dbnet.PaperExampleP) {
+		if rc.Pattern.Equal(dbnet.PaperExampleP) {
 			count++
 		}
 	}

@@ -180,16 +180,14 @@ func (s *Suite) CaseStudy(maxCommunities int) ([]CaseStudyCommunity, error) {
 	if err != nil {
 		return nil, err
 	}
-	comms := qr.Communities()
-
 	var out []CaseStudyCommunity
-	for _, c := range comms {
+	for _, c := range qr.Communities {
 		if c.Pattern.Len() < 2 {
 			continue
 		}
 		theme := d.Dictionary.Names(c.Pattern)
 		var authors []string
-		for _, v := range c.Vertices() {
+		for _, v := range c.Vertices {
 			if int(v) < len(d.AuthorNames) {
 				authors = append(authors, d.AuthorNames[v])
 			}

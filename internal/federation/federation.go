@@ -45,6 +45,7 @@ import (
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
 	"themecomm/internal/trace"
+	"themecomm/internal/truss"
 )
 
 // Options configures a Federation and the engines it builds for attached
@@ -447,7 +448,7 @@ type NetworkResult struct {
 	// re-resolving.
 	Pattern itemset.Itemset
 	// Result is the network's answer; nil when Err is set.
-	Result *tctree.QueryResult
+	Result *engine.Answer
 	// Err is the network's failure (lazy shard-load error), if any.
 	Err error
 }
@@ -504,12 +505,12 @@ func (f *Federation) QueryAllFuncContext(ctx context.Context, resolve PatternRes
 	return out, errors.Join(errs...)
 }
 
-// NetworkRanked is one community of a cross-network top-k answer: the
-// engine's ranked community annotated with the network it came from.
+// NetworkRanked is one community of a cross-network answer: the engine's
+// record annotated with the network it came from.
 type NetworkRanked struct {
 	// Network is the name of the network the community belongs to.
 	Network string
-	engine.RankedCommunity
+	truss.Community
 }
 
 // TopKAll answers (q, alphaQ) against every attached network and merges the
@@ -550,15 +551,15 @@ func (f *Federation) TopKAllFuncContext(ctx context.Context, resolve PatternReso
 			return
 		}
 		for _, rc := range ranked {
-			merged = append(merged, NetworkRanked{Network: t.net.name, RankedCommunity: rc})
+			merged = append(merged, NetworkRanked{Network: t.net.name, Community: rc})
 		}
 	})
 	sort.Slice(merged, func(i, j int) bool {
 		a, b := &merged[i], &merged[j]
-		if engine.LessRanked(&a.RankedCommunity, &b.RankedCommunity) {
+		if engine.LessRanked(&a.Community, &b.Community) {
 			return true
 		}
-		if engine.LessRanked(&b.RankedCommunity, &a.RankedCommunity) {
+		if engine.LessRanked(&b.Community, &a.Community) {
 			return false
 		}
 		return a.Network < b.Network

@@ -1,8 +1,11 @@
 package federation
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -11,6 +14,7 @@ import (
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
+	"themecomm/internal/truss"
 )
 
 // buildTestTree builds a small TC-Tree over a dense random database network,
@@ -79,7 +83,16 @@ func newTestFederation(t *testing.T, opts Options) (*Federation, map[string]*tct
 	return f, trees
 }
 
-func assertSameAnswer(t *testing.T, network string, got, want *tctree.QueryResult) {
+// sameCommunity reports whether two records agree on every field.
+func sameCommunity(a, b truss.Community) bool {
+	return a.Pattern.Equal(b.Pattern) && slices.Equal(a.Vertices, b.Vertices) && a.Edges == b.Edges && a.Cohesion == b.Cohesion
+}
+
+// assertSameAnswer requires a member engine's answer to hold the communities
+// of the backing tree's sequential answer — theme, vertex list and edge
+// count, compared order-free (the engine's own tests pin the order) — and
+// the same counters.
+func assertSameAnswer(t *testing.T, network string, got *engine.Answer, want *tctree.QueryResult) {
 	t.Helper()
 	if got == nil {
 		t.Fatalf("network %s: nil answer", network)
@@ -88,17 +101,17 @@ func assertSameAnswer(t *testing.T, network string, got, want *tctree.QueryResul
 		t.Fatalf("network %s: retrieved/visited = %d/%d, want %d/%d",
 			network, got.RetrievedNodes, got.VisitedNodes, want.RetrievedNodes, want.VisitedNodes)
 	}
-	gotSet := make(map[itemset.Key]graph.EdgeSet, len(got.Trusses))
-	for _, tr := range got.Trusses {
-		gotSet[tr.Pattern.Key()] = tr.Edges
+	var gotSet, wantSet []string
+	for _, c := range got.Communities {
+		gotSet = append(gotSet, fmt.Sprint(c.Pattern, c.Vertices, c.Edges))
 	}
-	if len(gotSet) != len(want.Trusses) {
-		t.Fatalf("network %s: %d distinct patterns, want %d", network, len(gotSet), len(want.Trusses))
+	for _, c := range want.Communities() {
+		wantSet = append(wantSet, fmt.Sprint(c.Pattern, c.Vertices(), c.Edges.Len()))
 	}
-	for _, tr := range want.Trusses {
-		if edges, ok := gotSet[tr.Pattern.Key()]; !ok || !edges.Equal(tr.Edges) {
-			t.Fatalf("network %s: pattern %v missing or differs", network, tr.Pattern)
-		}
+	sort.Strings(gotSet)
+	sort.Strings(wantSet)
+	if !slices.Equal(gotSet, wantSet) {
+		t.Fatalf("network %s: communities\n%v\nwant\n%v", network, gotSet, wantSet)
 	}
 }
 
@@ -146,7 +159,10 @@ func TestFederatedMatchesStandalone(t *testing.T) {
 		if err != nil {
 			t.Fatalf("standalone query: %v", err)
 		}
-		assertSameAnswer(t, name, got, want)
+		assertSameAnswer(t, name, got, tree.Query(q, 0.1))
+		if !slices.EqualFunc(got.Communities, want.Communities, sameCommunity) {
+			t.Fatalf("network %s: federated answer %+v, standalone %+v", name, got.Communities, want.Communities)
+		}
 	}
 }
 
@@ -178,10 +194,10 @@ func TestTopKAllDeterministicMerge(t *testing.T) {
 	// ordered by network name.
 	for i := 1; i < len(first); i++ {
 		a, b := &first[i-1], &first[i]
-		if engine.LessRanked(&a.RankedCommunity, &b.RankedCommunity) {
+		if engine.LessRanked(&a.Community, &b.Community) {
 			continue // strictly ordered
 		}
-		if engine.LessRanked(&b.RankedCommunity, &a.RankedCommunity) {
+		if engine.LessRanked(&b.Community, &a.Community) {
 			t.Fatalf("merge out of order at %d", i)
 		}
 		if a.Network > b.Network {
@@ -198,16 +214,13 @@ func TestTopKAllDeterministicMerge(t *testing.T) {
 			t.Fatalf("rep %d returned %d communities, first run %d", rep, len(again), len(first))
 		}
 		for i := range first {
-			if again[i].Network != first[i].Network ||
-				!again[i].Community.Pattern.Equal(first[i].Community.Pattern) ||
-				again[i].Cohesion != first[i].Cohesion ||
-				!again[i].Community.Edges.Equal(first[i].Community.Edges) {
+			if again[i].Network != first[i].Network || !sameCommunity(again[i].Community, first[i].Community) {
 				t.Fatalf("rep %d differs from first run at %d", rep, i)
 			}
 		}
 	}
 	// Membership: every merged entry appears in its own network's top k.
-	perNetwork := make(map[string][]engine.RankedCommunity)
+	perNetwork := make(map[string][]truss.Community)
 	for _, name := range f.Names() {
 		n, _ := f.Network(name)
 		ranked, err := n.Engine().TopK(nil, 0, k)
@@ -219,7 +232,7 @@ func TestTopKAllDeterministicMerge(t *testing.T) {
 	for i, rc := range first {
 		found := false
 		for _, own := range perNetwork[rc.Network] {
-			if own.Community.Pattern.Equal(rc.Community.Pattern) && own.Community.Edges.Equal(rc.Community.Edges) {
+			if sameCommunity(own, rc.Community) {
 				found = true
 				break
 			}

@@ -7,6 +7,7 @@ import (
 
 	"themecomm/internal/engine"
 	"themecomm/internal/itemset"
+	"themecomm/internal/truss"
 )
 
 // This file is the federation's streaming layer: cross-network answers
@@ -33,7 +34,7 @@ import (
 type netCursor struct {
 	name string
 	st   *engine.Stream
-	head *engine.RankedCommunity
+	head *truss.Community
 }
 
 // MergedStream is a pull-based cursor over a cross-network answer. Like
@@ -179,7 +180,7 @@ func (ms *MergedStream) nextRanked() (*NetworkRanked, error) {
 		return nil, nil
 	}
 	top := ms.heap[0]
-	out := &NetworkRanked{Network: top.name, RankedCommunity: *top.head}
+	out := &NetworkRanked{Network: top.name, Community: *top.head}
 	if err := ms.advance(top); err != nil {
 		return nil, err
 	}
@@ -199,7 +200,7 @@ func (ms *MergedStream) nextPlain() (*NetworkRanked, error) {
 			return nil, err
 		}
 		if c.head != nil {
-			return &NetworkRanked{Network: c.name, RankedCommunity: *c.head}, nil
+			return &NetworkRanked{Network: c.name, Community: *c.head}, nil
 		}
 		ms.seq = ms.seq[1:]
 	}

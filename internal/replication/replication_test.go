@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"themecomm/internal/dbnet"
@@ -96,7 +97,7 @@ func testQueries() []query {
 }
 
 // assertEngineParity checks that two engines answer the test query mix with
-// byte-identical trusses.
+// identical communities, record for record.
 func assertEngineParity(t *testing.T, label string, got, want *engine.Engine) {
 	t.Helper()
 	for _, q := range testQueries() {
@@ -108,21 +109,13 @@ func assertEngineParity(t *testing.T, label string, got, want *engine.Engine) {
 		if err != nil {
 			t.Fatalf("%s: reference query %v@%v: %v", label, q.pattern, q.alpha, err)
 		}
-		if len(g.Trusses) != len(w.Trusses) {
-			t.Fatalf("%s: query %v@%v: %d trusses, want %d", label, q.pattern, q.alpha, len(g.Trusses), len(w.Trusses))
+		if len(g.Communities) != len(w.Communities) {
+			t.Fatalf("%s: query %v@%v: %d communities, want %d", label, q.pattern, q.alpha, len(g.Communities), len(w.Communities))
 		}
-		for i := range w.Trusses {
-			gt, wt := g.Trusses[i], w.Trusses[i]
-			if !gt.Pattern.Equal(wt.Pattern) {
-				t.Fatalf("%s: truss %d pattern %v, want %v", label, i, gt.Pattern, wt.Pattern)
-			}
-			if gt.Edges.Len() != wt.Edges.Len() {
-				t.Fatalf("%s: truss %v: %d edges, want %d", label, gt.Pattern, gt.Edges.Len(), wt.Edges.Len())
-			}
-			for _, e := range wt.Edges {
-				if !gt.Edges.Contains(e) {
-					t.Fatalf("%s: truss %v misses edge %v", label, gt.Pattern, e)
-				}
+		for i, wc := range w.Communities {
+			if gc := g.Communities[i]; !gc.Pattern.Equal(wc.Pattern) || !slices.Equal(gc.Vertices, wc.Vertices) ||
+				gc.Edges != wc.Edges || gc.Cohesion != wc.Cohesion {
+				t.Fatalf("%s: query %v@%v: community %d = %+v, want %+v", label, q.pattern, q.alpha, i, gc, wc)
 			}
 		}
 	}

@@ -259,7 +259,7 @@ func (s *Server) handleQueryAll(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Communities = append(resp.Communities, NetworkCommunityResponse{
 				Network:           rc.Network,
-				CommunityResponse: t.rankedResponse(rc.RankedCommunity),
+				CommunityResponse: t.communityResponse(&rc.Community, true),
 			})
 		}
 		writeJSON(w, http.StatusOK, resp)

@@ -175,6 +175,30 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestVertexLookupKeepsItsRequestID pins the context a vertex lookup hands
+// the engine: the query behind /api/v1/vertex is observed — and, being slow
+// under this threshold, logged — under the X-Request-ID of the HTTP request,
+// not under a context the engine made up.
+func TestVertexLookupKeepsItsRequestID(t *testing.T) {
+	s, _ := newObservedServer(t)
+	if rec := getWithID(t, s, "/api/v1/vertex?id=3&alpha=0.1", "vertex-req-1"); rec.Code != http.StatusOK {
+		t.Fatalf("vertex status = %d, body %s", rec.Code, rec.Body.String())
+	}
+	var sl SlowLogResponse
+	if err := json.Unmarshal(get(t, s, "/api/v1/slowlog").Body.Bytes(), &sl); err != nil {
+		t.Fatalf("decode slowlog: %v", err)
+	}
+	for _, e := range sl.Entries {
+		if e.RequestID == "vertex-req-1" {
+			if e.Plan == nil || e.Shards <= 0 {
+				t.Fatalf("the vertex lookup's slow entry is degenerate: %+v", e)
+			}
+			return
+		}
+	}
+	t.Fatalf("no slow entry carries request ID vertex-req-1: %+v", sl.Entries)
+}
+
 // TestFederatedMetricsPerTenant checks the multi-tenant surface: per-network
 // query families, exactly one shared-cache sample per cache family, and the
 // federation families.

@@ -33,6 +33,7 @@ import (
 	"themecomm/internal/obs"
 	"themecomm/internal/replication"
 	"themecomm/internal/tctree"
+	"themecomm/internal/truss"
 )
 
 // defaultCacheSize is the result-cache bound of the engine the server builds
@@ -388,14 +389,14 @@ func (s *Server) serveQuery(t *tenant, w http.ResponseWriter, r *http.Request) {
 			VisitedNodes:   qr.VisitedNodes,
 			QueryMicros:    qr.Duration.Microseconds(),
 		}
-		for _, rc := range ranked {
-			resp.Communities = append(resp.Communities, t.rankedResponse(rc))
+		for i := range ranked {
+			resp.Communities = append(resp.Communities, t.communityResponse(&ranked[i], true))
 		}
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
 
-	var qr *tctree.QueryResult
+	var qr *engine.Answer
 	var err error
 	if req.Contains {
 		qr, err = t.engine.QueryContainingContext(r.Context(), q, alpha)
@@ -411,14 +412,14 @@ func (s *Server) serveQuery(t *tenant, w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// rankedResponse renders one top-k community.
-func (t *tenant) rankedResponse(rc engine.RankedCommunity) CommunityResponse {
-	return CommunityResponse{
-		Theme:    t.itemNames(rc.Community.Pattern),
-		Vertices: t.names(rc.Community.Vertices()),
-		Edges:    rc.Edges,
-		Cohesion: rc.Cohesion,
+// communityResponse renders one community record of an engine answer. Every
+// record carries its cohesion; only ranked (top-k) answers show it.
+func (t *tenant) communityResponse(c *truss.Community, ranked bool) CommunityResponse {
+	resp := CommunityResponse{Theme: t.itemNames(c.Pattern), Vertices: t.names(c.Vertices), Edges: c.Edges}
+	if ranked {
+		resp.Cohesion = c.Cohesion
 	}
+	return resp
 }
 
 // ExplainResponse is the payload of GET /api/v1/explain: the engine's plan
@@ -456,7 +457,7 @@ func (s *Server) serveExplain(t *tenant, w http.ResponseWriter, r *http.Request)
 }
 
 // queryResponse renders one engine answer.
-func (t *tenant) queryResponse(q itemset.Itemset, patternNames []string, alpha float64, qr *tctree.QueryResult) QueryResponse {
+func (t *tenant) queryResponse(q itemset.Itemset, patternNames []string, alpha float64, qr *engine.Answer) QueryResponse {
 	resp := QueryResponse{
 		Alpha:          alpha,
 		Pattern:        patternNames,
@@ -464,12 +465,11 @@ func (t *tenant) queryResponse(q itemset.Itemset, patternNames []string, alpha f
 		VisitedNodes:   qr.VisitedNodes,
 		QueryMicros:    qr.Duration.Microseconds(),
 	}
-	for _, c := range qr.Communities() {
-		resp.Communities = append(resp.Communities, CommunityResponse{
-			Theme:    t.itemNames(c.Pattern),
-			Vertices: t.names(c.Vertices()),
-			Edges:    c.Edges.Len(),
-		})
+	if len(qr.Communities) > 0 { // an empty answer stays "communities":null
+		resp.Communities = make([]CommunityResponse, len(qr.Communities))
+	}
+	for i := range qr.Communities {
+		resp.Communities[i] = t.communityResponse(&qr.Communities[i], false)
 	}
 	return resp
 }
@@ -613,18 +613,14 @@ func (s *Server) serveVertex(t *tenant, w http.ResponseWriter, r *http.Request) 
 		rerr.write(w, r)
 		return
 	}
-	communities, err := t.engine.SearchVertex(graph.VertexID(id), req.Pattern, req.Alpha)
+	communities, err := t.engine.SearchVertex(r.Context(), graph.VertexID(id), req.Pattern, req.Alpha)
 	if err != nil {
 		writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
 	resp := VertexResponse{Vertex: t.names([]graph.VertexID{graph.VertexID(id)})[0], Alpha: req.Alpha}
-	for _, c := range communities {
-		resp.Communities = append(resp.Communities, CommunityResponse{
-			Theme:    t.itemNames(c.Pattern),
-			Vertices: t.names(c.Vertices()),
-			Edges:    c.Edges.Len(),
-		})
+	for i := range communities {
+		resp.Communities = append(resp.Communities, t.communityResponse(&communities[i], false))
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

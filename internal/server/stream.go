@@ -263,7 +263,7 @@ func (s *Server) serveQueryStream(t *tenant, w http.ResponseWriter, r *http.Requ
 		if rc == nil {
 			break
 		}
-		resp.Communities = append(resp.Communities, t.streamCommunity(rc, k > 0))
+		resp.Communities = append(resp.Communities, t.communityResponse(rc, k > 0))
 		emitted++
 	}
 	more, err := streamHasMore(st, limit, emitted)
@@ -296,20 +296,6 @@ func streamHasMore(st *engine.Stream, limit, emitted int) (bool, error) {
 	return rc != nil, nil
 }
 
-// streamCommunity renders one streamed community: ranked answers carry the
-// cohesion annotations, plain answers the community alone — matching the
-// materializing renderings of the same query.
-func (t *tenant) streamCommunity(rc *engine.RankedCommunity, ranked bool) CommunityResponse {
-	if ranked {
-		return t.rankedResponse(*rc)
-	}
-	return CommunityResponse{
-		Theme:    t.itemNames(rc.Community.Pattern),
-		Vertices: t.names(rc.Community.Vertices()),
-		Edges:    rc.Community.Edges.Len(),
-	}
-}
-
 // writeStreamNDJSON drives a single-network stream to an NDJSON response:
 // header, one line per community (flushed as produced, so clients see
 // results while later shards are still unopened), then the trailer with the
@@ -337,7 +323,7 @@ func (s *Server) writeStreamNDJSON(t *tenant, w http.ResponseWriter, r *http.Req
 		if rc == nil {
 			break
 		}
-		writeLine(StreamCommunity{Type: "community", CommunityResponse: t.streamCommunity(rc, ranked)})
+		writeLine(StreamCommunity{Type: "community", CommunityResponse: t.communityResponse(rc, ranked)})
 		emitted++
 	}
 	more, err := streamHasMore(st, limit, emitted)
@@ -419,7 +405,7 @@ func (s *Server) serveQueryAllStream(w http.ResponseWriter, r *http.Request, res
 		}
 		writeLine(StreamCommunity{
 			Type: "community", Network: nr.Network,
-			CommunityResponse: t.streamCommunity(&nr.RankedCommunity, k > 0),
+			CommunityResponse: t.communityResponse(&nr.Community, k > 0),
 		})
 		emitted++
 	}

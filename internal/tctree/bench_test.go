@@ -74,3 +74,36 @@ func BenchmarkBuild(b *testing.B) {
 		benchTree = Build(ds.Network, BuildOptions{})
 	}
 }
+
+// scanAlphas is the qba-scan α grid of cmd/tcload.
+var scanAlphas = [...]float64{0.5, 1, 1.5, 2, 3}
+
+var benchAnswer ShardAnswer
+
+// BenchmarkShardCommunities measures the read kernel where the served path
+// runs it: one query-by-alpha over every shard of the read workloads' index
+// (AMINER at scale 0.5, TCBIN shards decoded in place), cycling the qba-scan
+// α grid — traversal, level decode and community split, no engine around it.
+func BenchmarkShardCommunities(b *testing.B) {
+	ds, err := gen.AMiner(0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree := Build(ds.Network, BuildOptions{})
+	var shards []ShardView
+	for _, root := range tree.Root().Children {
+		shards = append(shards, shardViews(b, root)["BinShard"])
+	}
+	universe := ds.Network.Items()
+	communities := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sh := range shards {
+			benchAnswer = sh.QuerySub(universe, scanAlphas[i%len(scanAlphas)])
+			communities += len(benchAnswer.Communities)
+		}
+	}
+	b.ReportMetric(float64(communities)/float64(b.N), "communities/op")
+	b.ReportMetric(float64(len(shards)), "shards/op")
+}

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"themecomm/internal/graph"
@@ -63,6 +64,9 @@ type BinShard struct {
 	level     []byte
 	edge      []byte
 	nodeCount uint32
+	// mapped says data is a memory map of the shard file (OpenBinShard on
+	// linux) rather than heap bytes.
+	mapped bool
 }
 
 // binShardFileName is the canonical file name for the TCBIN shard of an
@@ -373,6 +377,7 @@ func OpenBinShard(path string, entry ShardEntry) (*BinShard, error) {
 		return nil, err
 	}
 	if unmap != nil {
+		b.mapped = true
 		runtime.SetFinalizer(b, func(*BinShard) { unmap() })
 	}
 	return b, nil
@@ -401,52 +406,49 @@ func (b *BinShard) nodeMaxAlpha(i uint32) float64 {
 	return a
 }
 
-// freqOf looks up f_v(p) for one vertex of node i's decomposition by
-// binary search over the vertex-sorted frequency run.
-func (b *BinShard) freqOf(i uint32, v graph.VertexID) float64 {
-	fs, fc := b.nodeU32(i, binNodeFreqStart), b.nodeU32(i, binNodeFreqCount)
-	lo, hi := fs, fs+fc
-	for lo < hi {
-		mid := (lo + hi) / 2
-		o := uint64(mid) * binFreqSize
-		mv := graph.VertexID(int32(binLE.Uint32(b.freq[o:])))
-		switch {
-		case mv == v:
-			return math.Float64frombits(binLE.Uint64(b.freq[o+4:]))
-		case mv < v:
-			lo = mid + 1
-		default:
-			hi = mid
+// liveLevels decodes the levels of node i that are live at α_q into the
+// scratch buffers — the one copy the read makes of an edge — the counterpart
+// of Decomposition.LiveLevels on a NodeView.
+func (b *BinShard) liveLevels(sc *readScratch, i uint32, alphaQ float64) []truss.Level {
+	ls, lc := b.nodeU32(i, binNodeLevelStart), b.nodeU32(i, binNodeLevelCount)
+	total := 0
+	for l := ls; l < ls+lc; l++ {
+		if alpha, _, ec := b.levelAt(l); truss.LevelLive(alpha, alphaQ) {
+			total += int(ec)
 		}
 	}
-	return 0
-}
-
-// trussAt reconstructs C*_p(α) for node i, mirroring Decomposition.TrussAt:
-// the union of the removal sets of every level still live at α, with
-// frequencies for exactly the vertices of that edge set.
-func (b *BinShard) trussAt(i uint32, pattern itemset.Itemset, alphaQ float64) *truss.Truss {
-	edges := make(graph.EdgeSet)
-	ls, lc := b.nodeU32(i, binNodeLevelStart), b.nodeU32(i, binNodeLevelCount)
+	// Sized up front: the levels below keep slices of edges, which must not
+	// move under them.
+	edges, levels := slices.Grow(sc.edges[:0], total), sc.levels[:0]
 	for l := ls; l < ls+lc; l++ {
 		alpha, es, ec := b.levelAt(l)
 		if !truss.LevelLive(alpha, alphaQ) {
 			continue
 		}
+		start := len(edges)
 		for e := es; e < es+ec; e++ {
-			edges.Add(graph.EdgeFromKey(binLE.Uint64(b.edge[uint64(e)*binEdgeSize:])))
+			edges = append(edges, graph.EdgeFromKey(binLE.Uint64(b.edge[uint64(e)*binEdgeSize:])))
 		}
+		levels = append(levels, truss.Level{Alpha: alpha, Removed: edges[start:]})
 	}
-	t := &truss.Truss{Pattern: pattern.Clone(), Alpha: alphaQ, Edges: edges, Freq: make(map[graph.VertexID]float64)}
-	for _, v := range edges.Vertices() {
-		t.Freq[v] = b.freqOf(i, v)
-	}
-	return t
+	sc.edges, sc.levels = edges, levels
+	return levels
 }
 
 func (b *BinShard) RootItem() itemset.Item { return b.item }
 
 func (b *BinShard) SizeBytes() int64 { return int64(len(b.data)) }
+
+// Evicted returns the pages of a mapped shard to the OS at once. The map
+// itself stays — a traversal still in flight reads on, faulting pages back
+// in from the file — and goes with the finalizer as before: how long that
+// takes depends on how much garbage the process makes, and the memory an
+// evicted shard holds in the meantime should not.
+func (b *BinShard) Evicted() {
+	if b.mapped {
+		dropPages(b.data)
+	}
+}
 
 func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 	var res ShardAnswer
@@ -454,12 +456,14 @@ func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 	if !truss.LevelLive(b.nodeMaxAlpha(0), alphaQ) {
 		return res
 	}
+	sc := readScratchPool.Get().(*readScratch)
+	defer readScratchPool.Put(sc)
 	type frame struct {
 		idx uint32
 		pat itemset.Itemset
 	}
 	rootPat := itemset.New(b.item)
-	res.Trusses = append(res.Trusses, b.trussAt(0, rootPat, alphaQ))
+	res.retrieve(sc, rootPat, b.liveLevels(sc, 0, alphaQ))
 	queue := []frame{{0, rootPat}}
 	for len(queue) > 0 {
 		f := queue[0]
@@ -476,10 +480,11 @@ func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 				continue
 			}
 			pat := f.pat.Add(it)
-			res.Trusses = append(res.Trusses, b.trussAt(ci, pat, alphaQ))
+			res.retrieve(sc, pat, b.liveLevels(sc, ci, alphaQ))
 			queue = append(queue, frame{ci, pat})
 		}
 	}
+	res.finish(sc)
 	return res
 }
 
@@ -493,6 +498,8 @@ func (b *BinShard) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 	if !truss.LevelLive(b.nodeMaxAlpha(0), alphaQ) {
 		return res
 	}
+	sc := readScratchPool.Get().(*readScratch)
+	defer readScratchPool.Put(sc)
 	type frame struct {
 		idx  uint32
 		pat  itemset.Itemset
@@ -500,7 +507,7 @@ func (b *BinShard) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 	}
 	rootPat := itemset.New(b.item)
 	if need0 == q.Len() {
-		res.Trusses = append(res.Trusses, b.trussAt(0, rootPat, alphaQ))
+		res.retrieve(sc, rootPat, b.liveLevels(sc, 0, alphaQ))
 	}
 	queue := []frame{{0, rootPat, need0}}
 	for len(queue) > 0 {
@@ -525,42 +532,13 @@ func (b *BinShard) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 			}
 			pat := f.pat.Add(it)
 			if need == q.Len() {
-				res.Trusses = append(res.Trusses, b.trussAt(ci, pat, alphaQ))
+				res.retrieve(sc, pat, b.liveLevels(sc, ci, alphaQ))
 			}
 			queue = append(queue, frame{ci, pat, need})
 		}
 	}
+	res.finish(sc)
 	return res
-}
-
-func (b *BinShard) RemovalAlphas(p itemset.Itemset) (map[uint64]float64, bool) {
-	if p.Len() < 1 || p[0] != b.item {
-		return nil, false
-	}
-	idx := uint32(0)
-	for _, it := range p[1:] {
-		cs, cc := b.nodeU32(idx, binNodeChildStart), b.nodeU32(idx, binNodeChildCount)
-		found := false
-		for c := cs; c < cs+cc; c++ {
-			ci := binLE.Uint32(b.child[c*4:])
-			if b.itemOf(ci) == it {
-				idx, found = ci, true
-				break
-			}
-		}
-		if !found {
-			return nil, false
-		}
-	}
-	ls, lc := b.nodeU32(idx, binNodeLevelStart), b.nodeU32(idx, binNodeLevelCount)
-	out := make(map[uint64]float64)
-	for l := ls; l < ls+lc; l++ {
-		alpha, es, ec := b.levelAt(l)
-		for e := es; e < es+ec; e++ {
-			out[binLE.Uint64(b.edge[uint64(e)*binEdgeSize:])] = alpha
-		}
-	}
-	return out, true
 }
 
 func (b *BinShard) WalkPatterns(visit func(p itemset.Itemset)) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -32,35 +33,21 @@ func binShardFixtures(t *testing.T, seed int64) (*Tree, []*Node, [][]byte, []Sha
 	return tree, roots, bufs, entries
 }
 
-// assertSameShardAnswer requires two shard answers to agree on the visited
-// counter and on every truss: pattern, threshold, edge set and vertex
-// frequencies.
+// assertSameShardAnswer requires two shard answers to agree on the counters
+// and on every community record: theme, vertex list, edge count and — bit for
+// bit — cohesion, in the same order.
 func assertSameShardAnswer(t *testing.T, label string, got, want ShardAnswer) {
 	t.Helper()
-	if got.Visited != want.Visited {
-		t.Fatalf("%s: visited %d nodes, want %d", label, got.Visited, want.Visited)
+	if got.Visited != want.Visited || got.Retrieved != want.Retrieved {
+		t.Fatalf("%s: visited %d and retrieved %d nodes, want %d and %d", label, got.Visited, got.Retrieved, want.Visited, want.Retrieved)
 	}
-	if len(got.Trusses) != len(want.Trusses) {
-		t.Fatalf("%s: %d trusses, want %d", label, len(got.Trusses), len(want.Trusses))
+	if len(got.Communities) != len(want.Communities) {
+		t.Fatalf("%s: %d communities, want %d", label, len(got.Communities), len(want.Communities))
 	}
-	for i := range want.Trusses {
-		g, w := got.Trusses[i], want.Trusses[i]
-		if !g.Pattern.Equal(w.Pattern) {
-			t.Fatalf("%s: truss %d pattern %v, want %v", label, i, g.Pattern, w.Pattern)
-		}
-		if g.Alpha != w.Alpha {
-			t.Fatalf("%s: truss %d (%v) alpha %v, want %v", label, i, w.Pattern, g.Alpha, w.Alpha)
-		}
-		if !g.Edges.Equal(w.Edges) {
-			t.Fatalf("%s: truss %d (%v) edge sets differ", label, i, w.Pattern)
-		}
-		if len(g.Freq) != len(w.Freq) {
-			t.Fatalf("%s: truss %d (%v) has %d vertices, want %d", label, i, w.Pattern, len(g.Freq), len(w.Freq))
-		}
-		for v, f := range w.Freq {
-			if gf, ok := g.Freq[v]; !ok || !approx(gf, f) {
-				t.Fatalf("%s: truss %d (%v) vertex %d frequency %v, want %v", label, i, w.Pattern, v, g.Freq[v], f)
-			}
+	for i, w := range want.Communities {
+		g := got.Communities[i]
+		if !g.Pattern.Equal(w.Pattern) || !slices.Equal(g.Vertices, w.Vertices) || g.Edges != w.Edges || g.Cohesion != w.Cohesion {
+			t.Fatalf("%s: community %d = %+v, want %+v", label, i, g, w)
 		}
 	}
 }
@@ -145,8 +132,7 @@ func TestBinShardViewParity(t *testing.T) {
 			}
 		}
 
-		// RemovalAlphas must agree edge for edge on every indexed pattern,
-		// and agree that unindexed patterns are absent.
+		// WalkPatterns must list the same patterns in the same order.
 		var pats []itemset.Itemset
 		bin.WalkPatterns(func(p itemset.Itemset) { pats = append(pats, p) })
 		var viewPats []itemset.Itemset
@@ -158,21 +144,6 @@ func TestBinShardViewParity(t *testing.T) {
 			if !pats[j].Equal(viewPats[j]) {
 				t.Fatalf("WalkPatterns order diverges at %d: %v vs %v", j, pats[j], viewPats[j])
 			}
-		}
-		for _, p := range pats {
-			ba, bok := bin.RemovalAlphas(p)
-			va, vok := view.RemovalAlphas(p)
-			if bok != vok || len(ba) != len(va) {
-				t.Fatalf("RemovalAlphas(%v): bin (%d, %v) vs view (%d, %v)", p, len(ba), bok, len(va), vok)
-			}
-			for e, a := range va {
-				if !approx(ba[e], a) {
-					t.Fatalf("RemovalAlphas(%v): edge %d alpha %v, want %v", p, e, ba[e], a)
-				}
-			}
-		}
-		if _, ok := bin.RemovalAlphas(itemset.New(root.Item, 999)); ok {
-			t.Fatalf("RemovalAlphas of an unindexed pattern reported ok")
 		}
 	}
 }
@@ -365,6 +336,22 @@ func TestWriteShardedBinaryRoundTrip(t *testing.T) {
 	if view.SizeBytes() <= 0 {
 		t.Fatalf("BinShard view reports %d bytes", view.SizeBytes())
 	}
+	// An evicted view gave its pages back, not its bytes: a traversal that
+	// still holds it answers as before, and a view over heap bytes is left
+	// alone.
+	q := itemset.New(itemset.Item(m.Shards[0].Item))
+	before := view.QuerySub(q, 0)
+	view.Evicted()
+	assertSameShardAnswer(t, "after Evicted", view.QuerySub(q, 0), before)
+	_, _, bufs, entries := binShardFixtures(t, 19)
+	heap, err := DecodeBinShard(bufs[0], entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap.Evicted()
+	if _, err := DecodeBinShard(bufs[0], entries[0]); err != nil {
+		t.Fatalf("Evicted on a heap-backed shard damaged its bytes: %v", err)
+	}
 }
 
 // TestLoadShardVerifiesChecksumTCBIN is TestLoadShardVerifiesChecksum on the
@@ -466,11 +453,42 @@ func TestCatalogueCodecs(t *testing.T) {
 	}
 }
 
+// hostileEdgeSeeds rewrites edges of a valid shard into what DecodeBinShard
+// does not look at — it validates tables, not the edges in them — and
+// reseals the payload, so each seed passes validation and reaches the read
+// kernel: a self-loop, one edge stored twice (in the root's first and last
+// level when it has two), and an endpoint no frequency run holds.
+func hostileEdgeSeeds(valid []byte) [][]byte {
+	edgeOff := binary.LittleEndian.Uint64(valid[80:])
+	edgeTotal := uint64(binary.LittleEndian.Uint32(valid[36:]))
+	rootLevels := uint64(binary.LittleEndian.Uint32(valid[binary.LittleEndian.Uint64(valid[48:])+binNodeLevelCount:]))
+	levelOff := binary.LittleEndian.Uint64(valid[72:])
+	// The root's levels start the edge table: the first edge of its last
+	// level is edge 0 only when it has one level, and then the copy goes to
+	// another edge of that level.
+	dup := uint64(binary.LittleEndian.Uint32(valid[levelOff+(rootLevels-1)*binLevelSize+8:]))
+	if dup == 0 {
+		dup = edgeTotal - 1
+	}
+	mutate := func(fn func(d []byte)) []byte {
+		d := append([]byte(nil), valid...)
+		fn(d)
+		return reseal(d)
+	}
+	first := binary.LittleEndian.Uint64(valid[edgeOff:])
+	return [][]byte{
+		mutate(func(d []byte) { binary.LittleEndian.PutUint64(d[edgeOff:], first>>32<<32|first>>32) }),
+		mutate(func(d []byte) { binary.LittleEndian.PutUint64(d[edgeOff+dup*binEdgeSize:], first) }),
+		mutate(func(d []byte) { binary.LittleEndian.PutUint64(d[edgeOff:], first>>32<<32|0x7fffffff) }),
+	}
+}
+
 // FuzzTCBINDecode feeds arbitrary bytes to DecodeBinShard under a manifest
 // entry synthesized from the payload's own header, so fuzzing reaches the
 // structural validators behind the entry cross-checks. The decoder must
-// either error or return a shard whose every traversal runs without panics
-// or out-of-range reads.
+// either error or return a shard whose every traversal — the read kernel
+// included, which runs unchecked on whatever edges the payload holds — and
+// whose Materialize run without panics or out-of-range reads.
 func FuzzTCBINDecode(f *testing.F) {
 	nw := dbnet.PaperExample()
 	tree := Build(nw, BuildOptions{})
@@ -485,6 +503,9 @@ func FuzzTCBINDecode(f *testing.F) {
 		flipped := append([]byte(nil), buf...)
 		flipped[len(flipped)/3] ^= 0x40
 		f.Add(flipped)
+		for _, seed := range hostileEdgeSeeds(buf) {
+			f.Add(seed)
+		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte("TCBIN\r\n\x00"))
@@ -506,9 +527,8 @@ func FuzzTCBINDecode(f *testing.F) {
 			sh.QuerySub(itemset.New(root), alpha)
 			sh.QueryContaining(itemset.New(root), alpha)
 		}
-		sh.RemovalAlphas(itemset.New(root))
-		if _, err := sh.Materialize(); err != nil {
-			t.Fatalf("validated shard failed to materialize: %v", err)
-		}
+		// Materialize re-validates every decomposition and may refuse one
+		// (an edge stored twice); it must not panic.
+		_, _ = sh.Materialize()
 	})
 }

@@ -37,3 +37,8 @@ func mapFile(path string) ([]byte, func(), error) {
 	}
 	return data, func() { _ = syscall.Munmap(data) }, nil
 }
+
+// dropPages gives the resident pages of a mapping made by mapFile back to
+// the OS without unmapping it: the range stays valid, and a later access
+// faults the page in again from the file.
+func dropPages(data []byte) { _ = syscall.Madvise(data, syscall.MADV_DONTNEED) }

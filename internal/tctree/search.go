@@ -24,14 +24,6 @@ func (t *Tree) SearchVertex(v graph.VertexID, q itemset.Itemset, alphaQ float64)
 	} else {
 		qr = t.Query(q, alphaQ)
 	}
-	return CommunitiesOfVertex(qr, v)
-}
-
-// CommunitiesOfVertex filters a query answer down to the theme communities
-// that contain the vertex, ordered by theme (shorter themes first). It is the
-// answer-side half of SearchVertex, shared with serving layers that execute
-// the query themselves (internal/engine).
-func CommunitiesOfVertex(qr *QueryResult, v graph.VertexID) []core.Community {
 	var out []core.Community
 	for _, tr := range qr.Trusses {
 		if _, ok := tr.Freq[v]; !ok {

@@ -1,6 +1,10 @@
 package tctree
 
 import (
+	"slices"
+	"sync"
+
+	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 	"themecomm/internal/truss"
 )
@@ -10,8 +14,17 @@ import (
 // memory-mapped file — every shard opened from disk — and NodeView wraps a
 // pointer subtree on the heap: trees built in-process, shards rebuilt by a
 // delta and not yet checkpointed, and the reference the TCBIN parity tests
-// compare against. Both run the same traversals in the same order, so query
-// answers — including visited-node counters — are byte-identical.
+// compare against. Both run the same traversals in the same order and hand
+// every retrieved node's live removal levels to the same read kernel
+// (truss.Splitter), so query answers — communities, their order, and the
+// retrieved/visited counters — are identical.
+//
+// A traversal answers with theme communities as flat records, never with
+// trusses: a retrieved node costs one pass over its live edges, two
+// allocations (its pattern on a BinShard, the vertex lists of its
+// communities) and nothing per edge, the traversal one more for the records
+// themselves, and the records keep no reference to the shard's bytes, so
+// they outlive its eviction.
 type ShardView interface {
 	// RootItem returns the shard's root item.
 	RootItem() itemset.Item
@@ -21,17 +34,12 @@ type ShardView interface {
 	// empty at α_q (Proposition 5.2). The caller guarantees the root item
 	// is in q by shard selection.
 	QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer
-	// QueryContaining answers the containment workload: the trusses of
-	// every indexed pattern p ⊇ q, reconstructed at α_q. The traversal
-	// descends only into children that can still reach a superset of q
-	// (set-enumeration order makes skipped-over query items unreachable)
-	// and prunes empty-truss subtrees exactly like QuerySub.
+	// QueryContaining answers the containment workload: the communities of
+	// every indexed pattern p ⊇ q at α_q. The traversal descends only into
+	// children that can still reach a superset of q (set-enumeration order
+	// makes skipped-over query items unreachable) and prunes empty-truss
+	// subtrees exactly like QuerySub.
 	QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswer
-	// RemovalAlphas returns pattern p's removal thresholds by edge key —
-	// the α at which each edge of C*_p(0) leaves the truss — or false when
-	// p is not indexed in the shard. Top-k ranking derives community
-	// cohesion from it.
-	RemovalAlphas(p itemset.Itemset) (map[uint64]float64, bool)
 	// WalkPatterns visits every indexed pattern of the shard in DFS
 	// pre-order (the shard root first, children in ascending item order).
 	WalkPatterns(visit func(p itemset.Itemset))
@@ -39,15 +47,56 @@ type ShardView interface {
 	// mapped file size for a BinShard, 0 for a NodeView (heap shards are
 	// never evicted, so they are outside every budget).
 	SizeBytes() int64
+	// Evicted tells the view that its holder dropped it to make room, so it
+	// can stop charging memory before the garbage collector gets to it.
+	// Traversals already running on the view must keep working.
+	Evicted()
 }
 
-// ShardAnswer is one shard's contribution to a query: the non-empty
-// reconstructed trusses in traversal order, and the number of shard nodes
-// inspected (including nodes whose truss was empty at α_q).
+// ShardAnswer is one shard's contribution to a query: the theme communities
+// of the retrieved nodes — nodes in traversal order, each node's communities
+// by smallest vertex — with the number of nodes retrieved (non-empty at α_q
+// and matching the query) and the number inspected (including nodes whose
+// truss was empty at α_q).
 type ShardAnswer struct {
-	Trusses []*truss.Truss
-	Visited int
+	Communities []truss.Community
+	Retrieved   int
+	Visited     int
 }
+
+// retrieve records one retrieved node: the read kernel splits its live levels
+// into communities, gathered in the scratch until finish. It is the one
+// place either view turns levels into records.
+func (res *ShardAnswer) retrieve(sc *readScratch, pattern itemset.Itemset, live []truss.Level) {
+	sc.found = sc.split.Split(pattern, live, sc.found)
+	res.Retrieved++
+}
+
+// finish moves the gathered communities into the answer — one allocation of
+// the exact size, where growing the answer record by record would allocate
+// about twice that — and leaves the scratch holding no pointer into it.
+func (res *ShardAnswer) finish(sc *readScratch) {
+	if len(sc.found) == 0 {
+		return
+	}
+	res.Communities = slices.Clone(sc.found)
+	clear(sc.found)
+	sc.found = sc.found[:0]
+}
+
+// readScratch is what one shard traversal borrows for its duration: the read
+// kernel's buffers, the communities found so far, and the buffers a BinShard
+// decodes a node's live levels into before handing them over.
+type readScratch struct {
+	split  truss.Splitter
+	found  []truss.Community
+	levels []truss.Level
+	edges  []graph.Edge
+}
+
+// readScratchPool recycles scratch between traversals: they run on the
+// engine's worker pool, a few at a time, thousands per second.
+var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
 
 // NodeView adapts a *Node subtree to the ShardView interface.
 type NodeView struct {
@@ -61,13 +110,17 @@ func (v *NodeView) RootItem() itemset.Item { return v.root.Item }
 
 func (v *NodeView) SizeBytes() int64 { return 0 }
 
+func (v *NodeView) Evicted() {}
+
 func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 	var res ShardAnswer
 	res.Visited++
 	if !truss.LevelLive(v.root.Decomp.MaxAlpha(), alphaQ) {
 		return res
 	}
-	res.Trusses = append(res.Trusses, v.root.Decomp.TrussAt(alphaQ))
+	sc := readScratchPool.Get().(*readScratch)
+	defer readScratchPool.Put(sc)
+	res.retrieve(sc, v.root.Pattern, v.root.Decomp.LiveLevels(alphaQ))
 	queue := []*Node{v.root}
 	for len(queue) > 0 {
 		nf := queue[0]
@@ -80,10 +133,11 @@ func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 			if !truss.LevelLive(nc.Decomp.MaxAlpha(), alphaQ) {
 				continue
 			}
-			res.Trusses = append(res.Trusses, nc.Decomp.TrussAt(alphaQ))
+			res.retrieve(sc, nc.Pattern, nc.Decomp.LiveLevels(alphaQ))
 			queue = append(queue, nc)
 		}
 	}
+	res.finish(sc)
 	return res
 }
 
@@ -101,8 +155,10 @@ func (v *NodeView) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 	if !truss.LevelLive(v.root.Decomp.MaxAlpha(), alphaQ) {
 		return res
 	}
+	sc := readScratchPool.Get().(*readScratch)
+	defer readScratchPool.Put(sc)
 	if need == q.Len() {
-		res.Trusses = append(res.Trusses, v.root.Decomp.TrussAt(alphaQ))
+		res.retrieve(sc, v.root.Pattern, v.root.Decomp.LiveLevels(alphaQ))
 	}
 	type frame struct {
 		n    *Node
@@ -127,26 +183,13 @@ func (v *NodeView) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 				continue
 			}
 			if need == q.Len() {
-				res.Trusses = append(res.Trusses, c.Decomp.TrussAt(alphaQ))
+				res.retrieve(sc, c.Pattern, c.Decomp.LiveLevels(alphaQ))
 			}
 			queue = append(queue, frame{c, need})
 		}
 	}
+	res.finish(sc)
 	return res
-}
-
-func (v *NodeView) RemovalAlphas(p itemset.Itemset) (map[uint64]float64, bool) {
-	n := v.root.Descendant(p)
-	if n == nil {
-		return nil, false
-	}
-	out := make(map[uint64]float64, n.Decomp.NumEdges())
-	for _, l := range n.Decomp.Levels {
-		for _, e := range l.Removed {
-			out[e.Key()] = l.Alpha
-		}
-	}
-	return out, true
 }
 
 func (v *NodeView) WalkPatterns(visit func(p itemset.Itemset)) {

@@ -101,7 +101,8 @@ type (
 	TreeNode = tctree.Node
 	// TreeBuildOptions configures TC-Tree construction.
 	TreeBuildOptions = tctree.BuildOptions
-	// QueryResult is the answer to a TC-Tree query.
+	// QueryResult is the answer to a TC-Tree query (Tree.Query): the
+	// retrieved maximal pattern trusses themselves.
 	QueryResult = tctree.QueryResult
 	// Dataset is a generated dataset analogue (network plus item dictionary).
 	Dataset = gen.Dataset
@@ -121,9 +122,13 @@ type (
 	EngineStats = engine.Stats
 	// EngineRequest is one query of an Engine.QueryBatch call.
 	EngineRequest = engine.Request
-	// RankedCommunity is one community of an Engine.TopK answer, annotated
-	// with the cohesion it was ranked by.
-	RankedCommunity = engine.RankedCommunity
+	// EngineAnswer is the answer to an Engine query: the theme communities of
+	// the retrieved trusses as flat records, plus the query statistics.
+	EngineAnswer = engine.Answer
+	// RankedCommunity is one community of an engine answer — theme, sorted
+	// vertices, edge count — annotated with the cohesion Engine.TopK ranks
+	// by.
+	RankedCommunity = truss.Community
 	// QueryPlan is the cost-based planner's output: per-shard
 	// skip/resident/load decisions plus a cost-ordered schedule.
 	QueryPlan = engine.QueryPlan
