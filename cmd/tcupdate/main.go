@@ -121,12 +121,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	affected := delta.AffectedItems(nw, d)
+	scope := delta.ScopeOf(nw, d)
+	affected := scope.Items()
 	start := time.Now()
 	if err := delta.Apply(nw, d); err != nil {
 		log.Fatal(err)
 	}
-	report, err := idx.ApplyDelta(nw, affected)
+	report, err := idx.ApplyDelta(nw, affected, scope)
 	if err != nil {
 		log.Fatal(err)
 	}

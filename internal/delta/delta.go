@@ -1,8 +1,9 @@
 // Package delta implements incremental maintenance of a TC-Tree index: a
 // Delta describes how a database network changes (edges gained or lost,
-// transactions appended to vertices, new vertices), AffectedItems bounds the
-// set of top-level items whose index shards can change, and Apply mutates the
-// network in place. The serving layers build on these primitives —
+// transactions appended to vertices, new vertices), ScopeOf bounds the
+// patterns — and with them the top-level items — whose index nodes can
+// change, and Apply mutates the network in place. The serving layers build
+// on these primitives —
 // tctree.ShardedIndex.ApplyDelta rebuilds only the affected shards on disk,
 // and engine.Engine.ApplyDelta swaps them under a live query load — so a
 // growing network never forces a full re-index.
@@ -11,7 +12,7 @@ package delta
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/graph"
@@ -185,28 +186,30 @@ func Apply(nw *dbnet.Network, d *Delta) error {
 	return nil
 }
 
-// AffectedItems returns the set of top-level items whose TC-Tree shards can
-// change when the delta is applied to nw. It must be called BEFORE Apply: the
-// bound needs the pre-delta vertex databases.
+// Scope is the proof of what a delta can change, as plain data: the witness
+// transactions of every vertex the delta touches — its whole pre-delta
+// database plus every transaction the delta adds or removes. A vertex is
+// touched when it gains or loses a transaction, when it is tombstoned, or
+// when an added or removed edge is incident to it. Witnesses are distinct
+// and in itemset.Compare order.
 //
-// The bound is the union, over every vertex the delta touches, of the items
-// that vertex carries, plus every item of every added or removed transaction.
-// A vertex is touched when it gains or loses a transaction, when it is
-// tombstoned, or when an added or removed edge is incident to it. This covers
-// strictly more than "items contained in a touched transaction": appending or
-// deleting any transaction on a vertex changes the denominator of f_v(p) for
-// every pattern p on that vertex, so every item the vertex already carries is
-// affected, not just the items of the changed transaction.
-//
-// Soundness: a pattern p's decomposition can only change when its theme
-// network G_p changes, which requires a touched vertex v with f_v(p) > 0 —
-// and f_v(p) > 0 implies every item of p (in particular the shard root,
-// p's smallest item) is carried by v, so the shard root is in the returned
-// set. Items outside the set therefore root shards that are byte-identical
-// before and after the delta.
-func AffectedItems(nw *dbnet.Network, d *Delta) itemset.Itemset {
+// A pattern p contained in no witness is out of scope, and its TC-Tree node
+// is the same before and after the delta: no touched vertex has f_v(p) > 0
+// on either side (a vertex's post-delta transactions are pre-delta or added
+// ones), so no touched vertex and no changed edge — each is incident to one
+// — belongs to the theme network G_p, and every other vertex keeps its
+// database and with it f_v(p). G_p is unchanged, and a node is a function of
+// G_p alone (Theorem 6.1). The scope is downward-closed — a subset of an
+// in-scope pattern is in scope — so every pattern extending one that is out
+// of scope is out of scope with it: a whole subtree is carried over at once
+// (tctree.RebuildScoped).
+type Scope []itemset.Itemset
+
+// ScopeOf computes the delta's scope on nw. It must be called BEFORE Apply:
+// the witnesses include the pre-delta vertex databases.
+func ScopeOf(nw *dbnet.Network, d *Delta) Scope {
 	if d.Empty() {
-		return itemset.New()
+		return nil
 	}
 	touched := make(map[graph.VertexID]bool)
 	for _, e := range d.AddEdges {
@@ -220,30 +223,42 @@ func AffectedItems(nw *dbnet.Network, d *Delta) itemset.Itemset {
 	for _, v := range d.RemoveVertices {
 		touched[v] = true
 	}
-	affected := make(map[itemset.Item]bool)
+	var scope Scope
 	for _, vt := range d.AddTransactions {
 		touched[vt.Vertex] = true
-		for _, it := range vt.Tx {
-			affected[it] = true
-		}
+		scope = append(scope, vt.Tx)
 	}
 	for _, vt := range d.RemoveTransactions {
 		touched[vt.Vertex] = true
-		for _, it := range vt.Tx {
-			affected[it] = true
-		}
+		scope = append(scope, vt.Tx)
 	}
 	for v := range touched {
-		db := nw.Database(v)
-		if db == nil {
-			continue // vertex introduced by this delta: no pre-delta items
+		// A vertex this delta introduces has no pre-delta database.
+		if db := nw.Database(v); db != nil {
+			scope = append(scope, db.Transactions()...)
 		}
-		db.ItemCounts(func(it itemset.Item, _ int) { affected[it] = true })
 	}
-	items := make([]itemset.Item, 0, len(affected))
-	for it := range affected {
-		items = append(items, it)
+	itemset.Sort(scope)
+	return slices.CompactFunc(scope, itemset.Itemset.Equal)
+}
+
+// Items returns the set of top-level items whose TC-Tree shards the delta
+// can change: every item of every witness. A pattern in scope lies inside a
+// witness, so its shard root — its smallest item — is in the set; shards
+// rooted outside it are byte-identical before and after the delta. The set
+// is wider than "items of the changed transactions": appending or deleting
+// any transaction on a vertex changes the denominator of f_v(p) for every
+// pattern on that vertex, so every item the vertex already carries counts.
+func (s Scope) Items() itemset.Itemset {
+	var items []itemset.Item
+	for _, w := range s {
+		items = append(items, w...)
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	return itemset.FromSorted(items)
+	return itemset.New(items...)
+}
+
+// AffectedItems is ScopeOf(nw, d).Items() for callers that rebuild whole
+// shards. Like ScopeOf it must be called BEFORE Apply.
+func AffectedItems(nw *dbnet.Network, d *Delta) itemset.Itemset {
+	return ScopeOf(nw, d).Items()
 }

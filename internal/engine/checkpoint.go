@@ -47,13 +47,12 @@ func (e *Engine) ApplyDeltaInMemory(nw *dbnet.Network, d *delta.Delta) (*DeltaRe
 	if e.builtMaxDepth > 0 {
 		return nil, fmt.Errorf("engine: index was built with MaxDepth %d; incremental maintenance needs an unbounded index", e.builtMaxDepth)
 	}
-	affected := delta.AffectedItems(nw, d).Union(e.pendingAffected)
-	if err := delta.Apply(nw, d); err != nil {
+	// The rebuild runs outside updateMu — queries keep flowing; only the
+	// table swap below excludes them.
+	affected, subtrees, stats, err := e.applyAndRebuild(nw, d)
+	if err != nil {
 		return nil, err
 	}
-	// Rebuild outside updateMu — queries keep flowing; only the table swap
-	// below excludes them.
-	subtrees := tctree.RebuildSubtrees(nw, affected)
 
 	e.updateMu.Lock()
 	report := e.replaceShardsLocked(affected, rebuiltShard(subtrees))
@@ -68,7 +67,7 @@ func (e *Engine) ApplyDeltaInMemory(nw *dbnet.Network, d *delta.Delta) (*DeltaRe
 		})
 	}
 	e.updateMu.Unlock()
-	return &DeltaResult{Affected: affected, Report: report, Epoch: epoch, Duration: time.Since(start)}, nil
+	return e.deltaResult(affected, report, epoch, stats, start), nil
 }
 
 // markDirty records subtrees as ahead of the on-disk index, for the next

@@ -227,7 +227,7 @@ func TestApplyDeltaRejectsDepthBoundedIndex(t *testing.T) {
 	if _, err := lazy.ApplyDelta(nw, d); err == nil {
 		t.Fatalf("lazy ApplyDelta accepted a depth-bounded index")
 	}
-	if _, err := idx.ApplyDelta(nw, itemset.New(0)); err == nil {
+	if _, err := idx.ApplyDelta(nw, itemset.New(0), nil); err == nil {
 		t.Fatalf("ShardedIndex.ApplyDelta accepted a depth-bounded index")
 	}
 }

@@ -224,6 +224,8 @@ type Engine struct {
 	prefetched       atomic.Uint64
 	streams          atomic.Uint64
 	shortCircuited   atomic.Uint64
+	nodesRecomputed  atomic.Uint64
+	nodesReused      atomic.Uint64
 }
 
 // New returns an Engine over a tree built in-process: every first-level
@@ -962,6 +964,12 @@ type DeltaResult struct {
 	Report *tctree.CommitReport `json:"report"`
 	// Epoch is the index epoch after the swap.
 	Epoch uint64 `json:"epoch"`
+	// RecomputedNodes and ReusedNodes split the nodes of the rebuilt shards
+	// by where they came from: mined from the updated network because the
+	// delta's scope covers their pattern, or carried over from the shard's
+	// previous version.
+	RecomputedNodes int `json:"recomputedNodes"`
+	ReusedNodes     int `json:"reusedNodes"`
 	// Duration is the wall time of the whole update (rebuild + commit +
 	// swap).
 	Duration time.Duration `json:"-"`
@@ -989,26 +997,18 @@ func (e *Engine) ApplyDelta(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, er
 	if e.builtMaxDepth > 0 {
 		return nil, fmt.Errorf("engine: index was built with MaxDepth %d; incremental maintenance needs an unbounded index", e.builtMaxDepth)
 	}
-	// Union in the affected set of any previously failed commit: its delta
-	// already mutated the network, so those shards still await their
-	// rebuild. A transient failure is therefore healed by the next
-	// successful ApplyDelta (an empty delta suffices).
-	affected := delta.AffectedItems(nw, d).Union(e.pendingAffected)
-	if err := delta.Apply(nw, d); err != nil {
-		// Apply validates first and mutates nothing on failure, so there is
-		// no pending rebuild to remember.
+	affected, subtrees, stats, err := e.applyAndRebuild(nw, d)
+	if err != nil {
 		return nil, err
 	}
-	// Rebuild and stage outside updateMu: re-decomposition, encoding and
-	// the fsync'd file writes are the expensive parts, and none of them is
-	// visible to queries — staged files are invisible until the manifest
-	// swap. Only the swap itself excludes queries.
-	subtrees := tctree.RebuildSubtrees(nw, affected)
+	// The rebuild above and the staging below run outside updateMu:
+	// re-decomposition, encoding and the fsync'd file writes are the
+	// expensive parts, and none of them is visible to queries — staged files
+	// are invisible until the manifest swap. Only the swap itself excludes
+	// queries.
 	var staged *tctree.StagedShards
 	if e.idx != nil {
-		var err error
-		staged, err = e.idx.StageShards(subtrees)
-		if err != nil {
+		if staged, err = e.idx.StageShards(subtrees); err != nil {
 			e.pendingAffected = affected
 			return nil, err
 		}
@@ -1017,9 +1017,7 @@ func (e *Engine) ApplyDelta(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, er
 	e.updateMu.Lock()
 	var report *tctree.CommitReport
 	if e.idx != nil {
-		var err error
-		report, err = staged.Commit()
-		if err != nil {
+		if report, err = staged.Commit(); err != nil {
 			// The commit never moved the manifest, so disk and memory still
 			// agree on the old index; the engine keeps serving it. The
 			// network, however, already carries the delta — remember the
@@ -1045,7 +1043,66 @@ func (e *Engine) ApplyDelta(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, er
 		})
 	}
 	e.updateMu.Unlock()
-	return &DeltaResult{Affected: affected, Report: report, Epoch: epoch, Duration: time.Since(start)}, nil
+	return e.deltaResult(affected, report, epoch, stats, start), nil
+}
+
+// applyAndRebuild is the first half of both write paths: it applies d to nw
+// and rebuilds the shard of every affected item from the updated network. An
+// affected shard is read where a query would read it, and only the part of
+// it inside the delta's scope is re-mined (tctree.RebuildScoped). Callers
+// hold applyMu. On error nothing was applied: Apply validates first and
+// mutates nothing on failure, so there is no pending rebuild to remember.
+func (e *Engine) applyAndRebuild(nw *dbnet.Network, d *delta.Delta) (itemset.Itemset, map[itemset.Item]*tctree.Node, tctree.RebuildStats, error) {
+	scope := delta.ScopeOf(nw, d)
+	// Union in the affected set of any previously failed commit: its delta
+	// already mutated the network, so those shards still await their
+	// rebuild. A transient failure is therefore healed by the next
+	// successful ApplyDelta (an empty delta suffices).
+	affected := scope.Items().Union(e.pendingAffected)
+	if err := delta.Apply(nw, d); err != nil {
+		return nil, nil, tctree.RebuildStats{}, err
+	}
+	subtrees, stats := tctree.RebuildScoped(nw, affected, scope, e.previousSubtree)
+	return affected, subtrees, stats, nil
+}
+
+// previousSubtree returns the subtree the item's shard serves, for a scoped
+// rebuild to carry its unchanged part over, or nil when the shard must be
+// rebuilt in full: the item has no shard yet, its shard cannot be read — the
+// rebuild then heals it — or the item is left over from a failed commit, so
+// that its shard predates a delta this one's scope knows nothing about. It
+// runs on the rebuild's workers, under the caller's applyMu.
+func (e *Engine) previousSubtree(it itemset.Item) *tctree.Node {
+	if e.pendingAffected.Contains(it) {
+		return nil
+	}
+	s, ok := e.table.Load().lookup(it)
+	if !ok {
+		return nil
+	}
+	view, _, err := e.acquire(s)
+	if err != nil {
+		return nil
+	}
+	root, err := view.Materialize()
+	if err != nil {
+		return nil
+	}
+	return root
+}
+
+// deltaResult counts an applied delta and assembles its summary.
+func (e *Engine) deltaResult(affected itemset.Itemset, report *tctree.CommitReport, epoch uint64, stats tctree.RebuildStats, start time.Time) *DeltaResult {
+	e.nodesRecomputed.Add(uint64(stats.Recomputed))
+	e.nodesReused.Add(uint64(stats.Reused))
+	return &DeltaResult{
+		Affected:        affected,
+		Report:          report,
+		Epoch:           epoch,
+		RecomputedNodes: stats.Recomputed,
+		ReusedNodes:     stats.Reused,
+		Duration:        time.Since(start),
+	}
 }
 
 // replaceShardsLocked is the one routine that changes the shard table after

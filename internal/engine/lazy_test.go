@@ -50,10 +50,17 @@ func touchDelta(nw *dbnet.Network, item itemset.Item) *delta.Delta {
 // vertices carrying only the item, pairwise connected, add one triangle to
 // the item's theme network. Its affected set is exactly {item}.
 func triangleDelta(nw *dbnet.Network, item itemset.Item) *delta.Delta {
+	return patternTriangleDelta(nw, itemset.New(item))
+}
+
+// patternTriangleDelta adds three new, pairwise connected vertices that each
+// carry one transaction holding exactly the pattern: one more triangle in the
+// theme network of the pattern and of each of its sub-patterns.
+func patternTriangleDelta(nw *dbnet.Network, pattern itemset.Itemset) *delta.Delta {
 	n := graph.VertexID(nw.NumVertices())
 	d := &delta.Delta{AddVertices: 3, AddEdges: []graph.Edge{graph.EdgeOf(n, n+1), graph.EdgeOf(n+1, n+2), graph.EdgeOf(n, n+2)}}
 	for v := n; v < n+3; v++ {
-		d.AddTransactions = append(d.AddTransactions, delta.VertexTransaction{Vertex: v, Tx: itemset.New(item)})
+		d.AddTransactions = append(d.AddTransactions, delta.VertexTransaction{Vertex: v, Tx: pattern})
 	}
 	return d
 }

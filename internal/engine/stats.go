@@ -104,6 +104,12 @@ type Stats struct {
 	// one single epoch.
 	IndexEpoch    uint64 `json:"indexEpoch"`
 	DeltasApplied uint64 `json:"deltasApplied,omitempty"`
+	// DeltaNodesRecomputed and DeltaNodesReused split the nodes of every
+	// shard the applied deltas rebuilt: mined from the network because a
+	// delta's scope covered their pattern, or carried over from the shard's
+	// previous version (DeltaResult).
+	DeltaNodesRecomputed uint64 `json:"deltaNodesRecomputed,omitempty"`
+	DeltaNodesReused     uint64 `json:"deltaNodesReused,omitempty"`
 	// Cache reports the result-cache state.
 	Cache CacheStats `json:"cache"`
 	// ShardResidency lists every shard in ascending root-item order with its
@@ -154,6 +160,8 @@ func (e *Engine) Stats() Stats {
 		ShardsShortCircuited:   e.shortCircuited.Load(),
 		IndexEpoch:             e.epoch.Load(),
 		DeltasApplied:          e.deltas.Load(),
+		DeltaNodesRecomputed:   e.nodesRecomputed.Load(),
+		DeltaNodesReused:       e.nodesReused.Load(),
 	}
 	for _, sh := range t.shards {
 		nodes, _, maxAlpha := sh.meta()

@@ -202,6 +202,17 @@ func (s *Server) registerCollectors() {
 	engineCounter("tc_engine_deltas_applied_total",
 		"Applied network deltas (incremental index maintenance).",
 		func(st engine.Stats) float64 { return float64(st.DeltasApplied) })
+	reg.CollectFunc("tc_engine_delta_nodes_total",
+		"Nodes of the shards applied deltas rebuilt, by origin: recomputed from the network (inside a delta's scope) or reused from the shard's previous version.",
+		"counter", []string{"network", "kind"}, func() []obs.Sample {
+			var out []obs.Sample
+			for _, ns := range s.statsByNetwork() {
+				out = append(out,
+					obs.Sample{Labels: []string{ns.name, "recomputed"}, Value: float64(ns.st.DeltaNodesRecomputed)},
+					obs.Sample{Labels: []string{ns.name, "reused"}, Value: float64(ns.st.DeltaNodesReused)})
+			}
+			return out
+		})
 	engineCounter("tc_engine_shard_loads_total",
 		"Completed lazy shard loads from disk.",
 		func(st engine.Stats) float64 { return float64(st.LazyLoads) })

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -310,5 +311,45 @@ func TestObservabilityDisabled(t *testing.T) {
 	}
 	if rec := getWithID(t, s, "/api/v1/query?alpha=0.2", "plain-1"); rec.Code != http.StatusOK {
 		t.Fatalf("query = %d", rec.Code)
+	}
+}
+
+// TestDeltaNodeCountersAreExported applies an update through an observed
+// server and checks that /metrics splits the rebuilt shards' nodes by origin,
+// in agreement with /api/v1/enginestats.
+func TestDeltaNodeCountersAreExported(t *testing.T) {
+	nw := buildUpdatableNetwork(t, 11)
+	o := obs.NewObserver(obs.ObserverOptions{})
+	tree := tctree.Build(nw, tctree.BuildOptions{})
+	s, err := New(tree, Options{Network: nw, Obs: o})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	// A new vertex carrying one item: the root of that item's shard is
+	// recomputed, the rest of the shard is reused.
+	var item string
+	for _, root := range tree.Root().Children {
+		if len(root.Children) > 0 {
+			item = strconv.Itoa(int(root.Item))
+			break
+		}
+	}
+	body, _ := json.Marshal(UpdateRequest{AddVertices: 1,
+		AddTransactions: []UpdateTransaction{{Vertex: nw.NumVertices(), Items: []string{item}}}})
+	if rec := post(t, s, "/api/v1/update", string(body)); rec.Code != http.StatusOK {
+		t.Fatalf("update status = %d, body %s", rec.Code, rec.Body.String())
+	}
+	var stats engine.Stats
+	if err := json.Unmarshal(get(t, s, "/api/v1/enginestats").Body.Bytes(), &stats); err != nil {
+		t.Fatalf("enginestats: %v", err)
+	}
+	if stats.DeltaNodesRecomputed == 0 || stats.DeltaNodesReused == 0 {
+		t.Fatalf("enginestats counts %d recomputed and %d reused nodes, want both positive", stats.DeltaNodesRecomputed, stats.DeltaNodesReused)
+	}
+	fam := scrape(t, s)["tc_engine_delta_nodes_total"]
+	for kind, want := range map[string]uint64{"recomputed": stats.DeltaNodesRecomputed, "reused": stats.DeltaNodesReused} {
+		if v, n := sampleValue(fam, "tc_engine_delta_nodes_total", map[string]string{"network": "", "kind": kind}); n != 1 || v != float64(want) {
+			t.Fatalf("tc_engine_delta_nodes_total{kind=%q} = %v (%d samples), want %d", kind, v, n, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package tctree
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -43,22 +44,75 @@ func medianCostVertex(tree *Tree, nw *dbnet.Network) graph.VertexID {
 	return cands[len(cands)/2].vertex
 }
 
-// BenchmarkRebuildSubtrees measures what one update on the mixed-rw workload
-// pays in RebuildSubtrees: BK at scale 1, the affected set of a one-transaction
-// delta on a median-cost vertex (every item the vertex carries, 37 shards).
+// BenchmarkRebuildSubtrees measures what one update pays to rebuild its
+// shards, on the two datasets the served-path benchmark updates: BK at scale
+// 1 (mixed-rw: 37 small shards) and AMINER at scale 0.5 (the read workloads'
+// update tail: about a dozen shards of several hundred nodes each). The
+// update is tcload's: one transaction of three items the vertex already
+// carries, appended to a median-cost vertex. "full" re-mines every affected
+// shard (RebuildSubtrees); "scoped" is what the engine runs — the previous
+// shards decoded from TCBIN bytes held open, as a server holds them, and only
+// the patterns inside the delta's scope re-mined (RebuildScoped).
+//
+// tcload's -trace 1 rung tctree.rebuild_ms keeps timing the full
+// RebuildSubtrees(nw, items) on its private replay, not the scoped rebuild
+// the server ran, so it no longer tracks update_p50_ms, and the rung derived
+// from it, engine.apply_self_ms, is clamped at 0. ROADMAP item 6 deletes
+// that ladder.
 func BenchmarkRebuildSubtrees(b *testing.B) {
-	ds, err := gen.BK(1)
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		gen  func() (gen.Dataset, error)
+	}{
+		{"BK1", func() (gen.Dataset, error) { return gen.BK(1) }},
+		{"AMINER0.5", func() (gen.Dataset, error) { return gen.AMiner(0.5) }},
+	} {
+		ds, err := c.gen()
+		if err != nil {
+			b.Fatal(err)
+		}
+		nw := ds.Network
+		tree := Build(nw, BuildOptions{})
+		v := medianCostVertex(tree, nw)
+		affected := nw.Database(v).Items()
+		tx := affected[:min(3, affected.Len())]
+		// The delta's scope (delta.ScopeOf): the vertex's pre-delta
+		// transactions and the one it gains.
+		scope := append(slices.Clone(nw.Database(v).Transactions()), tx)
+		prev := make(map[itemset.Item]ShardView)
+		for _, it := range affected {
+			if root := tree.Node(itemset.New(it)); root != nil {
+				prev[it] = shardViews(b, root)["BinShard"]
+			}
+		}
+		if err := nw.AddTransaction(v, tx); err != nil {
+			b.Fatal(err)
+		}
+		run := func(name string, scope []itemset.Itemset, prev func(itemset.Item) *Node) {
+			b.Run(c.name+"/"+name, func(b *testing.B) {
+				var stats RebuildStats
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchSubtrees, stats = RebuildScoped(nw, affected, scope, prev)
+				}
+				b.ReportMetric(float64(affected.Len()), "shards/op")
+				b.ReportMetric(float64(stats.Recomputed), "recomputed-nodes/op")
+			})
+		}
+		run("full", nil, nil)
+		run("scoped", scope, func(it itemset.Item) *Node {
+			view, ok := prev[it]
+			if !ok {
+				return nil
+			}
+			root, err := view.Materialize()
+			if err != nil {
+				b.Error(err)
+			}
+			return root
+		})
 	}
-	nw := ds.Network
-	affected := nw.Database(medianCostVertex(Build(nw, BuildOptions{}), nw)).Items()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSubtrees = RebuildSubtrees(nw, affected)
-	}
-	b.ReportMetric(float64(affected.Len()), "shards/op")
 }
 
 // BenchmarkBuild measures a from-scratch Build of the read workloads' index:

@@ -1,6 +1,7 @@
 package tctree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -154,6 +155,7 @@ func encodeShardBinary(root *Node) ([]byte, ShardEntry, error) {
 		v graph.VertexID
 		f float64
 	}
+	var freqs []vf
 	for i, n := range order {
 		rec := buf[nodeOff+uint64(i)*binNodeSize:]
 		binLE.PutUint32(rec[binNodeItemIdx:], dictIdx[n.Item])
@@ -165,11 +167,11 @@ func encodeShardBinary(root *Node) ([]byte, ShardEntry, error) {
 		}
 		// Frequencies are stored sorted by vertex: map iteration order is
 		// nondeterministic, the flat table must not be.
-		freqs := make([]vf, 0, len(n.Decomp.Freq))
+		freqs = freqs[:0]
 		for v, f := range n.Decomp.Freq {
 			freqs = append(freqs, vf{v, f})
 		}
-		sort.Slice(freqs, func(a, b int) bool { return freqs[a].v < freqs[b].v })
+		slices.SortFunc(freqs, func(a, b vf) int { return cmp.Compare(a.v, b.v) })
 		binLE.PutUint32(rec[binNodeFreqStart:], freqNext)
 		binLE.PutUint32(rec[binNodeFreqCount:], uint32(len(freqs)))
 		for _, e := range freqs {
@@ -554,9 +556,10 @@ func (b *BinShard) WalkPatterns(visit func(p itemset.Itemset)) {
 	dfs(0, itemset.New(b.item))
 }
 
-// Materialize rebuilds the pointer-tree form of the shard: the bridge from
-// TCBIN back to code that needs *Node, and the round-trip reference of the
-// format's tests. Every decomposition is re-validated on the way.
+// Materialize rebuilds the pointer-tree form of the shard from the bytes it
+// has open: the bridge from TCBIN back to code that needs *Node — a scoped
+// rebuild's previous subtree — and the round-trip reference of the format's
+// tests. Every decomposition is re-validated on the way.
 func (b *BinShard) Materialize() (*Node, error) {
 	nodes := make([]*Node, b.nodeCount)
 	root, err := b.nodeAt(0, itemset.New())
@@ -593,14 +596,23 @@ func (b *BinShard) nodeAt(i uint32, parentPattern itemset.Itemset) (*Node, error
 		o := uint64(f) * binFreqSize
 		decomp.Freq[graph.VertexID(int32(binLE.Uint32(b.freq[o:])))] = math.Float64frombits(binLE.Uint64(b.freq[o+4:]))
 	}
+	// One allocation holds the node's edges, as Decompose leaves them: the
+	// levels are consecutive runs of it.
 	ls, lc := b.nodeU32(i, binNodeLevelStart), b.nodeU32(i, binNodeLevelCount)
+	total := 0
+	for l := ls; l < ls+lc; l++ {
+		_, _, ec := b.levelAt(l)
+		total += int(ec)
+	}
+	edges := make([]graph.Edge, 0, total)
+	decomp.Levels = make([]truss.Level, 0, lc)
 	for l := ls; l < ls+lc; l++ {
 		alpha, es, ec := b.levelAt(l)
-		level := truss.Level{Alpha: alpha, Removed: make([]graph.Edge, 0, ec)}
+		start := len(edges)
 		for e := es; e < es+ec; e++ {
-			level.Removed = append(level.Removed, graph.EdgeFromKey(binLE.Uint64(b.edge[uint64(e)*binEdgeSize:])))
+			edges = append(edges, graph.EdgeFromKey(binLE.Uint64(b.edge[uint64(e)*binEdgeSize:])))
 		}
-		decomp.Levels = append(decomp.Levels, level)
+		decomp.Levels = append(decomp.Levels, truss.Level{Alpha: alpha, Removed: edges[start:len(edges):len(edges)]})
 	}
 	if err := decomp.Validate(); err != nil {
 		return nil, fmt.Errorf("tctree: shard %d: node %d: %w", b.item, i, err)

@@ -28,8 +28,8 @@ type BuildOptions struct {
 // and pruning empty subtrees (Proposition 5.2).
 //
 // The first-level subtrees do not depend on one another, so Build mines each
-// with expandSubtree — the routine RebuildSubtree runs for one item — on a
-// pool of opts.Parallelism workers. The tree is a function of the network
+// with expandSubtree — the routine RebuildScoped runs for an update's items —
+// on a pool of opts.Parallelism workers. The tree is a function of the network
 // alone: two builds, at any parallelism, agree bit for bit.
 func Build(nw *dbnet.Network, opts BuildOptions) *Tree {
 	workers := opts.Parallelism
@@ -45,7 +45,8 @@ func Build(nw *dbnet.Network, opts BuildOptions) *Tree {
 	if opts.MaxDepth > 0 {
 		tree.builtMaxDepth = opts.MaxDepth
 	}
-	for _, root := range expandSubtrees(nw, nw.Items(), maxDepth, workers) {
+	roots, _ := expandSubtrees(nw, nw.Items(), maxDepth, workers, nil, nil)
+	for _, root := range roots {
 		if root != nil {
 			tree.root.Children = append(tree.root.Children, root)
 			tree.numNodes += statsOf(root).Nodes

@@ -447,7 +447,7 @@ func TestBuiltMaxDepthRoundTrips(t *testing.T) {
 	if got := loaded.BuiltMaxDepth(); got != 2 {
 		t.Fatalf("sharded round trip lost the bound: %d", got)
 	}
-	if _, err := idx.ApplyDelta(nw, itemset.New(0)); err == nil {
+	if _, err := idx.ApplyDelta(nw, itemset.New(0), nil); err == nil {
 		t.Fatalf("ApplyDelta accepted a depth-bounded index")
 	}
 
@@ -455,47 +455,5 @@ func TestBuiltMaxDepthRoundTrips(t *testing.T) {
 	free := Build(nw, BuildOptions{})
 	if got := free.BuiltMaxDepth(); got != 0 {
 		t.Fatalf("unbounded tree reports bound %d", got)
-	}
-}
-
-// TestSetSubtree checks the eager-tree counterpart of CommitShards: node
-// counts stay consistent across replace, add and remove.
-func TestSetSubtree(t *testing.T) {
-	tree := buildShardedTestTree(t, 19)
-	other := buildShardedTestTree(t, 31)
-	var shared *Node
-	for _, c := range other.Root().Children {
-		if tree.Root().Descendant(itemset.New(c.Item)) != nil {
-			shared = c
-			break
-		}
-	}
-	if shared == nil {
-		t.Fatalf("trees share no root item; pick other seeds")
-	}
-	recount := func() int {
-		n := 0
-		tree.Walk(func(*Node) { n++ })
-		return n
-	}
-	tree.SetSubtree(shared.Item, shared) // replace
-	if got, want := tree.NumNodes(), recount(); got != want {
-		t.Fatalf("NumNodes after replace = %d, want %d", got, want)
-	}
-	graft := &Node{Item: 4096, Pattern: itemset.New(4096), Decomp: shared.Decomp}
-	tree.SetSubtree(4096, graft) // add
-	if got, want := tree.NumNodes(), recount(); got != want {
-		t.Fatalf("NumNodes after add = %d, want %d", got, want)
-	}
-	tree.SetSubtree(shared.Item, nil) // remove
-	if got, want := tree.NumNodes(), recount(); got != want {
-		t.Fatalf("NumNodes after remove = %d, want %d", got, want)
-	}
-	if tree.Root().Descendant(itemset.New(shared.Item)) != nil {
-		t.Fatalf("removed subtree still reachable")
-	}
-	tree.SetSubtree(8192, nil) // removing an absent item is a no-op
-	if got, want := tree.NumNodes(), recount(); got != want {
-		t.Fatalf("NumNodes after no-op remove = %d, want %d", got, want)
 	}
 }

@@ -22,47 +22,37 @@ import (
 // The network must be quiescent (and Freeze-d if RebuildSubtree runs
 // concurrently with other readers).
 func RebuildSubtree(nw *dbnet.Network, item itemset.Item) *Node {
-	return expandSubtree(nw, item, math.MaxInt)
+	root, _ := expandSubtree(nw, item, math.MaxInt, nil, nil)
+	return root
 }
 
-// RebuildSubtrees rebuilds the shards of every given item in parallel,
-// returning item → new subtree (nil when the shard decomposed to nothing).
-// The network is frozen first so concurrent reads are safe.
+// RebuildSubtrees rebuilds the shards of every given item in full and in
+// parallel, returning item → new subtree (nil when the shard decomposed to
+// nothing). The network is frozen first so concurrent reads are safe.
 func RebuildSubtrees(nw *dbnet.Network, items itemset.Itemset) map[itemset.Item]*Node {
-	roots := expandSubtrees(nw, items, math.MaxInt, runtime.GOMAXPROCS(0))
+	out, _ := RebuildScoped(nw, items, nil, nil)
+	return out
+}
+
+// RebuildScoped is RebuildSubtrees for the shards a delta affected, given the
+// delta's scope — its witness transactions, computed before the delta was
+// applied (delta.ScopeOf) — and the shards as they stood before it: prev
+// returns an item's previous subtree, and is called once per item from the
+// rebuild's workers. Only the patterns some witness contains are mined from
+// nw, which must already carry the delta; every other node is carried over
+// from the previous subtree, which is read and never modified — the new
+// subtree shares the carried-over nodes with it. The result is what
+// RebuildSubtrees returns, bit for bit.
+//
+// A shard is rebuilt in full when prev is nil or returns nil for its item —
+// there is no previous version, it could not be read, or it is not known to
+// have been current when the scope was taken — and when no witness contains
+// the item.
+func RebuildScoped(nw *dbnet.Network, items itemset.Itemset, scope []itemset.Itemset, prev func(itemset.Item) *Node) (map[itemset.Item]*Node, RebuildStats) {
+	roots, stats := expandSubtrees(nw, items, math.MaxInt, runtime.GOMAXPROCS(0), scope, prev)
 	out := make(map[itemset.Item]*Node, items.Len())
 	for i, it := range items {
 		out[it] = roots[i]
 	}
-	return out
-}
-
-// SetSubtree installs, replaces or removes the first-level subtree of one
-// top-level item on an in-memory tree, keeping the node count consistent: a
-// nil root removes the item's subtree, a non-nil root (whose pattern must be
-// the single item) replaces it or is inserted in item order. It is the
-// whole-tree counterpart of ShardedIndex.CommitShards; callers must not
-// mutate the tree while other goroutines read it.
-func (t *Tree) SetSubtree(item itemset.Item, root *Node) {
-	if t == nil || t.root == nil {
-		return
-	}
-	for i, c := range t.root.Children {
-		if c.Item != item {
-			continue
-		}
-		t.numNodes -= statsOf(c).Nodes
-		if root == nil {
-			t.root.Children = append(t.root.Children[:i], t.root.Children[i+1:]...)
-		} else {
-			t.root.Children[i] = root
-			t.numNodes += statsOf(root).Nodes
-		}
-		return
-	}
-	if root == nil {
-		return
-	}
-	t.root.addChild(root)
-	t.numNodes += statsOf(root).Nodes
+	return out, stats
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -261,6 +262,40 @@ func removeOrphanTempFiles(dir string) {
 	sweepDir(dir, func(name string) bool { return strings.HasSuffix(name, ".tmp") })
 }
 
+// writeShards encodes the subtrees rooted at roots and durably writes each
+// one's file inside dir (writeFileAtomic), on a pool of GOMAXPROCS workers so
+// that one shard's encoding overlaps another's fsync. It is the one
+// encode-and-write routine behind WriteSharded and StageShards: staged says
+// whether a file takes a checksum-versioned name, which no manifest
+// references yet, or the item's canonical name. The entries come back
+// aligned with roots — they, and the bytes written, do not depend on the
+// schedule. On error — the first in root order — the entries of the shards
+// that were written are still set, the others zero.
+func writeShards(dir string, roots []*Node, staged bool) ([]ShardEntry, error) {
+	entries := make([]ShardEntry, len(roots))
+	errs := make([]error, len(roots))
+	parallelDo(len(roots), runtime.GOMAXPROCS(0), func(i int) {
+		data, entry, err := encodeShardBinary(roots[i])
+		if err == nil {
+			if staged {
+				entry.File = fmt.Sprintf("shard-%d-%s.%s", entry.Item, strings.TrimPrefix(entry.Checksum, "crc32c:"), FormatTCBIN)
+			}
+			err = writeFileAtomic(dir, entry.File, data)
+		}
+		if err != nil {
+			errs[i] = fmt.Errorf("tctree: shard %d: %w", roots[i].Item, err)
+			return
+		}
+		entries[i] = entry
+	})
+	for _, err := range errs {
+		if err != nil {
+			return entries, err
+		}
+	}
+	return entries, nil
+}
+
 // WriteSharded writes the tree as an index directory: one TCBIN shard file
 // per first-level subtree plus index.manifest, all inside dir (created if
 // missing), and returns the written manifest. Written over an existing index
@@ -274,17 +309,11 @@ func (t *Tree) WriteSharded(dir string) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	m := &Manifest{Version: manifestVersion, Format: FormatTCBIN, BuiltMaxDepth: t.builtMaxDepth}
-	for _, c := range t.root.Children {
-		data, entry, err := encodeShardBinary(c)
-		if err != nil {
-			return nil, err
-		}
-		if err := writeFileAtomic(dir, entry.File, data); err != nil {
-			return nil, err
-		}
-		m.Shards = append(m.Shards, entry)
+	entries, err := writeShards(dir, t.root.Children, false)
+	if err != nil {
+		return nil, err
 	}
+	m := &Manifest{Version: manifestVersion, Format: FormatTCBIN, BuiltMaxDepth: t.builtMaxDepth, Shards: entries}
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
@@ -553,16 +582,17 @@ type StagedShards struct {
 func (st *StagedShards) SetJournalSeq(seq uint64) { st.journalSeq = &seq }
 
 // StageShards encodes and durably writes the payload of every non-nil
-// subtree (a nil subtree stages the item's removal). On error the files
-// written so far are removed — except any whose name the live manifest
-// still references (a rebuilt shard with identical content reuses its
-// current file name).
+// subtree (a nil subtree stages the item's removal), several shards at a
+// time (writeShards). On error the files written so far are removed — except
+// any whose name the live manifest still references (a rebuilt shard with
+// identical content reuses its current file name).
 func (x *ShardedIndex) StageShards(subtrees map[itemset.Item]*Node) (*StagedShards, error) {
 	st := &StagedShards{x: x, entries: make(map[itemset.Item]*ShardEntry, len(subtrees))}
 	for it := range subtrees {
 		st.items = append(st.items, it)
 	}
 	sort.Slice(st.items, func(i, j int) bool { return st.items[i] < st.items[j] })
+	var roots []*Node
 	for _, it := range st.items {
 		sub := subtrees[it]
 		if sub == nil {
@@ -570,21 +600,20 @@ func (x *ShardedIndex) StageShards(subtrees map[itemset.Item]*Node) (*StagedShar
 			continue
 		}
 		if sub.Item != it {
-			st.discard()
 			return nil, fmt.Errorf("tctree: subtree for item %d is rooted at item %d", it, sub.Item)
 		}
-		data, entry, err := encodeShardBinary(sub)
-		if err != nil {
-			st.discard()
-			return nil, err
+		roots = append(roots, sub)
+	}
+	entries, err := writeShards(x.dir, roots, true)
+	for i := range entries {
+		if entries[i].File != "" {
+			st.written = append(st.written, entries[i].File)
+			st.entries[itemset.Item(entries[i].Item)] = &entries[i]
 		}
-		entry.File = fmt.Sprintf("shard-%d-%s.%s", it, strings.TrimPrefix(entry.Checksum, "crc32c:"), FormatTCBIN)
-		if err := writeFileAtomic(x.dir, entry.File, data); err != nil {
-			st.discard()
-			return nil, fmt.Errorf("tctree: shard %d: %w", it, err)
-		}
-		st.written = append(st.written, entry.File)
-		st.entries[it] = &entry
+	}
+	if err != nil {
+		st.discard()
+		return nil, err
 	}
 	// Make the staged files durable before any manifest can point at them.
 	syncDir(x.dir)
@@ -711,16 +740,27 @@ func (x *ShardedIndex) CommitShards(subtrees map[itemset.Item]*Node) (*CommitRep
 
 // ApplyDelta incrementally maintains the on-disk index after the network
 // changed: the shard of every affected item is rebuilt from the updated
-// network (RebuildSubtree) and the whole batch is committed with one
-// manifest write (CommitShards) — shards of unaffected items are neither
-// rebuilt nor rewritten nor even read. affected is typically
-// delta.AffectedItems computed before the delta was applied to nw; nw must
-// already be the post-delta network. Depth-bounded indexes (built with
+// network and the whole batch is committed with one manifest write
+// (CommitShards) — shards of unaffected items are neither rebuilt nor
+// rewritten nor even read. scope is the delta's scope and affected its items
+// (delta.ScopeOf, delta.Scope.Items), both computed before the delta was
+// applied to nw; nw must already be the post-delta network. An affected
+// shard is read where a query would read it, and only its patterns inside
+// the scope are re-mined (RebuildScoped); one that cannot be read is rebuilt
+// in full, which also heals it. Depth-bounded indexes (built with
 // BuildOptions.MaxDepth) are refused: rebuilding one shard without the
 // bound would make it deeper than its untouched siblings.
-func (x *ShardedIndex) ApplyDelta(nw *dbnet.Network, affected itemset.Itemset) (*CommitReport, error) {
+func (x *ShardedIndex) ApplyDelta(nw *dbnet.Network, affected itemset.Itemset, scope []itemset.Itemset) (*CommitReport, error) {
 	if d := x.Manifest().BuiltMaxDepth; d > 0 {
 		return nil, fmt.Errorf("tctree: index was built with MaxDepth %d; incremental maintenance needs an unbounded index (rebuild with tcindex without -maxdepth)", d)
 	}
-	return x.CommitShards(RebuildSubtrees(nw, affected))
+	subtrees, _ := RebuildScoped(nw, affected, scope, func(it itemset.Item) *Node {
+		// No shard yet, or an unreadable one: nothing to carry over.
+		prev, err := x.LoadShard(it)
+		if err != nil {
+			return nil
+		}
+		return prev
+	})
+	return x.CommitShards(subtrees)
 }

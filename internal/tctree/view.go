@@ -51,6 +51,11 @@ type ShardView interface {
 	// can stop charging memory before the garbage collector gets to it.
 	// Traversals already running on the view must keep working.
 	Evicted()
+	// Materialize returns the shard as a pointer subtree — what a scoped
+	// rebuild carries the unchanged part of the shard over from. The caller
+	// must not modify it: a NodeView returns the subtree it serves, a
+	// BinShard decodes the bytes it has open.
+	Materialize() (*Node, error)
 }
 
 // ShardAnswer is one shard's contribution to a query: the theme communities
@@ -111,6 +116,8 @@ func (v *NodeView) RootItem() itemset.Item { return v.root.Item }
 func (v *NodeView) SizeBytes() int64 { return 0 }
 
 func (v *NodeView) Evicted() {}
+
+func (v *NodeView) Materialize() (*Node, error) { return v.root, nil }
 
 func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 	var res ShardAnswer

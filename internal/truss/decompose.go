@@ -146,12 +146,13 @@ func (d *Decomposition) String() string {
 
 // Validate checks structural invariants of the decomposition: levels have
 // strictly ascending thresholds, non-empty removal sets, and no edge appears
-// twice. It is used by tests and by the TC-Tree loader.
+// twice, within a level or across levels. It is used by tests and by the
+// TC-Tree loader.
 func (d *Decomposition) Validate() error {
 	if d == nil {
 		return nil
 	}
-	seen := make(map[uint64]bool)
+	keys := make([]uint64, 0, d.NumEdges())
 	prev := 0.0
 	for i, l := range d.Levels {
 		if len(l.Removed) == 0 {
@@ -162,10 +163,15 @@ func (d *Decomposition) Validate() error {
 		}
 		prev = l.Alpha
 		for _, e := range l.Removed {
-			if seen[e.Key()] {
-				return fmt.Errorf("truss: edge %v appears in more than one level", e)
-			}
-			seen[e.Key()] = true
+			keys = append(keys, e.Key())
+		}
+	}
+	// Sorted, a repeated edge is two equal neighbours: no map, one
+	// allocation, whatever the size of the decomposition.
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return fmt.Errorf("truss: edge %v appears more than once", graph.EdgeFromKey(keys[i]))
 		}
 	}
 	return nil

@@ -1,8 +1,10 @@
 package truss
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -155,5 +157,108 @@ func TestQuickDecompositionNesting(t *testing.T) {
 	}
 	if err := quick.Check(f, quickConfig(40)); err != nil {
 		t.Error(err)
+	}
+}
+
+// restrictTo returns tn cut down to the given edges (ascending) and their
+// endpoints: a candidate subgraph of the same pattern.
+func restrictTo(tn *dbnet.ThemeNetwork, edges []graph.Edge) *dbnet.ThemeNetwork {
+	out := &dbnet.ThemeNetwork{Pattern: tn.Pattern, Edges: edges}
+	keep := make(map[graph.VertexID]bool)
+	for _, e := range edges {
+		keep[e.U], keep[e.V] = true, true
+	}
+	for i, v := range tn.Vertices {
+		if keep[v] {
+			out.Vertices = append(out.Vertices, v)
+			out.Freqs = append(out.Freqs, tn.Freqs[i])
+		}
+	}
+	return out
+}
+
+// sameBits reports whether two decompositions are bit-identical: the same
+// frequencies, and the same levels with the same thresholds — compared as
+// bit patterns, not within a tolerance — and the same edges in the same
+// order.
+func sameBits(a, b *Decomposition) bool {
+	if len(a.Freq) != len(b.Freq) || len(a.Levels) != len(b.Levels) {
+		return false
+	}
+	for v, f := range a.Freq {
+		if g, ok := b.Freq[v]; !ok || math.Float64bits(f) != math.Float64bits(g) {
+			return false
+		}
+	}
+	for i, l := range a.Levels {
+		if math.Float64bits(l.Alpha) != math.Float64bits(b.Levels[i].Alpha) || !slices.Equal(l.Removed, b.Levels[i].Removed) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDecomposeIgnoresTheCandidateSubgraph pins the lemma a scoped shard
+// rebuild rests on (see peeler): the decomposition of a theme network is
+// bit-identical to the decomposition of that network restricted to its own
+// C*_p(0), and to that of any candidate subgraph in between. A TC-Tree node
+// mined inside one candidate subgraph (the intersection of its parents'
+// trusses before a delta) can therefore stand in for the node a rebuild
+// would mine inside another (the intersection after it).
+func TestDecomposeIgnoresTheCandidateSubgraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	strict := 0
+	for round := 0; round < 400; round++ {
+		n := 10 + rng.Intn(12)
+		const items = 4
+		nw := dbnet.New(n)
+		for i := 0; i < 4*n; i++ {
+			a, b := graph.VertexID(rng.Intn(n)), graph.VertexID(rng.Intn(n))
+			if a != b {
+				nw.MustAddEdge(a, b)
+			}
+		}
+		for v := 0; v < n; v++ {
+			for i := 1 + rng.Intn(5); i > 0; i-- {
+				tx := itemset.New(itemset.Item(rng.Intn(items)), itemset.Item(rng.Intn(items)), itemset.Item(rng.Intn(items)))
+				if err := nw.AddTransaction(graph.VertexID(v), tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, p := range []itemset.Itemset{
+			itemset.New(itemset.Item(rng.Intn(items))),
+			itemset.New(itemset.Item(rng.Intn(items)), itemset.Item(rng.Intn(items))),
+			itemset.New(0, 1, 2),
+		} {
+			tn := nw.ThemeNetwork(p)
+			full := Decompose(tn)
+			var core []graph.Edge
+			for _, l := range full.Levels {
+				core = append(core, l.Removed...)
+			}
+			slices.SortFunc(core, graph.CompareEdges)
+			if len(core) == 0 || len(core) == len(tn.Edges) {
+				continue
+			}
+			strict++
+			// A candidate subgraph in between: the core plus a random part
+			// of the edges peel(0) drops.
+			var between []graph.Edge
+			for _, e := range tn.Edges {
+				if _, ok := slices.BinarySearchFunc(core, e, graph.CompareEdges); ok || rng.Intn(2) == 0 {
+					between = append(between, e)
+				}
+			}
+			for name, edges := range map[string][]graph.Edge{"C*_p(0)": core, "a subgraph in between": between} {
+				if got := Decompose(restrictTo(tn, edges)); !sameBits(full, got) {
+					t.Fatalf("round %d pattern %v: decomposing %s gives\n%v\nthe whole theme network gives\n%v", round, p, name, got.Levels, full.Levels)
+				}
+			}
+		}
+	}
+	t.Logf("%d cases peeled a strict superset of C*_p(0)", strict)
+	if strict < 300 {
+		t.Fatalf("only %d cases peeled a strict superset of C*_p(0); the generator no longer exercises the lemma", strict)
 	}
 }

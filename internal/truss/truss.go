@@ -124,6 +124,26 @@ func Cohesions(tn *dbnet.ThemeNetwork) map[uint64]float64 {
 // the cohesions a peeler computes — and with them every decomposition
 // threshold — are a function of the theme network alone, never of map
 // iteration or scheduling.
+//
+// They are a function of less than that: of C*_p(0) alone. Decompose gives
+// the same result, bit for bit, for the theme network, for its C*_p(0), and
+// for every candidate subgraph in between. peel(0) removes only edges whose
+// cohesion is zero, an edge of zero cohesion lies on no surviving triangle,
+// so its removal visits no triangle and subtracts nothing from any other
+// edge; by induction every edge peel(0) removes was triangle-free from the
+// start, every triangle of the input lies wholly inside C*_p(0), and a
+// survivor's initial cohesion is the sum over the same triangles in the same
+// ascending order of the third vertex whichever candidate subgraph it was
+// computed in. Local ids differ between two candidate subgraphs but ascend
+// with the global ones in both, so ties break alike and the later peels
+// subtract the same weights in the same order. (An edge whose cohesion is
+// positive but within cohesionTolerance of zero would break the argument; a
+// triangle weighs at least 1/|D_v|, so that takes a vertex database of a
+// billion transactions.) A TC-Tree node can therefore be carried over a
+// delta that changes the subgraph it was mined in but not its own theme
+// network — tctree's scoped rebuild does — and any change that makes a
+// threshold depend on the candidate subgraph breaks that:
+// TestDecomposeIgnoresTheCandidateSubgraph pins it.
 type peeler struct {
 	tn *dbnet.ThemeNetwork
 	// eu[e] < ev[e] are the local endpoints of edge e.
