@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/delta"
@@ -17,70 +16,45 @@ import (
 // delta durable, so the update only needs to become visible to queries.
 //
 //	ApplyDeltaInMemory: journal-backed apply — rebuild the affected
-//	  subtrees and swap them into the live table as resident shards,
+//	  shards as bytes and swap them into the live table as heap shards,
 //	  touching no index file. The affected items accumulate in the
 //	  engine's dirty set.
-//	Checkpoint: background flush — stage the dirty subtrees, stamp the
-//	  journal seq into the manifest, commit once, and swap the dirty
-//	  resident shards back to file-backed ones. Queries see identical
-//	  content before and after, so no epoch bump and no cache purge.
+//	Checkpoint: background flush — write the dirty shards' bytes as they
+//	  are served, stamp the journal seq into the manifest, commit once,
+//	  and swap the dirty heap shards for file-backed ones. Queries see
+//	  identical content before and after, so no epoch bump and no cache
+//	  purge.
 //
 // Crash recovery replays journal records after the manifest's JournalSeq
 // through ApplyDeltaInMemory, converging on exactly the pre-crash state.
 
 // ApplyDeltaInMemory applies a delta to the serving state without writing
-// the index: the delta is applied to nw, the affected shards are rebuilt and
-// swapped into the live table as fully resident shards, the epoch is bumped
-// and dependent cache entries are purged — everything ApplyDelta does except
-// the staged disk commit. The caller owns durability (typically a journal
-// append before this call); Checkpoint later folds the accumulated dirty
-// shards into the on-disk index in one commit.
+// the index: everything ApplyDelta does except the staged disk commit — the
+// rebuilt shards are swapped into the live table as heap shards, the TCBIN
+// bytes the rebuild produced, served by the kernel that serves a mapped file.
+// The caller owns durability (typically a journal append before this call);
+// Checkpoint later folds the accumulated dirty shards into the on-disk index
+// in one commit.
 //
-// Dirty resident shards sit outside the residency budget until the next
-// Checkpoint — they cannot be evicted, because the index on disk does not
-// have their content yet. An engine without an on-disk index (New) has
-// nothing to checkpoint, so for it this is simply ApplyDelta.
+// Dirty shards are pinned until the next Checkpoint — the index on disk does
+// not have their content yet — but charged to the byte budget at their real
+// size, so file-backed shards make room for them. An engine without an
+// on-disk index (New) has nothing to checkpoint: this is simply ApplyDelta.
 func (e *Engine) ApplyDeltaInMemory(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, error) {
-	e.applyMu.Lock()
-	defer e.applyMu.Unlock()
-	start := time.Now()
-	if e.builtMaxDepth > 0 {
-		return nil, fmt.Errorf("engine: index was built with MaxDepth %d; incremental maintenance needs an unbounded index", e.builtMaxDepth)
-	}
-	// The rebuild runs outside updateMu — queries keep flowing; only the
-	// table swap below excludes them.
-	affected, subtrees, stats, err := e.applyAndRebuild(nw, d)
-	if err != nil {
-		return nil, err
-	}
-
-	e.updateMu.Lock()
-	report := e.replaceShardsLocked(affected, rebuiltShard(subtrees))
-	e.markDirty(subtrees)
-	e.pendingAffected = nil
-	e.deltas.Add(1)
-	e.epoch.Add(1)
-	epoch := e.epoch.Load()
-	if e.cache != nil {
-		e.cache.invalidate(e.cacheNS, func(q itemset.Itemset, full bool) bool {
-			return full || q.Intersect(affected).Len() > 0
-		})
-	}
-	e.updateMu.Unlock()
-	return e.deltaResult(affected, report, epoch, stats, start), nil
+	return e.applyDelta(nw, d, false)
 }
 
-// markDirty records subtrees as ahead of the on-disk index, for the next
-// Checkpoint to stage. Callers hold applyMu.
-func (e *Engine) markDirty(subtrees map[itemset.Item]*tctree.Node) {
+// markDirty records shards as ahead of the on-disk index, for the next
+// Checkpoint to write. Callers hold applyMu.
+func (e *Engine) markDirty(shards map[itemset.Item]*tctree.EncodedShard) {
 	if e.idx == nil {
 		return
 	}
 	if e.dirty == nil {
-		e.dirty = make(map[itemset.Item]*tctree.Node, len(subtrees))
+		e.dirty = make(map[itemset.Item]*tctree.EncodedShard, len(shards))
 	}
-	for it, sub := range subtrees {
-		e.dirty[it] = sub
+	for it, enc := range shards {
+		e.dirty[it] = enc
 	}
 }
 
@@ -104,7 +78,7 @@ func (e *Engine) IndexJournalSeq() uint64 {
 }
 
 // ResyncInMemory rebuilds the engine's whole serving state from nw,
-// installing every shard as a dirty resident one — as if a single delta had
+// installing every shard as a dirty heap one — as if a single delta had
 // touched every item. It is the recovery fix-up for the checkpoint crash
 // window: when the stamped network file (written by the pre-commit hook) is
 // ahead of the index manifest, the network file is authoritative and the
@@ -118,19 +92,21 @@ func (e *Engine) ResyncInMemory(nw *dbnet.Network) error {
 	if e.idx == nil {
 		return fmt.Errorf("engine: resync requires a lazy engine over a sharded index")
 	}
-	t := e.table.Load()
-	existing := make([]itemset.Item, 0, len(t.shards))
-	for _, s := range t.shards {
-		existing = append(existing, s.item)
-	}
 	// The union covers items to add or replace (in nw) and items to remove
 	// (in the table but decomposing to nothing in nw).
-	affected := nw.Items().Union(itemset.New(existing...)).Union(e.pendingAffected)
-	subtrees := tctree.RebuildSubtrees(nw, affected)
+	affected := nw.Items().Union(e.table.Load().items).Union(e.pendingAffected)
+	shards, _, err := tctree.RebuildScoped(nw, affected, nil, nil)
+	if err != nil {
+		return err
+	}
+	source, err := heapShards(shards)
+	if err != nil {
+		return err
+	}
 
 	e.updateMu.Lock()
-	e.replaceShardsLocked(affected, rebuiltShard(subtrees))
-	e.markDirty(subtrees)
+	e.replaceShardsLocked(affected, source)
+	e.markDirty(shards)
 	e.pendingAffected = nil
 	e.epoch.Add(1)
 	if e.cache != nil {
@@ -148,11 +124,12 @@ func (e *Engine) ResyncInMemory(nw *dbnet.Network) error {
 // network file, stamped with the same seq; if the hook fails the staged
 // files are discarded and the index is untouched.
 //
-// After the manifest commit the dirty resident shards are swapped back to
-// plain file-backed shards under the residency budget. Their content is
-// identical to what was just committed, so the epoch is NOT bumped and no
-// cache entry is purged: queries cannot observe a checkpoint. Updates serialize behind
-// it (applyMu), queries do not (updateMu is held only for the swap-back).
+// After the manifest commit the dirty heap shards are swapped for plain
+// file-backed shards under the residency budget. The files hold the very
+// bytes the heap shards served, so the epoch is NOT bumped and no cache entry
+// is purged: queries cannot observe a checkpoint. Updates serialize behind it
+// (applyMu), queries do not (updateMu is held only for the swap-back); the
+// superseded files are removed after updateMu is released.
 //
 // Checkpoint with no dirty shards and journalSeq already stamped is a no-op
 // returning (nil, nil). It requires a lazy engine: an eager engine has no
@@ -166,8 +143,7 @@ func (e *Engine) Checkpoint(journalSeq uint64, preCommit func() error) (*tctree.
 	if len(e.dirty) == 0 && e.idx.JournalSeq() >= journalSeq {
 		return nil, nil
 	}
-	subtrees := e.dirty
-	staged, err := e.idx.StageShards(subtrees)
+	staged, err := e.idx.StageShards(e.dirty)
 	if err != nil {
 		return nil, err
 	}
@@ -180,14 +156,13 @@ func (e *Engine) Checkpoint(journalSeq uint64, preCommit func() error) (*tctree.
 	}
 	e.updateMu.Lock()
 	report, err := staged.Commit()
-	if err != nil {
-		e.updateMu.Unlock()
-		return nil, err
+	if err == nil {
+		// Swap the dirty heap shards for file-backed ones: identical content,
+		// now loadable (and evictable) from the committed files.
+		e.replaceShardsLocked(report.Touched(), e.committedShard)
+		e.dirty = nil
 	}
-	// Swap the dirty resident shards back to file-backed ones: identical
-	// content, now loadable (and evictable) from the committed files.
-	e.replaceShardsLocked(report.Touched(), e.committedShard)
-	e.dirty = nil
 	e.updateMu.Unlock()
-	return report, nil
+	staged.Sweep()
+	return report, err
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"themecomm/internal/delta"
+	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
 )
 
@@ -209,5 +210,74 @@ func TestApplyDeltaInMemoryEager(t *testing.T) {
 	assertQueryParity(t, 5, "eager", eng, fresh)
 	if _, err := eng.Checkpoint(1, nil); err == nil {
 		t.Fatal("Checkpoint on an eager engine did not refuse")
+	}
+}
+
+// TestDirtyShardsAreChargedAtTheirRealSize pins the residency accounting of
+// shards an in-memory update rebuilt and no checkpoint has written yet: they
+// are bytes on the heap, so Stats reports their size, the residency group is
+// charged it, and a byte budget makes file-backed shards give way to them —
+// while they themselves, having no file to come back from, are never evicted.
+// The checkpoint that swaps them for file-backed shards returns the charge.
+func TestDirtyShardsAreChargedAtTheirRealSize(t *testing.T) {
+	tree := buildTestTree(t, 11)
+	nw := testNetwork(11)
+	idx, _ := writeShardedTestTree(t, tree)
+	eng, err := NewLazy(idx, Options{Workers: 1, PrefetchWorkers: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustQueryByAlpha(t, eng, 0)
+
+	victim := tree.Root().Children[0].Item
+	res, err := eng.ApplyDeltaInMemory(nw, patternTriangleDelta(nw, itemset.New(victim)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng.DirtyShards() == 0 {
+		t.Fatal("the update left no dirty shard")
+	}
+	check := func(phase string, wantDirtyResident bool) (dirtyBytes int64) {
+		t.Helper()
+		st := eng.Stats()
+		var sum int64
+		for _, sh := range st.ShardResidency {
+			sum += sh.Bytes
+			if !res.Affected.Contains(itemset.Item(sh.Item)) {
+				continue
+			}
+			if sh.Resident != wantDirtyResident {
+				t.Fatalf("%s: rebuilt shard %d resident = %v", phase, sh.Item, sh.Resident)
+			}
+			if sh.Resident && sh.Bytes <= 0 {
+				t.Fatalf("%s: rebuilt shard %d is in memory and reports %d bytes", phase, sh.Item, sh.Bytes)
+			}
+			dirtyBytes += sh.Bytes
+		}
+		if sum != st.ResidentBytes || sum != eng.res.ResidentBytes() {
+			t.Fatalf("%s: shards hold %d bytes, Stats reports %d, the residency group is charged %d",
+				phase, sum, st.ResidentBytes, eng.res.ResidentBytes())
+		}
+		return dirtyBytes
+	}
+	dirtyBytes := check("dirty", true)
+
+	// Under a budget the dirty shards all but fill, a file-backed shard can
+	// only be in memory alone: each load evicts the one before it, and never
+	// a dirty shard.
+	eng.res.maxBytes = dirtyBytes + 1
+	eng.res.enforce(nil)
+	mustQueryByAlpha(t, eng, 0)
+	check("dirty, under pressure", true)
+	if n := eng.res.Resident(); n > 1 {
+		t.Fatalf("%d file-backed shards are resident beside %d dirty bytes under a budget of %d", n, dirtyBytes, dirtyBytes+1)
+	}
+	eng.res.maxBytes = 0
+
+	if _, err := eng.Checkpoint(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := check("checkpointed", false); got != 0 {
+		t.Fatalf("the checkpointed shards still charge %d bytes", got)
 	}
 }

@@ -446,44 +446,9 @@ func TestApplyDeltaCacheRace(t *testing.T) {
 	}
 }
 
-// BenchmarkApplyDelta measures incremental maintenance on a lazy engine: a
-// small one-vertex delta per iteration. The shardrebuilds/op metric counts
-// shards re-decomposed per update — compare with BenchmarkDeltaFullRebuild,
-// which pays every shard every time.
-func BenchmarkApplyDelta(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	nw := randomNetwork(rng, 40, 260, 20, 3)
-	tree := tctree.Build(nw, tctree.BuildOptions{})
-	dir := b.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		b.Fatal(err)
-	}
-	idx, err := tctree.OpenSharded(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := NewLazy(idx, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	items := nw.Items()
-	b.ResetTimer()
-	var rebuilt int
-	for i := 0; i < b.N; i++ {
-		d := &delta.Delta{AddTransactions: []delta.VertexTransaction{
-			{Vertex: graph.VertexID(i % nw.NumVertices()), Tx: itemset.New(items[i%items.Len()])},
-		}}
-		res, err := eng.ApplyDelta(nw, d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rebuilt += res.Affected.Len()
-	}
-	b.ReportMetric(float64(rebuilt)/float64(b.N), "shardrebuilds/op")
-}
-
-// BenchmarkDeltaFullRebuild is the baseline ApplyDelta replaces: apply the
-// same small delta, then rebuild and rewrite the whole index from scratch.
+// BenchmarkDeltaFullRebuild is the baseline ApplyDelta replaces (see
+// BenchmarkApplyDelta): apply a small delta, then rebuild and rewrite the
+// whole index from scratch.
 func BenchmarkDeltaFullRebuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	nw := randomNetwork(rng, 40, 260, 20, 3)

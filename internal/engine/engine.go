@@ -16,7 +16,7 @@
 //     budget; an applied delta replaces exactly the affected shards and
 //     invalidates exactly the cached answers they could have changed. New
 //     serves a tree built in-process through the same engine: its shards
-//     simply start, and stay, on the heap;
+//     are the same bytes, which simply start, and stay, on the heap;
 //   - caching: a bounded, concurrency-safe LRU result cache keyed by the
 //     canonicalized query (q ∩ indexed items, α_q), with hit, miss and
 //     eviction counters;
@@ -57,14 +57,14 @@ type Options struct {
 	// number of them kept open at once. When a load pushes the resident count
 	// past the budget, the least recently used ones are evicted (queries
 	// still holding an evicted view finish on their snapshot; the next touch
-	// reopens it from disk). Zero or negative means unlimited. Heap-resident
-	// shards (every shard of an engine built with New) have no file to come
-	// back from, so they are outside the budget.
+	// reopens it from disk). Zero or negative means unlimited. Heap shards
+	// (every shard of an engine built with New, and rebuilt shards awaiting a
+	// checkpoint) have no file to come back from: never evicted, not counted.
 	MaxResidentShards int
 	// MaxResidentBytes is the byte-based residency budget, enforced
 	// alongside MaxResidentShards (either bound triggers LRU eviction): the
-	// summed mapped file size of the open file-backed shards. Zero or
-	// negative means unlimited.
+	// summed payload size of the shards in memory; pinned heap shards count,
+	// and file-backed ones make room. Zero or negative means unlimited.
 	MaxResidentBytes int64
 	// DisablePlanner turns the cost-based planner off: every relevant shard
 	// is traversed in ascending root-item order with no α* skipping, no
@@ -168,9 +168,9 @@ type Engine struct {
 	pendingAffected itemset.Itemset
 	// dirty (guarded by applyMu) maps each item whose in-memory shard has
 	// run ahead of the on-disk index — installed by ApplyDeltaInMemory, not
-	// yet checkpointed — to its rebuilt subtree (nil = shard removed). See
-	// Checkpoint.
-	dirty map[itemset.Item]*tctree.Node
+	// yet checkpointed — to the bytes the table serves it from (nil = shard
+	// removed). See Checkpoint.
+	dirty map[itemset.Item]*tctree.EncodedShard
 	// epoch counts index swaps (applied deltas). Queries capture it before
 	// executing and the result cache refuses inserts whose epoch is stale,
 	// so an answer computed against a replaced shard can never be cached
@@ -229,15 +229,21 @@ type Engine struct {
 }
 
 // New returns an Engine over a tree built in-process: every first-level
-// subtree becomes a heap-resident shard. Nothing is persisted; ApplyDelta
-// replaces shards in memory only.
+// subtree is encoded once and served from those bytes on the heap. Nothing is
+// persisted; ApplyDelta replaces shards in memory only.
 func New(tree *tctree.Tree, opts Options) (*Engine, error) {
 	if tree == nil || tree.Root() == nil {
 		return nil, fmt.Errorf("engine: nil tree")
 	}
-	shards := make([]*shard, 0, len(tree.Root().Children))
-	for _, c := range tree.Root().Children {
-		shards = append(shards, residentShard(c))
+	encoded, err := tree.EncodeShards()
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	shards := make([]*shard, len(encoded))
+	for i, enc := range encoded {
+		if shards[i], err = heapShard(enc); err != nil {
+			return nil, err
+		}
 	}
 	return newEngine(nil, tree.BuiltMaxDepth(), shards, opts), nil
 }
@@ -254,41 +260,24 @@ func NewLazy(idx *tctree.ShardedIndex, opts Options) (*Engine, error) {
 	m := idx.Manifest()
 	shards := make([]*shard, 0, len(m.Shards))
 	for _, entry := range m.Shards {
-		shards = append(shards, fileShard(idx, entry))
+		shards = append(shards, newShard(entry, idx, nil))
 	}
 	return newEngine(idx, m.BuiltMaxDepth, shards, opts), nil
 }
 
-// residentShard builds the shard of a subtree on the heap (load == nil: it
-// is never evicted and never reloaded), computing its catalogue —
-// statistics, bloom filter and α*-by-depth histogram — with one walk, so
-// the planner sees exactly the catalogue the index would persist for it.
-func residentShard(c *tctree.Node) *shard {
-	st, bloomStr, alphaStr := tctree.ShardCatalogue(c)
-	bloom, _ := tctree.DecodeItemBloom(bloomStr)
-	depths, _ := tctree.DecodeAlphaDepths(alphaStr)
-	return &shard{
-		item:        c.Item,
-		view:        tctree.NewNodeView(c),
-		once:        new(sync.Once),
-		nodes:       st.Nodes,
-		depth:       st.Depth,
-		maxAlpha:    st.MaxAlpha,
-		bloom:       bloom,
-		alphaDepths: depths,
-	}
-}
-
-// fileShard builds a shard that opens its view from the on-disk index on
-// first touch, carrying the manifest entry's catalogue, decoded once here
-// rather than per plan.
-func fileShard(idx *tctree.ShardedIndex, entry tctree.ShardEntry) *shard {
+// newShard is the one shard constructor: the catalogue — statistics, bloom
+// filter and α*-by-depth histogram — comes from the shard's manifest entry,
+// decoded once here rather than per plan. With heap nil the shard is
+// file-backed: it opens its view from idx on first touch and may be evicted.
+// Otherwise heap is the view — bytes an update or an in-process build just
+// encoded, which no file holds (yet) — fixed at construction, never evicted.
+func newShard(entry tctree.ShardEntry, idx *tctree.ShardedIndex, heap *tctree.BinShard) *shard {
 	item := itemset.Item(entry.Item)
 	bloom, _ := entry.DecodeBloom()
 	depths, _ := entry.DecodeAlphaDepths()
-	return &shard{
+	s := &shard{
 		item:        item,
-		load:        func() (tctree.ShardView, error) { return idx.LoadShardView(item) },
+		view:        heap,
 		once:        new(sync.Once),
 		nodes:       entry.Nodes,
 		depth:       entry.Depth,
@@ -296,6 +285,19 @@ func fileShard(idx *tctree.ShardedIndex, entry tctree.ShardEntry) *shard {
 		bloom:       bloom,
 		alphaDepths: depths,
 	}
+	if heap == nil {
+		s.load = func() (*tctree.BinShard, error) { return idx.OpenShard(item) }
+	}
+	return s
+}
+
+// heapShard opens encoded bytes — validated like a file's — as a heap shard.
+func heapShard(enc *tctree.EncodedShard) (*shard, error) {
+	view, err := enc.Open()
+	if err != nil {
+		return nil, fmt.Errorf("engine: rebuilt shard %d: %w", enc.Entry.Item, err)
+	}
+	return newShard(enc.Entry, nil, view), nil
 }
 
 // newEngine is the one construction behind New and NewLazy: an engine is a
@@ -389,7 +391,7 @@ func (e *Engine) Planner() bool { return e.planCfg.AlphaSkip || e.planCfg.CostOr
 // load that was in flight when the struct left the table would otherwise
 // install a view (and a residency charge) no evictor can ever see again;
 // such results are discarded and the loop ends on the struct's poison.
-func (e *Engine) acquire(s *shard) (view tctree.ShardView, loaded bool, err error) {
+func (e *Engine) acquire(s *shard) (view *tctree.BinShard, loaded bool, err error) {
 	if s.load == nil {
 		return s.view, false, nil
 	}
@@ -979,9 +981,9 @@ type DeltaResult struct {
 // delta: the delta is applied to nw (which must be the network the index was
 // built from), the shard of every affected top-level item is re-decomposed
 // from the updated network, and the rebuilt shards are swapped in — on disk
-// first for a lazy engine (one durable manifest write via
-// tctree.ShardedIndex.CommitShards), then in memory — while unaffected
-// shards are left untouched, resident and cached.
+// first for a lazy engine (one durable manifest write,
+// tctree.StagedShards.Commit), then in memory — while unaffected shards are
+// left untouched, resident and cached.
 //
 // The swap is serialized against in-flight queries (updateMu): a query
 // observes either the whole pre-delta index or the whole post-delta index,
@@ -991,49 +993,73 @@ type DeltaResult struct {
 // ApplyDelta returns, querying the engine is byte-identical to querying an
 // index rebuilt from scratch on the updated network.
 func (e *Engine) ApplyDelta(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, error) {
+	return e.applyDelta(nw, d, e.idx != nil)
+}
+
+// applyDelta is the one body of both write paths: stage writes the rebuilt
+// shards to the index and serves them file-backed; otherwise they are served
+// from the heap and, when there is an index, owed a Checkpoint.
+func (e *Engine) applyDelta(nw *dbnet.Network, d *delta.Delta, stage bool) (*DeltaResult, error) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
 	start := time.Now()
 	if e.builtMaxDepth > 0 {
 		return nil, fmt.Errorf("engine: index was built with MaxDepth %d; incremental maintenance needs an unbounded index", e.builtMaxDepth)
 	}
-	affected, subtrees, stats, err := e.applyAndRebuild(nw, d)
-	if err != nil {
+	scope := delta.ScopeOf(nw, d)
+	// Union in the affected set of any previously failed update: its delta
+	// already mutated the network, so those shards still await their
+	// rebuild. A transient failure is therefore healed by the next
+	// successful ApplyDelta (an empty delta suffices).
+	affected := scope.Items().Union(e.pendingAffected)
+	if err := delta.Apply(nw, d); err != nil {
+		// Apply validates first and mutates nothing on failure.
 		return nil, err
 	}
-	// The rebuild above and the staging below run outside updateMu:
-	// re-decomposition, encoding and the fsync'd file writes are the
-	// expensive parts, and none of them is visible to queries — staged files
-	// are invisible until the manifest swap. Only the swap itself excludes
-	// queries.
+	// From here on the network carries the delta, while disk and memory agree
+	// on the old index and the engine keeps serving it: a failure remembers
+	// the affected set so that a retry rebuilds these shards.
+	fail := func(err error) (*DeltaResult, error) {
+		e.pendingAffected = affected
+		return nil, err
+	}
+	// An affected shard is read where a query reads it, only the part of it
+	// inside the scope is re-mined, and the rest is copied across from the
+	// bytes the engine serves. Rebuild and staging run outside updateMu:
+	// re-decomposition, encoding, validation and the fsync'd file writes are
+	// the expensive parts, and queries see none of it — staged files are
+	// invisible until the manifest swap. Only the swap excludes queries.
+	shards, stats, err := tctree.RebuildScoped(nw, affected, scope, e.previousShard)
+	if err != nil {
+		return fail(err)
+	}
 	var staged *tctree.StagedShards
-	if e.idx != nil {
-		if staged, err = e.idx.StageShards(subtrees); err != nil {
-			e.pendingAffected = affected
-			return nil, err
-		}
+	source := e.committedShard
+	if stage {
+		staged, err = e.idx.StageShards(shards)
+	} else {
+		source, err = heapShards(shards)
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	e.updateMu.Lock()
 	var report *tctree.CommitReport
-	if e.idx != nil {
+	if stage {
 		if report, err = staged.Commit(); err != nil {
-			// The commit never moved the manifest, so disk and memory still
-			// agree on the old index; the engine keeps serving it. The
-			// network, however, already carries the delta — remember the
-			// affected set so a retry rebuilds these shards.
 			e.updateMu.Unlock()
-			e.pendingAffected = affected
-			return nil, err
+			staged.Sweep()
+			return fail(err)
 		}
-		e.replaceShardsLocked(report.Touched(), e.committedShard)
+		e.replaceShardsLocked(report.Touched(), source)
 	} else {
-		report = e.replaceShardsLocked(affected, rebuiltShard(subtrees))
+		report = e.replaceShardsLocked(affected, source)
+		e.markDirty(shards)
 	}
 	e.pendingAffected = nil
 	e.deltas.Add(1)
-	e.epoch.Add(1)
-	epoch := e.epoch.Load()
+	epoch := e.epoch.Add(1)
 	if e.cache != nil {
 		// An answer can only depend on an affected shard when its pattern
 		// contains an affected item; full-pattern entries depend on every
@@ -1043,36 +1069,30 @@ func (e *Engine) ApplyDelta(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, er
 		})
 	}
 	e.updateMu.Unlock()
-	return e.deltaResult(affected, report, epoch, stats, start), nil
-}
-
-// applyAndRebuild is the first half of both write paths: it applies d to nw
-// and rebuilds the shard of every affected item from the updated network. An
-// affected shard is read where a query would read it, and only the part of
-// it inside the delta's scope is re-mined (tctree.RebuildScoped). Callers
-// hold applyMu. On error nothing was applied: Apply validates first and
-// mutates nothing on failure, so there is no pending rebuild to remember.
-func (e *Engine) applyAndRebuild(nw *dbnet.Network, d *delta.Delta) (itemset.Itemset, map[itemset.Item]*tctree.Node, tctree.RebuildStats, error) {
-	scope := delta.ScopeOf(nw, d)
-	// Union in the affected set of any previously failed commit: its delta
-	// already mutated the network, so those shards still await their
-	// rebuild. A transient failure is therefore healed by the next
-	// successful ApplyDelta (an empty delta suffices).
-	affected := scope.Items().Union(e.pendingAffected)
-	if err := delta.Apply(nw, d); err != nil {
-		return nil, nil, tctree.RebuildStats{}, err
+	if stage {
+		// The superseded shard files go once no query waits on this update.
+		staged.Sweep()
 	}
-	subtrees, stats := tctree.RebuildScoped(nw, affected, scope, e.previousSubtree)
-	return affected, subtrees, stats, nil
+	e.nodesRecomputed.Add(uint64(stats.Recomputed))
+	e.nodesReused.Add(uint64(stats.Reused))
+	return &DeltaResult{
+		Affected:        affected,
+		Report:          report,
+		Epoch:           epoch,
+		RecomputedNodes: stats.Recomputed,
+		ReusedNodes:     stats.Reused,
+		Duration:        time.Since(start),
+	}, nil
 }
 
-// previousSubtree returns the subtree the item's shard serves, for a scoped
+// previousShard returns the shard the item is served from, for a scoped
 // rebuild to carry its unchanged part over, or nil when the shard must be
 // rebuilt in full: the item has no shard yet, its shard cannot be read — the
 // rebuild then heals it — or the item is left over from a failed commit, so
 // that its shard predates a delta this one's scope knows nothing about. It
-// runs on the rebuild's workers, under the caller's applyMu.
-func (e *Engine) previousSubtree(it itemset.Item) *tctree.Node {
+// runs on the rebuild's workers, under the caller's applyMu; the rebuild keeps
+// the shard alive until its bytes are copied, whatever eviction does.
+func (e *Engine) previousShard(it itemset.Item) *tctree.BinShard {
 	if e.pendingAffected.Contains(it) {
 		return nil
 	}
@@ -1084,37 +1104,21 @@ func (e *Engine) previousSubtree(it itemset.Item) *tctree.Node {
 	if err != nil {
 		return nil
 	}
-	root, err := view.Materialize()
-	if err != nil {
-		return nil
-	}
-	return root
-}
-
-// deltaResult counts an applied delta and assembles its summary.
-func (e *Engine) deltaResult(affected itemset.Itemset, report *tctree.CommitReport, epoch uint64, stats tctree.RebuildStats, start time.Time) *DeltaResult {
-	e.nodesRecomputed.Add(uint64(stats.Recomputed))
-	e.nodesReused.Add(uint64(stats.Reused))
-	return &DeltaResult{
-		Affected:        affected,
-		Report:          report,
-		Epoch:           epoch,
-		RecomputedNodes: stats.Recomputed,
-		ReusedNodes:     stats.Reused,
-		Duration:        time.Since(start),
-	}
+	return view
 }
 
 // replaceShardsLocked is the one routine that changes the shard table after
 // construction: for every item, mk supplies the struct that takes its place
 // — committedShard for a file-backed shard of the just-committed manifest
-// entry, rebuiltShard for a heap-resident rebuilt subtree — or nil to remove
-// the item. Untouched structs are carried over, so the work under the write
-// lock is proportional to the update, not the index. Every struct leaving
-// the table is retired. The returned report says what happened to each item
-// (items that are absent and stay absent are omitted). Epoch and cache
-// invalidation are the caller's: a checkpoint swaps identical content and
-// must not bump either. Callers hold updateMu for writing.
+// entry, heapShards for rebuilt bytes no file holds — or nil to remove the
+// item. Untouched structs are carried over, so the work under the write lock
+// is proportional to the update, not the index. Every struct leaving the
+// table is retired, and a heap shard entering it is charged to the residency
+// group at its real size: pinned, but memory the byte budget must see. The
+// returned report says what happened to each item (items that are absent and
+// stay absent are omitted). Epoch and cache invalidation are the caller's: a
+// checkpoint swaps identical content and must not bump either. Callers hold
+// updateMu for writing.
 func (e *Engine) replaceShardsLocked(items itemset.Itemset, mk func(itemset.Item) *shard) *tctree.CommitReport {
 	t := e.table.Load()
 	report := &tctree.CommitReport{}
@@ -1138,6 +1142,7 @@ func (e *Engine) replaceShardsLocked(items itemset.Itemset, mk func(itemset.Item
 			e.retireShard(old)
 		}
 		if s != nil {
+			e.res.bytes.Add(s.pinnedBytes())
 			shards = append(shards, s)
 		}
 	}
@@ -1155,17 +1160,19 @@ func (e *Engine) replaceShardsLocked(items itemset.Itemset, mk func(itemset.Item
 // so a prefetch load still in flight can neither re-install a view (and a
 // residency count) on a shard no evictor can ever see again — the fresh once
 // makes the in-flight install discard itself — nor load anew — the sticky
-// error stops acquire's retry loop. A heap-resident struct keeps its view:
-// a stream opened before the update may still be reading its snapshot.
+// error stops acquire's retry loop. A heap shard keeps its view: a stream
+// opened before the update may still be reading its snapshot.
 func (e *Engine) retireShard(s *shard) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.load != nil && s.view != nil {
-		e.res.resident.Add(-1)
+	if s.view != nil {
 		e.res.bytes.Add(-s.view.SizeBytes())
-		e.evictions.Add(1)
-		s.view.Evicted()
-		s.view = nil
+		if s.load != nil {
+			e.res.resident.Add(-1)
+			e.evictions.Add(1)
+			s.view.Evicted()
+			s.view = nil
+		}
 	}
 	s.err = errShardRemoved
 	s.once = new(sync.Once)
@@ -1179,19 +1186,25 @@ func (e *Engine) committedShard(it itemset.Item) *shard {
 	if !ok {
 		return nil
 	}
-	return fileShard(e.idx, entry)
+	return newShard(entry, e.idx, nil)
 }
 
-// rebuiltShard is the replaceShardsLocked source for shards that exist only
-// in memory: a heap-resident shard from the item's rebuilt subtree, nil when
-// the item decomposed to nothing.
-func rebuiltShard(subtrees map[itemset.Item]*tctree.Node) func(itemset.Item) *shard {
-	return func(it itemset.Item) *shard {
-		if sub := subtrees[it]; sub != nil {
-			return residentShard(sub)
+// heapShards is the replaceShardsLocked source for rebuilt shards that exist
+// only in memory: every encoded shard opened on the heap — here, before the
+// lock is taken — and nil for an item that decomposed to nothing.
+func heapShards(shards map[itemset.Item]*tctree.EncodedShard) (func(itemset.Item) *shard, error) {
+	opened := make(map[itemset.Item]*shard, len(shards))
+	for it, enc := range shards {
+		if enc == nil {
+			continue
 		}
-		return nil
+		s, err := heapShard(enc)
+		if err != nil {
+			return nil, err
+		}
+		opened[it] = s
 	}
+	return func(it itemset.Item) *shard { return opened[it] }, nil
 }
 
 // newShardTable assembles a table from shards, sorting them by root item.

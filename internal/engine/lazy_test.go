@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -440,4 +441,80 @@ func TestLazyConcurrent(t *testing.T) {
 	if got := eng.Stats().ResidentShards; got > 1 {
 		t.Fatalf("budget 1 exceeded after concurrent load: %d resident", got)
 	}
+}
+
+// TestEagerEngineServesTheIndexBytes holds an engine over a tree built
+// in-process (New) against one over the same tree's written index (NewLazy):
+// New encodes every subtree once and serves the bytes from the heap, so the
+// two hold the same shards — same catalogue, same sizes — and agree on every
+// answer and counter, before an update and after one applied to both.
+func TestEagerEngineServesTheIndexBytes(t *testing.T) {
+	tree := buildTestTree(t, 11)
+	idx, _ := writeShardedTestTree(t, tree)
+	eager, err := New(tree, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := NewLazy(idx, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := tree.Root().Children[0]
+	patterns := []itemset.Itemset{nil, itemset.New(first.Item), itemset.New(first.Item, 999)}
+	if len(first.Children) > 0 {
+		patterns = append(patterns, first.Children[0].Pattern)
+	}
+	agree := func(phase string) {
+		t.Helper()
+		for _, q := range patterns {
+			for _, alpha := range []float64{0, 0.1, 0.3} {
+				want, got := mustQuery(t, eager, q, alpha), mustQuery(t, lazy, q, alpha)
+				assertEqualCommunities(t, got.Communities, want.Communities)
+				if got.VisitedNodes != want.VisitedNodes || got.RetrievedNodes != want.RetrievedNodes {
+					t.Fatalf("%s: Query(%v, %v) visited/retrieved %d/%d lazily, %d/%d eagerly", phase, q, alpha,
+						got.VisitedNodes, got.RetrievedNodes, want.VisitedNodes, want.RetrievedNodes)
+				}
+				if q == nil {
+					continue
+				}
+				wantC, err := eager.QueryContaining(q, alpha)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotC, err := lazy.QueryContaining(q, alpha)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertEqualCommunities(t, gotC.Communities, wantC.Communities)
+			}
+		}
+		mustQueryByAlpha(t, lazy, 0) // every file-backed shard resident, so sizes are reported
+		es, ls := eager.Stats(), lazy.Stats()
+		if es.Lazy || es.Format != "memory" || !ls.Lazy {
+			t.Fatalf("%s: eager lazy=%v format=%q, lazy lazy=%v", phase, es.Lazy, es.Format, ls.Lazy)
+		}
+		for i := range ls.ShardResidency {
+			ls.ShardResidency[i].Loads = 0
+		}
+		if !reflect.DeepEqual(es.ShardResidency, ls.ShardResidency) || es.ResidentBytes != ls.ResidentBytes || es.ResidentBytes == 0 {
+			t.Fatalf("%s: shards differ:\neager %+v (%d bytes)\nlazy  %+v (%d bytes)", phase,
+				es.ShardResidency, es.ResidentBytes, ls.ShardResidency, ls.ResidentBytes)
+		}
+	}
+	agree("built")
+
+	nwEager, nwLazy := testNetwork(11), testNetwork(11)
+	resEager, err := eager.ApplyDelta(nwEager, patternTriangleDelta(nwEager, patterns[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resLazy, err := lazy.ApplyDelta(nwLazy, patternTriangleDelta(nwLazy, patterns[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resEager.RecomputedNodes != resLazy.RecomputedNodes || resEager.ReusedNodes != resLazy.ReusedNodes || resEager.ReusedNodes == 0 {
+		t.Fatalf("the update recomputed/reused %d/%d nodes eagerly, %d/%d lazily",
+			resEager.RecomputedNodes, resEager.ReusedNodes, resLazy.RecomputedNodes, resLazy.ReusedNodes)
+	}
+	agree("updated")
 }

@@ -241,7 +241,7 @@ func TestPrefetch(t *testing.T) {
 	}
 	for _, s := range eng.table.Load().shards {
 		load := s.load
-		s.load = func() (tctree.ShardView, error) {
+		s.load = func() (*tctree.BinShard, error) {
 			time.Sleep(2 * time.Millisecond)
 			return load()
 		}

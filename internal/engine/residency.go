@@ -16,8 +16,9 @@ import (
 type ResidencyGroup struct {
 	// max is the count budget: the number of lazily loaded shards the group's
 	// members may keep resident at once. maxBytes is the byte budget: the
-	// summed mapped file size of resident shard views. Either bound being
-	// exceeded triggers eviction; zero or negative means unlimited.
+	// summed payload size of the shards in memory, mapped or (pinned, but
+	// counted) on the heap. Either bound being exceeded triggers eviction;
+	// zero or negative means unlimited.
 	max      int
 	maxBytes int64
 
@@ -25,7 +26,7 @@ type ResidencyGroup struct {
 	// comparable across engines and eviction is globally least-recent-first.
 	clock atomic.Int64
 	// resident counts resident lazy shards across all members; bytes sums
-	// their view sizes.
+	// their view sizes and those of the members' heap shards.
 	resident atomic.Int64
 	bytes    atomic.Int64
 
@@ -65,19 +66,23 @@ func (g *ResidencyGroup) MaxResidentBytes() int64 { return g.maxBytes }
 // Resident returns the number of resident lazy shards across all members.
 func (g *ResidencyGroup) Resident() int { return int(g.resident.Load()) }
 
-// ResidentBytes returns the summed view size of resident lazy shards across
-// all members.
+// ResidentBytes returns the summed view size of the shards in memory across
+// all members: resident lazy shards and heap shards.
 func (g *ResidencyGroup) ResidentBytes() int64 { return g.bytes.Load() }
 
-// add enrolls an engine; its shards become candidates for eviction.
+// add enrolls an engine: its file-backed shards become candidates for
+// eviction, and its heap shards — pinned — are charged at their size.
 func (g *ResidencyGroup) add(e *Engine) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.members = append(g.members, e)
+	for _, s := range e.table.Load().shards {
+		g.bytes.Add(s.pinnedBytes())
+	}
 }
 
-// remove withdraws an engine from the group, evicting every resident lazy
-// shard it holds so the budget it consumed returns to the remaining members.
+// remove withdraws an engine from the group, evicting its resident lazy
+// shards and uncharging its heap shards: its budget returns to the others.
 func (g *ResidencyGroup) remove(e *Engine) {
 	g.mu.Lock()
 	for i, m := range g.members {
@@ -88,6 +93,7 @@ func (g *ResidencyGroup) remove(e *Engine) {
 	}
 	g.mu.Unlock()
 	for _, s := range e.table.Load().shards {
+		g.bytes.Add(-s.pinnedBytes())
 		if freed, ok := evictShard(s); ok {
 			g.resident.Add(-1)
 			g.bytes.Add(-freed)

@@ -19,24 +19,23 @@ type shard struct {
 	// item is the shard's root item.
 	item itemset.Item
 
-	// load maps the shard's file from the on-disk index; nil for a
-	// heap-resident shard (a subtree built or rebuilt in-process), whose
-	// view is fixed at construction and never evicted.
-	load func() (tctree.ShardView, error)
+	// load maps the shard's file from the on-disk index; nil for a heap shard
+	// (bytes encoded in-process that no file holds), whose view is fixed at
+	// construction and never evicted.
+	load func() (*tctree.BinShard, error)
 
 	// mu guards view, err and once. view is the resident query surface (nil
 	// while not loaded); err is the sticky load error, or the poison of a
 	// struct that left the table; once serializes the in-flight load and is
 	// replaced on every eviction so the shard can be loaded again later.
 	mu   sync.Mutex
-	view tctree.ShardView
+	view *tctree.BinShard
 	err  error
 	once *sync.Once
 
 	// nodes, depth and maxAlpha are the shard's catalogue statistics: node
-	// count, longest indexed pattern, and α* bound. File-backed shards take
-	// them from the manifest (so they are known without loading the shard);
-	// heap-resident shards compute them from the subtree. bloom and
+	// count, longest indexed pattern, and α* bound, taken from the shard's
+	// manifest entry (so they are known without loading the shard). bloom and
 	// alphaDepths are the skipping catalogue: the item filter and the
 	// best-α*-per-depth histogram the planner consults for containment
 	// queries.
@@ -53,11 +52,8 @@ type shard struct {
 	loads    atomic.Uint64
 }
 
-// resident reports whether the shard's view is in memory.
+// resident reports whether the view is in memory; a heap shard's always is.
 func (s *shard) resident() bool {
-	if s.load == nil {
-		return true
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.view != nil
@@ -68,8 +64,16 @@ func (s *shard) meta() (nodes, depth int, maxAlpha float64) {
 	return s.nodes, s.depth, s.maxAlpha
 }
 
-// sizeBytes returns the resident view's memory charge (0 when not resident
-// or unknown).
+// pinnedBytes is what a heap shard charges the residency group while it is in
+// the table; 0 for a file-backed shard, charged only while resident.
+func (s *shard) pinnedBytes() int64 {
+	if s.load != nil {
+		return 0
+	}
+	return s.view.SizeBytes()
+}
+
+// sizeBytes returns the resident view's memory charge (0 when not resident).
 func (s *shard) sizeBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -89,7 +93,7 @@ func (s *shard) info() ShardInfo {
 		Nodes:       s.nodes,
 		Depth:       s.depth,
 		MaxAlpha:    s.maxAlpha,
-		Resident:    s.load == nil || s.view != nil,
+		Resident:    s.view != nil,
 		Bloom:       s.bloom,
 		AlphaDepths: s.alphaDepths,
 	}

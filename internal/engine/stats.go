@@ -26,13 +26,13 @@ type ShardStat struct {
 	Nodes    int     `json:"nodes"`
 	MaxAlpha float64 `json:"maxAlpha"`
 	// Resident reports whether the shard is in memory. Heap shards (a tree
-	// built in-process, subtrees rebuilt by a delta and not yet
-	// checkpointed) always are; file-backed shards load on first touch and
-	// may be evicted under the residency budget.
+	// built in-process, shards rebuilt by a delta and not yet checkpointed)
+	// always are; file-backed shards load on first touch and may be evicted
+	// under the residency budget.
 	Resident bool `json:"resident"`
 	// Bytes is the resident view's charge against the residency budget: the
-	// mapped file size, 0 when the shard is not resident or lives on the
-	// heap.
+	// size of its TCBIN payload, mapped or on the heap; 0 when the shard is
+	// not resident.
 	Bytes int64 `json:"bytes,omitempty"`
 	// Loads counts the completed disk loads of the shard's current
 	// generation (an update that replaces the shard starts a new count).
@@ -52,7 +52,8 @@ type Stats struct {
 	Format string `json:"format"`
 	// ResidentShards is the number of shards currently in memory (every
 	// shard, for a tree built in-process). ResidentBytes sums the resident
-	// views' budget charges (mapped file size; heap shards charge nothing).
+	// views' budget charges: the payload size of every shard in memory,
+	// mapped file or heap bytes alike.
 	ResidentShards int   `json:"residentShards"`
 	ResidentBytes  int64 `json:"residentBytes,omitempty"`
 	// MaxResidentShards and MaxResidentBytes are the residency budgets

@@ -16,7 +16,8 @@ import (
 // file-backed shard in flight across the swap, as a background prefetch
 // would be. The struct that left the table must end up poisoned and empty:
 // the in-flight load may neither install its view nor charge the residency
-// budget, and a later acquire may not load anew. Run it with -race.
+// budget, and a later acquire may not load anew; a heap shard is charged its
+// bytes exactly while it is in the table. Run it with -race.
 func TestShardSwapTransitions(t *testing.T) {
 	const (
 		absent   = "absent"
@@ -46,6 +47,10 @@ func TestShardSwapTransitions(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewLazy: %v", err)
 			}
+			encoded, err := tree.EncodeShards()
+			if err != nil {
+				t.Fatalf("EncodeShards: %v", err)
+			}
 			sub, bystander := tree.Root().Children[0], tree.Root().Children[1].Item
 			item, q := sub.Item, itemset.New(sub.Item)
 			source := func(kind string) func(itemset.Item) *shard {
@@ -53,7 +58,11 @@ func TestShardSwapTransitions(t *testing.T) {
 				case file:
 					return eng.committedShard
 				case resident:
-					return rebuiltShard(map[itemset.Item]*tctree.Node{item: sub})
+					mk, err := heapShards(map[itemset.Item]*tctree.EncodedShard{item: encoded[0]})
+					if err != nil {
+						t.Fatalf("heapShards: %v", err)
+					}
+					return mk
 				}
 				return func(itemset.Item) *shard { return nil }
 			}
@@ -86,7 +95,7 @@ func TestShardSwapTransitions(t *testing.T) {
 			entered, release, acquired := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 			if tc.old == file {
 				load := old.load
-				old.load = func() (tctree.ShardView, error) {
+				old.load = func() (*tctree.BinShard, error) {
 					close(entered)
 					<-release
 					return load()
@@ -127,8 +136,13 @@ func TestShardSwapTransitions(t *testing.T) {
 					t.Fatalf("the retired struct re-installed a view")
 				}
 			}
+			// A heap shard in the table is pinned, not counted, and charged at
+			// the size of its bytes; one that left the table charges nothing.
+			if tc.new == resident {
+				chargedBytes += int64(len(encoded[0].Data))
+			}
 			if got, gotBytes := eng.res.Resident(), eng.res.ResidentBytes(); got != charged || gotBytes != chargedBytes {
-				t.Fatalf("residency charge %d shards / %d bytes after the swap, want the bystander's %d / %d",
+				t.Fatalf("residency charge %d shards / %d bytes after the swap, want %d / %d",
 					got, gotBytes, charged, chargedBytes)
 			}
 

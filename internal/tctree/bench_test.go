@@ -16,8 +16,8 @@ import (
 // here before it is measured end to end.
 
 var (
-	benchSubtrees map[itemset.Item]*Node
-	benchTree     *Tree
+	benchShards map[itemset.Item]*EncodedShard
+	benchTree   *Tree
 )
 
 // medianCostVertex returns the vertex whose update costs the median: an
@@ -50,9 +50,10 @@ func medianCostVertex(tree *Tree, nw *dbnet.Network) graph.VertexID {
 // update tail: about a dozen shards of several hundred nodes each). The
 // update is tcload's: one transaction of three items the vertex already
 // carries, appended to a median-cost vertex. "full" re-mines every affected
-// shard (RebuildSubtrees); "scoped" is what the engine runs — the previous
-// shards decoded from TCBIN bytes held open, as a server holds them, and only
-// the patterns inside the delta's scope re-mined (RebuildScoped).
+// shard; "scoped" is what the engine runs — the previous shards held open as
+// TCBIN bytes, as a server holds them, only the patterns inside the delta's
+// scope re-mined and the rest of each shard copied across as bytes. Both end
+// with the encoded shards (RebuildScoped).
 //
 // tcload's -trace 1 rung tctree.rebuild_ms keeps timing the full
 // RebuildSubtrees(nw, items) on its private replay, not the scoped rebuild
@@ -79,39 +80,33 @@ func BenchmarkRebuildSubtrees(b *testing.B) {
 		// The delta's scope (delta.ScopeOf): the vertex's pre-delta
 		// transactions and the one it gains.
 		scope := append(slices.Clone(nw.Database(v).Transactions()), tx)
-		prev := make(map[itemset.Item]ShardView)
+		prev := make(map[itemset.Item]*BinShard)
 		for _, it := range affected {
 			if root := tree.Node(itemset.New(it)); root != nil {
-				prev[it] = shardViews(b, root)["BinShard"]
+				prev[it] = openEncoded(b, root)
 			}
 		}
 		if err := nw.AddTransaction(v, tx); err != nil {
 			b.Fatal(err)
 		}
-		run := func(name string, scope []itemset.Itemset, prev func(itemset.Item) *Node) {
+		run := func(name string, scope []itemset.Itemset, prev func(itemset.Item) *BinShard) {
 			b.Run(c.name+"/"+name, func(b *testing.B) {
 				var stats RebuildStats
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					benchSubtrees, stats = RebuildScoped(nw, affected, scope, prev)
+					var err error
+					if benchShards, stats, err = RebuildScoped(nw, affected, scope, prev); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.ReportMetric(float64(affected.Len()), "shards/op")
 				b.ReportMetric(float64(stats.Recomputed), "recomputed-nodes/op")
+				b.ReportMetric(float64(stats.Reused), "reused-nodes/op")
 			})
 		}
 		run("full", nil, nil)
-		run("scoped", scope, func(it itemset.Item) *Node {
-			view, ok := prev[it]
-			if !ok {
-				return nil
-			}
-			root, err := view.Materialize()
-			if err != nil {
-				b.Error(err)
-			}
-			return root
-		})
+		run("scoped", scope, func(it itemset.Item) *BinShard { return prev[it] })
 	}
 }
 

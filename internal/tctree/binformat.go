@@ -1,14 +1,12 @@
 package tctree
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
@@ -76,48 +74,103 @@ func binShardFileName(item itemset.Item) string {
 	return fmt.Sprintf("shard-%d.tcbin", item)
 }
 
-// encodeShardBinary flattens the subtree rooted at root into the TCBIN
-// layout, returning the file payload and its manifest entry (File set to
-// the canonical name).
-func encodeShardBinary(root *Node) ([]byte, ShardEntry, error) {
+// EncodedShard is a shard as bytes: its TCBIN payload and the manifest entry
+// that describes it (File set to the item's canonical shard name). A build or
+// a rebuild hands it to whoever writes, stages or serves the shard.
+type EncodedShard struct {
+	Entry ShardEntry
+	Data  []byte
+}
+
+// Open returns the payload as a heap-backed shard, validated like a file's;
+// the bytes are shared, not copied.
+func (s *EncodedShard) Open() (*BinShard, error) { return DecodeBinShard(s.Data, s.Entry) }
+
+// encodeShardBinary encodes the subtree rooted at root, a shard mined in full.
+func encodeShardBinary(root *Node) (*EncodedShard, error) {
+	enc, _, err := splice{root: root}.encode()
+	return enc, err
+}
+
+// flatNode is one node of a shard being encoded, in the layout's
+// breadth-first order: a mined node, or — node is nil — the node of the
+// previous shard at index graft, carried over with everything below it.
+type flatNode struct {
+	node     *Node
+	graft    uint32
+	item     itemset.Item
+	depth    int
+	children uint32
+}
+
+// encode flattens the shard into the TCBIN layout and computes its manifest
+// entry — statistics, item bloom and α*-by-depth histogram — over the same
+// walk; reused counts the nodes carried over from s.prev.
+//
+// A mined node's tables are written from its decomposition. A carried-over
+// node's are copied: its frequency run and each level's edge run hold no
+// position and move as bytes; what addresses another table — dictionary
+// index, child run, each level's edge start — is rewritten. A node's tables
+// are a function of its decomposition alone and the previous bytes came from
+// this encoder, so the result is byte for byte the encoding of the fully
+// mined shard. prev is read through its validated accessors only, and kept
+// reachable — a finalizer releases its map — until the copy is done.
+func (s splice) encode() (enc *EncodedShard, reused int, err error) {
+	root, prev := s.root, s.prev
 	if root == nil || root.Decomp == nil {
-		return nil, ShardEntry{}, fmt.Errorf("tctree: cannot encode a nil shard")
+		return nil, 0, fmt.Errorf("tctree: cannot encode a nil shard")
 	}
 	if root.Pattern.Len() != 1 || root.Pattern[0] != root.Item {
-		return nil, ShardEntry{}, fmt.Errorf("tctree: shard root pattern %v is not the single item %d", root.Pattern, root.Item)
+		return nil, 0, fmt.Errorf("tctree: shard root pattern %v is not the single item %d", root.Pattern, root.Item)
 	}
-	// Breadth-first flatten; children keep their ascending-item order, so a
-	// node's children occupy a contiguous, item-sorted run of indexes.
-	order := []*Node{root}
-	for i := 0; i < len(order); i++ {
-		order = append(order, order[i].Children...)
-	}
-	indexOf := make(map[*Node]uint32, len(order))
-	items := make(map[itemset.Item]struct{})
+	// Breadth-first flatten; children keep their ascending-item order and
+	// follow one another, so node k's children are a contiguous, item-sorted
+	// run of indexes and the child table is simply 1, 2, …, n-1.
+	order := []flatNode{{node: root, item: root.Item, depth: 1}}
+	var dict []itemset.Item
 	var freqTotal, levelTotal, edgeTotal uint64
-	for i, n := range order {
-		indexOf[n] = uint32(i)
-		items[n.Item] = struct{}{}
-		freqTotal += uint64(len(n.Decomp.Freq))
-		levelTotal += uint64(len(n.Decomp.Levels))
-		for _, l := range n.Decomp.Levels {
-			edgeTotal += uint64(len(l.Removed))
+	for i := 0; i < len(order); i++ {
+		f, before := order[i], len(order)
+		dict = append(dict, f.item)
+		if n := f.node; n != nil {
+			freqTotal += uint64(len(n.Decomp.Freq))
+			levelTotal += uint64(len(n.Decomp.Levels))
+			edgeTotal += uint64(n.Decomp.NumEdges())
+			mined, grafts := n.Children, s.grafts[n]
+			for len(mined)+len(grafts) > 0 {
+				if len(grafts) == 0 || len(mined) > 0 && mined[0].Item < prev.itemOf(grafts[0]) {
+					order = append(order, flatNode{node: mined[0], item: mined[0].Item, depth: f.depth + 1})
+					mined = mined[1:]
+				} else {
+					order = append(order, flatNode{graft: grafts[0], item: prev.itemOf(grafts[0]), depth: f.depth + 1})
+					grafts = grafts[1:]
+				}
+			}
+		} else {
+			reused++
+			_, fc := prev.run(f.graft, binNodeFreqStart)
+			ls, lc := prev.run(f.graft, binNodeLevelStart)
+			freqTotal += uint64(fc)
+			levelTotal += uint64(lc)
+			for l := ls; l < ls+lc; l++ {
+				_, _, ec := prev.levelAt(l)
+				edgeTotal += uint64(ec)
+			}
+			cs, cc := prev.run(f.graft, binNodeChildStart)
+			for c := cs; c < cs+cc; c++ {
+				g := prev.childAt(c)
+				order = append(order, flatNode{graft: g, item: prev.itemOf(g), depth: f.depth + 1})
+			}
 		}
+		order[i].children = uint32(len(order) - before)
 	}
-	dict := make([]itemset.Item, 0, len(items))
-	for it := range items {
-		dict = append(dict, it)
-	}
-	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
-	dictIdx := make(map[itemset.Item]uint32, len(dict))
-	for i, it := range dict {
-		dictIdx[it] = uint32(i)
-	}
+	slices.Sort(dict)
+	dict = slices.Compact(dict)
 	nodeCount := uint64(len(order))
 	childTotal := nodeCount - 1
 	if nodeCount > math.MaxUint32 || freqTotal > math.MaxUint32 ||
 		levelTotal > math.MaxUint32 || edgeTotal > math.MaxUint32 {
-		return nil, ShardEntry{}, fmt.Errorf("tctree: shard %d exceeds the TCBIN table limits", root.Item)
+		return nil, 0, fmt.Errorf("tctree: shard %d exceeds the TCBIN table limits", root.Item)
 	}
 
 	dictOff := uint64(binHeaderSize)
@@ -129,93 +182,112 @@ func encodeShardBinary(root *Node) ([]byte, ShardEntry, error) {
 	footerOff := edgeOff + edgeTotal*binEdgeSize
 	buf := make([]byte, footerOff+binFooterSize)
 
+	// Header: magic, eight u32 fields from byte 8, seven u64 offsets from 40.
 	copy(buf, binMagic)
-	binLE.PutUint32(buf[8:], binVersion)
-	binLE.PutUint32(buf[12:], uint32(int32(root.Item)))
-	binLE.PutUint32(buf[16:], uint32(nodeCount))
-	binLE.PutUint32(buf[20:], uint32(len(dict)))
-	binLE.PutUint32(buf[24:], uint32(childTotal))
-	binLE.PutUint32(buf[28:], uint32(freqTotal))
-	binLE.PutUint32(buf[32:], uint32(levelTotal))
-	binLE.PutUint32(buf[36:], uint32(edgeTotal))
-	binLE.PutUint64(buf[40:], dictOff)
-	binLE.PutUint64(buf[48:], nodeOff)
-	binLE.PutUint64(buf[56:], childOff)
-	binLE.PutUint64(buf[64:], freqOff)
-	binLE.PutUint64(buf[72:], levelOff)
-	binLE.PutUint64(buf[80:], edgeOff)
-	binLE.PutUint64(buf[88:], footerOff)
+	for i, v := range [...]uint64{binVersion, uint64(uint32(root.Item)), nodeCount, uint64(len(dict)), childTotal, freqTotal, levelTotal, edgeTotal} {
+		binLE.PutUint32(buf[8+4*i:], uint32(v))
+	}
+	for i, off := range [...]uint64{dictOff, nodeOff, childOff, freqOff, levelOff, edgeOff, footerOff} {
+		binLE.PutUint64(buf[40+8*i:], off)
+	}
 
 	for i, it := range dict {
 		binLE.PutUint32(buf[dictOff+uint64(i)*4:], uint32(int32(it)))
 	}
-
-	var childNext, freqNext, levelNext, edgeNext uint32
-	type vf struct {
-		v graph.VertexID
-		f float64
+	for c := uint64(0); c < childTotal; c++ {
+		binLE.PutUint32(buf[childOff+c*4:], uint32(c+1))
 	}
-	var freqs []vf
-	for i, n := range order {
+
+	// The catalogue; a node's α* is its last level's threshold.
+	depth, shardAlpha := 0, 0.0
+	var hist [alphaHistBuckets]float64
+	var childNext, freqNext, levelNext, edgeNext uint32
+	var verts []graph.VertexID
+	for i, f := range order {
 		rec := buf[nodeOff+uint64(i)*binNodeSize:]
-		binLE.PutUint32(rec[binNodeItemIdx:], dictIdx[n.Item])
+		dictIdx, _ := slices.BinarySearch(dict, f.item)
+		binLE.PutUint32(rec[binNodeItemIdx:], uint32(dictIdx))
 		binLE.PutUint32(rec[binNodeChildStart:], childNext)
-		binLE.PutUint32(rec[binNodeChildCount:], uint32(len(n.Children)))
-		for _, c := range n.Children {
-			binLE.PutUint32(buf[childOff+uint64(childNext)*4:], indexOf[c])
-			childNext++
-		}
-		// Frequencies are stored sorted by vertex: map iteration order is
-		// nondeterministic, the flat table must not be.
-		freqs = freqs[:0]
-		for v, f := range n.Decomp.Freq {
-			freqs = append(freqs, vf{v, f})
-		}
-		slices.SortFunc(freqs, func(a, b vf) int { return cmp.Compare(a.v, b.v) })
+		binLE.PutUint32(rec[binNodeChildCount:], f.children)
+		childNext += f.children
 		binLE.PutUint32(rec[binNodeFreqStart:], freqNext)
-		binLE.PutUint32(rec[binNodeFreqCount:], uint32(len(freqs)))
-		for _, e := range freqs {
-			o := freqOff + uint64(freqNext)*binFreqSize
-			binLE.PutUint32(buf[o:], uint32(int32(e.v)))
-			binLE.PutUint64(buf[o+4:], math.Float64bits(e.f))
-			freqNext++
-		}
 		binLE.PutUint32(rec[binNodeLevelStart:], levelNext)
-		binLE.PutUint32(rec[binNodeLevelCount:], uint32(len(n.Decomp.Levels)))
-		for _, l := range n.Decomp.Levels {
-			o := levelOff + uint64(levelNext)*binLevelSize
-			binLE.PutUint64(buf[o:], math.Float64bits(l.Alpha))
-			binLE.PutUint32(buf[o+8:], edgeNext)
-			binLE.PutUint32(buf[o+12:], uint32(len(l.Removed)))
-			levelNext++
-			for _, e := range l.Removed {
-				binLE.PutUint64(buf[edgeOff+uint64(edgeNext)*binEdgeSize:], e.Key())
-				edgeNext++
+		var maxAlpha float64
+		if n := f.node; n != nil {
+			// Frequencies are stored sorted by vertex: map iteration order is
+			// nondeterministic, the flat table must not be.
+			verts = verts[:0]
+			for v := range n.Decomp.Freq {
+				verts = append(verts, v)
+			}
+			slices.Sort(verts)
+			binLE.PutUint32(rec[binNodeFreqCount:], uint32(len(verts)))
+			for _, v := range verts {
+				o := freqOff + uint64(freqNext)*binFreqSize
+				binLE.PutUint32(buf[o:], uint32(int32(v)))
+				binLE.PutUint64(buf[o+4:], math.Float64bits(n.Decomp.Freq[v]))
+				freqNext++
+			}
+			binLE.PutUint32(rec[binNodeLevelCount:], uint32(len(n.Decomp.Levels)))
+			for _, l := range n.Decomp.Levels {
+				o := levelOff + uint64(levelNext)*binLevelSize
+				binLE.PutUint64(buf[o:], math.Float64bits(l.Alpha))
+				binLE.PutUint32(buf[o+8:], edgeNext)
+				binLE.PutUint32(buf[o+12:], uint32(len(l.Removed)))
+				levelNext++
+				for _, e := range l.Removed {
+					binLE.PutUint64(buf[edgeOff+uint64(edgeNext)*binEdgeSize:], e.Key())
+					edgeNext++
+				}
+			}
+			maxAlpha = n.Decomp.MaxAlpha()
+		} else {
+			fs, fc := prev.run(f.graft, binNodeFreqStart)
+			binLE.PutUint32(rec[binNodeFreqCount:], fc)
+			copy(buf[freqOff+uint64(freqNext)*binFreqSize:], prev.freq[uint64(fs)*binFreqSize:uint64(fs+fc)*binFreqSize])
+			freqNext += fc
+			ls, lc := prev.run(f.graft, binNodeLevelStart)
+			binLE.PutUint32(rec[binNodeLevelCount:], lc)
+			for l := ls; l < ls+lc; l++ {
+				alpha, es, ec := prev.levelAt(l)
+				o := levelOff + uint64(levelNext)*binLevelSize
+				binLE.PutUint64(buf[o:], math.Float64bits(alpha))
+				binLE.PutUint32(buf[o+8:], edgeNext)
+				binLE.PutUint32(buf[o+12:], ec)
+				levelNext++
+				copy(buf[edgeOff+uint64(edgeNext)*binEdgeSize:], prev.edge[uint64(es)*binEdgeSize:uint64(es+ec)*binEdgeSize])
+				edgeNext += ec
+				maxAlpha = alpha
 			}
 		}
+		depth = max(depth, f.depth)
+		shardAlpha = max(shardAlpha, maxAlpha)
+		bucket := min(f.depth, alphaHistBuckets) - 1
+		hist[bucket] = max(hist[bucket], maxAlpha)
 	}
+	runtime.KeepAlive(prev)
 
 	bodyCRC := crc32.Checksum(buf[:footerOff], castagnoli)
 	binLE.PutUint32(buf[footerOff:], bodyCRC)
 	copy(buf[footerOff+4:], binEndMagic)
 
-	// The manifest checksum is the BODY CRC — the same value the footer
-	// embeds — not the CRC of the whole file. A file ending in its own CRC
-	// hashes to a constant residue, so a whole-file CRC would be identical
-	// for every TCBIN shard and staged-shard names (which embed the checksum
-	// to stay distinct across shard generations) would collide.
-	stats, bloom, alphaDepths := shardCatalogue(root)
-	entry := ShardEntry{
+	bloom := newItemBloom(len(dict))
+	for _, it := range dict {
+		bloom.add(it)
+	}
+	// The manifest checksum is the BODY CRC the footer embeds: a file ending
+	// in its own CRC hashes to a constant residue, and staged-shard names,
+	// which embed the checksum to differ across generations, would collide.
+	return &EncodedShard{Data: buf, Entry: ShardEntry{
 		Item:        int32(root.Item),
 		File:        binShardFileName(root.Item),
 		Nodes:       len(order),
-		Depth:       stats.Depth,
-		MaxAlpha:    stats.MaxAlpha,
+		Depth:       depth,
+		MaxAlpha:    shardAlpha,
 		Checksum:    fmt.Sprintf("crc32c:%08x", bodyCRC),
-		Bloom:       bloom,
-		AlphaDepths: alphaDepths,
-	}
-	return buf, entry, nil
+		Bloom:       bloom.Encode(),
+		AlphaDepths: encodeAlphaDepths(hist[:min(depth, alphaHistBuckets)]),
+	}}, reused, nil
 }
 
 // DecodeBinShard validates a TCBIN payload against its manifest entry and
@@ -395,6 +467,27 @@ func (b *BinShard) itemOf(i uint32) itemset.Item {
 	return itemset.Item(int32(binLE.Uint32(b.dict[b.nodeU32(i, binNodeItemIdx)*4:])))
 }
 
+// run returns where node i's entries start in the child, frequency or level
+// table and how many it has; field is that table's start field in the record
+// (its count field follows).
+func (b *BinShard) run(i uint32, field int) (start, count uint32) {
+	return b.nodeU32(i, field), b.nodeU32(i, field+4)
+}
+
+// childAt returns the node index stored at position c of the child table.
+func (b *BinShard) childAt(c uint32) uint32 { return binLE.Uint32(b.child[uint64(c)*4:]) }
+
+// childWith returns node i's child for item, or noNode.
+func (b *BinShard) childWith(i uint32, item itemset.Item) uint32 {
+	cs, cc := b.run(i, binNodeChildStart)
+	for c := cs; c < cs+cc; c++ {
+		if ci := b.childAt(c); b.itemOf(ci) == item {
+			return ci
+		}
+	}
+	return noNode
+}
+
 func (b *BinShard) levelAt(l uint32) (alpha float64, edgeStart, edgeCount uint32) {
 	o := uint64(l) * binLevelSize
 	return math.Float64frombits(binLE.Uint64(b.level[o:])), binLE.Uint32(b.level[o+8:]), binLE.Uint32(b.level[o+12:])
@@ -410,7 +503,7 @@ func (b *BinShard) nodeMaxAlpha(i uint32) float64 {
 
 // liveLevels decodes the levels of node i that are live at α_q into the
 // scratch buffers — the one copy the read makes of an edge — the counterpart
-// of Decomposition.LiveLevels on a NodeView.
+// of Decomposition.LiveLevels on a pointer tree.
 func (b *BinShard) liveLevels(sc *readScratch, i uint32, alphaQ float64) []truss.Level {
 	ls, lc := b.nodeU32(i, binNodeLevelStart), b.nodeU32(i, binNodeLevelCount)
 	total := 0
@@ -557,9 +650,9 @@ func (b *BinShard) WalkPatterns(visit func(p itemset.Itemset)) {
 }
 
 // Materialize rebuilds the pointer-tree form of the shard from the bytes it
-// has open: the bridge from TCBIN back to code that needs *Node — a scoped
-// rebuild's previous subtree — and the round-trip reference of the format's
-// tests. Every decomposition is re-validated on the way.
+// has open: the bridge from TCBIN back to code that needs *Node (LoadShard,
+// LoadTree) and the round-trip reference of the format's tests; no query or
+// update calls it. Every decomposition is re-validated on the way.
 func (b *BinShard) Materialize() (*Node, error) {
 	nodes := make([]*Node, b.nodeCount)
 	root, err := b.nodeAt(0, itemset.New())

@@ -22,13 +22,13 @@ func binShardFixtures(t *testing.T, seed int64) (*Tree, []*Node, [][]byte, []Sha
 	var bufs [][]byte
 	var entries []ShardEntry
 	for _, c := range tree.Root().Children {
-		buf, entry, err := encodeShardBinary(c)
+		enc, err := encodeShardBinary(c)
 		if err != nil {
 			t.Fatalf("encodeShardBinary(%d): %v", c.Item, err)
 		}
 		roots = append(roots, c)
-		bufs = append(bufs, buf)
-		entries = append(entries, entry)
+		bufs = append(bufs, enc.Data)
+		entries = append(entries, enc.Entry)
 	}
 	return tree, roots, bufs, entries
 }
@@ -73,7 +73,7 @@ func shardQueryPatterns(root *Node) []itemset.Itemset {
 
 // TestBinShardRoundTrip checks encodeShardBinary → DecodeBinShard →
 // Materialize reproduces the source subtree exactly, and that the returned
-// manifest entry carries the statistics and catalogue ShardCatalogue
+// manifest entry carries the statistics and catalogue shardCatalogue
 // computes.
 func TestBinShardRoundTrip(t *testing.T) {
 	_, roots, bufs, entries := binShardFixtures(t, 19)
@@ -94,13 +94,13 @@ func TestBinShardRoundTrip(t *testing.T) {
 		}
 		assertSameSubtree(t, root, back)
 
-		stats, bloom, alphaDepths := ShardCatalogue(root)
+		stats, bloom, alphaDepths := shardCatalogue(root)
 		e := entries[i]
 		if e.Nodes != stats.Nodes || e.Depth != stats.Depth || !approx(e.MaxAlpha, stats.MaxAlpha) {
-			t.Fatalf("entry stats %+v disagree with ShardCatalogue %+v", e, stats)
+			t.Fatalf("entry stats %+v disagree with shardCatalogue %+v", e, stats)
 		}
 		if e.Bloom != bloom || e.AlphaDepths != alphaDepths {
-			t.Fatalf("entry catalogue (%q, %q) disagrees with ShardCatalogue (%q, %q)",
+			t.Fatalf("entry catalogue (%q, %q) disagrees with shardCatalogue (%q, %q)",
 				e.Bloom, e.AlphaDepths, bloom, alphaDepths)
 		}
 		if e.File != binShardFileName(root.Item) {
@@ -397,7 +397,7 @@ func TestContainmentAlphaBound(t *testing.T) {
 func TestCatalogueCodecs(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	root := tree.Root().Children[0]
-	_, bloomStr, histStr := ShardCatalogue(root)
+	_, bloomStr, histStr := shardCatalogue(root)
 
 	bloom, err := DecodeItemBloom(bloomStr)
 	if err != nil {
@@ -488,15 +488,19 @@ func hostileEdgeSeeds(valid []byte) [][]byte {
 // structural validators behind the entry cross-checks. The decoder must
 // either error or return a shard whose every traversal — the read kernel
 // included, which runs unchecked on whatever edges the payload holds — and
-// whose Materialize run without panics or out-of-range reads.
+// whose Materialize run without panics or out-of-range reads, and which an
+// update can take as its previous shard: spliced whole under a new root, it
+// must come out as bytes DecodeBinShard accepts.
 func FuzzTCBINDecode(f *testing.F) {
 	nw := dbnet.PaperExample()
 	tree := Build(nw, BuildOptions{})
+	mined := tree.Root().Children[0].Decomp
 	for _, c := range tree.Root().Children {
-		buf, _, err := encodeShardBinary(c)
+		enc, err := encodeShardBinary(c)
 		if err != nil {
 			f.Fatalf("encodeShardBinary: %v", err)
 		}
+		buf := enc.Data
 		f.Add(buf)
 		truncated := append([]byte(nil), buf[:len(buf)/2]...)
 		f.Add(truncated)
@@ -530,5 +534,33 @@ func FuzzTCBINDecode(f *testing.F) {
 		// Materialize re-validates every decomposition and may refuse one
 		// (an edge stored twice); it must not panic.
 		_, _ = sh.Materialize()
+
+		// The splice copies table runs as the accepted payload addresses
+		// them, so levels that share an edge run multiply it; leave the
+		// payloads that would multiply it beyond reason to the table limits.
+		var edges uint64
+		for l := uint64(0); l < uint64(len(sh.level))/binLevelSize; l++ {
+			_, _, ec := sh.levelAt(uint32(l))
+			edges += uint64(ec)
+		}
+		if edges > 1<<20 {
+			return
+		}
+		newRoot := &Node{Item: root, Pattern: itemset.New(root), Decomp: mined}
+		var grafts []uint32
+		cs, cc := sh.run(0, binNodeChildStart)
+		for c := cs; c < cs+cc; c++ {
+			grafts = append(grafts, sh.childAt(c))
+		}
+		enc, reused, err := splice{root: newRoot, prev: sh, grafts: map[*Node][]uint32{newRoot: grafts}}.encode()
+		if err != nil {
+			t.Fatalf("splicing an accepted payload: %v", err)
+		}
+		if reused != entry.Nodes-1 || enc.Entry.Nodes != entry.Nodes {
+			t.Fatalf("spliced %d of %d nodes into a shard of %d", reused, entry.Nodes-1, enc.Entry.Nodes)
+		}
+		if _, err := enc.Open(); err != nil {
+			t.Fatalf("the spliced payload is refused: %v", err)
+		}
 	})
 }

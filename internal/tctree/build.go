@@ -45,8 +45,7 @@ func Build(nw *dbnet.Network, opts BuildOptions) *Tree {
 	if opts.MaxDepth > 0 {
 		tree.builtMaxDepth = opts.MaxDepth
 	}
-	roots, _ := expandSubtrees(nw, nw.Items(), maxDepth, workers, nil, nil)
-	for _, root := range roots {
+	for _, root := range mineSubtrees(nw, nw.Items(), maxDepth, workers) {
 		if root != nil {
 			tree.root.Children = append(tree.root.Children, root)
 			tree.numNodes += statsOf(root).Nodes

@@ -12,9 +12,10 @@ import (
 // This file implements the per-shard skipping catalogue persisted in the
 // manifest alongside the basic shard statistics: an item bloom filter over
 // the distinct items of the shard's patterns, and a fixed-bucket histogram
-// of the best α* per pattern length. Both are computed at encode time (for
-// either on-disk format) and consulted by the engine's planner to rule
-// shards out of containment queries without touching payload bytes.
+// of the best α* per pattern length. Both are computed at encode time, over
+// the walk that lays the shard out (splice.encode), and consulted by the
+// engine's planner to rule shards out of containment queries without touching
+// payload bytes.
 //
 // Neither structure can improve SUB-pattern queries: by anti-monotonicity
 // the shard root's α* equals the shard's MaxAlpha, so whenever α_q <
@@ -165,51 +166,6 @@ func DecodeAlphaDepths(s string) ([]float64, error) {
 		out[i] = a
 	}
 	return out, nil
-}
-
-// shardCatalogue computes one shard's manifest metadata — the basic
-// statistics plus the skipping catalogue — in a single walk of the subtree.
-func shardCatalogue(root *Node) (st ShardStats, bloom string, alphaDepths string) {
-	st = ShardStats{Item: root.Item}
-	items := make(map[itemset.Item]struct{})
-	var hist [alphaHistBuckets]float64
-	root.Walk(func(n *Node) {
-		st.Nodes++
-		l := n.Pattern.Len()
-		if l > st.Depth {
-			st.Depth = l
-		}
-		a := n.Decomp.MaxAlpha()
-		if a > st.MaxAlpha {
-			st.MaxAlpha = a
-		}
-		items[n.Item] = struct{}{}
-		bucket := l - 1
-		if bucket >= alphaHistBuckets {
-			bucket = alphaHistBuckets - 1
-		}
-		if a > hist[bucket] {
-			hist[bucket] = a
-		}
-	})
-	b := newItemBloom(len(items))
-	for it := range items {
-		b.add(it)
-	}
-	n := st.Depth
-	if n > alphaHistBuckets {
-		n = alphaHistBuckets
-	}
-	return st, b.Encode(), encodeAlphaDepths(hist[:n])
-}
-
-// ShardCatalogue computes the manifest metadata of an in-memory shard
-// subtree: its basic statistics plus the encoded bloom filter and α*-by-
-// depth histogram. Serving layers that build eager engines straight from a
-// Tree use it to plan with the same catalogue a sharded index would
-// persist.
-func ShardCatalogue(root *Node) (st ShardStats, bloom string, alphaDepths string) {
-	return shardCatalogue(root)
 }
 
 // ContainmentAlphaBound returns the best α* any node of pattern length ≥

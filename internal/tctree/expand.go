@@ -1,6 +1,7 @@
 package tctree
 
 import (
+	"math"
 	"slices"
 	"sync"
 
@@ -13,10 +14,10 @@ import (
 // expandSubtree mines the whole first-level subtree (shard) of one top-level
 // item from the network: the one routine behind Build, RebuildSubtrees and
 // the scoped rebuild of an update, so a shard is the same — bit for bit —
-// whichever of them produced it. It returns the shard root, or nil when the
-// item's maximal pattern truss at α = 0 is empty. maxDepth bounds the pattern
-// length of the nodes (Algorithm 4 without a bound when it is the largest
-// int).
+// whichever of them produced it. The splice it returns has a nil root when
+// the item's maximal pattern truss at α = 0 is empty. maxDepth bounds the
+// pattern length of the nodes (Algorithm 4 without a bound when it is the
+// largest int).
 //
 // Every node below the root is found the same way (expansion.expand): one
 // pass over the transactions that contain the node's pattern, on the
@@ -25,7 +26,7 @@ import (
 // induced inside the edges Proposition 5.3 confines it to and decomposed
 // (Theorem 6.1); empty results prune the whole branch (Proposition 5.2).
 //
-// With a previous subtree — the shard as it stood before a delta whose
+// With a previous shard — the shard as it stood before a delta whose
 // witness transactions are scope (delta.Scope) — only the patterns some
 // witness contains are mined; the rest of prev is carried over (see expand).
 // Without one, or when no witness contains the item and the scope therefore
@@ -33,29 +34,45 @@ import (
 //
 // The network must be frozen: expandSubtree only reads it and may run
 // concurrently with other readers.
-func expandSubtree(nw *dbnet.Network, item itemset.Item, maxDepth int, scope []itemset.Itemset, prev *Node) (*Node, RebuildStats) {
+func expandSubtree(nw *dbnet.Network, item itemset.Item, maxDepth int, scope []itemset.Itemset, prev *BinShard) splice {
 	var wit []itemset.Itemset
-	if prev != nil && prev.Item == item {
+	if prev != nil && prev.RootItem() == item {
 		wit = witnessesWith(scope, item)
 	}
 	if len(wit) == 0 {
 		prev = nil
 	}
-	x := &expansion{nw: nw, maxDepth: maxDepth, scoped: prev != nil}
+	x := &expansion{nw: nw, maxDepth: maxDepth, prev: prev}
 	pattern := itemset.New(item)
 	d := truss.Decompose(nw.ThemeNetwork(pattern))
 	if d.Empty() {
-		return nil, x.stats
+		return splice{}
 	}
-	x.stats.Recomputed++
+	x.recomputed++
 	root := grown{node: &Node{Item: item, Pattern: pattern, Decomp: d}, base: baseEdges(d)}
-	x.expand(root, nil, wit, prev)
-	return root.node, x.stats
+	at := uint32(noNode)
+	if prev != nil {
+		at = 0
+	}
+	x.expand(root, nil, wit, at)
+	return splice{root: root.node, prev: prev, grafts: x.grafts, mined: x.recomputed}
+}
+
+// splice is a shard as an expansion leaves it: the mined nodes (how many), a
+// pointer tree under root, and references to the nodes of the previous shard
+// carried over with everything below them: grafts[n] lists the children of
+// the mined node n that are nodes of prev, by index, ascending by item. A
+// full expansion has neither prev nor grafts. encode makes one shard of both.
+type splice struct {
+	root   *Node
+	prev   *BinShard
+	grafts map[*Node][]uint32
+	mined  int
 }
 
 // RebuildStats counts the nodes of rebuilt shards by where they came from:
 // Recomputed nodes were induced and decomposed from the network, Reused ones
-// carried over from the previous subtree.
+// carried over from the previous shard.
 type RebuildStats struct {
 	Recomputed int
 	Reused     int
@@ -65,10 +82,11 @@ type RebuildStats struct {
 type expansion struct {
 	nw       *dbnet.Network
 	maxDepth int
-	// scoped says the expansion mines only inside a delta's scope and takes
-	// everything else from the previous subtree.
-	scoped bool
-	stats  RebuildStats
+	// prev, when non-nil, makes the expansion scoped: it mines only inside a
+	// delta's scope and takes everything else from prev (grafts, see splice).
+	prev       *BinShard
+	grafts     map[*Node][]uint32
+	recomputed int // nodes mined
 
 	// Scratch reused by every expand call of the subtree; none of it is live
 	// across the recursion into the children.
@@ -99,6 +117,10 @@ type grown struct {
 // signBit flips an item's sign bit so that packed words sort in item order.
 const signBit = 1 << 31
 
+// noNode, where an index into the previous shard is expected, says the
+// pattern had no node there; a shard holds fewer nodes than that.
+const noNode = math.MaxUint32
+
 // expand materializes the children of nf and, recursively, their subtrees.
 // siblings are nf's mined right siblings (ascending item). Below the shard
 // root the candidate extensions are the right siblings' items, each evaluated
@@ -110,30 +132,72 @@ const signBit = 1 << 31
 // unique, so a larger candidate subgraph cannot change it.
 //
 // A scoped expansion narrows the candidates to the extensions some witness
-// contains: wit are the witnesses that contain nf's pattern, and prev is the
-// node nf's pattern had before the delta (nil when it had none). A child of
-// prev whose pattern no witness contains is out of scope: its theme network
-// is unchanged, and so is every pattern below it (delta.Scope), so the old
-// child is grafted with its whole subtree instead of being induced and
-// peeled. The graft is the node a full rebuild would mine even though the
-// candidate subgraph around it may have changed, because a decomposition does
-// not depend on that subgraph (see truss.peeler). A grafted child is no
-// candidate sibling to the mined ones: an extension of a mined child by the
-// grafted child's item contains the grafted pattern, so it is out of scope
-// itself and arrives with the mined child's own grafts.
-func (x *expansion) expand(nf grown, siblings []grown, wit []itemset.Itemset, prev *Node) {
-	pattern := nf.node.Pattern
-	if pattern.Len() >= x.maxDepth {
+// contains: wit are the witnesses that contain nf's pattern, and at is the
+// node nf's pattern had in the previous shard before the delta (noNode when
+// it had none). A child of that node whose pattern no witness contains is out
+// of scope: its theme network is unchanged, and so is every pattern below it
+// (delta.Scope), so the old child is grafted with its whole subtree instead
+// of being induced and peeled — by reference: only its item is read. The
+// graft is the node a full rebuild would mine even though the candidate
+// subgraph around it may have changed, because a decomposition does not
+// depend on that subgraph (see truss.peeler). A grafted child is no candidate
+// sibling to the mined ones: an extension of a mined child by the grafted
+// child's item contains the grafted pattern, so it is out of scope itself and
+// arrives with the mined child's own grafts.
+func (x *expansion) expand(nf grown, siblings []grown, wit []itemset.Itemset, at uint32) {
+	if nf.node.Pattern.Len() >= x.maxDepth {
 		return
 	}
-	shardRoot := pattern.Len() == 1
-	// The candidate items, ascending: every following item at an unscoped
-	// shard root (all), else the siblings' items, within the scope.
-	all := shardRoot && !x.scoped
+	all := x.candidates(nf, siblings, wit, x.prev != nil)
+	var children []grown
+	if all || len(x.cand) > 0 {
+		children = x.mine(nf, siblings, all)
+	}
+	x.recomputed += len(children)
+	if len(children) > 0 {
+		nf.node.Children = make([]*Node, len(children))
+		for i, c := range children {
+			nf.node.Children[i] = c.node
+		}
+	}
+
+	// The previous node's children outside the scope: the extensions by an
+	// item no witness of the pattern carries, which x.cand is a subset of.
+	if at != noNode {
+		var grafts []uint32
+		cs, cc := x.prev.run(at, binNodeChildStart)
+		for c := cs; c < cs+cc; c++ {
+			if ci := x.prev.childAt(c); !inScope(wit, x.prev.itemOf(ci)) {
+				grafts = append(grafts, ci)
+			}
+		}
+		if len(grafts) > 0 {
+			if x.grafts == nil {
+				x.grafts = make(map[*Node][]uint32)
+			}
+			x.grafts[nf.node] = grafts
+		}
+	}
+
+	for i, c := range children {
+		was := uint32(noNode)
+		if at != noNode {
+			was = x.prev.childWith(at, c.node.Item)
+		}
+		x.expand(c, children[i+1:], witnessesWith(wit, c.node.Item), was)
+	}
+}
+
+// candidates leaves in x.cand the items nf's pattern may be extended by,
+// ascending — the siblings' items, within the witnesses when scoped — or
+// reports all: an unscoped shard root takes every item that follows it.
+func (x *expansion) candidates(nf grown, siblings []grown, wit []itemset.Itemset, scoped bool) (all bool) {
+	shardRoot := nf.node.Pattern.Len() == 1
 	x.cand = x.cand[:0]
 	switch {
-	case all:
-	case !x.scoped:
+	case !scoped && shardRoot:
+		return true
+	case !scoped:
 		for _, s := range siblings {
 			x.cand = append(x.cand, s.node.Item)
 		}
@@ -158,41 +222,7 @@ func (x *expansion) expand(nf grown, siblings []grown, wit []itemset.Itemset, pr
 			x.cand = x.cand[:n]
 		}
 	}
-
-	var children []grown
-	if all || len(x.cand) > 0 {
-		children = x.mine(nf, siblings, all)
-	}
-	x.stats.Recomputed += len(children)
-
-	// The children in item order: the mined ones, and the previous node's
-	// children outside the scope — the extensions by an item no witness of
-	// the pattern carries, which x.cand is a subset of.
-	var grafts []*Node
-	if prev != nil {
-		for _, c := range prev.Children {
-			if !inScope(wit, c.Item) {
-				grafts = append(grafts, c)
-				x.stats.Reused += statsOf(c).Nodes
-			}
-		}
-	}
-	if len(children)+len(grafts) == 0 {
-		return
-	}
-	nf.node.Children = make([]*Node, 0, len(children)+len(grafts))
-	for _, c := range children {
-		for len(grafts) > 0 && grafts[0].Item < c.node.Item {
-			nf.node.Children = append(nf.node.Children, grafts[0])
-			grafts = grafts[1:]
-		}
-		nf.node.Children = append(nf.node.Children, c.node)
-	}
-	nf.node.Children = append(nf.node.Children, grafts...)
-
-	for i, c := range children {
-		x.expand(c, children[i+1:], witnessesWith(wit, c.node.Item), prev.child(c.node.Item))
-	}
+	return false
 }
 
 // inScope reports whether some witness contains item.
@@ -354,29 +384,27 @@ func intersectEdges(a, b []graph.Edge) []graph.Edge {
 	return out
 }
 
-// expandSubtrees runs expandSubtree for every item on a pool of workers and
-// returns the shard roots aligned with items. prev, when non-nil, supplies an
-// item's previous subtree (nil to mine the shard in full); it is called once
-// per item, from the workers.
-func expandSubtrees(nw *dbnet.Network, items itemset.Itemset, maxDepth, workers int, scope []itemset.Itemset, prev func(itemset.Item) *Node) ([]*Node, RebuildStats) {
+// mineSubtrees runs a full expandSubtree for every item on a pool of workers
+// and returns the shard roots aligned with items (nil: indexes nothing).
+func mineSubtrees(nw *dbnet.Network, items itemset.Itemset, maxDepth, workers int) []*Node {
 	// The expansions read the network from several goroutines; freeze the
 	// lazily built structures first so those reads are safe.
 	nw.Freeze()
 	roots := make([]*Node, len(items))
-	stats := make([]RebuildStats, len(items))
 	parallelDo(len(items), workers, func(i int) {
-		var old *Node
-		if prev != nil {
-			old = prev(items[i])
-		}
-		roots[i], stats[i] = expandSubtree(nw, items[i], maxDepth, scope, old)
+		roots[i] = expandSubtree(nw, items[i], maxDepth, nil, nil).root
 	})
-	var total RebuildStats
-	for _, st := range stats {
-		total.Recomputed += st.Recomputed
-		total.Reused += st.Reused
+	return roots
+}
+
+// firstError returns the first non-nil error of a pool's per-index results.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	return roots, total
+	return nil
 }
 
 // parallelDo calls do(i) for every i in [0, n) on a pool of at most workers

@@ -1,0 +1,106 @@
+package tctree
+
+import (
+	"themecomm/internal/itemset"
+	"themecomm/internal/truss"
+)
+
+// NodeView runs the traversals of a BinShard over a pointer subtree: the
+// reference the read kernel's tests hold the in-place traversal against.
+// Nothing serves queries from it.
+type NodeView struct {
+	root *Node
+}
+
+// NewNodeView wraps a shard subtree.
+func NewNodeView(root *Node) *NodeView { return &NodeView{root: root} }
+
+func (v *NodeView) RootItem() itemset.Item { return v.root.Item }
+
+func (v *NodeView) SizeBytes() int64 { return 0 }
+
+func (v *NodeView) Evicted() {}
+
+func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
+	var res ShardAnswer
+	res.Visited++
+	if !truss.LevelLive(v.root.Decomp.MaxAlpha(), alphaQ) {
+		return res
+	}
+	sc := readScratchPool.Get().(*readScratch)
+	defer readScratchPool.Put(sc)
+	res.retrieve(sc, v.root.Pattern, v.root.Decomp.LiveLevels(alphaQ))
+	queue := []*Node{v.root}
+	for len(queue) > 0 {
+		nf := queue[0]
+		queue = queue[1:]
+		for _, nc := range nf.Children {
+			if !q.Contains(nc.Item) {
+				continue
+			}
+			res.Visited++
+			if !truss.LevelLive(nc.Decomp.MaxAlpha(), alphaQ) {
+				continue
+			}
+			res.retrieve(sc, nc.Pattern, nc.Decomp.LiveLevels(alphaQ))
+			queue = append(queue, nc)
+		}
+	}
+	res.finish(sc)
+	return res
+}
+
+func (v *NodeView) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswer {
+	var res ShardAnswer
+	// need indexes the first item of q not yet on the path. Path items
+	// ascend, so the covered part of q is always a prefix: descending into
+	// a child with item greater than q[need] would make q[need]
+	// unreachable below, and such children are pruned.
+	need := 0
+	if need < q.Len() && q[need] == v.root.Item {
+		need++
+	}
+	res.Visited++
+	if !truss.LevelLive(v.root.Decomp.MaxAlpha(), alphaQ) {
+		return res
+	}
+	sc := readScratchPool.Get().(*readScratch)
+	defer readScratchPool.Put(sc)
+	if need == q.Len() {
+		res.retrieve(sc, v.root.Pattern, v.root.Decomp.LiveLevels(alphaQ))
+	}
+	type frame struct {
+		n    *Node
+		need int
+	}
+	queue := []frame{{v.root, need}}
+	for len(queue) > 0 {
+		f := queue[0]
+		queue = queue[1:]
+		for _, c := range f.n.Children {
+			need := f.need
+			if need < q.Len() {
+				if c.Item > q[need] {
+					continue
+				}
+				if c.Item == q[need] {
+					need++
+				}
+			}
+			res.Visited++
+			if !truss.LevelLive(c.Decomp.MaxAlpha(), alphaQ) {
+				continue
+			}
+			if need == q.Len() {
+				res.retrieve(sc, c.Pattern, c.Decomp.LiveLevels(alphaQ))
+			}
+			queue = append(queue, frame{c, need})
+		}
+	}
+	res.finish(sc)
+	return res
+}
+
+func (v *NodeView) WalkPatterns(visit func(p itemset.Itemset)) {
+	v.root.Walk(func(n *Node) { visit(n.Pattern) })
+}

@@ -21,17 +21,23 @@ const cohesionTolerance = 1e-9
 
 // shardViews returns the two read surfaces of one shard: the pointer subtree
 // and its TCBIN encoding decoded in place.
-func shardViews(tb testing.TB, root *Node) map[string]ShardView {
+// openEncoded encodes the subtree and opens the bytes as a heap-backed shard.
+func openEncoded(tb testing.TB, root *Node) *BinShard {
 	tb.Helper()
-	buf, entry, err := encodeShardBinary(root)
+	enc, err := encodeShardBinary(root)
 	if err != nil {
 		tb.Fatalf("encodeShardBinary(%d): %v", root.Item, err)
 	}
-	bin, err := DecodeBinShard(buf, entry)
+	bin, err := enc.Open()
 	if err != nil {
 		tb.Fatalf("DecodeBinShard(%d): %v", root.Item, err)
 	}
-	return map[string]ShardView{"BinShard": bin, "NodeView": NewNodeView(root)}
+	return bin
+}
+
+func shardViews(tb testing.TB, root *Node) map[string]ShardView {
+	tb.Helper()
+	return map[string]ShardView{"BinShard": openEncoded(tb, root), "NodeView": NewNodeView(root)}
 }
 
 // alphaGrid is 0, both sides of every distinct level threshold of the

@@ -22,37 +22,59 @@ import (
 // The network must be quiescent (and Freeze-d if RebuildSubtree runs
 // concurrently with other readers).
 func RebuildSubtree(nw *dbnet.Network, item itemset.Item) *Node {
-	root, _ := expandSubtree(nw, item, math.MaxInt, nil, nil)
-	return root
+	return expandSubtree(nw, item, math.MaxInt, nil, nil).root
 }
 
 // RebuildSubtrees rebuilds the shards of every given item in full and in
 // parallel, returning item → new subtree (nil when the shard decomposed to
 // nothing). The network is frozen first so concurrent reads are safe.
 func RebuildSubtrees(nw *dbnet.Network, items itemset.Itemset) map[itemset.Item]*Node {
-	out, _ := RebuildScoped(nw, items, nil, nil)
-	return out
-}
-
-// RebuildScoped is RebuildSubtrees for the shards a delta affected, given the
-// delta's scope — its witness transactions, computed before the delta was
-// applied (delta.ScopeOf) — and the shards as they stood before it: prev
-// returns an item's previous subtree, and is called once per item from the
-// rebuild's workers. Only the patterns some witness contains are mined from
-// nw, which must already carry the delta; every other node is carried over
-// from the previous subtree, which is read and never modified — the new
-// subtree shares the carried-over nodes with it. The result is what
-// RebuildSubtrees returns, bit for bit.
-//
-// A shard is rebuilt in full when prev is nil or returns nil for its item —
-// there is no previous version, it could not be read, or it is not known to
-// have been current when the scope was taken — and when no witness contains
-// the item.
-func RebuildScoped(nw *dbnet.Network, items itemset.Itemset, scope []itemset.Itemset, prev func(itemset.Item) *Node) (map[itemset.Item]*Node, RebuildStats) {
-	roots, stats := expandSubtrees(nw, items, math.MaxInt, runtime.GOMAXPROCS(0), scope, prev)
+	roots := mineSubtrees(nw, items, math.MaxInt, runtime.GOMAXPROCS(0))
 	out := make(map[itemset.Item]*Node, items.Len())
 	for i, it := range items {
 		out[it] = roots[i]
 	}
-	return out, stats
+	return out
+}
+
+// RebuildScoped rebuilds the shards a delta affected, as bytes, given the
+// delta's scope — its witness transactions, computed before the delta was
+// applied (delta.ScopeOf) — and the shards as they stood before it: prev
+// returns an item's previous shard, and is called once per item from the
+// rebuild's workers. Only the patterns some witness contains are mined from
+// nw, which must already carry the delta; every other node is carried over
+// from the previous shard, walked in place and copied table run by table run,
+// never decoded (splice.encode). The result maps every item to its encoded
+// shard — nil when it decomposed to nothing — byte for byte what encoding
+// RebuildSubtrees' subtrees gives.
+//
+// A shard is rebuilt in full when prev is nil or returns nil for its item —
+// no previous version, an unreadable one, or one not known to have been
+// current when the scope was taken — and when no witness contains the item.
+func RebuildScoped(nw *dbnet.Network, items itemset.Itemset, scope []itemset.Itemset, prev func(itemset.Item) *BinShard) (map[itemset.Item]*EncodedShard, RebuildStats, error) {
+	nw.Freeze()
+	shards := make([]*EncodedShard, len(items))
+	stats := make([]RebuildStats, len(items))
+	errs := make([]error, len(items))
+	parallelDo(len(items), runtime.GOMAXPROCS(0), func(i int) {
+		var old *BinShard
+		if prev != nil {
+			old = prev(items[i])
+		}
+		if s := expandSubtree(nw, items[i], math.MaxInt, scope, old); s.root != nil {
+			stats[i].Recomputed = s.mined
+			shards[i], stats[i].Reused, errs[i] = s.encode()
+		}
+	})
+	if err := firstError(errs); err != nil {
+		return nil, RebuildStats{}, err
+	}
+	out := make(map[itemset.Item]*EncodedShard, items.Len())
+	var total RebuildStats
+	for i, it := range items {
+		out[it] = shards[i]
+		total.Recomputed += stats[i].Recomputed
+		total.Reused += stats[i].Reused
+	}
+	return out, total, nil
 }

@@ -1,0 +1,123 @@
+package tctree
+
+import (
+	"math"
+	"sort"
+
+	"themecomm/internal/dbnet"
+	"themecomm/internal/itemset"
+	"themecomm/internal/truss"
+)
+
+// This file holds the pointer-tree references the byte route is tested
+// against: the scoped rebuild as it ran before shards were spliced as bytes,
+// and the catalogue as a walk of a subtree.
+
+// referenceScopedRebuild is the scoped rebuild over a decoded previous
+// subtree: the expansion of expandSubtree, with every carried-over child
+// grafted as the *Node it is in prev, subtree and all. It is what the splice
+// must reproduce once encoded.
+func referenceScopedRebuild(nw *dbnet.Network, item itemset.Item, scope []itemset.Itemset, prev *Node) (*Node, RebuildStats) {
+	var wit []itemset.Itemset
+	if prev != nil && prev.Item == item {
+		wit = witnessesWith(scope, item)
+	}
+	if len(wit) == 0 {
+		prev = nil
+	}
+	x := &referenceExpansion{expansion: expansion{nw: nw, maxDepth: math.MaxInt}, scoped: prev != nil}
+	pattern := itemset.New(item)
+	d := truss.Decompose(nw.ThemeNetwork(pattern))
+	if d.Empty() {
+		return nil, x.stats
+	}
+	x.stats.Recomputed++
+	root := grown{node: &Node{Item: item, Pattern: pattern, Decomp: d}, base: baseEdges(d)}
+	x.expand(root, nil, wit, prev)
+	return root.node, x.stats
+}
+
+type referenceExpansion struct {
+	expansion
+	scoped bool
+	stats  RebuildStats
+}
+
+func (x *referenceExpansion) expand(nf grown, siblings []grown, wit []itemset.Itemset, prev *Node) {
+	all := x.candidates(nf, siblings, wit, x.scoped)
+	var children []grown
+	if all || len(x.cand) > 0 {
+		children = x.mine(nf, siblings, all)
+	}
+	x.stats.Recomputed += len(children)
+	var grafts []*Node
+	if prev != nil {
+		for _, c := range prev.Children {
+			if !inScope(wit, c.Item) {
+				grafts = append(grafts, c)
+				x.stats.Reused += statsOf(c).Nodes
+			}
+		}
+	}
+	for _, c := range children {
+		for len(grafts) > 0 && grafts[0].Item < c.node.Item {
+			nf.node.Children = append(nf.node.Children, grafts[0])
+			grafts = grafts[1:]
+		}
+		nf.node.Children = append(nf.node.Children, c.node)
+	}
+	nf.node.Children = append(nf.node.Children, grafts...)
+	for i, c := range children {
+		x.expand(c, children[i+1:], witnessesWith(wit, c.node.Item), prev.child(c.node.Item))
+	}
+}
+
+// child returns n's child with the given item, or nil when it has none (or n
+// is nil).
+func (n *Node) child(item itemset.Item) *Node {
+	if n == nil {
+		return nil
+	}
+	i := sort.Search(len(n.Children), func(i int) bool { return n.Children[i].Item >= item })
+	if i < len(n.Children) && n.Children[i].Item == item {
+		return n.Children[i]
+	}
+	return nil
+}
+
+// shardCatalogue computes one shard's manifest metadata — the basic
+// statistics plus the skipping catalogue — by walking the subtree: the
+// reference for the entry the encoder computes while it lays the shard out.
+func shardCatalogue(root *Node) (st ShardStats, bloom string, alphaDepths string) {
+	st = ShardStats{Item: root.Item}
+	items := make(map[itemset.Item]struct{})
+	var hist [alphaHistBuckets]float64
+	root.Walk(func(n *Node) {
+		st.Nodes++
+		l := n.Pattern.Len()
+		if l > st.Depth {
+			st.Depth = l
+		}
+		a := n.Decomp.MaxAlpha()
+		if a > st.MaxAlpha {
+			st.MaxAlpha = a
+		}
+		items[n.Item] = struct{}{}
+		bucket := l - 1
+		if bucket >= alphaHistBuckets {
+			bucket = alphaHistBuckets - 1
+		}
+		if a > hist[bucket] {
+			hist[bucket] = a
+		}
+	})
+	b := newItemBloom(len(items))
+	for it := range items {
+		b.add(it)
+	}
+	n := st.Depth
+	if n > alphaHistBuckets {
+		n = alphaHistBuckets
+	}
+	return st, b.Encode(), encodeAlphaDepths(hist[:n])
+}

@@ -176,12 +176,6 @@ func (m *Manifest) MaxAlpha() float64 {
 	return maxAlpha
 }
 
-// Stats converts the manifest entry to the shard-statistics form of
-// Tree.ShardStats, the planner-facing view of the catalogue.
-func (e ShardEntry) Stats() ShardStats {
-	return ShardStats{Item: itemset.Item(e.Item), Nodes: e.Nodes, Depth: e.Depth, MaxAlpha: e.MaxAlpha}
-}
-
 // Items returns the shard root items in ascending order.
 func (m *Manifest) Items() itemset.Itemset {
 	items := make([]itemset.Item, 0, len(m.Shards))
@@ -262,38 +256,47 @@ func removeOrphanTempFiles(dir string) {
 	sweepDir(dir, func(name string) bool { return strings.HasSuffix(name, ".tmp") })
 }
 
-// writeShards encodes the subtrees rooted at roots and durably writes each
-// one's file inside dir (writeFileAtomic), on a pool of GOMAXPROCS workers so
-// that one shard's encoding overlaps another's fsync. It is the one
-// encode-and-write routine behind WriteSharded and StageShards: staged says
-// whether a file takes a checksum-versioned name, which no manifest
-// references yet, or the item's canonical name. The entries come back
-// aligned with roots — they, and the bytes written, do not depend on the
-// schedule. On error — the first in root order — the entries of the shards
-// that were written are still set, the others zero.
-func writeShards(dir string, roots []*Node, staged bool) ([]ShardEntry, error) {
-	entries := make([]ShardEntry, len(roots))
-	errs := make([]error, len(roots))
-	parallelDo(len(roots), runtime.GOMAXPROCS(0), func(i int) {
-		data, entry, err := encodeShardBinary(roots[i])
-		if err == nil {
-			if staged {
-				entry.File = fmt.Sprintf("shard-%d-%s.%s", entry.Item, strings.TrimPrefix(entry.Checksum, "crc32c:"), FormatTCBIN)
-			}
-			err = writeFileAtomic(dir, entry.File, data)
-		}
+// writeShards durably writes the files of n shards inside dir
+// (writeFileAtomic) on a pool of GOMAXPROCS workers; shard(i) supplies the
+// i-th — encoding it there, for a tree being written, so that one shard's
+// encoding overlaps another's fsync. It is the one write routine behind
+// WriteSharded and StageShards: staged files take a checksum-versioned name
+// no manifest references yet, the others the item's canonical name. Entries
+// come back in shard order, independent of the schedule; on error — the first
+// in shard order — those of the written shards are still set, the rest zero.
+func writeShards(dir string, n int, shard func(i int) (*EncodedShard, error), staged bool) ([]ShardEntry, error) {
+	entries := make([]ShardEntry, n)
+	errs := make([]error, n)
+	parallelDo(n, runtime.GOMAXPROCS(0), func(i int) {
+		enc, err := shard(i)
 		if err != nil {
-			errs[i] = fmt.Errorf("tctree: shard %d: %w", roots[i].Item, err)
+			errs[i] = err
+			return
+		}
+		entry := enc.Entry
+		if staged {
+			entry.File = fmt.Sprintf("shard-%d-%s.%s", entry.Item, strings.TrimPrefix(entry.Checksum, "crc32c:"), FormatTCBIN)
+		}
+		if err := writeFileAtomic(dir, entry.File, enc.Data); err != nil {
+			errs[i] = fmt.Errorf("tctree: shard %d: %w", entry.Item, err)
 			return
 		}
 		entries[i] = entry
 	})
-	for _, err := range errs {
-		if err != nil {
-			return entries, err
-		}
+	return entries, firstError(errs)
+}
+
+// EncodeShards returns what WriteSharded writes, for a serving layer that
+// holds the shards in memory: every first-level subtree as its TCBIN bytes.
+func (t *Tree) EncodeShards() ([]*EncodedShard, error) {
+	if t == nil || t.root == nil {
+		return nil, fmt.Errorf("tctree: cannot serialize a nil tree")
 	}
-	return entries, nil
+	roots := t.root.Children
+	shards := make([]*EncodedShard, len(roots))
+	errs := make([]error, len(roots))
+	parallelDo(len(roots), runtime.GOMAXPROCS(0), func(i int) { shards[i], errs[i] = encodeShardBinary(roots[i]) })
+	return shards, firstError(errs)
 }
 
 // WriteSharded writes the tree as an index directory: one TCBIN shard file
@@ -309,7 +312,8 @@ func (t *Tree) WriteSharded(dir string) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	entries, err := writeShards(dir, t.root.Children, false)
+	roots := t.root.Children
+	entries, err := writeShards(dir, len(roots), func(i int) (*EncodedShard, error) { return encodeShardBinary(roots[i]) }, false)
 	if err != nil {
 		return nil, err
 	}
@@ -496,14 +500,16 @@ func (x *ShardedIndex) Entry(item itemset.Item) (ShardEntry, bool) {
 // returns it as a query surface traversed in place: no payload decode, no
 // per-node allocation. This is the read path of serving layers.
 func (x *ShardedIndex) LoadShardView(item itemset.Item) (ShardView, error) {
-	b, err := x.openShard(item)
+	b, err := x.OpenShard(item)
 	if err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-func (x *ShardedIndex) openShard(item itemset.Item) (*BinShard, error) {
+// OpenShard is LoadShardView returning the shard itself, which a serving
+// layer also hands to RebuildScoped as the previous shard.
+func (x *ShardedIndex) OpenShard(item itemset.Item) (*BinShard, error) {
 	entry, ok := x.Entry(item)
 	if !ok {
 		return nil, fmt.Errorf("tctree: no shard for item %d", item)
@@ -515,7 +521,7 @@ func (x *ShardedIndex) openShard(item itemset.Item) (*BinShard, error) {
 // subtree sharing no state with the index. Serving layers query through
 // LoadShardView instead; this is for code that needs *Node.
 func (x *ShardedIndex) LoadShard(item itemset.Item) (*Node, error) {
-	b, err := x.openShard(item)
+	b, err := x.OpenShard(item)
 	if err != nil {
 		return nil, err
 	}
@@ -560,9 +566,8 @@ func (r *CommitReport) Touched() itemset.Itemset {
 // StagedShards is a batch of shard swaps whose payloads are already durably
 // on disk under checksum-versioned names the current manifest does not
 // reference: invisible to readers until Commit performs the single manifest
-// write. Staging is the expensive half (encoding, file writes, fsyncs)
-// and takes no index lock, so a serving layer can stage while queries run
-// and hold its own update lock only across Commit.
+// write. Staging is the expensive half (file writes, fsyncs) and takes no
+// index lock: a serving layer holds its update lock only across Commit.
 type StagedShards struct {
 	x *ShardedIndex
 	// items are the staged items in ascending order; entries maps each to
@@ -570,6 +575,8 @@ type StagedShards struct {
 	items   []itemset.Item
 	entries map[itemset.Item]*ShardEntry
 	written []string
+	// obsolete are the files Commit left for Sweep to remove.
+	obsolete []string
 	// journalSeq, when set, is stamped into the manifest's JournalSeq by
 	// Commit — atomically with the shard swap, since the manifest write IS
 	// the commit point.
@@ -581,30 +588,30 @@ type StagedShards struct {
 // this index include" advances atomically with the shard swap.
 func (st *StagedShards) SetJournalSeq(seq uint64) { st.journalSeq = &seq }
 
-// StageShards encodes and durably writes the payload of every non-nil
-// subtree (a nil subtree stages the item's removal), several shards at a
-// time (writeShards). On error the files written so far are removed — except
-// any whose name the live manifest still references (a rebuilt shard with
+// StageShards durably writes the payload of every non-nil shard as it is
+// handed over (a nil one stages the item's removal), several shards at a time
+// (writeShards). On error the files written so far are removed — except any
+// whose name the live manifest still references (a rebuilt shard with
 // identical content reuses its current file name).
-func (x *ShardedIndex) StageShards(subtrees map[itemset.Item]*Node) (*StagedShards, error) {
-	st := &StagedShards{x: x, entries: make(map[itemset.Item]*ShardEntry, len(subtrees))}
-	for it := range subtrees {
+func (x *ShardedIndex) StageShards(shards map[itemset.Item]*EncodedShard) (*StagedShards, error) {
+	st := &StagedShards{x: x, entries: make(map[itemset.Item]*ShardEntry, len(shards))}
+	for it := range shards {
 		st.items = append(st.items, it)
 	}
 	sort.Slice(st.items, func(i, j int) bool { return st.items[i] < st.items[j] })
-	var roots []*Node
+	var payloads []*EncodedShard
 	for _, it := range st.items {
-		sub := subtrees[it]
-		if sub == nil {
+		enc := shards[it]
+		if enc == nil {
 			st.entries[it] = nil
 			continue
 		}
-		if sub.Item != it {
-			return nil, fmt.Errorf("tctree: subtree for item %d is rooted at item %d", it, sub.Item)
+		if itemset.Item(enc.Entry.Item) != it {
+			return nil, fmt.Errorf("tctree: shard for item %d is rooted at item %d", it, enc.Entry.Item)
 		}
-		roots = append(roots, sub)
+		payloads = append(payloads, enc)
 	}
-	entries, err := writeShards(x.dir, roots, true)
+	entries, err := writeShards(x.dir, len(payloads), func(i int) (*EncodedShard, error) { return payloads[i], nil }, true)
 	for i := range entries {
 		if entries[i].File != "" {
 			st.written = append(st.written, entries[i].File)
@@ -612,7 +619,7 @@ func (x *ShardedIndex) StageShards(subtrees map[itemset.Item]*Node) (*StagedShar
 		}
 	}
 	if err != nil {
-		st.discard()
+		st.Discard()
 		return nil, err
 	}
 	// Make the staged files durable before any manifest can point at them.
@@ -621,18 +628,18 @@ func (x *ShardedIndex) StageShards(subtrees map[itemset.Item]*Node) (*StagedShar
 }
 
 // Discard abandons the staged batch without committing it: the staged files
-// are removed (sparing any the live manifest still references) and the index
-// is untouched. Use it when a step between staging and commit fails.
-func (st *StagedShards) Discard() { st.discard() }
+// are removed and the index is untouched. Use it when a step between staging
+// and commit fails.
+func (st *StagedShards) Discard() { st.remove(st.written) }
 
-// discard removes the staged files, sparing any the live manifest
-// references.
-func (st *StagedShards) discard() {
+// remove deletes files of the batch, sparing any the live manifest references
+// (a rebuilt shard with identical content reuses its current file name).
+func (st *StagedShards) remove(files []string) {
 	live := make(map[string]bool)
 	for _, e := range st.x.Manifest().Shards {
 		live[e.File] = true
 	}
-	for _, f := range st.written {
+	for _, f := range files {
 		if !live[f] {
 			os.Remove(filepath.Join(st.x.dir, f))
 		}
@@ -642,9 +649,10 @@ func (st *StagedShards) discard() {
 // Commit applies the staged batch as one transaction: the manifest is
 // rewritten exactly once, which is the single switch point — a crash before
 // it leaves the old index intact (plus unreferenced staged files the next
-// OpenSharded ignores), a crash after it leaves the new index complete.
-// Superseded files are removed best-effort afterwards. A failed Commit
-// discards the staged files and leaves the old index live.
+// OpenSharded ignores), a crash after it leaves the new index complete. A
+// failed Commit leaves the old index live. That write is all the file I/O
+// Commit does — callers hold query-excluding locks across it: the files it
+// made obsolete (superseded, or staged when it failed) are left for Sweep.
 func (st *StagedShards) Commit() (*CommitReport, error) {
 	x := st.x
 	x.mu.Lock()
@@ -658,18 +666,7 @@ func (st *StagedShards) Commit() (*CommitReport, error) {
 	for i, e := range newShards {
 		byItem[itemset.Item(e.Item)] = i
 	}
-	oldFiles := make(map[string]bool, len(oldShards))
-	for _, e := range oldShards {
-		oldFiles[e.File] = true
-	}
 	var obsolete []string
-	cleanupWritten := func() {
-		for _, f := range st.written {
-			if !oldFiles[f] {
-				os.Remove(filepath.Join(x.dir, f))
-			}
-		}
-	}
 	for _, it := range st.items {
 		entry := st.entries[it]
 		i, exists := byItem[it]
@@ -709,58 +706,84 @@ func (st *StagedShards) Commit() (*CommitReport, error) {
 		x.manifest.Shards = oldShards
 		x.manifest.JournalSeq = oldSeq
 		x.manifest.seal()
-		cleanupWritten()
+		st.obsolete = st.written
 		return nil, err
 	}
 	x.byItem = make(map[itemset.Item]int, len(newShards))
 	for i, e := range newShards {
 		x.byItem[itemset.Item(e.Item)] = i
 	}
-	for _, f := range obsolete {
-		// Best-effort cleanup; a leftover superseded file is harmless.
-		os.Remove(filepath.Join(x.dir, f))
-	}
+	st.obsolete = obsolete
 	return report, nil
+}
+
+// Sweep removes the files Commit made obsolete, best-effort: no manifest
+// references them, so a leftover is harmless and the next rewrite of the
+// index clears it. Run it once the locks held across Commit are released.
+func (st *StagedShards) Sweep() {
+	st.remove(st.obsolete)
+	st.obsolete = nil
+}
+
+// commitEncoded is StageShards, Commit and Sweep, for callers that hold no
+// lock of their own across the commit.
+func (x *ShardedIndex) commitEncoded(shards map[itemset.Item]*EncodedShard) (*CommitReport, error) {
+	st, err := x.StageShards(shards)
+	if err != nil {
+		return nil, err
+	}
+	report, err := st.Commit()
+	st.Sweep()
+	return report, err
 }
 
 // CommitShards applies one batch of shard swaps as a single transaction:
 // each map entry installs a rebuilt subtree for its item (replacing the
 // existing shard or adding a new one), and a nil subtree removes the item's
-// shard (a no-op when none exists). It is StageShards followed by Commit;
-// serving layers that must exclude queries during the swap stage first and
-// lock only around Commit (engine.ApplyDelta). Serving layers holding
-// affected shards in memory must reload them afterwards.
+// shard (a no-op when none exists): encode, stage, commit, sweep. Serving
+// layers stage first and lock only around Commit (engine.ApplyDelta).
 func (x *ShardedIndex) CommitShards(subtrees map[itemset.Item]*Node) (*CommitReport, error) {
-	st, err := x.StageShards(subtrees)
-	if err != nil {
-		return nil, err
+	shards := make(map[itemset.Item]*EncodedShard, len(subtrees))
+	for it, sub := range subtrees {
+		if sub == nil {
+			shards[it] = nil
+			continue
+		}
+		enc, err := encodeShardBinary(sub)
+		if err != nil {
+			return nil, err
+		}
+		shards[it] = enc
 	}
-	return st.Commit()
+	return x.commitEncoded(shards)
 }
 
 // ApplyDelta incrementally maintains the on-disk index after the network
 // changed: the shard of every affected item is rebuilt from the updated
-// network and the whole batch is committed with one manifest write
-// (CommitShards) — shards of unaffected items are neither rebuilt nor
-// rewritten nor even read. scope is the delta's scope and affected its items
-// (delta.ScopeOf, delta.Scope.Items), both computed before the delta was
-// applied to nw; nw must already be the post-delta network. An affected
-// shard is read where a query would read it, and only its patterns inside
-// the scope are re-mined (RebuildScoped); one that cannot be read is rebuilt
-// in full, which also heals it. Depth-bounded indexes (built with
-// BuildOptions.MaxDepth) are refused: rebuilding one shard without the
-// bound would make it deeper than its untouched siblings.
+// network and the whole batch is committed with one manifest write — shards
+// of unaffected items are neither rebuilt nor rewritten nor even read. scope
+// is the delta's scope and affected its items (delta.ScopeOf,
+// delta.Scope.Items), both computed before the delta was applied to nw; nw
+// must already be the post-delta network. An affected shard is opened where a
+// query would open it, only its patterns inside the scope are re-mined and
+// the rest of it is copied as bytes (RebuildScoped); one that cannot be
+// opened is rebuilt in full, which also heals it. Depth-bounded indexes
+// (BuildOptions.MaxDepth) are refused: rebuilding one shard without the bound
+// would make it deeper than its untouched siblings.
 func (x *ShardedIndex) ApplyDelta(nw *dbnet.Network, affected itemset.Itemset, scope []itemset.Itemset) (*CommitReport, error) {
 	if d := x.Manifest().BuiltMaxDepth; d > 0 {
 		return nil, fmt.Errorf("tctree: index was built with MaxDepth %d; incremental maintenance needs an unbounded index (rebuild with tcindex without -maxdepth)", d)
 	}
-	subtrees, _ := RebuildScoped(nw, affected, scope, func(it itemset.Item) *Node {
+	shards, _, err := RebuildScoped(nw, affected, scope, func(it itemset.Item) *BinShard {
 		// No shard yet, or an unreadable one: nothing to carry over.
-		prev, err := x.LoadShard(it)
+		prev, err := x.OpenShard(it)
 		if err != nil {
 			return nil
 		}
 		return prev
 	})
-	return x.CommitShards(subtrees)
+	if err != nil {
+		return nil, err
+	}
+	return x.commitEncoded(shards)
 }

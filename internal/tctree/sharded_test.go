@@ -1,9 +1,11 @@
 package tctree
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -368,5 +370,143 @@ func TestCommitShardsReplaceOne(t *testing.T) {
 	}
 	for _, alpha := range alphas {
 		assertIdenticalAnswer(t, spliced.Query(avoiding, alpha), tree.Query(avoiding, alpha))
+	}
+}
+
+// shardFiles lists the shard-* files of an index directory.
+func shardFiles(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("ReadDir: %v", err)
+	}
+	files := make(map[string]bool)
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), "shard-") {
+			files[e.Name()] = true
+		}
+	}
+	return files
+}
+
+// TestCommitLeavesTheSweepToTheCaller pins the split of a staged commit:
+// Commit performs the manifest write and removes no file — its callers hold
+// query-excluding locks across it — and Sweep removes what the commit made
+// obsolete. A sweep that never runs (a crash after the commit, a caller that
+// dropped the batch) must cost nothing but disk space: the index opens, loads
+// and answers, the leftovers are files no manifest names, and the next rewrite
+// of the index clears them. The same holds for the staged files of a commit
+// that failed.
+func TestCommitLeavesTheSweepToTheCaller(t *testing.T) {
+	tree := buildShardedTestTree(t, 19)
+	other := buildShardedTestTree(t, 31)
+	var replacement *Node
+	for _, c := range other.Root().Children {
+		if tree.Root().Descendant(c.Pattern) != nil {
+			replacement = c
+			break
+		}
+	}
+	if replacement == nil {
+		t.Fatalf("trees share no root item; pick other seeds")
+	}
+	var removed itemset.Item
+	for _, c := range tree.Root().Children {
+		if c.Item != replacement.Item {
+			removed = c.Item
+			break
+		}
+	}
+	enc, err := encodeShardBinary(replacement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := map[itemset.Item]*EncodedShard{replacement.Item: enc, removed: nil}
+
+	for _, outcome := range []string{"committed", "failed"} {
+		for _, swept := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/swept=%v", outcome, swept), func(t *testing.T) {
+				dir := t.TempDir()
+				before, err := tree.WriteSharded(dir)
+				if err != nil {
+					t.Fatalf("WriteSharded: %v", err)
+				}
+				idx, err := OpenSharded(dir)
+				if err != nil {
+					t.Fatalf("OpenSharded: %v", err)
+				}
+				staged, err := idx.StageShards(batch)
+				if err != nil {
+					t.Fatalf("StageShards: %v", err)
+				}
+				onDisk := shardFiles(t, dir)
+				if outcome == "failed" {
+					testInjectWriteErr = func(name string) error {
+						if name == ManifestName {
+							return fmt.Errorf("injected manifest write failure")
+						}
+						return nil
+					}
+					defer func() { testInjectWriteErr = nil }()
+				}
+				_, err = staged.Commit()
+				testInjectWriteErr = nil
+				if (err != nil) != (outcome == "failed") {
+					t.Fatalf("Commit returned %v for the %s case", err, outcome)
+				}
+				if after := shardFiles(t, dir); !reflect.DeepEqual(after, onDisk) {
+					t.Fatalf("Commit itself changed the shard files: %v -> %v", onDisk, after)
+				}
+				if swept {
+					staged.Sweep()
+				}
+
+				// Whatever the sweep did, the directory is a sound index.
+				reopened, err := OpenSharded(dir)
+				if err != nil {
+					t.Fatalf("OpenSharded: %v", err)
+				}
+				m := reopened.Manifest()
+				if outcome == "failed" && !reflect.DeepEqual(m.Shards, before.Shards) {
+					t.Fatalf("a failed commit changed the manifest")
+				}
+				if outcome == "committed" {
+					if _, ok := reopened.Entry(removed); ok || len(m.Shards) != len(before.Shards)-1 {
+						t.Fatalf("the committed manifest still holds the removed shard")
+					}
+				}
+				loaded, err := reopened.LoadTree()
+				if err != nil {
+					t.Fatalf("LoadTree: %v", err)
+				}
+				want := tree
+				if outcome == "committed" {
+					want = other
+				}
+				q := itemset.New(replacement.Item)
+				assertIdenticalAnswer(t, loaded.Query(q, 0), want.Query(q, 0))
+
+				// Leftovers are exactly what a skipped sweep leaves, no
+				// manifest names them, and a rewrite clears them.
+				referenced := make(map[string]bool)
+				for _, e := range m.Shards {
+					referenced[e.File] = true
+				}
+				files := shardFiles(t, dir)
+				if swept && !reflect.DeepEqual(files, referenced) {
+					t.Fatalf("after the sweep the directory holds %v, the manifest names %v", files, referenced)
+				}
+				if !swept && len(files) <= len(referenced) {
+					t.Fatalf("a skipped sweep left nothing behind: %v", files)
+				}
+				removeUnreferencedShardFiles(dir, &m)
+				if files := shardFiles(t, dir); !reflect.DeepEqual(files, referenced) {
+					t.Fatalf("the cleanup left %v, the manifest names %v", files, referenced)
+				}
+				if _, err := reopened.LoadTree(); err != nil {
+					t.Fatalf("LoadTree after the cleanup: %v", err)
+				}
+			})
+		}
 	}
 }

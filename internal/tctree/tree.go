@@ -37,19 +37,6 @@ func (n *Node) addChild(c *Node) {
 	n.Children[i] = c
 }
 
-// child returns n's child with the given item, or nil when it has none (or n
-// is nil).
-func (n *Node) child(item itemset.Item) *Node {
-	if n == nil {
-		return nil
-	}
-	i := sort.Search(len(n.Children), func(i int) bool { return n.Children[i].Item >= item })
-	if i < len(n.Children) && n.Children[i].Item == item {
-		return n.Children[i]
-	}
-	return nil
-}
-
 // Tree is the Theme Community Tree: an index over every maximal pattern truss
 // of a database network, rooted at the empty pattern.
 type Tree struct {
