@@ -9,8 +9,7 @@
 // query touches — and the planner cannot skip — are read from the index
 // directory. -explain prints the per-shard plan (skip/resident/load
 // decisions, cost-ordered schedule) and the observed execution counters
-// instead of the communities; -noplanner disables the planner for
-// comparison.
+// instead of the communities.
 //
 // Against a networks directory (the layout tcserver -networks serves:
 // several indexes side by side), -network selects which indexed network to
@@ -62,7 +61,6 @@ func main() {
 	cacheSize := flag.Int("cache", 0, "result-cache entries (0 disables caching)")
 	contains := flag.Bool("contains", false, "containment query: answer with the indexed patterns that CONTAIN -pattern (supersets) instead of the sub-patterns it contains")
 	explain := flag.Bool("explain", false, "print the query plan and execution counters instead of the communities")
-	noPlanner := flag.Bool("noplanner", false, "disable the cost-based planner (no α* shard skipping, no cost ordering, no prefetch)")
 	serverURL := flag.String("server", "", "query a running tcserver at this base URL (e.g. http://localhost:8080) instead of opening an index")
 	requestID := flag.String("requestid", "", "X-Request-ID to send with -server; the server echoes it and stamps it on its logs")
 	stream := flag.Bool("stream", false, "with -server: stream the answer as it is produced (NDJSON) instead of waiting for the full response")
@@ -87,9 +85,8 @@ func main() {
 	}
 	indexPath := resolveNetwork(*treePath, *network, netPath)
 	eng, err := themecomm.OpenEngine(indexPath, themecomm.EngineOptions{
-		Workers:        *workers,
-		CacheSize:      *cacheSize,
-		DisablePlanner: *noPlanner,
+		Workers:   *workers,
+		CacheSize: *cacheSize,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -236,15 +233,11 @@ func printExplainReport(rep *themecomm.EngineExplain) {
 	if !rep.Full {
 		pattern = rep.Pattern.String()
 	}
-	mode := "planner on"
-	if !rep.Planner {
-		mode = "planner off"
-	}
 	if rep.Mode != "" {
-		mode = string(rep.Mode) + ", " + mode
+		pattern += ", " + string(rep.Mode)
 	}
-	fmt.Printf("plan for pattern %s at α_q=%g (%s, %d workers, lazy=%v)\n",
-		pattern, rep.Alpha, mode, rep.Workers, rep.Lazy)
+	fmt.Printf("plan for pattern %s at α_q=%g (%d workers, lazy=%v)\n",
+		pattern, rep.Alpha, rep.Workers, rep.Lazy)
 	fmt.Printf("%d shards: %d load, %d resident, %d skipped by α*, %d not in query; est. cost %.0f\n",
 		rep.Shards, rep.LoadTasks, rep.ResidentTasks, rep.SkippedAlpha, rep.SkippedAbsent, rep.TotalCost)
 	if rep.SkippedBloom > 0 || rep.SkippedHist > 0 {
@@ -256,11 +249,7 @@ func printExplainReport(rep *themecomm.EngineExplain) {
 		for i, it := range rep.ScheduleOrder {
 			order[i] = strconv.Itoa(int(it))
 		}
-		label := "most expensive first"
-		if !rep.Planner {
-			label = "ascending root item"
-		}
-		fmt.Printf("schedule (%s): %s\n", label, strings.Join(order, ", "))
+		fmt.Printf("schedule (most expensive first): %s\n", strings.Join(order, ", "))
 	}
 	for _, task := range rep.Tasks {
 		line := fmt.Sprintf("  shard %-6d %-11s nodes=%-6d α*=%-8.4g cost=%-8.0f", task.Item, task.Decision, task.Nodes, task.MaxAlpha, task.Cost)
@@ -272,8 +261,8 @@ func printExplainReport(rep *themecomm.EngineExplain) {
 		}
 		fmt.Println(line)
 	}
-	fmt.Printf("executed in %dµs: %d trusses retrieved, %d nodes visited; loads=%d prefetched=%d\n",
-		rep.Micros, rep.RetrievedNodes, rep.VisitedNodes, rep.Loaded, rep.Prefetched)
+	fmt.Printf("executed in %dµs: %d trusses retrieved, %d nodes visited; loads=%d\n",
+		rep.Micros, rep.RetrievedNodes, rep.VisitedNodes, rep.Loaded)
 }
 
 // parsePattern turns a comma-separated list of item names or numeric ids into

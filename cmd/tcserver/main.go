@@ -2,10 +2,8 @@
 // index directories built by tcindex. An index is served lazily — a shard's
 // file is only mapped on the first query that touches it, and -maxresident
 // bounds how many shards stay in memory. Queries go through the engine's
-// cost-based planner: shards
-// whose α* bound proves an empty answer are skipped without a load,
-// expensive shards are scheduled first, and a bounded background prefetcher
-// (-prefetch) warms the schedule tail.
+// cost-based planner: shards whose α* bound proves an empty answer are
+// skipped without a load, and expensive shards are scheduled first.
 //
 // With -networks the server fronts a whole federation of indexed networks:
 // every index directory inside the given directory becomes a named network (a sibling <name>.dbnet file provides its item
@@ -95,8 +93,6 @@ func main() {
 	cacheSize := flag.Int("cache", 1024, "result-cache entries, shared across networks with -networks (0 disables caching)")
 	maxResident := flag.Int("maxresident", 0, "max shards kept in memory, across all networks with -networks (0 = unlimited)")
 	maxResidentBytes := flag.Int64("maxresidentbytes", 0, "byte budget of resident shards, across all networks with -networks (0 = unlimited)")
-	prefetch := flag.Int("prefetch", 0, "background shard-prefetch workers (0 = default, negative disables)")
-	noPlanner := flag.Bool("noplanner", false, "disable the cost-based planner (no α* shard skipping, no cost ordering, no prefetch)")
 	slowQuery := flag.Duration("slowquery", 0, "slow-query threshold: queries at least this slow are captured with their full plan into GET /api/v1/slowlog (0 disables)")
 	slowlogSize := flag.Int("slowlogsize", 128, "slow-query ring-buffer capacity")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this SEPARATE address (e.g. localhost:6060); empty disables")
@@ -131,8 +127,6 @@ func main() {
 			CacheSize:         *cacheSize,
 			MaxResidentShards: *maxResident,
 			MaxResidentBytes:  *maxResidentBytes,
-			PrefetchWorkers:   *prefetch,
-			DisablePlanner:    *noPlanner,
 			Recorder:          observer,
 		})
 		if err != nil {
@@ -146,8 +140,6 @@ func main() {
 			CacheSize:         *cacheSize,
 			MaxResidentShards: *maxResident,
 			MaxResidentBytes:  *maxResidentBytes,
-			PrefetchWorkers:   *prefetch,
-			DisablePlanner:    *noPlanner,
 			Recorder:          observer,
 		})
 		if err != nil {

@@ -116,9 +116,12 @@ func BenchmarkPlannerSkip(b *testing.B) {
 					b.ReportAllocs()
 					loads := uint64(0)
 					for i := 0; i < b.N; i++ {
-						eng, err := NewLazy(idx, Options{Workers: 4, DisablePlanner: !planner})
+						eng, err := NewLazy(idx, Options{Workers: 4})
 						if err != nil {
 							b.Fatalf("NewLazy: %v", err)
+						}
+						if !planner {
+							unplanned(eng)
 						}
 						res, err := query(eng)
 						if err != nil {

@@ -223,7 +223,7 @@ func TestDirtyShardsAreChargedAtTheirRealSize(t *testing.T) {
 	tree := buildTestTree(t, 11)
 	nw := testNetwork(11)
 	idx, _ := writeShardedTestTree(t, tree)
-	eng, err := NewLazy(idx, Options{Workers: 1, PrefetchWorkers: -1})
+	eng, err := NewLazy(idx, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

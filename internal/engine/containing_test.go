@@ -105,9 +105,10 @@ func TestQueryContainingMatchesBruteForce(t *testing.T) {
 	if engines["lazy"], err = NewLazy(idx, Options{CacheSize: 32}); err != nil {
 		t.Fatalf("NewLazy: %v", err)
 	}
-	if engines["lazy-noplan"], err = NewLazy(idx, Options{DisablePlanner: true}); err != nil {
+	if engines["lazy-noplan"], err = NewLazy(idx, Options{}); err != nil {
 		t.Fatalf("NewLazy: %v", err)
 	}
+	unplanned(engines["lazy-noplan"])
 	for name, eng := range engines {
 		for _, q := range containmentQueries(tree) {
 			for _, alpha := range alphas {

@@ -66,18 +66,6 @@ type Options struct {
 	// summed payload size of the shards in memory; pinned heap shards count,
 	// and file-backed ones make room. Zero or negative means unlimited.
 	MaxResidentBytes int64
-	// DisablePlanner turns the cost-based planner off: every relevant shard
-	// is traversed in ascending root-item order with no α* skipping, no
-	// cost ordering and no prefetch — the behaviour of the pre-planner
-	// engine. Answers are byte-identical either way; only the work differs.
-	DisablePlanner bool
-	// PrefetchWorkers bounds the background shard prefetcher of a planning
-	// engine: while a plan's early tasks run, up to this many goroutines
-	// warm the top-cost not-yet-resident shards of the schedule tail, so
-	// disk I/O overlaps with traversal instead of serializing behind the
-	// worker pool. Zero means a small default; negative disables
-	// prefetching.
-	PrefetchWorkers int
 	// SharedCache, when non-nil, replaces the engine's private result cache
 	// with a cache shared between engines (a federation of networks): keys
 	// are prefixed with CacheNamespace so tenants never collide, while
@@ -103,13 +91,9 @@ type Options struct {
 	Recorder trace.Recorder
 }
 
-// defaultPrefetchWorkers is the prefetch-pool bound when Options leaves
-// PrefetchWorkers at zero.
-const defaultPrefetchWorkers = 2
-
 // errShardRemoved poisons a shard struct that left the table, so stragglers
-// holding the old pointer (in-flight prefetches) cannot load it back into
-// memory.
+// holding the old pointer (a load in flight across the swap) cannot load it
+// back into memory.
 var errShardRemoved = errors.New("engine: shard replaced or removed by an index update")
 
 // shardTable is an immutable snapshot of the engine's shard set. The engine
@@ -193,15 +177,10 @@ type Engine struct {
 	cacheNS     string
 	sharedCache bool
 
-	// planCfg is the planner configuration (zero value = planning off).
+	// planCfg is the planner configuration: DefaultPlanConfig on every engine
+	// that serves. In-package tests set the zero value to get the unplanned
+	// reference execution the skip-soundness tests compare against.
 	planCfg PlanConfig
-	// prefetchSem bounds concurrent background prefetch loads; nil when
-	// prefetching is disabled. prefetchWG counts the in-flight prefetch
-	// goroutines so Release can drain them: they outlive the query that
-	// spawned them, so they are the one piece of query work a caller cannot
-	// serialize against a detach.
-	prefetchSem chan struct{}
-	prefetchWG  sync.WaitGroup
 
 	// res is the engine's residency accounting — budget, LRU clock and
 	// eviction — either private to this engine or shared with other engines
@@ -221,7 +200,6 @@ type Engine struct {
 	evictions        atomic.Uint64
 	skipped          atomic.Uint64
 	skippedCatalogue atomic.Uint64
-	prefetched       atomic.Uint64
 	streams          atomic.Uint64
 	shortCircuited   atomic.Uint64
 	nodesRecomputed  atomic.Uint64
@@ -314,19 +292,10 @@ func newEngine(idx *tctree.ShardedIndex, builtMaxDepth int, shards []*shard, opt
 		workers:       workers,
 		sem:           make(chan struct{}, workers),
 		batchSem:      make(chan struct{}, workers),
+		planCfg:       DefaultPlanConfig(),
 		recorder:      opts.Recorder,
 	}
 	e.table.Store(newShardTable(shards))
-	if !opts.DisablePlanner {
-		e.planCfg = DefaultPlanConfig()
-		if opts.PrefetchWorkers >= 0 {
-			prefetch := opts.PrefetchWorkers
-			if prefetch == 0 {
-				prefetch = defaultPrefetchWorkers
-			}
-			e.prefetchSem = make(chan struct{}, prefetch)
-		}
-	}
 	// The namespace doubles as the tenant name on observations, so it is
 	// kept even without a shared cache; a private cache prefixes its keys
 	// with it consistently, which is harmless.
@@ -374,17 +343,12 @@ func (e *Engine) Format() string {
 	return "memory"
 }
 
-// Planner reports whether cost-based planning (α* shard skipping, cost
-// ordering and background prefetch) is enabled.
-func (e *Engine) Planner() bool { return e.planCfg.AlphaSkip || e.planCfg.CostOrder }
-
 // acquire returns the shard's view, stamping its recency, and opening it
 // from disk first when the shard is file-backed and not resident. loaded
-// reports whether this call performed the disk load — the executor and the
-// prefetcher use it to attribute loads. Concurrent first touches share a
-// single load through the shard's sync.Once; a load failure is sticky for
-// the life of the struct (an update that replaces the shard installs a fresh
-// one). The loop handles the race with eviction: if the view vanishes
+// reports whether this call performed the disk load, so the executor can
+// attribute it. Concurrent first touches share a single load through the
+// shard's sync.Once; a load failure is sticky for the life of the struct (an
+// update that replaces the shard installs a fresh one). The loop handles the race with eviction: if the view vanishes
 // between the load and the re-check, the fresh sync.Once installed by the
 // evictor triggers another load. The identity check on s.once before
 // installing the loaded view handles the race with replaceShardsLocked: a
@@ -438,16 +402,6 @@ func (e *Engine) acquire(s *shard) (view *tctree.BinShard, loaded bool, err erro
 	}
 }
 
-// Quiesce blocks until every background shard prefetch spawned by queries
-// that have already returned has finished. A query's prefetch goroutines
-// outlive the query call, so residency counters can keep moving after the
-// last Query returns; callers that need them exact — tests, orderly
-// detach/shutdown bookkeeping — quiesce first. Quiesce does not wait for
-// concurrent queries, only for the background work of completed ones.
-func (e *Engine) Quiesce() {
-	e.prefetchWG.Wait()
-}
-
 // Release withdraws the engine from the federation resources it shares:
 // every resident lazy shard is evicted (returning its budget share to the
 // residency group) and every cached answer of the engine's namespace is
@@ -461,10 +415,6 @@ func (e *Engine) Quiesce() {
 // count one high. Solo engines may call it too; it simply empties their
 // cache and resident set.
 func (e *Engine) Release() {
-	// Background prefetches spawned by an already-returned query are still
-	// loading through the old residency group; the caller cannot join them,
-	// so drain the pool here before swapping e.res out from under them.
-	e.Quiesce()
 	e.res.remove(e)
 	if e.cache != nil {
 		e.cache.invalidate(e.cacheNS, func(itemset.Itemset, bool) bool { return true })
@@ -494,6 +444,21 @@ func canonical(t *shardTable, q itemset.Itemset) (eff itemset.Itemset, full bool
 	}
 	eff = q.Intersect(t.items)
 	return eff, len(eff) == len(t.items)
+}
+
+// canonicalMode is canonical for either query mode. A containment pattern is
+// kept whole — an item no shard is rooted at still constrains the answer —
+// and an empty one is the query-by-alpha workload: every indexed pattern
+// contains the empty pattern.
+func canonicalMode(t *shardTable, q itemset.Itemset, mode QueryMode) (QueryMode, itemset.Itemset, bool) {
+	if mode == ModeContaining {
+		if q.Len() > 0 {
+			return mode, itemset.New(q...), false
+		}
+		q = nil
+	}
+	eff, full := canonical(t, q)
+	return ModeSub, eff, full
 }
 
 // cacheKey renders the canonicalized query as a map key. A full query (every
@@ -564,14 +529,14 @@ func (e *Engine) Query(q itemset.Itemset, alphaQ float64) (*Answer, error) {
 	return e.QueryContext(context.Background(), q, alphaQ)
 }
 
-// QueryContext is Query carrying a context. The context is not a cancellation
-// signal — a started traversal always finishes — it carries the request
+// QueryContext is Query carrying a context. The context carries the request
 // correlation ID (obs.WithRequestID) through to the injected Recorder, so a
-// slow query captured server-side names the HTTP request that caused it.
+// slow query captured server-side names the HTTP request that caused it, and
+// it cancels the query at shard boundaries: once ctx is done no further
+// shard is opened (a traversal already running finishes) and the query
+// returns ctx.Err(). A cancelled answer is never cached.
 func (e *Engine) QueryContext(ctx context.Context, q itemset.Itemset, alphaQ float64) (*Answer, error) {
-	e.updateMu.RLock()
-	defer e.updateMu.RUnlock()
-	return e.queryLocked(ctx, q, alphaQ, ModeSub)
+	return e.query(ctx, q, alphaQ, ModeSub)
 }
 
 // QueryContaining answers the containment workload: the communities of every
@@ -579,10 +544,10 @@ func (e *Engine) QueryContext(ctx context.Context, q itemset.Itemset, alphaQ flo
 // order. Only shards whose root item is at most min(q) are considered, and
 // the per-shard catalogue (item bloom filter, α*-by-depth histogram) rules
 // shards out without opening them. An empty or nil q degenerates to
-// QueryByAlpha — every indexed pattern contains the empty pattern. Unlike
-// sub-pattern queries, VisitedNodes depends on the planner configuration
-// (catalogue skips drop provably fruitless traversals); the communities do
-// not.
+// QueryByAlpha — every indexed pattern contains the empty pattern.
+// VisitedNodes counts what the planned execution inspects: a shard its bloom
+// filter rules out contributes no visit at all, so the count can be lower
+// than an unplanned walk's; the communities are the same.
 func (e *Engine) QueryContaining(q itemset.Itemset, alphaQ float64) (*Answer, error) {
 	return e.QueryContainingContext(context.Background(), q, alphaQ)
 }
@@ -590,28 +555,21 @@ func (e *Engine) QueryContaining(q itemset.Itemset, alphaQ float64) (*Answer, er
 // QueryContainingContext is QueryContaining carrying a context; see
 // QueryContext.
 func (e *Engine) QueryContainingContext(ctx context.Context, q itemset.Itemset, alphaQ float64) (*Answer, error) {
-	e.updateMu.RLock()
-	defer e.updateMu.RUnlock()
-	return e.queryLocked(ctx, q, alphaQ, ModeContaining)
+	return e.query(ctx, q, alphaQ, ModeContaining)
 }
 
-// queryLocked is the body of Query and QueryContaining; callers hold
-// updateMu for reading, so the shard table and the index epoch are stable
-// for the whole execution.
-func (e *Engine) queryLocked(ctx context.Context, q itemset.Itemset, alphaQ float64, mode QueryMode) (*Answer, error) {
-	if mode == ModeContaining && q.Len() == 0 {
-		mode = ModeSub
-		q = nil
-	}
+// query is the body of Query and QueryContaining: cache lookup, then the
+// plan drained on the worker pool, then cache put. It holds updateMu for
+// reading throughout, so the shard table and the index epoch are stable for
+// the whole execution.
+func (e *Engine) query(ctx context.Context, q itemset.Itemset, alphaQ float64, mode QueryMode) (*Answer, error) {
+	e.updateMu.RLock()
+	defer e.updateMu.RUnlock()
 	e.queries.Add(1)
 	start := time.Now()
 	t := e.table.Load()
-	var (
-		eff  itemset.Itemset
-		full bool
-	)
+	mode, eff, full := canonicalMode(t, q, mode)
 	if mode == ModeContaining {
-		eff = itemset.New(q...)
 		for _, it := range eff {
 			if !t.items.Contains(it) {
 				// Every item of every indexed pattern appears at level 1, so
@@ -620,14 +578,8 @@ func (e *Engine) queryLocked(ctx context.Context, q itemset.Itemset, alphaQ floa
 				return &Answer{Duration: time.Since(start)}, nil
 			}
 		}
-	} else {
-		eff, full = canonical(t, q)
 	}
 	key := e.keyMode(mode, eff, full, alphaQ)
-	label := patternLabel(eff, full)
-	if mode == ModeContaining {
-		label = "⊇" + label
-	}
 	var gen uint64
 	epoch := e.epoch.Load()
 	if e.cache != nil {
@@ -638,7 +590,7 @@ func (e *Engine) queryLocked(ctx context.Context, q itemset.Itemset, alphaQ floa
 			if e.recorder != nil {
 				e.recorder.RecordQuery(ctx, trace.QueryObservation{
 					Network:  e.cacheNS,
-					Pattern:  label,
+					Pattern:  patternLabel(mode, eff, full),
 					Alpha:    alphaQ,
 					CacheHit: true,
 					Total:    res.Duration,
@@ -651,71 +603,34 @@ func (e *Engine) queryLocked(ctx context.Context, q itemset.Itemset, alphaQ floa
 		// predate the swap and put will discard it.
 		gen = e.cache.generation(e.cacheNS)
 	}
-	planStart := time.Now()
-	var plan *QueryPlan
-	if mode == ModeContaining {
-		plan = e.planContaining(t, eff, alphaQ)
-	} else {
-		plan = e.planRelevant(t, eff, alphaQ)
-	}
-	planDur := time.Since(planStart)
-	res, exec, err := e.executePlan(t, plan)
-	if err != nil {
-		if e.recorder != nil {
-			e.recorder.RecordQuery(ctx, trace.QueryObservation{
-				Network: e.cacheNS,
-				Pattern: label,
-				Alpha:   alphaQ,
-				Err:     true,
-				Shards:  len(plan.Tasks),
-				Plan:    planDur,
-				Total:   time.Since(start),
-			})
+	st := e.newStream(ctx, t, start, eff, full, alphaQ, mode, false)
+	res, err := st.drain()
+	total := time.Since(start)
+	if err == nil {
+		res.Duration = total
+		// Insert only if no index swap happened since the epoch was captured
+		// (it cannot while updateMu is held for reading; the gate is the
+		// second line of defense) and no invalidation of this namespace ran.
+		// Containment answers depend on shards q does not name (every shard
+		// rooted at or below min(q)), so they are stored as full entries: any
+		// invalidation of the namespace purges them.
+		if e.cache != nil && e.epoch.Load() == epoch {
+			e.cache.put(key, e.cacheNS, eff, full || mode == ModeContaining, res, gen)
 		}
-		return nil, err
 	}
-	res.Duration = time.Since(start)
-	// Insert only if no index swap happened since the epoch was captured
-	// (it cannot while updateMu is held for reading; the gate is the
-	// second line of defense) and no invalidation of this namespace ran.
-	// Containment answers depend on shards q does not name (every shard
-	// rooted at or below min(q)), so they are stored as full entries: any
-	// invalidation of the namespace purges them.
-	if e.cache != nil && e.epoch.Load() == epoch {
-		e.cache.put(key, e.cacheNS, eff, full || mode == ModeContaining, res, gen)
-	}
-	if e.recorder != nil {
-		loaded := 0
-		for _, x := range exec.execs {
-			if x.loaded {
-				loaded++
-			}
-		}
-		e.recorder.RecordQuery(ctx, trace.QueryObservation{
-			Network:       e.cacheNS,
-			Pattern:       label,
-			Alpha:         alphaQ,
-			Shards:        len(plan.Tasks),
-			SkippedShards: plan.SkippedAlpha + plan.SkippedBloom + plan.SkippedHist,
-			LoadedShards:  loaded,
-			Plan:          planDur,
-			Execute:       exec.execute,
-			Merge:         exec.merge,
-			Total:         res.Duration,
-			// Materialized only when the recorder keeps the observation
-			// (slow-query capture): fast queries never pay for the report.
-			Detail: func() any { return e.planReport(plan, exec, eff, full, res) },
-		})
-	}
-	return res, nil
+	st.observe(total, 0)
+	return res, err
 }
 
 // patternLabel renders a canonicalized pattern for observations and the
 // slow-query log: "*" for a full pattern (query by alpha), the item list
-// otherwise.
-func patternLabel(eff itemset.Itemset, full bool) string {
-	if full {
+// otherwise, behind "⊇" for a containment query.
+func patternLabel(mode QueryMode, eff itemset.Itemset, full bool) string {
+	switch {
+	case full:
 		return "*"
+	case mode == ModeContaining:
+		return "⊇" + eff.String()
 	}
 	return eff.String()
 }
@@ -727,38 +642,37 @@ func (e *Engine) QueryByAlpha(alphaQ float64) (*Answer, error) {
 	return e.Query(nil, alphaQ)
 }
 
-// QueryByAlphaContext is QueryByAlpha carrying a context; see QueryContext.
-func (e *Engine) QueryByAlphaContext(ctx context.Context, alphaQ float64) (*Answer, error) {
-	return e.QueryContext(ctx, nil, alphaQ)
-}
-
-// planRelevant plans an already-canonicalized query over the shards its
-// pattern touches. eff is sorted, so the plan's tasks are in ascending
-// root-item (shard) order and the merge stays deterministic.
-func (e *Engine) planRelevant(t *shardTable, eff itemset.Itemset, alphaQ float64) *QueryPlan {
-	infos := make([]ShardInfo, 0, len(eff))
-	for _, it := range eff {
-		if s, ok := t.lookup(it); ok {
+// plan plans an already-canonicalized query over the shards that can hold an
+// answer: for a sub-pattern query those rooted at an item of eff, for a
+// containment query those rooted at or below min(eff) (the root item is the
+// smallest item of every pattern a shard indexes). every widens the plan to
+// the whole table, so that an Explain shows the excluded shards too. The
+// statistics are listed in ascending root-item order either way, so the
+// plan's tasks are, and the merge stays deterministic.
+func (e *Engine) plan(t *shardTable, eff itemset.Itemset, alphaQ float64, mode QueryMode, every bool) *QueryPlan {
+	var infos []ShardInfo
+	switch {
+	case every:
+		infos = make([]ShardInfo, len(t.shards))
+		for i, s := range t.shards {
+			infos[i] = s.info()
+		}
+	case mode == ModeContaining:
+		for _, s := range t.shards {
+			if s.item > eff[0] {
+				break
+			}
 			infos = append(infos, s.info())
 		}
-	}
-	return PlanQuery(infos, eff, alphaQ, e.planCfg)
-}
-
-// planContaining plans a containment query over the shards that can index a
-// superset of q: those rooted at or below min(q) (the root item is the
-// smallest item of every pattern a shard indexes). eff is canonical
-// (sorted, deduplicated, non-empty), so the plan's tasks stay in ascending
-// root-item order and the merge stays deterministic.
-func (e *Engine) planContaining(t *shardTable, eff itemset.Itemset, alphaQ float64) *QueryPlan {
-	infos := make([]ShardInfo, 0, len(t.shards))
-	for _, s := range t.shards {
-		if s.item > eff[0] {
-			break
+	default:
+		infos = make([]ShardInfo, 0, len(eff))
+		for _, it := range eff {
+			if s, ok := t.lookup(it); ok {
+				infos = append(infos, s.info())
+			}
 		}
-		infos = append(infos, s.info())
 	}
-	return PlanQueryMode(infos, eff, alphaQ, ModeContaining, e.planCfg)
+	return PlanQueryMode(infos, eff, alphaQ, mode, e.planCfg)
 }
 
 // EstimateCost returns the planner's total cost estimate of answering
@@ -768,192 +682,7 @@ func (e *Engine) planContaining(t *shardTable, eff itemset.Itemset, alphaQ float
 func (e *Engine) EstimateCost(q itemset.Itemset, alphaQ float64) float64 {
 	t := e.table.Load()
 	eff, _ := canonical(t, q)
-	return e.planRelevant(t, eff, alphaQ).TotalCost
-}
-
-// taskExec is the execution record of one plan task, reported by Explain.
-type taskExec struct {
-	micros  int64
-	loaded  bool
-	visited int
-	trusses int
-}
-
-// planExec is the execution record of one executePlan call: per-task records,
-// prefetch attribution, and the execute/merge wall-time split the recorder
-// reports.
-type planExec struct {
-	execs      []taskExec
-	prefetched uint64
-	// execute is the parallel shard-traversal stage (acquire + walk across
-	// the worker pool); merge is the deterministic combination of per-shard
-	// answers afterwards.
-	execute time.Duration
-	merge   time.Duration
-}
-
-// executePlan is the execution half of the plan→execute split: it runs the
-// plan's schedule on the worker pool (most expensive task first, so a
-// straggler overlaps the cheap tail), hands the schedule tail to the
-// background prefetcher, synthesizes the answers of α*-skipped shards, and
-// merges the per-shard results in ascending root-item order. The merged
-// answer is byte-identical to a planner-off execution: an α*-skipped shard
-// contributes exactly the one root visit the traversal would have made
-// before finding the root truss empty.
-func (e *Engine) executePlan(t *shardTable, plan *QueryPlan) (*Answer, planExec, error) {
-	execStart := time.Now()
-	pattern := plan.Pattern
-	if pattern == nil {
-		pattern = t.items
-	}
-	results := make([]shardResult, len(plan.Tasks))
-	execs := make([]taskExec, len(plan.Tasks))
-	for i, task := range plan.Tasks {
-		switch task.Decision {
-		case DecisionSkipAlpha:
-			results[i].Visited = 1
-			execs[i].visited = 1
-			e.skipped.Add(1)
-		case DecisionSkipBloom:
-			// The filter proves no pattern of the shard contains q; the
-			// traversal is dropped wholesale, root visit included.
-			e.skippedCatalogue.Add(1)
-		case DecisionSkipHist:
-			// The histogram proves emptiness the way the α* skip does; the
-			// containment walk always inspects the root, so synthesize it.
-			results[i].Visited = 1
-			execs[i].visited = 1
-			e.skippedCatalogue.Add(1)
-		}
-	}
-	var prefetched atomic.Uint64
-	e.prefetchPlan(t, plan, &prefetched)
-	traverse := func(i int) {
-		s, _ := t.lookup(plan.Tasks[i].Item)
-		e.sem <- struct{}{}
-		defer func() { <-e.sem }()
-		start := time.Now()
-		view, loaded, err := e.acquire(s)
-		if err != nil {
-			results[i].err = fmt.Errorf("engine: shard %d: %w", s.item, err)
-			execs[i] = taskExec{micros: time.Since(start).Microseconds()}
-			return
-		}
-		if plan.Mode == ModeContaining {
-			results[i].ShardAnswer = view.QueryContaining(pattern, plan.Alpha)
-		} else {
-			results[i].ShardAnswer = view.QuerySub(pattern, plan.Alpha)
-		}
-		execs[i] = taskExec{
-			micros:  time.Since(start).Microseconds(),
-			loaded:  loaded,
-			visited: results[i].Visited,
-			trusses: results[i].Retrieved,
-		}
-	}
-	if e.workers == 1 || len(plan.Order) == 1 {
-		// Inline traversal still takes a slot, so the worker bound holds
-		// across concurrent queries, not just within one.
-		for _, i := range plan.Order {
-			traverse(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for _, i := range plan.Order {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				traverse(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-	mergeStart := time.Now()
-	total := 0
-	for _, sr := range results {
-		total += len(sr.Communities)
-	}
-	res := &Answer{Communities: make([]truss.Community, 0, total)}
-	var errs []error
-	for _, sr := range results {
-		if sr.err != nil {
-			errs = append(errs, sr.err)
-			continue
-		}
-		res.Communities = append(res.Communities, sr.Communities...)
-		res.RetrievedNodes += sr.Retrieved
-		res.VisitedNodes += sr.Visited
-	}
-	exec := planExec{
-		execs:      execs,
-		prefetched: prefetched.Load(),
-		execute:    mergeStart.Sub(execStart),
-		merge:      time.Since(mergeStart),
-	}
-	if len(errs) > 0 {
-		return nil, exec, errors.Join(errs...)
-	}
-	return res, exec, nil
-}
-
-// prefetchPlan warms the top-cost non-resident shards of the plan's schedule
-// tail in the background. The first Workers scheduled tasks are about to be
-// picked up by traversal slots anyway, so only tasks beyond them are offered
-// to the prefetch pool; each prefetch load goes through acquire, so the
-// residency budget (and LRU eviction) applies as usual, and a traversal that
-// reaches the shard meanwhile shares the same load. The prefetched counter
-// is best-effort: a prefetch still in flight when the plan finishes may be
-// counted against the engine but not the plan.
-func (e *Engine) prefetchPlan(tbl *shardTable, plan *QueryPlan, prefetched *atomic.Uint64) {
-	if e.prefetchSem == nil || len(plan.Order) <= e.workers {
-		return
-	}
-	// Cap per-plan prefetch at the residency headroom left after the
-	// shards already in memory and the Workers head-of-schedule tasks
-	// loading concurrently: past that, eviction would drop a prefetched
-	// shard (or a resident shard the plan still needs) before traversal
-	// reaches it, and its disk read would just be repeated. The resident
-	// count is a snapshot — the cap is a heuristic, correctness is
-	// acquire's job.
-	budget := len(plan.Order) - e.workers
-	if e.res.max > 0 {
-		headroom := e.res.max - int(e.res.resident.Load()) - e.workers
-		if headroom < 1 {
-			return
-		}
-		if budget > headroom {
-			budget = headroom
-		}
-	}
-	for _, i := range plan.Order[e.workers:] {
-		if budget == 0 {
-			return
-		}
-		task := plan.Tasks[i]
-		if task.Decision != DecisionLoad {
-			continue
-		}
-		s, _ := tbl.lookup(task.Item)
-		select {
-		case e.prefetchSem <- struct{}{}:
-		default:
-			// The pool is saturated; the remaining tasks are cheaper, so
-			// let traversal pick them up instead of queueing.
-			return
-		}
-		budget--
-		e.prefetchWG.Add(1)
-		go func(s *shard) {
-			defer e.prefetchWG.Done()
-			defer func() { <-e.prefetchSem }()
-			// A load error is not the prefetcher's to report: it is sticky
-			// on the shard and surfaces on the query that traverses it.
-			if _, loaded, err := e.acquire(s); err == nil && loaded {
-				e.prefetched.Add(1)
-				prefetched.Add(1)
-			}
-		}(s)
-	}
+	return e.plan(t, eff, alphaQ, ModeSub, false).TotalCost
 }
 
 // DeltaResult summarises one Engine.ApplyDelta call.
@@ -1157,10 +886,10 @@ func (e *Engine) replaceShardsLocked(items itemset.Itemset, mk func(itemset.Item
 
 // retireShard takes a struct that is leaving the table out of service: its
 // residency charge is returned and it is poisoned, in one critical section,
-// so a prefetch load still in flight can neither re-install a view (and a
-// residency count) on a shard no evictor can ever see again — the fresh once
-// makes the in-flight install discard itself — nor load anew — the sticky
-// error stops acquire's retry loop. A heap shard keeps its view: a stream
+// so a load still in flight can neither re-install a view (and a residency
+// count) on a shard no evictor can ever see again — the fresh once makes the
+// in-flight install discard itself — nor load anew — the sticky error stops
+// acquire's retry loop. A heap shard keeps its view: a stream
 // opened before the update may still be reading its snapshot.
 func (e *Engine) retireShard(s *shard) {
 	s.mu.Lock()

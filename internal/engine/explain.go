@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"time"
 
 	"themecomm/internal/itemset"
@@ -14,8 +15,7 @@ type TaskReport struct {
 	// skipped tasks, which do no work.
 	Micros int64 `json:"micros,omitempty"`
 	// Loaded reports whether this execution read the shard from disk (the
-	// shard was not resident and no concurrent query or prefetch got there
-	// first).
+	// shard was not resident and no concurrent query got there first).
 	Loaded bool `json:"loaded,omitempty"`
 	// Visited and Trusses are the task's share of the answer: nodes
 	// inspected and trusses retrieved.
@@ -35,8 +35,7 @@ type ExplainReport struct {
 	Mode QueryMode `json:"mode,omitempty"`
 	// Alpha is the cohesion threshold α_q.
 	Alpha float64 `json:"alpha"`
-	// Planner, Lazy and Workers describe the engine the plan ran on.
-	Planner bool `json:"planner"`
+	// Lazy and Workers describe the engine the plan ran on.
 	Lazy    bool `json:"lazy"`
 	Workers int  `json:"workers"`
 	// Shards is the total shard count; the fields below tally the per-shard
@@ -51,22 +50,18 @@ type ExplainReport struct {
 	SkippedHist   int `json:"skippedHist,omitempty"`
 	ResidentTasks int `json:"residentTasks"`
 	LoadTasks     int `json:"loadTasks"`
-	// Loaded counts the disk loads this execution performed itself;
-	// Prefetched counts loads the background prefetcher completed for this
-	// plan (best-effort: a prefetch still in flight when the plan finishes
-	// is not attributed).
-	Loaded     int `json:"loaded"`
-	Prefetched int `json:"prefetched"`
-	// ShortCircuited counts scheduled shards a stream never opened: top-k
-	// early termination proved their α* bound could not improve the emitted
-	// answer. Always zero for materializing executions, which traverse every
+	// Loaded counts the disk loads this execution performed.
+	Loaded int `json:"loaded"`
+	// ShortCircuited counts scheduled shards a pulled stream never opened:
+	// top-k early termination proved their α* bound could not improve the
+	// emitted answer. Always zero for drained executions, which open every
 	// scheduled shard.
 	ShortCircuited int `json:"shortCircuited,omitempty"`
 	// TotalCost is the planner's summed cost estimate of the scheduled
 	// tasks.
 	TotalCost float64 `json:"totalCost"`
-	// ScheduleOrder lists the scheduled shards' root items in execution
-	// order (most expensive first on a planning engine). It is a plain
+	// ScheduleOrder lists the scheduled shards' root items in the order they
+	// open (most expensive first for a drained execution). It is a plain
 	// slice, not a canonical itemset: cost order is not item order.
 	ScheduleOrder []itemset.Item `json:"scheduleOrder"`
 	// Tasks lists every shard in ascending root-item order with its
@@ -86,73 +81,54 @@ type ExplainReport struct {
 // execution a cold query would pay, and its answer is discarded rather than
 // cached. A nil q means every item (query by alpha).
 func (e *Engine) Explain(q itemset.Itemset, alphaQ float64) (*ExplainReport, error) {
-	e.explains.Add(1)
-	start := time.Now()
-	e.updateMu.RLock()
-	defer e.updateMu.RUnlock()
-	t := e.table.Load()
-	eff, full := canonical(t, q)
-	infos := make([]ShardInfo, len(t.shards))
-	for i, s := range t.shards {
-		infos[i] = s.info()
-	}
-	plan := PlanQuery(infos, eff, alphaQ, e.planCfg)
-	res, exec, err := e.executePlan(t, plan)
-	if err != nil {
-		return nil, err
-	}
-	report := e.planReport(plan, exec, eff, full, res)
-	report.Micros = time.Since(start).Microseconds()
-	return report, nil
+	return e.explainContext(context.Background(), q, alphaQ, ModeSub)
 }
 
 // ExplainContaining is Explain for the containment workload (every indexed
 // p ⊇ q at alphaQ): it plans every shard under ModeContaining — so the
 // report shows the catalogue at work, bloom and histogram skips included —
-// executes the plan, and discards nothing from the decision breakdown. An
-// empty q degenerates to Explain(nil, alphaQ), matching QueryContaining.
+// and executes the plan. An empty q degenerates to Explain(nil, alphaQ),
+// matching QueryContaining.
 func (e *Engine) ExplainContaining(q itemset.Itemset, alphaQ float64) (*ExplainReport, error) {
-	if q.Len() == 0 {
-		return e.Explain(nil, alphaQ)
-	}
+	return e.explainContext(context.Background(), q, alphaQ, ModeContaining)
+}
+
+// explainContext is the body of Explain and ExplainContaining: a plan of
+// every shard, drained like a query's.
+func (e *Engine) explainContext(ctx context.Context, q itemset.Itemset, alphaQ float64, mode QueryMode) (*ExplainReport, error) {
 	e.explains.Add(1)
 	start := time.Now()
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
 	t := e.table.Load()
-	eff := itemset.New(q...)
-	infos := make([]ShardInfo, len(t.shards))
-	for i, s := range t.shards {
-		infos[i] = s.info()
-	}
-	plan := PlanQueryMode(infos, eff, alphaQ, ModeContaining, e.planCfg)
-	res, exec, err := e.executePlan(t, plan)
-	if err != nil {
+	mode, eff, full := canonicalMode(t, q, mode)
+	st := e.newStream(ctx, t, start, eff, full, alphaQ, mode, true)
+	if _, err := st.drain(); err != nil {
 		return nil, err
 	}
-	report := e.planReport(plan, exec, eff, false, res)
+	report := st.report()
 	report.Micros = time.Since(start).Microseconds()
 	return report, nil
 }
 
-// planReport assembles the per-shard plan/execution report of one executed
-// plan. Explain returns it directly; queryLocked hands it to the injected
-// Recorder as the lazy Detail payload, so a slow query's log entry carries
-// the same per-shard breakdown an Explain of the query would have shown —
-// for the execution that actually was slow, not a rerun.
-func (e *Engine) planReport(plan *QueryPlan, exec planExec, eff itemset.Itemset, full bool, res *Answer) *ExplainReport {
+// report assembles the per-shard plan/execution report of the stream's
+// execution so far. Explain returns it directly; observe hands it to the
+// injected Recorder as the lazy Detail payload, so a slow query's log entry
+// carries the same per-shard breakdown an Explain of the query would have
+// shown — for the execution that actually was slow, not a rerun.
+func (st *Stream) report() *ExplainReport {
+	plan, stats := st.plan, st.Stats()
 	mode := plan.Mode
 	if mode == ModeSub {
 		mode = "" // the default; keep sub-pattern reports unchanged
 	}
 	report := &ExplainReport{
-		Pattern:        eff,
-		Full:           full,
+		Pattern:        plan.Pattern,
+		Full:           st.full,
 		Mode:           mode,
 		Alpha:          plan.Alpha,
-		Planner:        e.Planner(),
-		Lazy:           e.Lazy(),
-		Workers:        e.workers,
+		Lazy:           st.e.Lazy(),
+		Workers:        st.e.workers,
 		Shards:         len(plan.Tasks),
 		SkippedAlpha:   plan.SkippedAlpha,
 		SkippedAbsent:  plan.SkippedAbsent,
@@ -160,25 +136,24 @@ func (e *Engine) planReport(plan *QueryPlan, exec planExec, eff itemset.Itemset,
 		SkippedHist:    plan.SkippedHist,
 		ResidentTasks:  plan.Resident,
 		LoadTasks:      plan.Loads,
-		Prefetched:     int(exec.prefetched),
+		Loaded:         stats.Loads,
+		ShortCircuited: stats.ShardsShortCircuited,
 		TotalCost:      plan.TotalCost,
-		RetrievedNodes: res.RetrievedNodes,
-		VisitedNodes:   res.VisitedNodes,
+		RetrievedNodes: stats.RetrievedNodes,
+		VisitedNodes:   stats.VisitedNodes,
 	}
 	for _, i := range plan.Order {
 		report.ScheduleOrder = append(report.ScheduleOrder, plan.Tasks[i].Item)
 	}
 	report.Tasks = make([]TaskReport, len(plan.Tasks))
 	for i, t := range plan.Tasks {
+		run := &st.runs[i]
 		report.Tasks[i] = TaskReport{
 			ShardTask: t,
-			Micros:    exec.execs[i].micros,
-			Loaded:    exec.execs[i].loaded,
-			Visited:   exec.execs[i].visited,
-			Trusses:   exec.execs[i].trusses,
-		}
-		if exec.execs[i].loaded {
-			report.Loaded++
+			Micros:    run.dur.Microseconds(),
+			Loaded:    run.loaded,
+			Visited:   run.Visited,
+			Trusses:   run.Retrieved,
 		}
 	}
 	return report

@@ -210,6 +210,30 @@ func TestLazyEvictionBudget(t *testing.T) {
 	}
 }
 
+// planEntryPoints lists the ways of executing a plan for (q, alpha): the
+// drained queries, Explain (which takes no context) and both pulled streams,
+// each reduced to its error.
+func planEntryPoints(ctx context.Context, q itemset.Itemset, alpha float64) map[string]func(*Engine) error {
+	pull := func(st *Stream, err error) error {
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		for {
+			if rc, err := st.Next(); rc == nil || err != nil {
+				return err
+			}
+		}
+	}
+	return map[string]func(*Engine) error{
+		"Query":           func(e *Engine) error { _, err := e.QueryContext(ctx, q, alpha); return err },
+		"QueryContaining": func(e *Engine) error { _, err := e.QueryContainingContext(ctx, q, alpha); return err },
+		"Explain":         func(e *Engine) error { _, err := e.Explain(q, alpha); return err },
+		"StreamQuery":     func(e *Engine) error { return pull(e.StreamQuery(ctx, q, alpha)) },
+		"StreamTopK":      func(e *Engine) error { return pull(e.StreamTopK(ctx, q, alpha, 0)) },
+	}
+}
+
 // TestLazyLoadErrorIsStickyUntilReload corrupts a shard file: queries
 // touching it fail (repeatedly, without re-reading the file), other shards
 // keep answering, and an update that replaces the shard — a fresh struct over
@@ -239,11 +263,19 @@ func TestLazyLoadErrorIsStickyUntilReload(t *testing.T) {
 		t.Fatalf("NewLazy: %v", err)
 	}
 	q := itemset.New(victim)
-	if _, err := eng.Query(q, 0); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("query over a corrupted shard returned %v, want checksum error", err)
+	// Every entry point reads a shard through the same routine, so the fault
+	// surfaces from each with the same wrapping — and, being sticky, again.
+	wrapped := fmt.Sprintf("engine: shard %d: ", victim)
+	for round := 0; round < 2; round++ {
+		for name, run := range planEntryPoints(context.Background(), q, 0) {
+			err := run(eng)
+			if err == nil || !strings.Contains(err.Error(), wrapped) || !strings.Contains(err.Error(), "checksum") {
+				t.Fatalf("%s over a corrupted shard returned %v, want %q … checksum", name, err, wrapped)
+			}
+		}
 	}
-	if _, err := eng.Query(q, 0); err == nil {
-		t.Fatalf("load error should be sticky")
+	if got := eng.Stats().LazyLoads; got != 0 {
+		t.Fatalf("a sticky load error was re-read into %d loads", got)
 	}
 	// A full query also fails, but a query avoiding the shard succeeds.
 	if _, err := eng.QueryByAlpha(0); err == nil {

@@ -12,7 +12,7 @@ import (
 // statistics (manifest stats in lazy mode, live shard metadata in eager
 // mode) and emits a QueryPlan — the per-shard decisions plus a cost-ordered
 // schedule — without touching the tree, the disk or any engine state. The
-// executor (engine.executePlan) then owns acquisition, eviction, traversal
+// executor (Stream, in stream.go) then owns acquisition, eviction, traversal
 // and the deterministic merge. Keeping the planner side-effect free makes
 // every decision unit-testable from synthetic statistics alone.
 

@@ -4,9 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"testing"
-	"time"
 
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
@@ -93,6 +91,11 @@ func TestPlanCostOrdering(t *testing.T) {
 	}
 }
 
+// unplanned gives the engine the zero PlanConfig — every relevant shard
+// traversed in ascending root-item order, nothing skipped — the reference
+// execution the skip-soundness tests compare the served configuration with.
+func unplanned(e *Engine) { e.planCfg = PlanConfig{} }
+
 // TestPlannerParity is the planner on/off correctness matrix: for a corpus
 // of queries spanning all-items, single-shard, subset and unindexed-item
 // patterns across the full α range, the planning engine must produce
@@ -129,13 +132,11 @@ func TestPlannerParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s planner-on: %v", v.name, err)
 		}
-		off, err := v.mk(Options{Workers: 4, DisablePlanner: true})
+		off, err := v.mk(Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("%s planner-off: %v", v.name, err)
 		}
-		if !on.Planner() || off.Planner() {
-			t.Fatalf("%s: Planner() on=%v off=%v", v.name, on.Planner(), off.Planner())
-		}
+		unplanned(off)
 		for _, q := range queries {
 			for _, alpha := range alphas {
 				want := mustQuery(t, off, q, alpha)
@@ -180,10 +181,11 @@ func TestPlannerSkipAvoidsLoads(t *testing.T) {
 		t.Fatalf("test tree has no α* spread (%d of %d skippable); pick another seed", skippable, len(stats))
 	}
 
-	off, err := NewLazy(idx, Options{DisablePlanner: true})
+	off, err := NewLazy(idx, Options{})
 	if err != nil {
 		t.Fatalf("NewLazy: %v", err)
 	}
+	unplanned(off)
 	wantOff := mustQueryByAlpha(t, off, alphaQ)
 	if got := off.Stats().LazyLoads; got != uint64(len(stats)) {
 		t.Fatalf("planner-off loaded %d shards, want all %d", got, len(stats))
@@ -224,100 +226,6 @@ func TestPlannerSkipAvoidsLoads(t *testing.T) {
 		t.Fatalf("query at α 0 should need the deleted shards")
 	}
 }
-
-// TestPrefetch forces the prefetcher to do real work: one traversal worker
-// chews through a multi-shard plan serially while the prefetch pool warms
-// the tail, so by the end some loads must have been performed by the
-// prefetcher. Shard loads are slowed down to make the overlap deterministic.
-func TestPrefetch(t *testing.T) {
-	tree := buildTestTree(t, 11)
-	idx, _ := writeShardedTestTree(t, tree)
-	eng, err := NewLazy(idx, Options{Workers: 1, PrefetchWorkers: 2})
-	if err != nil {
-		t.Fatalf("NewLazy: %v", err)
-	}
-	if len(eng.table.Load().shards) < 3 {
-		t.Fatalf("need at least 3 shards, have %d", len(eng.table.Load().shards))
-	}
-	for _, s := range eng.table.Load().shards {
-		load := s.load
-		s.load = func() (*tctree.BinShard, error) {
-			time.Sleep(2 * time.Millisecond)
-			return load()
-		}
-	}
-	assertSameAnswer(t, mustQueryByAlpha(t, eng, 0), tree.QueryByAlpha(0))
-	st := eng.Stats()
-	if st.PrefetchWorkers != 2 {
-		t.Fatalf("PrefetchWorkers = %d, want 2", st.PrefetchWorkers)
-	}
-	if st.LazyLoads != uint64(len(eng.table.Load().shards)) {
-		t.Fatalf("LazyLoads = %d, want one per shard (%d) — prefetch must share loads, not duplicate them",
-			st.LazyLoads, len(eng.table.Load().shards))
-	}
-	if st.ShardsPrefetched == 0 {
-		t.Fatalf("no loads were performed by the prefetcher")
-	}
-	// Planner-off and negative PrefetchWorkers engines must not prefetch.
-	for _, opts := range []Options{{DisablePlanner: true}, {PrefetchWorkers: -1}} {
-		plain, err := NewLazy(idx, opts)
-		if err != nil {
-			t.Fatalf("NewLazy: %v", err)
-		}
-		mustQueryByAlpha(t, plain, 0)
-		if got := plain.Stats().ShardsPrefetched; got != 0 {
-			t.Fatalf("opts %+v: prefetched %d shards, want 0", opts, got)
-		}
-	}
-}
-
-// TestPrefetchEvictionRace hammers a tightly budgeted prefetching engine
-// from many goroutines so prefetch loads, traversal loads and evictions
-// race; run with -race it verifies the locking discipline, and every answer
-// must still be correct.
-func TestPrefetchEvictionRace(t *testing.T) {
-	tree := buildTestTree(t, 11)
-	idx, _ := writeShardedTestTree(t, tree)
-	eng, err := NewLazy(idx, Options{Workers: 2, PrefetchWorkers: 2, MaxResidentShards: 1, CacheSize: 4})
-	if err != nil {
-		t.Fatalf("NewLazy: %v", err)
-	}
-	want := tree.QueryByAlpha(0)
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 15; i++ {
-				got, err := eng.QueryByAlpha(0)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if got.RetrievedNodes != want.RetrievedNodes || got.VisitedNodes != want.VisitedNodes {
-					errs <- errMismatch
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if got := eng.Stats().ResidentShards; got > 1 {
-		t.Fatalf("budget 1 exceeded under prefetch: %d resident", got)
-	}
-}
-
-// errMismatch keeps TestPrefetchEvictionRace's channel error-typed.
-var errMismatch = &mismatchError{}
-
-type mismatchError struct{}
-
-func (*mismatchError) Error() string { return "answer does not match the tree" }
 
 // TestQueryByAlphaCacheKey checks that the query-by-alpha workload is cached
 // under the empty-pattern sentinel: a nil query and an explicit pattern

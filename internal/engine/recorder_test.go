@@ -114,12 +114,23 @@ func TestRecorderObservesLoadError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLazy: %v", err)
 	}
-	if _, err := eng.Query(itemset.New(victim), 0.1); err == nil {
-		t.Fatalf("query over corrupt shard should fail")
-	}
-	got := rec.all()
-	if len(got) != 1 || !got[0].Err {
-		t.Fatalf("failed query not observed as error: %+v", got)
+	// One fault, every entry point: each recorded call — Explain is not one —
+	// observes the failure exactly once, as an error.
+	for name, run := range planEntryPoints(context.Background(), itemset.New(victim), 0.1) {
+		before := len(rec.all())
+		if err := run(eng); err == nil {
+			t.Fatalf("%s over corrupt shard should fail", name)
+		}
+		got := rec.all()[before:]
+		if name == "Explain" {
+			if len(got) != 0 {
+				t.Fatalf("Explain is unrecorded, yet observed %+v", got)
+			}
+			continue
+		}
+		if len(got) != 1 || !got[0].Err {
+			t.Fatalf("failed %s not observed as one error: %+v", name, got)
+		}
 	}
 }
 

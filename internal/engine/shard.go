@@ -98,11 +98,3 @@ func (s *shard) info() ShardInfo {
 		AlphaDepths: s.alphaDepths,
 	}
 }
-
-// shardResult is the answer of one shard to one query.
-type shardResult struct {
-	tctree.ShardAnswer
-	// err is the shard's lazy-load failure, if any; the traversal itself
-	// cannot fail.
-	err error
-}

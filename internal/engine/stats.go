@@ -67,11 +67,6 @@ type Stats struct {
 	SharedResidency     bool  `json:"sharedResidency,omitempty"`
 	GroupResidentShards int   `json:"groupResidentShards,omitempty"`
 	GroupResidentBytes  int64 `json:"groupResidentBytes,omitempty"`
-	// Planner reports whether cost-based planning (α* shard skipping, cost
-	// ordering, prefetch) is enabled; PrefetchWorkers is the background
-	// prefetch-pool bound (0 = prefetch disabled).
-	Planner         bool `json:"planner"`
-	PrefetchWorkers int  `json:"prefetchWorkers,omitempty"`
 	// LazyLoads and ShardEvictions count completed disk loads and
 	// budget-driven evictions across all shards (lazy engines only).
 	LazyLoads      uint64 `json:"lazyLoads,omitempty"`
@@ -80,12 +75,9 @@ type Stats struct {
 	// bound alone — relevant shards that were neither traversed nor (on a
 	// lazy engine) read from disk. ShardsSkippedCatalogue counts containment
 	// shard tasks the per-shard catalogue pruned instead (item bloom filter
-	// or α*-by-depth histogram). ShardsPrefetched counts disk loads
-	// performed by the background prefetcher rather than by a traversal
-	// (also included in LazyLoads).
+	// or α*-by-depth histogram).
 	ShardsSkipped          uint64 `json:"shardsSkipped"`
 	ShardsSkippedCatalogue uint64 `json:"shardsSkippedCatalogue,omitempty"`
-	ShardsPrefetched       uint64 `json:"shardsPrefetched,omitempty"`
 	// Queries counts Query calls (including those issued by QueryBatch and
 	// TopK); Batches, TopKQueries and Explains count QueryBatch, TopK and
 	// Explain calls.
@@ -146,13 +138,10 @@ func (e *Engine) Stats() Stats {
 		MaxResidentShards:      e.res.max,
 		MaxResidentBytes:       e.res.maxBytes,
 		SharedResidency:        e.sharedRes,
-		Planner:                e.Planner(),
-		PrefetchWorkers:        cap(e.prefetchSem),
 		LazyLoads:              e.lazyLoads.Load(),
 		ShardEvictions:         e.evictions.Load(),
 		ShardsSkipped:          e.skipped.Load(),
 		ShardsSkippedCatalogue: e.skippedCatalogue.Load(),
-		ShardsPrefetched:       e.prefetched.Load(),
 		Queries:                e.queries.Load(),
 		Batches:                e.batches.Load(),
 		TopKQueries:            e.topKs.Load(),

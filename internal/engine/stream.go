@@ -6,46 +6,43 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"themecomm/internal/itemset"
+	"themecomm/internal/tctree"
 	"themecomm/internal/trace"
 	"themecomm/internal/truss"
 )
 
-// This file is the streaming half of the executor: instead of materializing
-// every matching community across all scheduled shards and merging at the
-// end (executePlan), a Stream pulls results shard by shard through a
-// cursor, so per-query memory is bounded by one shard's answer rather than
-// the whole result set.
+// This file is the engine's one executor. A Stream holds a plan and one
+// execution record per plan task, and open is the only routine that turns a
+// task into an answer: acquire the shard, traverse it, fill the record. The
+// entry points differ in which tasks they open, and when:
 //
-// Two modes share the machinery:
+//   - drained (Query, QueryContaining, QueryBatch, TopK, Explain): every
+//     scheduled task is opened at once on the bounded worker pool, most
+//     expensive first, and the answers are concatenated in ascending root-item
+//     order. The caller holds the engine's update lock for reading throughout;
+//     Query puts the result cache around it.
+//   - pulled (StreamQuery, StreamTopK): tasks open one at a time as the caller
+//     pulls, so a query holds one shard's answer rather than the whole result
+//     set, and bypasses the result cache in both directions. A plain stream
+//     opens shards in ascending root-item order and yields the drained order.
+//     A ranked stream yields TopK's order: opened shards feed a k-way heap
+//     keyed by lessRanked and open in descending α*-bound order — the bound
+//     caps the cohesion of every community of the shard, so once the heap
+//     head strictly beats the best unopened bound the rest provably cannot
+//     contribute an earlier community, and a caller that stops at k never
+//     loads them (Close tallies them as ShardsShortCircuited).
 //
-//   - plain streams (StreamQuery) yield communities in exactly the
-//     materializing Query order — shards in ascending root-item order, each
-//     shard in breadth-first truss order — opening each shard only when the
-//     previous one is drained;
-//   - ranked streams (StreamTopK) yield communities in exactly the
-//     materializing TopK order. Each opened shard contributes a sorted
-//     per-shard cursor and a k-way heap keyed by lessRanked merges them.
-//     Shards open lazily in descending α*-bound order: a shard's α* bound
-//     caps the cohesion of every community it can contain, so once the heap
-//     head's cohesion strictly beats the best unopened bound, the remaining
-//     shards provably cannot contribute an earlier community — when the
-//     caller stops at k results, those shards are never loaded or traversed
-//     (the engine's ShardsShortCircuited counter tallies them at Close).
-//
-// Streams bypass the result cache in both directions: a stream is the
-// low-memory path, and buffering its whole answer to cache it would defeat
-// the point. Repeated identical queries belong on Query/TopK.
-//
-// Concurrency: a stream does NOT hold the engine's update lock between
-// pulls. It captures the shard table and index epoch at creation; every
-// shard open re-acquires the read lock and, on lazy engines, re-checks the
-// epoch — if an ApplyDelta swapped the index mid-stream, the open fails
-// with ErrEpochChanged rather than mixing pre- and post-delta shards. Eager
-// engines keep serving the snapshot: their captured subtrees are immutable,
-// so an open stream completes entirely from the pre-delta index.
+// A pulled stream does NOT hold the update lock between pulls. It captures
+// the shard table and index epoch at creation; every open re-takes the read
+// lock and, on an index-backed engine, re-checks the epoch: if an ApplyDelta
+// swapped the index mid-stream the open fails with ErrEpochChanged rather
+// than mixing pre- and post-delta shards. An engine over a tree built
+// in-process keeps serving the snapshot — its captured shards are immutable
+// heap bytes — so an open stream completes from the pre-delta index.
 
 // ErrEpochChanged reports that the index epoch moved (ApplyDelta) while a
 // stream was open on a lazy engine: the remaining shards would be read from
@@ -53,15 +50,23 @@ import (
 // Callers re-issue the query; HTTP surfaces map it to 410 Gone.
 var ErrEpochChanged = errors.New("engine: index epoch changed mid-stream; re-issue the query")
 
-// streamTask is one unopened shard of a stream, carrying the catalogue
-// bound the ranked mode orders and short-circuits by.
-type streamTask struct {
-	item     itemset.Item
-	maxAlpha float64
+// taskRun is the execution record of one plan task — the one record the
+// answer, StreamStats, the Explain report and the recorder observation are
+// all derived from. A skipped task's record holds the visit the traversal
+// would have made; a scheduled task's is filled by open.
+type taskRun struct {
+	tctree.ShardAnswer
+	// dur is the task's wall time (acquire + traversal).
+	dur time.Duration
+	// opened marks a traversed task; loaded one whose open read the shard
+	// from disk (it was not resident and no concurrent query got there
+	// first).
+	opened bool
+	loaded bool
 }
 
-// shardCursor is one opened shard's contribution: its communities in
-// lessRanked order (ranked mode) or in traversal order (plain mode).
+// shardCursor is one opened shard's contribution to a pulled stream: its
+// communities in lessRanked order (ranked mode) or traversal order (plain).
 type shardCursor struct {
 	item  itemset.Item
 	comms []truss.Community
@@ -79,8 +84,7 @@ type StreamStats struct {
 	Emitted int `json:"emitted"`
 	// RetrievedNodes and VisitedNodes mirror Answer: trusses retrieved
 	// and nodes inspected across the opened shards (α*-skipped shards
-	// contribute their one synthesized root visit, like the materializing
-	// path).
+	// contribute their one synthesized root visit).
 	RetrievedNodes int `json:"retrievedNodes"`
 	VisitedNodes   int `json:"visitedNodes"`
 	// ShardsPlanned counts the shards the plan scheduled (skips excluded);
@@ -93,50 +97,174 @@ type StreamStats struct {
 	ShardsSkippedAlpha int `json:"shardsSkippedAlpha"`
 	// ShardsShortCircuited counts scheduled shards the stream never opened:
 	// the caller stopped (or the k bound was reached) while the α* bounds of
-	// the remaining shards provably could not improve the answer. Final
-	// after Close.
+	// the remaining shards provably could not improve the answer. Set by
+	// Close, and only for a stream that did not fail: the shards a failed
+	// stream never reached were not proven anything.
 	ShardsShortCircuited int `json:"shardsShortCircuited"`
 }
 
-// Stream is a pull-based cursor over a query answer. It is NOT safe for
-// concurrent use; one goroutine pulls Next until done (nil, nil) and then
-// must Close exactly once — Close is what credits the engine's
-// short-circuit accounting and emits the recorder observation.
+// Stream is one execution of a query plan; StreamQuery and StreamTopK hand it
+// out as a pull-based cursor over the answer. It is NOT safe for concurrent
+// use; one goroutine pulls Next until done (nil, nil) and then must Close
+// exactly once — Close is what credits the engine's short-circuit accounting
+// and emits the recorder observation.
 type Stream struct {
 	e     *Engine
 	ctx   context.Context
 	table *shardTable
 	epoch uint64
 
-	alpha   float64
-	pattern itemset.Itemset // traversal pattern (eff, or items for full)
-	eff     itemset.Itemset
-	full    bool
+	// plan.Pattern is the canonicalized query pattern; full marks one that
+	// covers every indexed item. runs holds one record per plan task.
+	plan *QueryPlan
+	full bool
+	runs []taskRun
+	// next counts the opened entries of plan.Order, the schedule: the tasks
+	// at plan.Order[next:] are still unopened. A pulled stream re-sorts the
+	// schedule into its own open order.
+	next int
+
 	ranked  bool
 	k       int
-
-	pending []streamTask   // unopened shards, in open order
-	heap    []*shardCursor // ranked-mode merge heap, keyed by head()
-	cur     *shardCursor   // plain-mode current shard
-
-	stats StreamStats
+	heap    []*shardCursor // the opened, unexhausted shards, keyed by head()
+	emitted int
 
 	err    error
 	closed bool
 
-	start   time.Time
-	planDur time.Duration
-	execDur time.Duration
+	start    time.Time
+	planDur  time.Duration
+	execDur  time.Duration
+	mergeDur time.Duration
+}
+
+// newStream plans the canonicalized query (eff, alphaQ) over table t and
+// returns its execution, nothing opened yet. This is the one place a skip
+// decision becomes an answer: an α*- or histogram-skipped shard contributes
+// exactly the one root visit the traversal would have made before finding
+// the root truss empty, so answers are byte-identical to an unplanned
+// execution; the bloom filter proves no pattern of the shard contains q, and
+// that traversal is dropped wholesale, root visit included. Callers hold
+// updateMu for reading.
+func (e *Engine) newStream(ctx context.Context, t *shardTable, start time.Time, eff itemset.Itemset, full bool, alphaQ float64, mode QueryMode, every bool) *Stream {
+	if ctx == nil {
+		//lint:ignore ctxflow nil-ctx hardening for direct embedders of the engine; every serving path passes the request context
+		ctx = context.Background()
+	}
+	planStart := time.Now()
+	plan := e.plan(t, eff, alphaQ, mode, every)
+	st := &Stream{
+		e: e, ctx: ctx, table: t, epoch: e.epoch.Load(),
+		plan: plan, full: full,
+		runs:  make([]taskRun, len(plan.Tasks)),
+		start: start,
+	}
+	for i, task := range plan.Tasks {
+		switch task.Decision {
+		case DecisionSkipAlpha:
+			st.runs[i].Visited = 1
+			e.skipped.Add(1)
+		case DecisionSkipHist:
+			st.runs[i].Visited = 1
+			e.skippedCatalogue.Add(1)
+		case DecisionSkipBloom:
+			e.skippedCatalogue.Add(1)
+		}
+	}
+	st.planDur = time.Since(planStart)
+	return st
+}
+
+// open executes plan task i — the one routine that reads a shard on behalf
+// of a query: it gives up if the context is done, takes a traversal slot (so
+// the engine-wide worker bound holds across queries and streams alike),
+// acquires the shard (loading it on a lazy engine) and traverses it into the
+// task's record. Callers hold updateMu for reading.
+func (st *Stream) open(i int) error {
+	if err := st.ctx.Err(); err != nil {
+		return err
+	}
+	e := st.e
+	select {
+	case e.sem <- struct{}{}:
+	case <-st.ctx.Done():
+		return st.ctx.Err()
+	}
+	defer func() { <-e.sem }()
+	s, _ := st.table.lookup(st.plan.Tasks[i].Item)
+	run := &st.runs[i]
+	start := time.Now()
+	view, loaded, err := e.acquire(s)
+	if err != nil {
+		run.dur = time.Since(start)
+		return fmt.Errorf("engine: shard %d: %w", s.item, err)
+	}
+	if st.plan.Mode == ModeContaining {
+		run.ShardAnswer = view.QueryContaining(st.plan.Pattern, st.plan.Alpha)
+	} else {
+		run.ShardAnswer = view.QuerySub(st.plan.Pattern, st.plan.Alpha)
+	}
+	run.dur, run.opened, run.loaded = time.Since(start), true, loaded
+	return nil
+}
+
+// drain opens every scheduled task on the worker pool — in schedule order,
+// so a straggler overlaps the cheap tail — and concatenates the per-task
+// answers in ascending root-item order. Load failures are joined; a done
+// context is reported once, not once per shard it kept closed. The caller
+// holds updateMu for reading across the call.
+func (st *Stream) drain() (*Answer, error) {
+	execStart := time.Now()
+	order := st.plan.Order
+	errs := make([]error, len(order))
+	if st.e.workers == 1 || len(order) == 1 {
+		// Inline opens still take a slot each, so the worker bound holds
+		// across concurrent queries, not just within one.
+		for n, i := range order {
+			errs[n] = st.open(i)
+		}
+	} else {
+		var wg sync.WaitGroup
+		for n, i := range order {
+			wg.Add(1)
+			go func(n, i int) {
+				defer wg.Done()
+				errs[n] = st.open(i)
+			}(n, i)
+		}
+		wg.Wait()
+	}
+	st.next = len(order)
+	mergeStart := time.Now()
+	st.execDur = mergeStart.Sub(execStart)
+	if st.err = st.ctx.Err(); st.err == nil {
+		st.err = errors.Join(errs...)
+	}
+	if st.err != nil {
+		return nil, st.err
+	}
+	total := 0
+	for i := range st.runs {
+		total += len(st.runs[i].Communities)
+	}
+	res := &Answer{Communities: make([]truss.Community, 0, total)}
+	for i := range st.runs {
+		run := &st.runs[i]
+		res.Communities = append(res.Communities, run.Communities...)
+		res.RetrievedNodes += run.Retrieved
+		res.VisitedNodes += run.Visited
+	}
+	st.mergeDur = time.Since(mergeStart)
+	return res, nil
 }
 
 // StreamQuery answers (q, alphaQ) as a pull-based stream of communities in
-// exactly the order Query(q, alphaQ).Communities() returns them, opening
-// each shard only when the previous one is drained — per-query memory is
-// bounded by the largest single shard's answer. A nil q means every item.
-// The result cache is bypassed in both directions. See Stream for the
-// pulling contract.
+// exactly the order Query(q, alphaQ).Communities lists them, opening each
+// shard only when the previous one is drained — per-query memory is bounded
+// by the largest single shard's answer. A nil q means every item. The result
+// cache is bypassed in both directions. See Stream for the pulling contract.
 func (e *Engine) StreamQuery(ctx context.Context, q itemset.Itemset, alphaQ float64) (*Stream, error) {
-	return e.newStream(ctx, q, alphaQ, false, 0)
+	return e.stream(ctx, q, alphaQ, false, 0), nil
 }
 
 // StreamTopK answers (q, alphaQ) as a pull-based stream of ranked
@@ -146,59 +274,39 @@ func (e *Engine) StreamQuery(ctx context.Context, q itemset.Itemset, alphaQ floa
 // beat the already-emitted answer are never loaded or traversed. See
 // Stream.
 func (e *Engine) StreamTopK(ctx context.Context, q itemset.Itemset, alphaQ float64, k int) (*Stream, error) {
-	return e.newStream(ctx, q, alphaQ, true, k)
+	return e.stream(ctx, q, alphaQ, true, k), nil
 }
 
-func (e *Engine) newStream(ctx context.Context, q itemset.Itemset, alphaQ float64, ranked bool, k int) (*Stream, error) {
-	if ctx == nil {
-		//lint:ignore ctxflow nil-ctx hardening for direct embedders of the engine; every serving path passes the request context
-		ctx = context.Background()
-	}
+// stream plans a pulled execution and puts its schedule in pull order.
+func (e *Engine) stream(ctx context.Context, q itemset.Itemset, alphaQ float64, ranked bool, k int) *Stream {
 	start := time.Now()
 	e.streams.Add(1)
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
 	t := e.table.Load()
 	eff, full := canonical(t, q)
-	st := &Stream{
-		e: e, ctx: ctx, table: t, epoch: e.epoch.Load(),
-		alpha: alphaQ, eff: eff, full: full, ranked: ranked, k: k,
-		start: start,
-	}
-	st.stats.Epoch = st.epoch
-	planStart := time.Now()
-	plan := e.planRelevant(t, eff, alphaQ)
-	st.pattern = plan.Pattern
-	if st.pattern == nil {
-		st.pattern = t.items
-	}
-	for _, task := range plan.Tasks {
-		if task.Decision == DecisionSkipAlpha {
-			// Mirror the materializing executor: a pruned shard contributes
-			// the one root visit the traversal would have made before finding
-			// the root truss empty.
-			st.stats.VisitedNodes++
-			st.stats.ShardsSkippedAlpha++
-			e.skipped.Add(1)
-			continue
-		}
-		st.pending = append(st.pending, streamTask{item: task.Item, maxAlpha: task.MaxAlpha})
-	}
-	st.stats.ShardsPlanned = len(st.pending)
+	st := e.newStream(ctx, t, start, eff, full, alphaQ, ModeSub, false)
+	st.ranked, st.k = ranked, k
+	orderStart := time.Now()
+	order := st.plan.Order
 	if ranked {
 		// Open order: descending α* bound, so the cohesion-ordered merge can
 		// stop opening as soon as the heap head beats the best remaining
 		// bound. Ties break on the root item for determinism.
-		sort.SliceStable(st.pending, func(i, j int) bool {
-			a, b := st.pending[i], st.pending[j]
-			if a.maxAlpha != b.maxAlpha {
-				return a.maxAlpha > b.maxAlpha
+		tasks := st.plan.Tasks
+		sort.Slice(order, func(a, b int) bool {
+			ta, tb := tasks[order[a]], tasks[order[b]]
+			if ta.MaxAlpha != tb.MaxAlpha {
+				return ta.MaxAlpha > tb.MaxAlpha
 			}
-			return a.item < b.item
+			return ta.Item < tb.Item
 		})
+	} else {
+		// Tasks are listed in ascending root-item order.
+		sort.Ints(order)
 	}
-	st.planDur = time.Since(planStart)
-	return st, nil
+	st.planDur += time.Since(orderStart)
+	return st
 }
 
 // Next returns the next community of the stream, or (nil, nil) when the
@@ -212,125 +320,69 @@ func (st *Stream) Next() (*truss.Community, error) {
 	if st.closed {
 		return nil, fmt.Errorf("engine: Next on a closed stream")
 	}
-	var rc *truss.Community
-	var err error
-	if st.ranked {
-		rc, err = st.nextRanked()
-	} else {
-		rc, err = st.nextPlain()
+	if st.k > 0 && st.emitted >= st.k {
+		return nil, nil
 	}
-	if err != nil {
-		st.err = err
-		return nil, err
+	order, tasks := st.plan.Order, st.plan.Tasks
+	// Open the next shard when nothing is left to emit, and — ranked — while
+	// its α* bound reaches the heap head's cohesion: it could still hold a
+	// community that orders before the head (a tie can win on size). A plain
+	// stream therefore has one cursor at a time, and emits it whole.
+	for st.next < len(order) && (len(st.heap) == 0 ||
+		st.ranked && tasks[order[st.next]].MaxAlpha >= st.heap[0].head().Cohesion) {
+		if st.err = st.openNext(); st.err != nil {
+			return nil, st.err
+		}
 	}
-	if rc != nil {
-		st.stats.Emitted++
+	if len(st.heap) == 0 {
+		return nil, nil
 	}
+	top := st.heap[0]
+	rc := top.head()
+	top.pos++
+	if top.pos == len(top.comms) {
+		n := len(st.heap) - 1
+		st.heap[0] = st.heap[n]
+		st.heap = st.heap[:n]
+	}
+	siftDown(st.heap, 0, cursorLess)
+	st.emitted++
 	return rc, nil
 }
 
-// nextRanked advances the cohesion-ordered merge: open pending shards while
-// their α* bound could still beat the current heap head, then emit the head.
-func (st *Stream) nextRanked() (*truss.Community, error) {
-	if st.k > 0 && st.stats.Emitted >= st.k {
-		return nil, nil
-	}
-	for {
-		if len(st.heap) == 0 {
-			if len(st.pending) == 0 {
-				return nil, nil
-			}
-			if err := st.openNext(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if len(st.pending) > 0 && st.pending[0].maxAlpha >= st.heap[0].head().Cohesion {
-			// An unopened shard could still hold a community that orders
-			// before the head: its bound reaches (or ties) the head's
-			// cohesion, and a tie can win on size. Open it first.
-			if err := st.openNext(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		top := st.heap[0]
-		rc := top.head()
-		top.pos++
-		if top.pos == len(top.comms) {
-			n := len(st.heap) - 1
-			st.heap[0] = st.heap[n]
-			st.heap = st.heap[:n]
-		}
-		siftDown(st.heap, 0, cursorLess)
-		return rc, nil
-	}
-}
-
-// nextPlain drains shards in ascending root-item order, opening each on
-// demand.
-func (st *Stream) nextPlain() (*truss.Community, error) {
-	for {
-		if st.cur != nil && st.cur.pos < len(st.cur.comms) {
-			c := st.cur.head()
-			st.cur.pos++
-			return c, nil
-		}
-		st.cur = nil
-		if len(st.pending) == 0 {
-			return nil, nil
-		}
-		if err := st.openNext(); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// openNext opens the first pending shard: acquire (loading it on a lazy
-// engine), traverse, and — in ranked mode — order its communities by
-// lessRanked and push the cursor onto the merge heap. Patterns of distinct
-// shards start with distinct root items, so merging per-shard sorted lists
-// under the same comparator reproduces TopK's global order record for
-// record. The open holds the engine's update lock for reading and re-checks
-// the index epoch on lazy engines, so a stream never mixes pre- and
-// post-delta shards; it also takes a traversal slot, so the engine-wide
-// worker bound holds across streams and queries alike.
+// openNext opens the next scheduled shard of a pulled stream and pushes its
+// communities, if any, onto the merge heap as a cursor — ordered by
+// lessRanked in ranked mode: patterns of distinct shards start with distinct
+// root items, so merging per-shard sorted lists under the same comparator
+// reproduces TopK's global order record for record. The open holds the
+// engine's update lock for reading and re-checks the index epoch on an
+// index-backed engine, so a stream never mixes pre- and post-delta shards.
 func (st *Stream) openNext() error {
-	task := st.pending[0]
-	st.pending = st.pending[1:]
+	i := st.plan.Order[st.next]
+	st.next++
 	e := st.e
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
 	if e.idx != nil && e.epoch.Load() != st.epoch {
 		return ErrEpochChanged
 	}
-	s, ok := st.table.lookup(task.item)
-	if !ok {
-		return fmt.Errorf("engine: shard %d vanished from the stream's table", task.item)
+	if err := st.open(i); err != nil {
+		return err
 	}
-	e.sem <- struct{}{}
-	defer func() { <-e.sem }()
-	start := time.Now()
-	view, loaded, err := e.acquire(s)
-	if err != nil {
-		return fmt.Errorf("engine: shard %d: %w", s.item, err)
+	run := &st.runs[i]
+	st.execDur += run.dur
+	if len(run.Communities) == 0 {
+		return nil
 	}
-	sa := view.QuerySub(st.pattern, st.alpha)
-	cur := &shardCursor{item: s.item, comms: sa.Communities}
-	if !st.ranked {
-		st.cur = cur
-	} else if len(cur.comms) > 0 {
+	// The cursor owns the communities from here, so that a plain stream
+	// holds one shard's answer at a time.
+	cur := &shardCursor{item: st.plan.Tasks[i].Item, comms: run.Communities}
+	run.Communities = nil
+	if st.ranked {
 		slices.SortFunc(cur.comms, compareRanked)
-		st.heap = append(st.heap, cur)
-		siftUp(st.heap, len(st.heap)-1, cursorLess)
 	}
-	st.stats.ShardsOpened++
-	if loaded {
-		st.stats.Loads++
-	}
-	st.stats.VisitedNodes += sa.Visited
-	st.stats.RetrievedNodes += sa.Retrieved
-	st.execDur += time.Since(start)
+	st.heap = append(st.heap, cur)
+	siftUp(st.heap, len(st.heap)-1, cursorLess)
 	return nil
 }
 
@@ -348,64 +400,73 @@ func cursorLess(a, b *shardCursor) bool {
 }
 
 // Stats snapshots the stream's execution counters.
-func (st *Stream) Stats() StreamStats { return st.stats }
+func (st *Stream) Stats() StreamStats {
+	stats := StreamStats{
+		Epoch:              st.epoch,
+		Emitted:            st.emitted,
+		ShardsPlanned:      len(st.plan.Order),
+		ShardsSkippedAlpha: st.plan.SkippedAlpha,
+	}
+	for i := range st.runs {
+		run := &st.runs[i]
+		stats.RetrievedNodes += run.Retrieved
+		stats.VisitedNodes += run.Visited
+		if run.opened {
+			stats.ShardsOpened++
+		}
+		if run.loaded {
+			stats.Loads++
+		}
+	}
+	if st.closed && st.err == nil {
+		stats.ShardsShortCircuited = len(st.plan.Order) - st.next
+	}
+	return stats
+}
 
-// Err returns the error that poisoned the stream, if any.
-func (st *Stream) Err() error { return st.err }
-
-// Close finalizes the stream: the scheduled shards it never opened are
+// Close finalizes a pulled stream: the scheduled shards it never opened are
 // credited to the engine's short-circuit counter — on a lazy engine those
-// shards were never even read from disk — and, when the engine is observed,
-// one QueryObservation is emitted with the plan/execute/stream stage split.
-// Close is idempotent; Next after Close errors.
+// shards were never even read from disk — unless the stream failed, and, when
+// the engine is observed, one QueryObservation is emitted with the
+// plan/execute/stream stage split. Close is idempotent; Next after Close
+// errors.
 func (st *Stream) Close() {
 	if st.closed {
 		return
 	}
 	st.closed = true
-	st.stats.ShardsShortCircuited = len(st.pending)
-	e := st.e
-	if n := len(st.pending); n > 0 {
-		e.shortCircuited.Add(uint64(n))
+	if n := st.Stats().ShardsShortCircuited; n > 0 {
+		st.e.shortCircuited.Add(uint64(n))
 	}
+	total := time.Since(st.start)
+	st.observe(total, total-st.planDur)
+}
+
+// observe hands the finished execution to the engine's recorder. stream is
+// the pull-driven delivery stage, zero for a drained execution, whose
+// delivery is the merge.
+func (st *Stream) observe(total, stream time.Duration) {
+	e, plan := st.e, st.plan
 	if e.recorder == nil {
 		return
 	}
-	stats := st.stats
-	total := time.Since(st.start)
+	stats := st.Stats()
 	e.recorder.RecordQuery(st.ctx, trace.QueryObservation{
 		Network:        e.cacheNS,
-		Pattern:        patternLabel(st.eff, st.full),
-		Alpha:          st.alpha,
+		Pattern:        patternLabel(plan.Mode, plan.Pattern, st.full),
+		Alpha:          plan.Alpha,
 		Err:            st.err != nil,
-		Shards:         stats.ShardsPlanned + stats.ShardsSkippedAlpha,
-		SkippedShards:  stats.ShardsSkippedAlpha,
+		Shards:         len(plan.Tasks),
+		SkippedShards:  plan.SkippedAlpha + plan.SkippedBloom + plan.SkippedHist,
 		LoadedShards:   stats.Loads,
 		ShortCircuited: stats.ShardsShortCircuited,
 		Plan:           st.planDur,
 		Execute:        st.execDur,
-		Stream:         total - st.planDur,
+		Merge:          st.mergeDur,
+		Stream:         stream,
 		Total:          total,
-		Detail:         func() any { return st.streamReport(stats) },
+		// Materialized only when the recorder keeps the observation
+		// (slow-query capture): fast queries never pay for the report.
+		Detail: func() any { return st.report() },
 	})
-}
-
-// streamReport renders the stream's Explain-shaped detail for the slow-query
-// log: the per-shard schedule with what was opened, skipped and
-// short-circuited.
-func (st *Stream) streamReport(stats StreamStats) *ExplainReport {
-	return &ExplainReport{
-		Pattern:        st.eff,
-		Full:           st.full,
-		Alpha:          st.alpha,
-		Planner:        st.e.Planner(),
-		Lazy:           st.e.Lazy(),
-		Workers:        st.e.workers,
-		Shards:         stats.ShardsPlanned + stats.ShardsSkippedAlpha,
-		SkippedAlpha:   stats.ShardsSkippedAlpha,
-		Loaded:         stats.Loads,
-		ShortCircuited: stats.ShardsShortCircuited,
-		RetrievedNodes: stats.RetrievedNodes,
-		VisitedNodes:   stats.VisitedNodes,
-	}
 }

@@ -244,6 +244,15 @@ func TestStreamMidDeltaLazy(t *testing.T) {
 				if _, again := st.Next(); !errors.Is(again, ErrEpochChanged) {
 					t.Fatalf("poisoned stream returned %v on re-pull", again)
 				}
+				// The shards a failed stream never reached were not proven
+				// anything: they are not short-circuits.
+				st.Close()
+				if got := st.Stats().ShardsShortCircuited; got != 0 {
+					t.Fatalf("failed stream reports %d short-circuited shards", got)
+				}
+				if got := eng.Stats().ShardsShortCircuited; got != 0 {
+					t.Fatalf("failed stream credited %d short-circuited shards to the engine", got)
+				}
 				return
 			}
 			if rc == nil {
@@ -300,6 +309,58 @@ func TestStreamMidDeltaEager(t *testing.T) {
 	}
 	defer post.Close()
 	assertPlainParity(t, drainStream(t, post), post.Stats(), mustQueryByAlpha(t, eng, 0))
+}
+
+// TestCancellationStopsOpeningShards: every way of executing a plan goes
+// through one open routine, and that routine gives up on a done context. The
+// context is cancelled from inside the first shard load of an all-items
+// query on a cold lazy engine. With one worker the first shard is answered
+// and no other is opened; with several, the opens already holding a slot
+// finish and the ones waiting for one give up (how many is a race, so only
+// the outcome is pinned). Either way the failure is observed as an error,
+// nothing is cached, and the engine answers the next, uncancelled query in
+// full.
+func TestCancellationStopsOpeningShards(t *testing.T) {
+	tree := buildTestTree(t, 11)
+	idx, _ := writeShardedTestTree(t, tree)
+	// Explain takes no context.
+	for _, name := range []string{"Query", "QueryContaining", "StreamQuery", "StreamTopK"} {
+		for _, workers := range []int{1, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			run := planEntryPoints(ctx, nil, 0)[name]
+			rec := &captureRecorder{}
+			eng, err := NewLazy(idx, Options{Workers: workers, CacheSize: 4, Recorder: rec})
+			if err != nil {
+				t.Fatalf("NewLazy: %v", err)
+			}
+			shards := eng.table.Load().shards
+			if len(shards) < 3 {
+				t.Fatalf("need at least 3 shards, have %d", len(shards))
+			}
+			for _, s := range shards {
+				load := s.load
+				s.load = func() (*tctree.BinShard, error) {
+					cancel()
+					return load()
+				}
+			}
+			if err := run(eng); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s/%d workers under a cancelled context returned %v, want context.Canceled", name, workers, err)
+			}
+			st := eng.Stats()
+			if workers == 1 && st.LazyLoads != 1 {
+				t.Fatalf("%s: %d shards loaded, want only the one whose load cancelled the context (of %d)", name, st.LazyLoads, len(shards))
+			}
+			if st.Cache.Length != 0 || st.ShardsShortCircuited != 0 {
+				t.Fatalf("%s/%d workers: cancelled execution cached %d answers, credited %d short-circuits", name, workers, st.Cache.Length, st.ShardsShortCircuited)
+			}
+			if got := rec.all(); len(got) != 1 || !got[0].Err {
+				t.Fatalf("%s/%d workers: cancelled execution observed as %+v, want one error", name, workers, got)
+			}
+			assertSameAnswer(t, mustQueryByAlpha(t, eng, 0), tree.QueryByAlpha(0))
+		}
+	}
 }
 
 // TestStreamRecorderObservation: closing an observed stream emits one

@@ -13,11 +13,11 @@ import (
 // TestShardSwapTransitions drives the one shard-swap routine through every
 // transition the engine performs — replace, add, remove, over heap-resident
 // and file-backed shards on either side — each with a load of the outgoing
-// file-backed shard in flight across the swap, as a background prefetch
-// would be. The struct that left the table must end up poisoned and empty:
-// the in-flight load may neither install its view nor charge the residency
-// budget, and a later acquire may not load anew; a heap shard is charged its
-// bytes exactly while it is in the table. Run it with -race.
+// file-backed shard in flight across the swap. The struct that left the table
+// must end up poisoned and empty: the in-flight load may neither install its
+// view nor charge the residency budget, and a later acquire may not load
+// anew; a heap shard is charged its bytes exactly while it is in the table.
+// Run it with -race.
 func TestShardSwapTransitions(t *testing.T) {
 	const (
 		absent   = "absent"
@@ -43,7 +43,7 @@ func TestShardSwapTransitions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tree := buildTestTree(t, 11)
 			idx, _ := writeShardedTestTree(t, tree)
-			eng, err := NewLazy(idx, Options{PrefetchWorkers: -1})
+			eng, err := NewLazy(idx, Options{})
 			if err != nil {
 				t.Fatalf("NewLazy: %v", err)
 			}
@@ -91,7 +91,7 @@ func TestShardSwapTransitions(t *testing.T) {
 			}
 
 			// Park a load of the outgoing file-backed struct inside its
-			// sync.Once, exactly where a prefetch would be mid-read.
+			// sync.Once, mid-read.
 			entered, release, acquired := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 			if tc.old == file {
 				load := old.load

@@ -71,10 +71,6 @@ type Options struct {
 	// GOMAXPROCS. Per-network traversal parallelism is bounded separately by
 	// Workers inside each engine.
 	NetworkWorkers int
-	// PrefetchWorkers and DisablePlanner are passed through to every member
-	// engine (see engine.Options).
-	PrefetchWorkers int
-	DisablePlanner  bool
 	// Recorder is passed through to every member engine
 	// (engine.Options.Recorder): each tenant's queries report to the one
 	// injected recorder under the tenant's name, so a single observer serves
@@ -261,8 +257,6 @@ func validateName(name string) error {
 func (f *Federation) engineOptions(name string) engine.Options {
 	return engine.Options{
 		Workers:         f.opts.Workers,
-		PrefetchWorkers: f.opts.PrefetchWorkers,
-		DisablePlanner:  f.opts.DisablePlanner,
 		SharedCache:     f.cache,
 		CacheNamespace:  name,
 		SharedResidency: f.res,
@@ -377,9 +371,9 @@ func (f *Federation) NumNetworks() int {
 // for "nothing resolves here" (the network answers nothing).
 type PatternResolver func(*Network) itemset.Itemset
 
-// constant returns a resolver handing every network the same pattern — the
+// Constant returns a resolver handing every network the same pattern — the
 // shared-item-space case.
-func constant(q itemset.Itemset) PatternResolver {
+func Constant(q itemset.Itemset) PatternResolver {
 	return func(*Network) itemset.Itemset { return q }
 }
 
@@ -453,35 +447,20 @@ type NetworkResult struct {
 	Err error
 }
 
-// QueryAll answers (q, alphaQ) against every attached network. Networks are
-// queried concurrently (bounded by Options.NetworkWorkers), scheduled
+// QueryAll answers one query against every attached network; resolve maps
+// the query pattern into each tenant's item space (dictionaries intern
+// independently, so the same theme has different item identifiers per
+// network; Constant serves a shared item space). Networks are queried
+// concurrently (bounded by Options.NetworkWorkers), scheduled
 // most-expensive-first by the per-network planner estimates; each network's
 // own planner, cache namespace and worker pool serve its share exactly as a
 // direct Engine.Query would, so per-network answers match standalone
-// engines. Results are returned in ascending network-name order; the error
+// engines. The context reaches every member engine: the request correlation
+// ID it carries (obs.WithRequestID) labels all the per-network observations
+// of one federated query, and cancelling it stops every member at its next
+// shard. Results are returned in ascending network-name order; the error
 // joins every per-network failure, annotated with its network.
-func (f *Federation) QueryAll(q itemset.Itemset, alphaQ float64) ([]NetworkResult, error) {
-	return f.QueryAllFuncContext(context.Background(), constant(q), alphaQ)
-}
-
-// QueryAllContext is QueryAll carrying a context: the request correlation ID
-// it carries (obs.WithRequestID) reaches every member engine's recorder, so
-// one federated query's per-network observations share one ID.
-func (f *Federation) QueryAllContext(ctx context.Context, q itemset.Itemset, alphaQ float64) ([]NetworkResult, error) {
-	return f.QueryAllFuncContext(ctx, constant(q), alphaQ)
-}
-
-// QueryAllFunc is QueryAll with a per-network pattern: resolve maps the
-// query pattern into each tenant's item space (dictionaries intern
-// independently, so the same theme has different item identifiers per
-// network).
-func (f *Federation) QueryAllFunc(resolve PatternResolver, alphaQ float64) ([]NetworkResult, error) {
-	return f.QueryAllFuncContext(context.Background(), resolve, alphaQ)
-}
-
-// QueryAllFuncContext is QueryAllFunc carrying a context; see
-// QueryAllContext.
-func (f *Federation) QueryAllFuncContext(ctx context.Context, resolve PatternResolver, alphaQ float64) ([]NetworkResult, error) {
+func (f *Federation) QueryAll(ctx context.Context, resolve PatternResolver, alphaQ float64) ([]NetworkResult, error) {
 	f.queryAlls.Add(1)
 	out := make([]NetworkResult, 0, f.NumNetworks())
 	results := make(map[*Network]NetworkResult)
@@ -513,31 +492,15 @@ type NetworkRanked struct {
 	truss.Community
 }
 
-// TopKAll answers (q, alphaQ) against every attached network and merges the
-// per-network rankings into one list ordered exactly like Engine.TopK —
-// cohesion descending, then size, then the deterministic pattern/vertex
-// tiebreak — with the network name as the final tiebreak, so the merge is
-// deterministic across runs. k <= 0 means every community. The global top k
-// is exact: it can only contain communities from some network's own top k,
-// which is what each tenant computes. Networks that fail contribute nothing;
-// the error joins their failures.
-func (f *Federation) TopKAll(q itemset.Itemset, alphaQ float64, k int) ([]NetworkRanked, error) {
-	return f.TopKAllFuncContext(context.Background(), constant(q), alphaQ, k)
-}
-
-// TopKAllContext is TopKAll carrying a context; see QueryAllContext.
-func (f *Federation) TopKAllContext(ctx context.Context, q itemset.Itemset, alphaQ float64, k int) ([]NetworkRanked, error) {
-	return f.TopKAllFuncContext(ctx, constant(q), alphaQ, k)
-}
-
-// TopKAllFunc is TopKAll with a per-network pattern resolver, like
-// QueryAllFunc.
-func (f *Federation) TopKAllFunc(resolve PatternResolver, alphaQ float64, k int) ([]NetworkRanked, error) {
-	return f.TopKAllFuncContext(context.Background(), resolve, alphaQ, k)
-}
-
-// TopKAllFuncContext is TopKAllFunc carrying a context; see QueryAllContext.
-func (f *Federation) TopKAllFuncContext(ctx context.Context, resolve PatternResolver, alphaQ float64, k int) ([]NetworkRanked, error) {
+// TopKAll answers one query against every attached network, like QueryAll,
+// and merges the per-network rankings into one list ordered exactly like
+// Engine.TopK — cohesion descending, then size, then the deterministic
+// pattern/vertex tiebreak — with the network name as the final tiebreak, so
+// the merge is deterministic across runs. k <= 0 means every community. The
+// global top k is exact: it can only contain communities from some network's
+// own top k, which is what each tenant computes. Networks that fail
+// contribute nothing; the error joins their failures.
+func (f *Federation) TopKAll(ctx context.Context, resolve PatternResolver, alphaQ float64, k int) ([]NetworkRanked, error) {
 	f.topKAlls.Add(1)
 	var mu sync.Mutex
 	var merged []NetworkRanked

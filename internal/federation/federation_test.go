@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -122,7 +123,7 @@ func TestFederatedMatchesStandalone(t *testing.T) {
 	f, trees := newTestFederation(t, Options{CacheSize: 32, MaxResidentShards: 4})
 	alphas := []float64{0, 0.2, 0.5}
 	for _, alpha := range alphas {
-		results, err := f.QueryAll(nil, alpha)
+		results, err := f.QueryAll(context.Background(), Constant(nil), alpha)
 		if err != nil {
 			t.Fatalf("QueryAll(alpha=%g): %v", alpha, err)
 		}
@@ -173,7 +174,7 @@ func TestFederatedMatchesStandalone(t *testing.T) {
 func TestTopKAllDeterministicMerge(t *testing.T) {
 	f, _ := newTestFederation(t, Options{CacheSize: 32})
 	const k = 12
-	first, err := f.TopKAll(nil, 0, k)
+	first, err := f.TopKAll(context.Background(), Constant(nil), 0, k)
 	if err != nil {
 		t.Fatalf("TopKAll: %v", err)
 	}
@@ -206,7 +207,7 @@ func TestTopKAllDeterministicMerge(t *testing.T) {
 	}
 	// Determinism: repeated runs (now cache-warm) produce the identical merge.
 	for rep := 0; rep < 3; rep++ {
-		again, err := f.TopKAll(nil, 0, k)
+		again, err := f.TopKAll(context.Background(), Constant(nil), 0, k)
 		if err != nil {
 			t.Fatalf("TopKAll rep %d: %v", rep, err)
 		}
@@ -301,10 +302,6 @@ func TestDetachReleasesSharedResources(t *testing.T) {
 		if _, err := n.Engine().QueryByAlpha(0); err != nil {
 			t.Fatalf("warm-up query(%s): %v", name, err)
 		}
-		// Join the warm-up's background prefetches: they keep loading after
-		// the query returns, and the residency arithmetic below needs the
-		// counters to stand still.
-		n.Engine().Quiesce()
 	}
 	if got := f.Cache().Len(); got != 3 {
 		t.Fatalf("cache holds %d entries after warm-up, want 3", got)
@@ -413,7 +410,7 @@ func TestDiscover(t *testing.T) {
 	if !gammaNet.Engine().Lazy() || gammaNet.Dictionary() != nil {
 		t.Fatalf("gamma should be lazy without a dictionary")
 	}
-	results, err := f.QueryAll(nil, 0)
+	results, err := f.QueryAll(context.Background(), Constant(nil), 0)
 	if err != nil {
 		t.Fatalf("QueryAll: %v", err)
 	}

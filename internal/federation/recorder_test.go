@@ -24,14 +24,14 @@ func (r *sliceRecorder) RecordQuery(ctx context.Context, o obs.QueryObservation)
 }
 
 // TestRecorderPassThrough checks Options.Recorder reaches every member
-// engine: one QueryAllContext produces one observation per network, each
+// engine: one QueryAll produces one observation per network, each
 // labeled with its tenant name and carrying the caller's request ID.
 func TestRecorderPassThrough(t *testing.T) {
 	rec := &sliceRecorder{}
 	f, _ := newTestFederation(t, Options{Recorder: rec})
 	ctx := obs.WithRequestID(context.Background(), "fed-req-1")
-	if _, err := f.QueryAllContext(ctx, nil, 0.2); err != nil {
-		t.Fatalf("QueryAllContext: %v", err)
+	if _, err := f.QueryAll(ctx, Constant(nil), 0.2); err != nil {
+		t.Fatalf("QueryAll: %v", err)
 	}
 
 	rec.mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"themecomm/internal/engine"
-	"themecomm/internal/itemset"
 	"themecomm/internal/truss"
 )
 
@@ -56,19 +55,13 @@ type MergedStream struct {
 	closed  bool
 }
 
-// StreamTopKAll answers (q, alphaQ, k) against every attached network as one
-// merged ranked stream; see StreamTopKAllFuncContext.
-func (f *Federation) StreamTopKAll(q itemset.Itemset, alphaQ float64, k int) (*MergedStream, error) {
-	return f.StreamTopKAllFuncContext(context.Background(), constant(q), alphaQ, k)
-}
-
-// StreamTopKAllFuncContext opens one ranked stream per attached network
-// (resolve maps the pattern into each tenant's item space) and merges them
-// into a single stream ordered exactly like TopKAll: cohesion descending,
-// then size, then the pattern/vertex tiebreak, then the network name.
-// k <= 0 means every community. Member shards open only as the merged
-// stream is pulled, so each tenant's top-k early termination still applies.
-func (f *Federation) StreamTopKAllFuncContext(ctx context.Context, resolve PatternResolver, alphaQ float64, k int) (*MergedStream, error) {
+// StreamTopKAll opens one ranked stream per attached network (resolve maps
+// the pattern into each tenant's item space) and merges them into a single
+// stream ordered exactly like TopKAll: cohesion descending, then size, then
+// the pattern/vertex tiebreak, then the network name. k <= 0 means every
+// community. Member shards open only as the merged stream is pulled, so each
+// tenant's top-k early termination still applies.
+func (f *Federation) StreamTopKAll(ctx context.Context, resolve PatternResolver, alphaQ float64, k int) (*MergedStream, error) {
 	f.streamAlls.Add(1)
 	ms := &MergedStream{ranked: true, k: k}
 	ms.all = f.memberCursors(ctx, resolve, alphaQ, true, k)
@@ -88,16 +81,10 @@ func (f *Federation) StreamTopKAllFuncContext(ctx context.Context, resolve Patte
 	return ms, nil
 }
 
-// StreamQueryAll answers (q, alphaQ) against every attached network as one
-// sequential stream; see StreamQueryAllFuncContext.
-func (f *Federation) StreamQueryAll(q itemset.Itemset, alphaQ float64) (*MergedStream, error) {
-	return f.StreamQueryAllFuncContext(context.Background(), constant(q), alphaQ)
-}
-
-// StreamQueryAllFuncContext opens one plain stream per attached network and
+// StreamQueryAll opens one plain stream per attached network and
 // concatenates them in ascending network-name order — QueryAll's response
 // order — keeping at most one member's shard answer buffered at a time.
-func (f *Federation) StreamQueryAllFuncContext(ctx context.Context, resolve PatternResolver, alphaQ float64) (*MergedStream, error) {
+func (f *Federation) StreamQueryAll(ctx context.Context, resolve PatternResolver, alphaQ float64) (*MergedStream, error) {
 	f.streamAlls.Add(1)
 	ms := &MergedStream{}
 	ms.seq = f.memberCursors(ctx, resolve, alphaQ, false, 0)

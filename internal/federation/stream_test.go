@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"testing"
 
 	"themecomm/internal/itemset"
@@ -40,11 +41,11 @@ func TestStreamTopKAllParity(t *testing.T) {
 	for _, q := range queries {
 		for _, alpha := range alphas {
 			for _, k := range ks {
-				want, err := f.TopKAll(q, alpha, k)
+				want, err := f.TopKAll(context.Background(), Constant(q), alpha, k)
 				if err != nil {
 					t.Fatalf("TopKAll: %v", err)
 				}
-				ms, err := f.StreamTopKAll(q, alpha, k)
+				ms, err := f.StreamTopKAll(context.Background(), Constant(q), alpha, k)
 				if err != nil {
 					t.Fatalf("StreamTopKAll: %v", err)
 				}
@@ -78,7 +79,7 @@ func TestStreamQueryAllParity(t *testing.T) {
 	f, _ := newTestFederation(t, Options{})
 	for _, q := range []itemset.Itemset{nil, itemset.New(0), itemset.New(1, 3)} {
 		for _, alpha := range []float64{0, 0.2} {
-			results, err := f.QueryAll(q, alpha)
+			results, err := f.QueryAll(context.Background(), Constant(q), alpha)
 			if err != nil {
 				t.Fatalf("QueryAll: %v", err)
 			}
@@ -88,7 +89,7 @@ func TestStreamQueryAllParity(t *testing.T) {
 					want = append(want, NetworkRanked{Network: nr.Network, Community: c})
 				}
 			}
-			ms, err := f.StreamQueryAll(q, alpha)
+			ms, err := f.StreamQueryAll(context.Background(), Constant(q), alpha)
 			if err != nil {
 				t.Fatalf("StreamQueryAll: %v", err)
 			}
@@ -114,7 +115,7 @@ func TestStreamQueryAllParity(t *testing.T) {
 // credit them to the federation's aggregated counters.
 func TestStreamAllShortCircuitAccounting(t *testing.T) {
 	f, _ := newTestFederation(t, Options{})
-	ms, err := f.StreamTopKAll(nil, 0, 1)
+	ms, err := f.StreamTopKAll(context.Background(), Constant(nil), 0, 1)
 	if err != nil {
 		t.Fatalf("StreamTopKAll: %v", err)
 	}
@@ -149,7 +150,7 @@ func TestStreamAllShortCircuitAccounting(t *testing.T) {
 // stale members.
 func TestMergedStreamClosedNext(t *testing.T) {
 	f, _ := newTestFederation(t, Options{})
-	ms, err := f.StreamQueryAll(nil, 0)
+	ms, err := f.StreamQueryAll(context.Background(), Constant(nil), 0)
 	if err != nil {
 		t.Fatalf("StreamQueryAll: %v", err)
 	}

@@ -247,9 +247,9 @@ func (s *Server) handleQueryAll(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if k > 0 {
-		merged, err := s.fed.TopKAllFuncContext(r.Context(), resolve, alpha, k)
+		merged, err := s.fed.TopKAll(r.Context(), resolve, alpha, k)
 		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, err.Error())
+			writeError(w, r, queryStatusOf(err), err.Error())
 			return
 		}
 		for _, rc := range merged {
@@ -266,9 +266,9 @@ func (s *Server) handleQueryAll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	results, err := s.fed.QueryAllFuncContext(r.Context(), resolve, alpha)
+	results, err := s.fed.QueryAll(r.Context(), resolve, alpha)
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err.Error())
+		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
 	for _, nr := range results {

@@ -227,8 +227,8 @@ func TestFederatedSingleNetworkParity(t *testing.T) {
 		}
 	}
 
-	// Enginestats parity: same index shape and planner configuration; the
-	// cache is marked shared on the federated engine.
+	// Enginestats parity: same index shape and worker pool; the cache is
+	// marked shared on the federated engine.
 	var fedStats, aloneStats engine.Stats
 	if err := json.Unmarshal(get(t, fs, "/api/v1/"+name+"/enginestats").Body.Bytes(), &fedStats); err != nil {
 		t.Fatalf("decode federated enginestats: %v", err)
@@ -237,7 +237,7 @@ func TestFederatedSingleNetworkParity(t *testing.T) {
 		t.Fatalf("decode standalone enginestats: %v", err)
 	}
 	if fedStats.Shards != aloneStats.Shards || fedStats.Lazy != aloneStats.Lazy ||
-		fedStats.Planner != aloneStats.Planner || fedStats.Workers != aloneStats.Workers {
+		fedStats.Workers != aloneStats.Workers {
 		t.Fatalf("enginestats differ:\nfederated %+v\nstandalone %+v", fedStats, aloneStats)
 	}
 	if !fedStats.Cache.Shared || aloneStats.Cache.Shared {

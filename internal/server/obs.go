@@ -222,9 +222,6 @@ func (s *Server) registerCollectors() {
 	engineCounter("tc_engine_shards_skipped_total",
 		"Shard tasks answered from the alpha* bound without traversal.",
 		func(st engine.Stats) float64 { return float64(st.ShardsSkipped) })
-	engineCounter("tc_engine_shards_prefetched_total",
-		"Shard loads performed by the background prefetcher.",
-		func(st engine.Stats) float64 { return float64(st.ShardsPrefetched) })
 	engineCounter("tc_engine_streams_total",
 		"Pull-based streams opened (StreamQuery and StreamTopK).",
 		func(st engine.Stats) float64 { return float64(st.Streams) })

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -123,6 +125,19 @@ func TestErrorEnvelope(t *testing.T) {
 		}
 		if e.RequestID == "" {
 			t.Fatalf("%s: envelope has no requestId despite observability being enabled: %s", url, rec.Body.String())
+		}
+	}
+
+	// A query whose client hung up stops at the next shard and is answered
+	// through the same envelope as a 499: not the server's failure, no 5xx.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, url := range []string{"/api/v1/query?alpha=0.31", "/api/v1/query?alpha=0.31&k=3", "/api/v1/query?alpha=0.31&limit=2"} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil).WithContext(ctx))
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != statusClientClosedRequest || e.Status != rec.Code {
+			t.Fatalf("%s with a cancelled context: status %d, envelope %+v (%v), want 499", url, rec.Code, e, err)
 		}
 	}
 

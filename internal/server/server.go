@@ -16,7 +16,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -378,7 +380,7 @@ func (s *Server) serveQuery(t *tenant, w http.ResponseWriter, r *http.Request) {
 	if k > 0 {
 		qr, ranked, err := t.engine.TopKWithResultContext(r.Context(), q, alpha, k)
 		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, err.Error())
+			writeError(w, r, queryStatusOf(err), err.Error())
 			return
 		}
 		resp := QueryResponse{
@@ -404,7 +406,7 @@ func (s *Server) serveQuery(t *tenant, w http.ResponseWriter, r *http.Request) {
 		qr, err = t.engine.QueryContext(r.Context(), q, alpha)
 	}
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err.Error())
+		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
 	resp := t.queryResponse(q, patternNames, alpha, qr)
@@ -532,7 +534,7 @@ func (s *Server) serveBatch(t *tenant, w http.ResponseWriter, r *http.Request) {
 	}
 	answers, err := t.engine.QueryBatchContext(r.Context(), reqs)
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err.Error())
+		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
 	resp := BatchResponse{Results: make([]QueryResponse, len(answers))}
@@ -615,7 +617,7 @@ func (s *Server) serveVertex(t *tenant, w http.ResponseWriter, r *http.Request) 
 	}
 	communities, err := t.engine.SearchVertex(r.Context(), graph.VertexID(id), req.Pattern, req.Alpha)
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err.Error())
+		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
 	resp := VertexResponse{Vertex: t.names([]graph.VertexID{graph.VertexID(id)})[0], Alpha: req.Alpha}
@@ -692,6 +694,23 @@ func writeJSON(w http.ResponseWriter, status int, payload any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(payload)
+}
+
+// statusClientClosedRequest is the conventional (nginx) status of a request
+// whose client hung up before the answer: logged and counted, never read.
+const statusClientClosedRequest = 499
+
+// queryStatusOf maps an engine query failure to its HTTP status: a stream
+// crossed by an index update is gone, a cancelled query is the client's
+// doing, and anything else — a shard that fails to load — is the server's.
+func queryStatusOf(err error) int {
+	switch {
+	case errors.Is(err, engine.ErrEpochChanged):
+		return http.StatusGone
+	case errors.Is(err, context.Canceled):
+		return statusClientClosedRequest
+	}
+	return http.StatusInternalServerError
 }
 
 // writeError is the single choke point every error answer goes through; the

@@ -145,16 +145,8 @@ type StreamError struct {
 
 // streamError builds the in-band error line for one request.
 func streamError(r *http.Request, err error) StreamError {
-	return StreamError{Type: "error", Status: streamStatusOf(err), Error: err.Error(),
+	return StreamError{Type: "error", Status: queryStatusOf(err), Error: err.Error(),
 		RequestID: obs.RequestIDFrom(r.Context())}
-}
-
-// streamStatusOf maps a stream failure to its HTTP status.
-func streamStatusOf(err error) int {
-	if errors.Is(err, engine.ErrEpochChanged) {
-		return http.StatusGone
-	}
-	return http.StatusInternalServerError
 }
 
 // serveQueryStream handles GET .../query when streaming or pagination
@@ -207,7 +199,7 @@ func (s *Server) serveQueryStream(t *tenant, w http.ResponseWriter, r *http.Requ
 		st, err = t.engine.StreamQuery(r.Context(), q, alpha)
 	}
 	if err != nil {
-		writeError(w, r, streamStatusOf(err), err.Error())
+		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
 	defer st.Close()
@@ -224,7 +216,7 @@ func (s *Server) serveQueryStream(t *tenant, w http.ResponseWriter, r *http.Requ
 	for skipped := 0; skipped < pos; skipped++ {
 		rc, err := st.Next()
 		if err != nil {
-			writeError(w, r, streamStatusOf(err), err.Error())
+			writeError(w, r, queryStatusOf(err), err.Error())
 			return
 		}
 		if rc == nil {
@@ -257,7 +249,7 @@ func (s *Server) serveQueryStream(t *tenant, w http.ResponseWriter, r *http.Requ
 	for limit <= 0 || emitted < limit {
 		rc, err := st.Next()
 		if err != nil {
-			writeError(w, r, streamStatusOf(err), err.Error())
+			writeError(w, r, queryStatusOf(err), err.Error())
 			return
 		}
 		if rc == nil {
@@ -268,7 +260,7 @@ func (s *Server) serveQueryStream(t *tenant, w http.ResponseWriter, r *http.Requ
 	}
 	more, err := streamHasMore(st, limit, emitted)
 	if err != nil {
-		writeError(w, r, streamStatusOf(err), err.Error())
+		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
 	if more {
@@ -354,12 +346,12 @@ func (s *Server) serveQueryAllStream(w http.ResponseWriter, r *http.Request, res
 	var ms *federation.MergedStream
 	var err error
 	if k > 0 {
-		ms, err = s.fed.StreamTopKAllFuncContext(r.Context(), resolve, alpha, k)
+		ms, err = s.fed.StreamTopKAll(r.Context(), resolve, alpha, k)
 	} else {
-		ms, err = s.fed.StreamQueryAllFuncContext(r.Context(), resolve, alpha)
+		ms, err = s.fed.StreamQueryAll(r.Context(), resolve, alpha)
 	}
 	if err != nil {
-		writeError(w, r, streamStatusOf(err), err.Error())
+		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
 	defer ms.Close()

@@ -21,10 +21,10 @@
 //     per top-level item plus a manifest) that is served lazily;
 //   - the concurrent query-serving engine: a cost-based planner that skips
 //     shards from catalogue statistics alone (α* bounds) and schedules the
-//     expensive ones first, sharded parallel execution with background shard
-//     prefetch, an LRU result cache, batch queries, top-k ranking, an
-//     Explain API, and a lazy mode that loads shards from disk on first
-//     touch under a configurable residency budget;
+//     expensive ones first, one sharded executor that queries drain in
+//     parallel and streams pull shard by shard, an LRU result cache, batch
+//     queries, top-k ranking, an Explain API, and a lazy mode that loads
+//     shards from disk on first touch under a configurable residency budget;
 //   - synthetic dataset generators emulating the paper's evaluation datasets.
 //
 // The cmd/ directory contains command-line tools, examples/ contains runnable
@@ -112,11 +112,10 @@ type (
 type (
 	// Engine is the concurrent query-serving layer over a TC-Tree: cost-based
 	// plan→execute query answering (α* shard skipping, cost-ordered
-	// scheduling, background prefetch), an LRU result cache, batch and top-k
-	// queries.
+	// scheduling), an LRU result cache, batch and top-k queries.
 	Engine = engine.Engine
 	// EngineOptions configures an Engine (workers, cache size, residency
-	// budget, planner and prefetch settings).
+	// budget).
 	EngineOptions = engine.Options
 	// EngineStats is a snapshot of the engine's execution and cache counters.
 	EngineStats = engine.Stats
