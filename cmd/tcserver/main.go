@@ -5,18 +5,23 @@
 // cost-based planner: shards whose α* bound proves an empty answer are
 // skipped without a load, and expensive shards are scheduled first.
 //
-// With -networks the server fronts a whole federation of indexed networks:
-// every index directory inside the given directory becomes a named network (a sibling <name>.dbnet file provides its item
-// dictionary), all sharing one result cache and one residency budget
-// (-maxresident then bounds resident shards across ALL networks), queryable
-// individually under /api/v1/{network}/... or together via /api/v1/queryall.
+// The server always fronts a federation of named networks, all sharing one
+// result cache and one residency budget (-maxresident bounds resident shards
+// across ALL networks), queryable individually under /api/v1/{network}/...
+// or together via /api/v1/queryall. With -networks every index directory
+// inside the given directory becomes a network (a sibling <name>.dbnet file
+// provides its item dictionary and makes it updatable); -tree attaches one
+// more index directory, named like -networks would name it (bk.index serves
+// as "bk"), with -net as its database network. The bare routes
+// (/api/v1/query, …) serve -default, else the -tree network, else the
+// lexically first.
 //
 // Usage:
 //
 //	tcserver -tree bk.index -net bk.dbnet -addr :8080 -workers 8 -cache 1024
 //	tcserver -tree bk.index -maxresident 16        # bounded residency
-//	tcserver -networks warehouse/ -maxresident 64  # federation: every index in warehouse/
-//	tcserver -networks warehouse/ -default bk      # single-network routes serve "bk"
+//	tcserver -networks warehouse/ -maxresident 64  # every index in warehouse/
+//	tcserver -networks warehouse/ -default bk      # bare routes serve "bk"
 //	tcserver -networks warehouse/ -journal wal/    # replication primary: journaled updates
 //	tcserver -networks replica/ -replicaof http://primary:8080   # read-only replica
 //
@@ -53,7 +58,7 @@
 //	GET  /api/v1/vertex?id=7&alpha=0.2      theme communities containing a vertex
 //	POST /api/v1/update                     apply a network delta in place (needs -net,
 //	                                        or a sibling <name>.dbnet with -networks)
-//	GET  /api/v1/networks                   list the federation's networks (-networks)
+//	GET  /api/v1/networks                   list the served networks
 //	GET  /api/v1/{network}/query|explain|batch|enginestats|stats|patterns|vertex|update
 //	GET  /api/v1/queryall?alpha=0.2&k=10    one query across every network, merged by cohesion
 //	GET  /api/v1/federationstats            shared cache/budget state + per-network counters
@@ -84,20 +89,20 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tcserver: ")
 
-	treePath := flag.String("tree", "", "index directory built by tcindex")
-	networksDir := flag.String("networks", "", "serve every indexed network found in this directory as a federation")
-	defaultNetwork := flag.String("default", "", "federation network behind the single-network routes (default: lexically first)")
-	netPath := flag.String("net", "", "database network file; enables item-name resolution (-tree only)")
+	treePath := flag.String("tree", "", "index directory built by tcindex, served as the network named after it (bk.index → bk)")
+	networksDir := flag.String("networks", "", "serve every indexed network found in this directory")
+	defaultNetwork := flag.String("default", "", "network behind the bare routes (default: the -tree network, else the lexically first)")
+	netPath := flag.String("net", "", "database network file of the -tree index: resolves item names and enables POST update, written back after each")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "shard-traversal parallelism (0 = GOMAXPROCS)")
-	cacheSize := flag.Int("cache", 1024, "result-cache entries, shared across networks with -networks (0 disables caching)")
-	maxResident := flag.Int("maxresident", 0, "max shards kept in memory, across all networks with -networks (0 = unlimited)")
-	maxResidentBytes := flag.Int64("maxresidentbytes", 0, "byte budget of resident shards, across all networks with -networks (0 = unlimited)")
+	cacheSize := flag.Int("cache", 1024, "result-cache entries, shared across every network (0 disables caching)")
+	maxResident := flag.Int("maxresident", 0, "max shards kept in memory across every network (0 = unlimited)")
+	maxResidentBytes := flag.Int64("maxresidentbytes", 0, "byte budget of resident shards across every network (0 = unlimited)")
 	slowQuery := flag.Duration("slowquery", 0, "slow-query threshold: queries at least this slow are captured with their full plan into GET /api/v1/slowlog (0 disables)")
 	slowlogSize := flag.Int("slowlogsize", 128, "slow-query ring-buffer capacity")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this SEPARATE address (e.g. localhost:6060); empty disables")
-	journalDir := flag.String("journal", "", "replication primary: append every update to the delta journal in this directory (requires -networks)")
-	replicaOf := flag.String("replicaof", "", "replica mode: serve read-only and tail the journal of the primary at this base URL (requires -networks)")
+	journalDir := flag.String("journal", "", "replication primary: append every update to the delta journal in this directory")
+	replicaOf := flag.String("replicaof", "", "replica mode: serve read-only and tail the journal of the primary at this base URL")
 	checkpointEvery := flag.Duration("checkpoint", 0, "replication checkpoint cadence: how often journaled state is folded into the on-disk index (0 = 5s, negative disables)")
 	quiet := flag.Bool("quiet", false, "suppress structured JSON logging (access log, slow-query warnings); metrics and the slow-query ring stay on")
 	flag.Parse()
@@ -120,52 +125,37 @@ func main() {
 		Logger:        logger,
 	})
 
-	opts := server.Options{DefaultNetwork: *defaultNetwork, Obs: observer}
-	if *networksDir != "" {
-		fed, err := themecomm.OpenFederation(*networksDir, themecomm.FederationOptions{
-			Workers:           *workers,
-			CacheSize:         *cacheSize,
-			MaxResidentShards: *maxResident,
-			MaxResidentBytes:  *maxResidentBytes,
-			Recorder:          observer,
-		})
-		if err != nil {
+	fopts := themecomm.FederationOptions{
+		Workers:           *workers,
+		CacheSize:         *cacheSize,
+		MaxResidentShards: *maxResident,
+		MaxResidentBytes:  *maxResidentBytes,
+		Recorder:          observer,
+	}
+	var fed *federation.Federation
+	if *networksDir == "" {
+		fed = themecomm.NewFederation(fopts)
+	} else {
+		var err error
+		if fed, err = themecomm.OpenFederation(*networksDir, fopts); err != nil {
 			log.Fatal(err)
 		}
-		opts.Federation = fed
 	}
+	opts := server.Options{Federation: fed, DefaultNetwork: *defaultNetwork, Obs: observer}
 	if *treePath != "" {
-		eng, err := themecomm.OpenEngine(*treePath, themecomm.EngineOptions{
-			Workers:           *workers,
-			CacheSize:         *cacheSize,
-			MaxResidentShards: *maxResident,
-			MaxResidentBytes:  *maxResidentBytes,
-			Recorder:          observer,
-		})
-		if err != nil {
+		// The same attach -networks runs per index; with -net the network is
+		// updatable and written back after every applied delta.
+		name := federation.NetworkName(*treePath)
+		if err := fed.AttachIndexDir(name, *treePath, *netPath); err != nil {
 			log.Fatal(err)
 		}
-		opts.Engine = eng
-		if *netPath != "" {
-			nw, dict, err := themecomm.ReadNetworkFile(*netPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			opts.Dictionary = dict
-			// Holding the network enables POST /api/v1/update (incremental
-			// index maintenance); the updated network is written back so a
-			// restart reloads consistent state.
-			opts.Network = nw
-			opts.NetworkPath = *netPath
+		if opts.DefaultNetwork == "" {
+			opts.DefaultNetwork = name
 		}
-		log.Printf("serving %d indexed maximal pattern trusses (format %s, %d shards, %d workers, cache %d)",
-			eng.NumNodes(), eng.Format(), eng.NumShards(), eng.Workers(), *cacheSize)
 	}
-	if opts.Federation != nil {
-		names := opts.Federation.Names()
-		log.Printf("federation of %d networks from %s: %s (shared cache %d, shared residency budget %d)",
-			len(names), *networksDir, strings.Join(names, ", "), *cacheSize, *maxResident)
-	}
+	names := fed.Names()
+	log.Printf("serving %d networks: %s (shared cache %d, shared residency budget %d)",
+		len(names), strings.Join(names, ", "), *cacheSize, *maxResident)
 
 	if *journalDir != "" && *replicaOf != "" {
 		log.Fatal("-journal and -replicaof are mutually exclusive: a server is a primary or a replica, not both")
@@ -247,9 +237,6 @@ func addMembers(opts *server.Options, add func(*federation.Network) error, role 
 // to member networks then take the write-ahead fast path and the server
 // serves the replication feed on GET /api/v1/journal.
 func startPrimary(opts *server.Options, dir string, checkpointEvery time.Duration, logger *slog.Logger) {
-	if opts.Federation == nil {
-		log.Fatal("-journal requires -networks (the journal replicates a federation's networks)")
-	}
 	j, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		log.Fatal(err)
@@ -275,9 +262,6 @@ func startPrimary(opts *server.Options, dir string, checkpointEvery time.Duratio
 // are fail-stop — a replica that cannot follow the journal must not keep
 // serving silently stale answers.
 func startReplica(opts *server.Options, primaryURL string, checkpointEvery time.Duration) {
-	if opts.Federation == nil {
-		log.Fatal("-replicaof requires -networks (the replica serves a snapshot of the primary's networks)")
-	}
 	rep := replication.NewReplica()
 	addMembers(opts, rep.Add, "replica")
 	opts.ReadOnly = true

@@ -66,8 +66,16 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("OpenEngine on a regular file returned %v, want a refusal naming tcindex", err)
 	}
 
-	// 5. Serve the index over HTTP and query it.
-	handler, err := themecomm.NewQueryServer(nil, themecomm.QueryServerOptions{Engine: reloaded, Dictionary: dict})
+	// 5. Serve the index over HTTP, as a network of a federation, and query it.
+	idx, err := themecomm.OpenShardedIndex(indexPath)
+	if err != nil {
+		t.Fatalf("OpenShardedIndex: %v", err)
+	}
+	fed := themecomm.NewFederation(themecomm.FederationOptions{})
+	if err := fed.AttachIndex("bk", idx, themecomm.FederationNetworkOptions{Dictionary: dict}); err != nil {
+		t.Fatalf("AttachIndex: %v", err)
+	}
+	handler, err := themecomm.NewQueryServer(nil, themecomm.QueryServerOptions{Federation: fed})
 	if err != nil {
 		t.Fatalf("NewQueryServer: %v", err)
 	}

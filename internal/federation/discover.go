@@ -42,7 +42,7 @@ func DiscoverNetworks(dir string) ([]DiscoveredNetwork, error) {
 		if !entry.IsDir() || !tctree.IsSharded(path) {
 			continue
 		}
-		d := DiscoveredNetwork{Name: strings.TrimSuffix(entry.Name(), ".index"), IndexPath: path}
+		d := DiscoveredNetwork{Name: NetworkName(path), IndexPath: path}
 		if prev, dup := byName[d.Name]; dup {
 			return nil, fmt.Errorf("federation: %s and %s both resolve to network %q", prev.IndexPath, d.IndexPath, d.Name)
 		}
@@ -62,14 +62,19 @@ func DiscoverNetworks(dir string) ([]DiscoveredNetwork, error) {
 	return out, nil
 }
 
+// NetworkName is the name an index directory is served under: its base name
+// with the ".index" suffix stripped ("warehouse/bk.index" yields "bk").
+func NetworkName(indexDir string) string {
+	return strings.TrimSuffix(filepath.Base(indexDir), ".index")
+}
+
 func fileExists(path string) bool {
 	st, err := os.Stat(path)
 	return err == nil && st.Mode().IsRegular()
 }
 
 // Discover builds a Federation from every network DiscoverNetworks finds in
-// dir, each attached lazily; a network with a sibling .dbnet file gains its
-// item dictionary and becomes updatable.
+// dir, each attached with AttachIndexDir.
 func Discover(dir string, opts Options) (*Federation, error) {
 	discovered, err := DiscoverNetworks(dir)
 	if err != nil {
@@ -77,26 +82,29 @@ func Discover(dir string, opts Options) (*Federation, error) {
 	}
 	f := New(opts)
 	for _, d := range discovered {
-		var nopts NetworkOptions
-		if d.NetworkPath != "" {
-			nw, dict, err := dbnet.ReadFile(d.NetworkPath)
-			if err != nil {
-				return nil, fmt.Errorf("federation: network %q: %w", d.Name, err)
-			}
-			// Keep the parsed network: it is what incremental maintenance
-			// (ApplyDelta) rebuilds shards from, and NetworkPath is where the
-			// updated network is written back.
-			nopts.Dictionary = dict
-			nopts.Network = nw
-			nopts.NetworkPath = d.NetworkPath
-		}
-		idx, err := tctree.OpenSharded(d.IndexPath)
-		if err != nil {
-			return nil, fmt.Errorf("federation: network %q: %w", d.Name, err)
-		}
-		if err := f.AttachIndex(d.Name, idx, nopts); err != nil {
+		if err := f.AttachIndexDir(d.Name, d.IndexPath, d.NetworkPath); err != nil {
 			return nil, err
 		}
 	}
 	return f, nil
+}
+
+// AttachIndexDir attaches the index directory at indexPath lazily under name.
+// A non-empty networkPath names the database network the index was built
+// from: its dictionary resolves item names, and the parsed network makes the
+// tenant updatable, written back to networkPath after every delta.
+func (f *Federation) AttachIndexDir(name, indexPath, networkPath string) error {
+	var nopts NetworkOptions
+	if networkPath != "" {
+		nw, dict, err := dbnet.ReadFile(networkPath)
+		if err != nil {
+			return fmt.Errorf("federation: network %q: %w", name, err)
+		}
+		nopts = NetworkOptions{Dictionary: dict, Network: nw, NetworkPath: networkPath}
+	}
+	idx, err := tctree.OpenSharded(indexPath)
+	if err != nil {
+		return fmt.Errorf("federation: network %q: %w", name, err)
+	}
+	return f.AttachIndex(name, idx, nopts)
 }

@@ -111,15 +111,6 @@ type Network struct {
 	updMu sync.Mutex
 }
 
-// Standalone wraps an engine and its metadata as an unattached Network, so
-// a single-network serving layer reuses the tenant update path (per-tenant
-// serialization, engine.ApplyDelta, atomic network write-back) without a
-// federation. The name may be empty; it is only used in error messages.
-func Standalone(name string, eng *engine.Engine, opts NetworkOptions) *Network {
-	padDictionary(opts)
-	return &Network{name: name, eng: eng, opts: opts}
-}
-
 // padDictionary extends an updatable tenant's dictionary to cover the
 // network's whole item universe, so a delta introducing a new item name can
 // never be assigned the identifier of an existing unnamed item (a network
@@ -179,12 +170,8 @@ func (n *Network) ApplyDelta(d *delta.Delta) (*engine.DeltaResult, error) {
 	return res, nil
 }
 
-// wrapErr annotates an error with the network name; standalone (unnamed)
-// networks pass errors through.
+// wrapErr annotates an error with the network name.
 func (n *Network) wrapErr(err error) error {
-	if n.name == "" {
-		return err
-	}
 	return fmt.Errorf("federation: network %q: %w", n.name, err)
 }
 

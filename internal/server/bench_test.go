@@ -7,7 +7,7 @@ import (
 	"strconv"
 	"testing"
 
-	"themecomm/internal/engine"
+	"themecomm/internal/federation"
 	"themecomm/internal/gen"
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
@@ -50,21 +50,18 @@ func newBenchSite(b *testing.B) *benchSite {
 	return site
 }
 
-// server returns a server over a fresh lazy engine on the site's index.
+// server returns a server over a fresh lazy network on the site's index.
 func (site *benchSite) server(b *testing.B, cacheSize int) *Server {
 	b.Helper()
 	idx, err := tctree.OpenSharded(site.dir)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := engine.NewLazy(idx, engine.Options{CacheSize: cacheSize})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := New(nil, Options{Engine: eng, Dictionary: site.dataset.Dictionary, VertexNames: site.dataset.AuthorNames})
-	if err != nil {
-		b.Fatal(err)
-	}
+	s, _ := testNetwork{
+		Index:          idx,
+		NetworkOptions: federation.NetworkOptions{Dictionary: site.dataset.Dictionary, VertexNames: site.dataset.AuthorNames},
+		Fed:            federation.Options{CacheSize: cacheSize},
+	}.serve(b)
 	return s
 }
 

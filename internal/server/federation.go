@@ -11,23 +11,19 @@ import (
 	"themecomm/internal/replication"
 )
 
-// This file holds the multi-network routes a federated server adds alongside
-// the single-network API:
+// This file holds the multi-network routes beside the bare ones:
 //
 //	GET /api/v1/networks                     list attached networks
 //	GET /api/v1/federationstats              shared-resource + aggregate counters
 //	GET /api/v1/queryall                     one query against every network
 //	GET /api/v1/{network}/query | explain | enginestats | stats | patterns | vertex
-//	POST /api/v1/{network}/batch
+//	POST /api/v1/{network}/batch | update
 //
-// The {network} routes reuse the single-network handlers verbatim on the
-// resolved tenant, so a per-network answer is identical to what a standalone
-// server over the same index would return. On a server without a federation
-// every route here answers 404.
+// The {network} routes run the bare routes' handlers verbatim on the
+// resolved tenant, so /api/v1/{default}/query and /api/v1/query answer the
+// same bytes.
 
-// registerFederationRoutes wires the multi-network routes. They are always
-// registered — route resolution reports the missing federation — so the API
-// surface (and its 404s) is uniform across deployments.
+// registerFederationRoutes wires the multi-network routes.
 func (s *Server) registerFederationRoutes() {
 	s.handle("/api/v1/networks", s.handleNetworks)
 	s.handle("/api/v1/federationstats", s.handleFederationStats)
@@ -43,14 +39,10 @@ func (s *Server) registerFederationRoutes() {
 }
 
 // forNetwork adapts a tenant-scoped handler to the /api/v1/{network}/...
-// routes: the path segment resolves the tenant, and an unknown network (or a
-// server without a federation) answers 404.
+// routes: the path segment resolves the tenant, and an unknown network
+// answers 404.
 func (s *Server) forNetwork(h func(*tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.fed == nil {
-			writeError(w, r, http.StatusNotFound, "this server does not serve a federation of networks")
-			return
-		}
 		name := r.PathValue("network")
 		n, ok := s.fed.Network(name)
 		if !ok {
@@ -77,7 +69,7 @@ type NetworkSummary struct {
 
 // NetworksResponse is the payload of GET /api/v1/networks.
 type NetworksResponse struct {
-	// Default is the network behind the single-network routes.
+	// Default is the network behind the bare routes.
 	Default  string           `json:"default,omitempty"`
 	Networks []NetworkSummary `json:"networks"`
 }
@@ -85,10 +77,6 @@ type NetworksResponse struct {
 func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, r, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	if s.fed == nil {
-		writeError(w, r, http.StatusNotFound, "this server does not serve a federation of networks")
 		return
 	}
 	resp := NetworksResponse{Networks: []NetworkSummary{}}
@@ -125,10 +113,6 @@ type FederationStatsResponse struct {
 func (s *Server) handleFederationStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, r, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	if s.fed == nil {
-		writeError(w, r, http.StatusNotFound, "this server does not serve a federation of networks")
 		return
 	}
 	resp := FederationStatsResponse{Stats: s.fed.Stats()}
@@ -210,10 +194,6 @@ func (s *Server) handleQueryAll(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	if s.fed == nil {
-		writeError(w, r, http.StatusNotFound, "this server does not serve a federation of networks")
-		return
-	}
 	// Cursors never apply to queryall — members move epochs independently,
 	// so no single epoch could validate a resume; the request layer rejects
 	// them even without stream=1 rather than silently ignoring the parameter.
@@ -229,22 +209,7 @@ func (s *Server) handleQueryAll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := QueryAllResponse{Alpha: alpha, Pattern: fields, TopK: k}
-
-	// One tenant per network, not per community: the merge below may carry
-	// hundreds of communities from a handful of networks.
-	tenants := make(map[string]*tenant)
-	tenantFor := func(name string) *tenant {
-		if t, ok := tenants[name]; ok {
-			return t
-		}
-		n, ok := s.fed.Network(name)
-		if !ok {
-			return nil // detached mid-flight; its communities are gone anyway
-		}
-		t := s.tenantOf(n)
-		tenants[name] = t
-		return t
-	}
+	tenantFor := s.tenantLookup()
 
 	if k > 0 {
 		merged, err := s.fed.TopKAll(r.Context(), resolve, alpha, k)
@@ -286,4 +251,24 @@ func (s *Server) handleQueryAll(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// tenantLookup returns a per-request memo of tenantOf by network name: one
+// tenant per network, not per community, since a cross-network answer may
+// carry hundreds of communities from a handful of networks. A network
+// detached mid-request resolves to nil; its communities are gone anyway.
+func (s *Server) tenantLookup() func(name string) *tenant {
+	tenants := make(map[string]*tenant)
+	return func(name string) *tenant {
+		if t, ok := tenants[name]; ok {
+			return t
+		}
+		n, ok := s.fed.Network(name)
+		if !ok {
+			return nil
+		}
+		t := s.tenantOf(n)
+		tenants[name] = t
+		return t
+	}
 }

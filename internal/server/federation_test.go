@@ -81,8 +81,7 @@ var micros = regexp.MustCompile(`"(queryMicros|micros)":\d+`)
 
 func normalize(body string) string { return micros.ReplaceAllString(body, `"$1":0`) }
 
-// TestUnknownNetworkRoutes checks the 404 surface: unknown networks, and
-// every federation route on a federation-less server.
+// TestUnknownNetworkRoutes checks the 404 surface of unknown networks.
 func TestUnknownNetworkRoutes(t *testing.T) {
 	fs, _, _ := newFederatedServer(t, federation.Options{CacheSize: 16})
 	for _, url := range []string{
@@ -99,19 +98,6 @@ func TestUnknownNetworkRoutes(t *testing.T) {
 	}
 	if rec := post(t, fs, "/api/v1/nosuch/batch", `{"queries":[{"alpha":0}]}`); rec.Code != http.StatusNotFound {
 		t.Fatalf("POST batch on unknown network = %d, want 404", rec.Code)
-	}
-
-	// A single-network server answers 404 on every federation route.
-	single, _ := newTestServer(t)
-	for _, url := range []string{
-		"/api/v1/networks",
-		"/api/v1/federationstats",
-		"/api/v1/queryall?alpha=0",
-		"/api/v1/bk/query?alpha=0",
-	} {
-		if rec := get(t, single, url); rec.Code != http.StatusNotFound {
-			t.Fatalf("GET %s on a single-network server = %d, want 404", url, rec.Code)
-		}
 	}
 }
 
@@ -143,119 +129,85 @@ func TestNetworksListing(t *testing.T) {
 	}
 }
 
-// TestFederatedSingleNetworkParity is the acceptance parity check: the
-// answers of /api/v1/query on a standalone server, /api/v1/query on a
-// federated server (default network) and /api/v1/{network}/query are
-// byte-identical modulo the timing fields, for queries by alpha, by pattern
-// and top-k — and likewise for explain and enginestats structure.
+// TestFederatedSingleNetworkParity: the bare routes answer for the default
+// network, so /api/v1/query and /api/v1/{default}/query are byte-identical
+// modulo the timing fields — for queries by alpha, by pattern and top-k,
+// explain and stats — and the bare enginestats are the member's.
 func TestFederatedSingleNetworkParity(t *testing.T) {
 	fs, _, trees := newFederatedServer(t, federation.Options{CacheSize: 16})
-	// The standalone server serves the default network's tree through its
-	// own lazy engine over an identical sharded copy.
-	name := "aminer"
-	dir := t.TempDir()
-	if _, err := trees[name].WriteSharded(dir); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
-	}
-	idx, err := tctree.OpenSharded(dir)
-	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
-	}
-	eng, err := engine.NewLazy(idx, engine.Options{CacheSize: 16})
-	if err != nil {
-		t.Fatalf("NewLazy: %v", err)
-	}
-	standalone, err := New(nil, Options{Engine: eng})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-
+	name := "aminer" // the lexically first network
 	item := trees[name].Root().Children[0].Item
-	urls := []string{
+	for _, url := range []string{
 		"/api/v1/query?alpha=0",
 		"/api/v1/query?alpha=0.2",
 		"/api/v1/query?alpha=0.2&k=5",
 		"/api/v1/query?pattern=" + strconv.Itoa(int(item)) + "&alpha=0",
-	}
-	for _, url := range urls {
-		want := get(t, standalone, url)
-		if want.Code != http.StatusOK {
-			t.Fatalf("standalone GET %s = %d: %s", url, want.Code, want.Body.String())
-		}
+		"/api/v1/explain?alpha=0.1",
+		"/api/v1/stats",
+	} {
 		viaDefault := get(t, fs, url)
 		if viaDefault.Code != http.StatusOK {
-			t.Fatalf("federated GET %s = %d: %s", url, viaDefault.Code, viaDefault.Body.String())
-		}
-		if normalize(viaDefault.Body.String()) != normalize(want.Body.String()) {
-			t.Fatalf("default-network answer differs from standalone for %s:\n%s\nvs\n%s",
-				url, viaDefault.Body.String(), want.Body.String())
+			t.Fatalf("GET %s = %d: %s", url, viaDefault.Code, viaDefault.Body.String())
 		}
 		viaNetwork := get(t, fs, "/api/v1/"+name+url[len("/api/v1"):])
-		if normalize(viaNetwork.Body.String()) != normalize(want.Body.String()) {
-			t.Fatalf("per-network answer differs from standalone for %s:\n%s\nvs\n%s",
-				url, viaNetwork.Body.String(), want.Body.String())
+		if normalize(viaNetwork.Body.String()) != normalize(viaDefault.Body.String()) {
+			t.Fatalf("per-network answer differs from the default network's for %s:\n%s\nvs\n%s",
+				url, viaNetwork.Body.String(), viaDefault.Body.String())
+		}
+	}
+	var stats engine.Stats
+	if err := json.Unmarshal(get(t, fs, "/api/v1/enginestats").Body.Bytes(), &stats); err != nil {
+		t.Fatalf("decode enginestats: %v", err)
+	}
+	if stats.Shards != len(trees[name].Root().Children) || !stats.Cache.Shared || !stats.SharedResidency {
+		t.Fatalf("default enginestats %+v are not the shared-resource member %q", stats, name)
+	}
+}
+
+// TestTreeServerIsOneNetworkFederation: a server over a tree is a federation
+// of one network named "default" — listed on /api/v1/networks, scoped under
+// /api/v1/default/..., and the same bytes on the bare routes.
+func TestTreeServerIsOneNetworkFederation(t *testing.T) {
+	tree := buildFedTree(t, 7)
+	s, err := New(tree, Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	var nets NetworksResponse
+	if err := json.Unmarshal(get(t, s, "/api/v1/networks").Body.Bytes(), &nets); err != nil {
+		t.Fatalf("decode networks: %v", err)
+	}
+	if nets.Default != "default" || len(nets.Networks) != 1 || nets.Networks[0].Name != "default" ||
+		nets.Networks[0].Nodes != tree.NumNodes() {
+		t.Fatalf("networks = %+v, want the one network \"default\"", nets)
+	}
+	for _, params := range []string{"alpha=0", "alpha=0.2&k=3", "alpha=0&limit=2"} {
+		bare := get(t, s, "/api/v1/query?"+params)
+		scoped := get(t, s, "/api/v1/default/query?"+params)
+		if bare.Code != http.StatusOK || normalize(scoped.Body.String()) != normalize(bare.Body.String()) {
+			t.Fatalf("%s: /api/v1/default/query (%d) differs from /api/v1/query (%d):\n%s\nvs\n%s",
+				params, scoped.Code, bare.Code, scoped.Body.String(), bare.Body.String())
 		}
 	}
 
-	// Explain parity: identical plans (decisions, schedule, counters) modulo
-	// the timing and the network label.
-	var fedExplain, aloneExplain ExplainResponse
-	if err := json.Unmarshal(get(t, fs, "/api/v1/"+name+"/explain?alpha=0.1").Body.Bytes(), &fedExplain); err != nil {
-		t.Fatalf("decode federated explain: %v", err)
+	// Into a caller's federation, the tree joins as "default" and takes the
+	// bare routes unless DefaultNetwork names another member.
+	fed := federation.New(federation.Options{})
+	if err := fed.AttachTree("aaa", buildFedTree(t, 11), federation.NetworkOptions{}); err != nil {
+		t.Fatal(err)
 	}
-	if err := json.Unmarshal(get(t, standalone, "/api/v1/explain?alpha=0.1").Body.Bytes(), &aloneExplain); err != nil {
-		t.Fatalf("decode standalone explain: %v", err)
+	s, err = New(tree, Options{Federation: fed})
+	if err != nil {
+		t.Fatalf("New into a federation: %v", err)
 	}
-	if fedExplain.Network != name || aloneExplain.Network != "" {
-		t.Fatalf("explain network labels = %q / %q", fedExplain.Network, aloneExplain.Network)
+	if err := json.Unmarshal(get(t, s, "/api/v1/networks").Body.Bytes(), &nets); err != nil {
+		t.Fatalf("decode networks: %v", err)
 	}
-	if fedExplain.Shards != aloneExplain.Shards ||
-		fedExplain.SkippedAlpha != aloneExplain.SkippedAlpha ||
-		fedExplain.SkippedAbsent != aloneExplain.SkippedAbsent ||
-		fedExplain.TotalCost != aloneExplain.TotalCost ||
-		fedExplain.RetrievedNodes != aloneExplain.RetrievedNodes ||
-		fedExplain.VisitedNodes != aloneExplain.VisitedNodes {
-		t.Fatalf("explain plans differ:\nfederated %+v\nstandalone %+v", fedExplain.ExplainReport, aloneExplain.ExplainReport)
+	if nets.Default != "default" || len(nets.Networks) != 2 {
+		t.Fatalf("networks = %+v, want default among 2", nets)
 	}
-	if len(fedExplain.Tasks) != len(aloneExplain.Tasks) {
-		t.Fatalf("explain task counts differ")
-	}
-	for i := range fedExplain.Tasks {
-		if fedExplain.Tasks[i].Item != aloneExplain.Tasks[i].Item ||
-			fedExplain.Tasks[i].Decision != aloneExplain.Tasks[i].Decision {
-			t.Fatalf("explain task %d differs: %+v vs %+v", i, fedExplain.Tasks[i], aloneExplain.Tasks[i])
-		}
-	}
-
-	// Enginestats parity: same index shape and worker pool; the cache is
-	// marked shared on the federated engine.
-	var fedStats, aloneStats engine.Stats
-	if err := json.Unmarshal(get(t, fs, "/api/v1/"+name+"/enginestats").Body.Bytes(), &fedStats); err != nil {
-		t.Fatalf("decode federated enginestats: %v", err)
-	}
-	if err := json.Unmarshal(get(t, standalone, "/api/v1/enginestats").Body.Bytes(), &aloneStats); err != nil {
-		t.Fatalf("decode standalone enginestats: %v", err)
-	}
-	if fedStats.Shards != aloneStats.Shards || fedStats.Lazy != aloneStats.Lazy ||
-		fedStats.Workers != aloneStats.Workers {
-		t.Fatalf("enginestats differ:\nfederated %+v\nstandalone %+v", fedStats, aloneStats)
-	}
-	if !fedStats.Cache.Shared || aloneStats.Cache.Shared {
-		t.Fatalf("cache shared flags = %v / %v, want true / false", fedStats.Cache.Shared, aloneStats.Cache.Shared)
-	}
-	if !fedStats.SharedResidency || aloneStats.SharedResidency {
-		t.Fatalf("residency shared flags = %v / %v, want true / false", fedStats.SharedResidency, aloneStats.SharedResidency)
-	}
-	// Per-network stats route matches the single-network stats shape.
-	var fedIdx, aloneIdx StatsResponse
-	if err := json.Unmarshal(get(t, fs, "/api/v1/"+name+"/stats").Body.Bytes(), &fedIdx); err != nil {
-		t.Fatalf("decode per-network stats: %v", err)
-	}
-	if err := json.Unmarshal(get(t, standalone, "/api/v1/stats").Body.Bytes(), &aloneIdx); err != nil {
-		t.Fatalf("decode standalone stats: %v", err)
-	}
-	if fedIdx != aloneIdx {
-		t.Fatalf("index stats differ: %+v vs %+v", fedIdx, aloneIdx)
+	if _, err := New(tree, Options{Federation: fed}); err == nil {
+		t.Fatalf("a second tree under the taken name \"default\" was attached")
 	}
 }
 

@@ -88,11 +88,10 @@ type HealthResponse struct {
 	GoVersion string `json:"goVersion"`
 	// UptimeSeconds counts from server construction.
 	UptimeSeconds float64 `json:"uptimeSeconds"`
-	// Networks lists every served network with its readiness state; the
-	// anonymous single-network tenant has an empty name.
+	// Networks lists every served network with its readiness state.
 	Networks []NetworkHealth `json:"networks"`
 	// Replication reports the replication role (primary or replica), journal
-	// position and replica lag; absent on a standalone server.
+	// position and replica lag; absent on a server that does not replicate.
 	Replication *replication.Status `json:"replication,omitempty"`
 }
 
@@ -154,18 +153,12 @@ type namedStats struct {
 	st   engine.Stats
 }
 
-// statsByNetwork snapshots every served engine: the single-network tenant
-// (empty name) and every federation member. Snapshots are taken at call time
-// — collectors run it on each scrape.
+// statsByNetwork snapshots every served engine. Snapshots are taken at call
+// time — collectors run it on each scrape.
 func (s *Server) statsByNetwork() []namedStats {
 	var out []namedStats
-	if s.def != nil {
-		out = append(out, namedStats{name: s.def.name, st: s.def.engine.Stats()})
-	}
-	if s.fed != nil {
-		for _, n := range s.fed.Stats().PerNetwork {
-			out = append(out, namedStats{name: n.Network, st: n.Stats})
-		}
+	for _, n := range s.fed.Stats().PerNetwork {
+		out = append(out, namedStats{name: n.Network, st: n.Stats})
 	}
 	return out
 }
@@ -270,9 +263,6 @@ func (s *Server) registerCollectors() {
 		"Result-cache capacity bound.",
 		func(c engine.CacheStats) float64 { return float64(c.Capacity) })
 
-	if s.fed == nil {
-		return
-	}
 	fedCollect := func(name, help, typ string, v func(fs federation.Stats) float64) {
 		reg.CollectFunc(name, help, typ, nil, func() []obs.Sample {
 			return []obs.Sample{{Value: v(s.fed.Stats())}}
@@ -311,28 +301,14 @@ func (s *Server) engineSamples(v func(engine.Stats) float64) []obs.Sample {
 	return out
 }
 
-// cacheSamples renders one sample per result cache. A federation's shared
-// cache is global — every member reports the same counters — so it is emitted
-// exactly once under cache="shared" instead of once per network, which would
-// multiply every hit by the tenant count. Private caches are labeled by their
-// network (empty = the single-network tenant).
+// cacheSamples renders the federation's one result cache. It is global —
+// every member reports the same counters — so it is emitted exactly once
+// under cache="shared" instead of once per network, which would multiply
+// every hit by the tenant count.
 func (s *Server) cacheSamples(v func(engine.CacheStats) float64) []obs.Sample {
-	var out []obs.Sample
-	sharedSeen := false
-	for _, ns := range s.statsByNetwork() {
-		c := ns.st.Cache
-		if !c.Enabled {
-			continue
-		}
-		if c.Shared {
-			if sharedSeen {
-				continue
-			}
-			sharedSeen = true
-			out = append(out, obs.Sample{Labels: []string{"shared"}, Value: v(c)})
-			continue
-		}
-		out = append(out, obs.Sample{Labels: []string{ns.name}, Value: v(c)})
+	c := s.fed.Stats().Cache
+	if !c.Enabled {
+		return nil
 	}
-	return out
+	return []obs.Sample{{Labels: []string{"shared"}, Value: v(c)}}
 }

@@ -23,15 +23,11 @@ import (
 func newObservedServer(t *testing.T) (*Server, *obs.Observer) {
 	t.Helper()
 	o := obs.NewObserver(obs.ObserverOptions{SlowThreshold: time.Nanosecond})
-	tree := buildFedTree(t, 7)
-	eng, err := engine.New(tree, engine.Options{CacheSize: 8, Recorder: o})
-	if err != nil {
-		t.Fatalf("engine.New: %v", err)
-	}
-	s, err := New(nil, Options{Engine: eng, Obs: o})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s, _ := testNetwork{
+		Tree:   buildFedTree(t, 7),
+		Fed:    federation.Options{CacheSize: 8, Recorder: o},
+		Server: Options{Obs: o},
+	}.serve(t)
 	return s, o
 }
 
@@ -124,24 +120,24 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		}
 	}
 	if v, n := sampleValue(fams["tc_queries_total"], "tc_queries_total",
-		map[string]string{"network": "", "result": "miss"}); n != 1 || v != 1 {
+		map[string]string{"network": treeNetwork, "result": "miss"}); n != 1 || v != 1 {
 		t.Fatalf("tc_queries_total miss = %v (%d samples), want 1", v, n)
 	}
 	if v, n := sampleValue(fams["tc_queries_total"], "tc_queries_total",
-		map[string]string{"network": "", "result": "hit"}); n != 1 || v != 1 {
+		map[string]string{"network": treeNetwork, "result": "hit"}); n != 1 || v != 1 {
 		t.Fatalf("tc_queries_total hit = %v (%d samples), want 1", v, n)
 	}
 	if v, _ := sampleValue(fams["tc_engine_queries_total"], "tc_engine_queries_total",
-		map[string]string{"network": ""}); v < 1 {
+		map[string]string{"network": treeNetwork}); v < 1 {
 		t.Fatalf("tc_engine_queries_total = %v, want >= 1", v)
 	}
 	if v, _ := sampleValue(fams["tc_http_requests_total"], "tc_http_requests_total",
 		map[string]string{"route": "/api/v1/query", "method": "GET", "code": "200"}); v != 2 {
 		t.Fatalf("tc_http_requests_total for /api/v1/query = %v, want 2", v)
 	}
-	// The private result cache is labeled by its (anonymous) network.
+	// The federation's one result cache is labeled shared.
 	if _, n := sampleValue(fams["tc_cache_misses_total"], "tc_cache_misses_total",
-		map[string]string{"cache": ""}); n != 1 {
+		map[string]string{"cache": "shared"}); n != 1 {
 		t.Fatalf("tc_cache_misses_total samples = %d, want 1", n)
 	}
 
@@ -321,10 +317,7 @@ func TestDeltaNodeCountersAreExported(t *testing.T) {
 	nw := buildUpdatableNetwork(t, 11)
 	o := obs.NewObserver(obs.ObserverOptions{})
 	tree := tctree.Build(nw, tctree.BuildOptions{})
-	s, err := New(tree, Options{Network: nw, Obs: o})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s, _ := testNetwork{Tree: tree, NetworkOptions: federation.NetworkOptions{Network: nw}, Server: Options{Obs: o}}.serve(t)
 	// A new vertex carrying one item: the root of that item's shard is
 	// recomputed, the rest of the shard is reused.
 	var item string
@@ -348,7 +341,7 @@ func TestDeltaNodeCountersAreExported(t *testing.T) {
 	}
 	fam := scrape(t, s)["tc_engine_delta_nodes_total"]
 	for kind, want := range map[string]uint64{"recomputed": stats.DeltaNodesRecomputed, "reused": stats.DeltaNodesReused} {
-		if v, n := sampleValue(fam, "tc_engine_delta_nodes_total", map[string]string{"network": "", "kind": kind}); n != 1 || v != float64(want) {
+		if v, n := sampleValue(fam, "tc_engine_delta_nodes_total", map[string]string{"network": treeNetwork, "kind": kind}); n != 1 || v != float64(want) {
 			t.Fatalf("tc_engine_delta_nodes_total{kind=%q} = %v (%d samples), want %d", kind, v, n, want)
 		}
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -91,16 +90,7 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	rd := j.Range(from)
 	defer rd.Close()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	writeLine := func(v any) {
-		_ = enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	writeLine := ndjsonWriter(w)
 
 	deadline := time.Now().Add(wait)
 	next := from + 1

@@ -211,10 +211,8 @@ func TestPrimaryServerJournalFlow(t *testing.T) {
 	// AttachIndex pads the primary's dictionary with item-<id> placeholders;
 	// mirror that so both servers render theme names identically.
 	freshDict.PadTo(16)
-	fresh, err := New(tctree.Build(freshNW, tctree.BuildOptions{}), Options{Dictionary: freshDict})
-	if err != nil {
-		t.Fatalf("fresh server: %v", err)
-	}
+	fresh, _ := testNetwork{Tree: tctree.Build(freshNW, tctree.BuildOptions{}),
+		NetworkOptions: federation.NetworkOptions{Dictionary: freshDict}}.serve(t)
 	for _, url := range []string{"/api/v1/query?alpha=0", "/api/v1/query?pattern=1,2&alpha=0.1"} {
 		got, want := get(t, s, "/api/v1/alpha"+url[7:]), get(t, fresh, url)
 		if got.Code != http.StatusOK || want.Code != http.StatusOK {
@@ -264,15 +262,11 @@ func TestReadOnlyReplicaRejectsWrites(t *testing.T) {
 	nw := buildUpdatableNetwork(t, 17)
 	tree := tctree.Build(nw, tctree.BuildOptions{})
 	status := replication.Status{Role: "replica", HeadSeq: 5, JournalSeq: 3, LagRecords: 2}
-	s, err := New(tree, Options{
-		Network:           nw,
+	s, _ := testNetwork{Tree: tree, NetworkOptions: federation.NetworkOptions{Network: nw}, Server: Options{
 		ReadOnly:          true,
 		PrimaryURL:        "http://primary:9000/",
 		ReplicationStatus: func() replication.Status { return status },
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	}}.serve(t)
 
 	if rec := get(t, s, "/api/v1/query?alpha=0"); rec.Code != http.StatusOK {
 		t.Fatalf("replica read = %d, want 200", rec.Code)

@@ -44,7 +44,7 @@ func TestInvalidParameterCombinations(t *testing.T) {
 		{"explain stream", "/api/v1/explain?alpha=0&stream=1", http.StatusBadRequest},
 		{"explain limit", "/api/v1/explain?alpha=0&limit=2", http.StatusBadRequest},
 		{"explain cursor", "/api/v1/explain?alpha=0&cursor=abc", http.StatusBadRequest},
-		{"queryall contains", "/api/v1/queryall?alpha=0&contains=true", http.StatusNotFound},
+		{"queryall contains", "/api/v1/queryall?alpha=0&contains=true", http.StatusBadRequest},
 		{"vertex k", "/api/v1/vertex?id=0&k=3", http.StatusBadRequest},
 		{"vertex stream", "/api/v1/vertex?id=0&stream=1", http.StatusBadRequest},
 
@@ -98,9 +98,7 @@ func TestErrorEnvelope(t *testing.T) {
 		"/api/v1/explain?k=1",
 		"/api/v1/patterns?length=0",
 		"/api/v1/vertex?id=-1",
-		"/api/v1/queryall",             // no federation
-		"/api/v1/networks",             // no federation
-		"/api/v1/federationstats",      // no federation
+		"/api/v1/queryall?alpha=-1",    // bad cross-network query
 		"/api/v1/journal",              // not a primary
 		"/api/v1/nosuch/query?alpha=0", // unknown network
 		"/api/v1/batch",                // POST-only route hit with GET

@@ -6,13 +6,12 @@
 // tree resident) and a lazy one (shards loaded from a sharded index
 // directory on first touch); lazy shard-load failures surface as 500s.
 //
-// A server fronts either one network (Options.Engine, the original
-// single-network mode) or a whole federation of them (Options.Federation):
-// the single-network routes (/api/v1/query, …) keep answering against the
-// default network byte-for-byte as before, while /api/v1/networks lists the
-// tenants, /api/v1/{network}/... scopes every route to one tenant, and
-// /api/v1/queryall fans one query out across every network, merging top-k
-// answers by cohesion. Only the standard library is used.
+// Every served network is a named member of a federation
+// (internal/federation), even when there is only one: the bare routes
+// (/api/v1/query, …) answer against the default network, /api/v1/networks
+// lists the members, /api/v1/{network}/... scopes every route to one member,
+// and /api/v1/queryall fans one query out across every network, merging
+// top-k answers by cohesion. Only the standard library is used.
 package server
 
 import (
@@ -26,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"themecomm/internal/dbnet"
 	"themecomm/internal/delta"
 	"themecomm/internal/engine"
 	"themecomm/internal/federation"
@@ -38,19 +36,21 @@ import (
 	"themecomm/internal/truss"
 )
 
-// defaultCacheSize is the result-cache bound of the engine the server builds
-// when the caller does not supply one.
+// defaultCacheSize is the result-cache bound of the federation the server
+// builds when the caller does not supply one.
 const defaultCacheSize = 256
+
+// treeNetwork is the name a tree handed to New is served under.
+const treeNetwork = "default"
 
 // maxBatchQueries bounds one /api/v1/batch request.
 const maxBatchQueries = 1024
 
-// tenant is one served network: an engine plus the presentation metadata
-// that renders its answers. The single-network server has exactly one;
-// federation routes resolve one per request.
+// tenant is one served network as the handlers see it: an engine plus the
+// presentation metadata that renders its answers, resolved per request from
+// a federation member by tenantOf.
 type tenant struct {
-	// name is the network name; empty for the anonymous single-network
-	// tenant.
+	// name is the federation network name.
 	name   string
 	engine *engine.Engine
 	// dict optionally names the items of the indexed network.
@@ -67,16 +67,14 @@ type tenant struct {
 	update func(*delta.Delta) (res *engine.DeltaResult, seq uint64, err error)
 }
 
-// Server answers theme-community queries from one TC-Tree or a federation
-// of them. It is safe for concurrent use: resident index data is read-only.
+// Server answers theme-community queries from the networks of a federation.
+// It is safe for concurrent use: resident index data is read-only.
 type Server struct {
-	// def is the tenant behind the single-network routes; nil when the
-	// server is federation-only, in which case the default network resolves
-	// per request (DefaultNetwork, or the lexically first attached network).
-	def     *tenant
-	defName string
-	fed     *federation.Federation
-	mux     *http.ServeMux
+	// bareNetwork names the network behind the bare routes; empty means the
+	// lexically first attached network, resolved per request.
+	bareNetwork string
+	fed         *federation.Federation
+	mux         *http.ServeMux
 	// obsv is the observability layer (nil disables it); metrics is its HTTP
 	// middleware; start anchors the /healthz uptime.
 	obsv    *obs.Observer
@@ -95,33 +93,15 @@ type Server struct {
 
 // Options configures a Server.
 type Options struct {
-	// Dictionary names the items of the indexed network; when nil, items are
-	// rendered by their numeric identifiers and pattern queries must use
-	// numeric identifiers.
-	Dictionary *itemset.Dictionary
-	// VertexNames maps vertices to display names; when nil, vertices are
-	// rendered by their numeric identifiers.
-	VertexNames []string
-	// Engine executes the queries. When nil and a tree is given, the server
-	// builds one over the tree with default parallelism and a small result
-	// cache.
-	Engine *engine.Engine
-	// Federation, when non-nil, enables the multi-network routes
-	// (/api/v1/networks, /api/v1/{network}/..., /api/v1/queryall,
-	// /api/v1/federationstats). When no Engine or tree is given, the
-	// single-network routes answer against the federation's default network.
+	// Federation holds the served networks. Attach a network with its
+	// dictionary, vertex names and database network (which enables POST
+	// update) through the federation's Attach methods. When nil, New builds
+	// one with a small shared result cache.
 	Federation *federation.Federation
-	// DefaultNetwork names the federation network behind the single-network
-	// routes; empty means the lexically first attached network. Ignored when
-	// an Engine or tree is given (those take the single-network routes).
+	// DefaultNetwork names the network behind the bare routes; empty means
+	// the network of the tree handed to New, else the lexically first
+	// attached network.
 	DefaultNetwork string
-	// Network is the database network the single-network engine's index was
-	// built from. Setting it enables POST /api/v1/update (incremental index
-	// maintenance); without it update requests are rejected.
-	Network *dbnet.Network
-	// NetworkPath, when non-empty, is the file the updated network is
-	// written back to after every applied delta.
-	NetworkPath string
 	// Primary, when non-nil, is the replication primary fronting the served
 	// federation networks: updates to member networks take the write-ahead
 	// fast path (journal append + in-memory apply; the staged shard commit
@@ -149,22 +129,27 @@ type Options struct {
 	Obs *obs.Observer
 }
 
-// New returns a Server for the given tree. tree may be nil when opts.Engine
-// is set — a lazy engine has no resident tree, and every handler reads
-// through the engine — or when opts.Federation serves the default network.
+// New returns a Server over opts.Federation. A non-nil tree is attached to
+// it, eager and without names, as the network "default" — into a new
+// federation when opts.Federation is nil — and serves the bare routes unless
+// opts.DefaultNetwork names another. New fails without a tree or federation.
 func New(tree *tctree.Tree, opts Options) (*Server, error) {
-	eng := opts.Engine
-	if eng == nil && tree != nil {
-		var err error
-		eng, err = engine.New(tree, engine.Options{CacheSize: defaultCacheSize})
-		if err != nil {
+	fed, bareNetwork := opts.Federation, opts.DefaultNetwork
+	if tree != nil {
+		if fed == nil {
+			fed = federation.New(federation.Options{CacheSize: defaultCacheSize})
+		}
+		if err := fed.AttachTree(treeNetwork, tree, federation.NetworkOptions{}); err != nil {
 			return nil, err
 		}
+		if bareNetwork == "" {
+			bareNetwork = treeNetwork
+		}
 	}
-	if eng == nil && opts.Federation == nil {
-		return nil, fmt.Errorf("server: nil tree and no engine or federation")
+	if fed == nil {
+		return nil, fmt.Errorf("server: nil tree and no federation")
 	}
-	s := &Server{defName: opts.DefaultNetwork, fed: opts.Federation, mux: http.NewServeMux(),
+	s := &Server{bareNetwork: bareNetwork, fed: fed, mux: http.NewServeMux(),
 		obsv: opts.Obs, start: time.Now(),
 		primary: opts.Primary, replStatus: opts.ReplicationStatus,
 		readOnly: opts.ReadOnly, primaryURL: strings.TrimRight(opts.PrimaryURL, "/")}
@@ -175,21 +160,6 @@ func New(tree *tctree.Tree, opts Options) (*Server, error) {
 		s.metrics = obs.NewHTTPMetrics(s.obsv.Registry(), s.obsv.Logger())
 		s.registerCollectors()
 		s.registerReplicationCollectors()
-	}
-	if eng != nil {
-		s.def = &tenant{engine: eng, dict: opts.Dictionary, vertexNames: opts.VertexNames}
-		if opts.Network != nil {
-			// Reuse the tenant update path (per-tenant serialization,
-			// engine.ApplyDelta, atomic network write-back) via a standalone
-			// federation network.
-			standalone := federation.Standalone("", eng, federation.NetworkOptions{
-				Dictionary:  opts.Dictionary,
-				VertexNames: opts.VertexNames,
-				Network:     opts.Network,
-				NetworkPath: opts.NetworkPath,
-			})
-			s.def.update = classicUpdate(standalone)
-		}
 	}
 	// Unmatched paths answer a JSON 404 instead of the mux's plain-text
 	// default, so every error the API returns is machine-readable. Routes are
@@ -220,20 +190,13 @@ func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// defaultTenant resolves the network behind the single-network routes: the
-// configured engine when there is one, otherwise the federation's default
-// network (DefaultNetwork, or the lexically first attached one). Resolution
-// is per request, so networks attached after start become servable. On
-// failure the second return value says why — an empty federation and a
-// default name that does not resolve are different operator errors.
+// defaultTenant resolves the network behind the bare routes: the configured
+// default network, or the lexically first attached one. Resolution is per
+// request, so networks attached after start become servable. On failure the
+// second return value says why — an empty federation and a default name that
+// does not resolve are different operator errors.
 func (s *Server) defaultTenant() (*tenant, string) {
-	if s.def != nil {
-		return s.def, ""
-	}
-	if s.fed == nil {
-		return nil, "no default network: this server has no engine and no federation"
-	}
-	name := s.defName
+	name := s.bareNetwork
 	if name == "" {
 		names := s.fed.Names()
 		if len(names) == 0 {
@@ -263,21 +226,15 @@ func (s *Server) tenantOf(n *federation.Network) *tenant {
 			return ar.Result, ar.Seq, nil
 		}
 	} else if n.DatabaseNetwork() != nil {
-		t.update = classicUpdate(n)
+		t.update = func(d *delta.Delta) (*engine.DeltaResult, uint64, error) {
+			res, err := n.ApplyDelta(d)
+			return res, 0, err
+		}
 	}
 	return t
 }
 
-// classicUpdate adapts a federation network's synchronous ApplyDelta to the
-// tenant update signature (no journal, so seq is always 0).
-func classicUpdate(n *federation.Network) func(*delta.Delta) (*engine.DeltaResult, uint64, error) {
-	return func(d *delta.Delta) (*engine.DeltaResult, uint64, error) {
-		res, err := n.ApplyDelta(d)
-		return res, 0, err
-	}
-}
-
-// forDefault adapts a tenant-scoped handler to the single-network routes.
+// forDefault adapts a tenant-scoped handler to the bare routes.
 func (s *Server) forDefault(h func(*tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t, why := s.defaultTenant()
@@ -428,7 +385,7 @@ func (t *tenant) communityResponse(c *truss.Community, ranked bool) CommunityRes
 // and execution report, with the canonical query pattern rendered through
 // the dictionary. Task items stay numeric (they are shard identifiers).
 type ExplainResponse struct {
-	// Network is the serving network; empty on the single-network routes.
+	// Network is the serving network.
 	Network string   `json:"network,omitempty"`
 	Pattern []string `json:"pattern,omitempty"`
 	*engine.ExplainReport

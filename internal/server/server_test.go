@@ -13,10 +13,61 @@ import (
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/engine"
+	"themecomm/internal/federation"
 	"themecomm/internal/gen"
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
 )
+
+// testNetwork is the one network a test server serves through a federation,
+// the only way a server finds a network: eager over Tree, or lazy over Index
+// when Tree is nil, attached as treeNetwork with NetworkOptions to a
+// federation built with Fed. Server configures the rest of the server.
+type testNetwork struct {
+	Tree  *tctree.Tree
+	Index *tctree.ShardedIndex
+	federation.NetworkOptions
+	Fed    federation.Options
+	Server Options
+}
+
+// serve builds the server and returns it with the attached member, whose
+// engine tests read counters from.
+func (tn testNetwork) serve(tb testing.TB) (*Server, *federation.Network) {
+	tb.Helper()
+	fed := federation.New(tn.Fed)
+	var err error
+	if tn.Tree != nil {
+		err = fed.AttachTree(treeNetwork, tn.Tree, tn.NetworkOptions)
+	} else {
+		err = fed.AttachIndex(treeNetwork, tn.Index, tn.NetworkOptions)
+	}
+	if err != nil {
+		tb.Fatalf("attach: %v", err)
+	}
+	opts := tn.Server
+	opts.Federation = fed
+	s, err := New(nil, opts)
+	if err != nil {
+		tb.Fatalf("New: %v", err)
+	}
+	n, _ := fed.Network(treeNetwork)
+	return s, n
+}
+
+// openIndex writes tree as an index directory and opens it.
+func openIndex(tb testing.TB, tree *tctree.Tree) *tctree.ShardedIndex {
+	tb.Helper()
+	dir := tb.TempDir()
+	if _, err := tree.WriteSharded(dir); err != nil {
+		tb.Fatalf("WriteSharded: %v", err)
+	}
+	idx, err := tctree.OpenSharded(dir)
+	if err != nil {
+		tb.Fatalf("OpenSharded: %v", err)
+	}
+	return idx
+}
 
 // newTestServer builds a server over the co-author analogue so that both item
 // names and vertex names are exercised.
@@ -26,11 +77,11 @@ func newTestServer(t *testing.T) (*Server, gen.Dataset) {
 	if err != nil {
 		t.Fatalf("AMiner: %v", err)
 	}
-	tree := tctree.Build(d.Network, tctree.BuildOptions{MaxDepth: 3})
-	s, err := New(tree, Options{Dictionary: d.Dictionary, VertexNames: d.AuthorNames})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s, _ := testNetwork{
+		Tree:           tctree.Build(d.Network, tctree.BuildOptions{MaxDepth: 3}),
+		NetworkOptions: federation.NetworkOptions{Dictionary: d.Dictionary, VertexNames: d.AuthorNames},
+		Fed:            federation.Options{CacheSize: defaultCacheSize},
+	}.serve(t)
 	return s, d
 }
 
@@ -244,10 +295,7 @@ func TestItemNamesFallback(t *testing.T) {
 	tree := tctree.Build(nw, tctree.BuildOptions{})
 	// A dictionary that does not cover the network's items falls back to ids.
 	dict := itemset.NewDictionary()
-	s, err := New(tree, Options{Dictionary: dict})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s, _ := testNetwork{Tree: tree, NetworkOptions: federation.NetworkOptions{Dictionary: dict}}.serve(t)
 	rec := get(t, s, "/api/v1/patterns?length=1")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
@@ -470,30 +518,9 @@ func TestLazyServerMatchesEager(t *testing.T) {
 		t.Fatalf("AMiner: %v", err)
 	}
 	tree := tctree.Build(d.Network, tctree.BuildOptions{MaxDepth: 3})
-	opts := Options{Dictionary: d.Dictionary, VertexNames: d.AuthorNames}
-	eager, err := New(tree, opts)
-	if err != nil {
-		t.Fatalf("New(eager): %v", err)
-	}
-
-	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
-	}
-	idx, err := tctree.OpenSharded(dir)
-	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
-	}
-	lazyEngine, err := engine.NewLazy(idx, engine.Options{CacheSize: 16})
-	if err != nil {
-		t.Fatalf("NewLazy: %v", err)
-	}
-	lazyOpts := opts
-	lazyOpts.Engine = lazyEngine
-	lazy, err := New(nil, lazyOpts)
-	if err != nil {
-		t.Fatalf("New(lazy): %v", err)
-	}
+	nopts := federation.NetworkOptions{Dictionary: d.Dictionary, VertexNames: d.AuthorNames}
+	eager, _ := testNetwork{Tree: tree, NetworkOptions: nopts, Fed: federation.Options{CacheSize: defaultCacheSize}}.serve(t)
+	lazy, _ := testNetwork{Index: openIndex(t, tree), NetworkOptions: nopts, Fed: federation.Options{CacheSize: 16}}.serve(t)
 
 	// Cold start: one single-item query must leave most shards unloaded.
 	item := tree.Root().Children[0].Item
@@ -573,14 +600,7 @@ func TestLazyServerShardLoadFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}
-	eng, err := engine.NewLazy(idx, engine.Options{})
-	if err != nil {
-		t.Fatalf("NewLazy: %v", err)
-	}
-	s, err := New(nil, Options{Engine: eng})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s, _ := testNetwork{Index: idx}.serve(t)
 	rec := get(t, s, "/api/v1/query?pattern="+strconv.Itoa(int(victim.Item))+"&alpha=0")
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "checksum") {
 		t.Fatalf("query over corrupted shard = %d, body %s; want 500 with checksum error", rec.Code, rec.Body.String())

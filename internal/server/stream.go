@@ -123,7 +123,7 @@ type StreamTrailer struct {
 	RetrievedNodes int `json:"retrievedNodes,omitempty"`
 	VisitedNodes   int `json:"visitedNodes,omitempty"`
 	// ShardsShortCircuited counts scheduled shards top-k early termination
-	// never opened (single-network streams only).
+	// never opened (per-network streams only).
 	ShardsShortCircuited int   `json:"shardsShortCircuited,omitempty"`
 	QueryMicros          int64 `json:"queryMicros"`
 	// NextCursor resumes the answer where this page stopped; present only
@@ -163,18 +163,15 @@ func (s *Server) serveQueryStream(t *tenant, w http.ResponseWriter, r *http.Requ
 	var q itemset.Itemset
 	var k, pos int
 	var rawPattern string
+	var c cursor
 	if req.Cursor != "" {
-		c, err := decodeCursor(req.Cursor)
-		if err != nil {
+		var err error
+		if c, err = decodeCursor(req.Cursor); err != nil {
 			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("invalid cursor: %v", err))
 			return
 		}
 		if c.Network != t.name {
 			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("cursor was minted for network %q", c.Network))
-			return
-		}
-		if epoch := t.engine.IndexEpoch(); epoch != c.Epoch {
-			writeError(w, r, http.StatusGone, fmt.Sprintf("cursor epoch %d expired: the index moved to epoch %d; re-issue the query", c.Epoch, epoch))
 			return
 		}
 		alpha, k, pos, rawPattern = c.Alpha, c.K, c.Pos, c.Pattern
@@ -203,10 +200,11 @@ func (s *Server) serveQueryStream(t *tenant, w http.ResponseWriter, r *http.Requ
 		return
 	}
 	defer st.Close()
-	if pos > 0 && st.Stats().Epoch != t.engine.IndexEpoch() {
-		// The index moved between the cursor check above and the stream
-		// capture; the authoritative epoch is the stream's own.
-		writeError(w, r, http.StatusGone, "cursor epoch expired: the index moved; re-issue the query")
+	if epoch := st.Stats().Epoch; req.Cursor != "" && epoch != c.Epoch {
+		// The stream's captured epoch is the one its pages are read at, so it
+		// is the one the cursor must match; the response is not committed
+		// yet, so even an NDJSON resume answers the 410 as a status.
+		writeError(w, r, http.StatusGone, fmt.Sprintf("cursor epoch %d expired: the index moved to epoch %d; re-issue the query", c.Epoch, epoch))
 		return
 	}
 
@@ -274,6 +272,22 @@ func (s *Server) serveQueryStream(t *tenant, w http.ResponseWriter, r *http.Requ
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// ndjsonWriter commits a 200 NDJSON response and returns its line writer:
+// each call encodes one value as a line and flushes it, so the client sees
+// every line as soon as it is produced.
+func ndjsonWriter(w http.ResponseWriter) func(v any) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	flusher, _ := w.(http.Flusher)
+	return func(v any) {
+		_ = enc.Encode(v)
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
+}
+
 // streamHasMore peeks one community past the page to decide whether a next
 // cursor is due. The peeked community is discarded — the next page
 // recomputes it — which costs one community, not one shard.
@@ -288,22 +302,13 @@ func streamHasMore(st *engine.Stream, limit, emitted int) (bool, error) {
 	return rc != nil, nil
 }
 
-// writeStreamNDJSON drives a single-network stream to an NDJSON response:
+// writeStreamNDJSON drives one network's stream to an NDJSON response:
 // header, one line per community (flushed as produced, so clients see
 // results while later shards are still unopened), then the trailer with the
 // final counters — the stream is closed first, so ShardsShortCircuited is
 // the final tally.
 func (s *Server) writeStreamNDJSON(t *tenant, w http.ResponseWriter, r *http.Request, st *engine.Stream, header StreamHeader, ranked bool, limit int, start time.Time, nextCursor func(int) string) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	writeLine := func(v any) {
-		_ = enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	writeLine := ndjsonWriter(w)
 	writeLine(header)
 	emitted := 0
 	for limit <= 0 || emitted < limit {
@@ -356,30 +361,8 @@ func (s *Server) serveQueryAllStream(w http.ResponseWriter, r *http.Request, res
 	}
 	defer ms.Close()
 
-	tenants := make(map[string]*tenant)
-	tenantFor := func(name string) *tenant {
-		if t, ok := tenants[name]; ok {
-			return t
-		}
-		n, ok := s.fed.Network(name)
-		if !ok {
-			return nil
-		}
-		t := s.tenantOf(n)
-		tenants[name] = t
-		return t
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	writeLine := func(v any) {
-		_ = enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	tenantFor := s.tenantLookup()
+	writeLine := ndjsonWriter(w)
 	writeLine(StreamHeader{Type: "header", Alpha: alpha, Pattern: fields, TopK: k})
 	emitted := 0
 	for limit <= 0 || emitted < limit {

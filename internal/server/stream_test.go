@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"themecomm/internal/engine"
 	"themecomm/internal/federation"
-	"themecomm/internal/tctree"
 )
 
 // This file tests the HTTP streaming surface end to end: NDJSON framing,
@@ -170,23 +168,7 @@ func TestStreamNDJSONParity(t *testing.T) {
 // from disk.
 func TestStreamShortCircuitOverHTTP(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		tree := buildFedTree(t, seed)
-		dir := t.TempDir()
-		if _, err := tree.WriteSharded(dir); err != nil {
-			t.Fatalf("WriteSharded: %v", err)
-		}
-		idx, err := tctree.OpenSharded(dir)
-		if err != nil {
-			t.Fatalf("OpenSharded: %v", err)
-		}
-		eng, err := engine.NewLazy(idx, engine.Options{})
-		if err != nil {
-			t.Fatalf("NewLazy: %v", err)
-		}
-		s, err := New(nil, Options{Engine: eng})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
+		s, n := testNetwork{Index: openIndex(t, buildFedTree(t, seed))}.serve(t)
 		rec := get(t, s, "/api/v1/query?alpha=0&k=1&stream=1")
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status %d, body %s", rec.Code, rec.Body.String())
@@ -202,7 +184,7 @@ func TestStreamShortCircuitOverHTTP(t *testing.T) {
 			t.Fatalf("k=1 stream emitted %d communities", len(lines.communities))
 		}
 		// The short-circuited shards never reached the disk.
-		stats := eng.Stats()
+		stats := n.Engine().Stats()
 		if stats.LazyLoads >= uint64(stats.Shards) {
 			t.Fatalf("every shard was loaded (%d of %d)", stats.LazyLoads, stats.Shards)
 		}
@@ -357,14 +339,17 @@ func TestCursorExpiresWithEpoch(t *testing.T) {
 		t.Fatalf("update: %d, body %s", urec.Code, urec.Body.String())
 	}
 
-	// JSON resume: 410.
+	// JSON resume: 410. Both resume arms pass only because the cursor's
+	// epoch is compared with the epoch the resumed stream captured; comparing
+	// the stream with the engine's current epoch would accept this cursor.
 	rec = get(t, s, "/api/v1/query?cursor="+page.NextCursor+"&limit=1")
 	if rec.Code != http.StatusGone {
 		t.Fatalf("post-delta resume: status %d, want 410 (body %s)", rec.Code, rec.Body.String())
 	}
 	assertJSONError(t, rec)
-	// NDJSON resume: the stale cursor is caught before the stream opens, so
-	// the 410 still travels as a status code, not an in-band error line.
+	// NDJSON resume: the stale cursor is caught once the stream is captured
+	// but before the response is committed, so the 410 still travels as a
+	// status code, not an in-band error line.
 	rec = get(t, s, "/api/v1/query?cursor="+page.NextCursor+"&limit=1&stream=1")
 	if rec.Code != http.StatusGone {
 		t.Fatalf("post-delta NDJSON resume: status %d, want 410", rec.Code)

@@ -53,7 +53,7 @@ type UpdateRequest struct {
 // affected, what happened to their shards, and the index epoch the update
 // installed.
 type UpdateResponse struct {
-	// Network is the updated network; empty on the single-network route.
+	// Network is the updated network.
 	Network string `json:"network,omitempty"`
 	// AffectedItems lists the top-level items whose shards were rebuilt,
 	// rendered through the dictionary.

@@ -56,10 +56,7 @@ func newUpdatableServer(t *testing.T, seed int64) (*Server, *dbnet.Network, stri
 	if err := dbnet.WriteFile(netPath, nw, nil); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	s, err := New(tree, Options{Network: nw, NetworkPath: netPath})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
+	s, _ := testNetwork{Tree: tree, NetworkOptions: federation.NetworkOptions{Network: nw, NetworkPath: netPath}}.serve(t)
 	return s, nw, netPath
 }
 
@@ -271,8 +268,8 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 		{"batch via GET", http.MethodGet, "/api/v1/batch", http.StatusMethodNotAllowed},
 		{"unknown api route", http.MethodGet, "/api/v1/nosuchroute", http.StatusNotFound},
 		{"unknown root route", http.MethodGet, "/nosuch", http.StatusNotFound},
-		{"federation route without federation", http.MethodGet, "/api/v1/somewhere/query?alpha=0", http.StatusNotFound},
-		{"queryall without federation", http.MethodGet, "/api/v1/queryall?alpha=0", http.StatusNotFound},
+		{"unknown network", http.MethodGet, "/api/v1/somewhere/query?alpha=0", http.StatusNotFound},
+		{"queryall bad alpha", http.MethodGet, "/api/v1/queryall?alpha=-1", http.StatusBadRequest},
 		{"update disabled", http.MethodPost, "/api/v1/update", http.StatusConflict},
 	}
 	for _, tc := range cases {

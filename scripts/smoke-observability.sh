@@ -9,7 +9,8 @@
 #   - /metrics is valid enough to grep and its engine/query/HTTP counters
 #     moved;
 #   - /api/v1/slowlog captured the query (threshold 1ns) with its plan;
-#   - /healthz reports the network ready;
+#   - /healthz reports the network ready, and -tree bk.index serves it as
+#     the federation network "bk";
 #   - the pprof sidecar answers on its own listener;
 #   - tcquery -server round-trips against the running server.
 set -euo pipefail
@@ -65,6 +66,12 @@ echo "== health"
 health=$(curl -sf "http://$addr/healthz")
 echo "$health" | grep -q '"status":"ok"' || fail "/healthz not ok: $health"
 echo "$health" | grep -q '"ready":true' || fail "/healthz reports no ready network: $health"
+echo "$health" | grep -q '"name":"bk"' || fail "/healthz does not name the -tree network bk: $health"
+
+echo "== -tree serves a one-network federation"
+networks=$(curl -sf "http://$addr/api/v1/networks")
+echo "$networks" | grep -q '"default":"bk"' || fail "/api/v1/networks default is not bk: $networks"
+echo "$networks" | grep -q '"name":"bk"' || fail "/api/v1/networks does not list bk: $networks"
 
 echo "== query with injected X-Request-ID"
 reqid="smoke-req-42"
@@ -90,13 +97,13 @@ for family in tc_queries_total tc_query_duration_seconds \
   grep -q "^# TYPE $family " "$workdir/metrics.txt" \
     || fail "family $family missing from /metrics"
 done
-grep -Eq 'tc_queries_total\{network="",result="miss"\} [1-9]' "$workdir/metrics.txt" \
+grep -Eq 'tc_queries_total\{network="bk",result="miss"\} [1-9]' "$workdir/metrics.txt" \
   || fail "tc_queries_total miss did not move"
-grep -Eq 'tc_queries_total\{network="",result="hit"\} [1-9]' "$workdir/metrics.txt" \
+grep -Eq 'tc_queries_total\{network="bk",result="hit"\} [1-9]' "$workdir/metrics.txt" \
   || fail "tc_queries_total hit did not move (cache-hit path)"
 grep -Eq 'tc_http_requests_total\{route="/api/v1/query",method="GET",code="200"\} [1-9]' "$workdir/metrics.txt" \
   || fail "tc_http_requests_total did not move"
-grep -Eq 'tc_engine_queries_total\{network=""\} [1-9]' "$workdir/metrics.txt" \
+grep -Eq 'tc_engine_queries_total\{network="bk"\} [1-9]' "$workdir/metrics.txt" \
   || fail "tc_engine_queries_total did not move"
 
 echo "== slow-query log captured the query"

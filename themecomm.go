@@ -418,11 +418,16 @@ const RequestIDHeader = obs.HeaderRequestID
 // NewObserver returns an Observer; see ObserverOptions.
 func NewObserver(opts ObserverOptions) *Observer { return obs.NewObserver(opts) }
 
-// QueryServerOptions configures NewQueryServer.
+// QueryServerOptions configures NewQueryServer: the Federation whose
+// networks it serves (attach each with its dictionary, vertex names and
+// database network), the network behind the bare routes, replication roles
+// and observability.
 type QueryServerOptions = server.Options
 
-// NewQueryServer wraps a built TC-Tree in an http.Handler exposing the
-// query-answering API (see cmd/tcserver for the endpoints).
+// NewQueryServer returns an http.Handler exposing the query-answering API
+// (see cmd/tcserver for the endpoints) over the networks of
+// opts.Federation. A non-nil tree is served too, as the network "default"
+// behind the bare routes, in a new federation when opts.Federation is nil.
 func NewQueryServer(tree *Tree, opts QueryServerOptions) (http.Handler, error) {
 	return server.New(tree, opts)
 }
