@@ -1,9 +1,13 @@
 // Command tcupdate incrementally maintains a TC-Tree index after its
 // database network changes: it applies a network delta (added/removed edges,
-// added/removed transactions, new or tombstoned vertices) to the network
-// file, rebuilds only the index shards the delta can affect, commits them
-// with a single durable manifest write, and writes the updated network back —
-// no full re-index.
+// added/removed transactions, new or tombstoned vertices) to the network,
+// rebuilds only the index shards the delta can affect, and persists the
+// update — no full re-index. It takes the one write route a tcserver without
+// -journal takes (federation.Network.ApplyDelta): a lazy engine over the
+// index applies the delta in memory, then a checkpoint writes the updated
+// network back first and commits the rebuilt shards with a single durable
+// manifest write. Both files keep their journal-seq stamps, so a journaled
+// tcserver started on them later recovers as if no offline update happened.
 //
 // The delta comes from a delta file (see internal/delta for the TCDELTA text
 // format), from the command-line flags, or both:
@@ -40,6 +44,7 @@ import (
 	"themecomm"
 	"themecomm/internal/client"
 	"themecomm/internal/delta"
+	"themecomm/internal/federation"
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 	"themecomm/internal/server"
@@ -78,13 +83,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if dict != nil {
-		// Cover the whole item universe before interning delta item names,
-		// so a new name can never alias an existing unnamed item.
-		if items := nw.Items(); items.Len() > 0 {
-			dict.PadTo(int(items.Last()) + 1)
-		}
+	idx, err := themecomm.OpenShardedIndex(*indexPath)
+	if err != nil {
+		log.Fatal(err)
 	}
+	out := *outNet
+	if out == "" {
+		out = *netPath
+	}
+	// Attaching pads the dictionary to the whole item universe before delta
+	// item names are interned, so a new name can never alias an existing
+	// unnamed item.
+	fed := federation.New(federation.Options{})
+	opts := federation.NetworkOptions{Dictionary: dict, Network: nw, NetworkPath: out}
+	if err := fed.AttachIndex("index", idx, opts); err != nil {
+		log.Fatal(err)
+	}
+	tenant, _ := fed.Network("index")
 	d := &delta.Delta{AddVertices: *addVertices}
 	if *deltaPath != "" {
 		fromFile, err := delta.ReadFile(*deltaPath, dict)
@@ -117,30 +132,13 @@ func main() {
 		log.Fatal("empty delta: give -delta, -addvertices, -addedges, -rmedges, -addtx, -rmtx or -rmvertices")
 	}
 
-	idx, err := themecomm.OpenShardedIndex(*indexPath)
+	res, err := tenant.ApplyDelta(d)
 	if err != nil {
 		log.Fatal(err)
 	}
-	scope := delta.ScopeOf(nw, d)
-	affected := scope.Items()
-	start := time.Now()
-	if err := delta.Apply(nw, d); err != nil {
-		log.Fatal(err)
-	}
-	report, err := idx.ApplyDelta(nw, affected, scope)
-	if err != nil {
-		log.Fatal(err)
-	}
-	out := *outNet
-	if out == "" {
-		out = *netPath
-	}
-	if err := themecomm.WriteNetworkFileAtomic(out, nw, dict); err != nil {
-		log.Fatalf("index updated but network write-back failed: %v", err)
-	}
-	fmt.Printf("applied %s to %s in %v\n", d, *indexPath, time.Since(start).Round(time.Microsecond))
+	fmt.Printf("applied %s to %s in %v\n", d, *indexPath, res.Duration.Round(time.Microsecond))
 	fmt.Printf("  affected items:  %d of %d shards (%d replaced, %d added, %d removed)\n",
-		affected.Len(), idx.NumShards(), len(report.Replaced), len(report.Added), len(report.Removed))
+		res.Affected.Len(), idx.NumShards(), len(res.Report.Replaced), len(res.Report.Added), len(res.Report.Removed))
 	fmt.Printf("  network:         %s (|V|=%d, |E|=%d)\n", out, nw.NumVertices(), nw.NumEdges())
 }
 

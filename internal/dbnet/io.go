@@ -196,12 +196,13 @@ func WriteFile(path string, nw *Network, dict *itemset.Dictionary) error {
 }
 
 // WriteFileAtomic durably replaces the network file: write-to-temp, fsync,
-// rename, fsync the directory. Incremental maintenance uses it for the
-// network write-back after an index update — the network file is the only
-// source for future rebuilds, so it must never be torn or roll back behind
-// a durably committed index. (internal/tctree keeps its own variant of this
-// recipe for index shard files, with crash-injection test hooks; change the
-// discipline in both places or neither.)
+// rename, fsync the directory — WriteFileAtomicStamped without a stamp, for
+// writing a network no index was maintained against yet. An update's
+// write-back keeps the stamp (WriteFileAtomicStamped): the network file is
+// the only source for future rebuilds, so it must never be torn or roll back
+// behind a durably committed index. (internal/tctree keeps its own variant of
+// this recipe for index shard files, with crash-injection test hooks; change
+// the discipline in both places or neither.)
 func WriteFileAtomic(path string, nw *Network, dict *itemset.Dictionary) error {
 	return WriteFileAtomicStamped(path, nw, dict, 0)
 }

@@ -3,10 +3,10 @@
 // transactions appended to vertices, new vertices), ScopeOf bounds the
 // patterns — and with them the top-level items — whose index nodes can
 // change, and Apply mutates the network in place. The serving layers build
-// on these primitives —
-// tctree.ShardedIndex.ApplyDelta rebuilds only the affected shards on disk,
-// and engine.Engine.ApplyDelta swaps them under a live query load — so a
-// growing network never forces a full re-index.
+// on these primitives — engine.Engine.ApplyDeltaInMemory rebuilds only the
+// affected shards and swaps them under a live query load, and
+// engine.Engine.Checkpoint commits them to the index on disk — so a growing
+// network never forces a full re-index.
 package delta
 
 import (

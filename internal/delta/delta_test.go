@@ -314,10 +314,11 @@ func TestDeltaIORoundTrip(t *testing.T) {
 }
 
 // TestShardedApplyDeltaParity is the on-disk half of the acceptance
-// criterion: for generated deltas, applying the delta to a sharded index and
-// re-reading it answers every query exactly like an index rebuilt from
-// scratch on the updated network — while only the affected shard files
-// change.
+// criterion: for generated deltas, the scoped rebuild of the affected shards,
+// committed to a sharded index the way a checkpoint commits it (StageShards,
+// Commit, Sweep), re-reads to answer every query exactly like an index
+// rebuilt from scratch on the updated network — while only the affected
+// shard files change.
 func TestShardedApplyDeltaParity(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -342,8 +343,24 @@ func TestShardedApplyDeltaParity(t *testing.T) {
 		if err := Apply(nw, d); err != nil {
 			t.Fatalf("seed %d: Apply: %v", seed, err)
 		}
-		if _, err := idx.ApplyDelta(nw, affected, scope); err != nil {
-			t.Fatalf("seed %d: ApplyDelta: %v", seed, err)
+		shards, _, err := tctree.RebuildScoped(nw, affected, scope, func(it itemset.Item) *tctree.BinShard {
+			prev, err := idx.OpenShard(it)
+			if err != nil {
+				return nil
+			}
+			return prev
+		})
+		if err != nil {
+			t.Fatalf("seed %d: RebuildScoped: %v", seed, err)
+		}
+		staged, err := idx.StageShards(shards)
+		if err != nil {
+			t.Fatalf("seed %d: StageShards: %v", seed, err)
+		}
+		_, err = staged.Commit()
+		staged.Sweep()
+		if err != nil {
+			t.Fatalf("seed %d: Commit: %v", seed, err)
 		}
 
 		// Unaffected shard entries are bit-identical in the manifest.
@@ -357,7 +374,7 @@ func TestShardedApplyDeltaParity(t *testing.T) {
 				continue
 			}
 			if prev, ok := beforeByItem[e.Item]; !ok || prev != e {
-				t.Fatalf("seed %d: unaffected shard %d changed across ApplyDelta", seed, e.Item)
+				t.Fatalf("seed %d: unaffected shard %d changed across the commit", seed, e.Item)
 			}
 		}
 
@@ -367,7 +384,7 @@ func TestShardedApplyDeltaParity(t *testing.T) {
 			t.Fatalf("seed %d: LoadTree: %v", seed, err)
 		}
 		if err := updated.Validate(); err != nil {
-			t.Fatalf("seed %d: Validate after ApplyDelta: %v", seed, err)
+			t.Fatalf("seed %d: Validate after the commit: %v", seed, err)
 		}
 		if updated.NumNodes() != fresh.NumNodes() {
 			t.Fatalf("seed %d: updated index has %d nodes, fresh rebuild %d", seed, updated.NumNodes(), fresh.NumNodes())

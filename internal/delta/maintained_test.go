@@ -12,7 +12,7 @@ import (
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/delta"
-	"themecomm/internal/engine"
+	"themecomm/internal/federation"
 	"themecomm/internal/gen"
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
@@ -184,14 +184,20 @@ func assertIndexEqualsFreshBuild(t *testing.T, dir string, nw *dbnet.Network, wh
 }
 
 // maintainedCase is one randomized maintenance run: a generated network, a
-// write path, a GOMAXPROCS and a seed.
+// caller of the one write route, a GOMAXPROCS and a seed.
 type maintainedCase struct {
 	dataset string
 	scale   gen.Scale
-	path    string // "staged", "journaled" or "offline"
-	procs   int
-	seed    int64
-	steps   int
+	// path names the caller. "staged" is a server without a journal: every
+	// update is applied in memory and checkpointed at once, its shards staged
+	// and committed inside the update (federation.Network.ApplyDelta).
+	// "journaled" is a replication member: one or two in-memory updates, then
+	// a checkpoint at an advancing journal seq. "offline" is tcupdate: the
+	// staged caller over files opened cold for every update.
+	path  string
+	procs int
+	seed  int64
+	steps int
 }
 
 func (c maintainedCase) String() string {
@@ -200,71 +206,72 @@ func (c maintainedCase) String() string {
 
 // run maintains an index of the case's network through its sequence of
 // random deltas — every change kind at least once when steps allow — and
-// compares the index directory with a fresh build after every commit.
+// compares the index directory with a fresh build after every checkpoint.
 func (c maintainedCase) run(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
 	ds, err := gen.ByName(c.dataset, c.scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := ds.Network
 	dir := t.TempDir()
-	if _, err := tctree.Build(nw, tctree.BuildOptions{}).WriteSharded(dir); err != nil {
+	if _, err := tctree.Build(ds.Network, tctree.BuildOptions{}).WriteSharded(dir); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := tctree.OpenSharded(dir)
-	if err != nil {
+	netPath := filepath.Join(t.TempDir(), "network.dbnet")
+	if err := dbnet.WriteFileAtomic(netPath, ds.Network, nil); err != nil {
 		t.Fatal(err)
 	}
-	// A small residency budget: some previous shards are resident when an
-	// update reads them, some are opened for it.
-	eng, err := engine.NewLazy(idx, engine.Options{MaxResidentShards: 8})
-	if err != nil {
-		t.Fatal(err)
+	// attach opens the index directory and the network file as a server
+	// does, under a small residency budget: some previous shards are resident
+	// when an update reads them, some are opened for it.
+	attach := func() *federation.Network {
+		f := federation.New(federation.Options{MaxResidentShards: 8})
+		if err := f.AttachIndexDir("net", dir, netPath); err != nil {
+			t.Fatal(err)
+		}
+		n, _ := f.Network("net")
+		return n
 	}
+	n := attach()
 	rng := rand.New(rand.NewSource(c.seed))
 	reused := 0
 	for step := 0; step < c.steps; step++ {
+		if c.path == "offline" {
+			n = attach()
+		}
+		nw := n.DatabaseNetwork()
 		d := randomDelta(rng, nw, changeKinds[step%len(changeKinds)])
 		when := fmt.Sprintf("%v step %d (%v)", c, step, d)
-		switch c.path {
-		case "staged":
-			res, err := eng.ApplyDelta(nw, d)
+		if c.path != "journaled" {
+			res, err := n.ApplyDelta(d)
 			if err != nil {
 				t.Fatalf("%s: ApplyDelta: %v", when, err)
 			}
 			reused += res.ReusedNodes
-		case "journaled":
-			res, err := eng.ApplyDeltaInMemory(nw, d)
-			if err != nil {
+			assertIndexEqualsFreshBuild(t, dir, nw, when)
+			continue
+		}
+		res, err := n.Engine().ApplyDeltaInMemory(nw, d)
+		if err != nil {
+			t.Fatalf("%s: ApplyDeltaInMemory: %v", when, err)
+		}
+		reused += res.ReusedNodes
+		if rng.Intn(3) == 0 {
+			// A second delta before the checkpoint: its previous shards
+			// include ones the first left dirty on the heap.
+			d = randomDelta(rng, nw, changeKinds[rng.Intn(len(changeKinds))])
+			when += fmt.Sprintf(" then %v", d)
+			if res, err = n.Engine().ApplyDeltaInMemory(nw, d); err != nil {
 				t.Fatalf("%s: ApplyDeltaInMemory: %v", when, err)
 			}
 			reused += res.ReusedNodes
-			if rng.Intn(3) == 0 {
-				// A second delta before the checkpoint: its previous
-				// shards include ones the first left dirty on the heap.
-				d = randomDelta(rng, nw, changeKinds[rng.Intn(len(changeKinds))])
-				when += fmt.Sprintf(" then %v", d)
-				if res, err = eng.ApplyDeltaInMemory(nw, d); err != nil {
-					t.Fatalf("%s: ApplyDeltaInMemory: %v", when, err)
-				}
-				reused += res.ReusedNodes
-			}
-			if _, err := eng.Checkpoint(uint64(step+1), nil); err != nil {
-				t.Fatalf("%s: Checkpoint: %v", when, err)
-			}
-		case "offline":
-			scope := delta.ScopeOf(nw, d)
-			if err := delta.Apply(nw, d); err != nil {
-				t.Fatalf("%s: Apply: %v", when, err)
-			}
-			if _, err := idx.ApplyDelta(nw, scope.Items(), scope); err != nil {
-				t.Fatalf("%s: ApplyDelta: %v", when, err)
-			}
+		}
+		if err := n.Checkpoint(uint64(step + 1)); err != nil {
+			t.Fatalf("%s: Checkpoint: %v", when, err)
 		}
 		assertIndexEqualsFreshBuild(t, dir, nw, when)
 	}
-	if c.path != "offline" && reused == 0 {
+	if reused == 0 {
 		t.Fatalf("%v: no update carried a node over; the scoped rebuild was not exercised", c)
 	}
 }
@@ -273,9 +280,9 @@ func (c maintainedCase) run(t *testing.T) {
 // maintenance and a from-scratch build are the same function of the network.
 // Over generated BK and AMINER networks, through randomized sequences that
 // cover all six change kinds (+V, +E, -E, +T, -T, tombstone-and-repopulate),
-// on every write path (the engine's staged commit, its in-memory apply
-// followed by a checkpoint, and the offline ShardedIndex.ApplyDelta) and at
-// GOMAXPROCS 1 and 4, the index directory after every delta holds exactly
+// through every caller of the one write route (an update checkpointed at
+// once, journaled updates checkpointed later, and the offline tcupdate over
+// cold files) and at GOMAXPROCS 1 and 4, the index directory after every delta holds exactly
 // the shards, bytes and manifest entries that Build + WriteSharded write for
 // a pristine copy of the updated network — whether a node was mined or
 // carried over from the previous version of its shard.

@@ -4,45 +4,26 @@ import (
 	"fmt"
 
 	"themecomm/internal/dbnet"
-	"themecomm/internal/delta"
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
 )
 
-// This file implements the journaled update fast path. The classic
-// ApplyDelta pays a full staged shard commit — encode, fsync and manifest
-// write — inside every update. With a durable delta journal in front, that
-// synchronous disk work is redundant: the journal append already made the
-// delta durable, so the update only needs to become visible to queries.
+// This file implements the one way the engine persists: Checkpoint.
+// ApplyDeltaInMemory (engine.go) only ever changes what queries read — the
+// rebuilt shards are swapped into the live table as heap shards and join the
+// dirty set — and every route that writes an index reaches the disk through a
+// checkpoint, taken either right after the update (a server without a
+// journal, offline tcupdate: federation.Network.ApplyDelta) or in the
+// background after the journal made the update durable (replication):
 //
-//	ApplyDeltaInMemory: journal-backed apply — rebuild the affected
-//	  shards as bytes and swap them into the live table as heap shards,
-//	  touching no index file. The affected items accumulate in the
-//	  engine's dirty set.
-//	Checkpoint: background flush — write the dirty shards' bytes as they
-//	  are served, stamp the journal seq into the manifest, commit once,
-//	  and swap the dirty heap shards for file-backed ones. Queries see
-//	  identical content before and after, so no epoch bump and no cache
-//	  purge.
+//	Checkpoint: write the dirty shards' bytes as they are served, run the
+//	  caller's write-back (the stamped network file), stamp the journal seq
+//	  into the manifest, commit once, and swap the dirty heap shards for
+//	  file-backed ones. Queries see identical content before and after, so
+//	  no epoch bump and no cache purge.
 //
 // Crash recovery replays journal records after the manifest's JournalSeq
 // through ApplyDeltaInMemory, converging on exactly the pre-crash state.
-
-// ApplyDeltaInMemory applies a delta to the serving state without writing
-// the index: everything ApplyDelta does except the staged disk commit — the
-// rebuilt shards are swapped into the live table as heap shards, the TCBIN
-// bytes the rebuild produced, served by the kernel that serves a mapped file.
-// The caller owns durability (typically a journal append before this call);
-// Checkpoint later folds the accumulated dirty shards into the on-disk index
-// in one commit.
-//
-// Dirty shards are pinned until the next Checkpoint — the index on disk does
-// not have their content yet — but charged to the byte budget at their real
-// size, so file-backed shards make room for them. An engine without an
-// on-disk index (New) has nothing to checkpoint: this is simply ApplyDelta.
-func (e *Engine) ApplyDeltaInMemory(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, error) {
-	return e.applyDelta(nw, d, false)
-}
 
 // markDirty records shards as ahead of the on-disk index, for the next
 // Checkpoint to write. Callers hold applyMu.
@@ -84,8 +65,8 @@ func (e *Engine) IndexJournalSeq() uint64 {
 // ahead of the index manifest, the network file is authoritative and the
 // index content must be rebuilt to match before journal replay continues; a
 // following Checkpoint persists the rebuilt shards. Unlike a checkpoint, a
-// resync may change answers, so the epoch is bumped and the engine's cache
-// namespace fully purged.
+// resync may change answers, so the epoch is bumped and the engine's cached
+// answers purged.
 func (e *Engine) ResyncInMemory(nw *dbnet.Network) error {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
@@ -99,21 +80,8 @@ func (e *Engine) ResyncInMemory(nw *dbnet.Network) error {
 	if err != nil {
 		return err
 	}
-	source, err := heapShards(shards)
-	if err != nil {
-		return err
-	}
-
-	e.updateMu.Lock()
-	e.replaceShardsLocked(affected, source)
-	e.markDirty(shards)
-	e.pendingAffected = nil
-	e.epoch.Add(1)
-	if e.cache != nil {
-		e.cache.invalidate(e.cacheNS, func(itemset.Itemset, bool) bool { return true })
-	}
-	e.updateMu.Unlock()
-	return nil
+	_, _, err = e.install(affected, shards)
+	return err
 }
 
 // Checkpoint folds every dirty shard into the on-disk index with one staged
@@ -121,8 +89,9 @@ func (e *Engine) ResyncInMemory(nw *dbnet.Network) error {
 // tctree.Manifest.JournalSeq) so recovery knows which journal records the
 // index already includes. Between staging and the commit it runs preCommit
 // (nil to skip) — the hook the serving layer uses to persist the updated
-// network file, stamped with the same seq; if the hook fails the staged
-// files are discarded and the index is untouched.
+// network file, stamped with the same seq, so the network file is never
+// behind the index; if the hook fails the staged files are discarded, the
+// index is untouched and the dirty shards wait for the next checkpoint.
 //
 // After the manifest commit the dirty heap shards are swapped for plain
 // file-backed shards under the residency budget. The files hold the very
@@ -131,16 +100,19 @@ func (e *Engine) ResyncInMemory(nw *dbnet.Network) error {
 // (applyMu), queries do not (updateMu is held only for the swap-back); the
 // superseded files are removed after updateMu is released.
 //
-// Checkpoint with no dirty shards and journalSeq already stamped is a no-op
-// returning (nil, nil). It requires a lazy engine: an eager engine has no
-// on-disk index to checkpoint into.
+// Checkpoint with no dirty shards, journalSeq already stamped and no
+// preCommit is a no-op returning (nil, nil). An engine without an on-disk
+// index (New) has nothing to commit: its checkpoint is preCommit alone.
 func (e *Engine) Checkpoint(journalSeq uint64, preCommit func() error) (*tctree.CommitReport, error) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
 	if e.idx == nil {
-		return nil, fmt.Errorf("engine: checkpoint requires a lazy engine over a sharded index")
+		if preCommit == nil {
+			return nil, nil
+		}
+		return nil, preCommit()
 	}
-	if len(e.dirty) == 0 && e.idx.JournalSeq() >= journalSeq {
+	if preCommit == nil && len(e.dirty) == 0 && e.idx.JournalSeq() >= journalSeq {
 		return nil, nil
 	}
 	staged, err := e.idx.StageShards(e.dirty)

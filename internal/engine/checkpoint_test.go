@@ -118,6 +118,12 @@ func TestApplyDeltaInMemoryParity(t *testing.T) {
 		if rep, err := eng.Checkpoint(42, nil); err != nil || rep != nil {
 			t.Fatalf("seed %d: idle checkpoint = (%v, %v), want (nil, nil)", seed, rep, err)
 		}
+		// One with a write-back to run is not idle: an update that affected
+		// no shard still changed the network the hook persists.
+		hookRan := false
+		if _, err := eng.Checkpoint(42, func() error { hookRan = true; return nil }); err != nil || !hookRan {
+			t.Fatalf("seed %d: checkpoint with nothing dirty: err %v, hook ran %v", seed, err, hookRan)
+		}
 		// A seq-only checkpoint still advances the stamp (a delta can affect
 		// zero shards, yet replay must not re-apply it).
 		if _, err := eng.Checkpoint(43, nil); err != nil {
@@ -187,7 +193,8 @@ func TestCheckpointPreCommitFailure(t *testing.T) {
 }
 
 // TestApplyDeltaInMemoryEager covers the eager-engine arm: no index on disk,
-// the in-memory swap IS the whole update, and Checkpoint refuses.
+// the in-memory swap IS the whole update, and a Checkpoint is its pre-commit
+// hook alone — the caller's network write-back — with nothing committed.
 func TestApplyDeltaInMemoryEager(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	nw := randomNetwork(rng, 14, 34, 5, 3)
@@ -208,8 +215,16 @@ func TestApplyDeltaInMemoryEager(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertQueryParity(t, 5, "eager", eng, fresh)
-	if _, err := eng.Checkpoint(1, nil); err == nil {
-		t.Fatal("Checkpoint on an eager engine did not refuse")
+	ran := false
+	if report, err := eng.Checkpoint(1, func() error { ran = true; return nil }); err != nil || report != nil || !ran {
+		t.Fatalf("eager Checkpoint = (%v, %v), hook ran %v; want (nil, nil) after running the hook", report, err, ran)
+	}
+	boom := errors.New("disk full")
+	if _, err := eng.Checkpoint(2, func() error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("eager Checkpoint error = %v, want the hook's %v", err, boom)
+	}
+	if report, err := eng.Checkpoint(3, nil); err != nil || report != nil {
+		t.Fatalf("eager Checkpoint without a hook = (%v, %v), want (nil, nil)", report, err)
 	}
 }
 

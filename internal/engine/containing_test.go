@@ -172,9 +172,7 @@ func TestQueryContainingCacheAndDelta(t *testing.T) {
 	d := &delta.Delta{AddTransactions: []delta.VertexTransaction{
 		{Vertex: 0, Tx: itemset.New(0, 1)}, {Vertex: 1, Tx: itemset.New(0, 1)},
 	}}
-	if _, err := eng.ApplyDelta(nw, d); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
-	}
+	applyDelta(t, eng, nw, d)
 	fresh := tctree.Build(nw, tctree.BuildOptions{})
 	for _, alpha := range []float64{0, 0.1, 0.3} {
 		got, err := eng.QueryContaining(q, alpha)

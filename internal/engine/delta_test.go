@@ -49,6 +49,22 @@ func randomDeltaFor(rng *rand.Rand, nw *dbnet.Network, items int) *delta.Delta {
 	return d
 }
 
+// applyDelta is the unjournaled update at the engine's level: the delta is
+// applied in memory and checkpointed at once, keeping the manifest's journal
+// seq (federation.Network.ApplyDelta adds the network write-back). On an
+// engine without an on-disk index the checkpoint has nothing to do.
+func applyDelta(t testing.TB, eng *Engine, nw *dbnet.Network, d *delta.Delta) *DeltaResult {
+	t.Helper()
+	res, err := eng.ApplyDeltaInMemory(nw, d)
+	if err != nil {
+		t.Fatalf("ApplyDeltaInMemory: %v", err)
+	}
+	if _, err := eng.Checkpoint(eng.IndexJournalSeq(), nil); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	return res
+}
+
 // deltaTestQueries is the query mix the parity tests compare: query-by-alpha,
 // narrow patterns, wide patterns, across several thresholds.
 func deltaTestQueries() []Request {
@@ -64,7 +80,7 @@ func deltaTestQueries() []Request {
 
 // TestApplyDeltaParity is the serving-layer half of the acceptance
 // criterion, as a table over eager and lazy engines and several generated
-// networks/deltas: ApplyDelta then query must match a from-scratch rebuild
+// networks/deltas: an update then query must match a from-scratch rebuild
 // then query, answer for answer.
 func TestApplyDeltaParity(t *testing.T) {
 	const items = 5
@@ -107,10 +123,7 @@ func TestApplyDeltaParity(t *testing.T) {
 				}
 
 				d := randomDeltaFor(rng, nw, items)
-				res, err := eng.ApplyDelta(nw, d)
-				if err != nil {
-					t.Fatalf("ApplyDelta: %v", err)
-				}
+				res := applyDelta(t, eng, nw, d)
 				if res.Epoch == 0 || eng.IndexEpoch() != res.Epoch {
 					t.Fatalf("epoch not bumped: result %d, engine %d", res.Epoch, eng.IndexEpoch())
 				}
@@ -149,7 +162,7 @@ func TestApplyDeltaParity(t *testing.T) {
 						t.Fatalf("fresh TopK: %v", err)
 					}
 					if !reflect.DeepEqual(gotK, wantK) {
-						t.Fatalf("TopK diverges after ApplyDelta:\n got %v\nwant %v", gotK, wantK)
+						t.Fatalf("TopK diverges after the update:\n got %v\nwant %v", gotK, wantK)
 					}
 				}
 			})
@@ -179,10 +192,7 @@ func TestApplyDeltaSelective(t *testing.T) {
 	d := &delta.Delta{AddTransactions: []delta.VertexTransaction{
 		{Vertex: 0, Tx: itemset.New(nw.Items()[0])},
 	}}
-	res, err := eng.ApplyDelta(nw, d)
-	if err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
-	}
+	res := applyDelta(t, eng, nw, d)
 	if res.Affected.Len() == 0 || res.Affected.Len() >= total {
 		t.Fatalf("one-vertex delta affected %d of %d shards; want a strict subset", res.Affected.Len(), total)
 	}
@@ -205,8 +215,8 @@ func TestApplyDeltaRejectsDepthBoundedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eager.ApplyDelta(nw, d); err == nil {
-		t.Fatalf("eager ApplyDelta accepted a depth-bounded index")
+	if _, err := eager.ApplyDeltaInMemory(nw, d); err == nil {
+		t.Fatalf("eager ApplyDeltaInMemory accepted a depth-bounded index")
 	}
 
 	dir := t.TempDir()
@@ -224,11 +234,8 @@ func TestApplyDeltaRejectsDepthBoundedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lazy.ApplyDelta(nw, d); err == nil {
-		t.Fatalf("lazy ApplyDelta accepted a depth-bounded index")
-	}
-	if _, err := idx.ApplyDelta(nw, itemset.New(0), nil); err == nil {
-		t.Fatalf("ShardedIndex.ApplyDelta accepted a depth-bounded index")
+	if _, err := lazy.ApplyDeltaInMemory(nw, d); err == nil {
+		t.Fatalf("lazy ApplyDeltaInMemory accepted a depth-bounded index")
 	}
 }
 
@@ -287,7 +294,7 @@ func TestApplyDeltaConcurrentQueries(t *testing.T) {
 
 	for _, mode := range []string{"eager", "lazy"} {
 		t.Run(mode, func(t *testing.T) {
-			// Fresh engine and fresh mutable network per mode: ApplyDelta
+			// Fresh engine and fresh mutable network per mode: an update
 			// mutates both.
 			liveNw := randomNetwork(rand.New(rand.NewSource(11)), 14, 34, items, 3)
 			liveTree := tctree.Build(liveNw, tctree.BuildOptions{})
@@ -348,9 +355,7 @@ func TestApplyDeltaConcurrentQueries(t *testing.T) {
 					}
 				}(w)
 			}
-			if _, err := eng.ApplyDelta(liveNw, d); err != nil {
-				t.Fatalf("ApplyDelta: %v", err)
-			}
+			applyDelta(t, eng, liveNw, d)
 			stop.Store(true)
 			wg.Wait()
 			close(errs)
@@ -427,9 +432,7 @@ func TestApplyDeltaCacheRace(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 40; i++ {
-		if _, err := eng.ApplyDelta(nw, toggles[i%2]); err != nil {
-			t.Fatalf("ApplyDelta: %v", err)
-		}
+		applyDelta(t, eng, nw, toggles[i%2])
 		// The very next answer — cached or executed — must be the new shard's.
 		res, err := eng.Query(q, 0)
 		if err != nil {
@@ -446,7 +449,7 @@ func TestApplyDeltaCacheRace(t *testing.T) {
 	}
 }
 
-// BenchmarkDeltaFullRebuild is the baseline ApplyDelta replaces (see
+// BenchmarkDeltaFullRebuild is the baseline an incremental update replaces (see
 // BenchmarkApplyDelta): apply a small delta, then rebuild and rewrite the
 // whole index from scratch.
 func BenchmarkDeltaFullRebuild(b *testing.B) {

@@ -136,19 +136,20 @@ type Engine struct {
 	table atomic.Pointer[shardTable]
 
 	// updateMu serializes index swaps against in-flight queries: every query
-	// holds the read side for its whole execution, and ApplyDelta holds the
-	// write side across the disk commit, the in-memory swap and the cache
-	// invalidation — so a query's answer is always entirely pre-swap or
-	// entirely post-swap, never a mix of shards from both sides.
+	// holds the read side for its whole execution, and an update holds the
+	// write side across the in-memory swap and the cache invalidation (a
+	// checkpoint across its manifest commit and swap-back) — so a query's
+	// answer is always entirely pre-swap or entirely post-swap, never a mix of
+	// shards from both sides.
 	updateMu sync.RWMutex
-	// applyMu serializes whole ApplyDelta invocations: the network mutation
-	// and the subtree rebuilds happen outside updateMu (queries keep
-	// flowing), so concurrent deltas must queue here.
+	// applyMu serializes whole updates and checkpoints: the network mutation,
+	// the subtree rebuilds and the checkpoint's file writes happen outside
+	// updateMu (queries keep flowing), so they must queue here.
 	applyMu sync.Mutex
 	// pendingAffected (guarded by applyMu) carries the affected set of a
-	// delta whose disk commit failed: the network is already mutated, so the
-	// next ApplyDelta must rebuild those shards too or the index would
-	// silently diverge from the network forever.
+	// delta whose rebuild failed: the network is already mutated, so the next
+	// update must rebuild those shards too or the index would silently
+	// diverge from the network forever.
 	pendingAffected itemset.Itemset
 	// dirty (guarded by applyMu) maps each item whose in-memory shard has
 	// run ahead of the on-disk index — installed by ApplyDeltaInMemory, not
@@ -208,7 +209,7 @@ type Engine struct {
 
 // New returns an Engine over a tree built in-process: every first-level
 // subtree is encoded once and served from those bytes on the heap. Nothing is
-// persisted; ApplyDelta replaces shards in memory only.
+// persisted; ApplyDeltaInMemory replaces shards in memory only.
 func New(tree *tctree.Tree, opts Options) (*Engine, error) {
 	if tree == nil || tree.Root() == nil {
 		return nil, fmt.Errorf("engine: nil tree")
@@ -685,7 +686,7 @@ func (e *Engine) EstimateCost(q itemset.Itemset, alphaQ float64) float64 {
 	return e.plan(t, eff, alphaQ, ModeSub, false).TotalCost
 }
 
-// DeltaResult summarises one Engine.ApplyDelta call.
+// DeltaResult summarises one Engine.ApplyDeltaInMemory call.
 type DeltaResult struct {
 	// Affected is the set of top-level items the delta could change — the
 	// shards that were rebuilt. Unaffected shards were neither rebuilt nor
@@ -701,34 +702,36 @@ type DeltaResult struct {
 	// previous version.
 	RecomputedNodes int `json:"recomputedNodes"`
 	ReusedNodes     int `json:"reusedNodes"`
-	// Duration is the wall time of the whole update (rebuild + commit +
-	// swap).
+	// Duration is the wall time of the update: rebuild and swap, plus the
+	// checkpoint when the caller persists the update at once
+	// (federation.Network.ApplyDelta).
 	Duration time.Duration `json:"-"`
 }
 
-// ApplyDelta incrementally maintains the engine's index after a network
-// delta: the delta is applied to nw (which must be the network the index was
-// built from), the shard of every affected top-level item is re-decomposed
-// from the updated network, and the rebuilt shards are swapped in — on disk
-// first for a lazy engine (one durable manifest write,
-// tctree.StagedShards.Commit), then in memory — while unaffected shards are
-// left untouched, resident and cached.
+// ApplyDeltaInMemory is the one way to change the engine's index after a
+// network delta: the delta is applied to nw (which must be the network the
+// index was built from), the shard of every affected top-level item is
+// rebuilt from the updated network, and the rebuilt shards are swapped into
+// the live table as heap shards — the TCBIN bytes the rebuild produced, served
+// by the kernel that serves a mapped file — while unaffected shards are left
+// untouched, resident and cached. No index file is written: on an engine over
+// an on-disk index the rebuilt shards join the dirty set, and Checkpoint — the
+// one way to persist — later folds them into the index in one commit. The
+// caller owns durability: a journal append before this call, or a Checkpoint
+// right after it.
 //
 // The swap is serialized against in-flight queries (updateMu): a query
 // observes either the whole pre-delta index or the whole post-delta index,
 // never a mix. Cached answers that could depend on an affected shard (their
 // pattern intersects the affected set, or they cover every item) are purged,
 // the index epoch is bumped, and concurrent deltas queue on applyMu. After
-// ApplyDelta returns, querying the engine is byte-identical to querying an
-// index rebuilt from scratch on the updated network.
-func (e *Engine) ApplyDelta(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, error) {
-	return e.applyDelta(nw, d, e.idx != nil)
-}
-
-// applyDelta is the one body of both write paths: stage writes the rebuilt
-// shards to the index and serves them file-backed; otherwise they are served
-// from the heap and, when there is an index, owed a Checkpoint.
-func (e *Engine) applyDelta(nw *dbnet.Network, d *delta.Delta, stage bool) (*DeltaResult, error) {
+// ApplyDeltaInMemory returns, querying the engine is byte-identical to
+// querying an index rebuilt from scratch on the updated network.
+//
+// Dirty shards are pinned until the next Checkpoint — the index on disk does
+// not have their content yet — but charged to the byte budget at their real
+// size, so file-backed shards make room for them.
+func (e *Engine) ApplyDeltaInMemory(nw *dbnet.Network, d *delta.Delta) (*DeltaResult, error) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
 	start := time.Now()
@@ -739,69 +742,29 @@ func (e *Engine) applyDelta(nw *dbnet.Network, d *delta.Delta, stage bool) (*Del
 	// Union in the affected set of any previously failed update: its delta
 	// already mutated the network, so those shards still await their
 	// rebuild. A transient failure is therefore healed by the next
-	// successful ApplyDelta (an empty delta suffices).
+	// successful update (an empty delta suffices).
 	affected := scope.Items().Union(e.pendingAffected)
 	if err := delta.Apply(nw, d); err != nil {
 		// Apply validates first and mutates nothing on failure.
 		return nil, err
 	}
-	// From here on the network carries the delta, while disk and memory agree
-	// on the old index and the engine keeps serving it: a failure remembers
-	// the affected set so that a retry rebuilds these shards.
-	fail := func(err error) (*DeltaResult, error) {
+	// From here on the network carries the delta while the engine keeps
+	// serving the old index: a failure remembers the affected set so that a
+	// retry rebuilds these shards. An affected shard is read where a query
+	// reads it, only the part of it inside the scope is re-mined, and the
+	// rest is copied across from the bytes the engine serves. The rebuild runs
+	// outside updateMu; only the swap excludes queries.
+	shards, stats, err := tctree.RebuildScoped(nw, affected, scope, e.previousShard)
+	var report *tctree.CommitReport
+	var epoch uint64
+	if err == nil {
+		report, epoch, err = e.install(affected, shards)
+	}
+	if err != nil {
 		e.pendingAffected = affected
 		return nil, err
 	}
-	// An affected shard is read where a query reads it, only the part of it
-	// inside the scope is re-mined, and the rest is copied across from the
-	// bytes the engine serves. Rebuild and staging run outside updateMu:
-	// re-decomposition, encoding, validation and the fsync'd file writes are
-	// the expensive parts, and queries see none of it — staged files are
-	// invisible until the manifest swap. Only the swap excludes queries.
-	shards, stats, err := tctree.RebuildScoped(nw, affected, scope, e.previousShard)
-	if err != nil {
-		return fail(err)
-	}
-	var staged *tctree.StagedShards
-	source := e.committedShard
-	if stage {
-		staged, err = e.idx.StageShards(shards)
-	} else {
-		source, err = heapShards(shards)
-	}
-	if err != nil {
-		return fail(err)
-	}
-
-	e.updateMu.Lock()
-	var report *tctree.CommitReport
-	if stage {
-		if report, err = staged.Commit(); err != nil {
-			e.updateMu.Unlock()
-			staged.Sweep()
-			return fail(err)
-		}
-		e.replaceShardsLocked(report.Touched(), source)
-	} else {
-		report = e.replaceShardsLocked(affected, source)
-		e.markDirty(shards)
-	}
-	e.pendingAffected = nil
 	e.deltas.Add(1)
-	epoch := e.epoch.Add(1)
-	if e.cache != nil {
-		// An answer can only depend on an affected shard when its pattern
-		// contains an affected item; full-pattern entries depend on every
-		// shard. Only this engine's namespace is touched.
-		e.cache.invalidate(e.cacheNS, func(q itemset.Itemset, full bool) bool {
-			return full || q.Intersect(affected).Len() > 0
-		})
-	}
-	e.updateMu.Unlock()
-	if stage {
-		// The superseded shard files go once no query waits on this update.
-		staged.Sweep()
-	}
 	e.nodesRecomputed.Add(uint64(stats.Recomputed))
 	e.nodesReused.Add(uint64(stats.Reused))
 	return &DeltaResult{
@@ -814,10 +777,38 @@ func (e *Engine) applyDelta(nw *dbnet.Network, d *delta.Delta, stage bool) (*Del
 	}, nil
 }
 
+// install is the one routine that puts rebuilt shards in front of queries,
+// behind both ApplyDeltaInMemory and ResyncInMemory: every affected item's
+// shard is replaced by its rebuilt bytes opened on the heap (or leaves the
+// table when it decomposed to nothing), the rebuilt shards join the dirty set
+// for the next Checkpoint, the epoch is bumped, and every cached answer that
+// could depend on an affected shard is purged — an answer whose pattern
+// contains an affected item, or a full-pattern one, which depends on every
+// shard; only this engine's namespace is touched. It returns what happened to
+// each item and the new epoch. Callers hold applyMu.
+func (e *Engine) install(affected itemset.Itemset, shards map[itemset.Item]*tctree.EncodedShard) (*tctree.CommitReport, uint64, error) {
+	source, err := heapShards(shards)
+	if err != nil {
+		return nil, 0, err
+	}
+	e.updateMu.Lock()
+	defer e.updateMu.Unlock()
+	report := e.replaceShardsLocked(affected, source)
+	e.markDirty(shards)
+	e.pendingAffected = nil
+	epoch := e.epoch.Add(1)
+	if e.cache != nil {
+		e.cache.invalidate(e.cacheNS, func(q itemset.Itemset, full bool) bool {
+			return full || q.Intersect(affected).Len() > 0
+		})
+	}
+	return report, epoch, nil
+}
+
 // previousShard returns the shard the item is served from, for a scoped
 // rebuild to carry its unchanged part over, or nil when the shard must be
 // rebuilt in full: the item has no shard yet, its shard cannot be read — the
-// rebuild then heals it — or the item is left over from a failed commit, so
+// rebuild then heals it — or the item is left over from a failed update, so
 // that its shard predates a delta this one's scope knows nothing about. It
 // runs on the rebuild's workers, under the caller's applyMu; the rebuild keeps
 // the shard alive until its bytes are copied, whatever eviction does.

@@ -286,9 +286,7 @@ func TestLazyLoadErrorIsStickyUntilReload(t *testing.T) {
 		assertSameAnswer(t, mustQuery(t, eng, other, 0), tree.Query(other, 0))
 	}
 
-	if _, err := eng.ApplyDelta(nw, touchDelta(nw, victim)); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
-	}
+	applyDelta(t, eng, nw, touchDelta(nw, victim))
 	assertSameAnswer(t, mustQuery(t, eng, q, 0), tree.Query(q, 0))
 	assertSameAnswer(t, mustQueryByAlpha(t, eng, 0), tree.QueryByAlpha(0))
 }
@@ -327,10 +325,7 @@ func TestApplyDeltaPurgesOnlyAffectedCacheEntries(t *testing.T) {
 			}
 
 			d := triangleDelta(nw, item)
-			res, err := eng.ApplyDelta(nw, d)
-			if err != nil {
-				t.Fatalf("ApplyDelta: %v", err)
-			}
+			res := applyDelta(t, eng, nw, d)
 			if !res.Affected.Equal(q) || len(res.Report.Replaced) != 1 || res.Report.Replaced[0] != item {
 				t.Fatalf("delta affected %v and replaced %v, want exactly item %d", res.Affected, res.Report.Replaced, item)
 			}
@@ -536,14 +531,8 @@ func TestEagerEngineServesTheIndexBytes(t *testing.T) {
 	agree("built")
 
 	nwEager, nwLazy := testNetwork(11), testNetwork(11)
-	resEager, err := eager.ApplyDelta(nwEager, patternTriangleDelta(nwEager, patterns[1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resLazy, err := lazy.ApplyDelta(nwLazy, patternTriangleDelta(nwLazy, patterns[1]))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resEager := applyDelta(t, eager, nwEager, patternTriangleDelta(nwEager, patterns[1]))
+	resLazy := applyDelta(t, lazy, nwLazy, patternTriangleDelta(nwLazy, patterns[1]))
 	if resEager.RecomputedNodes != resLazy.RecomputedNodes || resEager.ReusedNodes != resLazy.ReusedNodes || resEager.ReusedNodes == 0 {
 		t.Fatalf("the update recomputed/reused %d/%d nodes eagerly, %d/%d lazily",
 			resEager.RecomputedNodes, resEager.ReusedNodes, resLazy.RecomputedNodes, resLazy.ReusedNodes)

@@ -257,15 +257,11 @@ func TestQueryByAlphaCacheKey(t *testing.T) {
 	// Swapping any shard invalidates the full-pattern entry (it depends on
 	// every shard) and the single-item entry only if it matches.
 	victim := full[len(full)-1]
-	if _, err := eng.ApplyDelta(nw, touchDelta(nw, victim)); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
-	}
+	applyDelta(t, eng, nw, touchDelta(nw, victim))
 	if got := eng.Stats().Cache.Length; got != 1 {
 		t.Fatalf("after replacing shard %d the cache holds %d entries, want 1", victim, got)
 	}
-	if _, err := eng.ApplyDelta(nw, touchDelta(nw, full[0])); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
-	}
+	applyDelta(t, eng, nw, touchDelta(nw, full[0]))
 	if got := eng.Stats().Cache.Length; got != 0 {
 		t.Fatalf("after replacing shard %d the cache holds %d entries, want 0", full[0], got)
 	}

@@ -171,8 +171,8 @@ func TestStatsRace(t *testing.T) {
 			d := &delta.Delta{AddTransactions: []delta.VertexTransaction{
 				{Vertex: 0, Tx: itemset.New(itemset.Item(i % 5))},
 			}}
-			if _, err := eng.ApplyDelta(nw, d); err != nil {
-				t.Errorf("ApplyDelta: %v", err)
+			if _, err := eng.ApplyDeltaInMemory(nw, d); err != nil {
+				t.Errorf("ApplyDeltaInMemory: %v", err)
 				return
 			}
 		}

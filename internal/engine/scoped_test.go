@@ -3,6 +3,7 @@ package engine
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"themecomm/internal/dbnet"
@@ -26,7 +27,9 @@ func assertServesFreshBuild(t *testing.T, eng *Engine, nw *dbnet.Network, patter
 // TestUnreadablePreviousShardIsRebuiltInFull covers the first fallback of the
 // scoped rebuild: an update whose previous shard cannot be read — its file is
 // corrupt, or gone — carries nothing over from it, rebuilds the shard in full
-// and so heals it, on both write paths.
+// and so heals it, whether the update is checkpointed at once ("staged": its
+// shards staged and committed inside the update, as a server without a
+// journal does) or later ("journaled": served from the heap until then).
 func TestUnreadablePreviousShardIsRebuiltInFull(t *testing.T) {
 	for _, damage := range []string{"corrupt", "missing"} {
 		for _, path := range []string{"staged", "journaled"} {
@@ -59,23 +62,20 @@ func TestUnreadablePreviousShardIsRebuiltInFull(t *testing.T) {
 				if _, err := eng.Query(q, 0); err == nil {
 					t.Fatalf("a query over the %s shard should fail", damage)
 				}
-				d := patternTriangleDelta(nw, q)
-				var res *DeltaResult
-				if path == "staged" {
-					res, err = eng.ApplyDelta(nw, d)
-				} else {
-					res, err = eng.ApplyDeltaInMemory(nw, d)
-				}
+				res, err := eng.ApplyDeltaInMemory(nw, patternTriangleDelta(nw, q))
 				if err != nil {
 					t.Fatalf("the update should heal the shard, got %v", err)
 				}
 				if res.ReusedNodes != 0 {
 					t.Fatalf("%d nodes were carried over from an unreadable shard", res.ReusedNodes)
 				}
+				seq := uint64(0)
 				if path == "journaled" {
-					if _, err := eng.Checkpoint(1, nil); err != nil {
-						t.Fatalf("Checkpoint: %v", err)
-					}
+					assertServesFreshBuild(t, eng, nw, q)
+					seq = 1
+				}
+				if _, err := eng.Checkpoint(seq, nil); err != nil {
+					t.Fatalf("Checkpoint: %v", err)
 				}
 				assertServesFreshBuild(t, eng, nw, q)
 				reopened, err := tctree.OpenSharded(dir)
@@ -90,11 +90,11 @@ func TestUnreadablePreviousShardIsRebuiltInFull(t *testing.T) {
 	}
 }
 
-// TestFailedCommitIsHealedByAFullRebuild covers the second fallback: a delta
-// whose commit fails has already changed the network, so the next delta must
-// rebuild its items too — and in full, because the next delta's scope says
-// nothing about what the failed one changed.
-func TestFailedCommitIsHealedByAFullRebuild(t *testing.T) {
+// TestFailedCheckpointKeepsTheDirtySet covers an update whose checkpoint
+// fails: nothing is committed, the update is served from memory, its shards
+// stay dirty, the next update carries the rest of the shard over from them —
+// they are current — and the next checkpoint persists both updates.
+func TestFailedCheckpointKeepsTheDirtySet(t *testing.T) {
 	tree := buildTestTree(t, 11)
 	nw := testNetwork(11)
 	idx, dir := writeShardedTestTree(t, tree)
@@ -108,44 +108,59 @@ func TestFailedCommitIsHealedByAFullRebuild(t *testing.T) {
 	}
 	pair := root.Children[0].Pattern
 	mustQueryByAlpha(t, eng, 0) // every previous shard is resident and readable
+	before := idx.Manifest()
 
-	// The manifest's temp file cannot be created: the commit fails after the
-	// network took the delta and the shards were staged.
+	// The manifest's temp file cannot be created: the checkpoint fails after
+	// the update was applied in memory and its shards were staged.
 	block := filepath.Join(dir, tctree.ManifestName+".tmp")
 	if err := os.Mkdir(block, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ApplyDelta(nw, patternTriangleDelta(nw, pair)); err == nil {
-		t.Fatalf("ApplyDelta should surface the failed commit")
+	if _, err := eng.ApplyDeltaInMemory(nw, patternTriangleDelta(nw, pair)); err != nil {
+		t.Fatal(err)
 	}
+	dirty := eng.DirtyShards()
+	if _, err := eng.Checkpoint(0, nil); err == nil {
+		t.Fatalf("Checkpoint should surface the failed commit")
+	}
+	if dirty == 0 || eng.DirtyShards() != dirty {
+		t.Fatalf("dirty shards went %d -> %d across the failed checkpoint", dirty, eng.DirtyShards())
+	}
+	if after := idx.Manifest(); !reflect.DeepEqual(after.Shards, before.Shards) {
+		t.Fatalf("the failed checkpoint changed the manifest")
+	}
+	assertServesFreshBuild(t, eng, nw, pair)
 	if err := os.Remove(block); err != nil {
 		t.Fatal(err)
 	}
 
-	// The next delta touches the same shard, and its scope covers the shard's
-	// root only: a scoped rebuild would carry the pair's node over as it
-	// stood before the failed delta.
-	res, err := eng.ApplyDelta(nw, touchDelta(nw, root.Item))
+	// The next update touches the same shard, and its scope covers the
+	// shard's root only: the rest is carried over from the dirty shard.
+	res, err := eng.ApplyDeltaInMemory(nw, touchDelta(nw, root.Item))
 	if err != nil {
-		t.Fatalf("ApplyDelta after the failed commit: %v", err)
-	}
-	if !pair.SubsetOf(res.Affected) {
-		t.Fatalf("affected %v does not cover the failed delta's items %v", res.Affected, pair)
-	}
-	if res.ReusedNodes != 0 {
-		t.Fatalf("%d nodes were carried over into shards a failed commit left behind", res.ReusedNodes)
-	}
-	assertServesFreshBuild(t, eng, nw, pair, itemset.New(root.Item))
-
-	// With nothing pending, the same delta carries the rest of the shard over.
-	res, err = eng.ApplyDelta(nw, touchDelta(nw, root.Item))
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("update after the failed checkpoint: %v", err)
 	}
 	if res.ReusedNodes == 0 || res.RecomputedNodes != 1 {
 		t.Fatalf("a delta in scope of the shard root only recomputed %d nodes and reused %d", res.RecomputedNodes, res.ReusedNodes)
 	}
-	assertServesFreshBuild(t, eng, nw, pair)
+	if _, err := eng.Checkpoint(0, nil); err != nil {
+		t.Fatalf("Checkpoint after the failed one: %v", err)
+	}
+	if n := eng.DirtyShards(); n != 0 {
+		t.Fatalf("%d dirty shards survive the checkpoint", n)
+	}
+	assertServesFreshBuild(t, eng, nw, pair, itemset.New(root.Item))
+
+	// Both updates are on disk: a cold engine answers like a fresh build.
+	reopened, err := tctree.OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := NewLazy(reopened, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertServesFreshBuild(t, cold, nw, pair, itemset.New(root.Item))
 }
 
 // TestDeltaOnANewItemCreatesItsShard covers the third: an item with no shard
@@ -159,10 +174,7 @@ func TestDeltaOnANewItemCreatesItsShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	const fresh = itemset.Item(4096)
-	res, err := eng.ApplyDelta(nw, patternTriangleDelta(nw, itemset.New(fresh)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := applyDelta(t, eng, nw, patternTriangleDelta(nw, itemset.New(fresh)))
 	if len(res.Report.Added) != 1 || res.Report.Added[0] != fresh {
 		t.Fatalf("report %+v does not add the shard of item %d", res.Report, fresh)
 	}

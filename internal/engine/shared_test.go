@@ -49,9 +49,7 @@ func TestSharedCacheNamespacing(t *testing.T) {
 
 	// Replacing a shard of tenant A purges only tenant A's entries.
 	nwA := testNetwork(11)
-	if _, err := engA.ApplyDelta(nwA, touchDelta(nwA, treeA.Root().Children[0].Item)); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
-	}
+	applyDelta(t, engA, nwA, touchDelta(nwA, treeA.Root().Children[0].Item))
 	if cache.Len() != 1 {
 		t.Fatalf("after tenant-a's delta the cache holds %d entries, want 1 (tenant b's)", cache.Len())
 	}

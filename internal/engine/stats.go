@@ -93,7 +93,7 @@ type Stats struct {
 	Streams              uint64 `json:"streams,omitempty"`
 	ShardsShortCircuited uint64 `json:"shardsShortCircuited,omitempty"`
 	// IndexEpoch counts index swaps (shard reloads and applied deltas);
-	// DeltasApplied counts ApplyDelta calls. A query result always reflects
+	// DeltasApplied counts applied deltas. A query result always reflects
 	// one single epoch.
 	IndexEpoch    uint64 `json:"indexEpoch"`
 	DeltasApplied uint64 `json:"deltasApplied,omitempty"`
@@ -111,7 +111,7 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the engine counters. It is safe to call
-// concurrently with Query, ApplyDelta, Checkpoint and every other engine
+// concurrently with Query, ApplyDeltaInMemory, Checkpoint and every other engine
 // method, and it never blocks them: the shard table is read through one
 // atomic pointer load and each counter through one atomic load.
 //

@@ -38,13 +38,13 @@ import (
 //
 // A pulled stream does NOT hold the update lock between pulls. It captures
 // the shard table and index epoch at creation; every open re-takes the read
-// lock and, on an index-backed engine, re-checks the epoch: if an ApplyDelta
+// lock and, on an index-backed engine, re-checks the epoch: if an update
 // swapped the index mid-stream the open fails with ErrEpochChanged rather
 // than mixing pre- and post-delta shards. An engine over a tree built
 // in-process keeps serving the snapshot — its captured shards are immutable
 // heap bytes — so an open stream completes from the pre-delta index.
 
-// ErrEpochChanged reports that the index epoch moved (ApplyDelta) while a
+// ErrEpochChanged reports that the index epoch moved (an applied delta) while a
 // stream was open on a lazy engine: the remaining shards would be read from
 // post-swap files, so the stream fails cleanly instead of mixing epochs.
 // Callers re-issue the query; HTTP surfaces map it to 410 Gone.

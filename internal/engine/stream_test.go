@@ -17,7 +17,7 @@ import (
 // answer must be byte-identical — order included — to the materialized one.
 // The remaining tests pin the claims parity alone cannot: top-k early
 // termination provably skips shard loads (ShardsShortCircuited > 0), and a
-// stream crossed by ApplyDelta either fails cleanly (lazy) or completes from
+// stream crossed by an update either fails cleanly (lazy) or completes from
 // its pre-delta snapshot (eager) — never mixing epochs.
 
 // drainStream pulls the stream to exhaustion.
@@ -197,7 +197,7 @@ func TestStreamTopKShortCircuits(t *testing.T) {
 	t.Fatalf("no seed in 1..20 produced a short-circuiting top-k stream")
 }
 
-// TestStreamMidDeltaLazy: a lazy stream crossed by ApplyDelta must fail with
+// TestStreamMidDeltaLazy: a lazy stream crossed by an update must fail with
 // ErrEpochChanged at its next shard open — post-delta shard files must never
 // leak into a pre-delta answer.
 func TestStreamMidDeltaLazy(t *testing.T) {
@@ -230,9 +230,7 @@ func TestStreamMidDeltaLazy(t *testing.T) {
 
 		// The swap must not block on the open stream (streams do not hold the
 		// update lock between pulls).
-		if _, err := eng.ApplyDelta(nw, randomDeltaFor(rng, nw, items)); err != nil {
-			t.Fatalf("ApplyDelta: %v", err)
-		}
+		applyDelta(t, eng, nw, randomDeltaFor(rng, nw, items))
 
 		for {
 			rc, err := st.Next()
@@ -263,7 +261,7 @@ func TestStreamMidDeltaLazy(t *testing.T) {
 	t.Fatalf("no seed in 1..8 produced a multi-shard lazy stream")
 }
 
-// TestStreamMidDeltaEager: an eager stream crossed by ApplyDelta completes
+// TestStreamMidDeltaEager: an eager stream crossed by an update completes
 // from its pre-delta snapshot — the captured subtrees are immutable — and
 // the drained answer equals the answer materialized before the delta.
 func TestStreamMidDeltaEager(t *testing.T) {
@@ -290,9 +288,7 @@ func TestStreamMidDeltaEager(t *testing.T) {
 		t.Fatalf("first Next = (%v, %v), want a community", first, err)
 	}
 
-	if _, err := eng.ApplyDelta(nw, randomDeltaFor(rng, nw, items)); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
-	}
+	applyDelta(t, eng, nw, randomDeltaFor(rng, nw, items))
 
 	rest := drainStream(t, st)
 	got := append([]truss.Community{*first}, rest...)

@@ -30,9 +30,9 @@ func TestShardSwapTransitions(t *testing.T) {
 		outcome  string // the report field the item must land in; "" for none
 	}{
 		{"replace/file-backed-by-resident", file, resident, "replaced"},  // ApplyDeltaInMemory
-		{"replace/file-backed-by-file-backed", file, file, "replaced"},   // ApplyDelta
+		{"replace/file-backed-by-file-backed", file, file, "replaced"},   // no route; the routine's contract
 		{"replace/resident-by-file-backed", resident, file, "replaced"},  // Checkpoint
-		{"replace/resident-by-resident", resident, resident, "replaced"}, // ApplyDelta on New(tree)
+		{"replace/resident-by-resident", resident, resident, "replaced"}, // ApplyDeltaInMemory over a heap shard
 		{"add/resident", absent, resident, "added"},
 		{"add/file-backed", absent, file, "added"},
 		{"remove/file-backed", file, absent, "removed"},

@@ -33,11 +33,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/delta"
@@ -91,9 +93,9 @@ type NetworkOptions struct {
 	// otherwise; a network attached without it serves queries but rejects
 	// deltas.
 	Network *dbnet.Network
-	// NetworkPath, when non-empty, is the file the updated network is
-	// written back to after every applied delta, so a restart reloads the
-	// state the index was maintained against.
+	// NetworkPath, when non-empty, is the file every checkpoint writes the
+	// updated network back to, stamped with its journal position, so a
+	// restart reloads the state the index was maintained against.
 	NetworkPath string
 }
 
@@ -105,9 +107,9 @@ type Network struct {
 	name string
 	eng  *engine.Engine
 	opts NetworkOptions
-	// updMu serializes this tenant's deltas: the engine's own lock covers
-	// the index swap, this one additionally covers the network-file
-	// write-back.
+	// updMu serializes this tenant's unjournaled updates: the engine's own
+	// lock covers the swap and the checkpoint each, this one covers the
+	// update and the checkpoint that persists it.
 	updMu sync.Mutex
 }
 
@@ -141,16 +143,18 @@ func (n *Network) VertexNames() []string { return n.opts.VertexNames }
 // rejects deltas).
 func (n *Network) DatabaseNetwork() *dbnet.Network { return n.opts.Network }
 
-// NetworkPath returns the file the updated network is written back to after
-// deltas; empty when the tenant was attached without one.
-func (n *Network) NetworkPath() string { return n.opts.NetworkPath }
-
-// ApplyDelta incrementally updates the tenant: the delta is applied to its
-// database network and the affected index shards are rebuilt and swapped
-// (engine.ApplyDelta), purging only this tenant's cache namespace — every
-// other tenant's cached answers, resident shards and counters are untouched.
-// When the tenant was attached with a NetworkPath, the updated network is
-// written back so a restart reloads consistent state.
+// ApplyDelta is the unjournaled update: the delta is applied to the tenant's
+// database network, the affected index shards are rebuilt and swapped in
+// memory (engine.ApplyDeltaInMemory), purging only this tenant's cache
+// namespace — every other tenant's cached answers, resident shards and
+// counters are untouched — and the update is persisted at once by a
+// Checkpoint that carries the files' journal-seq stamps forward unchanged, so
+// a journaled primary started on the same files later still recovers from
+// them. The result's Duration includes the checkpoint.
+//
+// A failed checkpoint commits nothing: the update is served from memory, the
+// result is returned together with the error, and the next update's
+// checkpoint persists both.
 func (n *Network) ApplyDelta(d *delta.Delta) (*engine.DeltaResult, error) {
 	nw := n.opts.Network
 	if nw == nil {
@@ -158,16 +162,57 @@ func (n *Network) ApplyDelta(d *delta.Delta) (*engine.DeltaResult, error) {
 	}
 	n.updMu.Lock()
 	defer n.updMu.Unlock()
-	res, err := n.eng.ApplyDelta(nw, d)
+	start := time.Now()
+	res, err := n.eng.ApplyDeltaInMemory(nw, d)
 	if err != nil {
 		return nil, n.wrapErr(err)
 	}
-	if n.opts.NetworkPath != "" {
-		if err := dbnet.WriteFileAtomic(n.opts.NetworkPath, nw, n.opts.Dictionary); err != nil {
-			return res, n.wrapErr(fmt.Errorf("index updated but network write-back failed: %w", err))
-		}
+	// An indexed tenant's two stamps agree; one without an index has only
+	// the network file's.
+	networkSeq, indexSeq, err := n.Stamps()
+	if err == nil {
+		err = n.Checkpoint(max(networkSeq, indexSeq))
+	}
+	res.Duration = time.Since(start)
+	if err != nil {
+		return res, fmt.Errorf("update applied in memory but not persisted: %w", err)
 	}
 	return res, nil
+}
+
+// Checkpoint persists the tenant's in-memory state stamped with journal
+// position seq, in the order recovery relies on: the network file is written
+// back first, stamped seq, and only then does the engine commit its dirty
+// shards with the manifest stamped seq (engine.Checkpoint) — so the network
+// file, the only rebuild source, is never behind the index. A failed
+// write-back commits nothing and leaves the dirty shards for the next
+// checkpoint. A tenant without an on-disk index persists the network file
+// alone, and one attached without a NetworkPath persists only the index.
+// Callers serialize it with the tenant's updates.
+func (n *Network) Checkpoint(seq uint64) error {
+	var writeBack func() error
+	if n.opts.NetworkPath != "" {
+		writeBack = func() error {
+			return dbnet.WriteFileAtomicStamped(n.opts.NetworkPath, n.opts.Network, n.opts.Dictionary, seq)
+		}
+	}
+	if _, err := n.eng.Checkpoint(seq, writeBack); err != nil {
+		return n.wrapErr(fmt.Errorf("checkpoint: %w", err))
+	}
+	return nil
+}
+
+// Stamps returns the journal positions the tenant's files are stamped with:
+// networkSeq from the network file (0 without a NetworkPath, a file, or a
+// stamp) and indexSeq from the index manifest (0 without an on-disk index).
+func (n *Network) Stamps() (networkSeq, indexSeq uint64, err error) {
+	if n.opts.NetworkPath != "" {
+		networkSeq, err = dbnet.ReadJournalSeq(n.opts.NetworkPath)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return 0, 0, n.wrapErr(err)
+		}
+	}
+	return networkSeq, n.eng.IndexJournalSeq(), nil
 }
 
 // wrapErr annotates an error with the network name.

@@ -18,9 +18,19 @@ import (
 	"themecomm/internal/truss"
 )
 
-// buildTestTree builds a small TC-Tree over a dense random database network,
-// the same construction the engine tests use.
+// buildTestTree builds a small TC-Tree over buildTestNetwork's network.
 func buildTestTree(t *testing.T, seed int64) *tctree.Tree {
+	t.Helper()
+	tree := tctree.Build(buildTestNetwork(t, seed), tctree.BuildOptions{})
+	if tree.NumNodes() == 0 {
+		t.Fatalf("seed %d built an empty tree; pick another", seed)
+	}
+	return tree
+}
+
+// buildTestNetwork builds a dense random database network, the same
+// construction the engine tests use.
+func buildTestNetwork(t *testing.T, seed int64) *dbnet.Network {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	nw := dbnet.New(16)
@@ -42,11 +52,7 @@ func buildTestTree(t *testing.T, seed int64) *tctree.Tree {
 			}
 		}
 	}
-	tree := tctree.Build(nw, tctree.BuildOptions{})
-	if tree.NumNodes() == 0 {
-		t.Fatalf("seed %d built an empty tree; pick another", seed)
-	}
-	return tree
+	return nw
 }
 
 // testSeeds are the per-network tree seeds; three networks everywhere.

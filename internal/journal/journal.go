@@ -1,8 +1,8 @@
 // Package journal implements TCJRNL: an append-only, checksummed,
 // segment-rotated log of applied network deltas. It is the durability and
 // replication backbone of the warehouse: on the primary every update is
-// appended (and fsynced) here before the staged shard commit runs as a
-// background checkpoint, and replicas tail the journal over HTTP and replay
+// appended (and fsynced) here before it is applied in memory and later
+// persisted by a background checkpoint, and replicas tail the journal over HTTP and replay
 // the records through the same epoch-gated apply path.
 //
 // On disk a journal is a directory of segment files:

@@ -77,17 +77,17 @@ func toggleDeltas(nw *dbnet.Network) [2]*delta.Delta {
 
 // BenchmarkJournalAppend compares the two update durability paths:
 //
-//	staged:    the classic synchronous path — every delta pays a staged
-//	           shard commit (encode + fsync + manifest write) plus the
-//	           atomic network file write-back.
-//	journaled: the write-ahead fast path — one group-committed journal
-//	           append plus the in-memory apply; the staged commit is
-//	           deferred to a background checkpoint.
+//	unjournaled: every delta is applied in memory and checkpointed at once
+//	             (federation.Network.ApplyDelta): the stamped network file
+//	             write-back plus the shard commit (fsync + manifest write).
+//	journaled:   the write-ahead fast path — one group-committed journal
+//	             append plus the in-memory apply; the checkpoint is
+//	             deferred to the background.
 //
 // The journaled arms also report fsyncs/op: with concurrent writers the
 // group commit drives it well below 1.
 func BenchmarkJournalAppend(b *testing.B) {
-	b.Run("staged", func(b *testing.B) {
+	b.Run("unjournaled", func(b *testing.B) {
 		_, n := benchState(b, b.TempDir(), "bench", 7)
 		deltas := toggleDeltas(n.DatabaseNetwork())
 		b.ReportAllocs()

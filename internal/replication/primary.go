@@ -187,9 +187,9 @@ type ApplyResult struct {
 
 // Apply is the primary's update fast path: validate, append to the journal
 // (group-committed — concurrent updates share one fsync), and apply in
-// memory. The staged shard commit is deferred to the next checkpoint. Updates
-// to the same member serialize; updates to different members batch into the
-// same journal flush.
+// memory. Persisting waits for the next checkpoint. Updates to the same
+// member serialize; updates to different members batch into the same journal
+// flush.
 func (p *Primary) Apply(name string, d *delta.Delta) (*ApplyResult, error) {
 	p.mu.RLock()
 	m := p.members[name]

@@ -4,12 +4,13 @@
 // A Primary fronts a set of federation networks with a write-ahead path:
 // every delta is validated, appended to the journal (one group-committed
 // fsync covers a whole batch of concurrent updates), and applied to the
-// serving state purely in memory (engine.ApplyDeltaInMemory). The staged
-// shard commit that used to run synchronously inside every update becomes a
-// background Checkpoint that folds the accumulated dirty shards into the
-// on-disk index in one commit, stamping the journal position into both the
-// index manifest (tctree.Manifest.JournalSeq) and the network file
-// (dbnet.WriteFileAtomicStamped). Crash recovery compares the two stamps per
+// serving state purely in memory (engine.ApplyDeltaInMemory). A background
+// checkpoint — the tenant's one checkpoint routine,
+// federation.Network.Checkpoint, which an unjournaled update runs at once —
+// then folds the accumulated dirty shards into the on-disk index in one
+// commit, stamping the journal position into both the network file
+// (dbnet.WriteFileAtomicStamped, written first) and the index manifest
+// (tctree.Manifest.JournalSeq). Crash recovery compares the two stamps per
 // member and replays the journal tail through the same apply path, so a
 // restart converges on exactly the pre-crash state:
 //
@@ -42,10 +43,8 @@ package replication
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"sync"
 
-	"themecomm/internal/dbnet"
 	"themecomm/internal/delta"
 	"themecomm/internal/federation"
 	"themecomm/internal/journal"
@@ -56,11 +55,10 @@ import (
 type member struct {
 	name string
 	net  *federation.Network
-	path string // network file written back by checkpoints; "" = never persisted
 
 	// mu serializes this member's journal appends, in-memory applies and
 	// checkpoints, keeping journal order equal to apply order. It plays the
-	// role federation.Network.updMu plays on the classic synchronous path: a
+	// role federation.Network.updMu plays on the unjournaled path: a
 	// journaled tenant must be updated only through its Primary.
 	mu      sync.Mutex
 	applied uint64 // highest journal seq applied to the in-memory state
@@ -72,23 +70,7 @@ func newMember(n *federation.Network) (*member, error) {
 	if n.DatabaseNetwork() == nil {
 		return nil, fmt.Errorf("replication: network %q has no database network attached", n.Name())
 	}
-	return &member{name: n.Name(), net: n, path: n.NetworkPath()}, nil
-}
-
-// stamps returns (W, M): the journal seq stamped into the network file and
-// into the index manifest. A missing or unstamped network file reads as
-// W = 0; an eager engine reads as M = 0.
-func (m *member) stamps() (uint64, uint64, error) {
-	mStamp := m.net.Engine().IndexJournalSeq()
-	var w uint64
-	if m.path != "" {
-		seq, err := dbnet.ReadJournalSeq(m.path)
-		if err != nil && !os.IsNotExist(err) {
-			return 0, 0, fmt.Errorf("replication: network %q: %w", m.name, err)
-		}
-		w = seq
-	}
-	return w, mStamp, nil
+	return &member{name: n.Name(), net: n}, nil
 }
 
 // recoverFloor establishes the member's replay floor from its on-disk stamps
@@ -98,7 +80,10 @@ func (m *member) stamps() (uint64, uint64, error) {
 func (m *member) recoverFloor() (floor uint64, resynced bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w, mStamp, err := m.stamps()
+	// W and M: the journal seq stamped into the network file and into the
+	// index manifest (a missing or unstamped file, or an eager engine, reads
+	// as 0).
+	w, mStamp, err := m.net.Stamps()
 	if err != nil {
 		return 0, false, err
 	}
@@ -157,8 +142,9 @@ func (m *member) replay(rec *journal.Record) (applied bool, err error) {
 	return true, nil
 }
 
-// checkpoint persists the member's in-memory progress: the dirty shards are
-// folded into the on-disk index and the network file is rewritten, both
+// checkpoint persists the member's in-memory progress through the tenant's
+// one checkpoint routine (federation.Network.Checkpoint): the network file is
+// rewritten and the dirty shards are folded into the on-disk index, both
 // stamped with the highest applied seq. No-op when nothing advanced since the
 // last checkpoint.
 func (m *member) checkpoint() error {
@@ -171,30 +157,13 @@ func (m *member) checkpointLocked() error {
 	if m.broken != nil {
 		return m.broken
 	}
-	seq := m.applied
-	eng := m.net.Engine()
-	if !eng.Lazy() {
-		// Eager member: there is no on-disk index; the stamped network file
-		// alone carries the state (a restart rebuilds the tree from it).
-		if m.path == "" || seq == m.flushed {
-			return nil
-		}
-		if err := dbnet.WriteFileAtomicStamped(m.path, m.net.DatabaseNetwork(), m.net.Dictionary(), seq); err != nil {
-			return fmt.Errorf("replication: network %q: %w", m.name, err)
-		}
-		m.flushed = seq
+	if m.applied == m.flushed {
 		return nil
 	}
-	var pre func() error
-	if m.path != "" {
-		pre = func() error {
-			return dbnet.WriteFileAtomicStamped(m.path, m.net.DatabaseNetwork(), m.net.Dictionary(), seq)
-		}
+	if err := m.net.Checkpoint(m.applied); err != nil {
+		return err
 	}
-	if _, err := eng.Checkpoint(seq, pre); err != nil {
-		return fmt.Errorf("replication: network %q: checkpoint: %w", m.name, err)
-	}
-	m.flushed = seq
+	m.flushed = m.applied
 	return nil
 }
 

@@ -606,3 +606,67 @@ func TestPrimaryApplyGuards(t *testing.T) {
 		t.Fatal("second Recover succeeded")
 	}
 }
+
+// TestUnjournaledUpdateKeepsTheStamps pins the one write route's stamp
+// discipline across routes: a journaled session checkpoints at S > 0, then a
+// server without a journal (or offline tcupdate) takes one update on the same
+// files. That update must carry both journal-seq stamps forward, so the next
+// journaled start recovers with nothing to replay and serves the update.
+func TestUnjournaledUpdateKeepsTheStamps(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	nw := randomNetwork(rng, 14, 34, testItems, 3)
+	twin := randomNetwork(rand.New(rand.NewSource(4)), 14, 34, testItems, 3)
+	dir := t.TempDir()
+	sub := filepath.Join(dir, "a")
+	seedState(t, sub, nw)
+
+	p, fed := openPrimary(t, dir, "a")
+	if _, err := p.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	live, _ := fed.Network("a")
+	for i := 0; i < 2; i++ {
+		d := randomDeltaFor(rng, live.DatabaseNetwork(), testItems)
+		if _, err := p.Apply("a", d); err != nil {
+			t.Fatal(err)
+		}
+		if err := delta.Apply(twin, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := live.Engine().IndexJournalSeq(); got != 2 {
+		t.Fatalf("manifest seq %d after the journaled session, want 2", got)
+	}
+
+	// The unjournaled update, on the same files.
+	plain := federation.New(federation.Options{})
+	if err := plain.AttachIndexDir("a", filepath.Join(sub, "index"), filepath.Join(sub, "network.dbnet")); err != nil {
+		t.Fatal(err)
+	}
+	n, _ := plain.Network("a")
+	d := randomDeltaFor(rng, n.DatabaseNetwork(), testItems)
+	if _, err := n.ApplyDelta(d); err != nil {
+		t.Fatalf("unjournaled update: %v", err)
+	}
+	if err := delta.Apply(twin, d); err != nil {
+		t.Fatal(err)
+	}
+	w, err := dbnet.ReadJournalSeq(filepath.Join(sub, "network.dbnet"))
+	if m := n.Engine().IndexJournalSeq(); err != nil || w != 2 || m != 2 {
+		t.Fatalf("stamps after the unjournaled update: network %d (%v), manifest %d; want 2 and 2", w, err, m)
+	}
+
+	p2, fed2 := openPrimary(t, dir, "a")
+	stats, err := p2.Recover()
+	if err != nil {
+		t.Fatalf("journaled restart after an unjournaled update: %v", err)
+	}
+	if stats.Replayed != 0 || len(stats.Resynced) != 0 {
+		t.Fatalf("recover stats %+v, want nothing replayed or resynced", stats)
+	}
+	live2, _ := fed2.Network("a")
+	assertEngineParity(t, "after-unjournaled", live2.Engine(), freshEngine(t, twin))
+}

@@ -212,9 +212,10 @@ func (s *Server) defaultTenant() (*tenant, string) {
 }
 
 // tenantOf adapts a federation network to the handler-facing tenant. A
-// member of the replication primary updates through the journaled fast path
-// (Primary.Apply); any other network with a database network attached keeps
-// the classic synchronous path.
+// member of the replication primary updates through the journal
+// (Primary.Apply), which checkpoints in the background; any other network
+// with a database network attached checkpoints each update at once
+// (Network.ApplyDelta).
 func (s *Server) tenantOf(n *federation.Network) *tenant {
 	t := &tenant{name: n.Name(), engine: n.Engine(), dict: n.Dictionary(), vertexNames: n.VertexNames()}
 	if name := n.Name(); s.primary != nil && s.primary.Member(name) {

@@ -29,7 +29,7 @@ import (
 // Cursors are opaque base64url-encoded JSON carrying the query (network,
 // pattern, alpha, k), the index epoch it executed against, and the resume
 // position. A cursor is only valid against the epoch it was minted at:
-// after an ApplyDelta or shard reload the remaining pages could mix pre-
+// after an update or shard reload the remaining pages could mix pre-
 // and post-delta shards, so a stale cursor is rejected with 410 Gone and
 // the client re-issues the query from the start.
 

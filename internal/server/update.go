@@ -17,12 +17,16 @@ import (
 //	POST /api/v1/update             apply a network delta to the default network
 //	POST /api/v1/{network}/update   apply a network delta to one tenant
 //
-// The request body is a JSON delta; the affected shards are rebuilt and
-// swapped in place while queries keep flowing (see engine.ApplyDelta), and
-// only the updated network's cache namespace is purged. Updating requires the
-// server to hold the tenant's database network (tcserver -net, or a sibling
-// <name>.dbnet in the federation's networks directory); without it the route
-// answers 409.
+// The request body is a JSON delta. Every update takes the one write route:
+// the affected shards are rebuilt and swapped in memory while queries keep
+// flowing (engine.ApplyDeltaInMemory), only the updated network's cache
+// namespace is purged, and a checkpoint persists the update — at once on a
+// server without a journal (federation.Network.ApplyDelta: the stamped
+// network file first, then the index manifest), in the background on a
+// replication primary, whose updates are journaled first
+// (replication.Primary.Apply). Updating requires the server to hold the
+// tenant's database network (tcserver -net, or a sibling <name>.dbnet in the
+// federation's networks directory); without it the route answers 409.
 
 // UpdateTransaction is one transaction of an update request. Items are names
 // resolved through the network's dictionary (unknown names are interned, so
@@ -67,14 +71,17 @@ type UpdateResponse struct {
 	IndexEpoch uint64 `json:"indexEpoch"`
 	// JournalSeq is the journal sequence number durably assigned to the
 	// delta; only set on a replication primary, whose updates are journaled
-	// and checkpointed in the background instead of staged synchronously.
+	// and checkpointed in the background instead of checkpointed at once.
 	JournalSeq uint64 `json:"journalSeq,omitempty"`
-	// UpdateMicros is the wall time of the whole update.
+	// UpdateMicros is the wall time of the whole update: rebuild and swap,
+	// plus the checkpoint on a server without a journal.
 	UpdateMicros int64 `json:"updateMicros"`
-	// Warning is set when the index swap succeeded but a follow-up step
-	// (the network-file write-back) failed. The delta IS applied — clients
-	// must not retry it — but the operator should look at the persistence
-	// problem before restarting the server.
+	// Warning is set when the in-memory update succeeded but the checkpoint
+	// that persists it failed (a network-file write-back or index commit
+	// error). The delta IS applied and served — clients must not retry it —
+	// and nothing of it is on disk yet: the next update's checkpoint persists
+	// it, and the operator should fix the persistence problem before
+	// restarting the server.
 	Warning string `json:"warning,omitempty"`
 }
 
@@ -229,9 +236,9 @@ func (s *Server) serveUpdate(t *tenant, w http.ResponseWriter, r *http.Request) 
 		resp.RemovedShards = len(res.Report.Removed)
 	}
 	if err != nil {
-		// The index swap succeeded but a follow-up step failed (network
-		// write-back). A 5xx would invite clients to retry a delta that IS
-		// applied — report success with a warning instead.
+		// The in-memory update succeeded but its checkpoint failed. A 5xx
+		// would invite clients to retry a delta that IS applied — report
+		// success with a warning instead.
 		resp.Warning = err.Error()
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -293,4 +294,108 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestUpdateWriteBackFailureCommitsNothing pins the order of the one write
+// route on a server without a journal: the stamped network file is written
+// before the index manifest is committed. When the write-back fails nothing
+// is committed — the index on disk never runs ahead of its only rebuild
+// source — the update is served from memory with 200 and a warning, and the
+// next update's checkpoint persists both deltas.
+func TestUpdateWriteBackFailureCommitsNothing(t *testing.T) {
+	dir := t.TempDir()
+	nw := buildUpdatableNetwork(t, 11)
+	indexDir, netPath := filepath.Join(dir, "net.index"), filepath.Join(dir, "net.dbnet")
+	if _, err := tctree.Build(nw, tctree.BuildOptions{}).WriteSharded(indexDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbnet.WriteFileAtomic(netPath, nw, nil); err != nil {
+		t.Fatal(err)
+	}
+	open := func() (*Server, *federation.Network) {
+		fed := federation.New(federation.Options{CacheSize: 64})
+		if err := fed.AttachIndexDir("net", indexDir, netPath); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(nil, Options{Federation: fed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := fed.Network("net")
+		return s, n
+	}
+	urls := []string{"/api/v1/query?alpha=0", "/api/v1/query?alpha=0.2", "/api/v1/query?pattern=1,2&alpha=0"}
+	assertServesFreshBuild := func(s *Server, n *federation.Network, when string) {
+		t.Helper()
+		fresh, _ := testNetwork{
+			Tree:           tctree.Build(n.DatabaseNetwork(), tctree.BuildOptions{}),
+			NetworkOptions: federation.NetworkOptions{Dictionary: n.Dictionary()},
+		}.serve(t)
+		for _, url := range urls {
+			if got, want := get(t, s, url).Body.String(), get(t, fresh, url).Body.String(); normalize(got) != normalize(want) {
+				t.Fatalf("%s: %s diverges from a fresh build:\n got %s\nwant %s", when, url, got, want)
+			}
+		}
+	}
+	manifest := func() string {
+		data, err := os.ReadFile(filepath.Join(indexDir, tctree.ManifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	update := func(s *Server, body string) UpdateResponse {
+		t.Helper()
+		rec := post(t, s, "/api/v1/update", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("update status = %d, body %s", rec.Code, rec.Body.String())
+		}
+		var resp UpdateResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.UpdateMicros <= 0 {
+			t.Fatalf("updateMicros = %d", resp.UpdateMicros)
+		}
+		return resp
+	}
+
+	s, n := open()
+	before := manifest()
+	// The network file's temp name is taken: the write-back cannot happen.
+	block := netPath + ".tmp"
+	if err := os.Mkdir(block, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	resp := update(s, `{"addVertices": 1, "addEdges": [[0,16],[1,16]], "addTransactions": [{"vertex": 16, "items": ["1","2"]}]}`)
+	if resp.Warning == "" || len(resp.AffectedItems) == 0 {
+		t.Fatalf("a failed write-back must answer 200 with a warning: %+v", resp)
+	}
+	if manifest() != before {
+		t.Fatalf("manifest committed although the network write-back failed")
+	}
+	if onDisk, _, err := dbnet.ReadFile(netPath); err != nil || onDisk.NumVertices() != 16 {
+		t.Fatalf("network file after the failed write-back: %v vertices (%v), want the original 16", onDisk.NumVertices(), err)
+	}
+	if n.Engine().DirtyShards() == 0 {
+		t.Fatalf("the update's shards were not kept for the next checkpoint")
+	}
+	assertServesFreshBuild(s, n, "served from memory")
+
+	// The next update's checkpoint persists both deltas.
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if resp := update(s, `{"addTransactions": [{"vertex": 0, "items": ["1"]}]}`); resp.Warning != "" {
+		t.Fatalf("update after the write-back recovered still warns: %s", resp.Warning)
+	}
+	if manifest() == before || n.Engine().DirtyShards() != 0 {
+		t.Fatalf("the second update's checkpoint did not commit the index (%d dirty shards)", n.Engine().DirtyShards())
+	}
+	assertServesFreshBuild(s, n, "after the second update")
+	reopened, n2 := open()
+	if got := n2.DatabaseNetwork().NumVertices(); got != 17 {
+		t.Fatalf("reopened network has %d vertices, want 17", got)
+	}
+	assertServesFreshBuild(reopened, n, "reopened")
 }

@@ -30,6 +30,31 @@ func collectTempFiles(t *testing.T, dir string) []string {
 	return out
 }
 
+// commitNodes swaps a batch of subtrees into the index the way a checkpoint
+// does: encode, StageShards, Commit, Sweep. A nil subtree removes the item's
+// shard (a no-op when none exists).
+func commitNodes(idx *ShardedIndex, subtrees map[itemset.Item]*Node) (*CommitReport, error) {
+	shards := make(map[itemset.Item]*EncodedShard, len(subtrees))
+	for it, sub := range subtrees {
+		if sub == nil {
+			shards[it] = nil
+			continue
+		}
+		enc, err := encodeShardBinary(sub)
+		if err != nil {
+			return nil, err
+		}
+		shards[it] = enc
+	}
+	st, err := idx.StageShards(shards)
+	if err != nil {
+		return nil, err
+	}
+	report, err := st.Commit()
+	st.Sweep()
+	return report, err
+}
+
 // TestCommitShardsCrashSafety injects a write failure mid-commit (the temp
 // file is written but never renamed, as a crash would leave it) and asserts
 // the index still opens clean on the old manifest, answers queries
@@ -69,8 +94,8 @@ func TestCommitShardsCrashSafety(t *testing.T) {
 				return nil
 			}
 			defer func() { testInjectWriteErr = nil }()
-			if _, err := idx.CommitShards(map[itemset.Item]*Node{replacement.Item: replacement}); err == nil {
-				t.Fatalf("CommitShards should surface the injected failure")
+			if _, err := commitNodes(idx, map[itemset.Item]*Node{replacement.Item: replacement}); err == nil {
+				t.Fatalf("the commit should surface the injected failure")
 			}
 			testInjectWriteErr = nil
 
@@ -118,7 +143,7 @@ func TestFailedCommitPreservesReusedFiles(t *testing.T) {
 	a := tree.Root().Children[0]
 	b := tree.Root().Children[1]
 	// First commit moves shard a onto its checksum-versioned file name.
-	if _, err := idx.CommitShards(map[itemset.Item]*Node{a.Item: a}); err != nil {
+	if _, err := commitNodes(idx, map[itemset.Item]*Node{a.Item: a}); err != nil {
 		t.Fatalf("first commit: %v", err)
 	}
 	entryA, _ := idx.Entry(a.Item)
@@ -130,7 +155,7 @@ func TestFailedCommitPreservesReusedFiles(t *testing.T) {
 		return nil
 	}
 	defer func() { testInjectWriteErr = nil }()
-	if _, err := idx.CommitShards(map[itemset.Item]*Node{a.Item: a, b.Item: b}); err == nil {
+	if _, err := commitNodes(idx, map[itemset.Item]*Node{a.Item: a, b.Item: b}); err == nil {
 		t.Fatalf("commit should surface the injected failure")
 	}
 	testInjectWriteErr = nil
@@ -187,13 +212,13 @@ func TestCommitShardsAddRemove(t *testing.T) {
 	victim := itemset.Item(idx.Manifest().Shards[0].Item)
 	last := tree.Root().Children[len(tree.Root().Children)-1]
 	graft := &Node{Item: 4096, Pattern: itemset.New(4096), Decomp: last.Decomp}
-	report, err := idx.CommitShards(map[itemset.Item]*Node{
+	report, err := commitNodes(idx, map[itemset.Item]*Node{
 		victim: nil,
 		4096:   graft,
 		4097:   nil, // absent item: removing it is a no-op
 	})
 	if err != nil {
-		t.Fatalf("CommitShards: %v", err)
+		t.Fatalf("commit: %v", err)
 	}
 	if len(report.Removed) != 1 || report.Removed[0] != victim {
 		t.Fatalf("Removed = %v, want [%d]", report.Removed, victim)
@@ -252,8 +277,8 @@ func TestWriteShardedRemovesStaleShardFiles(t *testing.T) {
 	first, last := tree.Root().Children[0], tree.Root().Children[len(tree.Root().Children)-1]
 	replacement := &Node{Item: first.Item, Pattern: first.Pattern, Decomp: first.Decomp} // same root, children dropped
 	graft := &Node{Item: 4096, Pattern: itemset.New(4096), Decomp: last.Decomp}
-	if _, err := idx.CommitShards(map[itemset.Item]*Node{first.Item: replacement, 4096: graft}); err != nil {
-		t.Fatalf("CommitShards: %v", err)
+	if _, err := commitNodes(idx, map[itemset.Item]*Node{first.Item: replacement, 4096: graft}); err != nil {
+		t.Fatalf("commit: %v", err)
 	}
 
 	smaller := Build(randomNetwork(rand.New(rand.NewSource(19)), 16, 40, 3, 4), BuildOptions{})
@@ -420,7 +445,8 @@ func assertSameSubtree(t *testing.T, want, got *Node) {
 }
 
 // TestBuiltMaxDepthRoundTrips pins that the MaxDepth build bound survives
-// the on-disk round trip — the ApplyDelta depth guard depends on it.
+// the on-disk round trip — the engine's incremental-maintenance depth guard
+// depends on it.
 func TestBuiltMaxDepthRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	nw := randomNetwork(rng, 16, 40, 5, 4)
@@ -446,9 +472,6 @@ func TestBuiltMaxDepthRoundTrips(t *testing.T) {
 	}
 	if got := loaded.BuiltMaxDepth(); got != 2 {
 		t.Fatalf("sharded round trip lost the bound: %d", got)
-	}
-	if _, err := idx.ApplyDelta(nw, itemset.New(0), nil); err == nil {
-		t.Fatalf("ApplyDelta accepted a depth-bounded index")
 	}
 
 	// Unbounded trees round-trip a zero bound and stay updatable.

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"themecomm/internal/dbnet"
 	"themecomm/internal/itemset"
 )
 
@@ -22,8 +21,8 @@ import (
 // answer a query (q, α_q) after opening only the shards whose root item is in
 // q — the storage layout is partitioned along the same axis queries filter
 // on. Shards are individually verifiable (CRC-32C) and individually
-// replaceable (CommitShards swaps any batch of shard files with one manifest
-// write, touching no other shard).
+// replaceable (StageShards + Commit swaps any batch of shard files with one
+// manifest write, touching no other shard).
 //
 // This is the only persisted layout. An index is derived data: indexes
 // written by earlier releases (monolithic .tctree files, gob shards) are not
@@ -543,7 +542,8 @@ func (x *ShardedIndex) LoadTree() (*Tree, error) {
 	return tree, nil
 }
 
-// CommitReport summarises one CommitShards (or ApplyDelta) transaction.
+// CommitReport summarises one shard-swap transaction: a Commit, or the
+// in-memory swap of a serving layer.
 type CommitReport struct {
 	// Replaced, Added and Removed list the items whose shards were swapped
 	// for a rebuilt subtree, newly created, and deleted, each in ascending
@@ -723,67 +723,4 @@ func (st *StagedShards) Commit() (*CommitReport, error) {
 func (st *StagedShards) Sweep() {
 	st.remove(st.obsolete)
 	st.obsolete = nil
-}
-
-// commitEncoded is StageShards, Commit and Sweep, for callers that hold no
-// lock of their own across the commit.
-func (x *ShardedIndex) commitEncoded(shards map[itemset.Item]*EncodedShard) (*CommitReport, error) {
-	st, err := x.StageShards(shards)
-	if err != nil {
-		return nil, err
-	}
-	report, err := st.Commit()
-	st.Sweep()
-	return report, err
-}
-
-// CommitShards applies one batch of shard swaps as a single transaction:
-// each map entry installs a rebuilt subtree for its item (replacing the
-// existing shard or adding a new one), and a nil subtree removes the item's
-// shard (a no-op when none exists): encode, stage, commit, sweep. Serving
-// layers stage first and lock only around Commit (engine.ApplyDelta).
-func (x *ShardedIndex) CommitShards(subtrees map[itemset.Item]*Node) (*CommitReport, error) {
-	shards := make(map[itemset.Item]*EncodedShard, len(subtrees))
-	for it, sub := range subtrees {
-		if sub == nil {
-			shards[it] = nil
-			continue
-		}
-		enc, err := encodeShardBinary(sub)
-		if err != nil {
-			return nil, err
-		}
-		shards[it] = enc
-	}
-	return x.commitEncoded(shards)
-}
-
-// ApplyDelta incrementally maintains the on-disk index after the network
-// changed: the shard of every affected item is rebuilt from the updated
-// network and the whole batch is committed with one manifest write — shards
-// of unaffected items are neither rebuilt nor rewritten nor even read. scope
-// is the delta's scope and affected its items (delta.ScopeOf,
-// delta.Scope.Items), both computed before the delta was applied to nw; nw
-// must already be the post-delta network. An affected shard is opened where a
-// query would open it, only its patterns inside the scope are re-mined and
-// the rest of it is copied as bytes (RebuildScoped); one that cannot be
-// opened is rebuilt in full, which also heals it. Depth-bounded indexes
-// (BuildOptions.MaxDepth) are refused: rebuilding one shard without the bound
-// would make it deeper than its untouched siblings.
-func (x *ShardedIndex) ApplyDelta(nw *dbnet.Network, affected itemset.Itemset, scope []itemset.Itemset) (*CommitReport, error) {
-	if d := x.Manifest().BuiltMaxDepth; d > 0 {
-		return nil, fmt.Errorf("tctree: index was built with MaxDepth %d; incremental maintenance needs an unbounded index (rebuild with tcindex without -maxdepth)", d)
-	}
-	shards, _, err := RebuildScoped(nw, affected, scope, func(it itemset.Item) *BinShard {
-		// No shard yet, or an unreadable one: nothing to carry over.
-		prev, err := x.OpenShard(it)
-		if err != nil {
-			return nil
-		}
-		return prev
-	})
-	if err != nil {
-		return nil, err
-	}
-	return x.commitEncoded(shards)
 }

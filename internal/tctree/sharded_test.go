@@ -318,9 +318,9 @@ func TestCommitShardsReplaceOne(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}
-	report, err := idx.CommitShards(map[itemset.Item]*Node{item: replacement})
+	report, err := commitNodes(idx, map[itemset.Item]*Node{item: replacement})
 	if err != nil {
-		t.Fatalf("CommitShards: %v", err)
+		t.Fatalf("commit: %v", err)
 	}
 	if len(report.Replaced) != 1 || report.Replaced[0] != item || len(report.Added)+len(report.Removed) != 0 {
 		t.Fatalf("commit report %+v, want exactly item %d replaced", report, item)

@@ -15,7 +15,10 @@
 #   - the journal feed itself serves the records as NDJSON;
 #   - the primary survives a kill -9: restart recovers from journal +
 #     checkpoint stamps, the replicas' tailers reconnect, and a post-restart
-#     update still converges everywhere.
+#     update still converges everywhere;
+#   - an offline tcupdate on the stopped primary's files keeps their
+#     journal-seq stamps: the next -journal start recovers with nothing to
+#     replay and serves the offline update.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -119,25 +122,28 @@ update "1:2,3"
 wait_caught_up "$r1_addr" 2
 wait_caught_up "$r2_addr" 2
 
-# compare <path>: the primary's answer and both replicas' answers must be
-# byte-identical after dropping the volatile timing field.
-compare() {
-  python3 - "$primary_addr" "$r1_addr" "$r2_addr" "$1" <<'PY'
+# same_answers <path> <addr> <addr>...: every server's answer must be
+# byte-identical to the first one's after dropping the volatile timing field.
+same_answers() {
+  python3 - "$@" <<'PY'
 import json, sys, urllib.request
-primary, r1, r2, path = sys.argv[1:5]
+path, first, others = sys.argv[1], sys.argv[2], sys.argv[3:]
 def fetch(addr):
     d = json.load(urllib.request.urlopen(f"http://{addr}{path}", timeout=10))
     d.pop("queryMicros", None)
     return json.dumps(d, sort_keys=True)
-want = fetch(primary)
-for addr in (r1, r2):
+want = fetch(first)
+for addr in others:
     got = fetch(addr)
     if got != want:
-        print(f"answer diverges on {addr}{path}\n primary: {want}\n replica: {got}", file=sys.stderr)
+        print(f"answer diverges on {addr}{path}\n {first}: {want}\n {addr}: {got}", file=sys.stderr)
         sys.exit(1)
 PY
   echo "   identical answers for $1"
 }
+
+# compare <path>: the primary's answer and both replicas' answers.
+compare() { same_answers "$1" "$primary_addr" "$r1_addr" "$r2_addr"; }
 
 echo "== replicas answer byte-identically to the primary"
 compare "/api/v1/bk/query?alpha=0"
@@ -174,6 +180,7 @@ kill -9 "$primary_pid"
 wait "$primary_pid" 2>/dev/null || true
 start_server primary-restarted -networks "$workdir/primary" -journal "$workdir/wal" \
   -checkpoint 500ms -addr "$primary_addr"
+primary_pid=$SERVER_PID
 grep -q "recovery replayed" "$workdir/primary-restarted.log" || {
   echo "restarted primary did not report journal recovery:" >&2
   cat "$workdir/primary-restarted.log" >&2; exit 1
@@ -185,5 +192,39 @@ wait_caught_up "$r1_addr" 3
 wait_caught_up "$r2_addr" 3
 compare "/api/v1/bk/query?alpha=0"
 compare "/api/v1/bk/query?alpha=0&k=5"
+
+echo "== an offline tcupdate between two journaled runs keeps the stamps"
+# Wait for the background checkpoint to flush the journal head, so the files
+# hold everything and the journal tail is empty; then stop the primary.
+for _ in $(seq 1 150); do
+  if python3 - "$primary_addr" <<'PY' 2>/dev/null
+import json, sys, urllib.request
+h = json.load(urllib.request.urlopen(f"http://{sys.argv[1]}/healthz", timeout=5))
+r = h["replication"]
+sys.exit(0 if r["networks"]["bk"]["flushedSeq"] == r["journalSeq"] == 3 else 1)
+PY
+  then flushed=1; break; fi
+  sleep 0.2
+done
+[ -n "${flushed:-}" ] || {
+  echo "the primary never flushed seq 3:" >&2; curl -s "http://$primary_addr/healthz" >&2 || true; exit 1
+}
+kill -9 "$primary_pid"
+wait "$primary_pid" 2>/dev/null || true
+"$workdir/tcupdate" -net "$workdir/primary/bk.dbnet" -index "$workdir/primary/bk.index" -addtx "3:1,2"
+# The reference: a from-scratch index of the network the offline update left.
+mkdir -p "$workdir/fresh"
+cp "$workdir/primary/bk.dbnet" "$workdir/fresh/bk.dbnet"
+"$workdir/tcindex" -in "$workdir/fresh/bk.dbnet" -out "$workdir/fresh/bk.index"
+start_server primary-after-offline -networks "$workdir/primary" -journal "$workdir/wal" \
+  -checkpoint 500ms -addr 127.0.0.1:0
+after_offline_addr=$ADDR
+grep -q "recovery replayed 0" "$workdir/primary-after-offline.log" || {
+  echo "the journaled restart after an offline update replayed records:" >&2
+  cat "$workdir/primary-after-offline.log" >&2; exit 1
+}
+start_server fresh -networks "$workdir/fresh" -addr 127.0.0.1:0
+same_answers "/api/v1/bk/query?alpha=0" "$ADDR" "$after_offline_addr"
+same_answers "/api/v1/bk/query?pattern=1,2&alpha=0" "$ADDR" "$after_offline_addr"
 
 echo "== replication smoke test passed"

@@ -229,8 +229,9 @@ type (
 	NetworkDelta = delta.Delta
 	// DeltaTransaction is one transaction of a delta, bound to its vertex.
 	DeltaTransaction = delta.VertexTransaction
-	// DeltaResult summarises an Engine.ApplyDelta call (affected items,
-	// per-shard outcomes, the new index epoch).
+	// DeltaResult summarises one update (affected items, per-shard
+	// outcomes, the new index epoch): an Engine.ApplyDeltaInMemory call, or
+	// a FederationNetwork.ApplyDelta, which also persists it.
 	DeltaResult = engine.DeltaResult
 	// IndexCommitReport details one sharded-index commit: which shards were
 	// replaced, added and removed.
@@ -242,10 +243,11 @@ type (
 func AffectedItems(nw *Network, d *NetworkDelta) Itemset { return delta.AffectedItems(nw, d) }
 
 // ApplyNetworkDelta validates the delta and mutates the network in place.
-// Serving layers update index and network together instead: see
-// Engine.ApplyDelta (in-memory or lazy engine), ShardedIndex.ApplyDelta
-// (on-disk index without an engine), Federation.ApplyDelta (one tenant of a
-// federation), or POST /api/v1/update on a running tcserver.
+// Serving layers update index and network together instead, through the one
+// write route: Engine.ApplyDeltaInMemory swaps the rebuilt shards in and
+// Engine.Checkpoint persists them; FederationNetwork.ApplyDelta (or
+// Federation.ApplyDelta, POST /api/v1/update on a tcserver, offline tcupdate)
+// runs both, writing the network file back before the index commits.
 func ApplyNetworkDelta(nw *Network, d *NetworkDelta) error { return delta.Apply(nw, d) }
 
 // ReadDelta parses a delta from its TCDELTA text serialization; dict, when
@@ -296,8 +298,9 @@ func WriteNetworkFile(path string, nw *Network, dict *Dictionary) error {
 }
 
 // WriteNetworkFileAtomic durably replaces a network file (write-to-temp +
-// fsync + rename), so a crash mid-write can never tear it. Incremental
-// maintenance uses it for the post-update network write-back.
+// fsync + rename), so a crash mid-write can never tear it. It writes no
+// journal-seq stamp: an update's write-back goes through the update route
+// (FederationNetwork.ApplyDelta), which keeps the stamp.
 func WriteNetworkFileAtomic(path string, nw *Network, dict *Dictionary) error {
 	return dbnet.WriteFileAtomic(path, nw, dict)
 }
