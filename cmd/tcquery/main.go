@@ -1,15 +1,14 @@
 // Command tcquery answers theme-community queries against a TC-Tree built by
 // tcindex: query by cohesion threshold (QBA), by pattern (QBP), or both.
-// Queries run through the engine's cost-based planner: shards whose α* bound
-// proves an empty answer at α_q are skipped from catalogue metadata alone,
+// Queries run through the engine's planner: shards whose α* bound proves an
+// empty answer at α_q are skipped from catalogue metadata alone,
 // and -topk ranks the answer by cohesion. -contains flips the query to
 // containment semantics — retrieve the indexed patterns that contain the
 // query pattern — where the catalogue's per-shard bloom filters and α-depth
 // histograms skip shards that cannot hold a superset. Only the shards the
 // query touches — and the planner cannot skip — are read from the index
-// directory. -explain prints the per-shard plan (skip/resident/load
-// decisions, cost-ordered schedule) and the observed execution counters
-// instead of the communities.
+// directory. -explain prints the per-shard plan (skip/scan decisions, the
+// schedule) and the observed execution counters instead of the communities.
 //
 // Against a networks directory (the layout tcserver -networks serves:
 // several indexes side by side), -network selects which indexed network to
@@ -36,6 +35,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -44,6 +44,7 @@ import (
 	"strings"
 
 	"themecomm"
+	"themecomm/internal/engine"
 )
 
 func main() {
@@ -209,17 +210,15 @@ func resolveNetwork(treePath, network string, netPath *string) string {
 	return pick.IndexPath
 }
 
-// printExplain runs the query through Engine.Explain (or ExplainContaining
-// with -contains) and prints the per-shard decisions, the cost-ordered
-// schedule and the post-execution counters.
+// printExplain runs the query through Engine.ExplainContext (in containment
+// mode with -contains) and prints the per-shard decisions, the schedule and
+// the post-execution counters.
 func printExplain(eng *themecomm.Engine, q themecomm.Itemset, alphaQ float64, contains bool) {
-	var rep *themecomm.EngineExplain
-	var err error
+	mode := engine.ModeSub
 	if contains {
-		rep, err = eng.ExplainContaining(q, alphaQ)
-	} else {
-		rep, err = eng.Explain(q, alphaQ)
+		mode = engine.ModeContaining
 	}
+	rep, err := eng.ExplainContext(context.Background(), q, alphaQ, mode)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -238,8 +237,8 @@ func printExplainReport(rep *themecomm.EngineExplain) {
 	}
 	fmt.Printf("plan for pattern %s at α_q=%g (%d workers, lazy=%v)\n",
 		pattern, rep.Alpha, rep.Workers, rep.Lazy)
-	fmt.Printf("%d shards: %d load, %d resident, %d skipped by α*, %d not in query; est. cost %.0f\n",
-		rep.Shards, rep.LoadTasks, rep.ResidentTasks, rep.SkippedAlpha, rep.SkippedAbsent, rep.TotalCost)
+	fmt.Printf("%d shards: %d scanned, %d skipped by α*, %d not in query\n",
+		rep.Shards, len(rep.ScheduleOrder), rep.SkippedAlpha, rep.SkippedAbsent)
 	if rep.SkippedBloom > 0 || rep.SkippedHist > 0 {
 		fmt.Printf("catalogue skips: %d by item bloom filter, %d by α-depth histogram\n",
 			rep.SkippedBloom, rep.SkippedHist)
@@ -249,10 +248,10 @@ func printExplainReport(rep *themecomm.EngineExplain) {
 		for i, it := range rep.ScheduleOrder {
 			order[i] = strconv.Itoa(int(it))
 		}
-		fmt.Printf("schedule (most expensive first): %s\n", strings.Join(order, ", "))
+		fmt.Printf("schedule: %s\n", strings.Join(order, ", "))
 	}
 	for _, task := range rep.Tasks {
-		line := fmt.Sprintf("  shard %-6d %-11s nodes=%-6d α*=%-8.4g cost=%-8.0f", task.Item, task.Decision, task.Nodes, task.MaxAlpha, task.Cost)
+		line := fmt.Sprintf("  shard %-6d %-11s nodes=%-6d α*=%-8.4g", task.Item, task.Decision, task.Nodes, task.MaxAlpha)
 		if !task.Decision.Skipped() {
 			line += fmt.Sprintf(" %4dµs visited=%d trusses=%d", task.Micros, task.Visited, task.Trusses)
 			if task.Loaded {

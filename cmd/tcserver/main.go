@@ -2,8 +2,8 @@
 // index directories built by tcindex. An index is served lazily — a shard's
 // file is only mapped on the first query that touches it, and -maxresident
 // bounds how many shards stay in memory. Queries go through the engine's
-// cost-based planner: shards whose α* bound proves an empty answer are
-// skipped without a load, and expensive shards are scheduled first.
+// planner: shards whose α* bound proves an empty answer are skipped without
+// a load.
 //
 // The server always fronts a federation of named networks, all sharing one
 // result cache and one residency budget (-maxresident bounds resident shards

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -185,8 +186,7 @@ func TestQueryContainingCacheAndDelta(t *testing.T) {
 
 // TestPlanContainingDecisions drives the pure planner in containment mode
 // with a catalogue taken from a real index: out-of-range shards are absent,
-// bloom misses and histogram bounds skip, and catalogue skips vanish when
-// CatalogueSkip is off.
+// and bloom misses and histogram bounds skip.
 func TestPlanContainingDecisions(t *testing.T) {
 	tree := buildTestTree(t, 11)
 	idx, _ := writeShardedTestTree(t, tree)
@@ -214,7 +214,7 @@ func TestPlanContainingDecisions(t *testing.T) {
 	// Shards with a root item greater than min(q) cannot hold a superset of
 	// q: every pattern there starts above q's smallest item.
 	last := infos[len(infos)-1].Item
-	plan := PlanQueryMode(infos, itemset.New(last), 0, ModeContaining, DefaultPlanConfig())
+	plan := planQuery(infos, itemset.New(last), 0, ModeContaining, false)
 	for _, task := range plan.Tasks {
 		if task.Item > last && task.Decision != DecisionSkipAbsent {
 			t.Fatalf("shard %d > q[0]=%d: decision %q, want %q", task.Item, last, task.Decision, DecisionSkipAbsent)
@@ -225,12 +225,12 @@ func TestPlanContainingDecisions(t *testing.T) {
 	// filter must prove its absence (no false negatives ⇒ the planner may
 	// only skip; with items 0..4 indexed, 997 is certainly absent).
 	foreign := itemset.New(infos[0].Item, 997)
-	plan = PlanQueryMode(infos, foreign, 0, ModeContaining, DefaultPlanConfig())
+	plan = planQuery(infos, foreign, 0, ModeContaining, false)
 	if plan.SkippedBloom == 0 {
 		t.Fatalf("no bloom skip planning for unindexed item 997: %+v", plan)
 	}
 	for _, task := range plan.Tasks {
-		if task.Decision == DecisionLoad || task.Decision == DecisionResident {
+		if task.Decision == DecisionScan {
 			t.Fatalf("shard %d scheduled for a query containing an unindexed item", task.Item)
 		}
 	}
@@ -250,23 +250,12 @@ func TestPlanContainingDecisions(t *testing.T) {
 	for i := 0; deep.Len() < maxDepth+1; i++ {
 		deep = deep.Add(itemset.Item(i))
 	}
-	plan = PlanQueryMode(infos, deep, 0, ModeContaining, DefaultPlanConfig())
+	plan = planQuery(infos, deep, 0, ModeContaining, false)
 	if plan.SkippedHist+plan.SkippedBloom == 0 {
 		t.Fatalf("no catalogue skip planning an over-deep query: %+v", plan)
 	}
 	if len(plan.Order) != 0 {
 		t.Fatalf("over-deep query scheduled %d traversals, want 0", len(plan.Order))
-	}
-
-	// With CatalogueSkip off the same plans fall back to loads.
-	cfg := DefaultPlanConfig()
-	cfg.CatalogueSkip = false
-	off := PlanQueryMode(infos, deep, 0, ModeContaining, cfg)
-	if off.SkippedBloom != 0 || off.SkippedHist != 0 {
-		t.Fatalf("catalogue-off plan still skipped: %+v", off)
-	}
-	if len(off.Order) == 0 {
-		t.Fatalf("catalogue-off plan scheduled nothing")
 	}
 }
 
@@ -280,9 +269,9 @@ func TestExplainContaining(t *testing.T) {
 		t.Fatalf("NewLazy: %v", err)
 	}
 	q := itemset.New(tree.Root().Children[0].Item, 997)
-	report, err := eng.ExplainContaining(q, 0)
+	report, err := eng.ExplainContext(context.Background(), q, 0, ModeContaining)
 	if err != nil {
-		t.Fatalf("ExplainContaining: %v", err)
+		t.Fatalf("ExplainContext: %v", err)
 	}
 	if report.Mode != ModeContaining {
 		t.Fatalf("report mode %q, want %q", report.Mode, ModeContaining)

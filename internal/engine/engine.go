@@ -178,10 +178,10 @@ type Engine struct {
 	cacheNS     string
 	sharedCache bool
 
-	// planCfg is the planner configuration: DefaultPlanConfig on every engine
-	// that serves. In-package tests set the zero value to get the unplanned
-	// reference execution the skip-soundness tests compare against.
-	planCfg PlanConfig
+	// visitAll makes the planner scan every relevant shard, skipping none:
+	// the reference execution the skip-soundness tests compare against.
+	// Only tests set it.
+	visitAll bool
 
 	// res is the engine's residency accounting — budget, LRU clock and
 	// eviction — either private to this engine or shared with other engines
@@ -293,7 +293,6 @@ func newEngine(idx *tctree.ShardedIndex, builtMaxDepth int, shards []*shard, opt
 		workers:       workers,
 		sem:           make(chan struct{}, workers),
 		batchSem:      make(chan struct{}, workers),
-		planCfg:       DefaultPlanConfig(),
 		recorder:      opts.Recorder,
 	}
 	e.table.Store(newShardTable(shards))
@@ -673,17 +672,7 @@ func (e *Engine) plan(t *shardTable, eff itemset.Itemset, alphaQ float64, mode Q
 			}
 		}
 	}
-	return PlanQueryMode(infos, eff, alphaQ, mode, e.planCfg)
-}
-
-// EstimateCost returns the planner's total cost estimate of answering
-// (q, alphaQ) right now — the summed per-shard costs of the plan's schedule,
-// reflecting current residency. It plans without executing, so it is cheap;
-// a federation uses it to order cross-network batches most-expensive-first.
-func (e *Engine) EstimateCost(q itemset.Itemset, alphaQ float64) float64 {
-	t := e.table.Load()
-	eff, _ := canonical(t, q)
-	return e.plan(t, eff, alphaQ, ModeSub, false).TotalCost
+	return planQuery(infos, eff, alphaQ, mode, e.visitAll)
 }
 
 // DeltaResult summarises one Engine.ApplyDeltaInMemory call.

@@ -46,10 +46,8 @@ type ExplainReport struct {
 	// SkippedBloom and SkippedHist tally the containment-only catalogue
 	// skips: shards ruled out by the item bloom filter and by the
 	// α*-by-depth histogram. Always zero for sub-pattern plans.
-	SkippedBloom  int `json:"skippedBloom,omitempty"`
-	SkippedHist   int `json:"skippedHist,omitempty"`
-	ResidentTasks int `json:"residentTasks"`
-	LoadTasks     int `json:"loadTasks"`
+	SkippedBloom int `json:"skippedBloom,omitempty"`
+	SkippedHist  int `json:"skippedHist,omitempty"`
 	// Loaded counts the disk loads this execution performed.
 	Loaded int `json:"loaded"`
 	// ShortCircuited counts scheduled shards a pulled stream never opened:
@@ -57,12 +55,10 @@ type ExplainReport struct {
 	// emitted answer. Always zero for drained executions, which open every
 	// scheduled shard.
 	ShortCircuited int `json:"shortCircuited,omitempty"`
-	// TotalCost is the planner's summed cost estimate of the scheduled
-	// tasks.
-	TotalCost float64 `json:"totalCost"`
-	// ScheduleOrder lists the scheduled shards' root items in the order they
-	// open (most expensive first for a drained execution). It is a plain
-	// slice, not a canonical itemset: cost order is not item order.
+	// ScheduleOrder lists the scanned shards' root items in the order they
+	// open: ascending for a drained execution, by descending α* bound for a
+	// ranked stream. It is a plain slice, not a canonical itemset: α* order
+	// is not item order.
 	ScheduleOrder []itemset.Item `json:"scheduleOrder"`
 	// Tasks lists every shard in ascending root-item order with its
 	// decision and execution record.
@@ -74,28 +70,21 @@ type ExplainReport struct {
 	Micros         int64 `json:"micros"`
 }
 
-// Explain plans (q, alphaQ), executes the plan, and returns the per-shard
-// decisions and post-execution counters. Unlike Query it considers every
-// shard — so the report shows which shards the pattern excluded — and it
-// bypasses the result cache in both directions: Explain measures the
-// execution a cold query would pay, and its answer is discarded rather than
-// cached. A nil q means every item (query by alpha).
+// Explain is ExplainContext for a sub-pattern query without a context.
 func (e *Engine) Explain(q itemset.Itemset, alphaQ float64) (*ExplainReport, error) {
-	return e.explainContext(context.Background(), q, alphaQ, ModeSub)
+	return e.ExplainContext(context.Background(), q, alphaQ, ModeSub)
 }
 
-// ExplainContaining is Explain for the containment workload (every indexed
-// p ⊇ q at alphaQ): it plans every shard under ModeContaining — so the
-// report shows the catalogue at work, bloom and histogram skips included —
-// and executes the plan. An empty q degenerates to Explain(nil, alphaQ),
-// matching QueryContaining.
-func (e *Engine) ExplainContaining(q itemset.Itemset, alphaQ float64) (*ExplainReport, error) {
-	return e.explainContext(context.Background(), q, alphaQ, ModeContaining)
-}
-
-// explainContext is the body of Explain and ExplainContaining: a plan of
-// every shard, drained like a query's.
-func (e *Engine) explainContext(ctx context.Context, q itemset.Itemset, alphaQ float64, mode QueryMode) (*ExplainReport, error) {
+// ExplainContext plans (q, alphaQ) under the given mode, executes the plan,
+// and returns the per-shard decisions and post-execution counters. Unlike a
+// query it plans every shard — so the report shows which shards the pattern
+// excluded and, in containment mode, the catalogue at work — and it bypasses
+// the result cache in both directions: an explain measures the execution a
+// cold query would pay, and its answer is discarded rather than cached. A nil
+// q means every item (query by alpha); an empty containment q degenerates to
+// that too, matching QueryContaining. The context cancels the execution at
+// shard boundaries, like QueryContext's.
+func (e *Engine) ExplainContext(ctx context.Context, q itemset.Itemset, alphaQ float64, mode QueryMode) (*ExplainReport, error) {
 	e.explains.Add(1)
 	start := time.Now()
 	e.updateMu.RLock()
@@ -134,11 +123,8 @@ func (st *Stream) report() *ExplainReport {
 		SkippedAbsent:  plan.SkippedAbsent,
 		SkippedBloom:   plan.SkippedBloom,
 		SkippedHist:    plan.SkippedHist,
-		ResidentTasks:  plan.Resident,
-		LoadTasks:      plan.Loads,
 		Loaded:         stats.Loads,
 		ShortCircuited: stats.ShardsShortCircuited,
-		TotalCost:      plan.TotalCost,
 		RetrievedNodes: stats.RetrievedNodes,
 		VisitedNodes:   stats.VisitedNodes,
 	}

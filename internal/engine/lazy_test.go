@@ -211,8 +211,8 @@ func TestLazyEvictionBudget(t *testing.T) {
 }
 
 // planEntryPoints lists the ways of executing a plan for (q, alpha): the
-// drained queries, Explain (which takes no context) and both pulled streams,
-// each reduced to its error.
+// drained queries, Explain and both pulled streams, each reduced to its
+// error.
 func planEntryPoints(ctx context.Context, q itemset.Itemset, alpha float64) map[string]func(*Engine) error {
 	pull := func(st *Stream, err error) error {
 		if err != nil {
@@ -228,7 +228,7 @@ func planEntryPoints(ctx context.Context, q itemset.Itemset, alpha float64) map[
 	return map[string]func(*Engine) error{
 		"Query":           func(e *Engine) error { _, err := e.QueryContext(ctx, q, alpha); return err },
 		"QueryContaining": func(e *Engine) error { _, err := e.QueryContainingContext(ctx, q, alpha); return err },
-		"Explain":         func(e *Engine) error { _, err := e.Explain(q, alpha); return err },
+		"Explain":         func(e *Engine) error { _, err := e.ExplainContext(ctx, q, alpha, ModeSub); return err },
 		"StreamQuery":     func(e *Engine) error { return pull(e.StreamQuery(ctx, q, alpha)) },
 		"StreamTopK":      func(e *Engine) error { return pull(e.StreamTopK(ctx, q, alpha, 0)) },
 	}
@@ -407,7 +407,7 @@ func TestLazyTopKAndSearchVertex(t *testing.T) {
 	// Pattern listings: depth 1 needs no loads; deeper depths match the tree.
 	for depth := 1; depth <= tree.Depth(); depth++ {
 		want := tree.PatternsAtDepth(depth)
-		got, err := eng.PatternsAtDepth(depth)
+		got, err := eng.PatternsAtDepth(context.Background(), depth)
 		if err != nil {
 			t.Fatalf("PatternsAtDepth(%d): %v", depth, err)
 		}

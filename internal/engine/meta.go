@@ -55,8 +55,9 @@ func (e *Engine) MaxAlpha() float64 {
 // PatternsAtDepth returns the indexed patterns of the given length, sorted.
 // Depth 1 is answered from the shard catalogue alone; deeper listings load
 // (and keep within the residency budget) only the shards whose manifest
-// depth reaches the requested length.
-func (e *Engine) PatternsAtDepth(depth int) ([]itemset.Itemset, error) {
+// depth reaches the requested length, and stop with ctx.Err() before the
+// next shard once ctx is done.
+func (e *Engine) PatternsAtDepth(ctx context.Context, depth int) ([]itemset.Itemset, error) {
 	if depth < 1 {
 		return nil, nil
 	}
@@ -75,6 +76,9 @@ func (e *Engine) PatternsAtDepth(depth int) ([]itemset.Itemset, error) {
 		_, shardDepth, _ := s.meta()
 		if shardDepth < depth {
 			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		view, _, err := e.acquire(s)
 		if err != nil {

@@ -1,20 +1,22 @@
 package engine
 
 import (
-	"sort"
-
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
 )
 
 // This file is the planning half of the engine's plan→execute split. The
-// planner is pure: it consumes the query, α_q and a snapshot of per-shard
-// statistics (manifest stats in lazy mode, live shard metadata in eager
-// mode) and emits a QueryPlan — the per-shard decisions plus a cost-ordered
-// schedule — without touching the tree, the disk or any engine state. The
-// executor (Stream, in stream.go) then owns acquisition, eviction, traversal
-// and the deterministic merge. Keeping the planner side-effect free makes
-// every decision unit-testable from synthetic statistics alone.
+// planner is a pure function of the query, α_q and the shard catalogue — the
+// per-shard statistics of the manifest, or of a rebuilt shard's own entry —
+// and emits a QueryPlan: one decision per shard plus the schedule, without
+// touching the tree, the disk or any engine state. The only decisions it makes
+// are the ones that skip work, each proven from the catalogue alone: a shard
+// whose patterns cannot match the query, a shard whose α* bound is at or
+// below α_q (anti-monotonicity makes every truss of it empty), and, for a
+// containment query, a shard whose item filter or α*-by-depth histogram rules
+// out every superset of q. Every other shard is scanned, in ascending
+// root-item order. The executor (Stream, in stream.go) then owns acquisition,
+// eviction, traversal and the deterministic merge.
 
 // QueryMode selects the query semantics a plan serves.
 type QueryMode string
@@ -32,8 +34,8 @@ const (
 	ModeContaining QueryMode = "containing"
 )
 
-// ShardInfo is the planner's view of one shard: the catalogue statistics
-// plus residency, everything a decision needs and nothing it doesn't.
+// ShardInfo is the planner's view of one shard: its catalogue entry,
+// everything a decision needs and nothing it doesn't.
 type ShardInfo struct {
 	// Item is the shard's root item.
 	Item itemset.Item
@@ -43,8 +45,6 @@ type ShardInfo struct {
 	Nodes    int
 	Depth    int
 	MaxAlpha float64
-	// Resident reports whether the shard subtree is already in memory.
-	Resident bool
 	// Bloom and AlphaDepths are the shard's skipping catalogue (nil on
 	// indexes written before the catalogue existed): the item bloom filter
 	// over the shard's patterns and the best α* per pattern length. Only
@@ -60,16 +60,15 @@ type ShardInfo struct {
 type Decision string
 
 const (
-	// DecisionLoad schedules the shard for traversal after a disk load (the
-	// shard is relevant but not resident — lazy engines only).
-	DecisionLoad Decision = "load"
-	// DecisionResident schedules the shard for traversal from memory.
-	DecisionResident Decision = "resident"
+	// DecisionScan schedules the shard for traversal: nothing in the
+	// catalogue proves it empty for the query. A file-backed shard that is
+	// not resident is read from disk by the traversal.
+	DecisionScan Decision = "scan"
 	// DecisionSkipAlpha prunes the shard from metadata alone: α_q ≥ α*, so
 	// every truss of the shard is provably empty at α_q. The executor
 	// synthesizes the one root visit the traversal would have made, so
-	// answers stay byte-identical with planning off — but the shard is
-	// never traversed and, on a lazy engine, never read from disk.
+	// answers stay byte-identical to a scan — but the shard is never
+	// traversed and, on a lazy engine, never read from disk.
 	DecisionSkipAlpha Decision = "skip-alpha"
 	// DecisionSkipAbsent prunes the shard because no indexed pattern of the
 	// shard can satisfy the mode: in sub-pattern mode its root item is not
@@ -92,13 +91,7 @@ const (
 )
 
 // Skipped reports whether the decision avoids executing the shard.
-func (d Decision) Skipped() bool {
-	switch d {
-	case DecisionSkipAlpha, DecisionSkipAbsent, DecisionSkipBloom, DecisionSkipHist:
-		return true
-	}
-	return false
-}
+func (d Decision) Skipped() bool { return d != DecisionScan }
 
 // ShardTask is one planned shard of a QueryPlan.
 type ShardTask struct {
@@ -109,44 +102,11 @@ type ShardTask struct {
 	// Nodes and MaxAlpha echo the statistics the decision was made from.
 	Nodes    int     `json:"nodes"`
 	MaxAlpha float64 `json:"maxAlpha"`
-	// Cost is the task's execution cost estimate: the node count, weighted
-	// up when the shard must be loaded from disk first. Skipped tasks cost
-	// nothing.
-	Cost float64 `json:"cost"`
 }
-
-// PlanConfig selects which planner optimizations apply. The zero value
-// disables them all, reproducing the pre-planner engine: every relevant
-// shard is traversed in ascending root-item order.
-type PlanConfig struct {
-	// AlphaSkip prunes shards whose α* bound proves an empty answer at α_q.
-	AlphaSkip bool
-	// CostOrder schedules the most expensive tasks first so a straggler
-	// runs concurrently with the cheap tail instead of serializing it.
-	CostOrder bool
-	// CatalogueSkip prunes containment-mode shards from the per-shard
-	// catalogue: the item bloom filter (skip-bloom) and the α*-by-depth
-	// histogram (skip-hist). It never affects sub-pattern plans.
-	CatalogueSkip bool
-	// LoadCost is the cost multiplier of a non-resident shard (disk read +
-	// checksum + decode on top of the traversal). Zero means
-	// DefaultLoadCost.
-	LoadCost float64
-}
-
-// DefaultPlanConfig returns the configuration of a planning engine: α*
-// skipping, cost ordering and catalogue skipping on, default load weight.
-func DefaultPlanConfig() PlanConfig {
-	return PlanConfig{AlphaSkip: true, CostOrder: true, CatalogueSkip: true}
-}
-
-// DefaultLoadCost is the default cost multiplier of a shard that must be
-// loaded before traversal.
-const DefaultLoadCost = 4.0
 
 // QueryPlan is the planner's output: one task per considered shard in
-// ascending root-item order (the deterministic merge order), an execution
-// schedule, and the decision tallies.
+// ascending root-item order (the deterministic merge order), the schedule,
+// and the skip tallies.
 type QueryPlan struct {
 	// Alpha is the query's cohesion threshold α_q.
 	Alpha float64
@@ -157,41 +117,27 @@ type QueryPlan struct {
 	Pattern itemset.Itemset
 	// Tasks lists the considered shards in ascending root-item order.
 	Tasks []ShardTask
-	// Order is the execution schedule: indices into Tasks of every
-	// non-skipped task, most expensive first when cost ordering is on.
+	// Order is the schedule: the indices into Tasks of the scanned tasks,
+	// ascending. A ranked stream re-sorts it by α* bound.
 	Order []int
-	// SkippedAlpha, SkippedAbsent, SkippedBloom, SkippedHist, Resident and
-	// Loads tally the decisions.
+	// SkippedAlpha, SkippedAbsent, SkippedBloom and SkippedHist tally the
+	// skip decisions; len(Order) counts the scans.
 	SkippedAlpha  int
 	SkippedAbsent int
 	SkippedBloom  int
 	SkippedHist   int
-	Resident      int
-	Loads         int
-	// TotalCost is the summed cost of the scheduled tasks.
-	TotalCost float64
 }
 
-// PlanQuery plans a sub-pattern query (q, alphaQ) over the given shard
-// statistics, which must be in ascending root-item order. A nil q means
-// every listed shard is relevant (the query-by-alpha workload). PlanQuery is
-// pure: same inputs, same plan.
-func PlanQuery(shards []ShardInfo, q itemset.Itemset, alphaQ float64, cfg PlanConfig) *QueryPlan {
-	return PlanQueryMode(shards, q, alphaQ, ModeSub, cfg)
-}
-
-// PlanQueryMode plans (q, alphaQ) under the given query mode. Sub-pattern
-// mode reproduces PlanQuery; containment mode additionally consults the
-// per-shard catalogue (bloom filter, α*-by-depth histogram) when
-// cfg.CatalogueSkip is set.
-func PlanQueryMode(shards []ShardInfo, q itemset.Itemset, alphaQ float64, mode QueryMode, cfg PlanConfig) *QueryPlan {
-	loadCost := cfg.LoadCost
-	if loadCost <= 0 {
-		loadCost = DefaultLoadCost
-	}
+// planQuery plans (q, alphaQ) under the given query mode over the shard
+// catalogue, which must be in ascending root-item order. A nil q in
+// sub-pattern mode means every listed shard is relevant (the query-by-alpha
+// workload). visitAll keeps only the relevance test (skip-absent) and scans
+// every relevant shard: the reference execution the skip-soundness tests
+// compare against. planQuery is pure: same inputs, same plan.
+func planQuery(shards []ShardInfo, q itemset.Itemset, alphaQ float64, mode QueryMode, visitAll bool) *QueryPlan {
 	plan := &QueryPlan{Alpha: alphaQ, Mode: mode, Pattern: q, Tasks: make([]ShardTask, 0, len(shards))}
 	for _, s := range shards {
-		task := ShardTask{Item: s.Item, Nodes: s.Nodes, MaxAlpha: s.MaxAlpha}
+		task := ShardTask{Item: s.Item, Decision: DecisionScan, Nodes: s.Nodes, MaxAlpha: s.MaxAlpha}
 		switch {
 		case mode != ModeContaining && q != nil && !q.Contains(s.Item):
 			task.Decision = DecisionSkipAbsent
@@ -202,38 +148,22 @@ func PlanQueryMode(shards []ShardInfo, q itemset.Itemset, alphaQ float64, mode Q
 			// so its shard root is at most q[0].
 			task.Decision = DecisionSkipAbsent
 			plan.SkippedAbsent++
-		case cfg.AlphaSkip && alphaQ >= s.MaxAlpha:
+		case visitAll:
+			// Relevant, and the reference execution scans it.
+		case alphaQ >= s.MaxAlpha:
 			task.Decision = DecisionSkipAlpha
 			plan.SkippedAlpha++
-		case mode == ModeContaining && cfg.CatalogueSkip && bloomRejects(s.Bloom, q):
+		case mode == ModeContaining && bloomRejects(s.Bloom, q):
 			task.Decision = DecisionSkipBloom
 			plan.SkippedBloom++
-		case mode == ModeContaining && cfg.CatalogueSkip && histRejects(s, q, alphaQ):
+		case mode == ModeContaining && histRejects(s, q, alphaQ):
 			task.Decision = DecisionSkipHist
 			plan.SkippedHist++
-		case s.Resident:
-			task.Decision = DecisionResident
-			task.Cost = float64(s.Nodes)
-			plan.Resident++
-		default:
-			task.Decision = DecisionLoad
-			task.Cost = float64(s.Nodes) * loadCost
-			plan.Loads++
 		}
-		if !task.Decision.Skipped() {
+		if task.Decision == DecisionScan {
 			plan.Order = append(plan.Order, len(plan.Tasks))
-			plan.TotalCost += task.Cost
 		}
 		plan.Tasks = append(plan.Tasks, task)
-	}
-	if cfg.CostOrder {
-		sort.SliceStable(plan.Order, func(a, b int) bool {
-			ta, tb := plan.Tasks[plan.Order[a]], plan.Tasks[plan.Order[b]]
-			if ta.Cost != tb.Cost {
-				return ta.Cost > tb.Cost
-			}
-			return ta.Item < tb.Item
-		})
 	}
 	return plan
 }

@@ -1,34 +1,41 @@
 package engine
 
 import (
+	"context"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
+	"themecomm/internal/dbnet"
+	"themecomm/internal/delta"
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
 )
 
 // planInfos is a synthetic shard catalogue for the pure-planner tests:
-// heterogeneous sizes and α* bounds, mixed residency.
+// heterogeneous sizes and α* bounds.
 func planInfos() []ShardInfo {
 	return []ShardInfo{
-		{Item: 1, Nodes: 10, Depth: 2, MaxAlpha: 0.5, Resident: false},
-		{Item: 2, Nodes: 100, Depth: 4, MaxAlpha: 2.0, Resident: true},
-		{Item: 3, Nodes: 40, Depth: 3, MaxAlpha: 0.1, Resident: false},
-		{Item: 5, Nodes: 70, Depth: 3, MaxAlpha: 1.5, Resident: false},
+		{Item: 1, Nodes: 10, Depth: 2, MaxAlpha: 0.5},
+		{Item: 2, Nodes: 100, Depth: 4, MaxAlpha: 2.0},
+		{Item: 3, Nodes: 40, Depth: 3, MaxAlpha: 0.1},
+		{Item: 5, Nodes: 70, Depth: 3, MaxAlpha: 1.5},
 	}
 }
 
-// TestPlanDecisions checks every decision of the pure planner: absent root
-// items, α*-provable skips, resident versus load, and the tallies.
+// TestPlanDecisions checks every sub-pattern decision of the pure planner:
+// absent root items, α*-provable skips, scans, the tallies and the schedule.
 func TestPlanDecisions(t *testing.T) {
 	q := itemset.New(1, 2, 3)
-	plan := PlanQuery(planInfos(), q, 0.3, DefaultPlanConfig())
+	plan := planQuery(planInfos(), q, 0.3, ModeSub, false)
 	want := map[itemset.Item]Decision{
-		1: DecisionLoad,       // α* 0.5 > 0.3, not resident
-		2: DecisionResident,   // α* 2.0 > 0.3, resident
+		1: DecisionScan,       // α* 0.5 > 0.3
+		2: DecisionScan,       // α* 2.0 > 0.3
 		3: DecisionSkipAlpha,  // α* 0.1 ≤ 0.3: provably empty
 		5: DecisionSkipAbsent, // 5 ∉ q
 	}
@@ -40,119 +47,202 @@ func TestPlanDecisions(t *testing.T) {
 			t.Errorf("shard %d: decision %q, want %q", task.Item, task.Decision, want[task.Item])
 		}
 	}
-	if plan.Loads != 1 || plan.Resident != 1 || plan.SkippedAlpha != 1 || plan.SkippedAbsent != 1 {
-		t.Fatalf("tallies load=%d resident=%d skipAlpha=%d skipAbsent=%d, want 1 each",
-			plan.Loads, plan.Resident, plan.SkippedAlpha, plan.SkippedAbsent)
+	if len(plan.Order) != 2 || plan.SkippedAlpha != 1 || plan.SkippedAbsent != 1 {
+		t.Fatalf("tallies scan=%d skipAlpha=%d skipAbsent=%d, want 2, 1, 1",
+			len(plan.Order), plan.SkippedAlpha, plan.SkippedAbsent)
+	}
+	// The schedule is the scanned tasks in ascending root-item order.
+	if plan.Order[0] != 0 || plan.Order[1] != 1 {
+		t.Fatalf("schedule %v, want [0 1]", plan.Order)
 	}
 	// The boundary is exact: α_q equal to the α* bound skips (C*_p(α) = ∅
 	// for α ≥ α*), α_q just below it does not.
-	boundary := PlanQuery(planInfos(), itemset.New(1), 0.5, DefaultPlanConfig())
+	boundary := planQuery(planInfos(), itemset.New(1), 0.5, ModeSub, false)
 	if got := boundary.Tasks[0].Decision; got != DecisionSkipAlpha {
 		t.Fatalf("α_q = α*: decision %q, want skip", got)
 	}
-	below := PlanQuery(planInfos(), itemset.New(1), 0.4999, DefaultPlanConfig())
-	if got := below.Tasks[0].Decision; got != DecisionLoad {
-		t.Fatalf("α_q < α*: decision %q, want load", got)
+	below := planQuery(planInfos(), itemset.New(1), math.Nextafter(0.5, 0), ModeSub, false)
+	if got := below.Tasks[0].Decision; got != DecisionScan {
+		t.Fatalf("α_q < α*: decision %q, want scan", got)
 	}
 }
 
-// TestPlanCostOrdering checks the schedule: most expensive first, with
-// non-resident shards weighted up by the load cost, and skipped tasks never
-// scheduled.
-func TestPlanCostOrdering(t *testing.T) {
-	plan := PlanQuery(planInfos(), nil, 0.3, DefaultPlanConfig())
-	// Scheduled: shard 5 (70 nodes × load weight), shard 1 (10 × load
-	// weight), shard 2 (100 resident). Costs 280, 40, 100 → order 5, 2, 1.
-	var got []itemset.Item
-	for _, i := range plan.Order {
-		got = append(got, plan.Tasks[i].Item)
+// unplanned makes the engine scan every relevant shard, skipping none: the
+// reference execution the skip-soundness tests compare the planner with.
+func unplanned(e *Engine) { e.visitAll = true }
+
+// drainPlanned executes (q, alpha) in the given mode exactly as a drained
+// query does, minus the result cache, and returns the execution with its
+// plan and per-task records.
+func drainPlanned(t *testing.T, e *Engine, q itemset.Itemset, alpha float64, mode QueryMode) *Stream {
+	t.Helper()
+	e.updateMu.RLock()
+	defer e.updateMu.RUnlock()
+	tab := e.table.Load()
+	mode, eff, full := canonicalMode(tab, q, mode)
+	st := e.newStream(context.Background(), tab, time.Now(), eff, full, alpha, mode, false)
+	if _, err := st.drain(); err != nil {
+		t.Fatalf("drain(%v, %v, %s): %v", q, alpha, mode, err)
 	}
-	want := []itemset.Item{5, 2, 1}
-	if len(got) != len(want) {
-		t.Fatalf("schedule %v, want %v", got, want)
+	return st
+}
+
+// assertOpensSchedule checks that an execution opened exactly the scheduled
+// shards: every task in plan.Order and no other, so a skipped shard is never
+// acquired. The schedule must be ascending, and with visitAll it must hold
+// every relevant shard.
+func assertOpensSchedule(t *testing.T, st *Stream, visitAll bool) {
+	t.Helper()
+	plan := st.plan
+	if !sort.IntsAreSorted(plan.Order) {
+		t.Fatalf("schedule %v is not ascending", plan.Order)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("schedule %v, want %v", got, want)
+	if got := st.Stats().ShardsOpened; got != len(plan.Order) {
+		t.Fatalf("opened %d shards, scheduled %d", got, len(plan.Order))
+	}
+	for i, task := range plan.Tasks {
+		if st.runs[i].opened == task.Decision.Skipped() {
+			t.Fatalf("shard %d: decision %q, opened %v", task.Item, task.Decision, st.runs[i].opened)
 		}
 	}
-	if plan.TotalCost != 280+100+40 {
-		t.Fatalf("TotalCost = %v, want 420", plan.TotalCost)
-	}
-
-	// Planning off: no α* skip, no reordering — every relevant shard runs
-	// in ascending item order.
-	off := PlanQuery(planInfos(), nil, 0.3, PlanConfig{})
-	if off.SkippedAlpha != 0 || len(off.Order) != len(off.Tasks) {
-		t.Fatalf("planner-off plan skipped %d, scheduled %d of %d", off.SkippedAlpha, len(off.Order), len(off.Tasks))
-	}
-	if !sort.IntsAreSorted(off.Order) {
-		t.Fatalf("planner-off schedule %v is not in plan order", off.Order)
+	if visitAll && len(plan.Order) != len(plan.Tasks)-plan.SkippedAbsent {
+		t.Fatalf("reference plan skipped shards: %+v", plan)
 	}
 }
 
-// unplanned gives the engine the zero PlanConfig — every relevant shard
-// traversed in ascending root-item order, nothing skipped — the reference
-// execution the skip-soundness tests compare the served configuration with.
-func unplanned(e *Engine) { e.planCfg = PlanConfig{} }
-
-// TestPlannerParity is the planner on/off correctness matrix: for a corpus
-// of queries spanning all-items, single-shard, subset and unindexed-item
-// patterns across the full α range, the planning engine must produce
-// byte-identical answers to the non-planning one, on both eager and lazy
-// engines.
+// TestPlannerParity is the skip-soundness property test. Over random
+// networks and random queries — empty patterns and unindexed items included —
+// at every α that sits exactly on or just below a shard's α* bound, in both
+// query modes, the planning engine must answer like the unplanned reference
+// that scans every relevant shard: byte-identical sub-pattern answers,
+// visited-node counts included, and the same containment communities (a
+// bloom skip drops the visit a scan would have counted). Every execution must
+// open exactly its scheduled shards. The engines are eager, lazy, lazy under
+// a one-shard budget, and lazy after an in-memory delta that is not
+// checkpointed — heap shards with rebuilt catalogues next to file shards
+// with manifest catalogues.
 func TestPlannerParity(t *testing.T) {
-	tree := buildTestTree(t, 11)
-	idx, _ := writeShardedTestTree(t, tree)
-	full := make(itemset.Itemset, 0, len(tree.Root().Children))
-	for _, c := range tree.Root().Children {
-		full = append(full, c.Item)
-	}
-	queries := []itemset.Itemset{nil, full, itemset.New(full[0]), itemset.New(full[0], 999), full[:len(full)/2]}
-	alphas := []float64{0, 0.1, 0.3, 1.0, tree.MaxAlpha(), tree.MaxAlpha() + 1}
-	// Per-shard α* bounds give each shard an α_q that skips it exactly.
-	for _, st := range tree.ShardStats() {
-		alphas = append(alphas, st.MaxAlpha)
-	}
+	const unindexed = itemset.Item(997)
+	mixed := 0
+	seen := map[Decision]int{}
+	for seed := int64(1); seed <= 5; seed++ {
+		network := func() *dbnet.Network { return randomNetwork(rand.New(rand.NewSource(seed)), 16, 40, 5, 4) }
+		tree := tctree.Build(network(), tctree.BuildOptions{})
+		if tree.NumNodes() == 0 {
+			continue
+		}
+		idx, _ := writeShardedTestTree(t, tree)
+		// The delta rebuilds two shards — a random indexed item's and that of
+		// item 5, which the generator never emits — and leaves the rest on
+		// their files.
+		rng := rand.New(rand.NewSource(seed))
+		roots := tree.Root().Children
+		d := patternTriangleDelta(network(), itemset.New(roots[rng.Intn(len(roots))].Item, 5))
+		updated := network()
+		if err := delta.Apply(updated, d); err != nil {
+			t.Fatalf("seed %d: Apply: %v", seed, err)
+		}
+		updatedTree := tctree.Build(updated, tctree.BuildOptions{})
 
-	type variant struct {
-		name string
-		mk   func(opts Options) (*Engine, error)
-	}
-	variants := []variant{
-		{"eager", func(opts Options) (*Engine, error) { return New(tree, opts) }},
-		{"lazy", func(opts Options) (*Engine, error) { return NewLazy(idx, opts) }},
-		{"lazy-budget", func(opts Options) (*Engine, error) {
-			opts.MaxResidentShards = 1
-			return NewLazy(idx, opts)
-		}},
-	}
-	for _, v := range variants {
-		on, err := v.mk(Options{Workers: 4})
-		if err != nil {
-			t.Fatalf("%s planner-on: %v", v.name, err)
+		type variant struct {
+			name string
+			tree *tctree.Tree
+			mk   func() (*Engine, error)
 		}
-		off, err := v.mk(Options{Workers: 4})
-		if err != nil {
-			t.Fatalf("%s planner-off: %v", v.name, err)
+		lazy := func(opts Options) func() (*Engine, error) {
+			return func() (*Engine, error) { return NewLazy(idx, opts) }
 		}
-		unplanned(off)
-		for _, q := range queries {
-			for _, alpha := range alphas {
-				want := mustQuery(t, off, q, alpha)
-				got := mustQuery(t, on, q, alpha)
-				assertEqualAnswers(t, got, want)
-				// Against the single-threaded tree walk only the truss
-				// set is comparable: the engine groups by shard, the
-				// tree interleaves levels across shards.
-				var wantTree *tctree.QueryResult
-				if q == nil {
-					wantTree = tree.QueryByAlpha(alpha)
-				} else {
-					wantTree = tree.Query(q, alpha)
+		variants := []variant{
+			{"eager", tree, func() (*Engine, error) { return New(tree, Options{Workers: 4}) }},
+			{"lazy", tree, lazy(Options{Workers: 4})},
+			{"lazy-budget", tree, lazy(Options{Workers: 4, MaxResidentShards: 1})},
+			{"lazy-dirty", updatedTree, func() (*Engine, error) {
+				e, err := NewLazy(idx, Options{Workers: 4})
+				if err == nil {
+					_, err = e.ApplyDeltaInMemory(network(), d)
 				}
-				assertSameAnswer(t, got, wantTree)
+				return e, err
+			}},
+		}
+		for _, v := range variants {
+			on, err := v.mk()
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, v.name, err)
 			}
+			off, err := v.mk()
+			if err != nil {
+				t.Fatalf("seed %d %s reference: %v", seed, v.name, err)
+			}
+			unplanned(off)
+
+			tab := on.table.Load()
+			heap := 0
+			// α on and just below every α* bound: the next float down, and
+			// far enough down to clear the kernel's cohesion tolerance, where
+			// the shard's root truss is live again.
+			alphas := []float64{0}
+			for _, s := range tab.shards {
+				alphas = append(alphas, s.maxAlpha, math.Nextafter(s.maxAlpha, 0), s.maxAlpha-1e-6)
+				if s.load == nil {
+					heap++
+				}
+			}
+			alphas = append(alphas, on.MaxAlpha()+1)
+			if heap > 0 && heap < len(tab.shards) {
+				mixed++
+			}
+			pool := append(slices.Clone(tab.items), unindexed)
+			queries := []itemset.Itemset{nil, {}}
+			for i := 0; i < 8; i++ {
+				q := itemset.Itemset{}
+				for n := rng.Intn(4); n > 0; n-- {
+					q = q.Add(pool[rng.Intn(len(pool))])
+				}
+				queries = append(queries, q)
+			}
+
+			for _, q := range queries {
+				for _, alpha := range alphas {
+					got := mustQuery(t, on, q, alpha)
+					assertEqualAnswers(t, got, mustQuery(t, off, q, alpha))
+					want := v.tree.QueryByAlpha(alpha)
+					if q != nil {
+						want = v.tree.Query(q, alpha)
+					}
+					assertSameAnswer(t, got, want)
+
+					gotC, err := on.QueryContaining(q, alpha)
+					if err != nil {
+						t.Fatalf("%s: QueryContaining(%v, %v): %v", v.name, q, alpha, err)
+					}
+					wantC, err := off.QueryContaining(q, alpha)
+					if err != nil {
+						t.Fatalf("%s reference: QueryContaining(%v, %v): %v", v.name, q, alpha, err)
+					}
+					if gotC.RetrievedNodes != wantC.RetrievedNodes {
+						t.Fatalf("%s: containment (%v, %v) retrieved %d, reference %d", v.name, q, alpha, gotC.RetrievedNodes, wantC.RetrievedNodes)
+					}
+					assertEqualCommunities(t, gotC.Communities, wantC.Communities)
+
+					for _, mode := range []QueryMode{ModeSub, ModeContaining} {
+						st := drainPlanned(t, on, q, alpha, mode)
+						assertOpensSchedule(t, st, false)
+						for _, task := range st.plan.Tasks {
+							seen[task.Decision]++
+						}
+						assertOpensSchedule(t, drainPlanned(t, off, q, alpha, mode), true)
+					}
+				}
+			}
+		}
+	}
+	if mixed == 0 {
+		t.Fatalf("no in-memory delta left heap shards next to file shards; pick other seeds")
+	}
+	// The property is only as strong as the skips it saw taken.
+	for _, d := range []Decision{DecisionSkipAlpha, DecisionSkipBloom, DecisionSkipHist} {
+		if seen[d] == 0 {
+			t.Fatalf("no %s decision in %v; the corpus does not exercise it", d, seen)
 		}
 	}
 }
@@ -289,7 +379,7 @@ func TestExplain(t *testing.T) {
 	if rep.SkippedAbsent != rep.Shards-1 {
 		t.Fatalf("SkippedAbsent = %d, want %d", rep.SkippedAbsent, rep.Shards-1)
 	}
-	if rep.SkippedAlpha+rep.ResidentTasks+rep.LoadTasks != 1 {
+	if rep.SkippedAlpha+len(rep.ScheduleOrder) != 1 {
 		t.Fatalf("exactly one shard should execute or α*-skip: %+v", rep)
 	}
 	for _, task := range rep.Tasks {
@@ -332,7 +422,11 @@ func TestExplain(t *testing.T) {
 	if repAll.SkippedAlpha == 0 {
 		t.Fatalf("median-α* explain reports no α* skips")
 	}
-	if len(repAll.ScheduleOrder) != repAll.ResidentTasks+repAll.LoadTasks {
-		t.Fatalf("schedule lists %d tasks, want %d", len(repAll.ScheduleOrder), repAll.ResidentTasks+repAll.LoadTasks)
+	skipped := repAll.SkippedAlpha + repAll.SkippedAbsent + repAll.SkippedBloom + repAll.SkippedHist
+	if len(repAll.ScheduleOrder) != repAll.Shards-skipped {
+		t.Fatalf("schedule lists %d tasks, want %d", len(repAll.ScheduleOrder), repAll.Shards-skipped)
+	}
+	if !slices.IsSorted(repAll.ScheduleOrder) {
+		t.Fatalf("drained schedule %v is not ascending", repAll.ScheduleOrder)
 	}
 }

@@ -83,17 +83,14 @@ func (s *shard) sizeBytes() int64 {
 	return s.view.SizeBytes()
 }
 
-// info snapshots the shard for the planner: catalogue statistics plus
-// residency, taken under one lock acquisition.
+// info returns the shard's catalogue for the planner. It takes no lock: the
+// catalogue is fixed at construction.
 func (s *shard) info() ShardInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return ShardInfo{
 		Item:        s.item,
 		Nodes:       s.nodes,
 		Depth:       s.depth,
 		MaxAlpha:    s.maxAlpha,
-		Resident:    s.view != nil,
 		Bloom:       s.bloom,
 		AlphaDepths: s.alphaDepths,
 	}

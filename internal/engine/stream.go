@@ -21,9 +21,9 @@ import (
 // entry points differ in which tasks they open, and when:
 //
 //   - drained (Query, QueryContaining, QueryBatch, TopK, Explain): every
-//     scheduled task is opened at once on the bounded worker pool, most
-//     expensive first, and the answers are concatenated in ascending root-item
-//     order. The caller holds the engine's update lock for reading throughout;
+//     scheduled task is opened at once on the bounded worker pool, in the
+//     plan's ascending root-item order, and the answers are concatenated in
+//     that order. The caller holds the engine's update lock for reading throughout;
 //     Query puts the result cache around it.
 //   - pulled (StreamQuery, StreamTopK): tasks open one at a time as the caller
 //     pulls, so a query holds one shard's answer rather than the whole result
@@ -120,7 +120,7 @@ type Stream struct {
 	full bool
 	runs []taskRun
 	// next counts the opened entries of plan.Order, the schedule: the tasks
-	// at plan.Order[next:] are still unopened. A pulled stream re-sorts the
+	// at plan.Order[next:] are still unopened. A ranked stream re-sorts the
 	// schedule into its own open order.
 	next int
 
@@ -208,9 +208,8 @@ func (st *Stream) open(i int) error {
 	return nil
 }
 
-// drain opens every scheduled task on the worker pool — in schedule order,
-// so a straggler overlaps the cheap tail — and concatenates the per-task
-// answers in ascending root-item order. Load failures are joined; a done
+// drain opens every scheduled task on the worker pool, in schedule order, and
+// concatenates the per-task answers in ascending root-item order. Load failures are joined; a done
 // context is reported once, not once per shard it kept closed. The caller
 // holds updateMu for reading across the call.
 func (st *Stream) drain() (*Answer, error) {
@@ -277,7 +276,8 @@ func (e *Engine) StreamTopK(ctx context.Context, q itemset.Itemset, alphaQ float
 	return e.stream(ctx, q, alphaQ, true, k), nil
 }
 
-// stream plans a pulled execution and puts its schedule in pull order.
+// stream plans a pulled execution; a ranked one re-sorts its schedule into
+// pull order, a plain one opens in the plan's ascending root-item order.
 func (e *Engine) stream(ctx context.Context, q itemset.Itemset, alphaQ float64, ranked bool, k int) *Stream {
 	start := time.Now()
 	e.streams.Add(1)
@@ -287,13 +287,12 @@ func (e *Engine) stream(ctx context.Context, q itemset.Itemset, alphaQ float64, 
 	eff, full := canonical(t, q)
 	st := e.newStream(ctx, t, start, eff, full, alphaQ, ModeSub, false)
 	st.ranked, st.k = ranked, k
-	orderStart := time.Now()
-	order := st.plan.Order
 	if ranked {
 		// Open order: descending α* bound, so the cohesion-ordered merge can
 		// stop opening as soon as the heap head beats the best remaining
 		// bound. Ties break on the root item for determinism.
-		tasks := st.plan.Tasks
+		orderStart := time.Now()
+		order, tasks := st.plan.Order, st.plan.Tasks
 		sort.Slice(order, func(a, b int) bool {
 			ta, tb := tasks[order[a]], tasks[order[b]]
 			if ta.MaxAlpha != tb.MaxAlpha {
@@ -301,11 +300,8 @@ func (e *Engine) stream(ctx context.Context, q itemset.Itemset, alphaQ float64, 
 			}
 			return ta.Item < tb.Item
 		})
-	} else {
-		// Tasks are listed in ascending root-item order.
-		sort.Ints(order)
+		st.planDur += time.Since(orderStart)
 	}
-	st.planDur += time.Since(orderStart)
 	return st
 }
 

@@ -315,12 +315,11 @@ func TestStreamMidDeltaEager(t *testing.T) {
 // finish and the ones waiting for one give up (how many is a race, so only
 // the outcome is pinned). Either way the failure is observed as an error,
 // nothing is cached, and the engine answers the next, uncancelled query in
-// full.
+// full. Explain is unobserved, so its cancellation records no observation.
 func TestCancellationStopsOpeningShards(t *testing.T) {
 	tree := buildTestTree(t, 11)
 	idx, _ := writeShardedTestTree(t, tree)
-	// Explain takes no context.
-	for _, name := range []string{"Query", "QueryContaining", "StreamQuery", "StreamTopK"} {
+	for _, name := range []string{"Query", "QueryContaining", "Explain", "StreamQuery", "StreamTopK"} {
 		for _, workers := range []int{1, 4} {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -351,7 +350,10 @@ func TestCancellationStopsOpeningShards(t *testing.T) {
 			if st.Cache.Length != 0 || st.ShardsShortCircuited != 0 {
 				t.Fatalf("%s/%d workers: cancelled execution cached %d answers, credited %d short-circuits", name, workers, st.Cache.Length, st.ShardsShortCircuited)
 			}
-			if got := rec.all(); len(got) != 1 || !got[0].Err {
+			switch got := rec.all(); {
+			case name == "Explain" && len(got) != 0:
+				t.Fatalf("Explain/%d workers: cancelled explain observed as %+v, want nothing", workers, got)
+			case name != "Explain" && (len(got) != 1 || !got[0].Err):
 				t.Fatalf("%s/%d workers: cancelled execution observed as %+v, want one error", name, workers, got)
 			}
 			assertSameAnswer(t, mustQueryByAlpha(t, eng, 0), tree.QueryByAlpha(0))

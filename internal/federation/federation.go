@@ -22,9 +22,9 @@
 // a delta.
 //
 // Cross-network batch queries (QueryAll, TopKAll) run one query against
-// every attached network, scheduling the networks most-expensive-first from
-// the per-network planner's cost estimates, and TopKAll merges the ranked
-// answers into one deterministic cohesion-ordered list.
+// every attached network on a bounded pool, admitting the networks in name
+// order, and TopKAll merges the ranked answers into one deterministic
+// cohesion-ordered list.
 //
 // A Federation is safe for concurrent use.
 package federation
@@ -413,44 +413,30 @@ func Constant(q itemset.Itemset) PatternResolver {
 // per-network pattern.
 type networkTask struct {
 	net *Network
-	// q is resolve(net), computed once: it serves the cost estimate, the
-	// query execution and the caller's response rendering.
+	// q is resolve(net), computed once: it serves the query execution and
+	// the caller's response rendering.
 	q itemset.Itemset
 }
 
-// snapshot returns the attached networks, each with its resolved pattern,
-// ordered by descending planner cost estimate for (task.q, alphaQ) — the
-// cross-network schedule. Ties break on the name so the schedule is
-// deterministic.
-func (f *Federation) snapshot(resolve PatternResolver, alphaQ float64) []networkTask {
+// snapshot returns the attached networks in ascending name order, each with
+// its resolved pattern.
+func (f *Federation) snapshot(resolve PatternResolver) []networkTask {
 	f.mu.RLock()
 	tasks := make([]networkTask, 0, len(f.networks))
 	for _, n := range f.networks {
 		tasks = append(tasks, networkTask{net: n, q: resolve(n)})
 	}
 	f.mu.RUnlock()
-	costs := make(map[*Network]float64, len(tasks))
-	for _, t := range tasks {
-		costs[t.net] = t.net.eng.EstimateCost(t.q, alphaQ)
-	}
-	sort.Slice(tasks, func(i, j int) bool {
-		if costs[tasks[i].net] != costs[tasks[j].net] {
-			return costs[tasks[i].net] > costs[tasks[j].net]
-		}
-		return tasks[i].net.name < tasks[j].net.name
-	})
+	sort.Slice(tasks, func(i, j int) bool { return tasks[i].net.name < tasks[j].net.name })
 	return tasks
 }
 
 // forEach runs fn once per attached network on the bounded network pool,
-// admitting networks in the cost-ordered schedule (most expensive first, so
-// the straggler tenant overlaps the cheap tail instead of serializing
-// behind it). The pool slot is acquired before the goroutine is spawned —
-// goroutine start order is otherwise unspecified, which would let a cheap
-// tail task be admitted ahead of the straggler. It returns the tasks in
-// schedule order after every fn returned.
-func (f *Federation) forEach(resolve PatternResolver, alphaQ float64, fn func(t networkTask)) []networkTask {
-	tasks := f.snapshot(resolve, alphaQ)
+// admitting networks in name order. The pool slot is acquired before the
+// goroutine is spawned, so at most NetworkWorkers goroutines exist at once.
+// It returns the tasks in name order after every fn returned.
+func (f *Federation) forEach(resolve PatternResolver, fn func(t networkTask)) []networkTask {
+	tasks := f.snapshot(resolve)
 	var wg sync.WaitGroup
 	for _, t := range tasks {
 		f.netSem <- struct{}{}
@@ -483,10 +469,9 @@ type NetworkResult struct {
 // the query pattern into each tenant's item space (dictionaries intern
 // independently, so the same theme has different item identifiers per
 // network; Constant serves a shared item space). Networks are queried
-// concurrently (bounded by Options.NetworkWorkers), scheduled
-// most-expensive-first by the per-network planner estimates; each network's
-// own planner, cache namespace and worker pool serve its share exactly as a
-// direct Engine.Query would, so per-network answers match standalone
+// concurrently (bounded by Options.NetworkWorkers), admitted in name order;
+// each network's own planner, cache namespace and worker pool serve its
+// share exactly as a direct Engine.Query would, so per-network answers match standalone
 // engines. The context reaches every member engine: the request correlation
 // ID it carries (obs.WithRequestID) labels all the per-network observations
 // of one federated query, and cancelling it stops every member at its next
@@ -497,13 +482,12 @@ func (f *Federation) QueryAll(ctx context.Context, resolve PatternResolver, alph
 	out := make([]NetworkResult, 0, f.NumNetworks())
 	results := make(map[*Network]NetworkResult)
 	var mu sync.Mutex
-	tasks := f.forEach(resolve, alphaQ, func(t networkTask) {
+	tasks := f.forEach(resolve, func(t networkTask) {
 		res, err := t.net.eng.QueryContext(ctx, t.q, alphaQ)
 		mu.Lock()
 		results[t.net] = NetworkResult{Network: t.net.name, Pattern: t.q, Result: res, Err: err}
 		mu.Unlock()
 	})
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i].net.name < tasks[j].net.name })
 	var errs []error
 	for _, t := range tasks {
 		r := results[t.net]
@@ -537,7 +521,7 @@ func (f *Federation) TopKAll(ctx context.Context, resolve PatternResolver, alpha
 	var mu sync.Mutex
 	var merged []NetworkRanked
 	var errs []error
-	f.forEach(resolve, alphaQ, func(t networkTask) {
+	f.forEach(resolve, func(t networkTask) {
 		_, ranked, err := t.net.eng.TopKWithResultContext(ctx, t.q, alphaQ, k)
 		mu.Lock()
 		defer mu.Unlock()

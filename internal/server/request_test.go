@@ -126,11 +126,13 @@ func TestErrorEnvelope(t *testing.T) {
 		}
 	}
 
-	// A query whose client hung up stops at the next shard and is answered
-	// through the same envelope as a 499: not the server's failure, no 5xx.
+	// A query, explain or pattern listing whose client hung up stops at the
+	// next shard and is answered through the same envelope as a 499: not the
+	// server's failure, no 5xx.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, url := range []string{"/api/v1/query?alpha=0.31", "/api/v1/query?alpha=0.31&k=3", "/api/v1/query?alpha=0.31&limit=2"} {
+	for _, url := range []string{"/api/v1/query?alpha=0.31", "/api/v1/query?alpha=0.31&k=3", "/api/v1/query?alpha=0.31&limit=2",
+		"/api/v1/explain?alpha=0.31", "/api/v1/patterns?length=2"} {
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil).WithContext(ctx))
 		var e errorResponse

@@ -402,15 +402,13 @@ func (s *Server) serveExplain(t *tenant, w http.ResponseWriter, r *http.Request)
 		rerr.write(w, r)
 		return
 	}
-	var report *engine.ExplainReport
-	var err error
+	mode := engine.ModeSub
 	if req.Contains {
-		report, err = t.engine.ExplainContaining(req.Pattern, req.Alpha)
-	} else {
-		report, err = t.engine.Explain(req.Pattern, req.Alpha)
+		mode = engine.ModeContaining
 	}
+	report, err := t.engine.ExplainContext(r.Context(), req.Pattern, req.Alpha, mode)
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err.Error())
+		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, ExplainResponse{Network: t.name, Pattern: t.itemNames(report.Pattern), ExplainReport: report})
@@ -533,9 +531,9 @@ func (s *Server) servePatterns(t *tenant, w http.ResponseWriter, r *http.Request
 		}
 		limit = parsed
 	}
-	patterns, err := t.engine.PatternsAtDepth(length)
+	patterns, err := t.engine.PatternsAtDepth(r.Context(), length)
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err.Error())
+		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
 	resp := PatternsResponse{Length: length, Count: len(patterns)}

@@ -9,6 +9,7 @@
 #   - /metrics is valid enough to grep and its engine/query/HTTP counters
 #     moved;
 #   - /api/v1/slowlog captured the query (threshold 1ns) with its plan;
+#   - /api/v1/explain reports no cost estimates and an ascending schedule;
 #   - /healthz reports the network ready, and -tree bk.index serves it as
 #     the federation network "bk";
 #   - the pprof sidecar answers on its own listener;
@@ -111,6 +112,16 @@ slowlog=$(curl -sf "http://$addr/api/v1/slowlog")
 echo "$slowlog" | grep -q "\"requestId\":\"$reqid\"" \
   || fail "slow log does not carry request ID $reqid: $slowlog"
 echo "$slowlog" | grep -q '"plan"' || fail "slow log entry has no plan: $slowlog"
+
+echo "== explain: the plan carries no cost model, the schedule is ascending"
+explain=$(curl -sf "http://$addr/api/v1/explain?alpha=0")
+if echo "$explain" | grep -Eq '"(totalCost|cost)":'; then
+  fail "explain still reports cost estimates: $explain"
+fi
+order=$(echo "$explain" | sed -n 's/.*"scheduleOrder":\[\([0-9,]*\)\].*/\1/p')
+[ -n "$order" ] || fail "explain at alpha=0 scheduled nothing: $explain"
+echo "$order" | tr ',' '\n' | sort -n -c 2>/dev/null \
+  || fail "explain scheduleOrder is not ascending: $order"
 
 echo "== pprof sidecar"
 curl -sf "http://$pprof_addr/debug/pprof/cmdline" >/dev/null \

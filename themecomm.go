@@ -19,10 +19,9 @@
 //   - the TC-Tree index with query answering by pattern and by cohesion
 //     threshold, persisted as an index directory (one memory-mappable file
 //     per top-level item plus a manifest) that is served lazily;
-//   - the concurrent query-serving engine: a cost-based planner that skips
-//     shards from catalogue statistics alone (α* bounds) and schedules the
-//     expensive ones first, one sharded executor that queries drain in
-//     parallel and streams pull shard by shard, an LRU result cache, batch
+//   - the concurrent query-serving engine: a planner that skips shards from
+//     catalogue statistics alone (α* bounds), one sharded executor that
+//     queries drain in parallel and streams pull shard by shard, an LRU result cache, batch
 //     queries, top-k ranking, an Explain API, and a lazy mode that loads
 //     shards from disk on first touch under a configurable residency budget;
 //   - synthetic dataset generators emulating the paper's evaluation datasets.
@@ -110,9 +109,9 @@ type (
 
 // Query-serving engine types.
 type (
-	// Engine is the concurrent query-serving layer over a TC-Tree: cost-based
-	// plan→execute query answering (α* shard skipping, cost-ordered
-	// scheduling), an LRU result cache, batch and top-k queries.
+	// Engine is the concurrent query-serving layer over a TC-Tree:
+	// plan→execute query answering (α* shard skipping), an LRU result cache,
+	// batch and top-k queries.
 	Engine = engine.Engine
 	// EngineOptions configures an Engine (workers, cache size, residency
 	// budget).
@@ -128,9 +127,6 @@ type (
 	// vertices, edge count — annotated with the cohesion Engine.TopK ranks
 	// by.
 	RankedCommunity = truss.Community
-	// QueryPlan is the cost-based planner's output: per-shard
-	// skip/resident/load decisions plus a cost-ordered schedule.
-	QueryPlan = engine.QueryPlan
 	// EngineExplain is the annotated plan + execution report of
 	// Engine.Explain (and GET /api/v1/explain).
 	EngineExplain = engine.ExplainReport
