@@ -8,6 +8,7 @@ package themecomm_test
 // harness with larger, paper-like settings and prints the rows.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -379,7 +380,7 @@ func BenchmarkEngineShardedVsSequential(b *testing.B) {
 		}
 		b.Run(benchName("sharded-workers", float64(workers)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng.Query(q, 0)
+				eng.QueryContext(context.Background(), q, 0)
 			}
 		})
 	}
@@ -398,23 +399,23 @@ func BenchmarkEngineCacheColdVsWarm(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cold.Query(q, 0.1)
+			cold.QueryContext(context.Background(), q, 0.1)
 		}
 	})
 	warm, err := engine.New(benchTree, engine.Options{Workers: 4, CacheSize: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
-	warm.Query(q, 0.1)
+	warm.QueryContext(context.Background(), q, 0.1)
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			warm.Query(q, 0.1)
+			warm.QueryContext(context.Background(), q, 0.1)
 		}
 	})
 }
 
 // BenchmarkEngineBatch compares answering a mixed workload one query at a
-// time against a single QueryBatch call (cache disabled, so the benchmark
+// time against a single QueryBatchContext call (cache disabled, so the benchmark
 // measures execution, not caching).
 func BenchmarkEngineBatch(b *testing.B) {
 	benchShardSetup(b)
@@ -435,13 +436,13 @@ func BenchmarkEngineBatch(b *testing.B) {
 	b.Run("one-by-one", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, r := range reqs {
-				eng.Query(r.Pattern, r.Alpha)
+				eng.QueryContext(context.Background(), r.Pattern, r.Alpha)
 			}
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			eng.QueryBatch(reqs)
+			eng.QueryBatchContext(context.Background(), reqs)
 		}
 	})
 }
@@ -473,7 +474,7 @@ func BenchmarkEngineColdStartFullVsLazy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Query(q, 0); err != nil {
+			if _, err := eng.QueryContext(context.Background(), q, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -488,7 +489,7 @@ func BenchmarkEngineColdStartFullVsLazy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := eng.Query(q, 0); err != nil {
+			if _, err := eng.QueryContext(context.Background(), q, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,6 +5,7 @@ package themecomm_test
 // query → serve over HTTP. These are the flows the command-line tools compose.
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -34,7 +35,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadNetworkFile: %v", err)
 	}
-	if nw.Stats() != d.Network.Stats() {
+	if nw.Stats() != d.Network.Stats() || dict.Len() != d.Dictionary.Len() {
 		t.Fatalf("reloaded network differs: %+v vs %+v", nw.Stats(), d.Network.Stats())
 	}
 
@@ -49,32 +50,27 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("WriteShardedTree: %v", err)
 	}
 
-	// 4. Reopen the index from disk and answer the same query.
-	reloaded, err := themecomm.OpenEngine(indexPath, themecomm.EngineOptions{})
-	if err != nil {
-		t.Fatalf("OpenEngine: %v", err)
+	// 4. Reopen the index from disk, as a network of a federation, and
+	// answer the same query.
+	fed := themecomm.NewFederation(themecomm.FederationOptions{})
+	if err := fed.AttachIndexDir("bk", indexPath, netPath); err != nil {
+		t.Fatalf("AttachIndexDir: %v", err)
 	}
-	answer, err := reloaded.QueryByAlpha(alpha)
+	bk, _ := fed.Network("bk")
+	reloaded := bk.Engine()
+	answer, err := reloaded.QueryContext(context.Background(), nil, alpha)
 	if err != nil {
-		t.Fatalf("QueryByAlpha: %v", err)
+		t.Fatalf("QueryContext: %v", err)
 	}
 	if answer.RetrievedNodes != mined.NumPatterns() {
 		t.Fatalf("reopened index retrieved %d trusses, miner found %d", answer.RetrievedNodes, mined.NumPatterns())
 	}
 	// What is not an index directory is refused with the rebuild command.
-	if _, err := themecomm.OpenEngine(netPath, themecomm.EngineOptions{}); err == nil || !strings.Contains(err.Error(), "tcindex -in") {
-		t.Fatalf("OpenEngine on a regular file returned %v, want a refusal naming tcindex", err)
+	if err := fed.AttachIndexDir("file", netPath, ""); err == nil || !strings.Contains(err.Error(), "tcindex -in") {
+		t.Fatalf("AttachIndexDir on a regular file returned %v, want a refusal naming tcindex", err)
 	}
 
-	// 5. Serve the index over HTTP, as a network of a federation, and query it.
-	idx, err := themecomm.OpenShardedIndex(indexPath)
-	if err != nil {
-		t.Fatalf("OpenShardedIndex: %v", err)
-	}
-	fed := themecomm.NewFederation(themecomm.FederationOptions{})
-	if err := fed.AttachIndex("bk", idx, themecomm.FederationNetworkOptions{Dictionary: dict}); err != nil {
-		t.Fatalf("AttachIndex: %v", err)
-	}
+	// 5. Serve the federation over HTTP and query it.
 	handler, err := themecomm.NewQueryServer(nil, themecomm.QueryServerOptions{Federation: fed})
 	if err != nil {
 		t.Fatalf("NewQueryServer: %v", err)

@@ -179,21 +179,30 @@ func Read(r io.Reader, dict *itemset.Dictionary) (*Delta, error) {
 }
 
 // ResolveItem parses one item field: a numeric identifier is taken as-is
-// (identifiers are 32-bit; anything outside [0, MaxInt32] is rejected rather
-// than silently wrapped onto another item); anything else is resolved
-// through the dictionary, interning unseen names so deltas can introduce
-// new items.
+// (see ItemID); anything else is resolved through the dictionary, interning
+// unseen names so deltas can introduce new items.
 func ResolveItem(field string, dict *itemset.Dictionary) (itemset.Item, error) {
-	if id, err := strconv.Atoi(field); err == nil {
-		if id < 0 || id > math.MaxInt32 {
-			return 0, fmt.Errorf("item id %d outside [0, %d]", id, math.MaxInt32)
-		}
-		return itemset.Item(id), nil
+	if id, numeric, err := ItemID(field); numeric {
+		return id, err
 	}
 	if dict == nil {
 		return 0, fmt.Errorf("item %q is not numeric and no dictionary is available", field)
 	}
 	return dict.Intern(field), nil
+}
+
+// ItemID parses a numeric item identifier; numeric is false when field is an
+// item name. Identifiers are 32-bit: anything outside [0, MaxInt32] is
+// rejected rather than silently wrapped onto another item.
+func ItemID(field string) (id itemset.Item, numeric bool, err error) {
+	n, err := strconv.Atoi(field)
+	if err != nil {
+		return 0, false, nil
+	}
+	if n < 0 || n > math.MaxInt32 {
+		return 0, true, fmt.Errorf("item id %d outside [0, %d]", n, math.MaxInt32)
+	}
+	return itemset.Item(n), true, nil
 }
 
 // ReadFile reads a delta from the named file.

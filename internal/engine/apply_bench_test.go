@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -40,7 +41,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	// A server's shards are resident when an update arrives.
-	if _, err := eng.QueryByAlpha(0); err != nil {
+	if _, err := eng.QueryContext(context.Background(), nil, 0); err != nil {
 		b.Fatal(err)
 	}
 

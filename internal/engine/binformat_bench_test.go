@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -55,7 +56,7 @@ func BenchmarkColdStart(b *testing.B) {
 		if err != nil {
 			b.Fatalf("NewLazy: %v", err)
 		}
-		res, err := eng.Query(q, alphaQ)
+		res, err := eng.QueryContext(context.Background(), q, alphaQ)
 		if err != nil {
 			b.Fatalf("Query: %v", err)
 		}
@@ -148,12 +149,12 @@ func BenchmarkPlannerSkip(b *testing.B) {
 	sort.Float64s(alphas)
 	alphaQ := alphas[len(alphas)/2]
 	b.Run("alpha-skip", arms(skewIdx, func(e *Engine) (*Answer, error) {
-		return e.Query(nil, alphaQ)
+		return e.QueryContext(context.Background(), nil, alphaQ)
 	}))
 
 	sparseIdx, sparse := benchIndex(b, randomNetwork(rand.New(rand.NewSource(23)), 64, 320, 24, 4))
 	last := itemset.New(itemset.Item(sparse.Shards[len(sparse.Shards)-1].Item))
 	b.Run("catalogue", arms(sparseIdx, func(e *Engine) (*Answer, error) {
-		return e.QueryContaining(last, 0)
+		return e.QueryContainingContext(context.Background(), last, 0)
 	}))
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -39,7 +40,7 @@ func TestApplyDeltaInMemoryParity(t *testing.T) {
 		}
 		// Warm the cache so invalidation is exercised.
 		for _, q := range deltaTestQueries() {
-			if _, err := eng.Query(q.Pattern, q.Alpha); err != nil {
+			if _, err := eng.QueryContext(context.Background(), q.Pattern, q.Alpha); err != nil {
 				t.Fatalf("pre-delta query: %v", err)
 			}
 		}
@@ -138,11 +139,11 @@ func TestApplyDeltaInMemoryParity(t *testing.T) {
 func assertQueryParity(t *testing.T, seed int64, phase string, got, want *Engine) {
 	t.Helper()
 	for _, q := range deltaTestQueries() {
-		g, err := got.Query(q.Pattern, q.Alpha)
+		g, err := got.QueryContext(context.Background(), q.Pattern, q.Alpha)
 		if err != nil {
 			t.Fatalf("seed %d %s: query: %v", seed, phase, err)
 		}
-		w, err := want.Query(q.Pattern, q.Alpha)
+		w, err := want.QueryContext(context.Background(), q.Pattern, q.Alpha)
 		if err != nil {
 			t.Fatalf("seed %d %s: fresh query: %v", seed, phase, err)
 		}

@@ -15,7 +15,7 @@ import (
 // bruteContaining computes the containment answer by exhaustive scan: every
 // indexed pattern p ⊇ q whose truss is non-empty at alpha, as a pattern →
 // communities map derived the map-based way. This is the ground truth
-// QueryContaining must reproduce.
+// QueryContainingContext must reproduce.
 func bruteContaining(t *testing.T, tree *tctree.Tree, q itemset.Itemset, alpha float64) map[itemset.Key][]flatCommunity {
 	t.Helper()
 	out := make(map[itemset.Key][]flatCommunity)
@@ -66,7 +66,7 @@ func containmentQueries(tree *tctree.Tree) []itemset.Itemset {
 	return qs
 }
 
-// assertContainmentAnswer compares a QueryContaining result with the brute
+// assertContainmentAnswer compares a QueryContainingContext result with the brute
 // force map: same distinct patterns, the same communities of each. Visited
 // counts are plan-dependent in containment mode and deliberately not
 // compared.
@@ -114,7 +114,7 @@ func TestQueryContainingMatchesBruteForce(t *testing.T) {
 		for _, q := range containmentQueries(tree) {
 			for _, alpha := range alphas {
 				want := bruteContaining(t, tree, q, alpha)
-				got, err := eng.QueryContaining(q, alpha)
+				got, err := eng.QueryContainingContext(context.Background(), q, alpha)
 				if err != nil {
 					t.Fatalf("%s: QueryContaining(%v, %v): %v", name, q, alpha, err)
 				}
@@ -126,7 +126,7 @@ func TestQueryContainingMatchesBruteForce(t *testing.T) {
 	// An empty containment query is the query-by-alpha workload and shares
 	// its cache entry and counters with it.
 	byAlpha := mustQueryByAlpha(t, engines["eager"], 0.1)
-	empty, err := engines["eager"].QueryContaining(nil, 0.1)
+	empty, err := engines["eager"].QueryContainingContext(context.Background(), nil, 0.1)
 	if err != nil {
 		t.Fatalf("QueryContaining(nil): %v", err)
 	}
@@ -151,12 +151,12 @@ func TestQueryContainingCacheAndDelta(t *testing.T) {
 	}
 
 	q := itemset.New(tree.Root().Children[0].Item)
-	first, err := eng.QueryContaining(q, 0.1)
+	first, err := eng.QueryContainingContext(context.Background(), q, 0.1)
 	if err != nil {
 		t.Fatalf("QueryContaining: %v", err)
 	}
 	misses := eng.Stats().Cache.Misses
-	again, err := eng.QueryContaining(q, 0.1)
+	again, err := eng.QueryContainingContext(context.Background(), q, 0.1)
 	if err != nil {
 		t.Fatalf("QueryContaining repeat: %v", err)
 	}
@@ -176,7 +176,7 @@ func TestQueryContainingCacheAndDelta(t *testing.T) {
 	applyDelta(t, eng, nw, d)
 	fresh := tctree.Build(nw, tctree.BuildOptions{})
 	for _, alpha := range []float64{0, 0.1, 0.3} {
-		got, err := eng.QueryContaining(q, alpha)
+		got, err := eng.QueryContainingContext(context.Background(), q, alpha)
 		if err != nil {
 			t.Fatalf("post-delta QueryContaining: %v", err)
 		}
@@ -260,7 +260,7 @@ func TestPlanContainingDecisions(t *testing.T) {
 }
 
 // TestExplainContaining checks the containment Explain surface: mode tag,
-// catalogue-skip tallies, and a truss count matching QueryContaining.
+// catalogue-skip tallies, and a truss count matching QueryContainingContext.
 func TestExplainContaining(t *testing.T) {
 	tree := buildTestTree(t, 11)
 	idx, _ := writeShardedTestTree(t, tree)

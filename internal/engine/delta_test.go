@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -117,7 +118,7 @@ func TestApplyDeltaParity(t *testing.T) {
 
 				// Warm the cache so the delta's invalidation is exercised.
 				for _, q := range deltaTestQueries() {
-					if _, err := eng.Query(q.Pattern, q.Alpha); err != nil {
+					if _, err := eng.QueryContext(context.Background(), q.Pattern, q.Alpha); err != nil {
 						t.Fatalf("pre-delta query: %v", err)
 					}
 				}
@@ -143,21 +144,21 @@ func TestApplyDeltaParity(t *testing.T) {
 					t.Fatalf("NumNodes = %d, fresh rebuild %d", got, want)
 				}
 				for _, q := range deltaTestQueries() {
-					got, err := eng.Query(q.Pattern, q.Alpha)
+					got, err := eng.QueryContext(context.Background(), q.Pattern, q.Alpha)
 					if err != nil {
 						t.Fatalf("post-delta query: %v", err)
 					}
-					want, err := fresh.Query(q.Pattern, q.Alpha)
+					want, err := fresh.QueryContext(context.Background(), q.Pattern, q.Alpha)
 					if err != nil {
 						t.Fatalf("fresh query: %v", err)
 					}
 					assertEqualCommunities(t, got.Communities, want.Communities)
 
-					gotK, err := eng.TopK(q.Pattern, q.Alpha, 5)
+					_, gotK, err := eng.TopKWithResultContext(context.Background(), q.Pattern, q.Alpha, 5)
 					if err != nil {
 						t.Fatalf("post-delta TopK: %v", err)
 					}
-					wantK, err := fresh.TopK(q.Pattern, q.Alpha, 5)
+					_, wantK, err := fresh.TopKWithResultContext(context.Background(), q.Pattern, q.Alpha, 5)
 					if err != nil {
 						t.Fatalf("fresh TopK: %v", err)
 					}
@@ -271,7 +272,7 @@ func TestApplyDeltaConcurrentQueries(t *testing.T) {
 	}
 	refs := make([]refAnswer, len(queries))
 	fingerprint := func(e *Engine, q Request) map[itemset.Key]int {
-		res, err := e.Query(q.Pattern, q.Alpha)
+		res, err := e.QueryContext(context.Background(), q.Pattern, q.Alpha)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,10 +285,10 @@ func TestApplyDeltaConcurrentQueries(t *testing.T) {
 	for i, q := range queries {
 		refs[i].pre = fingerprint(preEng, q)
 		refs[i].post = fingerprint(postEng, q)
-		if refs[i].preK, err = preEng.TopK(q.Pattern, q.Alpha, 4); err != nil {
+		if _, refs[i].preK, err = preEng.TopKWithResultContext(context.Background(), q.Pattern, q.Alpha, 4); err != nil {
 			t.Fatal(err)
 		}
-		if refs[i].postK, err = postEng.TopK(q.Pattern, q.Alpha, 4); err != nil {
+		if _, refs[i].postK, err = postEng.TopKWithResultContext(context.Background(), q.Pattern, q.Alpha, 4); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +329,7 @@ func TestApplyDeltaConcurrentQueries(t *testing.T) {
 						q := queries[(i+w)%len(queries)]
 						ref := refs[(i+w)%len(queries)]
 						if i%3 == 0 {
-							ranked, err := eng.TopK(q.Pattern, q.Alpha, 4)
+							_, ranked, err := eng.TopKWithResultContext(context.Background(), q.Pattern, q.Alpha, 4)
 							if err != nil {
 								errs <- err
 								return
@@ -339,7 +340,7 @@ func TestApplyDeltaConcurrentQueries(t *testing.T) {
 							}
 							continue
 						}
-						res, err := eng.Query(q.Pattern, q.Alpha)
+						res, err := eng.QueryContext(context.Background(), q.Pattern, q.Alpha)
 						if err != nil {
 							errs <- err
 							return
@@ -424,7 +425,7 @@ func TestApplyDeltaCacheRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				if _, err := eng.Query(q, 0); err != nil {
+				if _, err := eng.QueryContext(context.Background(), q, 0); err != nil {
 					t.Error(err)
 					return
 				}
@@ -434,7 +435,7 @@ func TestApplyDeltaCacheRace(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		applyDelta(t, eng, nw, toggles[i%2])
 		// The very next answer — cached or executed — must be the new shard's.
-		res, err := eng.Query(q, 0)
+		res, err := eng.QueryContext(context.Background(), q, 0)
 		if err != nil {
 			t.Fatalf("post-delta query: %v", err)
 		}

@@ -20,8 +20,9 @@
 //   - caching: a bounded, concurrency-safe LRU result cache keyed by the
 //     canonicalized query (q ∩ indexed items, α_q), with hit, miss and
 //     eviction counters;
-//   - batch and top-k execution: QueryBatch answers many queries in one call
-//     and TopK ranks the retrieved theme communities by cohesion then size.
+//   - batch and top-k execution: QueryBatchContext answers many queries in one
+//     call and TopKWithResultContext ranks the retrieved theme communities by
+//     cohesion then size.
 //
 // An Engine is safe for concurrent use; resident tree data is read-only.
 package engine
@@ -51,7 +52,8 @@ type Options struct {
 	// Zero or negative means GOMAXPROCS.
 	Workers int
 	// CacheSize is the maximum number of query results kept in the LRU
-	// result cache. Zero or negative disables caching.
+	// result cache. Zero or negative disables caching. Federation members use
+	// SharedCache; this private arm stays because cmd/tcload pins it.
 	CacheSize int
 	// MaxResidentShards is the memory budget for file-backed shards: the
 	// number of them kept open at once. When a load pushes the resident count
@@ -60,6 +62,7 @@ type Options struct {
 	// reopens it from disk). Zero or negative means unlimited. Heap shards
 	// (every shard of an engine built with New, and rebuilt shards awaiting a
 	// checkpoint) have no file to come back from: never evicted, not counted.
+	// cmd/tcload pins it; the one byte budget waits for that.
 	MaxResidentShards int
 	// MaxResidentBytes is the byte-based residency budget, enforced
 	// alongside MaxResidentShards (either bound triggers LRU eviction): the
@@ -165,7 +168,7 @@ type Engine struct {
 	workers int
 	// sem bounds concurrent shard traversals across all in-flight queries.
 	sem chan struct{}
-	// batchSem bounds the per-query coordinators of QueryBatch. It is
+	// batchSem bounds the per-query coordinators of QueryBatchContext. It is
 	// distinct from sem: coordinators never hold a traversal slot, so the
 	// two pools cannot deadlock each other.
 	batchSem chan struct{}
@@ -231,7 +234,8 @@ func New(tree *tctree.Tree, opts Options) (*Engine, error) {
 // data is read until a query touches the shard: the first touch maps and
 // checksum-verifies the shard file (concurrent first touches share one
 // load), and resident shards are evicted least recently used first whenever
-// the count exceeds opts.MaxResidentShards.
+// the count exceeds opts.MaxResidentShards. Only the federation and
+// cmd/tcload, which pins it, call it.
 func NewLazy(idx *tctree.ShardedIndex, opts Options) (*Engine, error) {
 	if idx == nil {
 		return nil, fmt.Errorf("engine: nil sharded index")
@@ -436,8 +440,8 @@ func (e *Engine) Release() {
 // pattern means "every item" (query by alpha). The result is the smallest
 // pattern with the same answer as q, so it doubles as the cache key pattern;
 // full reports whether it covers every indexed item, in which case the cache
-// key degenerates to the empty-pattern sentinel so that QueryByAlpha and any
-// pattern spanning the whole item universe share one cache entry.
+// key degenerates to the empty-pattern sentinel so that the query by alpha
+// and any pattern spanning the whole item universe share one cache entry.
 func canonical(t *shardTable, q itemset.Itemset) (eff itemset.Itemset, full bool) {
 	if q == nil {
 		return t.items, true
@@ -517,51 +521,39 @@ type Answer struct {
 	Duration time.Duration
 }
 
-// Query answers (q, α_q) like tctree.Query, but traverses only the shards
-// whose root item is in q, in parallel across the worker pool. A nil q means
-// "every item" (the query-by-alpha workload). The answer lists the
+// QueryContext answers (q, α_q) like tctree.Query, but traverses only the
+// shards whose root item is in q, in parallel across the worker pool. A nil q
+// means "every item" (the query-by-alpha workload). The answer lists the
 // communities of the retrieved trusses grouped by shard in ascending
 // root-item order, each shard in breadth-first order; the set of communities
-// equals that of tctree.Query's answer. The error is always nil on eager
-// engines; on lazy engines it surfaces shard-load failures (missing file,
-// checksum mismatch, corrupt payload).
-func (e *Engine) Query(q itemset.Itemset, alphaQ float64) (*Answer, error) {
-	return e.QueryContext(context.Background(), q, alphaQ)
-}
-
-// QueryContext is Query carrying a context. The context carries the request
-// correlation ID (obs.WithRequestID) through to the injected Recorder, so a
-// slow query captured server-side names the HTTP request that caused it, and
-// it cancels the query at shard boundaries: once ctx is done no further
+// equals that of tctree.Query's answer. The error surfaces shard-load
+// failures (missing file, checksum mismatch, corrupt payload). ctx carries
+// the request correlation ID (obs.WithRequestID) to the injected Recorder,
+// and cancels the query at shard boundaries: once ctx is done no further
 // shard is opened (a traversal already running finishes) and the query
-// returns ctx.Err(). A cancelled answer is never cached.
+// returns ctx.Err(), never cached. cmd/tcload pins the name.
 func (e *Engine) QueryContext(ctx context.Context, q itemset.Itemset, alphaQ float64) (*Answer, error) {
 	return e.query(ctx, q, alphaQ, ModeSub)
 }
 
-// QueryContaining answers the containment workload: the communities of every
-// indexed pattern p ⊇ q at α_q, grouped by shard in ascending root-item
-// order. Only shards whose root item is at most min(q) are considered, and
-// the per-shard catalogue (item bloom filter, α*-by-depth histogram) rules
-// shards out without opening them. An empty or nil q degenerates to
-// QueryByAlpha — every indexed pattern contains the empty pattern.
-// VisitedNodes counts what the planned execution inspects: a shard its bloom
-// filter rules out contributes no visit at all, so the count can be lower
-// than an unplanned walk's; the communities are the same.
-func (e *Engine) QueryContaining(q itemset.Itemset, alphaQ float64) (*Answer, error) {
-	return e.QueryContainingContext(context.Background(), q, alphaQ)
-}
-
-// QueryContainingContext is QueryContaining carrying a context; see
-// QueryContext.
+// QueryContainingContext answers the containment workload: the communities
+// of every indexed pattern p ⊇ q at α_q, grouped by shard in ascending
+// root-item order. Only shards whose root item is at most min(q) are
+// considered, and the per-shard catalogue (item bloom filter, α*-by-depth
+// histogram) rules shards out without opening them. An empty or nil q
+// degenerates to the query by alpha — every indexed pattern contains the
+// empty pattern. VisitedNodes counts what the planned execution inspects: a
+// shard its bloom filter rules out contributes no visit at all, so the count
+// can be lower than an unplanned walk's; the communities are the same. The
+// context works as in QueryContext.
 func (e *Engine) QueryContainingContext(ctx context.Context, q itemset.Itemset, alphaQ float64) (*Answer, error) {
 	return e.query(ctx, q, alphaQ, ModeContaining)
 }
 
-// query is the body of Query and QueryContaining: cache lookup, then the
-// plan drained on the worker pool, then cache put. It holds updateMu for
-// reading throughout, so the shard table and the index epoch are stable for
-// the whole execution.
+// query is the body of QueryContext and QueryContainingContext: cache
+// lookup, then the plan drained on the worker pool, then cache put. It holds
+// updateMu for reading throughout, so the shard table and the index epoch
+// are stable for the whole execution.
 func (e *Engine) query(ctx context.Context, q itemset.Itemset, alphaQ float64, mode QueryMode) (*Answer, error) {
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
@@ -633,13 +625,6 @@ func patternLabel(mode QueryMode, eff itemset.Itemset, full bool) string {
 		return "⊇" + eff.String()
 	}
 	return eff.String()
-}
-
-// QueryByAlpha answers the query-by-alpha workload (q = every item). Its
-// answer is cached like any other query, under the empty-pattern sentinel
-// key shared with explicit patterns that cover every indexed item.
-func (e *Engine) QueryByAlpha(alphaQ float64) (*Answer, error) {
-	return e.Query(nil, alphaQ)
 }
 
 // plan plans an already-canonicalized query over the shards that can hold an
@@ -935,19 +920,14 @@ type Request struct {
 	Alpha float64
 }
 
-// QueryBatch answers many queries in one call. Queries run concurrently,
-// bounded by the worker pool; answers are returned in request order.
-// Repeated queries within a batch are served from the cache once the first
-// execution completes (concurrent duplicates may each execute). A query that
-// fails (lazy shard-load error) leaves a nil slot in the answers; the error
-// joins every per-query failure, annotated with its request index.
-func (e *Engine) QueryBatch(reqs []Request) ([]*Answer, error) {
-	return e.QueryBatchContext(context.Background(), reqs)
-}
-
-// QueryBatchContext is QueryBatch carrying a context; every query of the
-// batch reports to the Recorder under the batch's request ID. See
-// QueryContext.
+// QueryBatchContext answers many queries in one call. Queries run
+// concurrently, bounded by the worker pool; answers are returned in request
+// order. Repeated queries within a batch are served from the cache once the
+// first execution completes (concurrent duplicates may each execute). A query
+// that fails (lazy shard-load error) leaves a nil slot in the answers; the
+// error joins every per-query failure, annotated with its request index.
+// Every query of the batch reports to the Recorder under the batch's request
+// ID.
 func (e *Engine) QueryBatchContext(ctx context.Context, reqs []Request) ([]*Answer, error) {
 	e.batches.Add(1)
 	out := make([]*Answer, len(reqs))

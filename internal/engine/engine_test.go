@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -138,7 +139,7 @@ func TestNewRejectsNilTree(t *testing.T) {
 // do; lazy engines only on shard-load errors).
 func mustQuery(t *testing.T, eng *Engine, q itemset.Itemset, alpha float64) *Answer {
 	t.Helper()
-	res, err := eng.Query(q, alpha)
+	res, err := eng.QueryContext(context.Background(), q, alpha)
 	if err != nil {
 		t.Fatalf("Query(%v, %v): %v", q, alpha, err)
 	}
@@ -147,7 +148,7 @@ func mustQuery(t *testing.T, eng *Engine, q itemset.Itemset, alpha float64) *Ans
 
 func mustQueryByAlpha(t *testing.T, eng *Engine, alpha float64) *Answer {
 	t.Helper()
-	res, err := eng.QueryByAlpha(alpha)
+	res, err := eng.QueryContext(context.Background(), nil, alpha)
 	if err != nil {
 		t.Fatalf("QueryByAlpha(%v): %v", alpha, err)
 	}
@@ -235,7 +236,7 @@ func TestQueryBatch(t *testing.T) {
 			Request{Pattern: itemset.New(c.Item), Alpha: 0}, // repeat: cache fodder
 		)
 	}
-	answers, err := eng.QueryBatch(reqs)
+	answers, err := eng.QueryBatchContext(context.Background(), reqs)
 	if err != nil {
 		t.Fatalf("QueryBatch: %v", err)
 	}

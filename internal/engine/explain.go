@@ -64,13 +64,14 @@ type ExplainReport struct {
 	// decision and execution record.
 	Tasks []TaskReport `json:"tasks"`
 	// RetrievedNodes, VisitedNodes and Micros summarise the executed
-	// answer, matching what Query would have returned.
+	// answer, matching what QueryContext would have returned.
 	RetrievedNodes int   `json:"retrievedNodes"`
 	VisitedNodes   int   `json:"visitedNodes"`
 	Micros         int64 `json:"micros"`
 }
 
-// Explain is ExplainContext for a sub-pattern query without a context.
+// Explain is ExplainContext for a sub-pattern query without a context. It
+// stays because cmd/tcload pins it.
 func (e *Engine) Explain(q itemset.Itemset, alphaQ float64) (*ExplainReport, error) {
 	return e.ExplainContext(context.Background(), q, alphaQ, ModeSub)
 }
@@ -82,7 +83,7 @@ func (e *Engine) Explain(q itemset.Itemset, alphaQ float64) (*ExplainReport, err
 // the result cache in both directions: an explain measures the execution a
 // cold query would pay, and its answer is discarded rather than cached. A nil
 // q means every item (query by alpha); an empty containment q degenerates to
-// that too, matching QueryContaining. The context cancels the execution at
+// that too, matching QueryContainingContext. The context cancels the execution at
 // shard boundaries, like QueryContext's.
 func (e *Engine) ExplainContext(ctx context.Context, q itemset.Itemset, alphaQ float64, mode QueryMode) (*ExplainReport, error) {
 	e.explains.Add(1)

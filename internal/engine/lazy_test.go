@@ -278,7 +278,7 @@ func TestLazyLoadErrorIsStickyUntilReload(t *testing.T) {
 		t.Fatalf("a sticky load error was re-read into %d loads", got)
 	}
 	// A full query also fails, but a query avoiding the shard succeeds.
-	if _, err := eng.QueryByAlpha(0); err == nil {
+	if _, err := eng.QueryContext(context.Background(), nil, 0); err == nil {
 		t.Fatalf("full query over a corrupted shard should fail")
 	}
 	if len(children) > 1 {
@@ -373,11 +373,11 @@ func TestLazyTopKAndSearchVertex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	wantRanked, err := eager.TopK(nil, 0, 10)
+	_, wantRanked, err := eager.TopKWithResultContext(context.Background(), nil, 0, 10)
 	if err != nil {
 		t.Fatalf("eager TopK: %v", err)
 	}
-	gotRanked, err := eng.TopK(nil, 0, 10)
+	_, gotRanked, err := eng.TopKWithResultContext(context.Background(), nil, 0, 10)
 	if err != nil {
 		t.Fatalf("lazy TopK: %v", err)
 	}
@@ -447,7 +447,7 @@ func TestLazyConcurrent(t *testing.T) {
 		go func(g int) {
 			for i := 0; i < 20; i++ {
 				j := jobs[(g+i)%len(jobs)]
-				got, err := eng.Query(j.q, 0)
+				got, err := eng.QueryContext(context.Background(), j.q, 0)
 				if err != nil {
 					done <- err
 					return
@@ -504,11 +504,11 @@ func TestEagerEngineServesTheIndexBytes(t *testing.T) {
 				if q == nil {
 					continue
 				}
-				wantC, err := eager.QueryContaining(q, alpha)
+				wantC, err := eager.QueryContainingContext(context.Background(), q, alpha)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotC, err := lazy.QueryContaining(q, alpha)
+				gotC, err := lazy.QueryContainingContext(context.Background(), q, alpha)
 				if err != nil {
 					t.Fatal(err)
 				}

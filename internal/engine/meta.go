@@ -98,7 +98,7 @@ func (e *Engine) PatternsAtDepth(ctx context.Context, depth int) ([]itemset.Item
 // restricted to themes that are sub-patterns of q (nil or empty means every
 // indexed theme) and to the cohesion threshold alphaQ, like
 // tctree.SearchVertex but loading only the shards q touches: the answer of
-// Query(q, alphaQ) — cached like any other, observed under ctx's request ID —
+// QueryContext(ctx, q, alphaQ) — cached like any other, observed under ctx's request ID —
 // filtered by a binary search of each record's vertex list. Communities are
 // ordered by theme, shorter themes first.
 func (e *Engine) SearchVertex(ctx context.Context, v graph.VertexID, q itemset.Itemset, alphaQ float64) ([]truss.Community, error) {

@@ -211,11 +211,11 @@ func TestPlannerParity(t *testing.T) {
 					}
 					assertSameAnswer(t, got, want)
 
-					gotC, err := on.QueryContaining(q, alpha)
+					gotC, err := on.QueryContainingContext(context.Background(), q, alpha)
 					if err != nil {
 						t.Fatalf("%s: QueryContaining(%v, %v): %v", v.name, q, alpha, err)
 					}
-					wantC, err := off.QueryContaining(q, alpha)
+					wantC, err := off.QueryContainingContext(context.Background(), q, alpha)
 					if err != nil {
 						t.Fatalf("%s reference: QueryContaining(%v, %v): %v", v.name, q, alpha, err)
 					}
@@ -312,7 +312,7 @@ func TestPlannerSkipAvoidsLoads(t *testing.T) {
 	}
 	// A lower α_q that needs a deleted shard must now fail loudly — proof
 	// the skip was the only reason the query above succeeded.
-	if _, err := on.QueryByAlpha(0); err == nil {
+	if _, err := on.QueryContext(context.Background(), nil, 0); err == nil {
 		t.Fatalf("query at α 0 should need the deleted shards")
 	}
 }

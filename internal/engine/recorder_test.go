@@ -157,7 +157,7 @@ func TestStatsRace(t *testing.T) {
 				return
 			default:
 			}
-			_, _ = eng.Query(nil, 0.1+float64(i%5)/10)
+			_, _ = eng.QueryContext(context.Background(), nil, 0.1+float64(i%5)/10)
 		}
 	}()
 	go func() { // deltas
@@ -222,7 +222,7 @@ func benchmarkQuery(b *testing.B, recorded bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query(nil, 0.3); err != nil {
+		if _, err := eng.QueryContext(context.Background(), nil, 0.3); err != nil {
 			b.Fatalf("Query: %v", err)
 		}
 	}

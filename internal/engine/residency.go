@@ -36,14 +36,6 @@ type ResidencyGroup struct {
 	members []*Engine
 }
 
-// NewResidencyGroup returns a residency group with the given budget of
-// resident shards across every member engine (0 or negative = unlimited) and
-// no byte budget. Pass it to many engines via Options.SharedResidency to
-// share the budget.
-func NewResidencyGroup(maxResident int) *ResidencyGroup {
-	return NewResidencyGroupBytes(maxResident, 0)
-}
-
 // NewResidencyGroupBytes returns a residency group bounded by both a shard
 // count and a byte budget; either may be 0 (or negative) for unlimited.
 // Eviction runs while either bound is exceeded.

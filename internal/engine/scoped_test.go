@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -59,7 +60,7 @@ func TestUnreadablePreviousShardIsRebuiltInFull(t *testing.T) {
 					t.Fatal(err)
 				}
 				q := itemset.New(victim.Item)
-				if _, err := eng.Query(q, 0); err == nil {
+				if _, err := eng.QueryContext(context.Background(), q, 0); err == nil {
 					t.Fatalf("a query over the %s shard should fail", damage)
 				}
 				res, err := eng.ApplyDeltaInMemory(nw, patternTriangleDelta(nw, q))

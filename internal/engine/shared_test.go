@@ -76,7 +76,7 @@ func TestSharedResidencyBudget(t *testing.T) {
 	treeB := buildTestTree(t, 13)
 	idxA, _ := writeShardedTestTree(t, treeA)
 	idxB, _ := writeShardedTestTree(t, treeB)
-	group := NewResidencyGroup(1)
+	group := NewResidencyGroupBytes(1, 0)
 	engA, err := NewLazy(idxA, Options{SharedResidency: group})
 	if err != nil {
 		t.Fatalf("NewLazy(a): %v", err)

@@ -78,9 +78,9 @@ type Stats struct {
 	// or α*-by-depth histogram).
 	ShardsSkipped          uint64 `json:"shardsSkipped"`
 	ShardsSkippedCatalogue uint64 `json:"shardsSkippedCatalogue,omitempty"`
-	// Queries counts Query calls (including those issued by QueryBatch and
-	// TopK); Batches, TopKQueries and Explains count QueryBatch, TopK and
-	// Explain calls.
+	// Queries counts executed queries (including those of a batch and of a
+	// top-k); Batches, TopKQueries and Explains count QueryBatchContext,
+	// TopKWithResultContext and Explain calls.
 	Queries     uint64 `json:"queries"`
 	Batches     uint64 `json:"batches"`
 	TopKQueries uint64 `json:"topKQueries"`

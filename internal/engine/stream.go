@@ -20,16 +20,16 @@ import (
 // task into an answer: acquire the shard, traverse it, fill the record. The
 // entry points differ in which tasks they open, and when:
 //
-//   - drained (Query, QueryContaining, QueryBatch, TopK, Explain): every
+//   - drained (the …Context queries, the batch, the top-k, Explain): every
 //     scheduled task is opened at once on the bounded worker pool, in the
 //     plan's ascending root-item order, and the answers are concatenated in
 //     that order. The caller holds the engine's update lock for reading throughout;
-//     Query puts the result cache around it.
+//     QueryContext puts the result cache around it.
 //   - pulled (StreamQuery, StreamTopK): tasks open one at a time as the caller
 //     pulls, so a query holds one shard's answer rather than the whole result
 //     set, and bypasses the result cache in both directions. A plain stream
 //     opens shards in ascending root-item order and yields the drained order.
-//     A ranked stream yields TopK's order: opened shards feed a k-way heap
+//     A ranked stream yields the top-k order: opened shards feed a k-way heap
 //     keyed by lessRanked and open in descending α*-bound order — the bound
 //     caps the cohesion of every community of the shard, so once the heap
 //     head strictly beats the best unopened bound the rest provably cannot
@@ -258,7 +258,7 @@ func (st *Stream) drain() (*Answer, error) {
 }
 
 // StreamQuery answers (q, alphaQ) as a pull-based stream of communities in
-// exactly the order Query(q, alphaQ).Communities lists them, opening each
+// exactly the order QueryContext(ctx, q, alphaQ).Communities lists them, opening each
 // shard only when the previous one is drained — per-query memory is bounded
 // by the largest single shard's answer. A nil q means every item. The result
 // cache is bypassed in both directions. See Stream for the pulling contract.
@@ -267,7 +267,8 @@ func (e *Engine) StreamQuery(ctx context.Context, q itemset.Itemset, alphaQ floa
 }
 
 // StreamTopK answers (q, alphaQ) as a pull-based stream of ranked
-// communities in exactly the order TopK(q, alphaQ, k) returns them. Shards
+// communities in exactly the order TopKWithResultContext(ctx, q, alphaQ, k)
+// ranks them. Shards
 // open lazily in descending α*-bound order and the stream ends after k
 // communities (k <= 0 means every community): shards whose bound cannot
 // beat the already-emitted answer are never loaded or traversed. See
@@ -350,7 +351,7 @@ func (st *Stream) Next() (*truss.Community, error) {
 // communities, if any, onto the merge heap as a cursor — ordered by
 // lessRanked in ranked mode: patterns of distinct shards start with distinct
 // root items, so merging per-shard sorted lists under the same comparator
-// reproduces TopK's global order record for record. The open holds the
+// reproduces the top-k global order record for record. The open holds the
 // engine's update lock for reading and re-checks the index epoch on an
 // index-backed engine, so a stream never mixes pre- and post-delta shards.
 func (st *Stream) openNext() error {

@@ -106,9 +106,9 @@ func TestStreamPropertyParity(t *testing.T) {
 					assertPlainParity(t, got, stats, want)
 					cases++
 
-					// Ranked: stream order must equal TopK order for every k.
+					// Ranked: stream order must equal the top-k order for every k.
 					for _, k := range ks {
-						_, wantRanked, err := eng.TopKWithResult(q, alpha, k)
+						_, wantRanked, err := eng.TopKWithResultContext(context.Background(), q, alpha, k)
 						if err != nil {
 							t.Fatalf("TopKWithResult: %v", err)
 						}
@@ -184,7 +184,7 @@ func TestStreamTopKShortCircuits(t *testing.T) {
 
 		// The full ranking must still agree with the materializing path on
 		// what the single best community is.
-		ranked, err := eng.TopK(nil, 0, 1)
+		_, ranked, err := eng.TopKWithResultContext(context.Background(), nil, 0, 1)
 		if err != nil {
 			t.Fatalf("TopK: %v", err)
 		}
@@ -446,7 +446,7 @@ func BenchmarkStreamTopK(b *testing.B) {
 			if err != nil {
 				b.Fatalf("NewLazy: %v", err)
 			}
-			if _, err := eng.TopK(nil, 0, k); err != nil {
+			if _, _, err := eng.TopKWithResultContext(context.Background(), nil, 0, k); err != nil {
 				b.Fatalf("TopK: %v", err)
 			}
 			loads += int(eng.Stats().LazyLoads)

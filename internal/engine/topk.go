@@ -8,26 +8,12 @@ import (
 	"themecomm/internal/truss"
 )
 
-// TopK answers (q, α_q) and returns the k best theme communities, ranked by
-// descending cohesion — the largest threshold at which a community survives
-// intact, which every record of an answer carries — then descending size
-// (vertices, then edges), with a deterministic pattern/vertex tiebreak.
-// k <= 0 means every community. Because TopK ranks the answer of Query,
-// repeated top-k workloads benefit from the result cache.
-func (e *Engine) TopK(q itemset.Itemset, alphaQ float64, k int) ([]truss.Community, error) {
-	_, ranked, err := e.TopKWithResult(q, alphaQ, k)
-	return ranked, err
-}
-
-// TopKWithResult is TopK exposing the underlying query answer as well, so
-// callers (the HTTP server) can report retrieval statistics without running
-// the query twice.
-func (e *Engine) TopKWithResult(q itemset.Itemset, alphaQ float64, k int) (*Answer, []truss.Community, error) {
-	return e.TopKWithResultContext(context.Background(), q, alphaQ, k)
-}
-
-// TopKWithResultContext is TopKWithResult carrying a context; see
-// QueryContext.
+// TopKWithResultContext answers (q, α_q) like QueryContext and also returns
+// its k best communities, ranked by descending cohesion — the largest
+// threshold at which a community survives intact — then descending size
+// (vertices, then edges), with a deterministic pattern/vertex tiebreak. k <= 0
+// means every community. It ranks the possibly cached answer, so repeated
+// top-k workloads hit the result cache. cmd/tcload pins the name.
 func (e *Engine) TopKWithResultContext(ctx context.Context, q itemset.Itemset, alphaQ float64, k int) (*Answer, []truss.Community, error) {
 	e.topKs.Add(1)
 	res, err := e.QueryContext(ctx, q, alphaQ)
@@ -105,7 +91,7 @@ func siftUp[T any](h []T, i int, before func(a, b T) bool) {
 // cohesion descending, then size (vertices, then edges) descending, then a
 // deterministic pattern/vertex tiebreak. It is exported so that a federation
 // can merge per-network top-k answers into one globally ordered list with
-// exactly the ranking TopK used per network.
+// exactly the ranking TopKWithResultContext used per network.
 func LessRanked(a, b *truss.Community) bool { return lessRanked(a, b) }
 
 // lessRanked orders communities best-first: cohesion desc, vertices desc,

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestTopKRanking(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	alphaQ := 0.0
-	all, err := eng.TopK(nil, alphaQ, 0)
+	_, all, err := eng.TopKWithResultContext(context.Background(), nil, alphaQ, 0)
 	if err != nil {
 		t.Fatalf("TopK: %v", err)
 	}
@@ -62,7 +63,7 @@ func TestTopKRanking(t *testing.T) {
 	}
 
 	for _, k := range []int{1, 2, 3, len(all) / 2, len(all) - 1, len(all), len(all) + 5} {
-		topK, err := eng.TopK(nil, alphaQ, k)
+		_, topK, err := eng.TopKWithResultContext(context.Background(), nil, alphaQ, k)
 		if err != nil {
 			t.Fatalf("TopK(k=%d): %v", k, err)
 		}
@@ -90,7 +91,7 @@ func TestTopKPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	all, err := eng.TopK(dbnet.PaperExampleP, 0.1, 0)
+	_, all, err := eng.TopKWithResultContext(context.Background(), dbnet.PaperExampleP, 0.1, 0)
 	if err != nil {
 		t.Fatalf("TopK: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestTopKPaperExample(t *testing.T) {
 	if count != 2 {
 		t.Fatalf("pattern p contributes %d communities at α=0.1, want 2", count)
 	}
-	best, err := eng.TopK(dbnet.PaperExampleP, 0.1, 1)
+	_, best, err := eng.TopKWithResultContext(context.Background(), dbnet.PaperExampleP, 0.1, 1)
 	if err != nil {
 		t.Fatalf("TopK(1): %v", err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -86,7 +87,7 @@ func (s *Suite) Figure5QBA() ([]Figure5Row, error) {
 				reps = 1
 			}
 			for r := 0; r < reps; r++ {
-				qr, err := eng.QueryByAlpha(alphaQ)
+				qr, err := eng.QueryContext(context.Background(), nil, alphaQ)
 				if err != nil {
 					return nil, err
 				}
@@ -135,7 +136,7 @@ func (s *Suite) Figure5QBP() ([]Figure5Row, error) {
 			totalRetrieved := 0
 			for r := 0; r < reps; r++ {
 				q := patterns[rng.Intn(len(patterns))]
-				qr, err := eng.Query(q, 0)
+				qr, err := eng.QueryContext(context.Background(), q, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -176,7 +177,7 @@ func (s *Suite) CaseStudy(maxCommunities int) ([]CaseStudyCommunity, error) {
 	if err != nil {
 		return nil, err
 	}
-	qr, err := eng.QueryByAlpha(s.Config.CaseStudyAlpha)
+	qr, err := eng.QueryContext(context.Background(), nil, s.Config.CaseStudyAlpha)
 	if err != nil {
 		return nil, err
 	}

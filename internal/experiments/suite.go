@@ -24,6 +24,7 @@ import (
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/engine"
+	"themecomm/internal/federation"
 	"themecomm/internal/gen"
 	"themecomm/internal/sampling"
 	"themecomm/internal/tctree"
@@ -90,7 +91,9 @@ type Suite struct {
 	datasets map[string]gen.Dataset
 	samples  map[string]*sampling.Sample
 	trees    map[string]*tctree.Tree
-	engines  map[string]*engine.Engine
+	// fed serves the query experiments: each dataset's tree is attached on
+	// first use, under the dataset's name.
+	fed *federation.Federation
 }
 
 // NewSuite returns a suite with the given configuration.
@@ -101,7 +104,7 @@ func NewSuite(cfg Config) *Suite {
 		datasets: make(map[string]gen.Dataset),
 		samples:  make(map[string]*sampling.Sample),
 		trees:    make(map[string]*tctree.Tree),
-		engines:  make(map[string]*engine.Engine),
+		fed:      federation.New(federation.Options{CacheSize: 0}),
 	}
 }
 
@@ -167,22 +170,22 @@ func (s *Suite) Tree(name string) (*tctree.Tree, error) {
 // Engine returns the query-serving engine over the dataset's TC-Tree,
 // building both on first use. The query experiments (Figure 5, case study)
 // run through it so the reported numbers reflect the served plan→execute
-// path rather than a raw tree traversal. The result cache is disabled:
-// repetitions must measure execution, not cache hits.
+// path rather than a raw tree traversal: the tree is attached to the suite's
+// federation, whose result cache is disabled — repetitions must measure
+// execution, not cache hits.
 func (s *Suite) Engine(name string) (*engine.Engine, error) {
-	if e, ok := s.engines[name]; ok {
-		return e, nil
+	if n, ok := s.fed.Network(name); ok {
+		return n.Engine(), nil
 	}
 	t, err := s.Tree(name)
 	if err != nil {
 		return nil, err
 	}
-	e, err := engine.New(t, engine.Options{})
-	if err != nil {
+	if err := s.fed.AttachTree(name, t, federation.NetworkOptions{}); err != nil {
 		return nil, fmt.Errorf("experiments: engine for %s: %w", name, err)
 	}
-	s.engines[name] = e
-	return e, nil
+	n, _ := s.fed.Network(name)
+	return n.Engine(), nil
 }
 
 // network is a small helper for experiments that only need the network.

@@ -471,8 +471,8 @@ type NetworkResult struct {
 // network; Constant serves a shared item space). Networks are queried
 // concurrently (bounded by Options.NetworkWorkers), admitted in name order;
 // each network's own planner, cache namespace and worker pool serve its
-// share exactly as a direct Engine.Query would, so per-network answers match standalone
-// engines. The context reaches every member engine: the request correlation
+// share exactly as a direct Engine.QueryContext would, so per-network
+// answers match standalone engines. The context reaches every member engine: the request correlation
 // ID it carries (obs.WithRequestID) labels all the per-network observations
 // of one federated query, and cancelling it stops every member at its next
 // shard. Results are returned in ascending network-name order; the error
@@ -510,9 +510,9 @@ type NetworkRanked struct {
 
 // TopKAll answers one query against every attached network, like QueryAll,
 // and merges the per-network rankings into one list ordered exactly like
-// Engine.TopK — cohesion descending, then size, then the deterministic
-// pattern/vertex tiebreak — with the network name as the final tiebreak, so
-// the merge is deterministic across runs. k <= 0 means every community. The
+// Engine.TopKWithResultContext — cohesion descending, then size, then the
+// deterministic pattern/vertex tiebreak — with the network name as the final
+// tiebreak, so the merge is deterministic across runs. k <= 0 means every community. The
 // global top k is exact: it can only contain communities from some network's
 // own top k, which is what each tenant computes. Networks that fail
 // contribute nothing; the error joins their failures.

@@ -158,11 +158,11 @@ func TestFederatedMatchesStandalone(t *testing.T) {
 			t.Fatalf("standalone engine: %v", err)
 		}
 		q := itemset.New(tree.Root().Children[0].Item)
-		got, err := n.Engine().Query(q, 0.1)
+		got, err := n.Engine().QueryContext(context.Background(), q, 0.1)
 		if err != nil {
 			t.Fatalf("federated query: %v", err)
 		}
-		want, err := standalone.Query(q, 0.1)
+		want, err := standalone.QueryContext(context.Background(), q, 0.1)
 		if err != nil {
 			t.Fatalf("standalone query: %v", err)
 		}
@@ -230,7 +230,7 @@ func TestTopKAllDeterministicMerge(t *testing.T) {
 	perNetwork := make(map[string][]truss.Community)
 	for _, name := range f.Names() {
 		n, _ := f.Network(name)
-		ranked, err := n.Engine().TopK(nil, 0, k)
+		_, ranked, err := n.Engine().TopKWithResultContext(context.Background(), nil, 0, k)
 		if err != nil {
 			t.Fatalf("TopK(%s): %v", name, err)
 		}
@@ -264,7 +264,7 @@ func TestSharedBudgetAcrossNetworks(t *testing.T) {
 	for rep := 0; rep < 3; rep++ {
 		for _, c := range trees[hot].Root().Children {
 			q := itemset.New(c.Item)
-			got, err := hotNet.Engine().Query(q, 0)
+			got, err := hotNet.Engine().QueryContext(context.Background(), q, 0)
 			if err != nil {
 				t.Fatalf("hot query: %v", err)
 			}
@@ -280,7 +280,7 @@ func TestSharedBudgetAcrossNetworks(t *testing.T) {
 	// The cold tenants still answer, and the budget still holds.
 	for _, name := range testNames[1:] {
 		n, _ := f.Network(name)
-		got, err := n.Engine().QueryByAlpha(0)
+		got, err := n.Engine().QueryContext(context.Background(), nil, 0)
 		if err != nil {
 			t.Fatalf("cold query(%s): %v", name, err)
 		}
@@ -305,7 +305,7 @@ func TestDetachReleasesSharedResources(t *testing.T) {
 	f, trees := newTestFederation(t, Options{CacheSize: 32, MaxResidentShards: 8})
 	for _, name := range testNames {
 		n, _ := f.Network(name)
-		if _, err := n.Engine().QueryByAlpha(0); err != nil {
+		if _, err := n.Engine().QueryContext(context.Background(), nil, 0); err != nil {
 			t.Fatalf("warm-up query(%s): %v", name, err)
 		}
 	}
@@ -331,7 +331,7 @@ func TestDetachReleasesSharedResources(t *testing.T) {
 	// Surviving tenants answer from their intact cache entries.
 	survivor, _ := f.Network(testNames[1])
 	hitsBefore, _, _ := f.Cache().Counters()
-	if _, err := survivor.Engine().QueryByAlpha(0); err != nil {
+	if _, err := survivor.Engine().QueryContext(context.Background(), nil, 0); err != nil {
 		t.Fatalf("survivor query: %v", err)
 	}
 	if hits, _, _ := f.Cache().Counters(); hits != hitsBefore+1 {

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestApplyDeltaCheckpointsAtOnce(t *testing.T) {
 				t.Fatalf("the network file was not written back")
 			}
 			fresh := tctree.Build(nw, tctree.BuildOptions{})
-			got, err := n.Engine().Query(nil, 0)
+			got, err := n.Engine().QueryContext(context.Background(), nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +97,7 @@ func TestApplyDeltaCheckpointsAtOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := cold.Query(nil, 0)
+				got, err := cold.QueryContext(context.Background(), nil, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -14,7 +14,7 @@ import (
 //   - context.Background() / context.TODO() calls — except the stdlib's own
 //     convenience-wrapper idiom, where the fresh context is passed directly
 //     to the Context-suffixed variant of the same operation (e.g.
-//     Query delegating to QueryContext(context.Background(), ...));
+//     Explain delegating to ExplainContext(context.Background(), ...));
 //   - exported functions that accept a context.Context parameter and never
 //     use it — callers believe their deadline and request ID propagate, but
 //     the function drops them on the floor.

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -101,11 +102,11 @@ func testQueries() []query {
 func assertEngineParity(t *testing.T, label string, got, want *engine.Engine) {
 	t.Helper()
 	for _, q := range testQueries() {
-		g, err := got.Query(q.pattern, q.alpha)
+		g, err := got.QueryContext(context.Background(), q.pattern, q.alpha)
 		if err != nil {
 			t.Fatalf("%s: query %v@%v: %v", label, q.pattern, q.alpha, err)
 		}
-		w, err := want.Query(q.pattern, q.alpha)
+		w, err := want.QueryContext(context.Background(), q.pattern, q.alpha)
 		if err != nil {
 			t.Fatalf("%s: reference query %v@%v: %v", label, q.pattern, q.alpha, err)
 		}

@@ -3,9 +3,9 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 
+	"themecomm/internal/delta"
 	"themecomm/internal/federation"
 	"themecomm/internal/itemset"
 	"themecomm/internal/replication"
@@ -163,8 +163,8 @@ func resolverFor(fields []string) federation.PatternResolver {
 		}
 		items := itemset.Itemset{}
 		for _, field := range fields {
-			if id, err := strconv.Atoi(field); err == nil {
-				items = items.Add(itemset.Item(id))
+			if id, numeric, _ := delta.ItemID(field); numeric {
+				items = items.Add(id) // parseQueryRequest rejected ids out of range
 				continue
 			}
 			if dict := n.Dictionary(); dict != nil {

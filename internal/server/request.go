@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"themecomm/internal/delta"
 	"themecomm/internal/itemset"
 )
 
@@ -94,6 +95,11 @@ func parseQueryRequest(t *tenant, r *http.Request, caps reqCaps) (*queryRequest,
 	}
 	req.RawPattern = qp.Get("pattern")
 	req.Fields = patternFields(req.RawPattern)
+	for _, f := range req.Fields {
+		if _, _, err := delta.ItemID(f); err != nil {
+			return nil, badRequestf("%s", err.Error())
+		}
+	}
 	if t != nil && req.RawPattern != "" {
 		parsed, err := t.parsePattern(req.RawPattern)
 		if err != nil {

@@ -75,6 +75,8 @@ func TestQueryAllParameterCombinations(t *testing.T) {
 		{"/api/v1/queryall?alpha=0&cursor=abc", http.StatusBadRequest},
 		{"/api/v1/queryall?alpha=0&stream=yes", http.StatusBadRequest},
 		{"/api/v1/queryall?alpha=0&k=0", http.StatusBadRequest},
+		{"/api/v1/queryall?alpha=0&pattern=4294967301", http.StatusBadRequest},
+		{"/api/v1/queryall?alpha=0&k=3&pattern=-1", http.StatusBadRequest},
 		{"/api/v1/queryall?alpha=0", http.StatusOK},
 		{"/api/v1/queryall?alpha=0&k=3&stream=1&limit=2", http.StatusOK},
 	}

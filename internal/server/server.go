@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -566,6 +567,10 @@ func (s *Server) serveVertex(t *tenant, w http.ResponseWriter, r *http.Request) 
 		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("invalid vertex id %q", rawID))
 		return
 	}
+	if id > math.MaxInt32 {
+		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("vertex id %d outside [0, %d]", id, math.MaxInt32))
+		return
+	}
 	req, rerr := parseQueryRequest(t, r, 0)
 	if rerr != nil {
 		rerr.write(w, r)
@@ -598,8 +603,11 @@ func (t *tenant) parsePatternList(fields []string) (itemset.Itemset, error) {
 		if field == "" {
 			continue
 		}
-		if id, err := strconv.Atoi(field); err == nil {
-			items = append(items, itemset.Item(id))
+		if id, numeric, err := delta.ItemID(field); numeric {
+			if err != nil {
+				return nil, err
+			}
+			items = append(items, id)
 			continue
 		}
 		if t.dict == nil {

@@ -2,10 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -139,7 +141,7 @@ func TestQueryByAlphaEndpoint(t *testing.T) {
 }
 
 func TestQueryByPatternEndpoint(t *testing.T) {
-	s, _ := newTestServer(t)
+	s, d := newTestServer(t)
 	rec := get(t, s, "/api/v1/query?pattern=data+mining,sequential+pattern&alpha=0.1")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body.String())
@@ -163,6 +165,21 @@ func TestQueryByPatternEndpoint(t *testing.T) {
 		if len(c.Vertices) > 0 && c.Vertices[0][:6] != "Author" {
 			t.Fatalf("vertex names not resolved: %v", c.Vertices[:1])
 		}
+	}
+	// A pattern may mix numeric ids and names: the same query with one item
+	// given by id answers the same pattern and communities.
+	id, ok := d.Dictionary.Lookup("data mining")
+	if !ok {
+		t.Fatalf("no item named %q", "data mining")
+	}
+	rec = get(t, s, fmt.Sprintf("/api/v1/query?pattern=%d,sequential+pattern&alpha=0.1", id))
+	var mixed QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &mixed); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("mixed pattern: status %d, decode %v, body %s", rec.Code, err, rec.Body.String())
+	}
+	mixed.QueryMicros = resp.QueryMicros
+	if !reflect.DeepEqual(mixed, resp) {
+		t.Fatalf("mixed pattern answer %+v != named %+v", mixed, resp)
 	}
 }
 
@@ -252,7 +269,10 @@ func TestVertexEndpoint(t *testing.T) {
 		t.Fatalf("member of a community should have a non-empty profile")
 	}
 	// Bad requests.
-	for _, url := range []string{"/api/v1/vertex", "/api/v1/vertex?id=x", "/api/v1/vertex?id=-1", "/api/v1/vertex?id=0&alpha=bad"} {
+	// Ids are 32-bit: one past the range must not wrap onto vertex 0 or an
+	// item.
+	for _, url := range []string{"/api/v1/vertex", "/api/v1/vertex?id=x", "/api/v1/vertex?id=-1", "/api/v1/vertex?id=0&alpha=bad",
+		"/api/v1/vertex?id=4294967296", "/api/v1/vertex?id=2147483648", "/api/v1/vertex?id=0&pattern=4294967301"} {
 		if rec := get(t, s, url); rec.Code != http.StatusBadRequest {
 			t.Errorf("GET %s = %d, want 400", url, rec.Code)
 		}
@@ -269,6 +289,14 @@ func TestBadRequests(t *testing.T) {
 		{"/api/v1/query?alpha=abc", http.StatusBadRequest},
 		{"/api/v1/query?pattern=no-such-keyword-anywhere", http.StatusBadRequest},
 		{"/api/v1/query?pattern=,", http.StatusBadRequest},
+		// Item ids outside [0, MaxInt32] must not wrap onto another item.
+		{"/api/v1/query?pattern=4294967301", http.StatusBadRequest},
+		{"/api/v1/query?pattern=-1", http.StatusBadRequest},
+		{"/api/v1/query?pattern=2147483648&k=3", http.StatusBadRequest},
+		{"/api/v1/query?pattern=4294967301&stream=1", http.StatusBadRequest},
+		{"/api/v1/query?pattern=4294967301&limit=2", http.StatusBadRequest},
+		{"/api/v1/explain?pattern=4294967301", http.StatusBadRequest},
+		{"/api/v1/query?pattern=2147483647", http.StatusOK},
 		{"/api/v1/patterns?length=0", http.StatusBadRequest},
 		{"/api/v1/patterns?length=x", http.StatusBadRequest},
 		{"/api/v1/patterns?limit=0", http.StatusBadRequest},
@@ -278,6 +306,14 @@ func TestBadRequests(t *testing.T) {
 		if rec := get(t, s, c.url); rec.Code != c.want {
 			t.Errorf("GET %s = %d, want %d", c.url, rec.Code, c.want)
 		}
+	}
+	rec := get(t, s, "/api/v1/query?pattern=4294967301")
+	if want := "item id 4294967301 outside [0, 2147483647]"; !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("out-of-range item: body %s, want %q", rec.Body.String(), want)
+	}
+	if rec := post(t, s, "/api/v1/batch", `{"queries":[{"alpha":0},{"pattern":["4294967301"],"alpha":0}]}`); rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), "query 1: item id 4294967301 outside") {
+		t.Errorf("batch with an out-of-range item = %d %s, want 400", rec.Code, rec.Body.String())
 	}
 	// Non-GET methods are rejected.
 	for _, path := range []string{"/healthz", "/api/v1/stats", "/api/v1/query", "/api/v1/patterns"} {

@@ -13,7 +13,9 @@
 #   - /healthz reports the network ready, and -tree bk.index serves it as
 #     the federation network "bk";
 #   - the pprof sidecar answers on its own listener;
-#   - tcquery -server round-trips against the running server.
+#   - tcquery -server round-trips against the running server;
+#   - tcquery -tree streams without a server (its in-process one), and the
+#     removed -cache flag is a usage error.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -160,5 +162,15 @@ if err=$("$workdir/tcquery" -server "http://$addr" -network nosuch -alpha 0.2 2>
 fi
 echo "$err" | grep -Eq "request id [a-z0-9]+" \
   || fail "error does not carry a server-assigned request ID: $err"
+
+echo "== tcquery -tree local mode streams without -server"
+out=$("$workdir/tcquery" -tree "$workdir/bk.index" -alpha 0.2 -stream)
+echo "$out" | grep -q "streaming communities from $workdir/bk.index" \
+  || fail "tcquery -tree -stream printed no header: $out"
+echo "$out" | grep -Eq "stream complete in [0-9]+µs: [1-9][0-9]* communities" \
+  || fail "tcquery -tree -stream did not complete: $out"
+status=0
+"$workdir/tcquery" -tree "$workdir/bk.index" -cache 1 >/dev/null 2>&1 || status=$?
+[ "$status" -eq 2 ] || fail "tcquery -cache 1 exited $status, want 2 (flag removed)"
 
 echo "PASS: observability smoke"

@@ -21,9 +21,13 @@
 //     per top-level item plus a manifest) that is served lazily;
 //   - the concurrent query-serving engine: a planner that skips shards from
 //     catalogue statistics alone (α* bounds), one sharded executor that
-//     queries drain in parallel and streams pull shard by shard, an LRU result cache, batch
-//     queries, top-k ranking, an Explain API, and a lazy mode that loads
+//     queries drain in parallel and streams pull shard by shard, an LRU
+//     result cache, batch queries, top-k ranking and an Explain API, loading
 //     shards from disk on first touch under a configurable residency budget;
+//   - the federation every engine belongs to: open an index with
+//     OpenFederation (a networks directory) or NewFederation plus
+//     Federation.AttachIndexDir (one index), and reach a network's engine
+//     through Federation.Network(name).Engine();
 //   - synthetic dataset generators emulating the paper's evaluation datasets.
 //
 // The cmd/ directory contains command-line tools, examples/ contains runnable
@@ -111,29 +115,24 @@ type (
 type (
 	// Engine is the concurrent query-serving layer over a TC-Tree:
 	// plan→execute query answering (α* shard skipping), an LRU result cache,
-	// batch and top-k queries.
+	// batch and top-k queries. Every engine is a federation member; see
+	// FederationNetwork.Engine.
 	Engine = engine.Engine
-	// EngineOptions configures an Engine (workers, cache size, residency
-	// budget).
-	EngineOptions = engine.Options
 	// EngineStats is a snapshot of the engine's execution and cache counters.
 	EngineStats = engine.Stats
-	// EngineRequest is one query of an Engine.QueryBatch call.
+	// EngineRequest is one query of an Engine.QueryBatchContext call.
 	EngineRequest = engine.Request
 	// EngineAnswer is the answer to an Engine query: the theme communities of
 	// the retrieved trusses as flat records, plus the query statistics.
 	EngineAnswer = engine.Answer
 	// RankedCommunity is one community of an engine answer — theme, sorted
-	// vertices, edge count — annotated with the cohesion Engine.TopK ranks
-	// by.
+	// vertices, edge count — annotated with the cohesion
+	// Engine.TopKWithResultContext ranks by.
 	RankedCommunity = truss.Community
 	// EngineExplain is the annotated plan + execution report of
 	// Engine.Explain (and GET /api/v1/explain).
 	EngineExplain = engine.ExplainReport
 )
-
-// NewEngine returns a query-serving engine over a built TC-Tree.
-func NewEngine(tree *Tree, opts EngineOptions) (*Engine, error) { return engine.New(tree, opts) }
 
 // Federation types: one serving process fronting many named indexed
 // networks — the multi-tenant "data warehouse of maximal pattern trusses" —
@@ -160,7 +159,8 @@ type (
 )
 
 // NewFederation returns an empty federation; attach networks with
-// AttachTree / AttachIndex.
+// AttachTree (a tree built in-process) or AttachIndexDir (an index
+// directory).
 func NewFederation(opts FederationOptions) *Federation { return federation.New(opts) }
 
 // OpenFederation builds a federation from every indexed network found in
@@ -198,24 +198,6 @@ func OpenShardedIndex(dir string) (*ShardedIndex, error) { return tctree.OpenSha
 
 // IsShardedIndex reports whether path is an index directory.
 func IsShardedIndex(path string) bool { return tctree.IsSharded(path) }
-
-// NewLazyEngine returns a query-serving engine that loads shards from an
-// index on first touch, keeping at most opts.MaxResidentShards of them
-// resident (0 = unlimited).
-func NewLazyEngine(idx *ShardedIndex, opts EngineOptions) (*Engine, error) {
-	return engine.NewLazy(idx, opts)
-}
-
-// OpenEngine opens the index directory at path as a lazy engine. An index
-// written by a release that had other layouts (a .tctree file, gob shards)
-// is refused with the tcindex command that rebuilds it.
-func OpenEngine(path string, opts EngineOptions) (*Engine, error) {
-	idx, err := OpenShardedIndex(path)
-	if err != nil {
-		return nil, err
-	}
-	return NewLazyEngine(idx, opts)
-}
 
 // Incremental maintenance types: apply network deltas to a live index
 // instead of rebuilding it from scratch.
@@ -391,9 +373,9 @@ func LoadCitationArchive(r io.Reader, opts CoAuthorLoadOptions) (*CoAuthorNetwor
 // Observability types: the dependency-free metrics/tracing layer. An
 // Observer records per-query latency and stage-timing histograms into a
 // Prometheus-text-format registry and captures slow queries (with their full
-// plan) into a ring buffer; inject it as EngineOptions.Recorder /
-// FederationOptions.Recorder and hand it to the query server
-// (QueryServerOptions.Obs) to expose GET /metrics and GET /api/v1/slowlog.
+// plan) into a ring buffer; inject it as FederationOptions.Recorder and hand
+// it to the query server (QueryServerOptions.Obs) to expose GET /metrics and
+// GET /api/v1/slowlog.
 type (
 	// Observer is the production QueryRecorder: metrics + slow-query log.
 	Observer = obs.Observer

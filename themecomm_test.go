@@ -2,6 +2,7 @@ package themecomm_test
 
 import (
 	"bytes"
+	"path/filepath"
 	"testing"
 
 	"themecomm"
@@ -123,14 +124,18 @@ func TestPublicAPIIndexAndQuery(t *testing.T) {
 
 	// Persistence round trip through the public API.
 	dir := t.TempDir()
-	if _, err := themecomm.WriteShardedTree(tree, dir); err != nil {
+	if _, err := themecomm.WriteShardedTree(tree, filepath.Join(dir, "demo.index")); err != nil {
 		t.Fatalf("WriteShardedTree: %v", err)
 	}
-	eng, err := themecomm.OpenEngine(dir, themecomm.EngineOptions{})
+	fed, err := themecomm.OpenFederation(dir, themecomm.FederationOptions{})
 	if err != nil {
-		t.Fatalf("OpenEngine: %v", err)
+		t.Fatalf("OpenFederation: %v", err)
 	}
-	if eng.NumNodes() != tree.NumNodes() {
+	n, ok := fed.Network("demo")
+	if !ok {
+		t.Fatalf("OpenFederation did not attach demo.index: %v", fed.Names())
+	}
+	if eng := n.Engine(); eng.NumNodes() != tree.NumNodes() {
 		t.Fatalf("index round trip lost nodes")
 	}
 }
