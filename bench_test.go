@@ -146,7 +146,7 @@ func BenchmarkFigure5QueryByPattern(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Figure5QBP(); err != nil {
+		if _, err := s.Figure5QBP(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -288,28 +288,42 @@ func BenchmarkDecomposition(b *testing.B) {
 	}
 }
 
+// benchEngine serves the shared BK TC-Tree without a result cache, the way
+// the Figure 5 experiments query it.
+func benchEngine(b *testing.B) *engine.Engine {
+	benchSetup(b)
+	eng, err := engine.New(benchTree, engine.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
 // BenchmarkTreeQueryByAlpha benchmarks a single QBA query against the shared
 // BK TC-Tree (one point of Figure 5(a)).
 func BenchmarkTreeQueryByAlpha(b *testing.B) {
-	benchSetup(b)
+	eng := benchEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchTree.QueryByAlpha(0)
+		eng.QueryContext(context.Background(), nil, 0)
 	}
 }
 
 // BenchmarkTreeQueryByPattern benchmarks a single QBP query against the shared
 // BK TC-Tree (one point of Figure 5(e)).
 func BenchmarkTreeQueryByPattern(b *testing.B) {
-	benchSetup(b)
+	eng := benchEngine(b)
 	rng := rand.New(rand.NewSource(3))
-	q, ok := experiments.QueryPatternOfLength(benchTree, 1, rng)
+	q, ok, err := experiments.QueryPatternOfLength(context.Background(), eng, 1, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
 	if !ok {
 		b.Skip("tree has no depth-1 patterns")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchTree.QueryByPattern(q)
+		eng.QueryContext(context.Background(), q, 0)
 	}
 }
 

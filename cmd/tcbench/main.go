@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -119,7 +120,7 @@ func main() {
 	if want("fig5b") {
 		ran = true
 		fmt.Fprintln(out, "== Figure 5(e)-(h): query by pattern ==")
-		rows, err := suite.Figure5QBP()
+		rows, err := suite.Figure5QBP(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

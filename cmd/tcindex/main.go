@@ -18,11 +18,10 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"themecomm"
+	"themecomm/internal/experiments"
 )
 
 func main() {
@@ -48,18 +47,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	start := time.Now()
-	tree := themecomm.BuildTree(nw, themecomm.TreeBuildOptions{Parallelism: *workers, MaxDepth: *maxDepth})
-	elapsed := time.Since(start)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-
+	tree, elapsed, mem := experiments.MeasureBuild(nw, themecomm.TreeBuildOptions{Parallelism: *workers, MaxDepth: *maxDepth})
 	manifest, err := themecomm.WriteShardedTree(tree, dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("indexed %s -> %s (%d %s shards + manifest)\n", *in, dir, len(manifest.Shards), manifest.Format)
 	fmt.Printf("  indexing time: %v\n", elapsed)
-	fmt.Printf("  heap in use:   %.1f MB\n", float64(ms.HeapAlloc)/(1<<20))
-	fmt.Printf("  #nodes:        %d (depth %d, max α %.4g)\n", tree.NumNodes(), tree.Depth(), tree.MaxAlpha())
+	fmt.Printf("  memory:        %.1f MB (live heap of the build)\n", mem)
+	fmt.Printf("  #nodes:        %d (depth %d, max α %.4g)\n", manifest.TotalNodes(), manifest.Depth(), manifest.MaxAlpha())
 }

@@ -4,6 +4,7 @@ package themecomm_test
 // pkg.go.dev-style doc pages and as executable tests of the examples' output.
 
 import (
+	"context"
 	"fmt"
 
 	"themecomm"
@@ -58,9 +59,19 @@ func ExampleBuildTree() {
 	ski, chalet := dict.Intern("ski"), dict.Intern("chalet")
 	nw := buildCircle(ski, chalet)
 
+	// The tree joins a federation; the network's engine answers queries.
+	fed := themecomm.NewFederation(themecomm.FederationOptions{})
 	tree := themecomm.BuildTree(nw, themecomm.TreeBuildOptions{})
-	answer := tree.Query(themecomm.NewItemset(ski, chalet), 0.5)
-	fmt.Println("indexed trusses:", tree.NumNodes())
+	if err := fed.AttachTree("resort", tree, themecomm.FederationNetworkOptions{}); err != nil {
+		panic(err)
+	}
+	resort, _ := fed.Network("resort")
+	eng := resort.Engine()
+	answer, err := eng.QueryContext(context.Background(), themecomm.NewItemset(ski, chalet), 0.5)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("indexed trusses:", eng.NumNodes())
 	fmt.Println("retrieved:", answer.RetrievedNodes)
 	// Output:
 	// indexed trusses: 3

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -24,33 +25,47 @@ func main() {
 	fmt.Printf("generated co-author network: %d authors, %d co-author edges, %d papers\n",
 		st.Vertices, st.Edges, st.Transactions)
 
-	// Build the TC-Tree once; every subsequent query is interactive.
+	// Build the TC-Tree once and serve it from a federation; every
+	// subsequent query is interactive.
+	fed := themecomm.NewFederation(themecomm.FederationOptions{})
 	tree := themecomm.BuildTree(d.Network, themecomm.TreeBuildOptions{MaxDepth: 4})
-	fmt.Printf("TC-Tree: %d nodes, depth %d, max α %.3g\n", tree.NumNodes(), tree.Depth(), tree.MaxAlpha())
+	if err := fed.AttachTree("aminer", tree, themecomm.FederationNetworkOptions{Dictionary: d.Dictionary}); err != nil {
+		log.Fatal(err)
+	}
+	aminer, _ := fed.Network("aminer")
+	eng := aminer.Engine()
+	fmt.Printf("TC-Tree: %d nodes, depth %d, max α %.3g\n", eng.NumNodes(), eng.Depth(), eng.MaxAlpha())
 
 	// Query 1: research groups working on data mining + sequential patterns.
+	ctx := context.Background()
 	query := d.Dictionary.InternAll([]string{"data mining", "sequential pattern", "intrusion detection"})
-	answer := tree.Query(query, 0.1)
+	answer, err := eng.QueryContext(ctx, query, 0.1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nquery %v at α=0.1 answered in %v (%d trusses)\n",
 		d.Dictionary.Names(query), answer.Duration, answer.RetrievedNodes)
-	printCommunities(answer.Communities(), d, 6)
+	printCommunities(answer.Communities, d, 6)
 
 	// Query 2: sweep α to see how the strongest communities persist.
 	fmt.Println("\nquery-by-alpha sweep over the whole index:")
 	for _, alpha := range []float64{0, 0.2, 0.5, 1.0} {
-		qr := tree.QueryByAlpha(alpha)
+		qr, err := eng.QueryContext(ctx, nil, alpha)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  α=%.1f: %d maximal pattern trusses (%v)\n", alpha, qr.RetrievedNodes, qr.Duration)
 	}
 }
 
-func printCommunities(comms []themecomm.Community, d themecomm.Dataset, limit int) {
+func printCommunities(comms []themecomm.RankedCommunity, d themecomm.Dataset, limit int) {
 	shown := 0
 	for _, c := range comms {
 		if c.Pattern.Len() < 2 {
 			continue
 		}
 		var authors []string
-		for _, v := range c.Vertices() {
+		for _, v := range c.Vertices {
 			authors = append(authors, d.AuthorNames[v])
 		}
 		fmt.Printf("  theme={%s}\n    %s\n",

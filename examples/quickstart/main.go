@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,13 +53,23 @@ func main() {
 	}
 
 	// The same answer can be served from the TC-Tree index without re-mining,
-	// for any α and any query pattern.
+	// for any α and any query pattern: the tree joins a federation, and the
+	// network's engine answers.
+	fed := themecomm.NewFederation(themecomm.FederationOptions{})
 	tree := themecomm.BuildTree(nw, themecomm.TreeBuildOptions{})
-	fmt.Printf("TC-Tree indexes %d maximal pattern trusses (max α %.2f)\n", tree.NumNodes(), tree.MaxAlpha())
+	if err := fed.AttachTree("shop", tree, themecomm.FederationNetworkOptions{Dictionary: dict}); err != nil {
+		log.Fatal(err)
+	}
+	shop, _ := fed.Network("shop")
+	eng := shop.Engine()
+	fmt.Printf("TC-Tree indexes %d maximal pattern trusses (max α %.2f)\n", eng.NumNodes(), eng.MaxAlpha())
 
-	answer := tree.Query(themecomm.NewItemset(diapers, beer), 0.5)
+	answer, err := eng.QueryContext(context.Background(), themecomm.NewItemset(diapers, beer), 0.5)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("query {diapers, beer} at α=0.5 answered in %v:\n", answer.Duration)
-	for _, c := range answer.Communities() {
-		fmt.Printf("  theme=%v members=%v\n", dict.Names(c.Pattern), c.Vertices())
+	for _, c := range answer.Communities {
+		fmt.Printf("  theme=%v members=%v\n", dict.Names(c.Pattern), c.Vertices)
 	}
 }

@@ -389,7 +389,11 @@ func TestShardedApplyDeltaParity(t *testing.T) {
 		if updated.NumNodes() != fresh.NumNodes() {
 			t.Fatalf("seed %d: updated index has %d nodes, fresh rebuild %d", seed, updated.NumNodes(), fresh.NumNodes())
 		}
-		alphas := []float64{0, 0.1, 0.25, fresh.MaxAlpha()}
+		maxAlpha := 0.0
+		for _, s := range fresh.ShardStats() {
+			maxAlpha = max(maxAlpha, s.MaxAlpha)
+		}
+		alphas := []float64{0, 0.1, 0.25, maxAlpha}
 		patterns := []itemset.Itemset{nil, affected, itemset.New(0), itemset.New(1, 2)}
 		for _, alpha := range alphas {
 			for _, q := range patterns {

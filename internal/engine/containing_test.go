@@ -96,7 +96,7 @@ func assertContainmentAnswer(t *testing.T, got *Answer, want map[itemset.Key][]f
 func TestQueryContainingMatchesBruteForce(t *testing.T) {
 	tree := buildTestTree(t, 11)
 	idx, _ := writeShardedTestTree(t, tree)
-	alphas := []float64{0, 0.1, 0.25, tree.MaxAlpha() / 2, tree.MaxAlpha(), tree.MaxAlpha() + 1}
+	alphas := []float64{0, 0.1, 0.25, treeMaxAlpha(tree) / 2, treeMaxAlpha(tree), treeMaxAlpha(tree) + 1}
 
 	engines := map[string]*Engine{}
 	var err error

@@ -55,6 +55,16 @@ func buildTestTree(t *testing.T, seed int64) *tctree.Tree {
 	return tree
 }
 
+// treeMaxAlpha is the tree's largest shard α* bound: a query with a larger
+// α_q retrieves nothing.
+func treeMaxAlpha(tree *tctree.Tree) float64 {
+	maxAlpha := 0.0
+	for _, s := range tree.ShardStats() {
+		maxAlpha = max(maxAlpha, s.MaxAlpha)
+	}
+	return maxAlpha
+}
+
 // flatCommunity is one community in the comparable form the correctness tests
 // use on both sides: an engine record as is, a reference community flattened
 // the map-based way.
@@ -177,7 +187,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
-	alphas := []float64{0, 0.1, 0.3, 1.0, tree.MaxAlpha(), tree.MaxAlpha() + 1}
+	alphas := []float64{0, 0.1, 0.3, 1.0, treeMaxAlpha(tree), treeMaxAlpha(tree) + 1}
 
 	for _, workers := range []int{1, 4} {
 		for _, cacheSize := range []int{0, 16} {

@@ -7,10 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
+	"themecomm/internal/core"
 	"themecomm/internal/dbnet"
 	"themecomm/internal/delta"
 	"themecomm/internal/graph"
@@ -95,7 +95,7 @@ func TestLazyMatchesEager(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
-	alphas := []float64{0, 0.1, 0.3, tree.MaxAlpha(), tree.MaxAlpha() + 1}
+	alphas := []float64{0, 0.1, 0.3, treeMaxAlpha(tree), treeMaxAlpha(tree) + 1}
 
 	for _, workers := range []int{1, 4} {
 		for _, cacheSize := range []int{0, 16} {
@@ -383,25 +383,11 @@ func TestLazyTopKAndSearchVertex(t *testing.T) {
 	}
 	assertEqualCommunities(t, gotRanked, wantRanked)
 
-	// Vertex search parity over every vertex of the first truss found.
-	full := tree.QueryByAlpha(0)
-	if len(full.Trusses) == 0 {
-		t.Fatalf("tree answers nothing at alpha 0")
-	}
-	for v := range full.Trusses[0].Freq {
-		want := tree.SearchVertex(v, nil, 0.1)
-		got, err := eng.SearchVertex(context.Background(), v, nil, 0.1)
-		if err != nil {
-			t.Fatalf("lazy SearchVertex: %v", err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("vertex %d: lazy found %d communities, the tree %d", v, len(got), len(want))
-		}
-		for i, w := range want {
-			if g := got[i]; !g.Pattern.Equal(w.Pattern) || !slices.Equal(g.Vertices, w.Vertices()) || g.Edges != w.Edges.Len() {
-				t.Fatalf("vertex %d community %d = %+v, the tree has %v", v, i, g, w)
-			}
-		}
+	// Vertex search over every vertex of the network agrees with TCFI.
+	nw := testNetwork(7)
+	mined := core.TCFI(nw, core.Options{Alpha: 0.1})
+	for v := graph.VertexID(0); int(v) < nw.NumVertices(); v++ {
+		mustSearchOracle(t, eng, mined, v, nil)
 	}
 
 	// Pattern listings: depth 1 needs no loads; deeper depths match the tree.

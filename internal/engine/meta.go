@@ -10,10 +10,11 @@ import (
 	"themecomm/internal/truss"
 )
 
-// This file gives the engine the index-metadata surface the HTTP server used
-// to read straight off the tree, so a server can run on a lazy engine that
-// never holds the whole tree: totals come from the manifest, and traversals
-// (patterns listing, vertex search) load only the shards they need.
+// This file gives the engine the index-metadata surface every reader of an
+// index uses — the HTTP server, the facade's examples and the experiments —
+// so none of them needs the whole tree: totals come from the manifest, and
+// traversals (patterns listing, vertex search) load only the shards they
+// need.
 
 // NumNodes returns the number of indexed nodes across all shards. On lazy
 // engines it comes from the manifest, without loading any shard.
@@ -96,11 +97,12 @@ func (e *Engine) PatternsAtDepth(ctx context.Context, depth int) ([]itemset.Item
 
 // SearchVertex returns every theme community that contains the query vertex,
 // restricted to themes that are sub-patterns of q (nil or empty means every
-// indexed theme) and to the cohesion threshold alphaQ, like
-// tctree.SearchVertex but loading only the shards q touches: the answer of
-// QueryContext(ctx, q, alphaQ) — cached like any other, observed under ctx's request ID —
-// filtered by a binary search of each record's vertex list. Communities are
-// ordered by theme, shorter themes first.
+// indexed theme) and to the cohesion threshold alphaQ — the community-search
+// counterpart of the k-truss search in the paper's related work, and the
+// only vertex search over an index. It loads only the shards q touches: the
+// answer of QueryContext(ctx, q, alphaQ) — cached like any other, observed
+// under ctx's request ID — filtered by a binary search of each record's
+// vertex list. Communities are ordered by theme, shorter themes first.
 func (e *Engine) SearchVertex(ctx context.Context, v graph.VertexID, q itemset.Itemset, alphaQ float64) ([]truss.Community, error) {
 	if q.Len() == 0 {
 		q = nil

@@ -78,7 +78,7 @@ func TestStreamPropertyParity(t *testing.T) {
 			}
 			queries = append(queries, q)
 		}
-		alphas := []float64{0, rng.Float64() * tree.MaxAlpha(), tree.MaxAlpha() + 1}
+		alphas := []float64{0, rng.Float64() * treeMaxAlpha(tree), treeMaxAlpha(tree) + 1}
 		ks := []int{0, 1, 1 + rng.Intn(6)}
 
 		idx, _ := writeShardedTestTree(t, tree)

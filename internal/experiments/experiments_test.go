@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -188,8 +189,9 @@ func TestTable3AndFigure5(t *testing.T) {
 	if len(qba) == 0 {
 		t.Fatalf("no QBA rows")
 	}
-	// Retrieved nodes are non-increasing in α_q per dataset, and at α_q = 0
-	// they equal the node count of the tree.
+	// Retrieved nodes are non-increasing in α_q per dataset, at α_q = 0
+	// they equal the node count of the tree, and every point of the sweep
+	// lies below α*, so it retrieves something.
 	nodesByDataset := map[string]int{}
 	for _, r := range t3 {
 		nodesByDataset[r.Dataset] = r.Nodes
@@ -197,6 +199,9 @@ func TestTable3AndFigure5(t *testing.T) {
 	prev := map[string]int{}
 	seen := map[string]bool{}
 	for _, r := range qba {
+		if r.RetrievedNodes < 1 {
+			t.Fatalf("%s: QBA point α=%v retrieves nothing", r.Dataset, r.AlphaQ)
+		}
 		if !seen[r.Dataset] {
 			seen[r.Dataset] = true
 			if r.AlphaQ != 0 || r.RetrievedNodes != nodesByDataset[r.Dataset] {
@@ -209,7 +214,7 @@ func TestTable3AndFigure5(t *testing.T) {
 		prev[r.Dataset] = r.RetrievedNodes
 	}
 
-	qbp, err := s.Figure5QBP()
+	qbp, err := s.Figure5QBP(context.Background())
 	if err != nil {
 		t.Fatalf("Figure5QBP: %v", err)
 	}
@@ -263,16 +268,19 @@ func TestCaseStudy(t *testing.T) {
 
 func TestQueryPatternOfLength(t *testing.T) {
 	s := NewSuite(tinyConfig())
-	tree, err := s.Tree("BK")
+	eng, err := s.Engine("BK")
 	if err != nil {
-		t.Fatalf("Tree: %v", err)
+		t.Fatalf("Engine: %v", err)
 	}
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(1))
-	if p, ok := QueryPatternOfLength(tree, 1, rng); !ok || p.Len() != 1 {
-		t.Fatalf("expected a length-1 pattern, got %v (%v)", p, ok)
+	for length := 1; length <= eng.Depth(); length++ {
+		if p, ok, err := QueryPatternOfLength(ctx, eng, length, rng); err != nil || !ok || p.Len() != length {
+			t.Fatalf("expected a length-%d pattern, got %v (%v, %v)", length, p, ok, err)
+		}
 	}
-	if _, ok := QueryPatternOfLength(tree, 99, rng); ok {
-		t.Fatalf("length 99 should not exist")
+	if _, ok, err := QueryPatternOfLength(ctx, eng, 99, rng); ok || err != nil {
+		t.Fatalf("length 99 should not exist (%v)", err)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"time"
 
+	"themecomm/internal/dbnet"
+	"themecomm/internal/engine"
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
 )
@@ -28,19 +30,11 @@ func (s *Suite) Table3() ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		before := heapAllocMB()
-		start := time.Now()
-		tree := tctree.Build(d.Network, tctree.BuildOptions{
+		tree, elapsed, mem := MeasureBuild(d.Network, tctree.BuildOptions{
 			Parallelism: s.Config.TreeParallelism,
 			MaxDepth:    s.Config.MaxPatternLength,
 		})
-		elapsed := time.Since(start)
-		after := heapAllocMB()
 		s.trees[name] = tree
-		mem := after - before
-		if mem < 0 {
-			mem = after
-		}
 		out = append(out, Table3Row{
 			Dataset:         name,
 			IndexingSeconds: elapsed.Seconds(),
@@ -49,6 +43,22 @@ func (s *Suite) Table3() ([]Table3Row, error) {
 		})
 	}
 	return out, nil
+}
+
+// MeasureBuild builds the TC-Tree of nw and reports the two costs Table 3
+// gives for it: the build's wall time, and its memory — the live heap after
+// a garbage collection, minus the live heap before the build.
+func MeasureBuild(nw *dbnet.Network, opts tctree.BuildOptions) (*tctree.Tree, time.Duration, float64) {
+	before := heapAllocMB()
+	start := time.Now()
+	tree := tctree.Build(nw, opts)
+	elapsed := time.Since(start)
+	after := heapAllocMB()
+	mem := after - before
+	if mem < 0 {
+		mem = after
+	}
+	return tree, elapsed, mem
 }
 
 // Figure5Row is one data point of Figure 5: the average query time and number
@@ -64,8 +74,9 @@ type Figure5Row struct {
 
 // Figure5QBA regenerates Figures 5(a)-(d): query-by-alpha performance on the
 // served plan→execute path (Suite.Engine). The query pattern is the full
-// item universe and α_q sweeps from 0 to the largest non-trivial threshold
-// of the tree.
+// item universe and α_q sweeps QueryAlphaSteps evenly spaced thresholds from
+// 0 up to, but not including, the index's largest threshold α* — at α* itself
+// every truss is empty and nothing is retrieved.
 func (s *Suite) Figure5QBA() ([]Figure5Row, error) {
 	var out []Figure5Row
 	for _, name := range AllDatasets() {
@@ -79,7 +90,7 @@ func (s *Suite) Figure5QBA() ([]Figure5Row, error) {
 			steps = 2
 		}
 		for i := 0; i < steps; i++ {
-			alphaQ := maxAlpha * float64(i) / float64(steps-1)
+			alphaQ := maxAlpha * float64(i) / float64(steps)
 			var total time.Duration
 			retrieved := 0
 			reps := s.Config.QueriesPerPoint
@@ -108,23 +119,21 @@ func (s *Suite) Figure5QBA() ([]Figure5Row, error) {
 
 // Figure5QBP regenerates Figures 5(e)-(h): query-by-pattern performance on
 // the served plan→execute path (Suite.Engine). For every indexed pattern
-// length, query patterns are sampled from the tree's nodes of that length
-// and queried with α_q = 0.
-func (s *Suite) Figure5QBP() ([]Figure5Row, error) {
+// length, query patterns are sampled from the index's patterns of that
+// length and queried with α_q = 0.
+func (s *Suite) Figure5QBP(ctx context.Context) ([]Figure5Row, error) {
 	rng := rand.New(rand.NewSource(s.Config.Seed + 1))
 	var out []Figure5Row
 	for _, name := range AllDatasets() {
-		tree, err := s.Tree(name)
-		if err != nil {
-			return nil, err
-		}
 		eng, err := s.Engine(name)
 		if err != nil {
 			return nil, err
 		}
-		depth := tree.Depth()
-		for length := 1; length <= depth; length++ {
-			patterns := tree.PatternsAtDepth(length)
+		for length := 1; length <= eng.Depth(); length++ {
+			patterns, err := eng.PatternsAtDepth(ctx, length)
+			if err != nil {
+				return nil, err
+			}
 			if len(patterns) == 0 {
 				continue
 			}
@@ -136,7 +145,7 @@ func (s *Suite) Figure5QBP() ([]Figure5Row, error) {
 			totalRetrieved := 0
 			for r := 0; r < reps; r++ {
 				q := patterns[rng.Intn(len(patterns))]
-				qr, err := eng.QueryContext(context.Background(), q, 0)
+				qr, err := eng.QueryContext(ctx, q, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -214,12 +223,12 @@ func sortCaseStudy(cs []CaseStudyCommunity) {
 // score ranks case-study communities: longer themes first, then more authors.
 func score(c CaseStudyCommunity) int { return 1000*len(c.Theme) + len(c.Authors) }
 
-// QueryPatternOfLength samples one indexed pattern of the given length from a
-// tree; it is exported for the query benchmarks.
-func QueryPatternOfLength(tree *tctree.Tree, length int, rng *rand.Rand) (itemset.Itemset, bool) {
-	patterns := tree.PatternsAtDepth(length)
-	if len(patterns) == 0 {
-		return nil, false
+// QueryPatternOfLength samples one indexed pattern of the given length from
+// an engine's index; it is exported for the query benchmarks.
+func QueryPatternOfLength(ctx context.Context, eng *engine.Engine, length int, rng *rand.Rand) (itemset.Itemset, bool, error) {
+	patterns, err := eng.PatternsAtDepth(ctx, length)
+	if err != nil || len(patterns) == 0 {
+		return nil, false, err
 	}
-	return patterns[rng.Intn(len(patterns))], true
+	return patterns[rng.Intn(len(patterns))], true, nil
 }

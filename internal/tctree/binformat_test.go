@@ -115,7 +115,7 @@ func TestBinShardRoundTrip(t *testing.T) {
 // pointer-tree traversal, counters included.
 func TestBinShardViewParity(t *testing.T) {
 	tree, roots, bufs, entries := binShardFixtures(t, 19)
-	alphas := []float64{0, 0.1, 0.25, tree.MaxAlpha() / 2, tree.MaxAlpha(), tree.MaxAlpha() + 1}
+	alphas := []float64{0, 0.1, 0.25, treeMaxAlpha(tree) / 2, treeMaxAlpha(tree), treeMaxAlpha(tree) + 1}
 	for i, root := range roots {
 		bin, err := DecodeBinShard(bufs[i], entries[i])
 		if err != nil {
@@ -309,9 +309,9 @@ func TestWriteShardedBinaryRoundTrip(t *testing.T) {
 	if m.Format != FormatTCBIN {
 		t.Fatalf("manifest format %q, want %q", m.Format, FormatTCBIN)
 	}
-	if m.TotalNodes() != tree.NumNodes() || m.Depth() != tree.Depth() || !approx(m.MaxAlpha(), tree.MaxAlpha()) {
+	if m.TotalNodes() != tree.NumNodes() || m.Depth() != tree.Depth() || !approx(m.MaxAlpha(), treeMaxAlpha(tree)) {
 		t.Fatalf("manifest totals (%d, %d, %v) disagree with tree (%d, %d, %v)",
-			m.TotalNodes(), m.Depth(), m.MaxAlpha(), tree.NumNodes(), tree.Depth(), tree.MaxAlpha())
+			m.TotalNodes(), m.Depth(), m.MaxAlpha(), tree.NumNodes(), tree.Depth(), treeMaxAlpha(tree))
 	}
 	for _, e := range m.Shards {
 		if !strings.HasSuffix(e.File, ".tcbin") {

@@ -386,14 +386,15 @@ func TestRebuildSubtreeMatchesBuild(t *testing.T) {
 			indexed[c.Item] = c
 		}
 		// Every item of the network, and one absent from every transaction.
-		for _, it := range append(nw.Items(), 4096) {
-			rebuilt := RebuildSubtree(nw, it)
+		all := append(nw.Items(), 4096)
+		rebuilt := RebuildSubtrees(nw, all)
+		for _, it := range all {
 			want := indexed[it]
-			if (rebuilt == nil) != (want == nil) {
-				t.Fatalf("seed %d: RebuildSubtree(%d) = %v, Build indexes %v", seed, it, rebuilt, want)
+			if (rebuilt[it] == nil) != (want == nil) {
+				t.Fatalf("seed %d: RebuildSubtrees(%d) = %v, Build indexes %v", seed, it, rebuilt[it], want)
 			}
 			if want != nil {
-				assertSameSubtree(t, want, rebuilt)
+				assertSameSubtree(t, want, rebuilt[it])
 				compared += statsOf(want).Nodes
 			}
 		}

@@ -72,49 +72,22 @@ func (t *Tree) Query(q itemset.Itemset, alphaQ float64) *QueryResult {
 
 // QueryByAlpha answers the "query by alpha" workload of Section 7.3: q = S
 // (every item), so the answer contains every maximal pattern truss that is
-// non-empty at α_q.
+// non-empty at α_q. It is Query over the tree's first-level items, which
+// hold every indexed item: a pattern's truss lies within each of its items'
+// trusses, so an item of any indexed pattern is indexed on its own.
 func (t *Tree) QueryByAlpha(alphaQ float64) *QueryResult {
-	return t.queryAll(alphaQ)
-}
-
-// queryAll is Query with q = S implemented without the per-item membership
-// test, since every item qualifies.
-func (t *Tree) queryAll(alphaQ float64) *QueryResult {
-	start := time.Now()
-	res := &QueryResult{}
-	if t == nil || t.root == nil {
-		res.Duration = time.Since(start)
-		return res
-	}
-	queue := []*Node{t.root}
-	for len(queue) > 0 {
-		nf := queue[0]
-		queue = queue[1:]
-		for _, nc := range nf.Children {
-			res.VisitedNodes++
-			tr := nc.Decomp.TrussAt(alphaQ)
-			if tr.Empty() {
-				continue
-			}
-			res.Trusses = append(res.Trusses, tr)
-			res.RetrievedNodes++
-			queue = append(queue, nc)
+	var items itemset.Itemset
+	if t != nil && t.root != nil {
+		for _, c := range t.root.Children {
+			items = append(items, c.Item)
 		}
 	}
-	res.Duration = time.Since(start)
-	return res
-}
-
-// QueryByPattern answers the "query by pattern" workload of Section 7.3:
-// α_q = 0, so the answer contains the maximal pattern truss of every indexed
-// sub-pattern of q.
-func (t *Tree) QueryByPattern(q itemset.Itemset) *QueryResult {
-	return t.Query(q, 0)
+	return t.Query(items, alphaQ)
 }
 
 // MiningResult converts a QueryByAlpha answer into a core.Result, which makes
 // index-based retrieval directly comparable with the output of the mining
-// algorithms (used by integration tests and the experiment harness).
+// algorithms (the tests' reference).
 func (t *Tree) MiningResult(alphaQ float64) *core.Result {
 	qr := t.QueryByAlpha(alphaQ)
 	res := &core.Result{Alpha: alphaQ, Trusses: make(map[itemset.Key]*truss.Truss, len(qr.Trusses))}

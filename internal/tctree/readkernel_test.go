@@ -279,7 +279,7 @@ func TestConcurrentTraversalsShareNoScratch(t *testing.T) {
 		}
 		for _, v := range []ShardView{bin, NewNodeView(root)} {
 			views = append(views, v)
-			want = append(want, v.QuerySub(full, tree.MaxAlpha()/4))
+			want = append(want, v.QuerySub(full, treeMaxAlpha(tree)/4))
 		}
 	}
 	var wg sync.WaitGroup
@@ -289,7 +289,7 @@ func TestConcurrentTraversalsShareNoScratch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := (g + i) % len(views)
-				got := views[k].QuerySub(full, tree.MaxAlpha()/4)
+				got := views[k].QuerySub(full, treeMaxAlpha(tree)/4)
 				if len(got.Communities) != len(want[k].Communities) {
 					t.Errorf("view %d: %d communities, alone %d", k, len(got.Communities), len(want[k].Communities))
 					return

@@ -8,23 +8,6 @@ import (
 	"themecomm/internal/itemset"
 )
 
-// RebuildSubtree re-decomposes the first-level subtree (shard) of one
-// top-level item from the current state of the network, without touching any
-// other shard: the incremental-maintenance counterpart of Build. It returns
-// nil when the item's maximal pattern truss at α = 0 is empty — the shard no
-// longer indexes anything and should be dropped.
-//
-// It runs expandSubtree, the routine Build runs for every top-level item, so
-// the result is the corresponding first-level subtree of
-// Build(nw, BuildOptions{}) bit for bit, thresholds included. Callers
-// rebuilding an index built with a MaxDepth bound must re-run Build instead.
-//
-// The network must be quiescent (and Freeze-d if RebuildSubtree runs
-// concurrently with other readers).
-func RebuildSubtree(nw *dbnet.Network, item itemset.Item) *Node {
-	return expandSubtree(nw, item, math.MaxInt, nil, nil).root
-}
-
 // RebuildSubtrees rebuilds the shards of every given item in full and in
 // parallel, returning item → new subtree (nil when the shard decomposed to
 // nothing). The network is frozen first so concurrent reads are safe.

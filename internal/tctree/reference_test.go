@@ -121,3 +121,11 @@ func shardCatalogue(root *Node) (st ShardStats, bloom string, alphaDepths string
 	}
 	return st, b.Encode(), encodeAlphaDepths(hist[:n])
 }
+
+// treeMaxAlpha is the largest α*_p of any node of the tree: a query with a
+// larger α_q retrieves nothing.
+func treeMaxAlpha(tree *Tree) float64 {
+	maxAlpha := 0.0
+	tree.Walk(func(n *Node) { maxAlpha = max(maxAlpha, n.Decomp.MaxAlpha()) })
+	return maxAlpha
+}

@@ -62,8 +62,8 @@ func TestShardedRoundTrip(t *testing.T) {
 	if m.Depth() != tree.Depth() {
 		t.Fatalf("manifest Depth = %d, tree has %d", m.Depth(), tree.Depth())
 	}
-	if !approx(m.MaxAlpha(), tree.MaxAlpha()) {
-		t.Fatalf("manifest MaxAlpha = %v, tree has %v", m.MaxAlpha(), tree.MaxAlpha())
+	if !approx(m.MaxAlpha(), treeMaxAlpha(tree)) {
+		t.Fatalf("manifest MaxAlpha = %v, tree has %v", m.MaxAlpha(), treeMaxAlpha(tree))
 	}
 
 	idx, err := OpenSharded(dir)
@@ -110,7 +110,7 @@ func TestRoundTripAnswersQueriesIdentically(t *testing.T) {
 		full = full.Add(c.Item)
 	}
 	queries = append(queries, full, itemset.New(997, 998), full.Add(999))
-	alphas := []float64{0, 0.1, 0.4, tree.MaxAlpha() / 2, tree.MaxAlpha(), tree.MaxAlpha() + 1}
+	alphas := []float64{0, 0.1, 0.4, treeMaxAlpha(tree) / 2, treeMaxAlpha(tree), treeMaxAlpha(tree) + 1}
 	for _, q := range queries {
 		for _, alpha := range alphas {
 			assertIdenticalAnswer(t, reloaded.Query(q, alpha), tree.Query(q, alpha))
@@ -358,7 +358,7 @@ func TestCommitShardsReplaceOne(t *testing.T) {
 	if err := spliced.Validate(); err != nil {
 		t.Fatalf("Validate after the commit: %v", err)
 	}
-	alphas := []float64{0, 0.2, tree.MaxAlpha()}
+	alphas := []float64{0, 0.2, treeMaxAlpha(tree)}
 	for _, alpha := range alphas {
 		assertIdenticalAnswer(t, spliced.Query(itemset.New(item), alpha), other.Query(itemset.New(item), alpha))
 	}

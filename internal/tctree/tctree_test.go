@@ -111,7 +111,7 @@ func TestQueryByPattern(t *testing.T) {
 
 	// Querying by a specific pattern retrieves exactly its indexed sub-patterns.
 	for _, q := range tree.Patterns() {
-		qr := tree.QueryByPattern(q)
+		qr := tree.Query(q, 0)
 		for _, tr := range qr.Trusses {
 			if !tr.Pattern.SubsetOf(q) {
 				t.Fatalf("retrieved pattern %v is not a sub-pattern of %v", tr.Pattern, q)
@@ -129,7 +129,7 @@ func TestQueryByPattern(t *testing.T) {
 	}
 
 	// Querying a pattern with no indexed sub-pattern returns nothing.
-	empty := tree.QueryByPattern(itemset.New(4242))
+	empty := tree.Query(itemset.New(4242), 0)
 	if empty.RetrievedNodes != 0 || len(empty.Trusses) != 0 {
 		t.Fatalf("query of unknown pattern should retrieve nothing")
 	}
@@ -139,7 +139,7 @@ func TestQueryByAlphaMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	nw := randomNetwork(rng, 16, 40, 4, 4)
 	tree := Build(nw, BuildOptions{})
-	maxAlpha := tree.MaxAlpha()
+	maxAlpha := treeMaxAlpha(tree)
 	if maxAlpha <= 0 {
 		t.Skipf("degenerate network with no trusses")
 	}
@@ -362,7 +362,7 @@ func TestEmptyNetworkTree(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if tree.MaxAlpha() != 0 {
+	if treeMaxAlpha(tree) != 0 {
 		t.Fatalf("MaxAlpha of empty tree should be 0")
 	}
 }

@@ -72,19 +72,6 @@ func (t *Tree) Depth() int {
 	return depth
 }
 
-// MaxAlpha returns the largest non-trivial cohesion threshold over every
-// indexed theme network: the largest α*_p of any node. Queries with a larger
-// α_q return nothing.
-func (t *Tree) MaxAlpha() float64 {
-	maxAlpha := 0.0
-	t.Walk(func(n *Node) {
-		if a := n.Decomp.MaxAlpha(); a > maxAlpha {
-			maxAlpha = a
-		}
-	})
-	return maxAlpha
-}
-
 // ShardStats summarises one first-level subtree (shard): its root item, node
 // count, longest indexed pattern and α* bound. These are the statistics the
 // sharded manifest persists per shard and the serving layer's planner

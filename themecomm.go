@@ -100,8 +100,6 @@ type (
 	Community = core.Community
 	// Tree is the TC-Tree index over all maximal pattern trusses.
 	Tree = tctree.Tree
-	// TreeNode is one node of the TC-Tree.
-	TreeNode = tctree.Node
 	// TreeBuildOptions configures TC-Tree construction.
 	TreeBuildOptions = tctree.BuildOptions
 	// QueryResult is the answer to a TC-Tree query (Tree.Query): the
@@ -240,11 +238,6 @@ func ReadDeltaFile(path string, dict *Dictionary) (*NetworkDelta, error) {
 // WriteDelta serializes a delta to w.
 func WriteDelta(w io.Writer, d *NetworkDelta) error { return delta.Write(w, d) }
 
-// RebuildSubtree re-decomposes the first-level TC-Tree subtree of one
-// top-level item from the current network state; nil means the item indexes
-// nothing any more.
-func RebuildSubtree(nw *Network, item Item) *TreeNode { return tctree.RebuildSubtree(nw, item) }
-
 // NewNetwork returns a database network with n vertices, no edges and empty
 // vertex databases.
 func NewNetwork(n int) *Network { return dbnet.New(n) }
@@ -321,18 +314,6 @@ func DecomposePattern(nw *Network, p Itemset) *Decomposition {
 
 // BuildTree builds the TC-Tree index of the network.
 func BuildTree(nw *Network, opts TreeBuildOptions) *Tree { return tctree.Build(nw, opts) }
-
-// VertexProfile summarises the theme-community memberships of one vertex.
-type VertexProfile = tctree.VertexProfile
-
-// SearchCommunitiesByVertex returns every theme community of the indexed
-// network that contains the query vertex, restricted to sub-patterns of q
-// (nil means every theme) and to the cohesion threshold alpha. This is the
-// community-search counterpart of the k-truss search discussed in the paper's
-// related work, answered from the TC-Tree.
-func SearchCommunitiesByVertex(tree *Tree, v VertexID, q Itemset, alpha float64) []Community {
-	return tree.SearchVertex(v, q, alpha)
-}
 
 // GenerateDataset generates one of the paper's dataset analogues by name
 // ("BK", "GW", "AMINER" or "SYN") at the given scale factor (1.0 is the

@@ -2,6 +2,7 @@ package themecomm_test
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -115,14 +116,9 @@ func TestPublicAPIIndexAndQuery(t *testing.T) {
 	if tree.NumNodes() == 0 {
 		t.Fatalf("tree should index the demo patterns")
 	}
-	camera, _ := dict.Lookup("camera")
-	tripod, _ := dict.Lookup("tripod")
-	qr := tree.Query(themecomm.NewItemset(camera, tripod), 0.5)
-	if qr.RetrievedNodes == 0 {
-		t.Fatalf("query should retrieve the camera circle")
-	}
 
-	// Persistence round trip through the public API.
+	// Persistence round trip through the public API; the reopened index
+	// answers through its federation engine.
 	dir := t.TempDir()
 	if _, err := themecomm.WriteShardedTree(tree, filepath.Join(dir, "demo.index")); err != nil {
 		t.Fatalf("WriteShardedTree: %v", err)
@@ -135,8 +131,15 @@ func TestPublicAPIIndexAndQuery(t *testing.T) {
 	if !ok {
 		t.Fatalf("OpenFederation did not attach demo.index: %v", fed.Names())
 	}
-	if eng := n.Engine(); eng.NumNodes() != tree.NumNodes() {
+	eng := n.Engine()
+	if eng.NumNodes() != tree.NumNodes() {
 		t.Fatalf("index round trip lost nodes")
+	}
+	camera, _ := dict.Lookup("camera")
+	tripod, _ := dict.Lookup("tripod")
+	qr, err := eng.QueryContext(context.Background(), themecomm.NewItemset(camera, tripod), 0.5)
+	if err != nil || qr.RetrievedNodes == 0 {
+		t.Fatalf("query should retrieve the camera circle (%v)", err)
 	}
 }
 
