@@ -31,16 +31,14 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"themecomm/internal/client"
 	"themecomm/internal/federation"
@@ -99,12 +97,17 @@ func run(args []string, out io.Writer) error {
 			fs.Usage()
 			return errUsage
 		}
-		local, stop, err := serveLocal(*treePath, *network, *netPath, *workers)
+		indexPath, netPath, err := resolveNetwork(*treePath, *network, *netPath)
 		if err != nil {
 			return err
 		}
-		defer stop()
-		base, label = local, *treePath
+		// Read-only: a query never writes the index or the network file.
+		local, err := server.ServeLocal(indexPath, netPath, *workers, true)
+		if err != nil {
+			return err
+		}
+		defer local.Close(context.Background())
+		base, label = local.URL, *treePath
 	}
 	c := client.New(base, client.Options{RequestID: *requestID})
 	q := client.Query{
@@ -117,38 +120,6 @@ func run(args []string, out io.Writer) error {
 		Limit:    *limit,
 	}
 	return answer(out, c, q, label, *top, *explain, *stream)
-}
-
-// serveLocal opens the index the way tcserver -tree does — attached to a
-// one-network federation through AttachIndexDir, named after the index
-// directory — and serves it on an in-process loopback listener. It returns
-// the server's base URL and the function that shuts it down and waits for it.
-// It keeps no result cache, which a one-shot process never hits, and is
-// read-only: a query never writes the index or the network file.
-func serveLocal(treePath, network, netPath string, workers int) (base string, stop func(), err error) {
-	indexPath, netPath, err := resolveNetwork(treePath, network, netPath)
-	if err != nil {
-		return "", nil, err
-	}
-	fed := federation.New(federation.Options{Workers: workers})
-	if err := fed.AttachIndexDir(federation.NetworkName(indexPath), indexPath, netPath); err != nil {
-		return "", nil, err
-	}
-	h, err := server.New(nil, server.Options{Federation: fed, ReadOnly: true})
-	if err != nil {
-		return "", nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = srv.Serve(ln) // ErrServerClosed after stop; any earlier failure fails the client's request
-	}()
-	return "http://" + ln.Addr().String(), func() { srv.Close(); <-done }, nil
 }
 
 // resolveNetwork maps -tree/-network onto one index path and its database

@@ -164,7 +164,7 @@ func main() {
 		startPrimary(&opts, *journalDir, *checkpointEvery, logger)
 	}
 	if *replicaOf != "" {
-		startReplica(&opts, *replicaOf, *checkpointEvery)
+		startReplica(&opts, *replicaOf, *checkpointEvery, logger)
 	}
 
 	srv, err := server.New(nil, opts)
@@ -241,7 +241,7 @@ func startPrimary(opts *server.Options, dir string, checkpointEvery time.Duratio
 	if err != nil {
 		log.Fatal(err)
 	}
-	p := replication.NewPrimary(j, replication.PrimaryOptions{
+	p := replication.NewPrimary(j, replication.Options{
 		CheckpointInterval: checkpointEvery,
 		Logger:             logger,
 	})
@@ -258,11 +258,11 @@ func startPrimary(opts *server.Options, dir string, checkpointEvery time.Duratio
 
 // startReplica marks the server read-only, registers the members, and starts
 // the two replica loops: the journal tailer (long-polling the primary's feed
-// and replaying each record) and the local checkpoint ticker. Replay failures
-// are fail-stop — a replica that cannot follow the journal must not keep
-// serving silently stale answers.
-func startReplica(opts *server.Options, primaryURL string, checkpointEvery time.Duration) {
-	rep := replication.NewReplica()
+// and replaying each record) and the background checkpoint loop. Replay
+// failures are fail-stop — a replica that cannot follow the journal must not
+// keep serving silently stale answers.
+func startReplica(opts *server.Options, primaryURL string, checkpointEvery time.Duration, logger *slog.Logger) {
+	rep := replication.NewReplica(replication.Options{CheckpointInterval: checkpointEvery, Logger: logger})
 	addMembers(opts, rep.Add, "replica")
 	opts.ReadOnly = true
 	opts.PrimaryURL = strings.TrimRight(primaryURL, "/")
@@ -278,17 +278,6 @@ func startReplica(opts *server.Options, primaryURL string, checkpointEvery time.
 		})
 		log.Fatalf("journal tail stopped: %v", err)
 	}()
-	if checkpointEvery == 0 {
-		checkpointEvery = replication.DefaultCheckpointInterval
-	}
-	if checkpointEvery > 0 {
-		go func() {
-			for range time.Tick(checkpointEvery) {
-				if err := rep.Checkpoint(); err != nil {
-					log.Printf("replica checkpoint: %v", err)
-				}
-			}
-		}()
-	}
-	log.Printf("replica of %s: tailing the journal from seq %d (checkpoint every %v)", primaryURL, from, checkpointEvery)
+	rep.Start()
+	log.Printf("replica of %s: tailing the journal from seq %d", primaryURL, from)
 }

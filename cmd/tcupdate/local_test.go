@@ -1,0 +1,277 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"io/fs"
+	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"themecomm/internal/dbnet"
+	"themecomm/internal/gen"
+	"themecomm/internal/server"
+	"themecomm/internal/tctree"
+)
+
+// writeNetwork writes the BK analogue at scale 0.1 as dir/bk.index plus its
+// sibling dir/bk.dbnet and returns vertex 0's first transaction as item
+// names.
+func writeNetwork(t *testing.T, dir string) (tx0 string) {
+	t.Helper()
+	d, err := gen.ByName("BK", gen.Scale(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tctree.Build(d.Network, tctree.BuildOptions{}).WriteSharded(filepath.Join(dir, "bk.index")); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbnet.WriteFile(filepath.Join(dir, "bk.dbnet"), d.Network, d.Dictionary); err != nil {
+		t.Fatal(err)
+	}
+	return strings.Join(d.Dictionary.Names(d.Network.Database(0).Transactions()[0]), ",")
+}
+
+// snapshot reads every file under dir, keyed by its path relative to dir.
+func snapshot(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// copyDir copies the files of a snapshot into a new temporary directory.
+func copyDir(t *testing.T, files map[string][]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	for rel, b := range files {
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// serve starts a writable server over dir's bk pair the way tcserver -tree
+// dir/bk.index -net dir/bk.dbnet does.
+func serve(t *testing.T, dir string) string {
+	t.Helper()
+	l, err := server.ServeLocal(filepath.Join(dir, "bk.index"), filepath.Join(dir, "bk.dbnet"), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close(context.Background()) })
+	return l.URL
+}
+
+// tcupdate runs the command and returns what it printed.
+func tcupdate(t *testing.T, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatalf("tcupdate %s: %v", strings.Join(args, " "), err)
+	}
+	return out.String()
+}
+
+// local prefixes args with the flags that update dir's bk pair in process.
+func local(dir string, args ...string) []string {
+	return append([]string{"-net", filepath.Join(dir, "bk.dbnet"), "-index", filepath.Join(dir, "bk.index")}, args...)
+}
+
+var micros = regexp.MustCompile(`[0-9]+µs`)
+
+func TestLocalUpdateMatchesServer(t *testing.T) {
+	src := t.TempDir()
+	tx0 := writeNetwork(t, src)
+	seed := snapshot(t, src)
+	deltaFile := filepath.Join(t.TempDir(), "named.tcdelta")
+	if err := os.WriteFile(deltaFile, []byte("TCDELTA 1\nAV 1\nE+ 3 60\nT 60 coffee hangout-c1-0\nT- 0 "+strings.ReplaceAll(tx0, ",", " ")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name          string
+		local, remote []string
+	}{
+		{"edges", []string{"-addedges", "3-17,4-17", "-rmedges", "0-1"}, nil},
+		{"transactions by name and id", []string{"-addtx", "3:hangout-c1-0,newitem;4:1,2"}, nil},
+		{"removed transaction", []string{"-rmtx", "0:" + tx0}, nil},
+		{"tombstones", []string{"-rmvertices", "5,6", "-addvertices", "1", "-addedges", "5-60"}, nil},
+		{"delta file with names",
+			[]string{"-delta", deltaFile, "-addtx", "60:coffee,tea"},
+			[]string{"-addvertices", "1", "-addedges", "3-60", "-rmtx", "0:" + tx0,
+				"-addtx", "60:coffee,hangout-c1-0;60:coffee,tea"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.remote == nil {
+				c.remote = c.local
+			}
+			l, r := copyDir(t, seed), copyDir(t, seed)
+			got := tcupdate(t, local(l, c.local...)...)
+			want := tcupdate(t, append([]string{"-server", serve(t, r), "-network", "bk"}, c.remote...)...)
+			if micros.ReplaceAllString(got, "Nµs") != micros.ReplaceAllString(want, "Nµs") {
+				t.Errorf("local update printed\n%s\nthe server's printed\n%s", got, want)
+			}
+			if !strings.HasPrefix(got, "applied delta to bk in ") {
+				t.Errorf("unexpected report:\n%s", got)
+			}
+			lf, rf := snapshot(t, l), snapshot(t, r)
+			if len(lf) != len(rf) {
+				t.Errorf("local update left %d files, the server's %d", len(lf), len(rf))
+			}
+			for rel, b := range rf {
+				if !bytes.Equal(lf[rel], b) {
+					t.Errorf("%s differs between the local and the server update", rel)
+				}
+			}
+			if bytes.Equal(lf["bk.dbnet"], seed["bk.dbnet"]) {
+				t.Error("the network file was not written back")
+			}
+		})
+	}
+}
+
+func TestLocalUpdateRejections(t *testing.T) {
+	dir := t.TempDir()
+	writeNetwork(t, dir)
+	seed := snapshot(t, dir)
+	cases := []struct {
+		args  []string
+		usage bool
+		why   string
+	}{
+		{local(dir, "-addtx", "7:0", "-outnet", filepath.Join(dir, "next.dbnet")), true, "flag provided but not defined: -outnet"},
+		{local(dir, "-addedges", "3-3"), true, `invalid edge "3-3"`},
+		{[]string{"-addtx", "7:0"}, true, "usage"},
+		{local(dir), false, "empty delta"},
+		{[]string{"-server", "http://127.0.0.1:1", "-delta", "changes.tcdelta", "-addtx", "7:0"}, false, "-delta cannot be combined with -server"},
+	}
+	for _, c := range cases {
+		err := run(c.args, new(bytes.Buffer))
+		if err == nil || errors.Is(err, errUsage) != c.usage || !strings.Contains(err.Error(), c.why) {
+			t.Errorf("tcupdate %s: error %v, want one naming %q (usage error: %v)", strings.Join(c.args, " "), err, c.why, c.usage)
+		}
+	}
+	after := snapshot(t, dir)
+	if len(after) != len(seed) {
+		t.Fatalf("rejected updates left %d files, want %d", len(after), len(seed))
+	}
+	for rel, b := range seed {
+		if !bytes.Equal(after[rel], b) {
+			t.Errorf("a rejected update changed %s", rel)
+		}
+	}
+}
+
+// A checkpoint that cannot write the network back fails a local update: the
+// in-memory update dies with the process and nothing reaches the disk.
+func TestLocalCheckpointFailureIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	writeNetwork(t, dir)
+	if err := os.Mkdir(filepath.Join(dir, "bk.dbnet.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	seed := snapshot(t, dir)
+	var out bytes.Buffer
+	err := run(local(dir, "-addtx", "7:0"), &out)
+	if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), "not persisted") {
+		t.Fatalf("update with a blocked write-back: error %v (printed %q), want a checkpoint failure", err, out.String())
+	}
+	after := snapshot(t, dir)
+	for rel, b := range seed {
+		if !bytes.Equal(after[rel], b) {
+			t.Errorf("a failed checkpoint changed %s", rel)
+		}
+	}
+}
+
+// Closing the local server waits for an update in flight, however long it
+// takes: the process cannot exit between the network write-back and the
+// index commit, and the files end up exactly as a completed update leaves
+// them.
+func TestLocalCloseWaitsForAnUpdate(t *testing.T) {
+	src := t.TempDir()
+	writeNetwork(t, src)
+	seed := snapshot(t, src)
+	want := copyDir(t, seed)
+	tcupdate(t, "-server", serve(t, want), "-network", "bk", "-addtx", "7:0")
+
+	dir := copyDir(t, seed)
+	l, err := server.ServeLocal(filepath.Join(dir, "bk.index"), filepath.Join(dir, "bk.dbnet"), 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, w := io.Pipe()
+	posted := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(l.URL+"/api/v1/update", "application/json", body)
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = errors.New(resp.Status)
+			}
+		}
+		posted <- err
+	}()
+	// The request is in flight until its body ends.
+	if _, err := io.WriteString(w, `{"addTransactions":[`); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() { l.Close(context.Background()); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while an update was in flight")
+	case <-time.After(200 * time.Millisecond):
+	}
+	io.WriteString(w, `{"vertex":7,"items":["0"]}]}`)
+	w.Close()
+	if err := <-posted; err != nil {
+		t.Fatalf("the update in flight failed: %v", err)
+	}
+	<-closed
+	got, wantFiles := snapshot(t, dir), snapshot(t, want)
+	for rel, b := range wantFiles {
+		if !bytes.Equal(got[rel], b) {
+			t.Errorf("%s differs from a completed update's", rel)
+		}
+	}
+}
+
+// An index given as the working directory is named after that directory.
+func TestLocalUpdateInTheIndexDirectory(t *testing.T) {
+	dir := t.TempDir()
+	writeNetwork(t, dir)
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(filepath.Join(dir, "bk.index")); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	if got := tcupdate(t, "-index", ".", "-net", "../bk.dbnet", "-addtx", "7:0"); !strings.HasPrefix(got, "applied delta to bk in ") {
+		t.Errorf("unexpected report:\n%s", got)
+	}
+}

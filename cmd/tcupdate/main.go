@@ -1,32 +1,17 @@
-// Command tcupdate incrementally maintains a TC-Tree index after its
-// database network changes: it applies a network delta (added/removed edges,
-// added/removed transactions, new or tombstoned vertices) to the network,
-// rebuilds only the index shards the delta can affect, and persists the
-// update — no full re-index. It takes the one write route a tcserver without
-// -journal takes (federation.Network.ApplyDelta): a lazy engine over the
-// index applies the delta in memory, then a checkpoint writes the updated
-// network back first and commits the rebuilt shards with a single durable
-// manifest write. Both files keep their journal-seq stamps, so a journaled
-// tcserver started on them later recovers as if no offline update happened.
+// Command tcupdate sends a network delta (added/removed edges and
+// transactions, new or tombstoned vertices) to a tcserver, which rebuilds only
+// the index shards the delta can affect instead of re-indexing.
 //
-// The delta comes from a delta file (see internal/delta for the TCDELTA text
-// format), from the command-line flags, or both:
+// There is one update path. -net and -index open the pair writable, as tcserver
+// -tree X -net Y does, on an in-process loopback listener that the delta is
+// POSTed to as -server POSTs it (body capped at 16 MiB; no client timeout, so
+// tcupdate never exits mid-checkpoint). The network is written back to -net,
+// then the index; a failed write-back is an error and the update dies with the
+// process. A -delta file (TCDELTA format) is local-only; its names resolve first.
 //
 //	tcupdate -net bk.dbnet -index bk.index -delta changes.tcdelta
 //	tcupdate -net bk.dbnet -index bk.index -addedges 3-17,4-17 -addtx "17:coffee,tea"
-//	tcupdate -net bk.dbnet -index bk.index -rmedges 3-4 -outnet bk-next.dbnet
-//
-// With -server the delta is instead POSTed to a running tcserver, which does
-// the same maintenance in one step against its live index (and, on a
-// replication primary, journals the delta for its replicas):
-//
 //	tcupdate -server http://localhost:8080 -network bk -addedges 3-17 -addtx "17:coffee"
-//
-// Flags -addedges and -rmedges take comma-separated u-v vertex pairs;
-// -addtx and -rmtx take semicolon-separated vertex:item,item,... transactions
-// whose items are names (resolved — and, for new items, interned — through
-// the network's dictionary) or numeric identifiers; -rmvertices takes
-// comma-separated vertex ids to tombstone.
 package main
 
 import (
@@ -34,171 +19,186 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"net/http"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"themecomm"
 	"themecomm/internal/client"
 	"themecomm/internal/delta"
-	"themecomm/internal/federation"
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 	"themecomm/internal/server"
 )
 
+// errUsage marks a command line the flag set rejected and already explained.
+var errUsage = errors.New("usage")
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tcupdate: ")
-
-	netPath := flag.String("net", "", "database network file the index was built from (required unless -server)")
-	indexPath := flag.String("index", "", "index directory built by tcindex (required unless -server)")
-	deltaPath := flag.String("delta", "", "delta file in the TCDELTA text format")
-	addVertices := flag.Int("addvertices", 0, "number of new vertices to add")
-	addEdges := flag.String("addedges", "", "edges to add, comma-separated u-v pairs (e.g. 3-17,4-17)")
-	rmEdges := flag.String("rmedges", "", "edges to remove, comma-separated u-v pairs")
-	addTx := flag.String("addtx", "", "transactions to add, semicolon-separated vertex:item,item,... entries")
-	rmTx := flag.String("rmtx", "", "transactions to remove, semicolon-separated vertex:item,item,... entries")
-	rmVertices := flag.String("rmvertices", "", "vertices to tombstone, comma-separated ids")
-	outNet := flag.String("outnet", "", "write the updated network here (default: overwrite -net)")
-	serverURL := flag.String("server", "", "POST the delta to the tcserver at this base URL instead of updating a local index")
-	network := flag.String("network", "", "federation network to update (with -server)")
-	requestID := flag.String("requestid", "", "correlation ID sent with the remote update (with -server)")
-	flag.Parse()
-
-	if *serverURL != "" {
-		runRemoteUpdate(*serverURL, *network, *requestID, *deltaPath, *addVertices,
-			*addEdges, *rmEdges, *addTx, *rmTx, *rmVertices)
-		return
-	}
-
-	if *netPath == "" || *indexPath == "" {
-		flag.Usage()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
-	}
-	nw, dict, err := themecomm.ReadNetworkFile(*netPath)
-	if err != nil {
+	case err != nil:
 		log.Fatal(err)
 	}
-	idx, err := themecomm.OpenShardedIndex(*indexPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	out := *outNet
-	if out == "" {
-		out = *netPath
-	}
-	// Attaching pads the dictionary to the whole item universe before delta
-	// item names are interned, so a new name can never alias an existing
-	// unnamed item.
-	fed := federation.New(federation.Options{})
-	opts := federation.NetworkOptions{Dictionary: dict, Network: nw, NetworkPath: out}
-	if err := fed.AttachIndex("index", idx, opts); err != nil {
-		log.Fatal(err)
-	}
-	tenant, _ := fed.Network("index")
-	d := &delta.Delta{AddVertices: *addVertices}
-	if *deltaPath != "" {
-		fromFile, err := delta.ReadFile(*deltaPath, dict)
-		if err != nil {
-			log.Fatal(err)
-		}
-		d.AddVertices += fromFile.AddVertices
-		d.AddEdges = append(d.AddEdges, fromFile.AddEdges...)
-		d.RemoveEdges = append(d.RemoveEdges, fromFile.RemoveEdges...)
-		d.AddTransactions = append(d.AddTransactions, fromFile.AddTransactions...)
-		d.RemoveTransactions = append(d.RemoveTransactions, fromFile.RemoveTransactions...)
-		d.RemoveVertices = append(d.RemoveVertices, fromFile.RemoveVertices...)
-	}
-	if d.AddEdges, err = appendEdges(d.AddEdges, *addEdges); err != nil {
-		log.Fatalf("-addedges: %v", err)
-	}
-	if d.RemoveEdges, err = appendEdges(d.RemoveEdges, *rmEdges); err != nil {
-		log.Fatalf("-rmedges: %v", err)
-	}
-	if d.AddTransactions, err = appendTransactions(d.AddTransactions, *addTx, dict); err != nil {
-		log.Fatalf("-addtx: %v", err)
-	}
-	if d.RemoveTransactions, err = appendTransactions(d.RemoveTransactions, *rmTx, dict); err != nil {
-		log.Fatalf("-rmtx: %v", err)
-	}
-	if d.RemoveVertices, err = appendVertices(d.RemoveVertices, *rmVertices); err != nil {
-		log.Fatalf("-rmvertices: %v", err)
-	}
-	if d.Empty() {
-		log.Fatal("empty delta: give -delta, -addvertices, -addedges, -rmedges, -addtx, -rmtx or -rmvertices")
-	}
-
-	res, err := tenant.ApplyDelta(d)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("applied %s to %s in %v\n", d, *indexPath, res.Duration.Round(time.Microsecond))
-	fmt.Printf("  affected items:  %d of %d shards (%d replaced, %d added, %d removed)\n",
-		res.Affected.Len(), idx.NumShards(), len(res.Report.Replaced), len(res.Report.Added), len(res.Report.Removed))
-	fmt.Printf("  network:         %s (|V|=%d, |E|=%d)\n", out, nw.NumVertices(), nw.NumEdges())
 }
 
-// runRemoteUpdate builds the update request from the flags and POSTs it
-// through the typed API client. Item names travel as-is: the server resolves
-// them through its own dictionary, exactly like a local run resolves them
-// through the network file's.
-func runRemoteUpdate(base, network, requestID, deltaPath string, addVertices int,
-	addEdges, rmEdges, addTx, rmTx, rmVertices string) {
-	if deltaPath != "" {
-		log.Fatal("-delta cannot be combined with -server; pass the change through the flags")
-	}
-	req := &server.UpdateRequest{AddVertices: addVertices}
-	var err error
-	if req.AddEdges, err = appendEdgePairs(nil, addEdges); err != nil {
-		log.Fatalf("-addedges: %v", err)
-	}
-	if req.RemoveEdges, err = appendEdgePairs(nil, rmEdges); err != nil {
-		log.Fatalf("-rmedges: %v", err)
-	}
-	if req.AddTransactions, err = appendTxEntries(nil, addTx); err != nil {
-		log.Fatalf("-addtx: %v", err)
-	}
-	if req.RemoveTransactions, err = appendTxEntries(nil, rmTx); err != nil {
-		log.Fatalf("-rmtx: %v", err)
-	}
-	for _, field := range splitFields(rmVertices, ",") {
-		v, err := strconv.Atoi(field)
-		if err != nil || v < 0 || v > math.MaxInt32 {
-			log.Fatalf("-rmvertices: invalid vertex %q", field)
-		}
-		req.RemoveVertices = append(req.RemoveVertices, v)
+// run parses the command line and sends the update, reporting it to out.
+func run(args []string, out io.Writer) error {
+	req := &server.UpdateRequest{}
+	fs := flag.NewFlagSet("tcupdate", flag.ContinueOnError)
+	netPath := fs.String("net", "", "database network file the index was built from, written back after the update (required unless -server)")
+	indexPath := fs.String("index", "", "index directory built by tcindex (required unless -server)")
+	deltaPath := fs.String("delta", "", "delta file in the TCDELTA text format (not with -server)")
+	fs.IntVar(&req.AddVertices, "addvertices", 0, "number of new vertices to add")
+	fs.Var(list[[2]int]{&req.AddEdges, ",", parseEdge}, "addedges", "edges to add, comma-separated u-v pairs (e.g. 3-17,4-17)")
+	fs.Var(list[[2]int]{&req.RemoveEdges, ",", parseEdge}, "rmedges", "edges to remove, comma-separated u-v pairs")
+	fs.Var(list[server.UpdateTransaction]{&req.AddTransactions, ";", parseTransaction}, "addtx", "transactions to add, semicolon-separated vertex:item,item,... entries; items are names (new ones are interned) or numeric ids")
+	fs.Var(list[server.UpdateTransaction]{&req.RemoveTransactions, ";", parseTransaction}, "rmtx", "transactions to remove, semicolon-separated vertex:item,item,... entries")
+	fs.Var(list[int]{&req.RemoveVertices, ",", parseVertex}, "rmvertices", "vertices to tombstone, comma-separated ids")
+	serverURL := fs.String("server", "", "POST the delta to the tcserver at this base URL instead of updating a local index")
+	network := fs.String("network", "", "federation network to update (with -server)")
+	requestID := fs.String("requestid", "", "X-Request-ID to send; the server echoes it and stamps it on its logs")
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err) // flag.ErrHelp for -h
 	}
 
-	c := client.New(base, client.Options{RequestID: requestID})
-	resp, err := c.Update(context.Background(), network, req)
-	if err != nil {
-		var apiErr *client.APIError
-		if errors.As(err, &apiErr) && apiErr.Location != "" {
-			log.Fatalf("%v\nretry against the primary: tcupdate -server %s", err, strings.TrimSuffix(apiErr.Location, "/api/v1/update"))
+	ctx, base, copts := context.Background(), *serverURL, client.Options{RequestID: *requestID}
+	switch {
+	case base != "" && *deltaPath != "":
+		return errors.New("-delta cannot be combined with -server; pass the change through the flags")
+	case base == "" && (*netPath == "" || *indexPath == ""):
+		fmt.Fprintln(fs.Output(), "tcupdate: -net and -index, or -server, are required")
+		fs.Usage()
+		return errUsage
+	case base == "":
+		local, err := server.ServeLocal(*indexPath, *netPath, 0, false)
+		if err != nil {
+			return err
 		}
-		log.Fatal(err)
+		defer local.Close(ctx)
+		if *deltaPath != "" {
+			// Attaching padded the dictionary to the item universe, so a new
+			// name interned here never aliases an existing unnamed item.
+			d, err := delta.ReadFile(*deltaPath, local.Network.Dictionary())
+			if err != nil {
+				return err
+			}
+			req = prepend(d, req)
+		}
+		base, copts.HTTPClient = local.URL, &http.Client{}
 	}
-	target := network
-	if target == "" {
-		target = base
+
+	resp, err := client.New(base, copts).Update(ctx, *network, req)
+	var apiErr *client.APIError
+	switch {
+	case errors.As(err, &apiErr) && apiErr.Location != "":
+		return fmt.Errorf("%w\nretry against the primary: tcupdate -server %s", err, strings.TrimSuffix(apiErr.Location, "/api/v1/update"))
+	case err != nil:
+		return err
+	case resp.Warning != "" && *serverURL == "":
+		return errors.New(resp.Warning) // the in-memory update dies with the process
 	}
-	fmt.Printf("applied delta to %s in %dµs (index epoch %d)\n", target, resp.UpdateMicros, resp.IndexEpoch)
-	fmt.Printf("  affected items:  %v (%d replaced, %d added, %d removed shards)\n",
+	fmt.Fprintf(out, "applied delta to %s in %dµs (index epoch %d)\n", resp.Network, resp.UpdateMicros, resp.IndexEpoch)
+	fmt.Fprintf(out, "  affected items:  %v (%d replaced, %d added, %d removed shards)\n",
 		resp.AffectedItems, resp.ReplacedShards, resp.AddedShards, resp.RemovedShards)
 	if resp.JournalSeq > 0 {
-		fmt.Printf("  journal seq:     %d (journaled on the primary; replicas will replay it)\n", resp.JournalSeq)
+		fmt.Fprintf(out, "  journal seq:     %d (journaled on the primary; replicas will replay it)\n", resp.JournalSeq)
 	}
 	if resp.Warning != "" {
-		fmt.Printf("  warning:         %s\n", resp.Warning)
+		fmt.Fprintf(out, "  warning:         %s\n", resp.Warning)
+	}
+	return nil
+}
+
+// prepend returns req with the delta file's changes ahead of the flags',
+// items as numeric identifiers.
+func prepend(d *delta.Delta, req *server.UpdateRequest) *server.UpdateRequest {
+	vertex := func(v graph.VertexID) int { return int(v) }
+	edge := func(e graph.Edge) [2]int { return [2]int{int(e.U), int(e.V)} }
+	item := func(it itemset.Item) string { return strconv.Itoa(int(it)) }
+	tx := func(vt delta.VertexTransaction) server.UpdateTransaction {
+		return server.UpdateTransaction{Vertex: int(vt.Vertex), Items: mapAppend(vt.Tx, item, nil)}
+	}
+	return &server.UpdateRequest{
+		AddVertices:        d.AddVertices + req.AddVertices,
+		RemoveVertices:     mapAppend(d.RemoveVertices, vertex, req.RemoveVertices),
+		AddEdges:           mapAppend(d.AddEdges, edge, req.AddEdges),
+		RemoveEdges:        mapAppend(d.RemoveEdges, edge, req.RemoveEdges),
+		AddTransactions:    mapAppend(d.AddTransactions, tx, req.AddTransactions),
+		RemoveTransactions: mapAppend(d.RemoveTransactions, tx, req.RemoveTransactions),
 	}
 }
 
-// splitFields splits and trims a separated list, dropping empties.
-func splitFields(raw, sep string) []string {
+// mapAppend returns f over xs followed by tail.
+func mapAppend[T, U any](xs []T, f func(T) U, tail []U) []U {
+	var out []U
+	for _, x := range xs {
+		out = append(out, f(x))
+	}
+	return append(out, tail...)
+}
+
+// list is a flag holding a separated list: Set parses each trimmed,
+// non-empty field into the request field dst.
+type list[T any] struct {
+	dst   *[]T
+	sep   string
+	parse func(string) (T, error)
+}
+
+func (l list[T]) String() string { return "" }
+
+func (l list[T]) Set(raw string) error {
+	for _, field := range fields(raw, l.sep) {
+		x, err := l.parse(field)
+		if err != nil {
+			return err
+		}
+		*l.dst = append(*l.dst, x)
+	}
+	return nil
+}
+
+// parseVertex parses one vertex id.
+func parseVertex(field string) (int, error) {
+	v, err := strconv.Atoi(strings.TrimSpace(field))
+	if err != nil || v < 0 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("invalid vertex %q", field)
+	}
+	return v, nil
+}
+
+// parseEdge parses one u-v pair.
+func parseEdge(field string) ([2]int, error) {
+	u, v, _ := strings.Cut(field, "-")
+	a, err1 := parseVertex(u)
+	b, err2 := parseVertex(v)
+	if err1 != nil || err2 != nil || a == b {
+		return [2]int{}, fmt.Errorf("invalid edge %q: want a u-v pair of distinct vertices", field)
+	}
+	return [2]int{a, b}, nil
+}
+
+// parseTransaction parses one vertex:item,item,... entry; the server resolves the items.
+func parseTransaction(field string) (server.UpdateTransaction, error) {
+	vs, rest, _ := strings.Cut(field, ":")
+	v, err := parseVertex(vs)
+	items := fields(rest, ",")
+	if err != nil || len(items) == 0 {
+		return server.UpdateTransaction{}, fmt.Errorf("invalid transaction %q: want vertex:item,item,...", field)
+	}
+	return server.UpdateTransaction{Vertex: v, Items: items}, nil
+}
+
+// fields splits a separated list into its trimmed, non-empty fields.
+func fields(raw, sep string) []string {
 	var out []string
 	for _, field := range strings.Split(raw, sep) {
 		if field = strings.TrimSpace(field); field != "" {
@@ -206,107 +206,4 @@ func splitFields(raw, sep string) []string {
 		}
 	}
 	return out
-}
-
-// parseEdgePair parses one u-v pair.
-func parseEdgePair(field string) (int, int, error) {
-	u, v, ok := strings.Cut(field, "-")
-	if !ok {
-		return 0, 0, fmt.Errorf("edge %q is not a u-v pair", field)
-	}
-	a, err1 := strconv.Atoi(strings.TrimSpace(u))
-	b, err2 := strconv.Atoi(strings.TrimSpace(v))
-	if err1 != nil || err2 != nil || a == b ||
-		a < 0 || a > math.MaxInt32 || b < 0 || b > math.MaxInt32 {
-		return 0, 0, fmt.Errorf("invalid edge %q", field)
-	}
-	return a, b, nil
-}
-
-// appendEdges parses a comma-separated list of u-v pairs into graph edges.
-func appendEdges(edges []graph.Edge, raw string) ([]graph.Edge, error) {
-	for _, field := range splitFields(raw, ",") {
-		a, b, err := parseEdgePair(field)
-		if err != nil {
-			return nil, err
-		}
-		edges = append(edges, graph.EdgeOf(graph.VertexID(a), graph.VertexID(b)))
-	}
-	return edges, nil
-}
-
-// appendEdgePairs parses the same list into wire-format pairs.
-func appendEdgePairs(edges [][2]int, raw string) ([][2]int, error) {
-	for _, field := range splitFields(raw, ",") {
-		a, b, err := parseEdgePair(field)
-		if err != nil {
-			return nil, err
-		}
-		edges = append(edges, [2]int{a, b})
-	}
-	return edges, nil
-}
-
-// appendVertices parses a comma-separated vertex id list.
-func appendVertices(vs []graph.VertexID, raw string) ([]graph.VertexID, error) {
-	for _, field := range splitFields(raw, ",") {
-		v, err := strconv.Atoi(field)
-		if err != nil || v < 0 || v > math.MaxInt32 {
-			return nil, fmt.Errorf("invalid vertex %q", field)
-		}
-		vs = append(vs, graph.VertexID(v))
-	}
-	return vs, nil
-}
-
-// parseTxEntry parses one vertex:item,item,... entry into its vertex and raw
-// item fields.
-func parseTxEntry(field string) (int, []string, error) {
-	vs, rest, ok := strings.Cut(field, ":")
-	if !ok {
-		return 0, nil, fmt.Errorf("transaction %q is not a vertex:items entry", field)
-	}
-	v, err := strconv.Atoi(strings.TrimSpace(vs))
-	if err != nil || v < 0 || v > math.MaxInt32 {
-		return 0, nil, fmt.Errorf("invalid vertex in %q", field)
-	}
-	items := splitFields(rest, ",")
-	if len(items) == 0 {
-		return 0, nil, fmt.Errorf("transaction %q has no items", field)
-	}
-	return v, items, nil
-}
-
-// appendTransactions parses semicolon-separated vertex:item,item,... entries,
-// resolving items through the dictionary.
-func appendTransactions(txs []delta.VertexTransaction, raw string, dict *itemset.Dictionary) ([]delta.VertexTransaction, error) {
-	for _, field := range splitFields(raw, ";") {
-		v, names, err := parseTxEntry(field)
-		if err != nil {
-			return nil, err
-		}
-		var items []itemset.Item
-		for _, name := range names {
-			it, err := delta.ResolveItem(name, dict)
-			if err != nil {
-				return nil, err
-			}
-			items = append(items, it)
-		}
-		txs = append(txs, delta.VertexTransaction{Vertex: graph.VertexID(v), Tx: itemset.New(items...)})
-	}
-	return txs, nil
-}
-
-// appendTxEntries parses the same entries into wire-format transactions,
-// leaving item names for the server to resolve.
-func appendTxEntries(txs []server.UpdateTransaction, raw string) ([]server.UpdateTransaction, error) {
-	for _, field := range splitFields(raw, ";") {
-		v, names, err := parseTxEntry(field)
-		if err != nil {
-			return nil, err
-		}
-		txs = append(txs, server.UpdateTransaction{Vertex: v, Items: names})
-	}
-	return txs, nil
 }

@@ -68,11 +68,6 @@ type Options struct {
 	// alongside MaxResidentShards across every network: the summed size of
 	// resident lazy shards' mapped files. Zero or negative means unlimited.
 	MaxResidentBytes int64
-	// NetworkWorkers bounds how many networks a cross-network call
-	// (QueryAll, TopKAll) queries concurrently. Zero or negative means
-	// GOMAXPROCS. Per-network traversal parallelism is bounded separately by
-	// Workers inside each engine.
-	NetworkWorkers int
 	// Recorder is passed through to every member engine
 	// (engine.Options.Recorder): each tenant's queries report to the one
 	// injected recorder under the tenant's name, so a single observer serves
@@ -248,11 +243,7 @@ func New(opts Options) *Federation {
 	if opts.CacheSize > 0 {
 		f.cache = engine.NewResultCache(opts.CacheSize)
 	}
-	netWorkers := opts.NetworkWorkers
-	if netWorkers <= 0 {
-		netWorkers = runtime.GOMAXPROCS(0)
-	}
-	f.netSem = make(chan struct{}, netWorkers)
+	f.netSem = make(chan struct{}, runtime.GOMAXPROCS(0))
 	return f
 }
 
@@ -433,7 +424,7 @@ func (f *Federation) snapshot(resolve PatternResolver) []networkTask {
 
 // forEach runs fn once per attached network on the bounded network pool,
 // admitting networks in name order. The pool slot is acquired before the
-// goroutine is spawned, so at most NetworkWorkers goroutines exist at once.
+// goroutine is spawned, so at most GOMAXPROCS goroutines exist at once.
 // It returns the tasks in name order after every fn returned.
 func (f *Federation) forEach(resolve PatternResolver, fn func(t networkTask)) []networkTask {
 	tasks := f.snapshot(resolve)
@@ -469,7 +460,7 @@ type NetworkResult struct {
 // the query pattern into each tenant's item space (dictionaries intern
 // independently, so the same theme has different item identifiers per
 // network; Constant serves a shared item space). Networks are queried
-// concurrently (bounded by Options.NetworkWorkers), admitted in name order;
+// concurrently (at most GOMAXPROCS at once), admitted in name order;
 // each network's own planner, cache namespace and worker pool serve its
 // share exactly as a direct Engine.QueryContext would, so per-network
 // answers match standalone engines. The context reaches every member engine: the request correlation

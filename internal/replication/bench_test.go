@@ -107,7 +107,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer j.Close()
-		p := NewPrimary(j, PrimaryOptions{CheckpointInterval: -1})
+		p := NewPrimary(j, Options{CheckpointInterval: -1})
 		if err := p.Add(n); err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer j.Close()
-		p := NewPrimary(j, PrimaryOptions{CheckpointInterval: -1})
+		p := NewPrimary(j, Options{CheckpointInterval: -1})
 		names := make([]string, tenants)
 		deltas := make(map[string][2]*delta.Delta, tenants)
 		for i := 0; i < tenants; i++ {

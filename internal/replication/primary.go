@@ -7,8 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"math"
-	"sync"
-	"time"
 
 	"themecomm/internal/delta"
 	"themecomm/internal/engine"
@@ -16,46 +14,23 @@ import (
 	"themecomm/internal/journal"
 )
 
-// DefaultCheckpointInterval is the background checkpoint cadence when
-// PrimaryOptions.CheckpointInterval is zero.
-const DefaultCheckpointInterval = 5 * time.Second
-
-// PrimaryOptions configures a Primary.
-type PrimaryOptions struct {
-	// CheckpointInterval is the cadence of the background checkpoint loop
-	// run by Start. Zero means DefaultCheckpointInterval; negative disables
-	// the loop (checkpoints then happen only through explicit Checkpoint
-	// calls and the final one in Stop).
-	CheckpointInterval time.Duration
-	// Logger, when non-nil, receives recovery and checkpoint log lines.
-	Logger *slog.Logger
-}
-
 // Primary is the writable replication role: updates are journaled, applied in
 // memory, and persisted by background checkpoints. Construct with NewPrimary,
 // Add every journaled network, then call Recover exactly once before the
 // first Apply — recovery replays the journal tail a previous process did not
 // checkpoint.
 type Primary struct {
-	j    *journal.Journal
-	opts PrimaryOptions
-
-	mu        sync.RWMutex
-	members   map[string]*member
-	recovered bool
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	role
+	j         *journal.Journal
+	recovered bool // guarded by mu
 }
 
 // NewPrimary wraps an open journal as a primary. The journal must not be
 // shared with another primary: sequence numbers are assigned by appending.
-func NewPrimary(j *journal.Journal, opts PrimaryOptions) *Primary {
-	if opts.CheckpointInterval == 0 {
-		opts.CheckpointInterval = DefaultCheckpointInterval
-	}
-	return &Primary{j: j, opts: opts, members: make(map[string]*member), stop: make(chan struct{})}
+func NewPrimary(j *journal.Journal, opts Options) *Primary {
+	p := &Primary{j: j}
+	p.init(opts)
+	return p
 }
 
 // Journal returns the primary's journal, for serving the replication feed
@@ -73,15 +48,11 @@ func (p *Primary) Add(n *federation.Network) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, dup := p.members[m.name]; dup {
-		return fmt.Errorf("replication: network %q is already a member", m.name)
-	}
 	if p.recovered {
 		m.applied = p.j.DurableSeq()
 		m.flushed = m.applied
 	}
-	p.members[m.name] = m
-	return nil
+	return p.addLocked(m)
 }
 
 // Member reports whether the named network is a journaled member.
@@ -235,62 +206,6 @@ func (p *Primary) Apply(name string, d *delta.Delta) (*ApplyResult, error) {
 	return &ApplyResult{Seq: seq, Result: res}, nil
 }
 
-// Checkpoint folds every member's in-memory progress into its on-disk index
-// and network file. Members checkpoint independently; the error joins the
-// per-member failures.
-func (p *Primary) Checkpoint() error {
-	var errs []error
-	for _, m := range p.memberList() {
-		if err := m.checkpoint(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Start launches the background checkpoint loop. It is a no-op when the
-// configured interval is negative.
-func (p *Primary) Start() {
-	if p.opts.CheckpointInterval < 0 {
-		return
-	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		ticker := time.NewTicker(p.opts.CheckpointInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-ticker.C:
-				if err := p.Checkpoint(); err != nil && p.opts.Logger != nil {
-					p.opts.Logger.Error("background checkpoint failed", slog.String("error", err.Error()))
-				}
-			}
-		}
-	}()
-}
-
-// Stop halts the background loop and runs one final checkpoint, so a clean
-// shutdown restarts with nothing to replay. The journal itself is left open;
-// closing it is the caller's responsibility.
-func (p *Primary) Stop() error {
-	p.stopOnce.Do(func() { close(p.stop) })
-	p.wg.Wait()
-	return p.Checkpoint()
-}
-
-func (p *Primary) memberList() []*member {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]*member, 0, len(p.members))
-	for _, m := range p.members {
-		out = append(out, m)
-	}
-	return out
-}
-
 // Status reports the primary's replication state.
 func (p *Primary) Status() Status {
 	js := p.j.Stats()
@@ -300,7 +215,7 @@ func (p *Primary) Status() Status {
 		Journal:    &js,
 		Networks:   make(map[string]NetworkStatus),
 	}
-	for _, m := range p.memberList() {
+	for _, m := range p.list() {
 		st.Networks[m.name] = m.status()
 	}
 	return st

@@ -1,10 +1,7 @@
 package replication
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,10 +16,10 @@ import (
 // order; each member skips the prefix its snapshot already includes.
 //
 // A replica checkpoints like a primary — folding replayed state into its
-// local index copy — so a restart resumes tailing from its own stamps.
+// local index copy, in the background between Start and Stop — so a restart
+// resumes tailing from its own stamps.
 type Replica struct {
-	mu      sync.RWMutex
-	members map[string]*member
+	role
 
 	processed      atomic.Uint64 // highest journal seq processed (applied or skipped)
 	head           atomic.Uint64 // primary durable head, as last observed
@@ -30,9 +27,12 @@ type Replica struct {
 	skippedUnknown atomic.Uint64 // records naming a network that is not a member
 }
 
-// NewReplica returns an empty replica; register members with Add.
-func NewReplica() *Replica {
-	return &Replica{members: make(map[string]*member)}
+// NewReplica returns an empty replica; register members with Add, then run
+// the checkpoint loop with Start.
+func NewReplica(opts Options) *Replica {
+	r := &Replica{}
+	r.init(opts)
+	return r
 }
 
 // Add registers a federation network as a replicated member. The member's
@@ -48,11 +48,7 @@ func (r *Replica) Add(n *federation.Network) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.members[m.name]; dup {
-		return fmt.Errorf("replication: network %q is already a member", m.name)
-	}
-	r.members[m.name] = m
-	return nil
+	return r.addLocked(m)
 }
 
 // From returns the journal position to resume tailing from: the tailer
@@ -63,10 +59,8 @@ func (r *Replica) From() uint64 {
 	if p := r.processed.Load(); p > 0 {
 		return p
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	floor := uint64(math.MaxUint64)
-	for _, m := range r.members {
+	for _, m := range r.list() {
 		m.mu.Lock()
 		if m.applied < floor {
 			floor = m.applied
@@ -113,24 +107,6 @@ func (r *Replica) ObserveHead(seq uint64) {
 	}
 }
 
-// Checkpoint persists every member's replayed state into the replica's local
-// index and network files, so a restart resumes from here.
-func (r *Replica) Checkpoint() error {
-	r.mu.RLock()
-	members := make([]*member, 0, len(r.members))
-	for _, m := range r.members {
-		members = append(members, m)
-	}
-	r.mu.RUnlock()
-	var errs []error
-	for _, m := range members {
-		if err := m.checkpoint(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // SkippedUnknown returns how many tailed records named a network that is not
 // a member of this replica.
 func (r *Replica) SkippedUnknown() uint64 { return r.skippedUnknown.Load() }
@@ -160,10 +136,8 @@ func (r *Replica) Status() Status {
 			}
 		}
 	}
-	r.mu.RLock()
-	for name, m := range r.members {
-		st.Networks[name] = m.status()
+	for _, m := range r.list() {
+		st.Networks[m.name] = m.status()
 	}
-	r.mu.RUnlock()
 	return st
 }

@@ -42,13 +42,127 @@ package replication
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"log"
+	"log/slog"
 	"sync"
+	"time"
 
 	"themecomm/internal/delta"
 	"themecomm/internal/federation"
 	"themecomm/internal/journal"
 )
+
+// DefaultCheckpointInterval is the background checkpoint cadence when
+// Options.CheckpointInterval is zero.
+const DefaultCheckpointInterval = 5 * time.Second
+
+// Options configures a replication role, primary or replica.
+type Options struct {
+	// CheckpointInterval is the cadence of the background checkpoint loop
+	// run by Start. Zero means DefaultCheckpointInterval; negative disables
+	// the loop (checkpoints then happen only through explicit Checkpoint
+	// calls and the final one in Stop).
+	CheckpointInterval time.Duration
+	// Logger, when non-nil, receives recovery and checkpoint log lines;
+	// without one, a failed background checkpoint goes to the standard log.
+	Logger *slog.Logger
+}
+
+// PrimaryOptions is the name cmd/tcload configures a Primary by.
+type PrimaryOptions = Options
+
+// role is what the primary and the replica share: the member set and the
+// background loop that checkpoints it.
+type role struct {
+	opts Options
+
+	mu      sync.RWMutex
+	members map[string]*member
+
+	stopOnce sync.Once
+	stop     chan struct{}
+	wg       sync.WaitGroup
+}
+
+func (r *role) init(opts Options) {
+	if opts.CheckpointInterval == 0 {
+		opts.CheckpointInterval = DefaultCheckpointInterval
+	}
+	r.opts, r.members, r.stop = opts, make(map[string]*member), make(chan struct{})
+}
+
+// addLocked registers m; the caller holds r.mu.
+func (r *role) addLocked(m *member) error {
+	if _, dup := r.members[m.name]; dup {
+		return fmt.Errorf("replication: network %q is already a member", m.name)
+	}
+	r.members[m.name] = m
+	return nil
+}
+
+// list snapshots the members.
+func (r *role) list() []*member {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]*member, 0, len(r.members))
+	for _, m := range r.members {
+		out = append(out, m)
+	}
+	return out
+}
+
+// Checkpoint folds every member's in-memory progress — journaled updates on
+// a primary, replayed records on a replica — into its on-disk index and
+// network file, so a restart resumes from here. Members checkpoint
+// independently; the error joins the per-member failures.
+func (r *role) Checkpoint() error {
+	var errs []error
+	for _, m := range r.list() {
+		if err := m.checkpoint(); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// Start launches the background checkpoint loop. It is a no-op when the
+// configured interval is negative.
+func (r *role) Start() {
+	if r.opts.CheckpointInterval < 0 {
+		return
+	}
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		ticker := time.NewTicker(r.opts.CheckpointInterval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-r.stop:
+				return
+			case <-ticker.C:
+				switch err := r.Checkpoint(); {
+				case err == nil:
+				case r.opts.Logger != nil:
+					r.opts.Logger.Error("background checkpoint failed", slog.String("error", err.Error()))
+				default: // a failed persist is reported even without a logger
+					log.Printf("background checkpoint failed: %v", err)
+				}
+			}
+		}
+	}()
+}
+
+// Stop halts the background loop and runs one final checkpoint, so a clean
+// shutdown restarts with nothing to replay. A primary's journal is left
+// open; closing it is the caller's responsibility.
+func (r *role) Stop() error {
+	r.stopOnce.Do(func() { close(r.stop) })
+	r.wg.Wait()
+	return r.Checkpoint()
+}
 
 // member is one replicated tenant: a federation network plus its replication
 // watermarks.

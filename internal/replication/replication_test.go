@@ -5,11 +5,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/delta"
@@ -162,7 +165,7 @@ func openPrimary(t *testing.T, dir string, names ...string) (*Primary, *federati
 		t.Fatalf("open journal: %v", err)
 	}
 	t.Cleanup(func() { j.Close() })
-	p := NewPrimary(j, PrimaryOptions{CheckpointInterval: -1})
+	p := NewPrimary(j, Options{CheckpointInterval: -1})
 	for _, name := range names {
 		sub := filepath.Join(dir, name)
 		nw, dict, err := dbnet.ReadFile(filepath.Join(sub, "network.dbnet"))
@@ -414,11 +417,11 @@ func copyTree(t *testing.T, src, dst string) {
 }
 
 // openReplica loads every named tenant from dir/<name> into its own
-// federation and registers them with a fresh Replica.
-func openReplica(t *testing.T, dir string, names ...string) (*Replica, *federation.Federation) {
+// federation and registers them with a fresh Replica configured by opts.
+func openReplica(t *testing.T, dir string, opts Options, names ...string) (*Replica, *federation.Federation) {
 	t.Helper()
 	fed := federation.New(federation.Options{CacheSize: 64})
-	rep := NewReplica()
+	rep := NewReplica(opts)
 	for _, name := range names {
 		sub := filepath.Join(dir, name)
 		nw, dict, err := dbnet.ReadFile(filepath.Join(sub, "network.dbnet"))
@@ -508,7 +511,7 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 	// The primary moves on; these records exist only in its journal.
 	applyBurst(2)
 
-	rep, rfed := openReplica(t, rdir, "a", "b")
+	rep, rfed := openReplica(t, rdir, Options{}, "a", "b")
 	// The snapshot floors differ per member ("a" checkpointed at seq 3, "b"
 	// at 4); tailing starts at the slowest and the faster member skips.
 	if from := rep.From(); from != 3 {
@@ -551,7 +554,7 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 	if err := rep.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	rep2, rfed2 := openReplica(t, rdir, "a", "b")
+	rep2, rfed2 := openReplica(t, rdir, Options{}, "a", "b")
 	if from := rep2.From(); from != 7 {
 		t.Fatalf("restarted From() = %d, want 7 (the slower member's checkpoint)", from)
 	}
@@ -572,6 +575,102 @@ func TestReplicaFollowsPrimary(t *testing.T) {
 	if st := rep2.Status(); st.LagRecords != 0 {
 		t.Fatalf("LagRecords = %d after catch-up, want 0", st.LagRecords)
 	}
+}
+
+// TestReplicaCheckpointLoop runs the replica's background checkpoints: a
+// started replica persists what it replays without an explicit Checkpoint,
+// and Stop returns only after a final checkpoint.
+func TestReplicaCheckpointLoop(t *testing.T) {
+	dir, rdir := t.TempDir(), t.TempDir()
+	rng := rand.New(rand.NewSource(3))
+	seedState(t, filepath.Join(dir, "a"), randomNetwork(rng, 14, 34, testItems, 3))
+	copyTree(t, filepath.Join(dir, "a"), filepath.Join(rdir, "a"))
+	p, fed := openPrimary(t, dir, "a")
+	if _, err := p.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	apply := func(k int) {
+		for i := 0; i < k; i++ {
+			live, _ := fed.Network("a")
+			if _, err := p.Apply("a", randomDeltaFor(rng, live.DatabaseNetwork(), testItems)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	apply(2)
+
+	rep, _ := openReplica(t, rdir, Options{CheckpointInterval: 5 * time.Millisecond}, "a")
+	rep.Start()
+	tailInto(t, p, rep)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if ns := rep.Status().Networks["a"]; ns.AppliedSeq == 2 && ns.FlushedSeq == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the checkpoint loop never flushed: %+v", rep.Status().Networks["a"])
+		}
+	}
+	if err := rep.Stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The loop's checkpoint is on disk: a restart resumes after it. With an
+	// interval that never ticks, only Stop's final checkpoint persists the
+	// next record.
+	apply(1)
+	rep2, _ := openReplica(t, rdir, Options{CheckpointInterval: time.Hour}, "a")
+	if from := rep2.From(); from != 2 {
+		t.Fatalf("restarted From() = %d, want 2", from)
+	}
+	rep2.Start()
+	tailInto(t, p, rep2)
+	if ns := rep2.Status().Networks["a"]; ns.AppliedSeq != 3 || ns.FlushedSeq != 2 {
+		t.Fatalf("before Stop: %+v, want applied 3, flushed 2", ns)
+	}
+	if err := rep2.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if ns := rep2.Status().Networks["a"]; ns.FlushedSeq != 3 {
+		t.Fatalf("after Stop: %+v, want flushed 3", ns)
+	}
+	rep3, _ := openReplica(t, rdir, Options{CheckpointInterval: 5 * time.Millisecond}, "a")
+	if from := rep3.From(); from != 3 {
+		t.Fatalf("From() after Stop = %d, want 3", from)
+	}
+
+	// Without a logger, a checkpoint the loop cannot persist still reaches
+	// the standard log.
+	logged := make(chanWriter, 1)
+	log.SetOutput(logged)
+	defer log.SetOutput(os.Stderr)
+	if err := os.Mkdir(filepath.Join(rdir, "a", "network.dbnet.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	apply(1)
+	rep3.Start()
+	tailInto(t, p, rep3)
+	select {
+	case line := <-logged:
+		if !strings.Contains(line, "background checkpoint failed") {
+			t.Errorf("logged %q, want a checkpoint failure", line)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("a failing background checkpoint logged nothing")
+	}
+	if err := rep3.Stop(); err == nil {
+		t.Error("Stop's final checkpoint succeeded with the write-back blocked")
+	}
+}
+
+// chanWriter passes each write on as a line, dropping it when nobody waits.
+type chanWriter chan string
+
+func (c chanWriter) Write(p []byte) (int, error) {
+	select {
+	case c <- string(p):
+	default:
+	}
+	return len(p), nil
 }
 
 // TestPrimaryApplyGuards covers the refusal paths: unknown networks, invalid

@@ -1,0 +1,70 @@
+package server
+
+import (
+	"context"
+	"net"
+	"net/http"
+	"path/filepath"
+	"time"
+
+	"themecomm/internal/federation"
+)
+
+// Local is an index served on an in-process loopback listener: the way the
+// command-line tools open an index, so that they answer and update through
+// the same HTTP client as against a running tcserver.
+type Local struct {
+	// URL is the server's base URL.
+	URL string
+	// Network is the served network.
+	Network *federation.Network
+
+	srv  *http.Server
+	done chan struct{}
+}
+
+// ServeLocal opens an index directory the way tcserver -tree does — attached
+// through AttachIndexDir to a one-network federation, named after the
+// directory (resolved, so "." names the working directory), with netPath (may be empty) as its database network — and
+// serves it on a 127.0.0.1 listener. It keeps no result cache, which a
+// one-shot process never hits. A read-only server answers every update 403;
+// a writable one applies updates like tcserver without -journal, writing
+// each back to netPath and the index before it answers. workers bounds the
+// shard-traversal parallelism (0 = GOMAXPROCS).
+func ServeLocal(indexPath, netPath string, workers int, readOnly bool) (*Local, error) {
+	abs, err := filepath.Abs(indexPath)
+	if err != nil {
+		return nil, err
+	}
+	fed := federation.New(federation.Options{Workers: workers})
+	name := federation.NetworkName(abs)
+	if err := fed.AttachIndexDir(name, indexPath, netPath); err != nil {
+		return nil, err
+	}
+	h, err := New(nil, Options{Federation: fed, ReadOnly: readOnly})
+	if err != nil {
+		return nil, err
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	n, _ := fed.Network(name)
+	l := &Local{URL: "http://" + ln.Addr().String(), Network: n,
+		srv: &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}, done: make(chan struct{})}
+	go func() {
+		defer close(l.done)
+		_ = l.srv.Serve(ln) // ErrServerClosed after Close; any earlier failure fails the client's request
+	}()
+	return l, nil
+}
+
+// Close shuts the server down once every request in flight has finished or
+// ctx is done, so an update that has begun its checkpoint completes it
+// before the process can exit.
+func (l *Local) Close(ctx context.Context) {
+	if l.srv.Shutdown(ctx) != nil {
+		l.srv.Close()
+	}
+	<-l.done
+}

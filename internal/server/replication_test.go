@@ -61,7 +61,7 @@ func newPrimaryServer(t *testing.T) (*Server, *replication.Primary) {
 		t.Fatalf("open journal: %v", err)
 	}
 	t.Cleanup(func() { j.Close() })
-	p := replication.NewPrimary(j, replication.PrimaryOptions{CheckpointInterval: -1})
+	p := replication.NewPrimary(j, replication.Options{CheckpointInterval: -1})
 	n, _ := fed.Network("alpha")
 	if err := p.Add(n); err != nil {
 		t.Fatalf("Add: %v", err)
