@@ -9,6 +9,7 @@ package itemset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,8 +71,8 @@ func (s Itemset) Clone() Itemset {
 
 // Contains reports whether item it is a member of s.
 func (s Itemset) Contains(it Item) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= it })
-	return i < len(s) && s[i] == it
+	_, found := slices.BinarySearch(s, it)
+	return found
 }
 
 // ContainsAll reports whether sub ⊆ s.

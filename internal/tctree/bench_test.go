@@ -130,9 +130,11 @@ var scanAlphas = [...]float64{0.5, 1, 1.5, 2, 3}
 var benchAnswer ShardAnswer
 
 // BenchmarkShardCommunities measures the read kernel where the served path
-// runs it: one query-by-alpha over every shard of the read workloads' index
-// (AMINER at scale 0.5, TCBIN shards decoded in place), cycling the qba-scan
-// α grid — traversal, level decode and community split, no engine around it.
+// runs it: one op is a query-by-alpha over every shard of the read workloads'
+// index (AMINER at scale 0.5, TCBIN shards decoded in place) at every α of
+// the qba-scan grid — traversal, level decode and community split, no engine
+// around it. Every op does the same work, so communities/op is a constant
+// and ns/op compares across runs.
 func BenchmarkShardCommunities(b *testing.B) {
 	ds, err := gen.AMiner(0.5)
 	if err != nil {
@@ -148,9 +150,11 @@ func BenchmarkShardCommunities(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, sh := range shards {
-			benchAnswer = sh.QuerySub(universe, scanAlphas[i%len(scanAlphas)])
-			communities += len(benchAnswer.Communities)
+		for _, alpha := range scanAlphas {
+			for _, sh := range shards {
+				benchAnswer = sh.QuerySub(universe, alpha)
+				communities += len(benchAnswer.Communities)
+			}
 		}
 	}
 	b.ReportMetric(float64(communities)/float64(b.N), "communities/op")

@@ -501,11 +501,18 @@ func (b *BinShard) nodeMaxAlpha(i uint32) float64 {
 	return a
 }
 
-// liveLevels decodes the levels of node i that are live at α_q into the
-// scratch buffers — the one copy the read makes of an edge — the counterpart
-// of Decomposition.LiveLevels on a pointer tree.
-func (b *BinShard) liveLevels(sc *readScratch, i uint32, alphaQ float64) []truss.Level {
-	ls, lc := b.nodeU32(i, binNodeLevelStart), b.nodeU32(i, binNodeLevelCount)
+// liveLevels decodes node i for the read kernel: its frequency run's
+// vertices — C*_p(0)'s vertex set, ascending, the kernel's numbering — and
+// the levels live at α_q, into the scratch buffers. It is the one copy the
+// read makes of an edge, and the counterpart of Decomposition.LiveLevels on a
+// pointer tree.
+func (b *BinShard) liveLevels(sc *readScratch, i uint32, alphaQ float64) ([]graph.VertexID, []truss.Level) {
+	fs, fc := b.run(i, binNodeFreqStart)
+	run := slices.Grow(sc.run[:0], int(fc))
+	for f := fs; f < fs+fc; f++ {
+		run = append(run, graph.VertexID(int32(binLE.Uint32(b.freq[uint64(f)*binFreqSize:]))))
+	}
+	ls, lc := b.run(i, binNodeLevelStart)
 	total := 0
 	for l := ls; l < ls+lc; l++ {
 		if alpha, _, ec := b.levelAt(l); truss.LevelLive(alpha, alphaQ) {
@@ -526,8 +533,8 @@ func (b *BinShard) liveLevels(sc *readScratch, i uint32, alphaQ float64) []truss
 		}
 		levels = append(levels, truss.Level{Alpha: alpha, Removed: edges[start:]})
 	}
-	sc.edges, sc.levels = edges, levels
-	return levels
+	sc.run, sc.edges, sc.levels = run, edges, levels
+	return run, levels
 }
 
 func (b *BinShard) RootItem() itemset.Item { return b.item }
@@ -558,7 +565,8 @@ func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 		pat itemset.Itemset
 	}
 	rootPat := itemset.New(b.item)
-	res.retrieve(sc, rootPat, b.liveLevels(sc, 0, alphaQ))
+	run, live := b.liveLevels(sc, 0, alphaQ)
+	res.retrieve(sc, rootPat, run, live)
 	queue := []frame{{0, rootPat}}
 	for len(queue) > 0 {
 		f := queue[0]
@@ -575,7 +583,8 @@ func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 				continue
 			}
 			pat := f.pat.Add(it)
-			res.retrieve(sc, pat, b.liveLevels(sc, ci, alphaQ))
+			run, live := b.liveLevels(sc, ci, alphaQ)
+			res.retrieve(sc, pat, run, live)
 			queue = append(queue, frame{ci, pat})
 		}
 	}
@@ -602,7 +611,8 @@ func (b *BinShard) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 	}
 	rootPat := itemset.New(b.item)
 	if need0 == q.Len() {
-		res.retrieve(sc, rootPat, b.liveLevels(sc, 0, alphaQ))
+		run, live := b.liveLevels(sc, 0, alphaQ)
+		res.retrieve(sc, rootPat, run, live)
 	}
 	queue := []frame{{0, rootPat, need0}}
 	for len(queue) > 0 {
@@ -627,7 +637,8 @@ func (b *BinShard) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 			}
 			pat := f.pat.Add(it)
 			if need == q.Len() {
-				res.retrieve(sc, pat, b.liveLevels(sc, ci, alphaQ))
+				run, live := b.liveLevels(sc, ci, alphaQ)
+				res.retrieve(sc, pat, run, live)
 			}
 			queue = append(queue, frame{ci, pat, need})
 		}

@@ -1,6 +1,8 @@
 package tctree
 
 import (
+	"slices"
+
 	"themecomm/internal/itemset"
 	"themecomm/internal/truss"
 )
@@ -14,6 +16,19 @@ type NodeView struct {
 
 // NewNodeView wraps a shard subtree.
 func NewNodeView(root *Node) *NodeView { return &NodeView{root: root} }
+
+// retrieveNode hands node n to the read kernel as a BinShard hands over its
+// record: the vertex run is the keys of the decomposition's Freq, sorted into
+// the scratch, and the levels are those live at α_q.
+func retrieveNode(res *ShardAnswer, sc *readScratch, n *Node, alphaQ float64) {
+	run := sc.run[:0]
+	for v := range n.Decomp.Freq {
+		run = append(run, v)
+	}
+	slices.Sort(run)
+	sc.run = run
+	res.retrieve(sc, n.Pattern, run, n.Decomp.LiveLevels(alphaQ))
+}
 
 func (v *NodeView) RootItem() itemset.Item { return v.root.Item }
 
@@ -29,7 +44,7 @@ func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 	}
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
-	res.retrieve(sc, v.root.Pattern, v.root.Decomp.LiveLevels(alphaQ))
+	retrieveNode(&res, sc, v.root, alphaQ)
 	queue := []*Node{v.root}
 	for len(queue) > 0 {
 		nf := queue[0]
@@ -42,7 +57,7 @@ func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 			if !truss.LevelLive(nc.Decomp.MaxAlpha(), alphaQ) {
 				continue
 			}
-			res.retrieve(sc, nc.Pattern, nc.Decomp.LiveLevels(alphaQ))
+			retrieveNode(&res, sc, nc, alphaQ)
 			queue = append(queue, nc)
 		}
 	}
@@ -67,7 +82,7 @@ func (v *NodeView) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
 	if need == q.Len() {
-		res.retrieve(sc, v.root.Pattern, v.root.Decomp.LiveLevels(alphaQ))
+		retrieveNode(&res, sc, v.root, alphaQ)
 	}
 	type frame struct {
 		n    *Node
@@ -92,7 +107,7 @@ func (v *NodeView) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 				continue
 			}
 			if need == q.Len() {
-				res.retrieve(sc, c.Pattern, c.Decomp.LiveLevels(alphaQ))
+				retrieveNode(&res, sc, c, alphaQ)
 			}
 			queue = append(queue, frame{c, need})
 		}

@@ -14,8 +14,9 @@ import (
 // file, or over heap bytes an update or an in-process build just encoded.
 // The read kernel's tests hold it against NodeView (nodeview_test.go), the
 // same traversals over a pointer subtree: both visit the same nodes in the
-// same order and hand every retrieved node's live removal levels to the same
-// kernel (truss.Splitter), so their answers are identical, counters included.
+// same order and hand every retrieved node's vertex run and live removal
+// levels to the same kernel (truss.Splitter), so their answers are
+// identical, counters included.
 //
 // A traversal answers with theme communities as flat records, never with
 // trusses: a retrieved node costs one pass over its live edges, two
@@ -62,10 +63,11 @@ type ShardAnswer struct {
 }
 
 // retrieve records one retrieved node: the read kernel splits its live levels
-// into communities, gathered in the scratch until finish. It is the one
-// place either view turns levels into records.
-func (res *ShardAnswer) retrieve(sc *readScratch, pattern itemset.Itemset, live []truss.Level) {
-	sc.found = sc.split.Split(pattern, live, sc.found)
+// into communities over the node's vertex run — its vertices, ascending, the
+// numbering the kernel indexes by — gathered in the scratch until finish. It
+// is the one place either view turns levels into records.
+func (res *ShardAnswer) retrieve(sc *readScratch, pattern itemset.Itemset, run []graph.VertexID, live []truss.Level) {
+	sc.found = sc.split.Split(pattern, live, sc.found, run...)
 	res.Retrieved++
 }
 
@@ -82,11 +84,12 @@ func (res *ShardAnswer) finish(sc *readScratch) {
 }
 
 // readScratch is what one shard traversal borrows for its duration: the read
-// kernel's buffers, the communities found so far, and the buffers a BinShard
-// decodes a node's live levels into before handing them over.
+// kernel's buffers, the communities found so far, and the buffers a view
+// fills with a node's vertex run and live levels before handing them over.
 type readScratch struct {
 	split  truss.Splitter
 	found  []truss.Community
+	run    []graph.VertexID
 	levels []truss.Level
 	edges  []graph.Edge
 }
