@@ -47,6 +47,7 @@ var (
 	benchBKSmall *dbnet.Network
 	benchAM      gen.Dataset
 	benchTree    *tctree.Tree
+	benchIndex   *tctree.Index
 )
 
 // benchSetup generates the shared networks and index once for the micro and
@@ -70,6 +71,9 @@ func benchSetup(b *testing.B) {
 			panic(err)
 		}
 		benchTree = tctree.Build(benchBK, tctree.BuildOptions{MaxDepth: 3})
+		if benchIndex, err = tctree.BuildIndex(benchBK, tctree.BuildOptions{MaxDepth: 3}); err != nil {
+			panic(err)
+		}
 	})
 }
 
@@ -288,11 +292,11 @@ func BenchmarkDecomposition(b *testing.B) {
 	}
 }
 
-// benchEngine serves the shared BK TC-Tree without a result cache, the way
+// benchEngine serves the shared BK index without a result cache, the way
 // the Figure 5 experiments query it.
 func benchEngine(b *testing.B) *engine.Engine {
 	benchSetup(b)
-	eng, err := engine.New(benchTree, engine.Options{})
+	eng, err := engine.New(benchIndex, engine.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -343,8 +347,9 @@ func fullPattern(b *testing.B, tree *tctree.Tree) themecomm.Itemset {
 }
 
 var (
-	benchShardOnce sync.Once
-	benchShardTree *tctree.Tree
+	benchShardOnce  sync.Once
+	benchShardTree  *tctree.Tree
+	benchShardIndex *tctree.Index
 )
 
 // benchShardSetup builds a synthetic multi-item network designed for the
@@ -370,6 +375,10 @@ func benchShardSetup(b *testing.B) {
 			}
 		}
 		benchShardTree = tctree.Build(nw, tctree.BuildOptions{})
+		var err error
+		if benchShardIndex, err = tctree.BuildIndex(nw, tctree.BuildOptions{}); err != nil {
+			panic(err)
+		}
 	})
 }
 
@@ -388,7 +397,7 @@ func BenchmarkEngineShardedVsSequential(b *testing.B) {
 		}
 	})
 	for _, workers := range []int{1, 2, 4, 8} {
-		eng, err := engine.New(benchShardTree, engine.Options{Workers: workers})
+		eng, err := engine.New(benchShardIndex, engine.Options{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -407,7 +416,7 @@ func BenchmarkEngineShardedVsSequential(b *testing.B) {
 func BenchmarkEngineCacheColdVsWarm(b *testing.B) {
 	benchSetup(b)
 	q := fullPattern(b, benchTree)
-	cold, err := engine.New(benchTree, engine.Options{Workers: 4})
+	cold, err := engine.New(benchIndex, engine.Options{Workers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -416,7 +425,7 @@ func BenchmarkEngineCacheColdVsWarm(b *testing.B) {
 			cold.QueryContext(context.Background(), q, 0.1)
 		}
 	})
-	warm, err := engine.New(benchTree, engine.Options{Workers: 4, CacheSize: 64})
+	warm, err := engine.New(benchIndex, engine.Options{Workers: 4, CacheSize: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -443,7 +452,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 		engine.Request{Alpha: 0.2},
 		engine.Request{Alpha: 0.5},
 	)
-	eng, err := engine.New(benchShardTree, engine.Options{Workers: 4})
+	eng, err := engine.New(benchShardIndex, engine.Options{Workers: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -470,7 +479,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 func BenchmarkEngineColdStartFullVsLazy(b *testing.B) {
 	benchShardSetup(b)
 	shardDir := filepath.Join(b.TempDir(), "bench.index")
-	if _, err := benchShardTree.WriteSharded(shardDir); err != nil {
+	if _, err := benchShardIndex.Write(shardDir); err != nil {
 		b.Fatal(err)
 	}
 	q := themecomm.NewItemset(benchShardTree.Root().Children[0].Item)
@@ -484,13 +493,7 @@ func BenchmarkEngineColdStartFullVsLazy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng, err := engine.New(tree, engine.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := eng.QueryContext(context.Background(), q, 0); err != nil {
-				b.Fatal(err)
-			}
+			tree.Query(q, 0)
 		}
 	})
 	b.Run("lazy-load", func(b *testing.B) {

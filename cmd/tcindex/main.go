@@ -47,13 +47,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	tree, elapsed, mem := experiments.MeasureBuild(nw, themecomm.TreeBuildOptions{Parallelism: *workers, MaxDepth: *maxDepth})
-	manifest, err := themecomm.WriteShardedTree(tree, dir)
+	idx, elapsed, mem, err := experiments.MeasureBuild(nw, themecomm.TreeBuildOptions{Parallelism: *workers, MaxDepth: *maxDepth})
+	if err != nil {
+		log.Fatal(err)
+	}
+	manifest, err := idx.Write(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("indexed %s -> %s (%d %s shards + manifest)\n", *in, dir, len(manifest.Shards), manifest.Format)
 	fmt.Printf("  indexing time: %v\n", elapsed)
-	fmt.Printf("  memory:        %.1f MB (live heap of the build)\n", mem)
+	fmt.Printf("  memory:        %.1f MB (live heap of the built index)\n", mem)
+	fmt.Printf("  index:         %.1f MB (shard bytes)\n", float64(idx.SizeBytes())/(1<<20))
 	fmt.Printf("  #nodes:        %d (depth %d, max α %.4g)\n", manifest.TotalNodes(), manifest.Depth(), manifest.MaxAlpha())
 }

@@ -25,7 +25,7 @@ func writeNetwork(t *testing.T, dir, name string) (indexPath, netPath string) {
 		t.Fatal(err)
 	}
 	indexPath = filepath.Join(dir, name+".index")
-	if _, err := tctree.Build(d.Network, tctree.BuildOptions{}).WriteSharded(indexPath); err != nil {
+	if _, err := tctree.Build(d.Network, tctree.BuildOptions{}).WriteShardedAs(indexPath, tctree.FormatTCBIN); err != nil {
 		t.Fatal(err)
 	}
 	netPath = filepath.Join(dir, name+".dbnet")

@@ -29,7 +29,7 @@ func writeNetwork(t *testing.T, dir string) (tx0 string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tctree.Build(d.Network, tctree.BuildOptions{}).WriteSharded(filepath.Join(dir, "bk.index")); err != nil {
+	if _, err := tctree.Build(d.Network, tctree.BuildOptions{}).WriteShardedAs(filepath.Join(dir, "bk.index"), tctree.FormatTCBIN); err != nil {
 		t.Fatal(err)
 	}
 	if err := dbnet.WriteFile(filepath.Join(dir, "bk.dbnet"), d.Network, d.Dictionary); err != nil {

@@ -54,15 +54,18 @@ func ExampleMineTCFI() {
 	// largest theme: [coffee cake]
 }
 
-func ExampleBuildTree() {
+func ExampleBuildIndex() {
 	dict := themecomm.NewDictionary()
 	ski, chalet := dict.Intern("ski"), dict.Intern("chalet")
 	nw := buildCircle(ski, chalet)
 
-	// The tree joins a federation; the network's engine answers queries.
+	// The index joins a federation; the network's engine answers queries.
 	fed := themecomm.NewFederation(themecomm.FederationOptions{})
-	tree := themecomm.BuildTree(nw, themecomm.TreeBuildOptions{})
-	if err := fed.AttachTree("resort", tree, themecomm.FederationNetworkOptions{}); err != nil {
+	idx, err := themecomm.BuildIndex(nw, themecomm.TreeBuildOptions{})
+	if err != nil {
+		panic(err)
+	}
+	if err := fed.AttachBuilt("resort", idx, themecomm.FederationNetworkOptions{}); err != nil {
 		panic(err)
 	}
 	resort, _ := fed.Network("resort")

@@ -28,8 +28,11 @@ func main() {
 	// Build the TC-Tree once and serve it from a federation; every
 	// subsequent query is interactive.
 	fed := themecomm.NewFederation(themecomm.FederationOptions{})
-	tree := themecomm.BuildTree(d.Network, themecomm.TreeBuildOptions{MaxDepth: 4})
-	if err := fed.AttachTree("aminer", tree, themecomm.FederationNetworkOptions{Dictionary: d.Dictionary}); err != nil {
+	idx, err := themecomm.BuildIndex(d.Network, themecomm.TreeBuildOptions{MaxDepth: 4})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := fed.AttachBuilt("aminer", idx, themecomm.FederationNetworkOptions{Dictionary: d.Dictionary}); err != nil {
 		log.Fatal(err)
 	}
 	aminer, _ := fed.Network("aminer")

@@ -53,11 +53,14 @@ func main() {
 	}
 
 	// The same answer can be served from the TC-Tree index without re-mining,
-	// for any α and any query pattern: the tree joins a federation, and the
+	// for any α and any query pattern: the index joins a federation, and the
 	// network's engine answers.
 	fed := themecomm.NewFederation(themecomm.FederationOptions{})
-	tree := themecomm.BuildTree(nw, themecomm.TreeBuildOptions{})
-	if err := fed.AttachTree("shop", tree, themecomm.FederationNetworkOptions{Dictionary: dict}); err != nil {
+	idx, err := themecomm.BuildIndex(nw, themecomm.TreeBuildOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := fed.AttachBuilt("shop", idx, themecomm.FederationNetworkOptions{Dictionary: dict}); err != nil {
 		log.Fatal(err)
 	}
 	shop, _ := fed.Network("shop")

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"themecomm"
+	"themecomm/internal/tctree"
 )
 
 func TestEndToEndPipeline(t *testing.T) {
@@ -42,12 +43,21 @@ func TestEndToEndPipeline(t *testing.T) {
 	// 3. Mine it and index it; the index must agree with the miner at any α.
 	const alpha = 0.2
 	mined := themecomm.MineTCFI(nw, themecomm.MiningOptions{Alpha: alpha, MaxPatternLength: 3})
-	tree := themecomm.BuildTree(nw, themecomm.TreeBuildOptions{MaxDepth: 3})
-	if answer := tree.MiningResult(alpha); !answer.Equal(mined) {
-		t.Fatalf("index answer (NP=%d) differs from mining (NP=%d)", answer.NumPatterns(), mined.NumPatterns())
+	indexed := tctree.Build(nw, themecomm.TreeBuildOptions{MaxDepth: 3}).QueryByAlpha(alpha)
+	if indexed.RetrievedNodes != mined.NumPatterns() {
+		t.Fatalf("index answer (NP=%d) differs from mining (NP=%d)", indexed.RetrievedNodes, mined.NumPatterns())
 	}
-	if _, err := themecomm.WriteShardedTree(tree, indexPath); err != nil {
-		t.Fatalf("WriteShardedTree: %v", err)
+	for _, tr := range indexed.Trusses {
+		if want := mined.Truss(tr.Pattern); want == nil || !want.Edges.Equal(tr.Edges) {
+			t.Fatalf("index truss of %v differs from the mined one", tr.Pattern)
+		}
+	}
+	idx, err := themecomm.BuildIndex(nw, themecomm.TreeBuildOptions{MaxDepth: 3})
+	if err != nil {
+		t.Fatalf("BuildIndex: %v", err)
+	}
+	if _, err := idx.Write(indexPath); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
 
 	// 4. Reopen the index from disk, as a network of a federation, and

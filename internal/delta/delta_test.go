@@ -328,8 +328,8 @@ func TestShardedApplyDeltaParity(t *testing.T) {
 			continue
 		}
 		dir := t.TempDir()
-		if _, err := tree.WriteSharded(dir); err != nil {
-			t.Fatalf("seed %d: WriteSharded: %v", seed, err)
+		if _, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
+			t.Fatalf("seed %d: WriteShardedAs: %v", seed, err)
 		}
 		idx, err := tctree.OpenSharded(dir)
 		if err != nil {

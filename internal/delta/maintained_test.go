@@ -152,7 +152,7 @@ func indexFiles(t *testing.T, dir string) (*tctree.Manifest, map[int32][]byte) {
 }
 
 // assertIndexEqualsFreshBuild fails unless the index directory is what a
-// fresh Build + WriteSharded of a pristine copy of nw produces: the same
+// fresh Build + WriteShardedAs of a pristine copy of nw produces: the same
 // shards in the same order, byte for byte, under the same manifest entries —
 // file names aside, which a staged commit versions by checksum.
 func assertIndexEqualsFreshBuild(t *testing.T, dir string, nw *dbnet.Network, when string) {
@@ -166,7 +166,7 @@ func assertIndexEqualsFreshBuild(t *testing.T, dir string, nw *dbnet.Network, wh
 		t.Fatal(err)
 	}
 	freshDir := t.TempDir()
-	if _, err := tctree.Build(pristine, tctree.BuildOptions{}).WriteSharded(freshDir); err != nil {
+	if _, err := tctree.Build(pristine, tctree.BuildOptions{}).WriteShardedAs(freshDir, tctree.FormatTCBIN); err != nil {
 		t.Fatal(err)
 	}
 	fresh, want := indexFiles(t, freshDir)
@@ -214,7 +214,7 @@ func (c maintainedCase) run(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := tctree.Build(ds.Network, tctree.BuildOptions{}).WriteSharded(dir); err != nil {
+	if _, err := tctree.Build(ds.Network, tctree.BuildOptions{}).WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
 		t.Fatal(err)
 	}
 	netPath := filepath.Join(t.TempDir(), "network.dbnet")
@@ -283,7 +283,7 @@ func (c maintainedCase) run(t *testing.T) {
 // through every caller of the one write route (an update checkpointed at
 // once, journaled updates checkpointed later, and the offline tcupdate over
 // cold files) and at GOMAXPROCS 1 and 4, the index directory after every delta holds exactly
-// the shards, bytes and manifest entries that Build + WriteSharded write for
+// the shards, bytes and manifest entries that Build + WriteShardedAs write for
 // a pristine copy of the updated network — whether a node was mined or
 // carried over from the previous version of its shard.
 func TestMaintainedIndexIsByteIdenticalToBuild(t *testing.T) {

@@ -29,7 +29,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 	nw := ds.Network
 	tree := tctree.Build(nw, tctree.BuildOptions{})
 	dir := b.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
+	if _, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
 		b.Fatal(err)
 	}
 	idx, err := tctree.OpenSharded(dir)

@@ -21,9 +21,9 @@ func benchIndex(b *testing.B, nw *dbnet.Network) (*tctree.ShardedIndex, *tctree.
 		b.Fatal("empty benchmark tree")
 	}
 	dir := b.TempDir()
-	m, err := tree.WriteSharded(dir)
+	m, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN)
 	if err != nil {
-		b.Fatalf("WriteSharded: %v", err)
+		b.Fatalf("WriteShardedAs: %v", err)
 	}
 	idx, err := tctree.OpenSharded(dir)
 	if err != nil {

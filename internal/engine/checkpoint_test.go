@@ -27,8 +27,8 @@ func TestApplyDeltaInMemoryParity(t *testing.T) {
 			continue
 		}
 		dir := t.TempDir()
-		if _, err := tree.WriteSharded(dir); err != nil {
-			t.Fatalf("WriteSharded: %v", err)
+		if _, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
+			t.Fatalf("WriteShardedAs: %v", err)
 		}
 		idx, err := tctree.OpenSharded(dir)
 		if err != nil {
@@ -72,7 +72,7 @@ func TestApplyDeltaInMemoryParity(t *testing.T) {
 				t.Fatalf("Apply on twin: %v", err)
 			}
 		}
-		fresh, err := New(tctree.Build(twin, tctree.BuildOptions{}), Options{})
+		fresh, err := New(builtIndex(t, twin), Options{})
 		if err != nil {
 			t.Fatalf("fresh engine: %v", err)
 		}
@@ -160,7 +160,7 @@ func TestCheckpointPreCommitFailure(t *testing.T) {
 	nw := randomNetwork(rng, 14, 34, 5, 3)
 	tree := tctree.Build(nw, tctree.BuildOptions{})
 	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
+	if _, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
 		t.Fatal(err)
 	}
 	idx, err := tctree.OpenSharded(dir)
@@ -200,7 +200,7 @@ func TestApplyDeltaInMemoryEager(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	nw := randomNetwork(rng, 14, 34, 5, 3)
 	twin := randomNetwork(rand.New(rand.NewSource(5)), 14, 34, 5, 3)
-	eng, err := New(tctree.Build(nw, tctree.BuildOptions{}), Options{})
+	eng, err := New(builtIndex(t, nw), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestApplyDeltaInMemoryEager(t *testing.T) {
 	if err := delta.Apply(twin, d); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := New(tctree.Build(twin, tctree.BuildOptions{}), Options{})
+	fresh, err := New(builtIndex(t, twin), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

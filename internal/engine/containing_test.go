@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"themecomm/internal/delta"
+	"themecomm/internal/gen"
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
 	"themecomm/internal/truss"
@@ -100,7 +101,7 @@ func TestQueryContainingMatchesBruteForce(t *testing.T) {
 
 	engines := map[string]*Engine{}
 	var err error
-	if engines["eager"], err = New(tree, Options{}); err != nil {
+	if engines["eager"], err = New(testIndex(t, 11), Options{}); err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	if engines["lazy"], err = NewLazy(idx, Options{CacheSize: 32}); err != nil {
@@ -350,7 +351,7 @@ func TestLazyByteResidencyBudget(t *testing.T) {
 // built in-process, "tcbin" for one over an on-disk index.
 func TestFormatStat(t *testing.T) {
 	tree := buildTestTree(t, 11)
-	eager, err := New(tree, Options{})
+	eager, err := New(testIndex(t, 11), Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -365,4 +366,100 @@ func TestFormatStat(t *testing.T) {
 	if got := lazy.Stats().Format; got != tctree.FormatTCBIN {
 		t.Fatalf("lazy Format = %q, want %q", got, tctree.FormatTCBIN)
 	}
+}
+
+// lazyAMinerEngine serves the AMINER analogue at the given scale lazily and
+// without a result cache, from an index directory written by BuildIndex.
+func lazyAMinerEngine(tb testing.TB, scale gen.Scale) (*Engine, itemset.Itemset) {
+	tb.Helper()
+	ds, err := gen.AMiner(scale)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir := tb.TempDir()
+	if _, err := builtIndex(tb, ds.Network).Write(dir); err != nil {
+		tb.Fatalf("Write: %v", err)
+	}
+	idx, err := tctree.OpenSharded(dir)
+	if err != nil {
+		tb.Fatalf("OpenSharded: %v", err)
+	}
+	eng, err := NewLazy(idx, Options{})
+	if err != nil {
+		tb.Fatalf("NewLazy: %v", err)
+	}
+	return eng, ds.Network.Items()
+}
+
+// containmentMix is the containment workload the catalogue's sketches are
+// judged on: n indexed patterns of length 2 and 3 less their root item, n
+// random item pairs and n single items, each at α ∈ {0, 0.5, 1, 2}. The mix
+// is a function of the engine's index and the fixed seed.
+func containmentMix(tb testing.TB, eng *Engine, items itemset.Itemset, n int) []Request {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(5))
+	var patterns []itemset.Itemset
+	for _, depth := range []int{2, 3} {
+		ps, err := eng.PatternsAtDepth(context.Background(), depth)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		patterns = append(patterns, ps...)
+	}
+	var qs []itemset.Itemset
+	for i := 0; i < n && len(patterns) > 0; i++ {
+		qs = append(qs, patterns[rng.Intn(len(patterns))][1:])
+	}
+	for i := 0; i < n; i++ {
+		qs = append(qs, itemset.New(items[rng.Intn(len(items))], items[rng.Intn(len(items))]))
+		qs = append(qs, itemset.New(items[rng.Intn(len(items))]))
+	}
+	var mix []Request
+	for _, alpha := range []float64{0, 0.5, 1, 2} {
+		for _, q := range qs {
+			mix = append(mix, Request{Pattern: q, Alpha: alpha})
+		}
+	}
+	return mix
+}
+
+// TestContainmentSketchesSkipShards counts what the containment catalogue
+// decides on the containment mix over a lazy engine without a cache: the
+// plan is deterministic, so the tally is a property of the index and the
+// mix, not of timing. The item bloom must rule shards out.
+func TestContainmentSketchesSkipShards(t *testing.T) {
+	eng, items := lazyAMinerEngine(t, 0.2)
+	tally := make(map[Decision]int)
+	for _, r := range containmentMix(t, eng, items, 60) {
+		report, err := eng.ExplainContext(context.Background(), r.Pattern, r.Alpha, ModeContaining)
+		if err != nil {
+			t.Fatalf("Explain(%v, %v): %v", r.Pattern, r.Alpha, err)
+		}
+		for _, task := range report.Tasks {
+			tally[task.Decision]++
+		}
+	}
+	t.Logf("shard decisions over the containment mix: %v", tally)
+	if tally[DecisionSkipBloom] == 0 || tally[DecisionScan] == 0 {
+		t.Fatalf("the containment mix should both scan shards and skip some by the bloom: %v", tally)
+	}
+}
+
+// BenchmarkContainment answers the containment mix over a lazy engine
+// without a result cache on the read workloads' index, AMINER at scale 0.5;
+// one op is the whole mix.
+func BenchmarkContainment(b *testing.B) {
+	eng, items := lazyAMinerEngine(b, 0.5)
+	mix := containmentMix(b, eng, items, 100)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range mix {
+			if _, err := eng.QueryContainingContext(ctx, r.Pattern, r.Alpha); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(mix)), "queries/op")
 }

@@ -100,11 +100,11 @@ func TestApplyDeltaParity(t *testing.T) {
 				var eng *Engine
 				var err error
 				if mode == "eager" {
-					eng, err = New(tree, Options{CacheSize: 64})
+					eng, err = New(builtIndex(t, nw), Options{CacheSize: 64})
 				} else {
 					dir := t.TempDir()
-					if _, werr := tree.WriteSharded(dir); werr != nil {
-						t.Fatalf("WriteSharded: %v", werr)
+					if _, werr := tree.WriteShardedAs(dir, tctree.FormatTCBIN); werr != nil {
+						t.Fatalf("WriteShardedAs: %v", werr)
 					}
 					idx, oerr := tctree.OpenSharded(dir)
 					if oerr != nil {
@@ -132,8 +132,7 @@ func TestApplyDeltaParity(t *testing.T) {
 				if err := delta.Apply(twin, d); err != nil {
 					t.Fatalf("Apply on twin: %v", err)
 				}
-				freshTree := tctree.Build(twin, tctree.BuildOptions{})
-				fresh, err := New(freshTree, Options{})
+				fresh, err := New(builtIndex(t, twin), Options{})
 				if err != nil {
 					t.Fatalf("fresh engine: %v", err)
 				}
@@ -178,8 +177,8 @@ func TestApplyDeltaSelective(t *testing.T) {
 	nw := randomNetwork(rng, 40, 260, 20, 3)
 	tree := tctree.Build(nw, tctree.BuildOptions{})
 	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	idx, err := tctree.OpenSharded(dir)
 	if err != nil {
@@ -209,10 +208,13 @@ func TestApplyDeltaSelective(t *testing.T) {
 func TestApplyDeltaRejectsDepthBoundedIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	nw := randomNetwork(rng, 16, 40, 5, 4)
-	tree := tctree.Build(nw, tctree.BuildOptions{MaxDepth: 2})
+	bounded, err := tctree.BuildIndex(nw, tctree.BuildOptions{MaxDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := &delta.Delta{AddTransactions: []delta.VertexTransaction{{Vertex: 0, Tx: itemset.New(0)}}}
 
-	eager, err := New(tree, Options{})
+	eager, err := New(bounded, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +223,7 @@ func TestApplyDeltaRejectsDepthBoundedIndex(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
+	if _, err := bounded.Write(dir); err != nil {
 		t.Fatal(err)
 	}
 	idx, err := tctree.OpenSharded(dir)
@@ -254,14 +256,14 @@ func TestApplyDeltaConcurrentQueries(t *testing.T) {
 
 	// Reference answers from independent engines on the pre- and post-delta
 	// networks.
-	preEng, err := New(tctree.Build(twinPre, tctree.BuildOptions{}), Options{})
+	preEng, err := New(builtIndex(t, twinPre), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := delta.Apply(twinPost, d); err != nil {
 		t.Fatal(err)
 	}
-	postEng, err := New(tctree.Build(twinPost, tctree.BuildOptions{}), Options{})
+	postEng, err := New(builtIndex(t, twinPost), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,10 +304,10 @@ func TestApplyDeltaConcurrentQueries(t *testing.T) {
 			var eng *Engine
 			var err error
 			if mode == "eager" {
-				eng, err = New(liveTree, Options{CacheSize: 128})
+				eng, err = New(builtIndex(t, liveNw), Options{CacheSize: 128})
 			} else {
 				dir := t.TempDir()
-				if _, werr := liveTree.WriteSharded(dir); werr != nil {
+				if _, werr := liveTree.WriteShardedAs(dir, tctree.FormatTCBIN); werr != nil {
 					t.Fatal(werr)
 				}
 				idx, oerr := tctree.OpenSharded(dir)
@@ -458,7 +460,7 @@ func BenchmarkDeltaFullRebuild(b *testing.B) {
 	nw := randomNetwork(rng, 40, 260, 20, 3)
 	tree := tctree.Build(nw, tctree.BuildOptions{})
 	dir := b.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
+	if _, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
 		b.Fatal(err)
 	}
 	items := nw.Items()
@@ -472,7 +474,7 @@ func BenchmarkDeltaFullRebuild(b *testing.B) {
 			b.Fatal(err)
 		}
 		fresh := tctree.Build(nw, tctree.BuildOptions{})
-		if _, err := fresh.WriteSharded(dir); err != nil {
+		if _, err := fresh.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
 			b.Fatal(err)
 		}
 		rebuilt += len(fresh.Root().Children)

@@ -15,8 +15,9 @@
 //     on the first query that touches it and evictable under a configurable
 //     budget; an applied delta replaces exactly the affected shards and
 //     invalidates exactly the cached answers they could have changed. New
-//     serves a tree built in-process through the same engine: its shards
-//     are the same bytes, which simply start, and stay, on the heap;
+//     serves an index built in-process (tctree.BuildIndex) through the same
+//     engine: its shards are the same bytes, which simply start, and stay,
+//     on the heap;
 //   - caching: a bounded, concurrency-safe LRU result cache keyed by the
 //     canonicalized query (q ∩ indexed items, α_q), with hit, miss and
 //     eviction counters;
@@ -60,8 +61,9 @@ type Options struct {
 	// past the budget, the least recently used ones are evicted (queries
 	// still holding an evicted view finish on their snapshot; the next touch
 	// reopens it from disk). Zero or negative means unlimited. Heap shards
-	// (every shard of an engine built with New, and rebuilt shards awaiting a
-	// checkpoint) have no file to come back from: never evicted, not counted.
+	// (every shard of an engine New opens over an in-process index, and
+	// rebuilt shards awaiting a checkpoint) have no file to come back from:
+	// never evicted, not counted.
 	// cmd/tcload pins it; the one byte budget waits for that.
 	MaxResidentShards int
 	// MaxResidentBytes is the byte-based residency budget, enforced
@@ -210,24 +212,21 @@ type Engine struct {
 	nodesReused      atomic.Uint64
 }
 
-// New returns an Engine over a tree built in-process: every first-level
-// subtree is encoded once and served from those bytes on the heap. Nothing is
-// persisted; ApplyDeltaInMemory replaces shards in memory only.
-func New(tree *tctree.Tree, opts Options) (*Engine, error) {
-	if tree == nil || tree.Root() == nil {
-		return nil, fmt.Errorf("engine: nil tree")
+// New returns an Engine over an index built in-process (tctree.BuildIndex):
+// every shard is served from its bytes on the heap. Nothing is persisted;
+// ApplyDeltaInMemory replaces shards in memory only.
+func New(idx *tctree.Index, opts Options) (*Engine, error) {
+	if idx == nil {
+		return nil, fmt.Errorf("engine: nil index")
 	}
-	encoded, err := tree.EncodeShards()
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	shards := make([]*shard, len(encoded))
-	for i, enc := range encoded {
+	shards := make([]*shard, len(idx.Shards))
+	for i, enc := range idx.Shards {
+		var err error
 		if shards[i], err = heapShard(enc); err != nil {
 			return nil, err
 		}
 	}
-	return newEngine(nil, tree.BuiltMaxDepth(), shards, opts), nil
+	return newEngine(nil, idx.BuiltMaxDepth, shards, opts), nil
 }
 
 // NewLazy returns an Engine serving straight from an on-disk index. No shard
@@ -252,7 +251,7 @@ func NewLazy(idx *tctree.ShardedIndex, opts Options) (*Engine, error) {
 // filter and α*-by-depth histogram — comes from the shard's manifest entry,
 // decoded once here rather than per plan. With heap nil the shard is
 // file-backed: it opens its view from idx on first touch and may be evicted.
-// Otherwise heap is the view — bytes an update or an in-process build just
+// Otherwise heap is the view — bytes an update or an in-process build
 // encoded, which no file holds (yet) — fixed at construction, never evicted.
 func newShard(entry tctree.ShardEntry, idx *tctree.ShardedIndex, heap *tctree.BinShard) *shard {
 	item := itemset.Item(entry.Item)
@@ -278,7 +277,7 @@ func newShard(entry tctree.ShardEntry, idx *tctree.ShardedIndex, heap *tctree.Bi
 func heapShard(enc *tctree.EncodedShard) (*shard, error) {
 	view, err := enc.Open()
 	if err != nil {
-		return nil, fmt.Errorf("engine: rebuilt shard %d: %w", enc.Entry.Item, err)
+		return nil, fmt.Errorf("engine: shard %d: %w", enc.Entry.Item, err)
 	}
 	return newShard(enc.Entry, nil, view), nil
 }

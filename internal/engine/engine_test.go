@@ -55,6 +55,27 @@ func buildTestTree(t *testing.T, seed int64) *tctree.Tree {
 	return tree
 }
 
+// builtIndex builds nw's index in-process (tctree.BuildIndex): what New
+// serves.
+func builtIndex(tb testing.TB, nw *dbnet.Network) *tctree.Index {
+	tb.Helper()
+	idx, err := tctree.BuildIndex(nw, tctree.BuildOptions{})
+	if err != nil {
+		tb.Fatalf("BuildIndex: %v", err)
+	}
+	return idx
+}
+
+// testIndex is the index of the network buildTestTree(t, seed) builds.
+func testIndex(tb testing.TB, seed int64) *tctree.Index {
+	tb.Helper()
+	idx := builtIndex(tb, testNetwork(seed))
+	if idx.NumNodes() == 0 {
+		tb.Fatalf("seed %d built an empty index; pick another seed", seed)
+	}
+	return idx
+}
+
 // treeMaxAlpha is the tree's largest shard α* bound: a query with a larger
 // α_q retrieves nothing.
 func treeMaxAlpha(tree *tctree.Tree) float64 {
@@ -141,7 +162,7 @@ func assertEqualCommunities(t *testing.T, got, want []truss.Community) {
 
 func TestNewRejectsNilTree(t *testing.T) {
 	if _, err := New(nil, Options{}); err == nil {
-		t.Fatalf("nil tree should be rejected")
+		t.Fatalf("nil index should be rejected")
 	}
 }
 
@@ -191,7 +212,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		for _, cacheSize := range []int{0, 16} {
-			eng, err := New(tree, Options{Workers: workers, CacheSize: cacheSize})
+			eng, err := New(testIndex(t, 11), Options{Workers: workers, CacheSize: cacheSize})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -219,8 +240,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 // every run re-traverses the shards in parallel) produce the same community
 // order, not just the same community set.
 func TestDeterministicMerge(t *testing.T) {
-	tree := buildTestTree(t, 5)
-	eng, err := New(tree, Options{Workers: 8})
+	eng, err := New(testIndex(t, 5), Options{Workers: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -234,7 +254,7 @@ func TestDeterministicMerge(t *testing.T) {
 // request order.
 func TestQueryBatch(t *testing.T) {
 	tree := buildTestTree(t, 7)
-	eng, err := New(tree, Options{Workers: 4, CacheSize: 8})
+	eng, err := New(testIndex(t, 7), Options{Workers: 4, CacheSize: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -271,7 +291,7 @@ func TestQueryBatch(t *testing.T) {
 // does not know about share one cache entry.
 func TestCanonicalization(t *testing.T) {
 	tree := buildTestTree(t, 7)
-	eng, err := New(tree, Options{CacheSize: 8})
+	eng, err := New(testIndex(t, 7), Options{CacheSize: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -290,7 +310,7 @@ func TestCanonicalization(t *testing.T) {
 // TestStats checks the counter plumbing end to end.
 func TestStats(t *testing.T) {
 	tree := buildTestTree(t, 7)
-	eng, err := New(tree, Options{Workers: 3, CacheSize: 2})
+	eng, err := New(testIndex(t, 7), Options{Workers: 3, CacheSize: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -319,7 +339,7 @@ func TestStats(t *testing.T) {
 	}
 
 	// Disabled cache: every repeat re-executes, counters stay zero.
-	uncached, err := New(tree, Options{})
+	uncached, err := New(testIndex(t, 7), Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -22,8 +22,8 @@ import (
 func writeShardedTestTree(t *testing.T, tree *tctree.Tree) (*tctree.ShardedIndex, string) {
 	t.Helper()
 	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	idx, err := tctree.OpenSharded(dir)
 	if err != nil {
@@ -309,7 +309,7 @@ func TestApplyDeltaPurgesOnlyAffectedCacheEntries(t *testing.T) {
 			var eng *Engine
 			var err error
 			if mode == "memory" {
-				eng, err = New(tree, Options{CacheSize: 16})
+				eng, err = New(testIndex(t, 11), Options{CacheSize: 16})
 			} else {
 				idx, _ := writeShardedTestTree(t, tree)
 				eng, err = NewLazy(idx, Options{CacheSize: 16})
@@ -369,7 +369,7 @@ func TestLazyTopKAndSearchVertex(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLazy: %v", err)
 	}
-	eager, err := New(tree, Options{})
+	eager, err := New(testIndex(t, 7), Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -392,7 +392,12 @@ func TestLazyTopKAndSearchVertex(t *testing.T) {
 
 	// Pattern listings: depth 1 needs no loads; deeper depths match the tree.
 	for depth := 1; depth <= tree.Depth(); depth++ {
-		want := tree.PatternsAtDepth(depth)
+		var want []itemset.Itemset
+		for _, p := range tree.Patterns() {
+			if p.Len() == depth {
+				want = append(want, p)
+			}
+		}
 		got, err := eng.PatternsAtDepth(context.Background(), depth)
 		if err != nil {
 			t.Fatalf("PatternsAtDepth(%d): %v", depth, err)
@@ -456,15 +461,15 @@ func TestLazyConcurrent(t *testing.T) {
 	}
 }
 
-// TestEagerEngineServesTheIndexBytes holds an engine over a tree built
-// in-process (New) against one over the same tree's written index (NewLazy):
-// New encodes every subtree once and serves the bytes from the heap, so the
+// TestEagerEngineServesTheIndexBytes holds an engine over the index
+// BuildIndex builds in-process (New) against one over the files Build writes
+// for the same network (NewLazy): New serves the bytes from the heap, so the
 // two hold the same shards — same catalogue, same sizes — and agree on every
 // answer and counter, before an update and after one applied to both.
 func TestEagerEngineServesTheIndexBytes(t *testing.T) {
 	tree := buildTestTree(t, 11)
 	idx, _ := writeShardedTestTree(t, tree)
-	eager, err := New(tree, Options{})
+	eager, err := New(testIndex(t, 11), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

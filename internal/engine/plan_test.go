@@ -153,7 +153,7 @@ func TestPlannerParity(t *testing.T) {
 			return func() (*Engine, error) { return NewLazy(idx, opts) }
 		}
 		variants := []variant{
-			{"eager", tree, func() (*Engine, error) { return New(tree, Options{Workers: 4}) }},
+			{"eager", tree, func() (*Engine, error) { return New(builtIndex(t, network()), Options{Workers: 4}) }},
 			{"lazy", tree, lazy(Options{Workers: 4})},
 			{"lazy-budget", tree, lazy(Options{Workers: 4, MaxResidentShards: 1})},
 			{"lazy-dirty", updatedTree, func() (*Engine, error) {

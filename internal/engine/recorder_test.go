@@ -12,7 +12,6 @@ import (
 	"themecomm/internal/delta"
 	"themecomm/internal/itemset"
 	"themecomm/internal/obs"
-	"themecomm/internal/tctree"
 )
 
 // captureRecorder records observations into a slice — the injection seam
@@ -35,9 +34,8 @@ func (r *captureRecorder) all() []obs.QueryObservation {
 }
 
 func TestRecorderObservations(t *testing.T) {
-	tree := buildTestTree(t, 7)
 	rec := &captureRecorder{}
-	eng, err := New(tree, Options{CacheSize: 8, Recorder: rec})
+	eng, err := New(testIndex(t, 7), Options{CacheSize: 8, Recorder: rec})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -140,8 +138,7 @@ func TestRecorderObservesLoadError(t *testing.T) {
 func TestStatsRace(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	nw := randomNetwork(rng, 16, 40, 5, 4)
-	tree := tctree.Build(nw, tctree.BuildOptions{})
-	eng, err := New(tree, Options{CacheSize: 8})
+	eng, err := New(builtIndex(t, nw), Options{CacheSize: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -210,12 +207,11 @@ func BenchmarkQueryUnrecorded(b *testing.B) { benchmarkQuery(b, false) }
 func benchmarkQuery(b *testing.B, recorded bool) {
 	rng := rand.New(rand.NewSource(3))
 	nw := randomNetwork(rng, 48, 160, 8, 4)
-	tree := tctree.Build(nw, tctree.BuildOptions{})
 	opts := Options{} // no cache: every query executes
 	if recorded {
 		opts.Recorder = obs.NewObserver(obs.ObserverOptions{SlowThreshold: time.Hour})
 	}
-	eng, err := New(tree, opts)
+	eng, err := New(builtIndex(b, nw), opts)
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}

@@ -43,14 +43,23 @@ func vertexOracle(mined *core.Result, v graph.VertexID, q itemset.Itemset) []fla
 	return out
 }
 
-// searchEngines serves tree eagerly and lazily from its index directory.
-func searchEngines(t *testing.T, tree *tctree.Tree) map[string]*Engine {
+// searchEngines serves nw's index eagerly and lazily from its index
+// directory.
+func searchEngines(t *testing.T, nw *dbnet.Network) map[string]*Engine {
 	t.Helper()
-	eager, err := New(tree, Options{})
+	built := builtIndex(t, nw)
+	eager, err := New(built, Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	idx, _ := writeShardedTestTree(t, tree)
+	dir := t.TempDir()
+	if _, err := built.Write(dir); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	idx, err := tctree.OpenSharded(dir)
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
 	lazy, err := NewLazy(idx, Options{MaxResidentShards: 2})
 	if err != nil {
 		t.Fatalf("NewLazy: %v", err)
@@ -81,7 +90,7 @@ func TestSearchVertexOnPaperExample(t *testing.T) {
 	nw := dbnet.PaperExample()
 	p := dbnet.PaperExampleP
 	mined := core.TCFI(nw, core.Options{Alpha: 0.1})
-	for name, eng := range searchEngines(t, tctree.Build(nw, tctree.BuildOptions{})) {
+	for name, eng := range searchEngines(t, nw) {
 		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
 			// Vertex v6 (5) has frequency 0 for p: no community.
@@ -108,8 +117,7 @@ func TestSearchVertexOnPaperExample(t *testing.T) {
 // restricted to p or not.
 func TestSearchVertexV1PCommunity(t *testing.T) {
 	p := dbnet.PaperExampleP
-	tree := tctree.Build(dbnet.PaperExample(), tctree.BuildOptions{})
-	for name, eng := range searchEngines(t, tree) {
+	for name, eng := range searchEngines(t, dbnet.PaperExample()) {
 		t.Run(name, func(t *testing.T) {
 			for _, q := range []itemset.Itemset{p, nil} {
 				comms, err := eng.SearchVertex(context.Background(), 0, q, 0.1)
@@ -131,7 +139,6 @@ func TestSearchVertexV1PCommunity(t *testing.T) {
 func TestSearchVertexAgreesWithMining(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	nw := randomNetwork(rng, 16, 36, 4, 4)
-	tree := tctree.Build(nw, tctree.BuildOptions{})
 	// Per vertex, a search restricted to a random half of the items plus an
 	// unindexed one, beside the unrestricted search.
 	restricted := make([]itemset.Itemset, nw.NumVertices())
@@ -148,7 +155,7 @@ func TestSearchVertexAgreesWithMining(t *testing.T) {
 		if mined.NumPatterns() == 0 {
 			t.Fatalf("α=%v: TCFI mined nothing; pick another seed", alpha)
 		}
-		for name, eng := range searchEngines(t, tree) {
+		for name, eng := range searchEngines(t, nw) {
 			t.Run(fmt.Sprintf("%s/alpha=%v", name, alpha), func(t *testing.T) {
 				for v, q := range restricted {
 					mustSearchOracle(t, eng, mined, graph.VertexID(v), nil)

@@ -82,7 +82,7 @@ func TestStreamPropertyParity(t *testing.T) {
 		ks := []int{0, 1, 1 + rng.Intn(6)}
 
 		idx, _ := writeShardedTestTree(t, tree)
-		eager, err := New(tree, Options{Workers: 2})
+		eager, err := New(builtIndex(t, nw), Options{Workers: 2})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -272,7 +272,7 @@ func TestStreamMidDeltaEager(t *testing.T) {
 	if tree.NumNodes() == 0 {
 		t.Fatal("empty tree; pick another seed")
 	}
-	eng, err := New(tree, Options{})
+	eng, err := New(builtIndex(t, nw), Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -364,9 +364,8 @@ func TestCancellationStopsOpeningShards(t *testing.T) {
 // TestStreamRecorderObservation: closing an observed stream emits one
 // QueryObservation with the stream stage filled and the short-circuit tally.
 func TestStreamRecorderObservation(t *testing.T) {
-	tree := buildTestTree(t, 7)
 	rec := &captureRecorder{}
-	eng, err := New(tree, Options{Recorder: rec})
+	eng, err := New(testIndex(t, 7), Options{Recorder: rec})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -397,8 +396,7 @@ func TestStreamRecorderObservation(t *testing.T) {
 // TestStreamResultCacheBypass: streams neither read nor write the result
 // cache.
 func TestStreamResultCacheBypass(t *testing.T) {
-	tree := buildTestTree(t, 7)
-	eng, err := New(tree, Options{CacheSize: 8})
+	eng, err := New(testIndex(t, 7), Options{CacheSize: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -429,8 +427,8 @@ func BenchmarkStreamTopK(b *testing.B) {
 		b.Fatal("empty benchmark tree")
 	}
 	dir := b.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		b.Fatalf("WriteSharded: %v", err)
+	if _, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
+		b.Fatalf("WriteShardedAs: %v", err)
 	}
 	idx, err := tctree.OpenSharded(dir)
 	if err != nil {

@@ -47,10 +47,7 @@ func TestShardSwapTransitions(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewLazy: %v", err)
 			}
-			encoded, err := tree.EncodeShards()
-			if err != nil {
-				t.Fatalf("EncodeShards: %v", err)
-			}
+			encoded := testIndex(t, 11).Shards
 			sub, bystander := tree.Root().Children[0], tree.Root().Children[1].Item
 			item, q := sub.Item, itemset.New(sub.Item)
 			source := func(kind string) func(itemset.Item) *shard {

@@ -15,7 +15,7 @@ import (
 // reported cohesion is consistent with the decomposition it was derived from.
 func TestTopKRanking(t *testing.T) {
 	tree := buildTestTree(t, 11)
-	eng, err := New(tree, Options{Workers: 4, CacheSize: 8})
+	eng, err := New(testIndex(t, 11), Options{Workers: 4, CacheSize: 8})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -36,7 +36,12 @@ func TestTopKRanking(t *testing.T) {
 		if rc.Cohesion <= alphaQ {
 			t.Fatalf("community %d has cohesion %g ≤ α_q = %g", i, rc.Cohesion, alphaQ)
 		}
-		node := tree.Node(rc.Pattern)
+		var node *tctree.Node
+		tree.Walk(func(n *tctree.Node) {
+			if n.Pattern.Equal(rc.Pattern) {
+				node = n
+			}
+		})
 		if node == nil {
 			t.Fatalf("community %d has unindexed pattern %v", i, rc.Pattern)
 		}
@@ -86,8 +91,7 @@ func TestTopKRanking(t *testing.T) {
 // paper: querying pattern p at α_q = 0.1 yields exactly the two theme
 // communities of Figure 2, and k = 1 keeps the more cohesive one.
 func TestTopKPaperExample(t *testing.T) {
-	tree := buildPaperTree(t)
-	eng, err := New(tree, Options{})
+	eng, err := New(builtIndex(t, dbnet.PaperExample()), Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -114,13 +118,4 @@ func TestTopKPaperExample(t *testing.T) {
 	if best[0].Cohesion < all[len(all)-1].Cohesion {
 		t.Fatalf("TopK(1) did not keep the most cohesive community")
 	}
-}
-
-func buildPaperTree(t *testing.T) *tctree.Tree {
-	t.Helper()
-	tree := tctree.Build(dbnet.PaperExample(), tctree.BuildOptions{})
-	if err := tree.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	return tree
 }

@@ -297,16 +297,16 @@ func TestSuiteCaching(t *testing.T) {
 	if d1.Network != d2.Network {
 		t.Fatalf("dataset cache not reused")
 	}
-	t1, err := s.Tree("BK")
+	t1, err := s.Index("BK")
 	if err != nil {
-		t.Fatalf("Tree: %v", err)
+		t.Fatalf("Index: %v", err)
 	}
-	t2, err := s.Tree("BK")
+	t2, err := s.Index("BK")
 	if err != nil {
-		t.Fatalf("Tree: %v", err)
+		t.Fatalf("Index: %v", err)
 	}
 	if t1 != t2 {
-		t.Fatalf("tree cache not reused")
+		t.Fatalf("index cache not reused")
 	}
 	if _, err := s.Dataset("nope"); err == nil {
 		t.Fatalf("unknown dataset should error")

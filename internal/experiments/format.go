@@ -47,9 +47,9 @@ func WriteFigure4(w io.Writer, rows []Figure4Row) error {
 // WriteTable3 renders Table 3 rows.
 func WriteTable3(w io.Writer, rows []Table3Row) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "Dataset\tIndexing Time(s)\tMemory(MB)\t#Nodes")
+	fmt.Fprintln(tw, "Dataset\tIndexing Time(s)\tMemory(MB)\tIndex(MB)\t#Nodes")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.3f\t%.1f\t%d\n", r.Dataset, r.IndexingSeconds, r.MemoryMB, r.Nodes)
+		fmt.Fprintf(tw, "%s\t%.3f\t%.1f\t%.1f\t%d\n", r.Dataset, r.IndexingSeconds, r.MemoryMB, r.IndexMB, r.Nodes)
 	}
 	return tw.Flush()
 }

@@ -16,13 +16,16 @@ import (
 type Table3Row struct {
 	Dataset         string
 	IndexingSeconds float64
-	MemoryMB        float64
-	Nodes           int
+	// MemoryMB is the live heap the built index holds (MeasureBuild).
+	MemoryMB float64
+	// IndexMB is the size of the index: its shard payloads summed.
+	IndexMB float64
+	Nodes   int
 }
 
-// Table3 regenerates Table 3: TC-Tree indexing time, memory footprint and node
-// count on every dataset analogue. Building the tree also warms the suite's
-// tree cache used by Figure 5.
+// Table3 regenerates Table 3: TC-Tree indexing time, memory footprint, index
+// size and node count on every dataset analogue. The built index is the one
+// the suite's query experiments serve (Suite.Engine).
 func (s *Suite) Table3() ([]Table3Row, error) {
 	var out []Table3Row
 	for _, name := range AllDatasets() {
@@ -30,35 +33,32 @@ func (s *Suite) Table3() ([]Table3Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		tree, elapsed, mem := MeasureBuild(d.Network, tctree.BuildOptions{
-			Parallelism: s.Config.TreeParallelism,
-			MaxDepth:    s.Config.MaxPatternLength,
-		})
-		s.trees[name] = tree
+		idx, elapsed, mem, err := MeasureBuild(d.Network, s.buildOptions())
+		if err != nil {
+			return nil, err
+		}
+		s.indexes[name] = idx
 		out = append(out, Table3Row{
 			Dataset:         name,
 			IndexingSeconds: elapsed.Seconds(),
 			MemoryMB:        mem,
-			Nodes:           tree.NumNodes(),
+			IndexMB:         float64(idx.SizeBytes()) / (1 << 20),
+			Nodes:           idx.NumNodes(),
 		})
 	}
 	return out, nil
 }
 
-// MeasureBuild builds the TC-Tree of nw and reports the two costs Table 3
-// gives for it: the build's wall time, and its memory — the live heap after
-// a garbage collection, minus the live heap before the build.
-func MeasureBuild(nw *dbnet.Network, opts tctree.BuildOptions) (*tctree.Tree, time.Duration, float64) {
+// MeasureBuild builds the index of nw (tctree.BuildIndex) and reports the two
+// costs Table 3 gives for it: the build's wall time, and its memory — the
+// live heap the built index holds: the live heap after a garbage collection,
+// minus the live heap before the build.
+func MeasureBuild(nw *dbnet.Network, opts tctree.BuildOptions) (*tctree.Index, time.Duration, float64, error) {
 	before := heapAllocMB()
 	start := time.Now()
-	tree := tctree.Build(nw, opts)
+	idx, err := tctree.BuildIndex(nw, opts)
 	elapsed := time.Since(start)
-	after := heapAllocMB()
-	mem := after - before
-	if mem < 0 {
-		mem = after
-	}
-	return tree, elapsed, mem
+	return idx, elapsed, heapAllocMB() - before, err
 }
 
 // Figure5Row is one data point of Figure 5: the average query time and number

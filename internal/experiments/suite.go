@@ -84,14 +84,14 @@ func DefaultConfig() Config {
 }
 
 // Suite generates and caches the dataset analogues, their BFS samples and
-// their TC-Trees so that the individual experiments can share them.
+// their TC-Tree indexes so that the individual experiments can share them.
 type Suite struct {
 	Config   Config
 	rng      *rand.Rand
 	datasets map[string]gen.Dataset
 	samples  map[string]*sampling.Sample
-	trees    map[string]*tctree.Tree
-	// fed serves the query experiments: each dataset's tree is attached on
+	indexes  map[string]*tctree.Index
+	// fed serves the query experiments: each dataset's index is attached on
 	// first use, under the dataset's name.
 	fed *federation.Federation
 }
@@ -103,7 +103,7 @@ func NewSuite(cfg Config) *Suite {
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		datasets: make(map[string]gen.Dataset),
 		samples:  make(map[string]*sampling.Sample),
-		trees:    make(map[string]*tctree.Tree),
+		indexes:  make(map[string]*tctree.Index),
 		fed:      federation.New(federation.Options{CacheSize: 0}),
 	}
 }
@@ -150,38 +150,43 @@ func (s *Suite) MiningSample(name string) (*sampling.Sample, error) {
 	return sm, nil
 }
 
-// Tree returns the TC-Tree of the dataset, building it on first use.
-func (s *Suite) Tree(name string) (*tctree.Tree, error) {
-	if t, ok := s.trees[name]; ok {
-		return t, nil
+// buildOptions is the configured build of the suite's indexes.
+func (s *Suite) buildOptions() tctree.BuildOptions {
+	return tctree.BuildOptions{Parallelism: s.Config.TreeParallelism, MaxDepth: s.Config.MaxPatternLength}
+}
+
+// Index returns the TC-Tree index of the dataset, building it on first use
+// (Table3 builds it too, measured).
+func (s *Suite) Index(name string) (*tctree.Index, error) {
+	if idx, ok := s.indexes[name]; ok {
+		return idx, nil
 	}
 	d, err := s.Dataset(name)
 	if err != nil {
 		return nil, err
 	}
-	t := tctree.Build(d.Network, tctree.BuildOptions{
-		Parallelism: s.Config.TreeParallelism,
-		MaxDepth:    s.Config.MaxPatternLength,
-	})
-	s.trees[name] = t
-	return t, nil
+	idx, err := tctree.BuildIndex(d.Network, s.buildOptions())
+	if err != nil {
+		return nil, err
+	}
+	s.indexes[name] = idx
+	return idx, nil
 }
 
-// Engine returns the query-serving engine over the dataset's TC-Tree,
+// Engine returns the query-serving engine over the dataset's index,
 // building both on first use. The query experiments (Figure 5, case study)
 // run through it so the reported numbers reflect the served plan→execute
-// path rather than a raw tree traversal: the tree is attached to the suite's
-// federation, whose result cache is disabled — repetitions must measure
-// execution, not cache hits.
+// path: the index is attached to the suite's federation, whose result cache
+// is disabled — repetitions must measure execution, not cache hits.
 func (s *Suite) Engine(name string) (*engine.Engine, error) {
 	if n, ok := s.fed.Network(name); ok {
 		return n.Engine(), nil
 	}
-	t, err := s.Tree(name)
+	idx, err := s.Index(name)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.fed.AttachTree(name, t, federation.NetworkOptions{}); err != nil {
+	if err := s.fed.AttachBuilt(name, idx, federation.NetworkOptions{}); err != nil {
 		return nil, fmt.Errorf("experiments: engine for %s: %w", name, err)
 	}
 	n, _ := s.fed.Network(name)

@@ -232,8 +232,9 @@ type Federation struct {
 	streamAlls atomic.Uint64
 }
 
-// New returns an empty Federation. Attach networks with AttachTree /
-// AttachIndex (or build one from a directory with Discover).
+// New returns an empty Federation. Attach networks with AttachBuilt (an
+// index built in-process) / AttachIndex (or build one from a directory with
+// Discover).
 func New(opts Options) *Federation {
 	f := &Federation{
 		opts:     opts,
@@ -302,14 +303,15 @@ func (f *Federation) attach(name string, eng *engine.Engine, opts NetworkOptions
 	return nil
 }
 
-// AttachTree attaches an eager network serving a fully resident TC-Tree. The
-// network shares the federation's result cache; having no lazy shards, it
-// consumes none of the residency budget.
-func (f *Federation) AttachTree(name string, tree *tctree.Tree, opts NetworkOptions) error {
+// AttachBuilt attaches an eager network serving an index built in-process
+// (tctree.BuildIndex) from its bytes on the heap. The network shares the
+// federation's result cache; having no lazy shards, it consumes none of the
+// residency budget.
+func (f *Federation) AttachBuilt(name string, idx *tctree.Index, opts NetworkOptions) error {
 	if err := validateName(name); err != nil {
 		return err
 	}
-	eng, err := engine.New(tree, f.engineOptions(name))
+	eng, err := engine.New(idx, f.engineOptions(name))
 	if err != nil {
 		return fmt.Errorf("federation: network %q: %w", name, err)
 	}

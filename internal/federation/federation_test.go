@@ -28,6 +28,17 @@ func buildTestTree(t *testing.T, seed int64) *tctree.Tree {
 	return tree
 }
 
+// buildTestIndex builds buildTestTree's index in-process, as AttachBuilt
+// serves it.
+func buildTestIndex(t *testing.T, seed int64) *tctree.Index {
+	t.Helper()
+	idx, err := tctree.BuildIndex(buildTestNetwork(t, seed), tctree.BuildOptions{})
+	if err != nil {
+		t.Fatalf("BuildIndex: %v", err)
+	}
+	return idx
+}
+
 // buildTestNetwork builds a dense random database network, the same
 // construction the engine tests use.
 func buildTestNetwork(t *testing.T, seed int64) *dbnet.Network {
@@ -64,8 +75,8 @@ var testNames = []string{"bk", "gw", "aminer"}
 func shardTestTree(t *testing.T, tree *tctree.Tree) *tctree.ShardedIndex {
 	t.Helper()
 	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	idx, err := tctree.OpenSharded(dir)
 	if err != nil {
@@ -148,12 +159,13 @@ func TestFederatedMatchesStandalone(t *testing.T) {
 	}
 	// Per-network direct queries through the federated engine, against both
 	// the backing tree and a fresh standalone engine.
-	for name, tree := range trees {
+	for i, name := range testNames {
+		tree := trees[name]
 		n, ok := f.Network(name)
 		if !ok {
 			t.Fatalf("network %q not attached", name)
 		}
-		standalone, err := engine.New(tree, engine.Options{})
+		standalone, err := engine.New(buildTestIndex(t, testSeeds[i]), engine.Options{})
 		if err != nil {
 			t.Fatalf("standalone engine: %v", err)
 		}
@@ -302,7 +314,7 @@ func TestSharedBudgetAcrossNetworks(t *testing.T) {
 // detached network's cache entries and resident shards are released, other
 // tenants keep theirs, and the name becomes attachable again.
 func TestDetachReleasesSharedResources(t *testing.T) {
-	f, trees := newTestFederation(t, Options{CacheSize: 32, MaxResidentShards: 8})
+	f, _ := newTestFederation(t, Options{CacheSize: 32, MaxResidentShards: 8})
 	for _, name := range testNames {
 		n, _ := f.Network(name)
 		if _, err := n.Engine().QueryContext(context.Background(), nil, 0); err != nil {
@@ -341,14 +353,15 @@ func TestDetachReleasesSharedResources(t *testing.T) {
 	if err := f.Detach(victim); err == nil {
 		t.Fatalf("double detach should fail")
 	}
-	if err := f.AttachTree(victim, trees[victim], NetworkOptions{}); err != nil {
+	built := buildTestIndex(t, testSeeds[0])
+	if err := f.AttachBuilt(victim, built, NetworkOptions{}); err != nil {
 		t.Fatalf("re-attach: %v", err)
 	}
-	if err := f.AttachTree(victim, trees[victim], NetworkOptions{}); err == nil {
+	if err := f.AttachBuilt(victim, built, NetworkOptions{}); err == nil {
 		t.Fatalf("duplicate attach should fail")
 	}
 	for _, bad := range []string{"", ".", "..", "a/b", "a b", "a\x1fb"} {
-		if err := f.AttachTree(bad, trees[victim], NetworkOptions{}); err == nil {
+		if err := f.AttachBuilt(bad, built, NetworkOptions{}); err == nil {
 			t.Fatalf("name %q should be rejected", bad)
 		}
 	}
@@ -361,14 +374,14 @@ func TestDetachReleasesSharedResources(t *testing.T) {
 func TestDiscover(t *testing.T) {
 	dir := t.TempDir()
 	treeA, treeB, treeC := buildTestTree(t, 11), buildTestTree(t, 13), buildTestTree(t, 7)
-	if _, err := treeA.WriteSharded(dir + "/alpha.index"); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := treeA.WriteShardedAs(dir+"/alpha.index", tctree.FormatTCBIN); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
-	if _, err := treeB.WriteSharded(dir + "/beta.index"); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := treeB.WriteShardedAs(dir+"/beta.index", tctree.FormatTCBIN); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
-	if _, err := treeC.WriteSharded(dir + "/gamma"); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := treeC.WriteShardedAs(dir+"/gamma", tctree.FormatTCBIN); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	// Only index directories are networks: a leftover monolithic file of an
 	// earlier release is not picked up.

@@ -39,8 +39,8 @@ func TestApplyDeltaCheckpointsAtOnce(t *testing.T) {
 			opts := NetworkOptions{Network: nw, NetworkPath: netPath}
 			var err error
 			if mode == "eager" {
-				err = f.AttachTree("bk", tree, opts)
-			} else if _, err = tree.WriteSharded(indexDir); err == nil {
+				err = f.AttachBuilt("bk", buildTestIndex(t, 11), opts)
+			} else if _, err = tree.WriteShardedAs(indexDir, tctree.FormatTCBIN); err == nil {
 				var idx *tctree.ShardedIndex
 				if idx, err = tctree.OpenSharded(indexDir); err == nil {
 					err = f.AttachIndex("bk", idx, opts)
@@ -104,7 +104,7 @@ func TestApplyDeltaCheckpointsAtOnce(t *testing.T) {
 				assertSameAnswer(t, "bk (reopened)", got, fresh.QueryByAlpha(0))
 			}
 
-			if err := f.AttachTree("frozen", tree, NetworkOptions{}); err != nil {
+			if err := f.AttachBuilt("frozen", buildTestIndex(t, 11), NetworkOptions{}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := f.ApplyDelta("frozen", d); err == nil {

@@ -28,7 +28,7 @@ func benchState(b *testing.B, dir, name string, seed int64) (*federation.Federat
 		b.Fatal(err)
 	}
 	tree := tctree.Build(nw, tctree.BuildOptions{})
-	if _, err := tree.WriteSharded(filepath.Join(sub, "index")); err != nil {
+	if _, err := tree.WriteShardedAs(filepath.Join(sub, "index"), tctree.FormatTCBIN); err != nil {
 		b.Fatal(err)
 	}
 	netPath := filepath.Join(sub, "network.dbnet")

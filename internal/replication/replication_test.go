@@ -125,10 +125,14 @@ func assertEngineParity(t *testing.T, label string, got, want *engine.Engine) {
 	}
 }
 
-// freshEngine builds the reference: an eager engine over a from-scratch tree.
+// freshEngine builds the reference: an eager engine over a from-scratch index.
 func freshEngine(t *testing.T, nw *dbnet.Network) *engine.Engine {
 	t.Helper()
-	eng, err := engine.New(tctree.Build(nw, tctree.BuildOptions{}), engine.Options{})
+	idx, err := tctree.BuildIndex(nw, tctree.BuildOptions{})
+	if err != nil {
+		t.Fatalf("fresh index: %v", err)
+	}
+	eng, err := engine.New(idx, engine.Options{})
 	if err != nil {
 		t.Fatalf("fresh engine: %v", err)
 	}
@@ -146,8 +150,8 @@ func seedState(t *testing.T, dir string, nw *dbnet.Network) {
 	if tree.NumNodes() == 0 {
 		t.Skip("empty tree for this seed")
 	}
-	if _, err := tree.WriteSharded(filepath.Join(dir, "index")); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := tree.WriteShardedAs(filepath.Join(dir, "index"), tctree.FormatTCBIN); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	if err := dbnet.WriteFileAtomic(filepath.Join(dir, "network.dbnet"), nw, nil); err != nil {
 		t.Fatalf("write network: %v", err)

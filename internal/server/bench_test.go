@@ -37,7 +37,7 @@ func newBenchSite(b *testing.B) *benchSite {
 	}
 	tree := tctree.Build(ds.Network, tctree.BuildOptions{})
 	site := &benchSite{dir: b.TempDir(), dataset: ds}
-	if _, err := tree.WriteSharded(site.dir); err != nil {
+	if _, err := tree.WriteShardedAs(site.dir, tctree.FormatTCBIN); err != nil {
 		b.Fatal(err)
 	}
 	// Every eighth shard: a single-item query retrieves one node, the few

@@ -16,8 +16,24 @@ import (
 	"themecomm/internal/tctree"
 )
 
-// buildFedTree builds a small TC-Tree over a dense random database network.
+// buildFedTree builds a small TC-Tree over fedNetwork(t, seed).
 func buildFedTree(t *testing.T, seed int64) *tctree.Tree {
+	t.Helper()
+	tree := tctree.Build(fedNetwork(t, seed), tctree.BuildOptions{})
+	if tree.NumNodes() == 0 {
+		t.Fatalf("seed %d built an empty tree", seed)
+	}
+	return tree
+}
+
+// buildFedIndex builds buildFedTree's index in-process.
+func buildFedIndex(t *testing.T, seed int64) *tctree.Index {
+	t.Helper()
+	return builtIndex(t, fedNetwork(t, seed), tctree.BuildOptions{})
+}
+
+// fedNetwork builds a dense random database network.
+func fedNetwork(t *testing.T, seed int64) *dbnet.Network {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	nw := dbnet.New(16)
@@ -38,11 +54,7 @@ func buildFedTree(t *testing.T, seed int64) *tctree.Tree {
 			}
 		}
 	}
-	tree := tctree.Build(nw, tctree.BuildOptions{})
-	if tree.NumNodes() == 0 {
-		t.Fatalf("seed %d built an empty tree", seed)
-	}
-	return tree
+	return nw
 }
 
 var fedSeeds = map[string]int64{"aminer": 7, "bk": 11, "gw": 13}
@@ -57,8 +69,8 @@ func newFederatedServer(t *testing.T, opts federation.Options) (*Server, *federa
 		tree := buildFedTree(t, seed)
 		trees[name] = tree
 		dir := t.TempDir()
-		if _, err := tree.WriteSharded(dir); err != nil {
-			t.Fatalf("WriteSharded: %v", err)
+		if _, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
+			t.Fatalf("WriteShardedAs: %v", err)
 		}
 		idx, err := tctree.OpenSharded(dir)
 		if err != nil {
@@ -168,8 +180,8 @@ func TestFederatedSingleNetworkParity(t *testing.T) {
 // of one network named "default" — listed on /api/v1/networks, scoped under
 // /api/v1/default/..., and the same bytes on the bare routes.
 func TestTreeServerIsOneNetworkFederation(t *testing.T) {
-	tree := buildFedTree(t, 7)
-	s, err := New(tree, Options{})
+	tree, built := buildFedTree(t, 7), buildFedIndex(t, 7)
+	s, err := New(built, Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -190,13 +202,13 @@ func TestTreeServerIsOneNetworkFederation(t *testing.T) {
 		}
 	}
 
-	// Into a caller's federation, the tree joins as "default" and takes the
+	// Into a caller's federation, the index joins as "default" and takes the
 	// bare routes unless DefaultNetwork names another member.
 	fed := federation.New(federation.Options{})
-	if err := fed.AttachTree("aaa", buildFedTree(t, 11), federation.NetworkOptions{}); err != nil {
+	if err := fed.AttachBuilt("aaa", buildFedIndex(t, 11), federation.NetworkOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	s, err = New(tree, Options{Federation: fed})
+	s, err = New(built, Options{Federation: fed})
 	if err != nil {
 		t.Fatalf("New into a federation: %v", err)
 	}
@@ -206,8 +218,8 @@ func TestTreeServerIsOneNetworkFederation(t *testing.T) {
 	if nets.Default != "default" || len(nets.Networks) != 2 {
 		t.Fatalf("networks = %+v, want default among 2", nets)
 	}
-	if _, err := New(tree, Options{Federation: fed}); err == nil {
-		t.Fatalf("a second tree under the taken name \"default\" was attached")
+	if _, err := New(built, Options{Federation: fed}); err == nil {
+		t.Fatalf("a second index under the taken name \"default\" was attached")
 	}
 }
 

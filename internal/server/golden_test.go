@@ -82,22 +82,22 @@ func goldenFederation(t *testing.T, lazy bool) *Server {
 	fed := federation.New(federation.Options{CacheSize: 64})
 	for _, n := range []struct {
 		name string
-		tree *tctree.Tree
+		idx  *tctree.Index
 		opts federation.NetworkOptions
 	}{
-		{"paper", tctree.Build(dbnet.PaperExample(), tctree.BuildOptions{}), federation.NetworkOptions{}},
-		{"aminer", tctree.Build(d.Network, tctree.BuildOptions{MaxDepth: 3}),
+		{"paper", builtIndex(t, dbnet.PaperExample(), tctree.BuildOptions{}), federation.NetworkOptions{}},
+		{"aminer", builtIndex(t, d.Network, tctree.BuildOptions{MaxDepth: 3}),
 			federation.NetworkOptions{Dictionary: d.Dictionary, VertexNames: d.AuthorNames}},
 	} {
 		if !lazy {
-			if err := fed.AttachTree(n.name, n.tree, n.opts); err != nil {
-				t.Fatalf("AttachTree(%s): %v", n.name, err)
+			if err := fed.AttachBuilt(n.name, n.idx, n.opts); err != nil {
+				t.Fatalf("AttachBuilt(%s): %v", n.name, err)
 			}
 			continue
 		}
 		dir := t.TempDir()
-		if _, err := n.tree.WriteSharded(dir); err != nil {
-			t.Fatalf("WriteSharded(%s): %v", n.name, err)
+		if _, err := n.idx.Write(dir); err != nil {
+			t.Fatalf("Write(%s): %v", n.name, err)
 		}
 		idx, err := tctree.OpenSharded(dir)
 		if err != nil {

@@ -24,7 +24,7 @@ func newObservedServer(t *testing.T) (*Server, *obs.Observer) {
 	t.Helper()
 	o := obs.NewObserver(obs.ObserverOptions{SlowThreshold: time.Nanosecond})
 	s, _ := testNetwork{
-		Tree:   buildFedTree(t, 7),
+		Built:  buildFedIndex(t, 7),
 		Fed:    federation.Options{CacheSize: 8, Recorder: o},
 		Server: Options{Obs: o},
 	}.serve(t)
@@ -204,8 +204,8 @@ func TestFederatedMetricsPerTenant(t *testing.T) {
 	fed := federation.New(federation.Options{CacheSize: 32, Recorder: o})
 	for name, seed := range fedSeeds {
 		dir := t.TempDir()
-		if _, err := buildFedTree(t, seed).WriteSharded(dir); err != nil {
-			t.Fatalf("WriteSharded: %v", err)
+		if _, err := buildFedTree(t, seed).WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
+			t.Fatalf("WriteShardedAs: %v", err)
 		}
 		idx, err := tctree.OpenSharded(dir)
 		if err != nil {
@@ -317,7 +317,7 @@ func TestDeltaNodeCountersAreExported(t *testing.T) {
 	nw := buildUpdatableNetwork(t, 11)
 	o := obs.NewObserver(obs.ObserverOptions{})
 	tree := tctree.Build(nw, tctree.BuildOptions{})
-	s, _ := testNetwork{Tree: tree, NetworkOptions: federation.NetworkOptions{Network: nw}, Server: Options{Obs: o}}.serve(t)
+	s, _ := testNetwork{Built: builtIndex(t, nw, tctree.BuildOptions{}), NetworkOptions: federation.NetworkOptions{Network: nw}, Server: Options{Obs: o}}.serve(t)
 	// A new vertex carrying one item: the root of that item's shard is
 	// recomputed, the rest of the shard is reused.
 	var item string

@@ -33,8 +33,8 @@ func newPrimaryServer(t *testing.T) (*Server, *replication.Primary) {
 	if tree.NumNodes() == 0 {
 		t.Fatal("seed built an empty tree")
 	}
-	if _, err := tree.WriteSharded(filepath.Join(sub, "index")); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := tree.WriteShardedAs(filepath.Join(sub, "index"), tctree.FormatTCBIN); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	netPath := filepath.Join(sub, "network.dbnet")
 	if err := dbnet.WriteFile(netPath, nw, nil); err != nil {
@@ -211,7 +211,7 @@ func TestPrimaryServerJournalFlow(t *testing.T) {
 	// AttachIndex pads the primary's dictionary with item-<id> placeholders;
 	// mirror that so both servers render theme names identically.
 	freshDict.PadTo(16)
-	fresh, _ := testNetwork{Tree: tctree.Build(freshNW, tctree.BuildOptions{}),
+	fresh, _ := testNetwork{Built: builtIndex(t, freshNW, tctree.BuildOptions{}),
 		NetworkOptions: federation.NetworkOptions{Dictionary: freshDict}}.serve(t)
 	for _, url := range []string{"/api/v1/query?alpha=0", "/api/v1/query?pattern=1,2&alpha=0.1"} {
 		got, want := get(t, s, "/api/v1/alpha"+url[7:]), get(t, fresh, url)
@@ -260,9 +260,8 @@ func TestJournalNotFoundWithoutPrimary(t *testing.T) {
 // turns every update into a 403 that points at the primary.
 func TestReadOnlyReplicaRejectsWrites(t *testing.T) {
 	nw := buildUpdatableNetwork(t, 17)
-	tree := tctree.Build(nw, tctree.BuildOptions{})
 	status := replication.Status{Role: "replica", HeadSeq: 5, JournalSeq: 3, LagRecords: 2}
-	s, _ := testNetwork{Tree: tree, NetworkOptions: federation.NetworkOptions{Network: nw}, Server: Options{
+	s, _ := testNetwork{Built: builtIndex(t, nw, tctree.BuildOptions{}), NetworkOptions: federation.NetworkOptions{Network: nw}, Server: Options{
 		ReadOnly:          true,
 		PrimaryURL:        "http://primary:9000/",
 		ReplicationStatus: func() replication.Status { return status },

@@ -41,7 +41,7 @@ import (
 // builds when the caller does not supply one.
 const defaultCacheSize = 256
 
-// treeNetwork is the name a tree handed to New is served under.
+// treeNetwork is the name an index handed to New is served under.
 const treeNetwork = "default"
 
 // maxBatchQueries bounds one /api/v1/batch request.
@@ -100,7 +100,7 @@ type Options struct {
 	// one with a small shared result cache.
 	Federation *federation.Federation
 	// DefaultNetwork names the network behind the bare routes; empty means
-	// the network of the tree handed to New, else the lexically first
+	// the network of the index handed to New, else the lexically first
 	// attached network.
 	DefaultNetwork string
 	// Primary, when non-nil, is the replication primary fronting the served
@@ -130,17 +130,18 @@ type Options struct {
 	Obs *obs.Observer
 }
 
-// New returns a Server over opts.Federation. A non-nil tree is attached to
-// it, eager and without names, as the network "default" — into a new
-// federation when opts.Federation is nil — and serves the bare routes unless
-// opts.DefaultNetwork names another. New fails without a tree or federation.
-func New(tree *tctree.Tree, opts Options) (*Server, error) {
+// New returns a Server over opts.Federation. A non-nil index (built
+// in-process, tctree.BuildIndex) is attached to it, eager and without names,
+// as the network "default" — into a new federation when opts.Federation is
+// nil — and serves the bare routes unless opts.DefaultNetwork names another.
+// New fails without an index or federation.
+func New(idx *tctree.Index, opts Options) (*Server, error) {
 	fed, bareNetwork := opts.Federation, opts.DefaultNetwork
-	if tree != nil {
+	if idx != nil {
 		if fed == nil {
 			fed = federation.New(federation.Options{CacheSize: defaultCacheSize})
 		}
-		if err := fed.AttachTree(treeNetwork, tree, federation.NetworkOptions{}); err != nil {
+		if err := fed.AttachBuilt(treeNetwork, idx, federation.NetworkOptions{}); err != nil {
 			return nil, err
 		}
 		if bareNetwork == "" {
@@ -148,7 +149,7 @@ func New(tree *tctree.Tree, opts Options) (*Server, error) {
 		}
 	}
 	if fed == nil {
-		return nil, fmt.Errorf("server: nil tree and no federation")
+		return nil, fmt.Errorf("server: nil index and no federation")
 	}
 	s := &Server{bareNetwork: bareNetwork, fed: fed, mux: http.NewServeMux(),
 		obsv: opts.Obs, start: time.Now(),

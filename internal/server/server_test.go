@@ -22,11 +22,11 @@ import (
 )
 
 // testNetwork is the one network a test server serves through a federation,
-// the only way a server finds a network: eager over Tree, or lazy over Index
-// when Tree is nil, attached as treeNetwork with NetworkOptions to a
+// the only way a server finds a network: eager over Built, or lazy over Index
+// when Built is nil, attached as treeNetwork with NetworkOptions to a
 // federation built with Fed. Server configures the rest of the server.
 type testNetwork struct {
-	Tree  *tctree.Tree
+	Built *tctree.Index
 	Index *tctree.ShardedIndex
 	federation.NetworkOptions
 	Fed    federation.Options
@@ -39,8 +39,8 @@ func (tn testNetwork) serve(tb testing.TB) (*Server, *federation.Network) {
 	tb.Helper()
 	fed := federation.New(tn.Fed)
 	var err error
-	if tn.Tree != nil {
-		err = fed.AttachTree(treeNetwork, tn.Tree, tn.NetworkOptions)
+	if tn.Built != nil {
+		err = fed.AttachBuilt(treeNetwork, tn.Built, tn.NetworkOptions)
 	} else {
 		err = fed.AttachIndex(treeNetwork, tn.Index, tn.NetworkOptions)
 	}
@@ -57,12 +57,22 @@ func (tn testNetwork) serve(tb testing.TB) (*Server, *federation.Network) {
 	return s, n
 }
 
+// builtIndex builds nw's index in-process, as New and AttachBuilt serve it.
+func builtIndex(tb testing.TB, nw *dbnet.Network, opts tctree.BuildOptions) *tctree.Index {
+	tb.Helper()
+	idx, err := tctree.BuildIndex(nw, opts)
+	if err != nil {
+		tb.Fatalf("BuildIndex: %v", err)
+	}
+	return idx
+}
+
 // openIndex writes tree as an index directory and opens it.
 func openIndex(tb testing.TB, tree *tctree.Tree) *tctree.ShardedIndex {
 	tb.Helper()
 	dir := tb.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		tb.Fatalf("WriteSharded: %v", err)
+	if _, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
+		tb.Fatalf("WriteShardedAs: %v", err)
 	}
 	idx, err := tctree.OpenSharded(dir)
 	if err != nil {
@@ -80,7 +90,7 @@ func newTestServer(t *testing.T) (*Server, gen.Dataset) {
 		t.Fatalf("AMiner: %v", err)
 	}
 	s, _ := testNetwork{
-		Tree:           tctree.Build(d.Network, tctree.BuildOptions{MaxDepth: 3}),
+		Built:          builtIndex(t, d.Network, tctree.BuildOptions{MaxDepth: 3}),
 		NetworkOptions: federation.NetworkOptions{Dictionary: d.Dictionary, VertexNames: d.AuthorNames},
 		Fed:            federation.Options{CacheSize: defaultCacheSize},
 	}.serve(t)
@@ -97,7 +107,7 @@ func get(t *testing.T, s *Server, url string) *httptest.ResponseRecorder {
 
 func TestNewRejectsNilTree(t *testing.T) {
 	if _, err := New(nil, Options{}); err == nil {
-		t.Fatalf("nil tree should be rejected")
+		t.Fatalf("nil index should be rejected")
 	}
 }
 
@@ -184,9 +194,7 @@ func TestQueryByPatternEndpoint(t *testing.T) {
 }
 
 func TestQueryNumericPatternWithoutDictionary(t *testing.T) {
-	nw := dbnet.PaperExample()
-	tree := tctree.Build(nw, tctree.BuildOptions{})
-	s, err := New(tree, Options{})
+	s, err := New(builtIndex(t, dbnet.PaperExample(), tctree.BuildOptions{}), Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -327,11 +335,9 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestItemNamesFallback(t *testing.T) {
-	nw := dbnet.PaperExample()
-	tree := tctree.Build(nw, tctree.BuildOptions{})
 	// A dictionary that does not cover the network's items falls back to ids.
 	dict := itemset.NewDictionary()
-	s, _ := testNetwork{Tree: tree, NetworkOptions: federation.NetworkOptions{Dictionary: dict}}.serve(t)
+	s, _ := testNetwork{Built: builtIndex(t, dbnet.PaperExample(), tctree.BuildOptions{}), NetworkOptions: federation.NetworkOptions{Dictionary: dict}}.serve(t)
 	rec := get(t, s, "/api/v1/patterns?length=1")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
@@ -358,7 +364,7 @@ func post(t *testing.T, s *Server, url, body string) *httptest.ResponseRecorder 
 func TestQueryMatchesDirectTree(t *testing.T) {
 	nw := dbnet.PaperExample()
 	tree := tctree.Build(nw, tctree.BuildOptions{})
-	s, err := New(tree, Options{})
+	s, err := New(builtIndex(t, nw, tctree.BuildOptions{}), Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -555,7 +561,7 @@ func TestLazyServerMatchesEager(t *testing.T) {
 	}
 	tree := tctree.Build(d.Network, tctree.BuildOptions{MaxDepth: 3})
 	nopts := federation.NetworkOptions{Dictionary: d.Dictionary, VertexNames: d.AuthorNames}
-	eager, _ := testNetwork{Tree: tree, NetworkOptions: nopts, Fed: federation.Options{CacheSize: defaultCacheSize}}.serve(t)
+	eager, _ := testNetwork{Built: builtIndex(t, d.Network, tctree.BuildOptions{MaxDepth: 3}), NetworkOptions: nopts, Fed: federation.Options{CacheSize: defaultCacheSize}}.serve(t)
 	lazy, _ := testNetwork{Index: openIndex(t, tree), NetworkOptions: nopts, Fed: federation.Options{CacheSize: 16}}.serve(t)
 
 	// Cold start: one single-item query must leave most shards unloaded.
@@ -618,9 +624,9 @@ func TestLazyServerShardLoadFailure(t *testing.T) {
 	}
 	tree := tctree.Build(d.Network, tctree.BuildOptions{MaxDepth: 2})
 	dir := t.TempDir()
-	m, err := tree.WriteSharded(dir)
+	m, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN)
 	if err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	victim := m.Shards[0]
 	path := filepath.Join(dir, victim.File)

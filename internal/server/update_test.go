@@ -49,15 +49,15 @@ func buildUpdatableNetwork(t *testing.T, seed int64) *dbnet.Network {
 func newUpdatableServer(t *testing.T, seed int64) (*Server, *dbnet.Network, string) {
 	t.Helper()
 	nw := buildUpdatableNetwork(t, seed)
-	tree := tctree.Build(nw, tctree.BuildOptions{})
-	if tree.NumNodes() == 0 {
-		t.Fatalf("seed %d built an empty tree", seed)
+	built := builtIndex(t, nw, tctree.BuildOptions{})
+	if built.NumNodes() == 0 {
+		t.Fatalf("seed %d built an empty index", seed)
 	}
 	netPath := filepath.Join(t.TempDir(), "net.dbnet")
 	if err := dbnet.WriteFile(netPath, nw, nil); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	s, _ := testNetwork{Tree: tree, NetworkOptions: federation.NetworkOptions{Network: nw, NetworkPath: netPath}}.serve(t)
+	s, _ := testNetwork{Built: built, NetworkOptions: federation.NetworkOptions{Network: nw, NetworkPath: netPath}}.serve(t)
 	return s, nw, netPath
 }
 
@@ -82,8 +82,7 @@ func TestUpdateEndpoint(t *testing.T) {
 
 	// The served index now answers like a from-scratch rebuild of the
 	// updated network.
-	freshTree := tctree.Build(nw, tctree.BuildOptions{})
-	fresh, err := New(freshTree, Options{})
+	fresh, err := New(builtIndex(t, nw, tctree.BuildOptions{}), Options{})
 	if err != nil {
 		t.Fatalf("fresh server: %v", err)
 	}
@@ -169,7 +168,7 @@ func TestFederationUpdateRoute(t *testing.T) {
 		nws[name] = nw
 		tree := tctree.Build(nw, tctree.BuildOptions{})
 		dir := t.TempDir()
-		if _, err := tree.WriteSharded(dir); err != nil {
+		if _, err := tree.WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
 			t.Fatal(err)
 		}
 		idx, err := tctree.OpenSharded(dir)
@@ -210,8 +209,7 @@ func TestFederationUpdateRoute(t *testing.T) {
 		t.Fatalf("untouched tenant's answer changed:\n before %s\n after %s", bkBefore, after)
 	}
 	// The updated tenant matches a from-scratch rebuild.
-	freshTree := tctree.Build(nws["aminer"], tctree.BuildOptions{})
-	fresh, err := New(freshTree, Options{})
+	fresh, err := New(builtIndex(t, nws["aminer"], tctree.BuildOptions{}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +220,7 @@ func TestFederationUpdateRoute(t *testing.T) {
 	}
 
 	// A tenant attached without its network rejects updates with 409.
-	tree := buildFedTree(t, 17)
-	if err := fed.AttachTree("frozen", tree, federation.NetworkOptions{}); err != nil {
+	if err := fed.AttachBuilt("frozen", buildFedIndex(t, 17), federation.NetworkOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	rec = post(t, s, "/api/v1/frozen/update", `{"addVertices": 1}`)
@@ -306,7 +303,7 @@ func TestUpdateWriteBackFailureCommitsNothing(t *testing.T) {
 	dir := t.TempDir()
 	nw := buildUpdatableNetwork(t, 11)
 	indexDir, netPath := filepath.Join(dir, "net.index"), filepath.Join(dir, "net.dbnet")
-	if _, err := tctree.Build(nw, tctree.BuildOptions{}).WriteSharded(indexDir); err != nil {
+	if _, err := tctree.Build(nw, tctree.BuildOptions{}).WriteShardedAs(indexDir, tctree.FormatTCBIN); err != nil {
 		t.Fatal(err)
 	}
 	if err := dbnet.WriteFileAtomic(netPath, nw, nil); err != nil {
@@ -328,7 +325,7 @@ func TestUpdateWriteBackFailureCommitsNothing(t *testing.T) {
 	assertServesFreshBuild := func(s *Server, n *federation.Network, when string) {
 		t.Helper()
 		fresh, _ := testNetwork{
-			Tree:           tctree.Build(n.DatabaseNetwork(), tctree.BuildOptions{}),
+			Built:          builtIndex(t, n.DatabaseNetwork(), tctree.BuildOptions{}),
 			NetworkOptions: federation.NetworkOptions{Dictionary: n.Dictionary()},
 		}.serve(t)
 		for _, url := range urls {

@@ -18,6 +18,7 @@ import (
 var (
 	benchShards map[itemset.Item]*EncodedShard
 	benchTree   *Tree
+	benchIndex  *Index
 )
 
 // medianCostVertex returns the vertex whose update costs the median: an
@@ -110,18 +111,28 @@ func BenchmarkRebuildSubtrees(b *testing.B) {
 	}
 }
 
-// BenchmarkBuild measures a from-scratch Build of the read workloads' index:
-// AMINER at scale 0.5.
+// BenchmarkBuild measures a from-scratch build of the read workloads' index,
+// AMINER at scale 0.5, both ways: Build holds the pointer tree (cmd/tcload),
+// BuildIndex encodes each shard on its worker and drops the subtree.
 func BenchmarkBuild(b *testing.B) {
 	ds, err := gen.AMiner(0.5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchTree = Build(ds.Network, BuildOptions{})
-	}
+	b.Run("Build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchTree = Build(ds.Network, BuildOptions{})
+		}
+	})
+	b.Run("BuildIndex", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if benchIndex, err = BuildIndex(ds.Network, BuildOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // scanAlphas is the qba-scan α grid of cmd/tcload.

@@ -661,9 +661,9 @@ func (b *BinShard) WalkPatterns(visit func(p itemset.Itemset)) {
 }
 
 // Materialize rebuilds the pointer-tree form of the shard from the bytes it
-// has open: the bridge from TCBIN back to code that needs *Node (LoadShard,
-// LoadTree) and the round-trip reference of the format's tests; no query or
-// update calls it. Every decomposition is re-validated on the way.
+// has open: the bridge from TCBIN back to code that needs *Node (LoadTree)
+// and the round-trip reference of the format's tests; no query or update
+// calls it. Every decomposition is re-validated on the way.
 func (b *BinShard) Materialize() (*Node, error) {
 	nodes := make([]*Node, b.nodeCount)
 	root, err := b.nodeAt(0, itemset.New())

@@ -295,7 +295,7 @@ func TestDecodeBinShardRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestWriteShardedBinaryRoundTrip pins what WriteSharded puts on disk: a
+// TestWriteShardedBinaryRoundTrip pins what WriteShardedAs puts on disk: a
 // manifest that records the TCBIN format and the tree's totals, .tcbin shard
 // files, and shards that open zero-copy as *BinShard. (Query identity of the
 // round trip is TestRoundTripAnswersQueriesIdentically.)

@@ -76,9 +76,9 @@ func TestCommitShardsCrashSafety(t *testing.T) {
 	for _, failOn := range []string{"shard", "manifest"} {
 		t.Run("fail-on-"+failOn, func(t *testing.T) {
 			dir := t.TempDir()
-			before, err := tree.WriteSharded(dir)
+			before, err := indexOf(t, tree).Write(dir)
 			if err != nil {
-				t.Fatalf("WriteSharded: %v", err)
+				t.Fatalf("WriteShardedAs: %v", err)
 			}
 			idx, err := OpenSharded(dir)
 			if err != nil {
@@ -133,8 +133,8 @@ func TestCommitShardsCrashSafety(t *testing.T) {
 func TestFailedCommitPreservesReusedFiles(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := indexOf(t, tree).Write(dir); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	idx, err := OpenSharded(dir)
 	if err != nil {
@@ -174,8 +174,8 @@ func TestFailedCommitPreservesReusedFiles(t *testing.T) {
 func TestOpenShardedSweepsOrphanTempFiles(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := indexOf(t, tree).Write(dir); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	for _, name := range []string{"shard-9999.tcbin.tmp", ManifestName + ".tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("garbage"), 0o644); err != nil {
@@ -199,8 +199,8 @@ func TestOpenShardedSweepsOrphanTempFiles(t *testing.T) {
 func TestCommitShardsAddRemove(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := indexOf(t, tree).Write(dir); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	idx, err := OpenSharded(dir)
 	if err != nil {
@@ -267,8 +267,8 @@ func TestCommitShardsAddRemove(t *testing.T) {
 func TestWriteShardedRemovesStaleShardFiles(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := indexOf(t, tree).Write(dir); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	idx, err := OpenSharded(dir)
 	if err != nil {
@@ -285,9 +285,9 @@ func TestWriteShardedRemovesStaleShardFiles(t *testing.T) {
 	if got, had := len(smaller.Root().Children), len(tree.Root().Children); got == 0 || got >= had {
 		t.Fatalf("smaller tree has %d shards, the original %d; pick other parameters", got, had)
 	}
-	m, err := smaller.WriteSharded(dir)
+	m, err := indexOf(t, smaller).Write(dir)
 	if err != nil {
-		t.Fatalf("WriteSharded over the updated index: %v", err)
+		t.Fatalf("Write over the updated index: %v", err)
 	}
 	want := map[string]bool{ManifestName: true}
 	for _, e := range m.Shards {
@@ -452,13 +452,13 @@ func TestBuiltMaxDepthRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	nw := randomNetwork(rng, 16, 40, 5, 4)
 	tree := Build(nw, BuildOptions{MaxDepth: 2})
-	if got := tree.BuiltMaxDepth(); got != 2 {
+	if got := tree.builtMaxDepth; got != 2 {
 		t.Fatalf("BuiltMaxDepth = %d, want 2", got)
 	}
 
 	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := indexOf(t, tree).Write(dir); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	idx, err := OpenSharded(dir)
 	if err != nil {
@@ -471,13 +471,13 @@ func TestBuiltMaxDepthRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadTree: %v", err)
 	}
-	if got := loaded.BuiltMaxDepth(); got != 2 {
+	if got := loaded.builtMaxDepth; got != 2 {
 		t.Fatalf("sharded round trip lost the bound: %d", got)
 	}
 
 	// Unbounded trees round-trip a zero bound and stay updatable.
 	free := Build(nw, BuildOptions{})
-	if got := free.BuiltMaxDepth(); got != 0 {
+	if got := free.builtMaxDepth; got != 0 {
 		t.Fatalf("unbounded tree reports bound %d", got)
 	}
 }

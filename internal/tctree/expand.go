@@ -12,9 +12,9 @@ import (
 )
 
 // expandSubtree mines the whole first-level subtree (shard) of one top-level
-// item from the network: the one routine behind Build, RebuildSubtrees and
-// the scoped rebuild of an update, so a shard is the same — bit for bit —
-// whichever of them produced it. The splice it returns has a nil root when
+// item from the network, on the pool of mineShards — behind Build,
+// BuildIndex, RebuildSubtrees and the scoped rebuild of an update — so a
+// shard is the same, bit for bit, whichever of them produced it. The splice it returns has a nil root when
 // the item's maximal pattern truss at α = 0 is empty. maxDepth bounds the
 // pattern length of the nodes (Algorithm 4 without a bound when it is the
 // largest int).
@@ -382,19 +382,6 @@ func intersectEdges(a, b []graph.Edge) []graph.Edge {
 		}
 	}
 	return out
-}
-
-// mineSubtrees runs a full expandSubtree for every item on a pool of workers
-// and returns the shard roots aligned with items (nil: indexes nothing).
-func mineSubtrees(nw *dbnet.Network, items itemset.Itemset, maxDepth, workers int) []*Node {
-	// The expansions read the network from several goroutines; freeze the
-	// lazily built structures first so those reads are safe.
-	nw.Freeze()
-	roots := make([]*Node, len(items))
-	parallelDo(len(items), workers, func(i int) {
-		roots[i] = expandSubtree(nw, items[i], maxDepth, nil, nil).root
-	})
-	return roots
 }
 
 // firstError returns the first non-nil error of a pool's per-index results.

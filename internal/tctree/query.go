@@ -84,17 +84,3 @@ func (t *Tree) QueryByAlpha(alphaQ float64) *QueryResult {
 	}
 	return t.Query(items, alphaQ)
 }
-
-// MiningResult converts a QueryByAlpha answer into a core.Result, which makes
-// index-based retrieval directly comparable with the output of the mining
-// algorithms (the tests' reference).
-func (t *Tree) MiningResult(alphaQ float64) *core.Result {
-	qr := t.QueryByAlpha(alphaQ)
-	res := &core.Result{Alpha: alphaQ, Trusses: make(map[itemset.Key]*truss.Truss, len(qr.Trusses))}
-	res.Stats.Algorithm = "TC-Tree"
-	res.Stats.Duration = qr.Duration
-	for _, tr := range qr.Trusses {
-		res.Trusses[tr.Pattern.Key()] = tr
-	}
-	return res
-}

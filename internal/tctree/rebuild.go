@@ -12,7 +12,11 @@ import (
 // parallel, returning item → new subtree (nil when the shard decomposed to
 // nothing). The network is frozen first so concurrent reads are safe.
 func RebuildSubtrees(nw *dbnet.Network, items itemset.Itemset) map[itemset.Item]*Node {
-	roots := mineSubtrees(nw, items, math.MaxInt, runtime.GOMAXPROCS(0))
+	roots := make([]*Node, len(items))
+	mineShards(nw, items, math.MaxInt, runtime.GOMAXPROCS(0), nil, nil, func(i int, s splice) error {
+		roots[i] = s.root
+		return nil
+	})
 	out := make(map[itemset.Item]*Node, items.Len())
 	for i, it := range items {
 		out[it] = roots[i]
@@ -28,28 +32,23 @@ func RebuildSubtrees(nw *dbnet.Network, items itemset.Itemset) map[itemset.Item]
 // nw, which must already carry the delta; every other node is carried over
 // from the previous shard, walked in place and copied table run by table run,
 // never decoded (splice.encode). The result maps every item to its encoded
-// shard — nil when it decomposed to nothing — byte for byte what encoding
-// RebuildSubtrees' subtrees gives.
+// shard — nil when it decomposed to nothing — byte for byte what BuildIndex
+// encodes for it.
 //
 // A shard is rebuilt in full when prev is nil or returns nil for its item —
 // no previous version, an unreadable one, or one not known to have been
 // current when the scope was taken — and when no witness contains the item.
 func RebuildScoped(nw *dbnet.Network, items itemset.Itemset, scope []itemset.Itemset, prev func(itemset.Item) *BinShard) (map[itemset.Item]*EncodedShard, RebuildStats, error) {
-	nw.Freeze()
 	shards := make([]*EncodedShard, len(items))
 	stats := make([]RebuildStats, len(items))
-	errs := make([]error, len(items))
-	parallelDo(len(items), runtime.GOMAXPROCS(0), func(i int) {
-		var old *BinShard
-		if prev != nil {
-			old = prev(items[i])
-		}
-		if s := expandSubtree(nw, items[i], math.MaxInt, scope, old); s.root != nil {
+	err := mineShards(nw, items, math.MaxInt, runtime.GOMAXPROCS(0), scope, prev, func(i int, s splice) (err error) {
+		if s.root != nil {
 			stats[i].Recomputed = s.mined
-			shards[i], stats[i].Reused, errs[i] = s.encode()
+			shards[i], stats[i].Reused, err = s.encode()
 		}
+		return err
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, RebuildStats{}, err
 	}
 	out := make(map[itemset.Item]*EncodedShard, items.Len())

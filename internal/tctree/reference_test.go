@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"themecomm/internal/core"
 	"themecomm/internal/dbnet"
 	"themecomm/internal/itemset"
 	"themecomm/internal/truss"
@@ -128,4 +129,71 @@ func treeMaxAlpha(tree *Tree) float64 {
 	maxAlpha := 0.0
 	tree.Walk(func(n *Node) { maxAlpha = max(maxAlpha, n.Decomp.MaxAlpha()) })
 	return maxAlpha
+}
+
+// The pointer tree's lookups and listings below serve only as references
+// for the tests; nothing in the serving path reads a Tree.
+
+// Node returns the node representing pattern p, or nil if p is not indexed
+// (its maximal pattern truss at α = 0 is empty).
+func (t *Tree) Node(p itemset.Itemset) *Node {
+	if t.root == nil || p.Len() == 0 {
+		return nil
+	}
+	return t.root.Descendant(p)
+}
+
+// Descendant returns the node of pattern p within n's subtree (possibly n
+// itself), or nil when p does not extend n's pattern or is not indexed below
+// n. Because the TC-Tree is a set-enumeration tree, the path from n to the
+// node of p appends the items of p beyond n's pattern in ascending order.
+func (n *Node) Descendant(p itemset.Itemset) *Node {
+	if n == nil || p.Len() < n.Pattern.Len() {
+		return nil
+	}
+	for i, it := range n.Pattern {
+		if p[i] != it {
+			return nil
+		}
+	}
+	cur := n
+	for _, it := range p[n.Pattern.Len():] {
+		var next *Node
+		for _, c := range cur.Children {
+			if c.Item == it {
+				next = c
+				break
+			}
+		}
+		if next == nil {
+			return nil
+		}
+		cur = next
+	}
+	return cur
+}
+
+// MiningResult converts a QueryByAlpha answer into a core.Result, which makes
+// index-based retrieval directly comparable with the output of the mining
+// algorithms (the tests' reference).
+func (t *Tree) MiningResult(alphaQ float64) *core.Result {
+	qr := t.QueryByAlpha(alphaQ)
+	res := &core.Result{Alpha: alphaQ, Trusses: make(map[itemset.Key]*truss.Truss, len(qr.Trusses))}
+	res.Stats.Algorithm = "TC-Tree"
+	res.Stats.Duration = qr.Duration
+	for _, tr := range qr.Trusses {
+		res.Trusses[tr.Pattern.Key()] = tr
+	}
+	return res
+}
+
+// LoadShard opens the shard rooted at item and materializes it as a pointer
+// subtree sharing no state with the index. Serving layers query through
+// LoadShardView instead; this is for code that needs *Node.
+func (x *ShardedIndex) LoadShard(item itemset.Item) (*Node, error) {
+	b, err := x.OpenShard(item)
+	if err != nil {
+		return nil, err
+	}
+	return b.Materialize()
 }

@@ -259,7 +259,7 @@ func removeOrphanTempFiles(dir string) {
 // (writeFileAtomic) on a pool of GOMAXPROCS workers; shard(i) supplies the
 // i-th — encoding it there, for a tree being written, so that one shard's
 // encoding overlaps another's fsync. It is the one write routine behind
-// WriteSharded and StageShards: staged files take a checksum-versioned name
+// writeIndex and StageShards: staged files take a checksum-versioned name
 // no manifest references yet, the others the item's canonical name. Entries
 // come back in shard order, independent of the schedule; on error — the first
 // in shard order — those of the written shards are still set, the rest zero.
@@ -285,52 +285,46 @@ func writeShards(dir string, n int, shard func(i int) (*EncodedShard, error), st
 	return entries, firstError(errs)
 }
 
-// EncodeShards returns what WriteSharded writes, for a serving layer that
-// holds the shards in memory: every first-level subtree as its TCBIN bytes.
-func (t *Tree) EncodeShards() ([]*EncodedShard, error) {
+// Write writes the index as an index directory: one TCBIN shard file per
+// shard plus index.manifest, all inside dir (created if missing), and
+// returns the written manifest. Written over an existing index it replaces
+// it: once the new manifest is in place, every shard file it does not
+// reference is removed. An index saved this way is opened with OpenSharded.
+func (x *Index) Write(dir string) (*Manifest, error) {
+	return writeIndex(dir, x.BuiltMaxDepth, len(x.Shards), func(i int) (*EncodedShard, error) { return x.Shards[i], nil })
+}
+
+// WriteShardedAs writes the tree as Write writes its index, encoding each
+// shard on the writer's pool so that one shard's encoding overlaps
+// another's fsync; the only format is FormatTCBIN.
+func (t *Tree) WriteShardedAs(dir, format string) (*Manifest, error) {
+	if format != FormatTCBIN {
+		return nil, fmt.Errorf("tctree: unknown index format %q (the only format is %q)", format, FormatTCBIN)
+	}
 	if t == nil || t.root == nil {
 		return nil, fmt.Errorf("tctree: cannot serialize a nil tree")
 	}
 	roots := t.root.Children
-	shards := make([]*EncodedShard, len(roots))
-	errs := make([]error, len(roots))
-	parallelDo(len(roots), runtime.GOMAXPROCS(0), func(i int) { shards[i], errs[i] = encodeShardBinary(roots[i]) })
-	return shards, firstError(errs)
+	return writeIndex(dir, t.builtMaxDepth, len(roots), func(i int) (*EncodedShard, error) { return encodeShardBinary(roots[i]) })
 }
 
-// WriteSharded writes the tree as an index directory: one TCBIN shard file
-// per first-level subtree plus index.manifest, all inside dir (created if
-// missing), and returns the written manifest. Written over an existing index
-// it replaces it: once the new manifest is in place, every shard file it
-// does not reference is removed. A tree saved this way is opened with
-// OpenSharded.
-func (t *Tree) WriteSharded(dir string) (*Manifest, error) {
-	if t == nil || t.root == nil {
-		return nil, fmt.Errorf("tctree: cannot serialize a nil tree")
-	}
+// writeIndex is the one index writer behind Write and WriteShardedAs: the n
+// shards shard supplies (writeShards), then the manifest, then the sweep of
+// the files it does not reference.
+func writeIndex(dir string, builtMaxDepth, n int, shard func(i int) (*EncodedShard, error)) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	roots := t.root.Children
-	entries, err := writeShards(dir, len(roots), func(i int) (*EncodedShard, error) { return encodeShardBinary(roots[i]) }, false)
+	entries, err := writeShards(dir, n, shard, false)
 	if err != nil {
 		return nil, err
 	}
-	m := &Manifest{Version: manifestVersion, Format: FormatTCBIN, BuiltMaxDepth: t.builtMaxDepth, Shards: entries}
+	m := &Manifest{Version: manifestVersion, Format: FormatTCBIN, BuiltMaxDepth: builtMaxDepth, Shards: entries}
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
 	removeUnreferencedShardFiles(dir, m)
 	return m, nil
-}
-
-// WriteShardedAs is WriteSharded for callers that name the format; the only
-// format is FormatTCBIN.
-func (t *Tree) WriteShardedAs(dir, format string) (*Manifest, error) {
-	if format != FormatTCBIN {
-		return nil, fmt.Errorf("tctree: unknown index format %q (the only format is %q)", format, FormatTCBIN)
-	}
-	return t.WriteSharded(dir)
 }
 
 // removeUnreferencedShardFiles deletes the shard-* files of dir that m does
@@ -426,7 +420,7 @@ type ShardedIndex struct {
 	byItem   map[itemset.Item]int
 }
 
-// OpenSharded opens an index directory written by WriteSharded. Only
+// OpenSharded opens an index directory written by Index.Write. Only
 // the manifest is read; shard files are opened on demand. Orphaned *.tmp
 // files left behind by a crashed or failed write are removed — they are
 // invisible to the manifest, so the cleanup can never lose committed data.
@@ -516,23 +510,16 @@ func (x *ShardedIndex) OpenShard(item itemset.Item) (*BinShard, error) {
 	return OpenBinShard(filepath.Join(x.dir, entry.File), entry)
 }
 
-// LoadShard opens the shard rooted at item and materializes it as a pointer
-// subtree sharing no state with the index. Serving layers query through
-// LoadShardView instead; this is for code that needs *Node.
-func (x *ShardedIndex) LoadShard(item itemset.Item) (*Node, error) {
-	b, err := x.OpenShard(item)
-	if err != nil {
-		return nil, err
-	}
-	return b.Materialize()
-}
-
 // LoadTree materializes every shard and assembles the full in-memory tree.
 func (x *ShardedIndex) LoadTree() (*Tree, error) {
 	m := x.Manifest()
 	tree := &Tree{root: &Node{Pattern: itemset.New()}, builtMaxDepth: m.BuiltMaxDepth}
 	for _, e := range m.Shards {
-		root, err := x.LoadShard(itemset.Item(e.Item))
+		b, err := x.OpenShard(itemset.Item(e.Item))
+		if err != nil {
+			return nil, err
+		}
+		root, err := b.Materialize()
 		if err != nil {
 			return nil, err
 		}

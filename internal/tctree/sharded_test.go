@@ -25,22 +25,22 @@ func buildShardedTestTree(t *testing.T, seed int64) *Tree {
 }
 
 // TestShardedRoundTrip is the manifest + shards round-trip test: the
-// manifest WriteSharded returns is the one read back, its totals match the
+// manifest Write returns is the one read back, its totals match the
 // tree's own statistics, and LoadTree reassembles a valid tree of the same
 // size.
 func TestShardedRoundTrip(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	dir := t.TempDir()
-	written, err := tree.WriteSharded(dir)
+	written, err := indexOf(t, tree).Write(dir)
 	if err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	if len(written.Shards) != len(tree.Root().Children) {
 		t.Fatalf("manifest has %d shards, tree has %d first-level subtrees",
 			len(written.Shards), len(tree.Root().Children))
 	}
 	if !IsSharded(dir) {
-		t.Fatalf("IsSharded(%s) = false after WriteSharded", dir)
+		t.Fatalf("IsSharded(%s) = false after Write", dir)
 	}
 
 	// The manifest read back from disk must equal the one returned.
@@ -83,15 +83,15 @@ func TestShardedRoundTrip(t *testing.T) {
 }
 
 // TestRoundTripAnswersQueriesIdentically is the write → open → query test:
-// after a WriteSharded/LoadTree round trip, the reloaded tree must answer
+// after a Write/LoadTree round trip, the reloaded tree must answer
 // every query pattern and threshold exactly like the original — same visit
 // counts, same retrieval order, and truss-for-truss identical edges and
 // vertex frequencies.
 func TestRoundTripAnswersQueriesIdentically(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := indexOf(t, tree).Write(dir); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	idx, err := OpenSharded(dir)
 	if err != nil {
@@ -157,9 +157,9 @@ func corruptedFirstShard(t *testing.T) (*ShardedIndex, *Manifest) {
 	t.Helper()
 	tree := buildShardedTestTree(t, 19)
 	dir := t.TempDir()
-	m, err := tree.WriteSharded(dir)
+	m, err := indexOf(t, tree).Write(dir)
 	if err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	path := filepath.Join(dir, m.Shards[0].File)
 	data, err := os.ReadFile(path)
@@ -198,9 +198,9 @@ func TestLoadShardVerifiesChecksum(t *testing.T) {
 func TestLoadShardMissingFile(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	dir := t.TempDir()
-	m, err := tree.WriteSharded(dir)
+	m, err := indexOf(t, tree).Write(dir)
 	if err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	entry := m.Shards[len(m.Shards)-1]
 	if err := os.Remove(filepath.Join(dir, entry.File)); err != nil {
@@ -244,8 +244,8 @@ func TestReadManifestRejectsBadFileNames(t *testing.T) {
 func TestOpenRefusesLegacyIndexes(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	dir := t.TempDir()
-	if _, err := tree.WriteSharded(dir); err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+	if _, err := indexOf(t, tree).Write(dir); err != nil {
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	good, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -310,9 +310,9 @@ func TestCommitShardsReplaceOne(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	before, err := tree.WriteSharded(dir)
+	before, err := indexOf(t, tree).Write(dir)
 	if err != nil {
-		t.Fatalf("WriteSharded: %v", err)
+		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	idx, err := OpenSharded(dir)
 	if err != nil {
@@ -427,9 +427,9 @@ func TestCommitLeavesTheSweepToTheCaller(t *testing.T) {
 		for _, swept := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/swept=%v", outcome, swept), func(t *testing.T) {
 				dir := t.TempDir()
-				before, err := tree.WriteSharded(dir)
+				before, err := indexOf(t, tree).Write(dir)
 				if err != nil {
-					t.Fatalf("WriteSharded: %v", err)
+					t.Fatalf("WriteShardedAs: %v", err)
 				}
 				idx, err := OpenSharded(dir)
 				if err != nil {

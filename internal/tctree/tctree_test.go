@@ -69,7 +69,7 @@ func TestBuildOnPaperExample(t *testing.T) {
 	if len(comms) != 2 {
 		t.Fatalf("expected 2 theme communities, got %d", len(comms))
 	}
-	if tree.String() == "" || tree.Depth() < 1 {
+	if tree.Depth() < 1 {
 		t.Fatalf("tree accessors broken")
 	}
 }
@@ -169,8 +169,8 @@ func TestBuildRespectsMaxDepth(t *testing.T) {
 			t.Fatalf("bounded tree should have fewer nodes")
 		}
 	}
-	if got := len(tree.PatternsAtDepth(1)); got != tree.NumNodes() {
-		t.Fatalf("PatternsAtDepth(1) = %d, want %d", got, tree.NumNodes())
+	if got := len(tree.Root().Children); got != tree.NumNodes() {
+		t.Fatalf("%d patterns of length 1, want %d", got, tree.NumNodes())
 	}
 }
 
@@ -197,37 +197,56 @@ func TestBuildSerialVsParallel(t *testing.T) {
 	}
 }
 
-// shardBytes writes the tree as an index and returns item → shard file bytes
-// together with the manifest's per-shard checksums.
-func shardBytes(t *testing.T, tree *Tree) (map[int32][]byte, map[int32]string) {
+// indexOf encodes a built tree as an Index, shard by shard: what BuildIndex
+// builds from the tree's network.
+func indexOf(tb testing.TB, tree *Tree) *Index {
+	tb.Helper()
+	idx := &Index{BuiltMaxDepth: tree.builtMaxDepth}
+	for _, root := range tree.Root().Children {
+		enc, err := encodeShardBinary(root)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		idx.Shards = append(idx.Shards, enc)
+	}
+	return idx
+}
+
+// shardBytes writes the tree as an index, as cmd/tcload writes a Build
+// (WriteShardedAs), and returns item → shard file bytes together with the
+// manifest's per-shard entries.
+func shardBytes(t *testing.T, tree *Tree) (map[int32][]byte, map[int32]ShardEntry) {
 	t.Helper()
 	dir := t.TempDir()
-	m, err := tree.WriteSharded(dir)
+	m, err := tree.WriteShardedAs(dir, FormatTCBIN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	files, sums := make(map[int32][]byte), make(map[int32]string)
+	files, entries := make(map[int32][]byte), make(map[int32]ShardEntry)
 	for _, e := range m.Shards {
 		data, err := os.ReadFile(filepath.Join(dir, e.File))
 		if err != nil {
 			t.Fatal(err)
 		}
-		files[e.Item], sums[e.Item] = data, e.Checksum
+		files[e.Item], entries[e.Item] = data, e
 	}
-	return files, sums
+	return files, entries
 }
 
 // TestBuildIsAFunctionOfTheNetwork asserts that an index is determined by its
 // network alone: two builds, and builds under GOMAXPROCS 1 and 4, write
-// byte-identical shard files and manifest checksums. (Summing and peeling in
+// byte-identical shard files and manifest checksums, and BuildIndex — which
+// never holds the tree — produces those bytes and entries at every
+// GOMAXPROCS, shard for shard in ascending item. (Summing and peeling in
 // map-iteration order used to move thresholds by an ulp between builds, so a
-// primary, its replicas and a from-scratch tcindex could disagree.)
+// primary, its replicas and a from-scratch tcindex could disagree.) A
+// depth-bounded BuildIndex records its bound in the manifest Write writes.
 func TestBuildIsAFunctionOfTheNetwork(t *testing.T) {
 	ds, err := gen.AMiner(0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFiles, wantSums := shardBytes(t, Build(ds.Network, BuildOptions{}))
+	wantFiles, wantEntries := shardBytes(t, Build(ds.Network, BuildOptions{}))
 	if len(wantFiles) < 20 {
 		t.Fatalf("only %d shards; the dataset is too small to mean anything", len(wantFiles))
 	}
@@ -236,16 +255,47 @@ func TestBuildIsAFunctionOfTheNetwork(t *testing.T) {
 		if procs > 0 {
 			runtime.GOMAXPROCS(procs)
 		}
-		files, sums := shardBytes(t, Build(ds.Network, BuildOptions{}))
+		files, entries := shardBytes(t, Build(ds.Network, BuildOptions{}))
 		if len(files) != len(wantFiles) {
 			t.Fatalf("GOMAXPROCS %d: %d shards, first build %d", procs, len(files), len(wantFiles))
 		}
 		for item, want := range wantFiles {
-			if !bytes.Equal(files[item], want) || sums[item] != wantSums[item] {
+			if !bytes.Equal(files[item], want) || entries[item].Checksum != wantEntries[item].Checksum {
 				t.Fatalf("GOMAXPROCS %d: shard of item %d differs from the first build (checksum %s vs %s)",
-					procs, item, sums[item], wantSums[item])
+					procs, item, entries[item].Checksum, wantEntries[item].Checksum)
 			}
 		}
+		idx, err := BuildIndex(ds.Network, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(idx.Shards) != len(wantFiles) || idx.BuiltMaxDepth != 0 {
+			t.Fatalf("GOMAXPROCS %d: BuildIndex has %d shards (depth bound %d), Build wrote %d", procs, len(idx.Shards), idx.BuiltMaxDepth, len(wantFiles))
+		}
+		for i, s := range idx.Shards {
+			if i > 0 && s.Entry.Item <= idx.Shards[i-1].Entry.Item {
+				t.Fatalf("GOMAXPROCS %d: BuildIndex shard %d (item %d) out of item order", procs, i, s.Entry.Item)
+			}
+			if !bytes.Equal(s.Data, wantFiles[s.Entry.Item]) || s.Entry != wantEntries[s.Entry.Item] {
+				t.Fatalf("GOMAXPROCS %d: BuildIndex shard of item %d differs from the file Build writes:\n%+v\n%+v",
+					procs, s.Entry.Item, s.Entry, wantEntries[s.Entry.Item])
+			}
+		}
+	}
+	bounded, err := BuildIndex(ds.Network, BuildOptions{MaxDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := bounded.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.BuiltMaxDepth != 2 || m.Depth() > 2 {
+		t.Fatalf("MaxDepth 2 BuildIndex wrote a manifest with BuiltMaxDepth %d, depth %d", m.BuiltMaxDepth, m.Depth())
 	}
 }
 

@@ -49,11 +49,6 @@ type Tree struct {
 	builtMaxDepth int
 }
 
-// BuiltMaxDepth returns the MaxDepth bound the tree was built with
-// (0 = unbounded). Trees assembled from a sharded index inherit the bound
-// recorded in the manifest.
-func (t *Tree) BuiltMaxDepth() int { return t.builtMaxDepth }
-
 // Root returns the root node (pattern ∅). It is never nil on a built tree.
 func (t *Tree) Root() *Node { return t.root }
 
@@ -133,15 +128,6 @@ func (t *Tree) Walk(visit func(*Node)) {
 	dfs(t.root)
 }
 
-// Node returns the node representing pattern p, or nil if p is not indexed
-// (its maximal pattern truss at α = 0 is empty).
-func (t *Tree) Node(p itemset.Itemset) *Node {
-	if t.root == nil || p.Len() == 0 {
-		return nil
-	}
-	return t.root.Descendant(p)
-}
-
 // Walk visits n and every node of its subtree in depth-first order. It is the
 // subtree counterpart of Tree.Walk, used to traverse a single shard.
 func (n *Node) Walk(visit func(*Node)) {
@@ -154,57 +140,11 @@ func (n *Node) Walk(visit func(*Node)) {
 	}
 }
 
-// Descendant returns the node of pattern p within n's subtree (possibly n
-// itself), or nil when p does not extend n's pattern or is not indexed below
-// n. Because the TC-Tree is a set-enumeration tree, the path from n to the
-// node of p appends the items of p beyond n's pattern in ascending order.
-func (n *Node) Descendant(p itemset.Itemset) *Node {
-	if n == nil || p.Len() < n.Pattern.Len() {
-		return nil
-	}
-	for i, it := range n.Pattern {
-		if p[i] != it {
-			return nil
-		}
-	}
-	cur := n
-	for _, it := range p[n.Pattern.Len():] {
-		var next *Node
-		for _, c := range cur.Children {
-			if c.Item == it {
-				next = c
-				break
-			}
-		}
-		if next == nil {
-			return nil
-		}
-		cur = next
-	}
-	return cur
-}
-
 // Patterns returns every indexed pattern in depth-first order.
 func (t *Tree) Patterns() []itemset.Itemset {
 	var out []itemset.Itemset
 	t.Walk(func(n *Node) { out = append(out, n.Pattern) })
 	return out
-}
-
-// PatternsAtDepth returns the indexed patterns of the given length.
-func (t *Tree) PatternsAtDepth(depth int) []itemset.Itemset {
-	var out []itemset.Itemset
-	t.Walk(func(n *Node) {
-		if n.Pattern.Len() == depth {
-			out = append(out, n.Pattern)
-		}
-	})
-	return out
-}
-
-// String summarises the tree.
-func (t *Tree) String() string {
-	return fmt.Sprintf("tctree.Tree{nodes=%d, depth=%d}", t.NumNodes(), t.Depth())
 }
 
 // Validate checks the structural invariants of the tree: children are ordered

@@ -98,13 +98,11 @@ type (
 	// Community is one theme community: a connected subgraph annotated with
 	// its theme.
 	Community = core.Community
-	// Tree is the TC-Tree index over all maximal pattern trusses.
-	Tree = tctree.Tree
+	// Index is the TC-Tree index over all maximal pattern trusses, built
+	// in-process as bytes: one TCBIN shard per top-level item.
+	Index = tctree.Index
 	// TreeBuildOptions configures TC-Tree construction.
 	TreeBuildOptions = tctree.BuildOptions
-	// QueryResult is the answer to a TC-Tree query (Tree.Query): the
-	// retrieved maximal pattern trusses themselves.
-	QueryResult = tctree.QueryResult
 	// Dataset is a generated dataset analogue (network plus item dictionary).
 	Dataset = gen.Dataset
 )
@@ -157,8 +155,8 @@ type (
 )
 
 // NewFederation returns an empty federation; attach networks with
-// AttachTree (a tree built in-process) or AttachIndexDir (an index
-// directory).
+// AttachBuilt (an index built in-process with BuildIndex) or AttachIndexDir
+// (an index directory).
 func NewFederation(opts FederationOptions) *Federation { return federation.New(opts) }
 
 // OpenFederation builds a federation from every indexed network found in
@@ -185,12 +183,7 @@ type (
 	IndexShardEntry = tctree.ShardEntry
 )
 
-// WriteShardedTree writes a built TC-Tree as an index directory — the one
-// persisted layout: a memory-mappable TCBIN shard file per top-level item
-// plus an index.manifest, all inside dir.
-func WriteShardedTree(tree *Tree, dir string) (*IndexManifest, error) { return tree.WriteSharded(dir) }
-
-// OpenShardedIndex opens an index directory written by WriteShardedTree (or
+// OpenShardedIndex opens an index directory written by Index.Write (or
 // tcindex). Only the manifest is read; shards load on demand.
 func OpenShardedIndex(dir string) (*ShardedIndex, error) { return tctree.OpenSharded(dir) }
 
@@ -312,8 +305,13 @@ func DecomposePattern(nw *Network, p Itemset) *Decomposition {
 	return truss.Decompose(nw.ThemeNetwork(p))
 }
 
-// BuildTree builds the TC-Tree index of the network.
-func BuildTree(nw *Network, opts TreeBuildOptions) *Tree { return tctree.Build(nw, opts) }
+// BuildIndex builds the TC-Tree index of the network as bytes. Write it as
+// an index directory — the one persisted layout: a memory-mappable TCBIN
+// shard file per top-level item plus an index.manifest — with Index.Write,
+// or serve it in-process with Federation.AttachBuilt.
+func BuildIndex(nw *Network, opts TreeBuildOptions) (*Index, error) {
+	return tctree.BuildIndex(nw, opts)
+}
 
 // GenerateDataset generates one of the paper's dataset analogues by name
 // ("BK", "GW", "AMINER" or "SYN") at the given scale factor (1.0 is the
@@ -388,10 +386,10 @@ type QueryServerOptions = server.Options
 
 // NewQueryServer returns an http.Handler exposing the query-answering API
 // (see cmd/tcserver for the endpoints) over the networks of
-// opts.Federation. A non-nil tree is served too, as the network "default"
+// opts.Federation. A non-nil index is served too, as the network "default"
 // behind the bare routes, in a new federation when opts.Federation is nil.
-func NewQueryServer(tree *Tree, opts QueryServerOptions) (http.Handler, error) {
-	return server.New(tree, opts)
+func NewQueryServer(idx *Index, opts QueryServerOptions) (http.Handler, error) {
+	return server.New(idx, opts)
 }
 
 // Edge database networks — the extension the paper proposes as future work

@@ -112,16 +112,19 @@ func TestPublicAPITrussAndDecomposition(t *testing.T) {
 
 func TestPublicAPIIndexAndQuery(t *testing.T) {
 	nw, dict := buildDemoNetwork(t)
-	tree := themecomm.BuildTree(nw, themecomm.TreeBuildOptions{})
-	if tree.NumNodes() == 0 {
-		t.Fatalf("tree should index the demo patterns")
+	idx, err := themecomm.BuildIndex(nw, themecomm.TreeBuildOptions{})
+	if err != nil {
+		t.Fatalf("BuildIndex: %v", err)
+	}
+	if idx.NumNodes() == 0 {
+		t.Fatalf("index should hold the demo patterns")
 	}
 
 	// Persistence round trip through the public API; the reopened index
 	// answers through its federation engine.
 	dir := t.TempDir()
-	if _, err := themecomm.WriteShardedTree(tree, filepath.Join(dir, "demo.index")); err != nil {
-		t.Fatalf("WriteShardedTree: %v", err)
+	if _, err := idx.Write(filepath.Join(dir, "demo.index")); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
 	fed, err := themecomm.OpenFederation(dir, themecomm.FederationOptions{})
 	if err != nil {
@@ -132,7 +135,7 @@ func TestPublicAPIIndexAndQuery(t *testing.T) {
 		t.Fatalf("OpenFederation did not attach demo.index: %v", fed.Names())
 	}
 	eng := n.Engine()
-	if eng.NumNodes() != tree.NumNodes() {
+	if eng.NumNodes() != idx.NumNodes() {
 		t.Fatalf("index round trip lost nodes")
 	}
 	camera, _ := dict.Lookup("camera")
