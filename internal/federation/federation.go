@@ -99,9 +99,10 @@ type NetworkOptions struct {
 // after attach (deltas mutate the database network's contents, serialized by
 // the tenant's update lock).
 type Network struct {
-	name string
-	eng  *engine.Engine
-	opts NetworkOptions
+	name  string
+	eng   *engine.Engine
+	opts  NetworkOptions
+	names *QuotedNames
 	// updMu serializes this tenant's unjournaled updates: the engine's own
 	// lock covers the swap and the checkpoint each, this one covers the
 	// update and the checkpoint that persists it.
@@ -130,8 +131,9 @@ func (n *Network) Engine() *engine.Engine { return n.eng }
 // Dictionary returns the network's item dictionary; it may be nil.
 func (n *Network) Dictionary() *itemset.Dictionary { return n.opts.Dictionary }
 
-// VertexNames returns the network's vertex display names; it may be nil.
-func (n *Network) VertexNames() []string { return n.opts.VertexNames }
+// QuotedNames returns the network's JSON-quoted item and vertex names, the
+// tables answer encoders render communities through.
+func (n *Network) QuotedNames() *QuotedNames { return n.names }
 
 // DatabaseNetwork returns the database network the tenant's index is
 // maintained against; nil when the tenant was attached without one (it then
@@ -299,7 +301,7 @@ func (f *Federation) attach(name string, eng *engine.Engine, opts NetworkOptions
 	if _, dup := f.networks[name]; dup {
 		return fmt.Errorf("federation: network %q is already attached", name)
 	}
-	f.networks[name] = &Network{name: name, eng: eng, opts: opts}
+	f.networks[name] = &Network{name: name, eng: eng, opts: opts, names: NewQuotedNames(opts.Dictionary, opts.VertexNames)}
 	return nil
 }
 

@@ -51,7 +51,7 @@ type Observer struct {
 
 	queries   *CounterVec   // network, result (hit|miss|error)
 	duration  *HistogramVec // network
-	stages    *HistogramVec // network, stage (plan|execute|merge)
+	stages    *HistogramVec // network, stage (plan|execute|merge|stream|encode)
 	slowTotal *CounterVec   // network
 
 	// nets caches the resolved per-network series (netSeries), so the hot
@@ -66,6 +66,7 @@ type netSeries struct {
 	duration        *Histogram
 	plan, exec      *Histogram
 	merge, stream   *Histogram
+	encode          *Histogram
 	slow            *Counter
 }
 
@@ -83,6 +84,7 @@ func (o *Observer) seriesFor(network string) *netSeries {
 		exec:     o.stages.With(network, "execute"),
 		merge:    o.stages.With(network, "merge"),
 		stream:   o.stages.With(network, "stream"),
+		encode:   o.stages.With(network, "encode"),
 		slow:     o.slowTotal.With(network),
 	}
 	actual, _ := o.nets.LoadOrStore(network, s)
@@ -114,7 +116,7 @@ func NewObserver(opts ObserverOptions) *Observer {
 			"End-to-end engine query latency, cache hits included.",
 			nil, "network"),
 		stages: reg.Histogram("tc_query_stage_duration_seconds",
-			"Executed-query latency split by stage: plan, execute (parallel shard traversal), merge, stream (pull-driven delivery of a streaming execution).",
+			"Query latency split by stage: plan, execute (parallel shard traversal), merge and stream (pull-driven delivery of a streaming execution) of executed queries; encode (the server writing an answer to bytes), cache hits included.",
 			nil, "network", "stage"),
 		slowTotal: reg.Counter("tc_slow_queries_total",
 			"Queries captured by the slow-query log (duration >= threshold, cache hits excluded).",
@@ -131,6 +133,12 @@ func (o *Observer) Logger() *slog.Logger { return o.logger }
 
 // SlowLog returns the slow-query ring buffer.
 func (o *Observer) SlowLog() *SlowLog { return o.slowLog }
+
+// ObserveEncode records how long the serving layer spent writing one answer
+// of network to bytes: the encode stage, observed for cache hits too.
+func (o *Observer) ObserveEncode(network string, d time.Duration) {
+	o.seriesFor(network).encode.Observe(d.Seconds())
+}
 
 // RecordQuery implements Recorder: the latency histograms move on every
 // query; a query at least SlowThreshold slow (and not a cache hit) is

@@ -51,15 +51,21 @@ func newBenchSite(b *testing.B) *benchSite {
 }
 
 // server returns a server over a fresh lazy network on the site's index.
-func (site *benchSite) server(b *testing.B, cacheSize int) *Server {
+// Without vertex names the vertices render as their numeric identifiers, as
+// they do behind tcserver -networks.
+func (site *benchSite) server(b *testing.B, cacheSize int, vertexNames bool) *Server {
 	b.Helper()
 	idx, err := tctree.OpenSharded(site.dir)
 	if err != nil {
 		b.Fatal(err)
 	}
+	opts := federation.NetworkOptions{Dictionary: site.dataset.Dictionary}
+	if vertexNames {
+		opts.VertexNames = site.dataset.AuthorNames
+	}
 	s, _ := testNetwork{
 		Index:          idx,
-		NetworkOptions: federation.NetworkOptions{Dictionary: site.dataset.Dictionary, VertexNames: site.dataset.AuthorNames},
+		NetworkOptions: opts,
 		Fed:            federation.Options{CacheSize: cacheSize},
 	}.serve(b)
 	return s
@@ -96,7 +102,9 @@ func serveDiscarding(tb testing.TB, s *Server, w *discard, target string) {
 // BenchmarkServeQuery measures the four read shapes through the handler:
 // hit is a cached query-by-pattern (the qbp-hot shape); qba, topk and stream
 // are an uncached query-by-alpha, materialized top-10 and streamed top-10 on
-// the qba-scan α grid, every request its own cache key.
+// the qba-scan α grid, every request its own cache key. qba-ids and topk-ids
+// are qba and topk over a network without vertex names, the traffic the
+// served-path benchmark sends (its tcserver -networks has none).
 func BenchmarkServeQuery(b *testing.B) {
 	site := newBenchSite(b)
 	scan := func(suffix string) func(i int) string {
@@ -106,21 +114,24 @@ func BenchmarkServeQuery(b *testing.B) {
 		}
 	}
 	for _, bc := range []struct {
-		name      string
-		cacheSize int
-		target    func(i int) string
+		name        string
+		cacheSize   int
+		vertexNames bool
+		target      func(i int) string
 	}{
-		{"hit", 1024, func(i int) string {
+		{"hit", 1024, true, func(i int) string {
 			return "/api/v1/query?alpha=0.1&pattern=" + site.patterns[i%len(site.patterns)]
 		}},
 		// A small cache: an uncached scan answer is large, and a benchmark
 		// should not hold a thousand of them.
-		{"qba", 8, scan("")},
-		{"topk", 8, scan("&k=10")},
-		{"stream", 8, scan("&k=10&stream=1")},
+		{"qba", 8, true, scan("")},
+		{"topk", 8, true, scan("&k=10")},
+		{"stream", 8, true, scan("&k=10&stream=1")},
+		{"qba-ids", 8, false, scan("")},
+		{"topk-ids", 8, false, scan("&k=10")},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			s := site.server(b, bc.cacheSize)
+			s := site.server(b, bc.cacheSize, bc.vertexNames)
 			w := &discard{header: make(http.Header)}
 			// Warm up: every shard resident, and every hit key cached.
 			for i := 0; i < len(site.patterns); i++ {

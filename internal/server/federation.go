@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"time"
 
 	"themecomm/internal/delta"
 	"themecomm/internal/federation"
@@ -208,67 +209,104 @@ func (s *Server) handleQueryAll(w http.ResponseWriter, r *http.Request) {
 		s.serveQueryAllStream(w, r, resolve, fields, alpha, k, req.Limit)
 		return
 	}
-	resp := QueryAllResponse{Alpha: alpha, Pattern: fields, TopK: k}
-	tenantFor := s.tenantLookup()
-
+	var merged []federation.NetworkRanked
+	var results []federation.NetworkResult
+	var err error
 	if k > 0 {
-		merged, err := s.fed.TopKAll(r.Context(), resolve, alpha, k)
-		if err != nil {
-			writeError(w, r, queryStatusOf(err), err.Error())
-			return
-		}
-		for _, rc := range merged {
-			t := tenantFor(rc.Network)
-			if t == nil {
-				continue
-			}
-			resp.Communities = append(resp.Communities, NetworkCommunityResponse{
-				Network:           rc.Network,
-				CommunityResponse: t.communityResponse(&rc.Community, true),
-			})
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
+		merged, err = s.fed.TopKAll(r.Context(), resolve, alpha, k)
+	} else {
+		results, err = s.fed.QueryAll(r.Context(), resolve, alpha)
 	}
-
-	results, err := s.fed.QueryAll(r.Context(), resolve, alpha)
 	if err != nil {
 		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
+
+	// The QueryAllResponse: per-network answers, or the merged top-k; each
+	// network's share of the encode is observed under its name.
+	tenants := s.newTenantMemo()
+	defer tenants.observeEncode()
+	a := beginAnswer(w, "application/json")
+	a.buf = append(a.buf, `{"alpha":`...)
+	a.buf = appendFloat(a.buf, alpha)
+	if len(fields) > 0 {
+		a.buf = append(a.buf, `,"pattern":`...)
+		a.buf = appendStrings(a.buf, fields)
+	}
+	a.buf = appendOmitInt(a.buf, `,"topK":`, k)
+	listed := false
+	// open starts the next element of the answer's one list, which is
+	// omitted (omitempty) when nothing is listed.
+	open := func(field string) {
+		if !listed {
+			a.buf = append(a.buf, field...)
+			listed = true
+		} else {
+			a.buf = append(a.buf, ',')
+		}
+	}
 	for _, nr := range results {
-		t := tenantFor(nr.Network)
+		t := tenants.get(nr.Network)
 		if t == nil {
 			continue
 		}
-		var patternNames []string
-		if nr.Pattern != nil {
-			patternNames = t.itemNames(nr.Pattern)
-		}
-		resp.Results = append(resp.Results, NetworkQueryResponse{
-			Network:       nr.Network,
-			QueryResponse: t.queryResponse(nr.Pattern, patternNames, alpha, nr.Result),
-		})
+		began := time.Now()
+		open(`,"results":[`)
+		a.query(&answerHead{network: nr.Network, alpha: alpha, pattern: nr.Pattern, retrieved: nr.Result.RetrievedNodes,
+			visited: nr.Result.VisitedNodes, micros: nr.Result.Duration.Microseconds()}, nr.Result.Communities, false, t.names, "")
+		t.encode += time.Since(began)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	for i := range merged {
+		rc := &merged[i]
+		t := tenants.get(rc.Network)
+		if t == nil {
+			continue
+		}
+		began := time.Now()
+		open(`,"communities":[`)
+		a.buf = append(a.buf, `{"network":`...)
+		a.buf = append(appendString(a.buf, rc.Network), ',')
+		a.buf = appendCommunity(a.buf, &rc.Community, true, t.names)
+		a.spill()
+		t.encode += time.Since(began)
+	}
+	if listed {
+		a.buf = append(a.buf, ']')
+	}
+	a.buf = append(a.buf, '}')
+	a.end()
 }
 
-// tenantLookup returns a per-request memo of tenantOf by network name: one
-// tenant per network, not per community, since a cross-network answer may
-// carry hundreds of communities from a handful of networks. A network
-// detached mid-request resolves to nil; its communities are gone anyway.
-func (s *Server) tenantLookup() func(name string) *tenant {
-	tenants := make(map[string]*tenant)
-	return func(name string) *tenant {
-		if t, ok := tenants[name]; ok {
-			return t
-		}
-		n, ok := s.fed.Network(name)
-		if !ok {
-			return nil
-		}
-		t := s.tenantOf(n)
-		tenants[name] = t
+// tenantMemo resolves the tenants of one cross-network request by network
+// name: one tenant per network, not per community, since a cross-network
+// answer may carry hundreds of communities from a handful of networks. A
+// network detached mid-request resolves to nil; its communities are gone
+// anyway.
+type tenantMemo struct {
+	s       *Server
+	tenants map[string]*tenant
+}
+
+func (s *Server) newTenantMemo() *tenantMemo {
+	return &tenantMemo{s: s, tenants: make(map[string]*tenant)}
+}
+
+func (m *tenantMemo) get(name string) *tenant {
+	if t, ok := m.tenants[name]; ok {
 		return t
+	}
+	n, ok := m.s.fed.Network(name)
+	if !ok {
+		return nil
+	}
+	t := m.s.tenantOf(n)
+	m.tenants[name] = t
+	return t
+}
+
+// observeEncode observes every resolved tenant's share of the encode.
+func (m *tenantMemo) observeEncode() {
+	for _, t := range m.tenants {
+		m.s.observeEncode(t)
 	}
 }

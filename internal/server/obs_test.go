@@ -127,6 +127,11 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		map[string]string{"network": treeNetwork, "result": "hit"}); n != 1 || v != 1 {
 		t.Fatalf("tc_queries_total hit = %v (%d samples), want 1", v, n)
 	}
+	// Both answers were encoded, the cache hit included.
+	if v, n := sampleValue(fams["tc_query_stage_duration_seconds"], "tc_query_stage_duration_seconds_count",
+		map[string]string{"network": treeNetwork, "stage": "encode"}); n != 1 || v != 2 {
+		t.Fatalf("encode stage count = %v (%d series), want 2", v, n)
+	}
 	if v, _ := sampleValue(fams["tc_engine_queries_total"], "tc_engine_queries_total",
 		map[string]string{"network": treeNetwork}); v < 1 {
 		t.Fatalf("tc_engine_queries_total = %v, want >= 1", v)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -125,6 +126,22 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 			UnixMicros: rec.UnixMicros, Network: rec.Network, Payload: rec.Payload,
 		})
 		next = rec.Seq + 1
+	}
+}
+
+// ndjsonWriter commits a 200 NDJSON response and returns its line writer:
+// each call encodes one value as a line and flushes it, so the client sees
+// every line as soon as it is produced.
+func ndjsonWriter(w http.ResponseWriter) func(v any) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	enc := json.NewEncoder(w)
+	flusher, _ := w.(http.Flusher)
+	return func(v any) {
+		_ = enc.Encode(v)
+		if flusher != nil {
+			flusher.Flush()
+		}
 	}
 }
 

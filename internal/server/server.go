@@ -34,7 +34,6 @@ import (
 	"themecomm/internal/obs"
 	"themecomm/internal/replication"
 	"themecomm/internal/tctree"
-	"themecomm/internal/truss"
 )
 
 // defaultCacheSize is the result-cache bound of the federation the server
@@ -56,9 +55,12 @@ type tenant struct {
 	engine *engine.Engine
 	// dict optionally names the items of the indexed network.
 	dict *itemset.Dictionary
-	// vertexNames optionally maps vertex identifiers to display names
-	// (e.g. author names); it may be nil.
-	vertexNames []string
+	// names renders the network's items and vertices (display names such as
+	// author names, where the network has them) into answers.
+	names *federation.QuotedNames
+	// encode is the time this request has spent encoding the tenant's
+	// answer; observeEncode reports it.
+	encode time.Duration
 	// update applies one network delta to the tenant, serialized per tenant;
 	// nil when the server does not hold the tenant's database network, in
 	// which case POST .../update is rejected. On a journaled tenant (a
@@ -219,7 +221,7 @@ func (s *Server) defaultTenant() (*tenant, string) {
 // with a database network attached checkpoints each update at once
 // (Network.ApplyDelta).
 func (s *Server) tenantOf(n *federation.Network) *tenant {
-	t := &tenant{name: n.Name(), engine: n.Engine(), dict: n.Dictionary(), vertexNames: n.VertexNames()}
+	t := &tenant{name: n.Name(), engine: n.Engine(), dict: n.Dictionary(), names: n.QuotedNames()}
 	if name := n.Name(); s.primary != nil && s.primary.Member(name) {
 		t.update = func(d *delta.Delta) (*engine.DeltaResult, uint64, error) {
 			ar, err := s.primary.Apply(name, d)
@@ -331,30 +333,14 @@ func (s *Server) serveQuery(t *tenant, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	alpha, q, k := req.Alpha, req.Pattern, req.K
-
-	var patternNames []string
-	if q != nil {
-		patternNames = t.itemNames(q)
-	}
-
 	if k > 0 {
 		qr, ranked, err := t.engine.TopKWithResultContext(r.Context(), q, alpha, k)
 		if err != nil {
 			writeError(w, r, queryStatusOf(err), err.Error())
 			return
 		}
-		resp := QueryResponse{
-			Alpha:          alpha,
-			Pattern:        patternNames,
-			TopK:           k,
-			RetrievedNodes: qr.RetrievedNodes,
-			VisitedNodes:   qr.VisitedNodes,
-			QueryMicros:    qr.Duration.Microseconds(),
-		}
-		for i := range ranked {
-			resp.Communities = append(resp.Communities, t.communityResponse(&ranked[i], true))
-		}
-		writeJSON(w, http.StatusOK, resp)
+		s.writeAnswer(t, w, &answerHead{alpha: alpha, pattern: q, topK: k, retrieved: qr.RetrievedNodes,
+			visited: qr.VisitedNodes, micros: qr.Duration.Microseconds()}, ranked, true, "")
 		return
 	}
 
@@ -369,19 +355,13 @@ func (s *Server) serveQuery(t *tenant, w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
-	resp := t.queryResponse(q, patternNames, alpha, qr)
-	resp.Contains = req.Contains
-	writeJSON(w, http.StatusOK, resp)
+	s.writeAnswer(t, w, answerHeadOf(q, alpha, qr, req.Contains), qr.Communities, false, "")
 }
 
-// communityResponse renders one community record of an engine answer. Every
-// record carries its cohesion; only ranked (top-k) answers show it.
-func (t *tenant) communityResponse(c *truss.Community, ranked bool) CommunityResponse {
-	resp := CommunityResponse{Theme: t.itemNames(c.Pattern), Vertices: t.names(c.Vertices), Edges: c.Edges}
-	if ranked {
-		resp.Cohesion = c.Cohesion
-	}
-	return resp
+// answerHeadOf is the envelope of an unranked engine answer.
+func answerHeadOf(q itemset.Itemset, alpha float64, qr *engine.Answer, contains bool) *answerHead {
+	return &answerHead{alpha: alpha, pattern: q, contains: contains, retrieved: qr.RetrievedNodes,
+		visited: qr.VisitedNodes, micros: qr.Duration.Microseconds()}
 }
 
 // ExplainResponse is the payload of GET /api/v1/explain: the engine's plan
@@ -414,24 +394,6 @@ func (s *Server) serveExplain(t *tenant, w http.ResponseWriter, r *http.Request)
 		return
 	}
 	writeJSON(w, http.StatusOK, ExplainResponse{Network: t.name, Pattern: t.itemNames(report.Pattern), ExplainReport: report})
-}
-
-// queryResponse renders one engine answer.
-func (t *tenant) queryResponse(q itemset.Itemset, patternNames []string, alpha float64, qr *engine.Answer) QueryResponse {
-	resp := QueryResponse{
-		Alpha:          alpha,
-		Pattern:        patternNames,
-		RetrievedNodes: qr.RetrievedNodes,
-		VisitedNodes:   qr.VisitedNodes,
-		QueryMicros:    qr.Duration.Microseconds(),
-	}
-	if len(qr.Communities) > 0 { // an empty answer stays "communities":null
-		resp.Communities = make([]CommunityResponse, len(qr.Communities))
-	}
-	for i := range qr.Communities {
-		resp.Communities[i] = t.communityResponse(&qr.Communities[i], false)
-	}
-	return resp
 }
 
 // BatchQuery is one query of a POST /api/v1/batch request. An empty pattern
@@ -472,7 +434,6 @@ func (s *Server) serveBatch(t *tenant, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqs := make([]engine.Request, len(req.Queries))
-	names := make([][]string, len(req.Queries))
 	for i, bq := range req.Queries {
 		if bq.Alpha < 0 {
 			writeError(w, r, http.StatusBadRequest, fmt.Sprintf("query %d: negative alpha", i))
@@ -485,7 +446,6 @@ func (s *Server) serveBatch(t *tenant, w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			reqs[i] = engine.Request{Pattern: q, Alpha: bq.Alpha}
-			names[i] = t.itemNames(q)
 		} else {
 			reqs[i] = engine.Request{Alpha: bq.Alpha}
 		}
@@ -495,11 +455,21 @@ func (s *Server) serveBatch(t *tenant, w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
-	resp := BatchResponse{Results: make([]QueryResponse, len(answers))}
+	s.writeBatchAnswer(t, w, reqs, answers)
+}
+
+// writeBatchAnswer writes the BatchResponse of t's answers to reqs.
+func (s *Server) writeBatchAnswer(t *tenant, w http.ResponseWriter, reqs []engine.Request, answers []*engine.Answer) {
+	a := beginAnswer(w, "application/json")
+	a.buf = append(a.buf, `{"results":[`...)
 	for i, qr := range answers {
-		resp.Results[i] = t.queryResponse(reqs[i].Pattern, names[i], reqs[i].Alpha, qr)
+		if i > 0 {
+			a.buf = append(a.buf, ',')
+		}
+		a.query(answerHeadOf(reqs[i].Pattern, reqs[i].Alpha, qr, false), qr.Communities, false, t.names, "")
 	}
-	writeJSON(w, http.StatusOK, resp)
+	a.buf = append(a.buf, "]}"...)
+	s.endAnswer(t, a)
 }
 
 func (s *Server) serveEngineStats(t *tenant, w http.ResponseWriter, r *http.Request) {
@@ -582,11 +552,14 @@ func (s *Server) serveVertex(t *tenant, w http.ResponseWriter, r *http.Request) 
 		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
-	resp := VertexResponse{Vertex: t.names([]graph.VertexID{graph.VertexID(id)})[0], Alpha: req.Alpha}
-	for i := range communities {
-		resp.Communities = append(resp.Communities, t.communityResponse(&communities[i], false))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	a := beginAnswer(w, "application/json")
+	a.buf = append(a.buf, `{"vertex":`...)
+	a.buf = t.names.AppendVertex(a.buf, graph.VertexID(id))
+	a.buf = append(a.buf, `,"alpha":`...)
+	a.buf = append(appendFloat(a.buf, req.Alpha), `,"communities":`...)
+	a.communities(communities, false, t.names)
+	a.buf = append(a.buf, '}')
+	s.endAnswer(t, a)
 }
 
 // parsePattern resolves a comma-separated list of item names or numeric ids.
@@ -638,19 +611,6 @@ func (t *tenant) itemNames(p itemset.Itemset) []string {
 			}
 		}
 		out = append(out, strconv.Itoa(int(it)))
-	}
-	return out
-}
-
-// names renders vertices through the optional display-name table.
-func (t *tenant) names(vs []graph.VertexID) []string {
-	out := make([]string, 0, len(vs))
-	for _, v := range vs {
-		if int(v) < len(t.vertexNames) {
-			out = append(out, t.vertexNames[v])
-			continue
-		}
-		out = append(out, strconv.Itoa(int(v)))
 	}
 	return out
 }

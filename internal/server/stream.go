@@ -12,6 +12,7 @@ import (
 	"themecomm/internal/federation"
 	"themecomm/internal/itemset"
 	"themecomm/internal/obs"
+	"themecomm/internal/truss"
 )
 
 // This file is the HTTP surface of the streaming executor: chunked NDJSON
@@ -149,6 +150,20 @@ func streamError(r *http.Request, err error) StreamError {
 		RequestID: obs.RequestIDFrom(r.Context())}
 }
 
+// errorLine writes the in-band error line of a stream that failed.
+func (a *answerWriter) errorLine(r *http.Request, err error) {
+	b, _ := json.Marshal(streamError(r, err))
+	a.buf = append(a.buf, b...)
+	a.line()
+}
+
+// lineSince ends the NDJSON line of t's answer that began encoding at began,
+// and adds the line's encode to t's.
+func (t *tenant) lineSince(a *answerWriter, began time.Time) {
+	a.line()
+	t.encode += time.Since(began)
+}
+
 // serveQueryStream handles GET .../query when streaming or pagination
 // parameters are present: ?stream=1 switches the response to NDJSON,
 // ?limit=N bounds the page, and ?cursor=... resumes a previous page's
@@ -222,10 +237,6 @@ func (s *Server) serveQueryStream(t *tenant, w http.ResponseWriter, r *http.Requ
 		}
 	}
 
-	var patternNames []string
-	if q != nil {
-		patternNames = t.itemNames(q)
-	}
 	nextCursor := func(emitted int) string {
 		return encodeCursor(cursor{
 			V: cursorVersion, Network: t.name, Pattern: rawPattern,
@@ -234,17 +245,19 @@ func (s *Server) serveQueryStream(t *tenant, w http.ResponseWriter, r *http.Requ
 	}
 
 	if ndjson {
-		s.writeStreamNDJSON(t, w, r, st, StreamHeader{
-			Type: "header", Network: t.name, Alpha: alpha, Pattern: patternNames,
-			TopK: k, Epoch: st.Stats().Epoch,
-		}, k > 0, limit, start, nextCursor)
+		header := StreamHeader{Type: "header", Network: t.name, Alpha: alpha, TopK: k, Epoch: st.Stats().Epoch}
+		if q != nil {
+			header.Pattern = t.itemNames(q)
+		}
+		s.writeStreamNDJSON(t, w, r, st, &header, k > 0, limit, start, nextCursor)
 		return
 	}
 
-	// Plain JSON page: the materializing response shape plus nextCursor.
-	resp := QueryResponse{Alpha: alpha, Pattern: patternNames, TopK: k}
-	emitted := 0
-	for limit <= 0 || emitted < limit {
+	// Plain JSON page: the materializing response shape plus nextCursor. The
+	// counters come first on the wire and are final only once the stream is
+	// closed, so the page is gathered before it is encoded.
+	var page []truss.Community
+	for limit <= 0 || len(page) < limit {
 		rc, err := st.Next()
 		if err != nil {
 			writeError(w, r, queryStatusOf(err), err.Error())
@@ -253,39 +266,21 @@ func (s *Server) serveQueryStream(t *tenant, w http.ResponseWriter, r *http.Requ
 		if rc == nil {
 			break
 		}
-		resp.Communities = append(resp.Communities, t.communityResponse(rc, k > 0))
-		emitted++
+		page = append(page, *rc)
 	}
-	more, err := streamHasMore(st, limit, emitted)
+	more, err := streamHasMore(st, limit, len(page))
 	if err != nil {
 		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
+	var next string
 	if more {
-		resp.NextCursor = nextCursor(emitted)
+		next = nextCursor(len(page))
 	}
 	st.Close()
 	stats := st.Stats()
-	resp.RetrievedNodes = stats.RetrievedNodes
-	resp.VisitedNodes = stats.VisitedNodes
-	resp.QueryMicros = time.Since(start).Microseconds()
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// ndjsonWriter commits a 200 NDJSON response and returns its line writer:
-// each call encodes one value as a line and flushes it, so the client sees
-// every line as soon as it is produced.
-func ndjsonWriter(w http.ResponseWriter) func(v any) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	return func(v any) {
-		_ = enc.Encode(v)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	s.writeAnswer(t, w, &answerHead{alpha: alpha, pattern: q, topK: k, retrieved: stats.RetrievedNodes,
+		visited: stats.VisitedNodes, micros: time.Since(start).Microseconds()}, page, k > 0, next)
 }
 
 // streamHasMore peeks one community past the page to decide whether a next
@@ -307,25 +302,30 @@ func streamHasMore(st *engine.Stream, limit, emitted int) (bool, error) {
 // results while later shards are still unopened), then the trailer with the
 // final counters — the stream is closed first, so ShardsShortCircuited is
 // the final tally.
-func (s *Server) writeStreamNDJSON(t *tenant, w http.ResponseWriter, r *http.Request, st *engine.Stream, header StreamHeader, ranked bool, limit int, start time.Time, nextCursor func(int) string) {
-	writeLine := ndjsonWriter(w)
-	writeLine(header)
+func (s *Server) writeStreamNDJSON(t *tenant, w http.ResponseWriter, r *http.Request, st *engine.Stream, header *StreamHeader, ranked bool, limit int, start time.Time, nextCursor func(int) string) {
+	a := beginAnswer(w, "application/x-ndjson")
+	defer a.release()
+	defer s.observeEncode(t)
+	a.buf = appendStreamHeader(a.buf, header)
+	t.lineSince(a, a.began)
 	emitted := 0
 	for limit <= 0 || emitted < limit {
 		rc, err := st.Next()
 		if err != nil {
-			writeLine(streamError(r, err))
+			a.errorLine(r, err)
 			return
 		}
 		if rc == nil {
 			break
 		}
-		writeLine(StreamCommunity{Type: "community", CommunityResponse: t.communityResponse(rc, ranked)})
+		began := time.Now()
+		a.buf = appendCommunityLine(a.buf, "", rc, ranked, t.names)
+		t.lineSince(a, began)
 		emitted++
 	}
 	more, err := streamHasMore(st, limit, emitted)
 	if err != nil {
-		writeLine(streamError(r, err))
+		a.errorLine(r, err)
 		return
 	}
 	trailer := StreamTrailer{Type: "trailer", Emitted: emitted}
@@ -338,7 +338,9 @@ func (s *Server) writeStreamNDJSON(t *tenant, w http.ResponseWriter, r *http.Req
 	trailer.VisitedNodes = stats.VisitedNodes
 	trailer.ShardsShortCircuited = stats.ShardsShortCircuited
 	trailer.QueryMicros = time.Since(start).Microseconds()
-	writeLine(trailer)
+	began := time.Now()
+	a.buf = appendStreamTrailer(a.buf, &trailer)
+	t.lineSince(a, began)
 }
 
 // serveQueryAllStream handles GET /api/v1/queryall?stream=1: the federated
@@ -361,28 +363,31 @@ func (s *Server) serveQueryAllStream(w http.ResponseWriter, r *http.Request, res
 	}
 	defer ms.Close()
 
-	tenantFor := s.tenantLookup()
-	writeLine := ndjsonWriter(w)
-	writeLine(StreamHeader{Type: "header", Alpha: alpha, Pattern: fields, TopK: k})
+	tenants := s.newTenantMemo()
+	defer tenants.observeEncode()
+	a := beginAnswer(w, "application/x-ndjson")
+	defer a.release()
+	a.buf = appendStreamHeader(a.buf, &StreamHeader{Type: "header", Alpha: alpha, Pattern: fields, TopK: k})
+	a.line()
 	emitted := 0
 	for limit <= 0 || emitted < limit {
 		nr, err := ms.Next()
 		if err != nil {
-			writeLine(streamError(r, err))
+			a.errorLine(r, err)
 			return
 		}
 		if nr == nil {
 			break
 		}
-		t := tenantFor(nr.Network)
+		t := tenants.get(nr.Network)
 		if t == nil {
 			continue // detached mid-stream; its remaining communities are gone
 		}
-		writeLine(StreamCommunity{
-			Type: "community", Network: nr.Network,
-			CommunityResponse: t.communityResponse(&nr.Community, k > 0),
-		})
+		began := time.Now()
+		a.buf = appendCommunityLine(a.buf, nr.Network, &nr.Community, k > 0, t.names)
+		t.lineSince(a, began)
 		emitted++
 	}
-	writeLine(StreamTrailer{Type: "trailer", Emitted: emitted, QueryMicros: time.Since(start).Microseconds()})
+	a.buf = appendStreamTrailer(a.buf, &StreamTrailer{Type: "trailer", Emitted: emitted, QueryMicros: time.Since(start).Microseconds()})
+	a.line()
 }

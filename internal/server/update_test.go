@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -116,6 +117,44 @@ func TestUpdateEndpoint(t *testing.T) {
 	}
 	if stats["deltasApplied"].(float64) != 1 {
 		t.Fatalf("enginestats deltasApplied = %v, want 1", stats["deltasApplied"])
+	}
+}
+
+// TestUpdateRendersNewItemNames renders an answer — which builds the
+// network's name tables — then applies an update that interns a new item
+// name: the tables grow, and every route renders the new item by its name,
+// escaped as encoding/json escapes it.
+func TestUpdateRendersNewItemNames(t *testing.T) {
+	nw := buildUpdatableNetwork(t, 11)
+	netPath := filepath.Join(t.TempDir(), "net.dbnet")
+	if err := dbnet.WriteFile(netPath, nw, nil); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	s, _ := testNetwork{Built: builtIndex(t, nw, tctree.BuildOptions{}), NetworkOptions: federation.NetworkOptions{
+		Dictionary: itemset.NewDictionary(), Network: nw, NetworkPath: netPath}}.serve(t)
+	if rec := get(t, s, "/api/v1/query?alpha=0"); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"item-0"`) {
+		t.Fatalf("before the update: status %d, body %.300s", rec.Code, rec.Body.String())
+	}
+
+	const name = "fresh <item> & more"
+	rec := post(t, s, "/api/v1/update", `{"addVertices": 3, "addEdges": [[16,17],[17,18],[16,18]], "addTransactions": [`+
+		`{"vertex": 16, "items": ["`+name+`"]}, {"vertex": 17, "items": ["`+name+`"]}, {"vertex": 18, "items": ["`+name+`"]}]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("update status = %d, body %s", rec.Code, rec.Body.String())
+	}
+	quoted, _ := json.Marshal([]string{name})
+	theme := `"theme":` + string(quoted)
+	for _, target := range []string{
+		"/api/v1/query?alpha=0",
+		"/api/v1/query?alpha=0&k=100",
+		"/api/v1/query?alpha=0&stream=1",
+		"/api/v1/query?pattern=" + url.QueryEscape(name) + "&alpha=0",
+		"/api/v1/vertex?id=16&alpha=0",
+	} {
+		rec := get(t, s, target)
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), theme) {
+			t.Errorf("GET %s: status %d, no %s in %.300s", target, rec.Code, theme, rec.Body.String())
+		}
 	}
 }
 

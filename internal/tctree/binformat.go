@@ -398,8 +398,8 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 		prevAlpha := math.Inf(-1)
 		for l := ls; l < ls+lc; l++ {
 			alpha, es, ec := b.levelAt(l)
-			if math.IsNaN(alpha) || alpha <= prevAlpha {
-				return fail("node %d: level thresholds not strictly ascending", i)
+			if math.IsNaN(alpha) || math.IsInf(alpha, 0) || alpha <= prevAlpha {
+				return fail("node %d: level thresholds not finite and strictly ascending", i)
 			}
 			prevAlpha = alpha
 			if ec < 1 || uint64(es)+uint64(ec) > uint64(edgeTotal) {

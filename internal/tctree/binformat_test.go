@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -237,6 +238,11 @@ func binStructuralCorruptions() []corruptCase {
 			binary.LittleEndian.PutUint32(d[nodeOff+binNodeLevelCount:], ^uint32(0))
 			return reseal(d)
 		}, ""},
+		{"level threshold +Inf", func(d []byte) []byte {
+			// The root's last level: a cohesion no JSON encoder can write.
+			putRootLastThreshold(d, math.Inf(1))
+			return reseal(d)
+		}, "not finite"},
 		{"self child", func(d []byte) []byte {
 			// Point the root's first child entry back at the root.
 			childOff := binary.LittleEndian.Uint64(d[56:])
@@ -244,6 +250,15 @@ func binStructuralCorruptions() []corruptCase {
 			return reseal(d)
 		}, "breadth-first"},
 	}
+}
+
+// putRootLastThreshold overwrites the threshold of the root's last level.
+func putRootLastThreshold(d []byte, alpha float64) {
+	nodeOff := binary.LittleEndian.Uint64(d[48:])
+	levelStart := uint64(binary.LittleEndian.Uint32(d[nodeOff+binNodeLevelStart:]))
+	levelCount := uint64(binary.LittleEndian.Uint32(d[nodeOff+binNodeLevelCount:]))
+	levelOff := binary.LittleEndian.Uint64(d[72:])
+	binary.LittleEndian.PutUint64(d[levelOff+(levelStart+levelCount-1)*binLevelSize:], math.Float64bits(alpha))
 }
 
 // TestDecodeBinShardRejectsCorruption runs every mutation over a valid shard
@@ -510,6 +525,9 @@ func FuzzTCBINDecode(f *testing.F) {
 		for _, seed := range hostileEdgeSeeds(buf) {
 			f.Add(seed)
 		}
+		infThreshold := append([]byte(nil), buf...)
+		putRootLastThreshold(infThreshold, math.Inf(1))
+		f.Add(reseal(infThreshold))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("TCBIN\r\n\x00"))
