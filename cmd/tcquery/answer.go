@@ -134,9 +134,8 @@ func printExplainReport(out io.Writer, rep *server.ExplainResponse) {
 		pattern, rep.Alpha, rep.Workers, rep.Lazy)
 	fmt.Fprintf(out, "%d shards: %d scanned, %d skipped by α*, %d not in query\n",
 		rep.Shards, len(rep.ScheduleOrder), rep.SkippedAlpha, rep.SkippedAbsent)
-	if rep.SkippedBloom > 0 || rep.SkippedHist > 0 {
-		fmt.Fprintf(out, "catalogue skips: %d by item bloom filter, %d by α-depth histogram\n",
-			rep.SkippedBloom, rep.SkippedHist)
+	if rep.SkippedBloom > 0 {
+		fmt.Fprintf(out, "catalogue skips: %d by item bloom filter\n", rep.SkippedBloom)
 	}
 	if len(rep.ScheduleOrder) > 0 {
 		order := make([]string, len(rep.ScheduleOrder))

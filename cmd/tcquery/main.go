@@ -4,11 +4,10 @@
 // empty answer at α_q are skipped from catalogue metadata alone, and -topk
 // ranks the answer by cohesion. -contains flips the query to containment
 // semantics — the indexed patterns that contain the query pattern — where the
-// per-shard bloom filters and α-depth histograms skip shards that cannot hold
-// a superset. -explain prints the per-shard plan and the observed execution
-// counters instead of the communities; -stream prints communities as they
-// are produced, and -limit pages the answer (resume with the printed
-// -cursor).
+// per-shard item bloom filters skip shards that cannot hold a superset.
+// -explain prints the per-shard plan and the observed execution counters
+// instead of the communities; -stream prints communities as they are
+// produced, and -limit pages the answer (resume with the printed -cursor).
 //
 // There is one query path. -tree opens the index the way tcserver -tree
 // does — a one-network federation, served on an in-process loopback listener

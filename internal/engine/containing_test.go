@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"themecomm/internal/delta"
@@ -187,7 +191,7 @@ func TestQueryContainingCacheAndDelta(t *testing.T) {
 
 // TestPlanContainingDecisions drives the pure planner in containment mode
 // with a catalogue taken from a real index: out-of-range shards are absent,
-// and bloom misses and histogram bounds skip.
+// and bloom misses skip.
 func TestPlanContainingDecisions(t *testing.T) {
 	tree := buildTestTree(t, 11)
 	idx, _ := writeShardedTestTree(t, tree)
@@ -199,16 +203,12 @@ func TestPlanContainingDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("DecodeBloom: %v", err)
 		}
-		depths, err := e.DecodeAlphaDepths()
-		if err != nil {
-			t.Fatalf("DecodeAlphaDepths: %v", err)
-		}
-		if bloom == nil || depths == nil {
-			t.Fatalf("manifest entry %d has no catalogue (%q, %q)", e.Item, e.Bloom, e.AlphaDepths)
+		if bloom == nil {
+			t.Fatalf("manifest entry %d has no bloom filter", e.Item)
 		}
 		infos[i] = ShardInfo{
 			Item: itemset.Item(e.Item), Nodes: e.Nodes, Depth: e.Depth,
-			MaxAlpha: e.MaxAlpha, Bloom: bloom, AlphaDepths: depths,
+			MaxAlpha: e.MaxAlpha, Bloom: bloom,
 		}
 	}
 
@@ -236,11 +236,9 @@ func TestPlanContainingDecisions(t *testing.T) {
 		}
 	}
 
-	// Histogram skip: a query needing depth beyond a shard's deepest level
-	// is provably unanswerable there even at α_q = 0. Build one deeper than
-	// the whole index from indexed items only (so the bloom cannot fire
-	// first on an absent item... it still may, on a shard missing one of
-	// them — accept either catalogue skip, but require no traversals).
+	// A query deeper than the whole index, built from indexed items only: on
+	// this corpus the bloom filter alone rules out every relevant shard, so
+	// no traversal is scheduled.
 	maxDepth := 0
 	for _, inf := range infos {
 		if inf.Depth > maxDepth {
@@ -252,11 +250,105 @@ func TestPlanContainingDecisions(t *testing.T) {
 		deep = deep.Add(itemset.Item(i))
 	}
 	plan = planQuery(infos, deep, 0, ModeContaining, false)
-	if plan.SkippedHist+plan.SkippedBloom == 0 {
+	if plan.SkippedBloom == 0 {
 		t.Fatalf("no catalogue skip planning an over-deep query: %+v", plan)
 	}
 	if len(plan.Order) != 0 {
 		t.Fatalf("over-deep query scheduled %d traversals, want 0", len(plan.Order))
+	}
+}
+
+// TestLegacyManifestOpens holds the upgrade path of an index written while
+// the manifest carried a per-depth α* histogram next to each bloom filter:
+// the field is ignored on read — a well-formed value and one the old decoder
+// refused alike — so the index answers sub-pattern and containment queries
+// exactly like the untouched index, and the next checkpoint writes the
+// manifest without it.
+func TestLegacyManifestOpens(t *testing.T) {
+	const seed, legacyField = 11, "alphaDepths"
+	tree := buildTestTree(t, seed)
+	_, cleanDir := writeShardedTestTree(t, tree)
+	clean := lazyEngineAt(t, cleanDir)
+
+	var qs []itemset.Itemset
+	qs = append(qs, nil)
+	for i := itemset.Item(0); i < 5; i++ {
+		qs = append(qs, itemset.New(i), itemset.New(i, (i+1)%5))
+	}
+	for _, legacy := range []string{"h1:1.5,0.75,0.25", "hx:1"} {
+		t.Run(legacy, func(t *testing.T) {
+			_, dir := writeShardedTestTree(t, tree)
+			addManifestField(t, dir, legacyField, legacy)
+			eng := lazyEngineAt(t, dir)
+			for _, q := range qs {
+				for _, alpha := range []float64{0, 0.1, 0.25, 0.5, 1, 2} {
+					for _, mode := range []QueryMode{ModeSub, ModeContaining} {
+						got, err := eng.query(context.Background(), q, alpha, mode)
+						if err != nil {
+							t.Fatalf("%s query %v at %v: %v", mode, q, alpha, err)
+						}
+						want, err := clean.query(context.Background(), q, alpha, mode)
+						if err != nil {
+							t.Fatalf("%s query %v at %v on the clean index: %v", mode, q, alpha, err)
+						}
+						assertEqualAnswers(t, got, want)
+					}
+				}
+			}
+
+			nw := testNetwork(seed)
+			if _, err := eng.ApplyDeltaInMemory(nw, touchDelta(nw, 0)); err != nil {
+				t.Fatalf("ApplyDeltaInMemory: %v", err)
+			}
+			if report, err := eng.Checkpoint(1, nil); err != nil || report == nil {
+				t.Fatalf("Checkpoint = %v, %v; want a commit", report, err)
+			}
+			data, err := os.ReadFile(filepath.Join(dir, tctree.ManifestName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Contains(data, []byte(`"`+legacyField+`"`)) {
+				t.Fatalf("the checkpoint kept the legacy field:\n%s", data)
+			}
+		})
+	}
+}
+
+// lazyEngineAt opens the index directory dir on a lazy engine.
+func lazyEngineAt(t *testing.T, dir string) *Engine {
+	t.Helper()
+	idx, err := tctree.OpenSharded(dir)
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	eng, err := NewLazy(idx, Options{})
+	if err != nil {
+		t.Fatalf("NewLazy: %v", err)
+	}
+	return eng
+}
+
+// addManifestField rewrites dir's manifest with field set to value on every
+// shard entry.
+func addManifestField(t *testing.T, dir, field, value string) {
+	t.Helper()
+	path := filepath.Join(dir, tctree.ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range m["shards"].([]any) {
+		e.(map[string]any)[field] = value
+	}
+	if data, err = json.MarshalIndent(m, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -293,7 +385,7 @@ func TestExplainContaining(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Explain: %v", err)
 	}
-	if subReport.Mode != "" || subReport.SkippedBloom != 0 || subReport.SkippedHist != 0 {
+	if subReport.Mode != "" || subReport.SkippedBloom != 0 {
 		t.Fatalf("sub-pattern report carries containment fields: %+v", subReport)
 	}
 }

@@ -247,25 +247,23 @@ func NewLazy(idx *tctree.ShardedIndex, opts Options) (*Engine, error) {
 	return newEngine(idx, m.BuiltMaxDepth, shards, opts), nil
 }
 
-// newShard is the one shard constructor: the catalogue — statistics, bloom
-// filter and α*-by-depth histogram — comes from the shard's manifest entry,
-// decoded once here rather than per plan. With heap nil the shard is
-// file-backed: it opens its view from idx on first touch and may be evicted.
+// newShard is the one shard constructor: the catalogue — statistics and
+// bloom filter — comes from the shard's manifest entry, decoded once here
+// rather than per plan. With heap nil the shard is file-backed: it opens its
+// view from idx on first touch and may be evicted.
 // Otherwise heap is the view — bytes an update or an in-process build
 // encoded, which no file holds (yet) — fixed at construction, never evicted.
 func newShard(entry tctree.ShardEntry, idx *tctree.ShardedIndex, heap *tctree.BinShard) *shard {
 	item := itemset.Item(entry.Item)
 	bloom, _ := entry.DecodeBloom()
-	depths, _ := entry.DecodeAlphaDepths()
 	s := &shard{
-		item:        item,
-		view:        heap,
-		once:        new(sync.Once),
-		nodes:       entry.Nodes,
-		depth:       entry.Depth,
-		maxAlpha:    entry.MaxAlpha,
-		bloom:       bloom,
-		alphaDepths: depths,
+		item:     item,
+		view:     heap,
+		once:     new(sync.Once),
+		nodes:    entry.Nodes,
+		depth:    entry.Depth,
+		maxAlpha: entry.MaxAlpha,
+		bloom:    bloom,
 	}
 	if heap == nil {
 		s.load = func() (*tctree.BinShard, error) { return idx.OpenShard(item) }
@@ -538,13 +536,12 @@ func (e *Engine) QueryContext(ctx context.Context, q itemset.Itemset, alphaQ flo
 // QueryContainingContext answers the containment workload: the communities
 // of every indexed pattern p ⊇ q at α_q, grouped by shard in ascending
 // root-item order. Only shards whose root item is at most min(q) are
-// considered, and the per-shard catalogue (item bloom filter, α*-by-depth
-// histogram) rules shards out without opening them. An empty or nil q
-// degenerates to the query by alpha — every indexed pattern contains the
-// empty pattern. VisitedNodes counts what the planned execution inspects: a
-// shard its bloom filter rules out contributes no visit at all, so the count
-// can be lower than an unplanned walk's; the communities are the same. The
-// context works as in QueryContext.
+// considered, and the per-shard item bloom filter rules shards out without
+// opening them. An empty or nil q degenerates to the query by alpha — every
+// indexed pattern contains the empty pattern. VisitedNodes counts what the
+// planned execution inspects: a shard its bloom filter rules out contributes
+// no visit at all, so the count can be lower than an unplanned walk's; the
+// communities are the same. The context works as in QueryContext.
 func (e *Engine) QueryContainingContext(ctx context.Context, q itemset.Itemset, alphaQ float64) (*Answer, error) {
 	return e.query(ctx, q, alphaQ, ModeContaining)
 }

@@ -43,11 +43,9 @@ type ExplainReport struct {
 	Shards        int `json:"shards"`
 	SkippedAlpha  int `json:"skippedAlpha"`
 	SkippedAbsent int `json:"skippedAbsent"`
-	// SkippedBloom and SkippedHist tally the containment-only catalogue
-	// skips: shards ruled out by the item bloom filter and by the
-	// α*-by-depth histogram. Always zero for sub-pattern plans.
+	// SkippedBloom tallies the containment-only catalogue skips: shards
+	// ruled out by the item bloom filter. Always zero for sub-pattern plans.
 	SkippedBloom int `json:"skippedBloom,omitempty"`
-	SkippedHist  int `json:"skippedHist,omitempty"`
 	// Loaded counts the disk loads this execution performed.
 	Loaded int `json:"loaded"`
 	// ShortCircuited counts scheduled shards a pulled stream never opened:
@@ -123,7 +121,6 @@ func (st *Stream) report() *ExplainReport {
 		SkippedAlpha:   plan.SkippedAlpha,
 		SkippedAbsent:  plan.SkippedAbsent,
 		SkippedBloom:   plan.SkippedBloom,
-		SkippedHist:    plan.SkippedHist,
 		Loaded:         stats.Loads,
 		ShortCircuited: stats.ShardsShortCircuited,
 		RetrievedNodes: stats.RetrievedNodes,

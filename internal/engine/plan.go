@@ -13,10 +13,10 @@ import (
 // are the ones that skip work, each proven from the catalogue alone: a shard
 // whose patterns cannot match the query, a shard whose α* bound is at or
 // below α_q (anti-monotonicity makes every truss of it empty), and, for a
-// containment query, a shard whose item filter or α*-by-depth histogram rules
-// out every superset of q. Every other shard is scanned, in ascending
-// root-item order. The executor (Stream, in stream.go) then owns acquisition,
-// eviction, traversal and the deterministic merge.
+// containment query, a shard whose item filter rules out every superset of q.
+// Every other shard is scanned, in ascending root-item order. The executor
+// (Stream, in stream.go) then owns acquisition, eviction, traversal and the
+// deterministic merge.
 
 // QueryMode selects the query semantics a plan serves.
 type QueryMode string
@@ -29,8 +29,8 @@ const (
 	// ModeContaining is the containment workload: retrieve the trusses of
 	// every indexed pattern p ⊇ q at α_q. Only shards whose root item is at
 	// most min(q) are relevant (the root item is the smallest item of every
-	// pattern the shard indexes), and the per-shard catalogue — item bloom
-	// filter and α*-by-depth histogram — can rule shards out entirely.
+	// pattern the shard indexes), and the per-shard item bloom filter can
+	// rule shards out entirely.
 	ModeContaining QueryMode = "containing"
 )
 
@@ -45,15 +45,12 @@ type ShardInfo struct {
 	Nodes    int
 	Depth    int
 	MaxAlpha float64
-	// Bloom and AlphaDepths are the shard's skipping catalogue (nil on
-	// indexes written before the catalogue existed): the item bloom filter
-	// over the shard's patterns and the best α* per pattern length. Only
-	// containment planning consults them — for sub-pattern queries the α*
-	// bound is already exact (the shard root's α* equals MaxAlpha by
-	// anti-monotonicity), so neither structure can prune anything the
-	// alpha skip doesn't.
-	Bloom       *tctree.ItemBloom
-	AlphaDepths []float64
+	// Bloom is the item bloom filter over the shard's patterns (nil on
+	// indexes written before the catalogue existed). Only containment
+	// planning consults it — for sub-pattern queries the α* bound is already
+	// exact (the shard root's α* equals MaxAlpha by anti-monotonicity), so
+	// the filter cannot prune anything the alpha skip doesn't.
+	Bloom *tctree.ItemBloom
 }
 
 // Decision is the planner's verdict on one shard.
@@ -82,12 +79,6 @@ const (
 	// opened; no visit is synthesized (the filter proves the traversal
 	// would only have confirmed absence).
 	DecisionSkipBloom Decision = "skip-bloom"
-	// DecisionSkipHist prunes a containment shard from the α*-by-depth
-	// histogram: a superset of q needs a node at least needDepth(q) deep,
-	// and the best α* reachable at that depth is at most the histogram
-	// bound — α_q at or above it proves an empty contribution. The executor
-	// synthesizes the root visit the traversal would have made.
-	DecisionSkipHist Decision = "skip-hist"
 )
 
 // Skipped reports whether the decision avoids executing the shard.
@@ -120,12 +111,11 @@ type QueryPlan struct {
 	// Order is the schedule: the indices into Tasks of the scanned tasks,
 	// ascending. A ranked stream re-sorts it by α* bound.
 	Order []int
-	// SkippedAlpha, SkippedAbsent, SkippedBloom and SkippedHist tally the
-	// skip decisions; len(Order) counts the scans.
+	// SkippedAlpha, SkippedAbsent and SkippedBloom tally the skip
+	// decisions; len(Order) counts the scans.
 	SkippedAlpha  int
 	SkippedAbsent int
 	SkippedBloom  int
-	SkippedHist   int
 }
 
 // planQuery plans (q, alphaQ) under the given query mode over the shard
@@ -156,9 +146,6 @@ func planQuery(shards []ShardInfo, q itemset.Itemset, alphaQ float64, mode Query
 		case mode == ModeContaining && bloomRejects(s.Bloom, q):
 			task.Decision = DecisionSkipBloom
 			plan.SkippedBloom++
-		case mode == ModeContaining && histRejects(s, q, alphaQ):
-			task.Decision = DecisionSkipHist
-			plan.SkippedHist++
 		}
 		if task.Decision == DecisionScan {
 			plan.Order = append(plan.Order, len(plan.Tasks))
@@ -181,19 +168,4 @@ func bloomRejects(bloom *tctree.ItemBloom, q itemset.Itemset) bool {
 		}
 	}
 	return false
-}
-
-// histRejects reports whether the α*-by-depth histogram proves every node
-// deep enough to index a superset of q is already empty at α_q. A superset
-// of q has at least |q| items — one more when the shard's root item is not
-// in q, since the root item is part of every indexed pattern.
-func histRejects(s ShardInfo, q itemset.Itemset, alphaQ float64) bool {
-	if len(s.AlphaDepths) == 0 || q.Len() == 0 {
-		return false
-	}
-	needDepth := q.Len()
-	if !q.Contains(s.Item) {
-		needDepth++
-	}
-	return alphaQ >= tctree.ContainmentAlphaBound(s.AlphaDepths, needDepth)
 }

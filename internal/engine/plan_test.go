@@ -240,7 +240,7 @@ func TestPlannerParity(t *testing.T) {
 		t.Fatalf("no in-memory delta left heap shards next to file shards; pick other seeds")
 	}
 	// The property is only as strong as the skips it saw taken.
-	for _, d := range []Decision{DecisionSkipAlpha, DecisionSkipBloom, DecisionSkipHist} {
+	for _, d := range []Decision{DecisionSkipAlpha, DecisionSkipBloom} {
 		if seen[d] == 0 {
 			t.Fatalf("no %s decision in %v; the corpus does not exercise it", d, seen)
 		}
@@ -422,7 +422,7 @@ func TestExplain(t *testing.T) {
 	if repAll.SkippedAlpha == 0 {
 		t.Fatalf("median-α* explain reports no α* skips")
 	}
-	skipped := repAll.SkippedAlpha + repAll.SkippedAbsent + repAll.SkippedBloom + repAll.SkippedHist
+	skipped := repAll.SkippedAlpha + repAll.SkippedAbsent + repAll.SkippedBloom
 	if len(repAll.ScheduleOrder) != repAll.Shards-skipped {
 		t.Fatalf("schedule lists %d tasks, want %d", len(repAll.ScheduleOrder), repAll.Shards-skipped)
 	}

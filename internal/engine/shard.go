@@ -35,15 +35,12 @@ type shard struct {
 
 	// nodes, depth and maxAlpha are the shard's catalogue statistics: node
 	// count, longest indexed pattern, and α* bound, taken from the shard's
-	// manifest entry (so they are known without loading the shard). bloom and
-	// alphaDepths are the skipping catalogue: the item filter and the
-	// best-α*-per-depth histogram the planner consults for containment
-	// queries.
-	nodes       int
-	depth       int
-	maxAlpha    float64
-	bloom       *tctree.ItemBloom
-	alphaDepths []float64
+	// manifest entry (so they are known without loading the shard). bloom is
+	// the item filter the planner consults for containment queries.
+	nodes    int
+	depth    int
+	maxAlpha float64
+	bloom    *tctree.ItemBloom
 
 	// lastUsed is the engine's logical clock value at the shard's most
 	// recent traversal; the eviction policy drops the resident shard with
@@ -87,11 +84,10 @@ func (s *shard) sizeBytes() int64 {
 // catalogue is fixed at construction.
 func (s *shard) info() ShardInfo {
 	return ShardInfo{
-		Item:        s.item,
-		Nodes:       s.nodes,
-		Depth:       s.depth,
-		MaxAlpha:    s.maxAlpha,
-		Bloom:       s.bloom,
-		AlphaDepths: s.alphaDepths,
+		Item:     s.item,
+		Nodes:    s.nodes,
+		Depth:    s.depth,
+		MaxAlpha: s.maxAlpha,
+		Bloom:    s.bloom,
 	}
 }

@@ -74,8 +74,7 @@ type Stats struct {
 	// ShardsSkipped counts shard tasks the planner answered from the α*
 	// bound alone — relevant shards that were neither traversed nor (on a
 	// lazy engine) read from disk. ShardsSkippedCatalogue counts containment
-	// shard tasks the per-shard catalogue pruned instead (item bloom filter
-	// or α*-by-depth histogram).
+	// shard tasks the per-shard item bloom filter pruned instead.
 	ShardsSkipped          uint64 `json:"shardsSkipped"`
 	ShardsSkippedCatalogue uint64 `json:"shardsSkippedCatalogue,omitempty"`
 	// Queries counts executed queries (including those of a batch and of a

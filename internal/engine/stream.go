@@ -140,10 +140,10 @@ type Stream struct {
 
 // newStream plans the canonicalized query (eff, alphaQ) over table t and
 // returns its execution, nothing opened yet. This is the one place a skip
-// decision becomes an answer: an α*- or histogram-skipped shard contributes
-// exactly the one root visit the traversal would have made before finding
-// the root truss empty, so answers are byte-identical to an unplanned
-// execution; the bloom filter proves no pattern of the shard contains q, and
+// decision becomes an answer: an α*-skipped shard contributes exactly the
+// one root visit the traversal would have made before finding the root
+// truss empty, so answers are byte-identical to an unplanned execution; the
+// bloom filter proves no pattern of the shard contains q, and
 // that traversal is dropped wholesale, root visit included. Callers hold
 // updateMu for reading.
 func (e *Engine) newStream(ctx context.Context, t *shardTable, start time.Time, eff itemset.Itemset, full bool, alphaQ float64, mode QueryMode, every bool) *Stream {
@@ -164,9 +164,6 @@ func (e *Engine) newStream(ctx context.Context, t *shardTable, start time.Time, 
 		case DecisionSkipAlpha:
 			st.runs[i].Visited = 1
 			e.skipped.Add(1)
-		case DecisionSkipHist:
-			st.runs[i].Visited = 1
-			e.skippedCatalogue.Add(1)
 		case DecisionSkipBloom:
 			e.skippedCatalogue.Add(1)
 		}
@@ -454,7 +451,7 @@ func (st *Stream) observe(total, stream time.Duration) {
 		Alpha:          plan.Alpha,
 		Err:            st.err != nil,
 		Shards:         len(plan.Tasks),
-		SkippedShards:  plan.SkippedAlpha + plan.SkippedBloom + plan.SkippedHist,
+		SkippedShards:  plan.SkippedAlpha + plan.SkippedBloom,
 		LoadedShards:   stats.Loads,
 		ShortCircuited: stats.ShardsShortCircuited,
 		Plan:           st.planDur,

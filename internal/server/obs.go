@@ -234,7 +234,7 @@ func (s *Server) registerCollectors() {
 		"Summed memory charge of resident shards (mapped file bytes).",
 		func(st engine.Stats) float64 { return float64(st.ResidentBytes) })
 	engineCounter("tc_engine_shards_skipped_catalogue_total",
-		"Containment shard tasks pruned by the per-shard catalogue (bloom filter or alpha histogram).",
+		"Containment shard tasks pruned by the per-shard item bloom filter.",
 		func(st engine.Stats) float64 { return float64(st.ShardsSkippedCatalogue) })
 
 	cacheCounter := func(name, help string, v func(engine.CacheStats) float64) {

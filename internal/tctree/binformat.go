@@ -104,8 +104,8 @@ type flatNode struct {
 }
 
 // encode flattens the shard into the TCBIN layout and computes its manifest
-// entry — statistics, item bloom and α*-by-depth histogram — over the same
-// walk; reused counts the nodes carried over from s.prev.
+// entry — statistics and item bloom — over the same walk; reused counts the
+// nodes carried over from s.prev.
 //
 // A mined node's tables are written from its decomposition. A carried-over
 // node's are copied: its frequency run and each level's edge run hold no
@@ -198,9 +198,8 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 		binLE.PutUint32(buf[childOff+c*4:], uint32(c+1))
 	}
 
-	// The catalogue; a node's α* is its last level's threshold.
+	// The statistics; a node's α* is its last level's threshold.
 	depth, shardAlpha := 0, 0.0
-	var hist [alphaHistBuckets]float64
 	var childNext, freqNext, levelNext, edgeNext uint32
 	var verts []graph.VertexID
 	for i, f := range order {
@@ -262,8 +261,6 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 		}
 		depth = max(depth, f.depth)
 		shardAlpha = max(shardAlpha, maxAlpha)
-		bucket := min(f.depth, alphaHistBuckets) - 1
-		hist[bucket] = max(hist[bucket], maxAlpha)
 	}
 	runtime.KeepAlive(prev)
 
@@ -279,14 +276,13 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 	// in its own CRC hashes to a constant residue, and staged-shard names,
 	// which embed the checksum to differ across generations, would collide.
 	return &EncodedShard{Data: buf, Entry: ShardEntry{
-		Item:        int32(root.Item),
-		File:        binShardFileName(root.Item),
-		Nodes:       len(order),
-		Depth:       depth,
-		MaxAlpha:    shardAlpha,
-		Checksum:    fmt.Sprintf("crc32c:%08x", bodyCRC),
-		Bloom:       bloom.Encode(),
-		AlphaDepths: encodeAlphaDepths(hist[:min(depth, alphaHistBuckets)]),
+		Item:     int32(root.Item),
+		File:     binShardFileName(root.Item),
+		Nodes:    len(order),
+		Depth:    depth,
+		MaxAlpha: shardAlpha,
+		Checksum: fmt.Sprintf("crc32c:%08x", bodyCRC),
+		Bloom:    bloom.Encode(),
 	}}, reused, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -95,14 +94,13 @@ func TestBinShardRoundTrip(t *testing.T) {
 		}
 		assertSameSubtree(t, root, back)
 
-		stats, bloom, alphaDepths := shardCatalogue(root)
+		stats, bloom := shardCatalogue(root)
 		e := entries[i]
 		if e.Nodes != stats.Nodes || e.Depth != stats.Depth || !approx(e.MaxAlpha, stats.MaxAlpha) {
 			t.Fatalf("entry stats %+v disagree with shardCatalogue %+v", e, stats)
 		}
-		if e.Bloom != bloom || e.AlphaDepths != alphaDepths {
-			t.Fatalf("entry catalogue (%q, %q) disagrees with shardCatalogue (%q, %q)",
-				e.Bloom, e.AlphaDepths, bloom, alphaDepths)
+		if e.Bloom != bloom {
+			t.Fatalf("entry bloom %q disagrees with shardCatalogue %q", e.Bloom, bloom)
 		}
 		if e.File != binShardFileName(root.Item) {
 			t.Fatalf("entry file %q, want %q", e.File, binShardFileName(root.Item))
@@ -379,40 +377,12 @@ func TestLoadShardVerifiesChecksumTCBIN(t *testing.T) {
 	}
 }
 
-// TestContainmentAlphaBound pins the histogram pruning rule: the bound at
-// needDepth is the maximum α* over buckets ≥ needDepth−1, 0 past the end,
-// and the whole-shard maximum at depth ≤ 1.
-func TestContainmentAlphaBound(t *testing.T) {
-	depths := []float64{0.9, 0.5, 0.3}
-	cases := []struct {
-		need int
-		want float64
-	}{{0, 0.9}, {1, 0.9}, {2, 0.5}, {3, 0.3}, {4, 0}, {99, 0}}
-	for _, c := range cases {
-		if got := ContainmentAlphaBound(depths, c.need); !approx(got, c.want) {
-			t.Fatalf("ContainmentAlphaBound(%v, %d) = %v, want %v", depths, c.need, got, c.want)
-		}
-	}
-	// A truncated histogram proves the shard is too shallow: the bound is 0.
-	if got := ContainmentAlphaBound(depths, 17); got != 0 {
-		t.Fatalf("ContainmentAlphaBound past the last bucket = %v, want 0", got)
-	}
-	full := make([]float64, 16)
-	for i := range full {
-		full[i] = 1 - float64(i)/16
-	}
-	// A full histogram folds deeper targets into the last bucket.
-	if got := ContainmentAlphaBound(full, 40); !approx(got, full[15]) {
-		t.Fatalf("ContainmentAlphaBound(full, 40) = %v, want %v", got, full[15])
-	}
-}
-
-// TestCatalogueCodecs round-trips the bloom and histogram string encodings
-// and rejects malformed inputs.
+// TestCatalogueCodecs round-trips the bloom string encoding and rejects
+// malformed inputs.
 func TestCatalogueCodecs(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
 	root := tree.Root().Children[0]
-	_, bloomStr, histStr := shardCatalogue(root)
+	_, bloomStr := shardCatalogue(root)
 
 	bloom, err := DecodeItemBloom(bloomStr)
 	if err != nil {
@@ -444,26 +414,9 @@ func TestCatalogueCodecs(t *testing.T) {
 		t.Fatalf("a nil bloom must admit every item")
 	}
 
-	hist, err := DecodeAlphaDepths(histStr)
-	if err != nil {
-		t.Fatalf("DecodeAlphaDepths(%q): %v", histStr, err)
-	}
-	if len(hist) == 0 || len(hist) > 16 {
-		t.Fatalf("histogram has %d buckets", len(hist))
-	}
-	if !sort.SliceIsSorted(hist, func(i, j int) bool { return hist[i] >= hist[j] }) {
-		t.Fatalf("α*-by-depth histogram %v is not non-increasing", hist)
-	}
-	if !approx(hist[0], root.Decomp.MaxAlpha()) {
-		t.Fatalf("histogram bucket 0 = %v, want the shard root α* %v", hist[0], root.Decomp.MaxAlpha())
-	}
-
-	for _, bad := range []string{"", "b2:7:AAAA", "b1:0:AAAA", "b1:7:!!!", "h1:", "hx:1", "h1:abc", "h1:-1"} {
-		if _, err := DecodeItemBloom(bad); err == nil && strings.HasPrefix(bad, "b") {
+	for _, bad := range []string{"b2:7:AAAA", "b1:0:AAAA", "b1:7:!!!"} {
+		if _, err := DecodeItemBloom(bad); err == nil {
 			t.Fatalf("DecodeItemBloom(%q) accepted malformed input", bad)
-		}
-		if _, err := DecodeAlphaDepths(bad); err == nil && strings.HasPrefix(bad, "h") {
-			t.Fatalf("DecodeAlphaDepths(%q) accepted malformed input", bad)
 		}
 	}
 }

@@ -9,33 +9,25 @@ import (
 	"themecomm/internal/itemset"
 )
 
-// This file implements the per-shard skipping catalogue persisted in the
+// This file implements the per-shard containment sketch persisted in the
 // manifest alongside the basic shard statistics: an item bloom filter over
-// the distinct items of the shard's patterns, and a fixed-bucket histogram
-// of the best α* per pattern length. Both are computed at encode time, over
-// the walk that lays the shard out (splice.encode), and consulted by the
-// engine's planner to rule shards out of containment queries without touching
-// payload bytes.
+// the distinct items of the shard's patterns. It is computed at encode time,
+// over the walk that lays the shard out (splice.encode), and consulted by the
+// engine's planner to rule shards out of containment queries without
+// touching payload bytes.
 //
-// Neither structure can improve SUB-pattern queries: by anti-monotonicity
-// the shard root's α* equals the shard's MaxAlpha, so whenever α_q <
-// MaxAlpha the root's truss is non-empty and the shard must be opened —
-// the existing α* skip is already exact there. For containment queries
-// (all indexed patterns ⊇ q) the catalogue is decisive: a query item the
-// bloom filter rules out proves the shard contributes nothing, and the
-// histogram bounds the best α* reachable at the depth a superset of q
-// needs.
+// The filter cannot improve SUB-pattern queries: by anti-monotonicity the
+// shard root's α* equals the shard's MaxAlpha, so whenever α_q < MaxAlpha
+// the root's truss is non-empty and the shard must be opened — the existing
+// α* skip is already exact there. For containment queries (all indexed
+// patterns ⊇ q) it is decisive: a query item the filter rules out proves
+// the shard contributes nothing.
 
 const (
 	// bloomBitsPerItem sizes the filter at ~10 bits per distinct item,
 	// which with 7 hash functions gives a false-positive rate under 1%.
 	bloomBitsPerItem = 10
 	bloomHashes      = 7
-	// alphaHistBuckets is the fixed bucket count of the per-depth α*
-	// histogram: bucket d (0-based) holds the best α* over nodes whose
-	// pattern length is d+1; the last bucket also absorbs every greater
-	// length so the histogram stays fixed-width on arbitrarily deep shards.
-	alphaHistBuckets = 16
 )
 
 // ItemBloom is a bloom filter over the distinct items appearing in a
@@ -125,73 +117,4 @@ func DecodeItemBloom(s string) (*ItemBloom, error) {
 		return nil, fmt.Errorf("tctree: bad bloom bits: %v", err)
 	}
 	return &ItemBloom{bits: bits, k: k}, nil
-}
-
-// alphaHistVersion prefixes the manifest encoding of the depth histogram.
-const alphaHistVersion = "h1"
-
-// encodeAlphaDepths renders the per-depth α* histogram for the manifest:
-// "h1:<α₁>,<α₂>,..." with exact float round-tripping.
-func encodeAlphaDepths(depths []float64) string {
-	if len(depths) == 0 {
-		return ""
-	}
-	parts := make([]string, len(depths))
-	for i, a := range depths {
-		parts[i] = strconv.FormatFloat(a, 'g', -1, 64)
-	}
-	return alphaHistVersion + ":" + strings.Join(parts, ",")
-}
-
-// DecodeAlphaDepths parses a histogram encoded by encodeAlphaDepths; an
-// empty string is a valid absent histogram.
-func DecodeAlphaDepths(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	body, ok := strings.CutPrefix(s, alphaHistVersion+":")
-	if !ok {
-		return nil, fmt.Errorf("tctree: unrecognized alpha histogram encoding %q", s)
-	}
-	fields := strings.Split(body, ",")
-	if len(fields) > alphaHistBuckets {
-		return nil, fmt.Errorf("tctree: alpha histogram has %d buckets, max %d", len(fields), alphaHistBuckets)
-	}
-	out := make([]float64, len(fields))
-	for i, f := range fields {
-		a, err := strconv.ParseFloat(f, 64)
-		if err != nil || a < 0 {
-			return nil, fmt.Errorf("tctree: bad alpha histogram bucket %q", f)
-		}
-		out[i] = a
-	}
-	return out, nil
-}
-
-// ContainmentAlphaBound returns the best α* any node of pattern length ≥
-// needDepth can reach according to the histogram, or 0 when the shard is
-// too shallow to hold one. A containment query needs nodes at least
-// |q| deep (one deeper when the shard's root item is not in q), so a
-// query threshold at or above this bound proves the shard contributes
-// nothing.
-func ContainmentAlphaBound(alphaByDepth []float64, needDepth int) float64 {
-	if needDepth < 1 {
-		needDepth = 1
-	}
-	start := needDepth - 1
-	if start >= alphaHistBuckets {
-		// Deep targets fold into the last bucket of a full histogram; a
-		// truncated one proves the shard is too shallow.
-		start = alphaHistBuckets - 1
-	}
-	if start >= len(alphaByDepth) {
-		return 0
-	}
-	bound := 0.0
-	for _, a := range alphaByDepth[start:] {
-		if a > bound {
-			bound = a
-		}
-	}
-	return bound
 }

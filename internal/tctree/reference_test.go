@@ -87,12 +87,11 @@ func (n *Node) child(item itemset.Item) *Node {
 }
 
 // shardCatalogue computes one shard's manifest metadata — the basic
-// statistics plus the skipping catalogue — by walking the subtree: the
-// reference for the entry the encoder computes while it lays the shard out.
-func shardCatalogue(root *Node) (st ShardStats, bloom string, alphaDepths string) {
+// statistics plus the item bloom — by walking the subtree: the reference for
+// the entry the encoder computes while it lays the shard out.
+func shardCatalogue(root *Node) (st ShardStats, bloom string) {
 	st = ShardStats{Item: root.Item}
 	items := make(map[itemset.Item]struct{})
-	var hist [alphaHistBuckets]float64
 	root.Walk(func(n *Node) {
 		st.Nodes++
 		l := n.Pattern.Len()
@@ -104,23 +103,12 @@ func shardCatalogue(root *Node) (st ShardStats, bloom string, alphaDepths string
 			st.MaxAlpha = a
 		}
 		items[n.Item] = struct{}{}
-		bucket := l - 1
-		if bucket >= alphaHistBuckets {
-			bucket = alphaHistBuckets - 1
-		}
-		if a > hist[bucket] {
-			hist[bucket] = a
-		}
 	})
 	b := newItemBloom(len(items))
 	for it := range items {
 		b.add(it)
 	}
-	n := st.Depth
-	if n > alphaHistBuckets {
-		n = alphaHistBuckets
-	}
-	return st, b.Encode(), encodeAlphaDepths(hist[:n])
+	return st, b.Encode()
 }
 
 // treeMaxAlpha is the largest α*_p of any node of the tree: a query with a

@@ -76,19 +76,11 @@ type ShardEntry struct {
 	// catalogue existed. A query item the filter rules out cannot appear in
 	// any pattern of the shard.
 	Bloom string `json:"bloom,omitempty"`
-	// AlphaDepths is the encoded per-depth α* histogram: bucket d holds the
-	// best α* over patterns of length d+1 (the last bucket absorbs deeper
-	// ones). Empty on indexes written before the catalogue existed.
-	AlphaDepths string `json:"alphaDepths,omitempty"`
 }
 
 // DecodeBloom parses the entry's item bloom filter; nil (with nil error)
 // when the entry predates the catalogue.
 func (e ShardEntry) DecodeBloom() (*ItemBloom, error) { return DecodeItemBloom(e.Bloom) }
-
-// DecodeAlphaDepths parses the entry's per-depth α* histogram; nil (with
-// nil error) when the entry predates the catalogue.
-func (e ShardEntry) DecodeAlphaDepths() ([]float64, error) { return DecodeAlphaDepths(e.AlphaDepths) }
 
 // Manifest is the content of index.manifest: the shard catalogue of a sharded
 // index directory, ordered by ascending root item.
@@ -358,7 +350,9 @@ func writeManifest(dir string, m *Manifest) error {
 // ReadManifest reads and validates dir's index.manifest. Entries are returned
 // sorted by ascending root item. A regular file (the monolithic layout of
 // earlier releases) or a manifest of any format but FormatTCBIN is refused
-// with the rebuild command; nothing of it is decoded.
+// with the rebuild command; nothing of it is decoded. Fields this release
+// does not know, such as the per-depth α* histogram of earlier manifests,
+// are ignored, and the next manifest write drops them.
 func ReadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -390,9 +384,6 @@ func ReadManifest(dir string) (*Manifest, error) {
 		}
 		seen[e.Item] = true
 		if _, err := e.DecodeBloom(); err != nil {
-			return nil, fmt.Errorf("tctree: %s: shard %d: %w", ManifestName, e.Item, err)
-		}
-		if _, err := e.DecodeAlphaDepths(); err != nil {
 			return nil, fmt.Errorf("tctree: %s: shard %d: %w", ManifestName, e.Item, err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"themecomm/internal/dbnet"
 	"themecomm/internal/itemset"
 )
 
@@ -235,6 +236,59 @@ func TestReadManifestRejectsBadFileNames(t *testing.T) {
 	if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "invalid shard file name") {
 		t.Fatalf("manifest naming ../evil.tcbin returned %v, want an invalid-file-name error", err)
 	}
+}
+
+// FuzzReadManifest feeds hostile bytes to ReadManifest as a directory's
+// index.manifest. It must never panic, and every manifest it accepts must
+// keep what it promises its callers: the TCBIN format, unique shard items in
+// ascending order, file names that stay inside the directory and are not the
+// manifest itself, at least one node per shard, and a bloom filter that
+// decodes. The seeds are a real manifest and one of an earlier release,
+// whose entries also carry the per-depth α* histogram it no longer reads.
+func FuzzReadManifest(f *testing.F) {
+	src := f.TempDir()
+	if _, err := Build(dbnet.PaperExample(), BuildOptions{}).WriteShardedAs(src, FormatTCBIN); err != nil {
+		f.Fatalf("WriteShardedAs: %v", err)
+	}
+	written, err := os.ReadFile(filepath.Join(src, ManifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(written)
+	f.Add([]byte(strings.ReplaceAll(string(written), `"bloom":`, `"alphaDepths": "h1:1.5,0.5",
+      "bloom":`)))
+	f.Add([]byte(`{"version":1,"format":"tcbin","shards":[{"item":2,"file":"a","nodes":1},{"item":1,"file":"b","nodes":1,"bloom":"b1:7:AAAAAAAAAAA"}]}`))
+	f.Add([]byte(`{"version":1,"format":"gob","shards":[]}`))
+	f.Add([]byte{})
+
+	dir := f.TempDir()
+	path := filepath.Join(dir, ManifestName)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(dir)
+		if err != nil {
+			return
+		}
+		if m.Format != FormatTCBIN {
+			t.Fatalf("accepted format %q", m.Format)
+		}
+		for i, e := range m.Shards {
+			if i > 0 && e.Item <= m.Shards[i-1].Item {
+				t.Fatalf("shard items %d, %d are not unique and ascending", m.Shards[i-1].Item, e.Item)
+			}
+			if e.File == "" || e.File != filepath.Base(e.File) || e.File == ManifestName {
+				t.Fatalf("accepted shard file name %q", e.File)
+			}
+			if e.Nodes < 1 {
+				t.Fatalf("accepted shard %d with %d nodes", e.Item, e.Nodes)
+			}
+			if _, err := e.DecodeBloom(); err != nil {
+				t.Fatalf("accepted shard %d whose bloom does not decode: %v", e.Item, err)
+			}
+		}
+	})
 }
 
 // TestOpenRefusesLegacyIndexes pins the fail-closed migration story: an index
