@@ -196,9 +196,15 @@ func (st *Stream) open(i int) error {
 		run.dur = time.Since(start)
 		return fmt.Errorf("engine: shard %d: %w", s.item, err)
 	}
-	if st.plan.Mode == ModeContaining {
+	switch {
+	case st.plan.Mode == ModeContaining:
 		run.ShardAnswer = view.QueryContaining(st.plan.Pattern, st.plan.Alpha)
-	} else {
+	case st.full:
+		// Every item of every indexed pattern is a shard root, so a pattern
+		// covering them all admits every child: nil says so, and the
+		// traversal tests none.
+		run.ShardAnswer = view.QuerySub(nil, st.plan.Alpha)
+	default:
 		run.ShardAnswer = view.QuerySub(st.plan.Pattern, st.plan.Alpha)
 	}
 	run.dur, run.opened, run.loaded = time.Since(start), true, loaded

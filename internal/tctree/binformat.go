@@ -27,13 +27,18 @@ import (
 const (
 	binMagic    = "TCBIN\r\n\x00"
 	binEndMagic = "TCBINEND"
-	binVersion  = 1
+	binVersion  = 2
+
+	// binFlagWide, in the header's flags, says the edge table's positions
+	// are u32: some node's frequency run is longer than binNarrowRun. They
+	// are u16 otherwise.
+	binFlagWide  = 1
+	binNarrowRun = 1 << 16
 
 	binHeaderSize = 96
 	binNodeSize   = 32
 	binFreqSize   = 12
 	binLevelSize  = 16
-	binEdgeSize   = 8
 	binFooterSize = 12
 
 	// Node record field offsets (within the 32-byte record).
@@ -63,6 +68,8 @@ type BinShard struct {
 	level     []byte
 	edge      []byte
 	nodeCount uint32
+	// wide says the edge table's positions are u32 rather than u16.
+	wide bool
 	// mapped says data is a memory map of the shard file (OpenBinShard on
 	// linux) rather than heap bytes.
 	mapped bool
@@ -107,14 +114,17 @@ type flatNode struct {
 // entry — statistics and item bloom — over the same walk; reused counts the
 // nodes carried over from s.prev.
 //
-// A mined node's tables are written from its decomposition. A carried-over
-// node's are copied: its frequency run and each level's edge run hold no
-// position and move as bytes; what addresses another table — dictionary
-// index, child run, each level's edge start — is rewritten. A node's tables
-// are a function of its decomposition alone and the previous bytes came from
-// this encoder, so the result is byte for byte the encoding of the fully
-// mined shard. prev is read through its validated accessors only, and kept
-// reachable — a finalizer releases its map — until the copy is done.
+// A mined node's tables are written from its decomposition: its frequency run
+// sorted by vertex, each level's edges as pairs of positions into that run.
+// A carried-over node's are copied: its frequency run and each level's edge
+// run are node-local and move as bytes — re-encoded only when the new shard's
+// position width differs from the previous shard's; what addresses another
+// table — dictionary index, child run, each level's edge start — is
+// rewritten. A node's tables are a function of its decomposition and the
+// shard's width alone and the previous bytes came from this encoder, so the
+// result is byte for byte the encoding of the fully mined shard. prev is read
+// through its validated accessors only, and kept reachable — a finalizer
+// releases its map — until the copy is done.
 func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 	root, prev := s.root, s.prev
 	if root == nil || root.Decomp == nil {
@@ -128,12 +138,13 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 	// run of indexes and the child table is simply 1, 2, …, n-1.
 	order := []flatNode{{node: root, item: root.Item, depth: 1}}
 	var dict []itemset.Item
-	var freqTotal, levelTotal, edgeTotal uint64
+	var freqTotal, levelTotal, edgeTotal, maxRun uint64
 	for i := 0; i < len(order); i++ {
 		f, before := order[i], len(order)
 		dict = append(dict, f.item)
 		if n := f.node; n != nil {
 			freqTotal += uint64(len(n.Decomp.Freq))
+			maxRun = max(maxRun, uint64(len(n.Decomp.Freq)))
 			levelTotal += uint64(len(n.Decomp.Levels))
 			edgeTotal += uint64(n.Decomp.NumEdges())
 			mined, grafts := n.Children, s.grafts[n]
@@ -151,6 +162,7 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 			_, fc := prev.run(f.graft, binNodeFreqStart)
 			ls, lc := prev.run(f.graft, binNodeLevelStart)
 			freqTotal += uint64(fc)
+			maxRun = max(maxRun, uint64(fc))
 			levelTotal += uint64(lc)
 			for l := ls; l < ls+lc; l++ {
 				_, _, ec := prev.levelAt(l)
@@ -173,18 +185,27 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 		return nil, 0, fmt.Errorf("tctree: shard %d exceeds the TCBIN table limits", root.Item)
 	}
 
+	wide := maxRun > binNarrowRun
+	pairSize := binPairSize(wide)
+	appendPairs := truss.AppendPairs[uint16]
+	var flags uint64
+	if wide {
+		appendPairs, flags = truss.AppendPairs[uint32], binFlagWide
+	}
+
 	dictOff := uint64(binHeaderSize)
 	nodeOff := dictOff + uint64(len(dict))*4
 	childOff := nodeOff + nodeCount*binNodeSize
 	freqOff := childOff + childTotal*4
 	levelOff := freqOff + freqTotal*binFreqSize
 	edgeOff := levelOff + levelTotal*binLevelSize
-	footerOff := edgeOff + edgeTotal*binEdgeSize
+	footerOff := edgeOff + edgeTotal*pairSize
 	buf := make([]byte, footerOff+binFooterSize)
 
-	// Header: magic, eight u32 fields from byte 8, seven u64 offsets from 40.
+	// Header: magic, the u16 version and u16 flags, seven u32 fields from
+	// byte 12, seven u64 offsets from 40.
 	copy(buf, binMagic)
-	for i, v := range [...]uint64{binVersion, uint64(uint32(root.Item)), nodeCount, uint64(len(dict)), childTotal, freqTotal, levelTotal, edgeTotal} {
+	for i, v := range [...]uint64{binVersion | flags<<16, uint64(uint32(root.Item)), nodeCount, uint64(len(dict)), childTotal, freqTotal, levelTotal, edgeTotal} {
 		binLE.PutUint32(buf[8+4*i:], uint32(v))
 	}
 	for i, off := range [...]uint64{dictOff, nodeOff, childOff, freqOff, levelOff, edgeOff, footerOff} {
@@ -234,10 +255,13 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 				binLE.PutUint32(buf[o+8:], edgeNext)
 				binLE.PutUint32(buf[o+12:], uint32(len(l.Removed)))
 				levelNext++
-				for _, e := range l.Removed {
-					binLE.PutUint64(buf[edgeOff+uint64(edgeNext)*binEdgeSize:], e.Key())
-					edgeNext++
+				// The pairs are appended in place: the slice's capacity is
+				// the rest of buf, sized for them.
+				at := edgeOff + uint64(edgeNext)*pairSize
+				if _, err := appendPairs(buf[at:at], verts, l.Removed); err != nil {
+					return nil, 0, fmt.Errorf("tctree: shard %d: node %v: %w", root.Item, n.Pattern, err)
 				}
+				edgeNext += uint32(len(l.Removed))
 			}
 			maxAlpha = n.Decomp.MaxAlpha()
 		} else {
@@ -254,7 +278,7 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 				binLE.PutUint32(buf[o+8:], edgeNext)
 				binLE.PutUint32(buf[o+12:], ec)
 				levelNext++
-				copy(buf[edgeOff+uint64(edgeNext)*binEdgeSize:], prev.edge[uint64(es)*binEdgeSize:uint64(es+ec)*binEdgeSize])
+				repack(buf[edgeOff+uint64(edgeNext)*pairSize:], prev.pairs(es, ec), prev.wide, wide)
 				edgeNext += ec
 				maxAlpha = alpha
 			}
@@ -301,9 +325,18 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 	if string(data[:8]) != binMagic {
 		return fail("bad magic")
 	}
-	if v := binLE.Uint32(data[8:]); v != binVersion {
+	switch v := binLE.Uint16(data[8:]); v {
+	case binVersion:
+	case 1:
+		return nil, errRebuild(entry.File, fmt.Sprintf("a TCBIN version 1 shard, which stores edges as endpoint keys; this release reads version %d", binVersion), "<index-dir>")
+	default:
 		return fail("unsupported TCBIN version %d", v)
 	}
+	flags := binLE.Uint16(data[10:])
+	if flags&^binFlagWide != 0 {
+		return fail("unknown header flags %#x", flags)
+	}
+	wide := flags&binFlagWide != 0
 	footerOff := binLE.Uint64(data[88:])
 	if footerOff != uint64(len(data)-binFooterSize) {
 		return fail("footer offset %d does not match file size %d", footerOff, len(data))
@@ -334,7 +367,7 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 	freqOff := childOff + uint64(childTotal)*4
 	levelOff := freqOff + uint64(freqTotal)*binFreqSize
 	edgeOff := levelOff + uint64(levelTotal)*binLevelSize
-	expFooter := edgeOff + uint64(edgeTotal)*binEdgeSize
+	expFooter := edgeOff + uint64(edgeTotal)*binPairSize(wide)
 	stored := [7]uint64{
 		binLE.Uint64(data[40:]), binLE.Uint64(data[48:]), binLE.Uint64(data[56:]),
 		binLE.Uint64(data[64:]), binLE.Uint64(data[72:]), binLE.Uint64(data[80:]), footerOff,
@@ -360,7 +393,9 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 		level:     data[levelOff:edgeOff],
 		edge:      data[edgeOff:footerOff],
 		nodeCount: nodeCount,
+		wide:      wide,
 	}
+	maxRun := uint32(0)
 
 	for i := uint32(1); i < dictCount; i++ {
 		if int32(binLE.Uint32(b.dict[i*4:])) <= int32(binLE.Uint32(b.dict[(i-1)*4:])) {
@@ -382,10 +417,17 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 		if fc < 1 || uint64(fs)+uint64(fc) > uint64(freqTotal) {
 			return fail("node %d: frequency range [%d,+%d) invalid for table size %d", i, fs, fc, freqTotal)
 		}
-		for f := fs + 1; f < fs+fc; f++ {
-			if int32(binLE.Uint32(b.freq[uint64(f)*binFreqSize:])) <= int32(binLE.Uint32(b.freq[uint64(f-1)*binFreqSize:])) {
+		if !wide && fc > binNarrowRun {
+			return fail("node %d: a frequency run of %d vertices needs u32 positions, the header says u16", i, fc)
+		}
+		maxRun = max(maxRun, fc)
+		run := b.freq[uint64(fs)*binFreqSize : uint64(fs+fc)*binFreqSize]
+		for o, last := binFreqSize, int32(binLE.Uint32(run)); o < len(run); o += binFreqSize {
+			v := int32(binLE.Uint32(run[o:]))
+			if v <= last {
 				return fail("node %d: frequency vertices not strictly ascending", i)
 			}
+			last = v
 		}
 		ls, lc := b.nodeU32(i, binNodeLevelStart), b.nodeU32(i, binNodeLevelCount)
 		if lc < 1 || uint64(ls)+uint64(lc) > uint64(levelTotal) {
@@ -401,8 +443,12 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 			if ec < 1 || uint64(es)+uint64(ec) > uint64(edgeTotal) {
 				return fail("node %d: edge range [%d,+%d) invalid for table size %d", i, es, ec, edgeTotal)
 			}
+			if !b.validPairs(es, ec, fc) {
+				return fail("node %d: level %d: edges are not ascending position pairs i < j < %d", i, l-ls, fc)
+			}
 		}
-		item := b.itemOf(i)
+		// Each child's item exceeds its parent's and its elder sibling's.
+		last := b.itemOf(i)
 		for c := cs; c < cs+cc; c++ {
 			ci := binLE.Uint32(b.child[c*4:])
 			if ci <= i || ci >= nodeCount {
@@ -413,15 +459,14 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 			}
 			seenChild[ci] = true
 			cItem := b.itemOf(ci)
-			if cItem <= item {
+			if cItem <= last {
 				return fail("node %d: child item %d breaks set-enumeration order", i, cItem)
 			}
-			if c > cs {
-				if prev := b.itemOf(binLE.Uint32(b.child[(c-1)*4:])); cItem <= prev {
-					return fail("node %d: children not ordered by item", i)
-				}
-			}
+			last = cItem
 		}
+	}
+	if wide && maxRun <= binNarrowRun {
+		return fail("u32 positions on a shard whose longest frequency run, %d, fits u16", maxRun)
 	}
 	if b.item != b.itemOf(0) {
 		return fail("root item %d does not match header item %d", b.itemOf(0), rootItem)
@@ -484,6 +529,48 @@ func (b *BinShard) childWith(i uint32, item itemset.Item) uint32 {
 	return noNode
 }
 
+// binPairSize is the size of one edge-table entry, an (i, j) position pair.
+func binPairSize(wide bool) uint64 {
+	if wide {
+		return 8
+	}
+	return 4
+}
+
+// pairs returns the edge table's run [start, start+count) as bytes.
+func (b *BinShard) pairs(start, count uint32) []byte {
+	ps := binPairSize(b.wide)
+	return b.edge[uint64(start)*ps : uint64(start+count)*ps]
+}
+
+// validPairs reports whether the edge table's run [start, start+count) is
+// position pairs the read kernel can trust over a run of n vertices.
+func (b *BinShard) validPairs(start, count, n uint32) bool {
+	if b.wide {
+		return truss.ValidPairs[uint32](b.pairs(start, count), n)
+	}
+	return truss.ValidPairs[uint16](b.pairs(start, count), n)
+}
+
+// repack writes the position pairs of src, stored at one width, to dst at
+// another: a copy when the widths agree. Every position of a narrow shard
+// fits u32, and a shard goes narrow only when all of its runs — so every
+// position it copies — fit u16.
+func repack(dst, src []byte, srcWide, dstWide bool) {
+	switch {
+	case srcWide == dstWide:
+		copy(dst, src)
+	case dstWide:
+		for k := 0; 2*k < len(src); k++ {
+			binLE.PutUint32(dst[4*k:], uint32(binLE.Uint16(src[2*k:])))
+		}
+	default:
+		for k := 0; 4*k < len(src); k++ {
+			binLE.PutUint16(dst[2*k:], uint16(binLE.Uint32(src[4*k:])))
+		}
+	}
+}
+
 func (b *BinShard) levelAt(l uint32) (alpha float64, edgeStart, edgeCount uint32) {
 	o := uint64(l) * binLevelSize
 	return math.Float64frombits(binLE.Uint64(b.level[o:])), binLE.Uint32(b.level[o+8:]), binLE.Uint32(b.level[o+12:])
@@ -498,39 +585,35 @@ func (b *BinShard) nodeMaxAlpha(i uint32) float64 {
 }
 
 // liveLevels decodes node i for the read kernel: its frequency run's
-// vertices — C*_p(0)'s vertex set, ascending, the kernel's numbering — and
-// the levels live at α_q, into the scratch buffers. It is the one copy the
-// read makes of an edge, and the counterpart of Decomposition.LiveLevels on a
-// pointer tree.
-func (b *BinShard) liveLevels(sc *readScratch, i uint32, alphaQ float64) ([]graph.VertexID, []truss.Level) {
+// vertices — C*_p(0)'s vertex set, ascending, the kernel's numbering — into
+// the scratch, and the levels live at α_q as slices of the edge table, whose
+// position pairs the kernel reads in place. It is the counterpart of
+// Decomposition.LiveLevels on a pointer tree.
+func (b *BinShard) liveLevels(sc *readScratch, i uint32, alphaQ float64) ([]graph.VertexID, []truss.PairLevel) {
 	fs, fc := b.run(i, binNodeFreqStart)
 	run := slices.Grow(sc.run[:0], int(fc))
 	for f := fs; f < fs+fc; f++ {
 		run = append(run, graph.VertexID(int32(binLE.Uint32(b.freq[uint64(f)*binFreqSize:]))))
 	}
 	ls, lc := b.run(i, binNodeLevelStart)
-	total := 0
+	levels := sc.levels[:0]
 	for l := ls; l < ls+lc; l++ {
-		if alpha, _, ec := b.levelAt(l); truss.LevelLive(alpha, alphaQ) {
-			total += int(ec)
+		if alpha, es, ec := b.levelAt(l); truss.LevelLive(alpha, alphaQ) {
+			levels = append(levels, truss.PairLevel{Alpha: alpha, Pairs: b.pairs(es, ec)})
 		}
 	}
-	// Sized up front: the levels below keep slices of edges, which must not
-	// move under them.
-	edges, levels := slices.Grow(sc.edges[:0], total), sc.levels[:0]
-	for l := ls; l < ls+lc; l++ {
-		alpha, es, ec := b.levelAt(l)
-		if !truss.LevelLive(alpha, alphaQ) {
-			continue
-		}
-		start := len(edges)
-		for e := es; e < es+ec; e++ {
-			edges = append(edges, graph.EdgeFromKey(binLE.Uint64(b.edge[uint64(e)*binEdgeSize:])))
-		}
-		levels = append(levels, truss.Level{Alpha: alpha, Removed: edges[start:]})
-	}
-	sc.run, sc.edges, sc.levels = run, edges, levels
+	sc.run, sc.levels = run, levels
 	return run, levels
+}
+
+// extend returns a new pattern: p with item appended. The decoder proved a
+// child's item exceeds every item on its path (set-enumeration order), so
+// the result is p ∪ {item} in ascending order with no search.
+func extend(p itemset.Itemset, item itemset.Item) itemset.Itemset {
+	out := make(itemset.Itemset, len(p)+1)
+	copy(out, p)
+	out[len(p)] = item
+	return out
 }
 
 func (b *BinShard) RootItem() itemset.Item { return b.item }
@@ -562,7 +645,7 @@ func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 	}
 	rootPat := itemset.New(b.item)
 	run, live := b.liveLevels(sc, 0, alphaQ)
-	res.retrieve(sc, rootPat, run, live)
+	res.retrieve(sc, rootPat, run, live, b.wide)
 	queue := []frame{{0, rootPat}}
 	for len(queue) > 0 {
 		f := queue[0]
@@ -571,16 +654,16 @@ func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 		for c := cs; c < cs+cc; c++ {
 			ci := binLE.Uint32(b.child[c*4:])
 			it := b.itemOf(ci)
-			if !q.Contains(it) {
+			if q != nil && !q.Contains(it) {
 				continue
 			}
 			res.Visited++
 			if !truss.LevelLive(b.nodeMaxAlpha(ci), alphaQ) {
 				continue
 			}
-			pat := f.pat.Add(it)
+			pat := extend(f.pat, it)
 			run, live := b.liveLevels(sc, ci, alphaQ)
-			res.retrieve(sc, pat, run, live)
+			res.retrieve(sc, pat, run, live, b.wide)
 			queue = append(queue, frame{ci, pat})
 		}
 	}
@@ -608,7 +691,7 @@ func (b *BinShard) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 	rootPat := itemset.New(b.item)
 	if need0 == q.Len() {
 		run, live := b.liveLevels(sc, 0, alphaQ)
-		res.retrieve(sc, rootPat, run, live)
+		res.retrieve(sc, rootPat, run, live, b.wide)
 	}
 	queue := []frame{{0, rootPat, need0}}
 	for len(queue) > 0 {
@@ -631,10 +714,10 @@ func (b *BinShard) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 			if !truss.LevelLive(b.nodeMaxAlpha(ci), alphaQ) {
 				continue
 			}
-			pat := f.pat.Add(it)
+			pat := extend(f.pat, it)
 			if need == q.Len() {
 				run, live := b.liveLevels(sc, ci, alphaQ)
-				res.retrieve(sc, pat, run, live)
+				res.retrieve(sc, pat, run, live, b.wide)
 			}
 			queue = append(queue, frame{ci, pat, need})
 		}
@@ -650,7 +733,7 @@ func (b *BinShard) WalkPatterns(visit func(p itemset.Itemset)) {
 		cs, cc := b.nodeU32(idx, binNodeChildStart), b.nodeU32(idx, binNodeChildCount)
 		for c := cs; c < cs+cc; c++ {
 			ci := binLE.Uint32(b.child[c*4:])
-			dfs(ci, pat.Add(b.itemOf(ci)))
+			dfs(ci, extend(pat, b.itemOf(ci)))
 		}
 	}
 	dfs(0, itemset.New(b.item))
@@ -689,15 +772,23 @@ func (b *BinShard) nodeAt(i uint32, parentPattern itemset.Itemset) (*Node, error
 	item := b.itemOf(i)
 	fs, fc := b.nodeU32(i, binNodeFreqStart), b.nodeU32(i, binNodeFreqCount)
 	decomp := &truss.Decomposition{
-		Pattern: parentPattern.Add(item),
+		Pattern: extend(parentPattern, item),
 		Freq:    make(map[graph.VertexID]float64, fc),
 	}
+	run := make([]graph.VertexID, 0, fc)
 	for f := fs; f < fs+fc; f++ {
 		o := uint64(f) * binFreqSize
-		decomp.Freq[graph.VertexID(int32(binLE.Uint32(b.freq[o:])))] = math.Float64frombits(binLE.Uint64(b.freq[o+4:]))
+		v := graph.VertexID(int32(binLE.Uint32(b.freq[o:])))
+		decomp.Freq[v] = math.Float64frombits(binLE.Uint64(b.freq[o+4:]))
+		run = append(run, v)
+	}
+	appendEdges := truss.AppendEdges[uint16]
+	if b.wide {
+		appendEdges = truss.AppendEdges[uint32]
 	}
 	// One allocation holds the node's edges, as Decompose leaves them: the
-	// levels are consecutive runs of it.
+	// levels are consecutive runs of it, their position pairs translated
+	// through the run.
 	ls, lc := b.nodeU32(i, binNodeLevelStart), b.nodeU32(i, binNodeLevelCount)
 	total := 0
 	for l := ls; l < ls+lc; l++ {
@@ -709,9 +800,7 @@ func (b *BinShard) nodeAt(i uint32, parentPattern itemset.Itemset) (*Node, error
 	for l := ls; l < ls+lc; l++ {
 		alpha, es, ec := b.levelAt(l)
 		start := len(edges)
-		for e := es; e < es+ec; e++ {
-			edges = append(edges, graph.EdgeFromKey(binLE.Uint64(b.edge[uint64(e)*binEdgeSize:])))
-		}
+		edges = appendEdges(edges, run, b.pairs(es, ec))
 		decomp.Levels = append(decomp.Levels, truss.Level{Alpha: alpha, Removed: edges[start:len(edges):len(edges)]})
 	}
 	if err := decomp.Validate(); err != nil {

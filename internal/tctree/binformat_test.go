@@ -5,12 +5,16 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"themecomm/internal/dbnet"
+	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
+	"themecomm/internal/truss"
 )
 
 // binShardFixtures encodes every first-level subtree of a generated tree and
@@ -160,7 +164,7 @@ func binCorruptions() []corruptCase {
 		{"truncated header", func(d []byte) []byte { return d[:binHeaderSize-1] }, "too small"},
 		{"truncated tail", func(d []byte) []byte { return d[:len(d)-1] }, "footer offset"},
 		{"bad magic", func(d []byte) []byte { d[0] ^= 0xff; return d }, "bad magic"},
-		{"bad version", func(d []byte) []byte { binary.LittleEndian.PutUint32(d[8:], 2); return d }, "version"},
+		{"bad version", func(d []byte) []byte { binary.LittleEndian.PutUint16(d[8:], binVersion+1); return d }, "version"},
 		{"bad end magic", func(d []byte) []byte { d[len(d)-1] ^= 0xff; return d }, "end magic"},
 		{"payload bit flip", func(d []byte) []byte { d[len(d)/2] ^= 0x01; return d }, "checksum"},
 		{"crc flip", func(d []byte) []byte { d[len(d)-binFooterSize] ^= 0xff; return d }, "checksum"},
@@ -421,33 +425,209 @@ func TestCatalogueCodecs(t *testing.T) {
 	}
 }
 
-// hostileEdgeSeeds rewrites edges of a valid shard into what DecodeBinShard
-// does not look at — it validates tables, not the edges in them — and
-// reseals the payload, so each seed passes validation and reaches the read
-// kernel: a self-loop, one edge stored twice (in the root's first and last
-// level when it has two), and an endpoint no frequency run holds.
-func hostileEdgeSeeds(valid []byte) [][]byte {
-	edgeOff := binary.LittleEndian.Uint64(valid[80:])
-	edgeTotal := uint64(binary.LittleEndian.Uint32(valid[36:]))
-	rootLevels := uint64(binary.LittleEndian.Uint32(valid[binary.LittleEndian.Uint64(valid[48:])+binNodeLevelCount:]))
-	levelOff := binary.LittleEndian.Uint64(valid[72:])
-	// The root's levels start the edge table: the first edge of its last
-	// level is edge 0 only when it has one level, and then the copy goes to
-	// another edge of that level.
-	dup := uint64(binary.LittleEndian.Uint32(valid[levelOff+(rootLevels-1)*binLevelSize+8:]))
-	if dup == 0 {
-		dup = edgeTotal - 1
+// pairCorruptions rewrites the first level of a valid shard's root that
+// holds two or more edges into what DecodeBinShard refuses — a position past
+// the node's frequency run, i == j (a self-loop), i > j (a pair stored
+// descending) and two pairs out of order — and reseals the payload so it
+// reaches the pair check. It returns none when the root has no such level.
+func pairCorruptions(valid []byte) []corruptCase {
+	le := binary.LittleEndian
+	nodeOff, levelOff, edgeOff := le.Uint64(valid[48:]), le.Uint64(valid[72:]), le.Uint64(valid[80:])
+	ps := binPairSize(le.Uint16(valid[10:])&binFlagWide != 0)
+	fc := le.Uint32(valid[nodeOff+binNodeFreqCount:])
+	ls := uint64(le.Uint32(valid[nodeOff+binNodeLevelStart:]))
+	lc := uint64(le.Uint32(valid[nodeOff+binNodeLevelCount:]))
+	at := uint64(0)
+	for l := ls; l < ls+lc; l++ {
+		if o := levelOff + l*binLevelSize; le.Uint32(valid[o+12:]) >= 2 {
+			at = edgeOff + uint64(le.Uint32(valid[o+8:]))*ps
+			break
+		}
 	}
-	mutate := func(fn func(d []byte)) []byte {
-		d := append([]byte(nil), valid...)
-		fn(d)
-		return reseal(d)
+	if at == 0 {
+		return nil
 	}
-	first := binary.LittleEndian.Uint64(valid[edgeOff:])
-	return [][]byte{
-		mutate(func(d []byte) { binary.LittleEndian.PutUint64(d[edgeOff:], first>>32<<32|first>>32) }),
-		mutate(func(d []byte) { binary.LittleEndian.PutUint64(d[edgeOff+dup*binEdgeSize:], first) }),
-		mutate(func(d []byte) { binary.LittleEndian.PutUint64(d[edgeOff:], first>>32<<32|0x7fffffff) }),
+	// get and put read and write position k of the level, pairs counted
+	// two positions each.
+	get := func(d []byte, k uint64) uint32 {
+		if ps == 8 {
+			return le.Uint32(d[at+4*k:])
+		}
+		return uint32(le.Uint16(d[at+2*k:]))
+	}
+	put := func(d []byte, k uint64, v uint32) {
+		if ps == 8 {
+			le.PutUint32(d[at+4*k:], v)
+		} else {
+			le.PutUint16(d[at+2*k:], uint16(v))
+		}
+	}
+	mutate := func(fn func(d []byte)) func([]byte) []byte {
+		return func(d []byte) []byte { fn(d); return reseal(d) }
+	}
+	return []corruptCase{
+		{"position past the run", mutate(func(d []byte) { put(d, 1, fc) }), "position pairs"},
+		{"self-loop pair", mutate(func(d []byte) { put(d, 0, get(d, 1)) }), "position pairs"},
+		{"descending pair", mutate(func(d []byte) { i, j := get(d, 0), get(d, 1); put(d, 0, j); put(d, 1, i) }), "position pairs"},
+		{"pairs out of order", mutate(func(d []byte) {
+			i0, j0, i1, j1 := get(d, 0), get(d, 1), get(d, 2), get(d, 3)
+			put(d, 0, i1)
+			put(d, 1, j1)
+			put(d, 2, i0)
+			put(d, 3, j0)
+		}), "position pairs"},
+	}
+}
+
+// rewidth re-encodes a valid payload's edge table at the other position
+// width, flips the header flag, moves the footer and reseals: a payload
+// that is well-formed but for the width the encoder would pick.
+func rewidth(valid []byte) []byte {
+	le := binary.LittleEndian
+	wide := le.Uint16(valid[10:])&binFlagWide != 0
+	edgeOff := le.Uint64(valid[80:])
+	edges := uint64(le.Uint32(valid[36:]))
+	footerOff := edgeOff + edges*binPairSize(!wide)
+	d := make([]byte, footerOff+binFooterSize)
+	copy(d, valid[:edgeOff])
+	repack(d[edgeOff:], valid[edgeOff:uint64(len(valid))-binFooterSize], wide, !wide)
+	le.PutUint16(d[10:], le.Uint16(valid[10:])^binFlagWide)
+	le.PutUint64(d[88:], footerOff)
+	copy(d[footerOff+4:], binEndMagic)
+	return reseal(d)
+}
+
+// wideNode is the root of item's shard with a frequency run one vertex
+// longer than u16 positions reach, holding one edge from its first vertex to
+// its last.
+func wideNode(item itemset.Item) *Node {
+	d := &truss.Decomposition{Pattern: itemset.New(item), Freq: make(map[graph.VertexID]float64, binNarrowRun+1)}
+	for v := 0; v <= binNarrowRun; v++ {
+		d.Freq[graph.VertexID(v)] = 1
+	}
+	d.Levels = []truss.Level{{Alpha: 0.5, Removed: []graph.Edge{{U: 0, V: binNarrowRun}}}}
+	return &Node{Item: item, Pattern: d.Pattern, Decomp: d}
+}
+
+// TestDecodeBinShardRefusesBadPairs holds the decoder to the edge table's
+// rule: every pair i < j < freqCount, ascending within its level, at the
+// width the longest frequency run needs.
+func TestDecodeBinShardRefusesBadPairs(t *testing.T) {
+	_, _, bufs, entries := binShardFixtures(t, 19)
+	tried := 0
+	for i, valid := range bufs {
+		for _, c := range pairCorruptions(valid) {
+			tried++
+			_, err := DecodeBinShard(c.mutate(slices.Clone(valid)), entries[i])
+			if err == nil || !strings.Contains(err.Error(), c.wantSub) {
+				t.Fatalf("shard %d, %s: DecodeBinShard returned %v, want an error about %q", entries[i].Item, c.name, err, c.wantSub)
+			}
+		}
+	}
+	if tried == 0 {
+		t.Fatal("no shard root has a level of two edges to corrupt")
+	}
+
+	if _, err := DecodeBinShard(rewidth(bufs[0]), entries[0]); err == nil || !strings.Contains(err.Error(), "fits u16") {
+		t.Fatalf("u32 positions on a narrow shard: DecodeBinShard returned %v", err)
+	}
+	enc, err := encodeShardBinary(wideNode(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binary.LittleEndian.Uint16(enc.Data[10:])&binFlagWide == 0 {
+		t.Fatalf("a run of %d vertices was encoded with u16 positions", binNarrowRun+1)
+	}
+	sh, err := enc.Open()
+	if err != nil {
+		t.Fatalf("the wide shard is refused: %v", err)
+	}
+	if got := sh.QuerySub(itemset.New(1), 0).Communities; len(got) != 1 || !slices.Equal(got[0].Vertices, []graph.VertexID{0, binNarrowRun}) {
+		t.Fatalf("the wide shard answers %+v", got)
+	}
+	if _, err := DecodeBinShard(rewidth(enc.Data), enc.Entry); err == nil || !strings.Contains(err.Error(), "needs u32") {
+		t.Fatalf("u16 positions on a shard whose run needs u32: DecodeBinShard returned %v", err)
+	}
+}
+
+// edgeInTwoLevels is a shard root whose edge {10, 20} is stored in both of
+// its levels: what no decomposition holds, but every pair is well-formed.
+func edgeInTwoLevels() *Node {
+	d := &truss.Decomposition{
+		Pattern: itemset.New(1),
+		Freq:    map[graph.VertexID]float64{10: 1, 20: 1, 30: 1},
+		Levels: []truss.Level{
+			{Alpha: 0.5, Removed: []graph.Edge{{U: 10, V: 20}, {U: 20, V: 30}}},
+			{Alpha: 1, Removed: []graph.Edge{{U: 10, V: 20}}},
+		},
+	}
+	return &Node{Item: 1, Pattern: d.Pattern, Decomp: d}
+}
+
+// TestSpliceRepacksAcrossWidths splices a shard's subtrees under a root whose
+// run changes the shard's position width, both ways, and requires the bytes
+// of encoding the whole shard at once: carried-over pairs are re-encoded at
+// the new width, not copied.
+func TestSpliceRepacksAcrossWidths(t *testing.T) {
+	narrow := Build(dbnet.PaperExample(), BuildOptions{}).Root().Children[0]
+	if len(narrow.Children) == 0 {
+		t.Fatal("the fixture shard has no subtree to carry over")
+	}
+	wide := wideNode(narrow.Item)
+	for _, c := range narrow.Children {
+		wide.addChild(c)
+	}
+	for _, tc := range []struct {
+		name       string
+		from, into *Node
+	}{{"u16 to u32", narrow, wide}, {"u32 to u16", wide, narrow}} {
+		prev := openEncoded(t, tc.from)
+		root := &Node{Item: tc.into.Item, Pattern: tc.into.Pattern, Decomp: tc.into.Decomp}
+		var grafts []uint32
+		cs, cc := prev.run(0, binNodeChildStart)
+		for c := cs; c < cs+cc; c++ {
+			grafts = append(grafts, prev.childAt(c))
+		}
+		got, reused, err := splice{root: root, prev: prev, grafts: map[*Node][]uint32{root: grafts}}.encode()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, err := encodeShardBinary(tc.into)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused == 0 || !slices.Equal(got.Data, want.Data) {
+			t.Fatalf("%s: the splice (%d nodes carried over) differs from the shard encoded whole", tc.name, reused)
+		}
+	}
+}
+
+// TestDecodeBinShardAcceptsAnEdgeInTwoLevels pins what the pair check leaves
+// to the kernel: an edge stored in two levels is well-formed pair by pair, so
+// the shard opens, a query answers without panicking and counts the edge
+// twice, and Materialize, which validates the decomposition, refuses it.
+func TestDecodeBinShardAcceptsAnEdgeInTwoLevels(t *testing.T) {
+	sh := openEncoded(t, edgeInTwoLevels())
+	got := sh.QuerySub(itemset.New(1), 0).Communities
+	if len(got) != 1 || got[0].Edges != 3 || !slices.Equal(got[0].Vertices, []graph.VertexID{10, 20, 30}) || got[0].Cohesion != 0.5 {
+		t.Fatalf("an edge in two levels answers %+v, want one community of 3 vertices and 3 edges", got)
+	}
+	if _, err := sh.Materialize(); err == nil {
+		t.Fatal("Materialize accepted an edge stored twice")
+	}
+}
+
+// TestDecodeBinShardRefusesVersion1 opens a shard an earlier release wrote
+// — endpoint keys where version 2 stores position pairs — and requires the
+// refusal to name the rebuild command.
+func TestDecodeBinShardRefusesVersion1(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "tcbin-v1", "shard-1.tcbin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := ShardEntry{File: "shard-1.tcbin", Item: int32(binary.LittleEndian.Uint32(data[12:])), Nodes: int(binary.LittleEndian.Uint32(data[16:]))}
+	if _, err := DecodeBinShard(data, entry); err == nil || !strings.Contains(err.Error(), "tcindex -in") {
+		t.Fatalf("a version 1 shard: DecodeBinShard returned %v, want a refusal naming tcindex", err)
 	}
 }
 
@@ -455,10 +635,12 @@ func hostileEdgeSeeds(valid []byte) [][]byte {
 // entry synthesized from the payload's own header, so fuzzing reaches the
 // structural validators behind the entry cross-checks. The decoder must
 // either error or return a shard whose every traversal — the read kernel
-// included, which runs unchecked on whatever edges the payload holds — and
+// included, which trusts every position pair the decoder let through — and
 // whose Materialize run without panics or out-of-range reads, and which an
 // update can take as its previous shard: spliced whole under a new root, it
-// must come out as bytes DecodeBinShard accepts.
+// must come out as bytes DecodeBinShard accepts. The seeds include resealed
+// payloads with each pair the decoder refuses, one at the width the encoder
+// would not pick, and one with an edge in two levels, which it accepts.
 func FuzzTCBINDecode(f *testing.F) {
 	nw := dbnet.PaperExample()
 	tree := Build(nw, BuildOptions{})
@@ -475,13 +657,19 @@ func FuzzTCBINDecode(f *testing.F) {
 		flipped := append([]byte(nil), buf...)
 		flipped[len(flipped)/3] ^= 0x40
 		f.Add(flipped)
-		for _, seed := range hostileEdgeSeeds(buf) {
-			f.Add(seed)
+		for _, c := range pairCorruptions(buf) {
+			f.Add(c.mutate(slices.Clone(buf)))
 		}
+		f.Add(rewidth(buf))
 		infThreshold := append([]byte(nil), buf...)
 		putRootLastThreshold(infThreshold, math.Inf(1))
 		f.Add(reseal(infThreshold))
 	}
+	enc, err := encodeShardBinary(edgeInTwoLevels())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc.Data)
 	f.Add([]byte{})
 	f.Add([]byte("TCBIN\r\n\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -503,7 +691,7 @@ func FuzzTCBINDecode(f *testing.F) {
 			sh.QueryContaining(itemset.New(root), alpha)
 		}
 		// Materialize re-validates every decomposition and may refuse one
-		// (an edge stored twice); it must not panic.
+		// (an edge stored in two levels); it must not panic.
 		_, _ = sh.Materialize()
 
 		// The splice copies table runs as the accepted payload addresses

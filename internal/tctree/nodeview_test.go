@@ -19,15 +19,28 @@ func NewNodeView(root *Node) *NodeView { return &NodeView{root: root} }
 
 // retrieveNode hands node n to the read kernel as a BinShard hands over its
 // record: the vertex run is the keys of the decomposition's Freq, sorted into
-// the scratch, and the levels are those live at α_q.
-func retrieveNode(res *ShardAnswer, sc *readScratch, n *Node, alphaQ float64) {
+// the scratch, and the levels live at α_q are numbered by it — u32 position
+// pairs in pairs, a buffer the traversal reuses from node to node.
+func retrieveNode(res *ShardAnswer, sc *readScratch, pairs *[]byte, n *Node, alphaQ float64) {
 	run := sc.run[:0]
 	for v := range n.Decomp.Freq {
 		run = append(run, v)
 	}
 	slices.Sort(run)
 	sc.run = run
-	res.retrieve(sc, n.Pattern, run, n.Decomp.LiveLevels(alphaQ))
+	// A level keeps its slice of buf: should a later append move buf, the
+	// bytes it holds stay where they were.
+	buf, levels := (*pairs)[:0], sc.levels[:0]
+	for _, l := range n.Decomp.LiveLevels(alphaQ) {
+		start := len(buf)
+		var err error
+		if buf, err = truss.AppendPairs[uint32](buf, run, l.Removed); err != nil {
+			panic(err)
+		}
+		levels = append(levels, truss.PairLevel{Alpha: l.Alpha, Pairs: buf[start:]})
+	}
+	*pairs, sc.levels = buf, levels
+	res.retrieve(sc, n.Pattern, run, levels, true)
 }
 
 func (v *NodeView) RootItem() itemset.Item { return v.root.Item }
@@ -44,20 +57,21 @@ func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 	}
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
-	retrieveNode(&res, sc, v.root, alphaQ)
+	var pairs []byte
+	retrieveNode(&res, sc, &pairs, v.root, alphaQ)
 	queue := []*Node{v.root}
 	for len(queue) > 0 {
 		nf := queue[0]
 		queue = queue[1:]
 		for _, nc := range nf.Children {
-			if !q.Contains(nc.Item) {
+			if q != nil && !q.Contains(nc.Item) {
 				continue
 			}
 			res.Visited++
 			if !truss.LevelLive(nc.Decomp.MaxAlpha(), alphaQ) {
 				continue
 			}
-			retrieveNode(&res, sc, nc, alphaQ)
+			retrieveNode(&res, sc, &pairs, nc, alphaQ)
 			queue = append(queue, nc)
 		}
 	}
@@ -81,8 +95,9 @@ func (v *NodeView) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 	}
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
+	var pairs []byte
 	if need == q.Len() {
-		retrieveNode(&res, sc, v.root, alphaQ)
+		retrieveNode(&res, sc, &pairs, v.root, alphaQ)
 	}
 	type frame struct {
 		n    *Node
@@ -107,7 +122,7 @@ func (v *NodeView) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 				continue
 			}
 			if need == q.Len() {
-				retrieveNode(&res, sc, c, alphaQ)
+				retrieveNode(&res, sc, &pairs, c, alphaQ)
 			}
 			queue = append(queue, frame{c, need})
 		}

@@ -197,37 +197,6 @@ func TestReadKernelMatchesReferenceOnGeneratedDatasets(t *testing.T) {
 	}
 }
 
-// TestHostileEdgesReachTheReadKernel checks that the fuzz seeds with a
-// self-loop, a twice-stored edge and a stray endpoint do pass DecodeBinShard
-// — validation looks at tables, not edges — and that the traversal answers
-// them: every live edge counted, every vertex in one community.
-func TestHostileEdgesReachTheReadKernel(t *testing.T) {
-	_, roots, bufs, entries := binShardFixtures(t, 19)
-	for i, root := range roots {
-		for j, seed := range hostileEdgeSeeds(bufs[i]) {
-			entry := entries[i]
-			sh, err := DecodeBinShard(seed, entry)
-			if err != nil {
-				t.Fatalf("shard %d seed %d: DecodeBinShard rejects it (%v); it no longer reaches the kernel", root.Item, j, err)
-			}
-			got := sh.QuerySub(itemset.New(root.Item), 0)
-			edges, seen := 0, map[graph.VertexID]bool{}
-			for _, c := range got.Communities {
-				edges += c.Edges
-				for _, v := range c.Vertices {
-					if seen[v] {
-						t.Fatalf("shard %d seed %d: vertex %d is in two communities", root.Item, j, v)
-					}
-					seen[v] = true
-				}
-			}
-			if edges != root.Decomp.NumEdges() {
-				t.Fatalf("shard %d seed %d: communities hold %d edges, the root stores %d", root.Item, j, edges, root.Decomp.NumEdges())
-			}
-		}
-	}
-}
-
 // TestQuerySubAllocatesPerRetrievedNode pins what a traversal may allocate:
 // a pattern and one vertex array per retrieved node plus the growth of its
 // queue and answer — a small constant per node however many edges the node
@@ -253,7 +222,7 @@ func TestQuerySubAllocatesPerRetrievedNode(t *testing.T) {
 			t.Fatalf("shard %d retrieves %d nodes holding %d edges: too small to tell nodes from edges", root.Item, retrieved, edges)
 		}
 		allocs := testing.AllocsPerRun(20, func() { view.QuerySub(universe, 0) })
-		if limit := float64(3*retrieved + 32); allocs > limit {
+		if limit := float64(2*retrieved + 32); allocs > limit {
 			t.Fatalf("%s.QuerySub: %.0f allocations for %d retrieved nodes (%d edges), want at most %.0f", kind, allocs, retrieved, edges, limit)
 		}
 	}

@@ -33,18 +33,21 @@ const (
 	// directory.
 	ManifestName = "index.manifest"
 
-	manifestVersion = 1
+	// manifestVersion is also the TCBIN version of the shards the manifest
+	// lists: version 2 stores edges as position pairs, and a version 1 index
+	// is refused when it is opened, not at its first query.
+	manifestVersion = 2
 
 	// FormatTCBIN is the manifest's format value: the flat binary shard
 	// encoding opened via mmap.
 	FormatTCBIN = "tcbin"
 )
 
-// errRebuild is the refusal of everything that is not a TCBIN index
-// directory: what says what path holds instead, out where to rebuild it.
+// errRebuild is the refusal of everything that is not an index this release
+// reads: what says what path holds instead, out where to rebuild it.
 func errRebuild(path, what, out string) error {
-	return fmt.Errorf("tctree: %s is %s, not a %s index directory; an index is derived data — rebuild it with: tcindex -in <network>.dbnet -out %s",
-		path, what, FormatTCBIN, out)
+	return fmt.Errorf("tctree: %s is %s; an index is derived data — rebuild it with: tcindex -in <network>.dbnet -out %s",
+		path, what, out)
 }
 
 // castagnoli is the CRC-32C polynomial table used for shard checksums.
@@ -349,15 +352,16 @@ func writeManifest(dir string, m *Manifest) error {
 
 // ReadManifest reads and validates dir's index.manifest. Entries are returned
 // sorted by ascending root item. A regular file (the monolithic layout of
-// earlier releases) or a manifest of any format but FormatTCBIN is refused
-// with the rebuild command; nothing of it is decoded. Fields this release
+// earlier releases), a manifest of any format but FormatTCBIN and a version 1
+// manifest, whose shards hold endpoint keys where this release reads position
+// pairs, are refused with the rebuild command; nothing of them is decoded. Fields this release
 // does not know, such as the per-depth α* histogram of earlier manifests,
 // are ignored, and the next manifest write drops them.
 func ReadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		if st, serr := os.Stat(dir); serr == nil && st.Mode().IsRegular() {
-			return nil, errRebuild(dir, "a file", strings.TrimSuffix(dir, filepath.Ext(dir))+".index")
+			return nil, errRebuild(dir, "a file, not a "+FormatTCBIN+" index directory", strings.TrimSuffix(dir, filepath.Ext(dir))+".index")
 		}
 		return nil, err
 	}
@@ -365,11 +369,14 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("tctree: %s: %w", ManifestName, err)
 	}
+	if m.Format != FormatTCBIN {
+		return nil, errRebuild(dir, fmt.Sprintf("an index of format %q, not a %s index directory", m.Format, FormatTCBIN), dir)
+	}
+	if m.Version == 1 {
+		return nil, errRebuild(dir, fmt.Sprintf("a version 1 index, whose shards store edges as endpoint keys; this release reads version %d", manifestVersion), dir)
+	}
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("tctree: %s: unsupported manifest version %d", ManifestName, m.Version)
-	}
-	if m.Format != FormatTCBIN {
-		return nil, errRebuild(dir, fmt.Sprintf("an index of format %q", m.Format), dir)
 	}
 	seen := make(map[int32]bool, len(m.Shards))
 	for _, e := range m.Shards {

@@ -229,7 +229,7 @@ func TestLoadShardMissingFile(t *testing.T) {
 // manifest entry may only name a file directly inside the index directory.
 func TestReadManifestRejectsBadFileNames(t *testing.T) {
 	dir := t.TempDir()
-	manifest := `{"version":1,"format":"tcbin","shards":[{"item":1,"file":"../evil.tcbin","nodes":1,"depth":1,"maxAlpha":1,"checksum":"crc32c:00000000"}]}`
+	manifest := `{"version":2,"format":"tcbin","shards":[{"item":1,"file":"../evil.tcbin","nodes":1,"depth":1,"maxAlpha":1,"checksum":"crc32c:00000000"}]}`
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(manifest), 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
@@ -243,8 +243,9 @@ func TestReadManifestRejectsBadFileNames(t *testing.T) {
 // keep what it promises its callers: the TCBIN format, unique shard items in
 // ascending order, file names that stay inside the directory and are not the
 // manifest itself, at least one node per shard, and a bloom filter that
-// decodes. The seeds are a real manifest and one of an earlier release,
-// whose entries also carry the per-depth α* histogram it no longer reads.
+// decodes. The seeds are a real manifest, one whose entries also carry the
+// per-depth α* histogram this release no longer reads, and one of a version 1
+// index, which it refuses.
 func FuzzReadManifest(f *testing.F) {
 	src := f.TempDir()
 	if _, err := Build(dbnet.PaperExample(), BuildOptions{}).WriteShardedAs(src, FormatTCBIN); err != nil {
@@ -257,7 +258,8 @@ func FuzzReadManifest(f *testing.F) {
 	f.Add(written)
 	f.Add([]byte(strings.ReplaceAll(string(written), `"bloom":`, `"alphaDepths": "h1:1.5,0.5",
       "bloom":`)))
-	f.Add([]byte(`{"version":1,"format":"tcbin","shards":[{"item":2,"file":"a","nodes":1},{"item":1,"file":"b","nodes":1,"bloom":"b1:7:AAAAAAAAAAA"}]}`))
+	f.Add([]byte(`{"version":2,"format":"tcbin","shards":[{"item":2,"file":"a","nodes":1},{"item":1,"file":"b","nodes":1,"bloom":"b1:7:AAAAAAAAAAA"}]}`))
+	f.Add([]byte(strings.Replace(string(written), `"version": 2`, `"version": 1`, 1)))
 	f.Add([]byte(`{"version":1,"format":"gob","shards":[]}`))
 	f.Add([]byte{})
 
@@ -293,7 +295,8 @@ func FuzzReadManifest(f *testing.F) {
 
 // TestOpenRefusesLegacyIndexes pins the fail-closed migration story: an index
 // written by a release that still had the gob layouts — a manifest with no
-// format field or format "gob", or a monolithic .tctree file — is refused,
+// format field or format "gob", or a monolithic .tctree file — or one whose
+// manifest is version 1, its shards holding endpoint keys, is refused,
 // undecoded, with an error naming the command that rebuilds it.
 func TestOpenRefusesLegacyIndexes(t *testing.T) {
 	tree := buildShardedTestTree(t, 19)
@@ -316,13 +319,14 @@ func TestOpenRefusesLegacyIndexes(t *testing.T) {
 	}{
 		{"format-absent", dir, strings.Replace(string(good), `"format": "tcbin",`, ``, 1), dir},
 		{"format-gob", dir, strings.Replace(string(good), `"format": "tcbin"`, `"format": "gob"`, 1), dir},
+		{"version-1", dir, strings.Replace(string(good), `"version": 2`, `"version": 1`, 1), dir},
 		{"tctree-file", file, "", strings.TrimSuffix(file, ".tctree") + ".index"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.manifest != "" {
 				if tc.manifest == string(good) {
-					t.Fatalf("fixture manifest carries no format field to rewrite:\n%s", good)
+					t.Fatalf("fixture manifest carries no field to rewrite:\n%s", good)
 				}
 				if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(tc.manifest), 0o644); err != nil {
 					t.Fatalf("WriteFile: %v", err)

@@ -15,15 +15,15 @@ import (
 // The read kernel's tests hold it against NodeView (nodeview_test.go), the
 // same traversals over a pointer subtree: both visit the same nodes in the
 // same order and hand every retrieved node's vertex run and live removal
-// levels to the same kernel (truss.Splitter), so their answers are
+// levels to the same kernel (truss.Split), so their answers are
 // identical, counters included.
 //
 // A traversal answers with theme communities as flat records, never with
-// trusses: a retrieved node costs one pass over its live edges, two
-// allocations (its pattern on a BinShard, the vertex lists of its
-// communities) and nothing per edge, the traversal one more for the records
-// themselves, and the records keep no reference to the shard's bytes, so
-// they outlive its eviction.
+// trusses: a retrieved node costs one pass over its live edges, read in place
+// as position pairs, two allocations (its pattern on a BinShard, the vertex
+// lists of its communities) and nothing per edge, the traversal one more for
+// the records themselves, and the records keep no reference to the shard's
+// bytes, so they outlive its eviction.
 type ShardView interface {
 	// RootItem returns the shard's root item.
 	RootItem() itemset.Item
@@ -31,7 +31,8 @@ type ShardView interface {
 	// semantics: every indexed p ⊆ q): breadth-first traversal, skipping
 	// children whose item is not in q and pruning subtrees whose truss is
 	// empty at α_q (Proposition 5.2). The caller guarantees the root item
-	// is in q by shard selection.
+	// is in q by shard selection. A nil q is every item — a query by alpha,
+	// or a pattern covering every indexed item — and tests no child.
 	QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer
 	// QueryContaining answers the containment workload: the communities of
 	// every indexed pattern p ⊇ q at α_q. The traversal descends only into
@@ -63,18 +64,24 @@ type ShardAnswer struct {
 }
 
 // retrieve records one retrieved node: the read kernel splits its live levels
-// into communities over the node's vertex run — its vertices, ascending, the
-// numbering the kernel indexes by — gathered in the scratch until finish. It
-// is the one place either view turns levels into records.
-func (res *ShardAnswer) retrieve(sc *readScratch, pattern itemset.Itemset, run []graph.VertexID, live []truss.Level) {
-	sc.found = sc.split.Split(pattern, live, sc.found, run...)
+// — edges as position pairs into the node's vertex run, u32 when wide and u16
+// otherwise — into communities over the run, gathered in the scratch until
+// finish. It is the one place either view turns levels into records.
+func (res *ShardAnswer) retrieve(sc *readScratch, pattern itemset.Itemset, run []graph.VertexID, live []truss.PairLevel, wide bool) {
+	if wide {
+		sc.found = truss.Split[uint32](&sc.split, pattern, run, live, sc.found)
+	} else {
+		sc.found = truss.Split[uint16](&sc.split, pattern, run, live, sc.found)
+	}
 	res.Retrieved++
 }
 
 // finish moves the gathered communities into the answer — one allocation of
 // the exact size, where growing the answer record by record would allocate
-// about twice that — and leaves the scratch holding no pointer into it.
+// about twice that — and leaves the scratch holding no pointer into it or
+// into the shard's bytes.
 func (res *ShardAnswer) finish(sc *readScratch) {
+	clear(sc.levels[:cap(sc.levels)])
 	if len(sc.found) == 0 {
 		return
 	}
@@ -84,14 +91,13 @@ func (res *ShardAnswer) finish(sc *readScratch) {
 }
 
 // readScratch is what one shard traversal borrows for its duration: the read
-// kernel's buffers, the communities found so far, and the buffers a view
+// kernel's forest, the communities found so far, and the buffers a view
 // fills with a node's vertex run and live levels before handing them over.
 type readScratch struct {
 	split  truss.Splitter
 	found  []truss.Community
 	run    []graph.VertexID
-	levels []truss.Level
-	edges  []graph.Edge
+	levels []truss.PairLevel
 }
 
 // readScratchPool recycles scratch between traversals: they run on the

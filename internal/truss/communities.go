@@ -1,8 +1,11 @@
 package truss
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
@@ -11,9 +14,10 @@ import (
 // This file is the read kernel: the served path's counterpart of the peeler.
 // A query retrieves decompositions, and what it answers with is their theme
 // communities at α_q; the kernel derives those straight from the removal
-// levels and the vertex set of C*_p(0) — sorted runs, as the index stores
-// them — without rebuilding the Truss a miner would hand out. Truss.Communities stays the reference the
-// kernel is tested against and shares no code with it.
+// levels and the vertex set of C*_p(0) as the index stores them — the vertex
+// set a sorted run, each level's edges pairs of positions in it — without
+// rebuilding the Truss a miner would hand out. Truss.Communities stays the
+// reference the kernel is tested against and shares no code with it.
 
 // Community is one theme community (Definition 3.5) as a flat record: what
 // the serving layers merge, rank, cache and render. Records are immutable
@@ -45,17 +49,96 @@ func (d *Decomposition) LiveLevels(alpha float64) []Level {
 	return live
 }
 
+// Position is the width of a vertex position in the kernel's numbering: a
+// node's edges are stored as pairs of positions into its vertex run, u16
+// when every run of the shard fits in 16 bits and u32 otherwise. The kernel
+// is one generic routine over the width.
+type Position interface{ uint16 | uint32 }
+
+// PairLevel is a removal level in the kernel's numbering: its threshold and
+// its edges as (i, j) pairs of positions into the node's vertex run, i < j,
+// each position a little-endian P, ascending by (i, j) — the bytes a TCBIN
+// level's edge run holds (docs/FORMAT.md). Positions ascend with the
+// vertices, so the pairs are the level's edges in (U, V) order.
+type PairLevel struct {
+	Alpha float64
+	Pairs []byte
+}
+
+// AppendPairs appends edges to dst as PairLevel.Pairs holds them: each edge
+// as the positions of its endpoints in run, which must be strictly
+// ascending. The edges must ascend by (U, V), as a level holds them. It fails
+// when an endpoint is missing from run, or an edge is not ascending (U < V)
+// or out of order, which Decompose never produces.
+func AppendPairs[P Position](dst []byte, run []graph.VertexID, edges []graph.Edge) ([]byte, error) {
+	// One search finds U for the edges that share it; each V lies past U
+	// and past the V before it.
+	i, iok, from := 0, false, 0
+	for k, e := range edges {
+		if k == 0 || e.U != edges[k-1].U {
+			i, iok = slices.BinarySearch(run, e.U)
+			from = i + 1
+		}
+		from = min(from, len(run))
+		j, jok := slices.BinarySearch(run[from:], e.V)
+		j += from
+		from = j + 1
+		if !iok || !jok {
+			return dst, fmt.Errorf("truss: edge %v has no position pair in a run of %d vertices", e, len(run))
+		}
+		if pairSize[P]() == 4 {
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(i))
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(j))
+		} else {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(j))
+		}
+	}
+	return dst, nil
+}
+
+// AppendEdges appends the edges pairs holds, numbered over run, to dst: the
+// inverse of AppendPairs. Every position must lie in run, as ValidPairs
+// checks.
+func AppendEdges[P Position](dst []graph.Edge, run []graph.VertexID, pairs []byte) []graph.Edge {
+	ps := pairSize[P]()
+	for p := pairs; len(p) >= ps; p = p[ps:] {
+		i, j := pair[P](p)
+		dst = append(dst, graph.Edge{U: run[i], V: run[j]})
+	}
+	return dst
+}
+
+// ValidPairs reports whether pairs is what Split trusts over a run of n
+// vertices: whole pairs, each i < j < n, strictly ascending by (i, j). It is
+// one pass and three compares per pair, so a shard can be checked as it is
+// opened.
+func ValidPairs[P Position](pairs []byte, n uint32) bool {
+	ps := pairSize[P]()
+	if len(pairs)%ps != 0 {
+		return false
+	}
+	// next is one past the previous pair, packed (i, j): the least the next
+	// pair may be.
+	var next uint64
+	for p := pairs; len(p) >= ps; p = p[ps:] {
+		i, j := pair[P](p)
+		key := uint64(i)<<32 | uint64(j)
+		if j >= n || i >= j || key < next {
+			return false
+		}
+		next = key + 1
+	}
+	return true
+}
+
 // Splitter is the scratch space of Split. The zero value is ready; a
-// Splitter is reused across calls (its buffers grow to the largest truss it
-// has split and are never retained by a result) but not shared between
+// Splitter is reused across calls (its forest grows to the largest run it
+// has split and is never retained by a result) but not shared between
 // goroutines.
 type Splitter struct {
-	// derived holds the endpoints of the live edges, sorted and
-	// deduplicated: the numbering Split falls back to when its run misses
-	// an endpoint.
-	derived []graph.VertexID
 	// forest is the union-find forest over local vertices: local vertex i
-	// is the vertex at position i of the numbering.
+	// is the vertex at position i of the run.
 	forest []splitNode
 }
 
@@ -74,47 +157,26 @@ type splitNode struct {
 
 // Split appends to out the theme communities of the maximal pattern truss
 // whose live removal levels are given — its maximal connected subgraphs —
-// ordered by smallest vertex, and returns the extended slice. live is
-// Decomposition.LiveLevels or its equivalent decoded from a shard: levels in
-// ascending threshold order. run is the node's vertex set, strictly
-// ascending: the keys of Decomposition.Freq, sorted, or the frequency run of
-// a TCBIN node record. It lists every vertex of C*_p(0), so it holds every
-// endpoint of a live edge, and any extra vertex — one the peeling at α_q has
-// already removed — simply belongs to no community. It is variadic so that a
-// view passes its slice as run..., with no copy, and a caller that has no
-// run passes none and gets the fallback below.
+// ordered by smallest vertex, and returns the extended slice. run is the
+// node's vertex set, strictly ascending: the keys of Decomposition.Freq,
+// sorted, or the frequency run of a TCBIN node record. It lists every vertex
+// of C*_p(0), and any vertex no live edge touches — one the peeling at α_q
+// has already removed — simply belongs to no community. live holds the
+// levels live at α_q in ascending threshold order, their edges numbered by
+// run (PairLevel).
 //
-// The run is the kernel's vertex numbering: the pass is a union-find over
-// positions in it, one binary search per run of edges sharing U and one per
-// other endpoint, then one in-order pass over the run that emits the
-// vertices a live edge touched: O(n + m log n) for m live edges on a run of
-// n, one allocation (the vertex lists of all the communities, carved from
-// one array) and none per edge.
+// The run is the kernel's numbering and the pairs are already in it, so the
+// pass searches nothing: a union-find over positions, one find per pair and
+// one per run of pairs sharing i, then one in-order pass over the run that
+// emits the vertices a live edge touched — O(n + m) for m live edges on a
+// run of n, near-linear in the unions, one allocation (the vertex lists of
+// all the communities, carved from one array) and none per edge.
 //
-// Split trusts nothing about the edges: a self-loop is an edge of its
-// vertex's community and an edge stored twice counts twice, where the
-// map-based reference would panic on the first and fold the second. An
-// endpoint missing from run — every endpoint, when run is empty — sends it
-// back to deriving the numbering from the edges themselves (their endpoints,
-// sorted and deduplicated), which answers exactly as a complete run would.
-// None of this occurs in a decomposition Validate accepts or a shard the
-// encoder writes. A run that is not strictly ascending cannot make Split
-// panic, but the order of its answer is then unspecified.
-func (s *Splitter) Split(pattern itemset.Itemset, live []Level, out []Community, run ...graph.VertexID) []Community {
-	touched, ok := s.unite(run, live)
-	if !ok {
-		s.derived = s.derived[:0]
-		for _, l := range live {
-			for _, e := range l.Removed {
-				s.derived = append(s.derived, e.U, e.V)
-			}
-		}
-		slices.Sort(s.derived)
-		s.derived = slices.Compact(s.derived)
-		run = s.derived
-		// Every endpoint is in the derived run: this pass cannot fail.
-		touched, _ = s.unite(run, live)
-	}
+// Split trusts the pairs as far as DecodeBinShard checks them: every
+// position below len(run) — a larger one panics — and i < j. A pair stored
+// in two levels counts twice, where the map-based reference would fold it.
+func Split[P Position](s *Splitter, pattern itemset.Itemset, run []graph.VertexID, live []PairLevel, out []Community) []Community {
+	touched := unite[P](s, len(run), live)
 	if touched == 0 {
 		return out
 	}
@@ -148,35 +210,27 @@ func (s *Splitter) Split(pattern itemset.Itemset, live []Level, out []Community,
 	return out
 }
 
-// unite builds the forest over the positions of run and unites the
-// endpoints of every live edge. It returns the number of vertices the edges
-// touch, or false as soon as an endpoint is not in run.
-func (s *Splitter) unite(run []graph.VertexID, live []Level) (touched int, ok bool) {
-	n := len(run)
+// unite builds the forest over n local vertices and unites the endpoints of
+// every live pair. It returns the number of vertices the pairs touch.
+func unite[P Position](s *Splitter, n int, live []PairLevel) (touched int) {
 	f := slices.Grow(s.forest[:0], n)[:n]
 	s.forest = f
 	for i := range f {
 		f[i] = splitNode{parent: uint32(i), size: 1, cohesion: math.Inf(1)}
 	}
+	ps := pairSize[P]()
 	for _, l := range live {
-		// A level ascends by (U, V): consecutive edges mostly share U, and
-		// one search finds its local identifier for all of them. a is U's
-		// root: until U changes only edges at U unite anything, so the
-		// root each of them leaves is U's root for the next.
-		var a uint32
-		for k, e := range l.Removed {
-			if k == 0 || e.U != l.Removed[k-1].U {
-				u, found := local(run, e.U)
-				if !found {
-					return 0, false
-				}
-				a = s.find(u)
+		// A level ascends by (i, j): consecutive pairs mostly share i, and
+		// one find serves all of them. a is i's root: until i changes only
+		// pairs at i unite anything, so the root each of them leaves is i's
+		// root for the next. No position is ^0, so the first pair finds.
+		a, at := uint32(0), ^uint32(0)
+		for p := l.Pairs; len(p) >= ps; p = p[ps:] {
+			i, j := pair[P](p)
+			if i != at {
+				a, at = s.find(i), i
 			}
-			v, found := local(run, e.V)
-			if !found {
-				return 0, false
-			}
-			b := s.find(v)
+			b := s.find(j)
 			// A root without edges is a vertex no edge has touched yet.
 			if f[a].edges == 0 {
 				touched++
@@ -197,13 +251,18 @@ func (s *Splitter) unite(run []graph.VertexID, live []Level) (touched int, ok bo
 			f[a].cohesion = min(f[a].cohesion, l.Alpha)
 		}
 	}
-	return touched, true
+	return touched
 }
 
-// local returns the position of v in run, and whether run holds it.
-func local(run []graph.VertexID, v graph.VertexID) (uint32, bool) {
-	i, found := slices.BinarySearch(run, v)
-	return uint32(i), found
+// pairSize is the size of a position pair of width P in bytes.
+func pairSize[P Position]() int { return 2 * int(unsafe.Sizeof(P(0))) }
+
+// pair reads the position pair at the head of p.
+func pair[P Position](p []byte) (i, j uint32) {
+	if pairSize[P]() == 4 {
+		return uint32(binary.LittleEndian.Uint16(p)), uint32(binary.LittleEndian.Uint16(p[2:]))
+	}
+	return binary.LittleEndian.Uint32(p), binary.LittleEndian.Uint32(p[4:])
 }
 
 // find returns the root of local vertex i, halving the path on the way.

@@ -35,7 +35,7 @@ func referenceCommunities(pattern itemset.Itemset, live []Level) []Community {
 	return out
 }
 
-func assertSameCommunities(t *testing.T, label string, got, want []Community) {
+func assertSameCommunities(t testing.TB, label string, got, want []Community) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d communities, want %d", label, len(got), len(want))
@@ -71,8 +71,8 @@ func randomLevels(rng *rand.Rand) []Level {
 	return slices.DeleteFunc(levels, func(l Level) bool { return len(l.Removed) == 0 })
 }
 
-// endpoints returns the distinct endpoints of the live edges, ascending: the
-// run a shard stores for a node whose every level is live.
+// endpoints returns the distinct endpoints of the levels' edges, ascending:
+// the run a shard stores for a node whose every level is live.
 func endpoints(live []Level) []graph.VertexID {
 	var run []graph.VertexID
 	for _, l := range live {
@@ -84,33 +84,53 @@ func endpoints(live []Level) []graph.VertexID {
 	return slices.Compact(run)
 }
 
+// number is the one numbering helper of the kernel's tests: it writes the
+// levels' edges as the position pairs of width P into run, as the TCBIN
+// encoder stores them.
+func number[P Position](tb testing.TB, run []graph.VertexID, levels []Level) []PairLevel {
+	tb.Helper()
+	out := make([]PairLevel, len(levels))
+	for k, l := range levels {
+		pairs, err := AppendPairs[P](nil, run, l.Removed)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[k] = PairLevel{Alpha: l.Alpha, Pairs: pairs}
+	}
+	return out
+}
+
+// splitBoth splits levels over run at both widths and requires the two
+// answers to agree; it returns the u16 one.
+func splitBoth(tb testing.TB, s *Splitter, pattern itemset.Itemset, run []graph.VertexID, levels []Level, out []Community) []Community {
+	tb.Helper()
+	wide := Split[uint32](s, pattern, run, number[uint32](tb, run, levels), nil)
+	got := Split[uint16](s, pattern, run, number[uint16](tb, run, levels), out)
+	assertSameCommunities(tb, "u16 against u32 positions", got[len(out):], wide)
+	return got
+}
+
 // runShape is one of the runs the kernel is held to the reference with.
 type runShape struct {
 	name string
 	run  []graph.VertexID
 }
 
-// runShapes returns the three runs of live: the endpoints of its edges; a
+// runShapes returns the two runs of live: the endpoints of its edges, and a
 // superset, the endpoints and extra (vertices no live edge touches, as when
-// C*_p(α_q) is smaller than C*_p(0)); and the endpoints less the one at drop
-// modulo their number, which sends Split to its fallback (nil when there is
-// no endpoint).
-func runShapes(live []Level, extra []graph.VertexID, drop int) []runShape {
+// C*_p(α_q) is smaller than C*_p(0)).
+func runShapes(live []Level, extra []graph.VertexID) []runShape {
 	run := endpoints(live)
 	superset := append(slices.Clone(run), extra...)
 	slices.Sort(superset)
-	var missing []graph.VertexID
-	if len(run) > 0 {
-		missing = slices.Delete(slices.Clone(run), drop%len(run), drop%len(run)+1)
-	}
-	return []runShape{{"endpoints", run}, {"superset", slices.Compact(superset)}, {"missing", missing}}
+	return []runShape{{"endpoints", run}, {"superset", slices.Compact(superset)}}
 }
 
 // TestSplitMatchesConnectedComponents compares Split with the map-based
-// reference on random level sets, each split three ways (runShapes), one
-// Splitter reused throughout: same communities in the same order, same
-// vertex lists, edge counts and — with == — cohesions, and earlier results
-// intact after later calls.
+// reference on random level sets, each split over both run shapes
+// (runShapes) at both position widths, one Splitter reused throughout: same
+// communities in the same order, same vertex lists, edge counts and — with
+// == — cohesions, and earlier results intact after later calls.
 func TestSplitMatchesConnectedComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pattern := itemset.New(3, 5)
@@ -125,8 +145,8 @@ func TestSplitMatchesConnectedComponents(t *testing.T) {
 		for i := rng.Intn(20); i > 0; i-- {
 			extra = append(extra, graph.VertexID(7*rng.Intn(50)+4+rng.Intn(6)))
 		}
-		for _, shape := range runShapes(live, extra, rng.Intn(100)) {
-			got := s.Split(pattern, live, nil, shape.run...)
+		for _, shape := range runShapes(live, extra) {
+			got := splitBoth(t, &s, pattern, shape.run, live, nil)
 			assertSameCommunities(t, shape.name, got, want)
 			kept, keptWant = append(kept, got), append(keptWant, want)
 		}
@@ -134,10 +154,10 @@ func TestSplitMatchesConnectedComponents(t *testing.T) {
 	for i := range kept {
 		assertSameCommunities(t, "result kept across later calls", kept[i], keptWant[i])
 	}
-	if got := s.Split(pattern, nil, nil); got != nil {
+	if got := Split[uint16](&s, pattern, nil, nil, nil); got != nil {
 		t.Fatalf("no live level: %v, want no community", got)
 	}
-	if got := s.Split(pattern, nil, nil, 3, 10, 17); got != nil {
+	if got := Split[uint32](&s, pattern, []graph.VertexID{3, 10, 17}, nil, nil); got != nil {
 		t.Fatalf("no live level over a run: %v, want no community", got)
 	}
 }
@@ -145,10 +165,11 @@ func TestSplitMatchesConnectedComponents(t *testing.T) {
 // TestSplitAppends checks that Split extends out without touching what it
 // already holds, and that a vertex list cannot grow into its neighbour's.
 func TestSplitAppends(t *testing.T) {
-	live := []Level{{Alpha: 0.5, Removed: []graph.Edge{{U: 1, V: 2}, {U: 4, V: 5}}}}
+	levels := []Level{{Alpha: 0.5, Removed: []graph.Edge{{U: 1, V: 2}, {U: 4, V: 5}}}}
+	run := endpoints(levels)
 	var s Splitter
-	out := s.Split(itemset.New(1), live, nil)
-	out = s.Split(itemset.New(2), live, out)
+	out := splitBoth(t, &s, itemset.New(1), run, levels, nil)
+	out = splitBoth(t, &s, itemset.New(2), run, levels, out)
 	if len(out) != 4 || !out[0].Pattern.Equal(itemset.New(1)) || !out[2].Pattern.Equal(itemset.New(2)) {
 		t.Fatalf("appended answer = %+v", out)
 	}
@@ -158,26 +179,43 @@ func TestSplitAppends(t *testing.T) {
 	}
 }
 
-// TestSplitOnEdgesValidateRejects feeds Split what a decomposition never
-// holds but a TCBIN shard that passes DecodeBinShard can: a self-loop, an
-// edge stored in two levels, descending runs. It must answer without
-// panicking, every vertex in exactly one community.
+// TestSplitOnEdgesValidateRejects feeds Split the one thing a decomposition
+// never holds but a TCBIN shard that passes DecodeBinShard can: an edge
+// stored in two levels (and twice in the run of pairs overall). It must
+// count the edge twice, take the smaller threshold as the cohesion, and put
+// every vertex in exactly one community; a vertex of the run no pair
+// touches is in none.
 func TestSplitOnEdgesValidateRejects(t *testing.T) {
-	live := []Level{
-		{Alpha: 0.25, Removed: []graph.Edge{{U: 9, V: 9}, {U: 1, V: 2}, {U: 7, V: 7}}},
-		{Alpha: 0.5, Removed: []graph.Edge{{U: 2, V: 1}, {U: 1, V: 2}, {U: -4, V: 7}}},
+	levels := []Level{
+		{Alpha: 0.25, Removed: []graph.Edge{{U: -4, V: 7}, {U: 1, V: 2}}},
+		{Alpha: 0.5, Removed: []graph.Edge{{U: -4, V: 7}, {U: 1, V: 2}, {U: 2, V: 9}}},
 	}
+	run := []graph.VertexID{-4, 1, 2, 5, 7, 9}
 	var s Splitter
-	got := s.Split(itemset.New(1), live, nil)
+	got := splitBoth(t, &s, itemset.New(1), run, levels, nil)
 	want := []Community{
 		{Vertices: []graph.VertexID{-4, 7}, Edges: 2, Cohesion: 0.25},
-		{Vertices: []graph.VertexID{1, 2}, Edges: 3, Cohesion: 0.25},
-		{Vertices: []graph.VertexID{9}, Edges: 1, Cohesion: 0.25},
+		{Vertices: []graph.VertexID{1, 2, 9}, Edges: 3, Cohesion: 0.25},
 	}
 	for i := range want {
 		want[i].Pattern = itemset.New(1)
 	}
-	assertSameCommunities(t, "hostile levels", got, want)
+	assertSameCommunities(t, "an edge in two levels", got, want)
+}
+
+// TestAppendPairsRefusesWhatHasNoPair pins the numbering's refusals: an
+// endpoint missing from the run, and a self-loop.
+func TestAppendPairsRefusesWhatHasNoPair(t *testing.T) {
+	run := []graph.VertexID{1, 2, 5}
+	for _, e := range []graph.Edge{{U: 1, V: 3}, {U: 0, V: 2}, {U: 2, V: 2}} {
+		if _, err := AppendPairs[uint16](nil, run, []graph.Edge{e}); err == nil {
+			t.Fatalf("AppendPairs numbered %v over %v", e, run)
+		}
+	}
+	got, err := AppendPairs[uint16](nil, run, []graph.Edge{{U: 1, V: 5}, {U: 2, V: 5}})
+	if err != nil || !slices.Equal(got, []byte{0, 0, 2, 0, 1, 0, 2, 0}) {
+		t.Fatalf("AppendPairs = % x, %v", got, err)
+	}
 }
 
 // FuzzSplit splits fuzzer-chosen levels. Every three bytes of data are an
@@ -187,21 +225,19 @@ func TestSplitOnEdgesValidateRejects(t *testing.T) {
 //
 // Made canonical — no self-loop, every edge once (in the first level that
 // holds it), each level ascending by (U, V) — the levels must split into the
-// reference's communities over every run shape. Raw, with self-loops,
-// duplicates, descending runs and negative identifiers as the bytes give
-// them, Split must not panic and must answer over every shape exactly as
-// over no run at all, the numbering derived from the edges. Over a run that
-// is not sorted and repeats vertices, it must still count every edge once
-// and put every endpoint in exactly one community.
+// reference's communities over both run shapes and both widths. Left with an
+// edge in several levels, as a shard the decoder accepts may hold, every
+// level still free of self-loops and ascending, Split must answer with the
+// canonical communities' vertices and cohesions and count every stored pair.
 func FuzzSplit(f *testing.F) {
-	f.Add([]byte{1, 2, 0, 2, 3, 0, 5, 6, 1, 6, 7, 3}, []byte{4, 0x80}, uint8(0))
-	// TestSplitOnEdgesValidateRejects's levels: self-loops, an edge stored
-	// twice and once reversed, a negative endpoint.
-	f.Add([]byte{9, 9, 0, 1, 2, 0, 7, 7, 0, 2, 1, 1, 1, 2, 1, 0xfc, 7, 1}, []byte{1, 2}, uint8(3))
-	f.Add([]byte{5, 3, 2, 5, 1, 2, 4, 2, 2, 0x7f, 0x80, 1}, []byte{0x7f, 5, 5, 0x80}, uint8(1))
-	f.Add([]byte{}, []byte{1, 2, 3}, uint8(1))
+	f.Add([]byte{1, 2, 0, 2, 3, 0, 5, 6, 1, 6, 7, 3}, []byte{4, 0x80})
+	// Self-loops (dropped), an edge stored in two levels and once reversed,
+	// a negative endpoint.
+	f.Add([]byte{9, 9, 0, 1, 2, 0, 7, 7, 0, 2, 1, 1, 1, 2, 1, 0xfc, 7, 1}, []byte{1, 2})
+	f.Add([]byte{5, 3, 2, 5, 1, 2, 4, 2, 2, 0x7f, 0x80, 1}, []byte{0x7f, 5, 5, 0x80})
+	f.Add([]byte{}, []byte{1, 2, 3})
 	pattern := itemset.New(1)
-	f.Fuzz(func(t *testing.T, data, extraBytes []byte, drop uint8) {
+	f.Fuzz(func(t *testing.T, data, extraBytes []byte) {
 		// Two dozen edges reach every branch of the kernel; longer inputs
 		// only slow the fuzzer's minimizing down.
 		data, extraBytes = data[:min(len(data), 3*24)], extraBytes[:min(len(extraBytes), 8)]
@@ -213,65 +249,58 @@ func FuzzSplit(f *testing.F) {
 			l := &raw[data[2]%4]
 			l.Removed = append(l.Removed, graph.Edge{U: 2 * graph.VertexID(int8(data[0])), V: 2 * graph.VertexID(int8(data[1]))})
 		}
-		raw = slices.DeleteFunc(raw, func(l Level) bool { return len(l.Removed) == 0 })
 		extra := make([]graph.VertexID, len(extraBytes))
 		for i, b := range extraBytes {
 			extra[i] = 2*graph.VertexID(int8(b)) + 1
 		}
 		var s Splitter
 
+		// stored: each level's edges once, no self-loop, ascending, as the
+		// decoder accepts them; canonical: each edge in its first level only.
 		seen := make(map[uint64]bool)
-		var canonical []Level
+		var canonical, stored []Level
+		pairs := 0
 		for _, l := range raw {
-			c := Level{Alpha: l.Alpha}
+			st, c := Level{Alpha: l.Alpha}, Level{Alpha: l.Alpha}
 			for _, e := range l.Removed {
-				if e.U == e.V {
-					continue
+				if e.U != e.V {
+					st.Removed = append(st.Removed, graph.EdgeOf(e.U, e.V))
 				}
-				if e = graph.EdgeOf(e.U, e.V); !seen[e.Key()] {
+			}
+			slices.SortFunc(st.Removed, graph.CompareEdges)
+			st.Removed = slices.Compact(st.Removed)
+			for _, e := range st.Removed {
+				if !seen[e.Key()] {
 					seen[e.Key()] = true
 					c.Removed = append(c.Removed, e)
 				}
 			}
+			if len(st.Removed) > 0 {
+				stored = append(stored, st)
+				pairs += len(st.Removed)
+			}
 			if len(c.Removed) > 0 {
-				slices.SortFunc(c.Removed, graph.CompareEdges)
 				canonical = append(canonical, c)
 			}
 		}
 		want := referenceCommunities(pattern, canonical)
-		for _, shape := range runShapes(canonical, extra, int(drop)) {
-			assertSameCommunities(t, "canonical over "+shape.name, s.Split(pattern, canonical, nil, shape.run...), want)
-		}
+		for _, shape := range runShapes(canonical, extra) {
+			assertSameCommunities(t, "canonical over "+shape.name, splitBoth(t, &s, pattern, shape.run, canonical, nil), want)
 
-		derived := s.Split(pattern, raw, nil)
-		for _, shape := range runShapes(raw, extra, int(drop)) {
-			assertSameCommunities(t, "raw over "+shape.name, s.Split(pattern, raw, nil, shape.run...), derived)
-		}
-
-		// An unsorted run with repeats: the raw endpoints, as they come, and
-		// extra's vertices on either side of them.
-		var unsorted []graph.VertexID
-		edges := 0
-		for _, l := range raw {
-			edges += len(l.Removed)
-			for _, e := range l.Removed {
-				unsorted = append(unsorted, e.V, e.U)
+			got := splitBoth(t, &s, pattern, shape.run, stored, nil)
+			if len(got) != len(want) {
+				t.Fatalf("stored over %s: %d communities, want %d", shape.name, len(got), len(want))
 			}
-		}
-		unsorted = append(append(slices.Clone(extra), unsorted...), extra...)
-		got := s.Split(pattern, raw, nil, unsorted...)
-		member := make(map[graph.VertexID]bool)
-		for _, c := range got {
-			edges -= c.Edges
-			for _, v := range c.Vertices {
-				if member[v] {
-					t.Fatalf("unsorted run: vertex %d in two communities: %+v", v, got)
+			edges := 0
+			for i, c := range got {
+				if !slices.Equal(c.Vertices, want[i].Vertices) || c.Cohesion != want[i].Cohesion || c.Edges < want[i].Edges {
+					t.Fatalf("stored over %s: community %d = %+v, canonical %+v", shape.name, i, c, want[i])
 				}
-				member[v] = true
+				edges += c.Edges
 			}
-		}
-		if run := endpoints(raw); edges != 0 || len(member) != len(run) {
-			t.Fatalf("unsorted run: %d edges uncounted, %d vertices for %d endpoints: %+v", edges, len(member), len(run), got)
+			if edges != pairs {
+				t.Fatalf("stored over %s: communities hold %d edges, the levels %d pairs", shape.name, edges, pairs)
+			}
 		}
 	})
 }
