@@ -2,6 +2,7 @@ package tctree
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -194,6 +195,58 @@ func TestReadKernelMatchesReferenceOnGeneratedDatasets(t *testing.T) {
 		if communities < 100 {
 			t.Fatalf("%s: only %d communities compared", name, communities)
 		}
+	}
+}
+
+// TestHostileEdgesReachTheReadKernel checks the one hostile edge that still
+// passes DecodeBinShard — an edge stored in two levels, well-formed pair by
+// pair; self-loops and stray endpoints are refused as pairs — on every
+// fixture shard whose root has two levels: the root's first edge is stored
+// again in its last level, the shard opens, and the traversal answers it:
+// every stored edge counted, the copy as well, every vertex in one
+// community, the same vertices as the shard without the copy.
+func TestHostileEdgesReachTheReadKernel(t *testing.T) {
+	_, roots, _, _ := binShardFixtures(t, 19)
+	tried := 0
+	for _, root := range roots {
+		levels := root.Decomp.Levels
+		if len(levels) < 2 {
+			continue
+		}
+		tried++
+		d := *root.Decomp
+		d.Levels = slices.Clone(levels)
+		last := &d.Levels[len(d.Levels)-1]
+		last.Removed = append(slices.Clone(last.Removed), levels[0].Removed[0])
+		slices.SortFunc(last.Removed, graph.CompareEdges)
+		hostile := &Node{Item: root.Item, Pattern: root.Pattern, Decomp: &d}
+
+		want := map[graph.VertexID]bool{}
+		for _, c := range NewNodeView(root).QuerySub(itemset.New(root.Item), 0).Communities {
+			for _, v := range c.Vertices {
+				want[v] = true
+			}
+		}
+		got := openEncoded(t, hostile).QuerySub(itemset.New(root.Item), 0)
+		edges, seen := 0, map[graph.VertexID]bool{}
+		for _, c := range got.Communities {
+			edges += c.Edges
+			for _, v := range c.Vertices {
+				if seen[v] {
+					t.Fatalf("shard %d: vertex %d is in two communities", root.Item, v)
+				}
+				seen[v] = true
+			}
+		}
+		if edges != root.Decomp.NumEdges()+1 {
+			t.Fatalf("shard %d: communities hold %d edges, the root stores %d and one copy", root.Item, edges, root.Decomp.NumEdges())
+		}
+		if !maps.Equal(seen, want) {
+			t.Fatalf("shard %d: the copy changes the vertices answered: %d, want %d", root.Item, len(seen), len(want))
+		}
+	}
+	if tried == 0 {
+		t.Fatal("no shard root has two levels to store an edge in")
 	}
 }
 
