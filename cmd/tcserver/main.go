@@ -1,7 +1,8 @@
 // Command tcserver serves theme-community queries over HTTP from TC-Tree
 // index directories built by tcindex. An index is served lazily — a shard's
-// file is only mapped on the first query that touches it, and -maxresident
-// bounds how many shards stay in memory. Queries go through the engine's
+// file is only mapped on the first query that touches it, once per file
+// generation, and fully re-validated on every load; -maxresident bounds how
+// many shards stay in memory. Queries go through the engine's
 // planner: shards whose α* bound proves an empty answer are skipped without
 // a load.
 //

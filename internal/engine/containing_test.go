@@ -460,9 +460,10 @@ func TestFormatStat(t *testing.T) {
 	}
 }
 
-// lazyAMinerEngine serves the AMINER analogue at the given scale lazily and
-// without a result cache, from an index directory written by BuildIndex.
-func lazyAMinerEngine(tb testing.TB, scale gen.Scale) (*Engine, itemset.Itemset) {
+// lazyAMinerEngine serves the AMINER analogue at the given scale lazily,
+// configured by opts (no result cache unless it asks for one), from an index
+// directory written by BuildIndex.
+func lazyAMinerEngine(tb testing.TB, scale gen.Scale, opts Options) (*Engine, itemset.Itemset) {
 	tb.Helper()
 	ds, err := gen.AMiner(scale)
 	if err != nil {
@@ -476,7 +477,7 @@ func lazyAMinerEngine(tb testing.TB, scale gen.Scale) (*Engine, itemset.Itemset)
 	if err != nil {
 		tb.Fatalf("OpenSharded: %v", err)
 	}
-	eng, err := NewLazy(idx, Options{})
+	eng, err := NewLazy(idx, opts)
 	if err != nil {
 		tb.Fatalf("NewLazy: %v", err)
 	}
@@ -520,7 +521,7 @@ func containmentMix(tb testing.TB, eng *Engine, items itemset.Itemset, n int) []
 // plan is deterministic, so the tally is a property of the index and the
 // mix, not of timing. The item bloom must rule shards out.
 func TestContainmentSketchesSkipShards(t *testing.T) {
-	eng, items := lazyAMinerEngine(t, 0.2)
+	eng, items := lazyAMinerEngine(t, 0.2, Options{})
 	tally := make(map[Decision]int)
 	for _, r := range containmentMix(t, eng, items, 60) {
 		report, err := eng.ExplainContext(context.Background(), r.Pattern, r.Alpha, ModeContaining)
@@ -541,7 +542,7 @@ func TestContainmentSketchesSkipShards(t *testing.T) {
 // without a result cache on the read workloads' index, AMINER at scale 0.5;
 // one op is the whole mix.
 func BenchmarkContainment(b *testing.B) {
-	eng, items := lazyAMinerEngine(b, 0.5)
+	eng, items := lazyAMinerEngine(b, 0.5, Options{})
 	mix := containmentMix(b, eng, items, 100)
 	ctx := context.Background()
 	b.ReportAllocs()

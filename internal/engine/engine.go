@@ -11,13 +11,14 @@
 //     bounded worker pool traverses the relevant shards in parallel, merging
 //     the per-shard answers in deterministic shard order;
 //   - lazy loading: NewLazy serves straight from an on-disk index
-//     (tctree.ShardedIndex). A shard's file is mapped and checksum-verified
-//     on the first query that touches it and evictable under a configurable
-//     budget; an applied delta replaces exactly the affected shards and
-//     invalidates exactly the cached answers they could have changed. New
-//     serves an index built in-process (tctree.BuildIndex) through the same
-//     engine: its shards are the same bytes, which simply start, and stay,
-//     on the heap;
+//     (tctree.ShardedIndex). A shard's file is mapped on the first query that
+//     touches it, once per file generation, and fully re-validated (checksum
+//     and structure) on every load; a resident shard is evictable under a
+//     configurable budget; an applied delta replaces exactly the affected
+//     shards and invalidates exactly the cached answers they could have
+//     changed. New serves an index built in-process (tctree.BuildIndex)
+//     through the same engine: its shards are the same bytes, which simply
+//     start, and stay, on the heap;
 //   - caching: a bounded, concurrency-safe LRU result cache keyed by the
 //     canonicalized query (q ∩ indexed items, α_q), with hit, miss and
 //     eviction counters;
@@ -32,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -233,7 +235,8 @@ func New(idx *tctree.Index, opts Options) (*Engine, error) {
 // data is read until a query touches the shard: the first touch maps and
 // checksum-verifies the shard file (concurrent first touches share one
 // load), and resident shards are evicted least recently used first whenever
-// the count exceeds opts.MaxResidentShards. Only the federation and
+// the count exceeds opts.MaxResidentShards; a touch after an eviction
+// verifies the kept mapping again. Only the federation and
 // cmd/tcload, which pins it, call it.
 func NewLazy(idx *tctree.ShardedIndex, opts Options) (*Engine, error) {
 	if idx == nil {
@@ -249,8 +252,10 @@ func NewLazy(idx *tctree.ShardedIndex, opts Options) (*Engine, error) {
 
 // newShard is the one shard constructor: the catalogue — statistics and
 // bloom filter — comes from the shard's manifest entry, decoded once here
-// rather than per plan. With heap nil the shard is file-backed: it opens its
-// view from idx on first touch and may be evicted.
+// rather than per plan. With heap nil the shard is file-backed: it loads its
+// view from the entry's file in idx on first touch and may be evicted; the
+// struct owns the file's mapping, so a reload after an eviction re-validates
+// the mapped bytes against the entry instead of mapping the file anew.
 // Otherwise heap is the view — bytes an update or an in-process build
 // encoded, which no file holds (yet) — fixed at construction, never evicted.
 func newShard(entry tctree.ShardEntry, idx *tctree.ShardedIndex, heap *tctree.BinShard) *shard {
@@ -266,7 +271,8 @@ func newShard(entry tctree.ShardEntry, idx *tctree.ShardedIndex, heap *tctree.Bi
 		bloom:    bloom,
 	}
 	if heap == nil {
-		s.load = func() (*tctree.BinShard, error) { return idx.OpenShard(item) }
+		f := tctree.NewShardFile(filepath.Join(idx.Dir(), entry.File))
+		s.load = func() (*tctree.BinShard, error) { return f.Load(entry) }
 	}
 	return s
 }
@@ -345,10 +351,10 @@ func (e *Engine) Format() string {
 }
 
 // acquire returns the shard's view, stamping its recency, and opening it
-// from disk first when the shard is file-backed and not resident. loaded
-// reports whether this call performed the disk load, so the executor can
-// attribute it. Concurrent first touches share a single load through the
-// shard's sync.Once; a load failure is sticky for the life of the struct (an
+// from disk first when the shard is file-backed and not resident. load is
+// the wall time of the disk load this call performed — zero when it
+// performed none — so the executor can attribute it. Concurrent first
+// touches share a single load through the shard's sync.Once; a load failure is sticky for the life of the struct (an
 // update that replaces the shard installs a fresh one). The loop handles the race with eviction: if the view vanishes
 // between the load and the re-check, the fresh sync.Once installed by the
 // evictor triggers another load. The identity check on s.once before
@@ -356,9 +362,9 @@ func (e *Engine) Format() string {
 // load that was in flight when the struct left the table would otherwise
 // install a view (and a residency charge) no evictor can ever see again;
 // such results are discarded and the loop ends on the struct's poison.
-func (e *Engine) acquire(s *shard) (view *tctree.BinShard, loaded bool, err error) {
+func (e *Engine) acquire(s *shard) (view *tctree.BinShard, load time.Duration, err error) {
 	if s.load == nil {
-		return s.view, false, nil
+		return s.view, 0, nil
 	}
 	for {
 		s.mu.Lock()
@@ -366,17 +372,19 @@ func (e *Engine) acquire(s *shard) (view *tctree.BinShard, loaded bool, err erro
 			view := s.view
 			s.lastUsed.Store(e.res.clock.Add(1))
 			s.mu.Unlock()
-			return view, loaded, nil
+			return view, load, nil
 		}
 		if s.err != nil {
 			err := s.err
 			s.mu.Unlock()
-			return nil, loaded, err
+			return nil, load, err
 		}
 		once := s.once
 		s.mu.Unlock()
 		once.Do(func() {
+			start := time.Now()
 			view, err := s.load()
+			took := time.Since(start)
 			s.mu.Lock()
 			if s.once != once {
 				// The shard was evicted or left the table while this load
@@ -393,7 +401,9 @@ func (e *Engine) acquire(s *shard) (view *tctree.BinShard, loaded bool, err erro
 				e.lazyLoads.Add(1)
 				e.res.resident.Add(1)
 				e.res.bytes.Add(view.SizeBytes())
-				loaded = true
+				// A load is never instantaneous; the floor keeps "performed
+				// a load" and "load > 0" the same thing on a coarse clock.
+				load += max(took, time.Nanosecond)
 			}
 			s.mu.Unlock()
 			if err == nil {

@@ -135,7 +135,7 @@ func (st *Stream) report() *ExplainReport {
 		report.Tasks[i] = TaskReport{
 			ShardTask: t,
 			Micros:    run.dur.Microseconds(),
-			Loaded:    run.loaded,
+			Loaded:    run.loaded(),
 			Visited:   run.Visited,
 			Trusses:   run.Retrieved,
 		}

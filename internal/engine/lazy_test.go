@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"themecomm/internal/core"
@@ -529,4 +530,198 @@ func TestEagerEngineServesTheIndexBytes(t *testing.T) {
 			resEager.RecomputedNodes, resEager.ReusedNodes, resLazy.RecomputedNodes, resLazy.ReusedNodes)
 	}
 	agree("updated")
+}
+
+// loadCounts tallies, through the tctree test hooks, the maps of each shard
+// file and the DecodeBinShard runs for each shard item while a test runs.
+type loadCounts struct {
+	mu      sync.Mutex
+	maps    map[string]int
+	decodes map[itemset.Item]int
+}
+
+func countLoads(t *testing.T) *loadCounts {
+	t.Helper()
+	c := &loadCounts{maps: map[string]int{}, decodes: map[itemset.Item]int{}}
+	tctree.OnMapShardFile = func(path string) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.maps[path]++
+	}
+	tctree.OnDecodeShard = func(e tctree.ShardEntry) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.decodes[itemset.Item(e.Item)]++
+	}
+	t.Cleanup(func() { tctree.OnMapShardFile, tctree.OnDecodeShard = nil, nil })
+	return c
+}
+
+// of returns how often the file at path was mapped and the shard of item
+// decoded.
+func (c *loadCounts) of(path string, item itemset.Item) (maps, decodes int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.maps[path], c.decodes[item]
+}
+
+// evictedShard serves a fresh index from a lazy engine with room for one
+// shard, loads the first shard and evicts it by loading the second. It
+// returns the engine, the evicted shard's item and the path of its file.
+func evictedShard(t *testing.T, tree *tctree.Tree) (eng *Engine, victim itemset.Item, path string) {
+	t.Helper()
+	idx, dir := writeShardedTestTree(t, tree)
+	children := tree.Root().Children
+	if len(children) < 2 {
+		t.Fatalf("need at least 2 shards")
+	}
+	victim = children[0].Item
+	entry, ok := idx.Entry(victim)
+	if !ok {
+		t.Fatalf("no manifest entry for %d", victim)
+	}
+	eng, err := NewLazy(idx, Options{MaxResidentShards: 1})
+	if err != nil {
+		t.Fatalf("NewLazy: %v", err)
+	}
+	q := itemset.New(victim)
+	assertSameAnswer(t, mustQuery(t, eng, q, 0), tree.Query(q, 0))
+	mustQuery(t, eng, itemset.New(children[1].Item), 0)
+	if eng.Stats().ShardEvictions != 1 {
+		t.Fatalf("loading a second shard under a budget of one evicted %d shards", eng.Stats().ShardEvictions)
+	}
+	return eng, victim, filepath.Join(dir, entry.File)
+}
+
+// TestReloadRevalidatesTheKeptMapping is the cost model of a reload: over K
+// eviction/reload cycles of one shard its file is mapped once, every reload
+// runs DecodeBinShard — checksum and structural checks — over the kept
+// mapping, and every reload counts as a disk load (tc_engine_shard_loads_total
+// is Stats().LazyLoads).
+func TestReloadRevalidatesTheKeptMapping(t *testing.T) {
+	tree := buildTestTree(t, 11)
+	c := countLoads(t)
+	eng, victim, path := evictedShard(t, tree)
+	other := itemset.New(tree.Root().Children[1].Item)
+	q := itemset.New(victim)
+	const cycles = 5
+	for k := 1; k < cycles; k++ {
+		assertSameAnswer(t, mustQuery(t, eng, q, 0), tree.Query(q, 0))
+		mustQuery(t, eng, other, 0)
+	}
+	if maps, decodes := c.of(path, victim); maps != 1 || decodes != cycles {
+		t.Fatalf("%d loads of shard %d mapped its file %d times and decoded it %d times; want 1 map, %d decodes",
+			cycles, victim, maps, decodes, cycles)
+	}
+	stats := eng.Stats()
+	if stats.LazyLoads != 2*cycles || stats.ShardEvictions != 2*cycles-1 {
+		t.Fatalf("%d cycles over two shards counted %d loads and %d evictions, want %d and %d",
+			cycles, stats.LazyLoads, stats.ShardEvictions, 2*cycles, 2*cycles-1)
+	}
+	for _, ss := range stats.ShardResidency {
+		if itemset.Item(ss.Item) == victim && ss.Loads != cycles {
+			t.Fatalf("shard %d counted %d loads, want %d", victim, ss.Loads, cycles)
+		}
+	}
+}
+
+// TestReloadChecksTheFileAgain changes an evicted shard's file under a lazy
+// engine three ways. Each time the next load must fail — through the full
+// validation, against the manifest entry the shard struct was built from —
+// and the failure must be sticky like any load error
+// (TestLazyLoadErrorIsStickyUntilReload): a later query fails the same way
+// without mapping or decoding the file again.
+func TestReloadChecksTheFileAgain(t *testing.T) {
+	tree := buildTestTree(t, 11)
+	for _, tc := range []struct {
+		name string
+		// change alters the file at path; other is the file of a different
+		// valid shard of the same index.
+		change func(path, other string) error
+		// maps is how often the file is mapped in all: a change the kept
+		// mapping sees needs no new one.
+		maps int
+		want string
+	}{
+		{
+			name: "byte flipped in place",
+			change: func(path, _ string) error {
+				f, err := os.OpenFile(path, os.O_RDWR, 0)
+				if err != nil {
+					return err
+				}
+				defer f.Close()
+				st, err := f.Stat()
+				if err != nil {
+					return err
+				}
+				b := make([]byte, 1)
+				if _, err := f.ReadAt(b, st.Size()/2); err != nil {
+					return err
+				}
+				b[0] ^= 0xff
+				_, err = f.WriteAt(b, st.Size()/2)
+				return err
+			},
+			maps: 1,
+			want: "checksum",
+		},
+		{
+			// Truncated to nothing, every page of the old mapping lies past
+			// the end of the file: reading through it would be SIGBUS.
+			name:   "truncated in place",
+			change: func(path, _ string) error { return os.Truncate(path, 0) },
+			maps:   2,
+			want:   "too small",
+		},
+		{
+			name: "another shard renamed over it",
+			change: func(path, other string) error {
+				raw, err := os.ReadFile(other)
+				if err != nil {
+					return err
+				}
+				if err := os.WriteFile(path+".new", raw, 0o644); err != nil {
+					return err
+				}
+				return os.Rename(path+".new", path)
+			},
+			maps: 2,
+			want: "manifest records item",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := countLoads(t)
+			eng, victim, path := evictedShard(t, tree)
+			other := tree.Root().Children[1].Item
+			otherEntry, _ := eng.idx.Entry(other)
+			if err := tc.change(path, filepath.Join(eng.idx.Dir(), otherEntry.File)); err != nil {
+				t.Fatalf("changing %s: %v", path, err)
+			}
+			entry, _ := eng.idx.Entry(victim)
+			loads := eng.Stats().LazyLoads
+			q := itemset.New(victim)
+			var first error
+			for round := 0; round < 2; round++ {
+				_, err := eng.QueryContext(context.Background(), q, 0)
+				if err == nil || !strings.Contains(err.Error(), "shard "+entry.File+":") || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("round %d: query over the changed file returned %v, want an error on %s … %q", round, err, entry.File, tc.want)
+				}
+				if round == 0 {
+					first = err
+				} else if err.Error() != first.Error() {
+					t.Fatalf("the load error was not sticky: %v, then %v", first, err)
+				}
+				if maps, decodes := c.of(path, victim); maps != tc.maps || decodes != 2 {
+					t.Fatalf("round %d: file mapped %d times and decoded %d times, want %d and 2", round, maps, decodes, tc.maps)
+				}
+			}
+			if got := eng.Stats().LazyLoads; got != loads {
+				t.Fatalf("failed reloads counted as %d loads", got-loads)
+			}
+			// The other shard keeps answering.
+			q = itemset.New(other)
+			assertSameAnswer(t, mustQuery(t, eng, q, 0), tree.Query(q, 0))
+		})
+	}
 }

@@ -63,6 +63,9 @@ func TestRecorderObservations(t *testing.T) {
 	if miss.Total < miss.Plan+miss.Execute+miss.Merge {
 		t.Fatalf("stages exceed total: %+v", miss)
 	}
+	if miss.Load != 0 || miss.LoadedShards != 0 {
+		t.Fatalf("an engine over heap shards observed disk loads: %+v", miss)
+	}
 	if miss.Detail == nil {
 		t.Fatalf("miss carries no Detail hook")
 	}
@@ -86,6 +89,34 @@ func TestRecorderObservations(t *testing.T) {
 	got = rec.all()
 	if p := got[len(got)-1].Pattern; p == "*" || p == "" {
 		t.Fatalf("pattern label = %q, want rendered itemset", p)
+	}
+}
+
+// TestRecorderObservesLoadTime holds the load stage to the loads an
+// execution performed: a cold query carries the wall time of its one load,
+// nested in its execute stage; the same query over the now resident shard
+// carries none.
+func TestRecorderObservesLoadTime(t *testing.T) {
+	tree := buildTestTree(t, 11)
+	idx, _ := writeShardedTestTree(t, tree)
+	rec := &captureRecorder{}
+	eng, err := NewLazy(idx, Options{Recorder: rec})
+	if err != nil {
+		t.Fatalf("NewLazy: %v", err)
+	}
+	q := itemset.New(tree.Root().Children[0].Item)
+	mustQuery(t, eng, q, 0)
+	mustQuery(t, eng, q, 0)
+	got := rec.all()
+	if len(got) != 2 {
+		t.Fatalf("observations = %d, want 2", len(got))
+	}
+	cold, warm := got[0], got[1]
+	if cold.LoadedShards != 1 || cold.Load <= 0 || cold.Load > cold.Execute {
+		t.Fatalf("cold query: %d loads in %v, execute %v; want 1 load nested in execute", cold.LoadedShards, cold.Load, cold.Execute)
+	}
+	if warm.LoadedShards != 0 || warm.Load != 0 {
+		t.Fatalf("query over a resident shard observed %d loads in %v", warm.LoadedShards, warm.Load)
 	}
 }
 

@@ -19,8 +19,10 @@ type shard struct {
 	// item is the shard's root item.
 	item itemset.Item
 
-	// load maps the shard's file from the on-disk index; nil for a heap shard
-	// (bytes encoded in-process that no file holds), whose view is fixed at
+	// load validates the shard's file from the on-disk index against the
+	// manifest entry the struct was built from, through the one mapping of
+	// the file the struct keeps across evictions; nil for a heap shard (bytes
+	// encoded in-process that no file holds), whose view is fixed at
 	// construction and never evicted.
 	load func() (*tctree.BinShard, error)
 

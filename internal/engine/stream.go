@@ -56,14 +56,17 @@ var ErrEpochChanged = errors.New("engine: index epoch changed mid-stream; re-iss
 // would have made; a scheduled task's is filled by open.
 type taskRun struct {
 	tctree.ShardAnswer
-	// dur is the task's wall time (acquire + traversal).
-	dur time.Duration
-	// opened marks a traversed task; loaded one whose open read the shard
-	// from disk (it was not resident and no concurrent query got there
-	// first).
+	// dur is the task's wall time (acquire + traversal); load is the part of
+	// it spent reading the shard from disk, nonzero only for a task whose
+	// open performed the load (the shard was not resident and no concurrent
+	// query got there first).
+	dur    time.Duration
+	load   time.Duration
 	opened bool
-	loaded bool
 }
+
+// loaded reports whether the task's open read the shard from disk.
+func (r *taskRun) loaded() bool { return r.load > 0 }
 
 // shardCursor is one opened shard's contribution to a pulled stream: its
 // communities in lessRanked order (ranked mode) or traversal order (plain).
@@ -191,7 +194,7 @@ func (st *Stream) open(i int) error {
 	s, _ := st.table.lookup(st.plan.Tasks[i].Item)
 	run := &st.runs[i]
 	start := time.Now()
-	view, loaded, err := e.acquire(s)
+	view, load, err := e.acquire(s)
 	if err != nil {
 		run.dur = time.Since(start)
 		return fmt.Errorf("engine: shard %d: %w", s.item, err)
@@ -207,7 +210,7 @@ func (st *Stream) open(i int) error {
 	default:
 		run.ShardAnswer = view.QuerySub(st.plan.Pattern, st.plan.Alpha)
 	}
-	run.dur, run.opened, run.loaded = time.Since(start), true, loaded
+	run.dur, run.load, run.opened = time.Since(start), load, true
 	return nil
 }
 
@@ -414,7 +417,7 @@ func (st *Stream) Stats() StreamStats {
 		if run.opened {
 			stats.ShardsOpened++
 		}
-		if run.loaded {
+		if run.loaded() {
 			stats.Loads++
 		}
 	}
@@ -451,6 +454,10 @@ func (st *Stream) observe(total, stream time.Duration) {
 		return
 	}
 	stats := st.Stats()
+	var load time.Duration
+	for i := range st.runs {
+		load += st.runs[i].load
+	}
 	e.recorder.RecordQuery(st.ctx, trace.QueryObservation{
 		Network:        e.cacheNS,
 		Pattern:        patternLabel(plan.Mode, plan.Pattern, st.full),
@@ -462,6 +469,7 @@ func (st *Stream) observe(total, stream time.Duration) {
 		ShortCircuited: stats.ShardsShortCircuited,
 		Plan:           st.planDur,
 		Execute:        st.execDur,
+		Load:           load,
 		Merge:          st.mergeDur,
 		Stream:         stream,
 		Total:          total,

@@ -103,7 +103,7 @@ func TestObserverRecordQuery(t *testing.T) {
 	slow := QueryObservation{
 		Network: "alpha", Pattern: "*", Alpha: 0.5,
 		Shards: 8, SkippedShards: 2, LoadedShards: 3,
-		Plan: time.Millisecond, Execute: 40 * time.Millisecond, Merge: time.Millisecond,
+		Plan: time.Millisecond, Execute: 40 * time.Millisecond, Load: 30 * time.Millisecond, Merge: time.Millisecond,
 		Total:  42 * time.Millisecond,
 		Detail: func() any { detailCalls++; return map[string]int{"tasks": 8} },
 	}
@@ -130,6 +130,8 @@ func TestObserverRecordQuery(t *testing.T) {
 		`tc_slow_queries_total{network="alpha"} 1`,
 		`tc_query_duration_seconds_count{network="alpha"} 3`,
 		`tc_query_stage_duration_seconds_count{network="alpha",stage="execute"} 2`,
+		// Only the query that read shards from disk carries the load stage.
+		`tc_query_stage_duration_seconds_count{network="alpha",stage="load"} 1`,
 	} {
 		if !strings.Contains(out, want+"\n") {
 			t.Errorf("render missing %q:\n%s", want, out)

@@ -65,6 +65,7 @@ type netSeries struct {
 	hit, miss, errs *Counter
 	duration        *Histogram
 	plan, exec      *Histogram
+	load            *Histogram
 	merge, stream   *Histogram
 	encode          *Histogram
 	slow            *Counter
@@ -82,6 +83,7 @@ func (o *Observer) seriesFor(network string) *netSeries {
 		duration: o.duration.With(network),
 		plan:     o.stages.With(network, "plan"),
 		exec:     o.stages.With(network, "execute"),
+		load:     o.stages.With(network, "load"),
 		merge:    o.stages.With(network, "merge"),
 		stream:   o.stages.With(network, "stream"),
 		encode:   o.stages.With(network, "encode"),
@@ -116,7 +118,7 @@ func NewObserver(opts ObserverOptions) *Observer {
 			"End-to-end engine query latency, cache hits included.",
 			nil, "network"),
 		stages: reg.Histogram("tc_query_stage_duration_seconds",
-			"Query latency split by stage: plan, execute (parallel shard traversal), merge and stream (pull-driven delivery of a streaming execution) of executed queries; encode (the server writing an answer to bytes), cache hits included.",
+			"Query latency split by stage: plan, execute (parallel shard traversal), load (the disk loads of lazy shards an execution performed, summed; part of execute), merge and stream (pull-driven delivery of a streaming execution) of executed queries; encode (the server writing an answer to bytes), cache hits included.",
 			nil, "network", "stage"),
 		slowTotal: reg.Counter("tc_slow_queries_total",
 			"Queries captured by the slow-query log (duration >= threshold, cache hits excluded).",
@@ -159,9 +161,13 @@ func (o *Observer) RecordQuery(ctx context.Context, q QueryObservation) {
 		ns.plan.Observe(q.Plan.Seconds())
 		ns.exec.Observe(q.Execute.Seconds())
 		ns.merge.Observe(q.Merge.Seconds())
+		// Only streaming executions carry the stream stage, and only those
+		// that read a shard from disk the load stage; observing zeros for
+		// every other query would drown the series in noise.
+		if q.Load > 0 {
+			ns.load.Observe(q.Load.Seconds())
+		}
 		if q.Stream > 0 {
-			// Only streaming executions carry the stage; observing zeros for
-			// every materializing query would drown the series in noise.
 			ns.stream.Observe(q.Stream.Seconds())
 		}
 	}

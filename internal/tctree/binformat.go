@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
@@ -54,10 +55,10 @@ const (
 var binLE = binary.LittleEndian
 
 // BinShard is an opened TCBIN shard: validated once, then traversed in
-// place. The backing bytes are a memory map on linux (released by a
-// finalizer once the shard becomes unreachable — an explicit unmap could
-// pull the bytes out from under a concurrent query) or a plain read of the
-// file elsewhere.
+// place. The backing bytes are a memory map of the shard file on linux
+// (shared by every shard its ShardFile loads from the same file generation,
+// and released by a finalizer once none of them is reachable), a plain read
+// of the file elsewhere, or heap bytes encoded in-process.
 type BinShard struct {
 	item      itemset.Item
 	data      []byte
@@ -70,9 +71,9 @@ type BinShard struct {
 	nodeCount uint32
 	// wide says the edge table's positions are u32 rather than u16.
 	wide bool
-	// mapped says data is a memory map of the shard file (OpenBinShard on
-	// linux) rather than heap bytes.
-	mapped bool
+	// src is the file mapping data lies in, kept reachable while the shard
+	// is; nil for heap bytes.
+	src *mapping
 }
 
 // binShardFileName is the canonical file name for the TCBIN shard of an
@@ -316,6 +317,9 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 // never panic or read out of bounds — so the traversal methods run
 // unchecked afterwards. The payload is retained, not copied.
 func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
+	if OnDecodeShard != nil {
+		OnDecodeShard(entry)
+	}
 	fail := func(format string, args ...any) (*BinShard, error) {
 		return nil, fmt.Errorf("tctree: shard %s: "+format, append([]any{entry.File}, args...)...)
 	}
@@ -475,28 +479,67 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 }
 
 // OpenBinShard memory-maps (or, off linux, reads) a TCBIN shard file and
-// validates it against its manifest entry. The map is released by a
-// finalizer once the shard becomes unreachable rather than on eviction:
-// an eviction only drops the engine's reference, and an in-flight query
-// may still be traversing the mapped bytes.
+// validates it against its manifest entry: one load of a fresh ShardFile.
 func OpenBinShard(path string, entry ShardEntry) (*BinShard, error) {
-	data, unmap, err := mapFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("tctree: shard %s: %w", entry.File, err)
-	}
-	b, err := DecodeBinShard(data, entry)
-	if err != nil {
-		if unmap != nil {
-			unmap()
+	return NewShardFile(path).Load(entry)
+}
+
+// ShardFile is a shard file as a serving layer holds it across evictions: its
+// path and, once loaded, one mapping of the file generation the path named
+// then. The mapping outlives evictions — dropping its pages is what frees the
+// memory — and goes with a finalizer once neither the ShardFile nor a shard
+// over it is reachable. It is safe for concurrent use.
+type ShardFile struct {
+	path string
+	mu   sync.Mutex
+	m    *mapping
+}
+
+// NewShardFile returns a ShardFile for path; nothing is read until Load.
+func NewShardFile(path string) *ShardFile { return &ShardFile{path: path} }
+
+// Load validates the file against entry — DecodeBinShard in full, checksum
+// and every structural check — and returns a shard traversed in place. The
+// file is mapped once per generation: Load re-uses the mapping while the path
+// names the same inode at the same size, and maps the file afresh after a
+// rename over the path, a truncation or an extension. An in-place write is
+// seen through the kept shared mapping and caught by the validation. Where
+// files are read rather than mapped, every Load reads the file.
+func (f *ShardFile) Load(entry ShardEntry) (*BinShard, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	m := f.m
+	if m == nil || !m.current(f.path) {
+		f.m = nil
+		var err error
+		if m, err = mapShardFile(f.path); err != nil {
+			return nil, fmt.Errorf("tctree: shard %s: %w", entry.File, err)
 		}
+		if OnMapShardFile != nil {
+			OnMapShardFile(f.path)
+		}
+		if retainMappings {
+			f.m = m
+		}
+	}
+	b, err := DecodeBinShard(m.data, entry)
+	if err != nil {
+		// Nothing will read the pages the validation touched.
+		m.dropPages()
 		return nil, err
 	}
-	if unmap != nil {
-		b.mapped = true
-		runtime.SetFinalizer(b, func(*BinShard) { unmap() })
-	}
+	b.src = m
 	return b, nil
 }
+
+// Hooks for tests, which set them before any shard loads and clear them after;
+// nil otherwise. OnMapShardFile sees the path of every shard file a ShardFile
+// maps (or, off linux, reads); OnDecodeShard the entry of every DecodeBinShard
+// run.
+var (
+	OnMapShardFile func(path string)
+	OnDecodeShard  func(entry ShardEntry)
+)
 
 // --- in-place accessors (all inputs validated at decode time) ---
 
@@ -622,12 +665,12 @@ func (b *BinShard) SizeBytes() int64 { return int64(len(b.data)) }
 
 // Evicted returns the pages of a mapped shard to the OS at once. The map
 // itself stays — a traversal still in flight reads on, faulting pages back
-// in from the file — and goes with the finalizer as before: how long that
-// takes depends on how much garbage the process makes, and the memory an
-// evicted shard holds in the meantime should not.
+// in from the file, and the next load of the same file generation validates
+// it again instead of mapping the file anew — so the memory an evicted shard
+// holds does not wait for the garbage collector.
 func (b *BinShard) Evicted() {
-	if b.mapped {
-		dropPages(b.data)
+	if b.src != nil {
+		b.src.dropPages()
 	}
 }
 

@@ -38,9 +38,12 @@ type QueryObservation struct {
 	// pull-driven delivery stage of a streaming execution — the wall time
 	// from the first pull to Close, shard opens included (so Execute nests
 	// inside it); zero for materializing executions, whose delivery is
-	// Merge.
+	// Merge. Load is the summed wall time of the disk loads this execution
+	// performed (LoadedShards of them), nested inside Execute; zero when
+	// every shard it opened was resident.
 	Plan    time.Duration
 	Execute time.Duration
+	Load    time.Duration
 	Merge   time.Duration
 	Stream  time.Duration
 	Total   time.Duration

@@ -108,6 +108,9 @@ grep -Eq 'tc_http_requests_total\{route="/api/v1/query",method="GET",code="200"\
   || fail "tc_http_requests_total did not move"
 grep -Eq 'tc_engine_queries_total\{network="bk"\} [1-9]' "$workdir/metrics.txt" \
   || fail "tc_engine_queries_total did not move"
+# The first query opened a cold lazy index, so it read shards from disk.
+grep -Eq 'tc_query_stage_duration_seconds_count\{network="bk",stage="load"\} [1-9]' "$workdir/metrics.txt" \
+  || fail "tc_query_stage_duration_seconds{stage=\"load\"} did not count the first query's shard loads"
 # Both answers were encoded, the cache hit included.
 grep -Eq 'tc_query_stage_duration_seconds_count\{network="bk",stage="encode"\} ([2-9]|[1-9][0-9])' "$workdir/metrics.txt" \
   || fail "tc_query_stage_duration_seconds{stage=\"encode\"} did not count both answers"
