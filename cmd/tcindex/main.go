@@ -6,7 +6,11 @@
 // plus an index.manifest, which tcserver and tcquery serve lazily — loading
 // only the shards a workload touches. It is the only persisted layout, and it
 // is derived data: rewriting -out from the .dbnet replaces whatever index was
-// there, including one written by a release with other layouts.
+// there, including one written by a release with other layouts. A rewrite is
+// one staged commit: shard files are named by their content
+// (shard-<item>-<crc>.tcbin), so the old index stays whole until the new
+// manifest is renamed into place, and the files the new manifest does not
+// name are removed after that swap.
 //
 // Usage:
 //

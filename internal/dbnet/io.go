@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"themecomm/internal/durable"
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 )
@@ -195,14 +196,12 @@ func WriteFile(path string, nw *Network, dict *itemset.Dictionary) error {
 	return f.Close()
 }
 
-// WriteFileAtomic durably replaces the network file: write-to-temp, fsync,
-// rename, fsync the directory — WriteFileAtomicStamped without a stamp, for
-// writing a network no index was maintained against yet. An update's
-// write-back keeps the stamp (WriteFileAtomicStamped): the network file is
-// the only source for future rebuilds, so it must never be torn or roll back
-// behind a durably committed index. (internal/tctree keeps its own variant of
-// this recipe for index shard files, with crash-injection test hooks; change
-// the discipline in both places or neither.)
+// WriteFileAtomic durably replaces the network file (durable.WriteFile) —
+// WriteFileAtomicStamped without a stamp, for writing a network no index was
+// maintained against yet. An update's write-back keeps the stamp
+// (WriteFileAtomicStamped): the network file is the only source for future
+// rebuilds, so it must never be torn or roll back behind a durably committed
+// index.
 func WriteFileAtomic(path string, nw *Network, dict *itemset.Dictionary) error {
 	return WriteFileAtomicStamped(path, nw, dict, 0)
 }
@@ -220,36 +219,20 @@ const journalSeqComment = "# journal-seq "
 // seq. Checkpoint recovery compares this stamp against the index manifest's
 // JournalSeq to detect a crash between the two writes.
 func WriteFileAtomicStamped(path string, nw *Network, dict *itemset.Dictionary, seq uint64) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	err := durable.WriteFile(path, func(w io.Writer) error {
+		if seq > 0 {
+			if _, err := fmt.Fprintf(w, "%s%d\n", journalSeqComment, seq); err != nil {
+				return err
+			}
+		}
+		return Write(w, nw, dict)
+	})
 	if err != nil {
 		return err
 	}
-	if seq > 0 {
-		_, err = fmt.Fprintf(f, "%s%d\n", journalSeqComment, seq)
-	}
-	if err == nil {
-		err = Write(f, nw, dict)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Directory fsync errors are ignored: unsupported on some platforms,
+	// A failed directory fsync is ignored: unsupported on some platforms,
 	// and the rename already made the change visible and consistent.
-	if d, derr := os.Open(filepath.Dir(path)); derr == nil {
-		_ = d.Sync()
-		d.Close()
-	}
+	_ = durable.SyncDir(filepath.Dir(path))
 	return nil
 }
 

@@ -90,7 +90,7 @@ func (e *Engine) ResyncInMemory(nw *dbnet.Network) error {
 // index already includes. Between staging and the commit it runs preCommit
 // (nil to skip) — the hook the serving layer uses to persist the updated
 // network file, stamped with the same seq, so the network file is never
-// behind the index; if the hook fails the staged files are discarded, the
+// behind the index; if the hook fails the staged files are swept, the
 // index is untouched and the dirty shards wait for the next checkpoint.
 //
 // After the manifest commit the dirty heap shards are swapped for plain
@@ -98,7 +98,9 @@ func (e *Engine) ResyncInMemory(nw *dbnet.Network) error {
 // bytes the heap shards served, so the epoch is NOT bumped and no cache entry
 // is purged: queries cannot observe a checkpoint. Updates serialize behind it
 // (applyMu), queries do not (updateMu is held only for the swap-back); the
-// superseded files are removed after updateMu is released.
+// files the manifest no longer names are swept after updateMu is released.
+// applyMu also makes the engine the one writer of its index directory, which
+// the sweep relies on (tctree.StagedShards.Sweep).
 //
 // Checkpoint with no dirty shards, journalSeq already stamped and no
 // preCommit is a no-op returning (nil, nil). An engine without an on-disk
@@ -122,7 +124,7 @@ func (e *Engine) Checkpoint(journalSeq uint64, preCommit func() error) (*tctree.
 	staged.SetJournalSeq(journalSeq)
 	if preCommit != nil {
 		if err := preCommit(); err != nil {
-			staged.Discard()
+			staged.Sweep()
 			return nil, err
 		}
 	}

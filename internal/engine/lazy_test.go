@@ -625,14 +625,50 @@ func TestReloadRevalidatesTheKeptMapping(t *testing.T) {
 	}
 }
 
+// renameOver replaces the file at path with raw the way a writer would: a
+// new file renamed over it.
+func renameOver(path string, raw []byte) error {
+	if err := os.WriteFile(path+".new", raw, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(path+".new", path)
+}
+
+// shardAfterTriangle returns the file of item's shard in the next generation
+// of tree's index — after triangleDelta is applied and checkpointed — and
+// requires it to agree with the first generation in item and node count but
+// not in checksum.
+func shardAfterTriangle(t *testing.T, tree *tctree.Tree, item itemset.Item) []byte {
+	t.Helper()
+	idx, dir := writeShardedTestTree(t, tree)
+	first, _ := idx.Entry(item)
+	eng, err := NewLazy(idx, Options{})
+	if err != nil {
+		t.Fatalf("NewLazy: %v", err)
+	}
+	nw := testNetwork(11)
+	applyDelta(t, eng, nw, triangleDelta(nw, item))
+	next, _ := idx.Entry(item)
+	if next.Nodes != first.Nodes || next.Checksum == first.Checksum {
+		t.Fatalf("the next generation of shard %d holds %d nodes under %s, the first %d under %s; want the same count, another checksum",
+			item, next.Nodes, next.Checksum, first.Nodes, first.Checksum)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, next.File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestReloadChecksTheFileAgain changes an evicted shard's file under a lazy
-// engine three ways. Each time the next load must fail — through the full
+// engine four ways. Each time the next load must fail — through the full
 // validation, against the manifest entry the shard struct was built from —
 // and the failure must be sticky like any load error
 // (TestLazyLoadErrorIsStickyUntilReload): a later query fails the same way
 // without mapping or decoding the file again.
 func TestReloadChecksTheFileAgain(t *testing.T) {
 	tree := buildTestTree(t, 11)
+	nextGeneration := shardAfterTriangle(t, tree, tree.Root().Children[0].Item)
 	for _, tc := range []struct {
 		name string
 		// change alters the file at path; other is the file of a different
@@ -681,13 +717,18 @@ func TestReloadChecksTheFileAgain(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if err := os.WriteFile(path+".new", raw, 0o644); err != nil {
-					return err
-				}
-				return os.Rename(path+".new", path)
+				return renameOver(path, raw)
 			},
 			maps: 2,
 			want: "manifest records item",
+		},
+		{
+			// Item and node count agree with the manifest entry; only the
+			// checksum tells the generations apart.
+			name:   "another generation of the same shard renamed over it",
+			change: func(path, _ string) error { return renameOver(path, nextGeneration) },
+			maps:   2,
+			want:   "checksum",
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

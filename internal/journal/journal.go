@@ -45,6 +45,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"themecomm/internal/durable"
 )
 
 const (
@@ -352,9 +354,9 @@ func (j *Journal) createSegment(firstSeq uint64) error {
 		f.Close()
 		return fmt.Errorf("journal: %w", err)
 	}
-	if err := syncDir(j.dir); err != nil {
+	if err := durable.SyncDir(j.dir); err != nil {
 		f.Close()
-		return err
+		return fmt.Errorf("journal: sync dir: %w", err)
 	}
 	if j.f != nil {
 		j.f.Close()
@@ -362,18 +364,6 @@ func (j *Journal) createSegment(firstSeq uint64) error {
 	j.f = f
 	j.size = int64(len(segmentMagic))
 	j.segments = append(j.segments, segment{path: path, firstSeq: firstSeq})
-	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("journal: sync dir: %w", err)
-	}
 	return nil
 }
 

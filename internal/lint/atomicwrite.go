@@ -8,9 +8,8 @@ import (
 
 // AtomicWrite enforces the crash-safety write discipline in persistence
 // packages (PersistencePackages in policy.go): durable replacement is
-// write-temp → fsync → rename (dbnet.WriteFileAtomic and the tctree
-// staged-commit helpers are the blessed implementations). Per function it
-// flags, lexically:
+// write-temp → fsync → rename, and durable.WriteFile is the one
+// implementation the others call. Per function it flags, lexically:
 //
 //   - os.WriteFile — it never fsyncs, so a crash can leave an empty or torn
 //     file that a later rename would happily publish;
@@ -88,7 +87,7 @@ func checkWriteDiscipline(pkg *Package, fn *ast.FuncDecl) []Finding {
 					out = append(out, Finding{
 						Pos:      pkg.Fset.Position(n.Pos()),
 						Analyzer: "atomicwrite",
-						Message:  "os.WriteFile never fsyncs; persistence packages must use dbnet.WriteFileAtomic or the staged-commit helpers",
+						Message:  "os.WriteFile never fsyncs; persistence packages must use durable.WriteFile",
 					})
 				case "Create", "OpenFile":
 					// Write-opens whose result is not assigned (rare) still
@@ -116,7 +115,7 @@ func checkWriteDiscipline(pkg *Package, fn *ast.FuncDecl) []Finding {
 					out = append(out, Finding{
 						Pos:      pkg.Fset.Position(n.Pos()),
 						Analyzer: "atomicwrite",
-						Message:  "rename of a file written in this function with no Sync before it; a crash can publish a torn file — fsync before rename (see dbnet.WriteFileAtomic)",
+						Message:  "rename of a file written in this function with no Sync before it; a crash can publish a torn file — fsync before rename (see durable.WriteFile)",
 					})
 				}
 			}

@@ -60,6 +60,11 @@ var LayerRules = []LayerRule{
 		Why:  "trace is the leaf seam both sides of the engine↔obs boundary import; it may depend on nothing in this module",
 	},
 	{
+		Pkg:  "internal/durable",
+		Deny: []string{"internal/"},
+		Why:  "durable is the one temp → fsync → rename routine tctree, dbnet and the journal share; a leaf, it may depend on nothing in this module",
+	},
+	{
 		Pkg:  "internal/replication",
 		Deny: []string{"internal/server", "internal/obs", "net/http"},
 		Why:  "replication drives engines and journals (PR 9); HTTP transport for the journal feed lives in internal/server and internal/client",
@@ -89,8 +94,10 @@ var RestrictedImports = []RestrictedImport{
 
 // PersistencePackages are the module-relative packages whose writes must
 // follow the write-temp → fsync → rename discipline (PR 5's crash-safety
-// hardening). The atomicwrite analyzer only checks these.
+// hardening). The atomicwrite analyzer only checks these; internal/durable
+// holds the one routine the others replace files through.
 var PersistencePackages = []string{
+	"internal/durable",
 	"internal/tctree",
 	"internal/dbnet",
 	"internal/delta",
@@ -115,6 +122,7 @@ var IOPackages = []string{
 	"net",
 	"net/http",
 	"internal/dbnet",
+	"internal/durable",
 	"internal/journal",
 }
 

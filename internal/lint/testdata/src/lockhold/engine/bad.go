@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"themecomm/internal/dbnet"
+	"themecomm/internal/durable"
 )
 
 type eng struct {
@@ -32,4 +33,12 @@ func (e *eng) swapDeferred(path string) error {
 		return err
 	}
 	return dbnet.WriteFileAtomic(path, nil, nil) // want "dbnet.WriteFileAtomic inside the updateMu critical section"
+}
+
+// swapDurable replaces a file through the one durable write routine while
+// every in-flight query is excluded.
+func (e *eng) swapDurable(path string) error {
+	e.updateMu.Lock()
+	defer e.updateMu.Unlock()
+	return durable.WriteFile(path, nil) // want "durable.WriteFile inside the updateMu critical section"
 }

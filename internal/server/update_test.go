@@ -403,7 +403,10 @@ func TestUpdateWriteBackFailureCommitsNothing(t *testing.T) {
 	if err := os.Mkdir(block, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	resp := update(s, `{"addVertices": 1, "addEdges": [[0,16],[1,16]], "addTransactions": [{"vertex": 16, "items": ["1","2"]}]}`)
+	// Three new vertices carrying items 1 and 2 form a triangle, which
+	// changes the content of those items' shards: a manifest that commits
+	// them differs from the one before, whatever the file names.
+	resp := update(s, `{"addVertices": 3, "addEdges": [[0,16],[1,16],[16,17],[17,18],[16,18]], "addTransactions": [{"vertex": 16, "items": ["1","2"]}, {"vertex": 17, "items": ["1","2"]}, {"vertex": 18, "items": ["1","2"]}]}`)
 	if resp.Warning == "" || len(resp.AffectedItems) == 0 {
 		t.Fatalf("a failed write-back must answer 200 with a warning: %+v", resp)
 	}
@@ -430,8 +433,8 @@ func TestUpdateWriteBackFailureCommitsNothing(t *testing.T) {
 	}
 	assertServesFreshBuild(s, n, "after the second update")
 	reopened, n2 := open()
-	if got := n2.DatabaseNetwork().NumVertices(); got != 17 {
-		t.Fatalf("reopened network has %d vertices, want 17", got)
+	if got := n2.DatabaseNetwork().NumVertices(); got != 19 {
+		t.Fatalf("reopened network has %d vertices, want 19", got)
 	}
 	assertServesFreshBuild(reopened, n, "reopened")
 }

@@ -76,15 +76,10 @@ type BinShard struct {
 	src *mapping
 }
 
-// binShardFileName is the canonical file name for the TCBIN shard of an
-// item.
-func binShardFileName(item itemset.Item) string {
-	return fmt.Sprintf("shard-%d.tcbin", item)
-}
-
 // EncodedShard is a shard as bytes: its TCBIN payload and the manifest entry
-// that describes it (File set to the item's canonical shard name). A build or
-// a rebuild hands it to whoever writes, stages or serves the shard.
+// that describes it, File included: the shard's content name
+// shard-<item>-<crc>.tcbin. A build or a rebuild hands it to whoever writes,
+// stages or serves the shard.
 type EncodedShard struct {
 	Entry ShardEntry
 	Data  []byte
@@ -298,15 +293,15 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 		bloom.add(it)
 	}
 	// The manifest checksum is the BODY CRC the footer embeds: a file ending
-	// in its own CRC hashes to a constant residue, and staged-shard names,
+	// in its own CRC hashes to a constant residue, and the content names,
 	// which embed the checksum to differ across generations, would collide.
 	return &EncodedShard{Data: buf, Entry: ShardEntry{
 		Item:     int32(root.Item),
-		File:     binShardFileName(root.Item),
+		File:     fmt.Sprintf("shard-%d-%08x.%s", root.Item, bodyCRC, FormatTCBIN),
 		Nodes:    len(order),
 		Depth:    depth,
 		MaxAlpha: shardAlpha,
-		Checksum: fmt.Sprintf("crc32c:%08x", bodyCRC),
+		Checksum: checksumOf(bodyCRC),
 		Bloom:    bloom.Encode(),
 	}}, reused, nil
 }
@@ -348,8 +343,9 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 	if string(data[footerOff+4:footerOff+12]) != binEndMagic {
 		return fail("bad end magic")
 	}
-	if want, got := binLE.Uint32(data[footerOff:]), crc32.Checksum(data[:footerOff], castagnoli); want != got {
-		return fail("checksum mismatch: file records crc32c:%08x, content is crc32c:%08x", want, got)
+	bodyCRC := binLE.Uint32(data[footerOff:])
+	if got := crc32.Checksum(data[:footerOff], castagnoli); bodyCRC != got {
+		return fail("checksum mismatch: file records crc32c:%08x, content is crc32c:%08x", bodyCRC, got)
 	}
 
 	rootItem := int32(binLE.Uint32(data[12:]))
@@ -385,6 +381,9 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 	}
 	if uint64(nodeCount) != uint64(entry.Nodes) {
 		return fail("stores %d nodes, manifest records %d", nodeCount, entry.Nodes)
+	}
+	if checksum := checksumOf(bodyCRC); checksum != entry.Checksum {
+		return fail("checksum mismatch: file is %s, manifest records %q", checksum, entry.Checksum)
 	}
 
 	b := &BinShard{

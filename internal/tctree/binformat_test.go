@@ -106,8 +106,8 @@ func TestBinShardRoundTrip(t *testing.T) {
 		if e.Bloom != bloom {
 			t.Fatalf("entry bloom %q disagrees with shardCatalogue %q", e.Bloom, bloom)
 		}
-		if e.File != binShardFileName(root.Item) {
-			t.Fatalf("entry file %q, want %q", e.File, binShardFileName(root.Item))
+		if want := fmt.Sprintf("shard-%d-%s.tcbin", root.Item, strings.TrimPrefix(e.Checksum, "crc32c:")); e.File != want {
+			t.Fatalf("entry file %q, want %q", e.File, want)
 		}
 	}
 }
@@ -174,10 +174,9 @@ func binCorruptions() []corruptCase {
 // TestBinShardChecksumsDistinct pins the manifest checksum of a TCBIN shard
 // to the body CRC its footer embeds. The whole-file CRC is useless here: a
 // file ending in its own CRC hashes to one constant residue, so every TCBIN
-// shard would share one checksum and the checksum-versioned staged-shard
-// names (StageShards) would collide across generations of the same shard —
-// a freshly staged file could silently overwrite one the live manifest
-// still references.
+// shard would share one checksum and the content names that embed it would
+// collide across generations of the same shard — a freshly staged file could
+// silently overwrite one the live manifest still references.
 func TestBinShardChecksumsDistinct(t *testing.T) {
 	_, _, bufs, entries := binShardFixtures(t, 3)
 	if len(entries) < 2 {
@@ -199,11 +198,22 @@ func TestBinShardChecksumsDistinct(t *testing.T) {
 }
 
 // reseal recomputes the footer CRC so a structural mutation survives the
-// checksum gate and exercises the deep validators.
+// checksum gate and exercises the deep validators; open the result under
+// footerEntry.
 func reseal(d []byte) []byte {
 	footerOff := len(d) - binFooterSize
 	binary.LittleEndian.PutUint32(d[footerOff:], crc32.Checksum(d[:footerOff], castagnoli))
 	return d
+}
+
+// footerEntry is entry with the checksum the payload's footer records, so a
+// resealed payload passes the manifest cross-checks and reaches the
+// structural ones.
+func footerEntry(d []byte, entry ShardEntry) ShardEntry {
+	if len(d) >= binFooterSize {
+		entry.Checksum = checksumOf(binary.LittleEndian.Uint32(d[len(d)-binFooterSize:]))
+	}
+	return entry
 }
 
 func binStructuralCorruptions() []corruptCase {
@@ -285,7 +295,7 @@ func TestDecodeBinShardRejectsCorruption(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			data := c.mutate(append([]byte(nil), valid...))
-			sh, err := DecodeBinShard(data, entry)
+			sh, err := DecodeBinShard(data, footerEntry(data, entry))
 			if err == nil {
 				t.Fatalf("corruption %q decoded successfully", c.name)
 			}
@@ -309,6 +319,11 @@ func TestDecodeBinShardRejectsCorruption(t *testing.T) {
 	badNodes.Nodes++
 	if _, err := DecodeBinShard(append([]byte(nil), valid...), badNodes); err == nil {
 		t.Fatalf("shard decoded under a manifest entry with the wrong node count")
+	}
+	badChecksum := entry
+	badChecksum.Checksum = "crc32c:00000000"
+	if _, err := DecodeBinShard(append([]byte(nil), valid...), badChecksum); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("shard decoded under a manifest entry with another checksum: %v", err)
 	}
 }
 
@@ -518,7 +533,8 @@ func TestDecodeBinShardRefusesBadPairs(t *testing.T) {
 	for i, valid := range bufs {
 		for _, c := range pairCorruptions(valid) {
 			tried++
-			_, err := DecodeBinShard(c.mutate(slices.Clone(valid)), entries[i])
+			data := c.mutate(slices.Clone(valid))
+			_, err := DecodeBinShard(data, footerEntry(data, entries[i]))
 			if err == nil || !strings.Contains(err.Error(), c.wantSub) {
 				t.Fatalf("shard %d, %s: DecodeBinShard returned %v, want an error about %q", entries[i].Item, c.name, err, c.wantSub)
 			}
@@ -528,7 +544,8 @@ func TestDecodeBinShardRefusesBadPairs(t *testing.T) {
 		t.Fatal("no shard root has a level of two edges to corrupt")
 	}
 
-	if _, err := DecodeBinShard(rewidth(bufs[0]), entries[0]); err == nil || !strings.Contains(err.Error(), "fits u16") {
+	rewidened := rewidth(bufs[0])
+	if _, err := DecodeBinShard(rewidened, footerEntry(rewidened, entries[0])); err == nil || !strings.Contains(err.Error(), "fits u16") {
 		t.Fatalf("u32 positions on a narrow shard: DecodeBinShard returned %v", err)
 	}
 	enc, err := encodeShardBinary(wideNode(1))
@@ -545,7 +562,8 @@ func TestDecodeBinShardRefusesBadPairs(t *testing.T) {
 	if got := sh.QuerySub(itemset.New(1), 0).Communities; len(got) != 1 || !slices.Equal(got[0].Vertices, []graph.VertexID{0, binNarrowRun}) {
 		t.Fatalf("the wide shard answers %+v", got)
 	}
-	if _, err := DecodeBinShard(rewidth(enc.Data), enc.Entry); err == nil || !strings.Contains(err.Error(), "needs u32") {
+	narrowed := rewidth(enc.Data)
+	if _, err := DecodeBinShard(narrowed, footerEntry(narrowed, enc.Entry)); err == nil || !strings.Contains(err.Error(), "needs u32") {
 		t.Fatalf("u16 positions on a shard whose run needs u32: DecodeBinShard returned %v", err)
 	}
 }
@@ -632,8 +650,9 @@ func TestDecodeBinShardRefusesVersion1(t *testing.T) {
 }
 
 // FuzzTCBINDecode feeds arbitrary bytes to DecodeBinShard under a manifest
-// entry synthesized from the payload's own header, so fuzzing reaches the
-// structural validators behind the entry cross-checks. The decoder must
+// entry synthesized from the payload's own header and footer, so fuzzing
+// reaches the structural validators behind the entry cross-checks. The
+// decoder must
 // either error or return a shard whose every traversal — the read kernel
 // included, which trusts every position pair the decoder let through — and
 // whose Materialize run without panics or out-of-range reads, and which an
@@ -673,7 +692,7 @@ func FuzzTCBINDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("TCBIN\r\n\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entry := ShardEntry{File: "fuzz.tcbin"}
+		entry := footerEntry(data, ShardEntry{File: "fuzz.tcbin"})
 		if len(data) >= 20 {
 			entry.Item = int32(binary.LittleEndian.Uint32(data[12:]))
 			entry.Nodes = int(binary.LittleEndian.Uint32(data[16:]))

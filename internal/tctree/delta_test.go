@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"themecomm/internal/dbnet"
+	"themecomm/internal/durable"
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 )
@@ -84,7 +86,7 @@ func TestCommitShardsCrashSafety(t *testing.T) {
 			if err != nil {
 				t.Fatalf("OpenSharded: %v", err)
 			}
-			testInjectWriteErr = func(name string) error {
+			durable.Fault = func(name string) error {
 				if failOn == "manifest" && name == ManifestName {
 					return fmt.Errorf("injected manifest write failure")
 				}
@@ -93,11 +95,11 @@ func TestCommitShardsCrashSafety(t *testing.T) {
 				}
 				return nil
 			}
-			defer func() { testInjectWriteErr = nil }()
+			defer func() { durable.Fault = nil }()
 			if _, err := commitNodes(idx, map[itemset.Item]*Node{replacement.Item: replacement}); err == nil {
 				t.Fatalf("the commit should surface the injected failure")
 			}
-			testInjectWriteErr = nil
+			durable.Fault = nil
 
 			// The in-memory handle must still serve the old manifest...
 			if got := idx.Manifest(); len(got.Shards) != len(before.Shards) {
@@ -126,8 +128,52 @@ func TestCommitShardsCrashSafety(t *testing.T) {
 	}
 }
 
+// TestFailedRewriteKeepsTheOldIndex writes index A, then index B over the
+// same directory with the manifest rename failing: no file A's manifest
+// names may have been overwritten, so the directory still opens as A, every
+// shard loads, and queries answer exactly as A did — Query(nil, 0) and the
+// query by alpha at 0, which retrieves every node.
+func TestFailedRewriteKeepsTheOldIndex(t *testing.T) {
+	a, b := buildShardedTestTree(t, 19), buildShardedTestTree(t, 31)
+	dir := t.TempDir()
+	before, err := indexOf(t, a).Write(dir)
+	if err != nil {
+		t.Fatalf("Write A: %v", err)
+	}
+	durable.Fault = func(name string) error {
+		if name == ManifestName {
+			return fmt.Errorf("injected manifest rename failure")
+		}
+		return nil
+	}
+	defer func() { durable.Fault = nil }()
+	if _, err := indexOf(t, b).Write(dir); err == nil {
+		t.Fatal("the rewrite should surface the injected failure")
+	}
+	durable.Fault = nil
+
+	idx, err := OpenSharded(dir)
+	if err != nil {
+		t.Fatalf("OpenSharded after the failed rewrite: %v", err)
+	}
+	if m := idx.Manifest(); !reflect.DeepEqual(m.Shards, before.Shards) {
+		t.Fatalf("the failed rewrite changed the manifest")
+	}
+	for _, e := range before.Shards {
+		if _, err := idx.OpenShard(itemset.Item(e.Item)); err != nil {
+			t.Fatalf("shard %d after the failed rewrite: %v", e.Item, err)
+		}
+	}
+	loaded, err := idx.LoadTree()
+	if err != nil {
+		t.Fatalf("LoadTree after the failed rewrite: %v", err)
+	}
+	assertIdenticalAnswer(t, loaded.Query(nil, 0), a.Query(nil, 0))
+	assertIdenticalAnswer(t, loaded.QueryByAlpha(0), a.QueryByAlpha(0))
+}
+
 // TestFailedCommitPreservesReusedFiles covers the case where a rebuilt shard
-// is byte-identical to the current one: its checksum-versioned file name is
+// is byte-identical to the current one: its content name is
 // reused, and a failure later in the same commit must not delete that file —
 // the old manifest still references it.
 func TestFailedCommitPreservesReusedFiles(t *testing.T) {
@@ -142,23 +188,23 @@ func TestFailedCommitPreservesReusedFiles(t *testing.T) {
 	}
 	a := tree.Root().Children[0]
 	b := tree.Root().Children[1]
-	// First commit moves shard a onto its checksum-versioned file name.
+	// First commit re-stages shard a under the content name the index names.
 	if _, err := commitNodes(idx, map[itemset.Item]*Node{a.Item: a}); err != nil {
 		t.Fatalf("first commit: %v", err)
 	}
 	entryA, _ := idx.Entry(a.Item)
 	// Second commit resubmits a unchanged (same name) and fails on b's file.
-	testInjectWriteErr = func(name string) error {
+	durable.Fault = func(name string) error {
 		if name != entryA.File && name != ManifestName {
 			return fmt.Errorf("injected failure on %s", name)
 		}
 		return nil
 	}
-	defer func() { testInjectWriteErr = nil }()
+	defer func() { durable.Fault = nil }()
 	if _, err := commitNodes(idx, map[itemset.Item]*Node{a.Item: a, b.Item: b}); err == nil {
 		t.Fatalf("commit should surface the injected failure")
 	}
-	testInjectWriteErr = nil
+	durable.Fault = nil
 	// Shard a's file must have survived the failed commit's cleanup.
 	if _, err := idx.LoadShard(a.Item); err != nil {
 		t.Fatalf("LoadShard(%d) after failed commit: %v", a.Item, err)
@@ -253,15 +299,15 @@ func TestCommitShardsAddRemove(t *testing.T) {
 		t.Fatalf("ReadDir: %v", err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), fmt.Sprintf("shard-%d-", victim)) || e.Name() == binShardFileName(victim) {
+		if strings.HasPrefix(e.Name(), fmt.Sprintf("shard-%d-", victim)) {
 			t.Fatalf("removed shard's file %s survived", e.Name())
 		}
 	}
 }
 
 // TestWriteShardedRemovesStaleShardFiles rewrites a smaller tree over an
-// index that deltas have moved off its canonical file names (a replaced shard
-// under a checksum-versioned name, an added shard the new tree lacks): after
+// index that deltas have changed (a replaced shard under a new content name,
+// an added shard the new tree lacks): after
 // the rewrite the directory holds the manifest and exactly the files it
 // references — nothing of the previous index lingers.
 func TestWriteShardedRemovesStaleShardFiles(t *testing.T) {

@@ -4,13 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"themecomm/internal/durable"
 	"themecomm/internal/itemset"
 )
 
@@ -53,6 +56,15 @@ func errRebuild(path, what, out string) error {
 // castagnoli is the CRC-32C polynomial table used for shard checksums.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// checksumOf is the ShardEntry.Checksum of a shard whose body CRC is crc.
+func checksumOf(crc uint32) string { return fmt.Sprintf("crc32c:%08x", crc) }
+
+// validChecksum reports whether s has the form checksumOf produces.
+func validChecksum(s string) bool {
+	hex, ok := strings.CutPrefix(s, "crc32c:")
+	return ok && len(hex) == 8 && strings.Trim(hex, "0123456789abcdef") == ""
+}
+
 // ShardEntry is the manifest metadata of one shard.
 type ShardEntry struct {
 	// Item is the shard's root item; every pattern indexed in the shard
@@ -70,9 +82,9 @@ type ShardEntry struct {
 	MaxAlpha float64 `json:"maxAlpha"`
 	// Checksum is "crc32c:" followed by eight lowercase hex digits of the
 	// shard's body CRC-32C, the value the file's own footer embeds and every
-	// open verifies (a whole-file CRC would be the same constant residue for
-	// every TCBIN file). Distinct content yields distinct checksums, which
-	// staged-shard file names rely on.
+	// open compares (a whole-file CRC would be the same constant residue for
+	// every TCBIN file). Every shard file name embeds it
+	// (shard-<item>-<crc>.tcbin), so distinct content yields distinct names.
 	Checksum string `json:"checksum"`
 	// Bloom is the encoded item bloom filter over the distinct items of the
 	// shard's patterns (catalogue.go), empty on indexes written before the
@@ -179,56 +191,6 @@ func (m *Manifest) Items() itemset.Itemset {
 	return itemset.New(items...)
 }
 
-// testInjectWriteErr, when non-nil, simulates a crash inside writeFileAtomic:
-// the temp file has been written but the rename never happens. Tests use it
-// to prove that a failed commit leaves the index openable and that orphaned
-// temp files are cleaned up.
-var testInjectWriteErr func(name string) error
-
-// writeFileAtomic durably writes name inside dir: the data goes to a temp
-// file first, the temp file is fsynced, and only then renamed into place —
-// a crash at any moment leaves either the complete new file or no file at
-// all, never a torn one. (The rename itself becomes durable once the
-// directory is fsynced; callers batch that with syncDir.) A failure after
-// the temp file was created removes it, so errors do not strand *.tmp files.
-func writeFileAtomic(dir, name string, data []byte) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil && testInjectWriteErr != nil {
-		if err = testInjectWriteErr(name); err != nil {
-			return err // simulated crash: leave the temp file behind
-		}
-	}
-	if err == nil {
-		err = os.Rename(tmp, filepath.Join(dir, name))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// syncDir fsyncs the directory so preceding renames survive a crash. Errors
-// are ignored: directory fsync is unsupported on some platforms, and the
-// rename has already made the change visible and consistent.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-}
-
 // sweepDir deletes the regular files of dir whose name stale accepts. Both
 // callers sweep files no manifest references, so removing them can never
 // lose committed data, and a failed removal only leaves a harmless leftover.
@@ -244,21 +206,31 @@ func sweepDir(dir string, stale func(name string) bool) {
 	}
 }
 
-// removeOrphanTempFiles deletes *.tmp files a crashed or failed write left in
-// the index directory.
-func removeOrphanTempFiles(dir string) {
-	sweepDir(dir, func(name string) bool { return strings.HasSuffix(name, ".tmp") })
+// removeUnreferencedShardFiles deletes the shard-* files of dir that m does
+// not name.
+func removeUnreferencedShardFiles(dir string, m *Manifest) {
+	live := make(map[string]bool, len(m.Shards))
+	for _, e := range m.Shards {
+		live[e.File] = true
+	}
+	sweepDir(dir, func(name string) bool { return strings.HasPrefix(name, "shard-") && !live[name] })
 }
 
-// writeShards durably writes the files of n shards inside dir
-// (writeFileAtomic) on a pool of GOMAXPROCS workers; shard(i) supplies the
-// i-th — encoding it there, for a tree being written, so that one shard's
-// encoding overlaps another's fsync. It is the one write routine behind
-// writeIndex and StageShards: staged files take a checksum-versioned name
-// no manifest references yet, the others the item's canonical name. Entries
-// come back in shard order, independent of the schedule; on error — the first
-// in shard order — those of the written shards are still set, the rest zero.
-func writeShards(dir string, n int, shard func(i int) (*EncodedShard, error), staged bool) ([]ShardEntry, error) {
+// writeFile durably replaces path with data.
+func writeFile(path string, data []byte) error {
+	return durable.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
+// writeShards durably writes the files of n shards inside dir, each under
+// its content name (durable.WriteFile), on a pool of GOMAXPROCS workers;
+// shard(i) supplies the i-th — encoding it there, for a tree being written,
+// so that one shard's encoding overlaps another's fsync. Entries come back in
+// shard order, independent of the schedule; the error is the first in shard
+// order.
+func writeShards(dir string, n int, shard func(i int) (*EncodedShard, error)) ([]ShardEntry, error) {
 	entries := make([]ShardEntry, n)
 	errs := make([]error, n)
 	parallelDo(n, runtime.GOMAXPROCS(0), func(i int) {
@@ -267,15 +239,11 @@ func writeShards(dir string, n int, shard func(i int) (*EncodedShard, error), st
 			errs[i] = err
 			return
 		}
-		entry := enc.Entry
-		if staged {
-			entry.File = fmt.Sprintf("shard-%d-%s.%s", entry.Item, strings.TrimPrefix(entry.Checksum, "crc32c:"), FormatTCBIN)
-		}
-		if err := writeFileAtomic(dir, entry.File, enc.Data); err != nil {
-			errs[i] = fmt.Errorf("tctree: shard %d: %w", entry.Item, err)
+		if err := writeFile(filepath.Join(dir, enc.Entry.File), enc.Data); err != nil {
+			errs[i] = fmt.Errorf("tctree: shard %d: %w", enc.Entry.Item, err)
 			return
 		}
-		entries[i] = entry
+		entries[i] = enc.Entry
 	})
 	return entries, firstError(errs)
 }
@@ -283,10 +251,11 @@ func writeShards(dir string, n int, shard func(i int) (*EncodedShard, error), st
 // Write writes the index as an index directory: one TCBIN shard file per
 // shard plus index.manifest, all inside dir (created if missing), and
 // returns the written manifest. Written over an existing index it replaces
-// it: once the new manifest is in place, every shard file it does not
-// reference is removed. An index saved this way is opened with OpenSharded.
+// it with one staged commit (rewrite): the old index stays whole until the
+// manifest swap, and every shard file the new manifest does not name is
+// removed after it. An index saved this way is opened with OpenSharded.
 func (x *Index) Write(dir string) (*Manifest, error) {
-	return writeIndex(dir, x.BuiltMaxDepth, len(x.Shards), func(i int) (*EncodedShard, error) { return x.Shards[i], nil })
+	return rewrite(dir, x.BuiltMaxDepth, len(x.Shards), func(i int) (*EncodedShard, error) { return x.Shards[i], nil })
 }
 
 // WriteShardedAs writes the tree as Write writes its index, encoding each
@@ -300,37 +269,42 @@ func (t *Tree) WriteShardedAs(dir, format string) (*Manifest, error) {
 		return nil, fmt.Errorf("tctree: cannot serialize a nil tree")
 	}
 	roots := t.root.Children
-	return writeIndex(dir, t.builtMaxDepth, len(roots), func(i int) (*EncodedShard, error) { return encodeShardBinary(roots[i]) })
+	return rewrite(dir, t.builtMaxDepth, len(roots), func(i int) (*EncodedShard, error) { return encodeShardBinary(roots[i]) })
 }
 
-// writeIndex is the one index writer behind Write and WriteShardedAs: the n
-// shards shard supplies (writeShards), then the manifest, then the sweep of
-// the files it does not reference.
-func writeIndex(dir string, builtMaxDepth, n int, shard func(i int) (*EncodedShard, error)) (*Manifest, error) {
+// rewrite replaces the index in dir by the n shards shard supplies, as a
+// staged commit against the directory's current manifest, or an empty one
+// when there is none this release reads: every shard is staged, every old
+// item the new index lacks is marked removed, the manifest is committed with
+// builtMaxDepth and JournalSeq 0, and the sweep removes the old index's
+// files. A file the current manifest names is only ever replaced by the
+// bytes its content name promises, so a failure before the manifest swap
+// leaves the old index intact.
+func rewrite(dir string, builtMaxDepth, n int, shard func(i int) (*EncodedShard, error)) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	entries, err := writeShards(dir, n, shard, false)
+	x, err := OpenSharded(dir)
+	if err != nil {
+		x = &ShardedIndex{dir: dir, manifest: &Manifest{}}
+	}
+	st, err := x.stage(n, shard)
 	if err != nil {
 		return nil, err
 	}
-	m := &Manifest{Version: manifestVersion, Format: FormatTCBIN, BuiltMaxDepth: builtMaxDepth, Shards: entries}
-	if err := writeManifest(dir, m); err != nil {
+	for _, it := range x.Items() {
+		if _, ok := st.entries[it]; !ok {
+			st.entries[it] = nil
+		}
+	}
+	st.SetJournalSeq(0)
+	st.builtMaxDepth = &builtMaxDepth
+	_, err = st.Commit()
+	st.Sweep()
+	if err != nil {
 		return nil, err
 	}
-	removeUnreferencedShardFiles(dir, m)
-	return m, nil
-}
-
-// removeUnreferencedShardFiles deletes the shard-* files of dir that m does
-// not reference: the previous index's files after a rewrite — superseded
-// staged generations, shards of items that no longer index anything.
-func removeUnreferencedShardFiles(dir string, m *Manifest) {
-	live := make(map[string]bool, len(m.Shards))
-	for _, e := range m.Shards {
-		live[e.File] = true
-	}
-	sweepDir(dir, func(name string) bool { return strings.HasPrefix(name, "shard-") && !live[name] })
+	return x.manifest, nil // x is this call's own handle
 }
 
 // writeManifest durably replaces dir's manifest: write-to-temp, fsync,
@@ -343,10 +317,12 @@ func writeManifest(dir string, m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(dir, ManifestName, append(data, '\n')); err != nil {
+	if err := writeFile(filepath.Join(dir, ManifestName), append(data, '\n')); err != nil {
 		return err
 	}
-	syncDir(dir)
+	// A failed directory fsync is ignored: unsupported on some platforms,
+	// and the rename already made the swap visible and consistent.
+	_ = durable.SyncDir(dir)
 	return nil
 }
 
@@ -386,6 +362,9 @@ func ReadManifest(dir string) (*Manifest, error) {
 		if e.Nodes < 1 {
 			return nil, fmt.Errorf("tctree: %s: shard %d records %d nodes", ManifestName, e.Item, e.Nodes)
 		}
+		if !validChecksum(e.Checksum) {
+			return nil, fmt.Errorf("tctree: %s: shard %d records checksum %q, not crc32c: and 8 lowercase hex digits", ManifestName, e.Item, e.Checksum)
+		}
 		if seen[e.Item] {
 			return nil, fmt.Errorf("tctree: %s: duplicate shard for item %d", ManifestName, e.Item)
 		}
@@ -422,12 +401,13 @@ type ShardedIndex struct {
 // the manifest is read; shard files are opened on demand. Orphaned *.tmp
 // files left behind by a crashed or failed write are removed — they are
 // invisible to the manifest, so the cleanup can never lose committed data.
+// Shard files the manifest does not name are left to the writer's Sweep.
 func OpenSharded(dir string) (*ShardedIndex, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	removeOrphanTempFiles(dir)
+	sweepDir(dir, func(name string) bool { return strings.HasSuffix(name, ".tmp") })
 	x := &ShardedIndex{dir: dir, manifest: m, byItem: make(map[itemset.Item]int, len(m.Shards))}
 	for i, e := range m.Shards {
 		x.byItem[itemset.Item(e.Item)] = i
@@ -449,14 +429,8 @@ func (x *ShardedIndex) NumShards() int {
 func (x *ShardedIndex) Manifest() Manifest {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	m := Manifest{
-		Version:       x.manifest.Version,
-		Format:        x.manifest.Format,
-		BuiltMaxDepth: x.manifest.BuiltMaxDepth,
-		JournalSeq:    x.manifest.JournalSeq,
-		Shards:        make([]ShardEntry, len(x.manifest.Shards)),
-	}
-	copy(m.Shards, x.manifest.Shards)
+	m := *x.manifest
+	m.Shards = slices.Clone(m.Shards)
 	m.seal()
 	return m
 }
@@ -549,23 +523,23 @@ func (r *CommitReport) Touched() itemset.Itemset {
 }
 
 // StagedShards is a batch of shard swaps whose payloads are already durably
-// on disk under checksum-versioned names the current manifest does not
-// reference: invisible to readers until Commit performs the single manifest
-// write. Staging is the expensive half (file writes, fsyncs) and takes no
-// index lock: a serving layer holds its update lock only across Commit.
+// on disk under content names the current manifest does not reference (or
+// references with the very same bytes): invisible to readers until Commit
+// performs the single manifest write. Staging is the expensive half (file
+// writes, fsyncs) and takes no index lock: a serving layer holds its update
+// lock only across Commit.
 type StagedShards struct {
 	x *ShardedIndex
-	// items are the staged items in ascending order; entries maps each to
-	// its new manifest entry, or nil for a removal.
-	items   []itemset.Item
+	// entries maps each staged item to its new manifest entry, or nil for a
+	// removal.
 	entries map[itemset.Item]*ShardEntry
-	written []string
-	// obsolete are the files Commit left for Sweep to remove.
-	obsolete []string
 	// journalSeq, when set, is stamped into the manifest's JournalSeq by
 	// Commit — atomically with the shard swap, since the manifest write IS
 	// the commit point.
 	journalSeq *uint64
+	// builtMaxDepth, when set, replaces the manifest's BuiltMaxDepth: a
+	// rewrite commits the bound of the build that replaces the index.
+	builtMaxDepth *int
 }
 
 // SetJournalSeq arranges for Commit to stamp seq into the manifest's
@@ -574,21 +548,12 @@ type StagedShards struct {
 func (st *StagedShards) SetJournalSeq(seq uint64) { st.journalSeq = &seq }
 
 // StageShards durably writes the payload of every non-nil shard as it is
-// handed over (a nil one stages the item's removal), several shards at a time
-// (writeShards). On error the files written so far are removed — except any
-// whose name the live manifest still references (a rebuilt shard with
-// identical content reuses its current file name).
+// handed over (a nil one stages the item's removal), several shards at a
+// time (stage).
 func (x *ShardedIndex) StageShards(shards map[itemset.Item]*EncodedShard) (*StagedShards, error) {
-	st := &StagedShards{x: x, entries: make(map[itemset.Item]*ShardEntry, len(shards))}
-	for it := range shards {
-		st.items = append(st.items, it)
-	}
-	sort.Slice(st.items, func(i, j int) bool { return st.items[i] < st.items[j] })
 	var payloads []*EncodedShard
-	for _, it := range st.items {
-		enc := shards[it]
+	for it, enc := range shards {
 		if enc == nil {
-			st.entries[it] = nil
 			continue
 		}
 		if itemset.Item(enc.Entry.Item) != it {
@@ -596,116 +561,111 @@ func (x *ShardedIndex) StageShards(shards map[itemset.Item]*EncodedShard) (*Stag
 		}
 		payloads = append(payloads, enc)
 	}
-	entries, err := writeShards(x.dir, len(payloads), func(i int) (*EncodedShard, error) { return payloads[i], nil }, true)
-	for i := range entries {
-		if entries[i].File != "" {
-			st.written = append(st.written, entries[i].File)
-			st.entries[itemset.Item(entries[i].Item)] = &entries[i]
-		}
-	}
+	sort.Slice(payloads, func(i, j int) bool { return payloads[i].Entry.Item < payloads[j].Entry.Item })
+	st, err := x.stage(len(payloads), func(i int) (*EncodedShard, error) { return payloads[i], nil })
 	if err != nil {
-		st.Discard()
 		return nil, err
 	}
-	// Make the staged files durable before any manifest can point at them.
-	syncDir(x.dir)
+	for it, enc := range shards {
+		if enc == nil {
+			st.entries[it] = nil
+		}
+	}
 	return st, nil
 }
 
-// Discard abandons the staged batch without committing it: the staged files
-// are removed and the index is untouched. Use it when a step between staging
-// and commit fails.
-func (st *StagedShards) Discard() { st.remove(st.written) }
-
-// remove deletes files of the batch, sparing any the live manifest references
-// (a rebuilt shard with identical content reuses its current file name).
-func (st *StagedShards) remove(files []string) {
-	live := make(map[string]bool)
-	for _, e := range st.x.Manifest().Shards {
-		live[e.File] = true
+// stage writes the n shards shard supplies (writeShards) and fsyncs the
+// directory, so that no manifest can name a file a crash could still lose.
+// On error it sweeps what it wrote.
+func (x *ShardedIndex) stage(n int, shard func(i int) (*EncodedShard, error)) (*StagedShards, error) {
+	st := &StagedShards{x: x, entries: make(map[itemset.Item]*ShardEntry, n)}
+	entries, err := writeShards(x.dir, n, shard)
+	if err != nil {
+		st.Sweep()
+		return nil, err
 	}
-	for _, f := range files {
-		if !live[f] {
-			os.Remove(filepath.Join(st.x.dir, f))
-		}
+	for i := range entries {
+		st.entries[itemset.Item(entries[i].Item)] = &entries[i]
 	}
+	// A failed directory fsync is ignored, as writeManifest ignores it.
+	_ = durable.SyncDir(x.dir)
+	return st, nil
 }
 
 // Commit applies the staged batch as one transaction: the manifest is
 // rewritten exactly once, which is the single switch point — a crash before
-// it leaves the old index intact (plus unreferenced staged files the next
-// OpenSharded ignores), a crash after it leaves the new index complete. A
+// it leaves the old index intact (plus files no manifest names, which the
+// next Sweep removes), a crash after it leaves the new index complete. A
 // failed Commit leaves the old index live. That write is all the file I/O
-// Commit does — callers hold query-excluding locks across it: the files it
-// made obsolete (superseded, or staged when it failed) are left for Sweep.
+// Commit does — callers hold query-excluding locks across it: the files the
+// live manifest no longer names are left for Sweep.
 func (st *StagedShards) Commit() (*CommitReport, error) {
 	x := st.x
 	x.mu.Lock()
 	defer x.mu.Unlock()
 
 	report := &CommitReport{}
-	oldShards := x.manifest.Shards
-	newShards := make([]ShardEntry, 0, len(oldShards)+len(st.entries))
-	newShards = append(newShards, oldShards...)
-	byItem := make(map[itemset.Item]int, len(newShards))
-	for i, e := range newShards {
-		byItem[itemset.Item(e.Item)] = i
+	byItem := make(map[itemset.Item]ShardEntry, len(x.manifest.Shards)+len(st.entries))
+	for _, e := range x.manifest.Shards {
+		byItem[itemset.Item(e.Item)] = e
 	}
-	var obsolete []string
-	for _, it := range st.items {
+	items := make([]itemset.Item, 0, len(st.entries))
+	for it := range st.entries {
+		items = append(items, it)
+	}
+	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
+	for _, it := range items {
 		entry := st.entries[it]
-		i, exists := byItem[it]
-		if entry == nil { // removal
-			if !exists {
-				continue
-			}
-			obsolete = append(obsolete, newShards[i].File)
-			newShards = append(newShards[:i], newShards[i+1:]...)
+		_, exists := byItem[it]
+		switch {
+		case entry == nil && exists:
 			delete(byItem, it)
-			for j := i; j < len(newShards); j++ {
-				byItem[itemset.Item(newShards[j].Item)] = j
-			}
 			report.Removed = append(report.Removed, it)
-			continue
-		}
-		if exists {
-			if old := newShards[i].File; old != entry.File {
-				obsolete = append(obsolete, old)
-			}
-			newShards[i] = *entry
+		case entry == nil: // removing an absent item touches nothing
+		case exists:
+			byItem[it] = *entry
 			report.Replaced = append(report.Replaced, it)
-		} else {
-			newShards = append(newShards, *entry)
-			byItem[it] = len(newShards) - 1
+		default:
+			byItem[it] = *entry
 			report.Added = append(report.Added, it)
 		}
 	}
-	sort.Slice(newShards, func(i, j int) bool { return newShards[i].Item < newShards[j].Item })
-
-	x.manifest.Shards = newShards
-	oldSeq := x.manifest.JournalSeq
-	if st.journalSeq != nil {
-		x.manifest.JournalSeq = *st.journalSeq
+	next := *x.manifest
+	next.Version, next.Format = manifestVersion, FormatTCBIN
+	next.Shards = make([]ShardEntry, 0, len(byItem))
+	for _, e := range byItem {
+		next.Shards = append(next.Shards, e)
 	}
-	if err := writeManifest(x.dir, x.manifest); err != nil {
-		x.manifest.Shards = oldShards
-		x.manifest.JournalSeq = oldSeq
-		x.manifest.seal()
-		st.obsolete = st.written
+	sort.Slice(next.Shards, func(i, j int) bool { return next.Shards[i].Item < next.Shards[j].Item })
+	if st.journalSeq != nil {
+		next.JournalSeq = *st.journalSeq
+	}
+	if st.builtMaxDepth != nil {
+		next.BuiltMaxDepth = *st.builtMaxDepth
+	}
+	if err := writeManifest(x.dir, &next); err != nil {
 		return nil, err
 	}
-	x.byItem = make(map[itemset.Item]int, len(newShards))
-	for i, e := range newShards {
+	x.manifest = &next
+	x.byItem = make(map[itemset.Item]int, len(next.Shards))
+	for i, e := range next.Shards {
 		x.byItem[itemset.Item(e.Item)] = i
 	}
-	st.obsolete = obsolete
 	return report, nil
 }
 
-// Sweep removes the files Commit made obsolete, best-effort: no manifest
-// references them, so a leftover is harmless and the next rewrite of the
-// index clears it. Run it once the locks held across Commit are released.
+// Sweep removes every shard-* file of the index directory the live manifest
+// does not name: the files a commit superseded, the staged files of a batch
+// that failed or was never committed, the files of a rewritten index. It is
+// best-effort: no manifest names those files, so a leftover is harmless and
+// the next Sweep clears it. Run it once the locks held across Commit are
+// released.
+//
+// The one rule is safe because one writer owns an index directory — the
+// engine's applyMu serializes its checkpoints, and Write works through a
+// handle of its own — so no other batch is staging files the manifest does
+// not name yet.
 func (st *StagedShards) Sweep() {
-	st.remove(st.obsolete)
-	st.obsolete = nil
+	m := st.x.Manifest()
+	removeUnreferencedShardFiles(st.x.dir, &m)
 }

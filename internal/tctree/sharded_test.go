@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"themecomm/internal/dbnet"
+	"themecomm/internal/durable"
 	"themecomm/internal/itemset"
 )
 
@@ -238,12 +239,27 @@ func TestReadManifestRejectsBadFileNames(t *testing.T) {
 	}
 }
 
+// TestReadManifestRejectsBadChecksums requires every entry's checksum to be
+// what the encoder writes: "crc32c:" and eight lowercase hex digits.
+func TestReadManifestRejectsBadChecksums(t *testing.T) {
+	dir := t.TempDir()
+	for _, checksum := range []string{"", "crc32c:", "crc32c:0000000", "crc32c:000000000", "crc32c:DEADBEEF", "crc32:deadbeef", "crc32c:deadbeeg"} {
+		manifest := fmt.Sprintf(`{"version":2,"format":"tcbin","shards":[{"item":1,"file":"shard-1.tcbin","nodes":1,"depth":1,"maxAlpha":1,"checksum":%q}]}`, checksum)
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(manifest), 0o644); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("manifest with checksum %q returned %v, want a checksum error", checksum, err)
+		}
+	}
+}
+
 // FuzzReadManifest feeds hostile bytes to ReadManifest as a directory's
 // index.manifest. It must never panic, and every manifest it accepts must
 // keep what it promises its callers: the TCBIN format, unique shard items in
 // ascending order, file names that stay inside the directory and are not the
-// manifest itself, at least one node per shard, and a bloom filter that
-// decodes. The seeds are a real manifest, one whose entries also carry the
+// manifest itself, at least one node per shard, a checksum of "crc32c:" and
+// eight lowercase hex digits, and a bloom filter that decodes. The seeds are a real manifest, one whose entries also carry the
 // per-depth α* histogram this release no longer reads, and one of a version 1
 // index, which it refuses.
 func FuzzReadManifest(f *testing.F) {
@@ -285,6 +301,9 @@ func FuzzReadManifest(f *testing.F) {
 			}
 			if e.Nodes < 1 {
 				t.Fatalf("accepted shard %d with %d nodes", e.Item, e.Nodes)
+			}
+			if hex, ok := strings.CutPrefix(e.Checksum, "crc32c:"); !ok || len(hex) != 8 || strings.Trim(hex, "0123456789abcdef") != "" {
+				t.Fatalf("accepted shard %d with checksum %q", e.Item, e.Checksum)
 			}
 			if _, err := e.DecodeBloom(); err != nil {
 				t.Fatalf("accepted shard %d whose bloom does not decode: %v", e.Item, err)
@@ -499,16 +518,16 @@ func TestCommitLeavesTheSweepToTheCaller(t *testing.T) {
 				}
 				onDisk := shardFiles(t, dir)
 				if outcome == "failed" {
-					testInjectWriteErr = func(name string) error {
+					durable.Fault = func(name string) error {
 						if name == ManifestName {
 							return fmt.Errorf("injected manifest write failure")
 						}
 						return nil
 					}
-					defer func() { testInjectWriteErr = nil }()
+					defer func() { durable.Fault = nil }()
 				}
 				_, err = staged.Commit()
-				testInjectWriteErr = nil
+				durable.Fault = nil
 				if (err != nil) != (outcome == "failed") {
 					t.Fatalf("Commit returned %v for the %s case", err, outcome)
 				}
