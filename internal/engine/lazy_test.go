@@ -212,8 +212,8 @@ func TestLazyEvictionBudget(t *testing.T) {
 }
 
 // planEntryPoints lists the ways of executing a plan for (q, alpha): the
-// drained queries, Explain and both pulled streams, each reduced to its
-// error.
+// drained queries, Explain, both pulled streams and the top-k, each reduced
+// to its error.
 func planEntryPoints(ctx context.Context, q itemset.Itemset, alpha float64) map[string]func(*Engine) error {
 	pull := func(st *Stream, err error) error {
 		if err != nil {
@@ -232,6 +232,7 @@ func planEntryPoints(ctx context.Context, q itemset.Itemset, alpha float64) map[
 		"Explain":         func(e *Engine) error { _, err := e.ExplainContext(ctx, q, alpha, ModeSub); return err },
 		"StreamQuery":     func(e *Engine) error { return pull(e.StreamQuery(ctx, q, alpha)) },
 		"StreamTopK":      func(e *Engine) error { return pull(e.StreamTopK(ctx, q, alpha, 0)) },
+		"TopK":            func(e *Engine) error { _, _, err := e.TopKWithResultContext(ctx, q, alpha, 3); return err },
 	}
 }
 

@@ -85,10 +85,11 @@ type Stats struct {
 	TopKQueries uint64 `json:"topKQueries"`
 	Explains    uint64 `json:"explains,omitempty"`
 	// Streams counts StreamQuery/StreamTopK calls; ShardsShortCircuited
-	// counts scheduled shard tasks streams never opened because top-k early
-	// termination proved their α* bound could not improve the answer —
-	// relevant, non-α*-skipped shards that were nonetheless neither traversed
-	// nor (on a lazy engine) read from disk.
+	// counts scheduled shard tasks ranked executions (top-k streams and
+	// TopKWithResultContext) never opened because their α* bound proved they
+	// could not improve the answer — relevant, non-α*-skipped shards that
+	// were nonetheless neither traversed nor (on a lazy engine) read from
+	// disk.
 	Streams              uint64 `json:"streams,omitempty"`
 	ShardsShortCircuited uint64 `json:"shardsShortCircuited,omitempty"`
 	// IndexEpoch counts index swaps (shard reloads and applied deltas);

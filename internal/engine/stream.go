@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"themecomm/internal/itemset"
@@ -20,21 +21,27 @@ import (
 // task into an answer: acquire the shard, traverse it, fill the record. The
 // entry points differ in which tasks they open, and when:
 //
-//   - drained (the …Context queries, the batch, the top-k, Explain): every
-//     scheduled task is opened at once on the bounded worker pool, in the
-//     plan's ascending root-item order, and the answers are concatenated in
-//     that order. The caller holds the engine's update lock for reading throughout;
-//     QueryContext puts the result cache around it.
+//   - drained (the …Context queries, the batch, Explain): every scheduled
+//     task is opened at once by the caller and up to workers−1 helpers, in
+//     the plan's ascending root-item order, and the answers are concatenated
+//     in that order. The caller holds the engine's update lock for reading
+//     throughout; QueryContext puts the result cache around it.
 //   - pulled (StreamQuery, StreamTopK): tasks open one at a time as the caller
 //     pulls, so a query holds one shard's answer rather than the whole result
 //     set, and bypasses the result cache in both directions. A plain stream
 //     opens shards in ascending root-item order and yields the drained order.
-//     A ranked stream yields the top-k order: opened shards feed a k-way heap
-//     keyed by lessRanked and open in descending α*-bound order — the bound
-//     caps the cohesion of every community of the shard, so once the heap
-//     head strictly beats the best unopened bound the rest provably cannot
+//   - ranked (StreamTopK, and TopKWithResultContext, which pulls the same
+//     execution to its end under the update lock): opened shards feed a
+//     k-way heap keyed by lessRanked and open in descending α*-bound order.
+//     The bound caps the cohesion of every community of the shard, so once
+//     the heap head strictly beats the best unopened bound the rest cannot
 //     contribute an earlier community, and a caller that stops at k never
-//     loads them (Close tallies them as ShardsShortCircuited).
+//     loads them (Close tallies them as ShardsShortCircuited). With k > 0 a
+//     truss.Floor shared by every open holds the k best cohesions retrieved
+//     so far: a shard traversal skips a child and its subtree, and the
+//     stream stops opening shards, once the bound lies below the floor by
+//     more than the cohesion tolerance — no community there can rank among
+//     the k best.
 //
 // A pulled stream does NOT hold the update lock between pulls. It captures
 // the shard table and index epoch at creation; every open re-takes the read
@@ -127,10 +134,17 @@ type Stream struct {
 	// schedule into its own open order.
 	next int
 
-	ranked  bool
-	k       int
+	ranked bool
+	k      int
+	// floor holds the k best cohesions a ranked stream with k > 0 has
+	// retrieved, and prunes by them; nil otherwise.
+	floor   *truss.Floor
 	heap    []*shardCursor // the opened, unexhausted shards, keyed by head()
 	emitted int
+	// held says the caller holds updateMu for reading from plan to last
+	// open (TopKWithResultContext), so an open neither re-takes the lock nor
+	// re-checks the epoch.
+	held bool
 
 	err    error
 	closed bool
@@ -206,39 +220,42 @@ func (st *Stream) open(i int) error {
 		// Every item of every indexed pattern is a shard root, so a pattern
 		// covering them all admits every child: nil says so, and the
 		// traversal tests none.
-		run.ShardAnswer = view.QuerySub(nil, st.plan.Alpha)
+		run.ShardAnswer = view.QuerySub(nil, st.plan.Alpha, st.floor)
 	default:
-		run.ShardAnswer = view.QuerySub(st.plan.Pattern, st.plan.Alpha)
+		run.ShardAnswer = view.QuerySub(st.plan.Pattern, st.plan.Alpha, st.floor)
 	}
 	run.dur, run.load, run.opened = time.Since(start), load, true
 	return nil
 }
 
-// drain opens every scheduled task on the worker pool, in schedule order, and
-// concatenates the per-task answers in ascending root-item order. Load failures are joined; a done
-// context is reported once, not once per shard it kept closed. The caller
-// holds updateMu for reading across the call.
+// drain opens every scheduled task and concatenates the per-task answers in
+// ascending root-item order. The caller and up to workers−1 helpers pull
+// schedule positions from one counter until none is left, so the tasks open
+// in schedule order and each result lands at its position; every open still
+// takes a traversal slot, so the worker bound holds across concurrent
+// queries, not just within one. Load failures are joined; a done context is
+// reported once, not once per shard it kept closed. The caller holds
+// updateMu for reading across the call.
 func (st *Stream) drain() (*Answer, error) {
 	execStart := time.Now()
 	order := st.plan.Order
 	errs := make([]error, len(order))
-	if st.e.workers == 1 || len(order) == 1 {
-		// Inline opens still take a slot each, so the worker bound holds
-		// across concurrent queries, not just within one.
-		for n, i := range order {
-			errs[n] = st.open(i)
+	var pos atomic.Int64
+	pull := func() {
+		for n := int(pos.Add(1) - 1); n < len(order); n = int(pos.Add(1) - 1) {
+			errs[n] = st.open(order[n])
 		}
-	} else {
-		var wg sync.WaitGroup
-		for n, i := range order {
-			wg.Add(1)
-			go func(n, i int) {
-				defer wg.Done()
-				errs[n] = st.open(i)
-			}(n, i)
-		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for range min(st.e.workers, len(order)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pull()
+		}()
+	}
+	pull()
+	wg.Wait()
 	st.next = len(order)
 	mergeStart := time.Now()
 	st.execDur = mergeStart.Sub(execStart)
@@ -269,35 +286,45 @@ func (st *Stream) drain() (*Answer, error) {
 // by the largest single shard's answer. A nil q means every item. The result
 // cache is bypassed in both directions. See Stream for the pulling contract.
 func (e *Engine) StreamQuery(ctx context.Context, q itemset.Itemset, alphaQ float64) (*Stream, error) {
-	return e.stream(ctx, q, alphaQ, false, 0), nil
+	return e.pulled(ctx, q, alphaQ, false, 0), nil
 }
 
 // StreamTopK answers (q, alphaQ) as a pull-based stream of ranked
 // communities in exactly the order TopKWithResultContext(ctx, q, alphaQ, k)
-// ranks them. Shards
-// open lazily in descending α*-bound order and the stream ends after k
-// communities (k <= 0 means every community): shards whose bound cannot
-// beat the already-emitted answer are never loaded or traversed. See
-// Stream.
+// ranks them. Shards open lazily in descending α*-bound order and the stream
+// ends after k communities (k <= 0 means every community): shards, and
+// subtrees within a shard, whose bound cannot reach the k best are never
+// loaded or traversed. See Stream.
 func (e *Engine) StreamTopK(ctx context.Context, q itemset.Itemset, alphaQ float64, k int) (*Stream, error) {
-	return e.stream(ctx, q, alphaQ, true, k), nil
+	return e.pulled(ctx, q, alphaQ, true, k), nil
 }
 
-// stream plans a pulled execution; a ranked one re-sorts its schedule into
-// pull order, a plain one opens in the plan's ascending root-item order.
-func (e *Engine) stream(ctx context.Context, q itemset.Itemset, alphaQ float64, ranked bool, k int) *Stream {
+// pulled plans a stream the caller pulls: counted in Streams, planned under
+// the update lock, opened later under it.
+func (e *Engine) pulled(ctx context.Context, q itemset.Itemset, alphaQ float64, ranked bool, k int) *Stream {
 	start := time.Now()
 	e.streams.Add(1)
 	e.updateMu.RLock()
 	defer e.updateMu.RUnlock()
+	return e.stream(ctx, start, q, alphaQ, ranked, k)
+}
+
+// stream plans a pulled execution; a ranked one re-sorts its schedule into
+// pull order, a plain one opens in the plan's ascending root-item order.
+// Callers hold updateMu for reading.
+func (e *Engine) stream(ctx context.Context, start time.Time, q itemset.Itemset, alphaQ float64, ranked bool, k int) *Stream {
 	t := e.table.Load()
 	eff, full := canonical(t, q)
 	st := e.newStream(ctx, t, start, eff, full, alphaQ, ModeSub, false)
 	st.ranked, st.k = ranked, k
 	if ranked {
+		if k > 0 {
+			st.floor = truss.NewFloor(k)
+		}
 		// Open order: descending α* bound, so the cohesion-ordered merge can
 		// stop opening as soon as the heap head beats the best remaining
-		// bound. Ties break on the root item for determinism.
+		// bound, or the floor does. Ties break on the root item for
+		// determinism.
 		orderStart := time.Now()
 		order, tasks := st.plan.Order, st.plan.Tasks
 		sort.Slice(order, func(a, b int) bool {
@@ -330,8 +357,10 @@ func (st *Stream) Next() (*truss.Community, error) {
 	// Open the next shard when nothing is left to emit, and — ranked — while
 	// its α* bound reaches the heap head's cohesion: it could still hold a
 	// community that orders before the head (a tie can win on size). A plain
-	// stream therefore has one cursor at a time, and emits it whole.
-	for st.next < len(order) && (len(st.heap) == 0 ||
+	// stream therefore has one cursor at a time, and emits it whole. Bounds
+	// descend along a ranked schedule, so once the floor prunes the next
+	// shard it prunes every later one: the stream opens no more.
+	for st.next < len(order) && !st.floor.Prunes(tasks[order[st.next]].MaxAlpha) && (len(st.heap) == 0 ||
 		st.ranked && tasks[order[st.next]].MaxAlpha >= st.heap[0].head().Cohesion) {
 		if st.err = st.openNext(); st.err != nil {
 			return nil, st.err
@@ -357,17 +386,20 @@ func (st *Stream) Next() (*truss.Community, error) {
 // communities, if any, onto the merge heap as a cursor — ordered by
 // lessRanked in ranked mode: patterns of distinct shards start with distinct
 // root items, so merging per-shard sorted lists under the same comparator
-// reproduces the top-k global order record for record. The open holds the
-// engine's update lock for reading and re-checks the index epoch on an
-// index-backed engine, so a stream never mixes pre- and post-delta shards.
+// reproduces the top-k global order record for record. Unless the caller
+// holds it across the execution, the open takes the engine's update lock for
+// reading and re-checks the index epoch on an index-backed engine, so a
+// stream never mixes pre- and post-delta shards.
 func (st *Stream) openNext() error {
 	i := st.plan.Order[st.next]
 	st.next++
 	e := st.e
-	e.updateMu.RLock()
-	defer e.updateMu.RUnlock()
-	if e.idx != nil && e.epoch.Load() != st.epoch {
-		return ErrEpochChanged
+	if !st.held {
+		e.updateMu.RLock()
+		defer e.updateMu.RUnlock()
+		if e.idx != nil && e.epoch.Load() != st.epoch {
+			return ErrEpochChanged
+		}
 	}
 	if err := st.open(i); err != nil {
 		return err
@@ -437,12 +469,18 @@ func (st *Stream) Close() {
 	if st.closed {
 		return
 	}
+	total := st.finish()
+	st.observe(total, total-st.planDur)
+}
+
+// finish closes the stream, credits its short-circuited shards to the engine
+// and returns its wall time so far.
+func (st *Stream) finish() time.Duration {
 	st.closed = true
 	if n := st.Stats().ShardsShortCircuited; n > 0 {
 		st.e.shortCircuited.Add(uint64(n))
 	}
-	total := time.Since(st.start)
-	st.observe(total, total-st.planDur)
+	return time.Since(st.start)
 }
 
 // observe hands the finished execution to the engine's recorder. stream is

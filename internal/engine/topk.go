@@ -2,58 +2,54 @@ package engine
 
 import (
 	"context"
-	"slices"
+	"time"
 
 	"themecomm/internal/itemset"
 	"themecomm/internal/truss"
 )
 
-// TopKWithResultContext answers (q, α_q) like QueryContext and also returns
-// its k best communities, ranked by descending cohesion — the largest
-// threshold at which a community survives intact — then descending size
-// (vertices, then edges), with a deterministic pattern/vertex tiebreak. k <= 0
-// means every community. It ranks the possibly cached answer, so repeated
-// top-k workloads hit the result cache. cmd/tcload pins the name.
+// This file is the ranked answer: TopKWithResultContext, the order it ranks
+// by (lessRanked), and the binary heap the ranked merge keeps. A top-k is one
+// ranked execution of the one executor (stream.go): shards open in
+// descending α*-bound order, a truss.Floor of the k best cohesions retrieved
+// so far prunes every shard and subtree whose bound cannot reach it, and a
+// k-way merge of the opened shards' ranked communities yields the answer.
+
+// TopKWithResultContext answers (q, α_q) with its k best communities, ranked
+// by descending cohesion — the largest threshold at which a community
+// survives intact — then descending size (vertices, then edges), with a
+// deterministic pattern/vertex tiebreak. k <= 0 means every community. It
+// pulls the ranked execution StreamTopK hands out to its end, holding the
+// engine's update lock for reading from plan to last open, so it never
+// fails with ErrEpochChanged; the returned Answer carries the ranked
+// communities and what the execution retrieved and visited, which is less
+// than QueryContext's full answer whenever the floor prunes. The result cache
+// is bypassed in both directions. It counts in TopKQueries and Queries.
+// cmd/tcload pins the name.
 func (e *Engine) TopKWithResultContext(ctx context.Context, q itemset.Itemset, alphaQ float64, k int) (*Answer, []truss.Community, error) {
+	start := time.Now()
 	e.topKs.Add(1)
-	res, err := e.QueryContext(ctx, q, alphaQ)
+	e.queries.Add(1)
+	e.updateMu.RLock()
+	defer e.updateMu.RUnlock()
+	st := e.stream(ctx, start, q, alphaQ, true, k)
+	st.held = true
+	// Appended, never sized by k: k has no upper bound.
+	var ranked []truss.Community
+	rc, err := st.Next()
+	for ; rc != nil; rc, err = st.Next() {
+		ranked = append(ranked, *rc)
+	}
+	total := st.finish()
+	// A drained execution delivers through its merge: what the pulls spent
+	// beyond planning and opening shards.
+	st.mergeDur = max(total-st.planDur-st.execDur, 0)
+	st.observe(total, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, bestK(res.Communities, k), nil
-}
-
-// bestK returns the k communities that order first under lessRanked, in that
-// order, leaving comms (a possibly cached answer) untouched. lessRanked is a
-// strict total order on the communities of one answer, so selecting is the
-// same as sorting everything and truncating; it keeps a heap of k records
-// with the worst of them on top and looks at every other record once.
-func bestK(comms []truss.Community, k int) []truss.Community {
-	if k <= 0 || k >= len(comms) {
-		out := slices.Clone(comms)
-		slices.SortFunc(out, compareRanked)
-		return out
-	}
-	worse := func(a, b *truss.Community) bool { return lessRanked(b, a) }
-	best := make([]*truss.Community, k)
-	for i := range best {
-		best[i] = &comms[i]
-	}
-	for i := k/2 - 1; i >= 0; i-- {
-		siftDown(best, i, worse)
-	}
-	for i := k; i < len(comms); i++ {
-		if c := &comms[i]; lessRanked(c, best[0]) {
-			best[0] = c
-			siftDown(best, 0, worse)
-		}
-	}
-	out := make([]truss.Community, k)
-	for i, c := range best {
-		out[i] = *c
-	}
-	slices.SortFunc(out, compareRanked)
-	return out
+	stats := st.Stats()
+	return &Answer{Communities: ranked, RetrievedNodes: stats.RetrievedNodes, VisitedNodes: stats.VisitedNodes, Duration: total}, ranked, nil
 }
 
 // siftDown restores a binary heap after h[i] changed: it sinks until neither

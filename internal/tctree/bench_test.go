@@ -163,7 +163,7 @@ func BenchmarkShardCommunities(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, alpha := range scanAlphas {
 			for _, sh := range shards {
-				benchAnswer = sh.QuerySub(universe, alpha)
+				benchAnswer = sh.QuerySub(universe, alpha, nil)
 				communities += len(benchAnswer.Communities)
 			}
 		}

@@ -54,6 +54,9 @@ const (
 
 var binLE = binary.LittleEndian
 
+// ceilingPool recycles DecodeBinShard's per-node bound table.
+var ceilingPool = sync.Pool{New: func() any { return new([]float64) }}
+
 // BinShard is an opened TCBIN shard: validated once, then traversed in
 // place. The backing bytes are a memory map of the shard file on linux
 // (shared by every shard its ShardFile loads from the same file generation,
@@ -406,7 +409,19 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 		}
 	}
 
-	seenChild := make([]bool, nodeCount)
+	// ceiling[i] is NaN until a parent lists node i, then the least α* bound
+	// on i's path from the root: the parent's, lowered to i's own once
+	// checked against it. A ranked traversal that prunes a node trusts every
+	// bound beneath it to exceed the node's by at most the tolerance
+	// (truss.Floor). A node no parent lists is not reached and not checked.
+	// The slice is pooled: every lazy shard load decodes.
+	cp := ceilingPool.Get().(*[]float64)
+	defer ceilingPool.Put(cp)
+	ceiling := slices.Grow((*cp)[:0], int(nodeCount))[:nodeCount]
+	*cp = ceiling
+	for i := range ceiling {
+		ceiling[i] = math.NaN()
+	}
 	for i := uint32(0); i < nodeCount; i++ {
 		itemIdx := b.nodeU32(i, binNodeItemIdx)
 		if itemIdx >= dictCount {
@@ -450,6 +465,14 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 				return fail("node %d: level %d: edges are not ascending position pairs i < j < %d", i, l-ls, fc)
 			}
 		}
+		bound := prevAlpha
+		if !math.IsNaN(ceiling[i]) {
+			if !truss.BoundWithin(bound, ceiling[i]) {
+				return fail("node %d: α* bound %g exceeds an ancestor's, %g, by more than the tolerance", i, bound, ceiling[i])
+			}
+			bound = min(bound, ceiling[i])
+		}
+		ceiling[i] = bound
 		// Each child's item exceeds its parent's and its elder sibling's.
 		last := b.itemOf(i)
 		for c := cs; c < cs+cc; c++ {
@@ -457,10 +480,10 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 			if ci <= i || ci >= nodeCount {
 				return fail("node %d: child index %d breaks breadth-first order", i, ci)
 			}
-			if seenChild[ci] {
+			if !math.IsNaN(ceiling[ci]) {
 				return fail("node %d appears as a child twice", ci)
 			}
-			seenChild[ci] = true
+			ceiling[ci] = ceiling[i]
 			cItem := b.itemOf(ci)
 			if cItem <= last {
 				return fail("node %d: child item %d breaks set-enumeration order", i, cItem)
@@ -673,10 +696,10 @@ func (b *BinShard) Evicted() {
 	}
 }
 
-func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
+func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64, floor *truss.Floor) ShardAnswer {
 	var res ShardAnswer
 	res.Visited++
-	if !truss.LevelLive(b.nodeMaxAlpha(0), alphaQ) {
+	if bound := b.nodeMaxAlpha(0); !truss.LevelLive(bound, alphaQ) || floor.Prunes(bound) {
 		return res
 	}
 	sc := readScratchPool.Get().(*readScratch)
@@ -687,7 +710,7 @@ func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 	}
 	rootPat := itemset.New(b.item)
 	run, live := b.liveLevels(sc, 0, alphaQ)
-	res.retrieve(sc, rootPat, run, live, b.wide)
+	res.retrieve(sc, rootPat, run, live, b.wide, floor)
 	queue := []frame{{0, rootPat}}
 	for len(queue) > 0 {
 		f := queue[0]
@@ -700,12 +723,12 @@ func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 				continue
 			}
 			res.Visited++
-			if !truss.LevelLive(b.nodeMaxAlpha(ci), alphaQ) {
+			if bound := b.nodeMaxAlpha(ci); !truss.LevelLive(bound, alphaQ) || floor.Prunes(bound) {
 				continue
 			}
 			pat := extend(f.pat, it)
 			run, live := b.liveLevels(sc, ci, alphaQ)
-			res.retrieve(sc, pat, run, live, b.wide)
+			res.retrieve(sc, pat, run, live, b.wide, floor)
 			queue = append(queue, frame{ci, pat})
 		}
 	}
@@ -733,7 +756,7 @@ func (b *BinShard) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 	rootPat := itemset.New(b.item)
 	if need0 == q.Len() {
 		run, live := b.liveLevels(sc, 0, alphaQ)
-		res.retrieve(sc, rootPat, run, live, b.wide)
+		res.retrieve(sc, rootPat, run, live, b.wide, nil)
 	}
 	queue := []frame{{0, rootPat, need0}}
 	for len(queue) > 0 {
@@ -759,7 +782,7 @@ func (b *BinShard) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 			pat := extend(f.pat, it)
 			if need == q.Len() {
 				run, live := b.liveLevels(sc, ci, alphaQ)
-				res.retrieve(sc, pat, run, live, b.wide)
+				res.retrieve(sc, pat, run, live, b.wide, nil)
 			}
 			queue = append(queue, frame{ci, pat, need})
 		}

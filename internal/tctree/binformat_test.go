@@ -115,9 +115,16 @@ func TestBinShardRoundTrip(t *testing.T) {
 // TestBinShardViewParity drives the BinShard and NodeView implementations of
 // every ShardView method over the same query mix and requires identical
 // answers — the zero-copy traversal must be observationally equal to the
-// pointer-tree traversal, counters included.
+// pointer-tree traversal, counters included, ranked (under a floor) or not.
+// Seed 19's shards are single nodes, seed 25's reach depth 3.
 func TestBinShardViewParity(t *testing.T) {
-	tree, roots, bufs, entries := binShardFixtures(t, 19)
+	for _, seed := range []int64{19, 25} {
+		checkBinShardViewParity(t, seed)
+	}
+}
+
+func checkBinShardViewParity(t *testing.T, seed int64) {
+	tree, roots, bufs, entries := binShardFixtures(t, seed)
 	alphas := []float64{0, 0.1, 0.25, treeMaxAlpha(tree) / 2, treeMaxAlpha(tree), treeMaxAlpha(tree) + 1}
 	for i, root := range roots {
 		bin, err := DecodeBinShard(bufs[i], entries[i])
@@ -127,7 +134,11 @@ func TestBinShardViewParity(t *testing.T) {
 		view := NewNodeView(root)
 		for _, q := range shardQueryPatterns(root) {
 			for _, alpha := range alphas {
-				assertSameShardAnswer(t, "QuerySub", bin.QuerySub(q, alpha), view.QuerySub(q, alpha))
+				assertSameShardAnswer(t, "QuerySub", bin.QuerySub(q, alpha, nil), view.QuerySub(q, alpha, nil))
+				for _, k := range []int{1, 2} {
+					assertSameShardAnswer(t, fmt.Sprintf("ranked QuerySub, k=%d", k),
+						bin.QuerySub(q, alpha, truss.NewFloor(k)), view.QuerySub(q, alpha, truss.NewFloor(k)))
+				}
 				if q != nil {
 					assertSameShardAnswer(t, "QueryContaining",
 						bin.QueryContaining(q, alpha), view.QueryContaining(q, alpha))
@@ -255,6 +266,12 @@ func binStructuralCorruptions() []corruptCase {
 			putRootLastThreshold(d, math.Inf(1))
 			return reseal(d)
 		}, "not finite"},
+		{"child bound above its parent's", func(d []byte) []byte {
+			// Anti-monotonicity caps a child's α* bound at its parent's; a
+			// ranked traversal prunes whole subtrees on that promise.
+			putLastThreshold(d, firstChild(d), lastThreshold(d, 0)+1e-6)
+			return reseal(d)
+		}, "exceeds an ancestor's"},
 		{"self child", func(d []byte) []byte {
 			// Point the root's first child entry back at the root.
 			childOff := binary.LittleEndian.Uint64(d[56:])
@@ -265,19 +282,40 @@ func binStructuralCorruptions() []corruptCase {
 }
 
 // putRootLastThreshold overwrites the threshold of the root's last level.
-func putRootLastThreshold(d []byte, alpha float64) {
-	nodeOff := binary.LittleEndian.Uint64(d[48:])
-	levelStart := uint64(binary.LittleEndian.Uint32(d[nodeOff+binNodeLevelStart:]))
-	levelCount := uint64(binary.LittleEndian.Uint32(d[nodeOff+binNodeLevelCount:]))
-	levelOff := binary.LittleEndian.Uint64(d[72:])
-	binary.LittleEndian.PutUint64(d[levelOff+(levelStart+levelCount-1)*binLevelSize:], math.Float64bits(alpha))
+func putRootLastThreshold(d []byte, alpha float64) { putLastThreshold(d, 0, alpha) }
+
+// lastLevelAt returns where node's last level threshold lies in d.
+func lastLevelAt(d []byte, node uint32) uint64 {
+	rec := binary.LittleEndian.Uint64(d[48:]) + uint64(node)*binNodeSize
+	levelStart := uint64(binary.LittleEndian.Uint32(d[rec+binNodeLevelStart:]))
+	levelCount := uint64(binary.LittleEndian.Uint32(d[rec+binNodeLevelCount:]))
+	return binary.LittleEndian.Uint64(d[72:]) + (levelStart+levelCount-1)*binLevelSize
+}
+
+// lastThreshold is node's α* bound: the threshold of its last level.
+func lastThreshold(d []byte, node uint32) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(d[lastLevelAt(d, node):]))
+}
+
+// putLastThreshold overwrites the threshold of node's last level.
+func putLastThreshold(d []byte, node uint32, alpha float64) {
+	binary.LittleEndian.PutUint64(d[lastLevelAt(d, node):], math.Float64bits(alpha))
+}
+
+// firstChild is the node index of the root's first child.
+func firstChild(d []byte) uint32 {
+	le := binary.LittleEndian
+	rootRec, childOff := le.Uint64(d[48:]), le.Uint64(d[56:])
+	first := uint64(le.Uint32(d[rootRec+binNodeChildStart:]))
+	return le.Uint32(d[childOff+4*first:])
 }
 
 // TestDecodeBinShardRejectsCorruption runs every mutation over a valid shard
 // and requires a descriptive error — and no panic — from DecodeBinShard.
 func TestDecodeBinShardRejectsCorruption(t *testing.T) {
-	_, roots, bufs, entries := binShardFixtures(t, 19)
-	// Pick the largest shard so structural mutations hit real tables.
+	// Seed 25's largest shard has five nodes: structural mutations hit real
+	// child and level tables.
+	_, roots, bufs, entries := binShardFixtures(t, 25)
 	best := 0
 	for i := range bufs {
 		if len(bufs[i]) > len(bufs[best]) {
@@ -288,11 +326,10 @@ func TestDecodeBinShardRejectsCorruption(t *testing.T) {
 	if _, err := DecodeBinShard(append([]byte(nil), valid...), entry); err != nil {
 		t.Fatalf("valid shard rejected: %v", err)
 	}
-	cases := binCorruptions()
-	if roots[best].Children != nil {
-		cases = append(cases, binStructuralCorruptions()...)
+	if roots[best].Children == nil {
+		t.Fatalf("the largest fixture shard has one node; pick a seed with a deeper shard")
 	}
-	for _, c := range cases {
+	for _, c := range append(binCorruptions(), binStructuralCorruptions()...) {
 		t.Run(c.name, func(t *testing.T) {
 			data := c.mutate(append([]byte(nil), valid...))
 			sh, err := DecodeBinShard(data, footerEntry(data, entry))
@@ -324,6 +361,14 @@ func TestDecodeBinShardRejectsCorruption(t *testing.T) {
 	badChecksum.Checksum = "crc32c:00000000"
 	if _, err := DecodeBinShard(append([]byte(nil), valid...), badChecksum); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("shard decoded under a manifest entry with another checksum: %v", err)
+	}
+
+	// Bounds computed along different paths drift by a few ULPs; the
+	// decoder compares within the tolerance, never exactly.
+	drift := append([]byte(nil), valid...)
+	putLastThreshold(drift, firstChild(drift), lastThreshold(drift, 0)+cohesionTolerance/2)
+	if _, err := DecodeBinShard(reseal(drift), footerEntry(drift, entry)); err != nil {
+		t.Fatalf("a child bound within the tolerance above its parent's was refused: %v", err)
 	}
 }
 
@@ -372,9 +417,9 @@ func TestWriteShardedBinaryRoundTrip(t *testing.T) {
 	// still holds it answers as before, and a view over heap bytes is left
 	// alone.
 	q := itemset.New(itemset.Item(m.Shards[0].Item))
-	before := view.QuerySub(q, 0)
+	before := view.QuerySub(q, 0, nil)
 	view.Evicted()
-	assertSameShardAnswer(t, "after Evicted", view.QuerySub(q, 0), before)
+	assertSameShardAnswer(t, "after Evicted", view.QuerySub(q, 0, nil), before)
 	_, _, bufs, entries := binShardFixtures(t, 19)
 	heap, err := DecodeBinShard(bufs[0], entries[0])
 	if err != nil {
@@ -559,7 +604,7 @@ func TestDecodeBinShardRefusesBadPairs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the wide shard is refused: %v", err)
 	}
-	if got := sh.QuerySub(itemset.New(1), 0).Communities; len(got) != 1 || !slices.Equal(got[0].Vertices, []graph.VertexID{0, binNarrowRun}) {
+	if got := sh.QuerySub(itemset.New(1), 0, nil).Communities; len(got) != 1 || !slices.Equal(got[0].Vertices, []graph.VertexID{0, binNarrowRun}) {
 		t.Fatalf("the wide shard answers %+v", got)
 	}
 	narrowed := rewidth(enc.Data)
@@ -626,7 +671,7 @@ func TestSpliceRepacksAcrossWidths(t *testing.T) {
 // twice, and Materialize, which validates the decomposition, refuses it.
 func TestDecodeBinShardAcceptsAnEdgeInTwoLevels(t *testing.T) {
 	sh := openEncoded(t, edgeInTwoLevels())
-	got := sh.QuerySub(itemset.New(1), 0).Communities
+	got := sh.QuerySub(itemset.New(1), 0, nil).Communities
 	if len(got) != 1 || got[0].Edges != 3 || !slices.Equal(got[0].Vertices, []graph.VertexID{10, 20, 30}) || got[0].Cohesion != 0.5 {
 		t.Fatalf("an edge in two levels answers %+v, want one community of 3 vertices and 3 edges", got)
 	}
@@ -683,6 +728,11 @@ func FuzzTCBINDecode(f *testing.F) {
 		infThreshold := append([]byte(nil), buf...)
 		putRootLastThreshold(infThreshold, math.Inf(1))
 		f.Add(reseal(infThreshold))
+		if c.Children != nil {
+			childAbove := append([]byte(nil), buf...)
+			putLastThreshold(childAbove, firstChild(childAbove), lastThreshold(childAbove, 0)+1e-6)
+			f.Add(reseal(childAbove))
+		}
 	}
 	enc, err := encodeShardBinary(edgeInTwoLevels())
 	if err != nil {
@@ -705,8 +755,8 @@ func FuzzTCBINDecode(f *testing.F) {
 		sh.WalkPatterns(func(itemset.Itemset) {})
 		root := sh.RootItem()
 		for _, alpha := range []float64{0, 0.5} {
-			sh.QuerySub(nil, alpha)
-			sh.QuerySub(itemset.New(root), alpha)
+			sh.QuerySub(nil, alpha, nil)
+			sh.QuerySub(itemset.New(root), alpha, nil)
 			sh.QueryContaining(itemset.New(root), alpha)
 		}
 		// Materialize re-validates every decomposition and may refuse one

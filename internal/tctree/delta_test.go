@@ -62,17 +62,28 @@ func commitNodes(idx *ShardedIndex, subtrees map[itemset.Item]*Node) (*CommitRep
 // the index still opens clean on the old manifest, answers queries
 // identically, and that reopening sweeps the orphaned temp files.
 func TestCommitShardsCrashSafety(t *testing.T) {
-	tree := buildShardedTestTree(t, 19)
+	tree := buildShardedTestTree(t, 25)
 	other := buildShardedTestTree(t, 31)
+	// The old index must have a shard below its root, or the query by alpha
+	// compared at the end checks only roots.
+	deep := false
+	for _, c := range tree.Root().Children {
+		deep = deep || c.Children != nil
+	}
+	if !deep {
+		t.Fatalf("every shard of the fixture has one node; pick another seed")
+	}
+	// The replacement must differ from the shard it would replace, or a
+	// commit that went through would answer the same.
 	var replacement *Node
 	for _, c := range other.Root().Children {
-		if tree.Root().Descendant(c.Pattern) != nil {
+		if old := tree.Root().Descendant(c.Pattern); old != nil && !sameShardBytes(t, old, c) {
 			replacement = c
 			break
 		}
 	}
 	if replacement == nil {
-		t.Fatalf("trees share no root item; pick other seeds")
+		t.Fatalf("no shard of the other tree replaces one of the fixture's with other bytes; pick other seeds")
 	}
 
 	for _, failOn := range []string{"shard", "manifest"} {
@@ -124,8 +135,26 @@ func TestCommitShardsCrashSafety(t *testing.T) {
 				t.Fatalf("LoadTree after failed commit: %v", err)
 			}
 			assertIdenticalAnswer(t, loaded.Query(nil, 0), tree.Query(nil, 0))
+			// Query(nil, 0) retrieves nothing on a Tree; the query by alpha
+			// at 0 retrieves every node of every shard.
+			assertIdenticalAnswer(t, loaded.QueryByAlpha(0), tree.QueryByAlpha(0))
 		})
 	}
+}
+
+// sameShardBytes reports whether two shard subtrees encode to the same TCBIN
+// bytes.
+func sameShardBytes(t *testing.T, a, b *Node) bool {
+	t.Helper()
+	ea, err := encodeShardBinary(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := encodeShardBinary(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ea.Data, eb.Data)
 }
 
 // TestFailedRewriteKeepsTheOldIndex writes index A, then index B over the

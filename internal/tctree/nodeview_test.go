@@ -21,7 +21,7 @@ func NewNodeView(root *Node) *NodeView { return &NodeView{root: root} }
 // record: the vertex run is the keys of the decomposition's Freq, sorted into
 // the scratch, and the levels live at α_q are numbered by it — u32 position
 // pairs in pairs, a buffer the traversal reuses from node to node.
-func retrieveNode(res *ShardAnswer, sc *readScratch, pairs *[]byte, n *Node, alphaQ float64) {
+func retrieveNode(res *ShardAnswer, sc *readScratch, pairs *[]byte, n *Node, alphaQ float64, floor *truss.Floor) {
 	run := sc.run[:0]
 	for v := range n.Decomp.Freq {
 		run = append(run, v)
@@ -40,7 +40,7 @@ func retrieveNode(res *ShardAnswer, sc *readScratch, pairs *[]byte, n *Node, alp
 		levels = append(levels, truss.PairLevel{Alpha: l.Alpha, Pairs: buf[start:]})
 	}
 	*pairs, sc.levels = buf, levels
-	res.retrieve(sc, n.Pattern, run, levels, true)
+	res.retrieve(sc, n.Pattern, run, levels, true, floor)
 }
 
 func (v *NodeView) RootItem() itemset.Item { return v.root.Item }
@@ -49,16 +49,16 @@ func (v *NodeView) SizeBytes() int64 { return 0 }
 
 func (v *NodeView) Evicted() {}
 
-func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
+func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64, floor *truss.Floor) ShardAnswer {
 	var res ShardAnswer
 	res.Visited++
-	if !truss.LevelLive(v.root.Decomp.MaxAlpha(), alphaQ) {
+	if bound := v.root.Decomp.MaxAlpha(); !truss.LevelLive(bound, alphaQ) || floor.Prunes(bound) {
 		return res
 	}
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
 	var pairs []byte
-	retrieveNode(&res, sc, &pairs, v.root, alphaQ)
+	retrieveNode(&res, sc, &pairs, v.root, alphaQ, floor)
 	queue := []*Node{v.root}
 	for len(queue) > 0 {
 		nf := queue[0]
@@ -68,10 +68,10 @@ func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer {
 				continue
 			}
 			res.Visited++
-			if !truss.LevelLive(nc.Decomp.MaxAlpha(), alphaQ) {
+			if bound := nc.Decomp.MaxAlpha(); !truss.LevelLive(bound, alphaQ) || floor.Prunes(bound) {
 				continue
 			}
-			retrieveNode(&res, sc, &pairs, nc, alphaQ)
+			retrieveNode(&res, sc, &pairs, nc, alphaQ, floor)
 			queue = append(queue, nc)
 		}
 	}
@@ -97,7 +97,7 @@ func (v *NodeView) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 	defer readScratchPool.Put(sc)
 	var pairs []byte
 	if need == q.Len() {
-		retrieveNode(&res, sc, &pairs, v.root, alphaQ)
+		retrieveNode(&res, sc, &pairs, v.root, alphaQ, nil)
 	}
 	type frame struct {
 		n    *Node
@@ -122,7 +122,7 @@ func (v *NodeView) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 				continue
 			}
 			if need == q.Len() {
-				retrieveNode(&res, sc, &pairs, c, alphaQ)
+				retrieveNode(&res, sc, &pairs, c, alphaQ, nil)
 			}
 			queue = append(queue, frame{c, need})
 		}

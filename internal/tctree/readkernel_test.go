@@ -180,7 +180,7 @@ func TestReadKernelMatchesReferenceOnGeneratedDatasets(t *testing.T) {
 						var got ShardAnswer
 						if rc.containing {
 							got = view.QueryContaining(rc.q, alpha)
-						} else if got = view.QuerySub(rc.q, alpha); got.Visited != rc.visited {
+						} else if got = view.QuerySub(rc.q, alpha, nil); got.Visited != rc.visited {
 							t.Fatalf("%s: visited %d nodes, the reference %d", label, got.Visited, rc.visited)
 						}
 						if got.Retrieved != rc.retrieved {
@@ -222,12 +222,12 @@ func TestHostileEdgesReachTheReadKernel(t *testing.T) {
 		hostile := &Node{Item: root.Item, Pattern: root.Pattern, Decomp: &d}
 
 		want := map[graph.VertexID]bool{}
-		for _, c := range NewNodeView(root).QuerySub(itemset.New(root.Item), 0).Communities {
+		for _, c := range NewNodeView(root).QuerySub(itemset.New(root.Item), 0, nil).Communities {
 			for _, v := range c.Vertices {
 				want[v] = true
 			}
 		}
-		got := openEncoded(t, hostile).QuerySub(itemset.New(root.Item), 0)
+		got := openEncoded(t, hostile).QuerySub(itemset.New(root.Item), 0, nil)
 		edges, seen := 0, map[graph.VertexID]bool{}
 		for _, c := range got.Communities {
 			edges += c.Edges
@@ -270,11 +270,11 @@ func TestQuerySubAllocatesPerRetrievedNode(t *testing.T) {
 	edges := 0
 	root.Walk(func(n *Node) { edges += n.Decomp.NumEdges() })
 	for kind, view := range shardViews(t, root) {
-		retrieved := view.QuerySub(universe, 0).Retrieved
+		retrieved := view.QuerySub(universe, 0, nil).Retrieved
 		if retrieved < 20 || edges < 10*retrieved {
 			t.Fatalf("shard %d retrieves %d nodes holding %d edges: too small to tell nodes from edges", root.Item, retrieved, edges)
 		}
-		allocs := testing.AllocsPerRun(20, func() { view.QuerySub(universe, 0) })
+		allocs := testing.AllocsPerRun(20, func() { view.QuerySub(universe, 0, nil) })
 		if limit := float64(2*retrieved + 32); allocs > limit {
 			t.Fatalf("%s.QuerySub: %.0f allocations for %d retrieved nodes (%d edges), want at most %.0f", kind, allocs, retrieved, edges, limit)
 		}
@@ -301,7 +301,7 @@ func TestConcurrentTraversalsShareNoScratch(t *testing.T) {
 		}
 		for _, v := range []ShardView{bin, NewNodeView(root)} {
 			views = append(views, v)
-			want = append(want, v.QuerySub(full, treeMaxAlpha(tree)/4))
+			want = append(want, v.QuerySub(full, treeMaxAlpha(tree)/4, nil))
 		}
 	}
 	var wg sync.WaitGroup
@@ -311,7 +311,7 @@ func TestConcurrentTraversalsShareNoScratch(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := (g + i) % len(views)
-				got := views[k].QuerySub(full, treeMaxAlpha(tree)/4)
+				got := views[k].QuerySub(full, treeMaxAlpha(tree)/4, nil)
 				if len(got.Communities) != len(want[k].Communities) {
 					t.Errorf("view %d: %d communities, alone %d", k, len(got.Communities), len(want[k].Communities))
 					return

@@ -33,7 +33,13 @@ type ShardView interface {
 	// empty at α_q (Proposition 5.2). The caller guarantees the root item
 	// is in q by shard selection. A nil q is every item — a query by alpha,
 	// or a pattern covering every indexed item — and tests no child.
-	QuerySub(q itemset.Itemset, alphaQ float64) ShardAnswer
+	//
+	// A non-nil floor makes the traversal ranked: it is offered the cohesion
+	// of every community retrieved, and a node (the root included) whose α*
+	// bound the floor prunes is visited but neither retrieved nor descended
+	// into — no community of its subtree can rank among the floor's k best.
+	// A nil floor is the unranked query.
+	QuerySub(q itemset.Itemset, alphaQ float64, floor *truss.Floor) ShardAnswer
 	// QueryContaining answers the containment workload: the communities of
 	// every indexed pattern p ⊇ q at α_q. The traversal descends only into
 	// children that can still reach a superset of q (set-enumeration order
@@ -66,12 +72,19 @@ type ShardAnswer struct {
 // retrieve records one retrieved node: the read kernel splits its live levels
 // — edges as position pairs into the node's vertex run, u32 when wide and u16
 // otherwise — into communities over the run, gathered in the scratch until
-// finish. It is the one place either view turns levels into records.
-func (res *ShardAnswer) retrieve(sc *readScratch, pattern itemset.Itemset, run []graph.VertexID, live []truss.PairLevel, wide bool) {
+// finish, and offers their cohesions to a ranked traversal's floor. It is the
+// one place either view turns levels into records.
+func (res *ShardAnswer) retrieve(sc *readScratch, pattern itemset.Itemset, run []graph.VertexID, live []truss.PairLevel, wide bool, floor *truss.Floor) {
+	from := len(sc.found)
 	if wide {
 		sc.found = truss.Split[uint32](&sc.split, pattern, run, live, sc.found)
 	} else {
 		sc.found = truss.Split[uint16](&sc.split, pattern, run, live, sc.found)
+	}
+	if floor != nil {
+		for i := from; i < len(sc.found); i++ {
+			floor.Offer(sc.found[i].Cohesion)
+		}
 	}
 	res.Retrieved++
 }
