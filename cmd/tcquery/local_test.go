@@ -12,6 +12,7 @@ import (
 	"themecomm/internal/dbnet"
 	"themecomm/internal/federation"
 	"themecomm/internal/gen"
+	"themecomm/internal/obs"
 	"themecomm/internal/server"
 	"themecomm/internal/tctree"
 )
@@ -46,10 +47,11 @@ func tcquery(t *testing.T, args ...string) string {
 }
 
 // serve starts a server over fed the way tcserver does, cold: no shard
-// resident and no result cache, like a fresh tcquery -tree process.
+// resident and no result cache, like a fresh tcquery -tree process, and
+// observed, so its answers carry a request id as a local server's do.
 func serve(t *testing.T, fed *federation.Federation) string {
 	t.Helper()
-	h, err := server.New(nil, server.Options{Federation: fed})
+	h, err := server.New(nil, server.Options{Federation: fed, Obs: obs.NewObserver(obs.ObserverOptions{})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -234,10 +235,14 @@ func TestLocalCloseWaitsForAnUpdate(t *testing.T) {
 		}
 		posted <- err
 	}()
-	// The request is in flight until its body ends.
+	// The request is in flight until its body ends. The write returning
+	// does not prove the server has accepted the connection, so wait until
+	// its handler runs: the scrape counts itself, so two in flight means
+	// the update is the other one.
 	if _, err := io.WriteString(w, `{"addTransactions":[`); err != nil {
 		t.Fatal(err)
 	}
+	waitInFlight(t, l.URL, 2)
 	closed := make(chan struct{})
 	go func() { l.Close(context.Background()); close(closed) }()
 	select {
@@ -257,6 +262,34 @@ func TestLocalCloseWaitsForAnUpdate(t *testing.T) {
 			t.Errorf("%s differs from a completed update's", rel)
 		}
 	}
+}
+
+// waitInFlight waits, for at most 5 s, until the server at url reports at
+// least n requests in flight on /metrics.
+func waitInFlight(t *testing.T, url string, n float64) {
+	t.Helper()
+	inFlight := regexp.MustCompile(`(?m)^tc_http_requests_in_flight (\S+)$`)
+	var last string
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := inFlight.FindSubmatch(body)
+		if m == nil {
+			t.Fatalf("/metrics (HTTP %d) has no tc_http_requests_in_flight:\n%s", resp.StatusCode, body)
+		}
+		last = string(m[1])
+		if v, err := strconv.ParseFloat(last, 64); err == nil && v >= n {
+			return
+		}
+	}
+	t.Fatalf("the server reports %s requests in flight after 5 s, want at least %v", last, n)
 }
 
 // An index given as the working directory is named after that directory.

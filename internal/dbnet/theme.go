@@ -66,13 +66,16 @@ func (nw *Network) ThemeNetwork(p itemset.Itemset) *ThemeNetwork {
 	default:
 		tn.addPositive(nw, nw.candidateVertices(p))
 	}
-	for i, v := range tn.Vertices {
-		above := tn.Vertices[i+1:]
+	// Membership is one lookup in the vertices' numbering. Neighbour lists
+	// ascend, so the edges come out ascending by (U, V).
+	num := graph.NumberRun(tn.Vertices)
+	defer num.Release()
+	for _, v := range tn.Vertices {
 		for _, w := range nw.g.Neighbors(v) {
 			if w <= v {
 				continue
 			}
-			if _, ok := slices.BinarySearch(above, w); ok {
+			if _, ok := num.Index(w); ok {
 				tn.Edges = append(tn.Edges, graph.Edge{U: v, V: w})
 			}
 		}
@@ -97,8 +100,11 @@ func (nw *Network) ThemeNetworkWithin(p itemset.Itemset, within graph.EdgeSet) *
 	slices.Sort(endpoints)
 	tn := &ThemeNetwork{Pattern: p.Clone()}
 	tn.addPositive(nw, slices.Compact(endpoints))
+	num := graph.NumberRun(tn.Vertices)
+	defer num.Release()
 	for _, e := range edges {
-		if tn.Frequency(e.U) > 0 && tn.Frequency(e.V) > 0 {
+		_, uok := num.Index(e.U)
+		if _, vok := num.Index(e.V); uok && vok {
 			tn.Edges = append(tn.Edges, e)
 		}
 	}

@@ -747,14 +747,18 @@ func (e *Engine) ApplyDeltaInMemory(nw *dbnet.Network, d *delta.Delta) (*DeltaRe
 	e.deltas.Add(1)
 	e.nodesRecomputed.Add(uint64(stats.Recomputed))
 	e.nodesReused.Add(uint64(stats.Reused))
-	return &DeltaResult{
+	res := &DeltaResult{
 		Affected:        affected,
 		Report:          report,
 		Epoch:           epoch,
 		RecomputedNodes: stats.Recomputed,
 		ReusedNodes:     stats.Reused,
 		Duration:        time.Since(start),
-	}, nil
+	}
+	if e.recorder != nil {
+		e.recorder.RecordUpdate(trace.UpdateObservation{Network: e.cacheNS, Duration: res.Duration})
+	}
+	return res, nil
 }
 
 // install is the one routine that puts rebuilt shards in front of queries,

@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"themecomm/internal/delta"
+	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 	"themecomm/internal/obs"
 )
@@ -17,8 +19,15 @@ import (
 // captureRecorder records observations into a slice — the injection seam
 // exercised the way a test (or a learned-cost planner) would use it.
 type captureRecorder struct {
-	mu  sync.Mutex
-	obs []obs.QueryObservation
+	mu      sync.Mutex
+	obs     []obs.QueryObservation
+	updates []obs.UpdateObservation
+}
+
+func (r *captureRecorder) RecordUpdate(u obs.UpdateObservation) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.updates = append(r.updates, u)
 }
 
 func (r *captureRecorder) RecordQuery(_ context.Context, o obs.QueryObservation) {
@@ -252,5 +261,39 @@ func benchmarkQuery(b *testing.B, recorded bool) {
 		if _, err := eng.QueryContext(context.Background(), nil, 0.3); err != nil {
 			b.Fatalf("Query: %v", err)
 		}
+	}
+}
+
+// TestRecorderObservesUpdates: every applied delta reaches the Recorder
+// once, labelled with the engine's namespace and carrying the in-memory
+// apply time the result reports; a delta Apply refuses reaches it not at
+// all.
+func TestRecorderObservesUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	nw := randomNetwork(rng, 14, 34, 5, 3)
+	rec := &captureRecorder{}
+	eng, err := New(builtIndex(t, nw), Options{Recorder: rec, CacheNamespace: "tenant"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []obs.UpdateObservation
+	for i := 0; i < 3; i++ {
+		res, err := eng.ApplyDeltaInMemory(nw, randomDeltaFor(rng, nw, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, obs.UpdateObservation{Network: "tenant", Duration: res.Duration})
+	}
+	bad := &delta.Delta{AddEdges: []graph.Edge{{U: 0, V: graph.VertexID(nw.NumVertices() + 5)}}}
+	if _, err := eng.ApplyDeltaInMemory(nw, bad); err == nil {
+		t.Fatal("a delta with an out-of-range edge was applied")
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if !slices.Equal(rec.updates, want) {
+		t.Fatalf("update observations = %+v, want %+v", rec.updates, want)
+	}
+	if len(rec.obs) != 0 {
+		t.Fatalf("updates produced %d query observations", len(rec.obs))
 	}
 }

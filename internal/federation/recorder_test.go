@@ -16,6 +16,8 @@ type sliceRecorder struct {
 	ids []string
 }
 
+func (r *sliceRecorder) RecordUpdate(obs.UpdateObservation) {}
+
 func (r *sliceRecorder) RecordQuery(ctx context.Context, o obs.QueryObservation) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -15,6 +15,10 @@ import (
 // here under its historical name for everything above the seam.
 type QueryObservation = trace.QueryObservation
 
+// UpdateObservation is one applied network delta as seen by a Recorder,
+// re-exported from internal/trace like QueryObservation.
+type UpdateObservation = trace.UpdateObservation
+
 // Recorder receives one QueryObservation per engine query. It is the seam
 // between the engine and the observability layer (defined in internal/trace,
 // re-exported here): the engine is handed a Recorder at construction
@@ -53,6 +57,7 @@ type Observer struct {
 	duration  *HistogramVec // network
 	stages    *HistogramVec // network, stage (plan|execute|merge|stream|encode)
 	slowTotal *CounterVec   // network
+	apply     *HistogramVec // network
 
 	// nets caches the resolved per-network series (netSeries), so the hot
 	// path pays one lock-free map read instead of label-key joins per family.
@@ -123,6 +128,9 @@ func NewObserver(opts ObserverOptions) *Observer {
 		slowTotal: reg.Counter("tc_slow_queries_total",
 			"Queries captured by the slow-query log (duration >= threshold, cache hits excluded).",
 			"network"),
+		apply: reg.Histogram("tc_update_apply_duration_seconds",
+			"In-memory apply of a network delta: scope, network mutation, shard rebuild and swap; the journal append and the checkpoint excluded.",
+			nil, "network"),
 	}
 }
 
@@ -140,6 +148,12 @@ func (o *Observer) SlowLog() *SlowLog { return o.slowLog }
 // of network to bytes: the encode stage, observed for cache hits too.
 func (o *Observer) ObserveEncode(network string, d time.Duration) {
 	o.seriesFor(network).encode.Observe(d.Seconds())
+}
+
+// RecordUpdate implements Recorder: the apply histogram moves on every
+// applied delta.
+func (o *Observer) RecordUpdate(u UpdateObservation) {
+	o.apply.With(u.Network).Observe(u.Duration.Seconds())
 }
 
 // RecordQuery implements Recorder: the latency histograms move on every

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"themecomm/internal/federation"
+	"themecomm/internal/obs"
 )
 
 // Local is an index served on an in-process loopback listener: the way the
@@ -29,19 +30,21 @@ type Local struct {
 // serves it on a 127.0.0.1 listener. It keeps no result cache, which a
 // one-shot process never hits. A read-only server answers every update 403;
 // a writable one applies updates like tcserver without -journal, writing
-// each back to netPath and the index before it answers. workers bounds the
-// shard-traversal parallelism (0 = GOMAXPROCS).
+// each back to netPath and the index before it answers. It is observed like
+// tcserver -quiet: GET /metrics answers, nothing is logged. workers bounds
+// the shard-traversal parallelism (0 = GOMAXPROCS).
 func ServeLocal(indexPath, netPath string, workers int, readOnly bool) (*Local, error) {
 	abs, err := filepath.Abs(indexPath)
 	if err != nil {
 		return nil, err
 	}
-	fed := federation.New(federation.Options{Workers: workers})
+	o := obs.NewObserver(obs.ObserverOptions{})
+	fed := federation.New(federation.Options{Workers: workers, Recorder: o})
 	name := federation.NetworkName(abs)
 	if err := fed.AttachIndexDir(name, indexPath, netPath); err != nil {
 		return nil, err
 	}
-	h, err := New(nil, Options{Federation: fed, ReadOnly: readOnly})
+	h, err := New(nil, Options{Federation: fed, ReadOnly: readOnly, Obs: o})
 	if err != nil {
 		return nil, err
 	}

@@ -59,8 +59,8 @@ func medianCostVertex(tree *Tree, nw *dbnet.Network) graph.VertexID {
 // tcload's -trace 1 rung tctree.rebuild_ms keeps timing the full
 // RebuildSubtrees(nw, items) on its private replay, not the scoped rebuild
 // the server ran, so it no longer tracks update_p50_ms, and the rung derived
-// from it, engine.apply_self_ms, is clamped at 0. ROADMAP item 6 deletes
-// that ladder.
+// from it, engine.apply_self_ms, is clamped at 0. ROADMAP item 9(i)
+// deletes that ladder.
 func BenchmarkRebuildSubtrees(b *testing.B) {
 	for _, c := range []struct {
 		name string

@@ -142,8 +142,8 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 		f, before := order[i], len(order)
 		dict = append(dict, f.item)
 		if n := f.node; n != nil {
-			freqTotal += uint64(len(n.Decomp.Freq))
-			maxRun = max(maxRun, uint64(len(n.Decomp.Freq)))
+			freqTotal += uint64(len(n.Decomp.Vertices))
+			maxRun = max(maxRun, uint64(len(n.Decomp.Vertices)))
 			levelTotal += uint64(len(n.Decomp.Levels))
 			edgeTotal += uint64(n.Decomp.NumEdges())
 			mined, grafts := n.Children, s.grafts[n]
@@ -221,7 +221,7 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 	// The statistics; a node's α* is its last level's threshold.
 	depth, shardAlpha := 0, 0.0
 	var childNext, freqNext, levelNext, edgeNext uint32
-	var verts []graph.VertexID
+	var levels [][]graph.Edge
 	for i, f := range order {
 		rec := buf[nodeOff+uint64(i)*binNodeSize:]
 		dictIdx, _ := slices.BinarySearch(dict, f.item)
@@ -233,34 +233,32 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 		binLE.PutUint32(rec[binNodeLevelStart:], levelNext)
 		var maxAlpha float64
 		if n := f.node; n != nil {
-			// Frequencies are stored sorted by vertex: map iteration order is
-			// nondeterministic, the flat table must not be.
-			verts = verts[:0]
-			for v := range n.Decomp.Freq {
-				verts = append(verts, v)
-			}
-			slices.Sort(verts)
+			// The frequency run is the decomposition's, ascending by vertex.
+			verts := n.Decomp.Vertices
 			binLE.PutUint32(rec[binNodeFreqCount:], uint32(len(verts)))
-			for _, v := range verts {
+			for k, v := range verts {
 				o := freqOff + uint64(freqNext)*binFreqSize
 				binLE.PutUint32(buf[o:], uint32(int32(v)))
-				binLE.PutUint64(buf[o+4:], math.Float64bits(n.Decomp.Freq[v]))
+				binLE.PutUint64(buf[o+4:], math.Float64bits(n.Decomp.Freqs[k]))
 				freqNext++
 			}
 			binLE.PutUint32(rec[binNodeLevelCount:], uint32(len(n.Decomp.Levels)))
+			// The levels' edge runs follow one another in the edge table:
+			// one call numbers them all, appending in place (the slice's
+			// capacity is the rest of buf, sized for them).
+			at := edgeOff + uint64(edgeNext)*pairSize
+			levels = levels[:0]
 			for _, l := range n.Decomp.Levels {
 				o := levelOff + uint64(levelNext)*binLevelSize
 				binLE.PutUint64(buf[o:], math.Float64bits(l.Alpha))
 				binLE.PutUint32(buf[o+8:], edgeNext)
 				binLE.PutUint32(buf[o+12:], uint32(len(l.Removed)))
 				levelNext++
-				// The pairs are appended in place: the slice's capacity is
-				// the rest of buf, sized for them.
-				at := edgeOff + uint64(edgeNext)*pairSize
-				if _, err := appendPairs(buf[at:at], verts, l.Removed); err != nil {
-					return nil, 0, fmt.Errorf("tctree: shard %d: node %v: %w", root.Item, n.Pattern, err)
-				}
 				edgeNext += uint32(len(l.Removed))
+				levels = append(levels, l.Removed)
+			}
+			if _, err := appendPairs(buf[at:at], verts, levels...); err != nil {
+				return nil, 0, fmt.Errorf("tctree: shard %d: node %v: %w", root.Item, n.Pattern, err)
 			}
 			maxAlpha = n.Decomp.MaxAlpha()
 		} else {
@@ -837,16 +835,16 @@ func (b *BinShard) nodeAt(i uint32, parentPattern itemset.Itemset) (*Node, error
 	item := b.itemOf(i)
 	fs, fc := b.nodeU32(i, binNodeFreqStart), b.nodeU32(i, binNodeFreqCount)
 	decomp := &truss.Decomposition{
-		Pattern: extend(parentPattern, item),
-		Freq:    make(map[graph.VertexID]float64, fc),
+		Pattern:  extend(parentPattern, item),
+		Vertices: make([]graph.VertexID, 0, fc),
+		Freqs:    make([]float64, 0, fc),
 	}
-	run := make([]graph.VertexID, 0, fc)
 	for f := fs; f < fs+fc; f++ {
 		o := uint64(f) * binFreqSize
-		v := graph.VertexID(int32(binLE.Uint32(b.freq[o:])))
-		decomp.Freq[v] = math.Float64frombits(binLE.Uint64(b.freq[o+4:]))
-		run = append(run, v)
+		decomp.Vertices = append(decomp.Vertices, graph.VertexID(int32(binLE.Uint32(b.freq[o:]))))
+		decomp.Freqs = append(decomp.Freqs, math.Float64frombits(binLE.Uint64(b.freq[o+4:])))
 	}
+	run := decomp.Vertices
 	appendEdges := truss.AppendEdges[uint16]
 	if b.wide {
 		appendEdges = truss.AppendEdges[uint32]

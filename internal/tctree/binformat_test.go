@@ -561,9 +561,10 @@ func rewidth(valid []byte) []byte {
 // longer than u16 positions reach, holding one edge from its first vertex to
 // its last.
 func wideNode(item itemset.Item) *Node {
-	d := &truss.Decomposition{Pattern: itemset.New(item), Freq: make(map[graph.VertexID]float64, binNarrowRun+1)}
+	d := &truss.Decomposition{Pattern: itemset.New(item)}
 	for v := 0; v <= binNarrowRun; v++ {
-		d.Freq[graph.VertexID(v)] = 1
+		d.Vertices = append(d.Vertices, graph.VertexID(v))
+		d.Freqs = append(d.Freqs, 1)
 	}
 	d.Levels = []truss.Level{{Alpha: 0.5, Removed: []graph.Edge{{U: 0, V: binNarrowRun}}}}
 	return &Node{Item: item, Pattern: d.Pattern, Decomp: d}
@@ -617,8 +618,9 @@ func TestDecodeBinShardRefusesBadPairs(t *testing.T) {
 // its levels: what no decomposition holds, but every pair is well-formed.
 func edgeInTwoLevels() *Node {
 	d := &truss.Decomposition{
-		Pattern: itemset.New(1),
-		Freq:    map[graph.VertexID]float64{10: 1, 20: 1, 30: 1},
+		Pattern:  itemset.New(1),
+		Vertices: []graph.VertexID{10, 20, 30},
+		Freqs:    []float64{1, 1, 1},
 		Levels: []truss.Level{
 			{Alpha: 0.5, Removed: []graph.Edge{{U: 10, V: 20}, {U: 20, V: 30}}},
 			{Alpha: 1, Removed: []graph.Edge{{U: 10, V: 20}}},

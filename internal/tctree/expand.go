@@ -44,12 +44,12 @@ func expandSubtree(nw *dbnet.Network, item itemset.Item, maxDepth int, scope []i
 	}
 	x := &expansion{nw: nw, maxDepth: maxDepth, prev: prev}
 	pattern := itemset.New(item)
-	d := truss.Decompose(nw.ThemeNetwork(pattern))
+	d, base := truss.DecomposeWithBase(nw.ThemeNetwork(pattern))
 	if d.Empty() {
 		return splice{}
 	}
 	x.recomputed++
-	root := grown{node: &Node{Item: item, Pattern: pattern, Decomp: d}, base: baseEdges(d)}
+	root := grown{node: &Node{Item: item, Pattern: pattern, Decomp: d}, base: base}
 	at := uint32(noNode)
 	if prev != nil {
 		at = 0
@@ -90,10 +90,17 @@ type expansion struct {
 
 	// Scratch reused by every expand call of the subtree; none of it is live
 	// across the recursion into the children.
-	verts []graph.VertexID
-	tids  []int32
-	occ   []uint64
-	cand  []itemset.Item
+	tids []int32
+	occ  []uint64
+	cand []itemset.Item
+	// The parent's base in its own numbering (mine): the base edges leaving
+	// local vertex i upwards are base[ustart[i]:ustart[i+1]], and bv[k] is
+	// the local V of base[k]. shared marks the base edges a sibling's base
+	// holds too, on marks a candidate's positive vertices, local lists them.
+	ustart, bv []int32
+	shared     []bool
+	on         []bool
+	local      []int32
 }
 
 // witnessesWith returns the witnesses that contain item.
@@ -108,7 +115,8 @@ func witnessesWith(wit []itemset.Itemset, item itemset.Item) []itemset.Itemset {
 }
 
 // grown is a materialized node together with the edges of its maximal
-// pattern truss at α = 0, ascending — needed only while its subtree grows.
+// pattern truss at α = 0, ascending (truss.DecomposeWithBase) — needed only
+// while its subtree grows, so no stored Node holds them.
 type grown struct {
 	node *Node
 	base []graph.Edge
@@ -238,22 +246,22 @@ func inScope(wit []itemset.Itemset, item itemset.Item) bool {
 // mine induces and decomposes nf's candidate children — the extensions by
 // the items of x.cand, or by every following item when all is set — and
 // returns the non-empty ones in ascending item order.
+//
+// Everything runs in nf's numbering: local vertex i is the i-th vertex of
+// nf's C*_p(0), the run its decomposition carries. The base edges are
+// numbered once (numberBase), and a candidate's theme network is then
+// induced by position alone.
 func (x *expansion) mine(nf grown, siblings []grown, all bool) []grown {
 	pattern := nf.node.Pattern
 	shardRoot := pattern.Len() == 1
+	verts := nf.node.Decomp.Vertices
 
-	// One pass: occ gets one word (item j, vertex index) for every occurrence
-	// of a candidate item j in a transaction that contains the pattern.
-	// Sorted, the words of one j are contiguous, and within them the run
-	// length of a vertex is the support of pattern ∪ {j} on it.
-	x.verts = x.verts[:0]
-	for _, e := range nf.base {
-		x.verts = append(x.verts, e.U, e.V)
-	}
-	slices.Sort(x.verts)
-	x.verts = slices.Compact(x.verts)
+	// One pass: occ gets one word (item j, local vertex) for every
+	// occurrence of a candidate item j in a transaction that contains the
+	// pattern. Sorted, the words of one j are contiguous, and within them
+	// the run length of a vertex is the support of pattern ∪ {j} on it.
 	x.occ = x.occ[:0]
-	for i, v := range x.verts {
+	for i, v := range verts {
 		db := x.nw.Database(v)
 		x.tids = db.TransactionsWith(x.tids[:0], pattern)
 		for _, tid := range x.tids {
@@ -277,7 +285,11 @@ func (x *expansion) mine(nf grown, siblings []grown, all bool) []grown {
 			}
 		}
 	}
+	if len(x.occ) == 0 {
+		return nil
+	}
 	slices.Sort(x.occ)
+	x.numberBase(verts, nf.base)
 
 	var children []grown
 	s := 0
@@ -293,22 +305,24 @@ func (x *expansion) mine(nf grown, siblings []grown, all bool) []grown {
 			continue
 		}
 		j := itemset.Item(uint32(x.occ[lo]>>32) ^ signBit)
-		within := nf.base
+		// The candidate edges: nf's base, or below the shard root the part
+		// of it the sibling's base holds too (Proposition 5.3).
+		within, shared := len(nf.base), []bool(nil)
 		if !shardRoot {
 			for siblings[s].node.Item != j {
 				s++
 			}
-			within = intersectEdges(nf.base, siblings[s].base)
+			within, shared = x.markShared(nf.base, siblings[s].base), x.shared
 		}
-		if len(within) < 3 {
+		if within < 3 {
 			continue
 		}
-		tn := x.induce(pattern.Add(j), x.occ[lo:hi], positive, within)
+		tn := x.induce(pattern.Add(j), nf, x.occ[lo:hi], positive, within, shared)
 		if len(tn.Edges) < 3 {
 			continue
 		}
-		if d := truss.Decompose(tn); !d.Empty() {
-			children = append(children, grown{node: &Node{Item: j, Pattern: tn.Pattern, Decomp: d}, base: baseEdges(d)})
+		if d, base := truss.DecomposeWithBase(tn); !d.Empty() {
+			children = append(children, grown{node: &Node{Item: j, Pattern: tn.Pattern, Decomp: d}, base: base})
 		}
 	}
 	return children
@@ -324,64 +338,92 @@ func runEnd(words []uint64, lo int, shift uint) int {
 	return hi
 }
 
-// induce assembles the theme network of pattern pc inside the candidate
-// edges within (ascending). occ holds pc's occurrence words, sorted: the
-// vertices that appear — positive of them — are exactly those with
-// f_v(pc) > 0, and a vertex's run length is pc's support on it.
-func (x *expansion) induce(pc itemset.Itemset, occ []uint64, positive int, within []graph.Edge) *dbnet.ThemeNetwork {
-	tn := &dbnet.ThemeNetwork{
-		Pattern:  pc,
-		Vertices: make([]graph.VertexID, 0, positive),
-		Freqs:    make([]float64, 0, positive),
-		Edges:    make([]graph.Edge, 0, min(len(within), positive*(positive-1)/2)),
+// numberBase numbers base, the edges of the C*_p(0) whose vertex run is
+// verts, by that run: x.ustart gets the start of every local vertex's run of
+// upward edges and x.bv every edge's local V, and x.on one clear flag per
+// local vertex. Base ascends by (U, V) and its endpoints are the run, so a
+// lookup per endpoint is all it takes.
+func (x *expansion) numberBase(verts []graph.VertexID, base []graph.Edge) {
+	num := graph.NumberRun(verts)
+	defer num.Release()
+	n := len(verts)
+	x.ustart = slices.Grow(x.ustart[:0], n+1)[:n+1]
+	clear(x.ustart)
+	x.bv = slices.Grow(x.bv[:0], len(base))[:len(base)]
+	for k, e := range base {
+		u, _ := num.Index(e.U)
+		v, _ := num.Index(e.V)
+		x.ustart[u+1]++
+		x.bv[k] = int32(v)
 	}
-	for lo, hi := 0, 0; lo < len(occ); lo = hi {
-		hi = runEnd(occ, lo, 0)
-		v := x.verts[uint32(occ[lo])]
-		tn.Vertices = append(tn.Vertices, v)
-		tn.Freqs = append(tn.Freqs, float64(hi-lo)/float64(x.nw.Database(v).Len()))
+	for i := 0; i < n; i++ {
+		x.ustart[i+1] += x.ustart[i]
 	}
-	// Keep the edges of within that join two positive vertices. Within is
-	// sorted by (U, V), so the edges leaving u upwards are one run, found by
-	// binary search: the cost follows the positive vertices, not |within|.
-	for _, u := range tn.Vertices {
-		k, _ := slices.BinarySearchFunc(within, graph.Edge{U: u, V: u}, graph.CompareEdges)
-		for ; k < len(within) && within[k].U == u; k++ {
-			if _, ok := slices.BinarySearch(tn.Vertices, within[k].V); ok {
-				tn.Edges = append(tn.Edges, within[k])
-			}
-		}
-	}
-	return tn
+	x.on = slices.Grow(x.on[:0], n)[:n]
+	clear(x.on)
 }
 
-// baseEdges returns the edges of C*_p(0) stored in the decomposition,
-// ascending.
-func baseEdges(d *truss.Decomposition) []graph.Edge {
-	out := make([]graph.Edge, 0, d.NumEdges())
-	for _, l := range d.Levels {
-		out = append(out, l.Removed...)
-	}
-	slices.SortFunc(out, graph.CompareEdges)
-	return out
-}
-
-// intersectEdges returns the edges present in both ascending lists.
-func intersectEdges(a, b []graph.Edge) []graph.Edge {
-	out := make([]graph.Edge, 0, min(len(a), len(b)))
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch c := graph.CompareEdges(a[i], b[j]); {
+// markShared leaves in x.shared which edges of base (ascending) the
+// ascending list other holds too, and returns how many do: one merge.
+func (x *expansion) markShared(base, other []graph.Edge) int {
+	x.shared = slices.Grow(x.shared[:0], len(base))[:len(base)]
+	clear(x.shared)
+	n := 0
+	for i, j := 0, 0; i < len(base) && j < len(other); {
+		switch c := graph.CompareEdges(base[i], other[j]); {
 		case c < 0:
 			i++
 		case c > 0:
 			j++
 		default:
-			out = append(out, a[i])
+			x.shared[i] = true
+			n++
 			i++
 			j++
 		}
 	}
-	return out
+	return n
+}
+
+// induce assembles the theme network of pattern pc, an extension of nf's,
+// inside the candidate edges: the edges of nf's base (numbered by
+// numberBase) that shared marks, or all of them when shared is nil — within
+// of them. occ holds pc's occurrence words, sorted: the local vertices that
+// appear — positive of them — are exactly those with f_v(pc) > 0, and a
+// vertex's run length is pc's support on it. The edges leaving a positive
+// vertex upwards are one run of the base and an endpoint's membership is one
+// flag, so the cost follows the positive vertices' edges, not the base.
+func (x *expansion) induce(pc itemset.Itemset, nf grown, occ []uint64, positive, within int, shared []bool) *dbnet.ThemeNetwork {
+	verts, base := nf.node.Decomp.Vertices, nf.base
+	tn := &dbnet.ThemeNetwork{
+		Pattern:  pc,
+		Vertices: make([]graph.VertexID, 0, positive),
+		Freqs:    make([]float64, 0, positive),
+		Edges:    make([]graph.Edge, 0, min(within, positive*(positive-1)/2)),
+	}
+	x.local = x.local[:0]
+	for lo, hi := 0, 0; lo < len(occ); lo = hi {
+		hi = runEnd(occ, lo, 0)
+		i := uint32(occ[lo])
+		v := verts[i]
+		tn.Vertices = append(tn.Vertices, v)
+		tn.Freqs = append(tn.Freqs, float64(hi-lo)/float64(x.nw.Database(v).Len()))
+		x.on[i] = true
+		x.local = append(x.local, int32(i))
+	}
+	// Local vertices ascend with the global ones, and each run of upward
+	// edges ascends by V: the edges come out ascending by (U, V).
+	for _, i := range x.local {
+		for k := x.ustart[i]; k < x.ustart[i+1]; k++ {
+			if x.on[x.bv[k]] && (shared == nil || shared[k]) {
+				tn.Edges = append(tn.Edges, base[k])
+			}
+		}
+	}
+	for _, i := range x.local {
+		x.on[i] = false
+	}
+	return tn
 }
 
 // firstError returns the first non-nil error of a pool's per-index results.

@@ -1,8 +1,7 @@
 package tctree
 
 import (
-	"slices"
-
+	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 	"themecomm/internal/truss"
 )
@@ -17,29 +16,36 @@ type NodeView struct {
 // NewNodeView wraps a shard subtree.
 func NewNodeView(root *Node) *NodeView { return &NodeView{root: root} }
 
+// nodeScratch is what a NodeView traversal reuses from node to node: the
+// live levels' u32 position pairs and their edge lists.
+type nodeScratch struct {
+	pairs []byte
+	edges [][]graph.Edge
+}
+
 // retrieveNode hands node n to the read kernel as a BinShard hands over its
-// record: the vertex run is the keys of the decomposition's Freq, sorted into
-// the scratch, and the levels live at α_q are numbered by it — u32 position
-// pairs in pairs, a buffer the traversal reuses from node to node.
-func retrieveNode(res *ShardAnswer, sc *readScratch, pairs *[]byte, n *Node, alphaQ float64, floor *truss.Floor) {
-	run := sc.run[:0]
-	for v := range n.Decomp.Freq {
-		run = append(run, v)
+// record: the vertex run is the decomposition's, and the levels live at α_q
+// are numbered by it, all in one AppendPairs call as the encoder numbers a
+// node.
+func retrieveNode(res *ShardAnswer, sc *readScratch, ns *nodeScratch, n *Node, alphaQ float64, floor *truss.Floor) {
+	run := n.Decomp.Vertices
+	live := n.Decomp.LiveLevels(alphaQ)
+	ns.edges = ns.edges[:0]
+	for _, l := range live {
+		ns.edges = append(ns.edges, l.Removed)
 	}
-	slices.Sort(run)
-	sc.run = run
-	// A level keeps its slice of buf: should a later append move buf, the
-	// bytes it holds stay where they were.
-	buf, levels := (*pairs)[:0], sc.levels[:0]
-	for _, l := range n.Decomp.LiveLevels(alphaQ) {
-		start := len(buf)
-		var err error
-		if buf, err = truss.AppendPairs[uint32](buf, run, l.Removed); err != nil {
-			panic(err)
-		}
-		levels = append(levels, truss.PairLevel{Alpha: l.Alpha, Pairs: buf[start:]})
+	buf, err := truss.AppendPairs[uint32](ns.pairs[:0], run, ns.edges...)
+	if err != nil {
+		panic(err)
 	}
-	*pairs, sc.levels = buf, levels
+	ns.pairs = buf
+	levels := sc.levels[:0]
+	for _, l := range live {
+		size := 8 * len(l.Removed)
+		levels = append(levels, truss.PairLevel{Alpha: l.Alpha, Pairs: buf[:size:size]})
+		buf = buf[size:]
+	}
+	sc.levels = levels
 	res.retrieve(sc, n.Pattern, run, levels, true, floor)
 }
 
@@ -57,8 +63,8 @@ func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64, floor *truss.Floo
 	}
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
-	var pairs []byte
-	retrieveNode(&res, sc, &pairs, v.root, alphaQ, floor)
+	var ns nodeScratch
+	retrieveNode(&res, sc, &ns, v.root, alphaQ, floor)
 	queue := []*Node{v.root}
 	for len(queue) > 0 {
 		nf := queue[0]
@@ -71,7 +77,7 @@ func (v *NodeView) QuerySub(q itemset.Itemset, alphaQ float64, floor *truss.Floo
 			if bound := nc.Decomp.MaxAlpha(); !truss.LevelLive(bound, alphaQ) || floor.Prunes(bound) {
 				continue
 			}
-			retrieveNode(&res, sc, &pairs, nc, alphaQ, floor)
+			retrieveNode(&res, sc, &ns, nc, alphaQ, floor)
 			queue = append(queue, nc)
 		}
 	}
@@ -95,9 +101,9 @@ func (v *NodeView) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 	}
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
-	var pairs []byte
+	var ns nodeScratch
 	if need == q.Len() {
-		retrieveNode(&res, sc, &pairs, v.root, alphaQ, nil)
+		retrieveNode(&res, sc, &ns, v.root, alphaQ, nil)
 	}
 	type frame struct {
 		n    *Node
@@ -122,7 +128,7 @@ func (v *NodeView) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 				continue
 			}
 			if need == q.Len() {
-				retrieveNode(&res, sc, &pairs, c, alphaQ, nil)
+				retrieveNode(&res, sc, &ns, c, alphaQ, nil)
 			}
 			queue = append(queue, frame{c, need})
 		}

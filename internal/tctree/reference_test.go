@@ -28,12 +28,12 @@ func referenceScopedRebuild(nw *dbnet.Network, item itemset.Item, scope []itemse
 	}
 	x := &referenceExpansion{expansion: expansion{nw: nw, maxDepth: math.MaxInt}, scoped: prev != nil}
 	pattern := itemset.New(item)
-	d := truss.Decompose(nw.ThemeNetwork(pattern))
+	d, base := truss.DecomposeWithBase(nw.ThemeNetwork(pattern))
 	if d.Empty() {
 		return nil, x.stats
 	}
 	x.stats.Recomputed++
-	root := grown{node: &Node{Item: item, Pattern: pattern, Decomp: d}, base: baseEdges(d)}
+	root := grown{node: &Node{Item: item, Pattern: pattern, Decomp: d}, base: base}
 	x.expand(root, nil, wit, prev)
 	return root.node, x.stats
 }

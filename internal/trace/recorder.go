@@ -54,13 +54,27 @@ type QueryObservation struct {
 	Detail func() any
 }
 
-// Recorder receives one QueryObservation per engine query. It is the seam
-// between the engine and the observability layer: the engine is handed a
-// Recorder at construction (engine.Options.Recorder) instead of importing a
-// metrics implementation, so tests can record into plain slices and a future
+// UpdateObservation is one network delta the engine applied, as seen by a
+// Recorder: the write side's counterpart of QueryObservation.
+type UpdateObservation struct {
+	// Network is the updated tenant, labelled like QueryObservation.Network.
+	Network string
+	// Duration is the in-memory apply (engine.DeltaResult.Duration as the
+	// engine returns it): scope, network mutation, shard rebuild and swap.
+	// A journal append before it and a checkpoint after it are not part of
+	// it.
+	Duration time.Duration
+}
+
+// Recorder receives one QueryObservation per engine query and one
+// UpdateObservation per successfully applied delta. It is the seam between
+// the engine and the observability layer: the engine is handed a Recorder
+// at construction (engine.Options.Recorder) instead of importing a metrics
+// implementation, so tests can record into plain slices and a future
 // learned-cost planner can tap the same stream of per-stage latencies.
 // Implementations must be safe for concurrent use and must not retain the
 // observation's Detail closure past the call.
 type Recorder interface {
 	RecordQuery(ctx context.Context, o QueryObservation)
+	RecordUpdate(o UpdateObservation)
 }

@@ -65,33 +65,37 @@ type PairLevel struct {
 	Pairs []byte
 }
 
-// AppendPairs appends edges to dst as PairLevel.Pairs holds them: each edge
-// as the positions of its endpoints in run, which must be strictly
-// ascending. The edges must ascend by (U, V), as a level holds them. It fails
-// when an endpoint is missing from run, or an edge is not ascending (U < V)
-// or out of order, which Decompose never produces.
-func AppendPairs[P Position](dst []byte, run []graph.VertexID, edges []graph.Edge) ([]byte, error) {
-	// One search finds U for the edges that share it; each V lies past U
-	// and past the V before it.
-	i, iok, from := 0, false, 0
-	for k, e := range edges {
-		if k == 0 || e.U != edges[k-1].U {
-			i, iok = slices.BinarySearch(run, e.U)
-			from = i + 1
-		}
-		from = min(from, len(run))
-		j, jok := slices.BinarySearch(run[from:], e.V)
-		j += from
-		from = j + 1
-		if !iok || !jok {
-			return dst, fmt.Errorf("truss: edge %v has no position pair in a run of %d vertices", e, len(run))
-		}
-		if pairSize[P]() == 4 {
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(i))
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(j))
-		} else {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(j))
+// AppendPairs appends each edge list of levels to dst in turn, as
+// PairLevel.Pairs holds them: each edge as the positions of its endpoints in
+// run, which must be strictly ascending. The edges of a list must ascend by
+// (U, V), as a level holds them. It fails when an endpoint is missing from
+// run, or an edge is not ascending (U < V) or out of order within its list,
+// which Decompose never produces.
+//
+// The run is numbered once for all the lists (graph.NumberRun), so a node's
+// levels cost one lookup per endpoint and no search.
+func AppendPairs[P Position](dst []byte, run []graph.VertexID, levels ...[]graph.Edge) ([]byte, error) {
+	num := graph.NumberRun(run)
+	defer num.Release()
+	for _, edges := range levels {
+		// next is one past the previous pair, packed (i, j): the least the
+		// next pair may be.
+		var next uint64
+		for _, e := range edges {
+			i, iok := num.Index(e.U)
+			j, jok := num.Index(e.V)
+			key := uint64(i)<<32 | uint64(j)
+			if !iok || !jok || i >= j || key < next {
+				return dst, fmt.Errorf("truss: edge %v has no position pair in a run of %d vertices", e, len(run))
+			}
+			next = key + 1
+			if pairSize[P]() == 4 {
+				dst = binary.LittleEndian.AppendUint16(dst, uint16(i))
+				dst = binary.LittleEndian.AppendUint16(dst, uint16(j))
+			} else {
+				dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
+				dst = binary.LittleEndian.AppendUint32(dst, uint32(j))
+			}
 		}
 	}
 	return dst, nil
@@ -158,8 +162,8 @@ type splitNode struct {
 // Split appends to out the theme communities of the maximal pattern truss
 // whose live removal levels are given — its maximal connected subgraphs —
 // ordered by smallest vertex, and returns the extended slice. run is the
-// node's vertex set, strictly ascending: the keys of Decomposition.Freq,
-// sorted, or the frequency run of a TCBIN node record. It lists every vertex
+// node's vertex set, strictly ascending: Decomposition.Vertices, or the
+// frequency run of a TCBIN node record. It lists every vertex
 // of C*_p(0), and any vertex no live edge touches — one the peeling at α_q
 // has already removed — simply belongs to no community. live holds the
 // levels live at α_q in ascending threshold order, their edges numbered by

@@ -204,17 +204,26 @@ func TestSplitOnEdgesValidateRejects(t *testing.T) {
 }
 
 // TestAppendPairsRefusesWhatHasNoPair pins the numbering's refusals: an
-// endpoint missing from the run, and a self-loop.
+// endpoint missing from the run, a self-loop, a reversed edge and edges out
+// of order within one list — but not across two lists, which are numbered
+// back to back.
 func TestAppendPairsRefusesWhatHasNoPair(t *testing.T) {
 	run := []graph.VertexID{1, 2, 5}
-	for _, e := range []graph.Edge{{U: 1, V: 3}, {U: 0, V: 2}, {U: 2, V: 2}} {
-		if _, err := AppendPairs[uint16](nil, run, []graph.Edge{e}); err == nil {
-			t.Fatalf("AppendPairs numbered %v over %v", e, run)
+	for _, edges := range [][]graph.Edge{
+		{{U: 1, V: 3}}, {{U: 0, V: 2}}, {{U: 2, V: 2}}, {{U: 5, V: 1}},
+		{{U: 2, V: 5}, {U: 1, V: 5}}, {{U: 1, V: 5}, {U: 1, V: 2}}, {{U: 1, V: 2}, {U: 1, V: 2}},
+	} {
+		if _, err := AppendPairs[uint16](nil, run, edges); err == nil {
+			t.Fatalf("AppendPairs numbered %v over %v", edges, run)
 		}
 	}
 	got, err := AppendPairs[uint16](nil, run, []graph.Edge{{U: 1, V: 5}, {U: 2, V: 5}})
 	if err != nil || !slices.Equal(got, []byte{0, 0, 2, 0, 1, 0, 2, 0}) {
 		t.Fatalf("AppendPairs = % x, %v", got, err)
+	}
+	got, err = AppendPairs[uint16](nil, run, []graph.Edge{{U: 2, V: 5}}, nil, []graph.Edge{{U: 1, V: 5}})
+	if err != nil || !slices.Equal(got, []byte{1, 0, 2, 0, 0, 0, 2, 0}) {
+		t.Fatalf("AppendPairs over three lists = % x, %v", got, err)
 	}
 }
 

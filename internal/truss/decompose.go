@@ -24,11 +24,20 @@ type Level struct {
 // pattern truss C*_p(0) into disjoint removal levels with ascending
 // thresholds. It supports reconstructing C*_p(α) for any α (Equation 1) and
 // reports the non-trivial range of α for the theme network.
+//
+// C*_p(0)'s vertex set is stored as dbnet.ThemeNetwork stores a theme
+// network's: Vertices ascends and Freqs runs parallel to it. That run is the
+// node's numbering downstream: the TCBIN encoder writes it as the node's
+// frequency run and numbers every level's edges by their positions in it
+// (AppendPairs), and the read kernel splits over it (Split).
 type Decomposition struct {
 	// Pattern is the theme p.
 	Pattern itemset.Itemset
-	// Freq maps every vertex of C*_p(0) to f_i(p).
-	Freq map[graph.VertexID]float64
+	// Vertices are the vertices of C*_p(0), ascending: the endpoints of the
+	// levels' edges.
+	Vertices []graph.VertexID
+	// Freqs[i] is f_{Vertices[i]}(p).
+	Freqs []float64
 	// Levels are the removal levels in ascending threshold order.
 	Levels []Level
 }
@@ -40,13 +49,24 @@ type Decomposition struct {
 // ascending cohesion order, so the levels are consecutive runs of one pass
 // over its removal order.
 func Decompose(tn *dbnet.ThemeNetwork) *Decomposition {
+	d, _ := DecomposeWithBase(tn)
+	return d
+}
+
+// DecomposeWithBase is Decompose that also returns the edges of C*_p(0),
+// ascending by (U, V): the survivors of peel(0) in local edge order, which
+// the levels hold in threshold order. A miner that extends the pattern
+// induces the extensions inside them.
+func DecomposeWithBase(tn *dbnet.ThemeNetwork) (*Decomposition, []graph.Edge) {
 	p := newPeeler(tn)
+	defer p.release()
 	p.peel(0)
 
-	d := &Decomposition{Pattern: tn.Pattern.Clone(), Freq: make(map[graph.VertexID]float64)}
-	p.survivorFreq(d.Freq)
+	d := &Decomposition{Pattern: tn.Pattern.Clone()}
+	var base []graph.Edge
+	base, d.Vertices, d.Freqs = p.survivors()
 
-	removed := make([]graph.Edge, 0, len(p.heap))
+	removed := make([]graph.Edge, 0, len(base))
 	for len(p.heap) > 0 {
 		beta := p.cohesion[p.heap[0]]
 		done := len(p.order)
@@ -60,7 +80,7 @@ func Decompose(tn *dbnet.ThemeNetwork) *Decomposition {
 		}
 		d.Levels = append(d.Levels, Level{Alpha: beta, Removed: removed[start:len(removed):len(removed)]})
 	}
-	return d
+	return d, base
 }
 
 // Empty reports whether the decomposition holds no edges, i.e. C*_p(0) = ∅.
@@ -110,8 +130,17 @@ func (d *Decomposition) EdgesAt(alpha float64) graph.EdgeSet {
 func (d *Decomposition) TrussAt(alpha float64) *Truss {
 	edges := d.EdgesAt(alpha)
 	t := &Truss{Pattern: d.patternClone(), Alpha: alpha, Edges: edges, Freq: make(map[graph.VertexID]float64)}
+	// The truss's vertices ascend and are a subset of the run: one merge.
+	k := 0
 	for _, v := range edges.Vertices() {
-		t.Freq[v] = d.Freq[v]
+		for k < len(d.Vertices) && d.Vertices[k] < v {
+			k++
+		}
+		f := 0.0
+		if k < len(d.Vertices) && d.Vertices[k] == v {
+			f = d.Freqs[k]
+		}
+		t.Freq[v] = f
 	}
 	return t
 }
@@ -144,13 +173,22 @@ func (d *Decomposition) String() string {
 		d.Pattern, len(d.Levels), d.NumEdges(), d.MaxAlpha())
 }
 
-// Validate checks structural invariants of the decomposition: levels have
-// strictly ascending thresholds, non-empty removal sets, and no edge appears
-// twice, within a level or across levels. It is used by tests and by the
-// TC-Tree loader.
+// Validate checks structural invariants of the decomposition: the vertices
+// ascend strictly with one frequency each, levels have strictly ascending
+// thresholds, non-empty removal sets, and no edge appears twice, within a
+// level or across levels. Tests use it, as does the test-only decoder of a
+// TCBIN node back into a pointer node (tctree).
 func (d *Decomposition) Validate() error {
 	if d == nil {
 		return nil
+	}
+	if len(d.Freqs) != len(d.Vertices) {
+		return fmt.Errorf("truss: %d vertices but %d frequencies", len(d.Vertices), len(d.Freqs))
+	}
+	for i := 1; i < len(d.Vertices); i++ {
+		if d.Vertices[i-1] >= d.Vertices[i] {
+			return fmt.Errorf("truss: vertices not strictly ascending at %d", d.Vertices[i])
+		}
 	}
 	keys := make([]uint64, 0, d.NumEdges())
 	prev := 0.0

@@ -1,6 +1,7 @@
 package truss
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -182,11 +183,11 @@ func restrictTo(tn *dbnet.ThemeNetwork, edges []graph.Edge) *dbnet.ThemeNetwork 
 // bit patterns, not within a tolerance — and the same edges in the same
 // order.
 func sameBits(a, b *Decomposition) bool {
-	if len(a.Freq) != len(b.Freq) || len(a.Levels) != len(b.Levels) {
+	if !slices.Equal(a.Vertices, b.Vertices) || len(a.Freqs) != len(b.Freqs) || len(a.Levels) != len(b.Levels) {
 		return false
 	}
-	for v, f := range a.Freq {
-		if g, ok := b.Freq[v]; !ok || math.Float64bits(f) != math.Float64bits(g) {
+	for i, f := range a.Freqs {
+		if math.Float64bits(f) != math.Float64bits(b.Freqs[i]) {
 			return false
 		}
 	}
@@ -261,4 +262,132 @@ func TestDecomposeIgnoresTheCandidateSubgraph(t *testing.T) {
 	if strict < 300 {
 		t.Fatalf("only %d cases peeled a strict superset of C*_p(0); the generator no longer exercises the lemma", strict)
 	}
+}
+
+// checkRun holds a decomposition of tn, and the base DecomposeWithBase
+// returned with it, to the layout the miner and the encoder rely on: the
+// vertex run is the ascending endpoint set of the levels' edges, each
+// frequency is bit for bit the theme network's, the base is the ascending
+// union of the levels, and every level survives AppendPairs followed by
+// AppendEdges over the run, at both position widths.
+func checkRun(tb testing.TB, label string, tn *dbnet.ThemeNetwork, d *Decomposition, base []graph.Edge) {
+	tb.Helper()
+	var union []graph.Edge
+	var ends []graph.VertexID
+	for _, l := range d.Levels {
+		union = append(union, l.Removed...)
+		for _, e := range l.Removed {
+			ends = append(ends, e.U, e.V)
+		}
+	}
+	slices.Sort(ends)
+	if ends = slices.Compact(ends); !slices.Equal(d.Vertices, ends) {
+		tb.Fatalf("%s: Vertices = %v, the levels' endpoints are %v", label, d.Vertices, ends)
+	}
+	if len(d.Freqs) != len(d.Vertices) {
+		tb.Fatalf("%s: %d frequencies for %d vertices", label, len(d.Freqs), len(d.Vertices))
+	}
+	for i, v := range d.Vertices {
+		if want := tn.Frequency(v); math.Float64bits(d.Freqs[i]) != math.Float64bits(want) {
+			tb.Fatalf("%s: Freqs[%d] = %v for vertex %d, the theme network has %v", label, i, d.Freqs[i], v, want)
+		}
+	}
+	slices.SortFunc(union, graph.CompareEdges)
+	if !slices.Equal(base, union) {
+		tb.Fatalf("%s: base = %v, the levels hold %v", label, base, union)
+	}
+	var each []byte
+	levels := make([][]graph.Edge, len(d.Levels))
+	for _, wide := range []bool{false, true} {
+		for k, l := range d.Levels {
+			var pairs []byte
+			var err error
+			var back []graph.Edge
+			if wide {
+				pairs, err = AppendPairs[uint32](nil, d.Vertices, l.Removed)
+				back = AppendEdges[uint32](nil, d.Vertices, pairs)
+			} else {
+				pairs, err = AppendPairs[uint16](nil, d.Vertices, l.Removed)
+				back = AppendEdges[uint16](nil, d.Vertices, pairs)
+				each, levels[k] = append(each, pairs...), l.Removed
+			}
+			if err != nil || !slices.Equal(back, l.Removed) {
+				tb.Fatalf("%s: level %d (wide %v) numbered over the run comes back as %v, %v; want %v", label, k, wide, back, err, l.Removed)
+			}
+		}
+	}
+	// The encoder numbers a node's levels in one call: the same bytes.
+	if all, err := AppendPairs[uint16](nil, d.Vertices, levels...); err != nil || !slices.Equal(all, each) {
+		tb.Fatalf("%s: the levels numbered in one call give % x, %v; one by one % x", label, all, err, each)
+	}
+}
+
+// TestDecompositionCarriesItsRun checks the run and the base on the random
+// theme networks of the decomposition tests (their seeds), and on the
+// candidate subgraphs of TestDecomposeIgnoresTheCandidateSubgraph's shape.
+func TestDecompositionCarriesItsRun(t *testing.T) {
+	checked := 0
+	for _, seed := range []int64{5, 23, 61} {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 40; trial++ {
+			n := 6 + rng.Intn(12)
+			tn := randomThemeNetwork(rng, n, n*(2+rng.Intn(3)))
+			d, base := DecomposeWithBase(tn)
+			checkRun(t, fmt.Sprintf("seed %d trial %d", seed, trial), tn, d, base)
+			if !d.Empty() {
+				checked++
+			}
+		}
+	}
+	if checked < 60 {
+		t.Fatalf("only %d of 120 random theme networks had a non-empty C*_p(0)", checked)
+	}
+}
+
+// FuzzDecompose decomposes a fuzzer-chosen theme network: ids holds up to 24
+// vertex ids — the first byte, signed, is the lowest, every further byte
+// adds a gap of 1 to 16 — freqs a frequency in (0, 1] per vertex (1 where it
+// runs out), and mask one bit per vertex pair (i, j), i < j, in ascending
+// order: an edge where it is set. The decomposition must validate, carry its
+// run and base as checkRun requires, and come out bit-identical from a
+// second Decompose of the same network.
+func FuzzDecompose(f *testing.F) {
+	// A 4-clique; two triangles sharing an edge at mixed frequencies over
+	// negative ids; a 5-clique with a pendant edge and gapped ids.
+	f.Add([]byte{0, 0, 0, 0}, []byte{}, []byte{0x3f})
+	f.Add([]byte{0xf0, 3, 0, 7}, []byte{255, 0, 127, 63}, []byte{0x1f})
+	f.Add([]byte{1, 2, 3, 4, 5, 6}, []byte{10, 20, 30, 40, 50, 60}, []byte{0xff, 0xbf, 0x01})
+	f.Fuzz(func(t *testing.T, ids, freqs, mask []byte) {
+		ids = ids[:min(len(ids), 24)]
+		tn := &dbnet.ThemeNetwork{Pattern: itemset.New(1)}
+		for i, b := range ids {
+			v := graph.VertexID(int8(b))
+			if i > 0 {
+				v = tn.Vertices[i-1] + 1 + graph.VertexID(b%16)
+			}
+			fr := 1.0
+			if i < len(freqs) {
+				fr = float64(int(freqs[i])+1) / 256
+			}
+			tn.Vertices = append(tn.Vertices, v)
+			tn.Freqs = append(tn.Freqs, fr)
+		}
+		bit := 0
+		for i := range tn.Vertices {
+			for j := i + 1; j < len(tn.Vertices); j++ {
+				if bit/8 < len(mask) && mask[bit/8]>>(bit%8)&1 == 1 {
+					tn.Edges = append(tn.Edges, graph.Edge{U: tn.Vertices[i], V: tn.Vertices[j]})
+				}
+				bit++
+			}
+		}
+		d, base := DecomposeWithBase(tn)
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		checkRun(t, "fuzzed theme network", tn, d, base)
+		if again := Decompose(tn); !sameBits(d, again) {
+			t.Fatalf("a second Decompose differs:\n%v %v\n%v %v", d.Vertices, d.Levels, again.Vertices, again.Levels)
+		}
+	})
 }

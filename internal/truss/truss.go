@@ -8,6 +8,7 @@ package truss
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/graph"
@@ -92,17 +93,21 @@ func (t *Truss) String() string {
 // never nil.
 func Detect(tn *dbnet.ThemeNetwork, alpha float64) *Truss {
 	p := newPeeler(tn)
+	defer p.release()
 	p.peel(alpha)
+	edges, vertices, freqs := p.survivors()
 	t := &Truss{
 		Pattern: tn.Pattern.Clone(),
 		Alpha:   alpha,
-		Edges:   make(graph.EdgeSet, len(p.heap)),
-		Freq:    make(map[graph.VertexID]float64),
+		Edges:   make(graph.EdgeSet, len(edges)),
+		Freq:    make(map[graph.VertexID]float64, len(vertices)),
 	}
-	for _, e := range p.heap {
-		t.Edges.Add(tn.Edges[e])
+	for _, e := range edges {
+		t.Edges.Add(e)
 	}
-	p.survivorFreq(t.Freq)
+	for i, v := range vertices {
+		t.Freq[v] = freqs[i]
+	}
 	return t
 }
 
@@ -111,6 +116,7 @@ func Detect(tn *dbnet.ThemeNetwork, alpha float64) *Truss {
 // for diagnostics and tests.
 func Cohesions(tn *dbnet.ThemeNetwork) map[uint64]float64 {
 	p := newPeeler(tn)
+	defer p.release()
 	out := make(map[uint64]float64, len(p.cohesion))
 	for e, eco := range p.cohesion {
 		out[tn.Edges[e].Key()] = eco
@@ -160,6 +166,20 @@ type peeler struct {
 	heap, pos []int32
 	// order lists the removed edges in the order they left.
 	order []int32
+	// on marks the local vertices of surviving edges (survivors).
+	on []bool
+	// ints backs every []int32 above. A peeler's buffers come from
+	// peelerPool and go back with release: nothing a peeler hands out
+	// refers to them.
+	ints []int32
+}
+
+var peelerPool = sync.Pool{New: func() any { return new(peeler) }}
+
+// release returns the peeler to the pool; it must not be used afterwards.
+func (p *peeler) release() {
+	p.tn = nil
+	peelerPool.Put(p)
 }
 
 // newPeeler builds the working state and runs phase 1 of Algorithm 1: the
@@ -170,33 +190,39 @@ func newPeeler(tn *dbnet.ThemeNetwork) *peeler {
 	if len(tn.Freqs) != n {
 		panic(fmt.Sprintf("truss: theme network %v has %d vertices but %d frequencies", tn.Pattern, n, len(tn.Freqs)))
 	}
-	ints := make([]int32, 9*m+2*n+1)
+	for i := 1; i < n; i++ {
+		if tn.Vertices[i-1] >= tn.Vertices[i] {
+			panic(fmt.Sprintf("truss: theme network %v vertices not strictly ascending at %d", tn.Pattern, tn.Vertices[i]))
+		}
+	}
+	p := peelerPool.Get().(*peeler)
+	p.tn = tn
+	p.ints = slices.Grow(p.ints[:0], 9*m+2*n+1)[:9*m+2*n+1]
+	ints := p.ints
 	carve := func(k int) []int32 {
 		out := ints[:k:k]
 		ints = ints[k:]
 		return out
 	}
-	p := &peeler{
-		tn: tn,
-		eu: carve(m), ev: carve(m),
-		start: carve(n + 1), nbr: carve(2 * m), via: carve(2 * m),
-		heap: carve(m), pos: carve(m), order: carve(m)[:0],
-		cohesion: make([]float64, m),
-		removed:  make([]bool, m),
-	}
-	u := 0 // edges ascend by U, so its local id only moves forward
+	p.eu, p.ev = carve(m), carve(m)
+	p.start, p.nbr, p.via = carve(n+1), carve(2*m), carve(2*m)
+	p.heap, p.pos, p.order = carve(m), carve(m), carve(m)[:0]
+	clear(p.start)
+	p.cohesion = slices.Grow(p.cohesion[:0], m)[:m]
+	p.removed = slices.Grow(p.removed[:0], m)[:m]
+	clear(p.removed)
+	// The vertices ascend, so the local endpoints of an ascending edge do.
+	num := graph.NumberRun(tn.Vertices)
+	defer num.Release()
 	for e, edge := range tn.Edges {
 		if e > 0 && graph.CompareEdges(tn.Edges[e-1], edge) >= 0 {
 			panic(fmt.Sprintf("truss: theme network %v edges not strictly ascending at %v", tn.Pattern, edge))
 		}
-		for u < n && tn.Vertices[u] < edge.U {
-			u++
-		}
-		v, ok := slices.BinarySearch(tn.Vertices[min(u+1, n):], edge.V)
-		if u == n || tn.Vertices[u] != edge.U || !ok {
+		u, uok := num.Index(edge.U)
+		v, vok := num.Index(edge.V)
+		if !uok || !vok || u >= v {
 			panic(fmt.Sprintf("truss: theme network %v edge %v has an endpoint outside its vertices", tn.Pattern, edge))
 		}
-		v += u + 1
 		p.eu[e], p.ev[e] = int32(u), int32(v)
 		p.start[u+1]++
 		p.start[v+1]++
@@ -323,11 +349,33 @@ func (p *peeler) siftDown(i int) {
 	p.pos[e] = int32(i)
 }
 
-// survivorFreq records f_v(p) for every vertex incident to a surviving edge.
-func (p *peeler) survivorFreq(freq map[graph.VertexID]float64) {
-	for _, e := range p.heap {
-		u, v := p.eu[e], p.ev[e]
-		freq[p.tn.Vertices[u]] = p.tn.Freqs[u]
-		freq[p.tn.Vertices[v]] = p.tn.Freqs[v]
+// survivors returns the surviving subgraph in the theme network's layout:
+// its edges, ascending by (U, V) — the surviving local edges in order — and
+// the vertices incident to them, ascending, with f_v(p). Local ids ascend
+// with the global ones, so nothing is sorted.
+func (p *peeler) survivors() (edges []graph.Edge, vertices []graph.VertexID, freqs []float64) {
+	p.on = slices.Grow(p.on[:0], len(p.tn.Vertices))[:len(p.tn.Vertices)]
+	on := p.on
+	clear(on)
+	edges = make([]graph.Edge, 0, len(p.heap))
+	for e, gone := range p.removed {
+		if !gone {
+			edges = append(edges, p.tn.Edges[e])
+			on[p.eu[e]], on[p.ev[e]] = true, true
+		}
 	}
+	n := 0
+	for _, ok := range on {
+		if ok {
+			n++
+		}
+	}
+	vertices, freqs = make([]graph.VertexID, 0, n), make([]float64, 0, n)
+	for i, ok := range on {
+		if ok {
+			vertices = append(vertices, p.tn.Vertices[i])
+			freqs = append(freqs, p.tn.Freqs[i])
+		}
+	}
+	return edges, vertices, freqs
 }

@@ -316,6 +316,14 @@ func TestDecompositionValidateDetectsCorruption(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatalf("duplicate edges across levels should be rejected")
 	}
+	bad = &Decomposition{Vertices: []graph.VertexID{0, 1}, Freqs: []float64{1}, Levels: d.Levels}
+	if err := bad.Validate(); err == nil {
+		t.Fatalf("a vertex without a frequency should be rejected")
+	}
+	bad = &Decomposition{Vertices: []graph.VertexID{1, 0}, Freqs: []float64{1, 1}, Levels: d.Levels}
+	if err := bad.Validate(); err == nil {
+		t.Fatalf("vertices out of order should be rejected")
+	}
 	var nilD *Decomposition
 	if err := nilD.Validate(); err != nil {
 		t.Fatalf("nil decomposition should validate")
@@ -354,6 +362,7 @@ func TestMalformedThemeNetworkPanics(t *testing.T) {
 		"endpoint not a vertex":   func(tn *dbnet.ThemeNetwork) { tn.Vertices = tn.Vertices[:3]; tn.Freqs = tn.Freqs[:3] },
 		"lower endpoint unknown":  func(tn *dbnet.ThemeNetwork) { tn.Vertices = tn.Vertices[1:]; tn.Freqs = tn.Freqs[1:] },
 		"frequencies not aligned": func(tn *dbnet.ThemeNetwork) { tn.Freqs = tn.Freqs[:2] },
+		"vertices out of order":   func(tn *dbnet.ThemeNetwork) { tn.Vertices[0], tn.Vertices[1] = tn.Vertices[1], tn.Vertices[0] },
 	} {
 		tn := &dbnet.ThemeNetwork{
 			Pattern:  ok.Pattern,

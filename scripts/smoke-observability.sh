@@ -7,7 +7,7 @@
 #   - the response echoes the injected request ID;
 #   - the JSON access log carries the same ID;
 #   - /metrics is valid enough to grep and its engine/query/HTTP counters
-#     moved;
+#     moved, and one posted update moved the apply histogram;
 #   - /api/v1/slowlog captured the query (threshold 1ns) with its plan;
 #   - /api/v1/explain reports no cost estimates and an ascending schedule;
 #   - /healthz reports the network ready, and -tree bk.index serves it as
@@ -91,12 +91,19 @@ echo "== access log carries the request ID"
 grep -q "$reqid" "$workdir/server.log" \
   || fail "request ID $reqid not in the access log"
 
+echo "== one update (the server runs with -net, so it accepts them)"
+curl -sf -X POST "http://$addr/api/v1/update" \
+  -d '{"addTransactions":[{"vertex":0,"items":["hangout-c1-0"]}]}' >"$workdir/update.json" \
+  || fail "update was refused"
+grep -q '"network":"bk"' "$workdir/update.json" || fail "update answered: $(cat "$workdir/update.json")"
+
 echo "== scrape /metrics and assert counters moved"
 curl -sf "http://$addr/metrics" >"$workdir/metrics.txt"
 for family in tc_queries_total tc_query_duration_seconds \
   tc_query_stage_duration_seconds tc_http_requests_total \
   tc_http_request_duration_seconds tc_engine_queries_total \
-  tc_engine_shards tc_cache_hits_total tc_slow_queries_total; do
+  tc_engine_shards tc_cache_hits_total tc_slow_queries_total \
+  tc_update_apply_duration_seconds; do
   grep -q "^# TYPE $family " "$workdir/metrics.txt" \
     || fail "family $family missing from /metrics"
 done
@@ -114,6 +121,10 @@ grep -Eq 'tc_query_stage_duration_seconds_count\{network="bk",stage="load"\} [1-
 # Both answers were encoded, the cache hit included.
 grep -Eq 'tc_query_stage_duration_seconds_count\{network="bk",stage="encode"\} ([2-9]|[1-9][0-9])' "$workdir/metrics.txt" \
   || fail "tc_query_stage_duration_seconds{stage=\"encode\"} did not count both answers"
+
+# The update's in-memory apply (scope, rebuild, swap) was observed once.
+grep -Eq 'tc_update_apply_duration_seconds_count\{network="bk"\} 1$' "$workdir/metrics.txt" \
+  || fail "tc_update_apply_duration_seconds did not count the update"
 
 echo "== slow-query log captured the query"
 slowlog=$(curl -sf "http://$addr/api/v1/slowlog")
