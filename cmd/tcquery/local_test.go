@@ -30,7 +30,7 @@ func writeNetwork(t *testing.T, dir, name string) (indexPath, netPath string) {
 		t.Fatal(err)
 	}
 	netPath = filepath.Join(dir, name+".dbnet")
-	if err := dbnet.WriteFile(netPath, d.Network, d.Dictionary); err != nil {
+	if err := dbnet.WriteFileAtomic(netPath, d.Network, d.Dictionary); err != nil {
 		t.Fatal(err)
 	}
 	return indexPath, netPath

@@ -33,7 +33,7 @@ func writeNetwork(t *testing.T, dir string) (tx0 string) {
 	if _, err := tctree.Build(d.Network, tctree.BuildOptions{}).WriteShardedAs(filepath.Join(dir, "bk.index"), tctree.FormatTCBIN); err != nil {
 		t.Fatal(err)
 	}
-	if err := dbnet.WriteFile(filepath.Join(dir, "bk.dbnet"), d.Network, d.Dictionary); err != nil {
+	if err := dbnet.WriteFileAtomic(filepath.Join(dir, "bk.dbnet"), d.Network, d.Dictionary); err != nil {
 		t.Fatal(err)
 	}
 	return strings.Join(d.Dictionary.Names(d.Network.Database(0).Transactions()[0]), ",")

@@ -322,13 +322,3 @@ func (c *Client) Update(ctx context.Context, network string, u *server.UpdateReq
 	}
 	return &out, nil
 }
-
-// Health fetches /healthz.
-func (c *Client) Health(ctx context.Context) (*server.HealthResponse, error) {
-	var out server.HealthResponse
-	_, err := c.doGET(ctx, "/healthz", &out)
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
-}

@@ -2,22 +2,8 @@ package core
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 )
-
-func TestParallelMap(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 8} {
-		var sum int64
-		n := 100
-		parallelMap(workers, n, func(i int) { atomic.AddInt64(&sum, int64(i)) })
-		if want := int64(n * (n - 1) / 2); sum != want {
-			t.Fatalf("workers=%d: sum = %d, want %d", workers, sum, want)
-		}
-	}
-	// n = 0 is a no-op.
-	parallelMap(4, 0, func(int) { t.Fatalf("must not be called") })
-}
 
 func TestParallelMiningMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))

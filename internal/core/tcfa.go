@@ -6,6 +6,7 @@ import (
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/itemset"
+	"themecomm/internal/par"
 	"themecomm/internal/truss"
 )
 
@@ -63,7 +64,7 @@ func findLevelwise(nw *dbnet.Network, opts Options, useIntersection bool) *Resul
 	// Level 1: every single item of S (Line 1 of Algorithm 3).
 	items := nw.Items()
 	evals := make([]evaluation, items.Len())
-	parallelMap(workers, items.Len(), func(i int) {
+	par.For(items.Len(), workers, func(i int) {
 		tn := nw.ThemeNetwork(itemset.New(items[i]))
 		evals[i] = evaluation{truss: truss.Detect(tn, opts.Alpha), ranMPT: true}
 	})
@@ -81,7 +82,7 @@ func findLevelwise(nw *dbnet.Network, opts Options, useIntersection bool) *Resul
 	for len(level) > 0 && k <= maxLen {
 		candidates := joinLevel(level)
 		evals = make([]evaluation, len(candidates))
-		parallelMap(workers, len(candidates), func(i int) {
+		par.For(len(candidates), workers, func(i int) {
 			evals[i] = evaluateCandidate(nw, candidates[i], level, opts.Alpha, useIntersection)
 		})
 

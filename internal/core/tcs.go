@@ -7,6 +7,7 @@ import (
 	"themecomm/internal/fpm"
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
+	"themecomm/internal/par"
 	"themecomm/internal/truss"
 )
 
@@ -30,7 +31,7 @@ func TCS(nw *dbnet.Network, opts Options) *Result {
 		nw.Freeze()
 	}
 	trusses := make([]*truss.Truss, len(candidates))
-	parallelMap(opts.Parallelism, len(candidates), func(i int) {
+	par.For(len(candidates), opts.Parallelism, func(i int) {
 		trusses[i] = truss.Detect(nw.ThemeNetwork(candidates[i]), opts.Alpha)
 	})
 	for _, t := range trusses {

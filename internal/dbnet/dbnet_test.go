@@ -313,8 +313,8 @@ func TestReadIgnoresCommentsAndBlankLines(t *testing.T) {
 func TestWriteReadFile(t *testing.T) {
 	nw := smallNetwork(t)
 	path := t.TempDir() + "/net.dbnet"
-	if err := WriteFile(path, nw, nil); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	if err := WriteFileAtomic(path, nw, nil); err != nil {
+		t.Fatalf("WriteFileAtomic: %v", err)
 	}
 	got, _, err := ReadFile(path)
 	if err != nil {

@@ -183,19 +183,6 @@ func Read(r io.Reader) (*Network, *itemset.Dictionary, error) {
 	return nw, dict, nil
 }
 
-// WriteFile writes the network to the named file, creating or truncating it.
-func WriteFile(path string, nw *Network, dict *itemset.Dictionary) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Write(f, nw, dict); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // WriteFileAtomic durably replaces the network file (durable.WriteFile) —
 // WriteFileAtomicStamped without a stamp, for writing a network no index was
 // maintained against yet. An update's write-back keeps the stamp

@@ -214,16 +214,3 @@ func ReadFile(path string, dict *itemset.Dictionary) (*Delta, error) {
 	defer f.Close()
 	return Read(f, dict)
 }
-
-// WriteFile writes the delta to the named file, creating or truncating it.
-func WriteFile(path string, d *Delta) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := Write(f, d); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

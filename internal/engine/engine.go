@@ -44,6 +44,7 @@ import (
 	"themecomm/internal/dbnet"
 	"themecomm/internal/delta"
 	"themecomm/internal/itemset"
+	"themecomm/internal/par"
 	"themecomm/internal/tctree"
 	"themecomm/internal/trace"
 	"themecomm/internal/truss"
@@ -682,9 +683,9 @@ type DeltaResult struct {
 	// previous version.
 	RecomputedNodes int `json:"recomputedNodes"`
 	ReusedNodes     int `json:"reusedNodes"`
-	// Duration is the wall time of the update: rebuild and swap, plus the
-	// checkpoint when the caller persists the update at once
-	// (federation.Network.ApplyDelta).
+	// Duration is the wall time of the in-memory apply: scope, delta,
+	// rebuild and swap — the value tc_update_apply_duration_seconds
+	// observes. It never includes a journal append or a checkpoint.
 	Duration time.Duration `json:"-"`
 }
 
@@ -931,7 +932,8 @@ type Request struct {
 }
 
 // QueryBatchContext answers many queries in one call. Queries run
-// concurrently, bounded by the worker pool; answers are returned in request
+// concurrently on at most Workers() goroutines (par.For), each holding a
+// slot of the engine-wide batch pool; answers are returned in request
 // order. Repeated queries within a batch are served from the cache once the
 // first execution completes (concurrent duplicates may each execute). A query
 // that fails (lazy shard-load error) leaves a nil slot in the answers; the
@@ -942,21 +944,15 @@ func (e *Engine) QueryBatchContext(ctx context.Context, reqs []Request) ([]*Answ
 	e.batches.Add(1)
 	out := make([]*Answer, len(reqs))
 	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i, r := range reqs {
-		wg.Add(1)
-		go func(i int, r Request) {
-			defer wg.Done()
-			e.batchSem <- struct{}{}
-			defer func() { <-e.batchSem }()
-			res, err := e.QueryContext(ctx, r.Pattern, r.Alpha)
-			if err != nil {
-				errs[i] = fmt.Errorf("query %d: %w", i, err)
-				return
-			}
-			out[i] = res
-		}(i, r)
-	}
-	wg.Wait()
+	par.For(len(reqs), e.workers, func(i int) {
+		e.batchSem <- struct{}{}
+		defer func() { <-e.batchSem }()
+		res, err := e.QueryContext(ctx, reqs[i].Pattern, reqs[i].Alpha)
+		if err != nil {
+			errs[i] = fmt.Errorf("query %d: %w", i, err)
+			return
+		}
+		out[i] = res
+	})
 	return out, errors.Join(errs...)
 }

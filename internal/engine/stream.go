@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"themecomm/internal/itemset"
+	"themecomm/internal/par"
 	"themecomm/internal/tctree"
 	"themecomm/internal/trace"
 	"themecomm/internal/truss"
@@ -229,33 +228,20 @@ func (st *Stream) open(i int) error {
 }
 
 // drain opens every scheduled task and concatenates the per-task answers in
-// ascending root-item order. The caller and up to workers−1 helpers pull
-// schedule positions from one counter until none is left, so the tasks open
-// in schedule order and each result lands at its position; every open still
-// takes a traversal slot, so the worker bound holds across concurrent
-// queries, not just within one. Load failures are joined; a done context is
-// reported once, not once per shard it kept closed. The caller holds
-// updateMu for reading across the call.
+// ascending root-item order. The caller and up to workers−1 helpers claim
+// schedule positions (par.For), so the tasks open in schedule order and
+// each result lands at its position; every open still takes a traversal
+// slot, so the worker bound holds across concurrent queries, not just
+// within one. Load failures are joined; a done context is reported once,
+// not once per shard it kept closed. The caller holds updateMu for reading
+// across the call.
 func (st *Stream) drain() (*Answer, error) {
 	execStart := time.Now()
 	order := st.plan.Order
 	errs := make([]error, len(order))
-	var pos atomic.Int64
-	pull := func() {
-		for n := int(pos.Add(1) - 1); n < len(order); n = int(pos.Add(1) - 1) {
-			errs[n] = st.open(order[n])
-		}
-	}
-	var wg sync.WaitGroup
-	for range min(st.e.workers, len(order)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pull()
-		}()
-	}
-	pull()
-	wg.Wait()
+	par.For(len(order), st.e.workers, func(n int) {
+		errs[n] = st.open(order[n])
+	})
 	st.next = len(order)
 	mergeStart := time.Now()
 	st.execDur = mergeStart.Sub(execStart)

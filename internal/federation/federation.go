@@ -35,16 +35,17 @@ import (
 	"fmt"
 	"io/fs"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/delta"
 	"themecomm/internal/engine"
 	"themecomm/internal/itemset"
+	"themecomm/internal/par"
 	"themecomm/internal/tctree"
 	"themecomm/internal/trace"
 	"themecomm/internal/truss"
@@ -147,7 +148,8 @@ func (n *Network) DatabaseNetwork() *dbnet.Network { return n.opts.Network }
 // counters are untouched — and the update is persisted at once by a
 // Checkpoint that carries the files' journal-seq stamps forward unchanged, so
 // a journaled primary started on the same files later still recovers from
-// them. The result's Duration includes the checkpoint.
+// them. The result's Duration is the engine's in-memory apply alone, as on
+// every route (engine.DeltaResult); the checkpoint is not in it.
 //
 // A failed checkpoint commits nothing: the update is served from memory, the
 // result is returned together with the error, and the next update's
@@ -159,7 +161,6 @@ func (n *Network) ApplyDelta(d *delta.Delta) (*engine.DeltaResult, error) {
 	}
 	n.updMu.Lock()
 	defer n.updMu.Unlock()
-	start := time.Now()
 	res, err := n.eng.ApplyDeltaInMemory(nw, d)
 	if err != nil {
 		return nil, n.wrapErr(err)
@@ -170,7 +171,6 @@ func (n *Network) ApplyDelta(d *delta.Delta) (*engine.DeltaResult, error) {
 	if err == nil {
 		err = n.Checkpoint(max(networkSeq, indexSeq))
 	}
-	res.Duration = time.Since(start)
 	if err != nil {
 		return res, fmt.Errorf("update applied in memory but not persisted: %w", err)
 	}
@@ -426,24 +426,16 @@ func (f *Federation) snapshot(resolve PatternResolver) []networkTask {
 	return tasks
 }
 
-// forEach runs fn once per attached network on the bounded network pool,
-// admitting networks in name order. The pool slot is acquired before the
-// goroutine is spawned, so at most GOMAXPROCS goroutines exist at once.
-// It returns the tasks in name order after every fn returned.
-func (f *Federation) forEach(resolve PatternResolver, fn func(t networkTask)) []networkTask {
-	tasks := f.snapshot(resolve)
-	var wg sync.WaitGroup
-	for _, t := range tasks {
+// forEach runs fn(i, tasks[i]) for every task on at most GOMAXPROCS
+// goroutines (par.For), admitting the tasks in order. Every call holds a
+// netSem slot, so the bound holds across concurrent cross-network calls
+// too. It returns after every fn returned.
+func (f *Federation) forEach(tasks []networkTask, fn func(i int, t networkTask)) {
+	par.For(len(tasks), cap(f.netSem), func(i int) {
 		f.netSem <- struct{}{}
-		wg.Add(1)
-		go func(t networkTask) {
-			defer wg.Done()
-			defer func() { <-f.netSem }()
-			fn(t)
-		}(t)
-	}
-	wg.Wait()
-	return tasks
+		defer func() { <-f.netSem }()
+		fn(i, tasks[i])
+	})
 }
 
 // NetworkResult is one network's answer to a cross-network query.
@@ -474,23 +466,20 @@ type NetworkResult struct {
 // joins every per-network failure, annotated with its network.
 func (f *Federation) QueryAll(ctx context.Context, resolve PatternResolver, alphaQ float64) ([]NetworkResult, error) {
 	f.queryAlls.Add(1)
-	out := make([]NetworkResult, 0, f.NumNetworks())
-	results := make(map[*Network]NetworkResult)
-	var mu sync.Mutex
-	tasks := f.forEach(resolve, func(t networkTask) {
+	tasks := f.snapshot(resolve)
+	out := make([]NetworkResult, len(tasks))
+	f.forEach(tasks, func(i int, t networkTask) {
 		res, err := t.net.eng.QueryContext(ctx, t.q, alphaQ)
-		mu.Lock()
-		results[t.net] = NetworkResult{Network: t.net.name, Pattern: t.q, Result: res, Err: err}
-		mu.Unlock()
+		if err != nil {
+			err = fmt.Errorf("network %q: %w", t.net.name, err)
+		}
+		out[i] = NetworkResult{Network: t.net.name, Pattern: t.q, Result: res, Err: err}
 	})
 	var errs []error
-	for _, t := range tasks {
-		r := results[t.net]
+	for _, r := range out {
 		if r.Err != nil {
-			r.Err = fmt.Errorf("network %q: %w", t.net.name, r.Err)
 			errs = append(errs, r.Err)
 		}
-		out = append(out, r)
 	}
 	return out, errors.Join(errs...)
 }
@@ -513,21 +502,21 @@ type NetworkRanked struct {
 // contribute nothing; the error joins their failures.
 func (f *Federation) TopKAll(ctx context.Context, resolve PatternResolver, alphaQ float64, k int) ([]NetworkRanked, error) {
 	f.topKAlls.Add(1)
-	var mu sync.Mutex
-	var merged []NetworkRanked
-	var errs []error
-	f.forEach(resolve, func(t networkTask) {
+	tasks := f.snapshot(resolve)
+	parts := make([][]NetworkRanked, len(tasks))
+	errs := make([]error, len(tasks))
+	f.forEach(tasks, func(i int, t networkTask) {
 		_, ranked, err := t.net.eng.TopKWithResultContext(ctx, t.q, alphaQ, k)
-		mu.Lock()
-		defer mu.Unlock()
 		if err != nil {
-			errs = append(errs, fmt.Errorf("network %q: %w", t.net.name, err))
+			errs[i] = fmt.Errorf("network %q: %w", t.net.name, err)
 			return
 		}
-		for _, rc := range ranked {
-			merged = append(merged, NetworkRanked{Network: t.net.name, Community: rc})
+		parts[i] = make([]NetworkRanked, len(ranked))
+		for j, rc := range ranked {
+			parts[i][j] = NetworkRanked{Network: t.net.name, Community: rc}
 		}
 	})
+	merged := slices.Concat(parts...)
 	sort.Slice(merged, func(i, j int) bool {
 		a, b := &merged[i], &merged[j]
 		if engine.LessRanked(&a.Community, &b.Community) {

@@ -393,7 +393,7 @@ func TestDiscover(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		dict.Intern(strings.Repeat("x", i+1))
 	}
-	if err := dbnet.WriteFile(dir+"/alpha.dbnet", dbnet.New(1), dict); err != nil {
+	if err := dbnet.WriteFileAtomic(dir+"/alpha.dbnet", dbnet.New(1), dict); err != nil {
 		t.Fatalf("WriteFile(dbnet): %v", err)
 	}
 

@@ -3,7 +3,6 @@ package federation
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"themecomm/internal/engine"
 	"themecomm/internal/truss"
@@ -96,28 +95,22 @@ func (f *Federation) StreamQueryAll(ctx context.Context, resolve PatternResolver
 // ascending name order. Opening an engine stream only plans — no shard is
 // loaded or traversed until the stream is pulled.
 func (f *Federation) memberCursors(ctx context.Context, resolve PatternResolver, alphaQ float64, ranked bool, k int) []*netCursor {
-	f.mu.RLock()
-	nets := make([]*Network, 0, len(f.networks))
-	for _, n := range f.networks {
-		nets = append(nets, n)
-	}
-	f.mu.RUnlock()
-	sort.Slice(nets, func(i, j int) bool { return nets[i].name < nets[j].name })
-	cursors := make([]*netCursor, 0, len(nets))
-	for _, n := range nets {
+	tasks := f.snapshot(resolve)
+	cursors := make([]*netCursor, 0, len(tasks))
+	for _, t := range tasks {
 		var st *engine.Stream
 		var err error
 		if ranked {
-			st, err = n.eng.StreamTopK(ctx, resolve(n), alphaQ, k)
+			st, err = t.net.eng.StreamTopK(ctx, t.q, alphaQ, k)
 		} else {
-			st, err = n.eng.StreamQuery(ctx, resolve(n), alphaQ)
+			st, err = t.net.eng.StreamQuery(ctx, t.q, alphaQ)
 		}
 		if err != nil {
 			// Cannot happen today (opening a stream only plans), but a future
 			// failure mode should not crash the merge.
 			continue
 		}
-		cursors = append(cursors, &netCursor{name: n.name, st: st})
+		cursors = append(cursors, &netCursor{name: t.net.name, st: st})
 	}
 	return cursors
 }

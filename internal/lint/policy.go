@@ -65,6 +65,11 @@ var LayerRules = []LayerRule{
 		Why:  "durable is the one temp → fsync → rename routine tctree, dbnet and the journal share; a leaf, it may depend on nothing in this module",
 	},
 	{
+		Pkg:  "internal/par",
+		Deny: []string{"internal/"},
+		Why:  "par holds the bounded parallel loops the miners, the index build and writer, the executor and the federation share; a leaf, it may depend on nothing in this module",
+	},
+	{
 		Pkg:  "internal/replication",
 		Deny: []string{"internal/server", "internal/obs", "net/http"},
 		Why:  "replication drives engines and journals (PR 9); HTTP transport for the journal feed lives in internal/server and internal/client",

@@ -37,7 +37,7 @@ func newPrimaryServer(t *testing.T) (*Server, *replication.Primary) {
 		t.Fatalf("WriteShardedAs: %v", err)
 	}
 	netPath := filepath.Join(sub, "network.dbnet")
-	if err := dbnet.WriteFile(netPath, nw, nil); err != nil {
+	if err := dbnet.WriteFileAtomic(netPath, nw, nil); err != nil {
 		t.Fatalf("write network: %v", err)
 	}
 
@@ -201,7 +201,7 @@ func TestPrimaryServerJournalFlow(t *testing.T) {
 	// Round-trip through the network file so the reference server renders
 	// items through the same synthesized dictionary the primary loaded.
 	freshPath := filepath.Join(t.TempDir(), "fresh.dbnet")
-	if err := dbnet.WriteFile(freshPath, nw, nil); err != nil {
+	if err := dbnet.WriteFileAtomic(freshPath, nw, nil); err != nil {
 		t.Fatalf("write fresh network: %v", err)
 	}
 	freshNW, freshDict, err := dbnet.ReadFile(freshPath)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"time"
 
 	"themecomm/internal/delta"
 	"themecomm/internal/graph"
@@ -73,8 +74,9 @@ type UpdateResponse struct {
 	// delta; only set on a replication primary, whose updates are journaled
 	// and checkpointed in the background instead of checkpointed at once.
 	JournalSeq uint64 `json:"journalSeq,omitempty"`
-	// UpdateMicros is the wall time of the whole update: rebuild and swap,
-	// plus the checkpoint on a server without a journal.
+	// UpdateMicros is the wall time of the whole update as the server ran
+	// it: on a replication primary the journal append and the in-memory
+	// apply, elsewhere the apply and the checkpoint that persists it.
 	UpdateMicros int64 `json:"updateMicros"`
 	// Warning is set when the in-memory update succeeded but the checkpoint
 	// that persists it failed (a network-file write-back or index commit
@@ -210,7 +212,9 @@ func (s *Server) serveUpdate(t *tenant, w http.ResponseWriter, r *http.Request) 
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
+	start := time.Now()
 	res, seq, err := t.update(d)
+	took := time.Since(start)
 	if err != nil && res == nil {
 		// Nothing was applied. Validation happens inside the tenant's
 		// update lock (validating here would race a concurrent update
@@ -228,7 +232,7 @@ func (s *Server) serveUpdate(t *tenant, w http.ResponseWriter, r *http.Request) 
 		AffectedItems: t.itemNames(res.Affected),
 		IndexEpoch:    res.Epoch,
 		JournalSeq:    seq,
-		UpdateMicros:  res.Duration.Microseconds(),
+		UpdateMicros:  took.Microseconds(),
 	}
 	if res.Report != nil {
 		resp.ReplacedShards = len(res.Report.Replaced)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -9,13 +10,18 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/federation"
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
+	"themecomm/internal/journal"
+	"themecomm/internal/replication"
 	"themecomm/internal/tctree"
+	"themecomm/internal/trace"
 )
 
 // buildUpdatableNetwork generates a network like the federation tests do,
@@ -55,7 +61,7 @@ func newUpdatableServer(t *testing.T, seed int64) (*Server, *dbnet.Network, stri
 		t.Fatalf("seed %d built an empty index", seed)
 	}
 	netPath := filepath.Join(t.TempDir(), "net.dbnet")
-	if err := dbnet.WriteFile(netPath, nw, nil); err != nil {
+	if err := dbnet.WriteFileAtomic(netPath, nw, nil); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 	s, _ := testNetwork{Built: built, NetworkOptions: federation.NetworkOptions{Network: nw, NetworkPath: netPath}}.serve(t)
@@ -127,7 +133,7 @@ func TestUpdateEndpoint(t *testing.T) {
 func TestUpdateRendersNewItemNames(t *testing.T) {
 	nw := buildUpdatableNetwork(t, 11)
 	netPath := filepath.Join(t.TempDir(), "net.dbnet")
-	if err := dbnet.WriteFile(netPath, nw, nil); err != nil {
+	if err := dbnet.WriteFileAtomic(netPath, nw, nil); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 	s, _ := testNetwork{Built: builtIndex(t, nw, tctree.BuildOptions{}), NetworkOptions: federation.NetworkOptions{
@@ -437,4 +443,112 @@ func TestUpdateWriteBackFailureCommitsNothing(t *testing.T) {
 		t.Fatalf("reopened network has %d vertices, want 19", got)
 	}
 	assertServesFreshBuild(reopened, n, "reopened")
+}
+
+// applyRecorder records the apply duration of every update an engine
+// reports.
+type applyRecorder struct {
+	mu      sync.Mutex
+	applies []time.Duration
+}
+
+func (r *applyRecorder) RecordQuery(context.Context, trace.QueryObservation) {}
+
+func (r *applyRecorder) RecordUpdate(u trace.UpdateObservation) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.applies = append(r.applies, u.Duration)
+}
+
+// last returns the most recent apply duration and how many were recorded.
+func (r *applyRecorder) last() (time.Duration, int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.applies) == 0 {
+		return 0, 0
+	}
+	return r.applies[len(r.applies)-1], len(r.applies)
+}
+
+// TestUpdateDurationsMeanTheSameOnEveryRoute drives both update routes — a
+// journaled primary member ("alpha") and an unjournaled tenant that
+// checkpoints each update at once ("beta") — and holds each to one meaning:
+// DeltaResult.Duration is the engine's in-memory apply, exactly what the
+// Recorder observes, and updateMicros times the whole update, so it is never
+// below that apply.
+func TestUpdateDurationsMeanTheSameOnEveryRoute(t *testing.T) {
+	dir := t.TempDir()
+	rec := &applyRecorder{}
+	fed := federation.New(federation.Options{Recorder: rec})
+	for _, name := range []string{"alpha", "beta"} {
+		nw := buildUpdatableNetwork(t, 17)
+		netPath := filepath.Join(dir, name+".dbnet")
+		if err := dbnet.WriteFileAtomic(netPath, nw, nil); err != nil {
+			t.Fatalf("%s: write network: %v", name, err)
+		}
+		indexDir := filepath.Join(dir, name)
+		if _, err := builtIndex(t, nw, tctree.BuildOptions{}).Write(indexDir); err != nil {
+			t.Fatalf("%s: write index: %v", name, err)
+		}
+		idx, err := tctree.OpenSharded(indexDir)
+		if err != nil {
+			t.Fatalf("%s: OpenSharded: %v", name, err)
+		}
+		if err := fed.AttachIndex(name, idx, federation.NetworkOptions{Network: nw, NetworkPath: netPath}); err != nil {
+			t.Fatalf("%s: AttachIndex: %v", name, err)
+		}
+	}
+	j, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
+	if err != nil {
+		t.Fatalf("open journal: %v", err)
+	}
+	t.Cleanup(func() { j.Close() })
+	p := replication.NewPrimary(j, replication.Options{CheckpointInterval: -1})
+	alpha, _ := fed.Network("alpha")
+	if err := p.Add(alpha); err != nil {
+		t.Fatalf("Add: %v", err)
+	}
+	if _, err := p.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	s, err := New(nil, Options{Federation: fed, Primary: p})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+
+	for _, name := range []string{"alpha", "beta"} {
+		n, _ := fed.Network(name)
+		tn := s.tenantOf(n)
+		d, err := tn.parseUpdate(&UpdateRequest{AddTransactions: []UpdateTransaction{{Vertex: 0, Items: []string{"3"}}}})
+		if err != nil {
+			t.Fatalf("%s: parseUpdate: %v", name, err)
+		}
+		res, seq, err := tn.update(d)
+		if err != nil {
+			t.Fatalf("%s: update: %v", name, err)
+		}
+		if journaled := name == "alpha"; journaled != (seq > 0) {
+			t.Fatalf("%s: journal seq %d, journaled route = %v", name, seq, journaled)
+		}
+		applied, count := rec.last()
+		if count == 0 || res.Duration != applied {
+			t.Fatalf("%s: DeltaResult.Duration = %v, recorded apply = %v (%d recorded)", name, res.Duration, applied, count)
+		}
+
+		w := post(t, s, "/api/v1/"+name+"/update", `{"addTransactions": [{"vertex": 1, "items": ["2","4"]}]}`)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: POST update: status %d, body %s", name, w.Code, w.Body.String())
+		}
+		var resp UpdateResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		applied, after := rec.last()
+		if after != count+1 {
+			t.Fatalf("%s: %d applies recorded after the POST, want %d", name, after, count+1)
+		}
+		if resp.UpdateMicros < applied.Microseconds() {
+			t.Fatalf("%s: updateMicros = %d, below the recorded apply of %dµs", name, resp.UpdateMicros, applied.Microseconds())
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/itemset"
+	"themecomm/internal/par"
 )
 
 // BuildOptions configures the TC-Tree construction.
@@ -116,8 +117,8 @@ func (x *Index) SizeBytes() int64 {
 }
 
 // mineShards is the one routine that mines shards: it runs expandSubtree for
-// every item on a pool of workers and hands each splice, with the item's
-// index, to step on the worker that mined it — Build keeps the root,
+// every item on a pool of workers (par.Feed) and hands each splice, with the
+// item's index, to step on the worker that mined it — Build keeps the root,
 // BuildIndex and RebuildScoped encode it. With prev, an item's previous
 // shard scopes its expansion to the delta whose witnesses are scope. It
 // returns the first error of step in item order.
@@ -126,7 +127,7 @@ func mineShards(nw *dbnet.Network, items itemset.Itemset, maxDepth, workers int,
 	// lazily built structures first so those reads are safe.
 	nw.Freeze()
 	errs := make([]error, len(items))
-	parallelDo(len(items), workers, func(i int) {
+	par.Feed(len(items), workers, func(i int) {
 		var old *BinShard
 		if prev != nil {
 			old = prev(items[i])

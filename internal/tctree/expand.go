@@ -3,7 +3,6 @@ package tctree
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/graph"
@@ -434,30 +433,4 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// parallelDo calls do(i) for every i in [0, n) on a pool of at most workers
-// goroutines and returns when all calls have. It is the pool shards are
-// mined, encoded and written on: the calls are independent, and what they
-// produce is placed by index, so the result never depends on the schedule.
-func parallelDo(n, workers int, do func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				do(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }

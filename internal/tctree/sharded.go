@@ -15,6 +15,7 @@ import (
 
 	"themecomm/internal/durable"
 	"themecomm/internal/itemset"
+	"themecomm/internal/par"
 )
 
 // This file implements the on-disk index: a directory containing one TCBIN
@@ -225,15 +226,15 @@ func writeFile(path string, data []byte) error {
 }
 
 // writeShards durably writes the files of n shards inside dir, each under
-// its content name (durable.WriteFile), on a pool of GOMAXPROCS workers;
-// shard(i) supplies the i-th — encoding it there, for a tree being written,
-// so that one shard's encoding overlaps another's fsync. Entries come back in
+// its content name (durable.WriteFile), on a pool of GOMAXPROCS workers
+// (par.For); shard(i) supplies the i-th — encoding it there, for a tree
+// being written, so that one shard's encoding overlaps another's fsync. Entries come back in
 // shard order, independent of the schedule; the error is the first in shard
 // order.
 func writeShards(dir string, n int, shard func(i int) (*EncodedShard, error)) ([]ShardEntry, error) {
 	entries := make([]ShardEntry, n)
 	errs := make([]error, n)
-	parallelDo(n, runtime.GOMAXPROCS(0), func(i int) {
+	par.For(n, runtime.GOMAXPROCS(0), func(i int) {
 		enc, err := shard(i)
 		if err != nil {
 			errs[i] = err

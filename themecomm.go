@@ -256,9 +256,10 @@ func ReadNetworkFile(path string) (*Network, *Dictionary, error) { return dbnet.
 // WriteNetwork serializes a database network (and optional dictionary) to w.
 func WriteNetwork(w io.Writer, nw *Network, dict *Dictionary) error { return dbnet.Write(w, nw, dict) }
 
-// WriteNetworkFile writes a database network to a file.
+// WriteNetworkFile durably writes a database network to a file; it is
+// WriteNetworkFileAtomic.
 func WriteNetworkFile(path string, nw *Network, dict *Dictionary) error {
-	return dbnet.WriteFile(path, nw, dict)
+	return dbnet.WriteFileAtomic(path, nw, dict)
 }
 
 // WriteNetworkFileAtomic durably replaces a network file (write-to-temp +
