@@ -66,8 +66,25 @@ func (nw *Network) ThemeNetwork(p itemset.Itemset) *ThemeNetwork {
 	default:
 		tn.addPositive(nw, nw.candidateVertices(p))
 	}
-	// Membership is one lookup in the vertices' numbering. Neighbour lists
-	// ascend, so the edges come out ascending by (U, V).
+	tn.addEdges(nw)
+	return tn
+}
+
+// ThemeNetworkAmong induces G_p on the given vertices, ascending: the
+// subgraph of G_p on the vertices among them with f_i(p) > 0. A scoped
+// rebuild induces a shard root's theme network on the region a delta can
+// change, not on the whole network.
+func (nw *Network) ThemeNetworkAmong(p itemset.Itemset, among []graph.VertexID) *ThemeNetwork {
+	tn := &ThemeNetwork{Pattern: p.Clone()}
+	tn.addPositive(nw, among)
+	tn.addEdges(nw)
+	return tn
+}
+
+// addEdges appends every edge of the network between two of the theme
+// network's vertices. Membership is one lookup in the vertices' numbering.
+// Neighbour lists ascend, so the edges come out ascending by (U, V).
+func (tn *ThemeNetwork) addEdges(nw *Network) {
 	num := graph.NumberRun(tn.Vertices)
 	defer num.Release()
 	for _, v := range tn.Vertices {
@@ -80,7 +97,6 @@ func (nw *Network) ThemeNetwork(p itemset.Itemset) *ThemeNetwork {
 			}
 		}
 	}
-	return tn
 }
 
 // ThemeNetworkWithin induces the theme network of p restricted to the given

@@ -186,12 +186,9 @@ func Apply(nw *dbnet.Network, d *Delta) error {
 	return nil
 }
 
-// Scope is the proof of what a delta can change, as plain data: the witness
-// transactions of every vertex the delta touches — its whole pre-delta
-// database plus every transaction the delta adds or removes. A vertex is
-// touched when it gains or loses a transaction, when it is tombstoned, or
-// when an added or removed edge is incident to it. Witnesses are distinct
-// and in itemset.Compare order.
+// Scope is the proof of what a delta can change, as plain data: which
+// patterns (Witnesses), and where in the network (Touched, with Linked and
+// Gained for the triangles a delta may close).
 //
 // A pattern p contained in no witness is out of scope, and its TC-Tree node
 // is the same before and after the delta: no touched vertex has f_v(p) > 0
@@ -203,43 +200,111 @@ func Apply(nw *dbnet.Network, d *Delta) error {
 // in-scope pattern is in scope — so every pattern extending one that is out
 // of scope is out of scope with it: a whole subtree is carried over at once
 // (tctree.RebuildScoped).
-type Scope []itemset.Itemset
+//
+// An in-scope node changes only in the theme communities Seeds names: every
+// other community of it keeps its edges and its levels (tctree.RebuildScoped
+// carries them over too).
+type Scope struct {
+	// Witnesses are the witness transactions of every vertex the delta
+	// touches — its whole pre-delta database plus every transaction the
+	// delta adds or removes — distinct and in itemset.Compare order.
+	Witnesses []itemset.Itemset
+	// Touched are the vertices the delta touches, ascending: a vertex is
+	// touched when it gains or loses a transaction, when it is tombstoned,
+	// or when an added or removed edge is incident to it.
+	Touched []graph.VertexID
+	// Linked are the endpoints of the added edges, ascending.
+	Linked []graph.VertexID
+	// Gained lists, ascending by vertex, every vertex that gains
+	// transactions with the items they bring that its pre-delta database
+	// does not hold.
+	Gained []Gain
+}
+
+// Gain is one vertex's new items: items of the transactions a delta adds to
+// the vertex that its database did not hold before the delta.
+type Gain struct {
+	Vertex graph.VertexID
+	Items  itemset.Itemset
+}
 
 // ScopeOf computes the delta's scope on nw. It must be called BEFORE Apply:
 // the witnesses include the pre-delta vertex databases.
 func ScopeOf(nw *dbnet.Network, d *Delta) Scope {
 	if d.Empty() {
-		return nil
+		return Scope{}
 	}
-	touched := make(map[graph.VertexID]bool)
+	var s Scope
 	for _, e := range d.AddEdges {
-		touched[e.U] = true
-		touched[e.V] = true
+		s.Linked = append(s.Linked, e.U, e.V)
 	}
+	s.Touched = slices.Clone(s.Linked)
 	for _, e := range d.RemoveEdges {
-		touched[e.U] = true
-		touched[e.V] = true
+		s.Touched = append(s.Touched, e.U, e.V)
 	}
-	for _, v := range d.RemoveVertices {
-		touched[v] = true
-	}
-	var scope Scope
+	s.Touched = append(s.Touched, d.RemoveVertices...)
+	gained := make(map[graph.VertexID][]itemset.Item)
 	for _, vt := range d.AddTransactions {
-		touched[vt.Vertex] = true
-		scope = append(scope, vt.Tx)
-	}
-	for _, vt := range d.RemoveTransactions {
-		touched[vt.Vertex] = true
-		scope = append(scope, vt.Tx)
-	}
-	for v := range touched {
-		// A vertex this delta introduces has no pre-delta database.
-		if db := nw.Database(v); db != nil {
-			scope = append(scope, db.Transactions()...)
+		s.Touched = append(s.Touched, vt.Vertex)
+		s.Witnesses = append(s.Witnesses, vt.Tx)
+		db := nw.Database(vt.Vertex)
+		for _, it := range vt.Tx {
+			// A vertex this delta introduces has no pre-delta database.
+			if db == nil || !db.ContainsItem(it) {
+				gained[vt.Vertex] = append(gained[vt.Vertex], it)
+			}
 		}
 	}
-	itemset.Sort(scope)
-	return slices.CompactFunc(scope, itemset.Itemset.Equal)
+	for _, vt := range d.RemoveTransactions {
+		s.Touched = append(s.Touched, vt.Vertex)
+		s.Witnesses = append(s.Witnesses, vt.Tx)
+	}
+	slices.Sort(s.Linked)
+	s.Linked = slices.Compact(s.Linked)
+	slices.Sort(s.Touched)
+	s.Touched = slices.Compact(s.Touched)
+	for _, v := range s.Touched {
+		if db := nw.Database(v); db != nil {
+			s.Witnesses = append(s.Witnesses, db.Transactions()...)
+		}
+		if items, ok := gained[v]; ok {
+			s.Gained = append(s.Gained, Gain{Vertex: v, Items: itemset.New(items...)})
+		}
+	}
+	itemset.Sort(s.Witnesses)
+	s.Witnesses = slices.CompactFunc(s.Witnesses, itemset.Itemset.Equal)
+	return s
+}
+
+// Seeds returns, ascending, the vertices of nw — the network after the
+// delta — that every theme community of G_item the delta changed holds one
+// of: the touched vertices, and the neighbours of every touched vertex of
+// G_item that can close a triangle G_item did not have — an endpoint of an
+// added edge, or a vertex whose added transactions bring the item.
+//
+// A community of G_item's maximal pattern truss at α = 0 that holds no seed
+// is a community after the delta too, with the same edges, the same
+// frequencies and so the same levels: its vertices keep their databases and
+// its edges their triangles, and a triangle G_item gains has a closer among
+// its vertices and the closer's neighbours for the other two, so none of
+// them joins the community. The same holds for every pattern that contains
+// the item, whose theme network lies inside G_item's.
+func (s Scope) Seeds(nw *dbnet.Network, item itemset.Item) []graph.VertexID {
+	closers := slices.Clone(s.Linked)
+	for _, g := range s.Gained {
+		if g.Items.Contains(item) {
+			closers = append(closers, g.Vertex)
+		}
+	}
+	out := slices.Clone(s.Touched)
+	for _, v := range closers {
+		// A vertex outside G_item closes no triangle of it.
+		if db := nw.Database(v); db != nil && db.ContainsItem(item) {
+			out = append(out, nw.Graph().Neighbors(v)...)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Items returns the set of top-level items whose TC-Tree shards the delta
@@ -251,7 +316,7 @@ func ScopeOf(nw *dbnet.Network, d *Delta) Scope {
 // pattern on that vertex, so every item the vertex already carries counts.
 func (s Scope) Items() itemset.Itemset {
 	var items []itemset.Item
-	for _, w := range s {
+	for _, w := range s.Witnesses {
 		items = append(items, w...)
 	}
 	return itemset.New(items...)

@@ -343,7 +343,8 @@ func TestShardedApplyDeltaParity(t *testing.T) {
 		if err := Apply(nw, d); err != nil {
 			t.Fatalf("seed %d: Apply: %v", seed, err)
 		}
-		shards, _, err := tctree.RebuildScoped(nw, affected, scope, func(it itemset.Item) *tctree.BinShard {
+		seeds := func(it itemset.Item) []graph.VertexID { return scope.Seeds(nw, it) }
+		shards, _, err := tctree.RebuildScoped(nw, affected, tctree.Scope{Witnesses: scope.Witnesses, Seeds: seeds}, func(it itemset.Item) *tctree.BinShard {
 			prev, err := idx.OpenShard(it)
 			if err != nil {
 				return nil

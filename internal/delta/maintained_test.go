@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 	"themecomm/internal/tctree"
+	"themecomm/internal/truss"
 )
 
 // changeKinds are the six kinds of change a delta can carry. A random delta
@@ -233,7 +235,7 @@ func (c maintainedCase) run(t *testing.T) {
 	}
 	n := attach()
 	rng := rand.New(rand.NewSource(c.seed))
-	reused := 0
+	reused, carried := 0, 0
 	for step := 0; step < c.steps; step++ {
 		if c.path == "offline" {
 			n = attach()
@@ -247,6 +249,7 @@ func (c maintainedCase) run(t *testing.T) {
 				t.Fatalf("%s: ApplyDelta: %v", when, err)
 			}
 			reused += res.ReusedNodes
+			carried += res.CarriedEdges
 			assertIndexEqualsFreshBuild(t, dir, nw, when)
 			continue
 		}
@@ -255,6 +258,7 @@ func (c maintainedCase) run(t *testing.T) {
 			t.Fatalf("%s: ApplyDeltaInMemory: %v", when, err)
 		}
 		reused += res.ReusedNodes
+		carried += res.CarriedEdges
 		if rng.Intn(3) == 0 {
 			// A second delta before the checkpoint: its previous shards
 			// include ones the first left dirty on the heap.
@@ -264,6 +268,7 @@ func (c maintainedCase) run(t *testing.T) {
 				t.Fatalf("%s: ApplyDeltaInMemory: %v", when, err)
 			}
 			reused += res.ReusedNodes
+			carried += res.CarriedEdges
 		}
 		if err := n.Checkpoint(uint64(step + 1)); err != nil {
 			t.Fatalf("%s: Checkpoint: %v", when, err)
@@ -272,6 +277,9 @@ func (c maintainedCase) run(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Fatalf("%v: no update carried a node over; the scoped rebuild was not exercised", c)
+	}
+	if carried == 0 {
+		t.Fatalf("%v: no update carried a community over; the region was not exercised", c)
 	}
 }
 
@@ -304,5 +312,154 @@ func TestMaintainedIndexIsByteIdenticalToBuild(t *testing.T) {
 	// at seeds 1000-1071 passed while the scoped rebuild was written.)
 	for _, c := range cases {
 		t.Run(c.String(), c.run)
+	}
+}
+
+// rootCommunities returns the theme communities at α = 0 of every shard root
+// of a fresh build of nw — the connected components of C*_p(0) for each
+// top-level item p — in ascending item order.
+func rootCommunities(nw *dbnet.Network) (items []itemset.Item, comms map[itemset.Item][]graph.EdgeSet) {
+	comms = make(map[itemset.Item][]graph.EdgeSet)
+	for _, root := range tctree.Build(nw, tctree.BuildOptions{}).Root().Children {
+		items = append(items, root.Item)
+		comms[root.Item] = root.Decomp.TrussAt(-1).Communities()
+	}
+	return items, comms
+}
+
+// regionShapes are deltas built to meet each rule of the scoped rebuild's
+// region (delta.Scope.Seeds, tctree.RebuildScoped) where it matters: make
+// returns the shape's delta on nw, or nil when nw offers no place for it.
+var regionShapes = []struct {
+	name string
+	make func(nw *dbnet.Network) *delta.Delta
+}{
+	// A vertex that does not carry an item gains it next to an edge of the
+	// item's root truss: the new triangle lies in a community no touched
+	// vertex belonged to, which only the neighbours of the vertex reach.
+	{"item new to its vertex", func(nw *dbnet.Network) *delta.Delta {
+		items, comms := rootCommunities(nw)
+		for _, it := range items {
+			for _, c := range comms[it] {
+				for _, e := range c.Edges() {
+					for _, v := range nw.Graph().Neighbors(e.U) {
+						if !nw.Database(v).ContainsItem(it) && slices.Contains(nw.Graph().Neighbors(e.V), v) {
+							return &delta.Delta{AddTransactions: []delta.VertexTransaction{{Vertex: v, Tx: itemset.New(it)}}}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	}},
+	// Two added edges close a triangle between two communities of one root:
+	// they merge.
+	{"added edges join two communities", func(nw *dbnet.Network) *delta.Delta {
+		items, comms := rootCommunities(nw)
+		for _, it := range items {
+			if cs := comms[it]; len(cs) >= 2 {
+				a, bc := cs[0].Vertices()[0], cs[1].Edges()[0]
+				return &delta.Delta{AddEdges: []graph.Edge{graph.EdgeOf(a, bc.U), graph.EdgeOf(a, bc.V)}}
+			}
+		}
+		return nil
+	}},
+	// A removed edge splits a community of a root in two.
+	{"removed edge splits a community", func(nw *dbnet.Network) *delta.Delta {
+		items, comms := rootCommunities(nw)
+		for _, it := range items {
+			for _, c := range comms[it] {
+				for _, e := range c.Edges() {
+					tn := nw.ThemeNetwork(itemset.New(it))
+					tn.Edges = slices.DeleteFunc(tn.Edges, func(f graph.Edge) bool { return f == e })
+					after := graph.NewEdgeSet()
+					for _, f := range truss.Decompose(tn).TrussAt(-1).Edges.Edges() {
+						if c.Contains(f) {
+							after.Add(f)
+						}
+					}
+					if len(after.ConnectedComponents()) > 1 {
+						return &delta.Delta{RemoveEdges: []graph.Edge{e}}
+					}
+				}
+			}
+		}
+		return nil
+	}},
+	// A vertex of a community loses every transaction that holds the root
+	// item: it drops out of the item's theme network.
+	{"removed transactions drop a vertex out of G_p", func(nw *dbnet.Network) *delta.Delta {
+		items, comms := rootCommunities(nw)
+		for _, it := range items {
+			for _, c := range comms[it] {
+				v := c.Vertices()[0]
+				d := &delta.Delta{}
+				for _, tx := range nw.Database(v).Transactions() {
+					if tx.Contains(it) {
+						d.RemoveTransactions = append(d.RemoveTransactions, delta.VertexTransaction{Vertex: v, Tx: tx})
+					}
+				}
+				return d
+			}
+		}
+		return nil
+	}},
+	// A vertex of a community is tombstoned.
+	{"tombstone", func(nw *dbnet.Network) *delta.Delta {
+		items, comms := rootCommunities(nw)
+		for _, it := range items {
+			for _, c := range comms[it] {
+				return &delta.Delta{RemoveVertices: []graph.VertexID{c.Vertices()[0]}}
+			}
+		}
+		return nil
+	}},
+}
+
+// TestMaintainedRegionShapes applies each region shape to a fresh index of
+// generated BK and GW networks — their roots hold several communities, where
+// AMINER's and SYN's at this scale hold one — and asserts, as
+// TestMaintainedIndexIsByteIdenticalToBuild does, that the index directory is
+// what a fresh build writes — and that the rebuild carried communities over,
+// so the region, not a whole-root peel, produced it.
+func TestMaintainedRegionShapes(t *testing.T) {
+	for _, ds := range []struct {
+		name  string
+		scale gen.Scale
+	}{{"BK", 0.1}, {"GW", 0.1}} {
+		for _, shape := range regionShapes {
+			t.Run(ds.name+"/"+shape.name, func(t *testing.T) {
+				data, err := gen.ByName(ds.name, ds.scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dir := t.TempDir()
+				if _, err := tctree.Build(data.Network, tctree.BuildOptions{}).WriteShardedAs(dir, tctree.FormatTCBIN); err != nil {
+					t.Fatal(err)
+				}
+				netPath := filepath.Join(t.TempDir(), "network.dbnet")
+				if err := dbnet.WriteFileAtomic(netPath, data.Network, nil); err != nil {
+					t.Fatal(err)
+				}
+				f := federation.New(federation.Options{})
+				if err := f.AttachIndexDir("net", dir, netPath); err != nil {
+					t.Fatal(err)
+				}
+				n, _ := f.Network("net")
+				nw := n.DatabaseNetwork()
+				d := shape.make(nw)
+				if d == nil {
+					t.Fatalf("%s offers no place for the shape", ds.name)
+				}
+				res, err := n.ApplyDelta(d)
+				if err != nil {
+					t.Fatalf("ApplyDelta(%v): %v", d, err)
+				}
+				assertIndexEqualsFreshBuild(t, dir, nw, fmt.Sprint(d))
+				if res.CarriedEdges == 0 {
+					t.Fatalf("%v carried no community over", d)
+				}
+			})
+		}
 	}
 }

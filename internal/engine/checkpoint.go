@@ -76,7 +76,7 @@ func (e *Engine) ResyncInMemory(nw *dbnet.Network) error {
 	// The union covers items to add or replace (in nw) and items to remove
 	// (in the table but decomposing to nothing in nw).
 	affected := nw.Items().Union(e.table.Load().items).Union(e.pendingAffected)
-	shards, _, err := tctree.RebuildScoped(nw, affected, nil, nil)
+	shards, _, err := tctree.RebuildScoped(nw, affected, tctree.Scope{}, nil)
 	if err != nil {
 		return err
 	}

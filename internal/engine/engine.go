@@ -43,6 +43,7 @@ import (
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/delta"
+	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 	"themecomm/internal/par"
 	"themecomm/internal/tctree"
@@ -213,6 +214,8 @@ type Engine struct {
 	shortCircuited   atomic.Uint64
 	nodesRecomputed  atomic.Uint64
 	nodesReused      atomic.Uint64
+	edgesPeeled      atomic.Uint64
+	edgesCarried     atomic.Uint64
 }
 
 // New returns an Engine over an index built in-process (tctree.BuildIndex):
@@ -683,6 +686,11 @@ type DeltaResult struct {
 	// previous version.
 	RecomputedNodes int `json:"recomputedNodes"`
 	ReusedNodes     int `json:"reusedNodes"`
+	// PeeledEdges counts the edges of the theme networks the rebuild handed
+	// to the peeler, CarriedEdges the edges its mined nodes took from the
+	// levels their previous versions hold outside the delta's region.
+	PeeledEdges  int `json:"peeledEdges"`
+	CarriedEdges int `json:"carriedEdges"`
 	// Duration is the wall time of the in-memory apply: scope, delta,
 	// rebuild and swap — the value tc_update_apply_duration_seconds
 	// observes. It never includes a journal append or a checkpoint.
@@ -735,7 +743,10 @@ func (e *Engine) ApplyDeltaInMemory(nw *dbnet.Network, d *delta.Delta) (*DeltaRe
 	// reads it, only the part of it inside the scope is re-mined, and the
 	// rest is copied across from the bytes the engine serves. The rebuild runs
 	// outside updateMu; only the swap excludes queries.
-	shards, stats, err := tctree.RebuildScoped(nw, affected, scope, e.previousShard)
+	shards, stats, err := tctree.RebuildScoped(nw, affected, tctree.Scope{
+		Witnesses: scope.Witnesses,
+		Seeds:     func(it itemset.Item) []graph.VertexID { return scope.Seeds(nw, it) },
+	}, e.previousShard)
 	var report *tctree.CommitReport
 	var epoch uint64
 	if err == nil {
@@ -748,12 +759,16 @@ func (e *Engine) ApplyDeltaInMemory(nw *dbnet.Network, d *delta.Delta) (*DeltaRe
 	e.deltas.Add(1)
 	e.nodesRecomputed.Add(uint64(stats.Recomputed))
 	e.nodesReused.Add(uint64(stats.Reused))
+	e.edgesPeeled.Add(uint64(stats.Peeled))
+	e.edgesCarried.Add(uint64(stats.Carried))
 	res := &DeltaResult{
 		Affected:        affected,
 		Report:          report,
 		Epoch:           epoch,
 		RecomputedNodes: stats.Recomputed,
 		ReusedNodes:     stats.Reused,
+		PeeledEdges:     stats.Peeled,
+		CarriedEdges:    stats.Carried,
 		Duration:        time.Since(start),
 	}
 	if e.recorder != nil {
@@ -937,15 +952,21 @@ type Request struct {
 // order. Repeated queries within a batch are served from the cache once the
 // first execution completes (concurrent duplicates may each execute). A query
 // that fails (lazy shard-load error) leaves a nil slot in the answers; the
-// error joins every per-query failure, annotated with its request index.
-// Every query of the batch reports to the Recorder under the batch's request
-// ID.
+// error joins every per-query failure, annotated with its request index. A
+// query whose context ends while it waits for a slot fails with the
+// context's error without waiting on. Every query of the batch reports to
+// the Recorder under the batch's request ID.
 func (e *Engine) QueryBatchContext(ctx context.Context, reqs []Request) ([]*Answer, error) {
 	e.batches.Add(1)
 	out := make([]*Answer, len(reqs))
 	errs := make([]error, len(reqs))
 	par.For(len(reqs), e.workers, func(i int) {
-		e.batchSem <- struct{}{}
+		select {
+		case e.batchSem <- struct{}{}:
+		case <-ctx.Done():
+			errs[i] = fmt.Errorf("query %d: %w", i, ctx.Err())
+			return
+		}
 		defer func() { <-e.batchSem }()
 		res, err := e.QueryContext(ctx, reqs[i].Pattern, reqs[i].Alpha)
 		if err != nil {

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/graph"
@@ -348,5 +350,39 @@ func TestStats(t *testing.T) {
 	stats = uncached.Stats()
 	if stats.Cache.Enabled || stats.Cache.Hits != 0 || stats.Cache.Misses != 0 {
 		t.Fatalf("disabled cache has stats %+v", stats.Cache)
+	}
+}
+
+// TestCancelledBatchStopsWaitingForASlot holds every slot of the batch pool
+// and runs a batch under a cancelled context: each query must fail with the
+// context's error at once, not wait for a slot that frees only when the test
+// ends.
+func TestCancelledBatchStopsWaitingForASlot(t *testing.T) {
+	eng, err := New(testIndex(t, 7), Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for i := 0; i < cap(eng.batchSem); i++ {
+		eng.batchSem <- struct{}{}
+	}
+	defer func() {
+		for i := 0; i < cap(eng.batchSem); i++ {
+			<-eng.batchSem
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.QueryBatchContext(ctx, []Request{{Alpha: 0}, {Alpha: 0.1}, {Alpha: 0.2}})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("QueryBatchContext under a cancelled context: %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a batch under a cancelled context is still waiting for a slot after 1s")
 	}
 }

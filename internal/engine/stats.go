@@ -103,6 +103,12 @@ type Stats struct {
 	// previous version (DeltaResult).
 	DeltaNodesRecomputed uint64 `json:"deltaNodesRecomputed,omitempty"`
 	DeltaNodesReused     uint64 `json:"deltaNodesReused,omitempty"`
+	// DeltaEdgesPeeled and DeltaEdgesCarried split the work of the same
+	// rebuilds by edges: the edges of the theme networks handed to the
+	// peeler, and the edges mined nodes took from their previous versions'
+	// levels outside the deltas' regions (DeltaResult).
+	DeltaEdgesPeeled  uint64 `json:"deltaEdgesPeeled,omitempty"`
+	DeltaEdgesCarried uint64 `json:"deltaEdgesCarried,omitempty"`
 	// Cache reports the result-cache state.
 	Cache CacheStats `json:"cache"`
 	// ShardResidency lists every shard in ascending root-item order with its
@@ -152,6 +158,8 @@ func (e *Engine) Stats() Stats {
 		DeltasApplied:          e.deltas.Load(),
 		DeltaNodesRecomputed:   e.nodesRecomputed.Load(),
 		DeltaNodesReused:       e.nodesReused.Load(),
+		DeltaEdgesPeeled:       e.edgesPeeled.Load(),
+		DeltaEdgesCarried:      e.edgesCarried.Load(),
 	}
 	for _, sh := range t.shards {
 		nodes, _, maxAlpha := sh.meta()

@@ -427,15 +427,26 @@ func (f *Federation) snapshot(resolve PatternResolver) []networkTask {
 }
 
 // forEach runs fn(i, tasks[i]) for every task on at most GOMAXPROCS
-// goroutines (par.For), admitting the tasks in order. Every call holds a
-// netSem slot, so the bound holds across concurrent cross-network calls
-// too. It returns after every fn returned.
-func (f *Federation) forEach(tasks []networkTask, fn func(i int, t networkTask)) {
+// goroutines (par.For), admitting the tasks in order, and returns each
+// task's error annotated with its network, after every fn returned. Every
+// call holds a netSem slot, so the bound holds across concurrent
+// cross-network calls too; a task whose context ends while it waits for a
+// slot fails with the context's error and does not run.
+func (f *Federation) forEach(ctx context.Context, tasks []networkTask, fn func(i int, t networkTask) error) []error {
+	errs := make([]error, len(tasks))
 	par.For(len(tasks), cap(f.netSem), func(i int) {
-		f.netSem <- struct{}{}
+		select {
+		case f.netSem <- struct{}{}:
+		case <-ctx.Done():
+			errs[i] = fmt.Errorf("network %q: %w", tasks[i].net.name, ctx.Err())
+			return
+		}
 		defer func() { <-f.netSem }()
-		fn(i, tasks[i])
+		if err := fn(i, tasks[i]); err != nil {
+			errs[i] = fmt.Errorf("network %q: %w", tasks[i].net.name, err)
+		}
 	})
+	return errs
 }
 
 // NetworkResult is one network's answer to a cross-network query.
@@ -468,18 +479,12 @@ func (f *Federation) QueryAll(ctx context.Context, resolve PatternResolver, alph
 	f.queryAlls.Add(1)
 	tasks := f.snapshot(resolve)
 	out := make([]NetworkResult, len(tasks))
-	f.forEach(tasks, func(i int, t networkTask) {
-		res, err := t.net.eng.QueryContext(ctx, t.q, alphaQ)
-		if err != nil {
-			err = fmt.Errorf("network %q: %w", t.net.name, err)
-		}
-		out[i] = NetworkResult{Network: t.net.name, Pattern: t.q, Result: res, Err: err}
+	errs := f.forEach(ctx, tasks, func(i int, t networkTask) (err error) {
+		out[i].Result, err = t.net.eng.QueryContext(ctx, t.q, alphaQ)
+		return err
 	})
-	var errs []error
-	for _, r := range out {
-		if r.Err != nil {
-			errs = append(errs, r.Err)
-		}
+	for i, t := range tasks {
+		out[i].Network, out[i].Pattern, out[i].Err = t.net.name, t.q, errs[i]
 	}
 	return out, errors.Join(errs...)
 }
@@ -504,17 +509,16 @@ func (f *Federation) TopKAll(ctx context.Context, resolve PatternResolver, alpha
 	f.topKAlls.Add(1)
 	tasks := f.snapshot(resolve)
 	parts := make([][]NetworkRanked, len(tasks))
-	errs := make([]error, len(tasks))
-	f.forEach(tasks, func(i int, t networkTask) {
+	errs := f.forEach(ctx, tasks, func(i int, t networkTask) error {
 		_, ranked, err := t.net.eng.TopKWithResultContext(ctx, t.q, alphaQ, k)
 		if err != nil {
-			errs[i] = fmt.Errorf("network %q: %w", t.net.name, err)
-			return
+			return err
 		}
 		parts[i] = make([]NetworkRanked, len(ranked))
 		for j, rc := range ranked {
 			parts[i][j] = NetworkRanked{Network: t.net.name, Community: rc}
 		}
+		return nil
 	})
 	merged := slices.Concat(parts...)
 	sort.Slice(merged, func(i, j int) bool {

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/engine"
@@ -441,5 +443,38 @@ func TestDiscover(t *testing.T) {
 	// An empty directory is an error, not an empty federation.
 	if _, err := DiscoverNetworks(t.TempDir()); err == nil {
 		t.Fatalf("empty directory should fail discovery")
+	}
+}
+
+// TestCancelledQueryAllStopsWaitingForASlot holds every netSem slot and runs
+// the cross-network calls under a cancelled context: each must fail with the
+// context's error at once, not wait for a slot that frees only when the test
+// ends.
+func TestCancelledQueryAllStopsWaitingForASlot(t *testing.T) {
+	f, _ := newTestFederation(t, Options{})
+	for i := 0; i < cap(f.netSem); i++ {
+		f.netSem <- struct{}{}
+	}
+	defer func() {
+		for i := 0; i < cap(f.netSem); i++ {
+			<-f.netSem
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, call := range map[string]func() error{
+		"QueryAll": func() error { _, err := f.QueryAll(ctx, Constant(nil), 0); return err },
+		"TopKAll":  func() error { _, err := f.TopKAll(ctx, Constant(nil), 0, 3); return err },
+	} {
+		done := make(chan error, 1)
+		go func() { done <- call() }()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s under a cancelled context: %v, want context.Canceled", name, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s under a cancelled context is still waiting for a slot after 1s", name)
+		}
 	}
 }

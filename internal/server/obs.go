@@ -206,6 +206,17 @@ func (s *Server) registerCollectors() {
 			}
 			return out
 		})
+	reg.CollectFunc("tc_engine_delta_edges_total",
+		"Edges of the shards applied deltas rebuilt, by work: peeled (in the theme networks handed to the peeler) or carried (copied into mined nodes from their previous versions' levels outside the delta's region).",
+		"counter", []string{"network", "kind"}, func() []obs.Sample {
+			var out []obs.Sample
+			for _, ns := range s.statsByNetwork() {
+				out = append(out,
+					obs.Sample{Labels: []string{ns.name, "peeled"}, Value: float64(ns.st.DeltaEdgesPeeled)},
+					obs.Sample{Labels: []string{ns.name, "carried"}, Value: float64(ns.st.DeltaEdgesCarried)})
+			}
+			return out
+		})
 	engineCounter("tc_engine_shard_loads_total",
 		"Completed lazy shard loads from disk.",
 		func(st engine.Stats) float64 { return float64(st.LazyLoads) })

@@ -350,4 +350,15 @@ func TestDeltaNodeCountersAreExported(t *testing.T) {
 			t.Fatalf("tc_engine_delta_nodes_total{kind=%q} = %v (%d samples), want %d", kind, v, n, want)
 		}
 	}
+	// The new vertex joins no community of the shard's root: every edge of
+	// the root's truss is carried over.
+	if stats.DeltaEdgesCarried == 0 {
+		t.Fatalf("enginestats counts %d carried edges, want them positive", stats.DeltaEdgesCarried)
+	}
+	fam = scrape(t, s)["tc_engine_delta_edges_total"]
+	for kind, want := range map[string]uint64{"peeled": stats.DeltaEdgesPeeled, "carried": stats.DeltaEdgesCarried} {
+		if v, n := sampleValue(fam, "tc_engine_delta_edges_total", map[string]string{"network": treeNetwork, "kind": kind}); n != 1 || v != float64(want) {
+			t.Fatalf("tc_engine_delta_edges_total{kind=%q} = %v (%d samples), want %d", kind, v, n, want)
+		}
+	}
 }

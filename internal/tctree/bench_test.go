@@ -1,11 +1,11 @@
 package tctree
 
 import (
-	"slices"
 	"sort"
 	"testing"
 
 	"themecomm/internal/dbnet"
+	"themecomm/internal/delta"
 	"themecomm/internal/gen"
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
@@ -78,19 +78,14 @@ func BenchmarkRebuildSubtrees(b *testing.B) {
 		v := medianCostVertex(tree, nw)
 		affected := nw.Database(v).Items()
 		tx := affected[:min(3, affected.Len())]
-		// The delta's scope (delta.ScopeOf): the vertex's pre-delta
-		// transactions and the one it gains.
-		scope := append(slices.Clone(nw.Database(v).Transactions()), tx)
 		prev := make(map[itemset.Item]*BinShard)
 		for _, it := range affected {
 			if root := tree.Node(itemset.New(it)); root != nil {
 				prev[it] = openEncoded(b, root)
 			}
 		}
-		if err := nw.AddTransaction(v, tx); err != nil {
-			b.Fatal(err)
-		}
-		run := func(name string, scope []itemset.Itemset, prev func(itemset.Item) *BinShard) {
+		scope := applyScoped(b, nw, &delta.Delta{AddTransactions: []delta.VertexTransaction{{Vertex: v, Tx: tx}}})
+		run := func(name string, scope Scope, prev func(itemset.Item) *BinShard) {
 			b.Run(c.name+"/"+name, func(b *testing.B) {
 				var stats RebuildStats
 				b.ReportAllocs()
@@ -104,9 +99,11 @@ func BenchmarkRebuildSubtrees(b *testing.B) {
 				b.ReportMetric(float64(affected.Len()), "shards/op")
 				b.ReportMetric(float64(stats.Recomputed), "recomputed-nodes/op")
 				b.ReportMetric(float64(stats.Reused), "reused-nodes/op")
+				b.ReportMetric(float64(stats.Peeled), "peeled-edges/op")
+				b.ReportMetric(float64(stats.Carried), "carried-edges/op")
 			})
 		}
-		run("full", nil, nil)
+		run("full", Scope{}, nil)
 		run("scoped", scope, func(it itemset.Item) *BinShard { return prev[it] })
 	}
 }

@@ -48,7 +48,7 @@ func Build(nw *dbnet.Network, opts BuildOptions) *Tree {
 	workers, maxDepth := opts.bounds()
 	items := nw.Items()
 	roots := make([]*Node, len(items))
-	mineShards(nw, items, maxDepth, workers, nil, nil, func(i int, s splice) error {
+	mineShards(nw, items, maxDepth, workers, Scope{}, nil, func(i int, s splice) error {
 		roots[i] = s.root
 		return nil
 	})
@@ -80,7 +80,7 @@ func BuildIndex(nw *dbnet.Network, opts BuildOptions) (*Index, error) {
 	workers, maxDepth := opts.bounds()
 	items := nw.Items()
 	shards := make([]*EncodedShard, len(items))
-	err := mineShards(nw, items, maxDepth, workers, nil, nil, func(i int, s splice) (err error) {
+	err := mineShards(nw, items, maxDepth, workers, Scope{}, nil, func(i int, s splice) (err error) {
 		if s.root != nil {
 			shards[i], _, err = s.encode()
 		}
@@ -120,9 +120,9 @@ func (x *Index) SizeBytes() int64 {
 // every item on a pool of workers (par.Feed) and hands each splice, with the
 // item's index, to step on the worker that mined it — Build keeps the root,
 // BuildIndex and RebuildScoped encode it. With prev, an item's previous
-// shard scopes its expansion to the delta whose witnesses are scope. It
-// returns the first error of step in item order.
-func mineShards(nw *dbnet.Network, items itemset.Itemset, maxDepth, workers int, scope []itemset.Itemset, prev func(itemset.Item) *BinShard, step func(i int, s splice) error) error {
+// shard scopes its expansion to the delta whose scope is scope. It returns
+// the first error of step in item order.
+func mineShards(nw *dbnet.Network, items itemset.Itemset, maxDepth, workers int, scope Scope, prev func(itemset.Item) *BinShard, step func(i int, s splice) error) error {
 	// The expansions read the network from several goroutines; freeze the
 	// lazily built structures first so those reads are safe.
 	nw.Freeze()

@@ -25,56 +25,85 @@ import (
 // induced inside the edges Proposition 5.3 confines it to and decomposed
 // (Theorem 6.1); empty results prune the whole branch (Proposition 5.2).
 //
-// With a previous shard — the shard as it stood before a delta whose
-// witness transactions are scope (delta.Scope) — only the patterns some
-// witness contains are mined; the rest of prev is carried over (see expand).
-// Without one, or when no witness contains the item and the scope therefore
-// says nothing about its shard, everything is mined.
+// With a previous shard — the shard as it stood before a delta whose scope
+// is scope — only the patterns some witness contains are mined, and only
+// inside the region (BinShard.region): the delta's seeds for the item and
+// every community of the previous root that holds one. The root's theme
+// network is induced on the region alone and every node below it inside the
+// region's part of its parents' trusses; once the subtree is grown, each
+// mined node takes the levels its previous version holds outside the region
+// as they are (carryAll). The rest of prev is carried over whole (see
+// adopt). Without a previous shard, or when no witness contains the item
+// and the scope therefore says nothing about its shard, everything is mined.
 //
 // The network must be frozen: expandSubtree only reads it and may run
 // concurrently with other readers.
-func expandSubtree(nw *dbnet.Network, item itemset.Item, maxDepth int, scope []itemset.Itemset, prev *BinShard) splice {
+func expandSubtree(nw *dbnet.Network, item itemset.Item, maxDepth int, scope Scope, prev *BinShard) splice {
 	var wit []itemset.Itemset
-	if prev != nil && prev.RootItem() == item {
-		wit = witnessesWith(scope, item)
+	if prev != nil && prev.RootItem() == item && scope.Seeds != nil {
+		wit = witnessesWith(scope.Witnesses, item)
 	}
 	if len(wit) == 0 {
 		prev = nil
 	}
 	x := &expansion{nw: nw, maxDepth: maxDepth, prev: prev}
 	pattern := itemset.New(item)
-	d, base := truss.DecomposeWithBase(nw.ThemeNetwork(pattern))
-	if d.Empty() {
-		return splice{}
+	var tn *dbnet.ThemeNetwork
+	if prev != nil {
+		region := prev.region(scope.Seeds(item))
+		x.inRegion = graph.NumberRun(region)
+		defer x.inRegion.Release()
+		tn = nw.ThemeNetworkAmong(pattern, region)
+	} else {
+		tn = nw.ThemeNetwork(pattern)
 	}
-	x.recomputed++
-	root := grown{node: &Node{Item: item, Pattern: pattern, Decomp: d}, base: base}
+	root := x.grow(item, tn)
 	at := uint32(noNode)
 	if prev != nil {
 		at = 0
 	}
+	if root.node.Decomp.Empty() && (prev == nil || !x.outside(0)) {
+		return splice{stats: x.stats}
+	}
+	x.stats.Recomputed++
 	x.expand(root, nil, wit, at)
-	return splice{root: root.node, prev: prev, grafts: x.grafts, mined: x.recomputed}
+	if at != noNode {
+		x.carryAll(root.node, at)
+	}
+	return splice{root: root.node, prev: prev, grafts: x.grafts, stats: x.stats}
 }
 
-// splice is a shard as an expansion leaves it: the mined nodes (how many), a
-// pointer tree under root, and references to the nodes of the previous shard
-// carried over with everything below them: grafts[n] lists the children of
-// the mined node n that are nodes of prev, by index, ascending by item. A
-// full expansion has neither prev nor grafts. encode makes one shard of both.
+// splice is a shard as an expansion leaves it: what it cost (stats, all but
+// Reused), a pointer tree under root, and references to the nodes of the
+// previous shard carried over with everything below them: grafts[n] lists
+// the children of the mined node n that are nodes of prev, by index,
+// ascending by item. A full expansion has neither prev nor grafts. encode
+// makes one shard of both.
 type splice struct {
 	root   *Node
 	prev   *BinShard
 	grafts map[*Node][]uint32
-	mined  int
+	stats  RebuildStats
 }
 
-// RebuildStats counts the nodes of rebuilt shards by where they came from:
-// Recomputed nodes were induced and decomposed from the network, Reused ones
-// carried over from the previous shard.
+// RebuildStats counts what rebuilding shards cost. Recomputed nodes were
+// mined from the network, Reused ones carried over from the previous shard
+// with their whole subtree. Peeled edges are the edges of the theme networks
+// handed to the peeler; Carried edges were copied into mined nodes from the
+// levels their previous versions hold outside a scoped rebuild's region.
 type RebuildStats struct {
 	Recomputed int
 	Reused     int
+	Peeled     int
+	Carried    int
+}
+
+// add adds o's counts to s.
+func (s *RebuildStats) add(o RebuildStats) {
+	s.Recomputed += o.Recomputed
+	s.Reused += o.Reused
+	s.Peeled += o.Peeled
+	s.Carried += o.Carried
 }
 
 // expansion is the working state of one expandSubtree call.
@@ -82,10 +111,12 @@ type expansion struct {
 	nw       *dbnet.Network
 	maxDepth int
 	// prev, when non-nil, makes the expansion scoped: it mines only inside a
-	// delta's scope and takes everything else from prev (grafts, see splice).
-	prev       *BinShard
-	grafts     map[*Node][]uint32
-	recomputed int // nodes mined
+	// delta's scope and region and takes everything else from prev (grafts,
+	// see splice, and carry). inRegion numbers the region.
+	prev     *BinShard
+	inRegion *graph.Numbering
+	grafts   map[*Node][]uint32
+	stats    RebuildStats
 
 	// Scratch reused by every expand call of the subtree; none of it is live
 	// across the recursion into the children.
@@ -100,6 +131,8 @@ type expansion struct {
 	shared     []bool
 	on         []bool
 	local      []int32
+	// prun is the vertex run of the previous node carry reads.
+	prun []graph.VertexID
 }
 
 // witnessesWith returns the witnesses that contain item.
@@ -115,10 +148,19 @@ func witnessesWith(wit []itemset.Itemset, item itemset.Item) []itemset.Itemset {
 
 // grown is a materialized node together with the edges of its maximal
 // pattern truss at α = 0, ascending (truss.DecomposeWithBase) — needed only
-// while its subtree grows, so no stored Node holds them.
+// while its subtree grows, so no stored Node holds them. In a scoped
+// expansion both are the parts inside the region until carryAll completes
+// the decomposition.
 type grown struct {
 	node *Node
 	base []graph.Edge
+}
+
+// grow decomposes tn, the theme network of the node for item.
+func (x *expansion) grow(item itemset.Item, tn *dbnet.ThemeNetwork) grown {
+	x.stats.Peeled += len(tn.Edges)
+	d, base := truss.DecomposeWithBase(tn)
+	return grown{node: &Node{Item: item, Pattern: tn.Pattern, Decomp: d}, base: base}
 }
 
 // signBit flips an item's sign bit so that packed words sort in item order.
@@ -129,8 +171,8 @@ const signBit = 1 << 31
 const noNode = math.MaxUint32
 
 // expand materializes the children of nf and, recursively, their subtrees.
-// siblings are nf's mined right siblings (ascending item). Below the shard
-// root the candidate extensions are the right siblings' items, each evaluated
+// siblings are nf's right siblings (ascending item). Below the shard root
+// the candidate extensions are the right siblings' items, each evaluated
 // inside the intersection of the two parents' trusses (Lines 6-12 of
 // Algorithm 4). At the shard root the other top-level trusses are not at
 // hand, so every item that follows the root in some transaction is a
@@ -139,18 +181,9 @@ const noNode = math.MaxUint32
 // unique, so a larger candidate subgraph cannot change it.
 //
 // A scoped expansion narrows the candidates to the extensions some witness
-// contains: wit are the witnesses that contain nf's pattern, and at is the
-// node nf's pattern had in the previous shard before the delta (noNode when
-// it had none). A child of that node whose pattern no witness contains is out
-// of scope: its theme network is unchanged, and so is every pattern below it
-// (delta.Scope), so the old child is grafted with its whole subtree instead
-// of being induced and peeled — by reference: only its item is read. The
-// graft is the node a full rebuild would mine even though the candidate
-// subgraph around it may have changed, because a decomposition does not
-// depend on that subgraph (see truss.peeler). A grafted child is no candidate
-// sibling to the mined ones: an extension of a mined child by the grafted
-// child's item contains the grafted pattern, so it is out of scope itself and
-// arrives with the mined child's own grafts.
+// contains — wit are the witnesses that contain nf's pattern — mines them
+// inside the region, and completes them with the children of at, the node
+// nf's pattern had in the previous shard (adopt; noNode when it had none).
 func (x *expansion) expand(nf grown, siblings []grown, wit []itemset.Itemset, at uint32) {
 	if nf.node.Pattern.Len() >= x.maxDepth {
 		return
@@ -160,32 +193,16 @@ func (x *expansion) expand(nf grown, siblings []grown, wit []itemset.Itemset, at
 	if all || len(x.cand) > 0 {
 		children = x.mine(nf, siblings, all)
 	}
-	x.recomputed += len(children)
+	if at != noNode {
+		children = x.adopt(nf, children, wit, at)
+	}
+	x.stats.Recomputed += len(children)
 	if len(children) > 0 {
 		nf.node.Children = make([]*Node, len(children))
 		for i, c := range children {
 			nf.node.Children[i] = c.node
 		}
 	}
-
-	// The previous node's children outside the scope: the extensions by an
-	// item no witness of the pattern carries, which x.cand is a subset of.
-	if at != noNode {
-		var grafts []uint32
-		cs, cc := x.prev.run(at, binNodeChildStart)
-		for c := cs; c < cs+cc; c++ {
-			if ci := x.prev.childAt(c); !inScope(wit, x.prev.itemOf(ci)) {
-				grafts = append(grafts, ci)
-			}
-		}
-		if len(grafts) > 0 {
-			if x.grafts == nil {
-				x.grafts = make(map[*Node][]uint32)
-			}
-			x.grafts[nf.node] = grafts
-		}
-	}
-
 	for i, c := range children {
 		was := uint32(noNode)
 		if at != noNode {
@@ -193,6 +210,56 @@ func (x *expansion) expand(nf grown, siblings []grown, wit []itemset.Itemset, at
 		}
 		x.expand(c, children[i+1:], witnessesWith(wit, c.node.Item), was)
 	}
+}
+
+// adopt completes the children a scoped expansion mined under nf (ascending
+// item), whose pattern had node at in the previous shard, with that node's
+// children, and returns them in ascending item order.
+//
+// A previous child whose pattern no witness contains is out of scope: its
+// theme network is unchanged, and so is every pattern below it
+// (delta.Scope), so the old child is grafted with its whole subtree instead
+// of being induced and peeled — by reference: only its item is read. The
+// graft is the node a full rebuild would mine even though the candidate
+// subgraph around it may have changed, because a decomposition does not
+// depend on that subgraph (see truss.peeler). A grafted child is no
+// candidate sibling to the mined ones: an extension of a mined child by the
+// grafted child's item contains the grafted pattern, so it is out of scope
+// itself and arrives with the mined child's own grafts.
+//
+// Every child in scope takes the levels its previous version holds outside
+// the region (carryAll) — whether or not it was mined inside it: a pattern
+// whose communities all lie outside the region is a node still, mined
+// nowhere, and its children are adopted the same way.
+func (x *expansion) adopt(nf grown, mined []grown, wit []itemset.Itemset, at uint32) []grown {
+	var children []grown
+	var grafts []uint32
+	cs, cc := x.prev.run(at, binNodeChildStart)
+	for c := cs; c < cs+cc; c++ {
+		ci := x.prev.childAt(c)
+		item := x.prev.itemOf(ci)
+		for len(mined) > 0 && mined[0].node.Item < item {
+			children, mined = append(children, mined[0]), mined[1:]
+		}
+		if !inScope(wit, item) {
+			grafts = append(grafts, ci)
+			continue
+		}
+		if len(mined) > 0 && mined[0].node.Item == item {
+			children, mined = append(children, mined[0]), mined[1:]
+		} else if x.outside(ci) {
+			pattern := nf.node.Pattern.Add(item)
+			children = append(children, grown{node: &Node{Item: item, Pattern: pattern, Decomp: &truss.Decomposition{Pattern: pattern.Clone()}}})
+		}
+	}
+	children = append(children, mined...)
+	if len(grafts) > 0 {
+		if x.grafts == nil {
+			x.grafts = make(map[*Node][]uint32)
+		}
+		x.grafts[nf.node] = grafts
+	}
+	return children
 }
 
 // candidates leaves in x.cand the items nf's pattern may be extended by,
@@ -320,8 +387,8 @@ func (x *expansion) mine(nf grown, siblings []grown, all bool) []grown {
 		if len(tn.Edges) < 3 {
 			continue
 		}
-		if d, base := truss.DecomposeWithBase(tn); !d.Empty() {
-			children = append(children, grown{node: &Node{Item: j, Pattern: tn.Pattern, Decomp: d}, base: base})
+		if c := x.grow(j, tn); !c.node.Decomp.Empty() {
+			children = append(children, c)
 		}
 	}
 	return children

@@ -3,40 +3,34 @@ package tctree
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"themecomm/internal/dbnet"
+	"themecomm/internal/delta"
 	"themecomm/internal/gen"
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
 )
 
-// scopedMutation applies a few random changes to nw — edges added and removed,
-// transactions added and removed — and returns their scope as delta.ScopeOf
-// defines it: the transactions added and removed, and the whole pre-change
-// database of every vertex that gains or loses a transaction or an incident
-// edge.
-func scopedMutation(t *testing.T, rng *rand.Rand, nw *dbnet.Network) []itemset.Itemset {
+// scopedMutation applies a delta of a few random changes to nw — edges added
+// and removed, transactions added and removed — and returns its scope as the
+// engine hands it to RebuildScoped.
+func scopedMutation(t *testing.T, rng *rand.Rand, nw *dbnet.Network) Scope {
 	t.Helper()
 	n := nw.NumVertices()
 	vertex := func() graph.VertexID { return graph.VertexID(rng.Intn(n)) }
 	items := nw.Items()
-	var scope []itemset.Itemset
-	touched := make(map[graph.VertexID]bool)
-	var apply []func()
+	d := &delta.Delta{}
+	removing := make(map[graph.VertexID]bool)
 	for i, steps := 0, 1+rng.Intn(3); i < steps; i++ {
 		switch rng.Intn(4) {
 		case 0:
 			if a, b := vertex(), vertex(); a != b {
-				touched[a], touched[b] = true, true
-				apply = append(apply, func() { nw.MustAddEdge(a, b) })
+				d.AddEdges = append(d.AddEdges, graph.EdgeOf(a, b))
 			}
 		case 1:
 			if edges := nw.Graph().Edges(); len(edges) > 0 {
-				e := edges[rng.Intn(len(edges))]
-				touched[e.U], touched[e.V] = true, true
-				apply = append(apply, func() { nw.RemoveEdge(e.U, e.V) })
+				d.RemoveEdges = append(d.RemoveEdges, edges[rng.Intn(len(edges))])
 			}
 		case 2:
 			// Mostly items the vertex carries (tcload's update), sometimes any.
@@ -46,41 +40,32 @@ func scopedMutation(t *testing.T, rng *rand.Rand, nw *dbnet.Network) []itemset.I
 				pool = items
 			}
 			tx := itemset.New(pool[rng.Intn(pool.Len())], pool[rng.Intn(pool.Len())], pool[rng.Intn(pool.Len())])
-			touched[v] = true
-			scope = append(scope, tx)
-			apply = append(apply, func() {
-				if err := nw.AddTransaction(v, tx); err != nil {
-					t.Fatal(err)
-				}
-			})
+			d.AddTransactions = append(d.AddTransactions, delta.VertexTransaction{Vertex: v, Tx: tx})
 		case 3:
 			v := vertex()
-			if txs := nw.Database(v).Transactions(); len(txs) > 0 && !touched[v] {
-				tx := txs[rng.Intn(len(txs))].Clone()
-				touched[v] = true
-				scope = append(scope, tx)
-				apply = append(apply, func() {
-					if _, err := nw.RemoveTransaction(v, tx); err != nil {
-						t.Fatal(err)
-					}
-				})
+			if txs := nw.Database(v).Transactions(); len(txs) > 0 && !removing[v] {
+				removing[v] = true
+				d.RemoveTransactions = append(d.RemoveTransactions, delta.VertexTransaction{Vertex: v, Tx: txs[rng.Intn(len(txs))].Clone()})
 			}
 		}
 	}
-	for v := range touched {
-		for _, tx := range nw.Database(v).Transactions() {
-			scope = append(scope, tx.Clone())
-		}
-	}
-	for _, do := range apply {
-		do()
-	}
-	return scope
+	return applyScoped(t, nw, d)
 }
 
-func scopeItems(scope []itemset.Itemset) itemset.Itemset {
+// applyScoped applies d to nw and returns its scope as the engine hands it
+// to RebuildScoped: taken before the delta, seeded on the network after it.
+func applyScoped(tb testing.TB, nw *dbnet.Network, d *delta.Delta) Scope {
+	tb.Helper()
+	s := delta.ScopeOf(nw, d)
+	if err := delta.Apply(nw, d); err != nil {
+		tb.Fatal(err)
+	}
+	return Scope{Witnesses: s.Witnesses, Seeds: func(it itemset.Item) []graph.VertexID { return s.Seeds(nw, it) }}
+}
+
+func scopeItems(scope Scope) itemset.Itemset {
 	var items []itemset.Item
-	for _, w := range scope {
+	for _, w := range scope.Witnesses {
 		items = append(items, w...)
 	}
 	return itemset.New(items...)
@@ -117,7 +102,7 @@ func TestSplicedShardIsByteIdenticalToEncodedShard(t *testing.T) {
 				}
 				var want RebuildStats
 				for _, it := range affected {
-					ref, refStats := referenceScopedRebuild(nw, it, scope, prevNode[it])
+					ref, refStats := referenceScopedRebuild(nw, it, scope.Witnesses, prevNode[it])
 					want.Recomputed += refStats.Recomputed
 					want.Reused += refStats.Reused
 					got := spliced[it]
@@ -150,7 +135,7 @@ func TestSplicedShardIsByteIdenticalToEncodedShard(t *testing.T) {
 					assertSameSubtree(t, ref, back)
 					prevBin[it], prevNode[it] = bin, ref
 				}
-				if stats != want {
+				if stats.Recomputed != want.Recomputed || stats.Reused != want.Reused {
 					t.Fatalf("round %d: spliced %+v, the reference %+v", round, stats, want)
 				}
 				total.Recomputed += stats.Recomputed
@@ -180,16 +165,13 @@ func TestScopedRebuildDoesNotDecodeCarriedOverNodes(t *testing.T) {
 	v := medianCostVertex(tree, nw)
 	affected := nw.Database(v).Items()
 	tx := affected[:min(3, affected.Len())]
-	scope := append(slices.Clone(nw.Database(v).Transactions()), tx)
 	prev := make(map[itemset.Item]*BinShard)
 	for _, it := range affected {
 		if root := tree.Node(itemset.New(it)); root != nil {
 			prev[it] = openEncoded(t, root)
 		}
 	}
-	if err := nw.AddTransaction(v, tx); err != nil {
-		t.Fatal(err)
-	}
+	scope := applyScoped(t, nw, &delta.Delta{AddTransactions: []delta.VertexTransaction{{Vertex: v, Tx: tx}}})
 	var stats RebuildStats
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, stats, err = RebuildScoped(nw, affected, scope, func(it itemset.Item) *BinShard { return prev[it] }); err != nil {

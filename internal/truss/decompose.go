@@ -43,11 +43,22 @@ type Decomposition struct {
 }
 
 // Decompose computes C*_p(0) of the theme network with MPTD and decomposes it
-// into removal levels following Theorem 6.1: starting from α_0 = 0, the next
-// threshold is the minimum surviving edge cohesion, and the edges removed by
-// peeling at that threshold form the next level. The peeler removes edges in
-// ascending cohesion order, so the levels are consecutive runs of one pass
-// over its removal order.
+// into removal levels following Theorem 6.1, one connected component of
+// C*_p(0) at a time: a theme community is a maximal connected subgraph
+// (Definition 3.5) and peeling never crosses a component, so each component
+// is peeled as if it were alone. Within a component, starting from α_0 = 0,
+// the next threshold is the least cohesion of its surviving edges, and the
+// edges peeling at that threshold removes form the component's next level.
+// The levels of different components merge only where their thresholds are
+// equal, bit for bit: a level's threshold is its community's, whatever the
+// other communities of the theme network.
+//
+// The components still share one heap and one pass: the peeler removes edges
+// in ascending (cohesion, edge id) order, and a removal changes the cohesions
+// of its own component only, so the edges of one component leave in the
+// order they would leave it alone. A component opens a new level when its
+// next edge's cohesion exceeds its current threshold by more than
+// cohesionTolerance.
 func Decompose(tn *dbnet.ThemeNetwork) *Decomposition {
 	d, _ := DecomposeWithBase(tn)
 	return d
@@ -65,20 +76,104 @@ func DecomposeWithBase(tn *dbnet.ThemeNetwork) (*Decomposition, []graph.Edge) {
 	d := &Decomposition{Pattern: tn.Pattern.Clone()}
 	var base []graph.Edge
 	base, d.Vertices, d.Freqs = p.survivors()
+	if len(base) == 0 {
+		return d, base
+	}
 
-	removed := make([]graph.Edge, 0, len(base))
-	for len(p.heap) > 0 {
-		beta := p.cohesion[p.heap[0]]
-		done := len(p.order)
-		p.peel(beta)
-		// Local edge ids ascend with (U, V): sorting them sorts the level.
-		level := p.order[done:]
-		slices.Sort(level)
-		start := len(removed)
-		for _, e := range level {
-			removed = append(removed, tn.Edges[e])
+	// Label the components: a union-find forest over the local vertices,
+	// then every surviving edge e gets its component's root in tag[e].
+	n, m := len(tn.Vertices), len(tn.Edges)
+	p.tags = slices.Grow(p.tags[:0], 2*n+3*m)[:2*n+3*m]
+	comp, open, tag := p.tags[:n], p.tags[n:2*n], p.tags[2*n:2*n+m]
+	levelOf, end := p.tags[2*n+m:2*n+2*m], p.tags[2*n+2*m:]
+	for i := range comp {
+		comp[i] = int32(i)
+	}
+	find := func(i int32) int32 {
+		for comp[i] != i {
+			comp[i] = comp[comp[i]]
+			i = comp[i]
 		}
-		d.Levels = append(d.Levels, Level{Alpha: beta, Removed: removed[start:len(removed):len(removed)]})
+		return i
+	}
+	for _, e := range p.alive {
+		if a, b := find(p.eu[e]), find(p.ev[e]); a != b {
+			comp[max(a, b)] = min(a, b)
+		}
+	}
+	// A parent always precedes its child, so one ascending pass points
+	// every vertex at its root.
+	for i := range comp {
+		comp[i] = comp[comp[i]]
+	}
+	for _, e := range p.alive {
+		tag[e] = comp[p.eu[e]]
+	}
+
+	// Peel the rest edge by edge. Component c's current level opened at
+	// threshold alphas[open[c]] = at[c] (open[c] is -1 before its first);
+	// the edge leaves with tag[e] = open[c] in place of its component.
+	p.at = slices.Grow(p.at[:0], n)[:n]
+	at := p.at
+	for i := range open {
+		open[i] = -1
+	}
+	alphas := p.alphas[:0]
+	for len(p.heap) > 0 {
+		e := p.heap[0]
+		c, eco := tag[e], p.cohesion[e]
+		if open[c] < 0 || eco > at[c]+cohesionTolerance {
+			open[c], at[c] = int32(len(alphas)), eco
+			alphas = append(alphas, eco)
+		}
+		tag[e] = open[c]
+		p.pop()
+	}
+	p.alphas = alphas
+
+	// The levels are the distinct thresholds, ascending: alphas itself
+	// when they opened in ascending order (one component does), else
+	// alphas sorted, with equal thresholds merged.
+	thresholds, sorted := alphas, false
+	for t := 1; t < len(alphas) && !sorted; t++ {
+		if alphas[t] <= alphas[t-1] {
+			thresholds = append(p.sorted[:0], alphas...)
+			slices.Sort(thresholds)
+			thresholds = slices.Compact(thresholds)
+			p.sorted, sorted = thresholds, true
+		}
+	}
+	for t, a := range alphas {
+		levelOf[t] = int32(t)
+		if sorted {
+			k, _ := slices.BinarySearch(thresholds, a)
+			levelOf[t] = int32(k)
+		}
+	}
+	// Count each level's edges, then place them in local edge order from
+	// the last down, which leaves every level ascending by (U, V) and
+	// end[k] at level k's start.
+	end = end[:len(thresholds)]
+	clear(end)
+	for _, e := range p.alive {
+		end[levelOf[tag[e]]]++
+	}
+	for k := 1; k < len(end); k++ {
+		end[k] += end[k-1]
+	}
+	removed := make([]graph.Edge, len(base))
+	for i := len(p.alive) - 1; i >= 0; i-- {
+		k := levelOf[tag[p.alive[i]]]
+		end[k]--
+		removed[end[k]] = base[i]
+	}
+	d.Levels = make([]Level, len(thresholds))
+	for k, a := range thresholds {
+		hi := len(removed)
+		if k+1 < len(end) {
+			hi = int(end[k+1])
+		}
+		d.Levels[k] = Level{Alpha: a, Removed: removed[end[k]:hi:hi]}
 	}
 	return d, base
 }

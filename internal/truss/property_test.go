@@ -1,6 +1,7 @@
 package truss
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -264,6 +265,101 @@ func TestDecomposeIgnoresTheCandidateSubgraph(t *testing.T) {
 	}
 }
 
+// componentMerge decomposes every connected component of C*_p(0) — the
+// edges of d, tn's decomposition — on its own, as tn restricted to the
+// component, and merges the results: the vertex runs, and the levels whose
+// thresholds are equal bit for bit. It returns the merge and the number of
+// components.
+func componentMerge(tn *dbnet.ThemeNetwork, d *Decomposition) (*Decomposition, int) {
+	var core []graph.Edge
+	for _, l := range d.Levels {
+		core = append(core, l.Removed...)
+	}
+	comps := graph.NewEdgeSet(core...).ConnectedComponents()
+	out := &Decomposition{Pattern: tn.Pattern}
+	freq := make(map[graph.VertexID]float64)
+	byAlpha := make(map[float64][]graph.Edge)
+	for _, c := range comps {
+		cd := Decompose(restrictTo(tn, c.Edges()))
+		for i, v := range cd.Vertices {
+			out.Vertices = append(out.Vertices, v)
+			freq[v] = cd.Freqs[i]
+		}
+		for _, l := range cd.Levels {
+			byAlpha[l.Alpha] = append(byAlpha[l.Alpha], l.Removed...)
+		}
+	}
+	slices.Sort(out.Vertices)
+	for _, v := range out.Vertices {
+		out.Freqs = append(out.Freqs, freq[v])
+	}
+	for alpha, edges := range byAlpha {
+		slices.SortFunc(edges, graph.CompareEdges)
+		out.Levels = append(out.Levels, Level{Alpha: alpha, Removed: edges})
+	}
+	slices.SortFunc(out.Levels, func(a, b Level) int { return cmp.Compare(a.Alpha, b.Alpha) })
+	return out, len(comps)
+}
+
+// TestDecomposeMergesItsComponents pins the per-component peel: on the
+// random theme networks of the decomposition tests (their seeds), Decompose
+// is bit for bit the equal-threshold merge of Decompose over each connected
+// component of C*_p(0) — a component's levels do not depend on the others.
+func TestDecomposeMergesItsComponents(t *testing.T) {
+	several := 0
+	for _, seed := range []int64{5, 23, 61} {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 60; trial++ {
+			n := 8 + rng.Intn(16)
+			tn := randomThemeNetwork(rng, n, n*(3+rng.Intn(4))/2)
+			d := Decompose(tn)
+			merged, comps := componentMerge(tn, d)
+			if !sameBits(d, merged) {
+				t.Fatalf("seed %d trial %d: Decompose gives\n%v\nits %d components decomposed apart give\n%v", seed, trial, d.Levels, comps, merged.Levels)
+			}
+			if comps > 1 {
+				several++
+			}
+		}
+	}
+	t.Logf("%d of 180 theme networks had more than one component", several)
+	if several < 30 {
+		t.Fatalf("only %d of 180 theme networks had more than one component; the generator no longer exercises the merge", several)
+	}
+}
+
+// TestDecomposePeelsComponentsApart is the case the per-component peel
+// changes: two disjoint triangles whose cohesions differ by less than
+// cohesionTolerance. Peeled as one theme network, the lower threshold took
+// both triangles into one level; each community keeps its own threshold.
+func TestDecomposePeelsComponentsApart(t *testing.T) {
+	const f, g = 0.5, 0.5 + 1e-12
+	tn := themeNetworkOf([]graph.Edge{
+		graph.EdgeOf(0, 1), graph.EdgeOf(0, 2), graph.EdgeOf(1, 2),
+		graph.EdgeOf(3, 4), graph.EdgeOf(3, 5), graph.EdgeOf(4, 5),
+	}, func(v graph.VertexID) float64 {
+		if v < 3 {
+			return f
+		}
+		return g
+	})
+	d := Decompose(tn)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Levels) != 2 || d.Levels[0].Alpha != f || d.Levels[1].Alpha != g {
+		t.Fatalf("levels %v, want one at %v and one at %v", d.Levels, f, g)
+	}
+	for k, want := range [][]graph.Edge{
+		{graph.EdgeOf(0, 1), graph.EdgeOf(0, 2), graph.EdgeOf(1, 2)},
+		{graph.EdgeOf(3, 4), graph.EdgeOf(3, 5), graph.EdgeOf(4, 5)},
+	} {
+		if !slices.Equal(d.Levels[k].Removed, want) {
+			t.Fatalf("level %d holds %v, want %v", k, d.Levels[k].Removed, want)
+		}
+	}
+}
+
 // checkRun holds a decomposition of tn, and the base DecomposeWithBase
 // returned with it, to the layout the miner and the encoder rely on: the
 // vertex run is the ascending endpoint set of the levels' edges, each
@@ -349,8 +445,9 @@ func TestDecompositionCarriesItsRun(t *testing.T) {
 // adds a gap of 1 to 16 — freqs a frequency in (0, 1] per vertex (1 where it
 // runs out), and mask one bit per vertex pair (i, j), i < j, in ascending
 // order: an edge where it is set. The decomposition must validate, carry its
-// run and base as checkRun requires, and come out bit-identical from a
-// second Decompose of the same network.
+// run and base as checkRun requires, come out bit-identical from a second
+// Decompose of the same network, and be the equal-threshold merge of its
+// components decomposed apart.
 func FuzzDecompose(f *testing.F) {
 	// A 4-clique; two triangles sharing an edge at mixed frequencies over
 	// negative ids; a 5-clique with a pendant edge and gapped ids.
@@ -388,6 +485,9 @@ func FuzzDecompose(f *testing.F) {
 		checkRun(t, "fuzzed theme network", tn, d, base)
 		if again := Decompose(tn); !sameBits(d, again) {
 			t.Fatalf("a second Decompose differs:\n%v %v\n%v %v", d.Vertices, d.Levels, again.Vertices, again.Levels)
+		}
+		if merged, comps := componentMerge(tn, d); !sameBits(d, merged) {
+			t.Fatalf("Decompose gives %v, its %d components decomposed apart give %v", d.Levels, comps, merged.Levels)
 		}
 	})
 }

@@ -150,6 +150,14 @@ func Cohesions(tn *dbnet.ThemeNetwork) map[uint64]float64 {
 // network — tctree's scoped rebuild does — and any change that makes a
 // threshold depend on the candidate subgraph breaks that:
 // TestDecomposeIgnoresTheCandidateSubgraph pins it.
+//
+// The same holds community by community: a removal subtracts only from
+// edges of its own connected component of C*_p(0), so the edges of one
+// component leave in the same order, at the same cohesions, whatever else
+// the theme network holds, and Decompose gives each component the levels it
+// gives that component alone. The scoped rebuild carries the communities a
+// delta does not reach over on that ground, and
+// TestDecomposeMergesItsComponents pins it.
 type peeler struct {
 	tn *dbnet.ThemeNetwork
 	// eu[e] < ev[e] are the local endpoints of edge e.
@@ -164,14 +172,19 @@ type peeler struct {
 	// heap is a binary min-heap of the surviving edges ordered by
 	// (cohesion, edge id); pos[e] is the slot of edge e in it.
 	heap, pos []int32
-	// order lists the removed edges in the order they left.
-	order []int32
 	// on marks the local vertices of surviving edges (survivors).
 	on []bool
 	// ints backs every []int32 above. A peeler's buffers come from
 	// peelerPool and go back with release: nothing a peeler hands out
 	// refers to them.
 	ints []int32
+	// alive lists the surviving edges, ascending (survivors).
+	alive []int32
+	// Decompose's scratch: a component and a level tag per local vertex
+	// and edge (tags), each component's current threshold (at), and the
+	// thresholds the levels open at (alphas) and their sorted set (sorted).
+	tags               []int32
+	at, alphas, sorted []float64
 }
 
 var peelerPool = sync.Pool{New: func() any { return new(peeler) }}
@@ -197,7 +210,7 @@ func newPeeler(tn *dbnet.ThemeNetwork) *peeler {
 	}
 	p := peelerPool.Get().(*peeler)
 	p.tn = tn
-	p.ints = slices.Grow(p.ints[:0], 9*m+2*n+1)[:9*m+2*n+1]
+	p.ints = slices.Grow(p.ints[:0], 8*m+2*n+1)[:8*m+2*n+1]
 	ints := p.ints
 	carve := func(k int) []int32 {
 		out := ints[:k:k]
@@ -206,7 +219,7 @@ func newPeeler(tn *dbnet.ThemeNetwork) *peeler {
 	}
 	p.eu, p.ev = carve(m), carve(m)
 	p.start, p.nbr, p.via = carve(n+1), carve(2*m), carve(2*m)
-	p.heap, p.pos, p.order = carve(m), carve(m), carve(m)[:0]
+	p.heap, p.pos = carve(m), carve(m)
 	clear(p.start)
 	p.cohesion = slices.Grow(p.cohesion[:0], m)[:m]
 	p.removed = slices.Grow(p.removed[:0], m)[:m]
@@ -284,25 +297,32 @@ func (p *peeler) triangles(e int32, visit func(uw, vw int32, weight float64)) {
 // peel removes every edge whose cohesion is at most alpha, cascading the
 // cohesion updates of Algorithm 1 lines 9-18, until all surviving edges have
 // cohesion strictly greater than alpha. Edges leave in ascending
-// (cohesion, edge id) order and are appended to order.
+// (cohesion, edge id) order.
 func (p *peeler) peel(alpha float64) {
 	for len(p.heap) > 0 && p.cohesion[p.heap[0]] <= alpha+cohesionTolerance {
-		e := p.heap[0]
-		last := len(p.heap) - 1
-		p.heap[0] = p.heap[last]
-		p.heap = p.heap[:last]
-		if last > 0 {
-			p.siftDown(0)
-		}
-		p.removed[e] = true
-		p.order = append(p.order, e)
-		p.triangles(e, func(uw, vw int32, weight float64) {
-			p.cohesion[uw] -= weight
-			p.siftUp(int(p.pos[uw]))
-			p.cohesion[vw] -= weight
-			p.siftUp(int(p.pos[vw]))
-		})
+		p.pop()
 	}
+}
+
+// pop removes the edge at the top of the heap — the surviving edge of least
+// (cohesion, edge id) — and subtracts its triangles from the other edges'
+// cohesions. It returns the edge.
+func (p *peeler) pop() int32 {
+	e := p.heap[0]
+	last := len(p.heap) - 1
+	p.heap[0] = p.heap[last]
+	p.heap = p.heap[:last]
+	if last > 0 {
+		p.siftDown(0)
+	}
+	p.removed[e] = true
+	p.triangles(e, func(uw, vw int32, weight float64) {
+		p.cohesion[uw] -= weight
+		p.siftUp(int(p.pos[uw]))
+		p.cohesion[vw] -= weight
+		p.siftUp(int(p.pos[vw]))
+	})
+	return e
 }
 
 // before reports whether edge a leaves the heap before edge b.
@@ -350,17 +370,19 @@ func (p *peeler) siftDown(i int) {
 }
 
 // survivors returns the surviving subgraph in the theme network's layout:
-// its edges, ascending by (U, V) — the surviving local edges in order — and
-// the vertices incident to them, ascending, with f_v(p). Local ids ascend
-// with the global ones, so nothing is sorted.
+// its edges, ascending by (U, V) — the surviving local edges in order, which
+// it leaves in alive — and the vertices incident to them, ascending, with
+// f_v(p). Local ids ascend with the global ones, so nothing is sorted.
 func (p *peeler) survivors() (edges []graph.Edge, vertices []graph.VertexID, freqs []float64) {
 	p.on = slices.Grow(p.on[:0], len(p.tn.Vertices))[:len(p.tn.Vertices)]
 	on := p.on
 	clear(on)
 	edges = make([]graph.Edge, 0, len(p.heap))
+	p.alive = p.alive[:0]
 	for e, gone := range p.removed {
 		if !gone {
 			edges = append(edges, p.tn.Edges[e])
+			p.alive = append(p.alive, int32(e))
 			on[p.eu[e]], on[p.ev[e]] = true, true
 		}
 	}

@@ -7,7 +7,8 @@
 #   - the response echoes the injected request ID;
 #   - the JSON access log carries the same ID;
 #   - /metrics is valid enough to grep and its engine/query/HTTP counters
-#     moved, and one posted update moved the apply histogram;
+#     moved, and one posted update moved the apply histogram and carried
+#     edges over;
 #   - /api/v1/slowlog captured the query (threshold 1ns) with its plan;
 #   - /api/v1/explain reports no cost estimates and an ascending schedule;
 #   - /healthz reports the network ready, and -tree bk.index serves it as
@@ -103,7 +104,7 @@ for family in tc_queries_total tc_query_duration_seconds \
   tc_query_stage_duration_seconds tc_http_requests_total \
   tc_http_request_duration_seconds tc_engine_queries_total \
   tc_engine_shards tc_cache_hits_total tc_slow_queries_total \
-  tc_update_apply_duration_seconds; do
+  tc_update_apply_duration_seconds tc_engine_delta_edges_total; do
   grep -q "^# TYPE $family " "$workdir/metrics.txt" \
     || fail "family $family missing from /metrics"
 done
@@ -125,6 +126,10 @@ grep -Eq 'tc_query_stage_duration_seconds_count\{network="bk",stage="encode"\} (
 # The update's in-memory apply (scope, rebuild, swap) was observed once.
 grep -Eq 'tc_update_apply_duration_seconds_count\{network="bk"\} 1$' "$workdir/metrics.txt" \
   || fail "tc_update_apply_duration_seconds did not count the update"
+# It re-peeled only the communities its vertex touches: the rebuilt nodes
+# carried the rest of their levels over.
+grep -Eq 'tc_engine_delta_edges_total\{network="bk",kind="carried"\} [1-9]' "$workdir/metrics.txt" \
+  || fail "tc_engine_delta_edges_total{kind=\"carried\"} did not move"
 
 echo "== slow-query log captured the query"
 slowlog=$(curl -sf "http://$addr/api/v1/slowlog")
