@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -168,19 +167,16 @@ func (l list[T]) Set(raw string) error {
 
 // parseVertex parses one vertex id.
 func parseVertex(field string) (int, error) {
-	v, err := strconv.Atoi(strings.TrimSpace(field))
-	if err != nil || v < 0 || v > math.MaxInt32 {
-		return 0, fmt.Errorf("invalid vertex %q", field)
-	}
-	return v, nil
+	v, err := graph.ParseVertex(strings.TrimSpace(field))
+	return int(v), err
 }
 
 // parseEdge parses one u-v pair.
 func parseEdge(field string) ([2]int, error) {
 	u, v, _ := strings.Cut(field, "-")
-	a, err1 := parseVertex(u)
-	b, err2 := parseVertex(v)
-	if err1 != nil || err2 != nil || a == b {
+	a, err1 := strconv.Atoi(strings.TrimSpace(u))
+	b, err2 := strconv.Atoi(strings.TrimSpace(v))
+	if _, err := graph.CheckedEdge(a, b); err1 != nil || err2 != nil || err != nil {
 		return [2]int{}, fmt.Errorf("invalid edge %q: want a u-v pair of distinct vertices", field)
 	}
 	return [2]int{a, b}, nil

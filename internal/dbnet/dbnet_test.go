@@ -289,6 +289,14 @@ func TestReadRejectsMalformedInput(t *testing.T) {
 		{"unknown record", "DBNET 1\nV 2\nX 1 2\n"},
 		{"bad item line", "DBNET 1\nV 2\nI 5\n"},
 		{"bad item id", "DBNET 1\nV 2\nI x name\n"},
+		// Ids are 32-bit: none wraps onto another vertex or item.
+		{"edge endpoint past the id range", "DBNET 1\nV 2\nE 4294967296 1\n"},
+		{"tx vertex past the id range", "DBNET 1\nV 2\nT 4294967297 5\n"},
+		{"tx item past the id range", "DBNET 1\nV 2\nT 0 4294967296\n"},
+		{"negative tx item", "DBNET 1\nV 2\nT 0 -7\n"},
+		{"item line past the id range", "DBNET 1\nV 2\nI 4294967296 x\n"},
+		{"negative item line", "DBNET 1\nV 2\nI -1 x\n"},
+		{"V past the vertex bound", "DBNET 1\nV 2147483649\n"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -340,7 +348,8 @@ func TestPaperExampleFrequencies(t *testing.T) {
 		}
 	}
 	// Example 3.2: edge (v1,v2) is in triangles with v3 and v5.
-	cn := nw.Graph().CommonNeighbors(0, 1)
+	g := nw.Graph()
+	cn := graph.IntersectSorted(g.Neighbors(0), g.Neighbors(1))
 	if len(cn) != 2 || cn[0] != 2 || cn[1] != 4 {
 		t.Fatalf("common neighbors of v1,v2 = %v, want [v3 v5]", cn)
 	}

@@ -22,7 +22,14 @@ import (
 //	E <u> <v>                         (one per edge)
 //	T <vertex> <itemID> <itemID> ...  (one per transaction)
 //
-// Lines starting with '#' and blank lines are ignored. The format is designed
+// It shares its grammar with the TCDELTA format of internal/delta, and one
+// RecordScanner reads both: one record per line, whitespace-separated fields
+// with the record type first, the header as the first record line, and blank
+// lines and lines starting with '#' ignored wherever they appear (the
+// "# journal-seq" stamp before the header among them). Vertex and item ids
+// are decimal and lie in [0, 2147483647], an edge joins two distinct
+// vertices, and a vertex count is at most graph.MaxVertices: an id outside
+// the range is refused, never wrapped onto another. The format is designed
 // to be diffable, streamable and easy to generate from other tooling.
 
 const formatHeader = "DBNET 1"
@@ -48,132 +55,107 @@ func Write(w io.Writer, nw *Network, dict *itemset.Dictionary) error {
 	}
 	for v := 0; v < nw.NumVertices(); v++ {
 		for _, t := range nw.Database(graph.VertexID(v)).Transactions() {
-			sb := make([]string, 0, len(t)+2)
-			sb = append(sb, "T", strconv.Itoa(v))
-			for _, it := range t {
-				sb = append(sb, strconv.Itoa(int(it)))
-			}
-			fmt.Fprintln(bw, strings.Join(sb, " "))
+			WriteTransaction(bw, "T", graph.VertexID(v), t)
 		}
 	}
 	return bw.Flush()
 }
 
+// WriteTransaction writes one transaction record: the record type, the
+// vertex and the item ids. A bufio.Writer keeps its first error, so callers
+// check the final Flush.
+func WriteTransaction(bw *bufio.Writer, record string, v graph.VertexID, tx itemset.Itemset) {
+	b := append(bw.AvailableBuffer(), record...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(v), 10)
+	for _, it := range tx {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(it), 10)
+	}
+	bw.Write(append(b, '\n'))
+}
+
 // Read parses a network written by Write. The returned dictionary contains
 // only the names present in the file ("I" lines); it may be empty.
 func Read(r io.Reader) (*Network, *itemset.Dictionary, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	readLine := func() (string, bool) {
-		for sc.Scan() {
-			lineNo++
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			return line, true
-		}
-		return "", false
+	rs, err := NewRecordScanner(r, "dbnet", formatHeader)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	header, ok := readLine()
-	if !ok {
-		return nil, nil, fmt.Errorf("dbnet: empty input")
-	}
-	if header != formatHeader {
-		return nil, nil, fmt.Errorf("dbnet: line %d: unsupported header %q", lineNo, header)
-	}
-
 	var nw *Network
 	dict := itemset.NewDictionary()
 	names := make(map[itemset.Item]string)
-
-	for {
-		line, ok := readLine()
-		if !ok {
-			break
+	numericItem := func(field string) (itemset.Item, error) {
+		id, numeric, err := itemset.ParseID(field)
+		if !numeric {
+			return 0, fmt.Errorf("invalid item %q", field)
 		}
-		fields := strings.Fields(line)
+		return id, err
+	}
+	for rs.Scan() {
+		fields := rs.Fields()
 		switch fields[0] {
 		case "V":
 			if nw != nil {
-				return nil, nil, fmt.Errorf("dbnet: line %d: duplicate V line", lineNo)
+				return nil, nil, rs.Errorf("duplicate V line")
 			}
-			if len(fields) != 2 {
-				return nil, nil, fmt.Errorf("dbnet: line %d: malformed V line", lineNo)
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, nil, fmt.Errorf("dbnet: line %d: invalid vertex count %q", lineNo, fields[1])
+			n, err := rs.Count()
+			if err != nil {
+				return nil, nil, err
 			}
 			nw = New(n)
 		case "I":
 			if len(fields) < 3 {
-				return nil, nil, fmt.Errorf("dbnet: line %d: malformed I line", lineNo)
+				return nil, nil, rs.Errorf("malformed I line")
 			}
-			id, err := strconv.Atoi(fields[1])
+			id, err := numericItem(fields[1])
 			if err != nil {
-				return nil, nil, fmt.Errorf("dbnet: line %d: invalid item id %q", lineNo, fields[1])
+				return nil, nil, rs.Errorf("%w", err)
 			}
-			names[itemset.Item(id)] = strings.Join(fields[2:], " ")
+			names[id] = strings.Join(fields[2:], " ")
 		case "E":
 			if nw == nil {
-				return nil, nil, fmt.Errorf("dbnet: line %d: E line before V line", lineNo)
+				return nil, nil, rs.Errorf("E line before V line")
 			}
-			if len(fields) != 3 {
-				return nil, nil, fmt.Errorf("dbnet: line %d: malformed E line", lineNo)
+			e, err := rs.Edge()
+			if err != nil {
+				return nil, nil, err
 			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return nil, nil, fmt.Errorf("dbnet: line %d: invalid edge endpoints", lineNo)
-			}
-			if err := nw.AddEdge(graph.VertexID(u), graph.VertexID(v)); err != nil {
-				return nil, nil, fmt.Errorf("dbnet: line %d: %w", lineNo, err)
+			if err := nw.AddEdge(e.U, e.V); err != nil {
+				return nil, nil, rs.Errorf("%w", err)
 			}
 		case "T":
 			if nw == nil {
-				return nil, nil, fmt.Errorf("dbnet: line %d: T line before V line", lineNo)
+				return nil, nil, rs.Errorf("T line before V line")
 			}
 			if len(fields) < 2 {
-				return nil, nil, fmt.Errorf("dbnet: line %d: malformed T line", lineNo)
+				return nil, nil, rs.Errorf("malformed T line")
 			}
-			v, err := strconv.Atoi(fields[1])
+			v, tx, err := rs.Transaction(numericItem)
 			if err != nil {
-				return nil, nil, fmt.Errorf("dbnet: line %d: invalid vertex %q", lineNo, fields[1])
+				return nil, nil, err
 			}
-			items := make([]itemset.Item, 0, len(fields)-2)
-			for _, f := range fields[2:] {
-				id, err := strconv.Atoi(f)
-				if err != nil {
-					return nil, nil, fmt.Errorf("dbnet: line %d: invalid item %q", lineNo, f)
-				}
-				items = append(items, itemset.Item(id))
-			}
-			if err := nw.AddTransaction(graph.VertexID(v), itemset.New(items...)); err != nil {
-				return nil, nil, fmt.Errorf("dbnet: line %d: %w", lineNo, err)
+			if err := nw.AddTransaction(v, tx); err != nil {
+				return nil, nil, rs.Errorf("%w", err)
 			}
 		default:
-			return nil, nil, fmt.Errorf("dbnet: line %d: unknown record type %q", lineNo, fields[0])
+			return nil, nil, rs.Errorf("unknown record type %q", fields[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, fmt.Errorf("dbnet: read: %w", err)
+	if err := rs.Err(); err != nil {
+		return nil, nil, err
 	}
 	if nw == nil {
 		return nil, nil, fmt.Errorf("dbnet: missing V line")
 	}
 	// Rebuild the dictionary with stable identifiers matching the file.
 	if len(names) > 0 {
-		maxID := itemset.Item(0)
+		maxID := 0
 		for id := range names {
-			if id > maxID {
-				maxID = id
-			}
+			maxID = max(maxID, int(id))
 		}
-		for id := itemset.Item(0); id <= maxID; id++ {
-			name, ok := names[id]
+		for id := 0; id <= maxID; id++ {
+			name, ok := names[itemset.Item(id)]
 			if !ok {
 				name = fmt.Sprintf("item-%d", id)
 			}
@@ -181,6 +163,129 @@ func Read(r io.Reader) (*Network, *itemset.Dictionary, error) {
 		}
 	}
 	return nw, dict, nil
+}
+
+// maxRecordLine caps one line of a record file; a longer line is a read
+// error.
+const maxRecordLine = 16 * 1024 * 1024
+
+// newLineScanner returns a line scanner over r with the record line cap.
+func newLineScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), maxRecordLine)
+	return sc
+}
+
+// RecordScanner reads the records of a line-record file: a network (DBNET,
+// Read) or a delta (TCDELTA, delta.Read). It skips blank and '#' lines,
+// checks the header, splits each record line into fields and numbers its
+// errors by line.
+type RecordScanner struct {
+	sc     *bufio.Scanner
+	format string // prefixes every error: "dbnet", "delta"
+	line   int
+	text   string
+	fields []string
+	items  []itemset.Item // Transaction's scratch
+}
+
+// NewRecordScanner returns a scanner over r past its header: the first record
+// line must equal header.
+func NewRecordScanner(r io.Reader, format, header string) (*RecordScanner, error) {
+	rs := &RecordScanner{sc: newLineScanner(r), format: format}
+	if !rs.Scan() {
+		if err := rs.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%s: empty input", format)
+	}
+	if rs.text != header {
+		return nil, rs.Errorf("unsupported header %q", rs.text)
+	}
+	return rs, nil
+}
+
+// Scan advances to the next record line, reporting false at the end of the
+// input or on a read error (see Err).
+func (rs *RecordScanner) Scan() bool {
+	for rs.sc.Scan() {
+		rs.line++
+		rs.text = strings.TrimSpace(rs.sc.Text())
+		if rs.text == "" || rs.text[0] == '#' {
+			continue
+		}
+		rs.fields = strings.Fields(rs.text)
+		return true
+	}
+	return false
+}
+
+// Fields returns the current record's fields, the record type first.
+func (rs *RecordScanner) Fields() []string { return rs.fields }
+
+// Errorf returns an error naming the format and the current line.
+func (rs *RecordScanner) Errorf(format string, args ...any) error {
+	return fmt.Errorf("%s: line %d: "+format, append([]any{rs.format, rs.line}, args...)...)
+}
+
+// Err returns the read error that ended the scan, if any.
+func (rs *RecordScanner) Err() error {
+	if err := rs.sc.Err(); err != nil {
+		return fmt.Errorf("%s: read: %w", rs.format, err)
+	}
+	return nil
+}
+
+// Count parses the current "<type> <n>" record as a vertex count
+// (graph.CheckVertexCount).
+func (rs *RecordScanner) Count() (int, error) {
+	if len(rs.fields) != 2 {
+		return 0, rs.Errorf("malformed %s line", rs.fields[0])
+	}
+	n, err := strconv.Atoi(rs.fields[1])
+	if err != nil {
+		return 0, rs.Errorf("invalid vertex count %q", rs.fields[1])
+	}
+	if err := graph.CheckVertexCount(n); err != nil {
+		return 0, rs.Errorf("%w", err)
+	}
+	return n, nil
+}
+
+// Edge parses the current "<type> <u> <v>" record as an edge
+// (graph.CheckedEdge).
+func (rs *RecordScanner) Edge() (graph.Edge, error) {
+	if len(rs.fields) != 3 {
+		return graph.Edge{}, rs.Errorf("malformed %s line", rs.fields[0])
+	}
+	u, err1 := strconv.Atoi(rs.fields[1])
+	v, err2 := strconv.Atoi(rs.fields[2])
+	if err1 != nil || err2 != nil {
+		return graph.Edge{}, rs.Errorf("invalid edge endpoints")
+	}
+	e, err := graph.CheckedEdge(u, v)
+	if err != nil {
+		return graph.Edge{}, rs.Errorf("invalid edge endpoints: %w", err)
+	}
+	return e, nil
+}
+
+// Transaction parses the current "<type> <vertex> <item> ..." record, which
+// has at least two fields, resolving each item field with item.
+func (rs *RecordScanner) Transaction(item func(string) (itemset.Item, error)) (graph.VertexID, itemset.Itemset, error) {
+	v, err := graph.ParseVertex(rs.fields[1])
+	if err != nil {
+		return 0, nil, rs.Errorf("%w", err)
+	}
+	rs.items = rs.items[:0]
+	for _, f := range rs.fields[2:] {
+		it, err := item(f)
+		if err != nil {
+			return 0, nil, rs.Errorf("%w", err)
+		}
+		rs.items = append(rs.items, it)
+	}
+	return v, itemset.New(rs.items...), nil // New copies the items
 }
 
 // WriteFileAtomic durably replaces the network file (durable.WriteFile) —
@@ -201,9 +306,9 @@ func WriteFileAtomic(path string, nw *Network, dict *itemset.Dictionary) error {
 const journalSeqComment = "# journal-seq "
 
 // WriteFileAtomicStamped is WriteFileAtomic plus a journal-seq stamp: when
-// seq > 0, a "# journal-seq <n>" comment is written after the header,
-// recording that the file reflects every journal record up to and including
-// seq. Checkpoint recovery compares this stamp against the index manifest's
+// seq > 0, a "# journal-seq <n>" comment is written before the header (the
+// file begins "# journal-seq 7\nDBNET 1\n"), recording that the file
+// reflects every journal record up to and including seq. Checkpoint recovery compares this stamp against the index manifest's
 // JournalSeq to detect a crash between the two writes.
 func WriteFileAtomicStamped(path string, nw *Network, dict *itemset.Dictionary, seq uint64) error {
 	err := durable.WriteFile(path, func(w io.Writer) error {
@@ -236,15 +341,14 @@ func ReadFile(path string) (*Network, *itemset.Dictionary, error) {
 // ReadJournalSeq returns the journal-seq stamp of the named network file, or
 // 0 when the file carries none (it predates journaling, or journaling is not
 // in use). Only the lines before the first record line are scanned — the
-// stamp, when present, sits right after the header.
+// stamp, when present, is the file's first line, before the header.
 func ReadJournalSeq(path string) (uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc := newLineScanner(f)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || line == formatHeader {

@@ -84,8 +84,9 @@ var ErrInvalid = errors.New("invalid delta")
 
 // Validate checks the delta against the network it is about to be applied to:
 // every referenced vertex must exist (counting the delta's own AddVertices),
-// edges must not be self-loops, and transactions must be non-empty. Every
-// error wraps ErrInvalid.
+// the vertex count must stay within graph.MaxVertices, edges must not be
+// self-loops, and transactions must be non-empty. Every error wraps
+// ErrInvalid.
 func (d *Delta) Validate(nw *dbnet.Network) error {
 	if d == nil {
 		return fmt.Errorf("delta: nil delta: %w", ErrInvalid)
@@ -93,9 +94,12 @@ func (d *Delta) Validate(nw *dbnet.Network) error {
 	if d.AddVertices < 0 {
 		return fmt.Errorf("delta: negative vertex count %d: %w", d.AddVertices, ErrInvalid)
 	}
-	n := graph.VertexID(nw.NumVertices() + d.AddVertices)
+	n := nw.NumVertices() + d.AddVertices // both non-negative: a wrapped sum is negative
+	if err := graph.CheckVertexCount(n); err != nil {
+		return fmt.Errorf("delta: adding %d vertices to %d: %w: %w", d.AddVertices, nw.NumVertices(), err, ErrInvalid)
+	}
 	checkVertex := func(v graph.VertexID, what string) error {
-		if v < 0 || v >= n {
+		if v < 0 || int(v) >= n {
 			return fmt.Errorf("delta: %s references vertex %d out of range [0,%d): %w", what, v, n, ErrInvalid)
 		}
 		return nil

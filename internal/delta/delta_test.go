@@ -2,6 +2,8 @@ package delta
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -172,6 +174,24 @@ func TestValidateRejectsBadDeltas(t *testing.T) {
 	ok := &Delta{AddVertices: 1, AddEdges: []graph.Edge{graph.EdgeOf(0, 3)}}
 	if err := ok.Validate(nw); err != nil {
 		t.Fatalf("Validate rejected a self-consistent delta: %v", err)
+	}
+}
+
+// Validate counts vertices in int: a delta that takes the network past
+// graph.MaxVertices is refused, and one that reaches it exactly still
+// references its own vertices. Only Validate runs — applying such a delta
+// would allocate billions of vertex databases.
+func TestValidateBoundsTheVertexCount(t *testing.T) {
+	nw := dbnet.New(2)
+	for _, add := range []int{1 << 32, graph.MaxVertices - 1, math.MaxInt} {
+		if err := (&Delta{AddVertices: add}).Validate(nw); !errors.Is(err, ErrInvalid) {
+			t.Errorf("Validate(AddVertices %d) on 2 vertices = %v, want ErrInvalid", add, err)
+		}
+	}
+	last := graph.VertexID(graph.MaxVertices - 1)
+	atBound := &Delta{AddVertices: graph.MaxVertices - 2, AddEdges: []graph.Edge{graph.EdgeOf(0, 1), graph.EdgeOf(1, last)}}
+	if err := atBound.Validate(nw); err != nil {
+		t.Errorf("Validate(AddVertices %d) on 2 vertices: %v", atBound.AddVertices, err)
 	}
 }
 

@@ -523,13 +523,7 @@ func (f *Federation) TopKAll(ctx context.Context, resolve PatternResolver, alpha
 	merged := slices.Concat(parts...)
 	sort.Slice(merged, func(i, j int) bool {
 		a, b := &merged[i], &merged[j]
-		if engine.LessRanked(&a.Community, &b.Community) {
-			return true
-		}
-		if engine.LessRanked(&b.Community, &a.Community) {
-			return false
-		}
-		return a.Network < b.Network
+		return rankedLess(&a.Community, a.Network, &b.Community, b.Network)
 	})
 	if k > 0 && k < len(merged) {
 		merged = merged[:k]

@@ -187,17 +187,20 @@ func (ms *MergedStream) nextPlain() (*NetworkRanked, error) {
 	return nil, nil
 }
 
-// cursorLess orders member cursors by their buffered head under TopKAll's
-// comparator: engine.LessRanked, network name as the final tiebreak.
-func cursorLess(a, b *netCursor) bool {
-	if engine.LessRanked(a.head, b.head) {
+// rankedLess is the cross-network order of TopKAll and StreamTopKAll:
+// engine.LessRanked, network name as the final tiebreak.
+func rankedLess(a *truss.Community, aNet string, b *truss.Community, bNet string) bool {
+	if engine.LessRanked(a, b) {
 		return true
 	}
-	if engine.LessRanked(b.head, a.head) {
+	if engine.LessRanked(b, a) {
 		return false
 	}
-	return a.name < b.name
+	return aNet < bNet
 }
+
+// cursorLess orders member cursors by their buffered head (rankedLess).
+func cursorLess(a, b *netCursor) bool { return rankedLess(a.head, a.name, b.head, b.name) }
 
 func (ms *MergedStream) siftUp(i int) {
 	for i > 0 {

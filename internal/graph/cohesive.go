@@ -1,11 +1,10 @@
 package graph
 
-// This file implements the classic cohesive-subgraph baselines that the
-// pattern truss of the paper generalizes: k-truss (Cohen) and k-core
-// (Seidman). Section 3.2 notes that a pattern truss with all frequencies
-// equal to 1 and α = k-3 is exactly a k-truss, and a maximal connected
-// pattern truss is then a (k-1)-core. The tests of internal/truss verify
-// these equivalences against the implementations here.
+// This file implements the classic cohesive-subgraph baseline that the
+// pattern truss of the paper generalizes: the k-truss (Cohen). Section 3.2
+// notes that a pattern truss with all frequencies equal to 1 and α = k-3 is
+// exactly a k-truss; the tests of internal/truss verify this equivalence
+// against the implementation here.
 
 // KTruss returns the maximal k-truss of g: the maximal set of edges such that
 // every edge is contained in at least k-2 triangles whose edges all belong to
@@ -69,80 +68,4 @@ func KTruss(g *Graph, k int) EdgeSet {
 		removeNeighbor(e.V, e.U)
 	}
 	return edges
-}
-
-// TrussDecomposition returns, for every edge of g, its trussness: the largest
-// k such that the edge belongs to the k-truss of g. Edges in no triangle have
-// trussness 2.
-func TrussDecomposition(g *Graph) map[uint64]int {
-	out := make(map[uint64]int, g.NumEdges())
-	for _, e := range g.Edges() {
-		out[e.Key()] = 2
-	}
-	for k := 3; ; k++ {
-		t := KTruss(g, k)
-		if t.Len() == 0 {
-			break
-		}
-		for key := range t {
-			out[key] = k
-		}
-	}
-	return out
-}
-
-// KCore returns the vertices of the maximal k-core of g: the maximal vertex
-// set in which every vertex has at least k neighbors within the set.
-func KCore(g *Graph, k int) []VertexID {
-	n := g.NumVertices()
-	deg := make([]int, n)
-	removed := make([]bool, n)
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(VertexID(v))
-	}
-	queue := make([]VertexID, 0)
-	for v := 0; v < n; v++ {
-		if deg[v] < k {
-			queue = append(queue, VertexID(v))
-			removed[v] = true
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(u) {
-			if removed[w] {
-				continue
-			}
-			deg[w]--
-			if deg[w] < k {
-				removed[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	var out []VertexID
-	for v := 0; v < n; v++ {
-		if !removed[v] {
-			out = append(out, VertexID(v))
-		}
-	}
-	return out
-}
-
-// CoreNumbers returns, for every vertex of g, its core number: the largest k
-// such that the vertex belongs to the k-core.
-func CoreNumbers(g *Graph) []int {
-	n := g.NumVertices()
-	out := make([]int, n)
-	for k := 1; ; k++ {
-		core := KCore(g, k)
-		if len(core) == 0 {
-			break
-		}
-		for _, v := range core {
-			out[v] = k
-		}
-	}
-	return out
 }

@@ -1,7 +1,7 @@
 // Package graph provides the undirected-graph substrate of the database
-// network: adjacency storage, triangle enumeration, connected components,
-// BFS traversal, and the classic k-truss and k-core baselines that the
-// pattern truss of the paper generalizes (Section 3.2).
+// network: adjacency storage, BFS traversal, edge sets, and the classic
+// k-truss baseline that the pattern truss of the paper generalizes
+// (Section 3.2).
 //
 // Vertices are dense integer identifiers in [0, NumVertices). Edges are
 // undirected, simple (no self-loops, no parallel edges).
@@ -9,11 +9,63 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 )
 
 // VertexID identifies a vertex of a graph or database network.
 type VertexID int32
+
+// MaxVertices bounds the vertex count of a network: vertex ids are 32-bit,
+// so every id lies in [0, math.MaxInt32].
+const MaxVertices = math.MaxInt32 + 1
+
+// Vertex returns v as a vertex id, or an error when v lies outside
+// [0, math.MaxInt32]: an outside id is refused, never wrapped onto another
+// vertex. Every id read from a file, a request or a flag passes through it.
+func Vertex(v int) (VertexID, error) {
+	if v < 0 || v > math.MaxInt32 {
+		return 0, fmt.Errorf("vertex id %d outside [0, %d]", v, math.MaxInt32)
+	}
+	return VertexID(v), nil
+}
+
+// ParseVertex parses a decimal vertex id (see Vertex).
+func ParseVertex(field string) (VertexID, error) {
+	v, err := strconv.Atoi(field)
+	if err != nil {
+		return 0, fmt.Errorf("invalid vertex id %q", field)
+	}
+	return Vertex(v)
+}
+
+// CheckedEdge returns the canonical edge between u and v, or an error when
+// either lies outside the vertex id range (see Vertex) or they are one
+// vertex.
+func CheckedEdge(u, v int) (Edge, error) {
+	if u == v {
+		return Edge{}, fmt.Errorf("edge (%d,%d) is a self-loop", u, v)
+	}
+	a, err := Vertex(u)
+	if err != nil {
+		return Edge{}, fmt.Errorf("edge (%d,%d): %w", u, v, err)
+	}
+	b, err := Vertex(v)
+	if err != nil {
+		return Edge{}, fmt.Errorf("edge (%d,%d): %w", u, v, err)
+	}
+	return EdgeOf(a, b), nil
+}
+
+// CheckVertexCount reports an error when a network of n vertices would hold
+// an id outside the vertex id range, or n is negative.
+func CheckVertexCount(n int) error {
+	if n < 0 || n > MaxVertices {
+		return fmt.Errorf("vertex count %d outside [0, %d]", n, MaxVertices)
+	}
+	return nil
+}
 
 // Edge is an undirected edge stored in canonical orientation U < V.
 type Edge struct {
@@ -38,19 +90,6 @@ func (e Edge) Key() uint64 { return uint64(uint32(e.U))<<32 | uint64(uint32(e.V)
 // EdgeFromKey is the inverse of Edge.Key.
 func EdgeFromKey(k uint64) Edge {
 	return Edge{U: VertexID(uint32(k >> 32)), V: VertexID(uint32(k))}
-}
-
-// Other returns the endpoint of e that is not v. It panics if v is not an
-// endpoint of e.
-func (e Edge) Other(v VertexID) VertexID {
-	switch v {
-	case e.U:
-		return e.V
-	case e.V:
-		return e.U
-	default:
-		panic(fmt.Sprintf("graph: vertex %d is not an endpoint of edge %v", v, e))
-	}
 }
 
 // String renders the edge as "(u,v)".
@@ -230,62 +269,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// CommonNeighbors returns the sorted common neighbors of a and b. Each common
-// neighbor corresponds to a triangle containing edge (a, b).
-func (g *Graph) CommonNeighbors(a, b VertexID) []VertexID {
-	if g.checkVertex(a) != nil || g.checkVertex(b) != nil {
-		return nil
-	}
-	g.ensureSorted()
-	return IntersectSorted(g.adj[a], g.adj[b])
-}
-
-// CountTriangles returns the total number of triangles in the graph.
-func (g *Graph) CountTriangles() int {
-	total := 0
-	for _, e := range g.Edges() {
-		for _, w := range g.CommonNeighbors(e.U, e.V) {
-			if w > e.V { // count each triangle once: u < v < w
-				total++
-			}
-		}
-	}
-	return total
-}
-
-// ConnectedComponents returns the vertex sets of the connected components,
-// each sorted, with components ordered by their smallest vertex. Isolated
-// vertices form singleton components.
-func (g *Graph) ConnectedComponents() [][]VertexID {
-	n := len(g.adj)
-	visited := make([]bool, n)
-	var comps [][]VertexID
-	queue := make([]VertexID, 0, n)
-	for s := 0; s < n; s++ {
-		if visited[s] {
-			continue
-		}
-		visited[s] = true
-		queue = queue[:0]
-		queue = append(queue, VertexID(s))
-		comp := []VertexID{VertexID(s)}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, w := range g.adj[u] {
-				if !visited[w] {
-					visited[w] = true
-					comp = append(comp, w)
-					queue = append(queue, w)
-				}
-			}
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // BFSEdges traverses the graph breadth-first from seed and returns up to
 // maxEdges edges in the order they are discovered (tree and cross edges of the
 // already-visited frontier). It is the sampling primitive of Section 7.1 of
@@ -322,28 +305,6 @@ func (g *Graph) BFSEdges(seed VertexID, maxEdges int) []Edge {
 		}
 	}
 	return out
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	cp := New(len(g.adj))
-	cp.m = g.m
-	cp.sorted = g.sorted
-	for i, l := range g.adj {
-		cp.adj[i] = append([]VertexID(nil), l...)
-	}
-	return cp
-}
-
-// FromEdges builds a graph with n vertices from the given edge list.
-func FromEdges(n int, edges []Edge) (*Graph, error) {
-	g := New(n)
-	for _, e := range edges {
-		if err := g.AddEdge(e.U, e.V); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
 }
 
 // IntersectSorted returns the intersection of two ascending sorted vertex

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -23,11 +24,44 @@ func TestEdgeOf(t *testing.T) {
 	if EdgeFromKey(e.Key()) != e {
 		t.Fatalf("Key round trip failed")
 	}
-	if e.Other(2) != 5 || e.Other(5) != 2 {
-		t.Fatalf("Other wrong")
-	}
 	if e.String() != "(2,5)" {
 		t.Fatalf("String = %q", e.String())
+	}
+}
+
+// Ids are 32-bit: one outside [0, MaxInt32] is refused, never wrapped onto
+// another vertex.
+func TestCheckedIds(t *testing.T) {
+	for _, v := range []int{0, 1, math.MaxInt32} {
+		if id, err := Vertex(v); err != nil || int(id) != v {
+			t.Errorf("Vertex(%d) = (%d, %v)", v, id, err)
+		}
+	}
+	for _, v := range []int{-1, math.MaxInt32 + 1, 1 << 32, math.MinInt} {
+		if _, err := Vertex(v); err == nil {
+			t.Errorf("Vertex(%d) accepted an id outside the range", v)
+		}
+	}
+	if _, err := Vertex(1 << 32); err == nil || err.Error() != "vertex id 4294967296 outside [0, 2147483647]" {
+		t.Errorf("Vertex(1<<32) error = %v", err)
+	}
+	for field, ok := range map[string]bool{"7": true, "2147483647": true, "x": false, "": false, "-1": false, "4294967297": false} {
+		if _, err := ParseVertex(field); (err == nil) != ok {
+			t.Errorf("ParseVertex(%q) error = %v, want ok %v", field, err, ok)
+		}
+	}
+	if e, err := CheckedEdge(5, 2); err != nil || e != EdgeOf(2, 5) {
+		t.Errorf("CheckedEdge(5, 2) = (%v, %v)", e, err)
+	}
+	for _, uv := range [][2]int{{3, 3}, {0, 1 << 32}, {1 << 32, 1}, {-1, 0}} {
+		if _, err := CheckedEdge(uv[0], uv[1]); err == nil {
+			t.Errorf("CheckedEdge(%d, %d) accepted", uv[0], uv[1])
+		}
+	}
+	for n, ok := range map[int]bool{0: true, MaxVertices: true, MaxVertices + 1: false, -1: false} {
+		if err := CheckVertexCount(n); (err == nil) != ok {
+			t.Errorf("CheckVertexCount(%d) = %v, want ok %v", n, err, ok)
+		}
 	}
 }
 
@@ -38,15 +72,6 @@ func TestEdgeOfPanicsOnSelfLoop(t *testing.T) {
 		}
 	}()
 	EdgeOf(1, 1)
-}
-
-func TestEdgeOtherPanicsOnNonEndpoint(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("Other of non-endpoint should panic")
-		}
-	}()
-	EdgeOf(1, 2).Other(3)
 }
 
 func TestAddEdgeValidation(t *testing.T) {
@@ -115,31 +140,6 @@ func TestBasicAccessors(t *testing.T) {
 	}
 }
 
-func TestCommonNeighborsAndTriangles(t *testing.T) {
-	g := buildTriangleChain()
-	cn := g.CommonNeighbors(0, 1)
-	if len(cn) != 1 || cn[0] != 2 {
-		t.Fatalf("CommonNeighbors(0,1) = %v, want [2]", cn)
-	}
-	if got := g.CountTriangles(); got != 2 {
-		t.Fatalf("CountTriangles = %d, want 2", got)
-	}
-	if cn := g.CommonNeighbors(0, 99); cn != nil {
-		t.Fatalf("CommonNeighbors with invalid vertex = %v", cn)
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := buildTriangleChain()
-	comps := g.ConnectedComponents()
-	if len(comps) != 2 {
-		t.Fatalf("got %d components, want 2: %v", len(comps), comps)
-	}
-	if len(comps[0]) != 5 || len(comps[1]) != 1 || comps[1][0] != 5 {
-		t.Fatalf("components = %v", comps)
-	}
-}
-
 func TestBFSEdges(t *testing.T) {
 	g := buildTriangleChain()
 	all := g.BFSEdges(0, 0)
@@ -163,31 +163,6 @@ func TestBFSEdges(t *testing.T) {
 	}
 	if got := g.BFSEdges(5, 10); len(got) != 0 {
 		t.Fatalf("BFS from isolated vertex = %v", got)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := buildTriangleChain()
-	cp := g.Clone()
-	cp.MustAddEdge(0, 5)
-	if g.HasEdge(0, 5) {
-		t.Fatalf("clone not independent")
-	}
-	if cp.NumEdges() != g.NumEdges()+1 {
-		t.Fatalf("clone edge count wrong")
-	}
-}
-
-func TestFromEdges(t *testing.T) {
-	g, err := FromEdges(4, []Edge{EdgeOf(0, 1), EdgeOf(2, 3)})
-	if err != nil {
-		t.Fatalf("FromEdges: %v", err)
-	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d", g.NumEdges())
-	}
-	if _, err := FromEdges(2, []Edge{EdgeOf(0, 5)}); err == nil {
-		t.Fatalf("FromEdges with out-of-range vertex should fail")
 	}
 }
 
@@ -288,45 +263,6 @@ func TestKTrussOnCliqueAndChain(t *testing.T) {
 	}
 	if got := KTruss(g, 2); got.Len() != g.NumEdges() {
 		t.Fatalf("2-truss should keep all edges")
-	}
-}
-
-func TestTrussDecomposition(t *testing.T) {
-	clique := New(5)
-	for u := VertexID(0); u < 5; u++ {
-		for v := u + 1; v < 5; v++ {
-			clique.MustAddEdge(u, v)
-		}
-	}
-	// Attach a pendant edge (4,5)? vertex 5 doesn't exist; build fresh.
-	g := New(6)
-	for u := VertexID(0); u < 5; u++ {
-		for v := u + 1; v < 5; v++ {
-			g.MustAddEdge(u, v)
-		}
-	}
-	g.MustAddEdge(4, 5)
-	tr := TrussDecomposition(g)
-	if tr[EdgeOf(0, 1).Key()] != 5 {
-		t.Fatalf("clique edge trussness = %d, want 5", tr[EdgeOf(0, 1).Key()])
-	}
-	if tr[EdgeOf(4, 5).Key()] != 2 {
-		t.Fatalf("pendant edge trussness = %d, want 2", tr[EdgeOf(4, 5).Key()])
-	}
-}
-
-func TestKCoreAndCoreNumbers(t *testing.T) {
-	g := buildTriangleChain()
-	core2 := KCore(g, 2)
-	if len(core2) != 5 {
-		t.Fatalf("2-core = %v, want the 5 triangle vertices", core2)
-	}
-	if got := KCore(g, 3); len(got) != 0 {
-		t.Fatalf("3-core should be empty, got %v", got)
-	}
-	cn := CoreNumbers(g)
-	if cn[2] != 2 || cn[5] != 0 {
-		t.Fatalf("core numbers = %v", cn)
 	}
 }
 

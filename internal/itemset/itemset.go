@@ -9,6 +9,7 @@ package itemset
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -17,6 +18,20 @@ import (
 
 // Item is the identifier of a single item in the item universe S.
 type Item int32
+
+// ParseID parses a numeric item identifier; numeric is false when field is an
+// item name. Identifiers are 32-bit: anything outside [0, MaxInt32] is
+// rejected rather than silently wrapped onto another item.
+func ParseID(field string) (id Item, numeric bool, err error) {
+	n, err := strconv.Atoi(field)
+	if err != nil {
+		return 0, false, nil
+	}
+	if n < 0 || n > math.MaxInt32 {
+		return 0, true, fmt.Errorf("item id %d outside [0, %d]", n, math.MaxInt32)
+	}
+	return Item(n), true, nil
+}
 
 // Itemset is a canonically sorted, duplicate-free set of items.
 // The zero value is the empty itemset.

@@ -19,6 +19,31 @@ func TestNewCanonicalizes(t *testing.T) {
 	}
 }
 
+func TestParseID(t *testing.T) {
+	cases := []struct {
+		field   string
+		id      Item
+		numeric bool
+		err     string
+	}{
+		{"0", 0, true, ""},
+		{"2147483647", 2147483647, true, ""},
+		{"coffee", 0, false, ""},
+		{"4294967301", 0, true, "item id 4294967301 outside [0, 2147483647]"},
+		{"-7", 0, true, "item id -7 outside [0, 2147483647]"},
+	}
+	for _, c := range cases {
+		id, numeric, err := ParseID(c.field)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if id != c.id || numeric != c.numeric || got != c.err {
+			t.Errorf("ParseID(%q) = (%d, %v, %q), want (%d, %v, %q)", c.field, id, numeric, got, c.id, c.numeric, c.err)
+		}
+	}
+}
+
 func TestFromSortedPanicsOnUnsorted(t *testing.T) {
 	defer func() {
 		if recover() == nil {

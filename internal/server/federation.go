@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"themecomm/internal/delta"
 	"themecomm/internal/federation"
 	"themecomm/internal/itemset"
 	"themecomm/internal/replication"
@@ -164,7 +163,7 @@ func resolverFor(fields []string) federation.PatternResolver {
 		}
 		items := itemset.Itemset{}
 		for _, field := range fields {
-			if id, numeric, _ := delta.ItemID(field); numeric {
+			if id, numeric, _ := itemset.ParseID(field); numeric {
 				items = items.Add(id) // parseQueryRequest rejected ids out of range
 				continue
 			}

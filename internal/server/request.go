@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"themecomm/internal/delta"
 	"themecomm/internal/itemset"
 )
 
@@ -96,7 +95,7 @@ func parseQueryRequest(t *tenant, r *http.Request, caps reqCaps) (*queryRequest,
 	req.RawPattern = qp.Get("pattern")
 	req.Fields = patternFields(req.RawPattern)
 	for _, f := range req.Fields {
-		if _, _, err := delta.ItemID(f); err != nil {
+		if _, _, err := itemset.ParseID(f); err != nil {
 			return nil, badRequestf("%s", err.Error())
 		}
 	}

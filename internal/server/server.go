@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -532,14 +531,9 @@ func (s *Server) serveVertex(t *tenant, w http.ResponseWriter, r *http.Request) 
 		writeError(w, r, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	rawID := r.URL.Query().Get("id")
-	id, err := strconv.Atoi(rawID)
-	if err != nil || id < 0 {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("invalid vertex id %q", rawID))
-		return
-	}
-	if id > math.MaxInt32 {
-		writeError(w, r, http.StatusBadRequest, fmt.Sprintf("vertex id %d outside [0, %d]", id, math.MaxInt32))
+	id, err := graph.ParseVertex(r.URL.Query().Get("id"))
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, err.Error())
 		return
 	}
 	req, rerr := parseQueryRequest(t, r, 0)
@@ -547,14 +541,14 @@ func (s *Server) serveVertex(t *tenant, w http.ResponseWriter, r *http.Request) 
 		rerr.write(w, r)
 		return
 	}
-	communities, err := t.engine.SearchVertex(r.Context(), graph.VertexID(id), req.Pattern, req.Alpha)
+	communities, err := t.engine.SearchVertex(r.Context(), id, req.Pattern, req.Alpha)
 	if err != nil {
 		writeError(w, r, queryStatusOf(err), err.Error())
 		return
 	}
 	a := beginAnswer(w, "application/json")
 	a.buf = append(a.buf, `{"vertex":`...)
-	a.buf = t.names.AppendVertex(a.buf, graph.VertexID(id))
+	a.buf = t.names.AppendVertex(a.buf, id)
 	a.buf = append(a.buf, `,"alpha":`...)
 	a.buf = append(appendFloat(a.buf, req.Alpha), `,"communities":`...)
 	a.communities(communities, false, t.names)
@@ -577,7 +571,7 @@ func (t *tenant) parsePatternList(fields []string) (itemset.Itemset, error) {
 		if field == "" {
 			continue
 		}
-		if id, numeric, err := delta.ItemID(field); numeric {
+		if id, numeric, err := itemset.ParseID(field); numeric {
 			if err != nil {
 				return nil, err
 			}

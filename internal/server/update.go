@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"time"
 
@@ -94,42 +93,38 @@ func (t *tenant) parseUpdate(req *UpdateRequest) (*delta.Delta, error) {
 	if d.AddVertices < 0 {
 		return nil, fmt.Errorf("negative addVertices %d", d.AddVertices)
 	}
-	parseEdge := func(e [2]int, what string) (graph.Edge, error) {
-		if e[0] == e[1] {
-			return graph.Edge{}, fmt.Errorf("%s edge (%d,%d) is a self-loop", what, e[0], e[1])
+	parseEdges := func(edges [][2]int, what string) ([]graph.Edge, error) {
+		var out []graph.Edge
+		for _, e := range edges {
+			edge, err := graph.CheckedEdge(e[0], e[1])
+			if err != nil {
+				return nil, fmt.Errorf("%s %w", what, err)
+			}
+			out = append(out, edge)
 		}
-		if e[0] < 0 || e[1] < 0 || e[0] > math.MaxInt32 || e[1] > math.MaxInt32 {
-			return graph.Edge{}, fmt.Errorf("%s edge (%d,%d) has an endpoint outside [0, %d]", what, e[0], e[1], math.MaxInt32)
-		}
-		return graph.EdgeOf(graph.VertexID(e[0]), graph.VertexID(e[1])), nil
+		return out, nil
 	}
-	for _, e := range req.AddEdges {
-		edge, err := parseEdge(e, "added")
-		if err != nil {
-			return nil, err
-		}
-		d.AddEdges = append(d.AddEdges, edge)
+	var err error
+	if d.AddEdges, err = parseEdges(req.AddEdges, "added"); err != nil {
+		return nil, err
 	}
-	for _, e := range req.RemoveEdges {
-		edge, err := parseEdge(e, "removed")
-		if err != nil {
-			return nil, err
-		}
-		d.RemoveEdges = append(d.RemoveEdges, edge)
+	if d.RemoveEdges, err = parseEdges(req.RemoveEdges, "removed"); err != nil {
+		return nil, err
 	}
 	for i, v := range req.RemoveVertices {
-		if v < 0 || v > math.MaxInt32 {
-			return nil, fmt.Errorf("removed vertex %d: %d outside [0, %d]", i, v, math.MaxInt32)
+		id, err := graph.Vertex(v)
+		if err != nil {
+			return nil, fmt.Errorf("removed vertex %d: %w", i, err)
 		}
-		d.RemoveVertices = append(d.RemoveVertices, graph.VertexID(v))
+		d.RemoveVertices = append(d.RemoveVertices, id)
 	}
 	// Structural checks first; the emptiness check counts the raw request
 	// so that item names are only resolved — and new names only interned
 	// into the dictionary — once the request is known to be well-formed.
 	checkTxs := func(txs []UpdateTransaction, what string) error {
 		for i, tx := range txs {
-			if tx.Vertex < 0 || tx.Vertex > math.MaxInt32 {
-				return fmt.Errorf("%s %d: vertex %d outside [0, %d]", what, i, tx.Vertex, math.MaxInt32)
+			if _, err := graph.Vertex(tx.Vertex); err != nil {
+				return fmt.Errorf("%s %d: %w", what, i, err)
 			}
 			if len(tx.Items) == 0 {
 				return fmt.Errorf("%s %d: empty item list", what, i)
@@ -165,7 +160,6 @@ func (t *tenant) parseUpdate(req *UpdateRequest) (*delta.Delta, error) {
 		}
 		return out, nil
 	}
-	var err error
 	if d.AddTransactions, err = resolveTxs(req.AddTransactions, "transaction"); err != nil {
 		return nil, err
 	}
