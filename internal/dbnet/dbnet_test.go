@@ -307,6 +307,32 @@ func TestReadRejectsMalformedInput(t *testing.T) {
 	}
 }
 
+// TestReadKeepsItemNamesAtTheirIds: every I line's name sits at its id
+// after Read — a name given at two ids, or an id named twice, is refused
+// with its line, and the placeholder of an unnamed id is one no I line uses.
+func TestReadKeepsItemNamesAtTheirIds(t *testing.T) {
+	for _, c := range []struct{ input, err string }{
+		{"DBNET 1\nV 1\nI 0 a\nI 1 a\nI 2 b\n", `line 4: item name "a" given at items 0 and 1`},
+		{"DBNET 1\nV 1\nI 0 a\nI 0 b\n", "line 4: item 0 named twice"},
+	} {
+		if _, _, err := Read(strings.NewReader(c.input)); err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Fatalf("Read(%q) = %v, want an error with %q", c.input, err, c.err)
+		}
+	}
+	_, dict, err := Read(strings.NewReader("DBNET 1\nV 1\nI 1 item-0\nI 2 b\nI 4 item-3\n"))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	for id, want := range map[itemset.Item]string{1: "item-0", 2: "b", 4: "item-3"} {
+		if name, err := dict.Name(id); err != nil || name != want {
+			t.Fatalf("item %d is %q (%v), want %q", id, name, err, want)
+		}
+	}
+	if dict.Len() != 5 {
+		t.Fatalf("dictionary holds %d items, want 5", dict.Len())
+	}
+}
+
 func TestReadIgnoresCommentsAndBlankLines(t *testing.T) {
 	input := "# comment\n\nDBNET 1\n# another\nV 2\n\nE 0 1\nT 0 5\n"
 	nw, _, err := Read(strings.NewReader(input))

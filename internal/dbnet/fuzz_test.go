@@ -13,9 +13,10 @@ import (
 
 // FuzzDBNetRead throws arbitrary bytes at the network reader: malformed,
 // truncated or hostile input — ids outside [0, 2147483647] among it — must
-// return an error, never panic, and a network the reader accepts must write
-// back through Write and re-read to the same network and dictionary. The
-// seed corpus is testdata/fuzz/FuzzDBNetRead.
+// return an error, never panic; in a network the reader accepts, every I
+// line's name sits at its id, and the network writes back through Write and
+// re-reads to the same network and dictionary. The seed corpus is
+// testdata/fuzz/FuzzDBNetRead.
 func FuzzDBNetRead(f *testing.F) {
 	dict := itemset.NewDictionary()
 	for _, name := range []string{"a", "b c", "d"} {
@@ -37,6 +38,16 @@ func FuzzDBNetRead(f *testing.F) {
 		nw, dict, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			f := strings.Fields(line)
+			if len(f) < 3 || f[0] != "I" {
+				continue
+			}
+			id, _ := strconv.Atoi(f[1])
+			if name, err := dict.Name(itemset.Item(id)); err != nil || name != strings.Join(f[2:], " ") {
+				t.Fatalf("line %q: item %d is %q (%v) after Read", line, id, name, err)
+			}
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, nw, dict); err != nil {

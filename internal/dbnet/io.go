@@ -84,7 +84,8 @@ func Read(r io.Reader) (*Network, *itemset.Dictionary, error) {
 	}
 	var nw *Network
 	dict := itemset.NewDictionary()
-	names := make(map[itemset.Item]string)
+	names := make(map[itemset.Item]string) // the I lines, both ways
+	ids := make(map[string]itemset.Item)
 	numericItem := func(field string) (itemset.Item, error) {
 		id, numeric, err := itemset.ParseID(field)
 		if !numeric {
@@ -105,14 +106,17 @@ func Read(r io.Reader) (*Network, *itemset.Dictionary, error) {
 			}
 			nw = New(n)
 		case "I":
-			if len(fields) < 3 {
-				return nil, nil, rs.Errorf("malformed I line")
-			}
-			id, err := numericItem(fields[1])
+			id, name, err := rs.Name()
 			if err != nil {
-				return nil, nil, rs.Errorf("%w", err)
+				return nil, nil, err
 			}
-			names[id] = strings.Join(fields[2:], " ")
+			if _, dup := names[id]; dup {
+				return nil, nil, rs.Errorf("item %d named twice", id)
+			}
+			if other, dup := ids[name]; dup {
+				return nil, nil, rs.Errorf("item name %q given at items %d and %d", name, other, id)
+			}
+			names[id], ids[name] = name, id
 		case "E":
 			if nw == nil {
 				return nil, nil, rs.Errorf("E line before V line")
@@ -148,19 +152,18 @@ func Read(r io.Reader) (*Network, *itemset.Dictionary, error) {
 	if nw == nil {
 		return nil, nil, fmt.Errorf("dbnet: missing V line")
 	}
-	// Rebuild the dictionary with stable identifiers matching the file.
-	if len(names) > 0 {
-		maxID := 0
-		for id := range names {
-			maxID = max(maxID, int(id))
+	// Rebuild the dictionary with the file's ids: every I line's name at its
+	// id, and a placeholder no I line uses at each id between them.
+	maxID := -1
+	for id := range names {
+		maxID = max(maxID, int(id))
+	}
+	for id := 0; id <= maxID; id++ {
+		name, ok := names[itemset.Item(id)]
+		if !ok {
+			name = itemset.Placeholder(id, func(name string) bool { _, taken := ids[name]; return taken })
 		}
-		for id := 0; id <= maxID; id++ {
-			name, ok := names[itemset.Item(id)]
-			if !ok {
-				name = fmt.Sprintf("item-%d", id)
-			}
-			dict.Intern(name)
-		}
+		dict.Intern(name)
 	}
 	return nw, dict, nil
 }
@@ -268,6 +271,22 @@ func (rs *RecordScanner) Edge() (graph.Edge, error) {
 		return graph.Edge{}, rs.Errorf("invalid edge endpoints: %w", err)
 	}
 	return e, nil
+}
+
+// Name parses the current "I <item> <name ...>" record: the item and its
+// name, the name's fields joined by single spaces.
+func (rs *RecordScanner) Name() (itemset.Item, string, error) {
+	if len(rs.fields) < 3 {
+		return 0, "", rs.Errorf("malformed I line")
+	}
+	id, numeric, err := itemset.ParseID(rs.fields[1])
+	if !numeric {
+		err = fmt.Errorf("invalid item %q", rs.fields[1])
+	}
+	if err != nil {
+		return 0, "", rs.Errorf("%w", err)
+	}
+	return id, strings.Join(rs.fields[2:], " "), nil
 }
 
 // Transaction parses the current "<type> <vertex> <item> ..." record, which

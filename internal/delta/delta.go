@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/graph"
@@ -26,6 +27,11 @@ type VertexTransaction struct {
 	Vertex graph.VertexID
 	// Tx is the transaction (a canonical itemset).
 	Tx txdb.Transaction
+	// NewNames are the transaction's items given by names its network's
+	// dictionary did not hold when the delta was resolved
+	// (ResolveTransaction); Number gives each an item and moves it into Tx.
+	// Validate refuses a transaction that still has them.
+	NewNames []string
 }
 
 // Delta is one batch of changes to a database network. The zero value is the
@@ -55,6 +61,18 @@ type Delta struct {
 	// (same canonical itemset) from their vertex's database. Removing an
 	// absent transaction is a harmless no-op.
 	RemoveTransactions []VertexTransaction
+	// Names are the dictionary entries the delta introduces, ascending by
+	// item (Number): the names of the new items its transactions use. Apply
+	// changes the network alone and ignores them; Intern enters them into the
+	// network's dictionary, and a journal record carries them as I lines, so
+	// every replay names the items as the primary did.
+	Names []ItemName
+}
+
+// ItemName is one dictionary entry of a delta: Item is named Name.
+type ItemName struct {
+	Item itemset.Item
+	Name string
 }
 
 // Empty reports whether the delta changes nothing.
@@ -77,6 +95,123 @@ func (d *Delta) String() string {
 	return s + "}"
 }
 
+// ResolveTransaction returns the transaction of vertex v whose items are
+// fields, resolved through dict without changing it: a numeric field is the
+// item it names (itemset.ParseID), a name dict holds is its item, and any
+// other name is one the delta introduces — it waits in NewNames until Number
+// gives it an item under the network's update lock.
+func ResolveTransaction(v graph.VertexID, fields []string, dict *itemset.Dictionary) (VertexTransaction, error) {
+	vt := VertexTransaction{Vertex: v}
+	items := make([]itemset.Item, 0, len(fields))
+	for _, field := range fields {
+		id, numeric, err := itemset.ParseID(field)
+		switch {
+		case numeric && err != nil:
+			return vt, err
+		case numeric:
+		case dict == nil:
+			return vt, fmt.Errorf("item %q is not numeric and no dictionary is available", field)
+		default:
+			var known bool
+			if id, known = dict.Lookup(field); !known {
+				vt.NewNames = append(vt.NewNames, field)
+				continue
+			}
+		}
+		items = append(items, id)
+	}
+	vt.Tx = itemset.New(items...)
+	return vt, nil
+}
+
+// Number gives the names the delta's transactions introduce (NewNames) their
+// items against dict as it stands, under the network's update lock, so each
+// name is numbered once: a name dict holds by now (an update accepted since
+// this one was resolved introduced it) takes its item, and every other name
+// takes the next item past dict's end and past every item the delta gives by
+// number. Names becomes every entry dict gains with the delta, ascending: a
+// placeholder (itemset.Placeholder, never one of the delta's names) for each
+// item the delta introduces by number, then the new names — so a replay that
+// interns Names leaves its dictionary naming every item as this one does. dict
+// is not changed: Intern enters Names once the delta is accepted.
+func (d *Delta) Number(dict *itemset.Dictionary) {
+	if dict == nil {
+		return
+	}
+	txs := [][]VertexTransaction{d.AddTransactions, d.RemoveTransactions}
+	end := dict.Len()
+	ids := map[string]itemset.Item{} // each new name's item, -1 until numbered
+	for _, list := range txs {
+		for _, vt := range list {
+			if n := vt.Tx.Len(); n > 0 {
+				end = max(end, int(vt.Tx[n-1])+1)
+			}
+			for _, name := range vt.NewNames {
+				id, known := dict.Lookup(name)
+				if !known {
+					id = -1
+				}
+				ids[name] = id
+			}
+		}
+	}
+	taken := func(name string) bool {
+		_, known := dict.Lookup(name)
+		_, named := ids[name]
+		return known || named
+	}
+	d.Names = nil
+	for id := dict.Len(); id < end; id++ {
+		d.Names = append(d.Names, ItemName{Item: itemset.Item(id), Name: itemset.Placeholder(id, taken)})
+	}
+	next := itemset.Item(end)
+	for _, list := range txs {
+		for i := range list {
+			vt := &list[i]
+			if len(vt.NewNames) == 0 {
+				continue
+			}
+			items := slices.Clone(vt.Tx)
+			for _, name := range vt.NewNames {
+				id := ids[name]
+				if id < 0 {
+					id, next = next, next+1
+					ids[name] = id
+					d.Names = append(d.Names, ItemName{Item: id, Name: name})
+				}
+				items = append(items, id)
+			}
+			vt.Tx, vt.NewNames = itemset.New(items...), nil
+		}
+	}
+}
+
+// Intern enters the delta's Names into dict, each at its item: an item dict
+// names already must carry the same name, and every other entry must be the
+// next item past dict's end. A name that contradicts dict — another name at
+// its item, the name at another item, or an item past the end — stops Intern
+// with an error; the entries before it stay.
+func (d *Delta) Intern(dict *itemset.Dictionary) error {
+	if dict == nil {
+		return nil
+	}
+	for _, n := range d.Names {
+		if int(n.Item) < dict.Len() {
+			if name, _ := dict.Name(n.Item); name != n.Name {
+				return fmt.Errorf("delta: names item %d %q, the dictionary %q", n.Item, n.Name, name)
+			}
+			continue
+		}
+		if int(n.Item) > dict.Len() {
+			return fmt.Errorf("delta: names item %d %q past the dictionary's end %d", n.Item, n.Name, dict.Len())
+		}
+		if id := dict.Intern(n.Name); id != n.Item {
+			return fmt.Errorf("delta: names item %d %q, the dictionary's item %d", n.Item, n.Name, id)
+		}
+	}
+	return nil
+}
+
 // ErrInvalid marks a delta rejected by Validate. Callers (the HTTP update
 // handler) use errors.Is to distinguish a malformed delta (client error)
 // from an apply/commit failure (server error).
@@ -85,11 +220,21 @@ var ErrInvalid = errors.New("invalid delta")
 // Validate checks the delta against the network it is about to be applied to:
 // every referenced vertex must exist (counting the delta's own AddVertices),
 // the vertex count must stay within graph.MaxVertices, edges must not be
-// self-loops, and transactions must be non-empty. Every error wraps
-// ErrInvalid.
+// self-loops, transactions must be non-empty with every item numbered
+// (Number), and the names must read back
+// from record lines as themselves (ascending by item, no stray whitespace).
+// Every error wraps ErrInvalid.
 func (d *Delta) Validate(nw *dbnet.Network) error {
 	if d == nil {
 		return fmt.Errorf("delta: nil delta: %w", ErrInvalid)
+	}
+	for i, n := range d.Names {
+		if n.Name == "" || strings.Join(strings.Fields(n.Name), " ") != n.Name {
+			return fmt.Errorf("delta: item name %q is empty or has leading, trailing or repeated whitespace: %w", n.Name, ErrInvalid)
+		}
+		if i > 0 && n.Item <= d.Names[i-1].Item {
+			return fmt.Errorf("delta: item %d named out of ascending order: %w", n.Item, ErrInvalid)
+		}
 	}
 	if d.AddVertices < 0 {
 		return fmt.Errorf("delta: negative vertex count %d: %w", d.AddVertices, ErrInvalid)
@@ -123,12 +268,21 @@ func (d *Delta) Validate(nw *dbnet.Network) error {
 			return err
 		}
 	}
-	for _, vt := range d.AddTransactions {
-		if err := checkVertex(vt.Vertex, "added transaction"); err != nil {
+	checkTx := func(vt VertexTransaction, what string) error {
+		if err := checkVertex(vt.Vertex, what); err != nil {
 			return err
+		}
+		if len(vt.NewNames) > 0 {
+			return fmt.Errorf("delta: %s on vertex %d names items not numbered yet (Number): %w", what, vt.Vertex, ErrInvalid)
 		}
 		if vt.Tx.Len() == 0 {
 			return fmt.Errorf("delta: empty transaction on vertex %d: %w", vt.Vertex, ErrInvalid)
+		}
+		return nil
+	}
+	for _, vt := range d.AddTransactions {
+		if err := checkTx(vt, "added transaction"); err != nil {
+			return err
 		}
 	}
 	for _, v := range d.RemoveVertices {
@@ -137,11 +291,8 @@ func (d *Delta) Validate(nw *dbnet.Network) error {
 		}
 	}
 	for _, vt := range d.RemoveTransactions {
-		if err := checkVertex(vt.Vertex, "removed transaction"); err != nil {
+		if err := checkTx(vt, "removed transaction"); err != nil {
 			return err
-		}
-		if vt.Tx.Len() == 0 {
-			return fmt.Errorf("delta: empty transaction on vertex %d: %w", vt.Vertex, ErrInvalid)
 		}
 	}
 	return nil

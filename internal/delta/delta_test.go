@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"themecomm/internal/dbnet"
@@ -314,6 +316,16 @@ func TestDeltaIORoundTrip(t *testing.T) {
 		t.Fatalf("removed transaction mismatch")
 	}
 
+	// I records round-trip as the delta's Names.
+	d.Names = []ItemName{{Item: 7, Name: "oat milk"}, {Item: 9, Name: "tea"}}
+	buf.Reset()
+	if err := Write(&buf, d); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if got, err = Read(bytes.NewReader(buf.Bytes()), nil); err != nil || !reflect.DeepEqual(got.Names, d.Names) {
+		t.Fatalf("Read names = %v (%v), want %v", got.Names, err, d.Names)
+	}
+
 	// Named items intern through the dictionary, including unseen names.
 	named, err := Read(bytes.NewReader([]byte("TCDELTA 1\nT 0 coffee tea\n")), dict)
 	if err != nil {
@@ -330,6 +342,109 @@ func TestDeltaIORoundTrip(t *testing.T) {
 	// Without a dictionary, names are rejected.
 	if _, err := Read(bytes.NewReader([]byte("TCDELTA 1\nT 0 coffee\n")), nil); err == nil {
 		t.Fatalf("Read without dictionary accepted a named item")
+	}
+}
+
+// TestNumberAndIntern: ResolveTransaction leaves the names a dictionary
+// does not hold unnumbered; Number numbers them once, against the dictionary
+// as it stands under the update lock — a name another update introduced
+// meanwhile takes that item, every other name goes past the dictionary and
+// the delta's own numeric items, and the items introduced by number get
+// placeholders no name of the delta takes; Intern enters exactly those
+// entries and refuses any that contradict the dictionary.
+func TestNumberAndIntern(t *testing.T) {
+	dict := itemset.NewDictionary()
+	dict.InternAll([]string{"a", "b", "c"})
+	resolve := func(v graph.VertexID, fields ...string) VertexTransaction {
+		t.Helper()
+		vt, err := ResolveTransaction(v, fields, dict)
+		if err != nil {
+			t.Fatalf("resolve %q: %v", fields, err)
+		}
+		return vt
+	}
+	add := resolve(0, "b", "x", "y", "x")
+	if !add.Tx.Equal(itemset.New(1)) || !slices.Equal(add.NewNames, []string{"x", "y", "x"}) {
+		t.Fatalf("resolved %v with new names %q, want [1] and [x y x]", add.Tx, add.NewNames)
+	}
+	if _, ok := dict.Lookup("x"); ok || dict.Len() != 3 {
+		t.Fatalf("ResolveTransaction changed the dictionary: %d names", dict.Len())
+	}
+	if _, err := ResolveTransaction(0, []string{"4294967296"}, dict); err == nil {
+		t.Fatalf("resolve accepted an item past the id range")
+	}
+	if _, err := ResolveTransaction(0, []string{"x"}, nil); err == nil {
+		t.Fatalf("a name resolved without a dictionary")
+	}
+	d := &Delta{AddTransactions: []VertexTransaction{add}, RemoveTransactions: []VertexTransaction{resolve(1, "y")}}
+	if err := d.Validate(dbnet.New(2)); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Validate of an unnumbered delta = %v, want ErrInvalid", err)
+	}
+	dict.Intern("y") // another update introduced y at 3 meanwhile
+	d.Number(dict)
+	if want := []ItemName{{Item: 4, Name: "x"}}; !reflect.DeepEqual(d.Names, want) {
+		t.Fatalf("Names = %v, want %v", d.Names, want)
+	}
+	if tx := d.AddTransactions[0]; !tx.Tx.Equal(itemset.New(1, 3, 4)) || tx.NewNames != nil {
+		t.Fatalf("added transaction = %v (new names %q), want [1 3 4] (y 3, x 4)", tx.Tx, tx.NewNames)
+	}
+	if tx := d.RemoveTransactions[0].Tx; !tx.Equal(itemset.New(3)) {
+		t.Fatalf("removed transaction = %v, want [3] (y)", tx)
+	}
+	if err := d.Validate(dbnet.New(2)); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if err := d.Intern(dict); err != nil {
+		t.Fatalf("Intern: %v", err)
+	}
+	if id, ok := dict.Lookup("x"); !ok || id != 4 {
+		t.Fatalf("x is item %d (%v), want 4", id, ok)
+	}
+	if err := d.Intern(dict); err != nil {
+		t.Fatalf("a second Intern of the same names: %v", err)
+	}
+
+	// Items 5 and 8 enter by number. Item 5 is where a new name would have
+	// gone when the delta was resolved, and another update names it tea
+	// before Number: the numeric 5 stays tea's, and the names go past 8.
+	// item-7 is new, so item 7's placeholder steps aside for it.
+	d = &Delta{AddTransactions: []VertexTransaction{
+		resolve(0, "coffee", "item-7"), resolve(1, "5"), resolve(2, "coffee", "5"), resolve(3, "8"),
+	}}
+	dict.Intern("tea")
+	d.Number(dict)
+	want := []ItemName{{Item: 6, Name: "item-6"}, {Item: 7, Name: "item-7'"}, {Item: 8, Name: "item-8"}, {Item: 9, Name: "coffee"}, {Item: 10, Name: "item-7"}}
+	if !reflect.DeepEqual(d.Names, want) {
+		t.Fatalf("Names = %v, want %v", d.Names, want)
+	}
+	for i, tx := range []itemset.Itemset{itemset.New(9, 10), itemset.New(5), itemset.New(5, 9), itemset.New(8)} {
+		if got := d.AddTransactions[i].Tx; !got.Equal(tx) {
+			t.Fatalf("transaction %d = %v, want %v", i, got, tx)
+		}
+	}
+	if err := d.Intern(dict); err != nil {
+		t.Fatalf("Intern: %v", err)
+	}
+	for name, id := range map[string]itemset.Item{"tea": 5, "item-7'": 7, "coffee": 9, "item-7": 10} {
+		if got, ok := dict.Lookup(name); !ok || got != id {
+			t.Fatalf("%q is item %d (%v), want %d", name, got, ok, id)
+		}
+	}
+
+	for _, bad := range [][]ItemName{
+		{{Item: 0, Name: "not-a"}}, // another name at the item
+		{{Item: 11, Name: "a"}},    // the name at another item
+		{{Item: 12, Name: "z"}},    // past the dictionary's end
+	} {
+		if err := (&Delta{Names: bad}).Intern(dict); err == nil {
+			t.Fatalf("Intern(%v) accepted a name the dictionary contradicts", bad)
+		}
+	}
+	if dict.Len() != 11 {
+		t.Fatalf("refused names changed the dictionary: %d names, want 11", dict.Len())
+	}
+	if err := (&Delta{Names: []ItemName{{Item: 9, Name: " w"}}}).Validate(dbnet.New(1)); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Validate of a name with leading whitespace = %v, want ErrInvalid", err)
 	}
 }
 

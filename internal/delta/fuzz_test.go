@@ -21,6 +21,13 @@ func FuzzTCDeltaParse(f *testing.F) {
 	f.Add([]byte("TCDELTA 1\nV-\n"))
 	f.Add([]byte("TCDELTA 1\nV- -1\n"))
 	f.Add([]byte("TCDELTA 1\nT- 0\n"))
+	// I lines: the names of the items a journaled delta introduces.
+	f.Add([]byte("TCDELTA 1\nI 5 coffee\nI 6 two  words\nT 0 5 6\n"))
+	f.Add([]byte("TCDELTA 1\nI 6 a\nI 5 b\n"))
+	f.Add([]byte("TCDELTA 1\nI 5 a\nI 5 a\n"))
+	f.Add([]byte("TCDELTA 1\nI 5\n"))
+	f.Add([]byte("TCDELTA 1\nI x name\n"))
+	f.Add([]byte("TCDELTA 1\nI 4294967296 x\n"))
 	// Malformed: wrong header, truncated records, bad numbers, self-loops,
 	// out-of-range identifiers, unknown record types.
 	f.Add([]byte(""))

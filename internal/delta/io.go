@@ -16,6 +16,7 @@ import (
 //
 //	TCDELTA 1
 //	AV <n>                            (optional: add n vertices)
+//	I <item> <name ...>               (one per item the delta names, ascending)
 //	V- <v>                            (one per tombstoned vertex)
 //	E+ <u> <v>                        (one per added edge)
 //	E- <u> <v>                        (one per removed edge)
@@ -24,9 +25,10 @@ import (
 //
 // Lines starting with '#' and blank lines are ignored. Vertex and item ids
 // lie in [0, 2147483647] and an edge joins two distinct vertices, as in a
-// network file. Items are numeric identifiers, or names when the reader is
-// given a dictionary (unknown names are interned, so a delta may introduce
-// new items by name).
+// network file. I lines are the delta's Names, the network file's I lines
+// for the items the delta introduces. Transaction items are numeric
+// identifiers, or names when the reader is given a dictionary (unknown names
+// are interned, so a delta file may introduce new items by name).
 
 const deltaHeader = "TCDELTA 1"
 
@@ -38,6 +40,9 @@ func Write(w io.Writer, d *Delta) error {
 	}
 	if d.AddVertices > 0 {
 		fmt.Fprintf(bw, "AV %d\n", d.AddVertices)
+	}
+	for _, n := range d.Names {
+		fmt.Fprintf(bw, "I %d %s\n", n.Item, n.Name)
 	}
 	for _, v := range d.RemoveVertices {
 		fmt.Fprintf(bw, "V- %d\n", v)
@@ -66,7 +71,7 @@ func Read(r io.Reader, dict *itemset.Dictionary) (*Delta, error) {
 		return nil, err
 	}
 	d := &Delta{}
-	resolve := func(field string) (itemset.Item, error) { return ResolveItem(field, dict) }
+	resolve := func(field string) (itemset.Item, error) { return resolveItem(field, dict) }
 	for rs.Scan() {
 		fields := rs.Fields()
 		switch fields[0] {
@@ -76,6 +81,15 @@ func Read(r io.Reader, dict *itemset.Dictionary) (*Delta, error) {
 				return nil, err
 			}
 			d.AddVertices += n
+		case "I":
+			id, name, err := rs.Name()
+			if err != nil {
+				return nil, err
+			}
+			if k := len(d.Names); k > 0 && id <= d.Names[k-1].Item {
+				return nil, rs.Errorf("item %d named out of ascending order", id)
+			}
+			d.Names = append(d.Names, ItemName{Item: id, Name: name})
 		case "E+", "E-":
 			e, err := rs.Edge()
 			if err != nil {
@@ -119,10 +133,10 @@ func Read(r io.Reader, dict *itemset.Dictionary) (*Delta, error) {
 	return d, nil
 }
 
-// ResolveItem parses one item field: a numeric identifier is taken as-is
+// resolveItem parses one item field: a numeric identifier is taken as-is
 // (see itemset.ParseID); anything else is resolved through the dictionary,
-// interning unseen names so deltas can introduce new items.
-func ResolveItem(field string, dict *itemset.Dictionary) (itemset.Item, error) {
+// interning unseen names so delta files can introduce new items.
+func resolveItem(field string, dict *itemset.Dictionary) (itemset.Item, error) {
 	if id, numeric, err := itemset.ParseID(field); numeric {
 		return id, err
 	}

@@ -413,6 +413,25 @@ func TestStreamResultCacheBypass(t *testing.T) {
 	}
 }
 
+// TestStreamNextAfterClose: a closed stream errors on Next rather than
+// yielding communities of an execution it already accounted for, and a
+// second Close is harmless.
+func TestStreamNextAfterClose(t *testing.T) {
+	eng, err := New(testIndex(t, 7), Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	st, err := eng.StreamQuery(context.Background(), nil, 0)
+	if err != nil {
+		t.Fatalf("StreamQuery: %v", err)
+	}
+	st.Close()
+	st.Close()
+	if rc, err := st.Next(); err == nil {
+		t.Fatalf("Next on a closed stream = (%v, nil), want an error", rc)
+	}
+}
+
 // BenchmarkStreamTopK compares the ranked execution against the reference
 // path on a cold lazy engine: the reference materializes the full answer and
 // ranks it (bestK over QueryContext), the streaming arm pulls StreamTopK —

@@ -141,9 +141,11 @@ func (n *Network) QuotedNames() *QuotedNames { return n.names }
 // rejects deltas).
 func (n *Network) DatabaseNetwork() *dbnet.Network { return n.opts.Network }
 
-// ApplyDelta is the unjournaled update: the delta is applied to the tenant's
-// database network, the affected index shards are rebuilt and swapped in
-// memory (engine.ApplyDeltaInMemory), purging only this tenant's cache
+// ApplyDelta is the unjournaled update: the item names the delta introduces
+// are numbered against the tenant's dictionary (delta.Delta.Number) and, once
+// the delta validates, enter it (delta.Delta.Intern), the delta is applied to the tenant's database
+// network, the affected index shards are rebuilt and swapped in memory
+// (engine.ApplyDeltaInMemory), purging only this tenant's cache
 // namespace — every other tenant's cached answers, resident shards and
 // counters are untouched — and the update is persisted at once by a
 // Checkpoint that carries the files' journal-seq stamps forward unchanged, so
@@ -161,6 +163,13 @@ func (n *Network) ApplyDelta(d *delta.Delta) (*engine.DeltaResult, error) {
 	}
 	n.updMu.Lock()
 	defer n.updMu.Unlock()
+	d.Number(n.opts.Dictionary)
+	if err := d.Validate(nw); err != nil {
+		return nil, n.wrapErr(err)
+	}
+	if err := d.Intern(n.opts.Dictionary); err != nil {
+		return nil, n.wrapErr(err)
+	}
 	res, err := n.eng.ApplyDeltaInMemory(nw, d)
 	if err != nil {
 		return nil, n.wrapErr(err)
@@ -229,9 +238,8 @@ type Federation struct {
 	mu       sync.RWMutex
 	networks map[string]*Network
 
-	queryAlls  atomic.Uint64
-	topKAlls   atomic.Uint64
-	streamAlls atomic.Uint64
+	queryAlls atomic.Uint64
+	topKAlls  atomic.Uint64
 }
 
 // New returns an empty Federation. Attach networks with AttachBuilt (an
@@ -529,4 +537,16 @@ func (f *Federation) TopKAll(ctx context.Context, resolve PatternResolver, alpha
 		merged = merged[:k]
 	}
 	return merged, errors.Join(errs...)
+}
+
+// rankedLess is the cross-network order of TopKAll: engine.LessRanked, then
+// the network name as the final tiebreak.
+func rankedLess(a *truss.Community, aNet string, b *truss.Community, bNet string) bool {
+	if engine.LessRanked(a, b) {
+		return true
+	}
+	if engine.LessRanked(b, a) {
+		return false
+	}
+	return aNet < bNet
 }

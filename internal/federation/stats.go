@@ -39,12 +39,9 @@ type Stats struct {
 	// termination never opened.
 	Streams              uint64 `json:"streams,omitempty"`
 	ShardsShortCircuited uint64 `json:"shardsShortCircuited,omitempty"`
-	// QueryAlls and TopKAlls count the federation's cross-network calls;
-	// StreamAlls counts the streaming variants (StreamQueryAll,
-	// StreamTopKAll).
-	QueryAlls  uint64 `json:"queryAlls"`
-	TopKAlls   uint64 `json:"topKAlls"`
-	StreamAlls uint64 `json:"streamAlls,omitempty"`
+	// QueryAlls and TopKAlls count the federation's cross-network calls.
+	QueryAlls uint64 `json:"queryAlls"`
+	TopKAlls  uint64 `json:"topKAlls"`
 	// Cache is the shared result cache's global state.
 	Cache engine.CacheStats `json:"cache"`
 	// PerNetwork lists every attached network in ascending name order with
@@ -62,7 +59,6 @@ func (f *Federation) Stats() Stats {
 		ResidentBytes:     f.res.ResidentBytes(),
 		QueryAlls:         f.queryAlls.Load(),
 		TopKAlls:          f.topKAlls.Load(),
-		StreamAlls:        f.streamAlls.Load(),
 	}
 	for _, name := range f.Names() {
 		n, ok := f.Network(name)

@@ -37,22 +37,29 @@ func (d *Dictionary) Intern(name string) Item {
 	return id
 }
 
-// PadTo interns placeholder names ("item-<id>") until the dictionary covers
-// every identifier in [0, n). Callers resolving delta items by name pad the
-// dictionary to the network's item universe first, so a fresh name can never
-// be assigned the identifier of an existing unnamed item. Already-covered
+// PadTo interns placeholder names (Placeholder) until the dictionary covers
+// every identifier in [0, n). Attaching an updatable network pads its
+// dictionary to the network's item universe, so a fresh name can never be
+// assigned the identifier of an existing unnamed item. Already-covered
 // dictionaries are untouched.
 func (d *Dictionary) PadTo(n int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for len(d.byID) < n {
-		name := fmt.Sprintf("item-%d", len(d.byID))
-		for _, taken := d.byName[name]; taken; _, taken = d.byName[name] {
-			name += "'"
-		}
+		name := Placeholder(len(d.byID), func(name string) bool { _, taken := d.byName[name]; return taken })
 		d.byName[name] = Item(len(d.byID))
 		d.byID = append(d.byID, name)
 	}
+}
+
+// Placeholder returns the name of unnamed item id: "item-<id>", primed
+// until taken reports the name free.
+func Placeholder(id int, taken func(name string) bool) string {
+	name := fmt.Sprintf("item-%d", id)
+	for taken(name) {
+		name += "'"
+	}
+	return name
 }
 
 // InternAll interns every name and returns the resulting itemset.

@@ -158,9 +158,11 @@ type ApplyResult struct {
 
 // Apply is the primary's update fast path: validate, append to the journal
 // (group-committed — concurrent updates share one fsync), and apply in
-// memory. Persisting waits for the next checkpoint. Updates to the same
-// member serialize; updates to different members batch into the same journal
-// flush.
+// memory. The item names the delta introduces (d.Names, numbered in place by
+// delta.Delta.Number) travel in the record and enter the member's dictionary
+// once the record is durable. Persisting waits for the next
+// checkpoint. Updates to the same member serialize; updates to different
+// members batch into the same journal flush.
 func (p *Primary) Apply(name string, d *delta.Delta) (*ApplyResult, error) {
 	p.mu.RLock()
 	m := p.members[name]
@@ -177,9 +179,12 @@ func (p *Primary) Apply(name string, d *delta.Delta) (*ApplyResult, error) {
 	if m.broken != nil {
 		return nil, m.broken
 	}
-	nw := m.net.DatabaseNetwork()
-	// Validate before journaling: a record once appended WILL be replayed,
-	// so nothing Apply could reject may reach the journal.
+	nw, dict := m.net.DatabaseNetwork(), m.net.Dictionary()
+	// Number the names the delta introduces against the dictionary as it
+	// stands under the lock, and validate before journaling: a record once
+	// appended WILL be replayed, so nothing Apply could reject may reach the
+	// journal, and a rejected delta's names never reach the dictionary.
+	d.Number(dict)
 	if err := d.Validate(nw); err != nil {
 		return nil, err
 	}
@@ -194,7 +199,10 @@ func (p *Primary) Apply(name string, d *delta.Delta) (*ApplyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := eng.ApplyDeltaInMemory(nw, d)
+	var res *engine.DeltaResult
+	if err = d.Intern(dict); err == nil {
+		res, err = eng.ApplyDeltaInMemory(nw, d)
+	}
 	if err != nil {
 		// The journal now holds a record the serving state does not. Fail
 		// stop for this member rather than serve a state that diverges from

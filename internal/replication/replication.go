@@ -229,11 +229,12 @@ func (m *member) recoverFloor() (floor uint64, resynced bool, err error) {
 	return m.applied, resynced, nil
 }
 
-// replay decodes and applies one journal record to the member. Records at or
-// below the member's applied seq are already part of the state and are
-// skipped. Replay is fail-stop: a record that cannot be decoded or applied
-// breaks the member, because skipping it would silently diverge from the
-// journal every other role replays.
+// replay decodes and applies one journal record to the member, its names
+// first (delta.Delta.Intern). Records at or below the member's applied seq
+// are already part of the state and are skipped. Replay is fail-stop: a
+// record that cannot be decoded or applied, or that names an item other than
+// the member's dictionary does, breaks the member, because skipping it would
+// silently diverge from the journal every other role replays.
 func (m *member) replay(rec *journal.Record) (applied bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -248,7 +249,10 @@ func (m *member) replay(rec *journal.Record) (applied bool, err error) {
 		m.broken = fmt.Errorf("replication: network %q: decode journal seq %d: %w", m.name, rec.Seq, err)
 		return false, m.broken
 	}
-	if _, err := m.net.Engine().ApplyDeltaInMemory(m.net.DatabaseNetwork(), d); err != nil {
+	if err = d.Intern(m.net.Dictionary()); err == nil {
+		_, err = m.net.Engine().ApplyDeltaInMemory(m.net.DatabaseNetwork(), d)
+	}
+	if err != nil {
 		m.broken = fmt.Errorf("replication: network %q: replay journal seq %d: %w", m.name, rec.Seq, err)
 		return false, m.broken
 	}

@@ -288,9 +288,6 @@ func (s *Server) registerCollectors() {
 	fedCollect("tc_federation_topkalls_total",
 		"Cross-network top-k calls.", "counter",
 		func(fs federation.Stats) float64 { return float64(fs.TopKAlls) })
-	fedCollect("tc_federation_streamalls_total",
-		"Cross-network streaming calls (StreamQueryAll, StreamTopKAll).", "counter",
-		func(fs federation.Stats) float64 { return float64(fs.StreamAlls) })
 	fedCollect("tc_federation_resident_shards",
 		"Lazily loaded shards resident across every network.", "gauge",
 		func(fs federation.Stats) float64 { return float64(fs.ResidentShards) })

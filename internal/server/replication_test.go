@@ -2,15 +2,21 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/delta"
 	"themecomm/internal/federation"
+	"themecomm/internal/graph"
+	"themecomm/internal/itemset"
 	"themecomm/internal/journal"
 	"themecomm/internal/obs"
 	"themecomm/internal/replication"
@@ -24,29 +30,41 @@ import (
 func newPrimaryServer(t *testing.T) (*Server, *replication.Primary) {
 	t.Helper()
 	dir := t.TempDir()
+	seedAlpha(t, filepath.Join(dir, "alpha"))
+	return openPrimaryServer(t, dir)
+}
+
+// seedAlpha writes the updatable test network (without item names) and its
+// sharded index under dir.
+func seedAlpha(t *testing.T, dir string) {
+	t.Helper()
 	nw := buildUpdatableNetwork(t, 17)
-	sub := filepath.Join(dir, "alpha")
-	if err := os.MkdirAll(filepath.Join(sub, "index"), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, "index"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	tree := tctree.Build(nw, tctree.BuildOptions{})
 	if tree.NumNodes() == 0 {
 		t.Fatal("seed built an empty tree")
 	}
-	if _, err := tree.WriteShardedAs(filepath.Join(sub, "index"), tctree.FormatTCBIN); err != nil {
+	if _, err := tree.WriteShardedAs(filepath.Join(dir, "index"), tctree.FormatTCBIN); err != nil {
 		t.Fatalf("WriteShardedAs: %v", err)
 	}
-	netPath := filepath.Join(sub, "network.dbnet")
-	if err := dbnet.WriteFileAtomic(netPath, nw, nil); err != nil {
+	if err := dbnet.WriteFileAtomic(filepath.Join(dir, "network.dbnet"), nw, nil); err != nil {
 		t.Fatalf("write network: %v", err)
 	}
+}
 
+// attachAlpha attaches the network file and index under dir to a new
+// federation as network "alpha".
+func attachAlpha(t *testing.T, dir string) (*federation.Federation, *federation.Network) {
+	t.Helper()
 	fed := federation.New(federation.Options{CacheSize: 64})
+	netPath := filepath.Join(dir, "network.dbnet")
 	loaded, dict, err := dbnet.ReadFile(netPath)
 	if err != nil {
 		t.Fatalf("read network: %v", err)
 	}
-	idx, err := tctree.OpenSharded(filepath.Join(sub, "index"))
+	idx, err := tctree.OpenSharded(filepath.Join(dir, "index"))
 	if err != nil {
 		t.Fatalf("OpenSharded: %v", err)
 	}
@@ -55,21 +73,27 @@ func newPrimaryServer(t *testing.T) (*Server, *replication.Primary) {
 	}); err != nil {
 		t.Fatalf("AttachIndex: %v", err)
 	}
+	n, _ := fed.Network("alpha")
+	return fed, n
+}
 
+// openPrimaryServer serves dir/alpha as the one member of a recovered
+// primary journaling to dir/journal.
+func openPrimaryServer(t *testing.T, dir string) (*Server, *replication.Primary) {
+	t.Helper()
+	fed, n := attachAlpha(t, filepath.Join(dir, "alpha"))
 	j, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
 	t.Cleanup(func() { j.Close() })
 	p := replication.NewPrimary(j, replication.Options{CheckpointInterval: -1})
-	n, _ := fed.Network("alpha")
 	if err := p.Add(n); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 	if _, err := p.Recover(); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-
 	s, err := New(nil, Options{Federation: fed, Primary: p, Obs: obs.NewObserver(obs.ObserverOptions{})})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -220,6 +244,187 @@ func TestPrimaryServerJournalFlow(t *testing.T) {
 		}
 		if normalize(got.Body.String()) != normalize(want.Body.String()) {
 			t.Fatalf("%s diverges from fresh rebuild:\n got %s\nwant %s", url, got.Body.String(), want.Body.String())
+		}
+	}
+}
+
+// TestJournaledNamesReachReplicasAndRecovery: the item names journaled
+// updates introduce travel in their records, so a replica tailing the journal
+// and the primary reopened and recovered from it name every item as the
+// primary does, and the next checkpoint keeps the names; a rejected update
+// introduces none. Items an update introduces by number are named too, with
+// placeholders that never take a name the same update introduces, so a client
+// naming "item-70" beside item 80 breaks no role.
+func TestJournaledNamesReachReplicasAndRecovery(t *testing.T) {
+	dir, snapshot := t.TempDir(), t.TempDir()
+	seedAlpha(t, filepath.Join(dir, "alpha"))
+	seedAlpha(t, snapshot)
+	s, p := openPrimaryServer(t, dir)
+	for _, u := range []struct {
+		body   string
+		status int
+	}{
+		// Item 60 enters by number, past every named item.
+		{`{"addTransactions": [{"vertex": 0, "items": ["coffee", "1"]}, {"vertex": 3, "items": ["60"]}]}`, http.StatusOK},
+		{`{"addTransactions": [{"vertex": 99, "items": ["tea"]}]}`, http.StatusBadRequest},
+		{"checkpoint", 0},
+		{`{"addTransactions": [{"vertex": 1, "items": ["milk", "coffee"]}, {"vertex": 2, "items": ["sugar", "2"]}]}`, http.StatusOK},
+		// item-7 is item 7's placeholder; item-70 is a new name, and item
+		// 70's placeholder steps aside for it.
+		{`{"addTransactions": [{"vertex": 4, "items": ["item-7"]}, {"vertex": 5, "items": ["item-70", "80"]}]}`, http.StatusOK},
+	} {
+		if u.body == "checkpoint" {
+			// The network file now holds item 60, so a restart pads the
+			// dictionary past it before replaying the next record.
+			if err := p.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+		} else if rec := post(t, s, "/api/v1/alpha/update", u.body); rec.Code != u.status {
+			t.Fatalf("update %s = %d, want %d: %s", u.body, rec.Code, u.status, rec.Body.String())
+		}
+	}
+	primary, _ := s.fed.Network("alpha")
+	want := primary.Dictionary().SortedNames()
+	if milk, _ := primary.Dictionary().Lookup("milk"); milk <= 60 {
+		t.Fatalf("milk is item %d, on or below item 60 that entered by number", milk)
+	}
+	if _, ok := primary.Dictionary().Lookup("tea"); ok {
+		t.Fatalf("the rejected update interned its name")
+	}
+	if id, _ := primary.Dictionary().Lookup("item-7"); id != 7 {
+		t.Fatalf("item-7 is item %d, want its placeholder's item 7", id)
+	}
+	if id, _ := primary.Dictionary().Lookup("item-70"); id <= 80 {
+		t.Fatalf("item-70 is item %d, on or below item 80 that entered by number", id)
+	}
+	if name := primary.Dictionary().MustName(60); name != "item-60" {
+		t.Fatalf("item 60, entered by number, is named %q, want its placeholder", name)
+	}
+	sameNames := func(label string, n *federation.Network) {
+		t.Helper()
+		dict := n.Dictionary()
+		if got := dict.SortedNames(); !slices.Equal(got, want) {
+			t.Fatalf("%s dictionary %q, the primary's %q", label, got, want)
+		}
+		for id := 0; id < dict.Len(); id++ {
+			if got, want := dict.MustName(itemset.Item(id)), primary.Dictionary().MustName(itemset.Item(id)); got != want {
+				t.Fatalf("%s names item %d %q, the primary %q", label, id, got, want)
+			}
+		}
+	}
+
+	// A replica bootstrapped before the updates tails them from the journal,
+	// and its checkpoint writes the names into its network file.
+	_, member := attachAlpha(t, snapshot)
+	rep := replication.NewReplica(replication.Options{CheckpointInterval: -1})
+	if err := rep.Add(member); err != nil {
+		t.Fatalf("replica Add: %v", err)
+	}
+	rd := p.Journal().Range(0)
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("tail: %v", err)
+		}
+		if err := rep.ApplyRecord(&rec); err != nil {
+			t.Fatalf("replay seq %d: %v", rec.Seq, err)
+		}
+	}
+	rd.Close()
+	sameNames("replica", member)
+	if err := rep.Checkpoint(); err != nil {
+		t.Fatalf("replica checkpoint: %v", err)
+	}
+	_, reread := attachAlpha(t, snapshot)
+	sameNames("replica's checkpoint", reread)
+
+	// The primary reopened on its files, checkpointed before the last
+	// update, recovers that update from the journal.
+	p.Journal().Close()
+	recovered, _ := openPrimaryServer(t, dir)
+	n, _ := recovered.fed.Network("alpha")
+	sameNames("recovered primary", n)
+	if rec := post(t, recovered, "/api/v1/alpha/update", `{"addTransactions": [{"vertex": 6, "items": ["item-70", "oat"]}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("update on the recovered primary = %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+
+	// A name a record line would not read back as itself is refused.
+	if rec := post(t, recovered, "/api/v1/alpha/update", `{"addTransactions": [{"vertex": 3, "items": ["two  spaces"]}]}`); rec.Code != http.StatusBadRequest {
+		t.Fatalf("update naming %q = %d, want 400: %s", "two  spaces", rec.Code, rec.Body.String())
+	}
+	if _, ok := n.Dictionary().Lookup("two  spaces"); ok {
+		t.Fatalf("the refused name entered the dictionary")
+	}
+}
+
+// TestConcurrentUpdatesIntroducingNames: updates resolved at the same time
+// leave their new names unnumbered; the primary's update lock numbers each
+// against the dictionary as it stands (delta.Delta.Number), so every name
+// gets one item, every transaction holds the item of the name
+// it gave, and a replica tailing the journal names every item the same way.
+func TestConcurrentUpdatesIntroducingNames(t *testing.T) {
+	dir, snapshot := t.TempDir(), t.TempDir()
+	seedAlpha(t, filepath.Join(dir, "alpha"))
+	seedAlpha(t, snapshot)
+	s, p := openPrimaryServer(t, dir)
+	const writers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			body := fmt.Sprintf(`{"addTransactions": [{"vertex": %d, "items": ["shared", "own-%d"]}]}`, i, i)
+			if rec := post(t, s, "/api/v1/alpha/update", body); rec.Code != http.StatusOK {
+				t.Errorf("update %d = %d: %s", i, rec.Code, rec.Body.String())
+			}
+		}(i)
+	}
+	wg.Wait()
+	n, _ := s.fed.Network("alpha")
+	dict := n.Dictionary()
+	shared, ok := dict.Lookup("shared")
+	if !ok {
+		t.Fatalf("shared is not named")
+	}
+	for i := 0; i < writers; i++ {
+		own, ok := dict.Lookup(fmt.Sprintf("own-%d", i))
+		if !ok {
+			t.Fatalf("own-%d is not named", i)
+		}
+		txs := n.DatabaseNetwork().Database(graph.VertexID(i)).Transactions()
+		if last := txs[len(txs)-1]; !last.Equal(itemset.New(shared, own)) {
+			t.Fatalf("vertex %d's new transaction is %v, want [shared own-%d] = %v", i, last, i, itemset.New(shared, own))
+		}
+	}
+
+	_, member := attachAlpha(t, snapshot)
+	rep := replication.NewReplica(replication.Options{CheckpointInterval: -1})
+	if err := rep.Add(member); err != nil {
+		t.Fatalf("replica Add: %v", err)
+	}
+	rd := p.Journal().Range(0)
+	defer rd.Close()
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("tail: %v", err)
+		}
+		if err := rep.ApplyRecord(&rec); err != nil {
+			t.Fatalf("replay seq %d: %v", rec.Seq, err)
+		}
+	}
+	if got, want := member.Dictionary().SortedNames(), dict.SortedNames(); !slices.Equal(got, want) {
+		t.Fatalf("replica dictionary %q, the primary's %q", got, want)
+	}
+	for id := 0; id < dict.Len(); id++ {
+		if got, want := member.Dictionary().MustName(itemset.Item(id)), dict.MustName(itemset.Item(id)); got != want {
+			t.Fatalf("replica names item %d %q, the primary %q", id, got, want)
 		}
 	}
 }

@@ -308,20 +308,10 @@ func (s *Server) writeStreamNDJSON(t *tenant, w http.ResponseWriter, r *http.Req
 	defer s.observeEncode(t)
 	a.buf = appendStreamHeader(a.buf, header)
 	t.lineSince(a, a.began)
-	emitted := 0
-	for limit <= 0 || emitted < limit {
-		rc, err := st.Next()
-		if err != nil {
-			a.errorLine(r, err)
-			return
-		}
-		if rc == nil {
-			break
-		}
-		began := time.Now()
-		a.buf = appendCommunityLine(a.buf, "", rc, ranked, t.names)
-		t.lineSince(a, began)
-		emitted++
+	emitted, err := t.streamLines(a, st, "", ranked, 0, limit)
+	if err != nil {
+		a.errorLine(r, err)
+		return
 	}
 	more, err := streamHasMore(st, limit, emitted)
 	if err != nil {
@@ -343,25 +333,54 @@ func (s *Server) writeStreamNDJSON(t *tenant, w http.ResponseWriter, r *http.Req
 	t.lineSince(a, began)
 }
 
+// streamLines writes st's communities as NDJSON lines of t's answer, tagged
+// with network unless it is empty, until the stream ends or emitted reaches
+// limit (limit <= 0: no limit). It returns the lines emitted so far and the
+// error of a failed pull, which the caller ends the answer with.
+func (t *tenant) streamLines(a *answerWriter, st *engine.Stream, network string, ranked bool, emitted, limit int) (int, error) {
+	for limit <= 0 || emitted < limit {
+		rc, err := st.Next()
+		if err != nil || rc == nil {
+			return emitted, err
+		}
+		t.communityLine(a, network, rc, ranked)
+		emitted++
+	}
+	return emitted, nil
+}
+
+// communityLine writes rc as one NDJSON line of t's answer, tagged with
+// network unless it is empty.
+func (t *tenant) communityLine(a *answerWriter, network string, rc *truss.Community, ranked bool) {
+	began := time.Now()
+	a.buf = appendCommunityLine(a.buf, network, rc, ranked, t.names)
+	t.lineSince(a, began)
+}
+
 // serveQueryAllStream handles GET /api/v1/queryall?stream=1: the federated
-// answer as one NDJSON stream — the cross-network cohesion merge when k is
-// given, the per-network concatenation in name order otherwise. Cursors are
-// not supported on queryall (members move epochs independently); pages come
-// from re-issuing with a narrower limit.
+// answer as one NDJSON stream, one header and one trailer, with limit
+// counting across networks. With k the lines are TopKAll's cross-network
+// merge ranked to min(k, limit) — the first L lines of a total order are its
+// top L — and computed before the response is committed, so a member failure
+// answers an error status. Without k the networks are walked in name order,
+// QueryAll's order, each through its own engine stream and the line loop of
+// /query?stream=1, so at most one shard answer is buffered at a time. Cursors
+// are not supported on queryall (members move epochs independently); pages
+// come from re-issuing with a narrower limit.
 func (s *Server) serveQueryAllStream(w http.ResponseWriter, r *http.Request, resolve federation.PatternResolver, fields []string, alpha float64, k, limit int) {
 	start := time.Now()
-	var ms *federation.MergedStream
-	var err error
+	var merged []federation.NetworkRanked
 	if k > 0 {
-		ms, err = s.fed.StreamTopKAll(r.Context(), resolve, alpha, k)
-	} else {
-		ms, err = s.fed.StreamQueryAll(r.Context(), resolve, alpha)
+		rank := k
+		if limit > 0 {
+			rank = min(k, limit)
+		}
+		var err error
+		if merged, err = s.fed.TopKAll(r.Context(), resolve, alpha, rank); err != nil {
+			writeError(w, r, queryStatusOf(err), err.Error())
+			return
+		}
 	}
-	if err != nil {
-		writeError(w, r, queryStatusOf(err), err.Error())
-		return
-	}
-	defer ms.Close()
 
 	tenants := s.newTenantMemo()
 	defer tenants.observeEncode()
@@ -370,23 +389,34 @@ func (s *Server) serveQueryAllStream(w http.ResponseWriter, r *http.Request, res
 	a.buf = appendStreamHeader(a.buf, &StreamHeader{Type: "header", Alpha: alpha, Pattern: fields, TopK: k})
 	a.line()
 	emitted := 0
-	for limit <= 0 || emitted < limit {
-		nr, err := ms.Next()
-		if err != nil {
-			a.errorLine(r, err)
-			return
+	if k > 0 {
+		for i := range merged {
+			nr := &merged[i]
+			if t := tenants.get(nr.Network); t != nil { // nil: detached since
+				t.communityLine(a, nr.Network, &nr.Community, true)
+				emitted++
+			}
 		}
-		if nr == nil {
-			break
+	} else {
+		for _, name := range s.fed.Names() {
+			if limit > 0 && emitted >= limit {
+				break
+			}
+			n, ok := s.fed.Network(name)
+			t := tenants.get(name)
+			if !ok || t == nil {
+				continue // detached since the listing
+			}
+			st, err := n.Engine().StreamQuery(r.Context(), resolve(n), alpha)
+			if err == nil {
+				emitted, err = t.streamLines(a, st, name, false, emitted, limit)
+				st.Close()
+			}
+			if err != nil {
+				a.errorLine(r, fmt.Errorf("network %q: %w", name, err))
+				return
+			}
 		}
-		t := tenants.get(nr.Network)
-		if t == nil {
-			continue // detached mid-stream; its remaining communities are gone
-		}
-		began := time.Now()
-		a.buf = appendCommunityLine(a.buf, nr.Network, &nr.Community, k > 0, t.names)
-		t.lineSince(a, began)
-		emitted++
 	}
 	a.buf = appendStreamTrailer(a.buf, &StreamTrailer{Type: "trailer", Emitted: emitted, QueryMicros: time.Since(start).Microseconds()})
 	a.line()

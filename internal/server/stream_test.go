@@ -451,6 +451,53 @@ func TestQueryAllStream(t *testing.T) {
 	if rec := get(t, s, "/api/v1/queryall?alpha=0&stream=x"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("queryall stream=x: status %d, want 400", rec.Code)
 	}
+
+	// A limited ranked stream is the materialized merge of k = limit: the
+	// first L communities of a total order are its top L.
+	rec = get(t, s, "/api/v1/queryall?alpha=0&k=3")
+	var top3 QueryAllResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &top3); err != nil {
+		t.Fatal(err)
+	}
+	srec = get(t, s, "/api/v1/queryall?alpha=0&k=10&stream=1&limit=3")
+	lines = parseNDJSON(t, srec.Body.String())
+	if lines.errLine != nil || lines.trailer == nil || lines.header.TopK != 10 || len(top3.Communities) != 3 {
+		t.Fatalf("k=10 limit=3 stream: %s", srec.Body.String())
+	}
+	if lines.trailer.Emitted != 3 || len(lines.communities) != 3 {
+		t.Fatalf("k=10 limit=3 stream emitted %d lines: %s", len(lines.communities), srec.Body.String())
+	}
+	for i, mc := range top3.Communities {
+		if lines.communities[i].Network != mc.Network || !jsonEqual(t, lines.communities[i].CommunityResponse, mc.CommunityResponse) {
+			t.Fatalf("k=10 limit=3 stream community %d differs from the k=3 merge", i)
+		}
+	}
+
+	// A plain stream over a pattern one network cannot resolve: that network
+	// answers nothing, the other its own answer.
+	g := goldenFederation(t, true)
+	rec = get(t, g, "/api/v1/queryall?pattern=keyword-1&alpha=0.1")
+	var named QueryAllResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &named); err != nil {
+		t.Fatal(err)
+	}
+	var wantNamed []CommunityResponse
+	for _, nr := range named.Results {
+		if nr.Network == "paper" && len(nr.Communities) != 0 {
+			t.Fatalf("paper resolved keyword-1: %s", rec.Body.String())
+		}
+		wantNamed = append(wantNamed, nr.Communities...)
+	}
+	srec = get(t, g, "/api/v1/queryall?pattern=keyword-1&alpha=0.1&stream=1")
+	lines = parseNDJSON(t, srec.Body.String())
+	if lines.errLine != nil || lines.trailer == nil || len(wantNamed) == 0 || len(lines.communities) != len(wantNamed) {
+		t.Fatalf("streamed %d communities, materialized %d: %s", len(lines.communities), len(wantNamed), srec.Body.String())
+	}
+	for i, c := range lines.communities {
+		if c.Network != "aminer" || !jsonEqual(t, c.CommunityResponse, wantNamed[i]) {
+			t.Fatalf("community %d of the named-pattern stream differs from queryall", i)
+		}
+	}
 }
 
 // TestNetworkRouteStream: ?stream=1 works on the per-network route, and a

@@ -9,7 +9,6 @@ import (
 
 	"themecomm/internal/delta"
 	"themecomm/internal/graph"
-	"themecomm/internal/itemset"
 )
 
 // This file implements incremental index maintenance over HTTP:
@@ -87,7 +86,7 @@ type UpdateResponse struct {
 }
 
 // parseUpdate converts the JSON request into a delta, resolving item names
-// through the tenant's dictionary.
+// through the tenant's dictionary without changing it.
 func (t *tenant) parseUpdate(req *UpdateRequest) (*delta.Delta, error) {
 	d := &delta.Delta{AddVertices: req.AddVertices}
 	if d.AddVertices < 0 {
@@ -118,9 +117,7 @@ func (t *tenant) parseUpdate(req *UpdateRequest) (*delta.Delta, error) {
 		}
 		d.RemoveVertices = append(d.RemoveVertices, id)
 	}
-	// Structural checks first; the emptiness check counts the raw request
-	// so that item names are only resolved — and new names only interned
-	// into the dictionary — once the request is known to be well-formed.
+	// Structural checks first; the emptiness check counts the raw request.
 	checkTxs := func(txs []UpdateTransaction, what string) error {
 		for i, tx := range txs {
 			if _, err := graph.Vertex(tx.Vertex); err != nil {
@@ -145,18 +142,11 @@ func (t *tenant) parseUpdate(req *UpdateRequest) (*delta.Delta, error) {
 	resolveTxs := func(txs []UpdateTransaction, what string) ([]delta.VertexTransaction, error) {
 		out := make([]delta.VertexTransaction, 0, len(txs))
 		for i, tx := range txs {
-			items := make([]itemset.Item, 0, len(tx.Items))
-			for _, field := range tx.Items {
-				it, err := delta.ResolveItem(field, t.dict)
-				if err != nil {
-					return nil, fmt.Errorf("%s %d: %w", what, i, err)
-				}
-				items = append(items, it)
+			vt, err := delta.ResolveTransaction(graph.VertexID(tx.Vertex), tx.Items, t.dict)
+			if err != nil {
+				return nil, fmt.Errorf("%s %d: %w", what, i, err)
 			}
-			out = append(out, delta.VertexTransaction{
-				Vertex: graph.VertexID(tx.Vertex),
-				Tx:     itemset.New(items...),
-			})
+			out = append(out, vt)
 		}
 		return out, nil
 	}

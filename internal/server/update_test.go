@@ -143,6 +143,13 @@ func TestUpdateRendersNewItemNames(t *testing.T) {
 	}
 
 	const name = "fresh <item> & more"
+	// A rejected update introduces no name.
+	if rec := post(t, s, "/api/v1/update", `{"addTransactions": [{"vertex": 99, "items": ["`+name+`"]}]}`); rec.Code != http.StatusBadRequest {
+		t.Fatalf("update of vertex 99 = %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	if rec := get(t, s, "/api/v1/query?pattern="+url.QueryEscape(name)+"&alpha=0"); rec.Code != http.StatusBadRequest {
+		t.Fatalf("the rejected update's name resolves: %d %s", rec.Code, rec.Body.String())
+	}
 	rec := post(t, s, "/api/v1/update", `{"addVertices": 3, "addEdges": [[16,17],[17,18],[16,18]], "addTransactions": [`+
 		`{"vertex": 16, "items": ["`+name+`"]}, {"vertex": 17, "items": ["`+name+`"]}, {"vertex": 18, "items": ["`+name+`"]}]}`)
 	if rec.Code != http.StatusOK {
@@ -161,6 +168,12 @@ func TestUpdateRendersNewItemNames(t *testing.T) {
 		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), theme) {
 			t.Errorf("GET %s: status %d, no %s in %.300s", target, rec.Code, theme, rec.Body.String())
 		}
+	}
+	// The update's checkpoint wrote the name into the network file.
+	if _, dict, err := dbnet.ReadFile(netPath); err != nil {
+		t.Fatalf("re-read: %v", err)
+	} else if _, ok := dict.Lookup(name); !ok {
+		t.Fatalf("the network file does not name %q", name)
 	}
 }
 

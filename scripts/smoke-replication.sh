@@ -13,6 +13,8 @@
 #   - a write to a replica answers 403 with a Location header naming the
 #     primary;
 #   - the journal feed itself serves the records as NDJSON;
+#   - an update introducing a new item name reaches both replicas with the
+#     name: they answer a query by that name exactly as the primary does;
 #   - the primary survives a kill -9: restart recovers from journal +
 #     checkpoint stamps, the replicas' tailers reconnect, and a post-restart
 #     update still converges everywhere;
@@ -175,6 +177,13 @@ grep -q '"type":"head"' "$workdir/journal.ndjson" || {
   echo "journal feed missing the head frame:" >&2; cat "$workdir/journal.ndjson" >&2; exit 1
 }
 
+echo "== an update introducing a new item name names it on the replicas too (seq 3)"
+update "1:espresso,2;2:espresso,3"
+wait_caught_up "$r1_addr" 3
+wait_caught_up "$r2_addr" 3
+compare "/api/v1/bk/query?pattern=espresso&alpha=0"
+compare "/api/v1/bk/query?pattern=espresso,2,3&alpha=0"
+
 echo "== primary crash (kill -9) and recovery"
 kill -9 "$primary_pid"
 wait "$primary_pid" 2>/dev/null || true
@@ -186,12 +195,13 @@ grep -q "recovery replayed" "$workdir/primary-restarted.log" || {
   cat "$workdir/primary-restarted.log" >&2; exit 1
 }
 
-echo "== post-restart update converges on the reconnected replicas (seq 3)"
+echo "== post-restart update converges on the reconnected replicas (seq 4)"
 update "2:1,4"
-wait_caught_up "$r1_addr" 3
-wait_caught_up "$r2_addr" 3
+wait_caught_up "$r1_addr" 4
+wait_caught_up "$r2_addr" 4
 compare "/api/v1/bk/query?alpha=0"
 compare "/api/v1/bk/query?alpha=0&k=5"
+compare "/api/v1/bk/query?pattern=espresso,2,3&alpha=0"
 
 echo "== an offline tcupdate between two journaled runs keeps the stamps"
 # Wait for the background checkpoint to flush the journal head, so the files
@@ -201,13 +211,13 @@ for _ in $(seq 1 150); do
 import json, sys, urllib.request
 h = json.load(urllib.request.urlopen(f"http://{sys.argv[1]}/healthz", timeout=5))
 r = h["replication"]
-sys.exit(0 if r["networks"]["bk"]["flushedSeq"] == r["journalSeq"] == 3 else 1)
+sys.exit(0 if r["networks"]["bk"]["flushedSeq"] == r["journalSeq"] == 4 else 1)
 PY
   then flushed=1; break; fi
   sleep 0.2
 done
 [ -n "${flushed:-}" ] || {
-  echo "the primary never flushed seq 3:" >&2; curl -s "http://$primary_addr/healthz" >&2 || true; exit 1
+  echo "the primary never flushed seq 4:" >&2; curl -s "http://$primary_addr/healthz" >&2 || true; exit 1
 }
 kill -9 "$primary_pid"
 wait "$primary_pid" 2>/dev/null || true
