@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -115,6 +116,30 @@ func TestLocalAnswersMatchServer(t *testing.T) {
 	resumed := tcquery(t, append(local, "-cursor", m[1], "-limit", "2")...)
 	if !strings.Contains(resumed, "  [1] theme={") || resumed == page {
 		t.Fatalf("resuming from %s answered\n%s", m[1], resumed)
+	}
+}
+
+// An index whose base name is no network name — a directory and an index
+// name with a space — opens locally under a name made valid, and answers
+// what the server answers for the same files.
+func TestLocalIndexNamedWithASpace(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "my dir")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	indexPath, netPath := writeNetwork(t, dir, "my net")
+	fed := federation.New(federation.Options{})
+	if err := fed.AttachIndexDir("bk", indexPath, netPath); err != nil {
+		t.Fatal(err)
+	}
+	base := serve(t, fed)
+	for _, args := range [][]string{{"-alpha", "0.2"}, {"-alpha", "0.2", "-topk", "3", "-stream"}} {
+		// The header names the source: the index path here, with its space.
+		got := strings.ReplaceAll(tcquery(t, append([]string{"-tree", indexPath, "-net", netPath}, args...)...), indexPath, base)
+		want := tcquery(t, append([]string{"-server", base}, args...)...)
+		if normalize(got) != normalize(want) || !strings.Contains(got, "theme={") {
+			t.Errorf("tcquery -tree %q %s answered\n%s\nthe server\n%s", indexPath, strings.Join(args, " "), got, want)
+		}
 	}
 }
 

@@ -153,6 +153,35 @@ func TestLocalUpdateMatchesServer(t *testing.T) {
 	}
 }
 
+// An index whose base name is no network name — a directory and an index
+// name with a space — updates locally under a name made valid, and leaves
+// the files a server's update of the same pair leaves.
+func TestLocalUpdateOfAnIndexNamedWithASpace(t *testing.T) {
+	src := t.TempDir()
+	writeNetwork(t, src)
+	seed := snapshot(t, src)
+	spaced := make(map[string][]byte)
+	for rel, b := range seed {
+		spaced[filepath.Join("my dir", strings.Replace(rel, "bk.", "my net.", 1))] = b
+	}
+	l, r := copyDir(t, spaced), copyDir(t, seed)
+	dir := filepath.Join(l, "my dir")
+	got := tcupdate(t, "-net", filepath.Join(dir, "my net.dbnet"), "-index", filepath.Join(dir, "my net.index"), "-addtx", "7:0")
+	if !strings.HasPrefix(got, "applied delta to my_net in ") {
+		t.Errorf("unexpected report:\n%s", got)
+	}
+	tcupdate(t, "-server", serve(t, r), "-network", "bk", "-addtx", "7:0")
+	lf, rf := snapshot(t, dir), snapshot(t, r)
+	if len(lf) != len(rf) {
+		t.Errorf("local update left %d files, the server's %d", len(lf), len(rf))
+	}
+	for rel, b := range rf {
+		if !bytes.Equal(lf[strings.Replace(rel, "bk.", "my net.", 1)], b) {
+			t.Errorf("%s differs between the local and the server update", rel)
+		}
+	}
+}
+
 func TestLocalUpdateRejections(t *testing.T) {
 	dir := t.TempDir()
 	writeNetwork(t, dir)

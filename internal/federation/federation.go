@@ -265,6 +265,30 @@ func (f *Federation) Cache() *engine.ResultCache { return f.cache }
 // budget.
 func (f *Federation) ResidencyGroup() *engine.ResidencyGroup { return f.res }
 
+// nameSeparators are the characters a network name may not hold besides the
+// control characters: path separators and whitespace.
+const nameSeparators = "/\\ \t\n\r"
+
+// SafeName returns a valid network name for name: name itself when it is
+// valid, and otherwise name with every separator, whitespace or control
+// character replaced by '_' — and an empty or dot name by underscores — so
+// a name taken from a file name always attaches.
+func SafeName(name string) string {
+	if validateName(name) == nil {
+		return name
+	}
+	safe := strings.Map(func(r rune) rune {
+		if strings.ContainsRune(nameSeparators, r) || r < 0x20 || r == 0x7f {
+			return '_'
+		}
+		return r
+	}, name)
+	if safe == "" || safe == "." || safe == ".." {
+		safe = strings.Repeat("_", max(len(safe), 1))
+	}
+	return safe
+}
+
 // validateName rejects names that cannot serve as a cache namespace or a URL
 // path segment.
 func validateName(name string) error {
@@ -274,7 +298,7 @@ func validateName(name string) error {
 	if name == "." || name == ".." {
 		return fmt.Errorf("federation: invalid network name %q", name)
 	}
-	if strings.ContainsAny(name, "/\\ \t\n\r") {
+	if strings.ContainsAny(name, nameSeparators) {
 		return fmt.Errorf("federation: network name %q contains a separator or whitespace", name)
 	}
 	for _, r := range name {

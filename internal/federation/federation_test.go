@@ -478,3 +478,27 @@ func TestCancelledQueryAllStopsWaitingForASlot(t *testing.T) {
 		}
 	}
 }
+
+// TestSafeNameAlwaysValidates holds SafeName to its two promises: a valid
+// name comes back unchanged, and whatever it returns attaches.
+func TestSafeNameAlwaysValidates(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"bk", "bk"},
+		{"am-0.5_v2", "am-0.5_v2"},
+		{"caf\xe9", "caf\xe9"}, // invalid UTF-8 is a valid name, kept byte for byte
+		{"my net", "my_net"},
+		{"a/b\\c\td\ne\rf", "a_b_c_d_e_f"},
+		{"bell\x07del\x7f", "bell_del_"},
+		{"", "_"},
+		{".", "_"},
+		{"..", "__"},
+	} {
+		got := SafeName(c.in)
+		if got != c.want {
+			t.Errorf("SafeName(%q) = %q, want %q", c.in, got, c.want)
+		}
+		if err := validateName(got); err != nil {
+			t.Errorf("SafeName(%q) = %q, which does not validate: %v", c.in, got, err)
+		}
+	}
+}

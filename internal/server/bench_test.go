@@ -102,15 +102,19 @@ func serveDiscarding(tb testing.TB, s *Server, w *discard, target string) {
 // BenchmarkServeQuery measures the four read shapes through the handler:
 // hit is a cached query-by-pattern (the qbp-hot shape); qba, topk and stream
 // are an uncached query-by-alpha, materialized top-10 and streamed top-10 on
-// the qba-scan α grid, every request its own cache key. qba-ids and topk-ids
-// are qba and topk over a network without vertex names, the traffic the
-// served-path benchmark sends (its tcserver -networks has none).
+// the qba-scan α grid, every request its own cache key. qba-0.5 is qba at the
+// grid's lowest α alone: the largest answer of the scan (about 3.4 MB) and
+// the request that dominates its mean latency. qba-ids and topk-ids are qba
+// and topk over a network without vertex names, the traffic the served-path
+// benchmark sends (its tcserver -networks has none).
 func BenchmarkServeQuery(b *testing.B) {
 	site := newBenchSite(b)
+	query := func(alpha float64, suffix string) string {
+		return "/api/v1/query?alpha=" + strconv.FormatFloat(alpha, 'g', -1, 64) + suffix
+	}
 	scan := func(suffix string) func(i int) string {
 		return func(i int) string {
-			alpha := benchScanAlphas[i%len(benchScanAlphas)] + 1e-7*float64(i)
-			return "/api/v1/query?alpha=" + strconv.FormatFloat(alpha, 'g', -1, 64) + suffix
+			return query(benchScanAlphas[i%len(benchScanAlphas)]+1e-7*float64(i), suffix)
 		}
 	}
 	for _, bc := range []struct {
@@ -125,6 +129,7 @@ func BenchmarkServeQuery(b *testing.B) {
 		// A small cache: an uncached scan answer is large, and a benchmark
 		// should not hold a thousand of them.
 		{"qba", 8, true, scan("")},
+		{"qba-0.5", 8, true, func(i int) string { return query(benchScanAlphas[0]+1e-7*float64(i), "") }},
 		{"topk", 8, true, scan("&k=10")},
 		{"stream", 8, true, scan("&k=10&stream=1")},
 		{"qba-ids", 8, false, scan("")},

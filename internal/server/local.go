@@ -26,7 +26,9 @@ type Local struct {
 
 // ServeLocal opens an index directory the way tcserver -tree does — attached
 // through AttachIndexDir to a one-network federation, named after the
-// directory (resolved, so "." names the working directory), with netPath (may be empty) as its database network — and
+// directory (resolved, so "." names the working directory; made a valid
+// network name by federation.SafeName, so "my net.index" is network my_net),
+// with netPath (may be empty) as its database network — and
 // serves it on a 127.0.0.1 listener. It keeps no result cache, which a
 // one-shot process never hits. A read-only server answers every update 403;
 // a writable one applies updates like tcserver without -journal, writing
@@ -40,7 +42,7 @@ func ServeLocal(indexPath, netPath string, workers int, readOnly bool) (*Local, 
 	}
 	o := obs.NewObserver(obs.ObserverOptions{})
 	fed := federation.New(federation.Options{Workers: workers, Recorder: o})
-	name := federation.NetworkName(abs)
+	name := federation.SafeName(federation.NetworkName(abs))
 	if err := fed.AttachIndexDir(name, indexPath, netPath); err != nil {
 		return nil, err
 	}

@@ -50,6 +50,10 @@ const (
 	binNodeFreqCount  = 16
 	binNodeLevelStart = 20
 	binNodeLevelCount = 24
+	// binNodeComponents holds the number of connected components of the
+	// node's C*_p(0); 0 is "not recorded", what an index written before the
+	// count was holds.
+	binNodeComponents = 28
 )
 
 var binLE = binary.LittleEndian
@@ -115,13 +119,15 @@ type flatNode struct {
 //
 // A mined node's tables are written from its decomposition: its frequency run
 // sorted by vertex, each level's edges as pairs of positions into that run.
-// A carried-over node's are copied: its frequency run and each level's edge
-// run are node-local and move as bytes — re-encoded only when the new shard's
-// position width differs from the previous shard's; what addresses another
-// table — dictionary index, child run, each level's edge start — is
-// rewritten. A node's tables are a function of its decomposition and the
-// shard's width alone and the previous bytes came from this encoder, so the
-// result is byte for byte the encoding of the fully mined shard. prev is read
+// A carried-over node's are copied: its frequency run, each level's edge run
+// and its component count are node-local and move as bytes — an edge run
+// re-encoded only when the new shard's position width differs from the
+// previous shard's; what addresses another table — dictionary index, child
+// run, each level's edge start — is rewritten. A node's tables are a function
+// of its decomposition and the shard's width alone and the previous bytes
+// came from this encoder, so the result is byte for byte the encoding of the
+// fully mined shard — but for a count an index written before it was
+// recorded holds as 0, which a carried-over node keeps. prev is read
 // through its validated accessors only, and kept reachable — a finalizer
 // releases its map — until the copy is done.
 func (s splice) encode() (enc *EncodedShard, reused int, err error) {
@@ -243,6 +249,7 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 				freqNext++
 			}
 			binLE.PutUint32(rec[binNodeLevelCount:], uint32(len(n.Decomp.Levels)))
+			binLE.PutUint32(rec[binNodeComponents:], uint32(n.Decomp.Components))
 			// The levels' edge runs follow one another in the edge table:
 			// one call numbers them all, appending in place (the slice's
 			// capacity is the rest of buf, sized for them).
@@ -268,6 +275,7 @@ func (s splice) encode() (enc *EncodedShard, reused int, err error) {
 			freqNext += fc
 			ls, lc := prev.run(f.graft, binNodeLevelStart)
 			binLE.PutUint32(rec[binNodeLevelCount:], lc)
+			binLE.PutUint32(rec[binNodeComponents:], prev.nodeU32(f.graft, binNodeComponents))
 			for l := ls; l < ls+lc; l++ {
 				alpha, es, ec := prev.levelAt(l)
 				o := levelOff + uint64(levelNext)*binLevelSize
@@ -435,6 +443,11 @@ func DecodeBinShard(data []byte, entry ShardEntry) (*BinShard, error) {
 		}
 		if !wide && fc > binNarrowRun {
 			return fail("node %d: a frequency run of %d vertices needs u32 positions, the header says u16", i, fc)
+		}
+		// Every component holds a triangle. The count is trusted for the
+		// answer (retrieve), never for memory.
+		if comps := b.nodeU32(i, binNodeComponents); 3*uint64(comps) > uint64(fc) {
+			return fail("node %d: %d components on a frequency run of %d vertices", i, comps, fc)
 		}
 		maxRun = max(maxRun, fc)
 		run := b.freq[uint64(fs)*binFreqSize : uint64(fs+fc)*binFreqSize]
@@ -606,6 +619,14 @@ func (b *BinShard) pairs(start, count uint32) []byte {
 	return b.edge[uint64(start)*ps : uint64(start+count)*ps]
 }
 
+// pairAt returns the k-th position pair of pairs, a run of the edge table.
+func (b *BinShard) pairAt(pairs []byte, k int) (i, j uint32) {
+	if b.wide {
+		return binLE.Uint32(pairs[8*k:]), binLE.Uint32(pairs[8*k+4:])
+	}
+	return uint32(binLE.Uint16(pairs[4*k:])), uint32(binLE.Uint16(pairs[4*k+2:]))
+}
+
 // validPairs reports whether the edge table's run [start, start+count) is
 // position pairs the read kernel can trust over a run of n vertices.
 func (b *BinShard) validPairs(start, count, n uint32) bool {
@@ -650,23 +671,25 @@ func (b *BinShard) nodeMaxAlpha(i uint32) float64 {
 // liveLevels decodes node i for the read kernel: its frequency run's
 // vertices — C*_p(0)'s vertex set, ascending, the kernel's numbering — into
 // the scratch, and the levels live at α_q as slices of the edge table, whose
-// position pairs the kernel reads in place. It is the counterpart of
-// Decomposition.LiveLevels on a pointer tree.
-func (b *BinShard) liveLevels(sc *readScratch, i uint32, alphaQ float64) ([]graph.VertexID, []truss.PairLevel) {
+// position pairs the kernel reads in place. whole reports that every level is
+// live and the record counts one component: the node's one community at α_q
+// is all of it. It is the counterpart of Decomposition.LiveLevels on a
+// pointer tree.
+func (b *BinShard) liveLevels(sc *readScratch, i uint32, alphaQ float64) (run []graph.VertexID, live []truss.PairLevel, whole bool) {
 	fs, fc := b.run(i, binNodeFreqStart)
-	run := slices.Grow(sc.run[:0], int(fc))
+	run = slices.Grow(sc.run[:0], int(fc))
 	for f := fs; f < fs+fc; f++ {
 		run = append(run, graph.VertexID(int32(binLE.Uint32(b.freq[uint64(f)*binFreqSize:]))))
 	}
 	ls, lc := b.run(i, binNodeLevelStart)
-	levels := sc.levels[:0]
+	live = sc.levels[:0]
 	for l := ls; l < ls+lc; l++ {
 		if alpha, es, ec := b.levelAt(l); truss.LevelLive(alpha, alphaQ) {
-			levels = append(levels, truss.PairLevel{Alpha: alpha, Pairs: b.pairs(es, ec)})
+			live = append(live, truss.PairLevel{Alpha: alpha, Pairs: b.pairs(es, ec)})
 		}
 	}
-	sc.run, sc.levels = run, levels
-	return run, levels
+	sc.run, sc.levels = run, live
+	return run, live, len(live) == int(lc) && b.nodeU32(i, binNodeComponents) == 1
 }
 
 // extend returns a new pattern: p with item appended. The decoder proved a
@@ -707,8 +730,8 @@ func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64, floor *truss.Floo
 		pat itemset.Itemset
 	}
 	rootPat := itemset.New(b.item)
-	run, live := b.liveLevels(sc, 0, alphaQ)
-	res.retrieve(sc, rootPat, run, live, b.wide, floor)
+	run, live, whole := b.liveLevels(sc, 0, alphaQ)
+	res.retrieve(sc, rootPat, run, live, whole, b.wide, floor)
 	queue := []frame{{0, rootPat}}
 	for len(queue) > 0 {
 		f := queue[0]
@@ -725,8 +748,8 @@ func (b *BinShard) QuerySub(q itemset.Itemset, alphaQ float64, floor *truss.Floo
 				continue
 			}
 			pat := extend(f.pat, it)
-			run, live := b.liveLevels(sc, ci, alphaQ)
-			res.retrieve(sc, pat, run, live, b.wide, floor)
+			run, live, whole := b.liveLevels(sc, ci, alphaQ)
+			res.retrieve(sc, pat, run, live, whole, b.wide, floor)
 			queue = append(queue, frame{ci, pat})
 		}
 	}
@@ -753,8 +776,8 @@ func (b *BinShard) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 	}
 	rootPat := itemset.New(b.item)
 	if need0 == q.Len() {
-		run, live := b.liveLevels(sc, 0, alphaQ)
-		res.retrieve(sc, rootPat, run, live, b.wide, nil)
+		run, live, whole := b.liveLevels(sc, 0, alphaQ)
+		res.retrieve(sc, rootPat, run, live, whole, b.wide, nil)
 	}
 	queue := []frame{{0, rootPat, need0}}
 	for len(queue) > 0 {
@@ -779,8 +802,8 @@ func (b *BinShard) QueryContaining(q itemset.Itemset, alphaQ float64) ShardAnswe
 			}
 			pat := extend(f.pat, it)
 			if need == q.Len() {
-				run, live := b.liveLevels(sc, ci, alphaQ)
-				res.retrieve(sc, pat, run, live, b.wide, nil)
+				run, live, whole := b.liveLevels(sc, ci, alphaQ)
+				res.retrieve(sc, pat, run, live, whole, b.wide, nil)
 			}
 			queue = append(queue, frame{ci, pat, need})
 		}
@@ -835,9 +858,10 @@ func (b *BinShard) nodeAt(i uint32, parentPattern itemset.Itemset) (*Node, error
 	item := b.itemOf(i)
 	fs, fc := b.nodeU32(i, binNodeFreqStart), b.nodeU32(i, binNodeFreqCount)
 	decomp := &truss.Decomposition{
-		Pattern:  extend(parentPattern, item),
-		Vertices: make([]graph.VertexID, 0, fc),
-		Freqs:    make([]float64, 0, fc),
+		Pattern:    extend(parentPattern, item),
+		Vertices:   make([]graph.VertexID, 0, fc),
+		Freqs:      make([]float64, 0, fc),
+		Components: int(b.nodeU32(i, binNodeComponents)),
 	}
 	for f := fs; f < fs+fc; f++ {
 		o := uint64(f) * binFreqSize

@@ -272,6 +272,14 @@ func binStructuralCorruptions() []corruptCase {
 			putLastThreshold(d, firstChild(d), lastThreshold(d, 0)+1e-6)
 			return reseal(d)
 		}, "exceeds an ancestor's"},
+		{"more components than the run holds triangles", func(d []byte) []byte {
+			// Every component holds a triangle: a run of n vertices holds
+			// at most n/3 of them.
+			nodeOff := binary.LittleEndian.Uint64(d[48:])
+			fc := binary.LittleEndian.Uint32(d[nodeOff+binNodeFreqCount:])
+			binary.LittleEndian.PutUint32(d[nodeOff+binNodeComponents:], fc/3+1)
+			return reseal(d)
+		}, "components on a frequency run"},
 		{"self child", func(d []byte) []byte {
 			// Point the root's first child entry back at the root.
 			childOff := binary.LittleEndian.Uint64(d[56:])
@@ -706,7 +714,11 @@ func TestDecodeBinShardRefusesVersion1(t *testing.T) {
 // update can take as its previous shard: spliced whole under a new root, it
 // must come out as bytes DecodeBinShard accepts. The seeds include resealed
 // payloads with each pair the decoder refuses, one at the width the encoder
-// would not pick, and one with an edge in two levels, which it accepts.
+// would not pick, and one with an edge in two levels, which it accepts. Each
+// shard is seeded as encoded, its nodes' component counts recorded (so the
+// kernel answers whole nodes without a split), and as an index written
+// before the count holds it, every count 0 (so the kernel splits them); the
+// checked-in corpus keeps both (valid-shard-N and valid-shard-N-counted).
 func FuzzTCBINDecode(f *testing.F) {
 	nw := dbnet.PaperExample()
 	tree := Build(nw, BuildOptions{})
@@ -718,6 +730,8 @@ func FuzzTCBINDecode(f *testing.F) {
 		}
 		buf := enc.Data
 		f.Add(buf)
+		legacy, _ := legacyCopy(enc)
+		f.Add(legacy)
 		truncated := append([]byte(nil), buf[:len(buf)/2]...)
 		f.Add(truncated)
 		flipped := append([]byte(nil), buf...)

@@ -131,8 +131,10 @@ type expansion struct {
 	shared     []bool
 	on         []bool
 	local      []int32
-	// prun is the vertex run of the previous node carry reads.
-	prun []graph.VertexID
+	// prun is the vertex run of the previous node carry reads, and forest
+	// its union-find over that run's positions.
+	prun   []graph.VertexID
+	forest []uint32
 }
 
 // witnessesWith returns the witnesses that contain item.

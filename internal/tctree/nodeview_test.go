@@ -24,9 +24,10 @@ type nodeScratch struct {
 }
 
 // retrieveNode hands node n to the read kernel as a BinShard hands over its
-// record: the vertex run is the decomposition's, and the levels live at α_q
-// are numbered by it, all in one AppendPairs call as the encoder numbers a
-// node.
+// record: the vertex run is the decomposition's, the levels live at α_q are
+// numbered by it, all in one AppendPairs call as the encoder numbers a node,
+// and the node is whole when every level is live and the decomposition counts
+// one component.
 func retrieveNode(res *ShardAnswer, sc *readScratch, ns *nodeScratch, n *Node, alphaQ float64, floor *truss.Floor) {
 	run := n.Decomp.Vertices
 	live := n.Decomp.LiveLevels(alphaQ)
@@ -46,7 +47,8 @@ func retrieveNode(res *ShardAnswer, sc *readScratch, ns *nodeScratch, n *Node, a
 		buf = buf[size:]
 	}
 	sc.levels = levels
-	res.retrieve(sc, n.Pattern, run, levels, true, floor)
+	whole := len(live) == len(n.Decomp.Levels) && n.Decomp.Components == 1
+	res.retrieve(sc, n.Pattern, run, levels, whole, true, floor)
 }
 
 func (v *NodeView) RootItem() itemset.Item { return v.root.Item }

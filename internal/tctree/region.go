@@ -26,31 +26,44 @@ import (
 // region returns the region of a scoped rebuild of the shard for a delta
 // whose seeds for the shard's root item are seeds (ascending): the seeds and
 // every vertex of each community of the root's C*_p(0) that holds one,
-// ascending.
+// ascending. A root recorded as one community needs no split: the region is
+// the seeds with the whole run when a seed lies in it, and the seeds alone
+// otherwise.
 func (b *BinShard) region(seeds []graph.VertexID) []graph.VertexID {
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
-	// Every level is live below every threshold: the communities at α = 0.
-	run, levels := b.liveLevels(sc, 0, math.Inf(-1))
-	if b.wide {
-		sc.found = truss.Split[uint32](&sc.split, nil, run, levels, sc.found[:0])
-	} else {
-		sc.found = truss.Split[uint16](&sc.split, nil, run, levels, sc.found[:0])
-	}
+	defer clear(sc.levels[:cap(sc.levels)])
 	seed := graph.NumberRun(seeds)
 	defer seed.Release()
-	out := slices.Clone(seeds)
-	for _, c := range sc.found {
-		for _, v := range c.Vertices {
+	holdsSeed := func(vs []graph.VertexID) bool {
+		for _, v := range vs {
 			if _, ok := seed.Index(v); ok {
-				out = append(out, c.Vertices...)
-				break
+				return true
 			}
 		}
+		return false
 	}
-	clear(sc.found)
-	sc.found = sc.found[:0]
-	clear(sc.levels[:cap(sc.levels)])
+	// Every level is live below every threshold: the communities at α = 0.
+	run, levels, whole := b.liveLevels(sc, 0, math.Inf(-1))
+	out := slices.Clone(seeds)
+	if whole {
+		if holdsSeed(run) {
+			out = append(out, run...)
+		}
+	} else {
+		if b.wide {
+			sc.found = truss.Split[uint32](&sc.split, nil, run, levels, sc.found[:0])
+		} else {
+			sc.found = truss.Split[uint16](&sc.split, nil, run, levels, sc.found[:0])
+		}
+		for _, c := range sc.found {
+			if holdsSeed(c.Vertices) {
+				out = append(out, c.Vertices...)
+			}
+		}
+		clear(sc.found)
+		sc.found = sc.found[:0]
+	}
 	slices.Sort(out)
 	return slices.Compact(out)
 }
@@ -94,7 +107,9 @@ func (x *expansion) beyond(v graph.VertexID) bool {
 // frequencies are the stored ones; a level of either side whose threshold
 // the other has too merges with it, as Decompose merges the equal
 // thresholds of two components, and the encoder numbers the edges by the
-// merged vertex run. d itself is returned when nothing lies outside.
+// merged vertex run. Those communities share no vertex with d's, so the
+// components of the result are d's and theirs. d itself is returned when
+// nothing lies outside.
 func (x *expansion) carry(d *truss.Decomposition, at uint32) *truss.Decomposition {
 	b := x.prev
 	fs, fc := b.run(at, binNodeFreqStart)
@@ -129,6 +144,36 @@ func (x *expansion) carry(d *truss.Decomposition, at uint32) *truss.Decompositio
 	}
 	out.Vertices, out.Freqs = append(out.Vertices, d.Vertices[k:]...), append(out.Freqs, d.Freqs[k:]...)
 
+	// The communities carried, and the ones inside the region, are whole
+	// communities of the previous node: with its count recorded, the carried
+	// ones are that count less the ones inside — the side an update is small
+	// on; without it, the carried ones are counted. Either side's
+	// communities are its vertices less the unions that join two of them
+	// (every vertex lies on an edge of its side), in a forest over the
+	// previous run's positions, which each edge's pair holds.
+	prevComps := int(b.nodeU32(at, binNodeComponents))
+	countKept := prevComps == 0
+	side := int(fc) - kept
+	if countKept {
+		side = kept
+	}
+	var forest []uint32
+	if side > 0 {
+		forest = slices.Grow(x.forest[:0], int(fc))[:fc]
+		x.forest = forest
+		for i := range forest {
+			forest[i] = uint32(i)
+		}
+	}
+	find := func(i uint32) uint32 {
+		for forest[i] != i {
+			forest[i] = forest[forest[i]]
+			i = forest[i]
+		}
+		return i
+	}
+	unions := 0
+
 	// Decode every level into one array, keeping the edges outside the
 	// region: both ends of an edge lie in one community, so one end tells.
 	ls, lc := b.run(at, binNodeLevelStart)
@@ -141,16 +186,25 @@ func (x *expansion) carry(d *truss.Decomposition, at uint32) *truss.Decompositio
 	k = 0
 	for l := ls; l < ls+lc; l++ {
 		alpha, es, ec := b.levelAt(l)
+		pairs := b.pairs(es, ec)
 		from := len(edges)
 		if b.wide {
-			edges = truss.AppendEdges[uint32](edges, x.prun, b.pairs(es, ec))
+			edges = truss.AppendEdges[uint32](edges, x.prun, pairs)
 		} else {
-			edges = truss.AppendEdges[uint16](edges, x.prun, b.pairs(es, ec))
+			edges = truss.AppendEdges[uint16](edges, x.prun, pairs)
 		}
 		level := edges[from:from]
-		for _, e := range edges[from:] {
-			if x.beyond(e.U) {
+		for n, e := range edges[from:] {
+			beyond := x.beyond(e.U)
+			if beyond {
 				level = append(level, e)
+			}
+			if forest != nil && beyond == countKept {
+				i, j := b.pairAt(pairs, n)
+				if ri, rj := find(i), find(j); ri != rj {
+					forest[rj] = ri
+					unions++
+				}
 			}
 		}
 		edges = edges[:from+len(level)]
@@ -168,6 +222,14 @@ func (x *expansion) carry(d *truss.Decomposition, at uint32) *truss.Decompositio
 		out.Levels = append(out.Levels, truss.Level{Alpha: alpha, Removed: level[:len(level):len(level)]})
 	}
 	out.Levels = append(out.Levels, d.Levels[k:]...)
+	carried := side - unions
+	if !countKept {
+		carried = prevComps - carried
+	}
+	// A recorded count the previous levels contradict is not carried on.
+	if carried >= 1 {
+		out.Components = d.Components + carried
+	}
 	return out
 }
 

@@ -14,8 +14,8 @@ import (
 // file, or over heap bytes an update or an in-process build just encoded.
 // The read kernel's tests hold it against NodeView (nodeview_test.go), the
 // same traversals over a pointer subtree: both visit the same nodes in the
-// same order and hand every retrieved node's vertex run and live removal
-// levels to the same kernel (truss.Split), so their answers are
+// same order and hand every retrieved node's vertex run, live removal levels
+// and component count to the same kernel (retrieve), so their answers are
 // identical, counters included.
 //
 // A traversal answers with theme communities as flat records, never with
@@ -23,7 +23,11 @@ import (
 // as position pairs, two allocations (its pattern on a BinShard, the vertex
 // lists of its communities) and nothing per edge, the traversal one more for
 // the records themselves, and the records keep no reference to the shard's
-// bytes, so they outlive its eviction.
+// bytes, so they outlive its eviction. A node whose every level is live and
+// whose C*_p(0) its record counts as one component costs no pass over its
+// edges at all: its one community is the whole truss. A node recorded with
+// several components, or with none (an index written before the count was),
+// is split.
 type ShardView interface {
 	// RootItem returns the shard's root item.
 	RootItem() itemset.Item
@@ -74,11 +78,30 @@ type ShardAnswer struct {
 // otherwise — into communities over the run, gathered in the scratch until
 // finish, and offers their cohesions to a ranked traversal's floor. It is the
 // one place either view turns levels into records.
-func (res *ShardAnswer) retrieve(sc *readScratch, pattern itemset.Itemset, run []graph.VertexID, live []truss.PairLevel, wide bool, floor *truss.Floor) {
+//
+// A whole node — every level live, and C*_p(0) one component by its recorded
+// count — is not split: its one community is all of it, every vertex of the
+// run (each lies on an edge), every edge, and the first level's threshold as
+// cohesion, which is the record Split returns, bit for bit.
+func (res *ShardAnswer) retrieve(sc *readScratch, pattern itemset.Itemset, run []graph.VertexID, live []truss.PairLevel, whole, wide bool, floor *truss.Floor) {
 	from := len(sc.found)
-	if wide {
+	switch {
+	case whole:
+		pairs := 0
+		for _, l := range live {
+			pairs += len(l.Pairs)
+		}
+		vertices := make([]graph.VertexID, len(run))
+		copy(vertices, run)
+		sc.found = append(sc.found, truss.Community{
+			Pattern:  pattern,
+			Vertices: vertices,
+			Edges:    pairs / int(binPairSize(wide)),
+			Cohesion: live[0].Alpha,
+		})
+	case wide:
 		sc.found = truss.Split[uint32](&sc.split, pattern, run, live, sc.found)
-	} else {
+	default:
 		sc.found = truss.Split[uint16](&sc.split, pattern, run, live, sc.found)
 	}
 	if floor != nil {

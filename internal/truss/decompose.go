@@ -40,6 +40,11 @@ type Decomposition struct {
 	Freqs []float64
 	// Levels are the removal levels in ascending threshold order.
 	Levels []Level
+	// Components is the number of connected components of C*_p(0) — its
+	// theme communities at α = 0 — or 0 where it was not counted: a
+	// decomposition Decompose did not produce, or a node an index written
+	// before the count was recorded holds.
+	Components int
 }
 
 // Decompose computes C*_p(0) of the theme network with MPTD and decomposes it
@@ -67,7 +72,8 @@ func Decompose(tn *dbnet.ThemeNetwork) *Decomposition {
 // DecomposeWithBase is Decompose that also returns the edges of C*_p(0),
 // ascending by (U, V): the survivors of peel(0) in local edge order, which
 // the levels hold in threshold order. A miner that extends the pattern
-// induces the extensions inside them.
+// induces the extensions inside them. It counts the components it labels
+// into the decomposition's Components.
 func DecomposeWithBase(tn *dbnet.ThemeNetwork) (*Decomposition, []graph.Edge) {
 	p := newPeeler(tn)
 	defer p.release()
@@ -96,9 +102,13 @@ func DecomposeWithBase(tn *dbnet.ThemeNetwork) (*Decomposition, []graph.Edge) {
 		}
 		return i
 	}
+	// Every vertex of the run touches a surviving edge: each union that
+	// joins two trees leaves one component fewer.
+	d.Components = len(d.Vertices)
 	for _, e := range p.alive {
 		if a, b := find(p.eu[e]), find(p.ev[e]); a != b {
 			comp[max(a, b)] = min(a, b)
+			d.Components--
 		}
 	}
 	// A parent always precedes its child, so one ascending pass points

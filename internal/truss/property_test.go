@@ -317,6 +317,9 @@ func TestDecomposeMergesItsComponents(t *testing.T) {
 			if !sameBits(d, merged) {
 				t.Fatalf("seed %d trial %d: Decompose gives\n%v\nits %d components decomposed apart give\n%v", seed, trial, d.Levels, comps, merged.Levels)
 			}
+			if d.Components != comps {
+				t.Fatalf("seed %d trial %d: Decompose counts %d components, C*_p(0) has %d", seed, trial, d.Components, comps)
+			}
 			if comps > 1 {
 				several++
 			}
@@ -447,7 +450,8 @@ func TestDecompositionCarriesItsRun(t *testing.T) {
 // order: an edge where it is set. The decomposition must validate, carry its
 // run and base as checkRun requires, come out bit-identical from a second
 // Decompose of the same network, and be the equal-threshold merge of its
-// components decomposed apart.
+// components decomposed apart, whose number it must count, three vertices
+// or more to each.
 func FuzzDecompose(f *testing.F) {
 	// A 4-clique; two triangles sharing an edge at mixed frequencies over
 	// negative ids; a 5-clique with a pendant edge and gapped ids.
@@ -488,6 +492,8 @@ func FuzzDecompose(f *testing.F) {
 		}
 		if merged, comps := componentMerge(tn, d); !sameBits(d, merged) {
 			t.Fatalf("Decompose gives %v, its %d components decomposed apart give %v", d.Levels, comps, merged.Levels)
+		} else if d.Components != comps || 3*comps > len(d.Vertices) {
+			t.Fatalf("Decompose counts %d components of C*_p(0) on %d vertices, it has %d", d.Components, len(d.Vertices), comps)
 		}
 	})
 }
