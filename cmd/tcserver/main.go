@@ -23,16 +23,18 @@
 //	tcserver -tree bk.index -maxresident 16        # bounded residency
 //	tcserver -networks warehouse/ -maxresident 64  # every index in warehouse/
 //	tcserver -networks warehouse/ -default bk      # bare routes serve "bk"
-//	tcserver -networks warehouse/ -journal wal/    # replication primary: journaled updates
+//	tcserver -networks warehouse/ -journal wal/    # the journal in wal/, not warehouse/journal/
 //	tcserver -networks replica/ -replicaof http://primary:8080   # read-only replica
 //
-// With -journal the server is a replication primary: every update to a
+// Every server but a replica is a replication primary: every update to a
 // network with a database network is appended to a durable delta journal and
 // applied in memory before the response; shard rebuilds fold in via a
-// background checkpoint (-checkpoint). Replicas bootstrap from a file copy of
-// the primary's networks directory, tail GET /api/v1/journal, replay each
-// record through the same apply path, and serve reads; their writes answer
-// 403 with a Location header naming the primary. See docs/ARCHITECTURE.md.
+// background checkpoint (-checkpoint). The journal is -journal, or else
+// journal/ beside the indexes, where tcupdate finds it too; regenerating a
+// network file means deleting it. Replicas bootstrap from a file copy of the
+// primary's networks directory, tail GET /api/v1/journal, replay each record
+// through the same apply path, and serve reads; their writes answer 403 with
+// a Location header naming the primary. See docs/ARCHITECTURE.md.
 //
 // Every request is traced: the server accepts a client X-Request-ID header
 // (or assigns one), echoes it on the response, and stamps it on the JSON
@@ -63,7 +65,7 @@
 //	GET  /api/v1/{network}/query|explain|batch|enginestats|stats|patterns|vertex|update
 //	GET  /api/v1/queryall?alpha=0.2&k=10    one query across every network, merged by cohesion
 //	GET  /api/v1/federationstats            shared cache/budget state + per-network counters
-//	GET  /api/v1/journal?from=0&wait=30     replication feed: journal records as NDJSON (-journal)
+//	GET  /api/v1/journal?from=0&wait=30     replication feed: journal records as NDJSON (not on a replica)
 package main
 
 import (
@@ -93,7 +95,7 @@ func main() {
 	treePath := flag.String("tree", "", "index directory built by tcindex, served as the network named after it (bk.index → bk)")
 	networksDir := flag.String("networks", "", "serve every indexed network found in this directory")
 	defaultNetwork := flag.String("default", "", "network behind the bare routes (default: the -tree network, else the lexically first)")
-	netPath := flag.String("net", "", "database network file of the -tree index: resolves item names and enables POST update, written back after each")
+	netPath := flag.String("net", "", "database network file of the -tree index: resolves item names and enables POST update, written back at each checkpoint")
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "shard-traversal parallelism (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 1024, "result-cache entries, shared across every network (0 disables caching)")
@@ -102,9 +104,9 @@ func main() {
 	slowQuery := flag.Duration("slowquery", 0, "slow-query threshold: queries at least this slow are captured with their full plan into GET /api/v1/slowlog (0 disables)")
 	slowlogSize := flag.Int("slowlogsize", 128, "slow-query ring-buffer capacity")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this SEPARATE address (e.g. localhost:6060); empty disables")
-	journalDir := flag.String("journal", "", "replication primary: append every update to the delta journal in this directory")
+	journalDir := flag.String("journal", "", "append every update to the delta journal in this directory (default: journal/ beside the indexes)")
 	replicaOf := flag.String("replicaof", "", "replica mode: serve read-only and tail the journal of the primary at this base URL")
-	checkpointEvery := flag.Duration("checkpoint", 0, "replication checkpoint cadence: how often journaled state is folded into the on-disk index (0 = 5s, negative disables)")
+	checkpointEvery := flag.Duration("checkpoint", 0, "checkpoint cadence: how often journaled updates are folded into the on-disk index and network file (0 = 5s, negative disables)")
 	quiet := flag.Bool("quiet", false, "suppress structured JSON logging (access log, slow-query warnings); metrics and the slow-query ring stay on")
 	flag.Parse()
 
@@ -145,7 +147,7 @@ func main() {
 	opts := server.Options{Federation: fed, DefaultNetwork: *defaultNetwork, Obs: observer}
 	if *treePath != "" {
 		// The same attach -networks runs per index; with -net the network is
-		// updatable and written back after every applied delta.
+		// writable, written back at every checkpoint.
 		name := federation.NetworkName(*treePath)
 		if err := fed.AttachIndexDir(name, *treePath, *netPath); err != nil {
 			log.Fatal(err)
@@ -161,11 +163,10 @@ func main() {
 	if *journalDir != "" && *replicaOf != "" {
 		log.Fatal("-journal and -replicaof are mutually exclusive: a server is a primary or a replica, not both")
 	}
-	if *journalDir != "" {
-		startPrimary(&opts, *journalDir, *checkpointEvery, logger)
-	}
 	if *replicaOf != "" {
 		startReplica(&opts, *replicaOf, *checkpointEvery, logger)
+	} else {
+		startPrimary(&opts, *journalDir, *checkpointEvery, logger)
 	}
 
 	srv, err := server.New(nil, opts)
@@ -208,53 +209,24 @@ func main() {
 	}
 }
 
-// addMembers registers every federation network holding a database network
-// with the replication role (primary or replica); networks without one are
-// served but not replicated.
-func addMembers(opts *server.Options, add func(*federation.Network) error, role string) int {
-	added := 0
-	for _, name := range opts.Federation.Names() {
-		n, ok := opts.Federation.Network(name)
-		if !ok {
-			continue
-		}
-		if n.DatabaseNetwork() == nil {
-			log.Printf("network %s has no database network (.dbnet); served but not replicated", name)
-			continue
-		}
-		if err := add(n); err != nil {
-			log.Fatalf("%s member %s: %v", role, name, err)
-		}
-		added++
-	}
-	if added == 0 {
-		log.Fatalf("no replicable networks: %s mode needs a sibling <name>.dbnet next to each index", role)
-	}
-	return added
-}
-
-// startPrimary opens the delta journal, recovers any updates a crash left
-// journaled-but-unflushed, and starts the background checkpoint loop. Updates
-// to member networks then take the write-ahead fast path and the server
-// serves the replication feed on GET /api/v1/journal.
+// startPrimary makes every network holding its database network a member of
+// a journaled primary (replication.OpenPrimary), which also serves the
+// replication feed; without one no journal is opened and updates answer 409.
 func startPrimary(opts *server.Options, dir string, checkpointEvery time.Duration, logger *slog.Logger) {
-	j, err := journal.Open(dir, journal.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	p := replication.NewPrimary(j, replication.Options{
+	p, stats, err := replication.OpenPrimary(opts.Federation, dir, replication.Options{
 		CheckpointInterval: checkpointEvery,
 		Logger:             logger,
 	})
-	added := addMembers(opts, p.Add, "primary")
-	stats, err := p.Recover()
 	if err != nil {
-		log.Fatalf("journal recovery: %v", err)
+		log.Fatalf("journal: %v", err)
 	}
-	p.Start()
+	if p == nil {
+		log.Printf("no network has a database network (.dbnet): updates are disabled and no journal is opened")
+		return
+	}
 	opts.Primary = p
 	log.Printf("replication primary: %d journaled networks, journal %s at seq %d (recovery replayed %d, skipped %d, resynced %d)",
-		added, dir, stats.Head, stats.Replayed, stats.Skipped, len(stats.Resynced))
+		len(replication.Writable(opts.Federation)), p.Journal().Dir(), stats.Head, stats.Replayed, stats.Skipped, len(stats.Resynced))
 }
 
 // startReplica marks the server read-only, registers the members, and starts
@@ -264,7 +236,15 @@ func startPrimary(opts *server.Options, dir string, checkpointEvery time.Duratio
 // keep serving silently stale answers.
 func startReplica(opts *server.Options, primaryURL string, checkpointEvery time.Duration, logger *slog.Logger) {
 	rep := replication.NewReplica(replication.Options{CheckpointInterval: checkpointEvery, Logger: logger})
-	addMembers(opts, rep.Add, "replica")
+	members := replication.Writable(opts.Federation)
+	if len(members) == 0 {
+		log.Fatal("no replicable networks: replica mode needs a sibling <name>.dbnet next to each index")
+	}
+	for _, n := range members {
+		if err := rep.Add(n); err != nil {
+			log.Fatalf("replica member %s: %v", n.Name(), err)
+		}
+	}
 	opts.ReadOnly = true
 	opts.PrimaryURL = strings.TrimRight(primaryURL, "/")
 	opts.ReplicationStatus = rep.Status

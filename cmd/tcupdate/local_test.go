@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -17,6 +18,9 @@ import (
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/gen"
+	"themecomm/internal/graph"
+	"themecomm/internal/itemset"
+	"themecomm/internal/journal"
 	"themecomm/internal/server"
 	"themecomm/internal/tctree"
 )
@@ -39,11 +43,16 @@ func writeNetwork(t *testing.T, dir string) (tx0 string) {
 	return strings.Join(d.Dictionary.Names(d.Network.Database(0).Transactions()[0]), ",")
 }
 
-// snapshot reads every file under dir, keyed by its path relative to dir.
+// snapshot reads every file under dir but the journal's, keyed by its path
+// relative to dir. Journal records carry their append time: journalRecords
+// compares them.
 func snapshot(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	files := make(map[string][]byte)
 	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err == nil && e.IsDir() && e.Name() == "journal" {
+			return filepath.SkipDir
+		}
 		if err != nil || e.IsDir() {
 			return err
 		}
@@ -73,16 +82,49 @@ func copyDir(t *testing.T, files map[string][]byte) string {
 	return dir
 }
 
+// journalRecords reads the records of the journal in dir/journal, their
+// append times zeroed.
+func journalRecords(t *testing.T, dir string) []journal.Record {
+	t.Helper()
+	j, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	rd := j.Range(0)
+	defer rd.Close()
+	var recs []journal.Record
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			return recs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.UnixMicros = 0
+		recs = append(recs, rec)
+	}
+}
+
 // serve starts a writable server over dir's bk pair the way tcserver -tree
-// dir/bk.index -net dir/bk.dbnet does.
-func serve(t *testing.T, dir string) string {
+// dir/bk.index -net dir/bk.dbnet does. Closing it checkpoints the pair.
+func serve(t *testing.T, dir string) *server.Local {
 	t.Helper()
 	l, err := server.ServeLocal(filepath.Join(dir, "bk.index"), filepath.Join(dir, "bk.dbnet"), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close(context.Background()) })
-	return l.URL
+	return l
+}
+
+// closeLocal closes l, failing the test on a failed checkpoint.
+func closeLocal(t *testing.T, l *server.Local) {
+	t.Helper()
+	if err := l.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // tcupdate runs the command and returns what it printed.
@@ -107,7 +149,7 @@ func TestLocalUpdateMatchesServer(t *testing.T) {
 	tx0 := writeNetwork(t, src)
 	seed := snapshot(t, src)
 	deltaFile := filepath.Join(t.TempDir(), "named.tcdelta")
-	if err := os.WriteFile(deltaFile, []byte("TCDELTA 1\nAV 1\nE+ 3 60\nT 60 coffee hangout-c1-0\nT- 0 "+strings.ReplaceAll(tx0, ",", " ")+"\n"), 0o644); err != nil {
+	if err := os.WriteFile(deltaFile, []byte("TCDELTA 1\nAV 1\nE+ 3 60\nT 60 coffee hangout-c1-0 500\nT- 0 "+strings.ReplaceAll(tx0, ",", " ")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -121,7 +163,7 @@ func TestLocalUpdateMatchesServer(t *testing.T) {
 		{"delta file with names",
 			[]string{"-delta", deltaFile, "-addtx", "60:coffee,tea"},
 			[]string{"-addvertices", "1", "-addedges", "3-60", "-rmtx", "0:" + tx0,
-				"-addtx", "60:coffee,hangout-c1-0;60:coffee,tea"}},
+				"-addtx", "60:coffee,hangout-c1-0,500;60:coffee,tea"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -130,7 +172,9 @@ func TestLocalUpdateMatchesServer(t *testing.T) {
 			}
 			l, r := copyDir(t, seed), copyDir(t, seed)
 			got := tcupdate(t, local(l, c.local...)...)
-			want := tcupdate(t, append([]string{"-server", serve(t, r), "-network", "bk"}, c.remote...)...)
+			srv := serve(t, r)
+			want := tcupdate(t, append([]string{"-server", srv.URL, "-network", "bk"}, c.remote...)...)
+			closeLocal(t, srv)
 			if micros.ReplaceAllString(got, "Nµs") != micros.ReplaceAllString(want, "Nµs") {
 				t.Errorf("local update printed\n%s\nthe server's printed\n%s", got, want)
 			}
@@ -148,6 +192,10 @@ func TestLocalUpdateMatchesServer(t *testing.T) {
 			}
 			if bytes.Equal(lf["bk.dbnet"], seed["bk.dbnet"]) {
 				t.Error("the network file was not written back")
+			}
+			lj, rj := journalRecords(t, l), journalRecords(t, r)
+			if len(lj) != 1 || !reflect.DeepEqual(lj, rj) {
+				t.Errorf("local journal %+v, the server's %+v: want one equal record", lj, rj)
 			}
 		})
 	}
@@ -170,7 +218,9 @@ func TestLocalUpdateOfAnIndexNamedWithASpace(t *testing.T) {
 	if !strings.HasPrefix(got, "applied delta to my_net in ") {
 		t.Errorf("unexpected report:\n%s", got)
 	}
-	tcupdate(t, "-server", serve(t, r), "-network", "bk", "-addtx", "7:0")
+	srv := serve(t, r)
+	tcupdate(t, "-server", srv.URL, "-network", "bk", "-addtx", "7:0")
+	closeLocal(t, srv)
 	lf, rf := snapshot(t, dir), snapshot(t, r)
 	if len(lf) != len(rf) {
 		t.Errorf("local update left %d files, the server's %d", len(lf), len(rf))
@@ -212,27 +262,54 @@ func TestLocalUpdateRejections(t *testing.T) {
 			t.Errorf("a rejected update changed %s", rel)
 		}
 	}
+	if recs := journalRecords(t, dir); len(recs) != 0 {
+		t.Errorf("rejected updates journaled %d records", len(recs))
+	}
 }
 
-// A checkpoint that cannot write the network back fails a local update: the
-// in-memory update dies with the process and nothing reaches the disk.
+// A checkpoint that cannot write the network back fails a local update:
+// nothing reaches the pair's files, and the error says the update is
+// journaled. The next writable open replays it before its own update, and
+// its checkpoint persists both.
 func TestLocalCheckpointFailureIsAnError(t *testing.T) {
 	dir := t.TempDir()
 	writeNetwork(t, dir)
-	if err := os.Mkdir(filepath.Join(dir, "bk.dbnet.tmp"), 0o755); err != nil {
+	block := filepath.Join(dir, "bk.dbnet.tmp")
+	if err := os.Mkdir(block, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	seed := snapshot(t, dir)
 	var out bytes.Buffer
 	err := run(local(dir, "-addtx", "7:0"), &out)
-	if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), "not persisted") {
-		t.Fatalf("update with a blocked write-back: error %v (printed %q), want a checkpoint failure", err, out.String())
+	if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), "journaled at seq 1") ||
+		!strings.Contains(err.Error(), "replayed on the next writable open") || strings.Contains(err.Error(), "not persisted") {
+		t.Fatalf("update with a blocked write-back: error %v (printed %q), want a checkpoint failure of a journaled update", err, out.String())
 	}
 	after := snapshot(t, dir)
 	for rel, b := range seed {
 		if !bytes.Equal(after[rel], b) {
 			t.Errorf("a failed checkpoint changed %s", rel)
 		}
+	}
+
+	if err := os.Remove(block); err != nil {
+		t.Fatal(err)
+	}
+	if got := tcupdate(t, local(dir, "-addtx", "8:0")...); !strings.Contains(got, "journal seq:     2") {
+		t.Errorf("the next update printed\n%s\nwant journal seq 2", got)
+	}
+	onDisk, _, err := dbnet.ReadFile(filepath.Join(dir, "bk.dbnet"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []graph.VertexID{7, 8} {
+		txs := onDisk.Database(v).Transactions()
+		if !txs[len(txs)-1].Equal(itemset.New(0)) {
+			t.Errorf("vertex %d's transactions %v lack the journaled update", v, txs)
+		}
+	}
+	if seq, err := dbnet.ReadJournalSeq(filepath.Join(dir, "bk.dbnet")); err != nil || seq != 2 {
+		t.Errorf("network file stamp %d (%v), want 2", seq, err)
 	}
 }
 
@@ -245,7 +322,9 @@ func TestLocalCloseWaitsForAnUpdate(t *testing.T) {
 	writeNetwork(t, src)
 	seed := snapshot(t, src)
 	want := copyDir(t, seed)
-	tcupdate(t, "-server", serve(t, want), "-network", "bk", "-addtx", "7:0")
+	srv := serve(t, want)
+	tcupdate(t, "-server", srv.URL, "-network", "bk", "-addtx", "7:0")
+	closeLocal(t, srv)
 
 	dir := copyDir(t, seed)
 	l, err := server.ServeLocal(filepath.Join(dir, "bk.index"), filepath.Join(dir, "bk.dbnet"), 0, false)
@@ -335,5 +414,12 @@ func TestLocalUpdateInTheIndexDirectory(t *testing.T) {
 	defer os.Chdir(wd)
 	if got := tcupdate(t, "-index", ".", "-net", "../bk.dbnet", "-addtx", "7:0"); !strings.HasPrefix(got, "applied delta to bk in ") {
 		t.Errorf("unexpected report:\n%s", got)
+	}
+	// The journal is beside the index, not inside it.
+	if recs := journalRecords(t, dir); len(recs) != 1 || recs[0].Network != "bk" {
+		t.Errorf("journal beside the index holds %+v, want one record of bk", recs)
+	}
+	if _, err := os.Stat("journal"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("a journal in the index directory: %v", err)
 	}
 }

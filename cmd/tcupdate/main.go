@@ -4,10 +4,12 @@
 //
 // There is one update path. -net and -index open the pair writable, as tcserver
 // -tree X -net Y does, on an in-process loopback listener that the delta is
-// POSTed to as -server POSTs it (body capped at 16 MiB; no client timeout, so
-// tcupdate never exits mid-checkpoint). The network is written back to -net,
-// then the index; a failed write-back is an error and the update dies with the
-// process. A -delta file (TCDELTA format) is local-only; its names resolve first.
+// POSTed to as -server POSTs it (body capped at 16 MiB; no client timeout).
+// The update is journaled in journal/ beside the index, as on that server,
+// and checkpointed into -net and the index before tcupdate exits; a failed
+// checkpoint is an error, and the next writable open replays the update.
+// Regenerating the network file means deleting that journal. A -delta file
+// (TCDELTA format) is local-only; its names resolve first.
 //
 //	tcupdate -net bk.dbnet -index bk.index -delta changes.tcdelta
 //	tcupdate -net bk.dbnet -index bk.index -addedges 3-17,4-17 -addtx "17:coffee,tea"
@@ -69,6 +71,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	ctx, base, copts := context.Background(), *serverURL, client.Options{RequestID: *requestID}
+	var local *server.Local
 	switch {
 	case base != "" && *deltaPath != "":
 		return errors.New("-delta cannot be combined with -server; pass the change through the flags")
@@ -77,51 +80,58 @@ func run(args []string, out io.Writer) error {
 		fs.Usage()
 		return errUsage
 	case base == "":
-		local, err := server.ServeLocal(*indexPath, *netPath, 0, false)
-		if err != nil {
+		var err error
+		if local, err = server.ServeLocal(*indexPath, *netPath, 0, false); err != nil {
 			return err
 		}
-		defer local.Close(ctx)
 		if *deltaPath != "" {
-			// Attaching padded the dictionary to the item universe, so a new
-			// name interned here never aliases an existing unnamed item.
-			d, err := delta.ReadFile(*deltaPath, local.Network.Dictionary())
+			// The file's names resolve against a copy of the dictionary —
+			// attaching padded it to the item universe, so a new name never
+			// aliases an existing unnamed item — and the names it introduces
+			// go to the server as names, which journals them with the update.
+			dict := local.Network.Dictionary()
+			names := itemset.NewDictionary()
+			names.InternAll(dict.Names(dict.Universe()))
+			d, err := delta.ReadFile(*deltaPath, names)
 			if err != nil {
+				local.Close(ctx)
 				return err
 			}
-			req = prepend(d, req)
+			req = prepend(d, req, func(it itemset.Item) string {
+				if name, err := names.Name(it); err == nil && int(it) >= dict.Len() {
+					return name
+				}
+				return strconv.Itoa(int(it)) // a known item, or a numeric id past every name
+			})
 		}
 		base, copts.HTTPClient = local.URL, &http.Client{}
 	}
 
 	resp, err := client.New(base, copts).Update(ctx, *network, req)
+	if local != nil {
+		if cerr := local.Close(ctx); cerr != nil && err == nil {
+			return fmt.Errorf("the update is journaled at seq %d and will be replayed on the next writable open of %s, but its checkpoint failed: %w", resp.JournalSeq, *indexPath, cerr)
+		}
+	}
 	var apiErr *client.APIError
 	switch {
 	case errors.As(err, &apiErr) && apiErr.Location != "":
 		return fmt.Errorf("%w\nretry against the primary: tcupdate -server %s", err, strings.TrimSuffix(apiErr.Location, "/api/v1/update"))
 	case err != nil:
 		return err
-	case resp.Warning != "" && *serverURL == "":
-		return errors.New(resp.Warning) // the in-memory update dies with the process
 	}
 	fmt.Fprintf(out, "applied delta to %s in %dµs (index epoch %d)\n", resp.Network, resp.UpdateMicros, resp.IndexEpoch)
 	fmt.Fprintf(out, "  affected items:  %v (%d replaced, %d added, %d removed shards)\n",
 		resp.AffectedItems, resp.ReplacedShards, resp.AddedShards, resp.RemovedShards)
-	if resp.JournalSeq > 0 {
-		fmt.Fprintf(out, "  journal seq:     %d (journaled on the primary; replicas will replay it)\n", resp.JournalSeq)
-	}
-	if resp.Warning != "" {
-		fmt.Fprintf(out, "  warning:         %s\n", resp.Warning)
-	}
+	fmt.Fprintf(out, "  journal seq:     %d\n", resp.JournalSeq)
 	return nil
 }
 
 // prepend returns req with the delta file's changes ahead of the flags',
-// items as numeric identifiers.
-func prepend(d *delta.Delta, req *server.UpdateRequest) *server.UpdateRequest {
+// items rendered by item.
+func prepend(d *delta.Delta, req *server.UpdateRequest, item func(itemset.Item) string) *server.UpdateRequest {
 	vertex := func(v graph.VertexID) int { return int(v) }
 	edge := func(e graph.Edge) [2]int { return [2]int{int(e.U), int(e.V)} }
-	item := func(it itemset.Item) string { return strconv.Itoa(int(it)) }
 	tx := func(vt delta.VertexTransaction) server.UpdateTransaction {
 		return server.UpdateTransaction{Vertex: int(vt.Vertex), Items: mapAppend(vt.Tx, item, nil)}
 	}

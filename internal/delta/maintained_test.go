@@ -13,10 +13,12 @@ import (
 
 	"themecomm/internal/dbnet"
 	"themecomm/internal/delta"
+	"themecomm/internal/engine"
 	"themecomm/internal/federation"
 	"themecomm/internal/gen"
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
+	"themecomm/internal/replication"
 	"themecomm/internal/tctree"
 	"themecomm/internal/truss"
 )
@@ -189,12 +191,12 @@ func assertIndexEqualsFreshBuild(t *testing.T, dir string, nw *dbnet.Network, wh
 type maintainedCase struct {
 	dataset string
 	scale   gen.Scale
-	// path names the caller. "staged" is a server without a journal: every
-	// update is applied in memory and checkpointed at once, its shards staged
-	// and committed inside the update (federation.Network.ApplyDelta).
-	// "journaled" is a replication member: one or two in-memory updates, then
-	// a checkpoint at an advancing journal seq. "offline" is tcupdate: the
-	// staged caller over files opened cold for every update.
+	// path names the caller. "staged" is a primary that checkpoints every
+	// update at once: journaled, applied in memory, its shards staged and
+	// committed right after (applyNow). "journaled" is a replication member:
+	// one or two in-memory updates, then a checkpoint at an advancing
+	// journal seq. "offline" is tcupdate: the staged caller over files
+	// opened cold for every update.
 	path  string
 	procs int
 	seed  int64
@@ -225,12 +227,24 @@ func (c maintainedCase) run(t *testing.T) {
 	// attach opens the index directory and the network file as a server
 	// does, under a small residency budget: some previous shards are resident
 	// when an update reads them, some are opened for it.
+	journalDir := filepath.Join(t.TempDir(), "journal")
+	var p *replication.Primary
+	closeWritable := func() {
+		if p != nil {
+			p.Close()
+		}
+	}
+	t.Cleanup(closeWritable)
 	attach := func() *federation.Network {
 		f := federation.New(federation.Options{MaxResidentShards: 8})
 		if err := f.AttachIndexDir("net", dir, netPath); err != nil {
 			t.Fatal(err)
 		}
 		n, _ := f.Network("net")
+		if c.path != "journaled" {
+			closeWritable() // the previous open of the files, if any
+			p = openWritable(t, f, journalDir)
+		}
 		return n
 	}
 	n := attach()
@@ -244,7 +258,7 @@ func (c maintainedCase) run(t *testing.T) {
 		d := randomDelta(rng, nw, changeKinds[step%len(changeKinds)])
 		when := fmt.Sprintf("%v step %d (%v)", c, step, d)
 		if c.path != "journaled" {
-			res, err := n.ApplyDelta(d)
+			res, err := applyNow(p, d)
 			if err != nil {
 				t.Fatalf("%s: ApplyDelta: %v", when, err)
 			}
@@ -281,6 +295,28 @@ func (c maintainedCase) run(t *testing.T) {
 	if carried == 0 {
 		t.Fatalf("%v: no update carried a community over; the region was not exercised", c)
 	}
+}
+
+// openWritable opens f for writing as a server or tcupdate does
+// (replication.OpenPrimary), over the journal in dir, with no checkpoint
+// loop.
+func openWritable(t *testing.T, f *federation.Federation, dir string) *replication.Primary {
+	t.Helper()
+	p, _, err := replication.OpenPrimary(f, dir, replication.Options{CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// applyNow takes d through the one write route of p's only member — journal,
+// in-memory apply — and persists it at once with a checkpoint.
+func applyNow(p *replication.Primary, d *delta.Delta) (*engine.DeltaResult, error) {
+	ar, err := p.Apply("net", d)
+	if err != nil {
+		return nil, err
+	}
+	return ar.Result, p.Checkpoint()
 }
 
 // TestMaintainedIndexIsByteIdenticalToBuild asserts that incremental
@@ -446,12 +482,14 @@ func TestMaintainedRegionShapes(t *testing.T) {
 					t.Fatal(err)
 				}
 				n, _ := f.Network("net")
+				p := openWritable(t, f, filepath.Join(t.TempDir(), "journal"))
+				defer p.Close()
 				nw := n.DatabaseNetwork()
 				d := shape.make(nw)
 				if d == nil {
 					t.Fatalf("%s offers no place for the shape", ds.name)
 				}
-				res, err := n.ApplyDelta(d)
+				res, err := applyNow(p, d)
 				if err != nil {
 					t.Fatalf("ApplyDelta(%v): %v", d, err)
 				}

@@ -58,6 +58,15 @@ func (e *Engine) IndexJournalSeq() uint64 {
 	return e.idx.JournalSeq()
 }
 
+// IndexDir returns the directory of the engine's on-disk index; empty for an
+// engine without one.
+func (e *Engine) IndexDir() string {
+	if e.idx == nil {
+		return ""
+	}
+	return e.idx.Dir()
+}
+
 // ResyncInMemory rebuilds the engine's whole serving state from nw,
 // installing every shard as a dirty heap one — as if a single delta had
 // touched every item. It is the recovery fix-up for the checkpoint crash

@@ -50,10 +50,10 @@ func randomDeltaFor(rng *rand.Rand, nw *dbnet.Network, items int) *delta.Delta {
 	return d
 }
 
-// applyDelta is the unjournaled update at the engine's level: the delta is
-// applied in memory and checkpointed at once, keeping the manifest's journal
-// seq (federation.Network.ApplyDelta adds the network write-back). On an
-// engine without an on-disk index the checkpoint has nothing to do.
+// applyDelta is the engine's half of an update checkpointed at once: the
+// delta is applied in memory and checkpointed, keeping the manifest's journal
+// seq (replication.Primary adds the journal and the network write-back). On
+// an engine without an on-disk index the checkpoint has nothing to do.
 func applyDelta(t testing.TB, eng *Engine, nw *dbnet.Network, d *delta.Delta) *DeltaResult {
 	t.Helper()
 	res, err := eng.ApplyDeltaInMemory(nw, d)

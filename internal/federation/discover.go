@@ -92,7 +92,7 @@ func Discover(dir string, opts Options) (*Federation, error) {
 // AttachIndexDir attaches the index directory at indexPath lazily under name.
 // A non-empty networkPath names the database network the index was built
 // from: its dictionary resolves item names, and the parsed network makes the
-// tenant updatable, written back to networkPath after every delta.
+// tenant writable, written back to networkPath at every checkpoint.
 func (f *Federation) AttachIndexDir(name, indexPath, networkPath string) error {
 	var nopts NetworkOptions
 	if networkPath != "" {

@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 
 	"themecomm/internal/dbnet"
-	"themecomm/internal/delta"
 	"themecomm/internal/engine"
 	"themecomm/internal/itemset"
 	"themecomm/internal/par"
@@ -84,10 +83,10 @@ type NetworkOptions struct {
 	Dictionary *itemset.Dictionary
 	// VertexNames maps vertex identifiers to display names; may be nil.
 	VertexNames []string
-	// Network is the database network the index was built from. It is
-	// required for incremental maintenance (ApplyDelta) and unused
-	// otherwise; a network attached without it serves queries but rejects
-	// deltas.
+	// Network is the database network the index was built from. It makes
+	// the tenant writable — a journaled member of a replication primary —
+	// and is unused otherwise; a network attached without it serves queries
+	// but rejects deltas.
 	Network *dbnet.Network
 	// NetworkPath, when non-empty, is the file every checkpoint writes the
 	// updated network back to, stamped with its journal position, so a
@@ -98,16 +97,12 @@ type NetworkOptions struct {
 // Network is one attached tenant: a named engine plus its presentation
 // metadata. Accessors are safe for concurrent use; the fields never change
 // after attach (deltas mutate the database network's contents, serialized by
-// the tenant's update lock).
+// the update lock of the replication member the tenant is).
 type Network struct {
 	name  string
 	eng   *engine.Engine
 	opts  NetworkOptions
 	names *QuotedNames
-	// updMu serializes this tenant's unjournaled updates: the engine's own
-	// lock covers the swap and the checkpoint each, this one covers the
-	// update and the checkpoint that persists it.
-	updMu sync.Mutex
 }
 
 // padDictionary extends an updatable tenant's dictionary to cover the
@@ -140,51 +135,6 @@ func (n *Network) QuotedNames() *QuotedNames { return n.names }
 // maintained against; nil when the tenant was attached without one (it then
 // rejects deltas).
 func (n *Network) DatabaseNetwork() *dbnet.Network { return n.opts.Network }
-
-// ApplyDelta is the unjournaled update: the item names the delta introduces
-// are numbered against the tenant's dictionary (delta.Delta.Number) and, once
-// the delta validates, enter it (delta.Delta.Intern), the delta is applied to the tenant's database
-// network, the affected index shards are rebuilt and swapped in memory
-// (engine.ApplyDeltaInMemory), purging only this tenant's cache
-// namespace — every other tenant's cached answers, resident shards and
-// counters are untouched — and the update is persisted at once by a
-// Checkpoint that carries the files' journal-seq stamps forward unchanged, so
-// a journaled primary started on the same files later still recovers from
-// them. The result's Duration is the engine's in-memory apply alone, as on
-// every route (engine.DeltaResult); the checkpoint is not in it.
-//
-// A failed checkpoint commits nothing: the update is served from memory, the
-// result is returned together with the error, and the next update's
-// checkpoint persists both.
-func (n *Network) ApplyDelta(d *delta.Delta) (*engine.DeltaResult, error) {
-	nw := n.opts.Network
-	if nw == nil {
-		return nil, n.wrapErr(fmt.Errorf("no database network attached; deltas need one (attach with NetworkOptions.Network)"))
-	}
-	n.updMu.Lock()
-	defer n.updMu.Unlock()
-	d.Number(n.opts.Dictionary)
-	if err := d.Validate(nw); err != nil {
-		return nil, n.wrapErr(err)
-	}
-	if err := d.Intern(n.opts.Dictionary); err != nil {
-		return nil, n.wrapErr(err)
-	}
-	res, err := n.eng.ApplyDeltaInMemory(nw, d)
-	if err != nil {
-		return nil, n.wrapErr(err)
-	}
-	// An indexed tenant's two stamps agree; one without an index has only
-	// the network file's.
-	networkSeq, indexSeq, err := n.Stamps()
-	if err == nil {
-		err = n.Checkpoint(max(networkSeq, indexSeq))
-	}
-	if err != nil {
-		return res, fmt.Errorf("update applied in memory but not persisted: %w", err)
-	}
-	return res, nil
-}
 
 // Checkpoint persists the tenant's in-memory state stamped with journal
 // position seq, in the order recovery relies on: the network file is written
@@ -383,17 +333,6 @@ func (f *Federation) Detach(name string) error {
 	}
 	n.eng.Release()
 	return nil
-}
-
-// ApplyDelta routes a network delta to the named tenant (see
-// Network.ApplyDelta): only that tenant's shards are rebuilt and only its
-// cache namespace is purged.
-func (f *Federation) ApplyDelta(name string, d *delta.Delta) (*engine.DeltaResult, error) {
-	n, ok := f.Network(name)
-	if !ok {
-		return nil, fmt.Errorf("federation: no network %q", name)
-	}
-	return n.ApplyDelta(d)
 }
 
 // Network returns the named network.

@@ -194,7 +194,8 @@ type Journal struct {
 	pending   *batch // accumulating batch, nil when none
 	flushing  bool   // a leader is currently writing to disk
 	closed    bool
-	err       error // sticky write failure: the journal fails stop
+	err       error    // sticky write failure: the journal fails stop
+	lock      *os.File // holds the directory lock until Close (nil where unsupported)
 
 	durable atomic.Uint64 // highest fsynced seq, visible to readers
 
@@ -212,6 +213,10 @@ type Journal struct {
 // first damaged or incomplete record, so a crash mid-append loses at most the
 // unacknowledged tail batch. Damage in any non-final segment is reported as
 // ErrCorrupt — that is real data loss, not a torn tail.
+//
+// The journal holds an exclusive lock on dir until Close: a second Open of
+// the same directory, in this process or another, fails while it is open, so
+// two writers never append to one sequence.
 func Open(dir string, opts Options) (*Journal, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -219,6 +224,21 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	j, err := open(dir, opts)
+	if err != nil {
+		lock.Close()
+		return nil, err
+	}
+	j.lock = lock
+	return j, nil
+}
+
+// open is Open once the directory is locked.
+func open(dir string, opts Options) (*Journal, error) {
 	j := &Journal{dir: dir, opts: opts, notifyCh: make(chan struct{})}
 	j.flushIdle = sync.NewCond(&j.mu)
 	segs, err := scanSegments(dir)
@@ -539,8 +559,9 @@ func (j *Journal) Stats() Stats {
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// Close closes the journal. In-flight appends finish first (they hold the
-// flushing baton); appends issued after Close fail with ErrClosed.
+// Close closes the journal and releases its directory lock. In-flight
+// appends finish first (they hold the flushing baton); appends issued after
+// Close fail with ErrClosed.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	if j.closed {
@@ -559,8 +580,12 @@ func (j *Journal) Close() error {
 	close(j.notifyCh)
 	j.notifyCh = make(chan struct{})
 	j.notifyMu.Unlock()
+	var err error
 	if f != nil {
-		return f.Close()
+		err = f.Close()
 	}
-	return nil
+	if j.lock != nil {
+		j.lock.Close()
+	}
+	return err
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -89,6 +91,32 @@ func TestReopenContinuesSequence(t *testing.T) {
 	}
 	if recs := readAll(t, j2, 0); len(recs) != 6 {
 		t.Fatalf("read %d records after reopen, want 6", len(recs))
+	}
+}
+
+// An open journal locks its directory: a second Open — in this very process,
+// where flock conflicts between two open file descriptions — fails with an
+// error naming the directory, appends nothing, and succeeds once the first
+// journal is closed.
+func TestOpenLocksTheDirectory(t *testing.T) {
+	if runtime.GOOS != "linux" && runtime.GOOS != "darwin" {
+		t.Skip("no flock on " + runtime.GOOS)
+	}
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{})
+	if _, err := j.Append("net", 1, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if second, err := Open(dir, Options{}); err == nil {
+		second.Close()
+		t.Fatal("a second Open of a locked journal succeeded")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("the lock error %q does not name %s", err, dir)
+	}
+	j.Close()
+	j2 := mustOpen(t, dir, Options{})
+	if seq, err := j2.Append("net", 2, []byte("y")); err != nil || seq != 2 {
+		t.Fatalf("Append after the lock was released = (%d, %v), want (2, nil)", seq, err)
 	}
 }
 

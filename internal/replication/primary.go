@@ -1,12 +1,12 @@
 package replication
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"math"
+	"path/filepath"
 
 	"themecomm/internal/delta"
 	"themecomm/internal/engine"
@@ -15,10 +15,10 @@ import (
 )
 
 // Primary is the writable replication role: updates are journaled, applied in
-// memory, and persisted by background checkpoints. Construct with NewPrimary,
-// Add every journaled network, then call Recover exactly once before the
-// first Apply — recovery replays the journal tail a previous process did not
-// checkpoint.
+// memory, and persisted by checkpoints in the background or at Close. Open
+// one with OpenPrimary, or construct it with NewPrimary, Add every journaled
+// network, then call Recover exactly once before the first Apply — recovery
+// replays the journal tail a previous process did not checkpoint.
 type Primary struct {
 	role
 	j         *journal.Journal
@@ -31,6 +31,78 @@ func NewPrimary(j *journal.Journal, opts Options) *Primary {
 	p := &Primary{j: j}
 	p.init(opts)
 	return p
+}
+
+// Writable returns the networks of fed that hold their database network: the
+// members of a primary or a replica over fed.
+func Writable(fed *federation.Federation) []*federation.Network {
+	var out []*federation.Network
+	for _, name := range fed.Names() {
+		if n, ok := fed.Network(name); ok && n.DatabaseNetwork() != nil {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// JournalDir is where a writable index's journal lives unless a directory is
+// named: journal/ in the directory holding the index, beside it whichever
+// tool opens the pair, so the pair's stamps count in one journal.
+func JournalDir(indexDir string) (string, error) {
+	abs, err := filepath.Abs(indexDir)
+	if err != nil {
+		return "", fmt.Errorf("replication: %w", err)
+	}
+	return filepath.Join(filepath.Dir(abs), "journal"), nil
+}
+
+// OpenPrimary opens fed for writing: the journal in dir (when empty, the
+// JournalDir every Writable network's index shares), every Writable network
+// a member, recovered, and the checkpoint loop started. With no writable
+// network it opens no journal and returns a nil Primary.
+func OpenPrimary(fed *federation.Federation, dir string, opts Options) (*Primary, *RecoverStats, error) {
+	members := Writable(fed)
+	if len(members) == 0 {
+		return nil, nil, nil
+	}
+	if dir == "" {
+		var err error
+		if dir, err = sharedJournalDir(members); err != nil {
+			return nil, nil, err
+		}
+	}
+	j, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	p := NewPrimary(j, opts)
+	for _, n := range members {
+		p.members[n.Name()] = &member{name: n.Name(), net: n}
+	}
+	stats, err := p.Recover()
+	if err != nil {
+		j.Close()
+		return nil, nil, err
+	}
+	p.Start()
+	return p, stats, nil
+}
+
+// sharedJournalDir is the JournalDir every member's index shares.
+func sharedJournalDir(members []*federation.Network) (dir string, err error) {
+	for _, n := range members {
+		nDir := ""
+		if n.Engine().IndexDir() != "" {
+			if nDir, err = JournalDir(n.Engine().IndexDir()); err != nil {
+				return "", err
+			}
+		}
+		if nDir == "" || (dir != "" && nDir != dir) {
+			return "", fmt.Errorf("replication: network %q is not indexed in the directory of the other writable networks (journal %s); name a journal directory", n.Name(), dir)
+		}
+		dir = nDir
+	}
+	return dir, nil
 }
 
 // Journal returns the primary's journal, for serving the replication feed
@@ -104,7 +176,7 @@ func (p *Primary) Recover() (*RecoverStats, error) {
 		if mFloor > stats.Head {
 			// The member's stamps claim records the journal does not have:
 			// the journal was lost or truncated behind its consumers.
-			return nil, fmt.Errorf("replication: network %q: checkpoint stamp %d is beyond the journal head %d; the journal directory was lost or replaced", m.name, mFloor, stats.Head)
+			return nil, fmt.Errorf("replication: network %q: checkpoint stamp %d is beyond the head %d of the journal %s; the pair was checkpointed under another journal, or this one was lost or replaced", m.name, mFloor, stats.Head, p.j.Dir())
 		}
 		if mFloor < floor {
 			floor = mFloor
@@ -156,11 +228,8 @@ type ApplyResult struct {
 	Result *engine.DeltaResult
 }
 
-// Apply is the primary's update fast path: validate, append to the journal
-// (group-committed — concurrent updates share one fsync), and apply in
-// memory. The item names the delta introduces (d.Names, numbered in place by
-// delta.Delta.Number) travel in the record and enter the member's dictionary
-// once the record is durable. Persisting waits for the next
+// Apply is the one write route (member.applyLocked): the delta's new item
+// names travel in its journal record, and persisting waits for the next
 // checkpoint. Updates to the same member serialize; updates to different
 // members batch into the same journal flush.
 func (p *Primary) Apply(name string, d *delta.Delta) (*ApplyResult, error) {
@@ -176,42 +245,18 @@ func (p *Primary) Apply(name string, d *delta.Delta) (*ApplyResult, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.broken != nil {
-		return nil, m.broken
-	}
-	nw, dict := m.net.DatabaseNetwork(), m.net.Dictionary()
-	// Number the names the delta introduces against the dictionary as it
-	// stands under the lock, and validate before journaling: a record once
-	// appended WILL be replayed, so nothing Apply could reject may reach the
-	// journal, and a rejected delta's names never reach the dictionary.
-	d.Number(dict)
-	if err := d.Validate(nw); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := delta.Write(&buf, d); err != nil {
-		return nil, err
-	}
-	eng := m.net.Engine()
-	// The record's epoch is the one this delta installs: applies to this
-	// member are serialized here and ApplyDeltaInMemory bumps by exactly one.
-	seq, err := p.j.Append(name, eng.IndexEpoch()+1, buf.Bytes())
+	seq, res, err := m.applyLocked(d, 0, p.j)
 	if err != nil {
 		return nil, err
 	}
-	var res *engine.DeltaResult
-	if err = d.Intern(dict); err == nil {
-		res, err = eng.ApplyDeltaInMemory(nw, d)
-	}
-	if err != nil {
-		// The journal now holds a record the serving state does not. Fail
-		// stop for this member rather than serve a state that diverges from
-		// what recovery and every replica will replay.
-		m.broken = fmt.Errorf("replication: network %q: journaled seq %d but apply failed: %w", name, seq, err)
-		return nil, m.broken
-	}
-	m.applied = seq
 	return &ApplyResult{Seq: seq, Result: res}, nil
+}
+
+// Close stops the primary (Stop) and closes its journal, even when the final
+// checkpoint fails: the next writable open replays what it did not persist.
+func (p *Primary) Close() error {
+	err := p.Stop()
+	return errors.Join(err, p.j.Close())
 }
 
 // Status reports the primary's replication state.

@@ -1,18 +1,18 @@
 // Package replication implements the primary/replica serving roles on top of
 // the TCJRNL delta journal (internal/journal).
 //
-// A Primary fronts a set of federation networks with a write-ahead path:
-// every delta is validated, appended to the journal (one group-committed
-// fsync covers a whole batch of concurrent updates), and applied to the
-// serving state purely in memory (engine.ApplyDeltaInMemory). A background
-// checkpoint — the tenant's one checkpoint routine,
-// federation.Network.Checkpoint, which an unjournaled update runs at once —
-// then folds the accumulated dirty shards into the on-disk index in one
-// commit, stamping the journal position into both the network file
-// (dbnet.WriteFileAtomicStamped, written first) and the index manifest
-// (tctree.Manifest.JournalSeq). Crash recovery compares the two stamps per
-// member and replays the journal tail through the same apply path, so a
-// restart converges on exactly the pre-crash state:
+// A Primary (OpenPrimary) is the one write route of every network that holds
+// its database network: every delta is validated, appended to the journal
+// (one group-committed fsync covers a whole batch of concurrent updates), and
+// applied to the serving state purely in memory (engine.ApplyDeltaInMemory).
+// A checkpoint — in the background, or at Close — through the tenant's one
+// checkpoint routine, federation.Network.Checkpoint, then folds the
+// accumulated dirty shards into the on-disk index in one commit, stamping the
+// journal position into both the network file (dbnet.WriteFileAtomicStamped,
+// written first) and the index manifest (tctree.Manifest.JournalSeq). Crash
+// recovery compares the two stamps per member and replays the journal tail
+// through the same apply path, so a restart converges on exactly the
+// pre-crash state:
 //
 //	network stamp == manifest stamp: the common case — both files describe
 //	  the same checkpoint; replay the journal records after it.
@@ -24,6 +24,9 @@
 //	network stamp <  manifest stamp: impossible under the checkpoint
 //	  ordering (the network file is always written first); it means the
 //	  rebuild source was lost or replaced, and recovery refuses.
+//
+// A stamp beyond the journal's head (a pair checkpointed under another
+// journal) is refused too.
 //
 // A Replica holds the same members, bootstrapped from a snapshot of the
 // primary's index and network files, and replays journal records tailed from
@@ -50,6 +53,7 @@ import (
 	"time"
 
 	"themecomm/internal/delta"
+	"themecomm/internal/engine"
 	"themecomm/internal/federation"
 	"themecomm/internal/journal"
 )
@@ -171,9 +175,8 @@ type member struct {
 	net  *federation.Network
 
 	// mu serializes this member's journal appends, in-memory applies and
-	// checkpoints, keeping journal order equal to apply order. It plays the
-	// role federation.Network.updMu plays on the unjournaled path: a
-	// journaled tenant must be updated only through its Primary.
+	// checkpoints, keeping journal order equal to apply order: a member is
+	// updated only through its role.
 	mu      sync.Mutex
 	applied uint64 // highest journal seq applied to the in-memory state
 	flushed uint64 // highest journal seq persisted by a checkpoint
@@ -229,12 +232,12 @@ func (m *member) recoverFloor() (floor uint64, resynced bool, err error) {
 	return m.applied, resynced, nil
 }
 
-// replay decodes and applies one journal record to the member, its names
-// first (delta.Delta.Intern). Records at or below the member's applied seq
-// are already part of the state and are skipped. Replay is fail-stop: a
-// record that cannot be decoded or applied, or that names an item other than
-// the member's dictionary does, breaks the member, because skipping it would
-// silently diverge from the journal every other role replays.
+// replay decodes and applies one journal record to the member (applyLocked).
+// Records at or below the member's applied seq are already part of the state
+// and are skipped. Replay is fail-stop: a record that cannot be decoded or
+// applied, or that names an item other than the member's dictionary does,
+// breaks the member, because skipping it would silently diverge from the
+// journal every other role replays.
 func (m *member) replay(rec *journal.Record) (applied bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -249,15 +252,51 @@ func (m *member) replay(rec *journal.Record) (applied bool, err error) {
 		m.broken = fmt.Errorf("replication: network %q: decode journal seq %d: %w", m.name, rec.Seq, err)
 		return false, m.broken
 	}
-	if err = d.Intern(m.net.Dictionary()); err == nil {
-		_, err = m.net.Engine().ApplyDeltaInMemory(m.net.DatabaseNetwork(), d)
+	if _, _, err := m.applyLocked(d, rec.Seq, nil); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// applyLocked is the in-memory half of every update, live or replayed; the
+// caller holds m.mu. A live delta (seq 0) is numbered against the dictionary
+// (delta.Delta.Number) and validated before it is appended to j: a record
+// once appended WILL be replayed, so nothing the apply could reject may reach
+// the journal. A replayed delta arrives numbered, under its record's seq.
+// Then its names enter the dictionary and it is applied in memory; a failure
+// there breaks the member, whose state would diverge from the journal.
+func (m *member) applyLocked(d *delta.Delta, seq uint64, j *journal.Journal) (uint64, *engine.DeltaResult, error) {
+	nw, dict, eng := m.net.DatabaseNetwork(), m.net.Dictionary(), m.net.Engine()
+	if m.broken != nil {
+		return 0, nil, m.broken
+	}
+	if seq == 0 {
+		d.Number(dict)
+		if err := d.Validate(nw); err != nil {
+			return 0, nil, err
+		}
+		var buf bytes.Buffer
+		if err := delta.Write(&buf, d); err != nil {
+			return 0, nil, err
+		}
+		// The record's epoch is the one this delta installs: applies to this
+		// member are serialized here and ApplyDeltaInMemory bumps by exactly one.
+		var err error
+		if seq, err = j.Append(m.name, eng.IndexEpoch()+1, buf.Bytes()); err != nil {
+			return 0, nil, err
+		}
+	}
+	var res *engine.DeltaResult
+	err := d.Intern(dict)
+	if err == nil {
+		res, err = eng.ApplyDeltaInMemory(nw, d)
 	}
 	if err != nil {
-		m.broken = fmt.Errorf("replication: network %q: replay journal seq %d: %w", m.name, rec.Seq, err)
-		return false, m.broken
+		m.broken = fmt.Errorf("replication: network %q: journal seq %d: apply failed: %w", m.name, seq, err)
+		return 0, nil, m.broken
 	}
-	m.applied = rec.Seq
-	return true, nil
+	m.applied = seq
+	return seq, res, nil
 }
 
 // checkpoint persists the member's in-memory progress through the tenant's

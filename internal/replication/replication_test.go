@@ -245,6 +245,7 @@ func testApplyRecoverParity(t *testing.T, seed int64) {
 		t.Fatalf("seed %d: status %+v", seed, st)
 	}
 
+	p.Journal().Close() // the crash ends the process, and its lock on the journal
 	p2, fed2 := openPrimary(t, dir, "a")
 	stats, err := p2.Recover()
 	if err != nil {
@@ -272,7 +273,7 @@ func testApplyRecoverParity(t *testing.T, seed int64) {
 	if err := delta.Apply(twin, d); err != nil {
 		t.Fatal(err)
 	}
-	if err := p2.Stop(); err != nil {
+	if err := p2.Close(); err != nil {
 		t.Fatalf("seed %d: stop: %v", seed, err)
 	}
 	if got := live2.Engine().IndexJournalSeq(); got != 6 {
@@ -322,6 +323,7 @@ func TestRecoverCrashWindowResync(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	p.Journal().Close() // the crash ends the process, and its lock on the journal
 	p2, fed2 := openPrimary(t, dir, "a")
 	stats, err := p2.Recover()
 	if err != nil {
@@ -353,7 +355,7 @@ func TestRecoverCrashWindowResync(t *testing.T) {
 	if err := delta.Apply(twin, d); err != nil {
 		t.Fatal(err)
 	}
-	if err := p2.Stop(); err != nil {
+	if err := p2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	p3, fed3 := openPrimary(t, dir, "a")
@@ -389,6 +391,7 @@ func TestRecoverRefusesLostNetworkFile(t *testing.T) {
 	if err := dbnet.WriteFileAtomic(filepath.Join(dir, "a", "network.dbnet"), live.DatabaseNetwork(), nil); err != nil {
 		t.Fatal(err)
 	}
+	p.Journal().Close() // the crash ends the process, and its lock on the journal
 	p2, _ := openPrimary(t, dir, "a")
 	if _, err := p2.Recover(); err == nil {
 		t.Fatal("recovery accepted a network file behind the index manifest")
@@ -711,12 +714,13 @@ func TestPrimaryApplyGuards(t *testing.T) {
 	}
 }
 
-// TestUnjournaledUpdateKeepsTheStamps pins the one write route's stamp
-// discipline across routes: a journaled session checkpoints at S > 0, then a
-// server without a journal (or offline tcupdate) takes one update on the same
-// files. That update must carry both journal-seq stamps forward, so the next
-// journaled start recovers with nothing to replay and serves the update.
-func TestUnjournaledUpdateKeepsTheStamps(t *testing.T) {
+// TestRecoverRefusesAPairStampedUnderAnotherJournal pins what keeps every
+// pair's stamps in one journal's sequence: a journaled session checkpoints
+// the files at 2, and a primary over another journal — fresh, or one whose
+// head is below the stamps — refuses them with the "beyond the journal head"
+// error rather than replay its own records onto them, leaving the served
+// state as the files hold it.
+func TestRecoverRefusesAPairStampedUnderAnotherJournal(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	nw := randomNetwork(rng, 14, 34, testItems, 3)
 	twin := randomNetwork(rand.New(rand.NewSource(4)), 14, 34, testItems, 3)
@@ -738,39 +742,151 @@ func TestUnjournaledUpdateKeepsTheStamps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.Stop(); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got := live.Engine().IndexJournalSeq(); got != 2 {
 		t.Fatalf("manifest seq %d after the journaled session, want 2", got)
 	}
 
-	// The unjournaled update, on the same files.
-	plain := federation.New(federation.Options{})
-	if err := plain.AttachIndexDir("a", filepath.Join(sub, "index"), filepath.Join(sub, "network.dbnet")); err != nil {
-		t.Fatal(err)
+	other := filepath.Join(dir, "other")
+	for _, records := range []int{0, 1} {
+		if records > 0 {
+			var payload bytes.Buffer
+			if err := delta.Write(&payload, randomDeltaFor(rng, twin, testItems)); err != nil {
+				t.Fatal(err)
+			}
+			j, err := journal.Open(other, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Append("a", 1, payload.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+		}
+		f := federation.New(federation.Options{})
+		if err := f.AttachIndexDir("a", filepath.Join(sub, "index"), filepath.Join(sub, "network.dbnet")); err != nil {
+			t.Fatal(err)
+		}
+		p2, _, err := OpenPrimary(f, other, Options{CheckpointInterval: -1})
+		if err == nil || !strings.Contains(err.Error(), "beyond the head") {
+			if p2 != nil {
+				p2.Close()
+			}
+			t.Fatalf("another journal holding %d records: OpenPrimary error %v, want the stamp beyond its head refused", records, err)
+		}
+		n, _ := f.Network("a")
+		assertEngineParity(t, fmt.Sprintf("refused with %d records", records), n.Engine(), freshEngine(t, twin))
 	}
-	n, _ := plain.Network("a")
-	d := randomDeltaFor(rng, n.DatabaseNetwork(), testItems)
-	if _, err := n.ApplyDelta(d); err != nil {
-		t.Fatalf("unjournaled update: %v", err)
-	}
-	if err := delta.Apply(twin, d); err != nil {
-		t.Fatal(err)
-	}
-	w, err := dbnet.ReadJournalSeq(filepath.Join(sub, "network.dbnet"))
-	if m := n.Engine().IndexJournalSeq(); err != nil || w != 2 || m != 2 {
-		t.Fatalf("stamps after the unjournaled update: network %d (%v), manifest %d; want 2 and 2", w, err, m)
-	}
-
-	p2, fed2 := openPrimary(t, dir, "a")
-	stats, err := p2.Recover()
+	// The refusal released the other journal.
+	j, err := journal.Open(other, journal.Options{})
 	if err != nil {
-		t.Fatalf("journaled restart after an unjournaled update: %v", err)
+		t.Fatalf("the refused open kept the journal locked: %v", err)
 	}
-	if stats.Replayed != 0 || len(stats.Resynced) != 0 {
-		t.Fatalf("recover stats %+v, want nothing replayed or resynced", stats)
+	j.Close()
+}
+
+// TestApplyPersistsAtTheCheckpoint covers the one write route on both kinds
+// of member: the update is served at once and journaled, the files hold the
+// network as it was until the checkpoint, which writes the network file back
+// stamped with the journal seq and, on an indexed member, commits the
+// rebuilt shards with the manifest stamped alike; a network without a
+// database network is no member and refuses the delta.
+func TestApplyPersistsAtTheCheckpoint(t *testing.T) {
+	for _, mode := range []string{"eager", "lazy"} {
+		t.Run(mode, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			nw := randomNetwork(rng, 14, 34, testItems, 3)
+			dir := t.TempDir()
+			seedState(t, dir, nw)
+			netPath, indexDir := filepath.Join(dir, "network.dbnet"), filepath.Join(dir, "index")
+			before, err := os.ReadFile(netPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := federation.New(federation.Options{CacheSize: 16})
+			opts := federation.NetworkOptions{Network: nw, NetworkPath: netPath}
+			if mode == "eager" {
+				err = f.AttachBuilt("bk", freshIndex(t, nw), opts)
+			} else {
+				err = f.AttachIndexDir("bk", indexDir, netPath)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.AttachBuilt("frozen", freshIndex(t, nw), federation.NetworkOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			p, _, err := OpenPrimary(f, filepath.Join(dir, "journal"), Options{CheckpointInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			n, _ := f.Network("bk")
+			nw = n.DatabaseNetwork()
+
+			d := &delta.Delta{AddTransactions: []delta.VertexTransaction{
+				{Vertex: 0, Tx: itemset.New(0, 1)}, {Vertex: 1, Tx: itemset.New(0, 1)},
+			}}
+			res, err := p.Apply("bk", d)
+			if err != nil {
+				t.Fatalf("Apply: %v", err)
+			}
+			if res.Seq != 1 || res.Result.Affected.Len() == 0 || res.Result.Duration <= 0 {
+				t.Fatalf("result seq %d, %+v: want seq 1, affected items and a duration", res.Seq, res.Result)
+			}
+			assertEngineParity(t, "served", n.Engine(), freshEngine(t, nw))
+			if onDisk, err := os.ReadFile(netPath); err != nil || !bytes.Equal(onDisk, before) {
+				t.Fatalf("the network file changed before the checkpoint (%v)", err)
+			}
+
+			if err := p.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			wantIndexSeq := uint64(0)
+			if mode == "lazy" {
+				wantIndexSeq = 1
+			}
+			if w, m, err := n.Stamps(); err != nil || w != 1 || m != wantIndexSeq {
+				t.Fatalf("stamps after the checkpoint = (%d, %d, %v), want (1, %d)", w, m, err, wantIndexSeq)
+			}
+			onDisk, _, err := dbnet.ReadFile(netPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertEngineParity(t, "written back", freshEngine(t, onDisk), freshEngine(t, nw))
+			if mode == "lazy" {
+				if n.Engine().DirtyShards() != 0 {
+					t.Fatalf("%d dirty shards after the checkpoint", n.Engine().DirtyShards())
+				}
+				idx, err := tctree.OpenSharded(indexDir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold, err := engine.NewLazy(idx, engine.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertEngineParity(t, "reopened", cold, freshEngine(t, nw))
+			}
+
+			if _, err := p.Apply("frozen", d); err == nil {
+				t.Fatal("a network without a database network accepted a delta")
+			}
+			if _, err := p.Apply("nosuch", d); err == nil {
+				t.Fatal("an unknown network accepted a delta")
+			}
+		})
 	}
-	live2, _ := fed2.Network("a")
-	assertEngineParity(t, "after-unjournaled", live2.Engine(), freshEngine(t, twin))
+}
+
+// freshIndex builds nw's index in-process.
+func freshIndex(t *testing.T, nw *dbnet.Network) *tctree.Index {
+	t.Helper()
+	idx, err := tctree.BuildIndex(nw, tctree.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
 }

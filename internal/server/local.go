@@ -9,6 +9,7 @@ import (
 
 	"themecomm/internal/federation"
 	"themecomm/internal/obs"
+	"themecomm/internal/replication"
 )
 
 // Local is an index served on an in-process loopback listener: the way the
@@ -20,8 +21,9 @@ type Local struct {
 	// Network is the served network.
 	Network *federation.Network
 
-	srv  *http.Server
-	done chan struct{}
+	srv     *http.Server
+	done    chan struct{}
+	primary *replication.Primary // nil unless the pair is writable
 }
 
 // ServeLocal opens an index directory the way tcserver -tree does — attached
@@ -30,12 +32,13 @@ type Local struct {
 // network name by federation.SafeName, so "my net.index" is network my_net),
 // with netPath (may be empty) as its database network — and
 // serves it on a 127.0.0.1 listener. It keeps no result cache, which a
-// one-shot process never hits. A read-only server answers every update 403;
-// a writable one applies updates like tcserver without -journal, writing
-// each back to netPath and the index before it answers. It is observed like
-// tcserver -quiet: GET /metrics answers, nothing is logged. workers bounds
-// the shard-traversal parallelism (0 = GOMAXPROCS).
-func ServeLocal(indexPath, netPath string, workers int, readOnly bool) (*Local, error) {
+// one-shot process never hits. A read-only server answers every update 403
+// and opens no journal; a writable one is a primary like tcserver's
+// (replication.OpenPrimary, the journal beside the index) without the
+// checkpoint loop: Close checkpoints. It is observed like tcserver -quiet:
+// GET /metrics answers, nothing is logged. workers bounds the
+// shard-traversal parallelism (0 = GOMAXPROCS).
+func ServeLocal(indexPath, netPath string, workers int, readOnly bool) (l *Local, err error) {
 	abs, err := filepath.Abs(indexPath)
 	if err != nil {
 		return nil, err
@@ -46,7 +49,18 @@ func ServeLocal(indexPath, netPath string, workers int, readOnly bool) (*Local, 
 	if err := fed.AttachIndexDir(name, indexPath, netPath); err != nil {
 		return nil, err
 	}
-	h, err := New(nil, Options{Federation: fed, ReadOnly: readOnly, Obs: o})
+	var p *replication.Primary
+	if !readOnly {
+		if p, _, err = replication.OpenPrimary(fed, "", replication.Options{CheckpointInterval: -1}); err != nil {
+			return nil, err
+		}
+		defer func() {
+			if err != nil && p != nil {
+				p.Close()
+			}
+		}()
+	}
+	h, err := New(nil, Options{Federation: fed, ReadOnly: readOnly, Primary: p, Obs: o})
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +69,7 @@ func ServeLocal(indexPath, netPath string, workers int, readOnly bool) (*Local, 
 		return nil, err
 	}
 	n, _ := fed.Network(name)
-	l := &Local{URL: "http://" + ln.Addr().String(), Network: n,
+	l = &Local{URL: "http://" + ln.Addr().String(), Network: n, primary: p,
 		srv: &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}, done: make(chan struct{})}
 	go func() {
 		defer close(l.done)
@@ -65,11 +79,16 @@ func ServeLocal(indexPath, netPath string, workers int, readOnly bool) (*Local, 
 }
 
 // Close shuts the server down once every request in flight has finished or
-// ctx is done, so an update that has begun its checkpoint completes it
-// before the process can exit.
-func (l *Local) Close(ctx context.Context) {
+// ctx is done, then checkpoints a writable pair and closes its journal
+// (replication.Primary.Close); what a failed checkpoint did not persist, the
+// next writable open replays.
+func (l *Local) Close(ctx context.Context) error {
 	if l.srv.Shutdown(ctx) != nil {
 		l.srv.Close()
 	}
 	<-l.done
+	if l.primary == nil {
+		return nil
+	}
+	return l.primary.Close()
 }

@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"themecomm/internal/delta"
 	"themecomm/internal/engine"
 	"themecomm/internal/federation"
 	"themecomm/internal/graph"
@@ -60,13 +59,9 @@ type tenant struct {
 	// encode is the time this request has spent encoding the tenant's
 	// answer; observeEncode reports it.
 	encode time.Duration
-	// update applies one network delta to the tenant, serialized per tenant;
-	// nil when the server does not hold the tenant's database network, in
-	// which case POST .../update is rejected. On a journaled tenant (a
-	// replication primary member) the returned seq is the journal sequence
-	// number durably assigned to the delta; 0 on the classic synchronous
-	// path (index rebuild + swap + optional network write-back).
-	update func(*delta.Delta) (res *engine.DeltaResult, seq uint64, err error)
+	// writable says the tenant is a member of the server's primary, which
+	// applies its updates; POST .../update is rejected otherwise.
+	writable bool
 }
 
 // Server answers theme-community queries from the networks of a federation.
@@ -96,20 +91,20 @@ type Server struct {
 // Options configures a Server.
 type Options struct {
 	// Federation holds the served networks. Attach a network with its
-	// dictionary, vertex names and database network (which enables POST
-	// update) through the federation's Attach methods. When nil, New builds
-	// one with a small shared result cache.
+	// dictionary, vertex names and database network (which makes it a
+	// member of Primary) through the federation's Attach methods. When nil,
+	// New builds one with a small shared result cache.
 	Federation *federation.Federation
 	// DefaultNetwork names the network behind the bare routes; empty means
 	// the network of the index handed to New, else the lexically first
 	// attached network.
 	DefaultNetwork string
 	// Primary, when non-nil, is the replication primary fronting the served
-	// federation networks: updates to member networks take the write-ahead
-	// fast path (journal append + in-memory apply; the staged shard commit
-	// becomes a background checkpoint), and GET /api/v1/journal serves the
-	// replication feed replicas tail. The caller owns the primary's
-	// lifecycle: Recover before serving, Start/Stop around it.
+	// federation networks (replication.OpenPrimary): its members are the
+	// networks that accept updates — journal append, in-memory apply, a
+	// checkpoint later — and GET /api/v1/journal serves the replication feed
+	// replicas tail. Without it every update answers 409. The caller owns
+	// the primary's lifecycle: Recover before serving, Close after it.
 	Primary *replication.Primary
 	// ReadOnly marks the server a read-only replica: every update request is
 	// answered 403, with a Location header pointing at the primary when
@@ -214,28 +209,10 @@ func (s *Server) defaultTenant() (*tenant, string) {
 	return s.tenantOf(n), ""
 }
 
-// tenantOf adapts a federation network to the handler-facing tenant. A
-// member of the replication primary updates through the journal
-// (Primary.Apply), which checkpoints in the background; any other network
-// with a database network attached checkpoints each update at once
-// (Network.ApplyDelta).
+// tenantOf adapts a federation network to the handler-facing tenant.
 func (s *Server) tenantOf(n *federation.Network) *tenant {
-	t := &tenant{name: n.Name(), engine: n.Engine(), dict: n.Dictionary(), names: n.QuotedNames()}
-	if name := n.Name(); s.primary != nil && s.primary.Member(name) {
-		t.update = func(d *delta.Delta) (*engine.DeltaResult, uint64, error) {
-			ar, err := s.primary.Apply(name, d)
-			if err != nil {
-				return nil, 0, err
-			}
-			return ar.Result, ar.Seq, nil
-		}
-	} else if n.DatabaseNetwork() != nil {
-		t.update = func(d *delta.Delta) (*engine.DeltaResult, uint64, error) {
-			res, err := n.ApplyDelta(d)
-			return res, 0, err
-		}
-	}
-	return t
+	return &tenant{name: n.Name(), engine: n.Engine(), dict: n.Dictionary(), names: n.QuotedNames(),
+		writable: s.primary != nil && s.primary.Member(n.Name())}
 }
 
 // forDefault adapts a tenant-scoped handler to the bare routes.

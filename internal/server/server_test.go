@@ -18,6 +18,7 @@ import (
 	"themecomm/internal/federation"
 	"themecomm/internal/gen"
 	"themecomm/internal/itemset"
+	"themecomm/internal/replication"
 	"themecomm/internal/tctree"
 )
 
@@ -34,7 +35,8 @@ type testNetwork struct {
 }
 
 // serve builds the server and returns it with the attached member, whose
-// engine tests read counters from.
+// engine tests read counters from. A member holding its database network is
+// writable as on tcserver: a journaled primary (openWritable) fronts it.
 func (tn testNetwork) serve(tb testing.TB) (*Server, *federation.Network) {
 	tb.Helper()
 	fed := federation.New(tn.Fed)
@@ -49,12 +51,30 @@ func (tn testNetwork) serve(tb testing.TB) (*Server, *federation.Network) {
 	}
 	opts := tn.Server
 	opts.Federation = fed
+	opts.Primary = openWritable(tb, fed, filepath.Join(tb.TempDir(), "journal"))
 	s, err := New(nil, opts)
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
 	n, _ := fed.Network(treeNetwork)
 	return s, n
+}
+
+// openWritable opens fed for writing as tcserver does
+// (replication.OpenPrimary), its journal in dir ("" for the default beside
+// the indexes) and without a checkpoint loop: tests checkpoint explicitly.
+// It returns nil when fed has no writable network; the primary is closed
+// when the test ends.
+func openWritable(tb testing.TB, fed *federation.Federation, dir string) *replication.Primary {
+	tb.Helper()
+	p, _, err := replication.OpenPrimary(fed, dir, replication.Options{CheckpointInterval: -1})
+	if err != nil {
+		tb.Fatalf("OpenPrimary: %v", err)
+	}
+	if p != nil {
+		tb.Cleanup(func() { p.Close() })
+	}
+	return p
 }
 
 // builtIndex builds nw's index in-process, as New and AttachBuilt serve it.

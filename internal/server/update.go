@@ -16,16 +16,16 @@ import (
 //	POST /api/v1/update             apply a network delta to the default network
 //	POST /api/v1/{network}/update   apply a network delta to one tenant
 //
-// The request body is a JSON delta. Every update takes the one write route:
-// the affected shards are rebuilt and swapped in memory while queries keep
-// flowing (engine.ApplyDeltaInMemory), only the updated network's cache
-// namespace is purged, and a checkpoint persists the update — at once on a
-// server without a journal (federation.Network.ApplyDelta: the stamped
-// network file first, then the index manifest), in the background on a
-// replication primary, whose updates are journaled first
-// (replication.Primary.Apply). Updating requires the server to hold the
-// tenant's database network (tcserver -net, or a sibling <name>.dbnet in the
-// federation's networks directory); without it the route answers 409.
+// The request body is a JSON delta. Every update takes the one write route,
+// replication.Primary.Apply: the delta is appended to the journal, then the
+// affected shards are rebuilt and swapped in memory while queries keep
+// flowing (engine.ApplyDeltaInMemory) and only the updated network's cache
+// namespace is purged; a checkpoint persists it later, the stamped network
+// file first, then the index manifest. A 200 means the update is durable in
+// the journal. Updating requires the network to be a member of the server's
+// primary, which every network holding its database network is (tcserver
+// -net, or a sibling <name>.dbnet in the federation's networks directory);
+// any other network answers 409.
 
 // UpdateTransaction is one transaction of an update request. Items are names
 // resolved through the network's dictionary (unknown names are interned, so
@@ -69,20 +69,12 @@ type UpdateResponse struct {
 	// IndexEpoch is the engine's index epoch after the swap.
 	IndexEpoch uint64 `json:"indexEpoch"`
 	// JournalSeq is the journal sequence number durably assigned to the
-	// delta; only set on a replication primary, whose updates are journaled
-	// and checkpointed in the background instead of checkpointed at once.
-	JournalSeq uint64 `json:"journalSeq,omitempty"`
+	// delta; every 200 carries one.
+	JournalSeq uint64 `json:"journalSeq"`
 	// UpdateMicros is the wall time of the whole update as the server ran
-	// it: on a replication primary the journal append and the in-memory
-	// apply, elsewhere the apply and the checkpoint that persists it.
+	// it: the journal append with its fsync and the in-memory apply. The
+	// checkpoint that persists the update runs later, outside it.
 	UpdateMicros int64 `json:"updateMicros"`
-	// Warning is set when the in-memory update succeeded but the checkpoint
-	// that persists it failed (a network-file write-back or index commit
-	// error). The delta IS applied and served — clients must not retry it —
-	// and nothing of it is on disk yet: the next update's checkpoint persists
-	// it, and the operator should fix the persistence problem before
-	// restarting the server.
-	Warning string `json:"warning,omitempty"`
 }
 
 // parseUpdate converts the JSON request into a delta, resolving item names
@@ -180,7 +172,7 @@ func (s *Server) serveUpdate(t *tenant, w http.ResponseWriter, r *http.Request) 
 		writeError(w, r, http.StatusForbidden, "this server is a read-only replica; send updates to the primary")
 		return
 	}
-	if t.update == nil {
+	if !t.writable {
 		writeError(w, r, http.StatusConflict,
 			"updates are disabled: the server does not hold this network's database network (start tcserver with -net, or put a sibling <name>.dbnet next to the index)")
 		return
@@ -197,13 +189,13 @@ func (s *Server) serveUpdate(t *tenant, w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	start := time.Now()
-	res, seq, err := t.update(d)
+	ar, err := s.primary.Apply(t.name, d)
 	took := time.Since(start)
-	if err != nil && res == nil {
-		// Nothing was applied. Validation happens inside the tenant's
+	if err != nil {
+		// Nothing was acknowledged. Validation happens inside the member's
 		// update lock (validating here would race a concurrent update
 		// mutating the network); the sentinel distinguishes a malformed
-		// delta from a server failure.
+		// delta from a server failure, such as a failed journal append.
 		if errors.Is(err, delta.ErrInvalid) {
 			writeError(w, r, http.StatusBadRequest, err.Error())
 			return
@@ -211,23 +203,18 @@ func (s *Server) serveUpdate(t *tenant, w http.ResponseWriter, r *http.Request) 
 		writeError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
+	res := ar.Result
 	resp := UpdateResponse{
 		Network:       t.name,
 		AffectedItems: t.itemNames(res.Affected),
 		IndexEpoch:    res.Epoch,
-		JournalSeq:    seq,
+		JournalSeq:    ar.Seq,
 		UpdateMicros:  took.Microseconds(),
 	}
 	if res.Report != nil {
 		resp.ReplacedShards = len(res.Report.Replaced)
 		resp.AddedShards = len(res.Report.Added)
 		resp.RemovedShards = len(res.Report.Removed)
-	}
-	if err != nil {
-		// The in-memory update succeeded but its checkpoint failed. A 5xx
-		// would invite clients to retry a delta that IS applied — report
-		// success with a warning instead.
-		resp.Warning = err.Error()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

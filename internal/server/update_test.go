@@ -15,10 +15,10 @@ import (
 	"time"
 
 	"themecomm/internal/dbnet"
+	"themecomm/internal/delta"
 	"themecomm/internal/federation"
 	"themecomm/internal/graph"
 	"themecomm/internal/itemset"
-	"themecomm/internal/journal"
 	"themecomm/internal/replication"
 	"themecomm/internal/tctree"
 	"themecomm/internal/trace"
@@ -103,7 +103,10 @@ func TestUpdateEndpoint(t *testing.T) {
 			t.Fatalf("%s diverges from fresh rebuild:\n got %s\nwant %s", url, got.Body.String(), want.Body.String())
 		}
 	}
-	// The updated network was written back.
+	// The update's checkpoint writes the updated network back.
+	if err := s.primary.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
 	reread, _, err := dbnet.ReadFile(netPath)
 	if err != nil {
 		t.Fatalf("ReadFile after write-back: %v", err)
@@ -169,7 +172,10 @@ func TestUpdateRendersNewItemNames(t *testing.T) {
 			t.Errorf("GET %s: status %d, no %s in %.300s", target, rec.Code, theme, rec.Body.String())
 		}
 	}
-	// The update's checkpoint wrote the name into the network file.
+	// The update's checkpoint writes the name into the network file.
+	if err := s.primary.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
 	if _, dict, err := dbnet.ReadFile(netPath); err != nil {
 		t.Fatalf("re-read: %v", err)
 	} else if _, ok := dict.Lookup(name); !ok {
@@ -237,7 +243,7 @@ func TestFederationUpdateRoute(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := New(nil, Options{Federation: fed})
+	s, err := New(nil, Options{Federation: fed, Primary: openWritable(t, fed, filepath.Join(t.TempDir(), "journal"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,11 +358,13 @@ func TestErrorResponsesAreJSON(t *testing.T) {
 }
 
 // TestUpdateWriteBackFailureCommitsNothing pins the order of the one write
-// route on a server without a journal: the stamped network file is written
-// before the index manifest is committed. When the write-back fails nothing
-// is committed — the index on disk never runs ahead of its only rebuild
-// source — the update is served from memory with 200 and a warning, and the
-// next update's checkpoint persists both deltas.
+// route's checkpoint on a server opened without a journal directory: the
+// stamped network file is written before the index manifest is committed.
+// An update answers 200 only once it is journaled; when the checkpoint's
+// write-back then fails nothing is committed — the index on disk never runs
+// ahead of its only rebuild source — the update is served from memory, and
+// the next checkpoint persists it with the next update. A journal that cannot
+// take an update answers 5xx.
 func TestUpdateWriteBackFailureCommitsNothing(t *testing.T) {
 	dir := t.TempDir()
 	nw := buildUpdatableNetwork(t, 11)
@@ -367,17 +375,18 @@ func TestUpdateWriteBackFailureCommitsNothing(t *testing.T) {
 	if err := dbnet.WriteFileAtomic(netPath, nw, nil); err != nil {
 		t.Fatal(err)
 	}
-	open := func() (*Server, *federation.Network) {
+	open := func() (*Server, *federation.Network, *replication.Primary) {
 		fed := federation.New(federation.Options{CacheSize: 64})
 		if err := fed.AttachIndexDir("net", indexDir, netPath); err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(nil, Options{Federation: fed})
+		p := openWritable(t, fed, "")
+		s, err := New(nil, Options{Federation: fed, Primary: p})
 		if err != nil {
 			t.Fatal(err)
 		}
 		n, _ := fed.Network("net")
-		return s, n
+		return s, n, p
 	}
 	urls := []string{"/api/v1/query?alpha=0", "/api/v1/query?alpha=0.2", "/api/v1/query?pattern=1,2&alpha=0"}
 	assertServesFreshBuild := func(s *Server, n *federation.Network, when string) {
@@ -409,13 +418,13 @@ func TestUpdateWriteBackFailureCommitsNothing(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		if resp.UpdateMicros <= 0 {
-			t.Fatalf("updateMicros = %d", resp.UpdateMicros)
+		if resp.UpdateMicros <= 0 || resp.JournalSeq == 0 {
+			t.Fatalf("updateMicros = %d, journalSeq = %d: a 200 is a journaled update", resp.UpdateMicros, resp.JournalSeq)
 		}
 		return resp
 	}
 
-	s, n := open()
+	s, n, p := open()
 	before := manifest()
 	// The network file's temp name is taken: the write-back cannot happen.
 	block := netPath + ".tmp"
@@ -426,8 +435,11 @@ func TestUpdateWriteBackFailureCommitsNothing(t *testing.T) {
 	// changes the content of those items' shards: a manifest that commits
 	// them differs from the one before, whatever the file names.
 	resp := update(s, `{"addVertices": 3, "addEdges": [[0,16],[1,16],[16,17],[17,18],[16,18]], "addTransactions": [{"vertex": 16, "items": ["1","2"]}, {"vertex": 17, "items": ["1","2"]}, {"vertex": 18, "items": ["1","2"]}]}`)
-	if resp.Warning == "" || len(resp.AffectedItems) == 0 {
-		t.Fatalf("a failed write-back must answer 200 with a warning: %+v", resp)
+	if len(resp.AffectedItems) == 0 {
+		t.Fatalf("the update affected nothing: %+v", resp)
+	}
+	if err := p.Checkpoint(); err == nil {
+		t.Fatal("the checkpoint succeeded although the network write-back cannot")
 	}
 	if manifest() != before {
 		t.Fatalf("manifest committed although the network write-back failed")
@@ -435,27 +447,112 @@ func TestUpdateWriteBackFailureCommitsNothing(t *testing.T) {
 	if onDisk, _, err := dbnet.ReadFile(netPath); err != nil || onDisk.NumVertices() != 16 {
 		t.Fatalf("network file after the failed write-back: %v vertices (%v), want the original 16", onDisk.NumVertices(), err)
 	}
+	if st := p.Status().Networks["net"]; st.FlushedSeq >= st.AppliedSeq {
+		t.Fatalf("status after the failed checkpoint: %+v, want flushedSeq below appliedSeq", st)
+	}
 	if n.Engine().DirtyShards() == 0 {
 		t.Fatalf("the update's shards were not kept for the next checkpoint")
 	}
 	assertServesFreshBuild(s, n, "served from memory")
 
-	// The next update's checkpoint persists both deltas.
+	// The next checkpoint persists both deltas.
 	if err := os.Remove(block); err != nil {
 		t.Fatal(err)
 	}
-	if resp := update(s, `{"addTransactions": [{"vertex": 0, "items": ["1"]}]}`); resp.Warning != "" {
-		t.Fatalf("update after the write-back recovered still warns: %s", resp.Warning)
+	update(s, `{"addTransactions": [{"vertex": 0, "items": ["1"]}]}`)
+	if err := p.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the write-back recovered: %v", err)
 	}
 	if manifest() == before || n.Engine().DirtyShards() != 0 {
-		t.Fatalf("the second update's checkpoint did not commit the index (%d dirty shards)", n.Engine().DirtyShards())
+		t.Fatalf("the second checkpoint did not commit the index (%d dirty shards)", n.Engine().DirtyShards())
 	}
 	assertServesFreshBuild(s, n, "after the second update")
-	reopened, n2 := open()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, n2, p2 := open()
 	if got := n2.DatabaseNetwork().NumVertices(); got != 19 {
 		t.Fatalf("reopened network has %d vertices, want 19", got)
 	}
 	assertServesFreshBuild(reopened, n, "reopened")
+
+	// An update the journal cannot take is not acknowledged.
+	if err := p2.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec := post(t, reopened, "/api/v1/update", `{"addTransactions": [{"vertex": 0, "items": ["2"]}]}`); rec.Code < 500 {
+		t.Fatalf("update on a closed journal: status %d, want 5xx (body %s)", rec.Code, rec.Body.String())
+	}
+	assertServesFreshBuild(reopened, n, "after the refused update")
+}
+
+// TestAcknowledgedUpdatesSurviveADroppedServer drops a server opened without
+// a journal directory after it acknowledged two updates — no Stop, no
+// checkpoint, only the journal closed as the process's end closes it — and
+// reopens the same directory: recovery replays both, and the reopened server
+// serves them.
+func TestAcknowledgedUpdatesSurviveADroppedServer(t *testing.T) {
+	dir := t.TempDir()
+	nw := buildUpdatableNetwork(t, 13)
+	indexDir, netPath := filepath.Join(dir, "net.index"), filepath.Join(dir, "net.dbnet")
+	if _, err := tctree.Build(nw, tctree.BuildOptions{}).WriteShardedAs(indexDir, tctree.FormatTCBIN); err != nil {
+		t.Fatal(err)
+	}
+	if err := dbnet.WriteFileAtomic(netPath, nw, nil); err != nil {
+		t.Fatal(err)
+	}
+	open := func() (*Server, *federation.Network, *replication.RecoverStats, *replication.Primary) {
+		fed := federation.New(federation.Options{CacheSize: 64})
+		if err := fed.AttachIndexDir("net", indexDir, netPath); err != nil {
+			t.Fatal(err)
+		}
+		p, stats, err := replication.OpenPrimary(fed, "", replication.Options{CheckpointInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(nil, Options{Federation: fed, Primary: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := fed.Network("net")
+		return s, n, stats, p
+	}
+	s, _, _, p := open()
+	for _, body := range []string{
+		`{"addVertices": 2, "addEdges": [[0,16],[1,16],[0,17],[16,17]], "addTransactions": [{"vertex": 16, "items": ["1","2"]}, {"vertex": 17, "items": ["1","2"]}]}`,
+		`{"addTransactions": [{"vertex": 0, "items": ["1","2"]}]}`,
+	} {
+		if rec := post(t, s, "/api/v1/update", body); rec.Code != http.StatusOK {
+			t.Fatalf("update status = %d, body %s", rec.Code, rec.Body.String())
+		}
+	}
+	if err := delta.Apply(nw, &delta.Delta{AddVertices: 2,
+		AddEdges:        []graph.Edge{graph.EdgeOf(0, 16), graph.EdgeOf(1, 16), graph.EdgeOf(0, 17), graph.EdgeOf(16, 17)},
+		AddTransactions: []delta.VertexTransaction{{Vertex: 16, Tx: itemset.New(1, 2)}, {Vertex: 17, Tx: itemset.New(1, 2)}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := delta.Apply(nw, &delta.Delta{AddTransactions: []delta.VertexTransaction{{Vertex: 0, Tx: itemset.New(1, 2)}}}); err != nil {
+		t.Fatal(err)
+	}
+	p.Journal().Close() // the process ends
+
+	if onDisk, _, err := dbnet.ReadFile(netPath); err != nil || onDisk.NumVertices() != 16 {
+		t.Fatalf("the dropped server's network file: %v (%v), want the 16 vertices it started with", onDisk.NumVertices(), err)
+	}
+	reopened, n, stats, p2 := open()
+	defer p2.Close()
+	if stats.Replayed != 2 {
+		t.Fatalf("recovery replayed %d records, want the 2 acknowledged updates", stats.Replayed)
+	}
+	fresh, _ := testNetwork{
+		Built:          builtIndex(t, nw, tctree.BuildOptions{}),
+		NetworkOptions: federation.NetworkOptions{Dictionary: n.Dictionary()},
+	}.serve(t)
+	for _, url := range []string{"/api/v1/query?alpha=0", "/api/v1/query?alpha=0.2", "/api/v1/query?pattern=1,2&alpha=0"} {
+		if got, want := get(t, reopened, url).Body.String(), get(t, fresh, url).Body.String(); normalize(got) != normalize(want) {
+			t.Fatalf("%s: the reopened server diverges from the acknowledged updates:\n got %s\nwant %s", url, got, want)
+		}
+	}
 }
 
 // applyRecorder records the apply duration of every update an engine
@@ -483,12 +580,11 @@ func (r *applyRecorder) last() (time.Duration, int) {
 	return r.applies[len(r.applies)-1], len(r.applies)
 }
 
-// TestUpdateDurationsMeanTheSameOnEveryRoute drives both update routes — a
-// journaled primary member ("alpha") and an unjournaled tenant that
-// checkpoints each update at once ("beta") — and holds each to one meaning:
-// DeltaResult.Duration is the engine's in-memory apply, exactly what the
-// Recorder observes, and updateMicros times the whole update, so it is never
-// below that apply.
+// TestUpdateDurationsMeanTheSameOnEveryRoute drives the one update route on
+// two members, through the tenant's update call and through POST, and holds
+// each to one meaning: DeltaResult.Duration is the engine's in-memory apply,
+// exactly what the Recorder observes, and updateMicros times the whole
+// update, journal append included, so it is never below that apply.
 func TestUpdateDurationsMeanTheSameOnEveryRoute(t *testing.T) {
 	dir := t.TempDir()
 	rec := &applyRecorder{}
@@ -511,20 +607,7 @@ func TestUpdateDurationsMeanTheSameOnEveryRoute(t *testing.T) {
 			t.Fatalf("%s: AttachIndex: %v", name, err)
 		}
 	}
-	j, err := journal.Open(filepath.Join(dir, "journal"), journal.Options{})
-	if err != nil {
-		t.Fatalf("open journal: %v", err)
-	}
-	t.Cleanup(func() { j.Close() })
-	p := replication.NewPrimary(j, replication.Options{CheckpointInterval: -1})
-	alpha, _ := fed.Network("alpha")
-	if err := p.Add(alpha); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if _, err := p.Recover(); err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	s, err := New(nil, Options{Federation: fed, Primary: p})
+	s, err := New(nil, Options{Federation: fed, Primary: openWritable(t, fed, filepath.Join(dir, "journal"))})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -532,17 +615,21 @@ func TestUpdateDurationsMeanTheSameOnEveryRoute(t *testing.T) {
 	for _, name := range []string{"alpha", "beta"} {
 		n, _ := fed.Network(name)
 		tn := s.tenantOf(n)
+		if !tn.writable {
+			t.Fatalf("%s is not writable", name)
+		}
 		d, err := tn.parseUpdate(&UpdateRequest{AddTransactions: []UpdateTransaction{{Vertex: 0, Items: []string{"3"}}}})
 		if err != nil {
 			t.Fatalf("%s: parseUpdate: %v", name, err)
 		}
-		res, seq, err := tn.update(d)
+		ar, err := s.primary.Apply(name, d)
 		if err != nil {
 			t.Fatalf("%s: update: %v", name, err)
 		}
-		if journaled := name == "alpha"; journaled != (seq > 0) {
-			t.Fatalf("%s: journal seq %d, journaled route = %v", name, seq, journaled)
+		if ar.Seq == 0 {
+			t.Fatalf("%s: the update was not journaled", name)
 		}
+		res := ar.Result
 		applied, count := rec.last()
 		if count == 0 || res.Duration != applied {
 			t.Fatalf("%s: DeltaResult.Duration = %v, recorded apply = %v (%d recorded)", name, res.Duration, applied, count)

@@ -69,7 +69,11 @@ type Index struct {
 	// BuiltMaxDepth is the BuildOptions.MaxDepth bound of the build
 	// (0 = unbounded), recorded in the manifest Write writes.
 	BuiltMaxDepth int
-	Shards        []*EncodedShard
+	// JournalSeq is the journal position of the network the index was built
+	// from — its file's stamp — recorded in the manifest Write writes, so a
+	// rebuilt index agrees with its network file.
+	JournalSeq uint64
+	Shards     []*EncodedShard
 }
 
 // BuildIndex builds the index of the network as bytes: each first-level

@@ -256,7 +256,7 @@ func writeShards(dir string, n int, shard func(i int) (*EncodedShard, error)) ([
 // manifest swap, and every shard file the new manifest does not name is
 // removed after it. An index saved this way is opened with OpenSharded.
 func (x *Index) Write(dir string) (*Manifest, error) {
-	return rewrite(dir, x.BuiltMaxDepth, len(x.Shards), func(i int) (*EncodedShard, error) { return x.Shards[i], nil })
+	return rewrite(dir, x.BuiltMaxDepth, x.JournalSeq, len(x.Shards), func(i int) (*EncodedShard, error) { return x.Shards[i], nil })
 }
 
 // WriteShardedAs writes the tree as Write writes its index, encoding each
@@ -270,18 +270,18 @@ func (t *Tree) WriteShardedAs(dir, format string) (*Manifest, error) {
 		return nil, fmt.Errorf("tctree: cannot serialize a nil tree")
 	}
 	roots := t.root.Children
-	return rewrite(dir, t.builtMaxDepth, len(roots), func(i int) (*EncodedShard, error) { return encodeShardBinary(roots[i]) })
+	return rewrite(dir, t.builtMaxDepth, 0, len(roots), func(i int) (*EncodedShard, error) { return encodeShardBinary(roots[i]) })
 }
 
 // rewrite replaces the index in dir by the n shards shard supplies, as a
 // staged commit against the directory's current manifest, or an empty one
 // when there is none this release reads: every shard is staged, every old
 // item the new index lacks is marked removed, the manifest is committed with
-// builtMaxDepth and JournalSeq 0, and the sweep removes the old index's
+// builtMaxDepth and journalSeq, and the sweep removes the old index's
 // files. A file the current manifest names is only ever replaced by the
 // bytes its content name promises, so a failure before the manifest swap
 // leaves the old index intact.
-func rewrite(dir string, builtMaxDepth, n int, shard func(i int) (*EncodedShard, error)) (*Manifest, error) {
+func rewrite(dir string, builtMaxDepth int, journalSeq uint64, n int, shard func(i int) (*EncodedShard, error)) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -298,7 +298,7 @@ func rewrite(dir string, builtMaxDepth, n int, shard func(i int) (*EncodedShard,
 			st.entries[it] = nil
 		}
 	}
-	st.SetJournalSeq(0)
+	st.SetJournalSeq(journalSeq)
 	st.builtMaxDepth = &builtMaxDepth
 	_, err = st.Commit()
 	st.Sweep()

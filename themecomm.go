@@ -199,8 +199,8 @@ type (
 	// DeltaTransaction is one transaction of a delta, bound to its vertex.
 	DeltaTransaction = delta.VertexTransaction
 	// DeltaResult summarises one update (affected items, per-shard
-	// outcomes, the new index epoch): an Engine.ApplyDeltaInMemory call, or
-	// a FederationNetwork.ApplyDelta, which also persists it.
+	// outcomes, the new index epoch): an Engine.ApplyDeltaInMemory call,
+	// which a server's update journals first and checkpoints later.
 	DeltaResult = engine.DeltaResult
 	// IndexCommitReport details one sharded-index commit: which shards were
 	// replaced, added and removed.
@@ -213,10 +213,10 @@ func AffectedItems(nw *Network, d *NetworkDelta) Itemset { return delta.Affected
 
 // ApplyNetworkDelta validates the delta and mutates the network in place.
 // Serving layers update index and network together instead, through the one
-// write route: Engine.ApplyDeltaInMemory swaps the rebuilt shards in and
-// Engine.Checkpoint persists them; FederationNetwork.ApplyDelta (or
-// Federation.ApplyDelta, POST /api/v1/update on a tcserver, offline tcupdate)
-// runs both, writing the network file back before the index commits.
+// write route (POST /api/v1/update on a tcserver, offline tcupdate): the
+// delta is appended to the journal, Engine.ApplyDeltaInMemory swaps the
+// rebuilt shards in, and a later Engine.Checkpoint persists them, writing
+// the network file back before the index commits.
 func ApplyNetworkDelta(nw *Network, d *NetworkDelta) error { return delta.Apply(nw, d) }
 
 // ReadDelta parses a delta from its TCDELTA text serialization; dict, when
@@ -264,8 +264,8 @@ func WriteNetworkFile(path string, nw *Network, dict *Dictionary) error {
 
 // WriteNetworkFileAtomic durably replaces a network file (write-to-temp +
 // fsync + rename), so a crash mid-write can never tear it. It writes no
-// journal-seq stamp: an update's write-back goes through the update route
-// (FederationNetwork.ApplyDelta), which keeps the stamp.
+// journal-seq stamp: an update's write-back is a checkpoint of the update
+// route, which stamps the file with its journal position.
 func WriteNetworkFileAtomic(path string, nw *Network, dict *Dictionary) error {
 	return dbnet.WriteFileAtomic(path, nw, dict)
 }
